@@ -369,7 +369,8 @@ fn val_covers(a: &Val, b: &Val) -> bool {
     if a.stride <= 1 {
         return true;
     }
-    let aligned = |v: i64| -> bool { ((v as i128 - a.lo as i128) as u128).is_multiple_of(a.stride as u128) };
+    let aligned =
+        |v: i64| -> bool { ((v as i128 - a.lo as i128) as u128).is_multiple_of(a.stride as u128) };
     if !aligned(b.lo) || !aligned(b.hi) {
         return false;
     }

@@ -4,8 +4,9 @@
 //! workspace-wide scan. The rules are deliberately token/line-level —
 //! no `syn`, no parsing — so the lint is trivially auditable and runs
 //! in milliseconds. Comments are stripped (`//` to end of line) so
-//! prose can neither trip nor hide a match, and each file is truncated
-//! at its first `#[cfg(test)]`: only production code is scanned.
+//! prose can neither trip nor hide a match, and the scan of a file
+//! stops at the first line of code that opens with `#[cfg(test)]`:
+//! only production code is scanned.
 //!
 //! Three rules:
 //!
@@ -113,19 +114,22 @@ fn allowed(allow: &Allowlist, rule: &str, path: &str) -> bool {
         .any(|(r, frag)| r == rule && path.contains(frag.as_str()))
 }
 
-/// Scans one source file against one rule's token list. The source is
-/// truncated at the first `#[cfg(test)]` and comments are stripped
-/// line by line, preserving line numbers.
+/// Scans one source file against one rule's token list. Comments are
+/// stripped line by line, preserving line numbers, and the scan stops
+/// at the first line whose code opens with `#[cfg(test)]` — the
+/// attribute itself, not a comment or a string that mentions it.
 pub fn scan_source(
     rule: &'static str,
     tokens: &[&'static str],
     path: &str,
     src: &str,
 ) -> Vec<Finding> {
-    let prod = &src[..src.find("#[cfg(test)]").unwrap_or(src.len())];
     let mut out = Vec::new();
-    for (i, raw) in prod.lines().enumerate() {
+    for (i, raw) in src.lines().enumerate() {
         let code = raw.split("//").next().unwrap_or("");
+        if code.trim_start().starts_with("#[cfg(test)]") {
+            break;
+        }
         for &tok in tokens {
             if code.contains(tok) {
                 out.push(Finding {
@@ -232,6 +236,17 @@ mod tests {
     fn comments_and_tests_do_not_trip() {
         let src = "// a HashMap in prose\nfn f() {}\n#[cfg(test)]\nmod t { use std::collections::HashMap; }\n";
         assert!(lint_file("crates/x/src/a.rs", src, &Vec::new()).is_empty());
+    }
+
+    #[test]
+    fn mentioning_the_test_attribute_does_not_end_the_scan() {
+        let src = "// everything below `#[cfg(test)]` is skipped\n\
+                   const MARK: &str = \"#[cfg(test)]\";\n\
+                   use std::collections::HashMap;\n\
+                   #[cfg(test)]\nmod t { use std::collections::HashSet; }\n";
+        let hits = lint_file("crates/x/src/a.rs", src, &Vec::new());
+        assert_eq!(hits.len(), 1, "{hits:?}");
+        assert_eq!((hits[0].line, hits[0].token), (3, "HashMap"));
     }
 
     #[test]

@@ -6,12 +6,40 @@
 //! cargo run --release -p det-bench --bin report -- fig7 fig11
 //! ```
 
+use std::process::ExitCode;
+
 use det_bench::{
-    Scale, analyze_cost, analyze_prefetch, clone_table, fig4, fig7, fig8, fig9, fig10, fig11,
-    fig12, quantum_ablation, rendezvous_table, scaling, table3, vm_mips,
+    Scale, Table, analyze_cost, analyze_prefetch, clone_table, fig4, fig7, fig8, fig9, fig10,
+    fig11, fig12, quantum_ablation, rendezvous_table, scaling, table3, vm_mips,
 };
 
-fn main() {
+/// A report section: its name on the command line and its tables.
+type Section = (&'static str, fn(Scale) -> Vec<Table>);
+
+/// Every section, in print order.
+const SECTIONS: [Section; 14] = [
+    ("fig4", |_| vec![fig4()]),
+    ("fig7", |s| vec![fig7(s)]),
+    ("fig8", |s| vec![fig8(s)]),
+    ("fig9", |s| vec![fig9(s)]),
+    ("fig10", |s| vec![fig10(s)]),
+    ("fig11", |s| vec![fig11(s)]),
+    ("fig12", |s| vec![fig12(s)]),
+    ("quantum", |s| vec![quantum_ablation(s)]),
+    ("vmmips", |s| vec![vm_mips(s)]),
+    ("clone", |s| vec![clone_table(s)]),
+    ("rendezvous", |s| vec![rendezvous_table(s)]),
+    ("scaling", |s| vec![scaling(s)]),
+    ("analyze", |s| vec![analyze_cost(s), analyze_prefetch(s)]),
+    ("table3", |_| {
+        let root = std::env::var("CARGO_MANIFEST_DIR")
+            .map(|d| std::path::PathBuf::from(d).join("../.."))
+            .unwrap_or_else(|_| ".".into());
+        vec![table3(&root)]
+    }),
+];
+
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let scale = if args.iter().any(|a| a == "--full") {
         Scale::Full
@@ -23,8 +51,16 @@ fn main() {
         .filter(|a| !a.starts_with("--"))
         .map(String::as_str)
         .collect();
+    let known = |name: &str| name == "all" || SECTIONS.iter().any(|(n, _)| *n == name);
+    if let Some(unknown) = wanted.iter().find(|name| !known(name)) {
+        let names: Vec<&str> = SECTIONS.iter().map(|(n, _)| *n).collect();
+        eprintln!(
+            "report: unknown section `{unknown}`; valid: all {}",
+            names.join(" ")
+        );
+        return ExitCode::from(64);
+    }
     let all = wanted.is_empty() || wanted.contains(&"all");
-    let want = |name: &str| all || wanted.contains(&name);
 
     println!(
         "# Determinator reproduction report ({})\n",
@@ -34,50 +70,12 @@ fn main() {
             "quick scale"
         }
     );
-    if want("fig4") {
-        print!("{}", fig4().to_markdown());
+    for (name, tables) in SECTIONS {
+        if all || wanted.contains(&name) {
+            for table in tables(scale) {
+                print!("{}", table.to_markdown());
+            }
+        }
     }
-    if want("fig7") {
-        print!("{}", fig7(scale).to_markdown());
-    }
-    if want("fig8") {
-        print!("{}", fig8(scale).to_markdown());
-    }
-    if want("fig9") {
-        print!("{}", fig9(scale).to_markdown());
-    }
-    if want("fig10") {
-        print!("{}", fig10(scale).to_markdown());
-    }
-    if want("fig11") {
-        print!("{}", fig11(scale).to_markdown());
-    }
-    if want("fig12") {
-        print!("{}", fig12(scale).to_markdown());
-    }
-    if want("quantum") {
-        print!("{}", quantum_ablation(scale).to_markdown());
-    }
-    if want("vmmips") {
-        print!("{}", vm_mips(scale).to_markdown());
-    }
-    if want("clone") {
-        print!("{}", clone_table(scale).to_markdown());
-    }
-    if want("rendezvous") {
-        print!("{}", rendezvous_table(scale).to_markdown());
-    }
-    if want("scaling") {
-        print!("{}", scaling(scale).to_markdown());
-    }
-    if want("analyze") {
-        print!("{}", analyze_cost(scale).to_markdown());
-        print!("{}", analyze_prefetch(scale).to_markdown());
-    }
-    if want("table3") {
-        let root = std::env::var("CARGO_MANIFEST_DIR")
-            .map(|d| std::path::PathBuf::from(d).join("../.."))
-            .unwrap_or_else(|_| ".".into());
-        print!("{}", table3(&root).to_markdown());
-    }
+    ExitCode::SUCCESS
 }

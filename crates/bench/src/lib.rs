@@ -557,7 +557,7 @@ pub fn vm_mips(scale: Scale) -> Table {
 /// page-table work fork/snapshot actually performs under the two-level
 /// shared table, per operation shape. The work counts (leaves shared,
 /// boundary pages) are deterministic; the host ns column is indicative
-/// (shim criterion caveat) and the virtual-time column is what the
+/// (one timed loop, no statistics) and the virtual-time column is what the
 /// kernel charges via `CostModel::calibrated()` — the O(touched)
 /// fork/snapshot cost of PAPER.md §3.2/§8.
 pub fn clone_table(scale: Scale) -> Table {
@@ -684,7 +684,7 @@ pub fn clone_table(scale: Scale) -> Table {
 /// the kernel's engine counters: wakeups are a deterministic function
 /// of the rendezvous history (and exactly 0 for inline VM dispatch);
 /// spurious wakes are host-timing observability. Host ns/roundtrip is
-/// indicative (shim criterion caveat); the virtual column is what the
+/// indicative (one timed loop, no statistics); the virtual column is what the
 /// cost model charges for the same roundtrip.
 pub fn rendezvous_table(scale: Scale) -> Table {
     use det_kernel::{

@@ -631,7 +631,8 @@ impl ClusterOutcome {
         stat_lines(&self.stats, true, &mut out);
         out.push_str("[outputs]\n");
         for (dev, bytes) in &self.root.outputs {
-            writeln!(out, "{dev:?}={}", hex(bytes)).unwrap();
+            let hex = serde_json::to_string(bytes).expect("bytes render");
+            writeln!(out, "{dev:?}={hex}").unwrap();
         }
         let mut bytes = out.into_bytes();
         bytes.extend_from_slice(&self.cluster_sections());
@@ -735,12 +736,4 @@ fn stat_lines(s: &KernelStats, vehicle: bool, out: &mut String) {
     writeln!(out, "vm_icache_fills={vm_icache_fills}").unwrap();
     writeln!(out, "checkpoints={checkpoints}").unwrap();
     writeln!(out, "checkpoint_leaves={checkpoint_leaves}").unwrap();
-}
-
-fn hex(bytes: &[u8]) -> String {
-    let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        s.push_str(&format!("{b:02x}"));
-    }
-    s
 }

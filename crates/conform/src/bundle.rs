@@ -156,21 +156,6 @@ impl Artifacts {
         for (k, v) in &core {
             let _ = writeln!(s, "{k}={v}");
         }
-        let m = &self.stats.merge_totals.0;
-        for (k, v) in [
-            ("merge.pages_scanned", m.pages_scanned),
-            ("merge.pages_skipped_clean", m.pages_skipped_clean),
-            ("merge.pages_unchanged", m.pages_unchanged),
-            ("merge.pages_skipped_shared", m.pages_skipped_shared),
-            ("merge.pages_aliased", m.pages_aliased),
-            ("merge.pages_diffed", m.pages_diffed),
-            ("merge.words_compared", m.words_compared),
-            ("merge.bytes_compared", m.bytes_compared),
-            ("merge.bytes_copied", m.bytes_copied),
-            ("merge.pages_mapped", m.pages_mapped),
-        ] {
-            let _ = writeln!(s, "{k}={v}");
-        }
         if scope == Scope::Full {
             s.push_str("[stats-vehicle]\n");
             let _ = writeln!(s, "dispatch={:?}", self.dispatch);
@@ -181,7 +166,8 @@ impl Artifacts {
 
         s.push_str("[outputs]\n");
         for (dev, data) in &self.outputs {
-            let _ = writeln!(s, "{dev:?}={}", hex(data));
+            let hex = serde_json::to_string(data).expect("bytes render");
+            let _ = writeln!(s, "{dev:?}={hex}");
         }
         s.push_str("[io]\n");
         let _ = writeln!(
@@ -247,35 +233,29 @@ impl Artifacts {
 pub type StatLines = Vec<(String, String)>;
 
 /// Splits the stats vector into (core, vehicle) `key=value` lists,
-/// preserving field declaration order. Public so the divergence
-/// classifier can name the exact counter that drifted.
+/// preserving field declaration order; a nested record (the merge
+/// totals) contributes one `outer.inner` line per counter. Public so
+/// the divergence classifier can name the exact counter that drifted.
 pub fn stat_lines(stats: &KernelStats) -> (StatLines, StatLines) {
+    let render = |v: Value| serde_json::to_string(&v).expect("stat renders");
     let mut core = Vec::new();
     let mut vehicle = Vec::new();
     if let Value::Object(fields) = stats.to_value() {
         for (k, v) in fields {
-            let rendered = match v {
-                Value::UInt(n) => n.to_string(),
-                Value::Int(n) => n.to_string(),
-                other => serde_json::to_string(&other).expect("stat renders"),
-            };
             if VEHICLE_FIELDS.contains(&k.as_str()) {
-                vehicle.push((k, rendered));
+                vehicle.push((k, render(v)));
+            } else if let Value::Object(inner) = v {
+                core.extend(
+                    inner
+                        .into_iter()
+                        .map(|(ik, iv)| (format!("{k}.{ik}"), render(iv))),
+                );
             } else {
-                core.push((k, rendered));
+                core.push((k, render(v)));
             }
         }
     }
     (core, vehicle)
-}
-
-/// Lowercase hex of a byte string.
-fn hex(data: &[u8]) -> String {
-    let mut s = String::with_capacity(data.len() * 2);
-    for b in data {
-        let _ = write!(s, "{b:02x}");
-    }
-    s
 }
 
 /// The space a trace event belongs to: syscalls belong to the caller,

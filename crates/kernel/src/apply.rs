@@ -22,6 +22,7 @@
 
 use det_memory::{MergeConflict, MergeStats, Perm, Region, SpaceDelta};
 use det_vm::Regs;
+use serde::{Deserialize, Serialize};
 
 use crate::cost::{CostModel, ns_to_ps};
 use crate::device::DeviceId;
@@ -40,7 +41,7 @@ use crate::syscall::{CopySpec, GetSpec, PutSpec, StartSpec, StopReason};
 /// VM cache and instruction counters of one execution window, as
 /// deltas (everything a [`TraceEvent::CheckIn`] must carry so replay
 /// reproduces the VM observability counters without interpreting).
-#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, Default, PartialEq, Eq, Debug, Serialize, Deserialize)]
 pub struct VmCounters {
     /// Instructions retired.
     pub instructions: u64,
@@ -59,7 +60,7 @@ pub struct VmCounters {
 /// entry charge), its remaining work limit, and every page its own
 /// memory changed. Replay applies this *instead of* running the
 /// caller's program.
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct EntryRec {
     /// Virtual-clock advance over the window, picoseconds.
     pub advance_ps: u64,
@@ -72,7 +73,7 @@ pub struct EntryRec {
 /// Pure-data image of a [`PutSpec`]: identical options, with the
 /// program reduced to its [`ProgramKind`] (a native program's closure
 /// cannot be serialized — and replay never runs it).
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct PutRec {
     /// See [`PutSpec::regs`].
     pub regs: Option<Regs>,
@@ -114,7 +115,7 @@ impl PutRec {
 /// Events on the same slot are linearized by that slot's lock at
 /// record time; events on different slots commute (they touch disjoint
 /// state), so any recorded interleaving replays to the same result.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum TraceEvent {
     /// A `Put` rendezvous (also the Put half of a fused `PutGet`).
     Put {

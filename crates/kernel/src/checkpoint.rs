@@ -45,21 +45,16 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use det_memory::{AddressSpace, MergeStats, SpaceDelta};
+use det_memory::{AddressSpace, SpaceDelta};
 use serde::{DeError, Deserialize, Serialize, Value, field};
 
 use crate::apply::{TraceEvent, apply};
 use crate::error::{KernelError, Result};
-use crate::state::{KSlot, KState, RunState, SpaceState};
-use crate::stats::KernelStats;
-use crate::trace::{
-    ReplayOutcome, Trace, TraceMeta, obj, outcome_of, p_delta, p_dispatch, p_exit, p_opt, p_policy,
-    p_program_kind, p_regs, p_stop, req, tag, v_delta, v_dispatch, v_exit, v_opt, v_policy,
-    v_program_kind, v_regs, v_stop,
-};
+use crate::state::{KSlot, KState, SpaceState};
+use crate::trace::{ReplayOutcome, Trace, TraceMeta, outcome_of};
 
 /// The checkpoint bundle format this build writes and reads.
-pub const CHECKPOINT_FORMAT_VERSION: u32 = 1;
+pub const CHECKPOINT_FORMAT_VERSION: u32 = 2;
 
 const MAGIC: &str = "detckpt";
 
@@ -433,10 +428,39 @@ impl Checkpointer {
 // ---------------------------------------------------------------------------
 // KState codec.
 //
-// Same hand-written Value encoding style as the trace codec (the
-// substrate types implement no serde traits); field order is fixed, so
-// the rendered payload is byte-stable.
+// `KState`, `KSlot` and `SpaceState` derive their mappings like every
+// other persisted type, minus the one thing a derive cannot do: a
+// space's memory is encoded against a base image and decoded onto the
+// parent checkpoint's. These functions add exactly that — the `slots`
+// of a state, the `state` of a slot, the `mem` of a space — threading
+// the image through. Field order is fixed, so the rendered payload is
+// byte-stable.
 // ---------------------------------------------------------------------------
+
+/// `object` with one more field.
+fn with(mut object: Value, key: &str, field: Value) -> Value {
+    if let Value::Object(fields) = &mut object {
+        fields.push((key.to_string(), field));
+    }
+    object
+}
+
+fn req<'a>(v: &'a Value, name: &str) -> std::result::Result<&'a Value, DeError> {
+    v.get(name)
+        .ok_or_else(|| DeError::msg(format!("missing field `{name}`")))
+}
+
+/// One space's memory as the payload stores it.
+#[derive(Serialize, Deserialize)]
+enum MemImage {
+    /// Every mapped page, as deltas against an empty space.
+    Full {
+        clean: SpaceDelta,
+        dirty: SpaceDelta,
+    },
+    /// The changes since the parent checkpoint's image of the space.
+    Delta { delta: SpaceDelta },
+}
 
 fn v_mem_full(mem: &AddressSpace) -> Value {
     // Against an empty base, every mapped page appears as a
@@ -444,45 +468,31 @@ fn v_mem_full(mem: &AddressSpace) -> Value {
     // decoder reproduce the exact dirty write-set (clean pages applied
     // first, marks cleared, dirty pages applied after).
     let full = mem.delta_since(&AddressSpace::new());
-    let dirty: BTreeSet<u64> = mem.dirty_vpns().into_iter().collect();
+    let dirty_vpns: BTreeSet<u64> = mem.dirty_vpns().into_iter().collect();
     let mut clean = SpaceDelta::default();
-    let mut dirt = SpaceDelta::default();
+    let mut dirty = SpaceDelta::default();
     for p in full.pages {
-        if dirty.contains(&p.vpn) {
-            dirt.pages.push(p);
+        if dirty_vpns.contains(&p.vpn) {
+            dirty.pages.push(p);
         } else {
             clean.pages.push(p);
         }
     }
-    obj(vec![
-        ("k", Value::Str("full".into())),
-        ("clean", v_delta(&clean)),
-        ("dirty", v_delta(&dirt)),
-    ])
-}
-
-fn v_mem_delta(delta: &SpaceDelta) -> Value {
-    obj(vec![
-        ("k", Value::Str("delta".into())),
-        ("delta", v_delta(delta)),
-    ])
+    MemImage::Full { clean, dirty }.to_value()
 }
 
 fn p_mem(v: &Value, prev: Option<&AddressSpace>) -> std::result::Result<AddressSpace, DeError> {
-    match tag(v)? {
-        "full" => {
-            let clean = p_delta(req(v, "clean")?)?;
-            let dirt = p_delta(req(v, "dirty")?)?;
+    match MemImage::from_value(v)? {
+        MemImage::Full { clean, dirty } => {
             let mut mem = AddressSpace::new();
             mem.apply_delta(&clean)
                 .map_err(|_| DeError::msg("bad clean delta"))?;
             mem.clear_dirty();
-            mem.apply_delta(&dirt)
+            mem.apply_delta(&dirty)
                 .map_err(|_| DeError::msg("bad dirty delta"))?;
             Ok(mem)
         }
-        "delta" => {
-            let delta = p_delta(req(v, "delta")?)?;
+        MemImage::Delta { delta } => {
             let mut mem = prev
                 .ok_or_else(|| DeError::msg("incremental memory without a parent image"))?
                 .clone();
@@ -490,154 +500,27 @@ fn p_mem(v: &Value, prev: Option<&AddressSpace>) -> std::result::Result<AddressS
                 .map_err(|_| DeError::msg("bad incremental delta"))?;
             Ok(mem)
         }
-        _ => Err(DeError::msg("unknown memory encoding")),
     }
 }
 
-fn v_space_state(st: &SpaceState, mem: Value) -> Value {
-    // `snap` is intentionally absent — see the module docs on
-    // restorable boundaries.
-    obj(vec![
-        ("regs", v_regs(&st.regs)),
-        ("mem", mem),
-        ("vclock_ps", Value::UInt(st.vclock_ps)),
-        ("limit_ps", st.limit_ps.to_value()),
-        ("insn_count", Value::UInt(st.insn_count)),
-        ("home_node", Value::UInt(st.home_node as u64)),
-        ("cur_node", Value::UInt(st.cur_node as u64)),
-    ])
-}
-
-fn p_space_state(
-    v: &Value,
-    prev_mem: Option<&AddressSpace>,
-) -> std::result::Result<SpaceState, DeError> {
-    Ok(SpaceState {
-        regs: p_regs(req(v, "regs")?)?,
-        mem: p_mem(req(v, "mem")?, prev_mem)?,
-        snap: None,
-        vclock_ps: field(v, "vclock_ps")?,
-        limit_ps: field(v, "limit_ps")?,
-        insn_count: field(v, "insn_count")?,
-        home_node: field(v, "home_node")?,
-        cur_node: field(v, "cur_node")?,
-    })
-}
-
-fn v_run(r: &RunState) -> Value {
-    match r {
-        RunState::Idle(stop) => obj(vec![
-            ("k", Value::Str("idle".into())),
-            ("stop", v_stop(*stop)),
-        ]),
-        RunState::Runnable => obj(vec![("k", Value::Str("runnable".into()))]),
-        RunState::Running => obj(vec![("k", Value::Str("running".into()))]),
-        RunState::Destroyed => obj(vec![("k", Value::Str("destroyed".into()))]),
-    }
-}
-
-fn p_run(v: &Value) -> std::result::Result<RunState, DeError> {
-    Ok(match tag(v)? {
-        "idle" => RunState::Idle(p_stop(req(v, "stop")?)?),
-        "runnable" => RunState::Runnable,
-        "running" => RunState::Running,
-        "destroyed" => RunState::Destroyed,
-        _ => return Err(DeError::msg("unknown run state")),
-    })
-}
-
-fn v_pairs<K: Copy + Into<u64>, V2: Copy + Into<u64>>(map: &BTreeMap<K, V2>) -> Value {
-    Value::Array(
-        map.iter()
-            .map(|(&k, &v)| Value::Array(vec![Value::UInt(k.into()), Value::UInt(v.into())]))
-            .collect(),
-    )
-}
-
-fn p_pairs<K: Ord + TryFrom<u64>, V2: TryFrom<u64>>(
-    v: &Value,
-) -> std::result::Result<BTreeMap<K, V2>, DeError> {
-    let items = match v {
-        Value::Array(items) => items,
-        _ => return Err(DeError::msg("expected pair array")),
-    };
-    let mut map = BTreeMap::new();
-    for item in items {
-        let pair: Vec<u64> = Vec::from_value(item)?;
-        if pair.len() != 2 {
-            return Err(DeError::msg("expected [key, value] pair"));
-        }
-        let k = K::try_from(pair[0]).map_err(|_| DeError::msg("pair key out of range"))?;
-        let val = V2::try_from(pair[1]).map_err(|_| DeError::msg("pair value out of range"))?;
-        map.insert(k, val);
-    }
-    Ok(map)
-}
-
+/// Encodes a slot; `mem` is its space's memory, already encoded.
 fn v_slot(slot: &KSlot, mem: Option<Value>) -> Value {
     let state = match (slot.state.as_deref(), mem) {
-        (Some(st), Some(mem)) => v_space_state(st, mem),
+        (Some(st), Some(mem)) => with(st.to_value(), "mem", mem),
         _ => Value::Null,
     };
-    obj(vec![
-        ("children", v_pairs(&slot.children)),
-        ("path", Value::Str(slot.path.clone())),
-        ("child_gens", v_pairs(&slot.child_gens)),
-        ("run", v_run(&slot.run)),
-        ("state", state),
-        ("pending", v_opt(&slot.pending, |p| v_program_kind(*p))),
-        ("has_vehicle", Value::Bool(slot.has_vehicle)),
-        ("inline_vm", Value::Bool(slot.inline_vm)),
-        ("terminal", Value::Bool(slot.terminal)),
-    ])
+    with(slot.to_value(), "state", state)
 }
 
 fn p_slot(v: &Value, prev_mem: Option<&AddressSpace>) -> std::result::Result<KSlot, DeError> {
-    let state = match req(v, "state")? {
-        Value::Null => None,
-        sv => Some(Box::new(p_space_state(sv, prev_mem)?)),
-    };
-    Ok(KSlot {
-        children: p_pairs(req(v, "children")?)?,
-        path: field(v, "path")?,
-        child_gens: p_pairs(req(v, "child_gens")?)?,
-        run: p_run(req(v, "run")?)?,
-        state,
-        pending: p_opt(req(v, "pending")?, p_program_kind)?,
-        has_vehicle: field(v, "has_vehicle")?,
-        inline_vm: field(v, "inline_vm")?,
-        terminal: field(v, "terminal")?,
-    })
-}
-
-fn v_merge_stats(m: &MergeStats) -> Value {
-    obj(vec![
-        ("pages_scanned", Value::UInt(m.pages_scanned)),
-        ("pages_skipped_clean", Value::UInt(m.pages_skipped_clean)),
-        ("pages_unchanged", Value::UInt(m.pages_unchanged)),
-        ("pages_skipped_shared", Value::UInt(m.pages_skipped_shared)),
-        ("pages_aliased", Value::UInt(m.pages_aliased)),
-        ("pages_diffed", Value::UInt(m.pages_diffed)),
-        ("words_compared", Value::UInt(m.words_compared)),
-        ("bytes_compared", Value::UInt(m.bytes_compared)),
-        ("bytes_copied", Value::UInt(m.bytes_copied)),
-        ("pages_mapped", Value::UInt(m.pages_mapped)),
-    ])
-}
-
-fn p_merge_stats(v: &Value) -> std::result::Result<MergeStats, DeError> {
-    Ok(MergeStats {
-        pages_scanned: field(v, "pages_scanned")?,
-        pages_skipped_clean: field(v, "pages_skipped_clean")?,
-        pages_unchanged: field(v, "pages_unchanged")?,
-        pages_skipped_shared: field(v, "pages_skipped_shared")?,
-        pages_aliased: field(v, "pages_aliased")?,
-        pages_diffed: field(v, "pages_diffed")?,
-        words_compared: field(v, "words_compared")?,
-        bytes_compared: field(v, "bytes_compared")?,
-        bytes_copied: field(v, "bytes_copied")?,
-        pages_mapped: field(v, "pages_mapped")?,
-    })
+    let mut slot = KSlot::from_value(v)?;
+    let sv = req(v, "state")?;
+    if !matches!(sv, Value::Null) {
+        let mut st = SpaceState::from_value(sv)?;
+        st.mem = p_mem(req(sv, "mem")?, prev_mem)?;
+        slot.state = Some(Box::new(st));
+    }
+    Ok(slot)
 }
 
 /// Encodes the whole kernel state. `bases` selects incremental memory
@@ -657,115 +540,43 @@ fn v_kstate(
                 .state
                 .as_deref()
                 .map(|st| match bases.and_then(|b| b.get(&id)) {
-                    Some(base) => v_mem_delta(&st.mem.delta_since(base)),
+                    Some(base) => MemImage::Delta {
+                        delta: st.mem.delta_since(base),
+                    }
+                    .to_value(),
                     None => v_mem_full(&st.mem),
                 });
-            Value::Array(vec![Value::UInt(id as u64), v_slot(slot, mem)])
+            Value::Array(vec![id.to_value(), v_slot(slot, mem)])
         })
         .collect();
-    let outputs = ks
-        .outputs
-        .iter()
-        .map(|(dev, bytes)| Value::Array(vec![dev.to_value(), hex_bytes(bytes)]))
-        .collect();
-    obj(vec![
-        ("boundary", Value::UInt(boundary)),
-        ("parent", parent.to_value()),
-        (
-            "meta",
-            obj(vec![
-                ("costs", ks.costs.to_value()),
-                ("policy", v_policy(ks.policy)),
-                ("vm_dispatch", v_dispatch(ks.vm_dispatch)),
-            ]),
-        ),
-        ("slots", Value::Array(slots)),
-        ("stats", ks.stats.to_value()),
-        ("merge_totals", v_merge_stats(&ks.stats.merge_totals.0)),
-        ("outputs", Value::Array(outputs)),
-        ("root_exit", v_opt(&ks.root_exit, v_exit)),
+    Value::Object(vec![
+        ("boundary".to_string(), boundary.to_value()),
+        ("parent".to_string(), parent.to_value()),
+        ("kernel".to_string(), ks.to_value()),
+        ("slots".to_string(), Value::Array(slots)),
     ])
 }
 
 /// Decodes a payload into a kernel state; `prev` supplies the parent
 /// images incremental memory deltas apply to.
 fn p_kstate(v: &Value, prev: Option<&KState>) -> std::result::Result<KState, DeError> {
-    let mv = req(v, "meta")?;
-    let costs = field(mv, "costs")?;
-    let policy = p_policy(req(mv, "policy")?)?;
-    let vm_dispatch = p_dispatch(req(mv, "vm_dispatch")?)?;
-    let mut slots = BTreeMap::new();
-    match req(v, "slots")? {
-        Value::Array(items) => {
-            for item in items {
-                let pair = match item {
-                    Value::Array(p) if p.len() == 2 => p,
-                    _ => return Err(DeError::msg("expected [id, slot] pair")),
-                };
-                let id = u32::from_value(&pair[0])?;
-                let prev_mem = prev
-                    .and_then(|p| p.slots.get(&id))
-                    .and_then(|s| s.state.as_deref())
-                    .map(|st| &st.mem);
-                slots.insert(id, p_slot(&pair[1], prev_mem)?);
-            }
-        }
-        _ => return Err(DeError::msg("expected slot array")),
-    }
-    let mut stats: KernelStats = field(v, "stats")?;
-    stats.merge_totals.0 = p_merge_stats(req(v, "merge_totals")?)?;
-    let mut outputs = BTreeMap::new();
-    match req(v, "outputs")? {
-        Value::Array(items) => {
-            for item in items {
-                let pair = match item {
-                    Value::Array(p) if p.len() == 2 => p,
-                    _ => return Err(DeError::msg("expected [device, bytes] pair")),
-                };
-                let dev = crate::device::DeviceId::from_value(&pair[0])?;
-                outputs.insert(dev, unhex_bytes(&pair[1])?);
-            }
-        }
-        _ => return Err(DeError::msg("expected output array")),
-    }
-    Ok(KState {
-        costs,
-        policy,
-        vm_dispatch,
-        slots,
-        stats,
-        outputs,
-        root_exit: p_opt(req(v, "root_exit")?, p_exit)?,
-    })
-}
-
-fn hex_bytes(bytes: &[u8]) -> Value {
-    let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        s.push(char::from_digit((b >> 4) as u32, 16).expect("nibble"));
-        s.push(char::from_digit((b & 0xf) as u32, 16).expect("nibble"));
-    }
-    Value::Str(s)
-}
-
-fn unhex_bytes(v: &Value) -> std::result::Result<Vec<u8>, DeError> {
-    let s = match v {
-        Value::Str(s) => s,
-        _ => return Err(DeError::msg("expected hex string")),
+    let mut ks: KState = field(v, "kernel")?;
+    let Value::Array(items) = req(v, "slots")? else {
+        return Err(DeError::msg("expected slot array"));
     };
-    if s.len() % 2 != 0 {
-        return Err(DeError::msg("odd-length hex string"));
+    for item in items {
+        let pair = match item {
+            Value::Array(p) if p.len() == 2 => p,
+            _ => return Err(DeError::msg("expected [id, slot] pair")),
+        };
+        let id = u32::from_value(&pair[0])?;
+        let prev_mem = prev
+            .and_then(|p| p.slots.get(&id))
+            .and_then(|s| s.state.as_deref())
+            .map(|st| &st.mem);
+        ks.slots.insert(id, p_slot(&pair[1], prev_mem)?);
     }
-    let digit = |c: u8| -> std::result::Result<u8, DeError> {
-        (c as char)
-            .to_digit(16)
-            .map(|d| d as u8)
-            .ok_or_else(|| DeError::msg("bad hex digit"))
-    };
-    s.as_bytes()
-        .chunks(2)
-        .map(|p| Ok(digit(p[0])? << 4 | digit(p[1])?))
-        .collect()
+    Ok(ks)
 }
 
 #[cfg(test)]
@@ -807,11 +618,10 @@ mod tests {
         };
         let bytes = Checkpoint::capture(&trace, 0).unwrap().to_bytes();
         let text = String::from_utf8(bytes).unwrap();
-        let stale = text.replacen("detckpt 1 ", "detckpt 999 ", 1);
+        let stale = text.replacen("detckpt 2 ", "detckpt 1 ", 1);
         match Checkpoint::from_bytes(stale.as_bytes()) {
             Err(KernelError::CheckpointVersion { found, supported }) => {
-                assert_eq!(found, 999);
-                assert_eq!(supported, CHECKPOINT_FORMAT_VERSION);
+                assert_eq!((found, supported), (1, 2));
             }
             other => panic!("expected version error, got {other:?}"),
         }

@@ -7,8 +7,9 @@
 //! from this model. Operation *counts* are real — pages copied, bytes
 //! compared and copied by merges, syscalls — only the unit costs are
 //! parameters, calibrated to commodity hardware of the paper's era
-//! (2.2 GHz Opteron, §6.2). `cargo bench` measures the real unit costs
-//! of this substrate so the calibration can be checked.
+//! (2.2 GHz Opteron, §6.2). `detbench run --trace` (benchmark/)
+//! measures the real unit costs of this substrate so the calibration
+//! can be checked.
 //!
 //! All costs are in **picoseconds** to avoid rounding sub-nanosecond
 //! per-byte costs; public clock readings are in nanoseconds.

@@ -2,6 +2,7 @@
 
 use det_memory::{MemError, MergeConflict};
 use det_vm::VmTrap;
+use serde::{Deserialize, Serialize};
 
 /// Why a space trapped.
 ///
@@ -9,7 +10,7 @@ use det_vm::VmTrap;
 /// status — the paper's "implicit Ret" (§3.2). Conflicts detected at
 /// merge time are traps too: "a programming error, like an illegal
 /// memory access or divide-by-zero".
-#[derive(Clone, Copy, PartialEq, Debug)]
+#[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
 #[non_exhaustive]
 pub enum TrapKind {
     /// Memory fault (unmapped address or permission violation).

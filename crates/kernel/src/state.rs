@@ -13,6 +13,7 @@ use std::collections::BTreeMap;
 
 use det_memory::{AddressSpace, ConflictPolicy};
 use det_vm::Regs;
+use serde::{Deserialize, Serialize};
 
 use crate::cost::CostModel;
 use crate::device::DeviceId;
@@ -22,7 +23,7 @@ use crate::stats::KernelStats;
 use crate::syscall::StopReason;
 
 /// Execution phase of a space slot.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub(crate) enum RunState {
     /// Stopped; `state` present in the slot.
     Idle(StopReason),
@@ -42,7 +43,7 @@ pub(crate) enum RunState {
 /// VM spaces are always *leaves* of the space hierarchy (the VM ISA
 /// has no `Put`/`Get` surface), so their execution can be deferred to
 /// the one thread that will wait on them.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
 pub enum VmDispatch {
     /// Execute a VM space inline on the thread that waits for it.
     /// A rendezvous then costs zero host context switches — the
@@ -68,7 +69,7 @@ pub enum VmDispatch {
 /// What kind of program a slot executes — the pure-data shadow of
 /// [`crate::Program`], which (for native programs) carries a host
 /// closure the core cannot hold.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
 pub enum ProgramKind {
     /// A host closure driven through [`crate::SpaceCtx`].
     Native,
@@ -77,9 +78,16 @@ pub enum ProgramKind {
 }
 
 /// The movable per-space state, checked in/out around execution.
+///
+/// The derived mapping leaves the memory out: a checkpoint encodes
+/// `mem` against a base image (`checkpoint.rs`) and never stores
+/// `snap` (see that module's docs on restorable boundaries).
+#[derive(Serialize, Deserialize)]
 pub(crate) struct SpaceState {
     pub regs: Regs,
+    #[serde(skip)]
     pub mem: AddressSpace,
+    #[serde(skip)]
     pub snap: Option<AddressSpace>,
     /// Virtual clock in picoseconds.
     pub vclock_ps: u64,
@@ -123,6 +131,10 @@ impl SpaceState {
 /// shell keeps in a locked `Slot` (children map, run phase, checked-in
 /// state, program bookkeeping) minus everything host-bound (the join
 /// handle, the warm CPU, the condvars).
+///
+/// The derived mapping leaves `state` out; `checkpoint.rs` adds it,
+/// because decoding its memory needs the parent checkpoint's image.
+#[derive(Serialize, Deserialize)]
 pub(crate) struct KSlot {
     /// Child number → space id, the per-space private namespace.
     pub children: BTreeMap<ChildNum, u32>,
@@ -135,6 +147,7 @@ pub(crate) struct KSlot {
     /// generation suffix.
     pub child_gens: BTreeMap<ChildNum, u32>,
     pub run: RunState,
+    #[serde(skip)]
     pub state: Option<Box<SpaceState>>,
     /// Program installed but not yet started.
     pub pending: Option<ProgramKind>,
@@ -203,10 +216,14 @@ pub(crate) const ROOT_PATH: &str = "/";
 /// This is exactly the information the shell scatters across its
 /// locked slot table, device hub, and hot counters — gathered into one
 /// owned value a pure `apply` can step.
+///
+/// The derived mapping leaves `slots` out, for [`KSlot`]'s reason.
+#[derive(Serialize, Deserialize)]
 pub(crate) struct KState {
     pub costs: CostModel,
     pub policy: ConflictPolicy,
     pub vm_dispatch: VmDispatch,
+    #[serde(skip)]
     pub slots: BTreeMap<u32, KSlot>,
     pub stats: KernelStats,
     /// Device output buffers (the replayed side of the device hub).

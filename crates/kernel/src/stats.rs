@@ -42,7 +42,6 @@ pub struct KernelStats {
     /// Merge operations performed.
     pub merges: u64,
     /// Accumulated merge statistics.
-    #[serde(skip)]
     pub merge_totals: MergeStatsSerde,
     /// Merge conflicts detected.
     pub conflicts: u64,
@@ -98,9 +97,9 @@ pub struct HostStats {
     pub spurious_wakeups: u64,
 }
 
-/// Wrapper keeping [`MergeStats`] (an external type) inside the
-/// serializable stats without requiring serde on `det-memory`.
-#[derive(Clone, Copy, PartialEq, Eq, Default, Debug)]
+/// The accumulated [`MergeStats`] of a run (serializes as the inner
+/// record).
+#[derive(Clone, Copy, PartialEq, Eq, Default, Debug, Serialize, Deserialize)]
 pub struct MergeStatsSerde(pub MergeStats);
 
 impl KernelStats {

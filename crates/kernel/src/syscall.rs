@@ -8,6 +8,7 @@
 
 use det_memory::{MergeStats, Perm, Region};
 use det_vm::Regs;
+use serde::{Deserialize, Serialize};
 
 use crate::error::TrapKind;
 use crate::ids::ChildNum;
@@ -19,7 +20,7 @@ use crate::program::Program;
 /// `src` is a page-aligned region in the source space; `dst` is the
 /// page-aligned destination start address. The copy is virtual
 /// (copy-on-write shared frames).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
 pub struct CopySpec {
     /// Source region (in the space data flows *from*).
     pub src: Region,
@@ -38,7 +39,7 @@ impl CopySpec {
 }
 
 /// The `Start` option: begin (or resume) child execution.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
 pub struct StartSpec {
     /// Work limit in virtual nanoseconds; the child is preempted back
     /// to the parent when its charged work reaches the limit (the
@@ -154,7 +155,7 @@ impl PutSpec {
 /// Applied in the order: `regs` (read), `copy`, `merge`, `zero`,
 /// `perm`; `zero`/`perm` manipulate the *child* (for example, clearing
 /// a buffer after collecting it).
-#[derive(Clone, Copy, PartialEq, Default, Debug)]
+#[derive(Clone, Copy, PartialEq, Default, Debug, Serialize, Deserialize)]
 pub struct GetSpec {
     /// Read the child's register state into the result.
     pub regs: bool,
@@ -217,7 +218,7 @@ impl GetSpec {
 }
 
 /// Why a child is stopped, as observed by its parent.
-#[derive(Clone, Copy, PartialEq, Debug)]
+#[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
 pub enum StopReason {
     /// Never started.
     Unstarted,

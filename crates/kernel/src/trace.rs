@@ -21,17 +21,15 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-use det_memory::{ConflictPolicy, MemError, PageDelta, PageDeltaOp, Perm, Region, SpaceDelta};
-use det_vm::Regs;
+use det_memory::ConflictPolicy;
 use serde::{DeError, Deserialize, Serialize, Value, field};
 
-use crate::apply::{EntryRec, PutRec, TraceEvent, VmCounters, apply};
+use crate::apply::{TraceEvent, apply};
 use crate::cost::{CostModel, ps_to_ns};
 use crate::device::DeviceId;
 use crate::error::{KernelError, Result, TrapKind};
-use crate::state::{KState, ProgramKind, RunState, SpaceState, VmDispatch};
+use crate::state::{KState, RunState, SpaceState, VmDispatch};
 use crate::stats::KernelStats;
-use crate::syscall::{CopySpec, GetSpec, StartSpec, StopReason};
 
 /// Shared event collector the shell records into.
 ///
@@ -90,7 +88,7 @@ fn lock_recover<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 }
 
 /// The run parameters a replay must reproduce exactly.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct TraceMeta {
     /// Virtual-time cost model of the recorded run.
     pub costs: CostModel,
@@ -277,800 +275,351 @@ pub(crate) fn outcome_of(ks: KState, require_exit: bool) -> Result<ReplayOutcome
     })
 }
 
-// ---------------------------------------------------------------------------
-// Serialization.
-//
-// The kernel's substrate types (`Region`, `Perm`, `Regs`, …) live in
-// other crates and do not implement the vendored serde traits, so the
-// encoding is written out here as plain functions over `Value`.
-// ---------------------------------------------------------------------------
+/// The trace text format this build writes and reads: the derived
+/// encodings of [`TraceMeta`] and [`TraceEvent`] (each type's mapping
+/// lives with its definition). Bump it when any of them changes shape.
+const TRACE_FORMAT_VERSION: u32 = 1;
 
-pub(crate) fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Object(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
-fn hex(bytes: &[u8]) -> Value {
-    let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        s.push(char::from_digit((b >> 4) as u32, 16).unwrap());
-        s.push(char::from_digit((b & 0xf) as u32, 16).unwrap());
-    }
-    Value::Str(s)
-}
-
-fn unhex(v: &Value) -> std::result::Result<Vec<u8>, DeError> {
-    let s = match v {
-        Value::Str(s) => s,
-        _ => return Err(DeError::msg("expected hex string")),
-    };
-    if s.len() % 2 != 0 {
-        return Err(DeError::msg("odd-length hex string"));
-    }
-    let digit = |c: u8| -> std::result::Result<u8, DeError> {
-        (c as char)
-            .to_digit(16)
-            .map(|d| d as u8)
-            .ok_or_else(|| DeError::msg("bad hex digit"))
-    };
-    s.as_bytes()
-        .chunks(2)
-        .map(|p| Ok(digit(p[0])? << 4 | digit(p[1])?))
-        .collect()
-}
-
-pub(crate) fn tag(v: &Value) -> std::result::Result<&str, DeError> {
-    match v.get("k") {
-        Some(Value::Str(s)) => Ok(s),
-        _ => Err(DeError::msg("missing `k` tag")),
-    }
-}
-
-pub(crate) fn v_opt<T>(o: &Option<T>, enc: impl Fn(&T) -> Value) -> Value {
-    match o {
-        Some(t) => enc(t),
-        None => Value::Null,
-    }
-}
-
-pub(crate) fn p_opt<T>(
-    v: &Value,
-    dec: impl Fn(&Value) -> std::result::Result<T, DeError>,
-) -> std::result::Result<Option<T>, DeError> {
-    match v {
-        Value::Null => Ok(None),
-        other => dec(other).map(Some),
-    }
-}
-
-pub(crate) fn req<'a>(v: &'a Value, name: &str) -> std::result::Result<&'a Value, DeError> {
-    v.get(name)
-        .ok_or_else(|| DeError::msg(format!("missing field `{name}`")))
-}
-
-fn v_region(r: &Region) -> Value {
-    obj(vec![
-        ("start", Value::UInt(r.start)),
-        ("end", Value::UInt(r.end)),
-    ])
-}
-
-fn p_region(v: &Value) -> std::result::Result<Region, DeError> {
-    Ok(Region {
-        start: field(v, "start")?,
-        end: field(v, "end")?,
-    })
-}
-
-fn v_perm(p: Perm) -> Value {
-    obj(vec![
-        ("r", Value::Bool(p.allows(Perm::R))),
-        ("w", Value::Bool(p.allows(Perm::W))),
-    ])
-}
-
-fn p_perm(v: &Value) -> std::result::Result<Perm, DeError> {
-    let r: bool = field(v, "r")?;
-    let w: bool = field(v, "w")?;
-    Ok(match (r, w) {
-        (false, false) => Perm::NONE,
-        (true, false) => Perm::R,
-        (false, true) => Perm::W,
-        (true, true) => Perm::RW,
-    })
-}
-
-pub(crate) fn v_regs(r: &Regs) -> Value {
-    obj(vec![
-        ("pc", Value::UInt(r.pc)),
-        ("gpr", r.gpr.to_vec().to_value()),
-    ])
-}
-
-pub(crate) fn p_regs(v: &Value) -> std::result::Result<Regs, DeError> {
-    let gpr: Vec<u64> = field(v, "gpr")?;
-    let gpr: [u64; Regs::NUM_GPR] = gpr
-        .try_into()
-        .map_err(|_| DeError::msg("regs need exactly 16 gprs"))?;
-    Ok(Regs {
-        pc: field(v, "pc")?,
-        gpr,
-    })
-}
-
-pub(crate) fn v_policy(p: ConflictPolicy) -> Value {
-    Value::Str(
-        match p {
-            ConflictPolicy::Strict => "strict",
-            ConflictPolicy::BenignSameValue => "benign_same_value",
-            ConflictPolicy::ChildWins => "child_wins",
-        }
-        .to_string(),
-    )
-}
-
-pub(crate) fn p_policy(v: &Value) -> std::result::Result<ConflictPolicy, DeError> {
-    match v {
-        Value::Str(s) => match s.as_str() {
-            "strict" => Ok(ConflictPolicy::Strict),
-            "benign_same_value" => Ok(ConflictPolicy::BenignSameValue),
-            "child_wins" => Ok(ConflictPolicy::ChildWins),
-            _ => Err(DeError::msg("unknown conflict policy")),
-        },
-        _ => Err(DeError::msg("expected conflict policy string")),
-    }
-}
-
-pub(crate) fn v_dispatch(d: VmDispatch) -> Value {
-    Value::Str(
-        match d {
-            VmDispatch::Inline => "inline",
-            VmDispatch::Threaded => "threaded",
-        }
-        .to_string(),
-    )
-}
-
-pub(crate) fn p_dispatch(v: &Value) -> std::result::Result<VmDispatch, DeError> {
-    match v {
-        Value::Str(s) => match s.as_str() {
-            "inline" => Ok(VmDispatch::Inline),
-            "threaded" => Ok(VmDispatch::Threaded),
-            _ => Err(DeError::msg("unknown vm dispatch mode")),
-        },
-        _ => Err(DeError::msg("expected vm dispatch string")),
-    }
-}
-
-pub(crate) fn v_program_kind(p: ProgramKind) -> Value {
-    Value::Str(
-        match p {
-            ProgramKind::Native => "native",
-            ProgramKind::Vm => "vm",
-        }
-        .to_string(),
-    )
-}
-
-pub(crate) fn p_program_kind(v: &Value) -> std::result::Result<ProgramKind, DeError> {
-    match v {
-        Value::Str(s) => match s.as_str() {
-            "native" => Ok(ProgramKind::Native),
-            "vm" => Ok(ProgramKind::Vm),
-            _ => Err(DeError::msg("unknown program kind")),
-        },
-        _ => Err(DeError::msg("expected program kind string")),
-    }
-}
-
-fn v_mem_error(e: &MemError) -> Value {
-    match e {
-        MemError::Unmapped { addr } => obj(vec![
-            ("k", Value::Str("unmapped".into())),
-            ("addr", Value::UInt(*addr)),
-        ]),
-        MemError::PermDenied { addr, need } => obj(vec![
-            ("k", Value::Str("perm_denied".into())),
-            ("addr", Value::UInt(*addr)),
-            ("need", v_perm(*need)),
-        ]),
-        MemError::Misaligned { addr } => obj(vec![
-            ("k", Value::Str("misaligned".into())),
-            ("addr", Value::UInt(*addr)),
-        ]),
-        MemError::Conflict { addr } => obj(vec![
-            ("k", Value::Str("conflict".into())),
-            ("addr", Value::UInt(*addr)),
-        ]),
-        MemError::AddressOverflow => obj(vec![("k", Value::Str("overflow".into()))]),
-    }
-}
-
-fn p_mem_error(v: &Value) -> std::result::Result<MemError, DeError> {
-    Ok(match tag(v)? {
-        "unmapped" => MemError::Unmapped {
-            addr: field(v, "addr")?,
-        },
-        "perm_denied" => MemError::PermDenied {
-            addr: field(v, "addr")?,
-            need: p_perm(req(v, "need")?)?,
-        },
-        "misaligned" => MemError::Misaligned {
-            addr: field(v, "addr")?,
-        },
-        "conflict" => MemError::Conflict {
-            addr: field(v, "addr")?,
-        },
-        "overflow" => MemError::AddressOverflow,
-        _ => return Err(DeError::msg("unknown mem error")),
-    })
-}
-
-pub(crate) fn v_trap(t: &TrapKind) -> Value {
-    match t {
-        TrapKind::Mem(e) => obj(vec![
-            ("k", Value::Str("mem".into())),
-            ("err", v_mem_error(e)),
-        ]),
-        TrapKind::DivideByZero => obj(vec![("k", Value::Str("div0".into()))]),
-        TrapKind::IllegalInstruction(op) => obj(vec![
-            ("k", Value::Str("illegal".into())),
-            ("op", Value::UInt(*op as u64)),
-        ]),
-        TrapKind::PcMisaligned(pc) => obj(vec![
-            ("k", Value::Str("pc_misaligned".into())),
-            ("pc", Value::UInt(*pc)),
-        ]),
-        TrapKind::Panic => obj(vec![("k", Value::Str("panic".into()))]),
-        TrapKind::Conflict(addr) => obj(vec![
-            ("k", Value::Str("conflict".into())),
-            ("addr", Value::UInt(*addr)),
-        ]),
-        TrapKind::Fault(msg) => obj(vec![
-            ("k", Value::Str("fault".into())),
-            ("msg", Value::Str((*msg).to_string())),
-        ]),
-    }
-}
-
-pub(crate) fn p_trap(v: &Value) -> std::result::Result<TrapKind, DeError> {
-    Ok(match tag(v)? {
-        "mem" => TrapKind::Mem(p_mem_error(req(v, "err")?)?),
-        "div0" => TrapKind::DivideByZero,
-        "illegal" => TrapKind::IllegalInstruction(field(v, "op")?),
-        "pc_misaligned" => TrapKind::PcMisaligned(field(v, "pc")?),
-        "panic" => TrapKind::Panic,
-        "conflict" => TrapKind::Conflict(field(v, "addr")?),
-        // `TrapKind::Fault` holds a `&'static str`; a parsed trace's
-        // message is interned for the process lifetime. Traces are
-        // few and small, so this leak is bounded and deliberate.
-        "fault" => TrapKind::Fault(Box::leak(field::<String>(v, "msg")?.into_boxed_str())),
-        _ => return Err(DeError::msg("unknown trap kind")),
-    })
-}
-
-pub(crate) fn v_stop(s: StopReason) -> Value {
-    match s {
-        StopReason::Unstarted => obj(vec![("k", Value::Str("unstarted".into()))]),
-        StopReason::Ret => obj(vec![("k", Value::Str("ret".into()))]),
-        StopReason::Halted => obj(vec![("k", Value::Str("halted".into()))]),
-        StopReason::LimitReached => obj(vec![("k", Value::Str("limit".into()))]),
-        StopReason::Trap(t) => obj(vec![("k", Value::Str("trap".into())), ("trap", v_trap(&t))]),
-    }
-}
-
-pub(crate) fn p_stop(v: &Value) -> std::result::Result<StopReason, DeError> {
-    Ok(match tag(v)? {
-        "unstarted" => StopReason::Unstarted,
-        "ret" => StopReason::Ret,
-        "halted" => StopReason::Halted,
-        "limit" => StopReason::LimitReached,
-        "trap" => StopReason::Trap(p_trap(req(v, "trap")?)?),
-        _ => return Err(DeError::msg("unknown stop reason")),
-    })
-}
-
-pub(crate) fn v_delta(d: &SpaceDelta) -> Value {
-    let pages = d
-        .pages
-        .iter()
-        .map(|p| {
-            let op = match &p.op {
-                PageDeltaOp::Write(bytes) => obj(vec![
-                    ("k", Value::Str("write".into())),
-                    ("data", hex(bytes)),
-                ]),
-                PageDeltaOp::WriteZero => obj(vec![("k", Value::Str("zero".into()))]),
-                PageDeltaOp::SetPerm => obj(vec![("k", Value::Str("perm".into()))]),
-                PageDeltaOp::MarkDirty => obj(vec![("k", Value::Str("dirty".into()))]),
-            };
-            obj(vec![
-                ("vpn", Value::UInt(p.vpn)),
-                ("perm", v_perm(p.perm)),
-                ("op", op),
-            ])
-        })
-        .collect();
-    obj(vec![
-        ("pages", Value::Array(pages)),
-        ("unmapped", d.unmapped.to_value()),
-    ])
-}
-
-pub(crate) fn p_delta(v: &Value) -> std::result::Result<SpaceDelta, DeError> {
-    let pages = match req(v, "pages")? {
-        Value::Array(items) => items
-            .iter()
-            .map(|pv| {
-                let opv = req(pv, "op")?;
-                let op = match tag(opv)? {
-                    "write" => PageDeltaOp::Write(unhex(req(opv, "data")?)?),
-                    "zero" => PageDeltaOp::WriteZero,
-                    "perm" => PageDeltaOp::SetPerm,
-                    "dirty" => PageDeltaOp::MarkDirty,
-                    _ => return Err(DeError::msg("unknown page delta op")),
-                };
-                Ok(PageDelta {
-                    vpn: field(pv, "vpn")?,
-                    perm: p_perm(req(pv, "perm")?)?,
-                    op,
-                })
-            })
-            .collect::<std::result::Result<Vec<_>, DeError>>()?,
-        _ => return Err(DeError::msg("expected page delta array")),
-    };
-    Ok(SpaceDelta {
-        pages,
-        unmapped: field(v, "unmapped")?,
-    })
-}
-
-fn v_entry(e: &EntryRec) -> Value {
-    obj(vec![
-        ("advance_ps", Value::UInt(e.advance_ps)),
-        ("limit_ps", e.limit_ps.to_value()),
-        ("delta", v_delta(&e.delta)),
-    ])
-}
-
-fn p_entry(v: &Value) -> std::result::Result<EntryRec, DeError> {
-    Ok(EntryRec {
-        advance_ps: field(v, "advance_ps")?,
-        limit_ps: field(v, "limit_ps")?,
-        delta: p_delta(req(v, "delta")?)?,
-    })
-}
-
-fn v_copy(c: &CopySpec) -> Value {
-    obj(vec![("src", v_region(&c.src)), ("dst", Value::UInt(c.dst))])
-}
-
-fn p_copy(v: &Value) -> std::result::Result<CopySpec, DeError> {
-    Ok(CopySpec {
-        src: p_region(req(v, "src")?)?,
-        dst: field(v, "dst")?,
-    })
-}
-
-fn v_region_perm(rp: &(Region, Perm)) -> Value {
-    obj(vec![("region", v_region(&rp.0)), ("perm", v_perm(rp.1))])
-}
-
-fn p_region_perm(v: &Value) -> std::result::Result<(Region, Perm), DeError> {
-    Ok((p_region(req(v, "region")?)?, p_perm(req(v, "perm")?)?))
-}
-
-fn v_put_rec(p: &PutRec) -> Value {
-    obj(vec![
-        ("regs", v_opt(&p.regs, v_regs)),
-        ("program", v_opt(&p.program, |k| v_program_kind(*k))),
-        ("copy", v_opt(&p.copy, v_copy)),
-        ("zero", v_opt(&p.zero, v_region)),
-        ("perm", v_opt(&p.perm, v_region_perm)),
-        ("snap", Value::Bool(p.snap)),
-        ("tree_from", p.tree_from.to_value()),
-        (
-            "start",
-            v_opt(&p.start, |s: &StartSpec| {
-                obj(vec![("limit_ns", s.limit_ns.to_value())])
-            }),
-        ),
-    ])
-}
-
-fn p_put_rec(v: &Value) -> std::result::Result<PutRec, DeError> {
-    Ok(PutRec {
-        regs: p_opt(req(v, "regs")?, p_regs)?,
-        program: p_opt(req(v, "program")?, p_program_kind)?,
-        copy: p_opt(req(v, "copy")?, p_copy)?,
-        zero: p_opt(req(v, "zero")?, p_region)?,
-        perm: p_opt(req(v, "perm")?, p_region_perm)?,
-        snap: field(v, "snap")?,
-        tree_from: field(v, "tree_from")?,
-        start: p_opt(req(v, "start")?, |sv| {
-            Ok(StartSpec {
-                limit_ns: field(sv, "limit_ns")?,
-            })
-        })?,
-    })
-}
-
-fn v_get_spec(g: &GetSpec) -> Value {
-    obj(vec![
-        ("regs", Value::Bool(g.regs)),
-        ("copy", v_opt(&g.copy, v_copy)),
-        ("merge", v_opt(&g.merge, v_region)),
-        ("merge_policy", v_opt(&g.merge_policy, |p| v_policy(*p))),
-        ("zero", v_opt(&g.zero, v_region)),
-        ("perm", v_opt(&g.perm, v_region_perm)),
-    ])
-}
-
-fn p_get_spec(v: &Value) -> std::result::Result<GetSpec, DeError> {
-    Ok(GetSpec {
-        regs: field(v, "regs")?,
-        copy: p_opt(req(v, "copy")?, p_copy)?,
-        merge: p_opt(req(v, "merge")?, p_region)?,
-        merge_policy: p_opt(req(v, "merge_policy")?, p_policy)?,
-        zero: p_opt(req(v, "zero")?, p_region)?,
-        perm: p_opt(req(v, "perm")?, p_region_perm)?,
-    })
-}
-
-fn v_vm_counters(c: &VmCounters) -> Value {
-    obj(vec![
-        ("instructions", Value::UInt(c.instructions)),
-        ("tlb_hits", Value::UInt(c.tlb_hits)),
-        ("pages_walked", Value::UInt(c.pages_walked)),
-        ("icache_hits", Value::UInt(c.icache_hits)),
-        ("icache_fills", Value::UInt(c.icache_fills)),
-    ])
-}
-
-fn p_vm_counters(v: &Value) -> std::result::Result<VmCounters, DeError> {
-    Ok(VmCounters {
-        instructions: field(v, "instructions")?,
-        tlb_hits: field(v, "tlb_hits")?,
-        pages_walked: field(v, "pages_walked")?,
-        icache_hits: field(v, "icache_hits")?,
-        icache_fills: field(v, "icache_fills")?,
-    })
-}
-
-fn v_event(ev: &TraceEvent) -> Value {
-    match ev {
-        TraceEvent::Put {
-            caller,
-            child,
-            child_id,
-            fused,
-            entry,
-            put,
-            tree_new_ids,
-        } => obj(vec![
-            ("k", Value::Str("put".into())),
-            ("caller", Value::UInt(*caller as u64)),
-            ("child", Value::UInt(*child)),
-            ("child_id", Value::UInt(*child_id as u64)),
-            ("fused", Value::Bool(*fused)),
-            ("entry", v_entry(entry)),
-            ("put", v_put_rec(put)),
-            ("tree_new_ids", tree_new_ids.to_value()),
-        ]),
-        TraceEvent::Get {
-            caller,
-            child,
-            child_id,
-            fused,
-            entry,
-            get,
-        } => obj(vec![
-            ("k", Value::Str("get".into())),
-            ("caller", Value::UInt(*caller as u64)),
-            ("child", Value::UInt(*child)),
-            ("child_id", Value::UInt(*child_id as u64)),
-            ("fused", Value::Bool(*fused)),
-            ("entry", v_opt(entry, v_entry)),
-            ("get", v_get_spec(get)),
-        ]),
-        TraceEvent::CheckIn {
-            space,
-            reason,
-            final_stop,
-            lost_state,
-            regs,
-            advance_ps,
-            limit_ps,
-            insn_delta,
-            vm,
-            delta,
-        } => obj(vec![
-            ("k", Value::Str("check_in".into())),
-            ("space", Value::UInt(*space as u64)),
-            ("reason", v_stop(*reason)),
-            ("final", Value::Bool(*final_stop)),
-            ("lost_state", Value::Bool(*lost_state)),
-            ("regs", v_regs(regs)),
-            ("advance_ps", Value::UInt(*advance_ps)),
-            ("limit_ps", limit_ps.to_value()),
-            ("insn_delta", Value::UInt(*insn_delta)),
-            ("vm", v_vm_counters(vm)),
-            ("delta", v_delta(delta)),
-        ]),
-        TraceEvent::DevRead { entry, dev, data } => obj(vec![
-            ("k", Value::Str("dev_read".into())),
-            ("entry", v_entry(entry)),
-            ("dev", dev.to_value()),
-            ("data", v_opt(data, |d| hex(d))),
-        ]),
-        TraceEvent::DevWrite { entry, dev, data } => obj(vec![
-            ("k", Value::Str("dev_write".into())),
-            ("entry", v_entry(entry)),
-            ("dev", dev.to_value()),
-            ("data", hex(data)),
-        ]),
-        TraceEvent::Checkpoint { entry, leaves } => obj(vec![
-            ("k", Value::Str("checkpoint".into())),
-            ("entry", v_entry(entry)),
-            ("leaves", Value::UInt(*leaves)),
-        ]),
-        TraceEvent::RootExit { entry, regs, exit } => obj(vec![
-            ("k", Value::Str("root_exit".into())),
-            ("entry", v_entry(entry)),
-            ("regs", v_regs(regs)),
-            ("exit", v_exit(exit)),
-        ]),
-    }
-}
-
-pub(crate) fn v_exit(exit: &std::result::Result<i32, TrapKind>) -> Value {
-    match exit {
-        Ok(code) => obj(vec![("ok", Value::Int(*code as i64))]),
-        Err(t) => obj(vec![("trap", v_trap(t))]),
-    }
-}
-
-pub(crate) fn p_exit(
-    v: &Value,
-) -> std::result::Result<std::result::Result<i32, TrapKind>, DeError> {
-    match (v.get("ok"), v.get("trap")) {
-        (Some(code), None) => Ok(Ok(i32::from_value(code)?)),
-        (None, Some(t)) => Ok(Err(p_trap(t)?)),
-        _ => Err(DeError::msg("bad exit encoding")),
-    }
-}
-
-fn p_event(v: &Value) -> std::result::Result<TraceEvent, DeError> {
-    Ok(match tag(v)? {
-        "put" => TraceEvent::Put {
-            caller: field(v, "caller")?,
-            child: field(v, "child")?,
-            child_id: field(v, "child_id")?,
-            fused: field(v, "fused")?,
-            entry: p_entry(req(v, "entry")?)?,
-            put: p_put_rec(req(v, "put")?)?,
-            tree_new_ids: field(v, "tree_new_ids")?,
-        },
-        "get" => TraceEvent::Get {
-            caller: field(v, "caller")?,
-            child: field(v, "child")?,
-            child_id: field(v, "child_id")?,
-            fused: field(v, "fused")?,
-            entry: p_opt(req(v, "entry")?, p_entry)?,
-            get: p_get_spec(req(v, "get")?)?,
-        },
-        "check_in" => TraceEvent::CheckIn {
-            space: field(v, "space")?,
-            reason: p_stop(req(v, "reason")?)?,
-            final_stop: field(v, "final")?,
-            lost_state: field(v, "lost_state")?,
-            regs: p_regs(req(v, "regs")?)?,
-            advance_ps: field(v, "advance_ps")?,
-            limit_ps: field(v, "limit_ps")?,
-            insn_delta: field(v, "insn_delta")?,
-            vm: p_vm_counters(req(v, "vm")?)?,
-            delta: p_delta(req(v, "delta")?)?,
-        },
-        "dev_read" => TraceEvent::DevRead {
-            entry: p_entry(req(v, "entry")?)?,
-            dev: DeviceId::from_value(req(v, "dev")?)?,
-            data: p_opt(req(v, "data")?, unhex)?,
-        },
-        "dev_write" => TraceEvent::DevWrite {
-            entry: p_entry(req(v, "entry")?)?,
-            dev: DeviceId::from_value(req(v, "dev")?)?,
-            data: unhex(req(v, "data")?)?,
-        },
-        "checkpoint" => TraceEvent::Checkpoint {
-            entry: p_entry(req(v, "entry")?)?,
-            leaves: field(v, "leaves")?,
-        },
-        "root_exit" => TraceEvent::RootExit {
-            entry: p_entry(req(v, "entry")?)?,
-            regs: p_regs(req(v, "regs")?)?,
-            exit: p_exit(req(v, "exit")?)?,
-        },
-        _ => return Err(DeError::msg("unknown trace event")),
-    })
-}
-
-impl Serialize for TraceEvent {
-    fn to_value(&self) -> Value {
-        v_event(self)
-    }
-}
-
-impl Deserialize for TraceEvent {
-    fn from_value(v: &Value) -> std::result::Result<TraceEvent, DeError> {
-        p_event(v)
-    }
-}
-
+// Written by hand for the version gate: a trace from another format
+// must fail here, before any event is interpreted.
 impl Serialize for Trace {
     fn to_value(&self) -> Value {
-        obj(vec![
-            (
-                "meta",
-                obj(vec![
-                    ("costs", self.meta.costs.to_value()),
-                    ("policy", v_policy(self.meta.policy)),
-                    ("vm_dispatch", v_dispatch(self.meta.vm_dispatch)),
-                ]),
-            ),
-            (
-                "events",
-                Value::Array(self.events.iter().map(v_event).collect()),
-            ),
+        Value::Object(vec![
+            ("version".to_string(), TRACE_FORMAT_VERSION.to_value()),
+            ("meta".to_string(), self.meta.to_value()),
+            ("events".to_string(), self.events.to_value()),
         ])
     }
 }
 
 impl Deserialize for Trace {
     fn from_value(v: &Value) -> std::result::Result<Trace, DeError> {
-        let mv = req(v, "meta")?;
-        let meta = TraceMeta {
-            costs: field(mv, "costs")?,
-            policy: p_policy(req(mv, "policy")?)?,
-            vm_dispatch: p_dispatch(req(mv, "vm_dispatch")?)?,
-        };
-        let events = match req(v, "events")? {
-            Value::Array(items) => items
-                .iter()
-                .map(p_event)
-                .collect::<std::result::Result<Vec<_>, DeError>>()?,
-            _ => return Err(DeError::msg("expected event array")),
-        };
-        Ok(Trace { meta, events })
+        let version: u32 = field(v, "version")?;
+        if version != TRACE_FORMAT_VERSION {
+            return Err(DeError::msg(format!(
+                "trace format version {version}, this build reads {TRACE_FORMAT_VERSION}"
+            )));
+        }
+        Ok(Trace {
+            meta: field(v, "meta")?,
+            events: field(v, "events")?,
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use std::fmt::Debug;
 
-    #[test]
-    fn event_json_roundtrip() {
-        let trace = Trace {
+    use det_memory::{MemError, MergeStats, PageDelta, PageDeltaOp, Perm, Region, SpaceDelta};
+    use det_vm::Regs;
+
+    use super::*;
+    use crate::apply::{EntryRec, PutRec, VmCounters};
+    use crate::device::{InputEvent, IoLog};
+    use crate::state::ProgramKind;
+    use crate::stats::{HostStats, MergeStatsSerde};
+    use crate::syscall::{CopySpec, GetSpec, StartSpec, StopReason};
+
+    /// `to_value` → compact and pretty text → `from_value` gives the
+    /// value back.
+    fn roundtrip<T: Serialize + Deserialize + PartialEq + Debug>(t: &T) {
+        for text in [
+            serde_json::to_string(t).unwrap(),
+            serde_json::to_string_pretty(t).unwrap(),
+        ] {
+            assert_eq!(&serde_json::from_str::<T>(&text).unwrap(), t, "{text}");
+        }
+    }
+
+    fn regs() -> Regs {
+        Regs {
+            pc: 0x40,
+            gpr: std::array::from_fn(|i| i as u64 * 3 + 1),
+        }
+    }
+
+    fn delta() -> SpaceDelta {
+        let page = |vpn, perm, op| PageDelta { vpn, perm, op };
+        SpaceDelta {
+            pages: vec![
+                page(4, Perm::RW, PageDeltaOp::Write(vec![0xde, 0xad, 0x00])),
+                page(5, Perm::R, PageDeltaOp::WriteZero),
+                page(6, Perm::NONE, PageDeltaOp::SetPerm),
+                page(7, Perm::W, PageDeltaOp::MarkDirty),
+            ],
+            unmapped: vec![42],
+        }
+    }
+
+    fn entry() -> EntryRec {
+        EntryRec {
+            advance_ps: 123,
+            limit_ps: Some(99),
+            delta: delta(),
+        }
+    }
+
+    fn traps() -> Vec<TrapKind> {
+        let mem = [
+            MemError::Unmapped { addr: 1 },
+            MemError::PermDenied {
+                addr: 0x4001,
+                need: Perm::W,
+            },
+            MemError::Misaligned { addr: 3 },
+            MemError::Conflict { addr: 4 },
+            MemError::AddressOverflow,
+        ];
+        let mut all: Vec<TrapKind> = mem.into_iter().map(TrapKind::Mem).collect();
+        all.extend([
+            TrapKind::DivideByZero,
+            TrapKind::IllegalInstruction(0xfe),
+            TrapKind::PcMisaligned(0x1001),
+            TrapKind::Panic,
+            TrapKind::Conflict(0x2008),
+            TrapKind::Fault("undefined syscall"),
+        ]);
+        all
+    }
+
+    fn stops() -> Vec<StopReason> {
+        let mut all = vec![
+            StopReason::Unstarted,
+            StopReason::Ret,
+            StopReason::Halted,
+            StopReason::LimitReached,
+        ];
+        all.extend(traps().into_iter().map(StopReason::Trap));
+        all
+    }
+
+    /// A trace holding every event variant, every field non-default.
+    fn full_trace() -> Trace {
+        let vm = VmCounters {
+            instructions: 9,
+            tlb_hits: 8,
+            pages_walked: 1,
+            icache_hits: 7,
+            icache_fills: 2,
+        };
+        let copy = CopySpec {
+            src: Region::new(0x1000, 0x2000),
+            dst: 0x3000,
+        };
+        let mut events = vec![
+            TraceEvent::Put {
+                caller: 5,
+                child: 7,
+                child_id: 1,
+                fused: true,
+                entry: entry(),
+                put: PutRec {
+                    regs: Some(regs()),
+                    program: Some(ProgramKind::Vm),
+                    copy: Some(copy),
+                    zero: Some(Region::new(0x5000, 0x6000)),
+                    perm: Some((Region::new(0, 0x1000), Perm::R)),
+                    snap: true,
+                    tree_from: Some(9),
+                    start: Some(StartSpec {
+                        limit_ns: Some(1_000),
+                    }),
+                },
+                tree_new_ids: vec![2, 3],
+            },
+            TraceEvent::Put {
+                caller: 0,
+                child: 1,
+                child_id: 1,
+                fused: false,
+                entry: EntryRec::default(),
+                put: PutRec {
+                    regs: None,
+                    program: Some(ProgramKind::Native),
+                    copy: None,
+                    zero: None,
+                    perm: None,
+                    snap: false,
+                    tree_from: None,
+                    start: Some(StartSpec { limit_ns: None }),
+                },
+                tree_new_ids: Vec::new(),
+            },
+            TraceEvent::Get {
+                caller: 5,
+                child: 7,
+                child_id: 1,
+                fused: true,
+                entry: None,
+                get: GetSpec {
+                    regs: true,
+                    copy: Some(copy),
+                    merge: Some(Region::new(0x1000, 0x2000)),
+                    merge_policy: Some(ConflictPolicy::ChildWins),
+                    zero: Some(Region::new(0x7000, 0x8000)),
+                    perm: Some((Region::new(0x8000, 0x9000), Perm::RW)),
+                },
+            },
+            TraceEvent::Get {
+                caller: 0,
+                child: 1,
+                child_id: 1,
+                fused: false,
+                entry: Some(entry()),
+                get: GetSpec::default(),
+            },
+            TraceEvent::DevRead {
+                entry: entry(),
+                dev: DeviceId::Clock,
+                data: Some(vec![1, 2, 3]),
+            },
+            TraceEvent::DevRead {
+                entry: EntryRec::default(),
+                dev: DeviceId::ConsoleIn,
+                data: None,
+            },
+            TraceEvent::DevWrite {
+                entry: entry(),
+                dev: DeviceId::ConsoleOut,
+                data: b"hi".to_vec(),
+            },
+            TraceEvent::Checkpoint {
+                entry: entry(),
+                leaves: 3,
+            },
+            TraceEvent::RootExit {
+                entry: entry(),
+                regs: regs(),
+                exit: Ok(-7),
+            },
+            TraceEvent::RootExit {
+                entry: EntryRec::default(),
+                regs: Regs::default(),
+                exit: Err(TrapKind::Panic),
+            },
+        ];
+        events.extend(stops().into_iter().map(|reason| TraceEvent::CheckIn {
+            space: 1,
+            reason,
+            final_stop: true,
+            lost_state: true,
+            regs: regs(),
+            advance_ps: 55,
+            limit_ps: Some(44),
+            insn_delta: 9,
+            vm,
+            delta: delta(),
+        }));
+        Trace {
             meta: TraceMeta {
                 costs: CostModel::default(),
-                policy: ConflictPolicy::Strict,
-                vm_dispatch: VmDispatch::Inline,
+                policy: ConflictPolicy::BenignSameValue,
+                vm_dispatch: VmDispatch::Threaded,
             },
+            events,
+        }
+    }
+
+    /// Every persisted type, every variant: nothing a mapping could
+    /// drop or confuse survives a round trip unnoticed.
+    #[test]
+    fn every_persisted_shape_roundtrips() {
+        roundtrip(&full_trace());
+        for policy in [
+            ConflictPolicy::Strict,
+            ConflictPolicy::BenignSameValue,
+            ConflictPolicy::ChildWins,
+        ] {
+            roundtrip(&policy);
+        }
+        roundtrip(&[VmDispatch::Inline, VmDispatch::Threaded]);
+        roundtrip(&[
+            DeviceId::ConsoleIn,
+            DeviceId::ConsoleOut,
+            DeviceId::Clock,
+            DeviceId::Random,
+        ]);
+        roundtrip(&[Perm::NONE, Perm::R, Perm::W, Perm::RW]);
+        // `RunState` has no `PartialEq`; compare the encodings.
+        let mut runs = vec![RunState::Runnable, RunState::Running, RunState::Destroyed];
+        runs.extend(stops().into_iter().map(RunState::Idle));
+        let v = runs.to_value();
+        let text = serde_json::to_string(&v).unwrap();
+        let back: Vec<RunState> = serde_json::from_str(&text).unwrap();
+        assert_eq!(back.to_value(), v);
+        assert_eq!(back.len(), runs.len());
+
+        // Every counter distinct, so a swapped pair shows.
+        let merge = MergeStats {
+            pages_scanned: 1,
+            pages_skipped_clean: 2,
+            pages_unchanged: 3,
+            pages_skipped_shared: 4,
+            pages_aliased: 5,
+            pages_diffed: 6,
+            words_compared: 7,
+            bytes_compared: 8,
+            bytes_copied: 9,
+            pages_mapped: 10,
+        };
+        roundtrip(&KernelStats {
+            puts: 11,
+            gets: 12,
+            put_gets: 13,
+            rets: 14,
+            traps: 15,
+            limit_preemptions: 16,
+            spaces_created: 17,
+            threads_spawned: 18,
+            pages_copied: 19,
+            pages_snapped: 20,
+            leaves_cloned: 21,
+            merges: 22,
+            merge_totals: MergeStatsSerde(merge),
+            conflicts: 23,
+            migrations: 24,
+            device_reads: 25,
+            device_write_bytes: 26,
+            vm_instructions: 27,
+            vm_tlb_hits: 28,
+            vm_pages_walked: 29,
+            vm_icache_hits: 30,
+            vm_icache_fills: 31,
+            condvar_wakeups: 32,
+            vm_inline_runs: 33,
+            checkpoints: 34,
+            checkpoint_leaves: 35,
+        });
+        roundtrip(&HostStats {
+            spurious_wakeups: 36,
+        });
+        roundtrip(&IoLog {
             events: vec![
-                TraceEvent::Put {
-                    caller: 0,
-                    child: 7,
-                    child_id: 1,
-                    fused: false,
-                    entry: EntryRec {
-                        advance_ps: 123,
-                        limit_ps: Some(99),
-                        delta: SpaceDelta {
-                            pages: vec![
-                                PageDelta {
-                                    vpn: 4,
-                                    perm: Perm::RW,
-                                    op: PageDeltaOp::Write(vec![0xde, 0xad, 0x00]),
-                                },
-                                PageDelta {
-                                    vpn: 5,
-                                    perm: Perm::R,
-                                    op: PageDeltaOp::WriteZero,
-                                },
-                                PageDelta {
-                                    vpn: 6,
-                                    perm: Perm::NONE,
-                                    op: PageDeltaOp::SetPerm,
-                                },
-                            ],
-                            unmapped: vec![42],
-                        },
-                    },
-                    put: PutRec {
-                        regs: Some(Regs::default()),
-                        program: Some(ProgramKind::Vm),
-                        copy: Some(CopySpec {
-                            src: Region::new(0x1000, 0x2000),
-                            dst: 0x1000,
-                        }),
-                        zero: None,
-                        perm: Some((Region::new(0, 0x1000), Perm::R)),
-                        snap: true,
-                        tree_from: None,
-                        start: Some(StartSpec {
-                            limit_ns: Some(1_000),
-                        }),
-                    },
-                    tree_new_ids: vec![2, 3],
+                InputEvent {
+                    seq: 0,
+                    device: DeviceId::Random,
+                    data: Some(vec![0xff, 0x00]),
                 },
-                TraceEvent::Get {
-                    caller: 0,
-                    child: 7,
-                    child_id: 1,
-                    fused: true,
-                    entry: None,
-                    get: GetSpec {
-                        regs: true,
-                        merge: Some(Region::new(0x1000, 0x2000)),
-                        merge_policy: Some(ConflictPolicy::ChildWins),
-                        ..GetSpec::default()
-                    },
-                },
-                TraceEvent::CheckIn {
-                    space: 1,
-                    reason: StopReason::Trap(TrapKind::Fault("undefined syscall")),
-                    final_stop: true,
-                    lost_state: false,
-                    regs: Regs::default(),
-                    advance_ps: 55,
-                    limit_ps: None,
-                    insn_delta: 9,
-                    vm: VmCounters {
-                        instructions: 9,
-                        tlb_hits: 8,
-                        pages_walked: 1,
-                        icache_hits: 7,
-                        icache_fills: 2,
-                    },
-                    delta: SpaceDelta::default(),
-                },
-                TraceEvent::DevRead {
-                    entry: EntryRec::default(),
-                    dev: DeviceId::Clock,
-                    data: Some(vec![1, 2, 3]),
-                },
-                TraceEvent::DevWrite {
-                    entry: EntryRec::default(),
-                    dev: DeviceId::ConsoleOut,
-                    data: b"hi".to_vec(),
-                },
-                TraceEvent::Checkpoint {
-                    entry: EntryRec {
-                        advance_ps: 77,
-                        limit_ps: None,
-                        delta: SpaceDelta::default(),
-                    },
-                    leaves: 3,
-                },
-                TraceEvent::RootExit {
-                    entry: EntryRec::default(),
-                    regs: Regs::default(),
-                    exit: Err(TrapKind::Mem(MemError::PermDenied {
-                        addr: 0x4001,
-                        need: Perm::W,
-                    })),
+                InputEvent {
+                    seq: 1,
+                    device: DeviceId::ConsoleIn,
+                    data: None,
                 },
             ],
-        };
-        let json = trace.to_json_pretty();
-        let back = Trace::from_json(&json).expect("parses back");
-        assert_eq!(back, trace);
-        // Compact form too.
-        assert_eq!(Trace::from_json(&trace.to_json()).unwrap(), trace);
+        });
+    }
+
+    #[test]
+    fn missing_or_stale_version_is_rejected() {
+        let json = full_trace().to_json();
+        let current = format!("{{\"version\":{TRACE_FORMAT_VERSION},");
+        assert!(json.starts_with(&current));
+        assert!(Trace::from_json(&json).is_ok());
+        let stale = json.replacen(&current, "{\"version\":0,", 1);
+        assert!(Trace::from_json(&stale).is_err());
+        let unversioned = json.replacen(&current, "{", 1);
+        assert!(Trace::from_json(&unversioned).is_err());
     }
 
     #[test]

@@ -30,27 +30,37 @@
 //! delta cannot un-mark). The kernel's tracer takes its base clones
 //! only at rendezvous boundaries, where that holds by construction.
 
+use serde::{Deserialize, Serialize};
+
 use crate::Perm;
 
 /// How one page differs from the base.
-#[derive(Clone, Debug, PartialEq)]
+///
+/// The serialized tags and keys are the shard link's wire format:
+/// transfer sizes feed the virtual-time network charge, so renaming
+/// one moves cluster virtual time.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum PageDeltaOp {
     /// The page holds these bytes in a private frame; mapped (or
     /// remapped) and marked dirty on apply.
-    Write(Vec<u8>),
+    #[serde(rename = "write")]
+    Write(#[serde(rename = "data")] Vec<u8>),
     /// The page aliases the global zero frame; mapped (or remapped)
     /// sharing that frame and marked dirty on apply.
+    #[serde(rename = "zero")]
     WriteZero,
     /// Only the permissions changed; the frame and dirty state are
     /// untouched.
+    #[serde(rename = "perm")]
     SetPerm,
     /// Only the dirty write-set membership changed (a write landed
     /// without changing the frame, e.g. re-zeroing a zero page).
+    #[serde(rename = "dirty")]
     MarkDirty,
 }
 
 /// One changed page.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct PageDelta {
     /// Virtual page number.
     pub vpn: u64,
@@ -61,7 +71,7 @@ pub struct PageDelta {
 }
 
 /// The difference between an address space and an earlier clone.
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct SpaceDelta {
     /// Changed pages, in ascending VPN order.
     pub pages: Vec<PageDelta>,

@@ -1,5 +1,7 @@
 //! Memory access and merge errors.
 
+use serde::{Deserialize, Serialize};
+
 use crate::Perm;
 
 /// Errors raised by address-space operations.
@@ -7,7 +9,7 @@ use crate::Perm;
 /// In the kernel these become processor-style traps delivered to the
 /// space's parent (an implicit `Ret`, §3.2), so each variant carries
 /// the faulting address.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
 pub enum MemError {
     /// Access to an address with no page mapped.
     Unmapped {

@@ -24,6 +24,8 @@
 
 use std::sync::Arc;
 
+use serde::{Deserialize, Serialize};
+
 use crate::page::{Frame, PAGE_SIZE, zero_frame};
 use crate::{AddressSpace, MemError, Perm, Region, Result};
 
@@ -32,7 +34,7 @@ pub(crate) const CHUNK: usize = 8;
 
 /// How the merge treats a byte changed on *both* sides since the
 /// snapshot.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
 pub enum ConflictPolicy {
     /// The paper's semantics: any byte changed in both the child and
     /// the parent since the snapshot is a conflict, even if both sides
@@ -69,7 +71,7 @@ pub struct MergeConflict {
 /// All counters report work *actually performed*: a page skipped via
 /// the dirty set or frame identity contributes nothing to the compare
 /// and copy counters.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
 pub struct MergeStats {
     /// Candidate pages examined (dirty pages mapped in the region).
     pub pages_scanned: u64,

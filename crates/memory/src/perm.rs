@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use serde::{DeError, Deserialize, Serialize, Value, field};
+
 /// Page access permissions (read / write bits).
 ///
 /// The Determinator kernel's `Perm` option on `Put`/`Get` sets these on
@@ -37,6 +39,24 @@ impl Perm {
     #[inline]
     pub fn is_none(self) -> bool {
         self.0 == 0
+    }
+}
+
+// Written by hand because a `Perm` is a private bit set: it persists
+// as the two named bits, `{"r":…,"w":…}`, not as the raw byte.
+impl Serialize for Perm {
+    fn to_value(&self) -> Value {
+        Value::Object(vec![
+            ("r".to_string(), Value::Bool(self.allows(Perm::R))),
+            ("w".to_string(), Value::Bool(self.allows(Perm::W))),
+        ])
+    }
+}
+
+impl Deserialize for Perm {
+    fn from_value(v: &Value) -> Result<Perm, DeError> {
+        let bit = |name, p| Ok(if field(v, name)? { p } else { Perm::NONE });
+        Ok(bit("r", Perm::R)?.union(bit("w", Perm::W)?))
     }
 }
 

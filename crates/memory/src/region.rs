@@ -1,5 +1,7 @@
 //! Virtual memory regions (half-open address ranges).
 
+use serde::{Deserialize, Serialize};
+
 use crate::page::{PAGE_SIZE, vpn_of};
 use crate::{MemError, Result};
 
@@ -10,7 +12,7 @@ use crate::{MemError, Result};
 /// kernel manipulates do; [`Region::check_page_aligned`] enforces this.
 /// Byte-granularity access inside a region goes through
 /// [`crate::AddressSpace::read`] / [`crate::AddressSpace::write`].
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
 pub struct Region {
     /// First address in the region.
     pub start: u64,

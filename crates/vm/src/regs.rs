@@ -1,6 +1,8 @@
 //! CPU register state: the per-space "register half" of a
 //! Determinator space (§3.1).
 
+use serde::{Deserialize, Serialize};
+
 /// Register file of one space's single control flow.
 ///
 /// Sixteen 64-bit general-purpose registers plus a program counter.
@@ -14,7 +16,7 @@
 /// * `r1` — syscall code / exit status,
 /// * `r14` — link register for `jal`,
 /// * `r15` — stack pointer.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
 pub struct Regs {
     /// Program counter (byte address of the next instruction).
     pub pc: u64,

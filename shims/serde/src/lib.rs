@@ -2,11 +2,18 @@
 //!
 //! Models serialization as conversion to/from a JSON-ish [`Value`]
 //! tree. The derive macros (re-exported from the `serde_derive` shim)
-//! support named-field structs and unit-variant enums, plus
-//! `#[serde(skip)]`. `serde_json` (also vendored) renders [`Value`]
-//! as real JSON text.
+//! support named-field structs, newtype structs and enums (all-unit
+//! enums as a string, any other enum as an object tagged on `"k"`),
+//! plus `#[serde(skip)]` and `#[serde(rename = "…")]`. `serde_json`
+//! (also vendored) renders [`Value`] as real JSON text.
+//!
+//! Byte payloads have one representation: any sequence of `u8`
+//! (`Vec<u8>`, `[u8; N]`) is a lowercase hex string, never an
+//! array of numbers.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::Mutex;
 
 pub use serde_derive::{Deserialize, Serialize};
 
@@ -55,6 +62,16 @@ impl std::error::Error for DeError {}
 /// Conversion into the data model.
 pub trait Serialize {
     fn to_value(&self) -> Value;
+
+    /// How a sequence of `Self` converts: an array, unless the element
+    /// type says otherwise (`u8` does — see the crate docs).
+    #[doc(hidden)]
+    fn seq_to_value(items: &[Self]) -> Value
+    where
+        Self: Sized,
+    {
+        Value::Array(items.iter().map(Serialize::to_value).collect())
+    }
 }
 
 // A `Value` serializes as itself, so pre-built trees (e.g. rewritten
@@ -76,6 +93,15 @@ impl Deserialize for Value {
 /// Conversion from the data model.
 pub trait Deserialize: Sized {
     fn from_value(v: &Value) -> Result<Self, DeError>;
+
+    /// The inverse of [`Serialize::seq_to_value`].
+    #[doc(hidden)]
+    fn seq_from_value(v: &Value) -> Result<Vec<Self>, DeError> {
+        match v {
+            Value::Array(items) => items.iter().map(Self::from_value).collect(),
+            _ => Err(DeError::msg("expected array")),
+        }
+    }
 }
 
 /// Looks up and deserializes a struct field (used by derived impls).
@@ -87,11 +113,14 @@ pub fn field<T: Deserialize>(v: &Value, name: &str) -> Result<T, DeError> {
 }
 
 macro_rules! impl_unsigned {
-    ($($t:ty),*) => {$(
+    ($($t:ty),*) => {$( impl_unsigned!($t, {}, {}); )*};
+    // `$ser_seq` / `$de_seq`: overrides of the sequence methods.
+    ($t:ty, { $($ser_seq:item)? }, { $($de_seq:item)? }) => {
         impl Serialize for $t {
             fn to_value(&self) -> Value {
                 Value::UInt(*self as u64)
             }
+            $($ser_seq)?
         }
         impl Deserialize for $t {
             fn from_value(v: &Value) -> Result<Self, DeError> {
@@ -103,8 +132,9 @@ macro_rules! impl_unsigned {
                 <$t>::try_from(n)
                     .map_err(|_| DeError::msg(concat!("out of range for ", stringify!($t))))
             }
+            $($de_seq)?
         }
-    )*};
+    };
 }
 
 macro_rules! impl_signed {
@@ -129,7 +159,41 @@ macro_rules! impl_signed {
     )*};
 }
 
-impl_unsigned!(u8, u16, u32, u64, usize);
+impl_unsigned!(u16, u32, u64, usize);
+// A run of bytes is one lowercase hex string (see the crate docs).
+impl_unsigned!(
+    u8,
+    {
+        fn seq_to_value(bytes: &[u8]) -> Value {
+            const DIGITS: &[u8; 16] = b"0123456789abcdef";
+            let mut s = String::with_capacity(bytes.len() * 2);
+            for &b in bytes {
+                s.push(DIGITS[(b >> 4) as usize] as char);
+                s.push(DIGITS[(b & 0xf) as usize] as char);
+            }
+            Value::Str(s)
+        }
+    },
+    {
+        fn seq_from_value(v: &Value) -> Result<Vec<u8>, DeError> {
+            let Value::Str(s) = v else {
+                return Err(DeError::msg("expected hex string"));
+            };
+            if s.len() % 2 != 0 {
+                return Err(DeError::msg("odd-length hex string"));
+            }
+            let digit = |c: u8| match c {
+                b'0'..=b'9' => Ok(c - b'0'),
+                b'a'..=b'f' => Ok(c - b'a' + 10),
+                _ => Err(DeError::msg("bad hex digit")),
+            };
+            s.as_bytes()
+                .chunks_exact(2)
+                .map(|p| Ok(digit(p[0])? << 4 | digit(p[1])?))
+                .collect()
+        }
+    }
+);
 impl_signed!(i8, i16, i32, i64, isize);
 
 impl Serialize for bool {
@@ -185,17 +249,114 @@ impl Serialize for str {
     }
 }
 
+/// Longest string [`Deserialize`] will intern as a `&'static str`.
+const MAX_STATIC_STR: usize = 256;
+
+// A `&'static str` field (a trap's fault message) deserializes by
+// interning: each distinct string is leaked once per process, however
+// often it is decoded, and an over-long one is refused so hostile
+// input cannot pin large allocations.
+impl Deserialize for &'static str {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        static INTERNED: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
+        let Value::Str(s) = v else {
+            return Err(DeError::msg("expected string"));
+        };
+        if s.len() > MAX_STATIC_STR {
+            return Err(DeError::msg("static string over 256 bytes"));
+        }
+        // The set is only ever inserted into, so a poisoned lock still
+        // guards a valid set.
+        let mut set = INTERNED.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some(&known) = set.get(s.as_str()) {
+            return Ok(known);
+        }
+        let leaked: &'static str = Box::leak(s.clone().into_boxed_str());
+        set.insert(leaked);
+        Ok(leaked)
+    }
+}
+
 impl<T: Serialize> Serialize for Vec<T> {
     fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
+        T::seq_to_value(self)
     }
 }
 
 impl<T: Deserialize> Deserialize for Vec<T> {
     fn from_value(v: &Value) -> Result<Self, DeError> {
+        T::seq_from_value(v)
+    }
+}
+
+impl<T: Serialize, const N: usize> Serialize for [T; N] {
+    fn to_value(&self) -> Value {
+        T::seq_to_value(self)
+    }
+}
+
+impl<T: Deserialize, const N: usize> Deserialize for [T; N] {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        T::seq_from_value(v)?
+            .try_into()
+            .map_err(|_| DeError::msg(format!("expected exactly {N} elements")))
+    }
+}
+
+impl<A: Serialize, B: Serialize> Serialize for (A, B) {
+    fn to_value(&self) -> Value {
+        Value::Array(vec![self.0.to_value(), self.1.to_value()])
+    }
+}
+
+impl<A: Deserialize, B: Deserialize> Deserialize for (A, B) {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
         match v {
-            Value::Array(items) => items.iter().map(T::from_value).collect(),
-            _ => Err(DeError::msg("expected array")),
+            Value::Array(items) if items.len() == 2 => {
+                Ok((A::from_value(&items[0])?, B::from_value(&items[1])?))
+            }
+            _ => Err(DeError::msg("expected a 2-element array")),
+        }
+    }
+}
+
+// A map is its `[key, value]` pairs in key order (keys need not be
+// strings, so it cannot be a JSON object).
+impl<K: Serialize, V: Serialize> Serialize for BTreeMap<K, V> {
+    fn to_value(&self) -> Value {
+        Value::Array(
+            self.iter()
+                .map(|(k, v)| Value::Array(vec![k.to_value(), v.to_value()]))
+                .collect(),
+        )
+    }
+}
+
+impl<K: Deserialize + Ord, V: Deserialize> Deserialize for BTreeMap<K, V> {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        Ok(Vec::<(K, V)>::from_value(v)?.into_iter().collect())
+    }
+}
+
+impl<T: Serialize, E: Serialize> Serialize for Result<T, E> {
+    fn to_value(&self) -> Value {
+        let (key, v) = match self {
+            Ok(t) => ("ok", t.to_value()),
+            Err(e) => ("err", e.to_value()),
+        };
+        Value::Object(vec![(key.to_string(), v)])
+    }
+}
+
+impl<T: Deserialize, E: Deserialize> Deserialize for Result<T, E> {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        match v {
+            Value::Object(fields) if fields.len() == 1 => match fields[0].0.as_str() {
+                "ok" => T::from_value(&fields[0].1).map(Ok),
+                "err" => E::from_value(&fields[0].1).map(Err),
+                _ => Err(DeError::msg("expected `ok` or `err`")),
+            },
+            _ => Err(DeError::msg("expected a one-field `ok`/`err` object")),
         }
     }
 }

@@ -43,11 +43,18 @@ pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Erro
     Ok(out)
 }
 
+/// Deepest value nesting the parser follows. Persisted values nest
+/// about ten deep; hostile input must get an [`Error`], not a stack
+/// overflow.
+const MAX_DEPTH: usize = 128;
+
 /// Parses a value from JSON text.
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
     let mut p = Parser {
+        s,
         b: s.as_bytes(),
         i: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.parse_value()?;
@@ -138,8 +145,12 @@ fn write_string(s: &str, out: &mut String) {
 }
 
 struct Parser<'a> {
+    s: &'a str,
+    /// `s.as_bytes()`.
     b: &'a [u8],
     i: usize,
+    /// Values currently being parsed, one inside the other.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -175,6 +186,20 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_value(&mut self) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::msg(format!(
+                "nesting deeper than {MAX_DEPTH} at offset {}",
+                self.i
+            )));
+        }
+        self.depth += 1;
+        let v = self.parse_unbounded();
+        self.depth -= 1;
+        v
+    }
+
+    /// One value; recursion comes back through [`Self::parse_value`].
+    fn parse_unbounded(&mut self) -> Result<Value, Error> {
         self.skip_ws();
         match self.peek() {
             Some(b'n') => {
@@ -335,12 +360,16 @@ impl<'a> Parser<'a> {
                     self.i += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.b[self.i..])
-                        .map_err(|_| Error::msg("invalid utf-8"))?;
-                    let c = rest.chars().next().expect("nonempty");
-                    out.push(c);
-                    self.i += c.len_utf8();
+                    // Copy the run up to the next quote or escape. Both
+                    // are ASCII, so the run ends on a char boundary of
+                    // the (already valid) input.
+                    let rest = &self.b[self.i..];
+                    let run = rest
+                        .iter()
+                        .position(|&c| c == b'"' || c == b'\\')
+                        .unwrap_or(rest.len());
+                    out.push_str(&self.s[self.i..self.i + run]);
+                    self.i += run;
                 }
             }
         }
@@ -357,7 +386,8 @@ mod tests {
         assert_eq!(from_str::<i64>("-7").unwrap(), -7);
         assert!(from_str::<bool>("true").unwrap());
         assert_eq!(from_str::<String>("\"a\\nb\"").unwrap(), "a\nb");
-        assert_eq!(from_str::<Vec<u8>>("[1, 2, 3]").unwrap(), vec![1, 2, 3]);
+        assert_eq!(from_str::<Vec<u16>>("[1, 2, 3]").unwrap(), vec![1, 2, 3]);
+        assert_eq!(from_str::<Vec<u8>>("\"01ff\"").unwrap(), vec![1, 0xff]);
         assert_eq!(from_str::<Option<u8>>("null").unwrap(), None);
     }
 
@@ -376,6 +406,27 @@ mod tests {
         assert!(from_str::<String>("\"\\ud83d\"").is_err()); // unpaired high
         assert!(from_str::<String>("\"\\ud83d\\u0041\"").is_err()); // bad low
         assert!(from_str::<String>("\"\\udc00\"").is_err()); // lone low
+    }
+
+    #[test]
+    fn nesting_is_capped_not_a_stack_overflow() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(from_str::<Value>(&nested(MAX_DEPTH)).is_ok());
+        assert!(from_str::<Value>(&nested(MAX_DEPTH + 1)).is_err());
+        assert!(from_str::<Value>(&"[".repeat(1 << 20)).is_err());
+        assert!(from_str::<Value>(&"{\"a\":".repeat(1 << 16)).is_err());
+        // Siblings do not accumulate depth.
+        let wide = format!("[{}[]]", "[[]],".repeat(1000));
+        assert!(from_str::<Value>(&wide).is_ok());
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // Minutes, when every character re-validated the rest of the
+        // input as UTF-8.
+        let body = "héllo wörld ".repeat(350_000);
+        let json = to_string(&body).unwrap();
+        assert_eq!(from_str::<String>(&json).unwrap(), body);
     }
 
     #[test]
