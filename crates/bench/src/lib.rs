@@ -12,7 +12,7 @@ use det_workloads::lu::{self, Layout, LuConfig};
 use det_workloads::matmult::{self, MatmultConfig};
 use det_workloads::md5::{self, Md5Config};
 use det_workloads::qsort::{self, QsortConfig};
-use det_workloads::{Mode, speedup};
+use det_workloads::{Mode, RunResult, speedup};
 
 pub mod vmwork;
 
@@ -56,121 +56,93 @@ fn thread_counts(scale: Scale) -> Vec<usize> {
     }
 }
 
-/// The seven single-node benchmarks at given thread count and scale.
-/// Returns (name, det_ns, base_ns).
+/// One of the seven single-node benchmarks at the given thread count
+/// and scale, under `mode`.
+fn bench_run(name: &str, threads: usize, scale: Scale, mode: Mode) -> RunResult {
+    match (name, scale) {
+        ("md5", Scale::Quick) => md5::run(mode, Md5Config::quick(threads)),
+        ("md5", Scale::Full) => md5::run(
+            mode,
+            Md5Config {
+                threads,
+                keyspace: 200_000,
+                target: 173_210,
+            },
+        ),
+        ("matmult", Scale::Quick) => matmult::run(mode, MatmultConfig { threads, n: 128 }),
+        ("matmult", Scale::Full) => matmult::run(mode, MatmultConfig { threads, n: 512 }),
+        ("qsort", Scale::Quick) => qsort::run(
+            mode,
+            QsortConfig {
+                depth: threads.next_power_of_two().trailing_zeros(),
+                n: 65_536,
+            },
+        ),
+        ("qsort", Scale::Full) => qsort::run(
+            mode,
+            QsortConfig {
+                depth: threads.next_power_of_two().trailing_zeros(),
+                n: 1 << 20,
+            },
+        ),
+        ("blackscholes", Scale::Quick) => blackscholes::run(
+            mode,
+            BsConfig {
+                threads,
+                options: 16_384,
+                quantum_ns: 1_000_000,
+            },
+        ),
+        ("blackscholes", Scale::Full) => blackscholes::run(
+            mode,
+            BsConfig {
+                threads,
+                options: 65_536,
+                quantum_ns: blackscholes::PAPER_QUANTUM_NS,
+            },
+        ),
+        ("fft", Scale::Quick) => fft::run(mode, FftConfig { threads, log2n: 13 }),
+        ("fft", Scale::Full) => fft::run(mode, FftConfig { threads, log2n: 16 }),
+        ("lu_cont", Scale::Quick) => lu::run(
+            mode,
+            LuConfig {
+                threads,
+                n: 128,
+                layout: Layout::Contiguous,
+            },
+        ),
+        ("lu_cont", Scale::Full) => lu::run(
+            mode,
+            LuConfig {
+                threads,
+                n: 320,
+                layout: Layout::Contiguous,
+            },
+        ),
+        ("lu_noncont", Scale::Quick) => lu::run(
+            mode,
+            LuConfig {
+                threads,
+                n: 128,
+                layout: Layout::NonContiguous,
+            },
+        ),
+        ("lu_noncont", Scale::Full) => lu::run(
+            mode,
+            LuConfig {
+                threads,
+                n: 320,
+                layout: Layout::NonContiguous,
+            },
+        ),
+        _ => unreachable!("unknown benchmark {name}"),
+    }
+}
+
+/// Virtual makespans of one benchmark: (Determinator, baseline).
 fn bench_pair(name: &str, threads: usize, scale: Scale) -> (u64, u64) {
-    let run = |mode: Mode| -> u64 {
-        match (name, scale) {
-            ("md5", Scale::Quick) => md5::run(mode, Md5Config::quick(threads)).vclock_ns,
-            ("md5", Scale::Full) => {
-                md5::run(
-                    mode,
-                    Md5Config {
-                        threads,
-                        keyspace: 200_000,
-                        target: 173_210,
-                    },
-                )
-                .vclock_ns
-            }
-            ("matmult", Scale::Quick) => {
-                matmult::run(mode, MatmultConfig { threads, n: 128 }).vclock_ns
-            }
-            ("matmult", Scale::Full) => {
-                matmult::run(mode, MatmultConfig { threads, n: 512 }).vclock_ns
-            }
-            ("qsort", Scale::Quick) => {
-                qsort::run(
-                    mode,
-                    QsortConfig {
-                        depth: threads.next_power_of_two().trailing_zeros(),
-                        n: 65_536,
-                    },
-                )
-                .vclock_ns
-            }
-            ("qsort", Scale::Full) => {
-                qsort::run(
-                    mode,
-                    QsortConfig {
-                        depth: threads.next_power_of_two().trailing_zeros(),
-                        n: 1 << 20,
-                    },
-                )
-                .vclock_ns
-            }
-            ("blackscholes", Scale::Quick) => {
-                blackscholes::run(
-                    mode,
-                    BsConfig {
-                        threads,
-                        options: 16_384,
-                        quantum_ns: 1_000_000,
-                    },
-                )
-                .vclock_ns
-            }
-            ("blackscholes", Scale::Full) => {
-                blackscholes::run(
-                    mode,
-                    BsConfig {
-                        threads,
-                        options: 65_536,
-                        quantum_ns: blackscholes::PAPER_QUANTUM_NS,
-                    },
-                )
-                .vclock_ns
-            }
-            ("fft", Scale::Quick) => fft::run(mode, FftConfig { threads, log2n: 13 }).vclock_ns,
-            ("fft", Scale::Full) => fft::run(mode, FftConfig { threads, log2n: 16 }).vclock_ns,
-            ("lu_cont", Scale::Quick) => {
-                lu::run(
-                    mode,
-                    LuConfig {
-                        threads,
-                        n: 128,
-                        layout: Layout::Contiguous,
-                    },
-                )
-                .vclock_ns
-            }
-            ("lu_cont", Scale::Full) => {
-                lu::run(
-                    mode,
-                    LuConfig {
-                        threads,
-                        n: 320,
-                        layout: Layout::Contiguous,
-                    },
-                )
-                .vclock_ns
-            }
-            ("lu_noncont", Scale::Quick) => {
-                lu::run(
-                    mode,
-                    LuConfig {
-                        threads,
-                        n: 128,
-                        layout: Layout::NonContiguous,
-                    },
-                )
-                .vclock_ns
-            }
-            ("lu_noncont", Scale::Full) => {
-                lu::run(
-                    mode,
-                    LuConfig {
-                        threads,
-                        n: 320,
-                        layout: Layout::NonContiguous,
-                    },
-                )
-                .vclock_ns
-            }
-            _ => unreachable!("unknown benchmark {name}"),
-        }
-    };
-    (run(Mode::Determinator), run(Mode::Baseline))
+    let ns = |mode| bench_run(name, threads, scale, mode).vclock_ns;
+    (ns(Mode::Determinator), ns(Mode::Baseline))
 }
 
 /// All Figure 7/8 benchmark names.
@@ -185,22 +157,35 @@ pub const BENCHMARKS: &[&str] = &[
 ];
 
 /// Figure 7: Determinator performance relative to the conventional
-/// baseline (1.0 = parity, higher = Determinator faster).
+/// baseline (1.0 = parity, higher = Determinator faster). Beside each
+/// ratio, what the joins did with the pages the threads wrote: how
+/// many were remapped because one thread wrote them, and how many had
+/// to be diffed because several did — the reason `lu_noncont` trails
+/// `lu_cont`.
 pub fn fig7(scale: Scale) -> Table {
     let threads = thread_counts(scale);
     let mut rows = Vec::new();
     for &name in BENCHMARKS {
         let mut row = vec![name.to_string()];
         for &t in &threads {
-            let (d, b) = bench_pair(name, t, scale);
-            row.push(format!("{:.2}", b as f64 / d as f64));
+            let d = bench_run(name, t, scale, Mode::Determinator);
+            let b = bench_run(name, t, scale, Mode::Baseline);
+            let m = d.stats.merge_totals.0;
+            row.push(format!(
+                "{:.2} ({}/{})",
+                b.vclock_ns as f64 / d.vclock_ns as f64,
+                m.pages_adopted,
+                m.pages_diffed
+            ));
         }
         rows.push(row);
     }
     let mut headers = vec!["benchmark".into()];
     headers.extend(threads.iter().map(|t| format!("{t} cpus")));
     Table {
-        title: "Figure 7 — speed relative to the nondeterministic baseline (1.0 = parity)".into(),
+        title: "Figure 7 — speed relative to the nondeterministic baseline (1.0 = parity), \
+                with (pages adopted/pages diffed) by the joins"
+            .into(),
         headers,
         rows,
     }

@@ -57,6 +57,16 @@ fn remote_fanout_merges_results() {
 fn fanout_shard_count_invariant() {
     let base = fanout(5, 1);
     let base_bundle = base.bundle_bytes();
+    // The merge totals are in the compared bundle counter by counter,
+    // the remapped pages included: the first job home finds the
+    // root's result page still on the zero frame its base image has.
+    let adopted = base.stats.merge_totals.0.pages_adopted;
+    assert!(adopted >= 1, "{:?}", base.stats.merge_totals);
+    let text = String::from_utf8(base_bundle.clone()).unwrap();
+    assert!(
+        text.contains(&format!("pages_adopted: {adopted},")),
+        "{text}"
+    );
     for shards in [2usize, 3, 5, 8] {
         let other = fanout(5, shards);
         assert_eq!(

@@ -137,6 +137,21 @@ fn seeded_stat_drift_localizes() {
     let d = compare(&a, &b, Scope::Full).expect("must diverge");
     assert_eq!(d.category, DivergenceCategory::StatDrift, "{}", d.detail);
     assert!(d.detail.contains("merges"), "detail: {}", d.detail);
+
+    // A nested merge counter is named by its flattened key. The swap
+    // scenario's joins remap pages only one child wrote, so the live
+    // count is non-zero before the fault bumps it.
+    let a = artifacts("quickstart_swap", VmDispatch::Inline);
+    assert!(a.stats.merge_totals.0.pages_adopted > 0);
+    let mut b = a.clone();
+    b.stats.merge_totals.0.pages_adopted += 1;
+    let d = compare(&a, &b, Scope::Full).expect("must diverge");
+    assert_eq!(d.category, DivergenceCategory::StatDrift, "{}", d.detail);
+    assert!(
+        d.detail.contains("counter merge_totals.pages_adopted:"),
+        "detail: {}",
+        d.detail
+    );
 }
 
 /// Device-output divergence (an output byte flipped) is classified as

@@ -54,7 +54,7 @@ use crate::state::{KSlot, KState, SpaceState};
 use crate::trace::{ReplayOutcome, Trace, TraceMeta, outcome_of};
 
 /// The checkpoint bundle format this build writes and reads.
-pub const CHECKPOINT_FORMAT_VERSION: u32 = 2;
+pub const CHECKPOINT_FORMAT_VERSION: u32 = 3;
 
 const MAGIC: &str = "detckpt";
 
@@ -618,10 +618,17 @@ mod tests {
         };
         let bytes = Checkpoint::capture(&trace, 0).unwrap().to_bytes();
         let text = String::from_utf8(bytes).unwrap();
-        let stale = text.replacen("detckpt 2 ", "detckpt 1 ", 1);
+        // The previous format (no `pages_adopted` in the merge totals).
+        let (current, previous) = (CHECKPOINT_FORMAT_VERSION, CHECKPOINT_FORMAT_VERSION - 1);
+        let stale = text.replacen(
+            &format!("detckpt {current} "),
+            &format!("detckpt {previous} "),
+            1,
+        );
+        assert_ne!(stale, text);
         match Checkpoint::from_bytes(stale.as_bytes()) {
             Err(KernelError::CheckpointVersion { found, supported }) => {
-                assert_eq!((found, supported), (1, 2));
+                assert_eq!((found, supported), (previous, current));
             }
             other => panic!("expected version error, got {other:?}"),
         }

@@ -35,8 +35,10 @@ pub struct CostModel {
     /// regardless of how the host dispatches the space (threaded or
     /// inline), so virtual time is execution-vehicle-invariant.
     pub rendezvous_ps: u64,
-    /// Per-page cost of copy-on-write mapping (zero-fill, and the
-    /// boundary pages a virtual copy walks individually).
+    /// Per-page cost of copy-on-write mapping (zero-fill, the boundary
+    /// pages a virtual copy walks individually, and every page a merge
+    /// remaps into the parent instead of diffing —
+    /// `MergeStats::pages_adopted`).
     pub page_map_ps: u64,
     /// Per-leaf cost of a structural clone: sharing one 512-page
     /// page-table leaf during a snapshot or a leaf-congruent virtual
@@ -173,10 +175,16 @@ impl CostModel {
     /// the dirty write-set (`pages_skipped_clean`) and via a
     /// structurally-shared leaf (`pages_skipped_shared`, one pointer
     /// compare per 512-page block) are free — those are the
-    /// optimizations the stats exist to prove out.
+    /// optimizations the stats exist to prove out. A page only the
+    /// child wrote (`pages_adopted`) costs its scan plus one page-table
+    /// update, `page_scan_ps + page_map_ps`, whatever it holds; the
+    /// word, byte-compare and byte-copy terms are paid only for pages
+    /// both sides wrote (and a full page of `byte_copy_ps` for each
+    /// page the child created).
     pub fn merge_cost_ps(&self, stats: &MergeStats) -> u64 {
         self.page_scan_ps
             .saturating_mul(stats.pages_scanned)
+            .saturating_add(self.map_cost_ps(stats.pages_adopted))
             .saturating_add(self.word_compare_ps.saturating_mul(stats.words_compared))
             .saturating_add(self.byte_compare_ps.saturating_mul(stats.bytes_compared))
             .saturating_add(self.byte_copy_ps.saturating_mul(stats.bytes_copied))
@@ -210,7 +218,7 @@ mod tests {
             spawn_ps: 0,
             resume_ps: 0,
             rendezvous_ps: 0,
-            page_map_ps: 0,
+            page_map_ps: 17,
             space_clone_ps: 0,
             page_scan_ps: 10,
             word_compare_ps: 5,
@@ -222,15 +230,30 @@ mod tests {
             checkpoint_leaf_ps: 11,
         };
         let stats = MergeStats {
-            pages_scanned: 4,
+            pages_scanned: 7,
             pages_unchanged: 2,
+            pages_adopted: 3,
             pages_diffed: 2,
             words_compared: 50,
             bytes_compared: 100,
             bytes_copied: 7,
             ..Default::default()
         };
-        assert_eq!(m.merge_cost_ps(&stats), 4 * 10 + 50 * 5 + 100 * 2 + 7 * 3);
+        assert_eq!(
+            m.merge_cost_ps(&stats),
+            7 * 10 + 3 * 17 + 50 * 5 + 100 * 2 + 7 * 3
+        );
+    }
+
+    #[test]
+    fn adopted_page_costs_a_scan_and_a_map() {
+        let m = CostModel::calibrated();
+        let stats = MergeStats {
+            pages_scanned: 1,
+            pages_adopted: 1,
+            ..Default::default()
+        };
+        assert_eq!(m.merge_cost_ps(&stats), 50_000);
     }
 
     #[test]

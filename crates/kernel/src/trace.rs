@@ -278,7 +278,7 @@ pub(crate) fn outcome_of(ks: KState, require_exit: bool) -> Result<ReplayOutcome
 /// The trace text format this build writes and reads: the derived
 /// encodings of [`TraceMeta`] and [`TraceEvent`] (each type's mapping
 /// lives with its definition). Bump it when any of them changes shape.
-const TRACE_FORMAT_VERSION: u32 = 1;
+const TRACE_FORMAT_VERSION: u32 = 2;
 
 // Written by hand for the version gate: a trace from another format
 // must fail here, before any event is interpreted.
@@ -557,6 +557,7 @@ mod tests {
             pages_unchanged: 3,
             pages_skipped_shared: 4,
             pages_aliased: 5,
+            pages_adopted: 37,
             pages_diffed: 6,
             words_compared: 7,
             bytes_compared: 8,

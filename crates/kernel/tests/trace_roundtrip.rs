@@ -315,6 +315,73 @@ fn nested_fork_join_replays_bit_identically() {
     assert_replay_matches(&out, &sink);
 }
 
+/// A barrier cycle — the fine-grained workloads' shape — where every
+/// join mixes the two page-level cases: each child owns one page (the
+/// parent never writes it, so the join remaps it) and all children
+/// write disjoint words of one shared page (after the first join the
+/// parent's frame is no longer the later children's snapshot frame, so
+/// those joins diff). Frame identity decides which is which, so the
+/// replay — which rebuilds every space from recorded deltas — must
+/// reproduce the identities, not just the bytes: the per-join
+/// `MergeStats` and the run totals have to come out equal.
+#[test]
+fn barrier_cycle_merge_stats_replay_bit_identically() {
+    const N: u64 = 3;
+    const ROUNDS: u64 = 4;
+    let sink = TraceSink::new();
+    let region = Region::new(0x1000, 0x5000);
+    let out = Kernel::new(KernelConfig::builder().trace(sink.clone()).build()).run(move |ctx| {
+        ctx.mem_mut().map_zero(region, Perm::RW)?;
+        let restage = || PutSpec::new().copy(CopySpec::mirror(region)).snap().start();
+        for i in 0..N {
+            let body = Program::native(move |c| {
+                for round in 0..ROUNDS {
+                    c.mem_mut().write_u64(0x1000 + i * 8, round + 1)?; // Shared page.
+                    c.mem_mut().write_u64(0x2000 + i * 0x1000, round + 1)?; // Own page.
+                    c.ret(round)?;
+                }
+                Ok(0)
+            });
+            ctx.put(i, restage().program(body))?;
+        }
+        for round in 0..=ROUNDS {
+            // The barrier: join every child, then release them all
+            // from the merged state.
+            for i in 0..N {
+                let r = ctx.get(i, GetSpec::new().merge(region))?;
+                let merge = r.merge.expect("merge requested");
+                if round == ROUNDS {
+                    // The children only halt: nothing left to join.
+                    assert_eq!(r.stop, StopReason::Halted);
+                    assert_eq!(merge.pages_scanned, 0);
+                } else if i == 0 {
+                    assert_eq!((merge.pages_adopted, merge.pages_diffed), (2, 0));
+                } else {
+                    assert_eq!((merge.pages_adopted, merge.pages_diffed), (1, 1));
+                    assert_eq!(merge.bytes_copied, 1);
+                }
+            }
+            if round < ROUNDS {
+                for i in 0..N {
+                    ctx.put(i, restage())?;
+                }
+            }
+        }
+        for i in 0..N {
+            assert_eq!(ctx.mem().read_u64(0x1000 + i * 8)?, ROUNDS);
+            assert_eq!(ctx.mem().read_u64(0x2000 + i * 0x1000)?, ROUNDS);
+        }
+        Ok(0)
+    });
+    assert_eq!(out.exit, Ok(0));
+    let totals = out.stats.merge_totals.0;
+    assert_eq!(totals.pages_adopted, ROUNDS * (N + 1));
+    assert_eq!(totals.pages_diffed, ROUNDS * (N - 1));
+    // `stats` — the merge totals in it, `pages_adopted` included — and
+    // every clock charged from them are compared without carve-outs.
+    assert_replay_matches(&out, &sink);
+}
+
 /// Without a sink the kernel records nothing and pays nothing:
 /// `spaces` stays empty and `collect` returns `None`.
 #[test]

@@ -5,22 +5,30 @@
 //!
 //! [`merge_from_reference`] walks **every mapped child page** in the
 //! region and compares **every byte individually** — no dirty
-//! write-set, no frame-identity skips, no word chunking. Its observable
-//! behaviour (final parent bytes and permissions, conflict
-//! presence/address/detail, `bytes_copied`, `pages_mapped`, and which
-//! error a doomed merge fails with) is required to be identical to
-//! [`AddressSpace::try_merge_from`]; its *work* counters
-//! (`pages_scanned`, `bytes_compared`, …) intentionally reproduce the
-//! pre-optimization engine's costs, so a test or bench can quantify
-//! the optimization by comparing the two stats records on the same
-//! inputs.
+//! write-set, no frame-identity skips, no adoption, no word lanes. Its
+//! observable behaviour (final parent bytes and permissions, conflict
+//! presence/address/detail, `pages_mapped`, and which error a doomed
+//! merge fails with) is required to be identical to
+//! [`AddressSpace::try_merge_from`]. `bytes_copied` is identical too
+//! whenever the engine adopts nothing — every parent frame in the
+//! region private to the parent — which is how the differential suite
+//! pins the engine's word-parallel kernels to this byte loop; with
+//! frames shared the engine remaps the pages only the child wrote
+//! ([`MergeStats::pages_adopted`]) and copies *at most* what the oracle
+//! copies. The oracle's *work* counters (`pages_scanned`,
+//! `bytes_compared`, …) intentionally reproduce the pre-optimization
+//! engine's costs, so a test or bench can quantify the optimization by
+//! comparing the two stats records on the same inputs.
 //!
 //! One page-level rule is *semantics*, not a shortcut, and the oracle
 //! must therefore encode it: a page whose parent frame is
-//! pointer-identical to the child frame (adopted at an earlier join)
-//! is already merged — under non-strict policies it receives no
-//! writes, charges no copies, and needs no write permission. Frame
-//! identity is observable input state, like page contents.
+//! pointer-identical to the child frame (taken at an earlier join) is
+//! already merged — under non-strict policies it receives no writes,
+//! charges no copies, and needs no write permission. Frame identity is
+//! observable input state, like page contents. Adoption is the
+//! opposite case and is deliberately *not* encoded here: it leaves the
+//! parent byte-identical to what this byte loop produces, so the
+//! oracle checks it instead of mirroring it.
 //!
 //! Beyond that, keep this module boring. Every shortcut added here
 //! weakens the oracle.
@@ -115,8 +123,8 @@ pub fn merge_from_reference(
 
     // Pass 2: apply byte-at-a-time. A page the parent lacks is mapped
     // zero and copied wholesale (all PAGE_SIZE bytes) — the naive
-    // equivalent of the optimized engine's O(1) frame adoption,
-    // producing identical parent contents and the same
+    // equivalent of the optimized engine mapping the child's frame in
+    // O(1), producing identical parent contents and the same
     // `bytes_copied`/`pages_mapped` charge.
     for vpn in apply {
         let (child_frame, child_perm) = child.entry_frame(vpn).expect("still mapped");

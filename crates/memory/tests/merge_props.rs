@@ -10,7 +10,10 @@
 //! dirty-set engine (`AddressSpace::try_merge_from`) and the naive
 //! byte-at-a-time oracle (`reference::merge_from_reference`) under all
 //! three conflict policies, asserting identical parent contents,
-//! identical conflict detail, and consistent stats.
+//! identical conflict detail, and consistent stats — once with the
+//! parent's frames private (every candidate is diffed: this pins the
+//! engine's word-parallel kernels to the oracle's byte loop) and once
+//! as forked (the pages only the child wrote are adopted).
 
 use det_memory::{AddressSpace, ConflictPolicy, MemError, Perm, Region, reference};
 use proptest::prelude::*;
@@ -288,9 +291,66 @@ fn diff_fork(init: &[W]) -> (AddressSpace, AddressSpace, AddressSpace) {
     (parent, child, snap)
 }
 
-/// Runs one generated schedule through both engines under `policy` and
-/// asserts they are observationally identical.
+/// A copy of `space` with every frame deep-copied: same bytes, same
+/// permissions, but no page is frame-identical to the snapshot's (or
+/// the child's) any more — the state every page is in once the parent
+/// has written it.
+fn privatised(space: &AddressSpace) -> AddressSpace {
+    let mut s = space.clone();
+    for page in space.iter_pages() {
+        let addr = page.vpn * PAGE;
+        let r = Region::new(addr, addr + PAGE);
+        let bytes = space.read_vec(addr, PAGE as usize).unwrap();
+        s.set_perm(r, Perm::RW).unwrap();
+        s.write(addr, &bytes).unwrap(); // `space` pins the old frame: this copies.
+        s.set_perm(r, page.perm).unwrap();
+    }
+    s
+}
+
+/// The pages a successful merge must adopt, stated independently of
+/// the engine: dirty in the child, changed frame, and the (writable)
+/// parent still on the snapshot's frame.
+fn adoptable(
+    parent: &AddressSpace,
+    child: &AddressSpace,
+    snap: &AddressSpace,
+    region: Region,
+) -> Vec<u64> {
+    child
+        .dirty_vpns_in(region)
+        .into_iter()
+        .filter(|&vpn| {
+            let addr = vpn * PAGE;
+            child.perm_at(addr).is_some()
+                && snap.perm_at(addr).is_some()
+                && parent.perm_at(addr).is_some_and(|p| p.allows(Perm::W))
+                && !child.same_frame(snap, vpn)
+                && parent.same_frame(snap, vpn)
+        })
+        .collect()
+}
+
+/// Runs one generated schedule through both engines under `policy`,
+/// twice, and asserts they are observationally identical.
+///
+/// First with the parent's frames [`privatised`]: nothing can be
+/// adopted, so every candidate goes through the engine's word-parallel
+/// diff and `bytes_copied` must equal the byte-at-a-time oracle's.
+/// Then as is: the pages only the child wrote are adopted, and the
+/// engine must copy exactly that many bytes fewer.
 fn assert_engines_agree(
+    parent: &AddressSpace,
+    child: &AddressSpace,
+    snap: &AddressSpace,
+    region: Region,
+    policy: ConflictPolicy,
+) -> Result<(), TestCaseError> {
+    assert_engines_agree_on(&privatised(parent), child, snap, region, policy)?;
+    assert_engines_agree_on(parent, child, snap, region, policy)
+}
+
+fn assert_engines_agree_on(
     parent: &AddressSpace,
     child: &AddressSpace,
     snap: &AddressSpace,
@@ -309,6 +369,7 @@ fn assert_engines_agree(
                 // Validate-before-write: neither engine touched the parent.
                 prop_assert_eq!(p_opt.content_digest(), before.clone());
                 prop_assert_eq!(p_ref.content_digest(), before);
+                prop_assert_eq!(s_opt.pages_adopted, 0);
             } else {
                 prop_assert_eq!(
                     p_opt.content_digest(),
@@ -316,8 +377,19 @@ fn assert_engines_agree(
                     "merged contents diverged ({:?})",
                     policy
                 );
-                prop_assert_eq!(s_opt.bytes_copied, s_ref.bytes_copied);
                 prop_assert_eq!(s_opt.pages_mapped, s_ref.pages_mapped);
+                // What the oracle copied byte by byte into the adopted
+                // pages is exactly what the engine did not copy.
+                let adopted = adoptable(parent, child, snap, region);
+                prop_assert_eq!(s_opt.pages_adopted, adopted.len() as u64);
+                let mut remapped_bytes = 0u64;
+                for vpn in adopted {
+                    prop_assert!(p_opt.same_frame(child, vpn));
+                    let c = child.read_vec(vpn * PAGE, PAGE as usize).unwrap();
+                    let b = snap.read_vec(vpn * PAGE, PAGE as usize).unwrap();
+                    remapped_bytes += c.iter().zip(&b).filter(|(c, b)| c != b).count() as u64;
+                }
+                prop_assert_eq!(s_opt.bytes_copied + remapped_bytes, s_ref.bytes_copied);
             }
         }
         (Err(e_opt), Err(e_ref)) => {
@@ -339,8 +411,8 @@ proptest! {
 
     /// The optimized engine and the reference oracle agree on final
     /// parent bytes, conflict presence/detail, and `bytes_copied`
-    /// across randomized fork/write/merge schedules under all three
-    /// conflict policies.
+    /// (less what adoption remapped) across randomized
+    /// fork/write/merge schedules under all three conflict policies.
     #[test]
     fn differential_engines_agree(
         init in writes(24),

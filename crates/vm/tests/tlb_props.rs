@@ -400,6 +400,61 @@ fn tlb_stats_lock_in_the_reduction() {
     assert_eq!(cpu2.cache_stats, s);
 }
 
+/// A merge can hand the child's own frame to the parent (the adoption
+/// rule, DESIGN.md §3) without touching the child — so the child's
+/// generation does not move and its warm *write* translation stays
+/// tag-valid while the frame underneath gains a second owner. Resumed
+/// without a fresh `Copy`, the child's next store must miss on
+/// redemption (frame exclusivity) and copy-on-write: the parent's
+/// bytes must not move, and the child must end up exactly where the
+/// translation-free interpreter ends up.
+#[test]
+fn stale_write_translation_cannot_reach_an_adopted_frame() {
+    let words = hot_loop();
+    let data_vpn = DATA.start >> 12;
+    let run = |mut cpu: Cpu| {
+        let (built, mut parent) = build(&words);
+        cpu.regs = built.regs;
+        // Fork: the child shares the parent's frames; snapshot.
+        let mut child = AddressSpace::new();
+        child.copy_from(&parent, WORLD, 0).unwrap();
+        let snap = child.snapshot();
+        // Warm the write translation for the data page.
+        assert_eq!(cpu.run(&mut child, Some(600)), VmExit::OutOfBudget);
+        let generation = child.generation();
+        let stats = parent
+            .merge_from(&child, &snap, DATA, ConflictPolicy::Strict)
+            .unwrap();
+        assert_eq!((stats.pages_adopted, stats.pages_diffed), (1, 0));
+        assert!(parent.same_frame(&child, data_vpn));
+        assert_eq!(child.generation(), generation, "the child is untouched");
+        let merged = parent.content_digest();
+        let counter = parent.read_u64(DATA.start + 64).unwrap();
+        assert_eq!(counter, 120); // 600 instructions: 120 stores of the 5-long loop.
+        // Resume with no Copy in between: same CPU, same caches.
+        assert_eq!(cpu.run(&mut child, Some(600)), VmExit::OutOfBudget);
+        assert_eq!(child.read_u64(DATA.start + 64).unwrap(), 240);
+        assert_eq!(
+            parent.content_digest(),
+            merged,
+            "store leaked into the parent"
+        );
+        assert!(!parent.same_frame(&child, data_vpn));
+        (cpu, child.content_digest(), child.dirty_vpns_in(WORLD))
+    };
+    let (fast, fast_digest, fast_dirty) = run(Cpu::new());
+    let (slow, slow_digest, slow_dirty) = run(Cpu::slow_path());
+    assert_eq!(fast.regs, slow.regs);
+    assert_eq!(fast_digest, slow_digest);
+    assert_eq!(fast_dirty, slow_dirty);
+    // The fast run really was on its fast path around the merge.
+    assert!(
+        fast.cache_stats.tlb_write_hits > 150,
+        "{:?}",
+        fast.cache_stats
+    );
+}
+
 /// Locked wall-clock regression guard: the fast path must stay at
 /// least 2× the slow (pre-TLB) interpreter on the bench loop. The
 /// measured margin at introduction was ~5-9×, so 2× holds through

@@ -1,14 +1,21 @@
 //! The lu benchmark: parallel LU decomposition with a barrier per
 //! elimination step — the paper's fine-grained stress case (§6.2).
 //!
-//! Two row-distribution layouts reproduce the SPLASH-2 pair:
+//! Two row-distribution layouts reproduce the SPLASH-2 pair. The
+//! arithmetic is identical; what differs is how many threads write
+//! each *page* between two barriers, which is all the join cares about:
 //!
 //! * **contiguous** (`lu_cont`): thread t owns a contiguous row block,
-//!   so its per-step writes dirty few pages and each page is merged by
-//!   one thread;
+//!   so (with blocks of whole pages) every page it dirties has one
+//!   writer. At the barrier the parent still holds the fork-time frame
+//!   of that page and simply takes the thread's frame — a page-table
+//!   update, no bytes examined (`MergeStats::pages_adopted`);
 //! * **non-contiguous** (`lu_noncont`): rows are interleaved
-//!   round-robin, so every thread's writes scatter across the whole
-//!   trailing matrix and the same pages are diffed once per thread —
+//!   round-robin, so every page of the trailing matrix holds rows of
+//!   every thread. Only the first thread joined finds the parent's
+//!   frame untouched; each later one meets a page the parent has
+//!   already merged into and must be diffed against its snapshot word
+//!   by word (`MergeStats::pages_diffed`) — once per thread per step,
 //!   measurably worse under Determinator, as in Figure 7.
 
 use det_kernel::{Kernel, KernelConfig, Region, RunOutcome};
