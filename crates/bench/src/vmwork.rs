@@ -14,8 +14,7 @@
 
 use std::time::Instant;
 
-use det_memory::{AddressSpace, Perm, Region};
-use det_vm::{Cpu, CpuCacheStats, VmExit, assemble};
+use det_vm::{CpuCacheStats, VmExit};
 
 /// A named VM assembly kernel.
 pub struct VmKernel {
@@ -74,17 +73,9 @@ impl KernelRun {
     }
 }
 
-/// Builds the standard kernel sandbox: 16 pages of code + the data
-/// window the kernels use (plus the stride bench's far pages).
-pub fn sandbox(src: &str) -> (Cpu, AddressSpace) {
-    let image = assemble(src).expect("kernel assembles");
-    let mut mem = AddressSpace::new();
-    mem.map_zero(Region::new(0, 0x10000), Perm::RW).unwrap();
-    mem.map_zero(Region::new(0x100000, 0x180000), Perm::RW)
-        .unwrap();
-    mem.write(0, &image.bytes).unwrap();
-    (Cpu::new(), mem)
-}
+/// The standard kernel sandbox: 16 pages of code + the data window the
+/// kernels use (plus the stride bench's far pages).
+pub use det_vm::corpus::sandbox;
 
 /// Runs `src` for `budget` instructions (after a warm-up quarter) and
 /// reports throughput + cache stats. `fast` selects the TLB/icache

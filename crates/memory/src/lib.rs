@@ -31,7 +31,11 @@
 //!   mint generation-validated [`Translation`]s — the entries of the
 //!   VM's software TLB — that skip the page-table walk, permission
 //!   check, and dirty-set bookkeeping until the next mutation
-//!   invalidates them (DESIGN.md §4).
+//!   invalidates them (DESIGN.md §4);
+//! * [`AddressSpace::pin`] is the one routine that redeems them: up to
+//!   two translations become [`Pinned`] page views that last as long
+//!   as the caller's exclusive borrow of the space, so an inner loop
+//!   validates once per page instead of once per access.
 //!
 //! All operations are deterministic: iteration orders are fixed
 //! (B-tree), no host state is consulted, and [`MergeStats`] exposes the
@@ -87,7 +91,9 @@ pub use merge::{ConflictPolicy, MergeConflict, MergeStats};
 pub use page::{Frame, PAGE_SHIFT, PAGE_SIZE};
 pub use perm::Perm;
 pub use region::Region;
-pub use space::{AddressSpace, CloneStats, LeafInfo, PAGES_PER_LEAF, PageInfo, Translation};
+pub use space::{
+    AddressSpace, CloneStats, LeafInfo, PAGES_PER_LEAF, PageInfo, Pinned, Translation,
+};
 pub use tracker::AccessTracker;
 
 /// Result alias for memory operations.

@@ -192,8 +192,8 @@ pub struct LeafInfo {
 
 /// A generation-validated translation of one virtual page, minted by
 /// [`AddressSpace::translate_read`] / [`AddressSpace::translate_write`]
-/// and redeemed through [`AddressSpace::translated_bytes`] /
-/// [`AddressSpace::translated_bytes_mut`].
+/// and redeemed — alone or two at a time — through
+/// [`AddressSpace::pin`].
 ///
 /// This is the entry type of the VM's software TLB (see DESIGN.md §4).
 /// A translation is a *capability to skip the page-table walk*, not a
@@ -203,7 +203,9 @@ pub struct LeafInfo {
 /// change, snapshot, merge, external write — is refused and the caller
 /// falls back to the slow path. A stale hit is therefore impossible by
 /// construction; the worst a forged or outdated translation can do is
-/// miss.
+/// miss. What redemption returns is a [`Pinned`] view that borrows the
+/// space exclusively, so the check is good for every access made
+/// through the view, not just the first.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Translation {
     space_id: u64,
@@ -229,6 +231,85 @@ impl Translation {
 impl Default for Translation {
     fn default() -> Translation {
         Translation::INVALID
+    }
+}
+
+/// One page redeemed by [`AddressSpace::pin`]: its bytes, borrowed for
+/// as long as the caller keeps the exclusive borrow of the space.
+#[derive(Debug)]
+pub enum Pinned<'a> {
+    /// Read-only view: the page may be shared with other spaces.
+    Ro(&'a [u8; PAGE_SIZE]),
+    /// In-place view of a page this space owns exclusively.
+    Rw(&'a mut [u8; PAGE_SIZE]),
+}
+
+impl Pinned<'_> {
+    /// The page's bytes, whichever kind of view this is.
+    #[inline]
+    pub fn bytes(&self) -> &[u8; PAGE_SIZE] {
+        match self {
+            Pinned::Ro(b) => b,
+            Pinned::Rw(b) => b,
+        }
+    }
+}
+
+/// Whether `Arc::get_mut` would succeed. Exclusivity is probed first
+/// and borrowed second because a failed `get_mut` whose borrow reached
+/// the return value would keep the shared fallback from compiling; and
+/// it is probed by reading the counts because a second `get_mut` is a
+/// second compare-exchange per store. The answer cannot go stale in
+/// between: the caller holds `&mut` to the handle, so nothing can clone
+/// it, and a unique handle has no sibling to be cloned instead.
+#[inline(always)]
+fn is_unique<T>(a: &Arc<T>) -> bool {
+    Arc::strong_count(a) == 1 && Arc::weak_count(a) == 0
+}
+
+/// [`AddressSpace::pin`] within one leaf: views of the entries `a` and
+/// `b` name (validated translations whose `slot` is this leaf).
+#[inline(always)]
+fn leaf_views<'a>(
+    leaf: &'a mut Arc<Leaf>,
+    a: Option<Translation>,
+    b: Option<Translation>,
+) -> [Option<Pinned<'a>>; 2] {
+    let index = |t: Translation| t.entry as usize;
+    let wants_rw = [a, b].iter().flatten().any(|t| t.writable);
+    if !(wants_rw && is_unique(leaf)) {
+        let leaf: &'a Leaf = leaf;
+        return [a, b].map(|t| {
+            let e = leaf.entries.get(index(t?))?.as_ref()?;
+            Some(Pinned::Ro(e.frame.bytes()))
+        });
+    }
+    let entries = &mut Arc::get_mut(leaf).expect("probed unique").entries;
+    match (a, b) {
+        (Some(ta), Some(tb)) => match entries.get_disjoint_mut([index(ta), index(tb)]) {
+            Ok([ea, eb]) => [entry_view(ea, ta), entry_view(eb, tb)],
+            Err(_) => [None, None],
+        },
+        (Some(t), None) => [
+            entries.get_mut(index(t)).and_then(|e| entry_view(e, t)),
+            None,
+        ],
+        (None, Some(t)) => [
+            None,
+            entries.get_mut(index(t)).and_then(|e| entry_view(e, t)),
+        ],
+        (None, None) => [None, None],
+    }
+}
+
+/// The view `t` earns of an entry in an exclusively-owned leaf.
+#[inline(always)]
+fn entry_view(e: &mut Option<PageEntry>, t: Translation) -> Option<Pinned<'_>> {
+    let e = e.as_mut()?;
+    if t.writable && is_unique(&e.frame) {
+        Arc::get_mut(&mut e.frame).map(|f| Pinned::Rw(f.bytes_mut()))
+    } else {
+        Some(Pinned::Ro(e.frame.bytes()))
     }
 }
 
@@ -1196,12 +1277,12 @@ impl AddressSpace {
     ///
     /// The page is made exclusively owned now (copy-on-write clone of
     /// a shared leaf *and* a shared frame, if needed) and marked dirty,
-    /// so redeeming the translation via
-    /// [`translated_bytes_mut`](AddressSpace::translated_bytes_mut) can
-    /// write in place with no per-store permission check, dirty-set
-    /// insert, or `Arc::make_mut`. This mints without bumping the
-    /// generation: the table structure, permissions, and dirty set only
-    /// gained information, so no outstanding translation went stale.
+    /// so the [`Pinned::Rw`] view [`pin`](AddressSpace::pin) redeems it
+    /// into can be written in place with no per-store permission check,
+    /// dirty-set insert, or `Arc::make_mut`. This mints without bumping
+    /// the generation: the table structure, permissions, and dirty set
+    /// only gained information, so no outstanding translation went
+    /// stale.
     pub fn translate_write(&mut self, addr: u64) -> Option<Translation> {
         if self.tracker.is_some() {
             return None;
@@ -1231,54 +1312,77 @@ impl AddressSpace {
         })
     }
 
-    /// Redeems a read translation: the translated page's bytes, or
-    /// `None` if the translation is stale (minted by another space or
-    /// before the last generation bump). Redemption is O(1).
+    /// True if `t` was minted by this exact space at its current
+    /// generation — the part of redemption that needs no borrow of the
+    /// table. A TLB that caches separate read and write translations
+    /// for one page asks this to decide which to hand to
+    /// [`pin`](AddressSpace::pin).
     #[inline]
-    pub fn translated_bytes(&self, t: Translation) -> Option<&[u8; PAGE_SIZE]> {
-        if t.space_id != self.space_id || t.generation != self.generation {
-            return None;
-        }
-        self.root
-            .get(t.slot as usize)?
-            .leaf
-            .entries
-            .get(t.entry as usize)?
-            .as_ref()
-            .map(|e| e.frame.bytes())
+    pub fn is_current(&self, t: Translation) -> bool {
+        t.space_id == self.space_id && t.generation == self.generation
     }
 
-    /// Redeems a write translation: the translated page's bytes,
-    /// mutably, or `None` if the translation is stale, was minted for
-    /// reading, or the page has been shared again since minting — at
-    /// *either* level: a snapshot or leaf-congruent virtual copy
-    /// shares the whole leaf, a per-page copy shares the frame. Writing
-    /// in place through either kind of sharing would leak through the
-    /// copy-on-write boundary, so redemption checks leaf exclusivity
-    /// (`Arc::get_mut` on the leaf) **before** frame exclusivity — a
-    /// frame inside a structurally-shared leaf has a refcount of one,
-    /// and only the leaf check can see that it is reachable from two
-    /// spaces. Any failure is a miss: the caller falls back to the
-    /// slow path, which clones properly.
+    /// Redeems up to two translations — of two *different* pages — into
+    /// views of the pages' bytes that live as long as this exclusive
+    /// borrow of the space: the one routine through which a
+    /// [`Translation`] turns into memory.
     ///
-    /// **Single-executor contract**: in-place writes through a
-    /// redeemed translation deliberately do *not* bump the generation
-    /// (that is the entire fast path), so they are invisible to any
-    /// *other* holder of content-derived caches over this space. The
-    /// one legitimate caller is the single `det_vm::Cpu` executing the
-    /// space — it invalidates its own decoded-instruction cache on
-    /// stores into code pages. Driving two CPUs against one space (the
-    /// kernel never does) would let one CPU's stores stale the other's
-    /// cached decodes; use [`write`](AddressSpace::write) (which bumps
-    /// the generation) for any externally-observable mutation.
-    #[inline]
-    pub fn translated_bytes_mut(&mut self, t: Translation) -> Option<&mut [u8; PAGE_SIZE]> {
-        if !t.writable || t.space_id != self.space_id || t.generation != self.generation {
-            return None;
+    /// A slot comes back `None` if its translation is not
+    /// [current](AddressSpace::is_current) (minted by another space or
+    /// before the last generation bump); any failure is a miss and the
+    /// caller falls back to the slow path. A read translation yields
+    /// [`Pinned::Ro`]. A write translation yields [`Pinned::Rw`] only
+    /// while the page is still exclusively owned at *both* levels: a
+    /// snapshot or leaf-congruent virtual copy shares the whole leaf,
+    /// a per-page copy or an adopting merge shares the frame, and none
+    /// of them bumps this space's generation. Writing in place through
+    /// either kind of sharing would leak through the copy-on-write
+    /// boundary, so leaf exclusivity (`Arc::get_mut` on the leaf) is
+    /// checked **before** frame exclusivity — a frame inside a
+    /// structurally-shared leaf has a refcount of one, and only the
+    /// leaf check can see that it is reachable from two spaces. A
+    /// write translation that fails either check is redeemed `Ro`; the
+    /// store it was meant for misses, and the slow path clones
+    /// properly.
+    ///
+    /// The checks run once per call, not once per access, and that is
+    /// sound for exactly as long as the views can live: sharing a leaf
+    /// or a frame (`clone`, being a `copy_from` or merge *source*)
+    /// needs at least `&self`, every mutation needs `&mut self`, and
+    /// the views hold `&mut self`. Two pages of one leaf, or of two
+    /// leaves in either order, come back as disjoint borrows; passing
+    /// the same page twice — through read or write translations, a
+    /// shared leaf or an exclusive one — returns `None` for both.
+    ///
+    /// **Single-executor contract**: in-place writes through an `Rw`
+    /// view deliberately do *not* bump the generation (that is the
+    /// entire fast path), so they are invisible to any *other* holder
+    /// of content-derived caches over this space. The one legitimate
+    /// caller is the single `det_vm::Cpu` executing the space — it
+    /// invalidates its own decoded-instruction cache on stores into
+    /// code pages. Driving two CPUs against one space (the kernel
+    /// never does) would let one CPU's stores stale the other's cached
+    /// decodes; use [`write`](AddressSpace::write) (which bumps the
+    /// generation) for any externally-observable mutation.
+    #[inline(always)]
+    pub fn pin(&mut self, pages: [Option<Translation>; 2]) -> [Option<Pinned<'_>>; 2] {
+        let [a, b] = pages.map(|t| t.filter(|&t| self.is_current(t)));
+        let slot = |t: Translation| t.slot as usize;
+        match (a, b) {
+            (Some(ta), Some(tb)) if (ta.slot, ta.entry) == (tb.slot, tb.entry) => [None, None],
+            (Some(ta), Some(tb)) if ta.slot != tb.slot => {
+                let Ok([sa, sb]) = self.root.get_disjoint_mut([slot(ta), slot(tb)]) else {
+                    return [None, None];
+                };
+                let [va, _] = leaf_views(&mut sa.leaf, a, None);
+                let [_, vb] = leaf_views(&mut sb.leaf, None, b);
+                [va, vb]
+            }
+            _ => match a.or(b).and_then(|t| self.root.get_mut(slot(t))) {
+                Some(rs) => leaf_views(&mut rs.leaf, a, b),
+                None => [None, None],
+            },
         }
-        let leaf = Arc::get_mut(&mut self.root.get_mut(t.slot as usize)?.leaf)?;
-        let e = leaf.entries.get_mut(t.entry as usize)?.as_mut()?;
-        Arc::get_mut(&mut e.frame).map(Frame::bytes_mut)
     }
 
     // ------------------------------------------------------------------
@@ -2143,20 +2247,35 @@ mod tests {
         assert_eq!(s.generation(), g);
     }
 
+    /// One-page redemption for reading: the view's bytes, if any.
+    fn redeem(s: &mut AddressSpace, t: Translation) -> Option<[u8; PAGE_SIZE]> {
+        let [view, _] = s.pin([Some(t), None]);
+        view.map(|v| *v.bytes())
+    }
+
+    /// One-page redemption for writing: `Rw` or nothing.
+    fn redeem_mut(s: &mut AddressSpace, t: Translation) -> Option<&mut [u8; PAGE_SIZE]> {
+        match s.pin([Some(t), None]) {
+            [Some(Pinned::Rw(bytes)), _] => Some(bytes),
+            _ => None,
+        }
+    }
+
     #[test]
     fn translations_roundtrip_and_go_stale() {
         let mut s = rw_space(0x1000, 0x2000);
         s.write(0x1000, b"abcd").unwrap();
         let t = s.translate_read(0x1004).unwrap();
-        assert_eq!(&s.translated_bytes(t).unwrap()[0..4], b"abcd");
+        assert_eq!(&redeem(&mut s, t).unwrap()[0..4], b"abcd");
         // Any mutation invalidates it.
         s.write_u8(0x2000, 1).unwrap();
-        assert!(s.translated_bytes(t).is_none());
+        assert!(!s.is_current(t));
+        assert!(redeem(&mut s, t).is_none());
         // A fresh one works again.
         let t = s.translate_read(0x1000).unwrap();
-        assert!(s.translated_bytes(t).is_some());
+        assert!(redeem(&mut s, t).is_some());
         // Read translations cannot be redeemed for writing.
-        assert!(s.translated_bytes_mut(t).is_none());
+        assert!(redeem_mut(&mut s, t).is_none());
     }
 
     #[test]
@@ -2179,7 +2298,7 @@ mod tests {
         // Minting the translation already dirtied the page.
         assert_eq!(s.dirty_vpns_in(Region::new(0x1000, 0x3000)), vec![1]);
         let g = s.generation();
-        s.translated_bytes_mut(t).unwrap()[8] = 0xAB;
+        redeem_mut(&mut s, t).unwrap()[8] = 0xAB;
         // In-place writes do not bump the generation...
         assert_eq!(s.generation(), g);
         // ...and are visible to ordinary reads.
@@ -2191,14 +2310,14 @@ mod tests {
         let mut s = rw_space(0x1000, 0x2000);
         s.write_u8(0x1000, 1).unwrap(); // Own the frame exclusively.
         let t = s.translate_write(0x1000).unwrap();
-        assert!(s.translated_bytes_mut(t).is_some());
+        assert!(redeem_mut(&mut s, t).is_some());
         // A snapshot shares every leaf again (and bumps generation).
         let snap = s.snapshot();
-        assert!(s.translated_bytes_mut(t).is_none());
+        assert!(redeem_mut(&mut s, t).is_none());
         // Even a fresh write translation COWs first, so writing through
         // it cannot leak into the snapshot.
         let t2 = s.translate_write(0x1000).unwrap();
-        s.translated_bytes_mut(t2).unwrap()[0] = 9;
+        redeem_mut(&mut s, t2).unwrap()[0] = 9;
         assert_eq!(snap.read_u8(0x1000).unwrap(), 1);
         assert_eq!(s.read_u8(0x1000).unwrap(), 9);
     }
@@ -2214,17 +2333,49 @@ mod tests {
         s.map_zero(r, Perm::RW).unwrap();
         s.write_u8(r.start, 1).unwrap();
         let t = s.translate_write(r.start).unwrap();
-        assert!(s.translated_bytes_mut(t).is_some());
+        assert!(redeem_mut(&mut s, t).is_some());
         let mut other = AddressSpace::new();
         other.copy_from(&s, r, r.start).unwrap();
         assert!(other.shares_leaf_with(&s, PAGES_PER_LEAF as u64));
         // No generation bump happened on the source, but the in-place
         // write path must still refuse: the leaf is no longer exclusive.
-        assert!(s.translated_bytes_mut(t).is_none());
+        // The translation is still good for reading the shared page.
+        assert!(s.is_current(t));
+        assert!(matches!(
+            s.pin([Some(t), None]),
+            [Some(Pinned::Ro(_)), None]
+        ));
         // The slow path COWs properly and the copy keeps the old byte.
         s.write_u8(r.start, 2).unwrap();
         assert_eq!(other.read_u8(r.start).unwrap(), 1);
         assert_eq!(s.read_u8(r.start).unwrap(), 2);
+    }
+
+    #[test]
+    fn write_translation_refused_once_frame_shared_by_page_copy() {
+        // A copy that is not leaf-congruent shares frame by frame: the
+        // source's leaf stays exclusive and only the frame check can
+        // see the second owner.
+        let mut s = rw_space(0x1000, 0x2000);
+        s.write_u8(0x1000, 1).unwrap();
+        let t = s.translate_write(0x1000).unwrap();
+        assert!(redeem_mut(&mut s, t).is_some());
+        let mut other = AddressSpace::new();
+        other
+            .copy_from(&s, Region::new(0x1000, 0x2000), 0x8000)
+            .unwrap();
+        assert!(!other.shares_leaf_with(&s, 1));
+        assert!(s.is_current(t));
+        assert!(matches!(
+            s.pin([Some(t), None]),
+            [Some(Pinned::Ro(_)), None]
+        ));
+        // The untouched neighbour page is still exclusively owned.
+        let t2 = s.translate_write(0x2000).unwrap();
+        assert!(matches!(
+            s.pin([Some(t), Some(t2)]),
+            [Some(Pinned::Ro(_)), Some(Pinned::Rw(_))]
+        ));
     }
 
     #[test]
@@ -2242,13 +2393,13 @@ mod tests {
 
     #[test]
     fn translations_do_not_cross_spaces() {
-        let a = rw_space(0x1000, 0x1000);
+        let mut a = rw_space(0x1000, 0x1000);
         let t = a.translate_read(0x1000).unwrap();
-        let b = a.clone();
+        let mut b = a.clone();
         // The clone shares frames but is a different space; the
         // original's translation must not validate against it.
-        assert!(b.translated_bytes(t).is_none());
-        assert!(a.translated_bytes(t).is_some());
+        assert!(redeem(&mut b, t).is_none());
+        assert!(redeem(&mut a, t).is_some());
     }
 
     #[test]
@@ -2257,13 +2408,105 @@ mod tests {
         let t = s.translate_read(0x1000).unwrap();
         s.set_tracker(Some(AccessTracker::new()));
         // Installing the tracker bumped the generation...
-        assert!(s.translated_bytes(t).is_none());
+        assert!(redeem(&mut s, t).is_none());
         // ...and minting is refused while it is present.
         assert!(s.translate_read(0x1000).is_none());
         assert!(s.translate_write(0x1000).is_none());
         s.set_tracker(None);
         assert!(s.translate_read(0x1000).is_some());
     }
+
+    #[test]
+    fn pin_returns_disjoint_views_within_a_leaf_and_across_leaves() {
+        // Pages 1 and 2 share leaf 0; page 512 opens leaf 1.
+        let far = (PAGES_PER_LEAF as u64) << PAGE_SHIFT;
+        let mut s = rw_space(0x1000, 0x2000);
+        s.map_zero(Region::new(far, far + 0x1000), Perm::RW)
+            .unwrap();
+        let pairs = [
+            (0x1000, 0x2000),
+            (0x2000, 0x1000),
+            (0x1000, far),
+            (far, 0x1000),
+        ];
+        for (i, (x, y)) in pairs.into_iter().enumerate() {
+            let (tx, ty) = (s.translate_write(x).unwrap(), s.translate_write(y).unwrap());
+            let [Some(Pinned::Rw(vx)), Some(Pinned::Rw(vy))] = s.pin([Some(tx), Some(ty)]) else {
+                panic!("two exclusive pages pin read-write");
+            };
+            // Both views are live at once and land on their own page.
+            (vx[0], vy[0]) = (i as u8 + 1, i as u8 + 101);
+            assert_eq!(s.read_u8(x).unwrap(), i as u8 + 1);
+            assert_eq!(s.read_u8(y).unwrap(), i as u8 + 101);
+            // A read translation beside a write translation stays `Ro`.
+            let tr = s.translate_read(y).unwrap();
+            assert!(matches!(
+                s.pin([Some(tx), Some(tr)]),
+                [Some(Pinned::Rw(_)), Some(Pinned::Ro(_))]
+            ));
+        }
+        // The same page twice is refused, whatever the views would be:
+        // two `Rw` cannot be disjoint, and two read translations, a
+        // mixed pair, or a leaf a live clone shares (all `Ro`) get the
+        // same answer.
+        let t = s.translate_write(0x1000).unwrap();
+        let tr = s.translate_read(0x1000).unwrap();
+        for pair in [[t, t], [tr, tr], [t, tr], [tr, t]] {
+            assert!(matches!(s.pin(pair.map(Some)), [None, None]));
+            let sibling = s.clone();
+            assert!(matches!(s.pin(pair.map(Some)), [None, None]));
+            drop(sibling);
+        }
+        // An empty request and a lone second slot are served in place.
+        assert!(matches!(s.pin([None, None]), [None, None]));
+        assert!(matches!(
+            s.pin([None, Some(t)]),
+            [None, Some(Pinned::Rw(_))]
+        ));
+    }
+
+    #[test]
+    fn pin_through_a_live_clone_is_read_only_at_both_slots() {
+        let mut s = rw_space(0x1000, 0x2000);
+        s.write_u8(0x1000, 7).unwrap();
+        let (t1, t2) = (
+            s.translate_write(0x1000).unwrap(),
+            s.translate_write(0x2000).unwrap(),
+        );
+        // `clone` shares every leaf without bumping the generation.
+        let sibling = s.clone();
+        assert!(s.is_current(t1));
+        let [Some(Pinned::Ro(v1)), Some(Pinned::Ro(_))] = s.pin([Some(t1), Some(t2)]) else {
+            panic!("a leaf shared by a live clone pins read-only");
+        };
+        assert_eq!(v1[0], 7);
+        drop(sibling);
+        // Exclusive again: the very same translations pin read-write.
+        assert!(matches!(
+            s.pin([Some(t1), Some(t2)]),
+            [Some(Pinned::Rw(_)), Some(Pinned::Rw(_))]
+        ));
+    }
+
+    #[test]
+    fn pin_refuses_foreign_and_stale_translations_slot_by_slot() {
+        let mut s = rw_space(0x1000, 0x2000);
+        let mut other = rw_space(0x1000, 0x2000);
+        let foreign = other.translate_write(0x1000).unwrap();
+        let stale = s.translate_read(0x1000).unwrap();
+        s.write_u8(0x2000, 1).unwrap(); // Bumps the generation.
+        let fresh = s.translate_read(0x2000).unwrap();
+        assert!(matches!(
+            s.pin([Some(foreign), Some(fresh)]),
+            [None, Some(Pinned::Ro(_))]
+        ));
+        assert!(matches!(
+            s.pin([Some(fresh), Some(stale)]),
+            [Some(Pinned::Ro(_)), None]
+        ));
+        assert!(matches!(other.pin([Some(fresh), None]), [None, None]));
+    }
+
     #[test]
     fn delta_roundtrip_reproduces_content_and_dirty_set() {
         let r = Region::new(0x1000, 0x5000);

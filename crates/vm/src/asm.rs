@@ -21,6 +21,10 @@ pub struct Image {
     pub entry: u64,
 }
 
+/// Largest image [`assemble`] will produce. Source text is hostile
+/// input: without a bound, `.zero -1` is a 2⁶⁴-byte allocation.
+pub const MAX_IMAGE_BYTES: u64 = 1 << 24;
+
 /// Assembly failure with a 1-based source line.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct AsmError {
@@ -75,7 +79,10 @@ pub fn assemble(src: &str) -> Result<Image, AsmError> {
             continue;
         }
         let item = parse_item(line_no, rest)?;
-        offset += item.size();
+        offset = offset
+            .checked_add(item.size())
+            .filter(|&end| end <= MAX_IMAGE_BYTES)
+            .ok_or_else(|| err(line_no, "image exceeds MAX_IMAGE_BYTES"))?;
         items.push((line_no, item));
     }
 
@@ -445,8 +452,9 @@ fn parse_reg(line: usize, s: &str) -> Result<u8, AsmError> {
         _ => {}
     }
     if let Some(num) = lower.strip_prefix('r') {
-        if let Ok(n) = num.parse::<u8>() {
-            if n < 16 {
+        // Digits only: `parse` alone would take `r+5`.
+        if num.bytes().all(|b| b.is_ascii_digit()) {
+            if let Ok(n @ 0..16) = num.parse::<u8>() {
                 return Ok(n);
             }
         }
@@ -454,25 +462,35 @@ fn parse_reg(line: usize, s: &str) -> Result<u8, AsmError> {
     Err(err(line, format!("bad register `{s}`")))
 }
 
+/// Parses an unsigned literal — decimal, `0x` hex or `0b` binary — with
+/// no sign: the callers own the one sign the grammar allows, and
+/// `from_str_radix` would quietly accept a second.
+fn parse_magnitude(s: &str) -> Option<u64> {
+    let (digits, radix) = if let Some(hex) = s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
+        (hex, 16)
+    } else if let Some(bin) = s.strip_prefix("0b") {
+        (bin, 2)
+    } else {
+        (s, 10)
+    };
+    if digits.starts_with(['+', '-']) {
+        return None;
+    }
+    u64::from_str_radix(digits, radix).ok()
+}
+
+/// Parses an integer in [−2⁶³, 2⁶⁴) as its 64-bit two's-complement
+/// pattern: one optional sign, then a magnitude that fits.
 fn parse_int(line: usize, s: &str) -> Result<i64, AsmError> {
     let s = s.trim();
-    let (neg, body) = match s.strip_prefix('-') {
+    let (negative, body) = match s.strip_prefix('-') {
         Some(rest) => (true, rest),
-        None => (false, s),
+        None => (false, s.strip_prefix('+').unwrap_or(s)),
     };
-    let parsed = if let Some(hex) = body.strip_prefix("0x").or_else(|| body.strip_prefix("0X")) {
-        u64::from_str_radix(hex, 16).map(|v| v as i64)
-    } else if let Some(bin) = body.strip_prefix("0b") {
-        u64::from_str_radix(bin, 2).map(|v| v as i64)
-    } else {
-        body.parse::<i64>().or_else(|_| {
-            // Allow full-range u64 decimal literals.
-            body.parse::<u64>().map(|v| v as i64)
-        })
-    };
-    match parsed {
-        Ok(v) => Ok(if neg { -v } else { v }),
-        Err(_) => Err(err(line, format!("bad integer `{s}`"))),
+    match parse_magnitude(body) {
+        Some(m) if !negative => Ok(m as i64),
+        Some(m) if m <= 1 << 63 => Ok((m as i64).wrapping_neg()),
+        _ => Err(err(line, format!("bad integer `{s}`"))),
     }
 }
 
@@ -495,9 +513,14 @@ fn parse_mem_operand(line: usize, s: &str) -> Result<(u8, i64), AsmError> {
         None => Ok((parse_reg(line, inner)?, 0)),
         Some(i) => {
             let reg = parse_reg(line, inner[..i].trim())?;
-            let sign = if inner.as_bytes()[i] == b'-' { -1 } else { 1 };
-            let disp = parse_int(line, inner[i + 1..].trim())?;
-            Ok((reg, sign * disp))
+            // The separator is the displacement's sign. A magnitude
+            // past `i64::MAX` is refused here: cast, it would wrap to a
+            // small value of the other sign and pass the 12-bit check.
+            let disp = parse_magnitude(inner[i + 1..].trim())
+                .and_then(|m| i64::try_from(m).ok())
+                .ok_or_else(|| err(line, format!("bad displacement in `{s}`")))?;
+            let negative = inner.as_bytes()[i] == b'-';
+            Ok((reg, if negative { -disp } else { disp }))
         }
     }
 }

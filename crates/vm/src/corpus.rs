@@ -28,6 +28,28 @@
 //! the same belt-and-braces bounding a deterministic sandbox applies
 //! to untrusted code.
 
+use det_memory::{AddressSpace, Perm, Region};
+
+use crate::{Cpu, assemble};
+
+/// Builds the standard sandbox (module docs) with `src` assembled and
+/// loaded at address 0, and a fresh [`Cpu`] to run it.
+///
+/// # Panics
+///
+/// If `src` does not assemble or does not fit the low window.
+pub fn sandbox(src: &str) -> (Cpu, AddressSpace) {
+    let image = assemble(src).expect("program assembles");
+    let mut mem = AddressSpace::new();
+    mem.map_zero(Region::new(0, 0x10000), Perm::RW)
+        .expect("low window maps");
+    mem.map_zero(Region::new(0x100000, 0x180000), Perm::RW)
+        .expect("far window maps");
+    mem.write(0, &image.bytes)
+        .expect("image fits the low window");
+    (Cpu::new(), mem)
+}
+
 /// A registered VM program: a name, its assembly source, and an
 /// instruction budget that reaches steady state (for looping kernels)
 /// or completion (for halting guests).
@@ -369,18 +391,7 @@ pub const PROGRAMS: &[VmProgram] = &[
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Cpu, VmExit, assemble};
-    use det_memory::{AddressSpace, Perm, Region};
-
-    fn sandbox(src: &str) -> (Cpu, AddressSpace) {
-        let image = assemble(src).expect("corpus program assembles");
-        let mut mem = AddressSpace::new();
-        mem.map_zero(Region::new(0, 0x10000), Perm::RW).unwrap();
-        mem.map_zero(Region::new(0x100000, 0x180000), Perm::RW)
-            .unwrap();
-        mem.write(0, &image.bytes).unwrap();
-        (Cpu::new(), mem)
-    }
+    use crate::VmExit;
 
     #[test]
     fn every_program_assembles_and_runs_trap_free() {

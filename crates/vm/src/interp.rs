@@ -1,13 +1,14 @@
 //! The interpreter: deterministic execution with exact instruction
 //! accounting, preemption, and a software TLB + predecoded instruction
-//! cache on the hot fetch/load/store paths.
+//! cache on the hot fetch/load/store paths, with run-scoped page pins
+//! above them.
 //!
 //! # The fast path
 //!
 //! The first-cut interpreter paid a full page-table walk (B-tree
 //! lookup, permission check, tracker probe, dirty-set insert,
 //! `Arc::make_mut`) for every instruction fetch, load, and store, and
-//! re-decoded every instruction word on every step. [`Cpu`] now keeps
+//! re-decoded every instruction word on every step. [`Cpu`] keeps
 //! three caches, all validated by the address space's generation
 //! counter (see `det_memory::Translation` and DESIGN.md §4):
 //!
@@ -20,6 +21,23 @@
 //! * a direct-mapped **decoded-instruction cache** keyed by
 //!   `(pc, space, generation)`, so straight-line code decodes once.
 //!
+//! Above the TLBs sit **run-scoped pins**. Redeeming a translation is
+//! O(1) but not free — a 40-byte entry copied, identity and generation
+//! compared, four dependent pointers chased, and two `Arc::get_mut`s
+//! per store — and none of it can come out different while
+//! [`Cpu::run`] holds `&mut AddressSpace`. So the fast path runs in two
+//! levels ([`Cpu::run_fast`]): an outer one that is the TLB
+//! interpreter, and an inner one that redeems the TLB entries of up to
+//! two hot pages *once* into page views ([`AddressSpace::pin`]) and
+//! then serves loads and stores to those pages with a page-number
+//! compare and a slice index. A pin *shadows a valid TLB entry*: a
+//! pinned load counts the read-TLB hit it would have been, a pinned
+//! store the write-TLB hit, and anything a pin cannot serve drops to
+//! the outer level and is performed and counted there as it always
+//! was. Every [`CpuCacheStats`] counter the kernel charges virtual time
+//! by is therefore the same number with pins as without; only host
+//! time moves.
+//!
 //! The caches are semantically invisible: every miss or stale hit
 //! falls back to the exact slow path, a store into a page holding
 //! cached decodes flushes them (self-modifying code), and an installed
@@ -27,18 +45,20 @@
 //! entirely so its page log stays exact. `Cpu::fast_path` can be
 //! cleared to force the original slow path everywhere — the
 //! differential suite in `tests/tlb_props.rs` runs both and demands
-//! byte-identical results.
+//! byte-identical results, and pins its counters to goldens recorded
+//! before pins existed.
 //!
 //! One invariant is the caller's: **at most one `Cpu` executes a given
 //! `AddressSpace`** (the kernel runs exactly one per space). The fast
 //! path's in-place stores bump no generation, so a *second* CPU
 //! interleaving stores on the same space could stale the first's
 //! cached decodes — see the single-executor contract on
-//! `AddressSpace::translated_bytes_mut`. External mutation between
-//! runs through the ordinary `AddressSpace` API (writes, copies,
-//! merges, snapshots) is always safe: those paths bump the generation.
+//! `AddressSpace::pin`. External mutation between runs through the
+//! ordinary `AddressSpace` API (writes, copies, merges, snapshots) is
+//! always safe: those paths bump the generation, and nothing is pinned
+//! across runs.
 
-use det_memory::{AddressSpace, MemError, PAGE_SHIFT, PAGE_SIZE, Translation};
+use det_memory::{AddressSpace, MemError, PAGE_SHIFT, PAGE_SIZE, Pinned, Translation};
 
 use crate::isa::{Insn, Opcode, decode};
 use crate::regs::Regs;
@@ -168,6 +188,11 @@ pub struct CpuCacheStats {
     /// attempt and every slow-path access. The ratio of this to
     /// retired instructions is the stat the TLB exists to crush.
     pub pages_walked: u64,
+    /// Times the fast path redeemed TLB entries into pinned page views
+    /// ([`AddressSpace::pin`]) on entering its inner loop. Every access
+    /// a view serves is counted as the TLB hit it shadows, so this is
+    /// the only counter pins add; the kernel does not forward it.
+    pub pin_builds: u64,
 }
 
 impl CpuCacheStats {
@@ -204,31 +229,16 @@ impl CpuCacheStats {
             tlb_write_fills: self.tlb_write_fills - earlier.tlb_write_fills,
             slow_accesses: self.slow_accesses - earlier.slow_accesses,
             pages_walked: self.pages_walked - earlier.pages_walked,
+            pin_builds: self.pin_builds - earlier.pin_builds,
         }
     }
 }
 
-/// A deterministic CPU: registers plus a lifetime instruction counter.
-///
-/// The memory it executes against is passed to [`Cpu::run`] so the
-/// kernel can check a space's memory in and out around preemptions.
-/// The translation and decode caches ride along; they validate against
-/// the specific `AddressSpace` (identity and generation) on every hit,
-/// so a `Cpu` may be kept across preemptions, rendezvous, and even a
-/// wholesale replacement of its memory image — stale entries miss,
-/// they never lie.
+/// The translation and decode caches of one [`Cpu`], apart from the
+/// architectural state so a memory port can borrow them while the
+/// register file is being written.
 #[derive(Clone)]
-pub struct Cpu {
-    /// Architectural register state.
-    pub regs: Regs,
-    /// Total instructions retired over the CPU's lifetime.
-    pub insn_count: u64,
-    /// Use the TLB/icache fast path (default). Clear to force every
-    /// access down the original slow path — same semantics, used as
-    /// the reference side of differential tests.
-    pub fast_path: bool,
-    /// Fast-path hit/miss counters.
-    pub cache_stats: CpuCacheStats,
+struct Caches {
     dtlb_read: [DtlbEntry; DTLB_ENTRIES],
     dtlb_write: [DtlbEntry; DTLB_ENTRIES],
     icache: [ICacheEntry; ICACHE_ENTRIES],
@@ -247,6 +257,88 @@ pub struct Cpu {
     /// More than `CODE_PAGE_SLOTS` distinct code pages are live: the
     /// exact set is no longer complete, so every filter hit flushes.
     code_pages_overflowed: bool,
+    /// The pages the pin policy wants pinned, newer first ([`NO_VPN`]
+    /// for none); reset on every entry to [`Cpu::run_fast`]. Here
+    /// rather than in a local of that function so its dispatch loop,
+    /// which needs it only after a data access, does not carry it in
+    /// registers.
+    wanted: [u64; 2],
+}
+
+impl Caches {
+    const EMPTY: Caches = Caches {
+        dtlb_read: [DtlbEntry::INVALID; DTLB_ENTRIES],
+        dtlb_write: [DtlbEntry::INVALID; DTLB_ENTRIES],
+        icache: [ICacheEntry::INVALID; ICACHE_ENTRIES],
+        code_vpns: 0,
+        code_pages: [0; CODE_PAGE_SLOTS],
+        code_page_count: 0,
+        code_pages_overflowed: false,
+        wanted: [NO_VPN; 2],
+    };
+
+    /// Drops every cached decode and the code-page bookkeeping.
+    fn flush_icache(&mut self) {
+        self.icache = [ICacheEntry::INVALID; ICACHE_ENTRIES];
+        self.code_vpns = 0;
+        self.code_pages = [0; CODE_PAGE_SLOTS];
+        self.code_page_count = 0;
+        self.code_pages_overflowed = false;
+    }
+
+    /// True if a store touching pages `vpn..=last_vpn` (one page or
+    /// two) may hit cached decodes and so must flush them first
+    /// (self-modifying code). The 64-bit filter rejects most stores in
+    /// one AND; a filter hit (which a data page aliasing a code page
+    /// mod 64 can also produce) is confirmed against the exact
+    /// code-page set, so only genuine code stores pay the flush.
+    fn holds_code(&self, vpn: u64, last_vpn: u64) -> bool {
+        let mask = (1u64 << (vpn & 63)) | (1u64 << (last_vpn & 63));
+        if self.code_vpns & mask == 0 {
+            return false;
+        }
+        self.code_pages_overflowed
+            || self.code_pages[..self.code_page_count as usize]
+                .iter()
+                .any(|&p| p == vpn || p == last_vpn)
+    }
+
+    /// Records that the icache now holds a decode from page `vpn`.
+    fn note_code_page(&mut self, vpn: u64) {
+        self.code_vpns |= 1 << (vpn & 63);
+        if !self.code_pages[..self.code_page_count as usize].contains(&vpn) {
+            if (self.code_page_count as usize) < CODE_PAGE_SLOTS {
+                self.code_pages[self.code_page_count as usize] = vpn;
+                self.code_page_count += 1;
+            } else {
+                self.code_pages_overflowed = true;
+            }
+        }
+    }
+}
+
+/// A deterministic CPU: registers plus a lifetime instruction counter.
+///
+/// The memory it executes against is passed to [`Cpu::run`] so the
+/// kernel can check a space's memory in and out around preemptions.
+/// The translation and decode caches ride along; they validate against
+/// the specific `AddressSpace` (identity and generation) on every hit,
+/// so a `Cpu` may be kept across preemptions, rendezvous, and even a
+/// wholesale replacement of its memory image — stale entries miss,
+/// they never lie. Pinned page views never outlive one `run` call.
+#[derive(Clone)]
+pub struct Cpu {
+    /// Architectural register state.
+    pub regs: Regs,
+    /// Total instructions retired over the CPU's lifetime.
+    pub insn_count: u64,
+    /// Use the TLB/icache fast path (default). Clear to force every
+    /// access down the original slow path — same semantics, used as
+    /// the reference side of differential tests.
+    pub fast_path: bool,
+    /// Fast-path hit/miss counters.
+    pub cache_stats: CpuCacheStats,
+    caches: Caches,
 }
 
 impl Default for Cpu {
@@ -256,13 +348,7 @@ impl Default for Cpu {
             insn_count: 0,
             fast_path: true,
             cache_stats: CpuCacheStats::default(),
-            dtlb_read: [DtlbEntry::INVALID; DTLB_ENTRIES],
-            dtlb_write: [DtlbEntry::INVALID; DTLB_ENTRIES],
-            icache: [ICacheEntry::INVALID; ICACHE_ENTRIES],
-            code_vpns: 0,
-            code_pages: [0; CODE_PAGE_SLOTS],
-            code_page_count: 0,
-            code_pages_overflowed: false,
+            caches: Caches::EMPTY,
         }
     }
 }
@@ -275,6 +361,468 @@ impl std::fmt::Debug for Cpu {
             .field("fast_path", &self.fast_path)
             .field("cache_stats", &self.cache_stats)
             .finish_non_exhaustive()
+    }
+}
+
+/// How one instruction reaches memory. The opcode match in [`step`] is
+/// written once against this; each execution level supplies its own
+/// port.
+trait Port {
+    /// Why the port did not perform an access.
+    type Miss;
+    fn load<const N: usize>(&mut self, addr: u64) -> Result<[u8; N], Self::Miss>;
+    fn store<const N: usize>(&mut self, addr: u64, data: [u8; N]) -> Result<(), Self::Miss>;
+}
+
+/// What one instruction did.
+enum Step<M> {
+    /// Retired, and `pc` advanced.
+    Next,
+    /// `halt` or `sys`: retired, `pc` advanced, and the run stops.
+    Stop(VmExit),
+    /// Trapped without committing.
+    Trap(VmTrap),
+    /// The port refused the instruction's memory access; nothing
+    /// committed.
+    Miss(M),
+}
+
+/// Executes the decoded instruction at `pc` against the register file
+/// and a memory port, and moves `pc` past it if it retires. Branch
+/// displacements are in words relative to the next instruction. (`pc`
+/// is in and out by reference, not a payload of [`Step`]: sharing
+/// bytes with the exit variants there costs the dispatch loop a
+/// disassembly and reassembly of it per instruction.)
+#[inline(always)]
+fn step<P: Port>(regs: &mut Regs, insn: Insn, pc: &mut u64, port: &mut P) -> Step<P::Miss> {
+    use Opcode::*;
+    let next_pc = *pc + 4;
+    // Register fields decode from 4-bit slots; re-masking here is free
+    // and lets the compiler drop the 16-entry bounds checks on the
+    // register file.
+    let (rd, rs, rt) = (
+        (insn.rd & 15) as usize,
+        (insn.rs & 15) as usize,
+        (insn.rt & 15) as usize,
+    );
+    let imm = insn.imm as i64;
+    let g = &mut regs.gpr;
+    // Floating point uses the same registers, bit-cast (see `Regs::f`).
+    let f = |g: &[u64; 16], r: usize| f64::from_bits(g[r]);
+    macro_rules! branch {
+        ($taken:expr) => {{
+            *pc = if $taken {
+                (next_pc as i64 + imm * 4) as u64
+            } else {
+                next_pc
+            };
+            return Step::Next;
+        }};
+    }
+    macro_rules! load {
+        ($n:literal, $ty:ty) => {{
+            let addr = g[rs].wrapping_add(imm as u64);
+            match port.load::<$n>(addr) {
+                Ok(b) => g[rd] = <$ty>::from_le_bytes(b) as u64,
+                Err(m) => return Step::Miss(m),
+            }
+        }};
+    }
+    macro_rules! store {
+        ($ty:ty) => {{
+            let addr = g[rs].wrapping_add(imm as u64);
+            if let Err(m) = port.store(addr, (g[rd] as $ty).to_le_bytes()) {
+                return Step::Miss(m);
+            }
+        }};
+    }
+    match insn.op {
+        Nop => {}
+        Halt => {
+            *pc = next_pc;
+            return Step::Stop(VmExit::Halt);
+        }
+        Sys => {
+            *pc = next_pc;
+            return Step::Stop(VmExit::Sys(insn.imm as u16 & 0xfff));
+        }
+
+        Add => g[rd] = g[rs].wrapping_add(g[rt]),
+        Sub => g[rd] = g[rs].wrapping_sub(g[rt]),
+        Mul => g[rd] = g[rs].wrapping_mul(g[rt]),
+        Div | Mod | Divu | Modu if g[rt] == 0 => return Step::Trap(VmTrap::DivideByZero),
+        Div => g[rd] = (g[rs] as i64).wrapping_div(g[rt] as i64) as u64,
+        Mod => g[rd] = (g[rs] as i64).wrapping_rem(g[rt] as i64) as u64,
+        Divu => g[rd] = g[rs] / g[rt],
+        Modu => g[rd] = g[rs] % g[rt],
+        And => g[rd] = g[rs] & g[rt],
+        Or => g[rd] = g[rs] | g[rt],
+        Xor => g[rd] = g[rs] ^ g[rt],
+        Shl => g[rd] = g[rs].wrapping_shl(g[rt] as u32),
+        Shr => g[rd] = g[rs].wrapping_shr(g[rt] as u32),
+        Sar => g[rd] = (g[rs] as i64).wrapping_shr(g[rt] as u32) as u64,
+        Slt => g[rd] = ((g[rs] as i64) < (g[rt] as i64)) as u64,
+        Sltu => g[rd] = (g[rs] < g[rt]) as u64,
+
+        Addi => g[rd] = g[rs].wrapping_add(imm as u64),
+        Andi => g[rd] = g[rs] & imm as u64,
+        Ori => g[rd] = g[rs] | imm as u64,
+        Xori => g[rd] = g[rs] ^ imm as u64,
+        Shli => g[rd] = g[rs].wrapping_shl(imm as u32 & 63),
+        Shri => g[rd] = g[rs].wrapping_shr(imm as u32 & 63),
+        Sari => g[rd] = (g[rs] as i64).wrapping_shr(imm as u32 & 63) as u64,
+        Slti => g[rd] = ((g[rs] as i64) < imm) as u64,
+        Muli => g[rd] = g[rs].wrapping_mul(imm as u64),
+        Ldi => g[rd] = imm as u64,
+        Ldih => g[rd] = (g[rd] << 12) | (insn.imm as u64 & 0xfff),
+
+        Ldb => load!(1, u8),
+        Ldh => load!(2, u16),
+        Ldw => load!(4, u32),
+        Ldd => load!(8, u64),
+        Stb => store!(u8),
+        Sth => store!(u16),
+        Stw => store!(u32),
+        Std => store!(u64),
+
+        Beq => branch!(g[rs] == g[rt]),
+        Bne => branch!(g[rs] != g[rt]),
+        Blt => branch!((g[rs] as i64) < (g[rt] as i64)),
+        Bge => branch!((g[rs] as i64) >= (g[rt] as i64)),
+        Bltu => branch!(g[rs] < g[rt]),
+        Bgeu => branch!(g[rs] >= g[rt]),
+        Jal => {
+            g[rd] = next_pc;
+            branch!(true);
+        }
+        Jalr => {
+            let target = g[rs].wrapping_add(imm as u64);
+            g[rd] = next_pc;
+            *pc = target;
+            return Step::Next;
+        }
+
+        Fadd => g[rd] = (f(g, rs) + f(g, rt)).to_bits(),
+        Fsub => g[rd] = (f(g, rs) - f(g, rt)).to_bits(),
+        Fmul => g[rd] = (f(g, rs) * f(g, rt)).to_bits(),
+        Fdiv => g[rd] = (f(g, rs) / f(g, rt)).to_bits(),
+        Fsqrt => g[rd] = f(g, rs).sqrt().to_bits(),
+        Cvtif => g[rd] = (g[rs] as i64 as f64).to_bits(),
+        // Rust's saturating float→int cast is deterministic.
+        Cvtfi => g[rd] = f(g, rs) as i64 as u64,
+        Flt => g[rd] = (f(g, rs) < f(g, rt)) as u64,
+        Feq => g[rd] = (f(g, rs) == f(g, rt)) as u64,
+        Fle => g[rd] = (f(g, rs) <= f(g, rt)) as u64,
+    }
+    *pc = next_pc;
+    Step::Next
+}
+
+/// The slow path's port: every access is a full page-table walk. This
+/// is the pre-TLB interpreter, and it learns nothing about caches or
+/// pins.
+struct Untranslated<'a>(&'a mut AddressSpace);
+
+impl Port for Untranslated<'_> {
+    type Miss = MemError;
+
+    #[inline]
+    fn load<const N: usize>(&mut self, addr: u64) -> Result<[u8; N], MemError> {
+        let mut buf = [0u8; N];
+        self.0.read(addr, &mut buf)?;
+        Ok(buf)
+    }
+
+    #[inline]
+    fn store<const N: usize>(&mut self, addr: u64, data: [u8; N]) -> Result<(), MemError> {
+        self.0.write(addr, &data)
+    }
+}
+
+/// The outer level's port: every access goes through the software TLB
+/// ([`Caches::load`], [`Caches::store`]), which also runs the pin
+/// policy. The wrappers inline and the accesses do not, so the level's
+/// loop keeps its state in registers and pays a call only per load or
+/// store.
+struct Translated<'a> {
+    caches: &'a mut Caches,
+    stats: &'a mut CpuCacheStats,
+    mem: &'a mut AddressSpace,
+    /// Why the level goes on: [`UNSERVED`] and [`FILLED`] bits.
+    stay: u8,
+}
+
+/// The latest data access was one a pin could not have served (anything
+/// but a hit on a page that was already wanted). Lasts until the next
+/// data access.
+const UNSERVED: u8 = 1;
+/// This instruction's fetch was an icache fill. Lasts for the
+/// instruction.
+const FILLED: u8 = 2;
+
+impl Port for Translated<'_> {
+    type Miss = MemError;
+
+    #[inline(always)]
+    fn load<const N: usize>(&mut self, addr: u64) -> Result<[u8; N], MemError> {
+        let (bytes, pinnable) = self.caches.load::<N, true>(self.stats, self.mem, addr)?;
+        self.stay = (self.stay & FILLED) | if pinnable { 0 } else { UNSERVED };
+        Ok(bytes)
+    }
+
+    #[inline(always)]
+    fn store<const N: usize>(&mut self, addr: u64, data: [u8; N]) -> Result<(), MemError> {
+        let pinnable = self.caches.store(self.stats, self.mem, addr, data)?;
+        self.stay = (self.stay & FILLED) | if pinnable { 0 } else { UNSERVED };
+        Ok(())
+    }
+}
+
+/// The pin policy, run on what each outer-level access did to the TLB.
+impl Caches {
+    /// The access hit a cached translation of `vpn`. If the page is
+    /// already wanted, a pin would have served the access (`true`);
+    /// otherwise it becomes wanted, over the older wanted page.
+    fn hit(&mut self, vpn: u64) -> bool {
+        if self.wanted.contains(&vpn) {
+            return true;
+        }
+        let kept = if self.wanted[0] == NO_VPN {
+            self.wanted[1]
+        } else {
+            self.wanted[0]
+        };
+        self.wanted = [vpn, kept];
+        false
+    }
+
+    /// The access filled a translation of `vpn`, evicting whatever page
+    /// held its direct-mapped index: that page stops being wanted, and
+    /// `vpn` does not start.
+    fn filled(&mut self, vpn: u64) {
+        for w in &mut self.wanted {
+            if *w != vpn && (*w ^ vpn) & (DTLB_ENTRIES as u64 - 1) == 0 {
+                *w = NO_VPN;
+            }
+        }
+    }
+}
+
+/// Accesses through the software TLB: probe, redeem a hit, fill on a
+/// miss, fall back to the slow path — counted access by access. This
+/// is the only code on the fast path that touches the address space.
+impl Caches {
+    /// Loads `N` bytes, through the read TLB when possible. `DATA`
+    /// accesses feed the pin policy and report whether a pin would have
+    /// served them; instruction fetches do neither — which pages hold
+    /// code is no business of the policy's.
+    #[inline(never)]
+    fn load<const N: usize, const DATA: bool>(
+        &mut self,
+        stats: &mut CpuCacheStats,
+        mem: &mut AddressSpace,
+        addr: u64,
+    ) -> Result<([u8; N], bool), MemError> {
+        let off = (addr & (PAGE_SIZE as u64 - 1)) as usize;
+        if off + N <= PAGE_SIZE {
+            let vpn = addr >> PAGE_SHIFT;
+            let idx = (vpn as usize) & (DTLB_ENTRIES - 1);
+            let e = self.dtlb_read[idx];
+            if e.vpn == vpn {
+                if let [Some(page), _] = mem.pin([Some(e.tr), None]) {
+                    stats.tlb_read_hits += 1;
+                    let bytes = page.bytes()[off..off + N].try_into().expect("page-bounded");
+                    return Ok((bytes, DATA && self.hit(vpn)));
+                }
+            }
+            if let Some(tr) = mem.translate_read(addr) {
+                stats.pages_walked += 1;
+                stats.tlb_read_fills += 1;
+                self.dtlb_read[idx] = DtlbEntry { vpn, tr };
+                let [Some(page), _] = mem.pin([Some(tr), None]) else {
+                    unreachable!("a fresh translation is current");
+                };
+                let bytes = page.bytes()[off..off + N].try_into().expect("page-bounded");
+                if DATA {
+                    self.filled(vpn);
+                }
+                return Ok((bytes, false));
+            }
+            // A refused translation (tracker installed, unmapped, no
+            // permission) is not counted here: the slow path below
+            // performs — and counts — the one real walk.
+        }
+        // Tracker installed, page-crossing access, or a fault: the
+        // exact slow path (which also produces the exact error).
+        stats.slow_accesses += 1;
+        stats.pages_walked += 1;
+        let mut buf = [0u8; N];
+        mem.read(addr, &mut buf)?;
+        Ok((buf, false))
+    }
+
+    /// Stores `N` bytes, through the write TLB when possible.
+    #[inline(never)]
+    fn store<const N: usize>(
+        &mut self,
+        stats: &mut CpuCacheStats,
+        mem: &mut AddressSpace,
+        addr: u64,
+        data: [u8; N],
+    ) -> Result<bool, MemError> {
+        // Self-modifying code: if a page this store can touch holds
+        // cached decodes, drop them before the bytes change.
+        let vpn = addr >> PAGE_SHIFT;
+        let last_vpn = addr.saturating_add(N as u64 - 1) >> PAGE_SHIFT;
+        if self.holds_code(vpn, last_vpn) {
+            stats.icache_flushes += 1;
+            self.flush_icache();
+        }
+        let off = (addr & (PAGE_SIZE as u64 - 1)) as usize;
+        if off + N <= PAGE_SIZE {
+            let idx = (vpn as usize) & (DTLB_ENTRIES - 1);
+            let e = self.dtlb_write[idx];
+            if e.vpn == vpn {
+                if let [Some(Pinned::Rw(page)), _] = mem.pin([Some(e.tr), None]) {
+                    stats.tlb_write_hits += 1;
+                    page[off..off + N].copy_from_slice(&data);
+                    return Ok(self.hit(vpn));
+                }
+            }
+            if let Some(tr) = mem.translate_write(addr) {
+                stats.pages_walked += 1;
+                stats.tlb_write_fills += 1;
+                self.dtlb_write[idx] = DtlbEntry { vpn, tr };
+                let [Some(Pinned::Rw(page)), _] = mem.pin([Some(tr), None]) else {
+                    unreachable!("a fresh write translation is current and exclusive");
+                };
+                page[off..off + N].copy_from_slice(&data);
+                self.filled(vpn);
+                return Ok(false);
+            }
+            // Refused translation: the slow path below performs — and
+            // counts — the one real walk.
+        }
+        stats.slow_accesses += 1;
+        stats.pages_walked += 1;
+        mem.write(addr, &data)?;
+        Ok(false)
+    }
+
+    /// Fetch miss: check alignment, read and decode the word, and (if
+    /// no tracker is watching) install the decode in the icache.
+    #[inline(never)]
+    fn fetch_fill(
+        &mut self,
+        stats: &mut CpuCacheStats,
+        mem: &mut AddressSpace,
+        pc: u64,
+    ) -> Result<Insn, VmExit> {
+        if !pc.is_multiple_of(4) {
+            return Err(VmExit::Trap(VmTrap::PcMisaligned(pc)));
+        }
+        let word = match self.load::<4, false>(stats, mem, pc) {
+            Ok((b, _)) => u32::from_le_bytes(b),
+            Err(e) => return Err(VmExit::Trap(VmTrap::Mem(e))),
+        };
+        let insn = match decode(word) {
+            Ok(i) => i,
+            Err(e) => return Err(VmExit::Trap(VmTrap::IllegalInstruction(e.opcode))),
+        };
+        // With a tracker installed nothing may be cached: an icache hit
+        // would skip the fetch's page-log record.
+        if mem.tracker().is_none() {
+            stats.icache_fills += 1;
+            self.icache[icache_index(pc)] = ICacheEntry {
+                pc,
+                space_id: mem.space_id(),
+                generation: mem.generation(),
+                insn,
+            };
+            self.note_code_page(pc >> PAGE_SHIFT);
+        }
+        Ok(insn)
+    }
+}
+
+/// The inner level could not serve an access from its pinned views.
+/// Nothing was counted and nothing changed: the outer level performs
+/// the instruction from scratch.
+struct Unpinned;
+
+/// One pinned page as the inner loop sees it. Reads and writes are
+/// enabled separately because the read and write TLBs are separate
+/// arrays: a pinned access counts the TLB hit it shadows, so it may
+/// only happen where that hit would.
+struct Pin<'a> {
+    /// The page loads may take from `view`, or [`NO_VPN`].
+    read_vpn: u64,
+    /// The page stores may put into `view` (which is then `Rw`), or
+    /// [`NO_VPN`].
+    write_vpn: u64,
+    view: Pinned<'a>,
+}
+
+/// No virtual address has this page number (48-bit addresses).
+const NO_VPN: u64 = u64::MAX;
+
+impl Pin<'_> {
+    const NONE: Pin<'static> = Pin {
+        read_vpn: NO_VPN,
+        write_vpn: NO_VPN,
+        view: Pinned::Ro(&[0; PAGE_SIZE]),
+    };
+}
+
+/// The inner level's port: the pinned views and the TLB hits they
+/// shadowed.
+struct Pins<'a> {
+    slots: [Pin<'a>; 2],
+    read_hits: u64,
+    write_hits: u64,
+}
+
+impl Port for Pins<'_> {
+    type Miss = Unpinned;
+
+    #[inline(always)]
+    fn load<const N: usize>(&mut self, addr: u64) -> Result<[u8; N], Unpinned> {
+        let vpn = addr >> PAGE_SHIFT;
+        let off = (addr & (PAGE_SIZE as u64 - 1)) as usize;
+        let [a, b] = &self.slots;
+        let page = if vpn == a.read_vpn {
+            a.view.bytes()
+        } else if vpn == b.read_vpn {
+            b.view.bytes()
+        } else {
+            return Err(Unpinned);
+        };
+        // `None` is a page-crossing access.
+        let bytes = page.get(off..off + N).ok_or(Unpinned)?;
+        self.read_hits += 1;
+        Ok(bytes.try_into().expect("N bytes"))
+    }
+
+    #[inline(always)]
+    fn store<const N: usize>(&mut self, addr: u64, data: [u8; N]) -> Result<(), Unpinned> {
+        let vpn = addr >> PAGE_SHIFT;
+        let off = (addr & (PAGE_SIZE as u64 - 1)) as usize;
+        let [a, b] = &mut self.slots;
+        let view = if vpn == a.write_vpn {
+            &mut a.view
+        } else if vpn == b.write_vpn {
+            &mut b.view
+        } else {
+            return Err(Unpinned);
+        };
+        let Pinned::Rw(page) = view else {
+            return Err(Unpinned);
+        };
+        page.get_mut(off..off + N)
+            .ok_or(Unpinned)?
+            .copy_from_slice(&data);
+        self.write_hits += 1;
+        Ok(())
     }
 }
 
@@ -306,29 +854,9 @@ impl Cpu {
     /// required for correctness (stale entries self-invalidate);
     /// provided for benchmarks that want cold-cache numbers.
     pub fn flush_caches(&mut self) {
-        self.dtlb_read = [DtlbEntry::INVALID; DTLB_ENTRIES];
-        self.dtlb_write = [DtlbEntry::INVALID; DTLB_ENTRIES];
-        self.flush_icache();
-    }
-
-    /// Drops every cached decode and the code-page bookkeeping.
-    fn flush_icache(&mut self) {
-        self.icache = [ICacheEntry::INVALID; ICACHE_ENTRIES];
-        self.code_vpns = 0;
-        self.code_pages = [0; CODE_PAGE_SLOTS];
-        self.code_page_count = 0;
-        self.code_pages_overflowed = false;
-    }
-
-    /// True if `vpn` or `last_vpn` may hold cached decodes (exact when
-    /// the code-page set has not overflowed).
-    fn stores_into_code(&self, vpn: u64, last_vpn: u64) -> bool {
-        if self.code_pages_overflowed {
-            return true;
-        }
-        self.code_pages[..self.code_page_count as usize]
-            .iter()
-            .any(|&p| p == vpn || p == last_vpn)
+        self.caches.dtlb_read = [DtlbEntry::INVALID; DTLB_ENTRIES];
+        self.caches.dtlb_write = [DtlbEntry::INVALID; DTLB_ENTRIES];
+        self.caches.flush_icache();
     }
 
     /// Executes instructions against `mem` until halt, syscall, trap,
@@ -341,7 +869,7 @@ impl Cpu {
     /// precisely — the property the paper's deterministic scheduler
     /// depends on.
     pub fn run(&mut self, mem: &mut AddressSpace, budget: Option<u64>) -> VmExit {
-        // `None` is folded to u64::MAX: the loop below then carries no
+        // `None` is folded to u64::MAX: the loops below then carry no
         // Option per instruction, and 2^64 instructions is centuries of
         // virtual time, unreachable before the kernel's chunking.
         let remaining = match budget {
@@ -349,13 +877,10 @@ impl Cpu {
             Some(n) => n,
             None => u64::MAX,
         };
-        // Monomorphize the dispatch loop per path so the fast loop
-        // carries no `if fast_path` tests and the slow loop carries no
-        // cache probes.
         if self.fast_path {
-            self.run_loop::<true>(mem, remaining)
+            self.run_fast(mem, remaining)
         } else {
-            self.run_loop::<false>(mem, remaining)
+            self.run_slow(mem, remaining)
         }
     }
 
@@ -372,507 +897,250 @@ impl Cpu {
         }
     }
 
-    /// The interpreter proper: fetch → dispatch → retire, with `pc`
-    /// and the cache-validation tags held in locals across iterations.
-    ///
-    /// Tag hoisting is sound because `mem` is exclusively borrowed for
-    /// the whole call: the space id cannot change at all, and the
-    /// generation can only be bumped by this loop's own slow-path
-    /// stores (`AddressSpace::write`), after which the store arm
-    /// reloads it. Every exit path writes the architectural `pc` back
-    /// before returning.
-    fn run_loop<const FAST: bool>(&mut self, mem: &mut AddressSpace, mut remaining: u64) -> VmExit {
-        use Opcode::*;
-        let sid = mem.space_id();
-        let mut generation = mem.generation();
+    /// The pre-TLB interpreter: fetch, decode and walk the page table
+    /// for every instruction and every access.
+    fn run_slow(&mut self, mem: &mut AddressSpace, mut remaining: u64) -> VmExit {
         let mut pc = self.regs.pc;
-        macro_rules! trap {
-            ($t:expr) => {{
-                self.regs.pc = pc;
-                return VmExit::Trap($t);
-            }};
-        }
-        loop {
-            let insn = if FAST {
-                let idx = ((pc >> 2) as usize) & (ICACHE_ENTRIES - 1);
-                let e = &self.icache[idx];
-                if e.pc == pc && e.space_id == sid && e.generation == generation {
-                    self.cache_stats.icache_hits += 1;
-                    e.insn
-                } else {
-                    match self.fetch_fill(mem, pc, idx) {
-                        Ok(i) => i,
-                        Err(exit) => {
-                            self.regs.pc = pc;
-                            return exit;
-                        }
-                    }
-                }
-            } else {
-                match self.fetch_slow(mem, pc) {
-                    Ok(i) => i,
-                    Err(exit) => {
-                        self.regs.pc = pc;
-                        return exit;
-                    }
-                }
+        let exit = loop {
+            let insn = match fetch_slow(mem, pc) {
+                Ok(insn) => insn,
+                Err(exit) => break exit,
             };
-            let next_pc = pc + 4;
-            // Register fields decode from 4-bit slots; re-masking here
-            // is free and lets the compiler drop the 16-entry bounds
-            // checks on the register file.
-            let (rd, rs, rt) = (
-                (insn.rd & 15) as usize,
-                (insn.rs & 15) as usize,
-                (insn.rt & 15) as usize,
-            );
-            let imm = insn.imm as i64;
-            let g = &mut self.regs.gpr;
-            // Every arm leaves `pc` at the next instruction (or
-            // returns). Branch displacements are in words relative to
-            // `next_pc`.
-            match insn.op {
-                Nop => pc = next_pc,
-                Halt => {
+            match step(&mut self.regs, insn, &mut pc, &mut Untranslated(mem)) {
+                Step::Next => {}
+                Step::Stop(exit) => {
                     self.insn_count += 1;
-                    self.regs.pc = next_pc;
-                    return VmExit::Halt;
+                    break exit;
                 }
-                Sys => {
-                    self.insn_count += 1;
-                    self.regs.pc = next_pc;
-                    return VmExit::Sys(insn.imm as u16 & 0xfff);
-                }
-
-                Add => {
-                    g[rd] = g[rs].wrapping_add(g[rt]);
-                    pc = next_pc;
-                }
-                Sub => {
-                    g[rd] = g[rs].wrapping_sub(g[rt]);
-                    pc = next_pc;
-                }
-                Mul => {
-                    g[rd] = g[rs].wrapping_mul(g[rt]);
-                    pc = next_pc;
-                }
-                Div => {
-                    if g[rt] == 0 {
-                        trap!(VmTrap::DivideByZero);
-                    }
-                    g[rd] = (g[rs] as i64).wrapping_div(g[rt] as i64) as u64;
-                    pc = next_pc;
-                }
-                Mod => {
-                    if g[rt] == 0 {
-                        trap!(VmTrap::DivideByZero);
-                    }
-                    g[rd] = (g[rs] as i64).wrapping_rem(g[rt] as i64) as u64;
-                    pc = next_pc;
-                }
-                Divu => {
-                    if g[rt] == 0 {
-                        trap!(VmTrap::DivideByZero);
-                    }
-                    g[rd] = g[rs] / g[rt];
-                    pc = next_pc;
-                }
-                Modu => {
-                    if g[rt] == 0 {
-                        trap!(VmTrap::DivideByZero);
-                    }
-                    g[rd] = g[rs] % g[rt];
-                    pc = next_pc;
-                }
-                And => {
-                    g[rd] = g[rs] & g[rt];
-                    pc = next_pc;
-                }
-                Or => {
-                    g[rd] = g[rs] | g[rt];
-                    pc = next_pc;
-                }
-                Xor => {
-                    g[rd] = g[rs] ^ g[rt];
-                    pc = next_pc;
-                }
-                Shl => {
-                    g[rd] = g[rs].wrapping_shl(g[rt] as u32);
-                    pc = next_pc;
-                }
-                Shr => {
-                    g[rd] = g[rs].wrapping_shr(g[rt] as u32);
-                    pc = next_pc;
-                }
-                Sar => {
-                    g[rd] = (g[rs] as i64).wrapping_shr(g[rt] as u32) as u64;
-                    pc = next_pc;
-                }
-                Slt => {
-                    g[rd] = ((g[rs] as i64) < (g[rt] as i64)) as u64;
-                    pc = next_pc;
-                }
-                Sltu => {
-                    g[rd] = (g[rs] < g[rt]) as u64;
-                    pc = next_pc;
-                }
-
-                Addi => {
-                    g[rd] = g[rs].wrapping_add(imm as u64);
-                    pc = next_pc;
-                }
-                Andi => {
-                    g[rd] = g[rs] & imm as u64;
-                    pc = next_pc;
-                }
-                Ori => {
-                    g[rd] = g[rs] | imm as u64;
-                    pc = next_pc;
-                }
-                Xori => {
-                    g[rd] = g[rs] ^ imm as u64;
-                    pc = next_pc;
-                }
-                Shli => {
-                    g[rd] = g[rs].wrapping_shl(imm as u32 & 63);
-                    pc = next_pc;
-                }
-                Shri => {
-                    g[rd] = g[rs].wrapping_shr(imm as u32 & 63);
-                    pc = next_pc;
-                }
-                Sari => {
-                    g[rd] = (g[rs] as i64).wrapping_shr(imm as u32 & 63) as u64;
-                    pc = next_pc;
-                }
-                Slti => {
-                    g[rd] = ((g[rs] as i64) < imm) as u64;
-                    pc = next_pc;
-                }
-                Muli => {
-                    g[rd] = g[rs].wrapping_mul(imm as u64);
-                    pc = next_pc;
-                }
-                Ldi => {
-                    g[rd] = imm as u64;
-                    pc = next_pc;
-                }
-                Ldih => {
-                    g[rd] = (g[rd] << 12) | (insn.imm as u64 & 0xfff);
-                    pc = next_pc;
-                }
-
-                Ldb | Ldh | Ldw | Ldd => {
-                    if let Err(t) = self.exec_mem(insn, mem) {
-                        trap!(t);
-                    }
-                    pc = next_pc;
-                }
-                Stb | Sth | Stw | Std => {
-                    if let Err(t) = self.exec_mem(insn, mem) {
-                        trap!(t);
-                    }
-                    if FAST {
-                        // A store that fell back to the slow path may
-                        // have bumped the generation; re-hoist it.
-                        generation = mem.generation();
-                    }
-                    pc = next_pc;
-                }
-
-                Beq => {
-                    pc = if g[rs] == g[rt] {
-                        (next_pc as i64 + imm * 4) as u64
-                    } else {
-                        next_pc
-                    };
-                }
-                Bne => {
-                    pc = if g[rs] != g[rt] {
-                        (next_pc as i64 + imm * 4) as u64
-                    } else {
-                        next_pc
-                    };
-                }
-                Blt => {
-                    pc = if (g[rs] as i64) < (g[rt] as i64) {
-                        (next_pc as i64 + imm * 4) as u64
-                    } else {
-                        next_pc
-                    };
-                }
-                Bge => {
-                    pc = if (g[rs] as i64) >= (g[rt] as i64) {
-                        (next_pc as i64 + imm * 4) as u64
-                    } else {
-                        next_pc
-                    };
-                }
-                Bltu => {
-                    pc = if g[rs] < g[rt] {
-                        (next_pc as i64 + imm * 4) as u64
-                    } else {
-                        next_pc
-                    };
-                }
-                Bgeu => {
-                    pc = if g[rs] >= g[rt] {
-                        (next_pc as i64 + imm * 4) as u64
-                    } else {
-                        next_pc
-                    };
-                }
-                Jal => {
-                    g[rd] = next_pc;
-                    pc = (next_pc as i64 + imm * 4) as u64;
-                }
-                Jalr => {
-                    let target = g[rs].wrapping_add(imm as u64);
-                    g[rd] = next_pc;
-                    pc = target;
-                }
-
-                Fadd => {
-                    let v = self.regs.f(rs) + self.regs.f(rt);
-                    self.regs.set_f(rd, v);
-                    pc = next_pc;
-                }
-                Fsub => {
-                    let v = self.regs.f(rs) - self.regs.f(rt);
-                    self.regs.set_f(rd, v);
-                    pc = next_pc;
-                }
-                Fmul => {
-                    let v = self.regs.f(rs) * self.regs.f(rt);
-                    self.regs.set_f(rd, v);
-                    pc = next_pc;
-                }
-                Fdiv => {
-                    let v = self.regs.f(rs) / self.regs.f(rt);
-                    self.regs.set_f(rd, v);
-                    pc = next_pc;
-                }
-                Fsqrt => {
-                    let v = self.regs.f(rs).sqrt();
-                    self.regs.set_f(rd, v);
-                    pc = next_pc;
-                }
-                Cvtif => {
-                    let v = self.regs.gpr[rs] as i64 as f64;
-                    self.regs.set_f(rd, v);
-                    pc = next_pc;
-                }
-                Cvtfi => {
-                    // Rust's saturating float→int cast is deterministic.
-                    self.regs.gpr[rd] = self.regs.f(rs) as i64 as u64;
-                    pc = next_pc;
-                }
-                Flt => {
-                    self.regs.gpr[rd] = (self.regs.f(rs) < self.regs.f(rt)) as u64;
-                    pc = next_pc;
-                }
-                Feq => {
-                    self.regs.gpr[rd] = (self.regs.f(rs) == self.regs.f(rt)) as u64;
-                    pc = next_pc;
-                }
-                Fle => {
-                    self.regs.gpr[rd] = (self.regs.f(rs) <= self.regs.f(rt)) as u64;
-                    pc = next_pc;
-                }
+                Step::Trap(t) => break VmExit::Trap(t),
+                Step::Miss(e) => break VmExit::Trap(VmTrap::Mem(e)),
             }
             self.insn_count += 1;
             remaining -= 1;
             if remaining == 0 {
+                break VmExit::OutOfBudget;
+            }
+        };
+        self.regs.pc = pc;
+        exit
+    }
+
+    /// The fast path, in two levels.
+    ///
+    /// The **outer level** is the TLB interpreter: probe the icache,
+    /// fill it on a miss, perform each access through [`Translated`] —
+    /// the only code here that touches `mem` — and count everything
+    /// access by access. Its accesses also run the pin policy
+    /// ([`Caches::hit`], [`Caches::filled`]): a TLB **hit** makes its
+    /// page wanted, over the older of the two wanted pages; a **fill**
+    /// wants nothing and drops a wanted page it evicted from the
+    /// direct-mapped index. The level lasts while its latest data
+    /// access was one a pin could not have served, and ends at the
+    /// first hit on a page that is *already* wanted. So two pages that
+    /// evict each other never get a pin (rebuilding a view per access
+    /// would cost more than the redemptions it saves), three pages
+    /// taking turns in two slots do not either, and both run at TLB
+    /// speed; a page hit twice running is pinned from then on. The
+    /// level also lasts while its latest fetch was an icache fill:
+    /// misses come in runs (cold code, a loop body larger than the
+    /// icache), and building views that the next miss throws away
+    /// costs more than the fill itself.
+    ///
+    /// The **inner level** ([`Cpu::run_pinned`]) holds the wanted
+    /// pages' views and executes icache-hit instructions whose loads
+    /// and stores fall inside them: one page-number compare and a slice
+    /// index per access. The views were validated once, by
+    /// [`AddressSpace::pin`], and stay valid because they *are* the
+    /// exclusive borrow of `mem`: nothing can share, snapshot, remap or
+    /// write the space while they live. An icache miss or an access the
+    /// pins cannot serve ends the level — and the views — with nothing
+    /// counted; the outer level performs that instruction from its
+    /// icache probe on. Generation, code pages and TLB entries are all
+    /// re-read on the way back in, so a slow-path store, an icache fill
+    /// or a conflict eviction out there turns the next pinned access
+    /// into the miss it always was.
+    ///
+    /// Nothing is pinned across calls — the first access to a page in
+    /// every call goes through the TLB — and every exit writes the
+    /// architectural `pc` back.
+    fn run_fast(&mut self, mem: &mut AddressSpace, mut remaining: u64) -> VmExit {
+        let sid = mem.space_id();
+        let mut pc = self.regs.pc;
+        self.caches.wanted = [NO_VPN; 2];
+        // With a tracker installed nothing is ever cached, so the
+        // inner level could not execute a single instruction.
+        let mut stay = if mem.tracker().is_some() { UNSERVED } else { 0 };
+        // Exits return from where they are: a value carried to one
+        // common exit would be live across the whole dispatch loop.
+        macro_rules! exit {
+            ($exit:expr) => {{
                 self.regs.pc = pc;
-                return VmExit::OutOfBudget;
-            }
+                return $exit;
+            }};
         }
-    }
-
-    /// Fetch miss: check alignment, read and decode the word, and (if
-    /// no tracker is watching) install the decode in the icache.
-    fn fetch_fill(&mut self, mem: &mut AddressSpace, pc: u64, idx: usize) -> Result<Insn, VmExit> {
-        if !pc.is_multiple_of(4) {
-            return Err(VmExit::Trap(VmTrap::PcMisaligned(pc)));
-        }
-        let word = match self.load::<4>(mem, pc) {
-            Ok(b) => u32::from_le_bytes(b),
-            Err(e) => return Err(VmExit::Trap(VmTrap::Mem(e))),
-        };
-        let insn = match decode(word) {
-            Ok(i) => i,
-            Err(e) => return Err(VmExit::Trap(VmTrap::IllegalInstruction(e.opcode))),
-        };
-        // With a tracker installed nothing may be cached: an icache hit
-        // would skip the fetch's page-log record.
-        if mem.tracker().is_none() {
-            self.cache_stats.icache_fills += 1;
-            self.icache[idx] = ICacheEntry {
-                pc,
-                space_id: mem.space_id(),
-                generation: mem.generation(),
-                insn,
-            };
-            let vpn = pc >> PAGE_SHIFT;
-            self.code_vpns |= 1 << (vpn & 63);
-            if !self.code_pages[..self.code_page_count as usize].contains(&vpn) {
-                if (self.code_page_count as usize) < CODE_PAGE_SLOTS {
-                    self.code_pages[self.code_page_count as usize] = vpn;
-                    self.code_page_count += 1;
+        loop {
+            loop {
+                let e = &self.caches.icache[icache_index(pc)];
+                let insn = if e.pc == pc && e.space_id == sid && e.generation == mem.generation() {
+                    self.cache_stats.icache_hits += 1;
+                    e.insn
                 } else {
-                    self.code_pages_overflowed = true;
-                }
-            }
-        }
-        Ok(insn)
-    }
-
-    /// The original fetch path, byte-for-byte (used when `fast_path`
-    /// is off).
-    fn fetch_slow(&mut self, mem: &mut AddressSpace, pc: u64) -> Result<Insn, VmExit> {
-        if !pc.is_multiple_of(4) {
-            return Err(VmExit::Trap(VmTrap::PcMisaligned(pc)));
-        }
-        let word = match mem.read_u32(pc) {
-            Ok(w) => w,
-            Err(e) => return Err(VmExit::Trap(VmTrap::Mem(e))),
-        };
-        decode(word).map_err(|e| VmExit::Trap(VmTrap::IllegalInstruction(e.opcode)))
-    }
-
-    /// Loads `N` bytes, through the read TLB when possible.
-    #[inline]
-    fn load<const N: usize>(&mut self, mem: &AddressSpace, addr: u64) -> Result<[u8; N], MemError> {
-        let off = (addr & (PAGE_SIZE as u64 - 1)) as usize;
-        if self.fast_path && off + N <= PAGE_SIZE {
-            let vpn = addr >> PAGE_SHIFT;
-            let idx = (vpn as usize) & (DTLB_ENTRIES - 1);
-            let e = self.dtlb_read[idx];
-            if e.vpn == vpn {
-                if let Some(bytes) = mem.translated_bytes(e.tr) {
-                    self.cache_stats.tlb_read_hits += 1;
-                    return Ok(bytes[off..off + N].try_into().expect("page-bounded"));
-                }
-            }
-            if let Some(tr) = mem.translate_read(addr) {
-                self.cache_stats.pages_walked += 1;
-                self.cache_stats.tlb_read_fills += 1;
-                self.dtlb_read[idx] = DtlbEntry { vpn, tr };
-                let bytes = mem.translated_bytes(tr).expect("fresh translation");
-                return Ok(bytes[off..off + N].try_into().expect("page-bounded"));
-            }
-            // A refused translation (tracker installed, unmapped, no
-            // permission) is not counted here: the slow path below
-            // performs — and counts — the one real walk.
-        }
-        // Tracker installed, page-crossing access, or a fault: the
-        // exact slow path (which also produces the exact error).
-        if self.fast_path {
-            self.cache_stats.slow_accesses += 1;
-            self.cache_stats.pages_walked += 1;
-        }
-        let mut buf = [0u8; N];
-        mem.read(addr, &mut buf)?;
-        Ok(buf)
-    }
-
-    /// Stores `N` bytes, through the write TLB when possible.
-    #[inline]
-    fn store<const N: usize>(
-        &mut self,
-        mem: &mut AddressSpace,
-        addr: u64,
-        data: [u8; N],
-    ) -> Result<(), MemError> {
-        if self.fast_path {
-            // Self-modifying code: if a page this store can touch holds
-            // cached decodes, drop them before the bytes change. The
-            // 64-bit filter rejects most stores in one AND; a filter
-            // hit (which a data page aliasing a code page mod 64 can
-            // also produce) is confirmed against the exact code-page
-            // set, so only genuine code stores pay the flush.
-            let vpn = addr >> PAGE_SHIFT;
-            let last_vpn = addr.saturating_add(N as u64 - 1) >> PAGE_SHIFT;
-            let mask = (1u64 << (vpn & 63)) | (1u64 << (last_vpn & 63));
-            if self.code_vpns & mask != 0 && self.stores_into_code(vpn, last_vpn) {
-                self.cache_stats.icache_flushes += 1;
-                self.flush_icache();
-            }
-            let off = (addr & (PAGE_SIZE as u64 - 1)) as usize;
-            if off + N <= PAGE_SIZE {
-                let idx = (vpn as usize) & (DTLB_ENTRIES - 1);
-                let e = self.dtlb_write[idx];
-                if e.vpn == vpn {
-                    if let Some(bytes) = mem.translated_bytes_mut(e.tr) {
-                        self.cache_stats.tlb_write_hits += 1;
-                        bytes[off..off + N].copy_from_slice(&data);
-                        return Ok(());
+                    stay |= FILLED;
+                    match self.caches.fetch_fill(&mut self.cache_stats, mem, pc) {
+                        Ok(insn) => insn,
+                        Err(exit) => exit!(exit),
                     }
+                };
+                let mut port = Translated {
+                    caches: &mut self.caches,
+                    stats: &mut self.cache_stats,
+                    mem,
+                    stay,
+                };
+                match step(&mut self.regs, insn, &mut pc, &mut port) {
+                    Step::Next => {}
+                    Step::Stop(exit) => {
+                        self.insn_count += 1;
+                        exit!(exit);
+                    }
+                    Step::Trap(t) => exit!(VmExit::Trap(t)),
+                    Step::Miss(e) => exit!(VmExit::Trap(VmTrap::Mem(e))),
                 }
-                if let Some(tr) = mem.translate_write(addr) {
-                    self.cache_stats.pages_walked += 1;
-                    self.cache_stats.tlb_write_fills += 1;
-                    self.dtlb_write[idx] = DtlbEntry { vpn, tr };
-                    let bytes = mem
-                        .translated_bytes_mut(tr)
-                        .expect("fresh exclusive translation");
-                    bytes[off..off + N].copy_from_slice(&data);
-                    return Ok(());
+                self.insn_count += 1;
+                remaining -= 1;
+                if remaining == 0 {
+                    exit!(VmExit::OutOfBudget);
                 }
-                // Refused translation: the slow path below performs —
-                // and counts — the one real walk.
+                if port.stay == 0 {
+                    break;
+                }
+                stay = port.stay & UNSERVED;
             }
+
+            self.regs.pc = pc;
+            match self.run_pinned(mem, remaining) {
+                Ok(left) => remaining = left,
+                Err(exit) => return exit,
+            }
+            pc = self.regs.pc;
         }
-        if self.fast_path {
-            self.cache_stats.slow_accesses += 1;
-            self.cache_stats.pages_walked += 1;
-        }
-        mem.write(addr, &data)
     }
 
-    /// Loads, stores — the opcodes that need the TLB helpers (and thus
-    /// `&mut self` rather than a borrowed register file).
-    fn exec_mem(&mut self, i: Insn, mem: &mut AddressSpace) -> Result<(), VmTrap> {
-        use Opcode::*;
-        let (rd, rs) = ((i.rd & 15) as usize, (i.rs & 15) as usize);
-        let a = self.regs.gpr[rs].wrapping_add(i.imm as i64 as u64);
-        match i.op {
-            Ldb => {
-                let b = self.load::<1>(mem, a).map_err(VmTrap::Mem)?;
-                self.regs.gpr[rd] = b[0] as u64;
+    /// The inner level of [`run_fast`](Cpu::run_fast): executes from
+    /// `regs.pc` under pins of the wanted pages, leaves `regs.pc`
+    /// where it stopped, and returns what is left of `remaining` when
+    /// the outer level is needed, or the exit that ended the run. A
+    /// function of its own so the hot loop's registers are allocated
+    /// for it alone.
+    #[inline(never)]
+    fn run_pinned(&mut self, mem: &mut AddressSpace, remaining: u64) -> Result<u64, VmExit> {
+        let (sid, generation) = (mem.space_id(), mem.generation());
+        let mut pins = self.pins(mem);
+        // Counters live in locals while the level lasts.
+        let mut pc = self.regs.pc;
+        let mut left = remaining;
+        let mut icache_hits = 0;
+        let exit = loop {
+            let e = &self.caches.icache[icache_index(pc)];
+            if !(e.pc == pc && e.space_id == sid && e.generation == generation) {
+                break None;
             }
-            Ldh => {
-                let b = self.load::<2>(mem, a).map_err(VmTrap::Mem)?;
-                self.regs.gpr[rd] = u16::from_le_bytes(b) as u64;
+            icache_hits += 1;
+            match step(&mut self.regs, e.insn, &mut pc, &mut pins) {
+                Step::Next => {}
+                Step::Stop(exit) => {
+                    left -= 1;
+                    break Some(exit);
+                }
+                Step::Trap(t) => break Some(VmExit::Trap(t)),
+                Step::Miss(Unpinned) => {
+                    // The outer level probes (and counts) it again.
+                    icache_hits -= 1;
+                    break None;
+                }
             }
-            Ldw => {
-                let b = self.load::<4>(mem, a).map_err(VmTrap::Mem)?;
-                self.regs.gpr[rd] = u32::from_le_bytes(b) as u64;
+            left -= 1;
+            if left == 0 {
+                break Some(VmExit::OutOfBudget);
             }
-            Ldd => {
-                let b = self.load::<8>(mem, a).map_err(VmTrap::Mem)?;
-                self.regs.gpr[rd] = u64::from_le_bytes(b);
-            }
-            Stb => {
-                let v = self.regs.gpr[rd] as u8;
-                self.store(mem, a, v.to_le_bytes()).map_err(VmTrap::Mem)?;
-            }
-            Sth => {
-                let v = self.regs.gpr[rd] as u16;
-                self.store(mem, a, v.to_le_bytes()).map_err(VmTrap::Mem)?;
-            }
-            Stw => {
-                let v = self.regs.gpr[rd] as u32;
-                self.store(mem, a, v.to_le_bytes()).map_err(VmTrap::Mem)?;
-            }
-            Std => {
-                let v = self.regs.gpr[rd];
-                self.store(mem, a, v.to_le_bytes()).map_err(VmTrap::Mem)?;
-            }
-            _ => unreachable!("exec_mem called for non-memory opcode"),
-        }
-        Ok(())
+        };
+        self.regs.pc = pc;
+        self.insn_count += remaining - left;
+        self.cache_stats.icache_hits += icache_hits;
+        self.cache_stats.tlb_read_hits += pins.read_hits;
+        self.cache_stats.tlb_write_hits += pins.write_hits;
+        exit.map_or(Ok(left), Err)
     }
+
+    /// Derives the inner level's port from the TLB arrays: for each
+    /// wanted page, whichever of its two entries are current decide
+    /// what the pin may shadow — loads iff the read TLB holds the page;
+    /// stores iff the write TLB does, the view came back exclusive,
+    /// **and** the page holds no cached decodes (a store that would
+    /// flush them always takes the outer level, which does).
+    fn pins<'a>(&mut self, mem: &'a mut AddressSpace) -> Pins<'a> {
+        let mut pins = Pins {
+            slots: [Pin::NONE; 2],
+            read_hits: 0,
+            write_hits: 0,
+        };
+        let mut request = [None; 2];
+        for ((pin, request), vpn) in pins
+            .slots
+            .iter_mut()
+            .zip(&mut request)
+            .zip(self.caches.wanted)
+        {
+            // (An unwanted slot's `NO_VPN` tag-matches an invalid TLB
+            // entry, whose translation is never current.)
+            let idx = (vpn as usize) & (DTLB_ENTRIES - 1);
+            let (r, w) = (self.caches.dtlb_read[idx], self.caches.dtlb_write[idx]);
+            if r.vpn == vpn && mem.is_current(r.tr) {
+                pin.read_vpn = vpn;
+                *request = Some(r.tr);
+            }
+            if w.vpn == vpn && mem.is_current(w.tr) {
+                if !self.caches.holds_code(vpn, vpn) {
+                    pin.write_vpn = vpn;
+                }
+                *request = Some(w.tr);
+            }
+        }
+        if request == [None; 2] {
+            return pins;
+        }
+        self.cache_stats.pin_builds += 1;
+        for (pin, view) in pins.slots.iter_mut().zip(mem.pin(request)) {
+            match view {
+                Some(view) => {
+                    if matches!(view, Pinned::Ro(_)) {
+                        pin.write_vpn = NO_VPN;
+                    }
+                    pin.view = view;
+                }
+                None => *pin = Pin::NONE,
+            }
+        }
+        pins
+    }
+}
+
+/// The icache slot `pc` maps to.
+#[inline]
+fn icache_index(pc: u64) -> usize {
+    ((pc >> 2) as usize) & (ICACHE_ENTRIES - 1)
+}
+
+/// The original fetch path, byte-for-byte (the slow path's).
+fn fetch_slow(mem: &AddressSpace, pc: u64) -> Result<Insn, VmExit> {
+    if !pc.is_multiple_of(4) {
+        return Err(VmExit::Trap(VmTrap::PcMisaligned(pc)));
+    }
+    let word = match mem.read_u32(pc) {
+        Ok(w) => w,
+        Err(e) => return Err(VmExit::Trap(VmTrap::Mem(e))),
+    };
+    decode(word).map_err(|e| VmExit::Trap(VmTrap::IllegalInstruction(e.opcode)))
 }
 
 #[cfg(test)]

@@ -48,7 +48,7 @@ mod interp;
 mod isa;
 mod regs;
 
-pub use asm::{AsmError, Image, assemble};
+pub use asm::{AsmError, Image, MAX_IMAGE_BYTES, assemble};
 pub use interp::{Cpu, CpuCacheStats, VmExit, VmTrap};
 pub use isa::{DecodeError, Insn, Opcode, decode, disassemble, encode};
 pub use regs::Regs;

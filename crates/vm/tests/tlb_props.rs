@@ -13,7 +13,7 @@
 //! log. The caches are allowed to change performance only.
 
 use det_memory::{AccessTracker, AddressSpace, ConflictPolicy, Perm, Region};
-use det_vm::{Cpu, Insn, Opcode, VmExit, encode};
+use det_vm::{Cpu, CpuCacheStats, Insn, Opcode, VmExit, assemble, corpus, encode};
 use proptest::prelude::*;
 
 const CODE: Region = Region {
@@ -499,4 +499,270 @@ fn fast_path_at_least_2x_slow_path() {
          (4 attempts, rising sample sizes)",
         last.0, last.1
     );
+}
+
+// ---------------------------------------------------------------------
+// Counter goldens: the counters are charged in virtual time, so a host
+// optimisation of the fast path must leave every one of them alone.
+// ---------------------------------------------------------------------
+
+/// Runs to `budget` retired instructions (or `halt`) in quanta of
+/// `quantum`, resuming after every preemption and `sys`.
+fn run_in_quanta(cpu: &mut Cpu, mem: &mut AddressSpace, budget: u64, quantum: u64) {
+    while cpu.insn_count < budget {
+        match cpu.run(mem, Some(quantum.min(budget - cpu.insn_count))) {
+            VmExit::Halt => break,
+            VmExit::Sys(_) | VmExit::OutOfBudget => {}
+            VmExit::Trap(t) => panic!("unexpected trap {t}"),
+        }
+    }
+}
+
+/// The nine counters the parent commit had, in declaration order
+/// (`pin_builds` is newer than the goldens and asserted separately).
+fn counters(s: &CpuCacheStats) -> [u64; 9] {
+    [
+        s.icache_hits,
+        s.icache_fills,
+        s.icache_flushes,
+        s.tlb_read_hits,
+        s.tlb_read_fills,
+        s.tlb_write_hits,
+        s.tlb_write_fills,
+        s.slow_accesses,
+        s.pages_walked,
+    ]
+}
+
+/// Everything a golden row pins: counters, retired instructions and
+/// the final memory digest.
+fn observe(src: &str, budget: u64, quantum: u64) -> ([u64; 9], u64, u64) {
+    let (mut cpu, mut mem) = corpus::sandbox(src);
+    run_in_quanta(&mut cpu, &mut mem, budget, quantum);
+    (
+        counters(&cpu.cache_stats),
+        cpu.insn_count,
+        mem.content_digest().value(),
+    )
+}
+
+const QUANTA: [u64; 3] = [u64::MAX, 2_000, 97];
+
+/// One hot page (loaded and stored every iteration, so it is pinned)
+/// beside two far pages 64 apart that evict each other from both TLBs:
+/// every far access is a fill that sends the loop to its outer level
+/// and back, re-deriving the hot page's pin each time.
+const HOT_PLUS_EVICTING_PAIR: &str = "
+    li   r5, 0x100000
+    li   r6, 0x140000      ; +64 pages: same TLB index as r5's page
+    li   r7, 0x8000        ; the hot page
+loop:
+    ldd  r1, [r7+0]
+    addi r1, r1, 1
+    std  r1, [r7+0]
+    ldd  r2, [r5+0]
+    std  r1, [r5+8]
+    ldd  r3, [r6+0]
+    std  r1, [r6+8]
+    beq  r0, r0, loop
+";
+
+/// Recorded at commit 1ede57b — the last interpreter that redeemed a
+/// translation on every access — by running this file's `observe`
+/// there: `(program, nine counters, retired instructions, digest)`.
+/// At that commit each program produced the same row under all three
+/// `QUANTA` (the caches survive a preemption), so the 27 observations
+/// are nine rows, asserted under every quantum. The fast path may get
+/// faster; it may not count differently. A change that moves *when*
+/// the caches fill (block predecode, an associative TLB) moves virtual
+/// time with it and re-records this table as a stated re-baseline.
+#[rustfmt::skip]
+const GOLDENS_AT_1EDE57B: [(&str, [u64; 9], u64, u64); 9] = [
+    ("alu_loop",       [19_995, 5, 0, 4, 1, 0, 0, 0, 1],                20_000, 0x8246b642002238fc),
+    ("fft",            [49_973, 27, 0, 9_821, 2, 10_051, 1, 0, 3],      50_000, 0x35209e08165856bd),
+    ("matmult",        [49_971, 29, 0, 13_739, 2, 536, 2, 0, 4],        50_000, 0xb36bbb4b478c076e),
+    ("md5",            [49_966, 34, 0, 3_333, 2, 3_364, 1, 0, 3],       50_000, 0x9febf1c073bdd614),
+    ("tlb_stride",     [19_993, 7, 0, 4, 13_334, 0, 0, 0, 13_334],      20_000, 0x355e70ccdbf2c8ce),
+    ("qsort",          [119_897, 103, 0, 14_487, 3, 10_429, 2, 0, 5],  120_000, 0x5ce2edca96def0a9),
+    ("qsort_sort",     [6_326, 103, 0, 867, 3, 533, 2, 0, 5],            6_429, 0x98ff3596689889d5),
+    ("fib_preempt",    [9_992, 8, 0, 7, 1, 0, 0, 0, 1],                 10_000, 0xdb243e0186c96a70),
+    ("counter_stream", [21, 9, 0, 8, 1, 3, 1, 0, 2],                        30, 0x3a7602d883737bfc),
+];
+
+#[test]
+fn counters_are_the_parent_commits() {
+    assert_eq!(corpus::PROGRAMS.len(), GOLDENS_AT_1EDE57B.len());
+    for (p, (name, golden, insns, digest)) in corpus::PROGRAMS.iter().zip(GOLDENS_AT_1EDE57B) {
+        assert_eq!(p.name, name);
+        for quantum in QUANTA {
+            assert_eq!(
+                observe(p.src, p.budget, quantum),
+                (golden, insns, digest),
+                "{name} in quanta of {quantum}"
+            );
+        }
+    }
+}
+
+/// The conflict case by construction: the far pages' fills evict each
+/// other forever while the hot page's entries stay put. Golden from
+/// 1ede57b, as above.
+#[test]
+fn evicting_pair_beside_a_pinned_page_counts_as_the_parent_did() {
+    for quantum in QUANTA {
+        assert_eq!(
+            observe(HOT_PLUS_EVICTING_PAIR, 40_000, quantum),
+            (
+                [39_986, 14, 0, 5_010, 10_002, 4_998, 9_999, 0, 20_001],
+                40_000,
+                0x1c8764614e68df33
+            ),
+            "quanta of {quantum}"
+        );
+    }
+    let s = fast_vs_oracle(HOT_PLUS_EVICTING_PAIR, 40_000).cache_stats;
+    // The hot page is re-pinned after every far excursion.
+    assert!(s.pin_builds > 4_000, "{s:?}");
+}
+
+/// Registers, retired count and digest of `src` on the slow path.
+fn oracle(src: &str, budget: u64) -> (det_vm::Regs, u64, u64) {
+    let (_, mut mem) = corpus::sandbox(src);
+    let mut slow = Cpu::slow_path();
+    run_in_quanta(&mut slow, &mut mem, budget, u64::MAX);
+    (slow.regs, slow.insn_count, mem.content_digest().value())
+}
+
+/// Runs `src` on the fast path and checks it against the oracle.
+fn fast_vs_oracle(src: &str, budget: u64) -> Cpu {
+    let (mut cpu, mut mem) = corpus::sandbox(src);
+    run_in_quanta(&mut cpu, &mut mem, budget, u64::MAX);
+    assert_eq!(
+        (cpu.regs, cpu.insn_count, mem.content_digest().value()),
+        oracle(src, budget)
+    );
+    cpu
+}
+
+#[test]
+fn store_into_a_pinned_code_page_flushes_once_and_runs_the_patch() {
+    // Page 0 holds the code *and* the word the loop keeps loading, so
+    // its read view is pinned when the patching store arrives.
+    let patch = encode(Insn::new(Opcode::Ldi, 2, 0, 0, 7));
+    let src = |target: u64| {
+        format!(
+            "
+            li   r4, {patch}
+            ldi  r1, 8
+        warm:
+            ldw  r6, [r0+512]      ; pins page 0 for reading
+            addi r1, r1, -1
+            bne  r1, r0, warm
+        target:
+            ldi  r2, 1             ; executed (and cached) before the patch
+            bne  r5, r0, done
+            ldi  r5, 1
+            stw  r4, [r0+{target}]
+            beq  r0, r0, target
+        done:
+            halt
+            "
+        )
+    };
+    // The displacement does not change the layout: assemble once to
+    // learn where `target` landed.
+    let target = assemble(&src(0)).unwrap().labels["target"];
+    let src = src(target);
+    let cpu = fast_vs_oracle(&src, 1_000);
+    assert_eq!(cpu.regs.gpr[2], 7, "the patched instruction must execute");
+    assert_eq!(cpu.cache_stats.icache_flushes, 1);
+    // A store into a code page is never served by a pin.
+    assert_eq!(cpu.cache_stats.tlb_write_hits, 0);
+    assert_eq!(cpu.cache_stats.tlb_write_fills, 1);
+    assert!(cpu.cache_stats.pin_builds >= 1, "page 0 was pinned");
+}
+
+#[test]
+fn access_straddling_a_pinned_page_takes_the_slow_path() {
+    let src = "
+        li   r5, 0x8000
+        li   r6, 0x8ffc        ; 8 bytes from here end in the next page
+        li   r1, 0x1122334455667788
+        std  r1, [r6+0]
+        ldi  r3, 50
+    loop:
+        ldd  r2, [r5+0]
+        std  r2, [r5+16]       ; page 8 is pinned, read and write
+        ldd  r4, [r6+0]        ; starts in the pinned page, ends past it
+        addi r3, r3, -1
+        bne  r3, r0, loop
+        addi r1, r1, 1
+        std  r1, [r6+0]        ; likewise, and bumps the generation
+        ldd  r4, [r6+0]
+        std  r4, [r5+0]
+        ldd  r2, [r5+0]
+        halt
+    ";
+    let cpu = fast_vs_oracle(src, 10_000);
+    assert_eq!(cpu.regs.gpr[4], 0x1122334455667789);
+    assert_eq!(cpu.regs.gpr[2], cpu.regs.gpr[4]);
+    let s = cpu.cache_stats;
+    assert_eq!(s.slow_accesses, 53, "{s:?}");
+    // Golden from 1ede57b.
+    assert_eq!(counters(&s), [245, 23, 0, 69, 5, 49, 2, 53, 60]);
+    // The straddling load ends the inner level; the next access to
+    // page 8 rebuilds its pin.
+    assert!(s.pin_builds >= 45, "page 8 was pinned in every iteration");
+}
+
+#[test]
+fn first_store_to_a_read_pinned_page_is_one_write_fill() {
+    let src = "
+        li   r5, 0x8000
+        ldi  r3, 20
+    reads:
+        ldd  r2, [r5+0]        ; the page is pinned read-only here
+        addi r3, r3, -1
+        bne  r3, r0, reads
+        ldi  r3, 20
+    writes:
+        std  r3, [r5+8]
+        addi r3, r3, -1
+        bne  r3, r0, writes
+        halt
+    ";
+    let s = fast_vs_oracle(src, 10_000).cache_stats;
+    assert_eq!((s.tlb_write_fills, s.tlb_write_hits), (1, 19), "{s:?}");
+    assert_eq!(s.slow_accesses, 0);
+    // Pinned for the reads, and again — writable — after the fill.
+    assert!(s.pin_builds >= 2, "{s:?}");
+}
+
+/// `pin_builds` is the one counter pins added, so it is the one place
+/// their cost shows deterministically: a kernel whose working set fits
+/// the pins rebuilds them at most once per icache fill while it warms
+/// up and once per quantum after that, and a loop the policy refuses
+/// to pin never builds one.
+#[test]
+fn pins_are_built_once_per_quantum_and_never_for_conflict_misses() {
+    let builds = |src: &str, budget: u64, quantum: u64| {
+        let (mut cpu, mut mem) = corpus::sandbox(src);
+        run_in_quanta(&mut cpu, &mut mem, budget, quantum);
+        (cpu.cache_stats.pin_builds, cpu.cache_stats.icache_fills)
+    };
+    let (one_run, fills) = builds(corpus::FFT_KERNEL, 50_000, u64::MAX);
+    assert!((1..=fills).contains(&one_run), "{one_run} builds");
+    for quantum in [2_000, 97] {
+        let (in_quanta, _) = builds(corpus::FFT_KERNEL, 50_000, quantum);
+        let quanta = 50_000u64.div_ceil(quantum);
+        assert!(
+            (quanta..=one_run + quanta).contains(&in_quanta),
+            "{in_quanta} builds in {quanta} quanta"
+        );
+    }
+    for quantum in QUANTA {
+        let stride = builds(corpus::TLB_MISS_STRIDE, 20_000, quantum);
+        assert_eq!(stride.0, 0, "every stride load is a fill");
+        assert_eq!(builds(corpus::ALU_LOOP, 20_000, quantum).0, 0);
+    }
 }

@@ -120,7 +120,7 @@ pub mod memory {
     pub use det_memory::{
         AccessTracker, AddressSpace, CloneStats, ConflictPolicy, ContentDigest, Frame, MemError,
         MergeConflict, MergeStats, PAGE_SHIFT, PAGE_SIZE, PAGES_PER_LEAF, PageDelta, PageDeltaOp,
-        PageInfo, Perm, Region, Result, SpaceDelta, Translation, reference,
+        PageInfo, Perm, Pinned, Region, Result, SpaceDelta, Translation, reference,
     };
 }
 
