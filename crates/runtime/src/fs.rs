@@ -1,11 +1,9 @@
 //! The logically shared, physically replicated file system (§4.2–4.3).
 //!
-//! Every process holds a complete replica of the file system. `fork`
-//! serializes the parent's replica into the child's address-space
-//! image; processes then work entirely on their private replicas,
-//! which may diverge. When the parent collects a child (`wait` or an
-//! I/O rendezvous), it deserializes the child's image from a scratch
-//! region and *reconciles* with file versioning [Parker et al. 1983]:
+//! Every process holds a complete replica of the file system and works
+//! on it privately, so replicas may diverge. When a parent collects a
+//! child (`wait` or an I/O rendezvous) it *reconciles* the child's
+//! replica into its own with file versioning [Parker et al. 1983]:
 //!
 //! * a file changed on one side propagates to the other;
 //! * regular files changed on both sides **conflict** — one copy is
@@ -14,10 +12,22 @@
 //!   suffixes each side appended, so concurrent logging never
 //!   conflicts and every replica accumulates all writes (§4.3).
 //!
-//! File data uses [`bytes::Bytes`], so replicas share contents
-//! copy-on-write exactly as the kernel shares pages.
+//! Reconciliation looks only at files the child changed since its fork
+//! (`version != base_version`), and that is what makes the images that
+//! cross a rendezvous cheap (DESIGN.md §12). One record format, one
+//! encoder body and one decoder serve three [`ImageForm`]s: *fork* (every file, re-based to its
+//! current version — what a child inherits, and byte for byte what
+//! [`FileSys::fork_image`] models), *delta* (only the changed files —
+//! what a child hands back; reconciling it is reconciling the whole
+//! replica, by the skip above) and *full* (every file as it stands).
+//!
+//! File data uses [`bytes::Bytes`]: replicas share contents
+//! copy-on-write exactly as the kernel shares pages, and a decoded
+//! replica's files are views into the one image buffer they were read
+//! from ([`FileSys::from_image`]).
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 use bytes::Bytes;
 
@@ -67,6 +77,12 @@ impl File {
     fn changed(&self) -> bool {
         self.version != self.base_version
     }
+
+    /// Records a mutation. Versions are only ever compared for
+    /// equality, so one taken over from a hostile image may wrap.
+    fn bump(&mut self) {
+        self.version = self.version.wrapping_add(1);
+    }
 }
 
 /// A file-system replica.
@@ -75,13 +91,25 @@ pub struct FileSys {
     files: BTreeMap<String, File>,
 }
 
+/// Which files an encoded image carries, and with what fork base.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum ImageForm {
+    /// Every file as this replica holds it.
+    Full,
+    /// Every file, its base snapshot to its current state: what a
+    /// forked or resumed child inherits. Decodes to
+    /// [`FileSys::fork_image`].
+    Fork,
+    /// Only the files changed since fork, as this replica holds them:
+    /// what a child hands its parent for [`FileSys::reconcile`].
+    Delta,
+}
+
 /// Summary of one reconciliation pass.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ReconcileStats {
     /// Files taken from the child.
     pub taken_from_child: u64,
-    /// Files kept from the parent (child unchanged).
-    pub kept: u64,
     /// Append-only files whose suffixes were exchanged.
     pub appended: u64,
     /// New conflicts flagged.
@@ -110,7 +138,7 @@ impl FileSys {
                 f.data = Bytes::new();
                 f.deleted = false;
                 f.append_only = append_only;
-                f.version += 1;
+                f.bump();
                 Ok(())
             }
             None => {
@@ -154,7 +182,7 @@ impl FileSys {
         }
         buf[offset as usize..end].copy_from_slice(data);
         f.data = Bytes::from(buf);
-        f.version += 1;
+        f.bump();
         Ok(())
     }
 
@@ -180,7 +208,7 @@ impl FileSys {
         f.deleted = true;
         f.conflict = false;
         f.data = Bytes::new();
-        f.version += 1;
+        f.bump();
         Ok(())
     }
 
@@ -198,8 +226,20 @@ impl FileSys {
         self.files.get(path).map(|f| f.conflict).unwrap_or(false)
     }
 
-    /// Prepares the image a freshly forked child inherits: every
-    /// file's `base_version`/`base_len` snapshot to its current state.
+    /// A value that is different after any mutation of this replica:
+    /// the file count and the sum of all versions. Files are never
+    /// removed (`unlink` leaves a tombstone), so an insertion raises the
+    /// count for good, and every other mutator bumps one version by
+    /// one — whoever holds `&mut FileSys`, there is no flag to forget.
+    pub fn stamp(&self) -> (usize, u64) {
+        let versions = self.files.values().map(|f| f.version);
+        (self.files.len(), versions.fold(0, u64::wrapping_add))
+    }
+
+    /// The replica a freshly forked child inherits: every file's
+    /// `base_version`/`base_len` snapshot to its current state. The
+    /// process runtime never builds it — it stages
+    /// [`ImageForm::Fork`] bytes, which decode to exactly this.
     pub fn fork_image(&self) -> FileSys {
         let mut child = self.clone();
         for f in child.files.values_mut() {
@@ -210,85 +250,120 @@ impl FileSys {
     }
 
     /// Reconciles a collected child's replica into this one (§4.2).
+    ///
+    /// Only files the child changed since its fork are looked at, so a
+    /// replica holding nothing else ([`ImageForm::Delta`]) reconciles
+    /// exactly as the whole one would.
+    ///
+    /// Total on any decodable child: an append-only file shorter than
+    /// its own `base_len` has no suffix to exchange — the child
+    /// truncated a log others may have appended to, which is a
+    /// concurrent-write conflict like any other. It is flagged here
+    /// rather than rejected at decode because an honest child gets
+    /// there too (`create(CONSOLE_OUT, true)` truncates), and failing
+    /// its parent's `wait` would turn a detectable conflict into a
+    /// lost child.
     pub fn reconcile(&mut self, child: &FileSys) -> ReconcileStats {
         let mut stats = ReconcileStats::default();
-        for (path, cf) in &child.files {
-            if !cf.changed() {
-                stats.kept += 1;
+        for (path, cf) in child.files.iter().filter(|(_, cf)| cf.changed()) {
+            let Some(pf) = self.files.get_mut(path) else {
+                // Child created it. The file did not exist at *this*
+                // replica's own fork point either, so it must stay
+                // marked as changed (base 0) for the next level of
+                // reconciliation — grandchild creations propagate
+                // all the way up the process tree.
+                let mut nf = cf.clone();
+                nf.base_version = 0;
+                nf.base_len = 0;
+                self.files.insert(path.clone(), nf);
+                stats.taken_from_child += 1;
                 continue;
-            }
-            match self.files.get_mut(path) {
-                None => {
-                    // Child created it. The file did not exist at *this*
-                    // replica's own fork point either, so it must stay
-                    // marked as changed (base 0) for the next level of
-                    // reconciliation — grandchild creations propagate
-                    // all the way up the process tree.
-                    let mut nf = cf.clone();
-                    nf.base_version = 0;
-                    nf.base_len = 0;
-                    self.files.insert(path.clone(), nf);
+            };
+            let parent_changed = pf.version != cf.base_version;
+            let suffix = usize::try_from(cf.base_len)
+                .ok()
+                .and_then(|at| cf.data.get(at..));
+            match (cf.append_only && pf.append_only, suffix) {
+                // Append-only: splice the child's new suffix onto the
+                // parent's copy (§4.3). The parent's own appends are
+                // already in pf.
+                (true, Some([])) => {}
+                (true, Some(suffix)) => {
+                    let mut buf = pf.data.to_vec();
+                    buf.extend_from_slice(suffix);
+                    pf.data = Bytes::from(buf);
+                    pf.bump();
+                    stats.appended += 1;
+                }
+                // Only the child changed: take its copy.
+                (false, _) if !parent_changed => {
+                    pf.data = cf.data.clone();
+                    pf.deleted = cf.deleted;
+                    pf.conflict = cf.conflict;
+                    pf.append_only = cf.append_only;
+                    pf.bump();
                     stats.taken_from_child += 1;
                 }
-                Some(pf) => {
-                    let parent_changed = pf.version != cf.base_version;
-                    if cf.append_only && pf.append_only {
-                        // Append-only: splice the child's new suffix
-                        // onto the parent's copy (§4.3). The parent's
-                        // own appends are already in pf.
-                        let suffix = &cf.data[cf.base_len as usize..];
-                        if !suffix.is_empty() {
-                            let mut buf = pf.data.to_vec();
-                            buf.extend_from_slice(suffix);
-                            pf.data = Bytes::from(buf);
-                            pf.version += 1;
-                            stats.appended += 1;
-                        } else {
-                            stats.kept += 1;
-                        }
-                    } else if !parent_changed {
-                        // Only the child changed: take its copy.
-                        pf.data = cf.data.clone();
-                        pf.deleted = cf.deleted;
-                        pf.conflict = cf.conflict;
-                        pf.append_only = cf.append_only;
-                        pf.version += 1;
-                        stats.taken_from_child += 1;
-                    } else {
-                        // Both changed: conflict. Keep the parent's
-                        // copy, poison the file (§4.2).
-                        pf.conflict = true;
-                        pf.version += 1;
-                        stats.conflicts += 1;
-                    }
+                // Both changed, or a truncated log: conflict. Keep the
+                // parent's copy, poison the file (§4.2).
+                _ => {
+                    pf.conflict = true;
+                    pf.bump();
+                    stats.conflicts += 1;
                 }
             }
         }
         stats
     }
 
-    /// Serializes the replica to bytes (deterministic layout).
+    /// Serializes the whole replica as it stands
+    /// ([`ImageForm::Full`]; deterministic layout).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(4096);
+        let mut out = Vec::new();
+        self.encode_into(ImageForm::Full, &mut out);
+        out
+    }
+
+    /// Appends this replica's image in `form` to `out` (which may
+    /// already hold a caller's framing), growing it once.
+    pub fn encode_into(&self, form: ImageForm, out: &mut Vec<u8>) {
+        let carried = || {
+            let all = self.files.iter();
+            all.filter(|(_, f)| form != ImageForm::Delta || f.changed())
+        };
+        let records = carried().map(|(path, f)| RECORD_FIXED_LEN + path.len() + f.data.len());
+        out.reserve(16 + records.sum::<usize>());
         out.extend_from_slice(&MAGIC.to_le_bytes());
-        out.extend_from_slice(&(self.files.len() as u64).to_le_bytes());
-        for (path, f) in &self.files {
-            put_str(&mut out, path);
+        out.extend_from_slice(&(carried().count() as u64).to_le_bytes());
+        for (path, f) in carried() {
+            let (base_version, base_len) = match form {
+                ImageForm::Fork => (f.version, f.data.len() as u64),
+                ImageForm::Full | ImageForm::Delta => (f.base_version, f.base_len),
+            };
+            out.extend_from_slice(&(path.len() as u64).to_le_bytes());
+            out.extend_from_slice(path.as_bytes());
             out.extend_from_slice(&f.version.to_le_bytes());
-            out.extend_from_slice(&f.base_version.to_le_bytes());
-            out.extend_from_slice(&f.base_len.to_le_bytes());
+            out.extend_from_slice(&base_version.to_le_bytes());
+            out.extend_from_slice(&base_len.to_le_bytes());
             out.push(f.append_only as u8);
             out.push(f.conflict as u8);
             out.push(f.deleted as u8);
             out.extend_from_slice(&(f.data.len() as u64).to_le_bytes());
             out.extend_from_slice(&f.data);
         }
-        out
     }
 
-    /// Deserializes a replica.
+    /// Deserializes a replica from a copy of `bytes`.
     pub fn from_bytes(bytes: &[u8]) -> Result<FileSys> {
-        let mut rd = Reader { b: bytes, at: 0 };
+        FileSys::from_image(Bytes::copy_from_slice(bytes))
+    }
+
+    /// Deserializes a replica whose file contents are views into
+    /// `image` — the buffer is read once and never copied. Any byte
+    /// string is either a replica or a typed error: lengths and counts
+    /// come from the image and are trusted for nothing.
+    pub fn from_image(image: Bytes) -> Result<FileSys> {
+        let mut rd = Reader { b: &image, at: 0 };
         if rd.u64()? != MAGIC {
             return Err(RtError::FsImageCorrupt("bad magic"));
         }
@@ -302,8 +377,7 @@ impl FileSys {
             let append_only = rd.u8()? != 0;
             let conflict = rd.u8()? != 0;
             let deleted = rd.u8()? != 0;
-            let len = rd.u64()? as usize;
-            let data = Bytes::copy_from_slice(rd.take(len)?);
+            let data = image.slice(rd.field()?);
             files.insert(
                 path,
                 File {
@@ -317,44 +391,55 @@ impl FileSys {
                 },
             );
         }
+        if rd.at != image.len() {
+            return Err(RtError::FsImageCorrupt("bytes after the last file"));
+        }
         Ok(FileSys { files })
     }
 }
 
 const MAGIC: u64 = 0x4445_545f_4653_0001; // "DET_FS" v1.
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u64).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
+/// Bytes of a file record besides its path and data: two length
+/// prefixes, three version words, three flags.
+const RECORD_FIXED_LEN: usize = 8 + 3 * 8 + 3 + 8;
 
 struct Reader<'a> {
     b: &'a [u8],
     at: usize,
 }
 
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.at + n > self.b.len() {
-            return Err(RtError::FsImageCorrupt("truncated image"));
-        }
-        let s = &self.b[self.at..self.at + n];
-        self.at += n;
-        Ok(s)
+impl Reader<'_> {
+    /// The next `n` bytes' position, if the image has that many.
+    fn take(&mut self, n: u64) -> Result<Range<usize>> {
+        let end = usize::try_from(n)
+            .ok()
+            .and_then(|n| self.at.checked_add(n))
+            .filter(|&end| end <= self.b.len())
+            .ok_or(RtError::FsImageCorrupt("truncated image"))?;
+        let taken = self.at..end;
+        self.at = end;
+        Ok(taken)
     }
 
     fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
+        let word = &self.b[self.take(8)?];
+        Ok(u64::from_le_bytes(word.try_into().expect("8")))
     }
 
     fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
+        Ok(self.b[self.take(1)?][0])
+    }
+
+    /// A length-prefixed field's position.
+    fn field(&mut self) -> Result<Range<usize>> {
+        let n = self.u64()?;
+        self.take(n)
     }
 
     fn string(&mut self) -> Result<String> {
-        let n = self.u64()? as usize;
-        String::from_utf8(self.take(n)?.to_vec())
-            .map_err(|_| RtError::FsImageCorrupt("non-utf8 path"))
+        let bytes = &self.b[self.field()?];
+        String::from_utf8(bytes.to_vec()).map_err(|_| RtError::FsImageCorrupt("non-utf8 path"))
     }
 }
 

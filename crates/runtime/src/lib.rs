@@ -57,7 +57,7 @@ pub mod shell;
 pub mod threads;
 
 pub use error::{Result, RtError};
-pub use fs::{FileSys, ReconcileStats};
+pub use fs::{FileSys, ImageForm, ReconcileStats};
 pub use proc::{ExitStatus, Pid, Proc, ProgramRegistry, run_process_tree, run_process_tree_on};
 pub use threads::{JoinResult, ThreadGroup, barrier, thread_id};
 

@@ -11,10 +11,24 @@
 //! *earliest-forked* uncollected child, not the first to finish —
 //! the paper's deliberate trade-off that Figure 4 illustrates.
 //!
+//! File-system images cross a rendezvous through the image region at
+//! [`layout::FS_IMAGE_BASE`], and each direction carries only what its
+//! receiver lacks (DESIGN.md §12):
+//!
+//! * *parent → child*, at `fork` and at an I/O resume: the replica in
+//!   [`ImageForm::Fork`], copied into the child copy-on-write. It is
+//!   staged only if the replica was mutated since the last staging
+//!   ([`FileSys::stamp`]), so a burst of forks serialises once; a
+//!   process that has just loaded its inherited image holds a current
+//!   staging already.
+//! * *child → parent*, at exit and at an I/O request: an
+//!   [`ImageForm::Delta`] — the files the child changed, which are
+//!   all that reconciliation reads.
+//!
 //! I/O protocol: a child needing console input appends nothing itself;
-//! it serializes its file system, `Ret`s with [`IoRequest::NeedInput`],
-//! and its parent — inside `wait`/`waitpid` — reconciles, feeds any
-//! new input, and resumes it transparently.
+//! it publishes its delta, `Ret`s with [`IoRequest::NeedInput`], and
+//! its parent — inside `wait`/`waitpid` — reconciles, feeds any new
+//! input, and resumes it transparently.
 
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
@@ -26,7 +40,7 @@ use det_kernel::{
 };
 
 use crate::error::{Result, RtError};
-use crate::fs::{CONSOLE_IN, CONSOLE_OUT, FileSys};
+use crate::fs::{CONSOLE_IN, CONSOLE_OUT, FileSys, ImageForm};
 use crate::layout;
 
 /// Process identifier, local to the issuing process (§2.4).
@@ -128,6 +142,9 @@ pub struct Proc<'a> {
     /// Console-out bytes already pushed to the kernel device (root) or
     /// already visible at fork time (non-root).
     console_flushed: u64,
+    /// [`FileSys::stamp`] of `fs` when the image region last held its
+    /// fork image; `None` once the region holds anything else.
+    staged: Option<(usize, u64)>,
 }
 
 impl<'a> Proc<'a> {
@@ -143,6 +160,7 @@ impl<'a> Proc<'a> {
             free_child_nums: VecDeque::new(),
             next_child_num: 0,
             console_flushed: 0,
+            staged: None,
         };
         // Descriptors 0/1 are the console, as in Unix.
         p.fds.push(Some(OpenFile {
@@ -390,17 +408,40 @@ impl<'a> Proc<'a> {
         Ok(())
     }
 
-    /// Serializes this process's fs into its own image region, `Ret`s
-    /// with `code`, and re-loads the (parent-updated) image afterward.
+    /// Publishes what this process changed, `Ret`s with `code`, and
+    /// adopts the replica the parent resumes it with.
     fn sync_with_parent(&mut self, code: u64) -> Result<()> {
-        self.store_fs_image(layout::FS_IMAGE_BASE)?;
+        self.publish_delta()?;
         self.ctx.ret(code)?;
+        self.adopt_inherited_image()
+    }
+
+    /// Overwrites the image region with this replica's changes since
+    /// fork (or since the last resume), for the parent to reconcile.
+    fn publish_delta(&mut self) -> Result<()> {
+        self.staged = None;
+        store_fs_image(self.ctx, &self.fs, ImageForm::Delta)
+    }
+
+    /// Loads the replica a parent's `put` left in the image region.
+    /// Those bytes are this replica's own fork image — every file in
+    /// it is at its base — so they are already staged for a fork of
+    /// ours.
+    fn adopt_inherited_image(&mut self) -> Result<()> {
         self.fs = load_fs_image(self.ctx, layout::FS_IMAGE_BASE)?;
+        self.staged = Some(self.fs.stamp());
         Ok(())
     }
 
-    fn store_fs_image(&mut self, base: u64) -> Result<()> {
-        store_fs_image_raw(self.ctx, &self.fs, base)
+    /// Makes the image region hold this replica's fork image, at no
+    /// cost if it still does.
+    fn stage_fork_image(&mut self) -> Result<()> {
+        let stamp = self.fs.stamp();
+        if self.staged != Some(stamp) {
+            store_fs_image(self.ctx, &self.fs, ImageForm::Fork)?;
+            self.staged = Some(stamp);
+        }
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -421,33 +462,29 @@ impl<'a> Proc<'a> {
         let pid = Pid(self.next_pid);
         self.next_pid += 1;
 
-        // Stage the child's inherited replica in our own image region,
-        // then virtually copy it into the child (COW: no bytes move
-        // until modified). The mirror copy is leaf-congruent (see
-        // layout.rs), so the kernel shares whole page-table leaves —
-        // the fork costs O(leaves), not O(image pages) (DESIGN.md §5).
-        let image = self.fs.fork_image();
-        store_fs_image_raw(self.ctx, &image, layout::FS_IMAGE_BASE)?;
+        // Stage the child's inherited replica in our own image region
+        // (unless it is there already), then virtually copy it into the
+        // child (COW: no bytes move until modified). The mirror copy is
+        // leaf-congruent (see layout.rs), so the kernel shares whole
+        // page-table leaves — the fork costs O(leaves), not O(image
+        // pages) (DESIGN.md §5).
+        self.stage_fork_image()?;
         let registry = Arc::clone(&self.registry);
         self.ctx.put(
             child_num,
             PutSpec::new()
                 .program(Program::native(move |c| {
-                    let fs = match load_fs_image(c, layout::FS_IMAGE_BASE) {
-                        Ok(fs) => fs,
-                        Err(e) => return Err(e.into_kernel()),
-                    };
-                    let mut proc = Proc::new(c, fs, registry);
+                    let mut proc = Proc::new(c, FileSys::default(), registry);
+                    proc.adopt_inherited_image().map_err(RtError::into_kernel)?;
                     proc.console_flushed = proc
                         .fs
                         .read(CONSOLE_OUT)
                         .map(|d| d.len() as u64)
                         .unwrap_or(0);
                     let code = f(&mut proc).map_err(RtError::into_kernel)?;
-                    // Publish the final replica for the parent's
+                    // Publish what changed for the parent's
                     // reconciliation, then halt.
-                    store_fs_image_raw(proc.ctx, &proc.fs, layout::FS_IMAGE_BASE)
-                        .map_err(RtError::into_kernel)?;
+                    proc.publish_delta().map_err(RtError::into_kernel)?;
                     Ok(code)
                 }))
                 .copy(CopySpec::mirror(layout::fs_image_region()))
@@ -501,8 +538,7 @@ impl<'a> Proc<'a> {
                     // Hand the child its updated replica, resume it,
                     // and collect its next stop — one fused PutGet
                     // rendezvous per I/O round trip (§4.3).
-                    let image = self.fs.fork_image();
-                    store_fs_image_raw(self.ctx, &image, layout::FS_IMAGE_BASE)?;
+                    self.stage_fork_image()?;
                     r = self.ctx.put_get(
                         child_num,
                         PutSpec::new()
@@ -559,7 +595,7 @@ impl<'a> Proc<'a> {
     }
 
     fn reconcile_child_image(&mut self) -> Result<()> {
-        let child_fs = load_fs_image_at(self.ctx, layout::FS_SCRATCH_BASE)?;
+        let child_fs = load_fs_image(self.ctx, layout::FS_SCRATCH_BASE)?;
         self.fs.reconcile(&child_fs);
         if self.ctx.is_root() {
             self.flush_console()?;
@@ -582,50 +618,52 @@ impl<'a> Proc<'a> {
     }
 }
 
-fn store_fs_image_raw(ctx: &mut SpaceCtx, fs: &FileSys, base: u64) -> Result<()> {
-    let mut image = fs.to_bytes();
-    let total = image.len() as u64 + 8;
+/// Writes `fs` in `form` to the image region, behind its length.
+fn store_fs_image(ctx: &mut SpaceCtx, fs: &FileSys, form: ImageForm) -> Result<()> {
+    // Header and payload are built as the one buffer they are written
+    // as: one range validation, one page-table walk, one generation
+    // bump per staging.
+    let mut image = vec![0u8; 8];
+    fs.encode_into(form, &mut image);
+    let total = image.len() as u64;
     if total > layout::FS_IMAGE_SIZE {
         return Err(RtError::FsImageOverflow {
             need: total,
             cap: layout::FS_IMAGE_SIZE,
         });
     }
+    let payload_len = total - 8;
+    image[..8].copy_from_slice(&payload_len.to_le_bytes());
     // Map only the pages the image needs, and keep pages that are
-    // already mapped: re-staging at every fork/wait rendezvous would
-    // otherwise discard their frames and grow the space's dirty
-    // write-set by the whole image region each time (and, since the VM
-    // fast path arrived, spuriously invalidate the space's cached
-    // translations — `map_zero_if_unmapped` over an already-mapped
-    // range is a generation no-op). The subsequent write overlays the
-    // new image; stale bytes past `total` are unreachable (loads read
-    // only the length-prefixed payload) and a deterministic function
-    // of prior images.
+    // already mapped: re-staging would otherwise discard their frames
+    // and grow the space's dirty write-set by the whole image region
+    // each time (and, since the VM fast path arrived, spuriously
+    // invalidate the space's cached translations —
+    // `map_zero_if_unmapped` over an already-mapped range is a
+    // generation no-op). The write overlays the new image; stale bytes
+    // past `total` are unreachable (loads read only the
+    // length-prefixed payload) and a deterministic function of prior
+    // images.
+    let base = layout::FS_IMAGE_BASE;
     let end_page = (base + total + 0xfff) & !0xfff;
     ctx.mem_mut()
         .map_zero_if_unmapped(Region::new(base, end_page), det_memory::Perm::RW)?;
-    // Stage header + payload as one write: one range validation, one
-    // page-table walk, one generation bump per rendezvous.
-    let payload_len = image.len() as u64;
-    image.splice(0..0, payload_len.to_le_bytes());
     ctx.mem_mut().write(base, &image)?;
     // Serializing the image costs memcpy-like work.
     ctx.charge(payload_len / 4)?;
     Ok(())
 }
 
-fn load_fs_image_at(ctx: &mut SpaceCtx, base: u64) -> Result<FileSys> {
+/// Reads the length-prefixed image at `base` out of paged memory once;
+/// the replica's files are views into that one buffer.
+fn load_fs_image(ctx: &mut SpaceCtx, base: u64) -> Result<FileSys> {
     let len = ctx.mem().read_u64(base)?;
-    if len + 8 > layout::FS_IMAGE_SIZE {
+    if len > layout::FS_IMAGE_SIZE - 8 {
         return Err(RtError::FsImageCorrupt("image length out of range"));
     }
     let bytes = ctx.mem().read_vec(base + 8, len as usize)?;
     ctx.charge(len / 4)?;
-    FileSys::from_bytes(&bytes)
-}
-
-fn load_fs_image(ctx: &mut SpaceCtx, base: u64) -> Result<FileSys> {
-    load_fs_image_at(ctx, base)
+    FileSys::from_image(bytes.into())
 }
 
 /// Runs a root process under a fresh kernel: the entry point of the
