@@ -10,14 +10,14 @@ use std::process::ExitCode;
 
 use det_bench::{
     Scale, Table, analyze_cost, analyze_prefetch, clone_table, fig4, fig7, fig8, fig9, fig10,
-    fig11, fig12, quantum_ablation, rendezvous_table, scaling, table3, vm_mips,
+    fig11, fig12, quantum_ablation, scaling, table3, vm_mips,
 };
 
 /// A report section: its name on the command line and its tables.
 type Section = (&'static str, fn(Scale) -> Vec<Table>);
 
 /// Every section, in print order.
-const SECTIONS: [Section; 14] = [
+const SECTIONS: [Section; 13] = [
     ("fig4", |_| vec![fig4()]),
     ("fig7", |s| vec![fig7(s)]),
     ("fig8", |s| vec![fig8(s)]),
@@ -28,7 +28,6 @@ const SECTIONS: [Section; 14] = [
     ("quantum", |s| vec![quantum_ablation(s)]),
     ("vmmips", |s| vec![vm_mips(s)]),
     ("clone", |s| vec![clone_table(s)]),
-    ("rendezvous", |s| vec![rendezvous_table(s)]),
     ("scaling", |s| vec![scaling(s)]),
     ("analyze", |s| vec![analyze_cost(s), analyze_prefetch(s)]),
     ("table3", |_| {

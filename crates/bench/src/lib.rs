@@ -674,133 +674,6 @@ pub fn clone_table(scale: Scale) -> Table {
     }
 }
 
-/// The rendezvous cost table (`report -- rendezvous`): what a
-/// put/get/park roundtrip actually costs on this host under the
-/// targeted-wakeup engine (DESIGN.md §6), per execution-vehicle
-/// pattern. The wakeup and spurious-wake columns come straight from
-/// the kernel's engine counters: wakeups are a deterministic function
-/// of the rendezvous history (and exactly 0 for inline VM dispatch);
-/// spurious wakes are host-timing observability. Host ns/roundtrip is
-/// indicative (one timed loop, no statistics); the virtual column is what the
-/// cost model charges for the same roundtrip.
-pub fn rendezvous_table(scale: Scale) -> Table {
-    use det_kernel::{
-        CopySpec, GetSpec, Kernel, KernelConfig, Perm, Program, PutSpec, Region, Regs, RunOutcome,
-        VmDispatch,
-    };
-
-    let rounds: u64 = match scale {
-        Scale::Quick => 2_000,
-        Scale::Full => 20_000,
-    };
-    // Two VM instructions per rendezvous roundtrip.
-    let image = det_vm::assemble(
-        "
-    loop:
-        sys 0
-        beq r0, r0, loop
-    ",
-    )
-    .unwrap();
-    let code = Region::new(0, 0x1000);
-
-    #[derive(Clone, Copy, PartialEq)]
-    enum Pattern {
-        VmInline,
-        VmInlineFused,
-        VmThreaded,
-        NativeThreaded,
-    }
-    let run = |p: Pattern| -> (f64, RunOutcome) {
-        let image = image.clone();
-        let dispatch = match p {
-            Pattern::VmThreaded => VmDispatch::Threaded,
-            _ => VmDispatch::Inline,
-        };
-        let t0 = std::time::Instant::now();
-        let out =
-            Kernel::new(KernelConfig::builder().vm_dispatch(dispatch).build()).run(move |ctx| {
-                if p == Pattern::NativeThreaded {
-                    ctx.put(
-                        0,
-                        PutSpec::new()
-                            .program(Program::native(move |cc| {
-                                for _ in 0..rounds {
-                                    cc.ret(0)?;
-                                }
-                                Ok(0)
-                            }))
-                            .start(),
-                    )?;
-                } else {
-                    ctx.mem_mut().map_zero(code, Perm::RW)?;
-                    ctx.mem_mut().write(0, &image.bytes)?;
-                    ctx.put(
-                        0,
-                        PutSpec::new()
-                            .program(Program::Vm)
-                            .copy(CopySpec::mirror(code))
-                            .regs(Regs::at_entry(0))
-                            .start(),
-                    )?;
-                }
-                if p == Pattern::VmInlineFused {
-                    ctx.get(0, GetSpec::new())?;
-                    for _ in 0..rounds {
-                        ctx.put_get(0, PutSpec::new().start(), GetSpec::new())?;
-                    }
-                } else {
-                    for _ in 0..rounds {
-                        ctx.get(0, GetSpec::new())?;
-                        ctx.put(0, PutSpec::new().start())?;
-                    }
-                    ctx.get(0, GetSpec::new())?;
-                }
-                Ok(0)
-            });
-        let host_ns = t0.elapsed().as_nanos() as f64 / rounds as f64;
-        (host_ns, out)
-    };
-
-    let mut rows = Vec::new();
-    for (name, p) in [
-        ("vm child, inline dispatch (put + get)", Pattern::VmInline),
-        (
-            "vm child, inline dispatch (fused put_get)",
-            Pattern::VmInlineFused,
-        ),
-        ("vm child, dedicated thread", Pattern::VmThreaded),
-        ("native child, dedicated thread", Pattern::NativeThreaded),
-    ] {
-        let (host_ns, out) = run(p);
-        let s = &out.stats;
-        rows.push(vec![
-            name.to_string(),
-            rounds.to_string(),
-            format!("{host_ns:.0}"),
-            s.condvar_wakeups.to_string(),
-            format!("{:.3}", s.condvar_wakeups as f64 / rounds as f64),
-            out.host.spurious_wakeups.to_string(),
-            format!("{:.1}", out.vclock_ns as f64 / rounds as f64),
-        ]);
-    }
-    Table {
-        title: "Rendezvous — put/get/park roundtrip cost under the targeted-wakeup engine \
-                (DESIGN.md §6; PAPER.md §3.2)"
-            .into(),
-        headers: vec![
-            "pattern".into(),
-            "roundtrips".into(),
-            "host ns/rt".into(),
-            "wakeups".into(),
-            "wakeups/rt".into(),
-            "spurious".into(),
-            "virtual ns/rt".into(),
-        ],
-        rows,
-    }
-}
-
 /// Shard scaling of the real-thread cluster runtime (§6.3): the same
 /// logical workload — an 8-node md5-scan fan-out — on 1/2/4/8 host
 /// shards. Wall-clock time must fall with the shard count while every

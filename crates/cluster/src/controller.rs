@@ -20,7 +20,7 @@ use parking_lot::Mutex;
 
 use det_kernel::{
     ConflictPolicy, CostModel, FaultPlan, IoMode, Kernel, KernelConfig, KernelError, KernelStats,
-    MergeStats, NativeResult, Result, RunOutcome, SpaceCtx, TrapKind, VmDispatch, wire,
+    MergeStats, NativeResult, Result, RunOutcome, SpaceCtx, TrapKind, wire,
 };
 use det_memory::{AddressSpace, Region};
 
@@ -44,8 +44,6 @@ pub struct ClusterSpec {
     pub costs: CostModel,
     /// Merge conflict policy for every kernel instance.
     pub policy: ConflictPolicy,
-    /// VM dispatch mode for every kernel instance.
-    pub vm_dispatch: VmDispatch,
     /// Nondeterministic-input mode for the *root* kernel (jobs have
     /// no I/O privileges, exactly like non-root spaces).
     pub io: IoMode,
@@ -64,7 +62,6 @@ impl ClusterSpec {
             net: NetworkModel::ethernet_1g(),
             costs: CostModel::default(),
             policy: ConflictPolicy::default(),
-            vm_dispatch: VmDispatch::default(),
             io: IoMode::default(),
             faults: FaultPlan::default(),
         }
@@ -86,7 +83,6 @@ impl ClusterSpec {
         let root_kcfg = KernelConfig::builder()
             .costs(self.costs)
             .policy(self.policy)
-            .vm_dispatch(self.vm_dispatch)
             .io(self.io.clone())
             .faults(self.faults.clone())
             .build();
@@ -231,7 +227,6 @@ impl Env {
         KernelConfig::builder()
             .costs(self.spec.costs)
             .policy(self.spec.policy)
-            .vm_dispatch(self.spec.vm_dispatch)
             .build()
     }
 
@@ -615,20 +610,19 @@ impl ClusterOutcome {
     /// The canonical conformance bundle: every deterministic section
     /// of the outcome, serialized to stable bytes. Two runs of the
     /// same workload must produce bit-identical bundles regardless of
-    /// shard count, host load, or dispatch vehicle placement; the
-    /// shard count and the quarantined host counters are deliberately
-    /// excluded.
+    /// shard count or host load; the shard count and the quarantined
+    /// host counters are deliberately excluded.
     pub fn bundle_bytes(&self) -> Vec<u8> {
         use std::fmt::Write;
         let mut out = String::new();
-        out.push_str("[meta]\nformat=det-cluster-bundle-v1\n");
+        out.push_str("[meta]\nformat=det-cluster-bundle-v2\n");
         writeln!(out, "nodes={}", self.nodes).unwrap();
         writeln!(out, "[exit]\n{:?}", self.exit).unwrap();
         writeln!(out, "[vclock]\nns={}", self.vclock_ns).unwrap();
         out.push_str("[stats-core]\n");
-        stat_lines(&self.stats, false, &mut out);
-        out.push_str("[stats-vehicle]\n");
-        stat_lines(&self.stats, true, &mut out);
+        for (k, v) in self.stats.lines() {
+            writeln!(out, "{k}={v}").unwrap();
+        }
         out.push_str("[outputs]\n");
         for (dev, bytes) in &self.root.outputs {
             let hex = serde_json::to_string(bytes).expect("bytes render");
@@ -641,8 +635,7 @@ impl ClusterOutcome {
 
     /// The `[cluster]` and `[jobs]` sections of the bundle on their
     /// own: the traffic counters and the per-job artifact table.
-    /// These are invariant across shard count, host load, *and*
-    /// dispatch vehicle (no vehicle-observability counters), which is
+    /// These are invariant across shard count and host load, which is
     /// what lets a conformance scenario fold them verbatim into its
     /// replica-compared console stream.
     pub fn cluster_sections(&self) -> Vec<u8> {
@@ -672,68 +665,4 @@ impl ClusterOutcome {
         }
         out.into_bytes()
     }
-}
-
-/// Writes `k=v` stat lines; `vehicle` selects the vehicle-
-/// observability fields (same quarantine set as the conformance
-/// harness) vs everything else.
-fn stat_lines(s: &KernelStats, vehicle: bool, out: &mut String) {
-    use std::fmt::Write;
-    let KernelStats {
-        puts,
-        gets,
-        put_gets,
-        rets,
-        traps,
-        limit_preemptions,
-        spaces_created,
-        threads_spawned,
-        pages_copied,
-        pages_snapped,
-        leaves_cloned,
-        merges,
-        merge_totals,
-        conflicts,
-        migrations,
-        device_reads,
-        device_write_bytes,
-        vm_instructions,
-        vm_tlb_hits,
-        vm_pages_walked,
-        vm_icache_hits,
-        vm_icache_fills,
-        condvar_wakeups,
-        vm_inline_runs,
-        checkpoints,
-        checkpoint_leaves,
-    } = s;
-    if vehicle {
-        writeln!(out, "threads_spawned={threads_spawned}").unwrap();
-        writeln!(out, "condvar_wakeups={condvar_wakeups}").unwrap();
-        writeln!(out, "vm_inline_runs={vm_inline_runs}").unwrap();
-        return;
-    }
-    writeln!(out, "puts={puts}").unwrap();
-    writeln!(out, "gets={gets}").unwrap();
-    writeln!(out, "put_gets={put_gets}").unwrap();
-    writeln!(out, "rets={rets}").unwrap();
-    writeln!(out, "traps={traps}").unwrap();
-    writeln!(out, "limit_preemptions={limit_preemptions}").unwrap();
-    writeln!(out, "spaces_created={spaces_created}").unwrap();
-    writeln!(out, "pages_copied={pages_copied}").unwrap();
-    writeln!(out, "pages_snapped={pages_snapped}").unwrap();
-    writeln!(out, "leaves_cloned={leaves_cloned}").unwrap();
-    writeln!(out, "merges={merges}").unwrap();
-    writeln!(out, "merge_totals={:?}", merge_totals.0).unwrap();
-    writeln!(out, "conflicts={conflicts}").unwrap();
-    writeln!(out, "migrations={migrations}").unwrap();
-    writeln!(out, "device_reads={device_reads}").unwrap();
-    writeln!(out, "device_write_bytes={device_write_bytes}").unwrap();
-    writeln!(out, "vm_instructions={vm_instructions}").unwrap();
-    writeln!(out, "vm_tlb_hits={vm_tlb_hits}").unwrap();
-    writeln!(out, "vm_pages_walked={vm_pages_walked}").unwrap();
-    writeln!(out, "vm_icache_hits={vm_icache_hits}").unwrap();
-    writeln!(out, "vm_icache_fills={vm_icache_fills}").unwrap();
-    writeln!(out, "checkpoints={checkpoints}").unwrap();
-    writeln!(out, "checkpoint_leaves={checkpoint_leaves}").unwrap();
 }

@@ -64,7 +64,7 @@ fn fanout_shard_count_invariant() {
     assert!(adopted >= 1, "{:?}", base.stats.merge_totals);
     let text = String::from_utf8(base_bundle.clone()).unwrap();
     assert!(
-        text.contains(&format!("pages_adopted: {adopted},")),
+        text.contains(&format!("merge_totals.pages_adopted={adopted}\n")),
         "{text}"
     );
     for shards in [2usize, 3, 5, 8] {

@@ -5,8 +5,7 @@
 //! ```sh
 //! conform --replicas 3                  # CI gate
 //! conform --replicas 10 --chaos         # nightly
-//! conform --scenario wl_md5 --dispatch inline
-//! conform --cross-dispatch              # Inline vs Threaded equality
+//! conform --scenario wl_md5
 //! conform --recover                     # kill + restore + compare
 //! conform --recover --kill-at 7         # kill at root syscall 7
 //! conform --fault fail@device           # replicas under injected faults
@@ -16,23 +15,19 @@
 //! Exit codes: 0 on full conformance, **2 on any divergence or
 //! recovery failure** (the CI gate keys on this), 64 on usage errors.
 //! With `--report-dir DIR` (created if missing) each divergence report
-//! is also written to `DIR/<scenario>-<dispatch>.txt`.
+//! is also written to `DIR/<scenario>.txt` (`<scenario>-recovery.txt`
+//! for a recovery check).
 
 use std::process::ExitCode;
 
-use det_conform::{
-    ConformConfig, ScenarioReport, conform_scenario, crash_recovery_check, cross_dispatch_check,
-    registry,
-};
-use det_kernel::{FaultPlan, VmDispatch};
+use det_conform::{ConformConfig, conform_scenario, crash_recovery_check, registry};
+use det_kernel::FaultPlan;
 
 struct Args {
     replicas: usize,
     chaos: bool,
-    dispatches: Vec<VmDispatch>,
     scenarios: Vec<String>,
     report_dir: Option<String>,
-    cross_dispatch: bool,
     recover: bool,
     kill_at: Option<u64>,
     faults: FaultPlan,
@@ -45,8 +40,7 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: conform [--replicas N] [--chaos|--no-chaos] \
-         [--dispatch inline|threaded|both] [--scenario NAME]... \
-         [--report-dir DIR] [--cross-dispatch] \
+         [--scenario NAME]... [--report-dir DIR] \
          [--recover] [--kill-at N] [--fault SPEC]... [--list]\n\
          fault SPEC: <kill|panic|fail>@<syscall|device|trace|alloc>\
          [:path=/..][:n=N][:vt=PS]"
@@ -58,10 +52,8 @@ fn parse_args() -> Args {
     let mut args = Args {
         replicas: 3,
         chaos: false,
-        dispatches: vec![VmDispatch::Inline, VmDispatch::Threaded],
         scenarios: Vec::new(),
         report_dir: None,
-        cross_dispatch: false,
         recover: false,
         kill_at: None,
         faults: FaultPlan::default(),
@@ -78,20 +70,11 @@ fn parse_args() -> Args {
             }
             "--chaos" => args.chaos = true,
             "--no-chaos" => args.chaos = false,
-            "--dispatch" => {
-                args.dispatches = match it.next().as_deref() {
-                    Some("inline") => vec![VmDispatch::Inline],
-                    Some("threaded") => vec![VmDispatch::Threaded],
-                    Some("both") => vec![VmDispatch::Inline, VmDispatch::Threaded],
-                    _ => usage(),
-                };
-            }
             "--scenario" => match it.next() {
                 Some(name) => args.scenarios.push(name),
                 None => usage(),
             },
             "--report-dir" => args.report_dir = it.next().or_else(|| usage()),
-            "--cross-dispatch" => args.cross_dispatch = true,
             "--recover" => args.recover = true,
             "--kill-at" => {
                 args.kill_at = Some(
@@ -171,48 +154,24 @@ fn main() -> ExitCode {
                 println!("SKIP {} (untraceable)", sc.name);
                 continue;
             }
-            for &dispatch in &args.dispatches {
-                let r = crash_recovery_check(sc, dispatch, args.kill_at);
-                println!("{}", r.summary());
-                if !r.conforms() {
-                    failed = true;
-                    let report = r.report();
-                    eprint!("{report}");
-                    write_report(
-                        &args.report_dir,
-                        &format!("{}-{:?}-recovery", sc.name, dispatch),
-                        &report,
-                    );
-                }
-            }
-        }
-    } else if args.cross_dispatch {
-        for sc in &selected {
-            match cross_dispatch_check(sc) {
-                None => println!("PASS {} [Inline == Threaded]", sc.name),
-                Some(d) => {
-                    failed = true;
-                    let report = d.report(sc.name, "inline", "threaded");
-                    eprint!("{report}");
-                    write_report(&args.report_dir, &format!("{}-cross", sc.name), &report);
-                }
+            let r = crash_recovery_check(sc, args.kill_at);
+            println!("{}", r.summary());
+            if !r.conforms() {
+                failed = true;
+                let report = r.report();
+                eprint!("{report}");
+                write_report(&args.report_dir, &format!("{}-recovery", sc.name), &report);
             }
         }
     } else {
         for sc in &selected {
-            for &dispatch in &args.dispatches {
-                let r: ScenarioReport = conform_scenario(sc, dispatch, &cfg);
-                println!("{}", r.summary());
-                if !r.conforms() {
-                    failed = true;
-                    let report = r.report();
-                    eprint!("{report}");
-                    write_report(
-                        &args.report_dir,
-                        &format!("{}-{:?}", sc.name, dispatch),
-                        &report,
-                    );
-                }
+            let r = conform_scenario(sc, &cfg);
+            println!("{}", r.summary());
+            if !r.conforms() {
+                failed = true;
+                let report = r.report();
+                eprint!("{report}");
+                write_report(&args.report_dir, sc.name, &report);
             }
         }
     }

@@ -71,9 +71,9 @@ impl Divergence {
     }
 }
 
-/// Compares two bundles byte-for-byte under `scope`. Returns `None`
-/// when they are identical; otherwise the first divergent offset with
-/// hex context and a root-cause classification.
+/// Compares two bundles byte-for-byte. Returns `None` when they are
+/// identical; otherwise the first divergent offset with hex context
+/// and a root-cause classification. (`scope`: see [`Scope`].)
 pub fn compare(a: &Artifacts, b: &Artifacts, scope: Scope) -> Option<Divergence> {
     let ba = a.to_bytes(scope);
     let bb = b.to_bytes(scope);
@@ -81,7 +81,7 @@ pub fn compare(a: &Artifacts, b: &Artifacts, scope: Scope) -> Option<Divergence>
         return None;
     }
     let offset = first_diff(&ba, &bb);
-    let (category, detail) = classify(a, b, scope);
+    let (category, detail) = classify(a, b);
     Some(Divergence {
         category,
         detail,
@@ -139,20 +139,18 @@ fn brief(e: &str) -> String {
 }
 
 /// Root-cause classification, in diagnostic order.
-fn classify(a: &Artifacts, b: &Artifacts, scope: Scope) -> (DivergenceCategory, String) {
+fn classify(a: &Artifacts, b: &Artifacts) -> (DivergenceCategory, String) {
     // 1. Trace event streams: a syscall-level divergence explains
     //    everything downstream, so look there first.
-    if scope == Scope::Full {
-        if let Some(d) = classify_traces(a, b) {
-            return d;
-        }
+    if let Some(d) = classify_traces(a, b) {
+        return d;
     }
     // 2. Per-space memory.
     if let Some(d) = classify_spaces(a, b) {
         return d;
     }
     // 3. The deterministic stats vector, clocks, and exit status.
-    if let Some(d) = classify_stats(a, b, scope) {
+    if let Some(d) = classify_stats(a, b) {
         return d;
     }
     // 4. Device outputs and the input log.
@@ -289,11 +287,7 @@ fn classify_spaces(a: &Artifacts, b: &Artifacts) -> Option<(DivergenceCategory, 
     None
 }
 
-fn classify_stats(
-    a: &Artifacts,
-    b: &Artifacts,
-    scope: Scope,
-) -> Option<(DivergenceCategory, String)> {
+fn classify_stats(a: &Artifacts, b: &Artifacts) -> Option<(DivergenceCategory, String)> {
     if a.exit != b.exit {
         return Some((
             DivergenceCategory::StatDrift,
@@ -308,13 +302,7 @@ fn classify_stats(
     }
     // Field-by-field through the serialized form so the report names
     // the counter.
-    let (mut la, va) = crate::bundle::stat_lines(&a.stats);
-    let (mut lb, vb) = crate::bundle::stat_lines(&b.stats);
-    if scope == Scope::Full {
-        la.extend(va);
-        lb.extend(vb);
-    }
-    for ((ka, a_val), (_kb, b_val)) in la.iter().zip(lb.iter()) {
+    for ((ka, a_val), (_kb, b_val)) in a.stats.lines().iter().zip(b.stats.lines().iter()) {
         if a_val != b_val {
             return Some((
                 DivergenceCategory::StatDrift,

@@ -7,9 +7,7 @@ use std::sync::Arc;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::thread::JoinHandle;
 
-use det_kernel::{
-    Checkpoint, FaultPlan, Trace, TraceEvent, VmDispatch, latest_restorable_boundary,
-};
+use det_kernel::{Checkpoint, FaultPlan, Trace, TraceEvent, latest_restorable_boundary};
 
 use crate::bundle::{Artifacts, Scope};
 use crate::diff::{Divergence, compare};
@@ -54,8 +52,8 @@ impl Drop for ChaosLoad {
 /// Harness parameters.
 #[derive(Clone, Debug)]
 pub struct ConformConfig {
-    /// Replicas per scenario per dispatch mode (first is the
-    /// baseline). CI runs 3; nightly runs 10.
+    /// Replicas per scenario (first is the baseline). CI runs 3;
+    /// nightly runs 10.
     pub replicas: usize,
     /// Run background chaos load while replicas execute.
     pub chaos: bool,
@@ -75,12 +73,10 @@ impl Default for ConformConfig {
     }
 }
 
-/// The result of conforming one scenario under one dispatch mode.
+/// The result of conforming one scenario.
 pub struct ScenarioReport {
     /// Scenario name.
     pub scenario: &'static str,
-    /// Dispatch mode the replicas ran under.
-    pub dispatch: VmDispatch,
     /// Replicas executed (stops early on the first divergence).
     pub replicas_run: usize,
     /// The diverging replica index (baseline is replica 0) and the
@@ -97,14 +93,10 @@ impl ScenarioReport {
     /// One-line summary for logs.
     pub fn summary(&self) -> String {
         match &self.divergence {
-            None => format!(
-                "PASS {} [{:?}] x{}",
-                self.scenario, self.dispatch, self.replicas_run
-            ),
+            None => format!("PASS {} x{}", self.scenario, self.replicas_run),
             Some((r, d)) => format!(
-                "DIVERGED {} [{:?}] replica {} vs 0: {} at byte {}",
+                "DIVERGED {} replica {} vs 0: {} at byte {}",
                 self.scenario,
-                self.dispatch,
                 r,
                 d.category.name(),
                 d.offset
@@ -121,20 +113,15 @@ impl ScenarioReport {
     }
 }
 
-/// Runs `replicas` copies of a scenario under one dispatch mode and
-/// compares each bundle byte-for-byte against replica 0.
-pub fn conform_scenario(
-    sc: &Scenario,
-    dispatch: VmDispatch,
-    cfg: &ConformConfig,
-) -> ScenarioReport {
+/// Runs `replicas` copies of a scenario and compares each bundle
+/// byte-for-byte against replica 0.
+pub fn conform_scenario(sc: &Scenario, cfg: &ConformConfig) -> ScenarioReport {
     let _chaos = cfg.chaos.then(|| ChaosLoad::start(3));
     let run_cfg = ScenarioConfig {
-        dispatch,
-        trace: true,
         faults: cfg.faults.clone(),
+        ..ScenarioConfig::traced(())
     };
-    let collect = || Artifacts::collect(sc.name, dispatch, &(sc.run)(&run_cfg));
+    let collect = || Artifacts::collect(sc.name, (), &(sc.run)(&run_cfg));
     let baseline = collect();
     let mut replicas_run = 1;
     for r in 1..cfg.replicas.max(1) {
@@ -143,7 +130,6 @@ pub fn conform_scenario(
         if let Some(d) = compare(&baseline, &replica, Scope::Full) {
             return ScenarioReport {
                 scenario: sc.name,
-                dispatch,
                 replicas_run,
                 divergence: Some((r, d)),
             };
@@ -151,37 +137,17 @@ pub fn conform_scenario(
     }
     ScenarioReport {
         scenario: sc.name,
-        dispatch,
         replicas_run,
         divergence: None,
     }
 }
 
-/// Runs a scenario once under each dispatch mode and compares the
-/// bundles in [`Scope::CrossDispatch`] (vehicle counters and trace
-/// check-in boundaries excluded — everything else must match).
-pub fn cross_dispatch_check(sc: &Scenario) -> Option<Divergence> {
-    let run = |dispatch| {
-        Artifacts::collect(
-            sc.name,
-            dispatch,
-            &(sc.run)(&ScenarioConfig::traced(dispatch)),
-        )
-    };
-    let inline = run(VmDispatch::Inline);
-    let threaded = run(VmDispatch::Threaded);
-    compare(&inline, &threaded, Scope::CrossDispatch)
-}
-
-/// Conforms every registered scenario under both dispatch modes.
+/// Conforms every registered scenario.
 pub fn conform_all(cfg: &ConformConfig) -> Vec<ScenarioReport> {
-    let mut reports = Vec::new();
-    for sc in registry() {
-        for dispatch in [VmDispatch::Inline, VmDispatch::Threaded] {
-            reports.push(conform_scenario(&sc, dispatch, cfg));
-        }
-    }
-    reports
+    registry()
+        .iter()
+        .map(|sc| conform_scenario(sc, cfg))
+        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -193,8 +159,6 @@ pub fn conform_all(cfg: &ConformConfig) -> Vec<ScenarioReport> {
 pub struct RecoveryReport {
     /// Scenario name.
     pub scenario: &'static str,
-    /// Dispatch mode of both the oracle and the crashed run.
-    pub dispatch: VmDispatch,
     /// Root syscall ordinal the kernel was killed at.
     pub kill_at: u64,
     /// Trace-event boundary the recovery restored from.
@@ -218,8 +182,8 @@ impl RecoveryReport {
     /// One-line summary for logs.
     pub fn summary(&self) -> String {
         let tag = format!(
-            "{} [{:?}] kill@{} restore@{}/{}",
-            self.scenario, self.dispatch, self.kill_at, self.boundary, self.trace_len
+            "{} kill@{} restore@{}/{}",
+            self.scenario, self.kill_at, self.boundary, self.trace_len
         );
         match (&self.error, &self.divergence) {
             (Some(e), _) => format!("ERROR {tag}: {e}"),
@@ -284,8 +248,7 @@ fn root_syscall_event_index(trace: &Trace, nth: u64) -> usize {
     trace.events.len()
 }
 
-/// Runs the crash-recovery conformance check for one scenario under
-/// one dispatch mode:
+/// Runs the crash-recovery conformance check for one scenario:
 ///
 /// 1. an uninterrupted **oracle** run is recorded and bundled;
 /// 2. a second run is **killed** by an injected fault at root syscall
@@ -295,16 +258,10 @@ fn root_syscall_event_index(trace: &Trace, nth: u64) -> usize {
 ///    or before the kill point, round-tripped through its byte
 ///    encoding (digest verified), **restored**, and resumed over the
 ///    oracle trace's suffix;
-/// 4. the recovered bundle must be byte-identical ([`Scope::Full`])
-///    to the oracle's.
-pub fn crash_recovery_check(
-    sc: &Scenario,
-    dispatch: VmDispatch,
-    kill_at: Option<u64>,
-) -> RecoveryReport {
+/// 4. the recovered bundle must be byte-identical to the oracle's.
+pub fn crash_recovery_check(sc: &Scenario, kill_at: Option<u64>) -> RecoveryReport {
     let mut report = RecoveryReport {
         scenario: sc.name,
-        dispatch,
         kill_at: 0,
         boundary: 0,
         trace_len: 0,
@@ -316,8 +273,8 @@ pub fn crash_recovery_check(
     }
 
     // 1. Oracle.
-    let oracle = (sc.run)(&ScenarioConfig::traced(dispatch));
-    let baseline = Artifacts::collect(sc.name, dispatch, &oracle);
+    let oracle = (sc.run)(&ScenarioConfig::traced(()));
+    let baseline = Artifacts::collect(sc.name, (), &oracle);
     let Some(trace) = oracle.trace else {
         fail(&mut report, "scenario records no trace".to_string());
         return report;
@@ -333,9 +290,8 @@ pub fn crash_recovery_check(
     let kill = kill_at.unwrap_or(total / 2).min(total - 1);
     report.kill_at = kill;
     let crashed = (sc.run)(&ScenarioConfig {
-        dispatch,
-        trace: true,
         faults: FaultPlan::kill_at_syscall(kill),
+        ..ScenarioConfig::traced(())
     });
     if crashed.outcome.exit.is_ok() {
         fail(
@@ -389,22 +345,17 @@ pub fn crash_recovery_check(
     };
 
     // 4. Byte-identical bundle or a localized divergence.
-    let recovered = Artifacts::from_recovery(sc.name, dispatch, &out, &trace);
+    let recovered = Artifacts::from_recovery(sc.name, (), &out, &trace);
     report.divergence = compare(&baseline, &recovered, Scope::Full);
     report
 }
 
 /// Runs crash-recovery conformance for every traceable registered
-/// scenario under both dispatch modes.
+/// scenario.
 pub fn recover_all(kill_at: Option<u64>) -> Vec<RecoveryReport> {
-    let mut reports = Vec::new();
-    for sc in registry() {
-        if !sc.traceable {
-            continue;
-        }
-        for dispatch in [VmDispatch::Inline, VmDispatch::Threaded] {
-            reports.push(crash_recovery_check(&sc, dispatch, kill_at));
-        }
-    }
-    reports
+    registry()
+        .iter()
+        .filter(|sc| sc.traceable)
+        .map(|sc| crash_recovery_check(sc, kill_at))
+        .collect()
 }

@@ -2,8 +2,8 @@
 //! localization.
 //!
 //! Determinator's promise is that a computation's observable outcome
-//! is a pure function of its inputs — independent of host scheduling,
-//! core count, and execution-vehicle policy. This crate *enforces*
+//! is a pure function of its inputs — independent of host scheduling
+//! and core count. This crate *enforces*
 //! that promise mechanically:
 //!
 //! 1. every example and workload is registered as a library-callable
@@ -34,6 +34,6 @@ pub use bundle::{Artifacts, Scope};
 pub use diff::{Divergence, DivergenceCategory, compare, first_diff, hex_context};
 pub use harness::{
     ChaosLoad, ConformConfig, RecoveryReport, ScenarioReport, conform_all, conform_scenario,
-    crash_recovery_check, cross_dispatch_check, recover_all, root_syscalls,
+    crash_recovery_check, recover_all, root_syscalls,
 };
 pub use scenario::{Scenario, ScenarioConfig, ScenarioRun, find, registry};

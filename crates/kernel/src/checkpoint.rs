@@ -54,7 +54,7 @@ use crate::state::{KSlot, KState, SpaceState};
 use crate::trace::{ReplayOutcome, Trace, TraceMeta, outcome_of};
 
 /// The checkpoint bundle format this build writes and reads.
-pub const CHECKPOINT_FORMAT_VERSION: u32 = 3;
+pub const CHECKPOINT_FORMAT_VERSION: u32 = 4;
 
 const MAGIC: &str = "detckpt";
 
@@ -129,8 +129,8 @@ impl Checkpoint {
     /// The canonical byte encoding: one ASCII header line
     /// (`detckpt <version> <digest>`), then the JSON payload.
     ///
-    /// Byte-stable: two captures of the same trace prefix — in either
-    /// VM dispatch mode — produce identical bytes.
+    /// Byte-stable: two captures of the same trace prefix produce
+    /// identical bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
         format!(
             "{MAGIC} {} {:016x}\n{}",
@@ -254,7 +254,6 @@ impl RestoredKernel {
         TraceMeta {
             costs: self.ks.costs,
             policy: self.ks.policy,
-            vm_dispatch: self.ks.vm_dispatch,
         }
     }
 
@@ -350,7 +349,7 @@ impl Checkpointer {
     /// before the first event.
     pub fn new(meta: &TraceMeta) -> Checkpointer {
         Checkpointer {
-            ks: KState::new(meta.costs, meta.policy, meta.vm_dispatch),
+            ks: KState::new(meta.costs, meta.policy),
             fed: 0,
             captures: 0,
             parent: None,
@@ -590,7 +589,6 @@ mod tests {
             meta: TraceMeta {
                 costs: crate::CostModel::default(),
                 policy: det_memory::ConflictPolicy::Strict,
-                vm_dispatch: crate::VmDispatch::Inline,
             },
             events: Vec::new(),
         };
@@ -612,13 +610,12 @@ mod tests {
             meta: TraceMeta {
                 costs: crate::CostModel::zero(),
                 policy: det_memory::ConflictPolicy::Strict,
-                vm_dispatch: crate::VmDispatch::Inline,
             },
             events: Vec::new(),
         };
         let bytes = Checkpoint::capture(&trace, 0).unwrap().to_bytes();
         let text = String::from_utf8(bytes).unwrap();
-        // The previous format (no `pages_adopted` in the merge totals).
+        // The previous format (the kernel state still named a VM vehicle).
         let (current, previous) = (CHECKPOINT_FORMAT_VERSION, CHECKPOINT_FORMAT_VERSION - 1);
         let stale = text.replacen(
             &format!("detckpt {current} "),
@@ -702,7 +699,6 @@ mod tests {
             meta: TraceMeta {
                 costs: crate::CostModel::zero(),
                 policy: det_memory::ConflictPolicy::Strict,
-                vm_dispatch: crate::VmDispatch::Inline,
             },
             // 0: snap-put, 1: plain get, 2: merge-get, 3: plain put.
             events: vec![put(true), get(false), get(true), put(false)],

@@ -32,8 +32,8 @@ pub struct CostModel {
     /// Cost a space pays to park at a rendezvous (`Ret`, a trap, or a
     /// limit preemption): checking its state in and handing control to
     /// the waiting side. Charged once per resumable check-in,
-    /// regardless of how the host dispatches the space (threaded or
-    /// inline), so virtual time is execution-vehicle-invariant.
+    /// whichever host thread ran the space (its own, or its waiter's),
+    /// so virtual time is execution-vehicle-invariant.
     pub rendezvous_ps: u64,
     /// Per-page cost of copy-on-write mapping (zero-fill, the boundary
     /// pages a virtual copy walks individually, and every page a merge
@@ -73,7 +73,7 @@ pub struct CostModel {
     /// `analyze_step_ps × steps` when a program asks for a footprint
     /// (the prefetch-hint path), where `steps` is the analyzer's
     /// deterministic transfer count — so the hint's cost, like
-    /// everything else, is dispatch-invariant virtual time.
+    /// everything else, is host-invariant virtual time.
     pub analyze_step_ps: u64,
     /// Per-dirty-leaf cost of a checkpoint mark: persisting one
     /// page-table leaf's worth of dirty-delta state. The `Checkpoint`

@@ -509,7 +509,7 @@ impl SpaceCtx {
                 // A tree copy walks other slots; release this child's lock
                 // so slot locks are only ever taken one at a time.
                 drop(g);
-                if let Err(e) = clone_into(&self.shared, &src_cell, cell, tree_ids) {
+                if let Err(e) = clone_into(&self.shared, src_id, &src_cell, cell, tree_ids) {
                     break 'opts Err(e);
                 }
                 g = cell.m.lock();
@@ -931,7 +931,7 @@ impl SpaceCtx {
     ///
     /// The mark carries no payload: the checkpoint *bundle* is captured
     /// from the recorded trace (see [`crate::Checkpoint`]), which keeps
-    /// the bundle byte-stable across dispatch modes. Returns the
+    /// the bundle a pure function of the event history. Returns the
     /// dirty-leaf count the charge was based on.
     pub fn checkpoint(&mut self) -> Result<u64> {
         if self.id != SpaceId::ROOT {
@@ -968,7 +968,7 @@ impl SpaceCtx {
     /// `advance_ps` like any other compute charge. The cost is the
     /// syscall constant plus `analyze_step_ps` per abstract transfer
     /// step — the analyzer's own deterministic work measure — so
-    /// asking for a prefetch hint has a dispatch-invariant price.
+    /// asking for a prefetch hint has a host-invariant price.
     pub fn analyze_footprint(&mut self, base: u64, len: u64) -> Result<det_analyze::Footprint> {
         let regs = det_vm::Regs {
             pc: base,
@@ -1018,20 +1018,24 @@ impl SpaceCtx {
 }
 
 /// Deep-copies the state of `src` (and recursively its descendants)
-/// into `dst` — the `Tree` option. Slot locks are taken one at a time
-/// (clone the image out of the source, then install it), so the walk
-/// can never deadlock against concurrent rendezvous; the children
+/// into `dst` — the `Tree` option. Every source slot is a rendezvous
+/// like any other (§3.2): the walk waits for it to stop, driving a
+/// runnable VM leaf to its stop, so what is copied never depends on
+/// how far a vehicle happened to get. Slot locks are taken one at a
+/// time (clone the image out of the source, then install it), so the
+/// walk can never deadlock against concurrent rendezvous; the children
 /// maps carry each child's cell, so the walk never touches the global
 /// space table except to append fresh slots.
 fn clone_into(
     shared: &Arc<Shared>,
+    src_id: SpaceId,
     src: &SlotCell,
     dst: &Arc<SlotCell>,
     new_ids: &mut Vec<u32>,
 ) -> Result<()> {
     let (img, kids) = {
-        let g = src.m.lock();
-        let st = g.state.as_ref().ok_or(KernelError::ChildActive)?;
+        let (g, _) = shared.wait_idle(src, src_id, src.m.lock())?;
+        let st = g.state.as_ref().expect("idle slot has state");
         (st.clone_image(), g.children.clone())
     };
     {
@@ -1042,17 +1046,14 @@ fn clone_into(
         g.state = Some(Box::new(img));
         g.run = RunState::Idle(StopReason::Unstarted);
     }
-    for (num, (_, kid_src)) in kids {
+    for (num, (kid_src_id, kid_src)) in kids {
         // Create a matching child under dst and recurse. The created
         // ids are recorded in pre-order — even on an error part-way —
         // so trace replay can mint the identical tree.
-        let node = kid_src
-            .m
-            .lock()
-            .state
-            .as_ref()
-            .map(|s| s.home_node)
-            .unwrap_or(0);
+        let node = {
+            let (g, _) = shared.wait_idle(&kid_src, kid_src_id, kid_src.m.lock())?;
+            g.state.as_ref().expect("idle slot has state").home_node
+        };
         let path = {
             let mut g = dst.m.lock();
             let parent = g.path.clone();
@@ -1064,7 +1065,7 @@ fn clone_into(
             .lock()
             .children
             .insert(num, (kid_id, Arc::clone(&kid_dst)));
-        clone_into(shared, &kid_src, &kid_dst, new_ids)?;
+        clone_into(shared, kid_src_id, &kid_src, &kid_dst, new_ids)?;
     }
     Ok(())
 }

@@ -38,42 +38,27 @@ pub(crate) enum RunState {
     Destroyed,
 }
 
-/// How the kernel executes `Program::Vm` spaces.
-///
-/// VM spaces are always *leaves* of the space hierarchy (the VM ISA
-/// has no `Put`/`Get` surface), so their execution can be deferred to
-/// the one thread that will wait on them.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
-pub enum VmDispatch {
-    /// Execute a VM space inline on the thread that waits for it.
-    /// A rendezvous then costs zero host context switches — the
-    /// default, and by far the fastest option on few-core hosts.
-    ///
-    /// Virtual time is unaffected: each space's clock is a pure
-    /// function of its own work, and rendezvous still takes the max.
-    ///
-    /// Execution is lazy: a started child that *nobody ever waits on*
-    /// performs no work before shutdown. Its effects were
-    /// unobservable anyway — only a rendezvous can publish a child's
-    /// state — and how far such an abandoned child gets under
-    /// [`VmDispatch::Threaded`] was always host-timing-dependent;
-    /// only its host-side observability counters differ.
-    #[default]
-    Inline,
-    /// Give every VM space its own host thread (real wall-clock
-    /// parallelism for VM workloads on multicore hosts, at a
-    /// park/wake context-switch cost per rendezvous).
-    Threaded,
-}
-
 /// What kind of program a slot executes — the pure-data shadow of
 /// [`crate::Program`], which (for native programs) carries a host
 /// closure the core cannot hold.
+///
+/// The kind is also the whole vehicle policy (DESIGN.md §6): which host
+/// thread runs a space is unobservable — a child's effects exist for
+/// its parent only at a rendezvous — so it is fixed per kind, not
+/// configured.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
 pub enum ProgramKind {
-    /// A host closure driven through [`crate::SpaceCtx`].
+    /// A host closure driven through [`crate::SpaceCtx`], on a host
+    /// thread of its own.
     Native,
     /// A deterministic VM program executing from the space's memory.
+    ///
+    /// A VM space is always a *leaf* (the VM ISA has no `Put`/`Get`
+    /// surface), so the one thread that waits for it interprets it: a
+    /// rendezvous costs zero host context switches. Execution is lazy —
+    /// a started child that nobody ever waits on retires no
+    /// instruction, which is what keeps `vm_instructions` a pure
+    /// function of the event history.
     Vm,
 }
 
@@ -222,7 +207,6 @@ pub(crate) const ROOT_PATH: &str = "/";
 pub(crate) struct KState {
     pub costs: CostModel,
     pub policy: ConflictPolicy,
-    pub vm_dispatch: VmDispatch,
     #[serde(skip)]
     pub slots: BTreeMap<u32, KSlot>,
     pub stats: KernelStats,
@@ -235,7 +219,7 @@ pub(crate) struct KState {
 }
 
 impl KState {
-    pub(crate) fn new(costs: CostModel, policy: ConflictPolicy, vm_dispatch: VmDispatch) -> KState {
+    pub(crate) fn new(costs: CostModel, policy: ConflictPolicy) -> KState {
         let mut slots = BTreeMap::new();
         let mut root = KSlot::new(0, ROOT_PATH.to_string());
         root.run = RunState::Running;
@@ -243,7 +227,6 @@ impl KState {
         KState {
             costs,
             policy,
-            vm_dispatch,
             slots,
             stats: KernelStats::default(),
             outputs: BTreeMap::new(),

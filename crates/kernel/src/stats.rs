@@ -1,7 +1,7 @@
 //! Kernel operation counters.
 
 use det_memory::MergeStats;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 /// Counts of kernel operations over a run.
 ///
@@ -107,6 +107,30 @@ impl KernelStats {
     pub fn record_merge(&mut self, s: &MergeStats) {
         self.merges += 1;
         self.merge_totals.0.accumulate(s);
+    }
+
+    /// Every counter as a `(key, value)` text pair, in field
+    /// declaration order; a nested record (the merge totals)
+    /// contributes one `outer.inner` pair per counter. This is the one
+    /// rendering the conformance and cluster bundles serialize and the
+    /// divergence classifier names a drifted counter by.
+    pub fn lines(&self) -> Vec<(String, String)> {
+        let render = |v: Value| serde_json::to_string(&v).expect("stat renders");
+        let Value::Object(fields) = self.to_value() else {
+            unreachable!("a derived struct maps to an object");
+        };
+        let mut lines = Vec::new();
+        for (k, v) in fields {
+            match v {
+                Value::Object(inner) => lines.extend(
+                    inner
+                        .into_iter()
+                        .map(|(ik, iv)| (format!("{k}.{ik}"), render(iv))),
+                ),
+                v => lines.push((k, render(v))),
+            }
+        }
+        lines
     }
 }
 

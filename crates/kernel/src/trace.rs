@@ -28,7 +28,7 @@ use crate::apply::{TraceEvent, apply};
 use crate::cost::{CostModel, ps_to_ns};
 use crate::device::DeviceId;
 use crate::error::{KernelError, Result, TrapKind};
-use crate::state::{KState, RunState, SpaceState, VmDispatch};
+use crate::state::{KState, RunState, SpaceState};
 use crate::stats::KernelStats;
 
 /// Shared event collector the shell records into.
@@ -94,8 +94,6 @@ pub struct TraceMeta {
     pub costs: CostModel,
     /// Default merge conflict policy.
     pub policy: ConflictPolicy,
-    /// VM dispatch mode (affects vehicle-observability counters).
-    pub vm_dispatch: VmDispatch,
 }
 
 /// A recorded run: parameters plus the full event sequence.
@@ -208,7 +206,7 @@ impl Trace {
     /// or forged); errors the recorded programs observed live are part
     /// of history and replay silently.
     pub fn replay(&self) -> Result<ReplayOutcome> {
-        let mut ks = KState::new(self.meta.costs, self.meta.policy, self.meta.vm_dispatch);
+        let mut ks = KState::new(self.meta.costs, self.meta.policy);
         for ev in &self.events {
             apply(&mut ks, ev)?;
         }
@@ -225,7 +223,7 @@ impl Trace {
     /// exit status. Structural divergence still fails — a crash
     /// truncates a trace, it never corrupts it.
     pub fn replay_prefix(&self) -> Result<ReplayOutcome> {
-        let mut ks = KState::new(self.meta.costs, self.meta.policy, self.meta.vm_dispatch);
+        let mut ks = KState::new(self.meta.costs, self.meta.policy);
         for ev in &self.events {
             apply(&mut ks, ev)?;
         }
@@ -278,7 +276,7 @@ pub(crate) fn outcome_of(ks: KState, require_exit: bool) -> Result<ReplayOutcome
 /// The trace text format this build writes and reads: the derived
 /// encodings of [`TraceMeta`] and [`TraceEvent`] (each type's mapping
 /// lives with its definition). Bump it when any of them changes shape.
-const TRACE_FORMAT_VERSION: u32 = 2;
+const TRACE_FORMAT_VERSION: u32 = 3;
 
 // Written by hand for the version gate: a trace from another format
 // must fail here, before any event is interpreted.
@@ -515,7 +513,6 @@ mod tests {
             meta: TraceMeta {
                 costs: CostModel::default(),
                 policy: ConflictPolicy::BenignSameValue,
-                vm_dispatch: VmDispatch::Threaded,
             },
             events,
         }
@@ -533,7 +530,6 @@ mod tests {
         ] {
             roundtrip(&policy);
         }
-        roundtrip(&[VmDispatch::Inline, VmDispatch::Threaded]);
         roundtrip(&[
             DeviceId::ConsoleIn,
             DeviceId::ConsoleOut,
@@ -617,7 +613,9 @@ mod tests {
         let current = format!("{{\"version\":{TRACE_FORMAT_VERSION},");
         assert!(json.starts_with(&current));
         assert!(Trace::from_json(&json).is_ok());
-        let stale = json.replacen(&current, "{\"version\":0,", 1);
+        // The previous format (its `meta` still named a VM vehicle).
+        let previous = format!("{{\"version\":{},", TRACE_FORMAT_VERSION - 1);
+        let stale = json.replacen(&current, &previous, 1);
         assert!(Trace::from_json(&stale).is_err());
         let unversioned = json.replacen(&current, "{", 1);
         assert!(Trace::from_json(&unversioned).is_err());
@@ -629,7 +627,6 @@ mod tests {
             meta: TraceMeta {
                 costs: CostModel::zero(),
                 policy: ConflictPolicy::Strict,
-                vm_dispatch: VmDispatch::Inline,
             },
             events: Vec::new(),
         };

@@ -11,8 +11,8 @@
 
 use det_kernel::{
     Checkpoint, Checkpointer, CopySpec, CostModel, DeviceId, GetSpec, Kernel, KernelConfig,
-    Program, PutSpec, Region, RunOutcome, StopReason, Trace, TraceSink, VmDispatch,
-    latest_restorable_boundary, restore_chain,
+    Program, PutSpec, Region, RunOutcome, StopReason, Trace, TraceSink, latest_restorable_boundary,
+    restore_chain,
 };
 use det_memory::Perm;
 use proptest::prelude::*;
@@ -203,14 +203,12 @@ proptest! {
 /// Locks the checkpoint cost law into virtual time: a root checkpoint
 /// advances the clock by exactly `syscall_ps + checkpoint_leaf_ps ×
 /// dirty-leaves` — proportional to the *dirty* set, not the address
-/// space — and identically under both dispatch modes, so checkpoints
-/// never perturb cross-dispatch conformance.
+/// space.
 #[test]
-fn checkpoint_cost_is_per_dirty_leaf_and_dispatch_invariant() {
-    fn run(pages: u64, dispatch: VmDispatch, ckpt: bool) -> (RunOutcome, u64) {
+fn checkpoint_cost_is_per_dirty_leaf() {
+    fn run(pages: u64, ckpt: bool) -> (RunOutcome, u64) {
         let cfg = KernelConfig::builder()
             .costs(CostModel::calibrated())
-            .vm_dispatch(dispatch)
             .build();
         let mut leaves = 0;
         let out = Kernel::new(cfg).run(|ctx| {
@@ -231,8 +229,8 @@ fn checkpoint_cost_is_per_dirty_leaf_and_dispatch_invariant() {
     let costs = CostModel::calibrated();
     let mut prev_leaves = 0;
     for pages in [1u64, 8, 32] {
-        let (base, _) = run(pages, VmDispatch::Inline, false);
-        let (with, leaves) = run(pages, VmDispatch::Inline, true);
+        let (base, _) = run(pages, false);
+        let (with, leaves) = run(pages, true);
         assert!(leaves > 0, "checkpoint saw dirty leaves");
         assert!(
             leaves >= prev_leaves,
@@ -249,10 +247,5 @@ fn checkpoint_cost_is_per_dirty_leaf_and_dispatch_invariant() {
             charge_ps / 1000,
             "checkpoint must charge per dirty leaf ({pages} pages, {leaves} leaves)"
         );
-        // Dispatch invariance: the same run under threaded dispatch
-        // lands on the identical virtual clock and leaf count.
-        let (threaded, t_leaves) = run(pages, VmDispatch::Threaded, true);
-        assert_eq!(t_leaves, leaves);
-        assert_eq!(threaded.vclock_ns, with.vclock_ns);
     }
 }

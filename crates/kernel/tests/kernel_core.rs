@@ -3,7 +3,6 @@
 use det_kernel::{
     ConflictPolicy, CopySpec, DeviceId, GetSpec, IoMode, Kernel, KernelConfig, KernelError,
     MemError, Perm, Program, PutSpec, Region, Regs, RunOutcome, SpaceCtx, StopReason, TrapKind,
-    VmDispatch,
 };
 
 fn kernel() -> Kernel {
@@ -705,6 +704,41 @@ fn tree_copy_clones_child_subtree() {
     assert_eq!(out.stats.spaces_created, 4);
 }
 
+/// `Tree` rendezvouses with its source like any other kernel call
+/// (§3.2): issued while the source's vehicle still holds its state, it
+/// waits for the stop instead of failing with a host-timing-dependent
+/// `ChildActive`.
+#[test]
+fn tree_copy_waits_for_a_running_source() {
+    let out = with_watchdog(|| {
+        kernel().run(|ctx| {
+            setup_root(ctx)?;
+            ctx.put(
+                0,
+                PutSpec::new()
+                    .program(Program::native(|c| {
+                        std::thread::sleep(std::time::Duration::from_millis(30));
+                        c.mem_mut().write_u64(0x1100, 77)?;
+                        Ok(0)
+                    }))
+                    .copy(CopySpec::mirror(R))
+                    .start(),
+            )?;
+            ctx.put(1, PutSpec::new().tree_from(0))?;
+            ctx.get(
+                1,
+                GetSpec::new().copy(CopySpec {
+                    src: Region::new(0x1000, 0x2000),
+                    dst: 0x9000,
+                }),
+            )?;
+            assert_eq!(ctx.mem().read_u64(0x9100)?, 77);
+            Ok(0)
+        })
+    });
+    assert_eq!(out.exit, Ok(0));
+}
+
 #[test]
 fn device_access_is_root_only() {
     let out = kernel().run(|ctx| {
@@ -1007,54 +1041,48 @@ fn resume_after_terminal_native_trap_fails_cleanly() {
     assert_eq!(out.exit, Ok(0));
 }
 
-/// Shutdown must join draining vehicles *before* collecting counters:
-/// a threaded VM child left unjoined at root exit still retires its
-/// whole program, and the outcome must include every instruction —
-/// exactly as many as a fully joined run retires.
+/// A started VM child that root never joins retires nothing, however
+/// long the host lets the run live: a VM leaf executes only on the
+/// thread that waits for it, so `vm_instructions` — a compared counter
+/// — cannot leak host time. (On a thread of its own the same child
+/// retired a host-timing-dependent number of instructions before
+/// shutdown.)
 #[test]
-fn shutdown_collects_draining_thread_counters() {
+fn abandoned_vm_child_retires_nothing() {
     let image = det_vm::assemble(
         "
-        ldi r2, 0
-        li  r6, 500
     loop:
         addi r2, r2, 1
-        blt r2, r6, loop
-        halt
+        beq r0, r0, loop
         ",
     )
     .unwrap();
-    let run = |join: bool| {
+    let run = |host_sleep_ms: u64| {
         let image = image.clone();
-        Kernel::new(
-            KernelConfig::builder()
-                .vm_dispatch(VmDispatch::Threaded)
-                .build(),
-        )
-        .run(move |ctx| {
-            ctx.mem_mut().map_zero(Region::new(0, 0x1000), Perm::RW)?;
-            ctx.mem_mut().write(0, &image.bytes)?;
-            ctx.put(
-                0,
-                PutSpec::new()
-                    .program(Program::Vm)
-                    .copy(CopySpec::mirror(Region::new(0, 0x1000)))
-                    .regs(Regs::at_entry(0))
-                    .start(),
-            )?;
-            if join {
-                ctx.get(0, GetSpec::new())?;
-            }
-            Ok(0)
+        with_watchdog(move || {
+            kernel().run(move |ctx| {
+                ctx.mem_mut().map_zero(Region::new(0, 0x1000), Perm::RW)?;
+                ctx.mem_mut().write(0, &image.bytes)?;
+                ctx.put(
+                    0,
+                    PutSpec::new()
+                        .program(Program::Vm)
+                        .copy(CopySpec::mirror(Region::new(0, 0x1000)))
+                        .regs(Regs::at_entry(0))
+                        .start(),
+                )?;
+                std::thread::sleep(std::time::Duration::from_millis(host_sleep_ms));
+                Ok(0)
+            })
         })
     };
-    let joined = run(true);
-    let drained = run(false);
-    assert!(joined.stats.vm_instructions > 500);
-    assert_eq!(
-        drained.stats.vm_instructions, joined.stats.vm_instructions,
-        "draining thread's retired instructions were dropped from the outcome"
-    );
+    for host_sleep_ms in [0, 30] {
+        let out = run(host_sleep_ms);
+        assert_eq!(out.exit, Ok(0));
+        assert_eq!(out.stats.vm_instructions, 0, "after {host_sleep_ms} ms");
+        assert_eq!(out.stats.vm_inline_runs, 0);
+        assert_eq!(out.stats.threads_spawned, 0);
+    }
 }
 
 /// The targeted-wakeup lock-in: every park/resume/final check-in
@@ -1118,7 +1146,7 @@ fn targeted_wakeups_exact_and_independent_of_parked_population() {
     }
 }
 
-/// Inline VM dispatch: a leaf VM space is executed by the waiting
+/// The inline VM drive: a leaf VM space is executed by the waiting
 /// parent, so its rendezvous issues no condvar traffic and spawns no
 /// vehicle at all.
 #[test]
@@ -1164,11 +1192,10 @@ fn vm_inline_rendezvous_issues_no_wakeups() {
 }
 
 /// Installing a program over a child parked at a *resumable* trap is
-/// `ChildActive` under every dispatch mode alike — the live program
-/// (a parked thread, or an inline VM state) must not be replaced out
-/// from under a possible resume.
+/// `ChildActive` — the live program must not be replaced out from
+/// under a possible resume.
 #[test]
-fn program_replacement_over_resumable_trap_is_child_active_in_both_modes() {
+fn program_replacement_over_resumable_trap_is_child_active() {
     let image = det_vm::assemble(
         "
         ldi r1, 1
@@ -1178,35 +1205,31 @@ fn program_replacement_over_resumable_trap_is_child_active_in_both_modes() {
         ",
     )
     .unwrap();
-    for dispatch in [VmDispatch::Inline, VmDispatch::Threaded] {
-        let image = image.clone();
-        let out =
-            Kernel::new(KernelConfig::builder().vm_dispatch(dispatch).build()).run(move |ctx| {
-                ctx.mem_mut().map_zero(Region::new(0, 0x1000), Perm::RW)?;
-                ctx.mem_mut().write(0, &image.bytes)?;
-                ctx.put(
-                    0,
-                    PutSpec::new()
-                        .program(Program::Vm)
-                        .copy(CopySpec::mirror(Region::new(0, 0x1000)))
-                        .regs(Regs::at_entry(0))
-                        .start(),
-                )?;
-                let r = ctx.get(0, GetSpec::new())?;
-                assert_eq!(r.stop, StopReason::Trap(TrapKind::DivideByZero));
-                match ctx.put(0, PutSpec::new().program(Program::Vm)) {
-                    Err(KernelError::ChildActive) => Ok(0),
-                    other => panic!("expected ChildActive under {dispatch:?}, got {other:?}"),
-                }
-            });
-        assert_eq!(out.exit, Ok(0), "{dispatch:?}");
-    }
+    let out = kernel().run(move |ctx| {
+        ctx.mem_mut().map_zero(Region::new(0, 0x1000), Perm::RW)?;
+        ctx.mem_mut().write(0, &image.bytes)?;
+        ctx.put(
+            0,
+            PutSpec::new()
+                .program(Program::Vm)
+                .copy(CopySpec::mirror(Region::new(0, 0x1000)))
+                .regs(Regs::at_entry(0))
+                .start(),
+        )?;
+        let r = ctx.get(0, GetSpec::new())?;
+        assert_eq!(r.stop, StopReason::Trap(TrapKind::DivideByZero));
+        match ctx.put(0, PutSpec::new().program(Program::Vm)) {
+            Err(KernelError::ChildActive) => Ok(0),
+            other => panic!("expected ChildActive, got {other:?}"),
+        }
+    });
+    assert_eq!(out.exit, Ok(0));
 }
 
-/// Inline and threaded VM dispatch are observationally identical:
-/// same results, same deterministic counters, same virtual time.
+/// A VM child's stores reach its parent at each rendezvous, one `Ret`
+/// at a time: the parent's copy-out sees 1, 2, … 5, then the halt.
 #[test]
-fn vm_dispatch_modes_agree() {
+fn vm_ret_loop_publishes_each_store_at_its_rendezvous() {
     let image = det_vm::assemble(
         "
         ldi r1, 0
@@ -1221,46 +1244,39 @@ fn vm_dispatch_modes_agree() {
         ",
     )
     .unwrap();
-    let run = |dispatch: VmDispatch| {
-        let image = image.clone();
-        let out =
-            Kernel::new(KernelConfig::builder().vm_dispatch(dispatch).build()).run(move |ctx| {
-                ctx.mem_mut().map_zero(Region::new(0, 0x3000), Perm::RW)?;
-                ctx.mem_mut().write(0, &image.bytes)?;
-                ctx.put(
-                    0,
-                    PutSpec::new()
-                        .program(Program::Vm)
-                        .copy(CopySpec::mirror(Region::new(0, 0x3000)))
-                        .regs(Regs::at_entry(0))
-                        .start(),
-                )?;
-                loop {
-                    let r = ctx.get(
-                        0,
-                        GetSpec::new().copy(CopySpec {
-                            src: Region::new(0x2000, 0x3000),
-                            dst: 0x8000,
-                        }),
-                    )?;
-                    match r.stop {
-                        StopReason::Ret => ctx.put(0, PutSpec::new().start())?,
-                        StopReason::Halted => break,
-                        other => panic!("unexpected stop {other:?}"),
-                    };
-                }
-                Ok(ctx.mem().content_digest().value() as i32)
-            });
-        (
-            out.exit,
-            out.vclock_ns,
-            out.stats.vm_instructions,
-            out.stats.rets,
-            out.stats.puts,
-            out.stats.gets,
-        )
-    };
-    assert_eq!(run(VmDispatch::Inline), run(VmDispatch::Threaded));
+    let out = kernel().run(move |ctx| {
+        ctx.mem_mut().map_zero(Region::new(0, 0x3000), Perm::RW)?;
+        ctx.mem_mut().write(0, &image.bytes)?;
+        ctx.put(
+            0,
+            PutSpec::new()
+                .program(Program::Vm)
+                .copy(CopySpec::mirror(Region::new(0, 0x3000)))
+                .regs(Regs::at_entry(0))
+                .start(),
+        )?;
+        let mut seen = Vec::new();
+        loop {
+            let r = ctx.get(
+                0,
+                GetSpec::new().copy(CopySpec {
+                    src: Region::new(0x2000, 0x3000),
+                    dst: 0x8000,
+                }),
+            )?;
+            seen.push(ctx.mem().read_u64(0x8000)?);
+            match r.stop {
+                StopReason::Ret => ctx.put(0, PutSpec::new().start())?,
+                StopReason::Halted => break,
+                other => panic!("unexpected stop {other:?}"),
+            };
+        }
+        assert_eq!(seen, [1, 2, 3, 4, 5, 5]);
+        Ok(0)
+    });
+    assert_eq!(out.exit, Ok(0));
+    assert_eq!((out.stats.rets, out.stats.puts, out.stats.gets), (5, 6, 6));
+    assert_eq!(out.stats.vm_inline_runs, 6);
 }
 
 /// The fused `PutGet` exchange: applies the Put at the current stop,

@@ -8,8 +8,8 @@
 //! bit-identity guarantee.
 
 use det_kernel::{
-    CopySpec, DeviceId, GetSpec, Kernel, KernelConfig, KernelError, Program, PutSpec, Region,
-    RunOutcome, StopReason, Trace, TraceSink, VmDispatch,
+    ConflictPolicy, CopySpec, DeviceId, GetSpec, Kernel, KernelConfig, KernelError, Program,
+    PutSpec, Region, RunOutcome, StopReason, Trace, TraceSink,
 };
 use det_memory::Perm;
 use det_vm::Regs;
@@ -97,8 +97,8 @@ fn put_get_storm_replays_bit_identically() {
     assert_replay_matches(&out, &sink);
 }
 
-/// VM children under the default inline dispatch: the replay
-/// reproduces exact instruction counts, VM cache counters, and
+/// VM children, interpreted by the thread that waits for them: the
+/// replay reproduces exact instruction counts, VM cache counters, and
 /// vclock charges without interpreting a single instruction.
 #[test]
 fn inline_vm_children_replay_bit_identically() {
@@ -150,49 +150,69 @@ fn inline_vm_children_replay_bit_identically() {
     });
     assert!(out.exit.is_ok());
     assert!(out.stats.vm_instructions > 0, "VM children really ran");
-    assert!(out.stats.vm_inline_runs > 0, "inline dispatch exercised");
+    assert!(out.stats.vm_inline_runs > 0, "the waiter drove them");
     assert_replay_matches(&out, &sink);
 }
 
-/// Threaded VM dispatch records and replays too — and its replayed
-/// stats keep the vehicle-observability counters (threads spawned, no
-/// inline runs) that distinguish it from inline mode.
+/// Limit-preempted VM children — the `tests/vm_quanta_contract.rs`
+/// scenario: four corpus kernels, 20 quanta of 2 µs each, resumed
+/// through the fused `put_get` — replay with zero vehicles. The golden
+/// there pins what the inline check-in counts (`limit_preemptions`,
+/// the VM counters, the park charge); this is the second, independent
+/// detector of the same accounting.
 #[test]
-fn threaded_vm_children_replay_bit_identically() {
-    let image = det_vm::assemble(
-        "
-        ldi r1, 7
-        li  r5, 0x2000
-        std r1, [r5+0]
-        halt
-        ",
-    )
-    .unwrap();
+fn limit_preempted_vm_children_replay_bit_identically() {
+    const SANDBOX: Region = Region {
+        start: 0,
+        end: 0x10000,
+    };
+    const QUANTUM_NS: u64 = 2_000;
+    const QUANTA: u64 = 20;
+    let images: Vec<_> = [
+        det_vm::corpus::FFT_KERNEL,
+        det_vm::corpus::MATMULT_KERNEL,
+        det_vm::corpus::MD5_KERNEL,
+        det_vm::corpus::QSORT_KERNEL,
+    ]
+    .into_iter()
+    .map(|src| det_vm::assemble(src).expect("corpus kernel assembles"))
+    .collect();
+    let children = images.len() as u64;
     let sink = TraceSink::new();
-    let cfg = KernelConfig::builder()
-        .vm_dispatch(VmDispatch::Threaded)
-        .trace(sink.clone())
-        .build();
-    let out = Kernel::new(cfg).run(move |ctx| {
-        ctx.mem_mut().map_zero(Region::new(0, 0x3000), Perm::RW)?;
-        ctx.mem_mut().write(0, &image.bytes)?;
-        ctx.put(
-            0,
-            PutSpec::new()
-                .program(Program::Vm)
-                .copy(CopySpec::mirror(Region::new(0, 0x3000)))
-                .regs(Regs::at_entry(0))
-                .snap()
-                .start(),
-        )?;
-        let r = ctx.get(0, GetSpec::new().merge(Region::new(0x2000, 0x3000)))?;
-        assert_eq!(r.stop, StopReason::Halted);
-        assert_eq!(ctx.mem().read_u64(0x2000)?, 7);
+    let out = Kernel::new(KernelConfig::builder().trace(sink.clone()).build()).run(move |ctx| {
+        ctx.mem_mut().map_zero(SANDBOX, Perm::RW)?;
+        for (k, image) in images.iter().enumerate() {
+            ctx.mem_mut().write(0, &image.bytes)?;
+            ctx.put(
+                k as u64,
+                PutSpec::new()
+                    .program(Program::Vm)
+                    .regs(Regs::at_entry(0))
+                    .copy(CopySpec::mirror(SANDBOX))
+                    .snap()
+                    .start_limited(QUANTUM_NS),
+            )?;
+        }
+        for _ in 1..QUANTA {
+            for k in 0..children {
+                let r = ctx.put_get(k, PutSpec::new().start_limited(QUANTUM_NS), GetSpec::new())?;
+                assert_eq!(r.stop, StopReason::LimitReached);
+            }
+        }
+        for k in 0..children {
+            let r = ctx.get(
+                k,
+                GetSpec::new()
+                    .merge(SANDBOX)
+                    .merge_policy(ConflictPolicy::ChildWins),
+            )?;
+            assert_eq!(r.stop, StopReason::LimitReached);
+        }
         Ok(0)
     });
     assert_eq!(out.exit, Ok(0));
-    assert!(out.stats.threads_spawned > 0, "threaded dispatch spawns");
-    assert_eq!(out.stats.vm_inline_runs, 0);
+    assert_eq!(out.stats.limit_preemptions, children * QUANTA);
+    assert_eq!(out.stats.vm_inline_runs, children * QUANTA);
     assert_replay_matches(&out, &sink);
 }
 

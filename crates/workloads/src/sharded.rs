@@ -10,7 +10,6 @@
 use det_cluster::{ClusterOutcome, ClusterSpec, JobSpec};
 use det_kernel::{
     CopySpec, DeviceId, FaultPlan, GetSpec, Program, PutSpec, Region, Regs, SpaceCtx, StopReason,
-    VmDispatch,
 };
 use det_memory::Perm;
 use det_runtime::dsched::{self, DSched};
@@ -28,9 +27,6 @@ pub struct ShardedConfig {
     pub shards: usize,
     /// Workload size knob (keyspace, rounds, …).
     pub size: u64,
-    /// VM dispatch mode for every kernel in the cluster (must not
-    /// change any deterministic quantity).
-    pub dispatch: VmDispatch,
     /// Fault-injection plan for the root kernel.
     pub faults: FaultPlan,
 }
@@ -42,14 +38,12 @@ impl ShardedConfig {
             nodes,
             shards,
             size: 2_000,
-            dispatch: VmDispatch::default(),
             faults: FaultPlan::default(),
         }
     }
 
     fn spec(&self) -> ClusterSpec {
         let mut spec = ClusterSpec::new(self.nodes.max(1), self.shards.max(1));
-        spec.vm_dispatch = self.dispatch;
         spec.faults = self.faults.clone();
         spec
     }
@@ -59,8 +53,8 @@ impl ShardedConfig {
 pub struct ShardedResult {
     /// The full cluster outcome (bundle, stats, artifacts).
     pub outcome: ClusterOutcome,
-    /// Workload checksum — must be invariant across shard counts,
-    /// dispatch modes, and host load.
+    /// Workload checksum — must be invariant across shard counts and
+    /// host load.
     pub checksum: u64,
 }
 
@@ -142,8 +136,8 @@ pub fn md5_scan(cfg: ShardedConfig) -> ShardedResult {
 // ---------------------------------------------------------------------
 
 /// Rounds of fork/join against every non-root node, where each job
-/// runs a det-vm child *inside its own job kernel* (so the dispatch
-/// vehicle exercises the whole stack on every shard) and then mixes
+/// runs a det-vm child *inside its own job kernel* (so the inline VM
+/// drive exercises the whole stack on every shard) and then mixes
 /// the VM's result into its slot. Dominated by migration traffic —
 /// the conformance storm scenario.
 pub fn migration_storm(cfg: ShardedConfig) -> ShardedResult {

@@ -12,15 +12,10 @@
 //! ```
 
 use determinator::conform::{ScenarioConfig, find};
-use determinator::prelude::VmDispatch;
 
 fn main() {
     let sc = find("actors_grid").expect("registered scenario");
-    let run = (sc.run)(&ScenarioConfig {
-        dispatch: VmDispatch::default(),
-        trace: false,
-        faults: determinator::kernel::FaultPlan::default(),
-    });
+    let run = (sc.run)(&ScenarioConfig::default());
     let out = run.outcome;
     let digest = out.exit.expect("simulation trapped");
     // Per-step samples, written by the scenario through the console

@@ -12,15 +12,10 @@
 //! ```
 
 use determinator::conform::{ScenarioConfig, find};
-use determinator::prelude::VmDispatch;
 
 fn main() {
     let sc = find("parallel_make").expect("registered scenario");
-    let run = (sc.run)(&ScenarioConfig {
-        dispatch: VmDispatch::default(),
-        trace: false,
-        faults: determinator::kernel::FaultPlan::default(),
-    });
+    let run = (sc.run)(&ScenarioConfig::default());
     let out = run.outcome;
     assert_eq!(out.exit, Ok(0));
     print!("{}", out.console_string());

@@ -11,15 +11,10 @@
 //! ```
 
 use determinator::conform::{ScenarioConfig, find};
-use determinator::prelude::VmDispatch;
 
 fn main() {
     let sc = find("quickstart_swap").expect("registered scenario");
-    let run = (sc.run)(&ScenarioConfig {
-        dispatch: VmDispatch::default(),
-        trace: false,
-        faults: determinator::kernel::FaultPlan::default(),
-    });
+    let run = (sc.run)(&ScenarioConfig::default());
     let out = run.outcome;
     assert_eq!(out.exit, Ok(0));
     // The scenario reports through the console device: the clean swap,

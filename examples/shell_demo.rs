@@ -12,18 +12,10 @@
 //! ```
 
 use determinator::conform::{ScenarioConfig, find};
-use determinator::prelude::VmDispatch;
 
 fn main() {
     let sc = find("shell_pipeline").expect("registered scenario");
-    let run = || {
-        (sc.run)(&ScenarioConfig {
-            dispatch: VmDispatch::default(),
-            trace: false,
-            faults: determinator::kernel::FaultPlan::default(),
-        })
-        .outcome
-    };
+    let run = || (sc.run)(&ScenarioConfig::default()).outcome;
     let first = run();
     assert_eq!(first.exit, Ok(0));
     print!("{}", first.console_string());

@@ -13,7 +13,6 @@ fn prelude_exposes_the_expected_names() {
     let _cfg: KernelConfig = KernelConfig::default();
     let _builder: KernelConfigBuilder = KernelConfig::builder();
     let _costs: CostModel = CostModel::default();
-    let _dispatch: VmDispatch = VmDispatch::default();
     let _policy: ConflictPolicy = ConflictPolicy::default();
 
     // Syscall vocabulary.

@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use determinator::kernel::{
     ConflictPolicy, CopySpec, GetSpec, Kernel, KernelConfig, Perm, Program, PutSpec, Region, Regs,
-    RunOutcome, StopReason, VmDispatch,
+    RunOutcome, StopReason,
 };
 use determinator::vm::{assemble, corpus};
 
@@ -26,7 +26,7 @@ const QUANTUM_NS: u64 = 2_000;
 const QUANTA: u32 = 20;
 
 /// Runs the scenario; returns the outcome and the root's final digest.
-fn run(dispatch: VmDispatch) -> (RunOutcome, u64) {
+fn run() -> (RunOutcome, u64) {
     let images: Vec<_> = [
         corpus::FFT_KERNEL,
         corpus::MATMULT_KERNEL,
@@ -39,8 +39,7 @@ fn run(dispatch: VmDispatch) -> (RunOutcome, u64) {
     let children = images.len() as u64;
     let digest = Arc::new(AtomicU64::new(0));
     let root_digest = Arc::clone(&digest);
-    let config = KernelConfig::builder().vm_dispatch(dispatch).build();
-    let out = Kernel::new(config).run(move |ctx| {
+    let out = Kernel::new(KernelConfig::default()).run(move |ctx| {
         ctx.mem_mut().map_zero(SANDBOX, Perm::RW)?;
         for (k, image) in images.iter().enumerate() {
             // Every kernel is linked at 0; the copy is taken at the put.
@@ -83,8 +82,8 @@ fn run(dispatch: VmDispatch) -> (RunOutcome, u64) {
 /// vm_icache_hits, vm_icache_fills, root digest)`.
 type Observed = (u64, u64, u64, u64, u64, u64, u64);
 
-fn observe(dispatch: VmDispatch) -> Observed {
-    let (out, digest) = run(dispatch);
+fn observe() -> Observed {
+    let (out, digest) = run();
     let s = &out.stats;
     assert_eq!(s.limit_preemptions, 4 * QUANTA as u64);
     (
@@ -98,7 +97,7 @@ fn observe(dispatch: VmDispatch) -> Observed {
     )
 }
 
-/// Recorded at 1ede57b with this file's scenario, inline dispatch.
+/// Recorded at 1ede57b with this file's scenario.
 const AT_1EDE57B: Observed = (
     528_131,
     160_000,
@@ -111,10 +110,5 @@ const AT_1EDE57B: Observed = (
 
 #[test]
 fn twenty_quanta_cost_exactly_what_they_cost_at_1ede57b() {
-    assert_eq!(observe(VmDispatch::Inline), AT_1EDE57B);
-}
-
-#[test]
-fn both_vehicles_agree() {
-    assert_eq!(observe(VmDispatch::Threaded), AT_1EDE57B);
+    assert_eq!(observe(), AT_1EDE57B);
 }
