@@ -1,9 +1,8 @@
 //! Figure/table regeneration harness for the paper's evaluation (PAPER.md §6).
 //!
 //! Each `fig*` function computes one figure's series in virtual time
-//! and returns printable rows; the `report` binary drives them. The
-//! Criterion benches (in `benches/`) measure the *real* throughput of
-//! the substrate on the host, validating the cost-model calibration.
+//! and returns printable rows; the `report` binary drives them. Host
+//! timings of the substrate come from `detbench` (`benchmark/`).
 
 use det_workloads::blackscholes::{self, BsConfig};
 use det_workloads::dist::{self, DistConfig};
@@ -848,7 +847,7 @@ pub fn table3(repo_root: &std::path::Path) -> Table {
         ("Deterministic VM (det-vm)", "crates/vm/src"),
         ("Kernel core (det-kernel)", "crates/kernel/src"),
         ("User-level runtime (det-runtime)", "crates/runtime/src"),
-        ("Cluster simulation (det-cluster)", "crates/cluster/src"),
+        ("Shard cluster runtime (det-cluster)", "crates/cluster/src"),
         ("Workloads (det-workloads)", "crates/workloads/src"),
         ("Bench harness (det-bench)", "crates/bench/src"),
     ];

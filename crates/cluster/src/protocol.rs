@@ -26,15 +26,11 @@ use det_memory::{AddressSpace, LeafInfo, PAGE_SHIFT, PAGES_PER_LEAF, Region};
 
 use crate::controller::Remote;
 
-/// Fixed per-message header bytes (addresses, space/job ids, opcode) —
-/// the same 64-byte overhead the residency cost model charges per
-/// request.
+/// Fixed per-message header bytes (addresses, space/job ids, opcode).
 pub(crate) const HEADER_BYTES: u64 = 64;
 
 /// Size of a migration summary for a space of `pages` mapped pages:
-/// a header plus one 16-byte page-table entry per page. Matches
-/// [`crate::SimCluster`]'s accounting so the two runtimes price the
-/// same schedule identically.
+/// a header plus one 16-byte page-table entry per page.
 pub(crate) fn summary_bytes(pages: u64) -> u64 {
     HEADER_BYTES + 16 * pages
 }

@@ -141,7 +141,7 @@ fn run_job(env: Arc<Env>, msg: JobMsg) {
         mem.clear_dirty();
     } else {
         // Same-node fork: the image never crosses the link. Count the
-        // avoided pulls as cache hits, like the residency model does.
+        // avoided pulls as cache hits.
         let pages: u64 = msg
             .summary
             .iter()

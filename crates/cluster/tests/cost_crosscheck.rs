@@ -1,31 +1,26 @@
-//! Cross-check of the two cluster runtimes' cost accounting.
+//! First-principles check of the shard runtime's cost accounting.
 //!
-//! The same logical schedule — fork a worker onto node 1 over a
-//! 16-page region, worker reads every page and writes nothing, join —
-//! is run through [`SimCluster`] (residency bookkeeping on one kernel)
-//! and through the real-thread shard runtime ([`ClusterSpec`]). Both
-//! sides' traffic counters are derived from first principles and
-//! pinned **exactly**, so any drift in either model's accounting (or
-//! in the wire encoding the shard runtime prices) fails loudly.
+//! One logical schedule — fork a worker onto node 1 over a 16-page
+//! region, worker reads every page and writes nothing, join — is run
+//! through [`ClusterSpec`], and every traffic counter is derived by
+//! hand and pinned **exactly**, so any drift in the runtime's
+//! accounting (or in the wire encoding it prices) fails loudly:
 //!
-//! The two models agree on the schedule-level quantities:
-//!
-//! * **migrations** — 2 each: sim pays depart (`Put` to node 1) and
-//!   return-home (root halt); the shard runtime pays the fork summary
-//!   and the homecoming delta.
-//! * **page pulls** — 16 each (the shard runtime counts
-//!   page-*equivalents*: one leaf pull carrying 16 pages).
-//!
-//! They deliberately differ in message/byte granularity: sim moves
-//! pages one 4 KiB round trip at a time (the paper's "simplistic page
-//! copying protocol"), while the shard runtime batches a whole
-//! page-table leaf per round trip and ships a byte-exact delta
-//! encoding. Both flavors are asserted exactly below.
+//! * **migrations** — 2: the fork summary and the homecoming delta;
+//! * **page pulls** — 16 page-*equivalents*: one leaf pull carrying
+//!   16 pages;
+//! * **messages** — 5: the summary, a request/response pair for the
+//!   leaf and one for the join;
+//! * **bytes** — headers plus the canonical wire encoding of the leaf
+//!   image and of the (empty) homecoming delta;
+//! * **virtual time** — the same schedule forked onto the root's own
+//!   node costs exactly those five messages less.
 
-use det_cluster::{ClusterSpec, JobSpec, NetworkModel, SimCluster};
-use det_kernel::{
-    CopySpec, GetSpec, Kernel, KernelConfig, Program, PutSpec, Region, child_on_node, wire,
-};
+use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use det_cluster::{ClusterOutcome, ClusterSpec, JobSpec, NetworkModel};
+use det_kernel::{Region, wire};
 use det_memory::{AddressSpace, Perm, SpaceDelta};
 
 const BASE: u64 = 0x10000;
@@ -36,8 +31,8 @@ const REGION: Region = Region {
 };
 const HEADER: u64 = 64;
 
-/// Root-side setup both runtimes share: map the region and write the
-/// first word of every page.
+/// Root-side setup: map the region and write the first word of every
+/// page.
 fn fill(mem: &mut AddressSpace) {
     mem.map_zero(REGION, Perm::RW).unwrap();
     for p in 0..PAGES {
@@ -45,76 +40,47 @@ fn fill(mem: &mut AddressSpace) {
     }
 }
 
-#[test]
-fn sim_and_shard_runtimes_price_the_same_schedule_consistently() {
-    // --- The schedule on SimCluster. ---
-    let sim = SimCluster::new(2, NetworkModel::ethernet_1g());
-    let out = Kernel::with_cluster(KernelConfig::default(), sim.clone()).run(|ctx| {
-        fill(ctx.mem_mut());
-        let c = child_on_node(1, 1);
-        ctx.put(
-            c,
-            PutSpec::new()
-                .program(Program::native(|cc| {
-                    let mut acc = 0u64;
-                    for p in 0..PAGES {
-                        acc = acc.wrapping_add(cc.mem().read_u64(BASE + p * 0x1000)?);
-                    }
-                    assert_eq!(acc, PAGES * (PAGES + 1) / 2);
-                    Ok(0)
-                }))
-                .copy(CopySpec::mirror(REGION))
-                .snap()
-                .start(),
-        )?;
-        ctx.get(c, GetSpec::new().merge(REGION))?;
-        // Return-home leg: address node 0 so the root migrates back
-        // (the shard runtime's homecoming happens inside `join`).
-        ctx.put(0, PutSpec::new())?;
-        Ok(0)
-    });
-    assert_eq!(out.exit, Ok(0));
-    let s = sim.stats();
-    // Depart at the remote Put + the explicit return home.
-    assert_eq!(s.migrations, 2, "{s:?}");
-    // Every page the worker reads is resident only on node 0.
-    assert_eq!(s.page_pulls, PAGES, "{s:?}");
-    // 1 summary out + 2 per page pull + 1 summary home.
-    assert_eq!(s.messages, 1 + 2 * PAGES + 1, "{s:?}");
-    // Summaries price 64 + 16·pages; each pull moves 4096 + 64.
-    assert_eq!(
-        s.bytes_transferred,
-        2 * (HEADER + 16 * PAGES) + PAGES * (4096 + HEADER),
-        "{s:?}"
-    );
-
-    // --- The same schedule on the real-thread shard runtime. ---
-    let out = ClusterSpec::new(2, 2).run(|ctx, net| {
+/// The schedule, with the worker forked onto `node`. Also returns the
+/// root's clock right after the join, in picoseconds.
+fn schedule(node: u16) -> (ClusterOutcome, u64) {
+    let joined_ps = Arc::new(AtomicU64::new(0));
+    let seen = Arc::clone(&joined_ps);
+    let out = ClusterSpec::new(2, 2).run(move |ctx, net| {
         fill(ctx.mem_mut());
         net.fork(
             ctx,
             1,
-            1,
+            node,
             JobSpec::native(REGION, |c, _| {
                 let mut acc = 0u64;
                 for p in 0..PAGES {
                     acc = acc.wrapping_add(c.mem().read_u64(BASE + p * 0x1000)?);
                 }
                 assert_eq!(acc, PAGES * (PAGES + 1) / 2);
+                // Enough declared work that the worker, not the root's
+                // own join entry, is the later clock at the join.
+                c.charge(10_000)?;
                 Ok(0)
             }),
         )?;
         net.join(ctx, 1)?;
+        seen.store(ctx.vclock_ps(), Ordering::SeqCst);
         Ok(0)
     });
     assert_eq!(out.exit, Ok(0));
+    (out, joined_ps.load(Ordering::SeqCst))
+}
+
+#[test]
+fn shard_runtime_prices_a_schedule_from_first_principles() {
+    let (out, remote_ps) = schedule(1);
     let h = out.cluster;
-    // Fork summary + homecoming delta: same migration count as sim.
+    // Fork summary + homecoming delta.
     assert_eq!(h.migrations, 2, "{h:?}");
-    // One leaf pull carrying all 16 pages: same page-equivalents.
+    // One leaf pull carrying all 16 pages.
     assert_eq!(h.page_pulls, PAGES, "{h:?}");
     // Leaf batching: 1 summary + 2 for the leaf pull + 2 for the join
-    // round trip (vs sim's per-page 2·16).
+    // round trip.
     assert_eq!(h.messages, 5, "{h:?}");
     // Bytes priced off the canonical wire encoding: reconstruct the
     // frozen image exactly as `fork` does and measure its leaf image.
@@ -134,42 +100,28 @@ fn sim_and_shard_runtimes_price_the_same_schedule_consistently() {
     assert_eq!(h.bytes_transferred, expected, "{h:?}");
     // Nothing was forked onto its own node.
     assert_eq!(h.cache_hits, 0, "{h:?}");
+
+    // Virtual time: the worker is the critical path, so against the
+    // same schedule on the root's own node (no link traffic at all)
+    // the remote run is later by exactly its five messages.
+    let (local, local_ps) = schedule(0);
+    assert_eq!(local.cluster.messages, 0, "{:?}", local.cluster);
+    assert_eq!(local.cluster.cache_hits, PAGES, "{:?}", local.cluster);
+    let net = NetworkModel::ethernet_1g();
+    let link_ps = net.message_ps(HEADER + 16 * PAGES)
+        + net.message_ps(HEADER)
+        + net.message_ps(HEADER + leaf_json.len() as u64)
+        + net.message_ps(HEADER)
+        + net.message_ps(HEADER + empty_delta_json.len() as u64);
+    assert_eq!(remote_ps - local_ps, link_ps);
 }
 
-/// The page-equivalent pull counts of the two runtimes track each
-/// other across region sizes (the shard runtime batches, but the
-/// page-equivalents are identical whenever the worker touches every
-/// mapped page).
+/// A pulled leaf counts as the pages it carries, across region sizes,
+/// and a read-only round trip is always two migrations.
 #[test]
-fn pull_page_equivalents_match_across_sizes() {
+fn pull_page_equivalents_track_region_size() {
     for pages in [1u64, 4, 32] {
         let region = Region::new(BASE, BASE + pages * 0x1000);
-        let sim = SimCluster::new(2, NetworkModel::ethernet_1g());
-        let out = Kernel::with_cluster(KernelConfig::default(), sim.clone()).run(move |ctx| {
-            ctx.mem_mut().map_zero(region, Perm::RW)?;
-            for p in 0..pages {
-                ctx.mem_mut().write_u64(BASE + p * 0x1000, p + 1)?;
-            }
-            let c = child_on_node(1, 1);
-            ctx.put(
-                c,
-                PutSpec::new()
-                    .program(Program::native(move |cc| {
-                        for p in 0..pages {
-                            cc.mem().read_u64(BASE + p * 0x1000)?;
-                        }
-                        Ok(0)
-                    }))
-                    .copy(CopySpec::mirror(region))
-                    .snap()
-                    .start(),
-            )?;
-            ctx.get(c, GetSpec::new())?;
-            ctx.put(0, PutSpec::new())?; // return-home leg
-            Ok(0)
-        });
-        assert_eq!(out.exit, Ok(0));
-
         let shard = ClusterSpec::new(2, 2).run(move |ctx, net| {
             ctx.mem_mut().map_zero(region, Perm::RW)?;
             for p in 0..pages {
@@ -190,17 +142,7 @@ fn pull_page_equivalents_match_across_sizes() {
             Ok(0)
         });
         assert_eq!(shard.exit, Ok(0));
-        assert_eq!(
-            sim.stats().page_pulls,
-            shard.cluster.page_pulls,
-            "pages={pages}: sim {:?} vs shard {:?}",
-            sim.stats(),
-            shard.cluster
-        );
-        assert_eq!(
-            sim.stats().migrations,
-            shard.cluster.migrations,
-            "pages={pages}"
-        );
+        assert_eq!(shard.cluster.page_pulls, pages, "{:?}", shard.cluster);
+        assert_eq!(shard.cluster.migrations, 2, "pages={pages}");
     }
 }

@@ -60,8 +60,8 @@ pub struct ScenarioRun {
 pub struct Scenario {
     /// Unique name (stable across runs; keys CI reports).
     pub name: &'static str,
-    /// False for scenarios that cannot record a trace (e.g. cluster
-    /// runs, whose migration hooks are host-driven).
+    /// False for scenarios that cannot record a trace (cluster runs:
+    /// migration is not yet a trace event).
     pub traceable: bool,
     /// Runs the scenario under the given configuration.
     pub run: fn(&ScenarioConfig) -> ScenarioRun,
@@ -69,16 +69,8 @@ pub struct Scenario {
 
 /// Builds a kernel configuration (and optional sink) for a scenario
 /// and wraps the outcome.
-fn run_scenario(
-    cfg: &ScenarioConfig,
-    traceable: bool,
-    f: impl FnOnce(KernelConfig) -> RunOutcome,
-) -> ScenarioRun {
-    let sink = if cfg.trace && traceable {
-        Some(TraceSink::new())
-    } else {
-        None
-    };
+fn run_scenario(cfg: &ScenarioConfig, f: impl FnOnce(KernelConfig) -> RunOutcome) -> ScenarioRun {
+    let sink = cfg.trace.then(TraceSink::new);
     let mut b = KernelConfig::builder().faults(cfg.faults.clone());
     if let Some(s) = &sink {
         b = b.trace(s.clone());
@@ -97,7 +89,7 @@ fn run_scenario(
 /// `examples/quickstart.rs`: race-free swap, then a *detected*
 /// write/write conflict.
 fn quickstart_swap(cfg: &ScenarioConfig) -> ScenarioRun {
-    run_scenario(cfg, true, |kc| {
+    run_scenario(cfg, |kc| {
         let shared = Region::new(0x1000, 0x2000);
         let (x, y) = (0x1000u64, 0x1008u64);
         Kernel::new(kc).run(move |ctx| {
@@ -180,7 +172,7 @@ fn actors_grid(cfg: &ScenarioConfig) -> ScenarioRun {
     fn slot(i: u64) -> u64 {
         SHARED.start + (i % NACTORS) * 8
     }
-    run_scenario(cfg, true, |kc| {
+    run_scenario(cfg, |kc| {
         run_deterministic(kc, |ctx| {
             ctx.mem_mut().map_zero(SHARED, Perm::RW)?;
             for i in 0..NACTORS {
@@ -216,7 +208,7 @@ fn actors_grid(cfg: &ScenarioConfig) -> ScenarioRun {
 /// `examples/vm_sandbox.rs`: an untrusted VM guest preempted at exact
 /// instruction counts.
 fn vm_sandbox(cfg: &ScenarioConfig) -> ScenarioRun {
-    run_scenario(cfg, true, |kc| {
+    run_scenario(cfg, |kc| {
         let image = det_vm::assemble(det_vm::corpus::FIB_PREEMPT).expect("assembles");
         let code = Region::new(0, 0x1000);
         Kernel::new(kc).run(move |ctx| {
@@ -252,7 +244,7 @@ fn vm_sandbox(cfg: &ScenarioConfig) -> ScenarioRun {
 /// Two VM children streaming counter values to the parent through a
 /// `Ret` loop (the inline VM drive, two leaves under one waiter).
 fn vm_counter_stream(cfg: &ScenarioConfig) -> ScenarioRun {
-    run_scenario(cfg, true, |kc| {
+    run_scenario(cfg, |kc| {
         let image = det_vm::assemble(det_vm::corpus::COUNTER_STREAM).expect("assembles");
         Kernel::new(kc).run(move |ctx| {
             ctx.mem_mut().map_zero(Region::new(0, 0x3000), Perm::RW)?;
@@ -291,7 +283,7 @@ fn vm_counter_stream(cfg: &ScenarioConfig) -> ScenarioRun {
 /// `examples/parallel_make.rs`: forked compiler processes, private
 /// file-system replicas, deterministic `wait()`.
 fn parallel_make(cfg: &ScenarioConfig) -> ScenarioRun {
-    run_scenario(cfg, true, |kc| {
+    run_scenario(cfg, |kc| {
         let tasks = [("lexer.o", 6u64), ("parser.o", 2), ("emit.o", 4)];
         run_process_tree(kc, ProgramRegistry::new(), move |p| {
             let mut running = Vec::new();
@@ -339,7 +331,7 @@ cat stats.txt
 ls
 upper corpus.txt
 ";
-    run_scenario(cfg, true, |kc| {
+    run_scenario(cfg, |kc| {
         let mut reg = ProgramRegistry::new();
         reg.register("upper", |p, args| {
             let path = args.first().cloned().unwrap_or_default();
@@ -357,7 +349,7 @@ upper corpus.txt
 /// driven through many park/resume roundtrips including the fused
 /// `PutGet` exchange.
 fn rendezvous_storm(cfg: &ScenarioConfig) -> ScenarioRun {
-    run_scenario(cfg, true, |kc| {
+    run_scenario(cfg, |kc| {
         let region = Region::new(0x1000, 0x5000);
         Kernel::new(kc).run(move |ctx| {
             ctx.mem_mut().map_zero(region, Perm::RW)?;
@@ -415,7 +407,7 @@ fn rendezvous_storm(cfg: &ScenarioConfig) -> ScenarioRun {
 /// Root-only device I/O: host-pushed console input plus the
 /// synthesized clock and entropy sources, echoed back out.
 fn device_io(cfg: &ScenarioConfig) -> ScenarioRun {
-    run_scenario(cfg, true, |kc| {
+    run_scenario(cfg, |kc| {
         let k = Kernel::new(kc);
         k.push_input(DeviceId::ConsoleIn, b"determinator\n".to_vec());
         k.run(|ctx| {
@@ -448,26 +440,26 @@ fn device_io(cfg: &ScenarioConfig) -> ScenarioRun {
 
 /// md5 brute-force search (fork/join tree).
 fn wl_md5(cfg: &ScenarioConfig) -> ScenarioRun {
-    run_scenario(cfg, true, |kc| md5::outcome(kc, md5::Md5Config::quick(3)))
+    run_scenario(cfg, |kc| md5::outcome(kc, md5::Md5Config::quick(3)))
 }
 
 /// Blocked matrix multiply.
 fn wl_matmult(cfg: &ScenarioConfig) -> ScenarioRun {
-    run_scenario(cfg, true, |kc| {
+    run_scenario(cfg, |kc| {
         matmult::outcome(kc, matmult::MatmultConfig { threads: 3, n: 24 })
     })
 }
 
 /// Recursive fork/join quicksort.
 fn wl_qsort(cfg: &ScenarioConfig) -> ScenarioRun {
-    run_scenario(cfg, true, |kc| {
+    run_scenario(cfg, |kc| {
         qsort::outcome(kc, qsort::QsortConfig { depth: 2, n: 512 })
     })
 }
 
 /// Iterative radix-2 FFT.
 fn wl_fft(cfg: &ScenarioConfig) -> ScenarioRun {
-    run_scenario(cfg, true, |kc| {
+    run_scenario(cfg, |kc| {
         fft::outcome(
             kc,
             fft::FftConfig {
@@ -480,7 +472,7 @@ fn wl_fft(cfg: &ScenarioConfig) -> ScenarioRun {
 
 /// LU decomposition (contiguous row blocks).
 fn wl_lu(cfg: &ScenarioConfig) -> ScenarioRun {
-    run_scenario(cfg, true, |kc| {
+    run_scenario(cfg, |kc| {
         lu::outcome(
             kc,
             lu::LuConfig {
@@ -494,7 +486,7 @@ fn wl_lu(cfg: &ScenarioConfig) -> ScenarioRun {
 
 /// blackscholes under the deterministic scheduler.
 fn wl_blackscholes(cfg: &ScenarioConfig) -> ScenarioRun {
-    run_scenario(cfg, true, |kc| {
+    run_scenario(cfg, |kc| {
         blackscholes::outcome(
             kc,
             Mode::Determinator,
@@ -513,7 +505,7 @@ fn wl_blackscholes(cfg: &ScenarioConfig) -> ScenarioRun {
 /// static analyzer's soundness gate leans on — running it here keeps
 /// the conformance suite and the gate exercising the same image.
 fn wl_vm_qsort(cfg: &ScenarioConfig) -> ScenarioRun {
-    run_scenario(cfg, true, |kc| {
+    run_scenario(cfg, |kc| {
         let image = det_vm::assemble(det_vm::corpus::QSORT_SORT).expect("assembles");
         let guest = Region::new(0, 0x10000);
         Kernel::new(kc).run(move |ctx| {
@@ -541,28 +533,13 @@ fn wl_vm_qsort(cfg: &ScenarioConfig) -> ScenarioRun {
     })
 }
 
-/// md5-tree on a simulated 4-node cluster. Untraceable: cluster
-/// migration hooks are host-driven and incompatible with recording.
-fn dist_md5_tree(cfg: &ScenarioConfig) -> ScenarioRun {
-    run_scenario(cfg, false, |kc| {
-        dist::md5_tree_outcome(
-            kc,
-            dist::DistConfig {
-                nodes: 4,
-                size: 2_000,
-                tcp_like: false,
-            },
-        )
-    })
-}
-
 // ---------------------------------------------------------------------
 // Real-thread shard-cluster scenarios.
 // ---------------------------------------------------------------------
 
-/// Wraps a `det_workloads::sharded` workload (real OS-thread shard
-/// cluster, `det_cluster::ClusterSpec`) as a scenario. The migration
-/// hooks are host-driven, so no syscall trace can be recorded; the
+/// Wraps a shard-cluster workload (`det_workloads::{sharded, dist}` on
+/// `det_cluster::ClusterSpec`) as a scenario. Migration is not yet a
+/// trace event (ROADMAP 1b), so no syscall trace is recorded; the
 /// replica-compared outcome is the root kernel's with the
 /// cluster-wide aggregate statistics swapped in and the
 /// `[cluster]`/`[jobs]` bundle sections appended to the console
@@ -593,6 +570,12 @@ fn cluster_scenario(
         outcome,
         trace: None,
     }
+}
+
+/// §6.3's md5-tree: recursive binary fan-out over 4 logical nodes,
+/// every inner job forking again from inside its own job kernel.
+fn dist_md5_tree(cfg: &ScenarioConfig) -> ScenarioRun {
+    cluster_scenario(cfg, 4, 2_000, dist::md5_tree_sharded)
 }
 
 /// Remote fork fan-out: one md5-scanning job per logical node, pulled

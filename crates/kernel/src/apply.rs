@@ -317,19 +317,18 @@ pub(crate) struct MemOpCounts {
 }
 
 /// The `Copy` option: a virtual (COW) copy from `src` into `dst`.
-/// Returns the page count (the cluster copy hook's input).
 pub(crate) fn copy_op(
     costs: &CostModel,
     src: &SpaceState,
     dst: &mut SpaceState,
     c: CopySpec,
     counts: &mut MemOpCounts,
-) -> Result<u64> {
+) -> Result<()> {
     let cs = dst.mem.copy_from_counted(&src.mem, c.src, c.dst)?;
     counts.pages_copied += cs.pages;
     counts.leaves_cloned += cs.leaves_shared;
     counts.charge_ps += costs.copy_cost_ps(&cs);
-    Ok(cs.pages)
+    Ok(())
 }
 
 /// The `Zero` option. `count_pages` matches the live asymmetry: a
@@ -479,7 +478,6 @@ fn apply_entry(ks: &mut KState, id: u32, e: &EntryRec) -> Result<()> {
 /// Mirrors the shell's `ensure_child`: resolve (or create) the slot
 /// the caller's child number names, binding it to the recorded id.
 fn ensure_child(ks: &mut KState, caller: u32, child: ChildNum, child_id: u32) -> Result<()> {
-    let node = state_mut(ks, caller)?.cur_node;
     let known = slot_mut(ks, caller)?.children.get(&child).copied();
     match known {
         Some(id) if id == child_id => Ok(()),
@@ -492,7 +490,7 @@ fn ensure_child(ks: &mut KState, caller: u32, child: ChildNum, child_id: u32) ->
                 let c = slot_mut(ks, caller)?;
                 child_path(&c.path.clone(), child, &mut c.child_gens)
             };
-            ks.slots.insert(child_id, KSlot::new(node, path));
+            ks.slots.insert(child_id, KSlot::new(path));
             ks.stats.spaces_created += 1;
             slot_mut(ks, caller)?.children.insert(child, child_id);
             Ok(())
@@ -534,12 +532,6 @@ fn replay_clone(
         d.run = RunState::Idle(StopReason::Unstarted);
     }
     for (num, kid_src) in kids {
-        let node = ks
-            .slots
-            .get(&kid_src)
-            .and_then(|s| s.state.as_ref())
-            .map(|s| s.home_node)
-            .unwrap_or(0);
         let kid_id = match ids.next() {
             Some(id) => *id,
             None => return divergence("tree copy ran out of recorded ids"),
@@ -551,7 +543,7 @@ fn replay_clone(
             let d = slot_mut(ks, dst)?;
             child_path(&d.path.clone(), num, &mut d.child_gens)
         };
-        ks.slots.insert(kid_id, KSlot::new(node, path));
+        ks.slots.insert(kid_id, KSlot::new(path));
         ks.stats.spaces_created += 1;
         slot_mut(ks, dst)?.children.insert(num, kid_id);
         replay_clone(ks, kid_src, kid_id, ids)?;
@@ -838,7 +830,7 @@ fn apply_check_in(
     {
         let k = slot_mut(ks, space)?;
         if lost_state {
-            k.state = Some(Box::new(SpaceState::new(0)));
+            k.state = Some(Box::new(SpaceState::new()));
         }
         let st = match k.state.as_deref_mut() {
             Some(st) => st,
@@ -1007,7 +999,7 @@ mod tests {
 
     #[test]
     fn charge_decrements_limit_and_reports_exhaustion() {
-        let mut st = SpaceState::new(0);
+        let mut st = SpaceState::new();
         st.limit_ps = Some(100);
         assert!(!charge(&mut st, 40));
         assert_eq!(st.limit_ps, Some(60));

@@ -54,7 +54,7 @@ use crate::state::{KSlot, KState, SpaceState};
 use crate::trace::{ReplayOutcome, Trace, TraceMeta, outcome_of};
 
 /// The checkpoint bundle format this build writes and reads.
-pub const CHECKPOINT_FORMAT_VERSION: u32 = 4;
+pub const CHECKPOINT_FORMAT_VERSION: u32 = 5;
 
 const MAGIC: &str = "detckpt";
 
@@ -615,7 +615,7 @@ mod tests {
         };
         let bytes = Checkpoint::capture(&trace, 0).unwrap().to_bytes();
         let text = String::from_utf8(bytes).unwrap();
-        // The previous format (the kernel state still named a VM vehicle).
+        // The previous format (every space state still carried a home and a current node).
         let (current, previous) = (CHECKPOINT_FORMAT_VERSION, CHECKPOINT_FORMAT_VERSION - 1);
         let stale = text.replacen(
             &format!("detckpt {current} "),

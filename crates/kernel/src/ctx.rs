@@ -29,7 +29,7 @@ use crate::cost::{ns_to_ps, ps_to_ns};
 use crate::device::DeviceId;
 use crate::error::{KernelError, Result, TrapKind};
 use crate::fault::{FaultAction, FaultSite};
-use crate::ids::{ChildNum, SpaceId, node_field};
+use crate::ids::{ChildNum, SpaceId};
 use crate::kernel::{ChildRef, RunState, Shared, Slot, SlotCell, SpaceState, TraceCtx};
 use crate::state::{child_path, observe_stop};
 use crate::syscall::{GetResult, GetSpec, PutResult, PutSpec, StopReason};
@@ -77,7 +77,7 @@ impl SpaceCtx {
     }
 
     /// Deterministic fault gate, probed at every syscall prologue
-    /// *before* any charge, routing, or trace record — a faulted entry
+    /// *before* any charge or trace record — a faulted entry
     /// leaves no trace-visible effect, so faulted runs replay.
     ///
     /// `sites` lists the injection sites the syscall exposes, probed in
@@ -278,16 +278,6 @@ impl SpaceCtx {
         Ok(stats)
     }
 
-    /// The node this space currently executes on.
-    pub fn cur_node(&self) -> u16 {
-        self.st().cur_node
-    }
-
-    /// The node this space was created on.
-    pub fn home_node(&self) -> u16 {
-        self.st().home_node
-    }
-
     /// True if this is the root space (I/O privileges).
     pub fn is_root(&self) -> bool {
         self.id == SpaceId::ROOT
@@ -350,35 +340,6 @@ impl SpaceCtx {
         }
     }
 
-    /// Invokes the cluster rendezvous hook on a stopped child,
-    /// charging demand-paging costs to this caller.
-    fn rendezvous_hook(&mut self, g: &mut MutexGuard<'_, Slot>, child_id: SpaceId) {
-        if let Some(hooks) = self.shared.cluster.as_ref() {
-            let parent_node = self.st().cur_node;
-            let child_st = g.state.as_mut().expect("idle child has state");
-            let ps =
-                hooks.on_rendezvous(child_id, child_st.cur_node, parent_node, &mut child_st.mem);
-            let st = self.st_mut();
-            st.vclock_ps = st.vclock_ps.saturating_add(ps);
-        }
-    }
-
-    /// Resolves the node a child number addresses and migrates there.
-    fn route(&mut self, child: ChildNum) -> Result<()> {
-        let field = node_field(child);
-        let target = if field == 0 {
-            self.st().home_node
-        } else {
-            field - 1
-        };
-        if target != self.st().cur_node {
-            let id = self.id;
-            let shared = Arc::clone(&self.shared);
-            shared.migrate(id, self.st_mut(), target)?;
-        }
-        Ok(())
-    }
-
     /// Finds or creates the slot for `child` under this space.
     ///
     /// The children map is read under this space's own (uncontended)
@@ -393,13 +354,12 @@ impl SpaceCtx {
         // Only this space's own thread creates its children, and a
         // parent can only Tree-rewrite the map while this space is
         // parked — so the miss above cannot race an insert.
-        let node = self.st().cur_node;
         let path = {
             let mut g = self.cell.m.lock();
             let parent = g.path.clone();
             child_path(&parent, child, &mut g.child_gens)
         };
-        let (id, cell) = self.shared.new_slot(node, path);
+        let (id, cell) = self.shared.new_slot(path);
         self.cell
             .m
             .lock()
@@ -473,13 +433,8 @@ impl SpaceCtx {
             if let Some(c) = spec.copy {
                 let src = self.st.as_deref().expect("caller state present");
                 let child_st = g.state.as_mut().expect("idle");
-                match copy_op(&costs, src, child_st, c, &mut counts) {
-                    Ok(pages) => {
-                        if let Some(hooks) = self.shared.cluster.as_ref() {
-                            hooks.on_copy(self.id, child_id, c.src.start >> 12, c.dst >> 12, pages);
-                        }
-                    }
-                    Err(e) => break 'opts Err(e),
+                if let Err(e) = copy_op(&costs, src, child_st, c, &mut counts) {
+                    break 'opts Err(e);
                 }
             }
             if let Some(r) = spec.zero {
@@ -572,7 +527,6 @@ impl SpaceCtx {
     fn apply_get_options(
         &mut self,
         g: &mut MutexGuard<'_, Slot>,
-        child_id: SpaceId,
         spec: &GetSpec,
         stop: StopReason,
         child_v: u64,
@@ -594,13 +548,8 @@ impl SpaceCtx {
                 let child_st = g.state.take().expect("idle child has state");
                 let res = copy_op(&costs, &child_st, self.st_mut(), c, &mut counts);
                 g.state = Some(child_st);
-                match res {
-                    Ok(pages) => {
-                        if let Some(hooks) = self.shared.cluster.as_ref() {
-                            hooks.on_copy(child_id, self.id, c.src.start >> 12, c.dst >> 12, pages);
-                        }
-                    }
-                    Err(e) => break 'opts Err(e),
+                if let Err(e) = res {
+                    break 'opts Err(e);
                 }
             }
             if let Some(region) = spec.merge {
@@ -676,7 +625,6 @@ impl SpaceCtx {
     pub fn put(&mut self, child: ChildNum, spec: PutSpec) -> Result<PutResult> {
         self.fault_gate(&[FaultSite::Syscall, FaultSite::Alloc, FaultSite::TraceSink])?;
         self.charge_ps(self.shared.costs.syscall_ps)?;
-        self.route(child)?;
         let entry = self.trace_entry();
         let rec = entry.as_ref().map(|_| PutRec::of(&spec));
         self.shared.hot.puts.fetch_add(1, Relaxed);
@@ -685,7 +633,6 @@ impl SpaceCtx {
         let g = cell.m.lock();
         let (mut g, was) = shared.wait_idle(&cell, child_id, g)?;
         self.sync_clocks(&mut g);
-        self.rendezvous_hook(&mut g, child_id);
         let start = spec.start;
         let mut tree_ids = Vec::new();
         // The Put event is recorded whether the options succeed or
@@ -743,7 +690,6 @@ impl SpaceCtx {
     pub fn get(&mut self, child: ChildNum, spec: GetSpec) -> Result<GetResult> {
         self.fault_gate(&[FaultSite::Syscall, FaultSite::TraceSink])?;
         self.charge_ps(self.shared.costs.syscall_ps)?;
-        self.route(child)?;
         let entry = self.trace_entry();
         self.shared.hot.gets.fetch_add(1, Relaxed);
         let (child_id, cell) = self.ensure_child(child);
@@ -751,8 +697,7 @@ impl SpaceCtx {
         let g = cell.m.lock();
         let (mut g, stop) = shared.wait_idle(&cell, child_id, g)?;
         let child_v = self.sync_clocks(&mut g);
-        self.rendezvous_hook(&mut g, child_id);
-        let res = self.apply_get_options(&mut g, child_id, &spec, stop, child_v);
+        let res = self.apply_get_options(&mut g, &spec, stop, child_v);
         // Recorded on success and failure alike (replay re-derives the
         // same error), while the child's guard is held.
         if let Some(entry) = entry {
@@ -787,7 +732,6 @@ impl SpaceCtx {
         }
         self.fault_gate(&[FaultSite::Syscall, FaultSite::Alloc, FaultSite::TraceSink])?;
         self.charge_ps(self.shared.costs.syscall_ps)?;
-        self.route(child)?;
         let entry = self.trace_entry();
         let rec = entry.as_ref().map(|_| PutRec::of(&put));
         self.shared.hot.put_gets.fetch_add(1, Relaxed);
@@ -797,7 +741,6 @@ impl SpaceCtx {
         // First rendezvous: the stop the Put applies to.
         let (mut g, was) = shared.wait_idle(&cell, child_id, g)?;
         self.sync_clocks(&mut g);
-        self.rendezvous_hook(&mut g, child_id);
         let start = put.start;
         let caller = self.id.index();
         let mut tree_ids = Vec::new();
@@ -838,8 +781,7 @@ impl SpaceCtx {
         // condvar traffic at all).
         let (mut g, stop) = shared.wait_idle(&cell, child_id, g)?;
         let child_v = self.sync_clocks(&mut g);
-        self.rendezvous_hook(&mut g, child_id);
-        let res = self.apply_get_options(&mut g, child_id, &get, stop, child_v);
+        let res = self.apply_get_options(&mut g, &get, stop, child_v);
         if self.trace.is_some() {
             self.shared.trace_push(Some(TraceEvent::Get {
                 caller,
@@ -858,8 +800,7 @@ impl SpaceCtx {
     /// The `Ret` system call: stop and wait for the parent (§3.2).
     ///
     /// `code` is placed in `r1` (the exit-status convention read by
-    /// `Get`). Returns when the parent restarts this space. Before
-    /// stopping, the space migrates back to its home node (§3.3).
+    /// `Get`). Returns when the parent restarts this space.
     pub fn ret(&mut self, code: u64) -> Result<()> {
         if self.id == SpaceId::ROOT {
             return Err(KernelError::InvalidSpec("root space cannot ret"));
@@ -867,12 +808,6 @@ impl SpaceCtx {
         self.fault_gate(&[FaultSite::Syscall, FaultSite::TraceSink])?;
         self.charge_ps(self.shared.costs.syscall_ps)?;
         self.st_mut().regs.gpr[1] = code;
-        let home = self.st().home_node;
-        if self.st().cur_node != home {
-            let id = self.id;
-            let shared = Arc::clone(&self.shared);
-            shared.migrate(id, self.st_mut(), home)?;
-        }
         self.park(StopReason::Ret)
     }
 
@@ -990,13 +925,21 @@ impl SpaceCtx {
         regs: &det_vm::Regs,
     ) -> Result<det_analyze::Footprint> {
         self.fault_gate(&[FaultSite::Syscall])?;
-        let mut image = vec![
-            0u8;
-            usize::try_from(len).map_err(|_| KernelError::InvalidSpec(
-                "analysis image length overflows"
-            ))?
-        ];
-        self.st().mem.read(base, &mut image)?;
+        // The length is the caller's word: bound it by what the space
+        // maps before allocating for it. A readable range can be no
+        // longer than that, so nothing valid is refused, and `read`
+        // below still faults on the first unmapped page inside it.
+        let mem = &self.st().mem;
+        let image_len = match usize::try_from(len) {
+            Ok(n) if n > 0 && len <= mem.mapped_bytes() && base.checked_add(len).is_some() => n,
+            _ => {
+                return Err(KernelError::InvalidSpec(
+                    "analysis image is empty or exceeds the mapped space",
+                ));
+            }
+        };
+        let mut image = vec![0u8; image_len];
+        mem.read(base, &mut image)?;
         let init = std::array::from_fn(|i| det_analyze::Val::exact_u64(regs.gpr[i]));
         let analysis = det_analyze::analyze_with_regs(
             &[det_analyze::Segment {
@@ -1050,16 +993,12 @@ fn clone_into(
         // Create a matching child under dst and recurse. The created
         // ids are recorded in pre-order — even on an error part-way —
         // so trace replay can mint the identical tree.
-        let node = {
-            let (g, _) = shared.wait_idle(&kid_src, kid_src_id, kid_src.m.lock())?;
-            g.state.as_ref().expect("idle slot has state").home_node
-        };
         let path = {
             let mut g = dst.m.lock();
             let parent = g.path.clone();
             child_path(&parent, num, &mut g.child_gens)
         };
-        let (kid_id, kid_dst) = shared.new_slot(node, path);
+        let (kid_id, kid_dst) = shared.new_slot(path);
         new_ids.push(kid_id.index());
         dst.m
             .lock()

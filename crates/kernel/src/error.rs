@@ -75,7 +75,7 @@ pub enum KernelError {
     /// A device operation from a non-root space (§3.1: only the root
     /// has I/O privileges).
     NotRoot,
-    /// The child number's node field names an unreachable node.
+    /// A remote fork named a logical node the cluster does not have.
     NodeUnreachable(u16),
     /// Malformed request.
     InvalidSpec(&'static str),

@@ -21,58 +21,9 @@ impl SpaceId {
 
 /// An application-chosen child number, private to each space.
 ///
-/// The high 16 bits form the *node number* field used for cluster
-/// distribution (§3.3): node field `0` means the calling space's home
-/// node, and `k ≥ 1` means cluster node `k - 1`. The low 48 bits are
-/// the per-node child index.
+/// A plain 64-bit name with no reserved bits: the kernel only ever uses
+/// it as a key in the calling space's own children map. Placement on
+/// cluster nodes is the shard runtime's business (`det-cluster`'s
+/// `Remote::fork` takes the node as an argument), not an encoding
+/// inside the child number.
 pub type ChildNum = u64;
-
-/// Bit position of the node-number field inside a [`ChildNum`].
-pub const NODE_SHIFT: u32 = 48;
-
-/// Builds a child number addressing child `idx` on absolute cluster
-/// node `node`.
-///
-/// # Examples
-///
-/// ```
-/// use det_kernel::{child_on_node, node_field, child_index};
-/// let c = child_on_node(3, 7);
-/// assert_eq!(node_field(c), 4); // Absolute node 3 = field value 4.
-/// assert_eq!(child_index(c), 7);
-/// ```
-pub fn child_on_node(node: u16, idx: u64) -> ChildNum {
-    debug_assert!(idx < (1 << NODE_SHIFT));
-    (((node as u64) + 1) << NODE_SHIFT) | idx
-}
-
-/// Extracts the raw node field (0 = home node, `k` = node `k - 1`).
-pub fn node_field(child: ChildNum) -> u16 {
-    (child >> NODE_SHIFT) as u16
-}
-
-/// Extracts the per-node child index.
-pub fn child_index(child: ChildNum) -> u64 {
-    child & ((1u64 << NODE_SHIFT) - 1)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn node_field_roundtrip() {
-        let c = child_on_node(0, 42);
-        assert_eq!(node_field(c), 1);
-        assert_eq!(child_index(c), 42);
-        let c = child_on_node(31, 5);
-        assert_eq!(node_field(c), 32);
-        assert_eq!(child_index(c), 5);
-    }
-
-    #[test]
-    fn plain_children_have_zero_node_field() {
-        assert_eq!(node_field(7), 0);
-        assert_eq!(child_index(7), 7);
-    }
-}

@@ -47,53 +47,6 @@ use crate::stats::{HostStats, KernelStats};
 use crate::syscall::StopReason;
 use crate::trace::{SpaceArtifact, TraceMeta, TraceSink};
 
-/// Cross-node migration callbacks, implemented by `det-cluster`.
-///
-/// The kernel core knows only that a space has a *current node* and a
-/// *home node*; when a syscall names a child on another node, the
-/// caller migrates there first (§3.3). The hook owns per-node page
-/// residency and the network cost model, and returns the virtual
-/// picoseconds the leg costs.
-pub trait ClusterHooks: Send + Sync {
-    /// Number of nodes; node fields must be below this.
-    fn node_count(&self) -> u16;
-
-    /// Called when `space` moves from node `from` to node `to` with
-    /// its memory image `mem`. Returns picoseconds to charge.
-    fn on_migrate(&self, space: SpaceId, from: u16, to: u16, mem: &mut AddressSpace) -> u64;
-
-    /// Called at every parent↔child rendezvous (`Put`/`Get` after the
-    /// child stops): the hook may harvest the stopped child's page
-    /// accesses for demand-paging accounting. `parent_node` is where
-    /// the caller currently executes. Returns picoseconds to charge to
-    /// the caller.
-    fn on_rendezvous(
-        &self,
-        child: SpaceId,
-        child_node: u16,
-        parent_node: u16,
-        child_mem: &mut AddressSpace,
-    ) -> u64 {
-        let _ = (child, child_node, parent_node, child_mem);
-        0
-    }
-
-    /// Called when pages are virtually copied between spaces (both
-    /// `Put`+Copy and `Get`+Copy): destination pages share the
-    /// sources' frames, so they inherit the sources' node residency.
-    /// `src_start_vpn`/`dst_start_vpn` describe the aligned window.
-    fn on_copy(
-        &self,
-        src: SpaceId,
-        dst: SpaceId,
-        src_start_vpn: u64,
-        dst_start_vpn: u64,
-        pages: u64,
-    ) {
-        let _ = (src, dst, src_start_vpn, dst_start_vpn, pages);
-    }
-}
-
 /// Kernel construction parameters.
 ///
 /// Construct via [`KernelConfig::builder`] (the struct is
@@ -110,7 +63,7 @@ pub struct KernelConfig {
     pub io: IoMode,
     /// When set, the kernel records every syscall-level transition into
     /// this sink; the resulting [`crate::Trace`] replays without any
-    /// execution vehicles. Incompatible with cluster hooks.
+    /// execution vehicles.
     pub trace: Option<TraceSink>,
     /// Deterministic fault-injection plan (empty by default). Faults
     /// fire at deterministic coordinates and surface as typed errors —
@@ -307,13 +260,13 @@ pub(crate) struct Slot {
 }
 
 impl Slot {
-    pub(crate) fn new_child(node: u16, path: String) -> Slot {
+    pub(crate) fn new_child(path: String) -> Slot {
         Slot {
             children: BTreeMap::new(),
             path,
             child_gens: BTreeMap::new(),
             run: RunState::Idle(StopReason::Unstarted),
-            state: Some(Box::new(SpaceState::new(node))),
+            state: Some(Box::new(SpaceState::new())),
             pending: None,
             thread: None,
             cpu: None,
@@ -442,7 +395,6 @@ pub(crate) struct Shared {
     pub devices: Mutex<DeviceHub>,
     pub costs: CostModel,
     pub policy: ConflictPolicy,
-    pub cluster: Option<Arc<dyn ClusterHooks>>,
     /// Lock-free hot-path counters (folded into the outcome's
     /// [`KernelStats`] at collection time).
     pub hot: HotStats,
@@ -470,8 +422,8 @@ impl Shared {
     /// deterministic lineage path, derived by the caller under the
     /// parent's slot lock (the table id, by contrast, is an
     /// allocation-order artifact).
-    pub(crate) fn new_slot(&self, node: u16, path: String) -> (SpaceId, Arc<SlotCell>) {
-        let cell = SlotCell::new(Slot::new_child(node, path));
+    pub(crate) fn new_slot(&self, path: String) -> (SpaceId, Arc<SlotCell>) {
+        let cell = SlotCell::new(Slot::new_child(path));
         let mut t = self.table.lock();
         let id = SpaceId(t.len() as u32);
         t.push(Arc::clone(&cell));
@@ -553,7 +505,7 @@ impl Shared {
                     g.run = RunState::Running;
                     drop(g);
                     self.hot.vm_inline_runs.fetch_add(1, Relaxed);
-                    let (stop, vmc) = vm_execute(self, id, &mut st, &mut cpu);
+                    let (stop, vmc) = vm_execute(self, &mut st, &mut cpu);
                     g = cell.m.lock();
                     match stop {
                         // Shutdown observed mid-run: the state dies
@@ -644,7 +596,7 @@ impl Shared {
             return;
         }
         let reason = final_reason(st.is_some(), reason);
-        let st = st.unwrap_or_else(|| Box::new(SpaceState::new(0)));
+        let st = st.unwrap_or_else(|| Box::new(SpaceState::new()));
         self.check_in_locked(&mut g, st, reason);
         g.terminal = true;
         self.trace_push(trace_ev);
@@ -729,7 +681,7 @@ impl Shared {
                             .trace
                             .as_ref()
                             .map(|_| lost_state_check_in(child, reason));
-                        self.check_in_locked(g, Box::new(SpaceState::new(0)), reason);
+                        self.check_in_locked(g, Box::new(SpaceState::new()), reason);
                         g.terminal = true;
                         self.trace_push(ev);
                         // No notify: the caller holds this slot's lock
@@ -759,27 +711,6 @@ impl Shared {
             let st = g.state.as_ref().expect("runnable slot has state");
             g.trace_base = Some(TraceCtx::new(st));
         }
-    }
-
-    /// Migrates `st` to `target` node if needed, charging the hook's
-    /// cost. `Err(NodeUnreachable)` without cluster hooks.
-    pub(crate) fn migrate(&self, id: SpaceId, st: &mut SpaceState, target: u16) -> Result<()> {
-        if st.cur_node == target {
-            return Ok(());
-        }
-        let hooks = self
-            .cluster
-            .as_ref()
-            .ok_or(KernelError::NodeUnreachable(target))?;
-        if target >= hooks.node_count() {
-            return Err(KernelError::NodeUnreachable(target));
-        }
-        let cost = hooks.on_migrate(id, st.cur_node, target, &mut st.mem);
-        st.vclock_ps = st.vclock_ps.saturating_add(cost);
-        st.cur_node = target;
-        // Hot path: a stat bump must not serialize on any lock.
-        self.hot.migrations.fetch_add(1, Relaxed);
-        Ok(())
     }
 }
 
@@ -857,34 +788,19 @@ pub struct Kernel {
 impl Kernel {
     /// Creates a kernel with the given configuration.
     pub fn new(config: KernelConfig) -> Kernel {
-        Kernel::build(config, None)
-    }
-
-    /// Creates a kernel wired to cluster migration hooks.
-    pub fn with_cluster(config: KernelConfig, hooks: Arc<dyn ClusterHooks>) -> Kernel {
-        Kernel::build(config, Some(hooks))
-    }
-
-    fn build(config: KernelConfig, cluster: Option<Arc<dyn ClusterHooks>>) -> Kernel {
         if let Some(sink) = config.trace.as_ref() {
-            assert!(
-                cluster.is_none(),
-                "trace recording does not support cluster hooks: migration and \
-                 residency costs are host-hook-driven and not replayable from a trace"
-            );
             sink.set_meta(TraceMeta {
                 costs: config.costs,
                 policy: config.policy,
             });
         }
-        let root = SlotCell::new(Slot::new_child(0, ROOT_PATH.to_string()));
+        let root = SlotCell::new(Slot::new_child(ROOT_PATH.to_string()));
         Kernel {
             shared: Arc::new(Shared {
                 table: Mutex::new(vec![root]),
                 devices: Mutex::new(DeviceHub::new(config.io)),
                 costs: config.costs,
                 policy: config.policy,
-                cluster,
                 hot: HotStats::default(),
                 merge_accum: Mutex::new(MergeAccum::default()),
                 trace: config.trace,
@@ -1072,12 +988,11 @@ fn native_thread(
 /// stats exactly once.
 fn vm_execute(
     shared: &Shared,
-    id: SpaceId,
     st: &mut SpaceState,
     cpu: &mut Cpu,
 ) -> (Option<StopReason>, VmCounters) {
     let mut vmc = VmCounters::default();
-    let stop = vm_execute_inner(shared, id, st, cpu, &mut vmc);
+    let stop = vm_execute_inner(shared, st, cpu, &mut vmc);
     shared
         .hot
         .vm_instructions
@@ -1100,7 +1015,6 @@ fn vm_execute(
 
 fn vm_execute_inner(
     shared: &Shared,
-    id: SpaceId,
     st: &mut SpaceState,
     cpu: &mut Cpu,
     vmc: &mut VmCounters,
@@ -1146,13 +1060,8 @@ fn vm_execute_inner(
         vmc.pages_walked += cache.pages_walked;
         vmc.icache_hits += cache.icache_hits;
         vmc.icache_fills += cache.icache_fills;
-        let reason = match exit {
-            VmExit::Halt => {
-                // Home-node return before the final stop (§3.3).
-                let home = st.home_node;
-                let _ = shared.migrate(id, st, home);
-                return Some(StopReason::Halted);
-            }
+        return Some(match exit {
+            VmExit::Halt => StopReason::Halted,
             VmExit::Sys(0) => StopReason::Ret,
             VmExit::Sys(_) => StopReason::Trap(TrapKind::Fault("undefined syscall")),
             VmExit::Trap(t) => StopReason::Trap(t.into()),
@@ -1168,15 +1077,7 @@ fn vm_execute_inner(
                     Some(_) => StopReason::LimitReached,
                 }
             }
-        };
-        if matches!(reason, StopReason::Ret | StopReason::Trap(_)) {
-            let home = st.home_node;
-            if shared.migrate(id, st, home).is_err() && st.cur_node != home {
-                // Unreachable home node: surfaced as a fault.
-                return Some(StopReason::Trap(TrapKind::Fault("home node unreachable")));
-            }
-        }
-        return Some(reason);
+        });
     }
 }
 
@@ -1194,7 +1095,7 @@ mod tests {
     #[test]
     fn final_check_in_without_state_synthesizes_terminal_trap() {
         let sh = shared();
-        let (_, cell) = sh.new_slot(0, "/t".to_string());
+        let (_, cell) = sh.new_slot("/t".to_string());
         {
             let mut g = cell.m.lock();
             g.state = None;
@@ -1217,13 +1118,13 @@ mod tests {
     #[test]
     fn park_after_destroy_counts_nothing() {
         let sh = shared();
-        let (_, cell) = sh.new_slot(0, "/t".to_string());
+        let (_, cell) = sh.new_slot("/t".to_string());
         {
             let mut g = cell.m.lock();
             g.state = None;
             g.run = RunState::Destroyed;
         }
-        let st = Box::new(SpaceState::new(0));
+        let st = Box::new(SpaceState::new());
         assert!(matches!(
             sh.park(&cell, st, StopReason::Ret, None),
             Err(KernelError::Destroyed)
@@ -1236,7 +1137,7 @@ mod tests {
     #[test]
     fn final_check_in_on_destroyed_slot_is_noop() {
         let sh = shared();
-        let (_, cell) = sh.new_slot(0, "/t".to_string());
+        let (_, cell) = sh.new_slot("/t".to_string());
         {
             let mut g = cell.m.lock();
             g.state = None;
@@ -1244,7 +1145,7 @@ mod tests {
         }
         sh.final_check_in(
             &cell,
-            Some(Box::new(SpaceState::new(0))),
+            Some(Box::new(SpaceState::new())),
             StopReason::Trap(TrapKind::Panic),
             None,
         );
@@ -1259,7 +1160,7 @@ mod tests {
     #[test]
     fn check_in_charges_rendezvous_cost() {
         let sh = shared();
-        let (_, cell) = sh.new_slot(0, "/t".to_string());
+        let (_, cell) = sh.new_slot("/t".to_string());
         {
             let mut g = cell.m.lock();
             let st = g.state.take().expect("fresh slot");

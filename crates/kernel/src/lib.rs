@@ -99,10 +99,8 @@ pub use ctx::{SpaceCtx, full_user_region};
 pub use device::{DeviceId, InputEvent, IoLog, IoMode};
 pub use error::{KernelError, Result, TrapKind};
 pub use fault::{Fault, FaultAction, FaultPlan, FaultSite};
-pub use ids::{ChildNum, NODE_SHIFT, SpaceId, child_index, child_on_node, node_field};
-pub use kernel::{
-    ClusterHooks, InputHandle, Kernel, KernelConfig, KernelConfigBuilder, RunOutcome,
-};
+pub use ids::{ChildNum, SpaceId};
+pub use kernel::{InputHandle, Kernel, KernelConfig, KernelConfigBuilder, RunOutcome};
 pub use program::{NativeEntry, NativeResult, Program};
 pub use state::ProgramKind;
 pub use stats::{HostStats, KernelStats, MergeStatsSerde};

@@ -80,12 +80,10 @@ pub(crate) struct SpaceState {
     pub limit_ps: Option<u64>,
     /// VM instructions retired by this space.
     pub insn_count: u64,
-    pub home_node: u16,
-    pub cur_node: u16,
 }
 
 impl SpaceState {
-    pub(crate) fn new(node: u16) -> SpaceState {
+    pub(crate) fn new() -> SpaceState {
         SpaceState {
             regs: Regs::default(),
             mem: AddressSpace::new(),
@@ -93,8 +91,6 @@ impl SpaceState {
             vclock_ps: 0,
             limit_ps: None,
             insn_count: 0,
-            home_node: node,
-            cur_node: node,
         }
     }
 
@@ -106,8 +102,6 @@ impl SpaceState {
             vclock_ps: self.vclock_ps,
             limit_ps: self.limit_ps,
             insn_count: self.insn_count,
-            home_node: self.home_node,
-            cur_node: self.cur_node,
         }
     }
 }
@@ -145,13 +139,13 @@ pub(crate) struct KSlot {
 }
 
 impl KSlot {
-    pub(crate) fn new(node: u16, path: String) -> KSlot {
+    pub(crate) fn new(path: String) -> KSlot {
         KSlot {
             children: BTreeMap::new(),
             path,
             child_gens: BTreeMap::new(),
             run: RunState::Idle(StopReason::Unstarted),
-            state: Some(Box::new(SpaceState::new(node))),
+            state: Some(Box::new(SpaceState::new())),
             pending: None,
             has_vehicle: false,
             inline_vm: false,
@@ -221,7 +215,7 @@ pub(crate) struct KState {
 impl KState {
     pub(crate) fn new(costs: CostModel, policy: ConflictPolicy) -> KState {
         let mut slots = BTreeMap::new();
-        let mut root = KSlot::new(0, ROOT_PATH.to_string());
+        let mut root = KSlot::new(ROOT_PATH.to_string());
         root.run = RunState::Running;
         slots.insert(0, root);
         KState {

@@ -4,14 +4,18 @@
 //!
 //! All four decoders read the same JSON shim through the same derived
 //! mappings, so one suite covers them: every truncation, sampled
-//! single-bit flips, and nesting bombs.
+//! single-bit flips, and nesting bombs. Two more inputs arrive as
+//! arguments rather than artifacts and get the same treatment: the
+//! `--fault` spec text, and the image range and bytes a space hands to
+//! `analyze_footprint`.
 
 use det_kernel::wire::{delta_from_json, delta_to_json};
 use det_kernel::{
-    CHECKPOINT_FORMAT_VERSION, Checkpoint, DeviceId, GetSpec, IoLog, Kernel, KernelConfig,
-    KernelError, Program, PutSpec, Trace, TraceSink,
+    CHECKPOINT_FORMAT_VERSION, Checkpoint, DeviceId, Fault, FaultAction, FaultPlan, FaultSite,
+    GetSpec, IoLog, Kernel, KernelConfig, KernelError, Program, PutSpec, Region, Trace, TraceSink,
 };
-use det_memory::{PageDelta, PageDeltaOp, Perm, SpaceDelta};
+use det_memory::{AccessTracker, PageDelta, PageDeltaOp, Perm, SpaceDelta};
+use det_vm::{Cpu, Opcode, VmExit};
 use proptest::prelude::*;
 
 /// What a decoder made of a damaged text.
@@ -153,6 +157,206 @@ fn nesting_bombs_are_rejected() {
             "payload is not valid JSON"
         ))
     ));
+}
+
+/// A space's `analyze_footprint` arguments are its own word: a length
+/// no mapping could back is a typed error before anything is
+/// allocated for it — never an abort that takes the kernel and every
+/// sibling space down with it.
+#[test]
+fn analyze_footprint_rejects_hostile_ranges() {
+    let out = Kernel::new(KernelConfig::default()).run(|ctx| {
+        ctx.mem_mut()
+            .map_zero(Region::new(0x1000, 0x3000), Perm::RW)?;
+        for (base, len) in [
+            (0x1000, 0),
+            (0x1000, 0x2001),
+            (0x1000, 1 << 32),
+            (0x1000, 1 << 60),
+            (0x1000, u64::MAX),
+            (u64::MAX - 4, 16),
+            (u64::MAX, 1),
+        ] {
+            assert!(
+                matches!(
+                    ctx.analyze_footprint(base, len),
+                    Err(KernelError::InvalidSpec(_))
+                ),
+                "base {base:#x} len {len:#x}"
+            );
+        }
+        // Small enough to allocate, but not all of it is mapped.
+        assert!(matches!(
+            ctx.analyze_footprint(0x2000, 0x2000),
+            Err(KernelError::Mem(_))
+        ));
+        // The space and its kernel are still in working order.
+        ctx.analyze_footprint(0x1000, 0x2000)?;
+        ctx.put(
+            1,
+            PutSpec::new().program(Program::native(|_| Ok(9))).start(),
+        )?;
+        Ok(ctx.get(1, GetSpec::new())?.code as i32)
+    });
+    assert_eq!(out.exit, Ok(9));
+}
+
+/// The documented `--fault` examples parse to the documented
+/// coordinates.
+#[test]
+fn documented_fault_specs_parse() {
+    assert_eq!(
+        FaultPlan::parse("kill@syscall:path=/,n=12"),
+        Ok(Fault::new(FaultSite::Syscall, FaultAction::KillKernel)
+            .at_path("/")
+            .at_syscall(12))
+    );
+    assert_eq!(
+        FaultPlan::parse("fail@device:n=0"),
+        Ok(Fault::new(FaultSite::Device, FaultAction::FailOp).at_syscall(0))
+    );
+    assert_eq!(
+        FaultPlan::parse("panic@syscall:path=/3,vt=1000000"),
+        Ok(Fault::new(FaultSite::Syscall, FaultAction::PanicVehicle)
+            .at_path("/3")
+            .at_vtime_ps(1_000_000))
+    );
+}
+
+#[test]
+fn malformed_fault_specs_are_errors() {
+    for spec in [
+        "",
+        "@",
+        "kill@",
+        "@syscall",
+        "fail@device:n=",
+        "fail@device:n=18446744073709551616",
+        "fail@device:n=-1",
+        "fail@device:vt=1e3",
+        "kill@syscall:",
+        "kill@syscall:,",
+        "kill@syscall:path",
+        "kill@syscall:q=1",
+        "kill\0@syscall",
+        "kill@sys\0call",
+        "kill@syscall\0:n=1",
+        "kílľ@syscall",
+        "kill@syscall:ń=1",
+        "kill\u{1F980}@\u{1F980}syscall",
+        "Kill@syscall",
+        " kill@syscall",
+    ] {
+        assert!(FaultPlan::parse(spec).is_err(), "accepted {spec:?}");
+    }
+    // The largest ordinal still parses; a path is taken verbatim.
+    assert_eq!(
+        FaultPlan::parse("fail@alloc:n=18446744073709551615,path=\u{1F980}=\0")
+            .map(|f| (f.nth_syscall, f.path)),
+        Ok((Some(u64::MAX), Some("\u{1F980}=\0".to_string())))
+    );
+}
+
+/// Fragments a fault spec is glued from, chosen to land multi-byte
+/// UTF-8, NULs and empty fields on every split point (`@`, `:`, `,`,
+/// `=`) and overflowing digits in the numeric fields.
+const SPEC_FRAGMENTS: &[&str] = &[
+    "",
+    "@",
+    ":",
+    ",",
+    "=",
+    "kill",
+    "panic",
+    "fail",
+    "syscall",
+    "device",
+    "trace",
+    "alloc",
+    "path",
+    "n",
+    "vt",
+    "/3",
+    "12",
+    "18446744073709551616",
+    "-1",
+    " ",
+    "\0",
+    "é",
+    "\u{1F980}",
+];
+
+/// A VM image of raw bytes. `ops` overwrites the opcode byte of seven
+/// words in eight with a defined opcode, so the interpreter and the
+/// analyzer get past the first fetch more often than noise alone
+/// would let them.
+fn hostile_image(mut bytes: Vec<u8>, ops: &[(u8, usize)]) -> Vec<u8> {
+    for (word, &(keep, op)) in bytes.chunks_exact_mut(4).zip(ops) {
+        if keep != 0 {
+            word[3] = Opcode::ALL[op % Opcode::ALL.len()] as u8;
+        }
+    }
+    bytes
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(200))]
+
+    /// Arbitrary spec text gives a `Fault` or an `Err`, never a panic.
+    #[test]
+    fn arbitrary_fault_specs_never_panic(
+        picks in proptest::collection::vec(0usize..SPEC_FRAGMENTS.len(), 0..8),
+        raw in proptest::collection::vec(any::<u8>(), 0..24),
+    ) {
+        let glued: String = picks.iter().map(|&i| SPEC_FRAGMENTS[i]).collect();
+        let noise = String::from_utf8_lossy(&raw);
+        let _ = FaultPlan::parse(&glued);
+        let _ = FaultPlan::parse(&noise);
+        let _ = FaultPlan::parse(&format!("kill@syscall:{noise}"));
+    }
+
+    /// `analyze_footprint` over arbitrary image bytes — not assembled
+    /// source — terminates with a footprint, and a bounded concrete
+    /// run of the same bytes stays inside it.
+    #[test]
+    fn arbitrary_image_bytes_analyze_soundly(
+        bytes in proptest::collection::vec(any::<u8>(), 1..513),
+        ops in proptest::collection::vec((0u8..8, any::<usize>()), 128),
+    ) {
+        let image = hostile_image(bytes, &ops);
+        let len = image.len() as u64;
+        let out = Kernel::new(KernelConfig::default()).run(move |ctx| {
+            ctx.mem_mut().map_zero(Region::new(0, 0x10000), Perm::RW)?;
+            ctx.mem_mut().write(0, &image)?;
+            let fp = ctx.analyze_footprint(0, len)?;
+
+            let mut mem = ctx.mem().clone();
+            let tracker = AccessTracker::new();
+            mem.set_tracker(Some(tracker.clone()));
+            let mut cpu = Cpu::new();
+            // Like the analyzer's gate: resume across `sys` exits with
+            // the registers untouched.
+            while cpu.insn_count < 20_000 {
+                match cpu.run(&mut mem, Some(20_000 - cpu.insn_count)) {
+                    VmExit::Sys(_) => continue,
+                    _ => break,
+                }
+            }
+            for p in tracker.pages_written() {
+                assert!(fp.writes.contains(p), "wrote page {p:#x} outside {}", fp.writes);
+            }
+            for p in tracker.pages_read() {
+                assert!(
+                    fp.reads.contains(p) || fp.writes.contains(p),
+                    "read page {p:#x} outside {} / {}",
+                    fp.reads,
+                    fp.writes
+                );
+            }
+            Ok(0)
+        });
+        prop_assert_eq!(out.exit, Ok(0));
+    }
 }
 
 proptest! {

@@ -922,16 +922,28 @@ fn unjoined_running_child_is_cleaned_up() {
     assert_eq!(out.exit, Ok(0));
 }
 
+/// A child number is a plain 64-bit name with no reserved bits: one
+/// with bit 48 set (once a cluster node field) names an ordinary
+/// child, distinct from the child whose low bits it shares.
 #[test]
-fn node_field_without_cluster_is_unreachable() {
+fn child_number_high_bits_name_ordinary_children() {
     let out = kernel().run(|ctx| {
-        let c = det_kernel::child_on_node(3, 1);
-        match ctx.put(c, PutSpec::new()) {
-            Err(KernelError::NodeUnreachable(3)) => Ok(0),
-            other => panic!("expected NodeUnreachable, got {other:?}"),
+        for (c, code) in [(1u64, 11), ((1u64 << 48) | 1, 22), (u64::MAX, 33)] {
+            ctx.put(
+                c,
+                PutSpec::new()
+                    .program(Program::native(move |_| Ok(code)))
+                    .start(),
+            )?;
         }
+        for (c, code) in [(1u64, 11), ((1u64 << 48) | 1, 22), (u64::MAX, 33)] {
+            assert_eq!(ctx.get(c, GetSpec::new())?.code, code);
+        }
+        Ok(0)
     });
     assert_eq!(out.exit, Ok(0));
+    assert_eq!(out.stats.spaces_created, 3);
+    assert_eq!(out.stats.migrations, 0);
 }
 
 #[test]

@@ -408,8 +408,8 @@ impl AddressSpace {
     }
 
     /// Installs an access tracker that records every page touched by
-    /// reads and writes (used by the cluster layer to account demand
-    /// paging). Returns any previous tracker.
+    /// reads and writes (the observation `det-analyze`'s soundness gate
+    /// checks a static footprint against). Returns any previous tracker.
     ///
     /// Installing or removing a tracker bumps the generation and
     /// disables the translation fast path (`translate_*` return `None`

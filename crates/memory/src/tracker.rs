@@ -1,4 +1,5 @@
-//! Page access tracking for demand-paging simulation.
+//! Page access tracking: the concrete observation a static footprint
+//! is checked against.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -8,15 +9,15 @@ use crate::page::vpn_of;
 
 /// Records the set of virtual pages touched by reads and writes.
 ///
-/// The cluster layer (`det-cluster`) installs a tracker on a migrated
-/// space's memory to learn which pages the space demands on its new
-/// node; each first touch of a non-resident page is charged as a
-/// cross-node page pull, reproducing the paper's demand-paging
-/// migration protocol (§3.3).
+/// `det-analyze`'s soundness gate installs a tracker on the space a
+/// program runs in and checks that every page the run really touched
+/// lies inside the statically predicted footprint (DESIGN.md §11) —
+/// the one thing the analysis must never get wrong.
 ///
-/// The tracker is shared (`Arc`) so the kernel can read it while user
-/// code runs; a mutex keeps it thread-safe. Determinism is unaffected:
-/// the *sets* recorded depend only on the program's own accesses.
+/// The tracker is shared (`Arc`) so the checker keeps a handle while
+/// the space owns its clone; a mutex keeps it thread-safe. Determinism
+/// is unaffected: the *sets* recorded depend only on the program's own
+/// accesses.
 #[derive(Clone, Default, Debug)]
 pub struct AccessTracker {
     inner: Arc<Mutex<TrackerState>>,

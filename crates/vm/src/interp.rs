@@ -41,8 +41,9 @@
 //! The caches are semantically invisible: every miss or stale hit
 //! falls back to the exact slow path, a store into a page holding
 //! cached decodes flushes them (self-modifying code), and an installed
-//! [`AccessTracker`](det_memory::AccessTracker) disables caching
-//! entirely so its page log stays exact. `Cpu::fast_path` can be
+//! [`AccessTracker`](det_memory::AccessTracker) — the analyzer
+//! gate's observation of a concrete run — disables caching entirely
+//! so its page log stays exact. `Cpu::fast_path` can be
 //! cleared to force the original slow path everywhere — the
 //! differential suite in `tests/tlb_props.rs` runs both and demands
 //! byte-identical results, and pins its counters to goldens recorded

@@ -1,26 +1,31 @@
 //! Distributed benchmarks (§6.3, Figures 11–12): md5-circuit,
-//! md5-tree, and matmult-tree over simulated cluster nodes, plus the
-//! explicit message-passing baselines standing in for the paper's
-//! remote-shell / TCP Linux equivalents.
+//! md5-tree, and matmult-tree over the shard cluster runtime
+//! (`det_cluster::ClusterSpec`), plus the explicit message-passing
+//! baselines standing in for the paper's remote-shell / TCP Linux
+//! equivalents.
 //!
 //! All three Determinator variants still program against *logically
-//! shared memory* via Snap/Merge — distribution is only visible in the
-//! node fields of child numbers, as in the paper.
+//! shared memory*: a job sees a snapshot of its parent's region and
+//! its writes come home through the join's merge — distribution is
+//! only visible in the node argument of `Remote::fork`. By convention
+//! the space responsible for the node range `lo..hi` runs on node
+//! `lo`.
 
-use std::sync::Arc;
-
-use det_cluster::{NetworkModel, SimCluster};
-use det_kernel::{
-    CopySpec, GetSpec, Kernel, KernelConfig, KernelError, Program, PutSpec, Region, RunOutcome,
-    SpaceCtx, child_on_node,
-};
+use det_cluster::{ClusterOutcome, ClusterSpec, JobSpec, NetworkModel, Remote};
+use det_kernel::{Region, SpaceCtx};
 use det_memory::Perm;
 
+use crate::RunResult;
 use crate::matmult::PS_PER_MAC;
 use crate::md5::{NS_PER_HASH, candidate, md5};
-use crate::{Mode, RunResult};
+use crate::sharded::{
+    BASE, MD5_SLOTS, ShardedConfig, ShardedResult, finish, md5_found, md5_scan_range,
+};
 
-const BASE: u64 = 0x1000_0000;
+/// Host threads the figures run on. Every reported number is virtual
+/// time or a traffic count, and those are shard-count-invariant
+/// (DESIGN.md §10), so this is not a parameter.
+const SHARDS: usize = 2;
 
 /// Distributed benchmark parameters.
 #[derive(Clone, Copy, Debug)]
@@ -33,83 +38,108 @@ pub struct DistConfig {
     pub tcp_like: bool,
 }
 
-fn cluster_for(cfg: &DistConfig) -> Arc<SimCluster> {
-    let net = if cfg.tcp_like {
-        NetworkModel::ethernet_1g_tcp()
-    } else {
-        NetworkModel::ethernet_1g()
-    };
-    SimCluster::new(cfg.nodes.max(1), net)
+impl DistConfig {
+    fn net(&self) -> NetworkModel {
+        if self.tcp_like {
+            NetworkModel::ethernet_1g_tcp()
+        } else {
+            NetworkModel::ethernet_1g()
+        }
+    }
+
+    fn spec(&self) -> ClusterSpec {
+        let mut spec = ClusterSpec::new(self.nodes.max(1), SHARDS);
+        spec.net = self.net();
+        spec
+    }
 }
 
-fn kernel_for(cfg: &DistConfig) -> (Kernel, Arc<SimCluster>) {
-    let sim = cluster_for(cfg);
-    (
-        Kernel::with_cluster(Mode::Determinator.config(), sim.clone()),
-        sim,
-    )
+fn run_result(outcome: ClusterOutcome, what: &str) -> RunResult {
+    let checksum = match outcome.exit {
+        Ok(code) => code as u32 as u64,
+        Err(t) => panic!("{what} trapped: {t:?}"),
+    };
+    RunResult {
+        vclock_ns: outcome.vclock_ns,
+        stats: outcome.stats,
+        checksum,
+    }
+}
+
+/// Runs `body` as the root of an md5 search for the key at 7/8 of the
+/// keyspace (handing it that key's digest), then decodes the lowest
+/// key any node's slot reports.
+fn md5_search(
+    spec: ClusterSpec,
+    keyspace: u64,
+    body: impl FnOnce(&mut SpaceCtx, &Remote, [u8; 16]) -> det_kernel::Result<()> + Send + 'static,
+) -> ClusterOutcome {
+    let nodes = spec.nodes as u64;
+    let digest = md5(&candidate(keyspace * 7 / 8));
+    spec.run(move |ctx, net| {
+        ctx.mem_mut().map_zero(MD5_SLOTS, Perm::RW)?;
+        body(ctx, net, digest)?;
+        Ok(md5_found(ctx, nodes)? as i32)
+    })
 }
 
 // ---------------------------------------------------------------------
 // md5-circuit: the master travels to each node in turn (§6.3).
 // ---------------------------------------------------------------------
 
-/// Runs md5-circuit: the master migrates serially around the ring to
-/// fork one worker per node, then retraces the circuit to collect.
-pub fn md5_circuit(cfg: DistConfig) -> RunResult {
-    let nodes = cfg.nodes.max(1) as u64;
-    let keyspace = cfg.size;
-    let target = keyspace * 7 / 8;
-    let digest = md5(&candidate(target));
-    let shared = Region::new(BASE, BASE + 0x1000);
-    let (kernel, _sim) = kernel_for(&cfg);
-    let outcome = kernel.run(move |ctx| {
-        ctx.mem_mut().map_zero(shared, Perm::RW)?;
-        let per = keyspace.div_ceil(nodes);
-        // Leg 1: travel the circuit forking workers.
-        for k in 0..nodes {
-            let lo = k * per;
-            let hi = (lo + per).min(keyspace);
-            let slot = BASE + k * 8;
-            ctx.put(
-                child_on_node(k as u16, 1),
-                PutSpec::new()
-                    .program(Program::native(move |c| {
-                        let mut found = u64::MAX;
-                        for i in lo..hi {
-                            if md5(&candidate(i)) == digest {
-                                found = i;
-                            }
-                        }
-                        c.charge((hi - lo) * NS_PER_HASH)?;
-                        if found != u64::MAX {
-                            c.mem_mut().write_u64(slot, found)?;
-                        }
-                        Ok(0)
-                    }))
-                    .copy(CopySpec::mirror(shared))
-                    .snap()
-                    .start(),
-            )?;
-        }
-        // Leg 2: retrace and collect.
-        let mut found = u64::MAX;
-        for k in 0..nodes {
-            ctx.get(child_on_node(k as u16, 1), GetSpec::new().merge(shared))?;
-            let v = ctx.mem().read_u64(BASE + k * 8)?;
-            if v != 0 {
-                found = found.min(if v == 0 { u64::MAX } else { v });
-            }
-        }
-        Ok(found as i32)
-    });
-    let found = outcome.exit.expect("md5-circuit trapped") as u32 as u64;
-    assert_eq!(found, target);
-    RunResult {
-        vclock_ns: outcome.vclock_ns,
-        stats: outcome.stats,
-        checksum: found,
+/// One stop of the circuit: the master, now on node `k`, forks that
+/// node's worker beside itself (a same-node fork — no link traffic),
+/// sends its own continuation on to node `k + 1`, and collects both —
+/// the continuation first, so the whole outbound and return trip sits
+/// on the critical path as in the paper. (A flat fan-out from the root
+/// is *not* a circuit on this runtime: forks are asynchronous, so it
+/// would scale like the tree.)
+fn circuit_stop(
+    ctx: &mut SpaceCtx,
+    net: &Remote,
+    k: u16,
+    per: u64,
+    keyspace: u64,
+    digest: [u8; 16],
+) -> det_kernel::Result<()> {
+    let lo = (k as u64 * per).min(keyspace);
+    let keys = (lo, (lo + per).min(keyspace));
+    let slot = BASE + k as u64 * 8;
+    net.fork(
+        ctx,
+        0,
+        k,
+        JobSpec::native(MD5_SLOTS, move |c, _| md5_scan_range(c, digest, keys, slot)),
+    )?;
+    if k + 1 < net.nodes() {
+        net.fork(
+            ctx,
+            1,
+            k + 1,
+            JobSpec::native(MD5_SLOTS, move |c, net| {
+                circuit_stop(c, net, k + 1, per, keyspace, digest)?;
+                Ok(0)
+            }),
+        )?;
+        net.join(ctx, 1)?;
     }
+    net.join(ctx, 0)?;
+    Ok(())
+}
+
+fn md5_circuit_on(spec: ClusterSpec, keyspace: u64) -> ClusterOutcome {
+    let per = keyspace.div_ceil(spec.nodes as u64);
+    md5_search(spec, keyspace, move |ctx, net, digest| {
+        circuit_stop(ctx, net, 0, per, keyspace, digest)
+    })
+}
+
+/// Runs md5-circuit: the master migrates serially around the nodes,
+/// forking one worker on each, then retraces the circuit to collect.
+pub fn md5_circuit(cfg: DistConfig) -> RunResult {
+    let r = run_result(md5_circuit_on(cfg.spec(), cfg.size), "md5-circuit");
+    assert_eq!(r.checksum, cfg.size * 7 / 8);
+    r
 }
 
 // ---------------------------------------------------------------------
@@ -118,96 +148,63 @@ pub fn md5_circuit(cfg: DistConfig) -> RunResult {
 
 fn md5_tree_node(
     ctx: &mut SpaceCtx,
-    shared: Region,
-    node_lo: u16,
-    node_hi: u16,
-    key_lo: u64,
-    key_hi: u64,
+    net: &Remote,
+    nodes: (u16, u16),
+    keys: (u64, u64),
     digest: [u8; 16],
-) -> std::result::Result<(), KernelError> {
+) -> det_kernel::Result<()> {
+    let ((node_lo, node_hi), (key_lo, key_hi)) = (nodes, keys);
     if node_hi - node_lo <= 1 {
-        let mut found = u64::MAX;
-        for i in key_lo..key_hi {
-            if md5(&candidate(i)) == digest {
-                found = i;
-            }
-        }
-        ctx.charge((key_hi - key_lo) * NS_PER_HASH)?;
-        if found != u64::MAX {
-            ctx.mem_mut()
-                .write_u64(BASE + (node_lo as u64) * 8, found)?;
-        }
+        md5_scan_range(ctx, digest, keys, BASE + node_lo as u64 * 8)?;
         return Ok(());
     }
     let node_mid = node_lo + (node_hi - node_lo) / 2;
     let key_mid = key_lo + (key_hi - key_lo) / 2;
     let halves = [
-        (node_lo, node_mid, key_lo, key_mid),
-        (node_mid, node_hi, key_mid, key_hi),
+        ((node_lo, node_mid), (key_lo, key_mid)),
+        ((node_mid, node_hi), (key_mid, key_hi)),
     ];
-    for (idx, (nlo, nhi, klo, khi)) in halves.into_iter().enumerate() {
-        ctx.put(
-            child_on_node(nlo, 40 + idx as u64),
-            PutSpec::new()
-                .program(Program::native(move |c| {
-                    md5_tree_node(c, shared, nlo, nhi, klo, khi, digest)?;
-                    Ok(0)
-                }))
-                .copy(CopySpec::mirror(shared))
-                .snap()
-                .start(),
+    for (tag, (nodes, keys)) in halves.into_iter().enumerate() {
+        net.fork(
+            ctx,
+            tag as u64,
+            nodes.0,
+            JobSpec::native(MD5_SLOTS, move |c, net| {
+                md5_tree_node(c, net, nodes, keys, digest)?;
+                Ok(0)
+            }),
         )?;
     }
-    for (idx, (nlo, ..)) in halves.into_iter().enumerate() {
-        ctx.get(
-            child_on_node(nlo, 40 + idx as u64),
-            GetSpec::new().merge(shared),
-        )?;
+    for tag in 0..halves.len() as u64 {
+        net.join(ctx, tag)?;
     }
     Ok(())
 }
 
-/// Runs md5-tree under an arbitrary base kernel configuration on a
-/// simulated cluster and returns the raw outcome (conformance harness
-/// entry point). Cluster hooks disable syscall tracing, so the
-/// harness compares this scenario's reduced bundle.
-pub fn md5_tree_outcome(kcfg: KernelConfig, cfg: DistConfig) -> RunOutcome {
-    let nodes = cfg.nodes.max(1);
-    let keyspace = cfg.size;
-    let target = keyspace * 7 / 8;
-    let digest = md5(&candidate(target));
-    let shared = Region::new(BASE, BASE + 0x1000);
-    let kernel = Kernel::with_cluster(kcfg, cluster_for(&cfg));
-    kernel.run(move |ctx| {
-        ctx.mem_mut().map_zero(shared, Perm::RW)?;
-        md5_tree_node(ctx, shared, 0, nodes, 0, keyspace, digest)?;
-        let mut found = u64::MAX;
-        for k in 0..nodes as u64 {
-            let v = ctx.mem().read_u64(BASE + k * 8)?;
-            if v != 0 {
-                found = found.min(v);
-            }
-        }
-        Ok(found as i32)
+fn md5_tree_on(spec: ClusterSpec, keyspace: u64) -> ClusterOutcome {
+    let nodes = spec.nodes;
+    md5_search(spec, keyspace, move |ctx, net, digest| {
+        md5_tree_node(ctx, net, (0, nodes), (0, keyspace), digest)
     })
+}
+
+/// Runs md5-tree on an explicit shard count and under a fault plan
+/// (conformance harness entry point).
+pub fn md5_tree_sharded(cfg: ShardedConfig) -> ShardedResult {
+    finish(md5_tree_on(cfg.spec(), cfg.size))
 }
 
 /// Runs md5-tree: recursive fork across nodes, results merged up the
 /// tree (§6.3 — the variant that scales).
 pub fn md5_tree(cfg: DistConfig) -> RunResult {
-    let target = cfg.size * 7 / 8;
-    let outcome = md5_tree_outcome(Mode::Determinator.config(), cfg);
-    let found = outcome.exit.expect("md5-tree trapped") as u32 as u64;
-    assert_eq!(found, target);
-    RunResult {
-        vclock_ns: outcome.vclock_ns,
-        stats: outcome.stats,
-        checksum: found,
-    }
+    let r = run_result(md5_tree_on(cfg.spec(), cfg.size), "md5-tree");
+    assert_eq!(r.checksum, cfg.size * 7 / 8);
+    r
 }
 
 // ---------------------------------------------------------------------
-// matmult-tree: rows distributed recursively; B pulled on demand.
+// matmult-tree: rows distributed recursively; the matrices cross the
+// link with every remote fork.
 // ---------------------------------------------------------------------
 
 fn mm_region(n: usize) -> Region {
@@ -217,16 +214,15 @@ fn mm_region(n: usize) -> Region {
 
 fn mm_tree_node(
     ctx: &mut SpaceCtx,
+    net: &Remote,
     n: usize,
-    node_lo: u16,
-    node_hi: u16,
-    row_lo: usize,
-    row_hi: usize,
-) -> std::result::Result<(), KernelError> {
-    let region = mm_region(n);
+    nodes: (u16, u16),
+    rows: (usize, usize),
+) -> det_kernel::Result<()> {
+    let ((node_lo, node_hi), (row_lo, row_hi)) = (nodes, rows);
     if node_hi - node_lo <= 1 {
-        // Leaf: real compute on this node; reading A's stripe and all
-        // of B demand-pulls their pages across the network.
+        // Leaf: real compute on this node, over the A stripe and the
+        // whole of B that migration pulled here.
         let a = ctx
             .mem()
             .read_u64s(BASE + (row_lo * n * 8) as u64, (row_hi - row_lo) * n)?;
@@ -250,47 +246,36 @@ fn mm_tree_node(
     let node_mid = node_lo + (node_hi - node_lo) / 2;
     let row_mid = row_lo + (row_hi - row_lo) / 2;
     let halves = [
-        (node_lo, node_mid, row_lo, row_mid),
-        (node_mid, node_hi, row_mid, row_hi),
+        ((node_lo, node_mid), (row_lo, row_mid)),
+        ((node_mid, node_hi), (row_mid, row_hi)),
     ];
-    for (idx, (nlo, nhi, rlo, rhi)) in halves.into_iter().enumerate() {
-        ctx.put(
-            child_on_node(nlo, 60 + idx as u64),
-            PutSpec::new()
-                .program(Program::native(move |c| {
-                    mm_tree_node(c, n, nlo, nhi, rlo, rhi)?;
-                    Ok(0)
-                }))
-                .copy(CopySpec::mirror(region))
-                .snap()
-                .start(),
+    for (tag, (nodes, rows)) in halves.into_iter().enumerate() {
+        net.fork(
+            ctx,
+            tag as u64,
+            nodes.0,
+            JobSpec::native(mm_region(n), move |c, net| {
+                mm_tree_node(c, net, n, nodes, rows)?;
+                Ok(0)
+            }),
         )?;
     }
-    for (idx, (nlo, ..)) in halves.into_iter().enumerate() {
-        ctx.get(
-            child_on_node(nlo, 60 + idx as u64),
-            GetSpec::new().merge(region),
-        )?;
+    for tag in 0..halves.len() as u64 {
+        net.join(ctx, tag)?;
     }
     Ok(())
 }
 
-/// Runs matmult-tree with recursive work distribution (§6.3 — levels
-/// off at ~2 nodes because the kernel's simplistic page-copy protocol
-/// must move the matrix data).
-pub fn matmult_tree(cfg: DistConfig) -> RunResult {
-    let nodes = cfg.nodes.max(1);
-    let n = cfg.size as usize;
-    let region = mm_region(n);
-    let (kernel, _sim) = kernel_for(&cfg);
-    let outcome = kernel.run(move |ctx| {
-        ctx.mem_mut().map_zero(region, Perm::RW)?;
+fn matmult_tree_on(spec: ClusterSpec, n: usize) -> ClusterOutcome {
+    let nodes = spec.nodes;
+    spec.run(move |ctx, net| {
+        ctx.mem_mut().map_zero(mm_region(n), Perm::RW)?;
         let mut rng = crate::mathx::XorShift64::new(0xD157);
         let a: Vec<u64> = (0..n * n).map(|_| rng.below(1000)).collect();
         let b: Vec<u64> = (0..n * n).map(|_| rng.below(1000)).collect();
         ctx.mem_mut().write_u64s(BASE, &a)?;
         ctx.mem_mut().write_u64s(BASE + (n * n * 8) as u64, &b)?;
-        mm_tree_node(ctx, n, 0, nodes, 0, n)?;
+        mm_tree_node(ctx, net, n, (0, nodes), (0, n))?;
         // Spot validation.
         let c_all = ctx.mem().read_u64s(BASE + (2 * n * n * 8) as u64, n * n)?;
         let mut spot = crate::mathx::XorShift64::new(9);
@@ -308,13 +293,17 @@ pub fn matmult_tree(cfg: DistConfig) -> RunResult {
             d.update_u64(*v);
         }
         Ok((d.value() & 0x7fff_ffff) as i32)
-    });
-    let checksum = outcome.exit.expect("matmult-tree trapped") as u64;
-    RunResult {
-        vclock_ns: outcome.vclock_ns,
-        stats: outcome.stats,
-        checksum,
-    }
+    })
+}
+
+/// Runs matmult-tree with recursive work distribution (§6.3 — never
+/// beats one node, because every remote fork must move the matrix
+/// data across the link).
+pub fn matmult_tree(cfg: DistConfig) -> RunResult {
+    run_result(
+        matmult_tree_on(cfg.spec(), cfg.size as usize),
+        "matmult-tree",
+    )
 }
 
 // ---------------------------------------------------------------------
@@ -327,11 +316,7 @@ pub fn matmult_tree(cfg: DistConfig) -> RunResult {
 /// results return as small messages.
 pub fn mp_md5_ns(cfg: DistConfig) -> u64 {
     let nodes = cfg.nodes.max(1) as u64;
-    let net = if cfg.tcp_like {
-        NetworkModel::ethernet_1g_tcp()
-    } else {
-        NetworkModel::ethernet_1g()
-    };
+    let net = cfg.net();
     let msg = net.message_ps(128) / 1000;
     let per = cfg.size.div_ceil(nodes);
     let scan = per * NS_PER_HASH;
@@ -348,11 +333,7 @@ pub fn mp_md5_ns(cfg: DistConfig) -> u64 {
 pub fn mp_matmult_ns(cfg: DistConfig) -> u64 {
     let nodes = cfg.nodes.max(1) as u64;
     let n = cfg.size;
-    let net = if cfg.tcp_like {
-        NetworkModel::ethernet_1g_tcp()
-    } else {
-        NetworkModel::ethernet_1g()
-    };
+    let net = cfg.net();
     let stripe_bytes = n * n * 8 / nodes;
     let b_bytes = n * n * 8;
     let send = net.message_ps(stripe_bytes + b_bytes) / 1000;
@@ -369,9 +350,13 @@ mod tests {
     fn quick(nodes: u16) -> DistConfig {
         DistConfig {
             nodes,
-            size: 4_000,
+            size: 40_000,
             tcp_like: false,
         }
+    }
+
+    fn speedup(one: &RunResult, many: &RunResult) -> f64 {
+        one.vclock_ns as f64 / many.vclock_ns as f64
     }
 
     #[test]
@@ -383,13 +368,13 @@ mod tests {
 
     #[test]
     fn md5_tree_scales_better_than_circuit() {
-        // Fig. 11: the serial circuit pays 2·K migrations on the
+        // Fig. 11: the serial circuit pays 2·(K−1) migrations on the
         // critical path; the tree pays O(log K).
-        let c1 = md5_circuit(quick(1)).vclock_ns;
-        let c8 = md5_circuit(quick(8)).vclock_ns;
-        let t8 = md5_tree(quick(8)).vclock_ns;
-        let circuit_speedup = c1 as f64 / c8 as f64;
-        let tree_speedup = c1 as f64 / t8 as f64;
+        let c1 = md5_circuit(quick(1));
+        let c8 = md5_circuit(quick(8));
+        let t8 = md5_tree(quick(8));
+        let circuit_speedup = speedup(&c1, &c8);
+        let tree_speedup = speedup(&c1, &t8);
         assert!(
             tree_speedup > circuit_speedup,
             "tree {tree_speedup} vs circuit {circuit_speedup}"
@@ -398,22 +383,67 @@ mod tests {
     }
 
     #[test]
+    fn circuit_peaks_by_eight_nodes_and_tree_keeps_climbing() {
+        let c1 = md5_circuit(quick(1));
+        let t1 = md5_tree(quick(1));
+        let c8 = speedup(&c1, &md5_circuit(quick(8)));
+        let c16 = speedup(&c1, &md5_circuit(quick(16)));
+        let t8 = speedup(&t1, &md5_tree(quick(8)));
+        let t16 = speedup(&t1, &md5_tree(quick(16)));
+        assert!(c16 < c8, "circuit must fall off: {c8:.2} -> {c16:.2}");
+        assert!(c16 < t16, "circuit {c16:.2} vs tree {t16:.2} at 16");
+        assert!(t16 > t8, "tree must keep scaling: {t8:.2} -> {t16:.2}");
+    }
+
+    #[test]
+    fn circuit_migrations_sit_on_the_critical_path() {
+        // Out and back through every node but the first.
+        for k in [2u16, 4, 8] {
+            let out = md5_circuit_on(quick(k).spec(), 4_000);
+            assert_eq!(out.cluster.migrations, 2 * (k as u64 - 1), "nodes={k}");
+        }
+    }
+
+    #[test]
+    fn key_zero_is_found() {
+        // Slots hold `found + 1`, so the first key is distinguishable
+        // from an empty slot.
+        let digest = md5(&candidate(0));
+        let out = ClusterSpec::new(2, 1).run(move |ctx, net| {
+            ctx.mem_mut().map_zero(MD5_SLOTS, Perm::RW)?;
+            md5_tree_node(ctx, net, (0, 2), (0, 64), digest)?;
+            Ok(md5_found(ctx, 2)? as i32)
+        });
+        assert_eq!(out.exit, Ok(0));
+    }
+
+    #[test]
     fn matmult_tree_levels_off() {
         // Fig. 11: matmult gains little beyond ~2 nodes because the
-        // matrix pages must cross the network page by page.
+        // matrix pages must cross the network with every fork.
         let cfg = |nodes| DistConfig {
             nodes,
             size: 96,
             tcp_like: false,
         };
-        let n1 = matmult_tree(cfg(1)).vclock_ns as f64;
-        let n2 = matmult_tree(cfg(2)).vclock_ns as f64;
-        let n8 = matmult_tree(cfg(8)).vclock_ns as f64;
-        let s2 = n1 / n2;
-        let s8 = n1 / n8;
+        let n1 = matmult_tree(cfg(1));
+        let s: Vec<f64> = [2u16, 4, 8, 16]
+            .into_iter()
+            .map(|k| {
+                let r = matmult_tree(cfg(k));
+                assert_eq!(r.checksum, n1.checksum, "nodes={k}");
+                speedup(&n1, &r)
+            })
+            .collect();
         assert!(
-            s8 < s2 * 2.5,
-            "matmult must level off: s2={s2:.2} s8={s8:.2}"
+            s[2] < s[0] * 2.5,
+            "matmult must level off: s2={:.2} s8={:.2}",
+            s[0],
+            s[2]
+        );
+        assert!(
+            s.iter().all(|&x| x < 1.0),
+            "matmult-tree never beats one node: {s:?}"
         );
     }
 
@@ -427,9 +457,30 @@ mod tests {
         .vclock_ns as f64;
         let overhead = tcp / plain - 1.0;
         assert!(
-            (0.0..0.02).contains(&overhead),
+            overhead > 0.0 && overhead < 0.02,
             "TCP-like overhead {overhead}"
         );
+    }
+
+    #[test]
+    fn bundles_are_shard_count_invariant() {
+        let spec = |shards| ClusterSpec::new(4, shards);
+        for (name, run) in [
+            (
+                "md5-circuit",
+                (|s| md5_circuit_on(s, 2_000)) as fn(ClusterSpec) -> ClusterOutcome,
+            ),
+            ("md5-tree", |s| md5_tree_on(s, 2_000)),
+            ("matmult-tree", |s| matmult_tree_on(s, 24)),
+        ] {
+            let one = run(spec(1));
+            assert!(one.exit.is_ok(), "{name}: {:?}", one.exit);
+            assert_eq!(
+                one.bundle_bytes(),
+                run(spec(3)).bundle_bytes(),
+                "{name} diverged between 1 and 3 shards"
+            );
+        }
     }
 
     #[test]

@@ -9,14 +9,15 @@
 
 use det_cluster::{ClusterOutcome, ClusterSpec, JobSpec};
 use det_kernel::{
-    CopySpec, DeviceId, FaultPlan, GetSpec, Program, PutSpec, Region, Regs, SpaceCtx, StopReason,
+    CopySpec, DeviceId, FaultPlan, GetSpec, NativeResult, Program, PutSpec, Region, Regs, SpaceCtx,
+    StopReason,
 };
 use det_memory::Perm;
 use det_runtime::dsched::{self, DSched};
 
 use crate::md5::{NS_PER_HASH, candidate, md5};
 
-const BASE: u64 = 0x1000_0000;
+pub(crate) const BASE: u64 = 0x1000_0000;
 
 /// Parameters of a sharded run.
 #[derive(Clone, Debug)]
@@ -42,7 +43,7 @@ impl ShardedConfig {
         }
     }
 
-    fn spec(&self) -> ClusterSpec {
+    pub(crate) fn spec(&self) -> ClusterSpec {
         let mut spec = ClusterSpec::new(self.nodes.max(1), self.shards.max(1));
         spec.faults = self.faults.clone();
         spec
@@ -58,7 +59,7 @@ pub struct ShardedResult {
     pub checksum: u64,
 }
 
-fn finish(outcome: ClusterOutcome) -> ShardedResult {
+pub(crate) fn finish(outcome: ClusterOutcome) -> ShardedResult {
     // A run cut short by an injected root fault has no checksum; the
     // sentinel keeps the result deterministic without panicking.
     let checksum = match outcome.exit {
@@ -72,6 +73,51 @@ fn finish(outcome: ClusterOutcome) -> ShardedResult {
 // md5-scan: embarrassingly parallel real compute (the scaling figure).
 // ---------------------------------------------------------------------
 
+/// The md5 cluster workloads' shared page of per-node result slots
+/// (node `k`'s at `BASE + 8k`).
+pub(crate) const MD5_SLOTS: Region = Region {
+    start: BASE,
+    end: BASE + 0x1000,
+};
+
+/// The scan every md5 cluster workload runs per node: hashes the
+/// candidates `keys.0..keys.1` against `digest`, charges their
+/// declared cost, and writes `found + 1` to `slot` — so an untouched
+/// slot (0) means "not here" and key 0 is still a representable
+/// answer.
+pub(crate) fn md5_scan_range(
+    c: &mut SpaceCtx,
+    digest: [u8; 16],
+    keys: (u64, u64),
+    slot: u64,
+) -> NativeResult {
+    let (lo, hi) = keys;
+    let mut found = u64::MAX;
+    for i in lo..hi {
+        if md5(&candidate(i)) == digest {
+            found = i;
+        }
+    }
+    c.charge((hi - lo) * NS_PER_HASH)?;
+    if found != u64::MAX {
+        c.mem_mut().write_u64(slot, found + 1)?;
+    }
+    Ok(0)
+}
+
+/// The lowest key any of `nodes` per-node slots reports
+/// (`u64::MAX` if none did) — the decode of [`md5_scan_range`]'s slots.
+pub(crate) fn md5_found(ctx: &SpaceCtx, nodes: u64) -> det_kernel::Result<u64> {
+    let mut found = u64::MAX;
+    for k in 0..nodes {
+        let v = ctx.mem().read_u64(BASE + k * 8)?;
+        if v != 0 {
+            found = found.min(v - 1);
+        }
+    }
+    Ok(found)
+}
+
 /// Brute-forces an MD5 preimage with one scanning job per logical
 /// node (node 0's slice runs inside the root space). The real hash
 /// work dominates, so wall-clock time scales with the shard count
@@ -81,45 +127,25 @@ pub fn md5_scan(cfg: ShardedConfig) -> ShardedResult {
     let keyspace = cfg.size;
     let target = keyspace * 7 / 8;
     let digest = md5(&candidate(target));
-    let shared = Region::new(BASE, BASE + 0x1000);
-    let scan = move |lo: u64, hi: u64, slot: u64, c: &mut SpaceCtx| {
-        let mut found = u64::MAX;
-        for i in lo..hi {
-            if md5(&candidate(i)) == digest {
-                found = i;
-            }
-        }
-        c.charge((hi - lo) * NS_PER_HASH)?;
-        if found != u64::MAX {
-            c.mem_mut().write_u64(slot, found + 1)?;
-        }
-        Ok(0)
-    };
     let outcome = cfg.spec().run(move |ctx, net| {
-        ctx.mem_mut().map_zero(shared, Perm::RW)?;
+        ctx.mem_mut().map_zero(MD5_SLOTS, Perm::RW)?;
         let per = keyspace.div_ceil(nodes);
         for n in 1..net.nodes() {
-            let (lo, hi) = (n as u64 * per, ((n as u64 + 1) * per).min(keyspace));
+            let keys = (n as u64 * per, ((n as u64 + 1) * per).min(keyspace));
             let slot = BASE + n as u64 * 8;
             net.fork(
                 ctx,
                 n as u64,
                 n,
-                JobSpec::native(shared, move |c, _| scan(lo, hi, slot, c)),
+                JobSpec::native(MD5_SLOTS, move |c, _| md5_scan_range(c, digest, keys, slot)),
             )?;
         }
         // The root scans its own slice while the jobs run.
-        scan(0, per.min(keyspace), BASE, ctx)?;
+        md5_scan_range(ctx, digest, (0, per.min(keyspace)), BASE)?;
         for n in 1..net.nodes() {
             net.join(ctx, n as u64)?;
         }
-        let mut found = u64::MAX;
-        for k in 0..nodes {
-            let v = ctx.mem().read_u64(BASE + k * 8)?;
-            if v != 0 {
-                found = found.min(v - 1);
-            }
-        }
+        let found = md5_found(ctx, nodes)?;
         ctx.dev_write(DeviceId::ConsoleOut, &found.to_le_bytes())?;
         Ok(found as i32)
     });

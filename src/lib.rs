@@ -24,7 +24,7 @@
 //! | [`vm`] | `det-vm` | deterministic RISC-style VM with exact instruction limits |
 //! | [`kernel`] | `det-kernel` | spaces, Put/Get/Ret, devices, virtual-time cost model, trace record/replay |
 //! | [`runtime`] | `det-runtime` | fork/exec/wait, replicated fs, threads, dsched, shell |
-//! | [`cluster`] | `det-cluster` | space migration across simulated nodes |
+//! | [`cluster`] | `det-cluster` | space migration across kernel shards over a simulated link |
 //! | [`workloads`] | `det-workloads` | the paper's benchmarks + baselines |
 //! | [`conform`] | `det-conform` | N-replica conformance harness with divergence localization |
 //! | [`analyze`] | `det-analyze` | sound VM footprint/conflict analysis + the workspace determinism lint |
@@ -134,15 +134,14 @@ pub mod vm {
 /// The Determinator kernel: `det-kernel`.
 pub mod kernel {
     pub use det_kernel::{
-        CHECKPOINT_FORMAT_VERSION, Checkpoint, Checkpointer, ChildNum, ClusterHooks, CopySpec,
-        CostModel, DeviceId, Effect, EntryRec, Fault, FaultAction, FaultPlan, FaultSite, GetResult,
-        GetSpec, HostStats, InputEvent, InputHandle, IoLog, IoMode, Kernel, KernelConfig,
-        KernelConfigBuilder, KernelError, KernelStats, MergeStatsSerde, NODE_SHIFT, NativeEntry,
-        NativeResult, Program, ProgramKind, PutRec, PutResult, PutSpec, ReplayOutcome,
-        RestoredKernel, Result, RunOutcome, SpaceArtifact, SpaceCtx, SpaceId, StartSpec,
-        StopReason, Trace, TraceEvent, TraceMeta, TraceSink, TrapKind, VmCounters, child_index,
-        child_on_node, full_user_region, latest_restorable_boundary, node_field, ns_to_ps,
-        ps_to_ns, restore_chain,
+        CHECKPOINT_FORMAT_VERSION, Checkpoint, Checkpointer, ChildNum, CopySpec, CostModel,
+        DeviceId, Effect, EntryRec, Fault, FaultAction, FaultPlan, FaultSite, GetResult, GetSpec,
+        HostStats, InputEvent, InputHandle, IoLog, IoMode, Kernel, KernelConfig,
+        KernelConfigBuilder, KernelError, KernelStats, MergeStatsSerde, NativeEntry, NativeResult,
+        Program, ProgramKind, PutRec, PutResult, PutSpec, ReplayOutcome, RestoredKernel, Result,
+        RunOutcome, SpaceArtifact, SpaceCtx, SpaceId, StartSpec, StopReason, Trace, TraceEvent,
+        TraceMeta, TraceSink, TrapKind, VmCounters, full_user_region, latest_restorable_boundary,
+        ns_to_ps, ps_to_ns, restore_chain,
     };
     // Substrate types the kernel API surfaces directly.
     pub use det_memory::{
@@ -160,11 +159,11 @@ pub mod runtime {
     };
 }
 
-/// Cluster simulation: `det-cluster`.
+/// The shard cluster runtime: `det-cluster`.
 pub mod cluster {
     pub use det_cluster::{
         ClusterOutcome, ClusterSpec, ClusterStats, JobArtifact, JobFn, JobOutcome, JobSpec,
-        NetworkModel, Remote, ResidencyStats, SimCluster,
+        NetworkModel, Remote,
     };
 }
 

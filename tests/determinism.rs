@@ -65,7 +65,7 @@ fn workloads_repeat_exactly() {
     assert_eq!(run_all(), run_all());
 }
 
-/// Distributed runs repeat exactly too (migration, demand paging and
+/// Distributed runs repeat exactly too (migration, leaf pulls and
 /// network charges are all deterministic).
 #[test]
 fn distributed_runs_repeat_exactly() {
