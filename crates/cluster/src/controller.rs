@@ -19,7 +19,7 @@ use std::sync::mpsc;
 use parking_lot::Mutex;
 
 use det_kernel::{
-    ConflictPolicy, CostModel, FaultPlan, IoMode, Kernel, KernelConfig, KernelError, KernelStats,
+    ConflictPolicy, CostModel, FaultPlan, Kernel, KernelConfig, KernelError, KernelStats,
     MergeStats, NativeResult, Result, RunOutcome, SpaceCtx, TrapKind, wire,
 };
 use det_memory::{AddressSpace, Region};
@@ -44,9 +44,6 @@ pub struct ClusterSpec {
     pub costs: CostModel,
     /// Merge conflict policy for every kernel instance.
     pub policy: ConflictPolicy,
-    /// Nondeterministic-input mode for the *root* kernel (jobs have
-    /// no I/O privileges, exactly like non-root spaces).
-    pub io: IoMode,
     /// Fault-injection plan for the root kernel.
     pub faults: FaultPlan,
 }
@@ -62,7 +59,6 @@ impl ClusterSpec {
             net: NetworkModel::ethernet_1g(),
             costs: CostModel::default(),
             policy: ConflictPolicy::default(),
-            io: IoMode::default(),
             faults: FaultPlan::default(),
         }
     }
@@ -83,7 +79,6 @@ impl ClusterSpec {
         let root_kcfg = KernelConfig::builder()
             .costs(self.costs)
             .policy(self.policy)
-            .io(self.io.clone())
             .faults(self.faults.clone())
             .build();
 

@@ -23,9 +23,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use det_kernel::{
-    DeviceId, InputEvent, IoLog, KernelStats, ReplayOutcome, SpaceArtifact, Trace, TraceEvent,
-};
+use det_kernel::{DeviceId, IoLog, KernelStats, ReplayOutcome, SpaceArtifact, Trace, TraceEvent};
 use serde::{Serialize, Value};
 
 use crate::scenario::ScenarioRun;
@@ -98,10 +96,8 @@ impl Artifacts {
     ///
     /// The resume yields a [`ReplayOutcome`]; the sections a replay
     /// does not carry are reconstructed from the trace itself — the
-    /// input log from the recorded `DevRead` events (consumption
-    /// order is the root's own syscall order, which is exactly how
-    /// the live log is built), the trace streams from the full event
-    /// sequence the recovered run re-derived. Crash recovery conforms
+    /// input log by [`Trace::io_log`], the trace streams from the full
+    /// event sequence the recovered run re-derived. Crash recovery conforms
     /// iff this bundle is byte-identical to the uninterrupted run's
     /// [`Artifacts::collect`] bundle.
     pub fn from_recovery(
@@ -112,23 +108,13 @@ impl Artifacts {
     ) -> Artifacts {
         let mut spaces = out.spaces.clone();
         spaces.sort_by(|a, b| a.path.cmp(&b.path));
-        let mut io_log = IoLog::default();
-        for ev in &trace.events {
-            if let TraceEvent::DevRead { dev, data, .. } = ev {
-                io_log.events.push(InputEvent {
-                    seq: io_log.events.len() as u64,
-                    device: *dev,
-                    data: data.clone(),
-                });
-            }
-        }
         Artifacts {
             scenario: scenario.to_string(),
             exit: format!("{:?}", out.exit),
             vclock_ns: out.vclock_ns,
             stats: out.stats.clone(),
             outputs: out.outputs.clone(),
-            io_log,
+            io_log: trace.io_log(),
             spaces,
             trace_streams: Some(project_streams(&trace.events, &out.space_paths)),
         }

@@ -2,18 +2,22 @@
 //!
 //! Everything the kernel *decides* lives here as plain functions over
 //! plain data: what a `Put`/`Get` does to the two spaces at a
-//! rendezvous, how a `Start` dispatches, what a check-in charges and
+//! rendezvous and in which order (Tables 1–2, written once:
+//! [`put_before_tree`], [`tree_source`], [`put_after_tree`],
+//! [`get_options`]), who pays for it ([`bill`], the clock's one
+//! adder), how a `Start` dispatches, what a check-in charges and
 //! counts. The imperative shell (`kernel.rs`/`ctx.rs`) calls these
-//! functions between its waits and wakes; the trace replayer calls the
-//! same functions from [`apply`], stepping a [`KState`] through a
-//! recorded [`TraceEvent`] sequence with no execution vehicles at all.
+//! functions between its waits and wakes and realizes the
+//! [`InstallAction`]/[`StartAction`] they return with host vehicles;
+//! the trace replayer calls the same functions from [`apply`],
+//! stepping a [`KState`] through a recorded [`TraceEvent`] sequence
+//! with no execution vehicles at all, and realizes the same actions as
+//! [`KSlot`] flags.
 //!
-//! [`apply`] returns the [`Effect`]s the shell would have performed —
-//! vehicle spawns, targeted wakeups, device output — as data. Replay
-//! never executes them (that is the point), but it derives the
-//! vehicle-observability counters (`threads_spawned`,
-//! `condvar_wakeups`, `vm_inline_runs`) from them, which is why those
-//! counters reproduce bit-identically.
+//! The vehicle-observability counters (`threads_spawned`,
+//! `condvar_wakeups`, `vm_inline_runs`) are bumped where each driver
+//! takes the decision — a hot atomic in the shell, a [`KState`] field
+//! in replay — which is why they reproduce bit-identically.
 //!
 //! Everything *nondeterministic or effectful* is excluded by
 //! construction and enforced by the `core_modules_are_pure` test
@@ -185,8 +189,9 @@ pub enum TraceEvent {
         entry: EntryRec,
         /// Device read from.
         dev: DeviceId,
-        /// The input consumed (informational: replay does not need it,
-        /// but a trace doubles as an input log).
+        /// The input consumed. Replay does not need it (the input is in
+        /// the recorded deltas); [`crate::Trace::io_log`] projects these
+        /// out as the run's input log.
         data: Option<Vec<u8>>,
     },
     /// A root device write.
@@ -223,57 +228,24 @@ pub enum TraceEvent {
     },
 }
 
-/// What the shell would do in response to an applied event. Replay
-/// returns these as data and performs none of them.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Effect {
-    /// Create an execution vehicle for a fresh native program.
-    SpawnVehicle {
-        /// The space to run.
-        space: u32,
-    },
-    /// Mark an inline VM space runnable (it executes when next waited
-    /// on).
-    MarkRunnable {
-        /// The runnable space.
-        space: u32,
-    },
-    /// Re-run an already-started inline VM space.
-    ResumeInline {
-        /// The runnable space.
-        space: u32,
-    },
-    /// Wake a parked vehicle (one targeted notify).
-    ResumeVehicle {
-        /// The space whose vehicle resumes.
-        space: u32,
-    },
-    /// Wake the parent waiting on a check-in (one targeted notify).
-    WakeParent {
-        /// The space that checked in.
-        space: u32,
-    },
-    /// Append bytes to a device output buffer.
-    PushOutput {
-        /// The device written.
-        dev: DeviceId,
-        /// How many bytes.
-        bytes: u64,
-    },
-    /// The run is over.
-    RootExited,
-}
-
 // ---------------------------------------------------------------------------
 // Pure decision + memory-op functions, shared by the shell and replay.
 // ---------------------------------------------------------------------------
+
+/// The clock's one adder: every picosecond a space is charged — its
+/// own work, kernel work done on its behalf, a recorded window — is
+/// added here and nowhere else. ([`stamp_start`] and
+/// [`observe_stop`] are the two `max` joins: waits, not charges.)
+pub(crate) fn bill(st: &mut SpaceState, ps: u64) {
+    st.vclock_ps = st.vclock_ps.saturating_add(ps);
+}
 
 /// Charges `ps` of virtual work to a space. Returns true when the
 /// charge exhausts the space's work limit (the caller parks it with
 /// [`StopReason::LimitReached`]; the limit is cleared so the resumed
 /// space runs unlimited until its parent sets a new one).
 pub(crate) fn charge(st: &mut SpaceState, ps: u64) -> bool {
-    st.vclock_ps = st.vclock_ps.saturating_add(ps);
+    bill(st, ps);
     if let Some(limit) = st.limit_ps {
         if ps >= limit {
             st.limit_ps = None;
@@ -306,18 +278,20 @@ pub(crate) fn install_action(was: StopReason, terminal: bool) -> Result<InstallA
     }
 }
 
-/// Memory-op side meters, folded into stats and the caller's clock by
-/// whichever driver (shell or replay) invoked the ops.
+/// Memory-op side meters of one rendezvous. The sequencer bills
+/// `charge_ps` to the caller; the three counts are folded into stats
+/// by whichever driver (shell or replay) ran it — on an error too,
+/// since each op that ran did its work.
 #[derive(Clone, Copy, Default, Debug)]
 pub(crate) struct MemOpCounts {
     pub pages_copied: u64,
     pub pages_snapped: u64,
     pub leaves_cloned: u64,
-    pub charge_ps: u64,
+    charge_ps: u64,
 }
 
 /// The `Copy` option: a virtual (COW) copy from `src` into `dst`.
-pub(crate) fn copy_op(
+fn copy_op(
     costs: &CostModel,
     src: &SpaceState,
     dst: &mut SpaceState,
@@ -331,9 +305,9 @@ pub(crate) fn copy_op(
     Ok(())
 }
 
-/// The `Zero` option. `count_pages` matches the live asymmetry: a
-/// `Put`+Zero counts into `pages_copied`, a `Get`+Zero does not.
-pub(crate) fn zero_op(
+/// The `Zero` option. A `Put`+Zero counts into `pages_copied` (the
+/// pages are the child's initial image), a `Get`+Zero does not.
+fn zero_op(
     costs: &CostModel,
     dst: &mut SpaceState,
     r: Region,
@@ -350,14 +324,14 @@ pub(crate) fn zero_op(
 }
 
 /// The `Perm` option.
-pub(crate) fn perm_op(dst: &mut SpaceState, r: Region, p: Perm) -> Result<()> {
+fn perm_op(dst: &mut SpaceState, r: Region, p: Perm) -> Result<()> {
     dst.mem.set_perm(r, p)?;
     Ok(())
 }
 
 /// The `Snap` option: save the child's reference snapshot, charged per
 /// page-table leaf.
-pub(crate) fn snap_op(costs: &CostModel, child: &mut SpaceState, counts: &mut MemOpCounts) {
+fn snap_op(costs: &CostModel, child: &mut SpaceState, counts: &mut MemOpCounts) {
     child.snap = Some(child.mem.snapshot());
     let leaves = child.mem.leaf_count() as u64;
     counts.pages_snapped += child.mem.page_count() as u64;
@@ -369,7 +343,7 @@ pub(crate) fn snap_op(costs: &CostModel, child: &mut SpaceState, counts: &mut Me
 /// into the caller. The merge cost is metered even when a conflict is
 /// found (the scan happened); the caller decides how to record the
 /// result.
-pub(crate) fn merge_op(
+fn merge_op(
     costs: &CostModel,
     default_policy: det_memory::ConflictPolicy,
     caller: &mut SpaceState,
@@ -387,13 +361,142 @@ pub(crate) fn merge_op(
     Ok((stats, conflict))
 }
 
-/// The spawn-vs-resume cost of a `Start`.
-pub(crate) fn start_charge_ps(costs: &CostModel, installed_program: bool, was: StopReason) -> u64 {
+/// The spawn-vs-resume cost of a `Start`: dispatching a fresh program
+/// is a spawn (vehicle creation), waking a parked space a cheap resume.
+fn start_charge_ps(costs: &CostModel, installed_program: bool, was: StopReason) -> u64 {
     if installed_program || was == StopReason::Unstarted {
         costs.spawn_ps
     } else {
         costs.resume_ps
     }
+}
+
+// ---------------------------------------------------------------------------
+// Tables 1–2, sequenced once: both drivers run a rendezvous's options
+// through these, between their own waits and slot bookkeeping.
+// ---------------------------------------------------------------------------
+
+/// `Put`, first half, in Table 2's order: `Regs`, the install decision
+/// for a program, then `Copy`, `Zero`, `Perm`. The first failing option
+/// ends the sequence; what ran before it stays applied and metered.
+/// The install decision comes back beside the result because a driver
+/// owes its slot bookkeeping (reap the old vehicle, mark the program
+/// pending) whenever one was taken, even if a later option failed.
+pub(crate) fn put_before_tree(
+    costs: &CostModel,
+    caller: &SpaceState,
+    child: &mut SpaceState,
+    put: &PutRec,
+    was: StopReason,
+    terminal: bool,
+    counts: &mut MemOpCounts,
+) -> (Option<InstallAction>, Result<()>) {
+    if let Some(r) = put.regs {
+        child.regs = r;
+    }
+    let install = match put
+        .program
+        .map(|_| install_action(was, terminal))
+        .transpose()
+    {
+        Ok(install) => install,
+        Err(e) => return (None, Err(e)),
+    };
+    let mut options = || {
+        if let Some(c) = put.copy {
+            copy_op(costs, caller, child, c, counts)?;
+        }
+        if let Some(r) = put.zero {
+            zero_op(costs, child, r, true, counts)?;
+        }
+        if let Some((r, p)) = put.perm {
+            perm_op(child, r, p)?;
+        }
+        Ok(())
+    };
+    (install, options())
+}
+
+/// The `Tree` option's source check. The walk itself is the driver's
+/// step between the two halves of a `Put`: the live one must release
+/// the destination's lock to rendezvous with every source slot.
+pub(crate) fn tree_source(src: Option<u32>, dst: u32) -> Result<()> {
+    match src {
+        None => Err(KernelError::InvalidSpec("tree source child does not exist")),
+        Some(id) if id == dst => Err(KernelError::InvalidSpec("tree source equals destination")),
+        Some(_) => Ok(()),
+    }
+}
+
+/// `Put`, second half, run only when everything before it succeeded:
+/// `Snap`, then the caller pays — the kernel work metered so far and,
+/// with `Start`, the spawn or the resume. These are bills, not
+/// limit-aware charges: the child is held idle here, so the caller's
+/// work limit can preempt it only at its *next* kernel entry.
+pub(crate) fn put_after_tree(
+    costs: &CostModel,
+    caller: &mut SpaceState,
+    child: &mut SpaceState,
+    put: &PutRec,
+    was: StopReason,
+    counts: &mut MemOpCounts,
+) {
+    if put.snap {
+        snap_op(costs, child, counts);
+    }
+    bill(caller, counts.charge_ps);
+    if put.start.is_some() {
+        bill(caller, start_charge_ps(costs, put.program.is_some(), was));
+    }
+}
+
+/// `Get`, in Table 2's order: `Copy` and `Merge` into the caller, then
+/// `Zero` and `Perm` on the child. The caller pays for the metered work
+/// when every option succeeded and when the merge found a conflict (the
+/// scan happened and the caller observed its result); any other failure
+/// bills nothing. The merge's statistics come back whenever a merge ran,
+/// conflicting or not.
+pub(crate) fn get_options(
+    costs: &CostModel,
+    default_policy: det_memory::ConflictPolicy,
+    caller: &mut SpaceState,
+    child: &mut SpaceState,
+    get: &GetSpec,
+    counts: &mut MemOpCounts,
+) -> (Option<MergeStats>, Result<()>) {
+    let mut merged = None;
+    let mut options = || {
+        if let Some(c) = get.copy {
+            copy_op(costs, child, caller, c, counts)?;
+        }
+        if let Some(region) = get.merge {
+            let (stats, conflict) = merge_op(
+                costs,
+                default_policy,
+                caller,
+                child,
+                region,
+                get.merge_policy,
+                counts,
+            )?;
+            merged = Some(stats);
+            if let Some(c) = conflict {
+                return Err(KernelError::Conflict(c));
+            }
+        }
+        if let Some(r) = get.zero {
+            zero_op(costs, child, r, false, counts)?;
+        }
+        if let Some((r, p)) = get.perm {
+            perm_op(child, r, p)?;
+        }
+        Ok(())
+    };
+    let res = options();
+    if matches!(res, Ok(()) | Err(KernelError::Conflict(_))) {
+        bill(caller, counts.charge_ps);
+    }
+    (merged, res)
 }
 
 /// Stamps a child's state at start: its clock catches up to the
@@ -416,10 +519,9 @@ pub(crate) enum StartAction {
     ResumeVehicle,
 }
 
-/// The `Start` dispatch decision. `pending` must already have been
-/// taken from the slot iff it has neither vehicle nor inline identity
-/// (matching the live take-before-decide order, so a failed fresh
-/// start consumes the pending program exactly as the shell does).
+/// The `Start` dispatch decision. `pending` is the kind of the slot's
+/// installed-but-unstarted program; a `Spawn` or `RunnableInline`
+/// consumes it.
 pub(crate) fn start_action(
     has_vehicle: bool,
     inline_vm: bool,
@@ -467,7 +569,7 @@ fn state_mut(ks: &mut KState, id: u32) -> Result<&mut SpaceState> {
 /// delta.
 fn apply_entry(ks: &mut KState, id: u32, e: &EntryRec) -> Result<()> {
     let st = state_mut(ks, id)?;
-    st.vclock_ps = st.vclock_ps.saturating_add(e.advance_ps);
+    bill(st, e.advance_ps);
     st.limit_ps = e.limit_ps;
     match st.mem.apply_delta(&e.delta) {
         Ok(()) => Ok(()),
@@ -475,8 +577,8 @@ fn apply_entry(ks: &mut KState, id: u32, e: &EntryRec) -> Result<()> {
     }
 }
 
-/// Mirrors the shell's `ensure_child`: resolve (or create) the slot
-/// the caller's child number names, binding it to the recorded id.
+/// Resolves (or creates) the slot the caller's child number names,
+/// binding it to the recorded id.
 fn ensure_child(ks: &mut KState, caller: u32, child: ChildNum, child_id: u32) -> Result<()> {
     let known = slot_mut(ks, caller)?.children.get(&child).copied();
     match known {
@@ -509,8 +611,8 @@ fn idle_reason(ks: &mut KState, child_id: u32) -> Result<StopReason> {
     }
 }
 
-/// Mirrors `clone_into`: deep-copies `src`'s state and descendants
-/// into `dst`, consuming the recorded fresh ids in creation order.
+/// The `Tree` walk: deep-copies `src`'s state and descendants into
+/// `dst`, consuming the recorded fresh ids in creation order.
 fn replay_clone(
     ks: &mut KState,
     src: u32,
@@ -519,7 +621,7 @@ fn replay_clone(
 ) -> Result<()> {
     let (img, kids) = {
         let s = slot_mut(ks, src)?;
-        // The live walk waits for every source to stop first.
+        // A tree copy is a rendezvous with every source slot.
         let st = match (s.run, s.state.as_ref()) {
             (RunState::Idle(_), Some(st)) => st,
             _ => return divergence("tree copy of a source that is not idle"),
@@ -551,6 +653,21 @@ fn replay_clone(
     Ok(())
 }
 
+/// Checks a space's state out of its slot for a two-space operation.
+fn take_state(ks: &mut KState, id: u32) -> Result<Box<SpaceState>> {
+    match slot_mut(ks, id)?.state.take() {
+        Some(st) => Ok(st),
+        None => divergence("trace names a space whose state is checked out"),
+    }
+}
+
+/// Folds a rendezvous's memory-op meters into the replayed stats.
+fn fold_counts(ks: &mut KState, counts: &MemOpCounts) {
+    ks.stats.pages_copied += counts.pages_copied;
+    ks.stats.pages_snapped += counts.pages_snapped;
+    ks.stats.leaves_cloned += counts.leaves_cloned;
+}
+
 #[allow(clippy::too_many_arguments)]
 fn apply_put(
     ks: &mut KState,
@@ -561,7 +678,6 @@ fn apply_put(
     entry: &EntryRec,
     put: &PutRec,
     tree_new_ids: &[u32],
-    effects: &mut Vec<Effect>,
 ) -> Result<()> {
     if fused {
         ks.stats.put_gets += 1;
@@ -571,143 +687,81 @@ fn apply_put(
     apply_entry(ks, caller, entry)?;
     ensure_child(ks, caller, child, child_id)?;
     let was = idle_reason(ks, child_id)?;
-    let child_v = state_mut(ks, child_id)?.vclock_ps;
-    observe_stop(state_mut(ks, caller)?, child_v);
-
-    // The options, in the live order, stopping at the first error —
-    // which was returned to the recorded program and is part of
-    // history, not a divergence.
+    let terminal = slot_mut(ks, child_id)?.terminal;
     let costs = ks.costs;
     let mut counts = MemOpCounts::default();
-    let mut installed = false;
-    let mut child_st = match slot_mut(ks, child_id)?.state.take() {
-        Some(st) => st,
-        None => return divergence("idle child without state"),
-    };
-    let res: Result<()> = 'opts: {
-        if let Some(r) = put.regs {
-            child_st.regs = r;
+    let mut caller_st = take_state(ks, caller)?;
+    let mut child_st = take_state(ks, child_id)?;
+    observe_stop(&mut caller_st, child_st.vclock_ps);
+
+    // An error an option returns went to the recorded program: it is
+    // part of history, not a divergence.
+    let (install, mut res) = put_before_tree(
+        &costs,
+        &caller_st,
+        &mut child_st,
+        put,
+        was,
+        terminal,
+        &mut counts,
+    );
+    if let Some(action) = install {
+        let k = slot_mut(ks, child_id)?;
+        if action == InstallAction::Replace {
+            k.has_vehicle = false;
+            k.inline_vm = false;
         }
-        if let Some(kind) = put.program {
-            let terminal = slot_mut(ks, child_id)?.terminal;
-            match install_action(was, terminal) {
-                Ok(action) => {
-                    let k = slot_mut(ks, child_id)?;
-                    if action == InstallAction::Replace {
-                        k.has_vehicle = false;
-                        k.inline_vm = false;
-                    }
-                    k.terminal = false;
-                    k.pending = Some(kind);
-                    k.run = RunState::Idle(StopReason::Unstarted);
-                    installed = true;
-                }
-                Err(e) => break 'opts Err(e),
-            }
-        }
-        if let Some(c) = put.copy {
-            let caller_st = match ks.slots.get(&caller).and_then(|s| s.state.as_deref()) {
-                Some(st) => st,
-                None => return divergence("caller state checked out"),
-            };
-            if let Err(e) = copy_op(&costs, caller_st, &mut child_st, c, &mut counts) {
-                break 'opts Err(e);
-            }
-        }
-        if let Some(r) = put.zero {
-            if let Err(e) = zero_op(&costs, &mut child_st, r, true, &mut counts) {
-                break 'opts Err(e);
-            }
-        }
-        if let Some((r, p)) = put.perm {
-            if let Err(e) = perm_op(&mut child_st, r, p) {
-                break 'opts Err(e);
-            }
-        }
-        if let Some(src_child) = put.tree_from {
-            let src_id = match slot_mut(ks, caller)?.children.get(&src_child) {
-                Some(id) => *id,
-                None => {
-                    break 'opts Err(KernelError::InvalidSpec("tree source child does not exist"));
-                }
-            };
-            if src_id == child_id {
-                break 'opts Err(KernelError::InvalidSpec("tree source equals destination"));
-            }
-            // The walk replaces the whole destination state; restore
-            // the box so it operates on the slot, like the live walk.
-            slot_mut(ks, child_id)?.state = Some(child_st);
-            // The walk only fails structurally (the live walk's sole
+        k.terminal = false;
+        k.pending = put.program;
+        k.run = RunState::Idle(StopReason::Unstarted);
+    }
+    if let (Ok(()), Some(src_child)) = (&res, put.tree_from) {
+        let src = slot_mut(ks, caller)?.children.get(&src_child).copied();
+        res = tree_source(src, child_id);
+        if let (Ok(()), Some(src_id)) = (&res, src) {
+            // The walk replaces the destination's whole state, in its
+            // slot; it only fails structurally (the live walk's sole
             // error is kernel shutdown).
+            slot_mut(ks, child_id)?.state = Some(child_st);
             replay_clone(ks, src_id, child_id, &mut tree_new_ids.iter())?;
-            child_st = match slot_mut(ks, child_id)?.state.take() {
-                Some(st) => st,
-                None => return divergence("tree copy lost the destination state"),
-            };
+            child_st = take_state(ks, child_id)?;
         }
-        if put.snap {
-            snap_op(&costs, &mut child_st, &mut counts);
-        }
-        Ok(())
-    };
+    }
+    if res.is_ok() {
+        put_after_tree(&costs, &mut caller_st, &mut child_st, put, was, &mut counts);
+    }
+    let start = put.start.filter(|_| res.is_ok());
+    if let Some(s) = start {
+        stamp_start(&mut child_st, caller_st.vclock_ps, s.limit_ns);
+    }
+    slot_mut(ks, caller)?.state = Some(caller_st);
     slot_mut(ks, child_id)?.state = Some(child_st);
-    ks.stats.pages_copied += counts.pages_copied;
-    ks.stats.pages_snapped += counts.pages_snapped;
-    ks.stats.leaves_cloned += counts.leaves_cloned;
-    if res.is_err() {
-        // The live error path returns before the deferred caller
-        // charge and before Start.
+    fold_counts(ks, &counts);
+    if start.is_none() {
         return Ok(());
     }
-    {
-        let cst = state_mut(ks, caller)?;
-        cst.vclock_ps = cst.vclock_ps.saturating_add(counts.charge_ps);
-    }
 
-    if let Some(s) = put.start {
-        let start_ps = start_charge_ps(&costs, installed, was);
-        let parent_v = {
-            let cst = state_mut(ks, caller)?;
-            cst.vclock_ps = cst.vclock_ps.saturating_add(start_ps);
-            cst.vclock_ps
-        };
-        stamp_start(state_mut(ks, child_id)?, parent_v, s.limit_ns);
-        let action = {
-            let k = slot_mut(ks, child_id)?;
-            let pending = if !k.has_vehicle && !k.inline_vm {
-                k.pending.take()
-            } else {
-                k.pending
-            };
-            start_action(k.has_vehicle, k.inline_vm, pending, was, k.terminal)
-        };
-        match action {
-            Ok(StartAction::Spawn) => {
-                let k = slot_mut(ks, child_id)?;
-                k.run = RunState::Running;
-                k.has_vehicle = true;
-                ks.stats.threads_spawned += 1;
-                effects.push(Effect::SpawnVehicle { space: child_id });
-            }
-            Ok(StartAction::RunnableInline) => {
-                let k = slot_mut(ks, child_id)?;
-                k.inline_vm = true;
-                k.run = RunState::Runnable;
-                effects.push(Effect::MarkRunnable { space: child_id });
-            }
-            Ok(StartAction::ResumeInline) => {
-                slot_mut(ks, child_id)?.run = RunState::Runnable;
-                effects.push(Effect::ResumeInline { space: child_id });
-            }
-            Ok(StartAction::ResumeVehicle) => {
-                slot_mut(ks, child_id)?.run = RunState::Running;
-                ks.stats.condvar_wakeups += 1;
-                effects.push(Effect::ResumeVehicle { space: child_id });
-            }
-            // A failed Start was returned to the recorded program;
-            // the charge above already happened, like live.
-            Err(_) => {}
+    let k = slot_mut(ks, child_id)?;
+    match start_action(k.has_vehicle, k.inline_vm, k.pending, was, k.terminal) {
+        Ok(StartAction::Spawn) => {
+            k.pending = None;
+            k.run = RunState::Running;
+            k.has_vehicle = true;
+            ks.stats.threads_spawned += 1;
         }
+        Ok(StartAction::RunnableInline) => {
+            k.pending = None;
+            k.inline_vm = true;
+            k.run = RunState::Runnable;
+        }
+        Ok(StartAction::ResumeInline) => k.run = RunState::Runnable,
+        Ok(StartAction::ResumeVehicle) => {
+            k.run = RunState::Running;
+            ks.stats.condvar_wakeups += 1;
+        }
+        // A failed Start was returned to the recorded program, after
+        // its bill.
+        Err(_) => {}
     }
     Ok(())
 }
@@ -729,75 +783,29 @@ fn apply_get(
     }
     ensure_child(ks, caller, child, child_id)?;
     idle_reason(ks, child_id)?;
-    let costs = ks.costs;
-    let policy = ks.policy;
+    let (costs, policy) = (ks.costs, ks.policy);
     let mut counts = MemOpCounts::default();
-    let mut caller_st = match slot_mut(ks, caller)?.state.take() {
-        Some(st) => st,
-        None => return divergence("caller state checked out"),
-    };
-    let mut child_st = match slot_mut(ks, child_id)?.state.take() {
-        Some(st) => st,
-        None => {
-            slot_mut(ks, caller)?.state = Some(caller_st);
-            return divergence("idle child without state");
-        }
-    };
+    let mut caller_st = take_state(ks, caller)?;
+    let mut child_st = take_state(ks, child_id)?;
     observe_stop(&mut caller_st, child_st.vclock_ps);
-    let mut merge_recorded: Option<MergeStats> = None;
-    let mut conflicted = false;
-    let res: Result<()> = 'opts: {
-        if let Some(c) = get.copy {
-            if let Err(e) = copy_op(&costs, &child_st, &mut caller_st, c, &mut counts) {
-                break 'opts Err(e);
-            }
-        }
-        if let Some(region) = get.merge {
-            match merge_op(
-                &costs,
-                policy,
-                &mut caller_st,
-                &child_st,
-                region,
-                get.merge_policy,
-                &mut counts,
-            ) {
-                Err(e) => break 'opts Err(e),
-                Ok((stats, conflict)) => {
-                    merge_recorded = Some(stats);
-                    if let Some(c) = conflict {
-                        conflicted = true;
-                        caller_st.vclock_ps = caller_st.vclock_ps.saturating_add(counts.charge_ps);
-                        break 'opts Err(KernelError::Conflict(c));
-                    }
-                }
-            }
-        }
-        if let Some(r) = get.zero {
-            if let Err(e) = zero_op(&costs, &mut child_st, r, false, &mut counts) {
-                break 'opts Err(e);
-            }
-        }
-        if let Some((r, p)) = get.perm {
-            if let Err(e) = perm_op(&mut child_st, r, p) {
-                break 'opts Err(e);
-            }
-        }
-        caller_st.vclock_ps = caller_st.vclock_ps.saturating_add(counts.charge_ps);
-        Ok(())
-    };
-    let _ = res; // recorded history: errors went to the recorded program
+    // As for `Put`: an option's error is recorded history.
+    let (merged, res) = get_options(
+        &costs,
+        policy,
+        &mut caller_st,
+        &mut child_st,
+        get,
+        &mut counts,
+    );
     slot_mut(ks, caller)?.state = Some(caller_st);
     slot_mut(ks, child_id)?.state = Some(child_st);
-    if let Some(stats) = merge_recorded {
+    if let Some(stats) = merged {
         ks.stats.record_merge(&stats);
     }
-    if conflicted {
+    if matches!(res, Err(KernelError::Conflict(_))) {
         ks.stats.conflicts += 1;
     }
-    ks.stats.pages_copied += counts.pages_copied;
-    ks.stats.pages_snapped += counts.pages_snapped;
-    ks.stats.leaves_cloned += counts.leaves_cloned;
+    fold_counts(ks, &counts);
     Ok(())
 }
 
@@ -814,7 +822,6 @@ fn apply_check_in(
     insn_delta: u64,
     vm: VmCounters,
     delta: &SpaceDelta,
-    effects: &mut Vec<Effect>,
 ) -> Result<()> {
     let costs = ks.costs;
     let inline = slot_mut(ks, space)?.inline_vm;
@@ -825,7 +832,6 @@ fn apply_check_in(
         // the waiting parent; an inline drive wakes nobody (the one
         // waiter *is* the executing thread).
         ks.stats.condvar_wakeups += 1;
-        effects.push(Effect::WakeParent { space });
     }
     {
         let k = slot_mut(ks, space)?;
@@ -836,7 +842,7 @@ fn apply_check_in(
             Some(st) => st,
             None => return divergence("check-in without state"),
         };
-        st.vclock_ps = st.vclock_ps.saturating_add(advance_ps);
+        bill(st, advance_ps);
         st.limit_ps = limit_ps;
         if st.mem.apply_delta(delta).is_err() {
             return divergence("check-in delta does not apply");
@@ -863,17 +869,14 @@ fn apply_check_in(
     Ok(())
 }
 
-/// Applies one recorded event to the kernel state, returning the
-/// effects the shell would perform. Pure: the only inputs are `ks` and
-/// `ev`, the only outputs are the mutation of `ks` and the returned
-/// effects.
+/// Applies one recorded event to the kernel state. Pure: the only
+/// inputs are `ks` and `ev`, the only output is the mutation of `ks`.
 ///
 /// Errors are reserved for *structural divergence* (a trace that could
 /// not have come from `ks`); errors the recorded programs themselves
 /// observed are part of history and replay silently, exactly as they
 /// applied live.
-pub(crate) fn apply(ks: &mut KState, ev: &TraceEvent) -> Result<Vec<Effect>> {
-    let mut effects = Vec::new();
+pub(crate) fn apply(ks: &mut KState, ev: &TraceEvent) -> Result<()> {
     match ev {
         TraceEvent::Put {
             caller,
@@ -892,7 +895,6 @@ pub(crate) fn apply(ks: &mut KState, ev: &TraceEvent) -> Result<Vec<Effect>> {
             entry,
             put,
             tree_new_ids,
-            &mut effects,
         )?,
         TraceEvent::Get {
             caller,
@@ -925,7 +927,6 @@ pub(crate) fn apply(ks: &mut KState, ev: &TraceEvent) -> Result<Vec<Effect>> {
             *insn_delta,
             *vm,
             delta,
-            &mut effects,
         )?,
         TraceEvent::DevRead { entry, dev, data } => {
             ks.stats.device_reads += 1;
@@ -936,10 +937,6 @@ pub(crate) fn apply(ks: &mut KState, ev: &TraceEvent) -> Result<Vec<Effect>> {
             ks.stats.device_write_bytes += data.len() as u64;
             apply_entry(ks, 0, entry)?;
             ks.outputs.entry(*dev).or_default().extend_from_slice(data);
-            effects.push(Effect::PushOutput {
-                dev: *dev,
-                bytes: data.len() as u64,
-            });
         }
         TraceEvent::Checkpoint { entry, leaves } => {
             // The leaf-proportional charge itself rode in on
@@ -960,10 +957,9 @@ pub(crate) fn apply(ks: &mut KState, ev: &TraceEvent) -> Result<Vec<Effect>> {
             apply_entry(ks, 0, entry)?;
             state_mut(ks, 0)?.regs = *regs;
             ks.root_exit = Some(*exit);
-            effects.push(Effect::RootExited);
         }
     }
-    Ok(effects)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -995,6 +991,69 @@ mod tests {
                     .join("\n")
             );
         }
+    }
+
+    /// The clock has one writer: [`bill`] is the only code in the
+    /// kernel that adds to a `vclock_ps`, and [`stamp_start`] and
+    /// [`observe_stop`] the only two that join one. Every source of the
+    /// crate is scanned the way `det_analyze::lint` scans (comments
+    /// stripped, stopping at the `#[cfg(test)]` tail), with whitespace
+    /// squeezed out so a write split across lines is still one match.
+    #[test]
+    fn the_clock_has_one_writer() {
+        const WRITERS: [&str; 3] = ["bill", "stamp_start", "observe_stop"];
+        const ADDERS: [&str; 5] = [
+            ".saturating_add(",
+            ".wrapping_add(",
+            ".checked_add(",
+            ".overflowing_add(",
+            ".add_assign(",
+        ];
+        let is_write = |before: &str, after: &str| {
+            let assigns = after.starts_with('=') && !after.starts_with("==");
+            let mut next = after.chars();
+            let compound =
+                next.next().is_some_and(|op| "+-*/%|&^".contains(op)) && next.next() == Some('=');
+            let path = before.trim_end_matches(|c: char| c.is_alphanumeric() || "_.".contains(c));
+            let borrowed_mut = path.ends_with('&') && before[path.len()..].starts_with("mut");
+            assigns || compound || borrowed_mut || ADDERS.iter().any(|a| after.starts_with(a))
+        };
+        let mut rogue = Vec::new();
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/src");
+        for entry in std::fs::read_dir(dir).expect("kernel sources") {
+            let path = entry.expect("directory entry").path();
+            let src = std::fs::read_to_string(&path).expect("source reads");
+            // The squeezed code, and for each of its bytes the function
+            // and line it came from.
+            let (mut code, mut origin) = (String::new(), Vec::new());
+            let mut func = "";
+            for (i, raw) in src.lines().enumerate() {
+                let line = raw.split("//").next().unwrap_or("");
+                if line.trim_start().starts_with("#[cfg(test)]") {
+                    break;
+                }
+                if let Some(rest) = line.split("fn ").nth(1) {
+                    func = rest.split(['(', '<']).next().unwrap_or("");
+                }
+                for word in line.split_whitespace() {
+                    code.push_str(word);
+                    origin.resize(code.len(), (func, i + 1));
+                }
+            }
+            for (at, _) in code.match_indices(".vclock_ps") {
+                let (func, line) = origin[at];
+                if is_write(&code[..at], &code[at + ".vclock_ps".len()..])
+                    && !WRITERS.contains(&func)
+                {
+                    rogue.push(format!("{}:{line} (fn {func})", path.display()));
+                }
+            }
+        }
+        assert!(
+            rogue.is_empty(),
+            "vclock_ps written outside bill/stamp_start/observe_stop:\n{}",
+            rogue.join("\n")
+        );
     }
 
     #[test]

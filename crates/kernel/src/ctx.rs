@@ -20,10 +20,9 @@ use parking_lot::MutexGuard;
 use det_memory::{AddressSpace, Region};
 use det_vm::Regs;
 
-use crate::apply::InstallAction;
 use crate::apply::{
-    EntryRec, MemOpCounts, PutRec, TraceEvent, VmCounters, charge, copy_op, install_action,
-    merge_op, perm_op, snap_op, start_charge_ps, zero_op,
+    EntryRec, InstallAction, MemOpCounts, PutRec, TraceEvent, VmCounters, bill, charge,
+    get_options, put_after_tree, put_before_tree, tree_source,
 };
 use crate::cost::{ns_to_ps, ps_to_ns};
 use crate::device::DeviceId;
@@ -263,13 +262,9 @@ impl SpaceCtx {
             .st_mut()
             .mem
             .try_merge_from(child, snap, region, policy)?;
-        let ps = costs.merge_cost_ps(&stats);
         // The caller pays for the scan on success and on conflict
-        // alike, mirroring the local merge path.
-        {
-            let st = self.st_mut();
-            st.vclock_ps = st.vclock_ps.saturating_add(ps);
-        }
+        // alike, as a local `Get`+merge does.
+        bill(self.st_mut(), costs.merge_cost_ps(&stats));
         self.shared.record_merge(&stats);
         if let Some(c) = conflict {
             self.shared.hot.conflicts.fetch_add(1, Relaxed);
@@ -381,238 +376,155 @@ impl SpaceCtx {
     /// Rendezvous clock rule: the caller observes the child's stop and
     /// takes the later of the two clocks. Returns the child's clock.
     fn sync_clocks(&mut self, g: &mut MutexGuard<'_, Slot>) -> u64 {
-        let child_v = g.state.as_ref().expect("idle child has state").vclock_ps;
-        observe_stop(self.st_mut(), child_v)
+        observe_stop(self.st_mut(), idle_state(g).vclock_ps)
     }
 
-    /// Applies the `Put` options (everything but `Start`) to a stopped
-    /// child whose slot guard the caller holds. Returns the guard
-    /// (released and re-acquired around `Tree` copies) and whether a
-    /// program was installed.
-    fn apply_put_options<'a>(
+    /// The `Put` half of a rendezvous, for `put` and `put_get` alike:
+    /// waits for the child's stop, runs the core's option sequencer
+    /// around the host-side steps (reaping a replaced vehicle, the
+    /// lock-releasing `Tree` walk, starting the child) and records the
+    /// event. Returns the child's guard and the stop the options
+    /// applied to; on an error the guard is released and the trace
+    /// cursor resynced.
+    fn put_half<'a>(
         &mut self,
         cell: &'a Arc<SlotCell>,
-        g: MutexGuard<'a, Slot>,
+        child: ChildNum,
         child_id: SpaceId,
         spec: PutSpec,
-        was: StopReason,
-        tree_ids: &mut Vec<u32>,
-    ) -> Result<(MutexGuard<'a, Slot>, bool)> {
+        fused: bool,
+    ) -> Result<(MutexGuard<'a, Slot>, StopReason)> {
+        let entry = self.trace_entry();
+        let rec = PutRec::of(&spec);
+        let (mut g, was) = self.shared.wait_idle(cell, child_id, cell.m.lock())?;
+        self.sync_clocks(&mut g);
         let costs = self.shared.costs;
-        let installed_program = spec.program.is_some();
         let mut counts = MemOpCounts::default();
-        // Option application is the pure core's (`copy_op` etc. are
-        // exactly what replay runs); this block only wires the core
-        // fns to the locked slot and the host-side vehicle reaping.
-        // On error the accumulated counts still fold into the hot
-        // stats below — each op's work happened.
-        let out: Result<MutexGuard<'a, Slot>> = 'opts: {
-            let mut g = g;
-            if let Some(r) = spec.regs {
-                g.state.as_mut().expect("idle").regs = r;
-            }
-            if let Some(p) = spec.program {
-                match install_action(was, g.terminal) {
-                    Ok(InstallAction::Fresh) => {}
-                    Ok(InstallAction::Replace) => {
-                        if let Some(h) = g.thread.take() {
-                            // The old program finished; reap its vehicle
-                            // so a fresh one can start (child-slot reuse).
-                            let _ = h.join();
-                        }
-                        // A fresh program gets a fresh CPU identity.
-                        g.cpu = None;
-                        g.inline_vm = false;
-                    }
-                    Err(e) => break 'opts Err(e),
+        let mut tree_ids = Vec::new();
+        let terminal = g.terminal;
+        let (install, mut res) = put_before_tree(
+            &costs,
+            self.st(),
+            idle_state(&mut g),
+            &rec,
+            was,
+            terminal,
+            &mut counts,
+        );
+        if let Some(action) = install {
+            if action == InstallAction::Replace {
+                if let Some(h) = g.thread.take() {
+                    // The old program finished; reap its vehicle so a
+                    // fresh one can start (child-slot reuse).
+                    let _ = h.join();
                 }
-                g.terminal = false;
-                g.pending = Some(p);
-                g.run = RunState::Idle(StopReason::Unstarted);
+                // A fresh program gets a fresh CPU identity.
+                g.cpu = None;
+                g.inline_vm = false;
             }
-            if let Some(c) = spec.copy {
-                let src = self.st.as_deref().expect("caller state present");
-                let child_st = g.state.as_mut().expect("idle");
-                if let Err(e) = copy_op(&costs, src, child_st, c, &mut counts) {
-                    break 'opts Err(e);
-                }
-            }
-            if let Some(r) = spec.zero {
-                let child_st = g.state.as_mut().expect("idle");
-                if let Err(e) = zero_op(&costs, child_st, r, true, &mut counts) {
-                    break 'opts Err(e);
-                }
-            }
-            if let Some((r, p)) = spec.perm {
-                let child_st = g.state.as_mut().expect("idle");
-                if let Err(e) = perm_op(child_st, r, p) {
-                    break 'opts Err(e);
-                }
-            }
-            if let Some(src_child) = spec.tree_from {
-                let (src_id, src_cell) = match self.lookup_child(src_child) {
-                    Some(r) => r,
-                    None => {
-                        break 'opts Err(KernelError::InvalidSpec(
-                            "tree source child does not exist",
-                        ));
-                    }
-                };
-                if src_id == child_id {
-                    break 'opts Err(KernelError::InvalidSpec("tree source equals destination"));
-                }
-                // A tree copy walks other slots; release this child's lock
-                // so slot locks are only ever taken one at a time.
-                drop(g);
-                if let Err(e) = clone_into(&self.shared, src_id, &src_cell, cell, tree_ids) {
-                    break 'opts Err(e);
-                }
-                g = cell.m.lock();
-                if matches!(g.run, RunState::Destroyed) {
-                    break 'opts Err(KernelError::Destroyed);
-                }
-            }
-            if spec.snap {
-                let child_st = g.state.as_mut().expect("idle");
-                snap_op(&costs, child_st, &mut counts);
-            }
-            Ok(g)
-        };
-        self.shared
-            .hot
-            .pages_copied
-            .fetch_add(counts.pages_copied, Relaxed);
-        self.shared
-            .hot
-            .pages_snapped
-            .fetch_add(counts.pages_snapped, Relaxed);
-        self.shared
-            .hot
-            .leaves_cloned
-            .fetch_add(counts.leaves_cloned, Relaxed);
-        let g = out?;
-        // Kernel work is charged to the caller; limits may preempt
-        // only at the *next* kernel entry (we hold the child idle now).
-        {
-            let st = self.st_mut();
-            st.vclock_ps = st.vclock_ps.saturating_add(counts.charge_ps);
+            g.terminal = false;
+            g.pending = spec.program;
+            g.run = RunState::Idle(StopReason::Unstarted);
         }
-        Ok((g, installed_program))
+        if let (Ok(()), Some(src_child)) = (&res, rec.tree_from) {
+            let src = self.lookup_child(src_child);
+            res = tree_source(src.as_ref().map(|(id, _)| id.index()), child_id.index());
+            if let (Ok(()), Some((src_id, src_cell))) = (&res, src) {
+                // A tree copy walks other slots; release this child's
+                // lock so slot locks are only ever taken one at a time.
+                drop(g);
+                res = clone_into(&self.shared, src_id, &src_cell, cell, &mut tree_ids);
+                g = cell.m.lock();
+                if res.is_ok() && matches!(g.run, RunState::Destroyed) {
+                    res = Err(KernelError::Destroyed);
+                }
+            }
+        }
+        if res.is_ok() {
+            put_after_tree(
+                &costs,
+                self.st_mut(),
+                idle_state(&mut g),
+                &rec,
+                was,
+                &mut counts,
+            );
+            if let Some(s) = rec.start {
+                let parent_v = self.st().vclock_ps;
+                res = self
+                    .shared
+                    .start_child(&mut g, cell, child_id, s.limit_ns, parent_v, was);
+            }
+        }
+        self.shared.fold_counts(&counts);
+        // Recorded whether the options succeeded or failed — replay
+        // re-derives the same error from the same state — and while the
+        // child's guard is held: linearized against the started child's
+        // own first check-in.
+        let caller = self.id.index();
+        self.shared.trace_push(entry.map(|entry| TraceEvent::Put {
+            caller,
+            child,
+            child_id: child_id.index(),
+            fused,
+            entry,
+            put: rec,
+            tree_new_ids: tree_ids,
+        }));
+        match res {
+            Ok(()) => Ok((g, was)),
+            Err(e) => {
+                drop(g);
+                self.trace_resync();
+                Err(e)
+            }
+        }
     }
 
-    /// Applies `Start`, charging spawn or resume cost to the caller.
-    fn apply_start(
+    /// The `Get` half of a rendezvous with a stopped child whose slot
+    /// guard the caller holds: the core's option sequencer, the merge
+    /// and conflict counters, the event. `entry` is the caller's window
+    /// for a plain `get`, absent for the fused half.
+    fn get_half(
         &mut self,
         g: &mut MutexGuard<'_, Slot>,
-        cell: &Arc<SlotCell>,
+        child: ChildNum,
         child_id: SpaceId,
-        limit_ns: Option<u64>,
-        installed_program: bool,
-        was: StopReason,
-    ) -> Result<()> {
-        // Fresh program dispatch is a spawn (vehicle creation);
-        // waking a parked space is a cheap resume.
-        let start_ps = start_charge_ps(&self.shared.costs, installed_program, was);
-        let st_v = {
-            let st = self.st_mut();
-            st.vclock_ps = st.vclock_ps.saturating_add(start_ps);
-            st.vclock_ps
-        };
-        self.shared
-            .start_child(g, cell, child_id, limit_ns, st_v, was)
-    }
-
-    /// Applies the `Get` options to a stopped child whose slot guard
-    /// the caller holds.
-    fn apply_get_options(
-        &mut self,
-        g: &mut MutexGuard<'_, Slot>,
-        spec: &GetSpec,
+        spec: GetSpec,
         stop: StopReason,
-        child_v: u64,
+        entry: Option<EntryRec>,
     ) -> Result<GetResult> {
-        let code = g.state.as_ref().expect("idle").regs.gpr[1];
-        let regs = if spec.regs {
-            Some(g.state.as_ref().expect("idle").regs)
-        } else {
-            None
-        };
-        let costs = self.shared.costs;
+        let child_v = self.sync_clocks(g);
+        let child_st = idle_state(g);
+        let code = child_st.regs.gpr[1];
+        let regs = spec.regs.then_some(child_st.regs);
+        let (costs, policy) = (self.shared.costs, self.shared.policy);
         let mut counts = MemOpCounts::default();
-        let mut merge_stats = None;
-        let mut conflicted = false;
-        // Pure-core ops again; the child's state box is taken out
-        // around each two-sided op so both spaces can be borrowed.
-        let out: Result<()> = 'opts: {
-            if let Some(c) = spec.copy {
-                let child_st = g.state.take().expect("idle child has state");
-                let res = copy_op(&costs, &child_st, self.st_mut(), c, &mut counts);
-                g.state = Some(child_st);
-                if let Err(e) = res {
-                    break 'opts Err(e);
-                }
-            }
-            if let Some(region) = spec.merge {
-                let child_st = g.state.take().expect("idle child has state");
-                let res = merge_op(
-                    &costs,
-                    self.shared.policy,
-                    self.st_mut(),
-                    &child_st,
-                    region,
-                    spec.merge_policy,
-                    &mut counts,
-                );
-                g.state = Some(child_st);
-                match res {
-                    Err(e) => break 'opts Err(e),
-                    Ok((stats, conflict)) => {
-                        self.shared.record_merge(&stats);
-                        if let Some(c) = conflict {
-                            conflicted = true;
-                            break 'opts Err(KernelError::Conflict(c));
-                        }
-                        merge_stats = Some(stats);
-                    }
-                }
-            }
-            if let Some(r) = spec.zero {
-                let child_st = g.state.as_mut().expect("idle");
-                if let Err(e) = zero_op(&costs, child_st, r, false, &mut counts) {
-                    break 'opts Err(e);
-                }
-            }
-            if let Some((r, p)) = spec.perm {
-                let child_st = g.state.as_mut().expect("idle");
-                if let Err(e) = perm_op(child_st, r, p) {
-                    break 'opts Err(e);
-                }
-            }
-            Ok(())
-        };
-        self.shared
-            .hot
-            .pages_copied
-            .fetch_add(counts.pages_copied, Relaxed);
-        self.shared
-            .hot
-            .leaves_cloned
-            .fetch_add(counts.leaves_cloned, Relaxed);
-        if conflicted {
+        let (merge, res) = get_options(&costs, policy, self.st_mut(), child_st, &spec, &mut counts);
+        self.shared.fold_counts(&counts);
+        if let Some(stats) = &merge {
+            self.shared.record_merge(stats);
+        }
+        if matches!(res, Err(KernelError::Conflict(_))) {
             self.shared.hot.conflicts.fetch_add(1, Relaxed);
         }
-        // The caller pays for the work on success — and on a conflict
-        // (the merge scan happened; the caller observed its result).
-        if out.is_ok() || conflicted {
-            let st = self.st_mut();
-            st.vclock_ps = st.vclock_ps.saturating_add(counts.charge_ps);
+        // Recorded on success and failure alike (replay re-derives the
+        // same error), while the child's guard is held.
+        if self.trace.is_some() {
+            self.shared.trace_push(Some(TraceEvent::Get {
+                caller: self.id.index(),
+                child,
+                child_id: child_id.index(),
+                fused: entry.is_none(),
+                entry,
+                get: spec,
+            }));
         }
-        out?;
-        Ok(GetResult {
+        res.map(|()| GetResult {
             stop,
             code,
             regs,
-            merge: merge_stats,
+            merge,
             child_vclock_ns: ps_to_ns(child_v),
         })
     }
@@ -625,60 +537,12 @@ impl SpaceCtx {
     pub fn put(&mut self, child: ChildNum, spec: PutSpec) -> Result<PutResult> {
         self.fault_gate(&[FaultSite::Syscall, FaultSite::Alloc, FaultSite::TraceSink])?;
         self.charge_ps(self.shared.costs.syscall_ps)?;
-        let entry = self.trace_entry();
-        let rec = entry.as_ref().map(|_| PutRec::of(&spec));
         self.shared.hot.puts.fetch_add(1, Relaxed);
         let (child_id, cell) = self.ensure_child(child);
-        let shared = Arc::clone(&self.shared);
-        let g = cell.m.lock();
-        let (mut g, was) = shared.wait_idle(&cell, child_id, g)?;
-        self.sync_clocks(&mut g);
-        let start = spec.start;
-        let mut tree_ids = Vec::new();
-        // The Put event is recorded whether the options succeed or
-        // fail — replay re-derives the same recorded error from the
-        // same state (and, like the live path, swallows it).
-        let caller = self.id.index();
-        let put_event = move |tree_ids: Vec<u32>| {
-            entry.zip(rec).map(|(entry, put)| TraceEvent::Put {
-                caller,
-                child,
-                child_id: child_id.index(),
-                fused: false,
-                entry,
-                put,
-                tree_new_ids: tree_ids,
-            })
-        };
-        let res = match self.apply_put_options(&cell, g, child_id, spec, was, &mut tree_ids) {
-            Ok((mut g, installed_program)) => {
-                let started = match start {
-                    Some(s) => self.apply_start(
-                        &mut g,
-                        &cell,
-                        child_id,
-                        s.limit_ns,
-                        installed_program,
-                        was,
-                    ),
-                    None => Ok(()),
-                };
-                // Pushed while the child's guard is held: linearized
-                // against the started child's own first check-in.
-                self.shared.trace_push(put_event(tree_ids));
-                drop(g);
-                self.trace_resync();
-                started.map(|()| PutResult { child_was: was })
-            }
-            Err(e) => {
-                // Guard already released; safe — the child is stopped
-                // and cannot emit events until this caller restarts it.
-                self.shared.trace_push(put_event(tree_ids));
-                self.trace_resync();
-                Err(e)
-            }
-        };
-        res
+        let (g, child_was) = self.put_half(&cell, child, child_id, spec, false)?;
+        drop(g);
+        self.trace_resync();
+        Ok(PutResult { child_was })
     }
 
     /// The `Get` system call: synchronize with a child and copy or
@@ -693,23 +557,8 @@ impl SpaceCtx {
         let entry = self.trace_entry();
         self.shared.hot.gets.fetch_add(1, Relaxed);
         let (child_id, cell) = self.ensure_child(child);
-        let shared = Arc::clone(&self.shared);
-        let g = cell.m.lock();
-        let (mut g, stop) = shared.wait_idle(&cell, child_id, g)?;
-        let child_v = self.sync_clocks(&mut g);
-        let res = self.apply_get_options(&mut g, &spec, stop, child_v);
-        // Recorded on success and failure alike (replay re-derives the
-        // same error), while the child's guard is held.
-        if let Some(entry) = entry {
-            self.shared.trace_push(Some(TraceEvent::Get {
-                caller: self.id.index(),
-                child,
-                child_id: child_id.index(),
-                fused: false,
-                entry: Some(entry),
-                get: spec,
-            }));
-        }
+        let (mut g, stop) = self.shared.wait_idle(&cell, child_id, cell.m.lock())?;
+        let res = self.get_half(&mut g, child, child_id, spec, stop, entry);
         drop(g);
         self.trace_resync();
         res
@@ -732,66 +581,17 @@ impl SpaceCtx {
         }
         self.fault_gate(&[FaultSite::Syscall, FaultSite::Alloc, FaultSite::TraceSink])?;
         self.charge_ps(self.shared.costs.syscall_ps)?;
-        let entry = self.trace_entry();
-        let rec = entry.as_ref().map(|_| PutRec::of(&put));
         self.shared.hot.put_gets.fetch_add(1, Relaxed);
         let (child_id, cell) = self.ensure_child(child);
-        let shared = Arc::clone(&self.shared);
-        let g = cell.m.lock();
-        // First rendezvous: the stop the Put applies to.
-        let (mut g, was) = shared.wait_idle(&cell, child_id, g)?;
-        self.sync_clocks(&mut g);
-        let start = put.start;
-        let caller = self.id.index();
-        let mut tree_ids = Vec::new();
-        let put_event = move |tree_ids: Vec<u32>| {
-            entry.zip(rec).map(|(entry, put)| TraceEvent::Put {
-                caller,
-                child,
-                child_id: child_id.index(),
-                fused: true,
-                entry,
-                put,
-                tree_new_ids: tree_ids,
-            })
-        };
-        let g = match self.apply_put_options(&cell, g, child_id, put, was, &mut tree_ids) {
-            Ok((mut g, installed_program)) => {
-                let s = start.expect("checked above");
-                let started =
-                    self.apply_start(&mut g, &cell, child_id, s.limit_ns, installed_program, was);
-                // Pushed before the second wait drives the child, so
-                // the child's next check-in follows it in the trace.
-                self.shared.trace_push(put_event(tree_ids));
-                if let Err(e) = started {
-                    drop(g);
-                    self.trace_resync();
-                    return Err(e);
-                }
-                g
-            }
-            Err(e) => {
-                self.shared.trace_push(put_event(tree_ids));
-                self.trace_resync();
-                return Err(e);
-            }
-        };
+        // First rendezvous: the stop the Put applies to. Its event is
+        // pushed before the second wait drives the child, so the
+        // child's next check-in follows it in the trace.
+        let (g, _) = self.put_half(&cell, child, child_id, put, true)?;
         // Second rendezvous: the child's next stop (for an inline VM
         // child this executes it right here, lock-step, with no
         // condvar traffic at all).
-        let (mut g, stop) = shared.wait_idle(&cell, child_id, g)?;
-        let child_v = self.sync_clocks(&mut g);
-        let res = self.apply_get_options(&mut g, &get, stop, child_v);
-        if self.trace.is_some() {
-            self.shared.trace_push(Some(TraceEvent::Get {
-                caller,
-                child,
-                child_id: child_id.index(),
-                fused: true,
-                entry: None,
-                get,
-            }));
-        }
+        let (mut g, stop) = self.shared.wait_idle(&cell, child_id, g)?;
+        let res = self.get_half(&mut g, child, child_id, get, stop, None);
         drop(g);
         self.trace_resync();
         res
@@ -958,6 +758,11 @@ impl SpaceCtx {
         self.charge_ps(ps)?;
         Ok(analysis.footprint)
     }
+}
+
+/// A stopped child's checked-in state, through its held slot guard.
+fn idle_state<'g>(g: &'g mut MutexGuard<'_, Slot>) -> &'g mut SpaceState {
+    g.state.as_deref_mut().expect("idle child has state")
 }
 
 /// Deep-copies the state of `src` (and recursively its descendants)

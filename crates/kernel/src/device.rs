@@ -34,7 +34,7 @@ pub enum DeviceId {
 }
 
 /// One consumed nondeterministic input.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug, Serialize)]
 pub struct InputEvent {
     /// Sequence number (order of consumption by the root space).
     pub seq: u64,
@@ -45,22 +45,17 @@ pub struct InputEvent {
 }
 
 /// A log of all nondeterministic inputs an execution consumed.
-#[derive(Clone, Default, PartialEq, Eq, Debug, Serialize, Deserialize)]
+///
+/// It has no persisted form of its own: a recorded [`Trace`] carries
+/// the same inputs in its `DevRead` events, and
+/// [`Trace::io_log`] projects them back out.
+///
+/// [`Trace`]: crate::Trace
+/// [`Trace::io_log`]: crate::Trace::io_log
+#[derive(Clone, Default, PartialEq, Eq, Debug, Serialize)]
 pub struct IoLog {
     /// Events in consumption order.
     pub events: Vec<InputEvent>,
-}
-
-impl IoLog {
-    /// Serializes the log to JSON.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("log serializes")
-    }
-
-    /// Parses a log from JSON.
-    pub fn from_json(s: &str) -> Result<IoLog, serde_json::Error> {
-        serde_json::from_str(s)
-    }
 }
 
 /// Whether the kernel records fresh inputs or replays a log.
@@ -229,17 +224,5 @@ mod tests {
         hub.write(DeviceId::ConsoleOut, b"world");
         let (out, _) = hub.into_parts();
         assert_eq!(out[&DeviceId::ConsoleOut], b"hello world");
-    }
-
-    #[test]
-    fn log_json_roundtrip() {
-        let log = IoLog {
-            events: vec![InputEvent {
-                seq: 0,
-                device: DeviceId::Random,
-                data: Some(vec![1, 2, 3]),
-            }],
-        };
-        assert_eq!(IoLog::from_json(&log.to_json()).unwrap(), log);
     }
 }

@@ -34,7 +34,9 @@ use parking_lot::{Condvar, Mutex, MutexGuard};
 use det_memory::{AddressSpace, ConflictPolicy, MergeStats};
 use det_vm::{Cpu, VmExit};
 
-use crate::apply::{EntryRec, StartAction, TraceEvent, VmCounters, stamp_start, start_action};
+use crate::apply::{
+    EntryRec, MemOpCounts, StartAction, TraceEvent, VmCounters, bill, stamp_start, start_action,
+};
 use crate::cost::{CostModel, ps_to_ns};
 use crate::ctx::SpaceCtx;
 use crate::device::{DeviceHub, DeviceId, IoLog, IoMode};
@@ -202,8 +204,8 @@ impl TraceCtx {
 }
 
 /// The check-in event for a vehicle that died without state: replay
-/// synthesizes a fresh state and a terminal trap, mirroring
-/// [`Shared::final_check_in`].
+/// synthesizes a fresh state and a terminal trap, as
+/// [`Shared::final_check_in`] does.
 pub(crate) fn lost_state_check_in(id: SpaceId, reason: StopReason) -> TraceEvent {
     TraceEvent::CheckIn {
         space: id.index(),
@@ -232,7 +234,7 @@ pub(crate) struct Slot {
     /// table ids are allocation-order artifacts that race under
     /// concurrent creation, so artifacts and reports name spaces by
     /// path. Assigned at creation under the parent's slot lock,
-    /// identically to the replay mirror.
+    /// through the one function replay calls too.
     pub path: String,
     /// Per-child-number creation counter for the path generation
     /// suffix (only `Tree` copies ever rebind a number).
@@ -430,6 +432,19 @@ impl Shared {
         drop(t);
         self.hot.spaces_created.fetch_add(1, Relaxed);
         (id, cell)
+    }
+
+    /// Folds a rendezvous's memory-op meters into the hot counters.
+    pub(crate) fn fold_counts(&self, counts: &MemOpCounts) {
+        self.hot
+            .pages_copied
+            .fetch_add(counts.pages_copied, Relaxed);
+        self.hot
+            .pages_snapped
+            .fetch_add(counts.pages_snapped, Relaxed);
+        self.hot
+            .leaves_cloned
+            .fetch_add(counts.leaves_cloned, Relaxed);
     }
 
     /// Records one merge's statistics.
@@ -1048,10 +1063,12 @@ fn vm_execute_inner(
         // page walk (TLB fill or slow-path access) is charged on top.
         // Walk costs hit the clock but not the work limit, preserving
         // the "limit of N ns runs exactly N instructions" contract.
-        st.vclock_ps = st
-            .vclock_ps
-            .saturating_add(executed.saturating_mul(insn_ps))
-            .saturating_add(cache.pages_walked.saturating_mul(walk_ps));
+        bill(
+            st,
+            executed
+                .saturating_mul(insn_ps)
+                .saturating_add(cache.pages_walked.saturating_mul(walk_ps)),
+        );
         if let Some(l) = st.limit_ps.as_mut() {
             *l = l.saturating_sub(executed.saturating_mul(insn_ps));
         }

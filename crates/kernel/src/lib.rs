@@ -89,7 +89,7 @@ mod syscall;
 mod trace;
 pub mod wire;
 
-pub use apply::{Effect, EntryRec, PutRec, TraceEvent, VmCounters};
+pub use apply::{EntryRec, PutRec, TraceEvent, VmCounters};
 pub use checkpoint::{
     CHECKPOINT_FORMAT_VERSION, Checkpoint, Checkpointer, RestoredKernel,
     latest_restorable_boundary, restore_chain,

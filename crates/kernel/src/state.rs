@@ -3,11 +3,14 @@
 //! Everything in this module (and in [`crate::apply`]) is ordinary
 //! data plus pure functions over it — no locks, no condition
 //! variables, no threads, no device or host I/O. The imperative shell
-//! (`kernel.rs` / `ctx.rs`) owns all of those and *sequences* the pure
-//! core; the trace replayer ([`crate::trace`]) drives the very same
-//! core with no execution vehicles at all. A unit test enforces the
-//! purity boundary by scanning this module's source (see
-//! `core_modules_are_pure` in `apply.rs`).
+//! (`kernel.rs` / `ctx.rs`) owns all of those and calls the pure core
+//! between its waits and wakes; the trace replayer ([`crate::trace`])
+//! drives the very same core with no execution vehicles at all. What a
+//! rendezvous does, in which order, and who pays is the core's
+//! (`apply.rs`); a driver only finds the two spaces and realizes the
+//! decisions that come back. A unit test enforces the purity boundary
+//! by scanning this module's source (see `core_modules_are_pure` in
+//! `apply.rs`), and a second one that the clock has one adder.
 
 use std::collections::BTreeMap;
 
@@ -15,6 +18,7 @@ use det_memory::{AddressSpace, ConflictPolicy};
 use det_vm::Regs;
 use serde::{Deserialize, Serialize};
 
+use crate::apply::bill;
 use crate::cost::CostModel;
 use crate::device::DeviceId;
 use crate::error::TrapKind;
@@ -165,8 +169,8 @@ impl KSlot {
 /// while the space is parked), the per-number creation *sequence* is a
 /// pure function of the kernel-mediated event history — so paths, and
 /// anything keyed by them, are identical across runs and between a
-/// live run and its trace replay. The shell (`ctx.rs`) and the replay
-/// mirror (`apply.rs`) both assign paths through this one function.
+/// live run and its trace replay. The shell (`ctx.rs`) and the replayer
+/// (`apply.rs`) both assign paths through this one function.
 pub(crate) fn child_path(
     parent: &str,
     child: ChildNum,
@@ -252,7 +256,7 @@ pub(crate) fn stop_counter(reason: StopReason) -> Option<StopCounter> {
 /// the handoff cost, final stops do not.
 pub(crate) fn check_in_charge(costs: &CostModel, st: &mut SpaceState, reason: StopReason) {
     if reason.resumable() {
-        st.vclock_ps = st.vclock_ps.saturating_add(costs.rendezvous_ps);
+        bill(st, costs.rendezvous_ps);
     }
 }
 
@@ -268,7 +272,9 @@ pub(crate) fn final_reason(has_state: bool, reason: StopReason) -> StopReason {
 }
 
 /// Rendezvous clock rule: the caller observes the child's stop and
-/// takes the later of the two clocks. Returns the child's clock.
+/// takes the later of the two clocks — a wait, not a charge (the
+/// other `max` join is `apply::stamp_start`). Returns the child's
+/// clock.
 pub(crate) fn observe_stop(caller: &mut SpaceState, child_vclock_ps: u64) -> u64 {
     caller.vclock_ps = caller.vclock_ps.max(child_vclock_ps);
     child_vclock_ps

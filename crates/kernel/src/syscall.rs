@@ -51,11 +51,19 @@ pub struct StartSpec {
 /// Options to the `Put` system call (Table 2).
 ///
 /// All options may be combined in one call; they are applied in the
-/// order: `regs`, `program`, `copy`, `zero`, `perm`, `snap`, `tree`,
-/// `start`.
+/// order: `regs`, `program`, `copy`, `zero`, `perm`, `tree`, `snap`,
+/// `start`. The first one that fails ends the call: later options do
+/// not run, nothing is started, and the caller is billed only the
+/// syscall entry.
 #[derive(Default, Debug)]
 pub struct PutSpec {
     /// Set the child's register state.
+    ///
+    /// Applied first, before `program`'s install check — so a `Put`
+    /// of `regs` and `program` onto a resumable child returns
+    /// [`ChildActive`](crate::KernelError::ChildActive) *with the
+    /// registers written* (pinned by the Tables 1–2 rows in
+    /// `tests/kernel_core.rs`).
     pub regs: Option<Regs>,
     /// Install the child's program.
     ///
@@ -154,7 +162,10 @@ impl PutSpec {
 ///
 /// Applied in the order: `regs` (read), `copy`, `merge`, `zero`,
 /// `perm`; `zero`/`perm` manipulate the *child* (for example, clearing
-/// a buffer after collecting it).
+/// a buffer after collecting it). The caller is billed for the work
+/// when every option succeeded and when the merge found a conflict;
+/// any other failure ends the call with what ran kept and only the
+/// syscall entry billed.
 #[derive(Clone, Copy, PartialEq, Default, Debug, Serialize, Deserialize)]
 pub struct GetSpec {
     /// Read the child's register state into the result.

@@ -26,7 +26,7 @@ use serde::{DeError, Deserialize, Serialize, Value, field};
 
 use crate::apply::{TraceEvent, apply};
 use crate::cost::{CostModel, ps_to_ns};
-use crate::device::DeviceId;
+use crate::device::{DeviceId, InputEvent, IoLog};
 use crate::error::{KernelError, Result, TrapKind};
 use crate::state::{KState, RunState, SpaceState};
 use crate::stats::KernelStats;
@@ -198,6 +198,25 @@ impl Trace {
         serde_json::from_str(s)
     }
 
+    /// The nondeterministic inputs the recorded run consumed, in
+    /// consumption order — the root's `DevRead` events, which is exactly
+    /// how the live [`RunOutcome::io_log`](crate::RunOutcome::io_log) is
+    /// built. Handing it to [`IoMode::Replay`](crate::IoMode::Replay)
+    /// re-executes the run from its trace file alone (PAPER.md §2.1).
+    pub fn io_log(&self) -> IoLog {
+        let mut log = IoLog::default();
+        for ev in &self.events {
+            if let TraceEvent::DevRead { dev, data, .. } = ev {
+                log.events.push(InputEvent {
+                    seq: log.events.len() as u64,
+                    device: *dev,
+                    data: data.clone(),
+                });
+            }
+        }
+        log
+    }
+
     /// Re-applies the recorded events to a fresh kernel state, running
     /// no program code, and returns the reproduced outcome.
     ///
@@ -314,7 +333,6 @@ mod tests {
 
     use super::*;
     use crate::apply::{EntryRec, PutRec, VmCounters};
-    use crate::device::{InputEvent, IoLog};
     use crate::state::ProgramKind;
     use crate::stats::{HostStats, MergeStatsSerde};
     use crate::syscall::{CopySpec, GetSpec, StartSpec, StopReason};
@@ -590,20 +608,6 @@ mod tests {
         });
         roundtrip(&HostStats {
             spurious_wakeups: 36,
-        });
-        roundtrip(&IoLog {
-            events: vec![
-                InputEvent {
-                    seq: 0,
-                    device: DeviceId::Random,
-                    data: Some(vec![0xff, 0x00]),
-                },
-                InputEvent {
-                    seq: 1,
-                    device: DeviceId::ConsoleIn,
-                    data: None,
-                },
-            ],
         });
     }
 

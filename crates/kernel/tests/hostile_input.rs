@@ -1,8 +1,8 @@
 //! Every byte string the kernel parses is hostile input: a damaged
-//! trace, checkpoint, wire delta or input log is a typed error, never a
-//! panic, a hang or a silently shortened value.
+//! trace, checkpoint or wire delta is a typed error, never a panic, a
+//! hang or a silently shortened value.
 //!
-//! All four decoders read the same JSON shim through the same derived
+//! All three decoders read the same JSON shim through the same derived
 //! mappings, so one suite covers them: every truncation, sampled
 //! single-bit flips, and nesting bombs. Two more inputs arrive as
 //! arguments rather than artifacts and get the same treatment: the
@@ -12,7 +12,7 @@
 use det_kernel::wire::{delta_from_json, delta_to_json};
 use det_kernel::{
     CHECKPOINT_FORMAT_VERSION, Checkpoint, DeviceId, Fault, FaultAction, FaultPlan, FaultSite,
-    GetSpec, IoLog, Kernel, KernelConfig, KernelError, Program, PutSpec, Region, Trace, TraceSink,
+    GetSpec, Kernel, KernelConfig, KernelError, Program, PutSpec, Region, Trace, TraceSink,
 };
 use det_memory::{AccessTracker, PageDelta, PageDeltaOp, Perm, SpaceDelta};
 use det_vm::{Cpu, Opcode, VmExit};
@@ -68,7 +68,7 @@ fn text_artifact<T: PartialEq + 'static>(
 }
 
 /// A small recorded run touching devices, a child, a fused exchange
-/// and a checkpoint mark, and the four artifacts it leaves behind.
+/// and a checkpoint mark, and the three artifacts it leaves behind.
 fn artifacts() -> Vec<Artifact> {
     let sink = TraceSink::new();
     let kernel = Kernel::new(KernelConfig::builder().trace(sink.clone()).build());
@@ -108,9 +108,6 @@ fn artifacts() -> Vec<Artifact> {
         text_artifact("wire delta", delta, delta_to_json, |s| {
             delta_from_json(s).ok()
         }),
-        text_artifact("io log", out.io_log, IoLog::to_json, |s| {
-            IoLog::from_json(s).ok()
-        }),
         Artifact {
             name: "checkpoint",
             bytes: ckpt.to_bytes(),
@@ -143,7 +140,6 @@ fn every_truncation_is_rejected() {
 fn nesting_bombs_are_rejected() {
     let bomb = "[".repeat(1 << 20);
     assert!(Trace::from_json(&bomb).is_err());
-    assert!(IoLog::from_json(&bomb).is_err());
     assert!(delta_from_json(&bomb).is_err());
     // Behind a header whose digest vouches for it, so the payload
     // parser is what has to refuse.

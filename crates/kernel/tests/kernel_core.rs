@@ -1446,3 +1446,274 @@ fn analyze_footprint_predicts_and_charges_deterministically() {
     assert_eq!(a.exit, b.exit, "analysis step count must be deterministic");
     assert_eq!(a.vclock_ns, b.vclock_ns);
 }
+
+// ---------------------------------------------------------------------------
+// Tables 1–2 from first principles: the option order of `Put` and `Get`
+// and who pays for what, one row per rule. None of these goes through a
+// comparison of the live kernel with its replay — each row states what
+// PAPER.md §3.2 / DESIGN.md §1 say must happen and checks it on the live
+// outcome, then again on the outcome replayed from the run's trace.
+// ---------------------------------------------------------------------------
+
+/// One rule of Tables 1–2. `run` is the root program: it asserts what
+/// it can see from inside (memory, registers, error values) and
+/// returns the clock deltas it measured, in picoseconds; `check` pins
+/// those and the run's counters.
+struct TableRow {
+    name: &'static str,
+    run: fn(&mut SpaceCtx) -> det_kernel::Result<Vec<u64>>,
+    check: fn(&[u64], &det_kernel::KernelStats),
+}
+
+/// A child that parks once, then halts.
+fn ret_then_halt() -> Program {
+    Program::native(|c| {
+        c.ret(0)?;
+        Ok(0)
+    })
+}
+
+const TABLE_ROWS: &[TableRow] = &[
+    TableRow {
+        name: "Put: Perm applies after Zero, so a zeroed range can be handed over read-only",
+        run: |ctx| {
+            let probe = Program::native(|c| {
+                let denied = c.mem_mut().write_u64(R.start, 1).is_err();
+                Ok((denied && c.mem().read_u64(R.start)? == 0) as i32)
+            });
+            ctx.put(
+                0,
+                PutSpec::new()
+                    .program(probe)
+                    .zero(R)
+                    .perm(R, Perm::R)
+                    .start(),
+            )?;
+            assert_eq!(ctx.get(0, GetSpec::new())?.code, 1);
+            Ok(vec![])
+        },
+        check: |_, _| {},
+    },
+    TableRow {
+        name: "Put: Zero applies after Copy, so where they overlap the child sees zeros",
+        run: |ctx| {
+            setup_root(ctx)?;
+            ctx.mem_mut().write_u64(0x2000, 0xBBBB)?;
+            ctx.put(
+                0,
+                PutSpec::new()
+                    .copy(CopySpec::mirror(R))
+                    .zero(Region::new(0x2000, 0x4000)),
+            )?;
+            let out = CopySpec {
+                src: Region::new(0x1000, 0x4000),
+                dst: 0x5000,
+            };
+            ctx.get(0, GetSpec::new().copy(out))?;
+            assert_eq!(ctx.mem().read_u64(0x5000)?, 0xAAAA, "copied");
+            assert_eq!(ctx.mem().read_u64(0x6000)?, 0, "copied, then zeroed");
+            assert_eq!(ctx.mem().read_u64(0x7000)?, 0, "zero-mapped");
+            Ok(vec![])
+        },
+        check: |_, _| {},
+    },
+    TableRow {
+        name: "Put: Regs are written before the install check refuses a live child",
+        run: |ctx| {
+            ctx.put(0, PutSpec::new().program(ret_then_halt()).start())?;
+            assert_eq!(ctx.get(0, GetSpec::new())?.stop, StopReason::Ret);
+            let refused = ctx.put(
+                0,
+                PutSpec::new()
+                    .regs(Regs::at_entry(0x40))
+                    .program(ret_then_halt()),
+            );
+            assert_eq!(refused.unwrap_err(), KernelError::ChildActive);
+            let regs = ctx.get(0, GetSpec::new().regs())?.regs.expect("asked");
+            assert_eq!(regs, Regs::at_entry(0x40));
+            Ok(vec![])
+        },
+        check: |_, _| {},
+    },
+    TableRow {
+        name: "Zero counts into pages_copied on Put (the child's image) and not on Get",
+        run: |ctx| {
+            ctx.put(0, PutSpec::new().zero(R))?;
+            ctx.get(0, GetSpec::new().zero(Region::new(0x4000, 0x7000)))?;
+            Ok(vec![])
+        },
+        check: |_, stats| assert_eq!(stats.pages_copied, R.page_count()),
+    },
+    TableRow {
+        name: "Get: a conflicting Merge is billed its scan, on top of what the same Get costs bare",
+        run: |ctx| {
+            setup_root(ctx)?;
+            for i in 0..2u64 {
+                let writer = Program::native(move |c| {
+                    c.mem_mut().write_u64(0x2000, 100 + i)?;
+                    Ok(0)
+                });
+                let fork = PutSpec::new().copy(CopySpec::mirror(R)).snap();
+                ctx.put(i, fork.program(writer).start())?;
+            }
+            let first = ctx.get(0, GetSpec::new().merge(R))?.merge.expect("asked");
+            ctx.get(1, GetSpec::new())?; // Observe the stop: no clock join is left.
+            let t0 = ctx.vclock_ps();
+            let conflict = ctx.get(1, GetSpec::new().merge(R));
+            assert!(matches!(conflict, Err(KernelError::Conflict(c)) if c.addr == 0x2000));
+            let t1 = ctx.vclock_ps();
+            ctx.get(1, GetSpec::new())?;
+            let t2 = ctx.vclock_ps();
+            let first_ps = det_kernel::CostModel::default().merge_cost_ps(&first);
+            Ok(vec![t1 - t0, t2 - t1, first_ps])
+        },
+        check: |m, stats| {
+            let costs = det_kernel::CostModel::default();
+            let (with_merge, bare, first_ps) = (m[0], m[1], m[2]);
+            let conflict_ps = costs.merge_cost_ps(&stats.merge_totals.0) - first_ps;
+            assert!(conflict_ps > 0, "the conflicting merge scanned something");
+            assert_eq!(bare, costs.syscall_ps);
+            assert_eq!(with_merge, bare + conflict_ps);
+            assert_eq!((stats.merges, stats.conflicts), (2, 1));
+        },
+    },
+    TableRow {
+        name: "Get: an option failing after Copy keeps the copy and bills only the syscall entry",
+        run: |ctx| {
+            setup_root(ctx)?;
+            ctx.put(0, PutSpec::new().copy(CopySpec::mirror(R)))?;
+            let out = CopySpec {
+                src: R,
+                dst: 0x5000,
+            };
+            let t0 = ctx.vclock_ps();
+            let unsnapped = ctx.get(0, GetSpec::new().copy(out).merge(R));
+            assert_eq!(unsnapped.unwrap_err(), KernelError::NoSnapshot);
+            let t1 = ctx.vclock_ps();
+            assert_eq!(ctx.mem().read_u64(0x5000)?, 0xAAAA, "the copy happened");
+            Ok(vec![t1 - t0])
+        },
+        check: |m, _| assert_eq!(m[0], det_kernel::CostModel::default().syscall_ps),
+    },
+    TableRow {
+        name: "Put: the caller is billed the work done — a page mapped per page zeroed, a leaf per leaf snapped",
+        run: |ctx| {
+            let t0 = ctx.vclock_ps();
+            ctx.put(0, PutSpec::new().zero(R))?;
+            let t1 = ctx.vclock_ps();
+            ctx.put(0, PutSpec::new().snap())?;
+            let t2 = ctx.vclock_ps();
+            Ok(vec![t1 - t0, t2 - t1])
+        },
+        check: |m, stats| {
+            let costs = det_kernel::CostModel::default();
+            assert_eq!(m[0], costs.syscall_ps + costs.map_cost_ps(R.page_count()));
+            // Both pages sit in one page-table leaf.
+            assert_eq!(m[1], costs.syscall_ps + costs.clone_cost_ps(1));
+            assert_eq!(stats.pages_snapped, R.page_count());
+        },
+    },
+    TableRow {
+        name: "Put: a failing option bills nothing past the syscall entry and starts nothing",
+        run: |ctx| {
+            setup_root(ctx)?;
+            let t0 = ctx.vclock_ps();
+            // The copy succeeds (and is metered); the zero after it fails.
+            let failed = ctx.put(
+                0,
+                PutSpec::new()
+                    .program(ret_then_halt())
+                    .copy(CopySpec::mirror(R))
+                    .zero(Region::new(0x2008, 0x3000))
+                    .snap()
+                    .start(),
+            );
+            assert!(matches!(failed, Err(KernelError::Mem(_))), "{failed:?}");
+            let t1 = ctx.vclock_ps();
+            assert_eq!(ctx.get(0, GetSpec::new())?.stop, StopReason::Unstarted);
+            Ok(vec![t1 - t0])
+        },
+        check: |m, stats| {
+            assert_eq!(m[0], det_kernel::CostModel::default().syscall_ps);
+            assert_eq!(stats.pages_copied, R.page_count(), "the copy ran");
+            assert_eq!((stats.threads_spawned, stats.pages_snapped), (0, 0));
+        },
+    },
+    TableRow {
+        name: "Start: dispatching a fresh program costs spawn_ps, waking a parked one resume_ps",
+        run: |ctx| {
+            let t0 = ctx.vclock_ps();
+            ctx.put(0, PutSpec::new().program(ret_then_halt()).start())?;
+            let t1 = ctx.vclock_ps();
+            assert_eq!(ctx.get(0, GetSpec::new())?.stop, StopReason::Ret);
+            let t2 = ctx.vclock_ps();
+            ctx.put(0, PutSpec::new().start())?;
+            let t3 = ctx.vclock_ps();
+            // Installed by one Put, started by the next: still a spawn.
+            ctx.put(1, PutSpec::new().program(ret_then_halt()))?;
+            let t4 = ctx.vclock_ps();
+            ctx.put(1, PutSpec::new().start())?;
+            let t5 = ctx.vclock_ps();
+            // Collect both before the root returns: exact replay is
+            // stated for quiesced runs (DESIGN.md §7).
+            assert_eq!(ctx.get(0, GetSpec::new())?.stop, StopReason::Halted);
+            let collect = PutSpec::new().start();
+            let last = ctx.put_get(1, collect, GetSpec::new())?;
+            assert_eq!(last.stop, StopReason::Halted);
+            Ok(vec![t1 - t0, t3 - t2, t5 - t4])
+        },
+        check: |m, stats| {
+            let costs = det_kernel::CostModel::default();
+            assert_ne!(costs.spawn_ps, costs.resume_ps);
+            assert_eq!(m[0], costs.syscall_ps + costs.spawn_ps);
+            assert_eq!(m[1], costs.syscall_ps + costs.resume_ps);
+            assert_eq!(m[2], costs.syscall_ps + costs.spawn_ps);
+            assert_eq!(stats.threads_spawned, 2);
+        },
+    },
+];
+
+#[test]
+fn tables_1_and_2_hold_row_by_row_live_and_replayed() {
+    for row in TABLE_ROWS {
+        let sink = det_kernel::TraceSink::new();
+        let run = row.run;
+        let live = with_watchdog({
+            let sink = sink.clone();
+            move || {
+                Kernel::new(KernelConfig::builder().trace(sink).build()).run(move |ctx| {
+                    // The measurements ride out as console bytes, so
+                    // the replayed outcome carries them too.
+                    for ps in run(ctx)? {
+                        ctx.dev_write(DeviceId::ConsoleOut, &ps.to_le_bytes())?;
+                    }
+                    Ok(0)
+                })
+            }
+        });
+        assert_eq!(live.exit, Ok(0), "{}", row.name);
+        let trace = sink.collect().expect("recorded");
+        let replayed = det_kernel::Trace::from_json(&trace.to_json())
+            .expect("parses")
+            .replay()
+            .unwrap_or_else(|e| panic!("{}: {e}", row.name));
+        for (side, outputs, stats) in [
+            ("live", &live.outputs, &live.stats),
+            ("replayed", &replayed.outputs, &replayed.stats),
+        ] {
+            // Captured unless a bare assert in `check` fails: names
+            // the row and the side it failed on.
+            eprintln!("{}: {side}", row.name);
+            let measured: Vec<u64> = outputs
+                .get(&DeviceId::ConsoleOut)
+                .map_or(&[][..], Vec::as_slice)
+                .chunks_exact(8)
+                .map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")))
+                .collect();
+            (row.check)(&measured, stats);
+        }
+        assert_eq!(replayed.vclock_ns, live.vclock_ns, "{}", row.name);
+        assert_eq!(replayed.spaces, live.spaces, "{}", row.name);
+        assert_eq!(replayed.stats, live.stats, "{}", row.name);
+    }
+}

@@ -24,6 +24,7 @@ fn assert_replay_matches(live: &RunOutcome, sink: &TraceSink) {
     let trace = Trace::from_json(&json).expect("trace survives JSON round-trip");
     let rep = trace.replay().expect("trace replays cleanly");
 
+    assert_eq!(trace.io_log(), live.io_log, "the trace carries the inputs");
     assert_eq!(rep.exit, live.exit, "exit status must replay");
     assert_eq!(rep.vclock_ns, live.vclock_ns, "virtual clock must replay");
     assert_eq!(rep.outputs, live.outputs, "device outputs must replay");
@@ -412,4 +413,220 @@ fn no_sink_means_no_trace() {
     assert!(out.spaces.is_empty());
     assert!(out.space_paths.is_empty());
     assert!(sink.collect().is_none());
+}
+
+/// One run that walks every `Put`/`Get` option of Tables 1–2 — install
+/// over a fresh, a resumable and a finished child, copy, zero, perm,
+/// tree, snap, spawn and resume, each error path — plus device I/O and
+/// a checkpoint mark.
+fn tables_scenario(ctx: &mut det_kernel::SpaceCtx) -> det_kernel::NativeResult {
+    let a = Region::new(0x1000, 0x3000);
+    let page2 = Region::new(0x2000, 0x3000);
+    let code = Region::new(0x8000, 0x9000);
+    ctx.mem_mut().map_zero(a, Perm::RW)?;
+    ctx.mem_mut().write_u64(0x1000, 0xAAAA)?;
+    ctx.mem_mut().write_u64(0x2000, 0xBBBB)?;
+    let image = det_vm::assemble(
+        "
+        ldi r1, 0
+        li  r5, 0x2000
+    loop:
+        addi r1, r1, 1
+        std r1, [r5+0]
+        li  r6, 200
+        blt r1, r6, loop
+        halt
+        ",
+    )
+    .expect("assembles");
+    ctx.mem_mut().map_zero(code, Perm::RW)?;
+    ctx.mem_mut().write(code.start, &image.bytes)?;
+
+    // Child 0: every memory option at once, over a fresh child.
+    let worker = || {
+        Program::native(|c| {
+            c.mem_mut().write_u64(0x1008, 1)?;
+            c.ret(1)?;
+            c.mem_mut().write_u64(0x1010, 2)?;
+            Ok(7)
+        })
+    };
+    ctx.put(
+        0,
+        PutSpec::new()
+            .regs(Regs::at_entry(0x40))
+            .program(worker())
+            .copy(CopySpec::mirror(a))
+            .zero(Region::new(0x2000, 0x4000))
+            .perm(Region::new(0x3000, 0x4000), Perm::R)
+            .snap()
+            .start(),
+    )?;
+    let r = ctx.get(0, GetSpec::new().regs().merge(a))?;
+    assert_eq!(r.stop, StopReason::Ret);
+    // Install over a resumable child: refused, registers written.
+    let active = ctx.put(
+        0,
+        PutSpec::new().regs(Regs::at_entry(0x80)).program(worker()),
+    );
+    assert!(matches!(active, Err(KernelError::ChildActive)));
+    // Resume it, collect its exit, scrub and protect its buffer.
+    let r = ctx.put_get(
+        0,
+        PutSpec::new().copy(CopySpec::mirror(a)).snap().start(),
+        GetSpec::new().merge(a).zero(page2).perm(page2, Perm::R),
+    )?;
+    assert_eq!((r.stop, r.code), (StopReason::Halted, 7));
+    // Install over the finished child: the old vehicle is replaced.
+    ctx.put(
+        0,
+        PutSpec::new()
+            .program(worker())
+            .copy(CopySpec::mirror(a))
+            .start(),
+    )?;
+    assert_eq!(ctx.get(0, GetSpec::new())?.stop, StopReason::Ret);
+
+    // Errors the program observes: no snapshot (after a copy that
+    // happened), a failing option that must start nothing, a Start with
+    // no program.
+    let c = CopySpec {
+        src: page2,
+        dst: 0x5000,
+    };
+    assert!(matches!(
+        ctx.get(2, GetSpec::new().copy(c).merge(a)),
+        Err(KernelError::NoSnapshot)
+    ));
+    let bad = CopySpec {
+        src: a,
+        dst: 0x1008,
+    };
+    assert!(
+        ctx.put(6, PutSpec::new().program(worker()).copy(bad).start())
+            .is_err()
+    );
+    assert!(matches!(
+        ctx.put(7, PutSpec::new().start()),
+        Err(KernelError::NoProgram)
+    ));
+
+    // Two writers of one word: the second join conflicts and is billed.
+    for i in 3..5u64 {
+        ctx.put(
+            i,
+            PutSpec::new()
+                .program(Program::native(move |c| {
+                    c.mem_mut().write_u64(0x1800, 100 + i)?;
+                    Ok(0)
+                }))
+                .copy(CopySpec::mirror(a))
+                .snap()
+                .start(),
+        )?;
+    }
+    ctx.get(3, GetSpec::new().merge(a))?;
+    assert!(matches!(
+        ctx.get(4, GetSpec::new().merge(a)),
+        Err(KernelError::Conflict(_))
+    ));
+
+    // Tree: clone child 0 (parked at its Ret) into child 5; bad sources.
+    ctx.put(5, PutSpec::new().tree_from(0).snap())?;
+    assert!(ctx.put(5, PutSpec::new().tree_from(5)).is_err());
+    assert!(ctx.put(5, PutSpec::new().tree_from(99)).is_err());
+
+    // A VM child in limited quanta, resumed through the fused exchange.
+    ctx.put(
+        1,
+        PutSpec::new()
+            .program(Program::Vm)
+            .regs(Regs::at_entry(code.start))
+            .copy(CopySpec::mirror(code))
+            .zero(page2)
+            .snap()
+            .start_limited(300),
+    )?;
+    let mut stop = ctx.get(1, GetSpec::new())?.stop;
+    while stop == StopReason::LimitReached {
+        stop = ctx
+            .put_get(1, PutSpec::new().start_limited(300), GetSpec::new())?
+            .stop;
+    }
+    assert_eq!(stop, StopReason::Halted);
+    ctx.get(
+        1,
+        GetSpec::new()
+            .merge(page2)
+            .merge_policy(ConflictPolicy::ChildWins),
+    )?;
+
+    ctx.dev_write(DeviceId::ConsoleOut, b"tables")?;
+    let _ = ctx.dev_read(DeviceId::Clock)?;
+    ctx.checkpoint()?;
+    Ok(ctx.mem().read_u64(0x2000)? as i32)
+}
+
+/// The compared face of a run, as text: exit, clock, every counter,
+/// device output, and each space by lineage path.
+fn render(
+    exit: &Result<i32, det_kernel::TrapKind>,
+    vclock_ns: u64,
+    stats: &det_kernel::KernelStats,
+    outputs: &std::collections::BTreeMap<DeviceId, Vec<u8>>,
+    spaces: &[det_kernel::SpaceArtifact],
+) -> String {
+    let mut s = format!("exit={exit:?}\nvclock_ns={vclock_ns}\n");
+    for (k, v) in stats.lines() {
+        s.push_str(&format!("{k}={v}\n"));
+    }
+    for (dev, data) in outputs {
+        s.push_str(&format!("{dev:?}={data:?}\n"));
+    }
+    let mut spaces: Vec<_> = spaces.iter().collect();
+    spaces.sort_by(|a, b| a.path.cmp(&b.path));
+    for sp in spaces {
+        s.push_str(&format!(
+            "space {} vclock_ps={} insn={} digest={:016x}\n",
+            sp.path, sp.vclock_ps, sp.insn_count, sp.digest
+        ));
+    }
+    s
+}
+
+/// A trace recorded at f920a0f — before the option sequencing moved
+/// into the pure core — replays on this build to the outcome f920a0f
+/// reached, and the same program run live reaches it too. The trace's
+/// cross-slot event order is host-chosen, so the outcome is what is
+/// pinned, not the live trace's bytes.
+#[test]
+fn trace_recorded_at_f920a0f_replays_to_the_same_outcome() {
+    let golden = include_str!("golden/tables_f920a0f.outcome.txt");
+    let trace = Trace::from_json(include_str!("golden/tables_f920a0f.trace.json"))
+        .expect("a version-3 trace parses");
+    let rep = trace.replay().expect("the recorded trace replays");
+    assert_eq!(
+        render(
+            &rep.exit,
+            rep.vclock_ns,
+            &rep.stats,
+            &rep.outputs,
+            &rep.spaces
+        ),
+        golden
+    );
+
+    let sink = TraceSink::new();
+    let out = Kernel::new(KernelConfig::builder().trace(sink.clone()).build()).run(tables_scenario);
+    assert_eq!(
+        render(
+            &out.exit,
+            out.vclock_ns,
+            &out.stats,
+            &out.outputs,
+            &out.spaces
+        ),
+        golden
+    );
+    assert_replay_matches(&out, &sink);
 }

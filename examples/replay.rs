@@ -1,9 +1,10 @@
-//! Record/replay, two ways.
+//! Record/replay: one trace file, two ways to replay it.
 //!
 //! **I/O-log replay** (PAPER.md §2.1): all nondeterministic inputs are
 //! explicit device events at the root, so logging them suffices to
 //! reproduce an entire parallel execution bit-for-bit by *re-running*
-//! it — no internal event logging.
+//! it — no internal event logging. The inputs are the trace's
+//! `DevRead` events; `Trace::io_log` projects them out.
 //!
 //! **Syscall-trace replay** (DESIGN.md §7): attach a [`TraceSink`] and
 //! the kernel records every syscall-level transition it feeds its pure
@@ -44,7 +45,7 @@ fn app(p: &mut determinator::runtime::Proc<'_>) -> determinator::runtime::Result
 }
 
 fn main() {
-    // --- Run 1: record (both the I/O log and the syscall trace). -----
+    // --- Run 1: record the syscall trace — the one file on disk. ------
     let sink = TraceSink::new();
     let kernel = Kernel::new(KernelConfig::builder().trace(sink.clone()).build());
     kernel.push_input(DeviceId::ConsoleIn, b"ada\n".to_vec());
@@ -52,15 +53,13 @@ fn main() {
     assert_eq!(rec.exit, Ok(0));
     println!("--- recorded run ---");
     print!("{}", rec.console_string());
-    let log_json = rec.io_log.to_json();
-    println!(
-        "({} input events captured, {} bytes of log)",
-        rec.io_log.events.len(),
-        log_json.len()
-    );
+    let trace_json = sink.collect().expect("sink recorded the run").to_json();
+    let trace = Trace::from_json(&trace_json).expect("trace parses");
+    let log = trace.io_log();
+    assert_eq!(log, rec.io_log, "the trace carries the run's input log");
+    println!("({} input events captured)", log.events.len());
 
-    // --- Run 2: re-execute from the I/O log alone (no pushed input!).
-    let log = determinator::kernel::IoLog::from_json(&log_json).expect("log parses");
+    // --- Run 2: re-execute from the trace's inputs (no pushed input!).
     let kernel = Kernel::new(KernelConfig::builder().io(IoMode::Replay(log)).build());
     let rep = run_process_tree_on(kernel, ProgramRegistry::new(), app);
     println!("--- replayed run (re-executed from I/O log) ---");
@@ -69,9 +68,6 @@ fn main() {
     assert_eq!(rec.vclock_ns, rep.vclock_ns, "even virtual time matches");
 
     // --- Run 3: re-apply the syscall trace — no program code runs. ---
-    let trace = sink.collect().expect("sink recorded the run");
-    let trace_json = trace.to_json();
-    let trace = Trace::from_json(&trace_json).expect("trace parses");
     println!(
         "--- replayed run (pure state machine, {} events, {} bytes of trace) ---",
         trace.len(),

@@ -135,7 +135,7 @@ pub mod vm {
 pub mod kernel {
     pub use det_kernel::{
         CHECKPOINT_FORMAT_VERSION, Checkpoint, Checkpointer, ChildNum, CopySpec, CostModel,
-        DeviceId, Effect, EntryRec, Fault, FaultAction, FaultPlan, FaultSite, GetResult, GetSpec,
+        DeviceId, EntryRec, Fault, FaultAction, FaultPlan, FaultSite, GetResult, GetSpec,
         HostStats, InputEvent, InputHandle, IoLog, IoMode, Kernel, KernelConfig,
         KernelConfigBuilder, KernelError, KernelStats, MergeStatsSerde, NativeEntry, NativeResult,
         Program, ProgramKind, PutRec, PutResult, PutSpec, ReplayOutcome, RestoredKernel, Result,
