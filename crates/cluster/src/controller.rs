@@ -111,7 +111,8 @@ impl ClusterSpec {
         let mut stats = outcome.stats.clone();
         add_kernel_stats(&mut stats, &agg.stats);
         let mut host = outcome.host;
-        host.spurious_wakeups += agg.spurious;
+        host.spurious_wakeups += agg.host.spurious_wakeups;
+        host.os_threads_created += agg.host.os_threads_created;
         ClusterOutcome {
             exit: outcome.exit,
             vclock_ns: outcome.vclock_ns,
@@ -236,7 +237,7 @@ impl Env {
 #[derive(Default)]
 pub(crate) struct Agg {
     pub(crate) stats: KernelStats,
-    pub(crate) spurious: u64,
+    pub(crate) host: det_kernel::HostStats,
     pub(crate) jobs: BTreeMap<String, JobArtifact>,
 }
 

@@ -189,7 +189,8 @@ fn run_job(env: Arc<Env>, msg: JobMsg) {
     {
         let mut agg = env.agg.lock();
         agg.add_stats(&outcome.stats);
-        agg.spurious += outcome.host.spurious_wakeups;
+        agg.host.spurious_wakeups += outcome.host.spurious_wakeups;
+        agg.host.os_threads_created += outcome.host.os_threads_created;
         agg.jobs.insert(
             msg.path.clone(),
             JobArtifact {

@@ -413,12 +413,10 @@ impl SpaceCtx {
         );
         if let Some(action) = install {
             if action == InstallAction::Replace {
-                if let Some(h) = g.thread.take() {
-                    // The old program finished; reap its vehicle so a
-                    // fresh one can start (child-slot reuse).
-                    let _ = h.join();
-                }
-                // A fresh program gets a fresh CPU identity.
+                // The old program's worker went back to the pool before
+                // its final check-in; a fresh program gets a fresh
+                // vehicle binding and a fresh CPU identity.
+                g.has_vehicle = false;
                 g.cpu = None;
                 g.inline_vm = false;
             }

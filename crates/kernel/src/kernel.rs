@@ -22,6 +22,9 @@
 //! native space runs on a host thread of its own, and a VM space —
 //! always a leaf — is interpreted *inline* by the thread that waits
 //! for it, so its rendezvous costs no host context switch at all.
+//! A native space's thread comes from the kernel's [`VehiclePool`]: a
+//! `Start` re-arms a parked worker and creates an OS thread only when
+//! none is parked.
 
 use std::collections::BTreeMap;
 use std::panic::{AssertUnwindSafe, catch_unwind};
@@ -242,7 +245,12 @@ pub(crate) struct Slot {
     pub run: RunState,
     pub state: Option<Box<SpaceState>>,
     pub pending: Option<Program>,
-    pub thread: Option<JoinHandle<()>>,
+    /// True while a pooled worker is bound to this slot's program: set
+    /// when a `Start` hands the program to one, cleared when a new
+    /// program is installed over a finished one. It is the bit
+    /// [`start_action`] reads; the worker itself belongs to the
+    /// [`VehiclePool`], never to the slot.
+    pub has_vehicle: bool,
     /// Warm CPU (software TLB + decoded-instruction cache) of an
     /// inline VM space, preserved across stops and resumes.
     pub cpu: Option<Box<Cpu>>,
@@ -270,7 +278,7 @@ impl Slot {
             run: RunState::Idle(StopReason::Unstarted),
             state: Some(Box::new(SpaceState::new())),
             pending: None,
-            thread: None,
+            has_vehicle: false,
             cpu: None,
             inline_vm: false,
             trace_base: None,
@@ -303,6 +311,60 @@ impl SlotCell {
     }
 }
 
+/// One native program handed to a pooled worker: what `native_thread`
+/// runs.
+struct Job {
+    cell: Arc<SlotCell>,
+    id: SpaceId,
+    entry: NativeEntry,
+    st: Box<SpaceState>,
+}
+
+#[derive(Default)]
+struct Mailbox {
+    /// At most one job: a worker is handed one only after it was popped
+    /// off the idle stack, and goes back on only after taking it.
+    job: Option<Job>,
+    /// Set once by `Kernel::run`; honoured after a pending job.
+    quit: bool,
+}
+
+/// One pooled vehicle thread's wait point — the third of DESIGN.md §6.
+/// Only the worker itself ever waits on `cv`, and both predicate
+/// changes (a job stored, `quit` set) happen under `mailbox` before the
+/// one `notify_one`, so the §6 arguments hold here unchanged. The wake
+/// is not a rendezvous wake and is not counted in `condvar_wakeups`.
+#[derive(Default)]
+pub(crate) struct Worker {
+    mailbox: Mutex<Mailbox>,
+    cv: Condvar,
+}
+
+/// Creates the OS thread behind a new worker. A parameter of
+/// [`Shared::start_vehicle`] so a test can make the host refuse.
+type SpawnWorker = fn(Arc<Shared>, Arc<Worker>) -> std::io::Result<JoinHandle<()>>;
+
+fn spawn_worker(shared: Arc<Shared>, me: Arc<Worker>) -> std::io::Result<JoinHandle<()>> {
+    std::thread::Builder::new()
+        .name("vehicle".to_string())
+        .spawn(move || worker_loop(&shared, &me))
+}
+
+/// The kernel's parked vehicle threads. Neither field is sized or
+/// selected by anything: the pool grows to the widest set of native
+/// programs that were ever running at once and is torn down by
+/// `Kernel::run`.
+#[derive(Default)]
+pub(crate) struct VehiclePool {
+    /// Workers with no program, most recently parked last. LIFO, and a
+    /// worker parks *before* its program's final check-in is visible
+    /// (see `native_thread`), so a sequential fork/join loop re-arms the
+    /// one thread whose stack is still warm.
+    idle: Vec<Arc<Worker>>,
+    /// Every worker created, idle or busy, for the shutdown join.
+    workers: Vec<(Arc<Worker>, JoinHandle<()>)>,
+}
+
 /// Accumulated merge statistics (cold path; merges do real byte work,
 /// so a mutex here costs nothing measurable).
 #[derive(Default)]
@@ -318,9 +380,10 @@ pub(crate) struct MergeAccum {
 /// after every vehicle has been joined), so no ordering between them
 /// is ever observed mid-run. The *values* are deterministic — they
 /// count kernel-mediated events, not host scheduling — only the bump
-/// itself is lock-free. (`spurious_wakeups` is the one exception —
-/// wake races are host timing — which is why it folds into
-/// [`HostStats`], never into [`KernelStats`].)
+/// itself is lock-free. (`spurious_wakeups` and `os_threads_created`
+/// are the exceptions — wake races and which `Start` finds a worker
+/// parked are host timing — which is why they fold into [`HostStats`],
+/// never into [`KernelStats`].)
 #[derive(Default)]
 pub(crate) struct HotStats {
     pub puts: AtomicU64,
@@ -345,6 +408,7 @@ pub(crate) struct HotStats {
     pub vm_icache_fills: AtomicU64,
     pub condvar_wakeups: AtomicU64,
     pub spurious_wakeups: AtomicU64,
+    pub os_threads_created: AtomicU64,
     pub vm_inline_runs: AtomicU64,
     pub checkpoints: AtomicU64,
     pub checkpoint_leaves: AtomicU64,
@@ -384,6 +448,7 @@ impl HotStats {
     pub(crate) fn host_stats(&self) -> HostStats {
         HostStats {
             spurious_wakeups: self.spurious_wakeups.load(Relaxed),
+            os_threads_created: self.os_threads_created.load(Relaxed),
         }
     }
 }
@@ -412,6 +477,9 @@ pub(crate) struct Shared {
     /// Armed fault-injection plan (usually empty; probed once per
     /// syscall prologue, before any charge or trace record).
     pub faults: ArmedFaults,
+    /// Parked and busy vehicle threads (taken once per vehicle start
+    /// and once per program exit; never on the park/resume path).
+    pub pool: Mutex<VehiclePool>,
 }
 
 impl Shared {
@@ -650,7 +718,7 @@ impl Shared {
         // The *decision* is the pure core's (`start_action` is also what
         // replay runs); this shell only realizes it with host vehicles.
         let action = start_action(
-            g.thread.is_some(),
+            g.has_vehicle,
             g.inline_vm,
             g.pending.as_ref().map(Program::kind),
             prior,
@@ -670,39 +738,7 @@ impl Shared {
                 let Some(Program::Native(entry)) = g.pending.take() else {
                     unreachable!("start_action spawns only a pending native program");
                 };
-                let st = g.state.take().expect("checked above");
-                g.run = RunState::Running;
-                self.hot.threads_spawned.fetch_add(1, Relaxed);
-                let shared = Arc::clone(self);
-                let cell2 = Arc::clone(cell);
-                let handle = std::thread::Builder::new()
-                    .name(format!("space-{}", child.0))
-                    .spawn(move || native_thread(shared, cell2, child, entry, st));
-                match handle {
-                    Ok(h) => g.thread = Some(h),
-                    Err(_) => {
-                        // The host refused a vehicle (thread exhaustion
-                        // or an injected allocation fault at the OS
-                        // layer). The state moved into the dropped
-                        // closure, so this is the lost-state shape:
-                        // check the slot in as a terminal trap so the
-                        // caller's next wait observes a deterministic
-                        // stop instead of a slot stuck in `Running`.
-                        let reason = final_reason(
-                            false,
-                            StopReason::Trap(TrapKind::Fault("vehicle spawn failed")),
-                        );
-                        let ev = self
-                            .trace
-                            .as_ref()
-                            .map(|_| lost_state_check_in(child, reason));
-                        self.check_in_locked(g, Box::new(SpaceState::new()), reason);
-                        g.terminal = true;
-                        self.trace_push(ev);
-                        // No notify: the caller holds this slot's lock
-                        // and is the unique observer of the stop.
-                    }
-                }
+                self.start_vehicle(g, cell, child, entry, spawn_worker);
             }
             StartAction::ResumeInline => {
                 g.run = RunState::Runnable;
@@ -716,6 +752,76 @@ impl Shared {
             }
         }
         Ok(())
+    }
+
+    /// Realizes [`StartAction::Spawn`]: checks the child's state out and
+    /// hands its program to a pooled worker — the most recently parked
+    /// one, or a new OS thread from `spawn` when none is parked. One
+    /// uncounted wake; `threads_spawned` counts the decision either way.
+    ///
+    /// A new worker is registered in the pool here, under the child's
+    /// slot lock, and `start_child` checked the shutdown flag under
+    /// that same lock — so `Kernel::run`, which publishes the flag,
+    /// then takes every slot lock in its destroy sweep and only then
+    /// drains the pool, joins every worker that was ever created, a
+    /// `Start` that raced the flag included.
+    fn start_vehicle(
+        self: &Arc<Self>,
+        g: &mut Slot,
+        cell: &Arc<SlotCell>,
+        child: SpaceId,
+        entry: NativeEntry,
+        spawn: SpawnWorker,
+    ) {
+        let st = g.state.take().expect("start_child checked the state in");
+        g.run = RunState::Running;
+        self.hot.threads_spawned.fetch_add(1, Relaxed);
+        let parked = self.pool.lock().idle.pop();
+        let worker = match parked {
+            Some(w) => w,
+            None => {
+                let w = Arc::<Worker>::default();
+                let Ok(handle) = spawn(Arc::clone(self), Arc::clone(&w)) else {
+                    return self.vehicle_refused(g, child);
+                };
+                self.hot.os_threads_created.fetch_add(1, Relaxed);
+                self.pool.lock().workers.push((Arc::clone(&w), handle));
+                w
+            }
+        };
+        g.has_vehicle = true;
+        let job = Job {
+            cell: Arc::clone(cell),
+            id: child,
+            entry,
+            st,
+        };
+        let unclaimed = worker.mailbox.lock().job.replace(job);
+        assert!(unclaimed.is_none(), "a worker off the stack has no job");
+        worker.cv.notify_one();
+    }
+
+    /// The host refused a vehicle (thread exhaustion, or an injected
+    /// allocation fault at the OS layer) for a child whose state was
+    /// already checked out. That is the lost-state shape: check the
+    /// slot in as a terminal trap so the caller's next wait observes a
+    /// deterministic stop instead of a slot stuck in `Running`. No
+    /// worker is bound (`has_vehicle` stays clear), so a later `Start`
+    /// finds no program rather than waking nobody.
+    fn vehicle_refused(&self, g: &mut Slot, child: SpaceId) {
+        let reason = final_reason(
+            false,
+            StopReason::Trap(TrapKind::Fault("vehicle spawn failed")),
+        );
+        let ev = self
+            .trace
+            .as_ref()
+            .map(|_| lost_state_check_in(child, reason));
+        self.check_in_locked(g, Box::new(SpaceState::new()), reason);
+        g.terminal = true;
+        self.trace_push(ev);
+        // No notify: the caller holds this slot's lock and is the
+        // unique observer of the stop.
     }
 
     /// Establishes the trace cursor of a slot just made `Runnable`:
@@ -821,6 +927,7 @@ impl Kernel {
                 trace: config.trace,
                 shutdown: AtomicBool::new(false),
                 faults: ArmedFaults::new(config.faults),
+                pool: Mutex::default(),
             }),
         }
     }
@@ -862,17 +969,18 @@ impl Kernel {
         let vclock_ns = root_st.as_ref().map(|s| ps_to_ns(s.vclock_ps)).unwrap_or(0);
 
         // Shutdown: destroy every space, wake parked vehicles, join
-        // them all, and only then collect stats and device output —
-        // draining vehicles still bump hot counters on their way out,
-        // and collecting first would drop those bumps from the
-        // outcome. (The shutdown flag is published before the table
-        // snapshot, and `start_child` re-checks it, so every vehicle
-        // that exists is visible to this sweep.)
+        // every pooled worker, and only then collect stats and device
+        // output — draining vehicles still bump hot counters on their
+        // way out, and collecting first would drop those bumps from
+        // the outcome. (The shutdown flag is published before the
+        // table snapshot, and `start_child` re-checks it under the
+        // child's slot lock, so once this sweep has held every slot
+        // lock no vehicle can start and the pool holds every worker
+        // there will ever be — see `start_vehicle`.)
         self.shared
             .shutdown
             .store(true, std::sync::atomic::Ordering::SeqCst);
         let cells: Vec<Arc<SlotCell>> = self.shared.table.lock().clone();
-        let mut handles = Vec::new();
         // Final per-space artifacts, for trace-replay comparison and
         // the conformance harness: the root from its just-returned
         // state, every other space from whatever state the destroy
@@ -898,9 +1006,6 @@ impl Kernel {
             g.state = None;
             g.pending = None;
             g.cpu = None;
-            if let Some(h) = g.thread.take() {
-                handles.push(h);
-            }
             drop(g);
             // Broadcast, not targeted: destruction is the one event
             // with arbitrarily many observers (uncounted; see
@@ -908,8 +1013,18 @@ impl Kernel {
             cell.idle_cv.notify_all();
             cell.resume_cv.notify_all();
         }
-        for h in handles {
-            let _ = h.join();
+        // Every slot is destroyed, so every busy worker is on its way
+        // back to its mailbox; tell each to quit (it first runs a job a
+        // racing `Start` may have left there) and join it.
+        let workers = std::mem::take(&mut *self.shared.pool.lock()).workers;
+        for (w, _) in &workers {
+            w.mailbox.lock().quit = true;
+            w.cv.notify_one();
+        }
+        for (_, handle) in workers {
+            handle
+                .join()
+                .expect("a vehicle worker panicked outside its program");
         }
         let mut stats = KernelStats::default();
         self.shared.hot.fold_into(&mut stats);
@@ -949,20 +1064,41 @@ impl InputHandle {
     }
 }
 
-fn native_thread(
-    shared: Arc<Shared>,
-    cell: Arc<SlotCell>,
-    id: SpaceId,
-    entry: NativeEntry,
-    st: Box<SpaceState>,
-) {
-    let mut ctx = SpaceCtx::new(Arc::clone(&shared), id, Arc::clone(&cell), st);
+/// A pooled vehicle thread: runs one native program per job until told
+/// to quit.
+fn worker_loop(shared: &Arc<Shared>, me: &Arc<Worker>) {
+    loop {
+        let job = {
+            let mut m = me.mailbox.lock();
+            loop {
+                if let Some(job) = m.job.take() {
+                    break job;
+                }
+                if m.quit {
+                    return;
+                }
+                me.cv.wait(&mut m);
+            }
+        };
+        native_thread(shared, me, job);
+    }
+}
+
+fn native_thread(shared: &Arc<Shared>, me: &Arc<Worker>, job: Job) {
+    let Job {
+        cell,
+        id,
+        entry,
+        st,
+    } = job;
+    let mut ctx = SpaceCtx::new(Arc::clone(shared), id, Arc::clone(&cell), st);
     let out = catch_unwind(AssertUnwindSafe(|| entry(&mut ctx)));
     if ctx.destroyed_by_kernel() {
         // The kernel itself tore this space down (shutdown/destroy):
         // the destroy sweep owns the slot's fate, and checking in here
         // would race it — the stop counters must not depend on which
-        // side wins.
+        // side wins. Nothing starts after shutdown, so the worker does
+        // not park either; its next wake is the quit.
         return;
     }
     let (mut st, trace) = ctx.into_parts();
@@ -990,6 +1126,11 @@ fn native_thread(
         ),
         None => lost_state_check_in(id, final_reason(false, reason)),
     });
+    // Park before the check-in: whoever observes this stop finds the
+    // worker already on the stack, so the parent's next `Start` re-arms
+    // it instead of creating a thread. A job stored meanwhile waits in
+    // the mailbox until `worker_loop` comes back round.
+    shared.pool.lock().idle.push(Arc::clone(me));
     // Always check in — even with the state lost (`st: None`), the
     // slot must leave `Running` so a waiting parent observes a
     // deterministic trap rather than deadlocking.
@@ -1127,6 +1268,84 @@ mod tests {
         assert!(g.state.is_some(), "wait_idle requires checked-in state");
         assert!(g.terminal, "nothing is left to resume");
         assert_eq!(sh.hot.traps.load(Relaxed), 1);
+    }
+
+    /// The host refusing a vehicle thread is the lost-state shape seen
+    /// from the starter's side: the child's state is already checked
+    /// out, so the slot is checked in as a terminal trap — recorded, so
+    /// replay agrees — and no worker is bound or registered.
+    #[test]
+    fn refused_vehicle_is_a_terminal_trap_and_registers_no_worker() {
+        let sink = TraceSink::new();
+        let config = KernelConfig::builder().trace(sink.clone()).build();
+        let sh = Arc::clone(&Kernel::new(config).shared);
+        let (id, cell) = sh.new_slot("/t".to_string());
+        let mut g = cell.m.lock();
+        sh.start_vehicle(&mut g, &cell, id, Box::new(|_| Ok(0)), |_, _| {
+            Err(std::io::Error::other("host refused a thread"))
+        });
+        assert!(matches!(
+            g.run,
+            RunState::Idle(StopReason::Trap(TrapKind::Fault("vehicle spawn failed")))
+        ));
+        assert!(g.state.is_some(), "wait_idle requires checked-in state");
+        assert!(g.terminal && !g.has_vehicle);
+        assert_eq!(sh.hot.traps.load(Relaxed), 1);
+        assert_eq!(sh.hot.threads_spawned.load(Relaxed), 1, "the decision");
+        assert_eq!(sh.hot.os_threads_created.load(Relaxed), 0, "the host");
+        {
+            let pool = sh.pool.lock();
+            assert!(pool.idle.is_empty() && pool.workers.is_empty());
+        }
+        // A later `Start` finds no program; it does not wake nobody and
+        // leave the slot `Running`.
+        let prior = StopReason::Trap(TrapKind::Fault("vehicle spawn failed"));
+        assert!(matches!(
+            sh.start_child(&mut g, &cell, id, None, 0, prior),
+            Err(KernelError::NoProgram)
+        ));
+        assert!(matches!(g.run, RunState::Idle(_)));
+        drop(g);
+        let events = sink.collect().expect("meta set by Kernel::new").events;
+        assert!(matches!(
+            events[..],
+            [TraceEvent::CheckIn {
+                lost_state: true,
+                final_stop: true,
+                ..
+            }]
+        ));
+    }
+
+    /// Every pooled worker — idle on the stack, parked in a rendezvous
+    /// or mid-program — owns an `Arc<Shared>`, as does each `SpaceCtx`
+    /// it runs. `run` returns with all of them joined: the outcome's
+    /// `Shared` has no other owner.
+    #[test]
+    fn run_leaves_no_worker_behind() {
+        use crate::syscall::{GetSpec, PutSpec};
+        let kernel = Kernel::new(KernelConfig::default());
+        let shared = Arc::clone(&kernel.shared);
+        let out = kernel.run(|ctx| {
+            let idle = Program::native(|_| Ok(0));
+            ctx.put(0, PutSpec::new().program(idle).start())?;
+            ctx.get(0, GetSpec::new())?;
+            let parked = Program::native(|c| c.ret(0).map(|()| 0));
+            ctx.put(1, PutSpec::new().program(parked).start())?;
+            ctx.get(1, GetSpec::new())?;
+            let looping = Program::native(|c| {
+                loop {
+                    c.charge(1)?;
+                    std::thread::yield_now();
+                }
+            });
+            ctx.put(2, PutSpec::new().program(looping).start())?;
+            Ok(0)
+        });
+        assert_eq!(out.exit, Ok(0));
+        assert_eq!(out.host.os_threads_created, 2);
+        assert_eq!(Arc::strong_count(&shared), 1);
+        assert!(shared.pool.lock().workers.is_empty());
     }
 
     /// Satellite regression: a park raced by destruction must count

@@ -28,7 +28,9 @@ pub struct KernelStats {
     pub limit_preemptions: u64,
     /// Spaces created.
     pub spaces_created: u64,
-    /// Host threads spawned as execution vehicles.
+    /// Native vehicles started, whether the host thread was created or
+    /// re-armed (the host's side of that is
+    /// [`HostStats::os_threads_created`]).
     pub threads_spawned: u64,
     /// Pages virtually copied (COW) by `Copy`/`Zero` options.
     pub pages_copied: u64,
@@ -95,6 +97,10 @@ pub struct HostStats {
     /// Waits that woke without their predicate holding (spurious or
     /// raced wakeups).
     pub spurious_wakeups: u64,
+    /// OS threads the vehicle pool created: at most
+    /// [`KernelStats::threads_spawned`], and how far below depends on
+    /// which `Start`s found a worker already parked.
+    pub os_threads_created: u64,
 }
 
 /// The accumulated [`MergeStats`] of a run (serializes as the inner

@@ -608,6 +608,7 @@ mod tests {
         });
         roundtrip(&HostStats {
             spurious_wakeups: 36,
+            os_threads_created: 37,
         });
     }
 

@@ -1,5 +1,8 @@
 //! Kernel lifecycle, rendezvous, and determinism tests.
 
+use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+
 use det_kernel::{
     ConflictPolicy, CopySpec, DeviceId, GetSpec, IoMode, Kernel, KernelConfig, KernelError,
     MemError, Perm, Program, PutSpec, Region, Regs, RunOutcome, SpaceCtx, StopReason, TrapKind,
@@ -898,28 +901,80 @@ fn many_sequential_spaces_no_leak() {
     });
     assert_eq!(out.exit, Ok(0));
     assert_eq!(out.stats.spaces_created, 1);
+    // A hundred vehicles started on one OS thread: each child's worker
+    // is back on the pool's stack before its exit is visible, so every
+    // fork after the first re-arms it. Exact, not a bound.
     assert_eq!(out.stats.threads_spawned, 100);
+    assert_eq!(out.host.os_threads_created, 1);
+}
+
+/// Two finished children (their workers idle on the pool's stack), two
+/// parked at a barrier and one compute-looping in `charge`. With
+/// `join_first` the root releases the barrier, stops the loop and
+/// collects all three before returning; without, it just returns.
+fn teardown_scenario(join_first: bool) -> RunOutcome {
+    let stop_looping = Arc::new(AtomicBool::new(false));
+    let stop = Arc::clone(&stop_looping);
+    let out = with_watchdog(move || {
+        kernel().run(move |ctx| {
+            for done in 0..2 {
+                let finished = Program::native(|_| Ok(0));
+                ctx.put(done, PutSpec::new().program(finished).start())?;
+            }
+            for done in 0..2 {
+                assert_eq!(ctx.get(done, GetSpec::new())?.stop, StopReason::Halted);
+            }
+            for parked in 2..4 {
+                let at_barrier = Program::native(|c| c.ret(0).map(|()| 0));
+                ctx.put(parked, PutSpec::new().program(at_barrier).start())?;
+            }
+            for parked in 2..4 {
+                assert_eq!(ctx.get(parked, GetSpec::new())?.stop, StopReason::Ret);
+            }
+            let looping = Program::native(move |c| {
+                while !stop.load(Ordering::SeqCst) {
+                    c.charge(1)?;
+                    std::thread::yield_now();
+                }
+                Ok(0)
+            });
+            ctx.put(4, PutSpec::new().program(looping).start())?;
+            if join_first {
+                stop_looping.store(true, Ordering::SeqCst);
+                for child in 2..4 {
+                    ctx.put(child, PutSpec::new().start())?;
+                }
+                for child in 2..5 {
+                    assert_eq!(ctx.get(child, GetSpec::new())?.stop, StopReason::Halted);
+                }
+            }
+            Ok(0)
+        })
+    });
+    assert_eq!(out.exit, Ok(0));
+    out
 }
 
 #[test]
 fn unjoined_running_child_is_cleaned_up() {
-    // The root exits while a child still computes; shutdown must not
-    // hang (the child hits a charge() and observes destruction).
-    let out = kernel().run(|ctx| {
-        ctx.put(
-            0,
-            PutSpec::new()
-                .program(Program::native(|c| {
-                    loop {
-                        c.charge(1)?;
-                        std::thread::yield_now();
-                    }
-                }))
-                .start(),
-        )?;
-        Ok(0) // Exit immediately without joining.
-    });
-    assert_eq!(out.exit, Ok(0));
+    // The root exits while children are parked, computing, and done:
+    // shutdown must not hang (the parked ones are woken into
+    // `Destroyed`, the looping one observes it at a `charge`; that
+    // every pooled thread has been joined when `run` returns is
+    // `kernel::tests::run_leaves_no_worker_behind`, which can see it).
+    let abandoned = teardown_scenario(false);
+    // Five vehicles on three threads: both finished children were
+    // collected before the third fork, so it found a worker parked.
+    assert_eq!(abandoned.stats.threads_spawned, 5);
+    assert_eq!(abandoned.host.os_threads_created, 3);
+    // Teardown is not a rendezvous: a space destroyed mid-flight checks
+    // nothing in, so the stop counters are what the same program
+    // reports when it collects everyone first.
+    let joined = teardown_scenario(true);
+    assert_eq!(joined.host.os_threads_created, 3);
+    let stops = |s: &det_kernel::KernelStats| (s.rets, s.traps, s.limit_preemptions);
+    assert_eq!(stops(&abandoned.stats), (2, 0, 0));
+    assert_eq!(stops(&abandoned.stats), stops(&joined.stats));
 }
 
 /// A child number is a plain 64-bit name with no reserved bits: one

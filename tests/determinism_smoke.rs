@@ -9,7 +9,10 @@ use std::sync::Arc;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
 
-use determinator::kernel::{CopySpec, GetSpec, Kernel, KernelConfig, Program, PutSpec};
+use determinator::kernel::{
+    CopySpec, Fault, FaultAction, FaultPlan, FaultSite, GetSpec, Kernel, KernelConfig, KernelError,
+    KernelStats, NativeResult, Program, PutSpec, SpaceCtx, StopReason, TrapKind,
+};
 use determinator::memory::{Perm, Region};
 use determinator::workloads::Mode;
 use determinator::workloads::md5::{self, Md5Config};
@@ -98,6 +101,60 @@ fn memory_digest_stable_under_perturbed_host_schedule() {
     );
     assert_eq!(quiet, loaded.0, "digest changed under host load");
     assert_eq!(quiet, loaded.1, "digest unstable across loaded reruns");
+}
+
+/// How a first program ends (see [`worker_outlives`]).
+type Ending = fn(&mut SpaceCtx) -> NativeResult;
+
+/// A native child running `first`, then a second program installed
+/// over it (`InstallAction::Replace`) that exits 7. However the first
+/// program left its vehicle — by returning, unwinding out of a panic,
+/// or fabricating the kernel's own error — the worker thread is back
+/// in the pool before the stop is visible, so the second `Start`
+/// re-arms it: two vehicles started on one OS thread, exactly.
+fn worker_outlives(first: Ending) -> (StopReason, u64, KernelStats) {
+    // Fires in a first program that makes a syscall; a fault fires once.
+    let panic_first_syscall =
+        Fault::new(FaultSite::Syscall, FaultAction::PanicVehicle).at_path("/0");
+    let config = KernelConfig::builder()
+        .faults(FaultPlan::new().with(panic_first_syscall))
+        .build();
+    let mut first_stop = StopReason::Unstarted;
+    let out = Kernel::new(config).run(|ctx| {
+        ctx.put(0, PutSpec::new().program(Program::native(first)).start())?;
+        first_stop = ctx.get(0, GetSpec::new())?.stop;
+        let second = Program::native(|_| Ok(7));
+        ctx.put(0, PutSpec::new().program(second).start())?;
+        Ok(ctx.get(0, GetSpec::new())?.code as i32)
+    });
+    assert_eq!(out.exit, Ok(7));
+    assert_eq!(out.stats.threads_spawned, 2);
+    assert_eq!(out.host.os_threads_created, 1);
+    (first_stop, out.vclock_ns, out.stats)
+}
+
+#[test]
+fn a_worker_outlives_its_program_under_perturbed_host_schedule() {
+    let panic = StopReason::Trap(TrapKind::Panic);
+    let destroyed = StopReason::Trap(KernelError::Destroyed.as_trap());
+    let endings: [(&str, Ending, StopReason, u64); 4] = [
+        ("halt", |_| Ok(5), StopReason::Halted, 0),
+        ("panic", |_| panic!("first program panics"), panic, 1),
+        ("injected panic", |c| c.ret(0).map(|()| 5), panic, 1),
+        (
+            "fabricated destroyed",
+            |_| Err(KernelError::Destroyed),
+            destroyed,
+            1,
+        ),
+    ];
+    for (ending, first, stop, traps) in endings {
+        let quiet = worker_outlives(first);
+        assert_eq!((quiet.0, quiet.2.traps), (stop, traps), "after {ending}");
+        let loaded = with_host_load(8, || (worker_outlives(first), worker_outlives(first)));
+        assert_eq!(quiet, loaded.0, "{ending}: changed under host load");
+        assert_eq!(quiet, loaded.1, "{ending}: unstable across loaded reruns");
+    }
 }
 
 #[test]

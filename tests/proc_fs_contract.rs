@@ -15,7 +15,7 @@
 use std::sync::Arc;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use determinator::kernel::{DeviceId, Kernel, KernelConfig, RunOutcome};
+use determinator::kernel::{DeviceId, Kernel, KernelConfig, RunOutcome, TraceSink};
 use determinator::memory::ContentDigest;
 use determinator::runtime::{
     ExitStatus, Proc, ProgramRegistry, Result, run_process_tree, run_process_tree_on,
@@ -121,8 +121,8 @@ fn make_tree(p: &mut Proc<'_>) -> Result<i32> {
     Ok((conflicted * 100 + live.len()) as i32)
 }
 
-fn run_make_tree() -> (RunOutcome, u64) {
-    let kernel = Kernel::new(KernelConfig::default());
+fn run_make_tree(config: KernelConfig) -> (RunOutcome, u64) {
+    let kernel = Kernel::new(config);
     kernel.push_input(DeviceId::ConsoleIn, b"make -j3 all\n".to_vec());
     let digest = Arc::new(AtomicU64::new(0));
     let root_digest = Arc::clone(&digest);
@@ -136,16 +136,41 @@ fn run_make_tree() -> (RunOutcome, u64) {
 
 #[test]
 fn make_tree_results_are_what_they_were_at_6b8e6fe() {
-    let (out, digest) = run_make_tree();
+    let (out, digest) = run_make_tree(KernelConfig::default());
     assert_eq!(out.exit, Ok(EXIT));
     assert_eq!(out.console_string(), CONSOLE);
     assert_eq!(digest, FS_DIGEST);
     // And it repeats, clock included.
-    let (again, digest_again) = run_make_tree();
+    let (again, digest_again) = run_make_tree(KernelConfig::default());
     assert_eq!(again.console(), out.console());
     assert_eq!(digest_again, digest);
     assert_eq!(again.vclock_ns, out.vclock_ns);
 }
+
+/// *Vehicles*: every fork starts one — that is a decision, so it
+/// replays — while the OS threads behind them are the pool's business:
+/// rounds are joined before the next begins, so the tree never needs
+/// more threads than its widest moment has processes running.
+#[test]
+fn make_tree_starts_a_vehicle_per_fork_on_a_round_of_threads() {
+    let sink = TraceSink::new();
+    let (out, _) = run_make_tree(KernelConfig::builder().trace(sink.clone()).build());
+    assert_eq!(out.exit, Ok(EXIT));
+    assert_eq!(out.stats.threads_spawned, FORKS);
+    let replayed = sink.collect().expect("recorded").replay().expect("replays");
+    assert_eq!(replayed.stats.threads_spawned, FORKS);
+    let created = out.host.os_threads_created;
+    assert!(
+        (1..=WIDEST_ROUND + 1).contains(&created),
+        "{created} OS threads for rounds at most {WIDEST_ROUND} wide"
+    );
+}
+
+/// Round 0 forks three compilers and a generator, round 1 three
+/// linkers, round 2 two editors and then two appenders in turn.
+const FORKS: u64 = 4 + 3 + 2 + 2;
+/// Round 0's three compilers — plus one for the generator nested in it.
+const WIDEST_ROUND: u64 = 3;
 
 /// One conflicted file (`obj/shared.o`) among eight live ones.
 const EXIT: i32 = 108;
