@@ -434,8 +434,7 @@ impl Remote {
             costs
                 .syscall_ps
                 .saturating_add(costs.spawn_ps)
-                .saturating_add(costs.space_clone_ps.saturating_mul(cs.leaves_shared))
-                .saturating_add(costs.page_map_ps.saturating_mul(cs.boundary_pages)),
+                .saturating_add(costs.copy_cost_ps(&cs)),
         )?;
 
         let summary = img.leaf_summary();

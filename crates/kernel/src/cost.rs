@@ -36,15 +36,23 @@ pub struct CostModel {
     /// so virtual time is execution-vehicle-invariant.
     pub rendezvous_ps: u64,
     /// Per-page cost of copy-on-write mapping (zero-fill, the boundary
-    /// pages a virtual copy walks individually, and every page a merge
-    /// remaps into the parent instead of diffing —
-    /// `MergeStats::pages_adopted`).
+    /// pages a virtual copy walks individually — a range that shares
+    /// its page-table leaf with something else, is shorter than
+    /// `det_memory::SUBLEAF_SHARE_MIN_PAGES`, or lands at other
+    /// offsets within its leaf — and every page a merge remaps into
+    /// the parent instead of diffing, `MergeStats::pages_adopted`).
     pub page_map_ps: u64,
     /// Per-leaf cost of a structural clone: sharing one 512-page
     /// page-table leaf during a snapshot or a leaf-congruent virtual
     /// copy (`det_memory::PAGES_PER_LEAF` pages per unit). This is
     /// what makes fork/snapshot O(pages-touched) in virtual time too —
-    /// a 4 MiB snapshot charges 2 leaves, not 1024 pages.
+    /// a 4 MiB snapshot charges 2 leaves, not 1024 pages. A virtual
+    /// copy charges it for every leaf its range covers whole and for
+    /// every leaf the range is alone in; `SUBLEAF_SHARE_MIN_PAGES` is
+    /// the page count from which this is the smaller bill, so the rule
+    /// never raises a charge. Un-sharing the leaf at the first write
+    /// is not charged, for these copies as for every other
+    /// copy-on-write fault (ROADMAP item 2b).
     pub space_clone_ps: u64,
     /// Per-page cost of scanning a page table entry during merge.
     pub page_scan_ps: u64,
@@ -292,6 +300,16 @@ mod tests {
             boundary_pages: 16,
         };
         assert_eq!(m.copy_cost_ps(&stats), m.map_cost_ps(16));
+    }
+
+    #[test]
+    fn a_lone_range_shares_its_leaf_from_where_that_is_the_smaller_bill() {
+        // det-memory picks the arm and cannot see this model; its
+        // threshold has to sit exactly where the two bills cross.
+        let m = CostModel::calibrated();
+        let min = det_memory::SUBLEAF_SHARE_MIN_PAGES as u64;
+        assert!(m.map_cost_ps(min) > m.clone_cost_ps(1));
+        assert!(m.clone_cost_ps(1) >= m.map_cost_ps(min - 1));
     }
 
     #[test]

@@ -1470,6 +1470,161 @@ fn fork_charges_leaves_not_pages() {
     // per-page cost it replaced (1024 pages × page_map_ps twice).
     let costs = det_kernel::CostModel::calibrated();
     assert!(costs.clone_cost_ps(4) * 5 < costs.map_cost_ps(2 * 1024));
+    // Below one leaf the same rule holds wherever sharing the leaf is
+    // the same operation as installing its pages, to the picosecond.
+    hold_live_and_replayed(COPY_ROWS);
+}
+
+/// Page `page` of page-table leaf 1, `pages` long.
+const fn in_leaf_1(page: u64, pages: u64) -> Region {
+    let start = (det_memory::PAGES_PER_LEAF as u64 + page) * 4096;
+    Region {
+        start,
+        end: start + pages * 4096,
+    }
+}
+
+/// A barrier-sized shared region with leaf 1 to itself.
+const LONE: Region = in_leaf_1(100, 64);
+/// One page of the same leaf, outside [`LONE`].
+const NEIGHBOUR: Region = in_leaf_1(7, 1);
+
+/// Maps `mapped` in the root and measures one `Put` whose only option
+/// is a `Copy` of `copied` into child 0.
+fn measure_copy(
+    ctx: &mut SpaceCtx,
+    mapped: &[Region],
+    copied: Region,
+) -> det_kernel::Result<Vec<u64>> {
+    for r in mapped {
+        ctx.mem_mut().map_zero(*r, Perm::RW)?;
+    }
+    let t0 = ctx.vclock_ps();
+    ctx.put(0, PutSpec::new().copy(CopySpec::mirror(copied)))?;
+    Ok(vec![ctx.vclock_ps() - t0])
+}
+
+/// What one `Copy` is billed below one leaf (DESIGN.md §5), stated from
+/// the layout each row builds and never from what the memory crate
+/// reported about it.
+const COPY_ROWS: &[TableRow] = &[
+    TableRow {
+        name: "Copy: 64 pages alone in their leaf are billed one leaf share",
+        run: |ctx| measure_copy(ctx, &[LONE], LONE),
+        check: |m, stats| {
+            let costs = det_kernel::CostModel::calibrated();
+            assert_eq!(m[0], costs.syscall_ps + costs.space_clone_ps);
+            assert_eq!((stats.leaves_cloned, stats.pages_copied), (1, 64));
+        },
+    },
+    TableRow {
+        name: "Copy: 10 pages alone in their leaf are billed ten page maps, the cheaper bill",
+        run: |ctx| measure_copy(ctx, &[in_leaf_1(100, 10)], in_leaf_1(100, 10)),
+        check: |m, stats| {
+            let costs = det_kernel::CostModel::calibrated();
+            assert_eq!(m[0], costs.syscall_ps + 10 * costs.page_map_ps);
+            assert_eq!((stats.leaves_cloned, stats.pages_copied), (0, 10));
+        },
+    },
+    TableRow {
+        name: "Copy: 64 pages sharing their leaf with another mapping of the source are billed 64 page maps",
+        run: |ctx| measure_copy(ctx, &[LONE, NEIGHBOUR], LONE),
+        check: |m, stats| {
+            let costs = det_kernel::CostModel::calibrated();
+            assert_eq!(m[0], costs.syscall_ps + 64 * costs.page_map_ps);
+            assert_eq!((stats.leaves_cloned, stats.pages_copied), (0, 64));
+        },
+    },
+    TableRow {
+        name: "Copy: a child holding a page of its own elsewhere in the leaf is billed 64 page maps and keeps it",
+        run: |ctx| {
+            ctx.put(0, PutSpec::new().zero(NEIGHBOUR))?;
+            let measured = measure_copy(ctx, &[LONE], LONE)?;
+            // Copied out, a page the child lost would arrive unmapped.
+            let out = CopySpec {
+                src: NEIGHBOUR,
+                dst: 0x5000,
+            };
+            ctx.get(0, GetSpec::new().copy(out))?;
+            assert_eq!(ctx.mem().read_u64(0x5000)?, 0, "still the child's");
+            Ok(measured)
+        },
+        check: |m, stats| {
+            let costs = det_kernel::CostModel::calibrated();
+            assert_eq!(m[0], costs.syscall_ps + 64 * costs.page_map_ps);
+            // The child's zeroed page and the parent's copy of it count too.
+            assert_eq!((stats.leaves_cloned, stats.pages_copied), (0, 1 + 64 + 1));
+        },
+    },
+];
+
+#[test]
+fn lone_region_barrier_loop_resumes_from_a_checkpoint_on_the_same_clock() {
+    // A restored kernel's spaces share no leaf with one another, the
+    // live ones did: the Copy's choice of arm reads mapped sets, so
+    // the resumed half of the run is billed what the live one was.
+    const THREADS: u64 = 2;
+    const ROUNDS: u64 = 4;
+    let sink = det_kernel::TraceSink::new();
+    let live = with_watchdog({
+        let sink = sink.clone();
+        move || {
+            Kernel::new(KernelConfig::builder().trace(sink).build()).run(|ctx| {
+                ctx.mem_mut().map_zero(LONE, Perm::RW)?;
+                let redistribute = || PutSpec::new().copy(CopySpec::mirror(LONE)).snap().start();
+                for i in 0..THREADS {
+                    let worker = Program::native(move |c| {
+                        for round in 0..ROUNDS {
+                            let mine = LONE.start + (i * 8 + round) * 4096;
+                            c.mem_mut().write_u64(mine, (round << 8) | i)?;
+                            c.ret(round)?;
+                        }
+                        Ok(0)
+                    });
+                    ctx.put(i, redistribute().program(worker))?;
+                }
+                for _ in 0..ROUNDS {
+                    // A barrier: everyone joins, then everyone is handed
+                    // the merged image.
+                    for i in 0..THREADS {
+                        let r = ctx.get(i, GetSpec::new().merge(LONE))?;
+                        assert_eq!(r.stop, StopReason::Ret);
+                    }
+                    for i in 0..THREADS {
+                        ctx.put(i, redistribute())?;
+                    }
+                }
+                for i in 0..THREADS {
+                    let r = ctx.get(i, GetSpec::new().merge(LONE))?;
+                    assert_eq!(r.stop, StopReason::Halted);
+                }
+                Ok(0)
+            })
+        }
+    });
+    assert_eq!(live.exit, Ok(0));
+    // Every hand-out shared the leaf, and every Snap cloned one.
+    let copies = THREADS * (1 + ROUNDS);
+    assert_eq!(live.stats.leaves_cloned, 2 * copies);
+    assert_eq!(live.stats.pages_copied, 64 * copies);
+
+    let trace = sink.collect().expect("recorded");
+    let len = trace.events.len();
+    let boundary = det_kernel::latest_restorable_boundary(&trace, len / 2);
+    assert!(
+        boundary > len / 4,
+        "between two barriers, not at the start: {boundary} of {len}"
+    );
+    let ckpt = det_kernel::Checkpoint::capture(&trace, boundary).expect("capture");
+    let resumed = det_kernel::Checkpoint::from_bytes(&ckpt.to_bytes())
+        .expect("round-trips")
+        .restore()
+        .expect("restores")
+        .resume(&trace.events[boundary..])
+        .expect("resumes");
+    assert_eq!(resumed.vclock_ns, live.vclock_ns);
+    assert_eq!(resumed.stats, live.stats);
+    assert_eq!(resumed.spaces, live.spaces);
 }
 
 #[test]
@@ -1730,7 +1885,13 @@ const TABLE_ROWS: &[TableRow] = &[
 
 #[test]
 fn tables_1_and_2_hold_row_by_row_live_and_replayed() {
-    for row in TABLE_ROWS {
+    hold_live_and_replayed(TABLE_ROWS);
+}
+
+/// Runs each row live and replayed from its own trace, and checks it
+/// on both outcomes.
+fn hold_live_and_replayed(rows: &[TableRow]) {
+    for row in rows {
         let sink = det_kernel::TraceSink::new();
         let run = row.run;
         let live = with_watchdog({

@@ -92,7 +92,8 @@ pub use page::{Frame, PAGE_SHIFT, PAGE_SIZE};
 pub use perm::Perm;
 pub use region::Region;
 pub use space::{
-    AddressSpace, CloneStats, LeafInfo, PAGES_PER_LEAF, PageInfo, Pinned, Translation,
+    AddressSpace, CloneStats, LeafInfo, PAGES_PER_LEAF, PageInfo, Pinned, SUBLEAF_SHARE_MIN_PAGES,
+    Translation,
 };
 pub use tracker::AccessTracker;
 

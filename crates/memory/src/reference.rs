@@ -1,7 +1,10 @@
-//! The *reference merge oracle*: a deliberately naive implementation
-//! of the §3.2 merge semantics, kept for differential testing and
+//! The *reference oracles*: deliberately naive implementations of the
+//! §3.2 merge ([`merge_from_reference`]) and of the virtual copy
+//! ([`copy_from_reference`]), kept for differential testing and
 //! benchmarking of the optimized engine
-//! ([`AddressSpace::try_merge_from`]).
+//! ([`AddressSpace::try_merge_from`],
+//! [`AddressSpace::copy_from_counted`]). No production code calls
+//! either.
 //!
 //! [`merge_from_reference`] walks **every mapped child page** in the
 //! region and compares **every byte individually** — no dirty
@@ -37,8 +40,44 @@ use std::sync::Arc;
 
 use crate::page::PAGE_SIZE;
 use crate::{
-    AddressSpace, ConflictPolicy, MemError, MergeConflict, MergeStats, Perm, Region, Result,
+    AddressSpace, CloneStats, ConflictPolicy, MemError, MergeConflict, MergeStats, Perm, Region,
+    Result,
 };
+
+/// Naive virtual copy of `src_region` of `src` to `dst_start` in `dst`:
+/// every page of the range installed or erased on its own, whatever
+/// the range's alignment and whatever else either page table holds.
+///
+/// The resulting space — contents, frame identities, permissions,
+/// mapped set and dirty write-set — is required to be identical to
+/// what [`AddressSpace::copy_from_counted`] leaves; only the work
+/// differs, so the returned [`CloneStats`] never report a shared leaf.
+/// The oracle is never taught when a leaf may be shared: that rule is
+/// exactly what it exists to check.
+pub fn copy_from_reference(
+    dst: &mut AddressSpace,
+    src: &AddressSpace,
+    src_region: Region,
+    dst_start: u64,
+) -> Result<CloneStats> {
+    src_region.check_page_aligned()?;
+    if dst_start & (PAGE_SIZE as u64 - 1) != 0 {
+        return Err(MemError::Misaligned { addr: dst_start });
+    }
+    let mut stats = CloneStats::default();
+    for (i, vpn) in src_region.vpns().enumerate() {
+        let dst_addr = dst_start + ((i as u64) << crate::PAGE_SHIFT);
+        match src.entry_frame(vpn) {
+            Some((frame, perm)) => {
+                dst.install_frame(dst_addr >> crate::PAGE_SHIFT, Arc::clone(frame), perm);
+                stats.pages += 1;
+                stats.boundary_pages += 1;
+            }
+            None => dst.unmap(Region::sized(dst_addr, PAGE_SIZE as u64))?,
+        }
+    }
+    Ok(stats)
+}
 
 /// Naive three-way merge of `child`'s changes since `snap` into
 /// `parent` over the page-aligned `region`.

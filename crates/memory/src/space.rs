@@ -29,6 +29,30 @@ pub(crate) const LEAF_MASK: u64 = PAGES_PER_LEAF as u64 - 1;
 /// `u64` words in a per-leaf bitmap (one bit per page).
 pub(crate) const LEAF_WORDS: usize = PAGES_PER_LEAF / 64;
 
+/// Fewest mapped pages for which a virtual copy of a range that is
+/// alone in its page-table leaf shares the leaf instead of installing
+/// the pages one by one ([`AddressSpace::copy_from_counted`]).
+///
+/// It is the first page count whose per-page bill exceeds one leaf
+/// share under the kernel's calibrated cost model (`11 × page_map_ps >
+/// space_clone_ps >= 10 × page_map_ps`; a kernel test holds the two
+/// crates together), so sharing never raises a charge and a one-page
+/// mailbox copy never drags a 512-entry leaf around.
+pub const SUBLEAF_SHARE_MIN_PAGES: u32 = 11;
+
+/// The bits of word `w` of a per-leaf bitmap whose page index lies in
+/// `lo..=hi`.
+#[inline]
+pub(crate) fn range_mask(w: usize, lo: usize, hi: usize) -> u64 {
+    // Clamp the range to this word's 64 indices, as offsets into it.
+    let from = lo.saturating_sub(w * 64);
+    let upto = (hi + 1).saturating_sub(w * 64).min(64);
+    if from >= upto {
+        return 0;
+    }
+    (u64::MAX >> (64 - (upto - from))) << from
+}
+
 /// One page-table entry: a shared frame plus its permissions.
 #[derive(Clone, Debug)]
 pub(crate) struct PageEntry {
@@ -108,22 +132,16 @@ impl Leaf {
 
     /// Number of mapped entries with index in `lo..=hi`.
     fn mapped_in(&self, lo: usize, hi: usize) -> u32 {
-        let mut n = 0;
-        for (w, &bits) in self.present.iter().enumerate() {
-            let first = w * 64;
-            if first > hi || first + 63 < lo {
-                continue;
-            }
-            let mut mask = u64::MAX;
-            if lo > first {
-                mask &= u64::MAX << (lo - first);
-            }
-            if hi < first + 63 {
-                mask &= u64::MAX >> (63 - (hi - first));
-            }
-            n += (bits & mask).count_ones();
-        }
-        n
+        self.present
+            .iter()
+            .enumerate()
+            .map(|(w, &bits)| (bits & range_mask(w, lo, hi)).count_ones())
+            .sum()
+    }
+
+    /// True if no entry with index outside `lo..=hi` is mapped.
+    fn maps_only(&self, lo: usize, hi: usize) -> bool {
+        self.mapped_in(lo, hi) == self.mapped
     }
 }
 
@@ -164,13 +182,16 @@ pub struct CloneStats {
     /// Pages now mapped in the destination range (the semantic count —
     /// what [`AddressSpace::copy_from`] returns).
     pub pages: u64,
-    /// Whole 512-page leaves shared wholesale by cloning one `Arc` on
-    /// the root spine — O(1) each, regardless of how many pages the
-    /// leaf maps.
+    /// Leaves shared wholesale by cloning one `Arc` on the root spine —
+    /// O(1) each, regardless of how many pages the leaf maps: every
+    /// leaf the range covers whole, and every leaf in which the range
+    /// is alone (see [`AddressSpace::copy_from_counted`]).
     pub leaves_shared: u64,
-    /// Pages handled individually: range-boundary partial leaves, plus
-    /// every page of a copy whose source/destination offsets are not
-    /// congruent modulo [`PAGES_PER_LEAF`].
+    /// Pages handled individually: range-boundary partial leaves that
+    /// hold something besides the range (or fewer than
+    /// [`SUBLEAF_SHARE_MIN_PAGES`] pages), plus every page of a copy
+    /// whose source/destination offsets are not congruent modulo
+    /// [`PAGES_PER_LEAF`].
     pub boundary_pages: u64,
 }
 
@@ -606,7 +627,8 @@ impl AddressSpace {
                     Arc::new(l)
                 });
                 self.set_leaf(base, l.clone());
-                self.dirty.assign_leaf(base, &[u64::MAX; LEAF_WORDS]);
+                self.dirty
+                    .assign_leaf(base, 0, PAGES_PER_LEAF - 1, &[u64::MAX; LEAF_WORDS]);
             } else {
                 for v in vpn..=chunk_last {
                     self.insert_entry(
@@ -729,11 +751,12 @@ impl AddressSpace {
     /// Returns the number of pages installed.
     ///
     /// When source and destination are congruent modulo
-    /// [`PAGES_PER_LEAF`], whole leaves inside the range are shared
-    /// structurally — O(1) per 512 pages — and only the partial leaves
-    /// at the range boundaries are walked page by page; see
+    /// [`PAGES_PER_LEAF`], whole leaves inside the range — and partial
+    /// leaves at its boundaries that hold nothing but the range — are
+    /// shared structurally, O(1) per leaf; the remaining boundary pages
+    /// are walked one by one. See
     /// [`copy_from_counted`](AddressSpace::copy_from_counted) for the
-    /// work breakdown.
+    /// rule and the work breakdown.
     ///
     /// # Examples
     ///
@@ -766,10 +789,19 @@ impl AddressSpace {
     }
 
     /// Like [`copy_from`](AddressSpace::copy_from) but reports the
-    /// structural work performed: how many whole leaves were shared in
-    /// O(1) versus pages walked individually. The kernel charges
+    /// structural work performed: how many leaves were shared in O(1)
+    /// versus pages walked individually. The kernel charges
     /// `space_clone_ps` per shared leaf and `page_map_ps` per boundary
     /// page from these counts.
+    ///
+    /// A leaf-congruent chunk of the range shares its source leaf when
+    /// doing so *is* the copy: the chunk holds every page the source
+    /// leaf maps, the destination leaf (if any) maps nothing outside
+    /// the chunk, and the chunk either spans the leaf or maps at least
+    /// [`SUBLEAF_SHARE_MIN_PAGES`] pages. Anything else — a neighbour
+    /// in either leaf, a short range, incongruent offsets — is copied
+    /// entry by entry. The result is the same space either way; only
+    /// the work, and so the charge, differs.
     pub fn copy_from_counted(
         &mut self,
         src: &AddressSpace,
@@ -794,45 +826,68 @@ impl AddressSpace {
             let base = vpn >> LEAF_BITS;
             let leaf_last = ((base + 1) << LEAF_BITS) - 1;
             let chunk_last = leaf_last.min(last);
-            let whole = congruent && vpn & LEAF_MASK == 0 && chunk_last == leaf_last;
-            if whole {
+            let (lo, hi) = (
+                (vpn & LEAF_MASK) as usize,
+                (chunk_last & LEAF_MASK) as usize,
+            );
+            let whole = lo == 0 && chunk_last == leaf_last;
+            // The leaf the chunk lands in, when it lands at the same
+            // offsets within it.
+            let dst_base =
+                congruent.then(|| (base as i128 + delta / PAGES_PER_LEAF as i128) as u64);
+            let src_leaf = src.leaf_for(vpn).filter(|l| l.mapped > 0);
+            match (dst_base, src_leaf) {
                 // Structural share: one Arc clone replaces up to 512
-                // page installs, and the destination's dirty bits for
-                // the leaf become exactly the source's present bits
-                // (installed pages dirty, holes cleared) — the same
-                // marks the per-page path would leave.
-                let dst_base = (base as i128 + delta / PAGES_PER_LEAF as i128) as u64;
-                match src.leaf_for(vpn) {
-                    Some(l) if l.mapped > 0 => {
-                        stats.leaves_shared += 1;
-                        stats.pages += l.mapped as u64;
-                        self.dirty.assign_leaf(dst_base, l.present_bits());
-                        self.set_leaf(dst_base, Arc::clone(l));
+                // page installs. A chunk short of its leaf is the same
+                // operation as a whole-leaf one when it holds every
+                // page the source leaf maps and the destination leaf
+                // maps nothing outside it — provided it maps enough
+                // pages to be worth a leaf. The choice reads the range
+                // and the two present bitmaps only, never `Arc`
+                // identity or refcounts, so a restored checkpoint, a
+                // replay and every shard count make it identically.
+                (Some(dst_base), Some(l))
+                    if whole
+                        || (l.mapped >= SUBLEAF_SHARE_MIN_PAGES
+                            && l.maps_only(lo, hi)
+                            && self
+                                .leaf_for(dst_base << LEAF_BITS)
+                                .is_none_or(|d| d.maps_only(lo, hi))) =>
+                {
+                    stats.leaves_shared += 1;
+                    stats.pages += l.mapped as u64;
+                    // The chunk's dirty bits become exactly the
+                    // source's present bits (installed pages dirty,
+                    // holes cleared) — the marks the per-page path
+                    // would leave; marks outside it are not its to
+                    // touch.
+                    self.dirty.assign_leaf(dst_base, lo, hi, l.present_bits());
+                    self.set_leaf(dst_base, Arc::clone(l));
+                    changed = true;
+                }
+                (Some(dst_base), None) if whole => {
+                    if self.remove_leaf(dst_base) {
                         changed = true;
                     }
-                    _ => {
-                        if self.remove_leaf(dst_base) {
-                            changed = true;
-                        }
-                        self.dirty.clear_leaf(dst_base);
-                    }
+                    self.dirty.clear_leaf(dst_base);
                 }
-            } else {
-                for v in vpn..=chunk_last {
-                    let dst_vpn = (v as i128 + delta) as u64;
-                    match src.entry(v) {
-                        Some(e) => {
-                            self.insert_entry(dst_vpn, e.clone());
-                            self.dirty.insert(dst_vpn);
-                            stats.pages += 1;
-                            stats.boundary_pages += 1;
-                            changed = true;
-                        }
-                        None => {
-                            if self.remove_entry(dst_vpn) {
+                _ => {
+                    for v in vpn..=chunk_last {
+                        let dst_vpn = (v as i128 + delta) as u64;
+                        match src.entry(v) {
+                            Some(e) => {
+                                self.insert_entry(dst_vpn, e.clone());
+                                self.dirty.insert(dst_vpn);
+                                stats.pages += 1;
+                                stats.boundary_pages += 1;
                                 changed = true;
                             }
-                            self.dirty.remove(dst_vpn);
+                            None => {
+                                if self.remove_entry(dst_vpn) {
+                                    changed = true;
+                                }
+                                self.dirty.remove(dst_vpn);
+                            }
                         }
                     }
                 }
@@ -2154,19 +2209,78 @@ mod tests {
         assert_eq!(dst.page_count(), PAGES_PER_LEAF);
     }
 
-    #[test]
-    fn partial_leaf_ranges_use_boundary_pages() {
-        // Range starts mid-leaf: head and tail are walked per page,
-        // the interior leaf is shared.
+    /// A two-leaf-long range starting 16 pages into leaf 1: a 496-page
+    /// head, leaf 2 whole, a 16-page tail in leaf 3.
+    fn mid_leaf_range() -> Region {
         let start = leaf_region(1, 1).start + 16 * PAGE_SIZE as u64;
-        let r = Region::sized(start, (2 * PAGES_PER_LEAF * PAGE_SIZE) as u64);
+        Region::sized(start, (2 * PAGES_PER_LEAF * PAGE_SIZE) as u64)
+    }
+
+    #[test]
+    fn partial_leaves_holding_only_the_range_are_shared() {
+        // Head and tail are alone in their leaves, so sharing those
+        // leaves is the same operation as installing their pages.
+        let r = mid_leaf_range();
         let mut src = AddressSpace::new();
         src.map_zero(r, Perm::RW).unwrap();
         let mut dst = AddressSpace::new();
         let stats = dst.copy_from_counted(&src, r, r.start).unwrap();
-        assert_eq!(stats.leaves_shared, 1);
-        assert_eq!(stats.boundary_pages, (PAGES_PER_LEAF - 16) as u64 + 16);
+        assert_eq!(stats.leaves_shared, 3);
+        assert_eq!(stats.boundary_pages, 0);
         assert_eq!(stats.pages, 2 * PAGES_PER_LEAF as u64);
+        for leaf in 1..=3 {
+            assert!(dst.shares_leaf_with(&src, leaf * PAGES_PER_LEAF as u64));
+        }
+        assert_eq!(dst.page_count(), 2 * PAGES_PER_LEAF);
+        assert_eq!(dst.dirty_page_count(), 2 * PAGES_PER_LEAF);
+    }
+
+    #[test]
+    fn a_stray_page_in_a_partial_leaf_keeps_the_per_page_path() {
+        // One source page in the head's leaf but outside the range:
+        // sharing that leaf would copy a page nobody asked for.
+        let r = mid_leaf_range();
+        let mut src = AddressSpace::new();
+        src.map_zero(r, Perm::RW).unwrap();
+        src.map_zero(
+            Region::sized(leaf_region(1, 1).start, PAGE_SIZE as u64),
+            Perm::RW,
+        )
+        .unwrap();
+        let mut dst = AddressSpace::new();
+        let stats = dst.copy_from_counted(&src, r, r.start).unwrap();
+        assert_eq!(stats.leaves_shared, 2);
+        assert_eq!(stats.boundary_pages, (PAGES_PER_LEAF - 16) as u64);
+        assert_eq!(stats.pages, 2 * PAGES_PER_LEAF as u64);
+        assert!(!dst.shares_leaf_with(&src, PAGES_PER_LEAF as u64));
+        assert!(dst.perm_at(leaf_region(1, 1).start).is_none());
+        assert_eq!(dst.page_count(), 2 * PAGES_PER_LEAF);
+    }
+
+    #[test]
+    fn a_lone_range_share_leaves_dirty_marks_outside_the_range_alone() {
+        // No public path leaves a dirty mark on an unmapped page, so
+        // the differential suite cannot build this one. The choice of
+        // arm reads present bitmaps, not the dirty set: a stale mark
+        // beside the range does not stop the share, and the share must
+        // not be what clears it — the page-by-page oracle would not.
+        let first = PAGES_PER_LEAF as u64 + 100;
+        let r = Region::sized(first << PAGE_SHIFT, 64 * PAGE_SIZE as u64);
+        let mut src = AddressSpace::new();
+        src.map_zero(r, Perm::RW).unwrap();
+        let stale = PAGES_PER_LEAF as u64 + 7;
+        let mut eng = AddressSpace::new();
+        let mut orc = AddressSpace::new();
+        for dst in [&mut eng, &mut orc] {
+            dst.dirty.insert(stale);
+            dst.dirty.insert(first); // Inside the range: reassigned.
+        }
+        let stats = eng.copy_from_counted(&src, r, r.start).unwrap();
+        assert_eq!(stats.leaves_shared, 1);
+        crate::reference::copy_from_reference(&mut orc, &src, r, r.start).unwrap();
+        assert_eq!(eng.dirty_vpns(), orc.dirty_vpns());
+        assert!(eng.dirty.contains(stale));
+        assert_eq!(eng.dirty_page_count(), 65);
     }
 
     #[test]

@@ -14,6 +14,11 @@
 //! parent's frames private (every candidate is diffed: this pins the
 //! engine's word-parallel kernels to the oracle's byte loop) and once
 //! as forked (the pages only the child wrote are adopted).
+//!
+//! The last part does the same for the virtual copy: sub-leaf layouts
+//! through `AddressSpace::copy_from_counted` and through the
+//! page-by-page `reference::copy_from_reference`, each case stating
+//! which arm — shared leaf or per-page — the engine must take.
 
 use det_memory::{AddressSpace, ConflictPolicy, MemError, Perm, Region, reference};
 use proptest::prelude::*;
@@ -641,4 +646,308 @@ fn sparse_dirty_stat_reduction_is_at_least_5x() {
     // And the dirty-set bookkeeping is visible in the stats.
     assert_eq!(stats.pages_scanned, 16);
     assert_eq!(stats.pages_skipped_clean, PAGES - 16);
+}
+
+// ----------------------------------------------------------------------
+// Virtual copy vs. its page-by-page oracle
+// ----------------------------------------------------------------------
+//
+// `copy_from_counted` may share a whole page-table leaf where the
+// copied range is alone in it (DESIGN.md §5). The oracle below it,
+// `reference::copy_from_reference`, installs every page on its own and
+// knows nothing of leaves, so the two must leave the same space
+// whichever arm the engine took — and each case says which arm that
+// must be, so the sharing arm cannot quietly stop being exercised.
+// (One layout needs the crate's internals to build — a stale dirty
+// mark on an unmapped page beside the range — and is a unit test in
+// `space.rs` against the same oracle.)
+
+/// First address of the four-leaf window the copy cases live in.
+const CBASE: u64 = 64 * PPL * PAGE;
+const CWINDOW: Region = Region {
+    start: CBASE,
+    end: CBASE + 4 * PPL * PAGE,
+};
+
+fn cpage(page: u64) -> Region {
+    Region::sized(CBASE + page * PAGE, PAGE)
+}
+
+/// One virtual copy: what the two page tables hold beforehand, the
+/// range copied, and the leaves the engine must share doing it. Pages
+/// are indices into [`CWINDOW`].
+#[derive(Clone, Debug, Default)]
+struct CopyCase {
+    /// Source pages, each mapped and tagged with its own index.
+    src: Vec<u64>,
+    /// Destination pages mapped and written before the destination's
+    /// last snapshot: clean when the copy runs.
+    dst_clean: Vec<u64>,
+    /// Destination pages mapped and written after it: dirty.
+    dst_dirty: Vec<u64>,
+    /// The copied source range, `first..first + len`.
+    first: u64,
+    len: u64,
+    /// Where page `first` lands in the destination.
+    dst_first: u64,
+    /// `CloneStats::leaves_shared` the engine must report.
+    shared: u64,
+}
+
+fn copy_source(case: &CopyCase) -> AddressSpace {
+    let mut src = AddressSpace::new();
+    for &p in &case.src {
+        src.map_zero(cpage(p), Perm::RW).unwrap();
+        src.write_u64(cpage(p).start + 8 * (p % 500), p + 1)
+            .unwrap();
+        if p % 5 == 0 {
+            src.set_perm(cpage(p), Perm::R).unwrap();
+        }
+    }
+    src
+}
+
+fn copy_destination(case: &CopyCase) -> AddressSpace {
+    let mut dst = AddressSpace::new();
+    for (pages, tag) in [(&case.dst_clean, 0x1000), (&case.dst_dirty, 0x2000)] {
+        for &p in pages {
+            dst.map_zero(cpage(p), Perm::RW).unwrap();
+            dst.write_u64(cpage(p).start, tag + p).unwrap();
+        }
+        if tag == 0x1000 {
+            dst.clear_dirty();
+        }
+    }
+    dst
+}
+
+/// `(vpn, perm)` of every mapped page.
+fn perms(space: &AddressSpace) -> Vec<(u64, Perm)> {
+    space.iter_pages().map(|p| (p.vpn, p.perm)).collect()
+}
+
+/// Runs `case` through the engine and the oracle and compares what
+/// they leave, now and after the copy has been used the way a barrier
+/// uses it: snapshot, write, merge back into the source.
+fn check_copy(case: &CopyCase) -> Result<(), TestCaseError> {
+    let src = copy_source(case);
+    let range = Region::sized(cpage(case.first).start, case.len * PAGE);
+    let dst_start = cpage(case.dst_first).start;
+    let mut eng = copy_destination(case);
+    let mut orc = copy_destination(case);
+    let generation = eng.generation();
+    let es = eng.copy_from_counted(&src, range, dst_start).unwrap();
+    let os = reference::copy_from_reference(&mut orc, &src, range, dst_start).unwrap();
+
+    prop_assert_eq!(es.leaves_shared, case.shared, "arm taken: {:?}", es);
+    prop_assert_eq!((os.leaves_shared, os.boundary_pages), (0, os.pages));
+    prop_assert_eq!(es.pages, os.pages);
+    if case.shared == 0 {
+        prop_assert_eq!(es.boundary_pages, es.pages);
+    }
+    prop_assert!(es.pages == 0 || eng.generation() > generation);
+    prop_assert_eq!(eng.content_digest(), orc.content_digest());
+    prop_assert_eq!(perms(&eng), perms(&orc));
+    prop_assert_eq!(eng.page_count(), orc.page_count());
+    prop_assert_eq!(eng.dirty_vpns(), orc.dirty_vpns());
+
+    let mut merged = Vec::new();
+    for child in [&mut eng, &mut orc] {
+        let snap = child.snapshot();
+        for (i, page) in perms(child).into_iter().enumerate() {
+            if i % 3 == 0 {
+                // Read-only pages refuse; both sides skip the same ones.
+                let _ = child.write_u64(page.0 * PAGE + 16, 0xC0FFEE + page.0);
+            }
+        }
+        let mut parent = src.clone();
+        let stats = parent.merge_from(child, &snap, CWINDOW, ConflictPolicy::ChildWins);
+        merged.push((
+            stats,
+            parent.content_digest(),
+            parent.dirty_vpns(),
+            perms(&parent),
+        ));
+    }
+    prop_assert_eq!(&merged[0], &merged[1]);
+    // Neither being shared from nor the writes through the shared
+    // leaf reached the source.
+    prop_assert_eq!(src.content_digest(), copy_source(case).content_digest());
+    Ok(())
+}
+
+/// The named layouts, each with the arm it must take. `L` is the
+/// first page of leaf 1 of the window.
+#[test]
+fn copy_matches_oracle_on_each_named_layout() {
+    const L: u64 = PPL;
+    let run = |lo: u64, n: u64| (lo..lo + n).collect::<Vec<u64>>();
+    let min = det_memory::SUBLEAF_SHARE_MIN_PAGES as u64;
+    let mirror = |src: Vec<u64>, first: u64, len: u64, shared: u64| CopyCase {
+        src,
+        first,
+        len,
+        dst_first: first,
+        shared,
+        ..CopyCase::default()
+    };
+    let alone = mirror(run(L + 100, 64), L + 100, 64, 1);
+    let holes: Vec<u64> = run(L + 100, 64)
+        .into_iter()
+        .filter(|p| *p != L + 110 && !(L + 120..L + 125).contains(p))
+        .collect();
+    let cases = [
+        ("range alone in its leaf", alone.clone()),
+        (
+            "range alone, wider than what the source maps",
+            mirror(run(L + 100, 64), L + 50, 250, 1),
+        ),
+        (
+            "source maps a page outside the range",
+            mirror([vec![L + 5], run(L + 100, 64)].concat(), L + 100, 64, 0),
+        ),
+        (
+            "destination keeps a private page outside the range",
+            CopyCase {
+                dst_dirty: vec![L + 300],
+                shared: 0,
+                ..alone.clone()
+            },
+        ),
+        (
+            "destination keeps a clean page outside the range",
+            CopyCase {
+                dst_clean: vec![L + 99],
+                shared: 0,
+                ..alone.clone()
+            },
+        ),
+        (
+            "holes inside the range, mapped in the destination",
+            CopyCase {
+                dst_clean: vec![L + 110],
+                dst_dirty: vec![L + 121],
+                ..mirror(holes, L + 100, 64, 1)
+            },
+        ),
+        (
+            "destination residue inside the range",
+            CopyCase {
+                dst_clean: run(L + 100, 30),
+                dst_dirty: run(L + 130, 20),
+                ..alone.clone()
+            },
+        ),
+        (
+            "the destination's neighbouring leaves are not its business",
+            CopyCase {
+                dst_clean: vec![L - 1],
+                dst_dirty: vec![2 * L],
+                ..alone.clone()
+            },
+        ),
+        (
+            "congruent offsets two leaves up",
+            CopyCase {
+                dst_first: L + 100 + 2 * PPL,
+                ..alone.clone()
+            },
+        ),
+        (
+            "non-congruent offsets",
+            CopyCase {
+                dst_first: L + 103,
+                shared: 0,
+                ..alone.clone()
+            },
+        ),
+        (
+            "straddling two leaves, each side alone",
+            mirror(run(2 * L - 12, 32), 2 * L - 12, 32, 2),
+        ),
+        (
+            "straddling two leaves, one side too short to share",
+            mirror(run(2 * L - 5, 25), 2 * L - 5, 25, 1),
+        ),
+        (
+            "a whole leaf and a lone head",
+            mirror(run(L, PPL + 16), L, PPL + 16, 2),
+        ),
+        (
+            "one page short of the threshold",
+            mirror(run(L + 7, min - 1), L + 7, min - 1, 0),
+        ),
+        (
+            "exactly the threshold",
+            mirror(run(L + 7, min), L + 7, min, 1),
+        ),
+        (
+            "a wide range mapping fewer pages than the threshold",
+            mirror(run(L + 7, min - 1), L, 64, 0),
+        ),
+        (
+            "nothing mapped in the range",
+            mirror(vec![], L + 100, 64, 0),
+        ),
+    ];
+    for (name, case) in cases {
+        if let Err(e) = check_copy(&case) {
+            panic!("{name}: {e:?}");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Random sub-leaf layouts: a run of `n` pages at `lo` in leaf 1
+    /// with holes punched in it, copied whole; optionally a stray page
+    /// elsewhere in the source's or the destination's leaf, residue
+    /// inside the range, and a shifted destination. The expected arm is
+    /// stated from those knobs, not recomputed from bitmaps.
+    #[test]
+    fn copy_matches_oracle_on_random_sub_leaf_layouts(
+        n in 1u64..80,
+        lo_seed in 0u64..PPL,
+        shift in proptest::sample::select(vec![0, 0, PPL, 2 * PPL, 3, PPL + 1]),
+        holes in proptest::collection::vec(0u64..80, 0..6),
+        src_stray in (0u8..4, 0u64..PPL),
+        dst_stray in (0u8..4, 0u64..PPL),
+        residue in proptest::collection::vec((0u64..80, any::<bool>()), 0..10),
+    ) {
+        let lo = lo_seed % (PPL - n);
+        // The `k`-th page of leaf 1 that is outside the run.
+        let outside = |k: u64| {
+            let k = k % (PPL - n);
+            PPL + if k < lo { k } else { k + n }
+        };
+        let mut src: Vec<u64> = (0..n).filter(|i| !holes.contains(i)).map(|i| PPL + lo + i).collect();
+        let mapped = src.len() as u64;
+        // One case in four has a stray page on each side.
+        let (src_stray, dst_stray) = ((src_stray.0 == 0, src_stray.1), (dst_stray.0 == 0, dst_stray.1));
+        if src_stray.0 {
+            src.push(outside(src_stray.1));
+        }
+        let mut case = CopyCase {
+            src,
+            first: PPL + lo,
+            len: n,
+            dst_first: PPL + lo + shift,
+            ..CopyCase::default()
+        };
+        // The destination's pages sit where the range lands.
+        let landed = |p: u64| p + shift;
+        for (i, dirty) in residue {
+            let pages = if dirty { &mut case.dst_dirty } else { &mut case.dst_clean };
+            pages.push(landed(PPL + lo + i % n));
+        }
+        if dst_stray.0 {
+            // Stays inside the leaf the range lands in only when the
+            // shift is congruent; otherwise the case is per-page anyway.
+            case.dst_dirty.push(landed(outside(dst_stray.1)));
+        }
+        let lone = !src_stray.0 && !dst_stray.0 && shift % PPL == 0;
+        case.shared = u64::from(lone && mapped >= det_memory::SUBLEAF_SHARE_MIN_PAGES as u64);
+        check_copy(&case)?;
+    }
 }

@@ -766,3 +766,108 @@ fn pins_are_built_once_per_quantum_and_never_for_conflict_misses() {
         assert_eq!(builds(corpus::ALU_LOOP, 20_000, quantum).0, 0);
     }
 }
+
+// ---------------------------------------------------------------------
+// Leaf exclusivity below one leaf (DESIGN.md §5): a window that is
+// alone in its page-table leaf is handed over by sharing the leaf, so
+// the leaf — not its frames — is what gains the second owner.
+// ---------------------------------------------------------------------
+
+/// Sixteen pages with page-table leaf 1 to themselves.
+const LONE_WINDOW: Region = Region {
+    start: 0x20_8000,
+    end: 0x21_8000,
+};
+
+/// A counter in the window's first page, mirrored into its second:
+/// two hot pages, both stored to on every iteration.
+const LONE_WINDOW_LOOP: &str = "
+    li   r5, 0x208000
+    li   r6, 0x209000
+loop:
+    ldd  r1, [r5+0]
+    addi r1, r1, 1
+    std  r1, [r5+0]
+    std  r1, [r6+8]
+    beq  r0, r0, loop
+";
+
+/// Runs [`LONE_WINDOW_LOOP`] in a VM child whose window arrived as a
+/// shared leaf, eight rounds of 500 instructions each in quanta of
+/// `quantum`. Before every round a sibling takes the child's window
+/// the way the kernel's `Copy` does — sharing the leaf, which leaves
+/// the child's generation and its frames' refcounts where they were —
+/// and holds it across the round's quanta. Returns the CPU, the
+/// sibling's digest per round, and the child's final digest and dirty
+/// set.
+fn lone_window_rounds(mut cpu: Cpu, quantum: u64) -> (Cpu, Vec<u64>, u64, Vec<u64>) {
+    let image = assemble(LONE_WINDOW_LOOP).expect("assembles");
+    let mut master = AddressSpace::new();
+    master.map_zero(CODE, Perm::RW).unwrap();
+    master.map_zero(LONE_WINDOW, Perm::RW).unwrap();
+    master.write(0, &image.bytes).unwrap();
+    let mut child = AddressSpace::new();
+    child.copy_from(&master, CODE, 0).unwrap();
+    let handed = child
+        .copy_from_counted(&master, LONE_WINDOW, LONE_WINDOW.start)
+        .unwrap();
+    assert_eq!((handed.leaves_shared, handed.boundary_pages), (1, 0));
+
+    let window_vpn = LONE_WINDOW.start >> 12;
+    let mut sibling = AddressSpace::new();
+    let mut held = Vec::new();
+    for round in 1..=8u64 {
+        let generation = child.generation();
+        let taken = sibling
+            .copy_from_counted(&child, LONE_WINDOW, LONE_WINDOW.start)
+            .unwrap();
+        assert_eq!(taken.leaves_shared, 1);
+        assert!(sibling.shares_leaf_with(&child, window_vpn));
+        assert_eq!(child.generation(), generation, "a copy source is untouched");
+        let before = sibling.content_digest();
+        run_in_quanta(&mut cpu, &mut child, round * 500, quantum);
+        assert_eq!(
+            sibling.content_digest(),
+            before,
+            "round {round}: a store leaked through the shared leaf"
+        );
+        assert!(!sibling.shares_leaf_with(&child, window_vpn));
+        held.push(before.value());
+    }
+    // 4 000 instructions of a five-long loop, less the preamble.
+    assert!(child.read_u64(LONE_WINDOW.start).unwrap() >= 790);
+    // The master never saw any of it.
+    assert_eq!(master.read_u64(LONE_WINDOW.start).unwrap(), 0);
+    let digest = child.content_digest().value();
+    (cpu, held, digest, child.dirty_vpns())
+}
+
+#[test]
+fn stores_through_a_lone_window_leaf_shared_across_quanta_never_leak() {
+    // One instruction per `run` call never reaches the inner level:
+    // the TLB's own redemption, leaf before frame, serves every store.
+    let (tlb, tlb_held, tlb_digest, tlb_dirty) = lone_window_rounds(Cpu::new(), 1);
+    // Whole rounds per call: the pins serve nearly all of them.
+    let (pinned, pinned_held, pinned_digest, pinned_dirty) = lone_window_rounds(Cpu::new(), 500);
+    let (slow, slow_held, slow_digest, slow_dirty) = lone_window_rounds(Cpu::slow_path(), 500);
+    assert_eq!(tlb.cache_stats.pin_builds, 0);
+    assert!(
+        pinned.cache_stats.pin_builds >= 8,
+        "{:?}",
+        pinned.cache_stats
+    );
+
+    assert_eq!((tlb.regs, tlb.insn_count), (slow.regs, slow.insn_count));
+    assert_eq!(
+        (pinned.regs, pinned.insn_count),
+        (slow.regs, slow.insn_count)
+    );
+    assert_eq!((&tlb_held, &pinned_held), (&slow_held, &slow_held));
+    assert_eq!((tlb_digest, pinned_digest), (slow_digest, slow_digest));
+    assert_eq!((&tlb_dirty, &pinned_dirty), (&slow_dirty, &slow_dirty));
+    // Pins count as the TLB hits they shadow: every walk — one write
+    // fill per hot page per round, the re-shared leaf refusing the
+    // cached translation — is charged the same with and without them.
+    assert_eq!(counters(&tlb.cache_stats), counters(&pinned.cache_stats));
+    assert_eq!(pinned.cache_stats.tlb_write_fills, 2 * 8);
+}
