@@ -20,7 +20,7 @@ use parking_lot::Mutex;
 
 use det_kernel::{
     ConflictPolicy, CostModel, FaultPlan, Kernel, KernelConfig, KernelError, KernelStats,
-    MergeStats, NativeResult, Result, RunOutcome, SpaceCtx, TrapKind, wire,
+    MergeStats, NativeResult, Result, RunOutcome, SpaceCtx, TrapKind,
 };
 use det_memory::{AddressSpace, Region};
 
@@ -516,11 +516,10 @@ impl Remote {
 
         let costs = env.spec.costs;
         ctx.charge_ps(costs.syscall_ps.saturating_add(costs.rendezvous_ps))?;
-        let delta = if done.delta_json.is_empty() {
+        let delta = if done.delta.is_empty() {
             det_memory::SpaceDelta::default()
         } else {
-            wire::delta_from_json(&done.delta_json)
-                .map_err(|_| KernelError::InvalidSpec("corrupt job delta on the wire"))?
+            protocol::decode_delta(&done.delta)?
         };
 
         let remote_xfer = p.node != self.node;
@@ -529,7 +528,7 @@ impl Remote {
             // The homecoming: a get-request and the dirty-delta
             // response, after which the migrated space is gone — its
             // results live on via the merge.
-            let resp_bytes = protocol::HEADER_BYTES + done.delta_json.len() as u64;
+            let resp_bytes = protocol::HEADER_BYTES + done.delta.len() as u64;
             {
                 let mut cl = env.cluster.lock();
                 cl.migrations += 1;

@@ -45,30 +45,29 @@ impl NetworkModel {
             base
         }
     }
-
-    /// Cost of a demand page pull: request + 4 KiB response.
-    pub fn page_pull_ps(&self) -> u64 {
-        self.message_ps(64) + self.message_ps(4096)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// A one-page response (4 KiB of page plus its wire keys and
+    /// lengths) costs more than the latency and less than two.
     #[test]
-    fn page_pull_dominated_by_latency_then_bytes() {
+    fn page_message_dominated_by_latency_then_bytes() {
         let net = NetworkModel::ethernet_1g();
-        let pull = net.page_pull_ps();
-        assert!(pull > 2 * net.latency_ps);
-        assert!(pull < 3 * net.latency_ps);
+        let msg = net.message_ps(4096 + 64);
+        assert!(msg > net.latency_ps);
+        assert!(msg < 2 * net.latency_ps);
     }
 
     #[test]
     fn tcp_overhead_is_small() {
-        let plain = NetworkModel::ethernet_1g().page_pull_ps() as f64;
-        let tcp = NetworkModel::ethernet_1g_tcp().page_pull_ps() as f64;
-        let overhead = tcp / plain - 1.0;
-        assert!(overhead > 0.0 && overhead < 0.02, "overhead {overhead}");
+        for bytes in [64, 4096 + 64] {
+            let plain = NetworkModel::ethernet_1g().message_ps(bytes) as f64;
+            let tcp = NetworkModel::ethernet_1g_tcp().message_ps(bytes) as f64;
+            let overhead = tcp / plain - 1.0;
+            assert!(overhead > 0.0 && overhead < 0.02, "overhead {overhead}");
+        }
     }
 }

@@ -10,8 +10,9 @@
 //!   shared page table (DESIGN.md §5). Because the table only
 //!   materializes leaves that were touched, the summary is O(touched);
 //! * **leaf pulls** — one request/response round trip per summarized
-//!   leaf the destination actually needs, carrying the leaf's image in
-//!   the checkpoint delta encoding ([`det_kernel::wire`]).
+//!   leaf the destination actually needs, carrying the leaf's image as
+//!   the binary wire delta ([`det_kernel::wire`]): raw page bytes plus
+//!   a few dozen bytes of keys and lengths per page.
 //!
 //! Everything here is deterministic: message sizes come from the
 //! canonical wire encoding, so byte counts and the virtual-time
@@ -21,8 +22,8 @@
 
 use std::sync::mpsc;
 
-use det_kernel::{NativeResult, SpaceCtx, TrapKind};
-use det_memory::{AddressSpace, LeafInfo, PAGE_SHIFT, PAGES_PER_LEAF, Region};
+use det_kernel::{KernelError, NativeResult, SpaceCtx, TrapKind, wire};
+use det_memory::{AddressSpace, LeafInfo, PAGE_SHIFT, PAGES_PER_LEAF, Region, SpaceDelta};
 
 use crate::controller::Remote;
 
@@ -79,6 +80,13 @@ pub(crate) fn materialize(
     mem
 }
 
+/// Decodes a delta that crossed the link: a pulled leaf image or a
+/// homecoming write-set. Link bytes are hostile input, so a damaged
+/// delta is the job's typed failure, never a panic.
+pub(crate) fn decode_delta(bytes: &[u8]) -> Result<SpaceDelta, KernelError> {
+    wire::delta_from_bytes(bytes).map_err(|_| KernelError::InvalidSpec("corrupt delta on the wire"))
+}
+
 /// Messages a shard host serves on its data-plane channel.
 pub(crate) enum HostMsg {
     /// Run a migrated job on this shard.
@@ -87,7 +95,7 @@ pub(crate) enum HostMsg {
     PullLeaf {
         job: u64,
         first_vpn: u64,
-        reply: mpsc::Sender<String>,
+        reply: mpsc::Sender<Vec<u8>>,
     },
     /// Drain and exit (sent once every job has completed).
     Shutdown,
@@ -128,6 +136,26 @@ pub(crate) struct JobDone {
     pub vclock_ps: u64,
     /// Final whole-image content digest of the job's memory.
     pub digest: u64,
-    /// `delta_since` the materialized base, wire-encoded.
-    pub delta_json: String,
+    /// `delta_since` the materialized base, wire-encoded (empty when
+    /// the program panicked before the capture).
+    pub delta: Vec<u8>,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Damaged link bytes — cut short, or not a delta at all — are the
+    /// job's typed failure.
+    #[test]
+    fn damaged_link_bytes_are_a_typed_failure() {
+        let good = wire::delta_to_bytes(&SpaceDelta::default());
+        assert_eq!(decode_delta(&good).unwrap(), SpaceDelta::default());
+        for bad in [&good[..good.len() - 1], b"\x00", b""] {
+            assert!(matches!(
+                decode_delta(bad),
+                Err(KernelError::InvalidSpec("corrupt delta on the wire"))
+            ));
+        }
+    }
 }

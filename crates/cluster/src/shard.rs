@@ -21,11 +21,11 @@ use std::sync::mpsc;
 
 use parking_lot::{Condvar, Mutex};
 
-use det_kernel::{Kernel, wire};
+use det_kernel::{Kernel, KernelError, wire};
 use det_memory::AddressSpace;
 
 use crate::controller::{Env, JobArtifact, Remote};
-use crate::protocol::{HEADER_BYTES, HostMsg, JobDone, JobMsg, materialize, touched};
+use crate::protocol::{HEADER_BYTES, HostMsg, JobDone, JobMsg, decode_delta, materialize, touched};
 
 /// A counting permit (capacity 1 per shard): the uniprocessor-node
 /// compute token. Thread-agnostic by design — a job releases it while
@@ -84,8 +84,8 @@ pub(crate) fn host_loop(env: Arc<Env>, shard: usize, rx: mpsc::Receiver<HostMsg>
                 // Data plane: encode the leaf from the frozen home
                 // image and ship it. Canonical encoding → the byte
                 // count every replica charges for is identical.
-                let json = wire::delta_to_json(&env.frozen_leaf(shard, job, first_vpn));
-                let _ = reply.send(json);
+                let bytes = wire::delta_to_bytes(&env.frozen_leaf(shard, job, first_vpn));
+                let _ = reply.send(bytes);
             }
             HostMsg::Shutdown => break,
         }
@@ -104,41 +104,9 @@ fn run_job(env: Arc<Env>, msg: JobMsg) {
     permit.acquire();
 
     // --- Materialize the migrated space, leaf by leaf. ---
-    let remote_xfer = msg.node != msg.home_node;
     let mut net_ps = 0u64;
-    let mut mem = AddressSpace::new();
-    if remote_xfer {
-        for leaf in &msg.summary {
-            if !touched(leaf, &msg.touch) {
-                continue;
-            }
-            let (txr, rxr) = mpsc::channel();
-            env.send(
-                msg.home_shard,
-                HostMsg::PullLeaf {
-                    job: msg.job_id,
-                    first_vpn: leaf.first_vpn,
-                    reply: txr,
-                },
-            );
-            let json = rxr
-                .recv()
-                .expect("home shard serves pulls until every job completes");
-            let resp_bytes = HEADER_BYTES + json.len() as u64;
-            {
-                let mut cs = env.cluster.lock();
-                cs.page_pulls += leaf.pages as u64;
-                cs.messages += 2;
-                cs.bytes_transferred += HEADER_BYTES + resp_bytes;
-            }
-            net_ps = net_ps
-                .saturating_add(env.spec.net.message_ps(HEADER_BYTES))
-                .saturating_add(env.spec.net.message_ps(resp_bytes));
-            let delta = wire::delta_from_json(&json).expect("wire codec round-trips");
-            mem.apply_delta(&delta)
-                .expect("leaf image applies onto a fresh space");
-        }
-        mem.clear_dirty();
+    let mem = if msg.node != msg.home_node {
+        pull_leaves(&env, &msg, &mut net_ps)
     } else {
         // Same-node fork: the image never crosses the link. Count the
         // avoided pulls as cache hits.
@@ -149,42 +117,45 @@ fn run_job(env: Arc<Env>, msg: JobMsg) {
             .map(|l| l.pages as u64)
             .sum();
         env.cluster.lock().cache_hits += pages;
-        mem = env.with_frozen(msg.home_shard, msg.job_id, |frozen| {
+        Ok(env.with_frozen(msg.home_shard, msg.job_id, |frozen| {
             materialize(frozen, &msg.summary, &msg.touch)
-        });
-    }
-    let base = mem.clone();
+        }))
+    };
 
     // --- Execute in a fresh kernel shard. ---
     let start_ps = msg.start_vclock_ps.saturating_add(net_ps);
-    let capture: Arc<Mutex<Option<(u64, u64, String)>>> = Arc::new(Mutex::new(None));
+    // (vclock, digest, wire delta) of the going-home state.
+    let capture = Arc::new(Mutex::new(None::<(u64, u64, Vec<u8>)>));
     let cap = Arc::clone(&capture);
     let env2 = Arc::clone(&env);
     let (node, path, program, region) = (msg.node, msg.path.clone(), msg.program, msg.region);
-    let base2 = base.clone();
     let outcome = Kernel::new(env.job_kernel_config()).run(move |ctx| {
-        std::mem::swap(ctx.mem_mut(), &mut mem);
         ctx.sync_vclock_ps(start_ps)?;
+        // A leaf that came over the link damaged fails the job before
+        // it runs: it comes home with that trap and an empty delta.
+        let mut mem = mem?;
+        let base = mem.clone();
+        std::mem::swap(ctx.mem_mut(), &mut mem);
         let remote = Remote::new(env2, node, path);
         let res = program(ctx, &remote);
         // Capture the going-home state before the kernel tears the
         // space down — on success and on a clean error alike.
-        let delta = ctx.mem().delta_since(&base2);
+        let delta = ctx.mem().delta_since(&base);
         *cap.lock() = Some((
             ctx.vclock_ps(),
             ctx.mem().content_digest().value(),
-            wire::delta_to_json(&delta),
+            wire::delta_to_bytes(&delta),
         ));
         let _ = region;
         res
     });
     // A panicking program unwinds past the capture; come home with an
     // empty delta and the trap exit (deterministic either way).
-    let (vclock_ps, digest, delta_json) = capture.lock().take().unwrap_or((
-        det_kernel::ns_to_ps(outcome.vclock_ns),
-        0,
-        String::new(),
-    ));
+    let (vclock_ps, digest, delta) =
+        capture
+            .lock()
+            .take()
+            .unwrap_or((det_kernel::ns_to_ps(outcome.vclock_ns), 0, Vec::new()));
 
     {
         let mut agg = env.agg.lock();
@@ -208,7 +179,44 @@ fn run_job(env: Arc<Env>, msg: JobMsg) {
         exit: outcome.exit,
         vclock_ps,
         digest,
-        delta_json,
+        delta,
     });
     env.job_done();
+}
+
+/// Materializes a migrated space on the job's shard by pulling every
+/// touched leaf from the home shard, one request/response round trip
+/// per leaf, adding each round trip's link time to `net_ps`.
+fn pull_leaves(env: &Env, msg: &JobMsg, net_ps: &mut u64) -> Result<AddressSpace, KernelError> {
+    let mut mem = AddressSpace::new();
+    for leaf in &msg.summary {
+        if !touched(leaf, &msg.touch) {
+            continue;
+        }
+        let (txr, rxr) = mpsc::channel();
+        env.send(
+            msg.home_shard,
+            HostMsg::PullLeaf {
+                job: msg.job_id,
+                first_vpn: leaf.first_vpn,
+                reply: txr,
+            },
+        );
+        let bytes = rxr
+            .recv()
+            .expect("home shard serves pulls until every job completes");
+        let resp_bytes = HEADER_BYTES + bytes.len() as u64;
+        {
+            let mut cs = env.cluster.lock();
+            cs.page_pulls += leaf.pages as u64;
+            cs.messages += 2;
+            cs.bytes_transferred += HEADER_BYTES + resp_bytes;
+        }
+        *net_ps = net_ps
+            .saturating_add(env.spec.net.message_ps(HEADER_BYTES))
+            .saturating_add(env.spec.net.message_ps(resp_bytes));
+        mem.apply_delta(&decode_delta(&bytes)?)?;
+    }
+    mem.clear_dirty();
+    Ok(mem)
 }

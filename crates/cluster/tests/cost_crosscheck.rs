@@ -12,7 +12,9 @@
 //! * **messages** — 5: the summary, a request/response pair for the
 //!   leaf and one for the join;
 //! * **bytes** — headers plus the canonical wire encoding of the leaf
-//!   image and of the (empty) homecoming delta;
+//!   image and of the (empty) homecoming delta, and, from first
+//!   principles, a leaf image no bigger than its raw pages plus 64
+//!   bytes each and 64 for the delta;
 //! * **virtual time** — the same schedule forked onto the root's own
 //!   node costs exactly those five messages less.
 
@@ -91,12 +93,20 @@ fn shard_runtime_prices_a_schedule_from_first_principles() {
     let summary = img.leaf_summary();
     assert_eq!(summary.len(), 1, "16 pages live in one leaf");
     assert_eq!(summary[0].pages, PAGES as u32);
-    let leaf_json = wire::delta_to_json(&img.leaf_image(summary[0].first_vpn));
+    let leaf = wire::delta_to_bytes(&img.leaf_image(summary[0].first_vpn)).len() as u64;
+    // The codec's own output prices the bytes, which would not notice
+    // a codec that doubled every page (hex did): the written leaf image
+    // is its 16 raw pages plus at most 64 bytes of keys and lengths
+    // each, and 64 for the delta around them.
+    assert!(
+        leaf <= PAGES * (4096 + 64) + 64,
+        "leaf image is {leaf} bytes"
+    );
     // The worker writes nothing, so the homecoming delta is empty.
-    let empty_delta_json = wire::delta_to_json(&SpaceDelta::default());
-    let expected = (HEADER + 16 * PAGES)                    // fork summary
-        + HEADER + (HEADER + leaf_json.len() as u64)        // leaf pull round trip
-        + HEADER + (HEADER + empty_delta_json.len() as u64); // join round trip
+    let empty_delta = wire::delta_to_bytes(&SpaceDelta::default()).len() as u64;
+    let expected = (HEADER + 16 * PAGES)     // fork summary
+        + HEADER + (HEADER + leaf)           // leaf pull round trip
+        + HEADER + (HEADER + empty_delta); // join round trip
     assert_eq!(h.bytes_transferred, expected, "{h:?}");
     // Nothing was forked onto its own node.
     assert_eq!(h.cache_hits, 0, "{h:?}");
@@ -110,9 +120,9 @@ fn shard_runtime_prices_a_schedule_from_first_principles() {
     let net = NetworkModel::ethernet_1g();
     let link_ps = net.message_ps(HEADER + 16 * PAGES)
         + net.message_ps(HEADER)
-        + net.message_ps(HEADER + leaf_json.len() as u64)
+        + net.message_ps(HEADER + leaf)
         + net.message_ps(HEADER)
-        + net.message_ps(HEADER + empty_delta_json.len() as u64);
+        + net.message_ps(HEADER + empty_delta);
     assert_eq!(remote_ps - local_ps, link_ps);
 }
 

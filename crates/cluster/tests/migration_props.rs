@@ -105,8 +105,8 @@ fn leaf_pull_migrate(src: &AddressSpace, touch: Option<(u64, u64)>) -> (AddressS
                 continue;
             }
         }
-        let json = wire::delta_to_json(&src.leaf_image(leaf.first_vpn));
-        let delta = wire::delta_from_json(&json).expect("wire codec round-trips");
+        let bytes = wire::delta_to_bytes(&src.leaf_image(leaf.first_vpn));
+        let delta = wire::delta_from_bytes(&bytes).expect("wire codec round-trips");
         replica.apply_delta(&delta).expect("leaf image applies");
         transferred += 1;
     }
@@ -211,10 +211,10 @@ proptest! {
         let src = build_src(&layout);
         for leaf in src.leaf_summary() {
             let img = src.leaf_image(leaf.first_vpn);
-            let json = wire::delta_to_json(&img);
-            let back = wire::delta_from_json(&json).unwrap();
+            let bytes = wire::delta_to_bytes(&img);
+            let back = wire::delta_from_bytes(&bytes).unwrap();
             prop_assert_eq!(&back, &img);
-            prop_assert_eq!(wire::delta_to_json(&back), json);
+            prop_assert_eq!(wire::delta_to_bytes(&back), bytes);
         }
     }
 }

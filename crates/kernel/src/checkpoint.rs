@@ -54,7 +54,7 @@ use crate::state::{KSlot, KState, SpaceState};
 use crate::trace::{ReplayOutcome, Trace, TraceMeta, outcome_of};
 
 /// The checkpoint bundle format this build writes and reads.
-pub const CHECKPOINT_FORMAT_VERSION: u32 = 5;
+pub const CHECKPOINT_FORMAT_VERSION: u32 = 6;
 
 const MAGIC: &str = "detckpt";
 
@@ -66,6 +66,12 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// The payload's value tree, from its binary rendering.
+fn parse_payload(payload: &[u8]) -> Result<Value> {
+    serde::bin::from_slice(payload)
+        .map_err(|_| KernelError::CheckpointMalformed("payload does not parse"))
 }
 
 /// A serialized kernel state at a rendezvous boundary.
@@ -80,7 +86,7 @@ pub struct Checkpoint {
     boundary: u64,
     parent: Option<u64>,
     digest: u64,
-    payload: String,
+    payload: Vec<u8>,
 }
 
 impl Checkpoint {
@@ -127,27 +133,28 @@ impl Checkpoint {
     }
 
     /// The canonical byte encoding: one ASCII header line
-    /// (`detckpt <version> <digest>`), then the JSON payload.
+    /// (`detckpt <version> <digest>`), then the payload in the serde
+    /// shim's binary rendering ([`serde::bin`]).
     ///
     /// Byte-stable: two captures of the same trace prefix produce
     /// identical bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
-        format!(
-            "{MAGIC} {} {:016x}\n{}",
-            self.version, self.digest, self.payload
-        )
-        .into_bytes()
+        let mut out = format!("{MAGIC} {} {:016x}\n", self.version, self.digest).into_bytes();
+        out.extend_from_slice(&self.payload);
+        out
     }
 
     /// Parses and *verifies* a bundle: magic and header shape, then
     /// format version, then the integrity digest, then payload
     /// structure (boundary and parent link).
     pub fn from_bytes(bytes: &[u8]) -> Result<Checkpoint> {
-        let text = std::str::from_utf8(bytes)
-            .map_err(|_| KernelError::CheckpointMalformed("bundle is not utf-8"))?;
-        let (header, payload) = text
-            .split_once('\n')
+        let newline = bytes
+            .iter()
+            .position(|&b| b == b'\n')
             .ok_or(KernelError::CheckpointMalformed("missing header line"))?;
+        let (header, payload) = (&bytes[..newline], &bytes[newline + 1..]);
+        let header = std::str::from_utf8(header)
+            .map_err(|_| KernelError::CheckpointMalformed("header is not utf-8"))?;
         let mut parts = header.split(' ');
         if parts.next() != Some(MAGIC) {
             return Err(KernelError::CheckpointMalformed("bad magic"));
@@ -172,14 +179,13 @@ impl Checkpoint {
         if parts.next().is_some() {
             return Err(KernelError::CheckpointMalformed("trailing header fields"));
         }
-        let actual = fnv1a64(payload.as_bytes());
+        let actual = fnv1a64(payload);
         if actual != expected {
             return Err(KernelError::CheckpointCorrupt { expected, actual });
         }
         // Digest verified; the payload is authentic, so structural
         // errors past this point mean a producer bug, not tampering.
-        let v: Value = serde_json::from_str(payload)
-            .map_err(|_| KernelError::CheckpointMalformed("payload is not valid JSON"))?;
+        let v = parse_payload(payload)?;
         let boundary: u64 = field(&v, "boundary")
             .map_err(|_| KernelError::CheckpointMalformed("payload missing boundary"))?;
         let parent: Option<u64> = field(&v, "parent")
@@ -189,7 +195,7 @@ impl Checkpoint {
             boundary,
             parent,
             digest: expected,
-            payload: payload.to_string(),
+            payload: payload.to_vec(),
         })
     }
 
@@ -221,8 +227,7 @@ pub fn restore_chain(chain: &[Checkpoint]) -> Result<RestoredKernel> {
                 "broken parent link in checkpoint chain",
             ));
         }
-        let v: Value = serde_json::from_str(&ckpt.payload)
-            .map_err(|_| KernelError::CheckpointMalformed("payload is not valid JSON"))?;
+        let v = parse_payload(&ckpt.payload)?;
         ks = Some(
             p_kstate(&v, ks.as_ref())
                 .map_err(|_| KernelError::CheckpointMalformed("payload does not decode"))?,
@@ -403,8 +408,8 @@ impl Checkpointer {
             parent,
             if incremental { Some(&self.bases) } else { None },
         );
-        let payload = serde_json::to_string(&payload_v).expect("checkpoint encoding is infallible");
-        let digest = fnv1a64(payload.as_bytes());
+        let payload = serde::bin::to_vec(&payload_v);
+        let digest = fnv1a64(&payload);
         // Re-base every space on this capture's image.
         self.bases = self
             .ks
@@ -614,16 +619,16 @@ mod tests {
             events: Vec::new(),
         };
         let bytes = Checkpoint::capture(&trace, 0).unwrap().to_bytes();
-        let text = String::from_utf8(bytes).unwrap();
-        // The previous format (every space state still carried a home and a current node).
+        // The previous format (its payload was JSON text).
         let (current, previous) = (CHECKPOINT_FORMAT_VERSION, CHECKPOINT_FORMAT_VERSION - 1);
-        let stale = text.replacen(
-            &format!("detckpt {current} "),
-            &format!("detckpt {previous} "),
-            1,
-        );
-        assert_ne!(stale, text);
-        match Checkpoint::from_bytes(stale.as_bytes()) {
+        let header = format!("detckpt {current} ");
+        assert!(bytes.starts_with(header.as_bytes()));
+        let stale = [
+            format!("detckpt {previous} ").as_bytes(),
+            &bytes[header.len()..],
+        ]
+        .concat();
+        match Checkpoint::from_bytes(&stale) {
             Err(KernelError::CheckpointVersion { found, supported }) => {
                 assert_eq!((found, supported), (previous, current));
             }

@@ -337,8 +337,10 @@ mod tests {
     use crate::stats::{HostStats, MergeStatsSerde};
     use crate::syscall::{CopySpec, GetSpec, StartSpec, StopReason};
 
-    /// `to_value` → compact and pretty text → `from_value` gives the
-    /// value back.
+    /// `to_value` → compact and pretty JSON (the trace's rendering) and
+    /// binary (the checkpoint payload's and the wire delta's, which must
+    /// also re-encode to the same bytes) → `from_value` gives the value
+    /// back.
     fn roundtrip<T: Serialize + Deserialize + PartialEq + Debug>(t: &T) {
         for text in [
             serde_json::to_string(t).unwrap(),
@@ -346,6 +348,10 @@ mod tests {
         ] {
             assert_eq!(&serde_json::from_str::<T>(&text).unwrap(), t, "{text}");
         }
+        let bytes = serde::bin::to_vec(t);
+        let back: T = serde::bin::from_slice(&bytes).unwrap();
+        assert_eq!(&back, t);
+        assert_eq!(serde::bin::to_vec(&back), bytes);
     }
 
     fn regs() -> Regs {
@@ -541,6 +547,7 @@ mod tests {
     #[test]
     fn every_persisted_shape_roundtrips() {
         roundtrip(&full_trace());
+        roundtrip(&delta());
         for policy in [
             ConflictPolicy::Strict,
             ConflictPolicy::BenignSameValue,
@@ -563,6 +570,8 @@ mod tests {
         let back: Vec<RunState> = serde_json::from_str(&text).unwrap();
         assert_eq!(back.to_value(), v);
         assert_eq!(back.len(), runs.len());
+        let back: Vec<RunState> = serde::bin::from_slice(&serde::bin::to_vec(&v)).unwrap();
+        assert_eq!(back.to_value(), v);
 
         // Every counter distinct, so a swapped pair shows.
         let merge = MergeStats {

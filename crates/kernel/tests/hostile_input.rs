@@ -2,14 +2,18 @@
 //! trace, checkpoint or wire delta is a typed error, never a panic, a
 //! hang or a silently shortened value.
 //!
-//! All three decoders read the same JSON shim through the same derived
-//! mappings, so one suite covers them: every truncation, sampled
-//! single-bit flips, and nesting bombs. Two more inputs arrive as
-//! arguments rather than artifacts and get the same treatment: the
-//! `--fault` spec text, and the image range and bytes a space hands to
-//! `analyze_footprint`.
+//! All three decoders read the same derived mappings through the serde
+//! shim — the trace as JSON text, the checkpoint payload and the wire
+//! delta in its binary rendering — so one suite covers them: every
+//! truncation, sampled single-bit flips, nesting bombs and count-prefix
+//! bombs. Two more inputs arrive as arguments rather than artifacts and
+//! get the same treatment: the `--fault` spec text, and the image range
+//! and bytes a space hands to `analyze_footprint`.
 
-use det_kernel::wire::{delta_from_json, delta_to_json};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use det_kernel::wire::{delta_from_bytes, delta_to_bytes};
 use det_kernel::{
     CHECKPOINT_FORMAT_VERSION, Checkpoint, DeviceId, Fault, FaultAction, FaultPlan, FaultSite,
     GetSpec, Kernel, KernelConfig, KernelError, Program, PutSpec, Region, Trace, TraceSink,
@@ -17,6 +21,43 @@ use det_kernel::{
 use det_memory::{AccessTracker, PageDelta, PageDeltaOp, Perm, SpaceDelta};
 use det_vm::{Cpu, Opcode, VmExit};
 use proptest::prelude::*;
+
+/// The system allocator, recording per thread the largest single
+/// allocation asked for — so a test can show that a decoder never
+/// sized a buffer from a count it read.
+struct LargestAlloc;
+
+thread_local! {
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the bookkeeping only reads the layout
+// and touches no allocation.
+unsafe impl GlobalAlloc for LargestAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = LARGEST.try_with(|l| l.set(l.get().max(layout.size())));
+        // SAFETY: the caller's guarantees on `layout` are the ones
+        // `System.alloc` asks for.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` (via `alloc` above or
+        // the default `realloc`) with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: LargestAlloc = LargestAlloc;
+
+/// The largest single allocation `f` asks for on this thread.
+fn largest_allocation(f: impl FnOnce()) -> usize {
+    LARGEST.with(|l| l.set(0));
+    f();
+    LARGEST.with(Cell::get)
+}
 
 /// What a decoder made of a damaged text.
 #[derive(Debug, PartialEq)]
@@ -37,21 +78,20 @@ struct Artifact {
     decode: Decode,
 }
 
-/// Wraps a text decoder; bytes that are not UTF-8 cannot even be
-/// handed to it. An accepted value must itself be well-formed: it
+/// Wraps a codec. An accepted value must itself be well-formed: it
 /// encodes, and decodes back to itself.
-fn text_artifact<T: PartialEq + 'static>(
+fn codec_artifact<T: PartialEq + 'static>(
     name: &'static str,
     original: T,
-    encode: fn(&T) -> String,
-    decode: fn(&str) -> Option<T>,
+    encode: fn(&T) -> Vec<u8>,
+    decode: fn(&[u8]) -> Option<T>,
 ) -> Artifact {
-    let bytes = encode(&original).into_bytes();
+    let bytes = encode(&original);
     Artifact {
         name,
         bytes,
         decode: Box::new(move |b| {
-            let Some(v) = std::str::from_utf8(b).ok().and_then(decode) else {
+            let Some(v) = decode(b) else {
                 return Decoded::Rejected;
             };
             assert!(
@@ -104,9 +144,16 @@ fn artifacts() -> Vec<Artifact> {
         unmapped: vec![42],
     };
     vec![
-        text_artifact("trace", trace, Trace::to_json, |s| Trace::from_json(s).ok()),
-        text_artifact("wire delta", delta, delta_to_json, |s| {
-            delta_from_json(s).ok()
+        // Bytes that are not UTF-8 cannot even be handed to the trace
+        // parser.
+        codec_artifact(
+            "trace",
+            trace,
+            |t| t.to_json().into_bytes(),
+            |b| Trace::from_json(std::str::from_utf8(b).ok()?).ok(),
+        ),
+        codec_artifact("wire delta", delta, delta_to_bytes, |b| {
+            delta_from_bytes(b).ok()
         }),
         Artifact {
             name: "checkpoint",
@@ -136,23 +183,62 @@ fn every_truncation_is_rejected() {
     }
 }
 
-#[test]
-fn nesting_bombs_are_rejected() {
-    let bomb = "[".repeat(1 << 20);
-    assert!(Trace::from_json(&bomb).is_err());
-    assert!(delta_from_json(&bomb).is_err());
-    // Behind a header whose digest vouches for it, so the payload
-    // parser is what has to refuse.
-    let fnv1a64 = bomb.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+/// `payload` behind a header whose digest vouches for it, so the
+/// payload parser is what has to refuse it.
+fn vouched_bundle(payload: &[u8]) -> Vec<u8> {
+    let fnv1a64 = payload.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
         (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
     });
-    let bundle = format!("detckpt {CHECKPOINT_FORMAT_VERSION} {fnv1a64:016x}\n{bomb}");
+    [
+        format!("detckpt {CHECKPOINT_FORMAT_VERSION} {fnv1a64:016x}\n").as_bytes(),
+        payload,
+    ]
+    .concat()
+}
+
+/// The binary rendering's tags this file builds inputs from.
+const STR: u8 = 6;
+const BYTES: u8 = 7;
+const ARRAY: u8 = 8;
+const OBJECT: u8 = 9;
+
+#[test]
+fn nesting_bombs_are_rejected() {
+    assert!(Trace::from_json(&"[".repeat(1 << 20)).is_err());
+    // A million one-item arrays, one inside the other.
+    let bomb = [ARRAY, 1].repeat(1 << 20);
+    assert!(delta_from_bytes(&bomb).is_err());
     assert!(matches!(
-        Checkpoint::from_bytes(bundle.as_bytes()),
-        Err(KernelError::CheckpointMalformed(
-            "payload is not valid JSON"
-        ))
+        Checkpoint::from_bytes(&vouched_bundle(&bomb)),
+        Err(KernelError::CheckpointMalformed("payload does not parse"))
     ));
+}
+
+/// A count or length is bounded by the bytes behind it before anything
+/// is allocated for it: at most 16 bytes claiming 2^32 elements fail at
+/// once, with no allocation anywhere near that size.
+#[test]
+fn count_prefix_bombs_are_rejected_without_allocating() {
+    const CLAIM_2_POW_32: [u8; 5] = [0x80, 0x80, 0x80, 0x80, 0x10];
+    for tag in [ARRAY, OBJECT, STR, BYTES] {
+        // A wire delta whose page list claims 2^32 entries (its first
+        // field key included)...
+        let delta = [&[OBJECT, 2, 5][..], b"pages", &[tag], &CLAIM_2_POW_32].concat();
+        // ... and a checkpoint payload that is one such value.
+        let bundle = vouched_bundle(&[&[tag][..], &CLAIM_2_POW_32].concat());
+        assert!(delta.len() <= 16);
+        let largest = largest_allocation(|| {
+            assert!(delta_from_bytes(&delta).is_err(), "tag {tag}");
+            assert!(
+                matches!(
+                    Checkpoint::from_bytes(&bundle),
+                    Err(KernelError::CheckpointMalformed("payload does not parse"))
+                ),
+                "tag {tag}"
+            );
+        });
+        assert!(largest < 1024, "tag {tag}: allocated {largest} bytes");
+    }
 }
 
 /// A space's `analyze_footprint` arguments are its own word: a length

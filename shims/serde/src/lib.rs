@@ -4,18 +4,28 @@
 //! tree. The derive macros (re-exported from the `serde_derive` shim)
 //! support named-field structs, newtype structs and enums (all-unit
 //! enums as a string, any other enum as an object tagged on `"k"`),
-//! plus `#[serde(skip)]` and `#[serde(rename = "…")]`. `serde_json`
-//! (also vendored) renders [`Value`] as real JSON text.
+//! plus `#[serde(skip)]` and `#[serde(rename = "…")]`. A [`Value`]
+//! has two renderings: `serde_json` (also vendored) writes it as real
+//! JSON text, and [`bin`] as tagged, length-prefixed bytes.
 //!
-//! Byte payloads have one representation: any sequence of `u8`
-//! (`Vec<u8>`, `[u8; N]`) is a lowercase hex string, never an
-//! array of numbers.
+//! Byte payloads have one representation in the tree: any sequence of
+//! `u8` (`Vec<u8>`, `[u8; N]`) is a [`Value::Bytes`], never an array
+//! of numbers. It is hex in JSON, raw in binary: `serde_json` writes
+//! it as a lowercase hex string, and a hex string in parsed JSON reads
+//! back as bytes.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Mutex;
 
 pub use serde_derive::{Deserialize, Serialize};
+
+pub mod bin;
+
+/// Deepest container nesting either rendering's parser follows.
+/// Persisted values nest about ten deep; hostile input must get an
+/// error, not a stack overflow.
+pub const MAX_DEPTH: usize = 128;
 
 /// A JSON-ish data model.
 #[derive(Clone, Debug, PartialEq)]
@@ -26,6 +36,8 @@ pub enum Value {
     Int(i64),
     Float(f64),
     Str(String),
+    /// A run of bytes (see the crate docs).
+    Bytes(Vec<u8>),
     Array(Vec<Value>),
     /// Insertion-ordered object fields.
     Object(Vec<(String, Value)>),
@@ -82,17 +94,28 @@ impl Serialize for Value {
     }
 }
 
-// ... and deserializes as itself, so callers can parse JSON text into
-// a raw tree and walk it by hand (e.g. checkpoint payloads).
+// ... and deserializes as itself, so callers can parse a rendering into
+// a raw tree and walk it by hand (e.g. checkpoint payloads) — the parsed
+// tree itself, not a copy of it.
 impl Deserialize for Value {
     fn from_value(v: &Value) -> Result<Self, DeError> {
         Ok(v.clone())
+    }
+
+    fn from_parsed(v: Value) -> Result<Self, DeError> {
+        Ok(v)
     }
 }
 
 /// Conversion from the data model.
 pub trait Deserialize: Sized {
     fn from_value(v: &Value) -> Result<Self, DeError>;
+
+    /// Conversion from a tree a parser just built and hands over.
+    #[doc(hidden)]
+    fn from_parsed(v: Value) -> Result<Self, DeError> {
+        Self::from_value(&v)
+    }
 
     /// The inverse of [`Serialize::seq_to_value`].
     #[doc(hidden)]
@@ -160,24 +183,21 @@ macro_rules! impl_signed {
 }
 
 impl_unsigned!(u16, u32, u64, usize);
-// A run of bytes is one lowercase hex string (see the crate docs).
+// A run of bytes is one `Value::Bytes`; JSON text carries it as a
+// lowercase hex string (see the crate docs).
 impl_unsigned!(
     u8,
     {
         fn seq_to_value(bytes: &[u8]) -> Value {
-            const DIGITS: &[u8; 16] = b"0123456789abcdef";
-            let mut s = String::with_capacity(bytes.len() * 2);
-            for &b in bytes {
-                s.push(DIGITS[(b >> 4) as usize] as char);
-                s.push(DIGITS[(b & 0xf) as usize] as char);
-            }
-            Value::Str(s)
+            Value::Bytes(bytes.to_vec())
         }
     },
     {
         fn seq_from_value(v: &Value) -> Result<Vec<u8>, DeError> {
-            let Value::Str(s) = v else {
-                return Err(DeError::msg("expected hex string"));
+            let s = match v {
+                Value::Bytes(b) => return Ok(b.clone()),
+                Value::Str(s) => s,
+                _ => return Err(DeError::msg("expected bytes or a hex string")),
             };
             if s.len() % 2 != 0 {
                 return Err(DeError::msg("odd-length hex string"));

@@ -77,7 +77,10 @@ fn struct_tuple_and_unit_variants_share_one_enum() {
     assert_eq!(roundtrip(&Shape::Point), obj(&[("k", s("dot"))]));
     assert_eq!(
         roundtrip(&Shape::Bytes(vec![0xde, 0xad, 0x00])),
-        obj(&[("k", s("Bytes")), ("data", s("dead00"))])
+        obj(&[
+            ("k", s("Bytes")),
+            ("data", Value::Bytes(vec![0xde, 0xad, 0x00]))
+        ])
     );
 }
 
@@ -129,9 +132,12 @@ fn blanket_impls_roundtrip() {
 }
 
 #[test]
-fn bytes_are_lowercase_hex_only() {
-    assert_eq!(vec![0u8, 0xff].to_value(), s("00ff"));
-    assert_eq!([0xabu8; 2].to_value(), s("abab"));
+fn bytes_are_bytes_or_lowercase_hex_only() {
+    assert_eq!(vec![0u8, 0xff].to_value(), Value::Bytes(vec![0, 0xff]));
+    assert_eq!([0xabu8; 2].to_value(), Value::Bytes(vec![0xab; 2]));
+    // Parsed JSON carries bytes as hex.
+    assert_eq!(Vec::<u8>::from_value(&s("00ff")).unwrap(), vec![0, 0xff]);
+    assert_eq!(<[u8; 2]>::from_value(&s("abab")).unwrap(), [0xab; 2]);
     for bad in ["0", "0g", "0F", "é"] {
         assert!(Vec::<u8>::from_value(&s(bad)).is_err(), "{bad:?}");
     }

@@ -1,9 +1,13 @@
 //! Vendored shim for the parts of `serde_json` this workspace uses:
 //! `to_string`, `to_string_pretty`, `from_str`, and `Error`.
+//!
+//! A [`Value::Bytes`] is written as a lowercase hex string; parsing
+//! gives that string back as a `Value::Str`, which the `u8` sequence
+//! mapping reads as bytes.
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, MAX_DEPTH, Serialize, Value};
 
 /// JSON serialization/deserialization error.
 #[derive(Clone, Debug)]
@@ -43,11 +47,6 @@ pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Erro
     Ok(out)
 }
 
-/// Deepest value nesting the parser follows. Persisted values nest
-/// about ten deep; hostile input must get an [`Error`], not a stack
-/// overflow.
-const MAX_DEPTH: usize = 128;
-
 /// Parses a value from JSON text.
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
     let mut p = Parser {
@@ -62,7 +61,7 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
     if p.i != p.b.len() {
         return Err(Error::msg(format!("trailing characters at offset {}", p.i)));
     }
-    Ok(T::from_value(&v)?)
+    Ok(T::from_parsed(v)?)
 }
 
 fn write_value(v: &Value, out: &mut String, depth: usize, pretty: bool) {
@@ -79,6 +78,16 @@ fn write_value(v: &Value, out: &mut String, depth: usize, pretty: bool) {
             }
         }
         Value::Str(s) => write_string(s, out),
+        Value::Bytes(b) => {
+            const DIGITS: &[u8; 16] = b"0123456789abcdef";
+            out.reserve(b.len() * 2 + 2);
+            out.push('"');
+            for &c in b {
+                out.push(DIGITS[(c >> 4) as usize] as char);
+                out.push(DIGITS[(c & 0xf) as usize] as char);
+            }
+            out.push('"');
+        }
         Value::Array(items) => {
             if items.is_empty() {
                 out.push_str("[]");
@@ -388,6 +397,7 @@ mod tests {
         assert_eq!(from_str::<String>("\"a\\nb\"").unwrap(), "a\nb");
         assert_eq!(from_str::<Vec<u16>>("[1, 2, 3]").unwrap(), vec![1, 2, 3]);
         assert_eq!(from_str::<Vec<u8>>("\"01ff\"").unwrap(), vec![1, 0xff]);
+        assert_eq!(to_string(&vec![1u8, 0xff]).unwrap(), "\"01ff\"");
         assert_eq!(from_str::<Option<u8>>("null").unwrap(), None);
     }
 
