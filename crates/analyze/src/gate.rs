@@ -2,8 +2,10 @@
 //! static analysis against concrete execution.
 //!
 //! For a program, the gate (1) analyzes the assembled image, (2) runs
-//! it concretely in the standard kernel sandbox with an
-//! [`AccessTracker`] installed, and (3) checks the soundness
+//! it concretely in the corpus's standard sandbox
+//! ([`det_vm::corpus::sandbox_space`]) under
+//! [`Cpu::run_observed`], which logs every page the slow-path
+//! interpreter fetches, loads or stores, and (3) checks the soundness
 //! inclusions:
 //!
 //! * observed written pages ⊆ predicted write footprint, and
@@ -14,8 +16,8 @@
 //! binary runs this over every registered corpus program; the
 //! 200-case proptest in `tests/` runs it over random programs.
 
-use det_memory::{AccessTracker, AddressSpace, Perm, Region};
-use det_vm::{Cpu, VmExit, assemble};
+use det_vm::corpus::sandbox_space;
+use det_vm::{Cpu, PageLog, VmExit, assemble};
 
 use crate::footprint::{Analysis, AnalyzeConfig, PageSet, Segment, analyze};
 
@@ -32,25 +34,8 @@ pub struct GateOutcome {
     pub exit: String,
     /// Instructions the concrete run retired.
     pub insns: u64,
-    /// Pages the analysis predicted but the run never wrote — the
-    /// price of over-approximation (`None` when unbounded).
-    pub write_slack: Option<u64>,
     /// `true` iff both soundness inclusions hold.
     pub sound: bool,
-}
-
-/// The standard analysis+execution sandbox: 64 KiB low window (code +
-/// data) and the far window the TLB-stride kernel strides through —
-/// identical to the bench harness sandbox, so the gate checks the
-/// programs in the exact environment they are measured in.
-pub fn sandbox_space(image: &[u8]) -> AddressSpace {
-    let mut mem = AddressSpace::new();
-    mem.map_zero(Region::new(0, 0x10000), Perm::RW)
-        .expect("low window maps");
-    mem.map_zero(Region::new(0x100000, 0x180000), Perm::RW)
-        .expect("far window maps");
-    mem.write(0, image).expect("image fits the low window");
-    mem
 }
 
 /// Runs the full differential check on one assembly program.
@@ -68,14 +53,13 @@ pub fn check_program(src: &str, budget: u64, cfg: &AnalyzeConfig) -> GateOutcome
     let analysis = analyze(&segs, 0, cfg);
 
     let mut mem = sandbox_space(&image.bytes);
-    let tracker = AccessTracker::new();
-    mem.set_tracker(Some(tracker.clone()));
+    let mut log = PageLog::new();
     let mut cpu = Cpu::new();
     let mut left = budget;
     let mut exit = VmExit::OutOfBudget;
     while left > 0 {
         let before = cpu.insn_count;
-        exit = cpu.run(&mut mem, Some(left));
+        exit = cpu.run_observed(&mut mem, Some(left), &mut log);
         left = left.saturating_sub(cpu.insn_count - before);
         match exit {
             VmExit::Sys(_) => continue,
@@ -83,24 +67,19 @@ pub fn check_program(src: &str, budget: u64, cfg: &AnalyzeConfig) -> GateOutcome
         }
     }
 
-    let observed_read = tracker.pages_read();
-    let observed_written = tracker.pages_written();
+    let observed_read = log.pages_read();
+    let observed_written = log.pages_written();
     let fp = &analysis.footprint;
     let reads_ok = observed_read
         .iter()
         .all(|&p| fp.reads.contains(p) || fp.writes.contains(p));
     let writes_ok = observed_written.iter().all(|&p| fp.writes.contains(p));
-    let write_slack = fp
-        .writes
-        .page_count()
-        .map(|n| n - observed_written.len() as u64);
 
     GateOutcome {
         observed_read,
         observed_written,
         exit: format!("{exit:?}"),
         insns: cpu.insn_count,
-        write_slack,
         sound: reads_ok && writes_ok,
         analysis,
     }

@@ -2,7 +2,7 @@
 //!
 //! Random structured VM programs (bounded loops, masked and wild
 //! pointer arithmetic, syscalls, forward skips, byte and word stores)
-//! are run concretely with an access tracker, and every case asserts
+//! are run concretely under `Cpu::run_observed`, and every case asserts
 //! the two load-bearing properties of the analysis:
 //!
 //! 1. **Footprint soundness** — observed written pages ⊆ predicted
@@ -15,8 +15,8 @@
 
 use det_analyze::footprint::{AnalyzeConfig, Segment, Verdict, analyze, classify};
 use det_analyze::gate::check_program;
-use det_memory::{AccessTracker, AddressSpace, ConflictPolicy, Perm, Region};
-use det_vm::{Cpu, VmExit, assemble};
+use det_memory::{AddressSpace, ConflictPolicy, Perm, Region};
+use det_vm::{Cpu, PageLog, VmExit, assemble};
 use proptest::prelude::*;
 
 const BUDGET: u64 = 200_000;
@@ -133,18 +133,19 @@ fn gen_program(seed: u64, data_base: u64) -> String {
 }
 
 /// Runs a child space from `entry`, resuming across `sys`, until halt,
-/// trap, or budget.
-fn run_child(mem: &mut AddressSpace, entry: u64) -> VmExit {
+/// trap, or budget, and returns the pages it touched.
+fn run_child(mem: &mut AddressSpace, entry: u64) -> PageLog {
     let mut cpu = Cpu::new();
     cpu.regs.pc = entry;
+    let mut log = PageLog::new();
     let mut left = BUDGET;
     loop {
         let before = cpu.insn_count;
-        let exit = cpu.run(mem, Some(left));
+        let exit = cpu.run_observed(mem, Some(left), &mut log);
         left = left.saturating_sub(cpu.insn_count - before);
         match exit {
             VmExit::Sys(_) if left > 0 => continue,
-            _ => return exit,
+            _ => return log,
         }
     }
 }
@@ -203,13 +204,9 @@ proptest! {
             let mut child_b = fork(&p);
             let snap = p.snapshot();
 
-            let tr = AccessTracker::new();
-            child_a.set_tracker(Some(tr.clone()));
-            run_child(&mut child_a, 0);
-            child_a.set_tracker(None);
             // Belt-and-braces: the in-situ sibling run also stays
             // inside its predicted footprint.
-            for vpn in tr.pages_written() {
+            for vpn in run_child(&mut child_a, 0).pages_written() {
                 prop_assert!(
                     an_a.footprint.writes.contains(vpn),
                     "sibling A (seed {seed:#x}) wrote page {vpn:#x} outside {}",
@@ -232,4 +229,32 @@ proptest! {
             }
         }
     }
+}
+
+/// The gate's observations of 64 generated programs, recorded at
+/// e995264 — the last commit whose gate observed through an access
+/// tracker installed on the address space — one line per program:
+/// `seed data-base exit insns pages-read pages-written`. Seeds 0–49,
+/// then every seed below 20 000 whose program traps (a wild store or
+/// load), so faulting accesses are covered. The data base is picked as
+/// the proptest picks program A's.
+const GATE_GOLDEN: &str = include_str!("golden/gate_e995264.txt");
+
+#[test]
+fn observations_are_the_access_trackers() {
+    let cfg = AnalyzeConfig::default();
+    let observed: String = GATE_GOLDEN
+        .lines()
+        .map(|line| {
+            let seed: u64 = line.split(' ').next().unwrap().parse().unwrap();
+            let base = DATA_BASES[Rng(seed ^ 0xdead_beef).below(3) as usize];
+            let g = check_program(&gen_program(seed, base), BUDGET, &cfg);
+            format!(
+                "{seed} {base:#x} {} {} {:?} {:?}\n",
+                g.exit, g.insns, g.observed_read, g.observed_written
+            )
+        })
+        .collect();
+    assert_eq!(GATE_GOLDEN.lines().count(), 64);
+    assert_eq!(observed, GATE_GOLDEN);
 }

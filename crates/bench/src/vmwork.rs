@@ -14,7 +14,7 @@
 
 use std::time::Instant;
 
-use det_vm::{CpuCacheStats, VmExit};
+use det_vm::{Cpu, CpuCacheStats, VmExit};
 
 /// A named VM assembly kernel.
 pub struct VmKernel {
@@ -81,10 +81,8 @@ pub use det_vm::corpus::sandbox;
 /// reports throughput + cache stats. `fast` selects the TLB/icache
 /// path or the pre-TLB reference interpreter.
 pub fn run_kernel(src: &str, budget: u64, fast: bool) -> KernelRun {
-    let (mut cpu, mut mem) = sandbox(src);
-    if !fast {
-        cpu.fast_path = false;
-    }
+    let (_, mut mem) = sandbox(src);
+    let mut cpu = if fast { Cpu::new() } else { Cpu::slow_path() };
     assert_eq!(cpu.run(&mut mem, Some(budget / 4)), VmExit::OutOfBudget);
     let mark = cpu.cache_stats;
     let start = Instant::now();

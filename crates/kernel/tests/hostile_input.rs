@@ -18,8 +18,8 @@ use det_kernel::{
     CHECKPOINT_FORMAT_VERSION, Checkpoint, DeviceId, Fault, FaultAction, FaultPlan, FaultSite,
     GetSpec, Kernel, KernelConfig, KernelError, Program, PutSpec, Region, Trace, TraceSink,
 };
-use det_memory::{AccessTracker, PageDelta, PageDeltaOp, Perm, SpaceDelta};
-use det_vm::{Cpu, Opcode, VmExit};
+use det_memory::{PageDelta, PageDeltaOp, Perm, SpaceDelta};
+use det_vm::{Cpu, Opcode, PageLog, VmExit};
 use proptest::prelude::*;
 
 /// The system allocator, recording per thread the largest single
@@ -413,21 +413,20 @@ proptest! {
             let fp = ctx.analyze_footprint(0, len)?;
 
             let mut mem = ctx.mem().clone();
-            let tracker = AccessTracker::new();
-            mem.set_tracker(Some(tracker.clone()));
+            let mut log = PageLog::new();
             let mut cpu = Cpu::new();
             // Like the analyzer's gate: resume across `sys` exits with
             // the registers untouched.
             while cpu.insn_count < 20_000 {
-                match cpu.run(&mut mem, Some(20_000 - cpu.insn_count)) {
+                match cpu.run_observed(&mut mem, Some(20_000 - cpu.insn_count), &mut log) {
                     VmExit::Sys(_) => continue,
                     _ => break,
                 }
             }
-            for p in tracker.pages_written() {
+            for p in log.pages_written() {
                 assert!(fp.writes.contains(p), "wrote page {p:#x} outside {}", fp.writes);
             }
-            for p in tracker.pages_read() {
+            for p in log.pages_read() {
                 assert!(
                     fp.reads.contains(p) || fp.writes.contains(p),
                     "read page {p:#x} outside {} / {}",

@@ -82,7 +82,6 @@ mod perm;
 pub mod reference;
 mod region;
 mod space;
-mod tracker;
 
 pub use delta::{PageDelta, PageDeltaOp, SpaceDelta};
 pub use digest::ContentDigest;
@@ -95,7 +94,6 @@ pub use space::{
     AddressSpace, CloneStats, LeafInfo, PAGES_PER_LEAF, PageInfo, Pinned, SUBLEAF_SHARE_MIN_PAGES,
     Translation,
 };
-pub use tracker::AccessTracker;
 
 /// Result alias for memory operations.
 pub type Result<T> = std::result::Result<T, MemError>;

@@ -7,7 +7,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use crate::digest::ContentDigest;
 use crate::dirty::DirtySet;
 use crate::page::{Frame, PAGE_SHIFT, PAGE_SIZE, offset_of, vpn_of, zero_frame};
-use crate::tracker::AccessTracker;
 use crate::{MemError, Perm, Region, Result};
 
 /// Log2 of [`PAGES_PER_LEAF`].
@@ -389,7 +388,6 @@ pub struct AddressSpace {
     /// Unique identity of this space, distinguishing its translations
     /// from those of clones/snapshots that share `generation` values.
     space_id: u64,
-    tracker: Option<AccessTracker>,
 }
 
 impl Default for AddressSpace {
@@ -400,7 +398,6 @@ impl Default for AddressSpace {
             dirty: DirtySet::default(),
             generation: 0,
             space_id: fresh_space_id(),
-            tracker: None,
         }
     }
 }
@@ -417,7 +414,6 @@ impl Clone for AddressSpace {
             // the original must not validate against it (they could
             // diverge from here on).
             space_id: fresh_space_id(),
-            tracker: self.tracker.clone(),
         }
     }
 }
@@ -426,23 +422,6 @@ impl AddressSpace {
     /// Returns an empty address space.
     pub fn new() -> AddressSpace {
         AddressSpace::default()
-    }
-
-    /// Installs an access tracker that records every page touched by
-    /// reads and writes (the observation `det-analyze`'s soundness gate
-    /// checks a static footprint against). Returns any previous tracker.
-    ///
-    /// Installing or removing a tracker bumps the generation and
-    /// disables the translation fast path (`translate_*` return `None`
-    /// while a tracker is present), so the tracker's log stays exact.
-    pub fn set_tracker(&mut self, tracker: Option<AccessTracker>) -> Option<AccessTracker> {
-        self.generation += 1;
-        std::mem::replace(&mut self.tracker, tracker)
-    }
-
-    /// Returns a reference to the installed access tracker, if any.
-    pub fn tracker(&self) -> Option<&AccessTracker> {
-        self.tracker.as_ref()
     }
 
     /// Returns the number of mapped pages.
@@ -910,7 +889,6 @@ impl AddressSpace {
     ///
     /// The snapshot is the *reference state* against which
     /// [`merge_from`](AddressSpace::merge_from) computes changes.
-    /// Trackers are not inherited by snapshots.
     ///
     /// Taking a snapshot **clears this space's dirty write-set**: the
     /// returned snapshot is byte-identical to `self` at this instant,
@@ -951,7 +929,6 @@ impl AddressSpace {
             dirty: DirtySet::default(),
             generation: 0,
             space_id: fresh_space_id(),
-            tracker: None,
         }
     }
 
@@ -1299,17 +1276,13 @@ impl AddressSpace {
     }
 
     /// Mints a read translation for the page containing `addr`, or
-    /// `None` if the page is unmapped, not readable, or an access
-    /// tracker is installed (the fast path would bypass its log).
+    /// `None` if the page is unmapped or not readable.
     ///
     /// The translation stays redeemable until the next generation bump;
     /// a whole page of reads through it is semantically identical to
     /// the [`read`](AddressSpace::read) slow path.
     #[inline]
     pub fn translate_read(&self, addr: u64) -> Option<Translation> {
-        if self.tracker.is_some() {
-            return None;
-        }
         let vpn = vpn_of(addr);
         let slot = self.leaf_pos(vpn >> LEAF_BITS).ok()?;
         let entry = (vpn & LEAF_MASK) as usize;
@@ -1327,8 +1300,7 @@ impl AddressSpace {
     }
 
     /// Mints a write translation for the page containing `addr`, or
-    /// `None` if the page is unmapped, not writable, or a tracker is
-    /// installed.
+    /// `None` if the page is unmapped or not writable.
     ///
     /// The page is made exclusively owned now (copy-on-write clone of
     /// a shared leaf *and* a shared frame, if needed) and marked dirty,
@@ -1339,9 +1311,6 @@ impl AddressSpace {
     /// only gained information, so no outstanding translation went
     /// stale.
     pub fn translate_write(&mut self, addr: u64) -> Option<Translation> {
-        if self.tracker.is_some() {
-            return None;
-        }
         let vpn = vpn_of(addr);
         let slot = self.leaf_pos(vpn >> LEAF_BITS).ok()?;
         let entry = (vpn & LEAF_MASK) as usize;
@@ -1521,9 +1490,6 @@ impl AddressSpace {
             vpn = chunk_last + 1;
         }
 
-        if let Some(t) = &self.tracker {
-            t.record_write_range(addr, data.len() as u64);
-        }
         self.generation += 1;
         let mut cursor = addr;
         let mut remaining = data;
@@ -1567,9 +1533,6 @@ impl AddressSpace {
         let _end = addr
             .checked_add(len as u64)
             .ok_or(MemError::AddressOverflow)?;
-        if let Some(t) = &self.tracker {
-            t.record_read_range(addr, len as u64);
-        }
         let mut cursor = addr;
         let mut done = 0usize;
         while done < len {
@@ -2514,20 +2477,6 @@ mod tests {
         // original's translation must not validate against it.
         assert!(redeem(&mut b, t).is_none());
         assert!(redeem(&mut a, t).is_some());
-    }
-
-    #[test]
-    fn tracker_disables_fast_path() {
-        let mut s = rw_space(0x1000, 0x1000);
-        let t = s.translate_read(0x1000).unwrap();
-        s.set_tracker(Some(AccessTracker::new()));
-        // Installing the tracker bumped the generation...
-        assert!(redeem(&mut s, t).is_none());
-        // ...and minting is refused while it is present.
-        assert!(s.translate_read(0x1000).is_none());
-        assert!(s.translate_write(0x1000).is_none());
-        s.set_tracker(None);
-        assert!(s.translate_read(0x1000).is_some());
     }
 
     #[test]

@@ -40,14 +40,23 @@ use crate::{Cpu, assemble};
 /// If `src` does not assemble or does not fit the low window.
 pub fn sandbox(src: &str) -> (Cpu, AddressSpace) {
     let image = assemble(src).expect("program assembles");
+    (Cpu::new(), sandbox_space(&image.bytes))
+}
+
+/// Builds the standard sandbox (module docs) with `image` loaded at
+/// address 0.
+///
+/// # Panics
+///
+/// If `image` does not fit the low window.
+pub fn sandbox_space(image: &[u8]) -> AddressSpace {
     let mut mem = AddressSpace::new();
     mem.map_zero(Region::new(0, 0x10000), Perm::RW)
         .expect("low window maps");
     mem.map_zero(Region::new(0x100000, 0x180000), Perm::RW)
         .expect("far window maps");
-    mem.write(0, &image.bytes)
-        .expect("image fits the low window");
-    (Cpu::new(), mem)
+    mem.write(0, image).expect("image fits the low window");
+    mem
 }
 
 /// A registered VM program: a name, its assembly source, and an

@@ -6,7 +6,7 @@
 //! # The fast path
 //!
 //! The first-cut interpreter paid a full page-table walk (B-tree
-//! lookup, permission check, tracker probe, dirty-set insert,
+//! lookup, permission check, dirty-set insert,
 //! `Arc::make_mut`) for every instruction fetch, load, and store, and
 //! re-decoded every instruction word on every step. [`Cpu`] keeps
 //! three caches, all validated by the address space's generation
@@ -39,15 +39,17 @@
 //! time moves.
 //!
 //! The caches are semantically invisible: every miss or stale hit
-//! falls back to the exact slow path, a store into a page holding
-//! cached decodes flushes them (self-modifying code), and an installed
-//! [`AccessTracker`](det_memory::AccessTracker) — the analyzer
-//! gate's observation of a concrete run — disables caching entirely
-//! so its page log stays exact. `Cpu::fast_path` can be
-//! cleared to force the original slow path everywhere — the
-//! differential suite in `tests/tlb_props.rs` runs both and demands
-//! byte-identical results, and pins its counters to goldens recorded
-//! before pins existed.
+//! falls back to the exact slow path, and a store into a page holding
+//! cached decodes flushes them (self-modifying code). [`Cpu::slow_path`]
+//! builds a CPU that never uses them — the original interpreter, which
+//! the differential suite in `tests/tlb_props.rs` runs beside the fast
+//! path, demanding byte-identical results and pinning the fast path's
+//! counters to goldens recorded before pins existed.
+//!
+//! The slow path is also where a run is observed page by page
+//! ([`Cpu::run_observed`], the analyzer gate's view of a concrete run):
+//! it walks the page table for every fetch, load and store and caches
+//! nothing, so no cache can hide an access from the [`PageLog`].
 //!
 //! One invariant is the caller's: **at most one `Cpu` executes a given
 //! `AddressSpace`** (the kernel runs exactly one per space). The fast
@@ -62,6 +64,7 @@
 use det_memory::{AddressSpace, MemError, PAGE_SHIFT, PAGE_SIZE, Pinned, Translation};
 
 use crate::isa::{Insn, Opcode, decode};
+use crate::observe::PageLog;
 use crate::regs::Regs;
 
 /// Why the interpreter stopped.
@@ -182,8 +185,8 @@ pub struct CpuCacheStats {
     pub tlb_write_hits: u64,
     /// Write-TLB fills.
     pub tlb_write_fills: u64,
-    /// Memory accesses that took the full slow path (tracker installed,
-    /// page-crossing access, or a faulting access).
+    /// Memory accesses that took the full slow path (a page-crossing
+    /// or a faulting access).
     pub slow_accesses: u64,
     /// Page-table walks performed on the VM's behalf: every TLB fill
     /// attempt and every slow-path access. The ratio of this to
@@ -333,10 +336,9 @@ pub struct Cpu {
     pub regs: Regs,
     /// Total instructions retired over the CPU's lifetime.
     pub insn_count: u64,
-    /// Use the TLB/icache fast path (default). Clear to force every
-    /// access down the original slow path — same semantics, used as
-    /// the reference side of differential tests.
-    pub fast_path: bool,
+    /// Use the TLB/icache fast path; `false` only for
+    /// [`Cpu::slow_path`].
+    fast_path: bool,
     /// Fast-path hit/miss counters.
     pub cache_stats: CpuCacheStats,
     caches: Caches,
@@ -540,6 +542,29 @@ impl Port for Untranslated<'_> {
     }
 }
 
+/// The slow path's port with every access logged ([`Cpu::run_observed`]):
+/// a load or fetch before it is performed, fault or not, and a store
+/// once it has committed.
+struct Observed<'a> {
+    mem: Untranslated<'a>,
+    log: &'a mut PageLog,
+}
+
+impl Port for Observed<'_> {
+    type Miss = MemError;
+
+    fn load<const N: usize>(&mut self, addr: u64) -> Result<[u8; N], MemError> {
+        self.log.read::<N>(addr);
+        self.mem.load(addr)
+    }
+
+    fn store<const N: usize>(&mut self, addr: u64, data: [u8; N]) -> Result<(), MemError> {
+        self.mem.store(addr, data)?;
+        self.log.write::<N>(addr);
+        Ok(())
+    }
+}
+
 /// The outer level's port: every access goes through the software TLB
 /// ([`Caches::load`], [`Caches::store`]), which also runs the pin
 /// policy. The wrappers inline and the accesses do not, so the level's
@@ -649,12 +674,12 @@ impl Caches {
                 }
                 return Ok((bytes, false));
             }
-            // A refused translation (tracker installed, unmapped, no
-            // permission) is not counted here: the slow path below
-            // performs — and counts — the one real walk.
+            // A refused translation (unmapped, no permission) is not
+            // counted here: the slow path below performs — and counts —
+            // the one real walk.
         }
-        // Tracker installed, page-crossing access, or a fault: the
-        // exact slow path (which also produces the exact error).
+        // A page-crossing access or a fault: the exact slow path (which
+        // also produces the exact error).
         stats.slow_accesses += 1;
         stats.pages_walked += 1;
         let mut buf = [0u8; N];
@@ -710,8 +735,8 @@ impl Caches {
         Ok(false)
     }
 
-    /// Fetch miss: check alignment, read and decode the word, and (if
-    /// no tracker is watching) install the decode in the icache.
+    /// Fetch miss: check alignment, read and decode the word, and
+    /// install the decode in the icache.
     #[inline(never)]
     fn fetch_fill(
         &mut self,
@@ -730,18 +755,14 @@ impl Caches {
             Ok(i) => i,
             Err(e) => return Err(VmExit::Trap(VmTrap::IllegalInstruction(e.opcode))),
         };
-        // With a tracker installed nothing may be cached: an icache hit
-        // would skip the fetch's page-log record.
-        if mem.tracker().is_none() {
-            stats.icache_fills += 1;
-            self.icache[icache_index(pc)] = ICacheEntry {
-                pc,
-                space_id: mem.space_id(),
-                generation: mem.generation(),
-                insn,
-            };
-            self.note_code_page(pc >> PAGE_SHIFT);
-        }
+        stats.icache_fills += 1;
+        self.icache[icache_index(pc)] = ICacheEntry {
+            pc,
+            space_id: mem.space_id(),
+            generation: mem.generation(),
+            insn,
+        };
+        self.note_code_page(pc >> PAGE_SHIFT);
         Ok(insn)
     }
 }
@@ -843,7 +864,8 @@ impl Cpu {
 
     /// Returns a CPU with the translation/decode fast path disabled —
     /// the pre-TLB interpreter, kept as the reference side of
-    /// differential tests and benchmarks.
+    /// differential tests and benchmarks. [`run`](Cpu::run) on it is
+    /// [`run_observed`](Cpu::run_observed) without the log.
     pub fn slow_path() -> Cpu {
         Cpu {
             fast_path: false,
@@ -870,19 +892,35 @@ impl Cpu {
     /// precisely — the property the paper's deterministic scheduler
     /// depends on.
     pub fn run(&mut self, mem: &mut AddressSpace, budget: Option<u64>) -> VmExit {
-        // `None` is folded to u64::MAX: the loops below then carry no
-        // Option per instruction, and 2^64 instructions is centuries of
-        // virtual time, unreachable before the kernel's chunking.
-        let remaining = match budget {
-            Some(0) => return VmExit::OutOfBudget,
-            Some(n) => n,
-            None => u64::MAX,
+        let Some(remaining) = nonzero(budget) else {
+            return VmExit::OutOfBudget;
         };
         if self.fast_path {
             self.run_fast(mem, remaining)
         } else {
-            self.run_slow(mem, remaining)
+            self.run_slow(&mut Untranslated(mem), remaining)
         }
+    }
+
+    /// [`run`](Cpu::run) on the slow path, whatever this CPU's caches
+    /// hold, recording every page it fetches from, loads from or stores
+    /// to in `log` (see [`PageLog`] for exactly when). Execution is the
+    /// same as `run`'s: exits, registers, retired count and memory all
+    /// agree; only the cache counters stand still.
+    pub fn run_observed(
+        &mut self,
+        mem: &mut AddressSpace,
+        budget: Option<u64>,
+        log: &mut PageLog,
+    ) -> VmExit {
+        let Some(remaining) = nonzero(budget) else {
+            return VmExit::OutOfBudget;
+        };
+        let mut port = Observed {
+            mem: Untranslated(mem),
+            log,
+        };
+        self.run_slow(&mut port, remaining)
     }
 
     /// Executes one instruction; returns `Some` on any stop condition.
@@ -899,15 +937,15 @@ impl Cpu {
     }
 
     /// The pre-TLB interpreter: fetch, decode and walk the page table
-    /// for every instruction and every access.
-    fn run_slow(&mut self, mem: &mut AddressSpace, mut remaining: u64) -> VmExit {
+    /// for every instruction and every access, all through `port`.
+    fn run_slow<P: Port<Miss = MemError>>(&mut self, port: &mut P, mut remaining: u64) -> VmExit {
         let mut pc = self.regs.pc;
         let exit = loop {
-            let insn = match fetch_slow(mem, pc) {
+            let insn = match fetch_slow(port, pc) {
                 Ok(insn) => insn,
                 Err(exit) => break exit,
             };
-            match step(&mut self.regs, insn, &mut pc, &mut Untranslated(mem)) {
+            match step(&mut self.regs, insn, &mut pc, port) {
                 Step::Next => {}
                 Step::Stop(exit) => {
                     self.insn_count += 1;
@@ -968,9 +1006,7 @@ impl Cpu {
         let sid = mem.space_id();
         let mut pc = self.regs.pc;
         self.caches.wanted = [NO_VPN; 2];
-        // With a tracker installed nothing is ever cached, so the
-        // inner level could not execute a single instruction.
-        let mut stay = if mem.tracker().is_some() { UNSERVED } else { 0 };
+        let mut stay = 0;
         // Exits return from where they are: a value carried to one
         // common exit would be live across the whole dispatch loop.
         macro_rules! exit {
@@ -1132,13 +1168,26 @@ fn icache_index(pc: u64) -> usize {
     ((pc >> 2) as usize) & (ICACHE_ENTRIES - 1)
 }
 
-/// The original fetch path, byte-for-byte (the slow path's).
-fn fetch_slow(mem: &AddressSpace, pc: u64) -> Result<Insn, VmExit> {
+/// `budget` with `None` folded to u64::MAX, or `None` if it is zero.
+/// The run loops then carry no Option per instruction, and 2^64
+/// instructions is centuries of virtual time, unreachable before the
+/// kernel's chunking.
+fn nonzero(budget: Option<u64>) -> Option<u64> {
+    match budget {
+        Some(0) => None,
+        Some(n) => Some(n),
+        None => Some(u64::MAX),
+    }
+}
+
+/// The original fetch path, byte-for-byte (the slow path's): a
+/// misaligned pc traps before anything is read.
+fn fetch_slow<P: Port<Miss = MemError>>(port: &mut P, pc: u64) -> Result<Insn, VmExit> {
     if !pc.is_multiple_of(4) {
         return Err(VmExit::Trap(VmTrap::PcMisaligned(pc)));
     }
-    let word = match mem.read_u32(pc) {
-        Ok(w) => w,
+    let word = match port.load::<4>(pc) {
+        Ok(b) => u32::from_le_bytes(b),
         Err(e) => return Err(VmExit::Trap(VmTrap::Mem(e))),
     };
     decode(word).map_err(|e| VmExit::Trap(VmTrap::IllegalInstruction(e.opcode)))
@@ -1544,8 +1593,7 @@ mod tests {
     }
 
     #[test]
-    fn tracker_log_identical_with_fast_path() {
-        use det_memory::AccessTracker;
+    fn observed_log_identical_whatever_the_cpu() {
         let src = "
             li  r5, 0x8000
             ldd r2, [r5+0]
@@ -1555,17 +1603,16 @@ mod tests {
         ";
         let run = |cpu: &mut Cpu| {
             let (_, mut mem) = load(src);
-            let t = AccessTracker::new();
-            mem.set_tracker(Some(t.clone()));
-            assert_eq!(cpu.run(&mut mem, None), VmExit::Halt);
-            (t.pages_read(), t.pages_written())
+            let mut log = PageLog::new();
+            assert_eq!(cpu.run_observed(&mut mem, None, &mut log), VmExit::Halt);
+            assert_eq!(cpu.cache_stats, CpuCacheStats::default());
+            (log.pages_read(), log.pages_written())
         };
         let fast_log = run(&mut Cpu::new());
         let slow_log = run(&mut Cpu::slow_path());
         assert_eq!(fast_log, slow_log);
         // Fetches are reads: page 0 must be in the read set.
-        assert!(fast_log.0.contains(&0));
-        assert!(fast_log.1.contains(&8));
+        assert_eq!(fast_log, (vec![0, 8], vec![8]));
     }
 
     #[test]
@@ -1594,30 +1641,6 @@ mod tests {
         let s = cpu.cache_stats;
         assert_eq!(s.icache_flushes, 0, "aliasing store must not flush");
         assert!(s.hit_rate() > 0.999, "hit rate {}", s.hit_rate());
-    }
-
-    #[test]
-    fn tracked_accesses_count_one_walk_each() {
-        use det_memory::AccessTracker;
-        // With a tracker installed every access is a slow-path walk —
-        // exactly one, not a failed-translate walk plus a slow walk.
-        let (mut cpu, mut mem) = load(
-            "
-            li  r5, 0x8000
-        loop:
-            ldd r2, [r5+0]
-            std r2, [r5+8]
-            beq r0, r0, loop
-            ",
-        );
-        mem.set_tracker(Some(AccessTracker::new()));
-        assert_eq!(cpu.run(&mut mem, Some(3_000)), VmExit::OutOfBudget);
-        let s = cpu.cache_stats;
-        assert_eq!(
-            s.pages_walked, s.slow_accesses,
-            "every tracked access walks exactly once"
-        );
-        assert_eq!(s.fills(), 0, "nothing may be cached while tracked");
     }
 
     #[test]

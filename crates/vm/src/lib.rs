@@ -46,9 +46,11 @@ mod asm;
 pub mod corpus;
 mod interp;
 mod isa;
+mod observe;
 mod regs;
 
 pub use asm::{AsmError, Image, MAX_IMAGE_BYTES, assemble};
 pub use interp::{Cpu, CpuCacheStats, VmExit, VmTrap};
 pub use isa::{DecodeError, Insn, Opcode, decode, disassemble, encode};
+pub use observe::PageLog;
 pub use regs::Regs;

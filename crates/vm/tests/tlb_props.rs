@@ -5,15 +5,17 @@
 //! ([`Cpu::slow_path`] — the original interpreter), under identical
 //! preemption quanta and identical externally-applied kernel operations
 //! (writes, permission flips, snapshot + merge, fresh mappings, virtual
-//! copies, tracker install/removal). The two executions must agree on
-//! *everything observable*: every exit (including traps and their
-//! order), every register, the retired-instruction count, the final
-//! memory digest, the dirty write-set, merge statistics and conflicts
-//! under all three conflict policies, and the access tracker's page
-//! log. The caches are allowed to change performance only.
+//! copies). The two executions must agree on *everything observable*:
+//! every exit (including traps and their order), every register, the
+//! retired-instruction count, the final memory digest, the dirty
+//! write-set, and merge statistics and conflicts under all three
+//! conflict policies. The caches are allowed to change performance
+//! only. The same differential with the slow side under
+//! [`Cpu::run_observed`] shows that observing a run does not perturb
+//! it.
 
-use det_memory::{AccessTracker, AddressSpace, ConflictPolicy, Perm, Region};
-use det_vm::{Cpu, CpuCacheStats, Insn, Opcode, VmExit, assemble, corpus, encode};
+use det_memory::{AddressSpace, ConflictPolicy, Perm, Region};
+use det_vm::{Cpu, CpuCacheStats, Insn, Opcode, PageLog, VmExit, assemble, corpus, encode};
 use proptest::prelude::*;
 
 const CODE: Region = Region {
@@ -229,28 +231,28 @@ fn apply_op(
 }
 
 /// Runs the same schedule on fast and slow CPUs, asserting equality at
-/// every observation point. Returns (exits, final digest) for extra
-/// checks.
+/// every observation point; with `observed`, the slow side runs under
+/// [`Cpu::run_observed`].
 fn differential_run(
     words: &[u32],
     quanta: &[u64],
     ops: &[u8],
     policy: ConflictPolicy,
-    tracked: bool,
+    observed: bool,
 ) -> Result<(), TestCaseError> {
     let (mut fast, mut mem_f) = build(words);
     let (_, mut mem_s) = build(words);
     let mut slow = Cpu::slow_path();
     slow.regs = fast.regs;
-    let (tf, ts) = (AccessTracker::new(), AccessTracker::new());
-    if tracked {
-        mem_f.set_tracker(Some(tf.clone()));
-        mem_s.set_tracker(Some(ts.clone()));
-    }
+    let mut log = PageLog::new();
     let (mut sib_f, mut sib_s) = (None, None);
     for (i, &q) in quanta.iter().enumerate() {
         let ef = fast.run(&mut mem_f, Some(q));
-        let es = slow.run(&mut mem_s, Some(q));
+        let es = if observed {
+            slow.run_observed(&mut mem_s, Some(q), &mut log)
+        } else {
+            slow.run(&mut mem_s, Some(q))
+        };
         prop_assert_eq!(ef, es, "exit diverged at quantum {}", i);
         prop_assert_eq!(fast.regs, slow.regs, "registers diverged at quantum {}", i);
         prop_assert_eq!(fast.insn_count, slow.insn_count);
@@ -272,10 +274,6 @@ fn differential_run(
         (Some(a), Some(b)) => prop_assert_eq!(a.content_digest(), b.content_digest()),
         (None, None) => {}
         _ => unreachable!("identical schedules fork identically"),
-    }
-    if tracked {
-        prop_assert_eq!(tf.pages_read(), ts.pages_read());
-        prop_assert_eq!(tf.pages_written(), ts.pages_written());
     }
     Ok(())
 }
@@ -305,10 +303,10 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Same differential with an access tracker installed: the fast
-    /// path must disable itself and leave an identical page log.
+    /// The fast path against the observed slow path: observing a run
+    /// does not perturb it.
     #[test]
-    fn tracker_log_is_identical(
+    fn observing_does_not_perturb_execution(
         words in arb_program(),
         quanta in proptest::collection::vec(1u64..80, 1..8),
         ops in proptest::collection::vec(0u8..=255, 0..8),
@@ -316,10 +314,11 @@ proptest! {
         differential_run(&words, &quanta, &ops, ConflictPolicy::Strict, true)?;
     }
 
-    /// Mid-run tracker install/removal: translations cached while
-    /// untracked must not leak accesses past a later tracker.
+    /// A CPU whose fast path is warm logs, when observed, exactly what
+    /// a cold slow-path CPU logs from the same point: no cached
+    /// translation or decode can hide an access.
     #[test]
-    fn tracker_installed_mid_run(
+    fn warm_caches_cannot_hide_an_access(
         words in arb_program(),
         q in 1u64..200,
     ) {
@@ -327,28 +326,29 @@ proptest! {
         let (_, mut mem_s) = build(&words);
         let mut slow = Cpu::slow_path();
         slow.regs = fast.regs;
-        // Phase 1: untracked (fast path warms its caches).
+        // Phase 1: unobserved (the fast path warms its caches).
         let ef = fast.run(&mut mem_f, Some(q));
         let es = slow.run(&mut mem_s, Some(q));
         prop_assert_eq!(ef, es);
         if !matches!(ef, VmExit::Halt | VmExit::Trap(_)) {
-            // Phase 2: tracker installed on both.
-            let (tf, ts) = (AccessTracker::new(), AccessTracker::new());
-            mem_f.set_tracker(Some(tf.clone()));
-            mem_s.set_tracker(Some(ts.clone()));
-            let ef = fast.run(&mut mem_f, Some(q));
-            let es = slow.run(&mut mem_s, Some(q));
+            // Phase 2: the warm CPU observed beside a cold one.
+            let mut cold = Cpu::slow_path();
+            (cold.regs, cold.insn_count) = (slow.regs, slow.insn_count);
+            slow = cold;
+            let warm = fast.cache_stats;
+            let (mut lf, mut ls) = (PageLog::new(), PageLog::new());
+            let ef = fast.run_observed(&mut mem_f, Some(q), &mut lf);
+            let es = slow.run_observed(&mut mem_s, Some(q), &mut ls);
             prop_assert_eq!(ef, es);
-            prop_assert_eq!(tf.pages_read(), ts.pages_read());
-            prop_assert_eq!(tf.pages_written(), ts.pages_written());
-            // Phase 3: tracker removed, fast path resumes.
-            mem_f.set_tracker(None);
-            mem_s.set_tracker(None);
+            prop_assert_eq!(lf, ls);
+            prop_assert_eq!(fast.cache_stats, warm, "an observed run caches nothing");
+            // Phase 3: unobserved again, the fast path resumes.
             let ef = fast.run(&mut mem_f, Some(q));
             let es = slow.run(&mut mem_s, Some(q));
             prop_assert_eq!(ef, es);
         }
         prop_assert_eq!(fast.regs, slow.regs);
+        prop_assert_eq!(fast.insn_count, slow.insn_count);
         prop_assert_eq!(mem_f.content_digest(), mem_s.content_digest());
     }
 }

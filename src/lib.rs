@@ -117,17 +117,17 @@ pub mod prelude {
 /// Paged copy-on-write memory: `det-memory`.
 pub mod memory {
     pub use det_memory::{
-        AccessTracker, AddressSpace, CloneStats, ConflictPolicy, ContentDigest, Frame, MemError,
-        MergeConflict, MergeStats, PAGE_SHIFT, PAGE_SIZE, PAGES_PER_LEAF, PageDelta, PageDeltaOp,
-        PageInfo, Perm, Pinned, Region, Result, SpaceDelta, Translation, reference,
+        AddressSpace, CloneStats, ConflictPolicy, ContentDigest, Frame, MemError, MergeConflict,
+        MergeStats, PAGE_SHIFT, PAGE_SIZE, PAGES_PER_LEAF, PageDelta, PageDeltaOp, PageInfo, Perm,
+        Pinned, Region, Result, SpaceDelta, Translation, reference,
     };
 }
 
 /// Deterministic virtual CPU: `det-vm`.
 pub mod vm {
     pub use det_vm::{
-        AsmError, Cpu, CpuCacheStats, DecodeError, Image, Insn, Opcode, Regs, VmExit, VmTrap,
-        assemble, corpus, decode, disassemble, encode,
+        AsmError, Cpu, CpuCacheStats, DecodeError, Image, Insn, Opcode, PageLog, Regs, VmExit,
+        VmTrap, assemble, corpus, decode, disassemble, encode,
     };
 }
 
