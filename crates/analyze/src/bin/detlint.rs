@@ -5,8 +5,9 @@
 //! Scans production sources under `<dir>` (default: the current
 //! directory) with the rules in `det_analyze::lint`, honoring the
 //! `detlint.allow` allowlist at the root. Prints one line per finding
-//! and exits nonzero if any remain — `-D warnings` strictness, there
-//! is no warn-only mode.
+//! (an allowlist entry that waives nothing is one) and exits nonzero
+//! if any remain — `-D warnings` strictness, there is no warn-only
+//! mode.
 
 use std::path::PathBuf;
 use std::process::ExitCode;

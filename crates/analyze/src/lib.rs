@@ -26,7 +26,8 @@
 //!
 //! The two binaries (`analyze`, `detlint`) are thin CLI wrappers used
 //! by CI: `analyze` is the footprint-soundness gate and nightly report
-//! generator, `detlint` exits nonzero on any un-allowlisted finding.
+//! generator, `detlint` exits nonzero on any un-allowlisted finding
+//! and on any allowlist entry that waives nothing.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

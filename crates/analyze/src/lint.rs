@@ -20,13 +20,15 @@
 //!   fold that walks one silently becomes nondeterministic. Use
 //!   `BTreeMap`/`BTreeSet`.
 //! * **`host-time`** — `Instant`/`SystemTime`/host randomness are
-//!   forbidden outside the segregated host-stats modules (wall-clock
-//!   measurement in `det-bench`), which are named in the allowlist.
+//!   forbidden in production code. Host timing is measured by
+//!   detbench (`benchmark/`), outside the scanned tree.
 //!
 //! Escapes go in an explicit allowlist file (`detlint.allow` at the
 //! workspace root): one `<rule> <path-substring>` pair per line. An
 //! allowlist entry is an audited claim, not an off switch — each line
-//! should carry a comment saying why the use is benign.
+//! should carry a comment saying why the use is benign. A claim about
+//! code that no longer exists is itself a finding (`stale-waiver`):
+//! an entry that waived nothing is reported at its line of the file.
 
 use std::fs;
 use std::io;
@@ -56,8 +58,7 @@ pub const PURITY_TOKENS: &[&str] = &[
 /// Randomized-iteration collections: forbidden in production code.
 pub const COLLECTION_TOKENS: &[&str] = &["HashMap", "HashSet"];
 
-/// Host clocks and host randomness: forbidden outside segregated
-/// host-stats modules.
+/// Host clocks and host randomness: forbidden in production code.
 pub const HOST_TIME_TOKENS: &[&str] = &[
     "Instant",
     "SystemTime",
@@ -72,46 +73,82 @@ pub const HOST_TIME_TOKENS: &[&str] = &[
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Finding {
     /// Which rule fired (`purity`, `canonical-collections`,
-    /// `host-time`).
+    /// `host-time`, [`STALE_WAIVER`]).
     pub rule: &'static str,
     /// Workspace-relative path of the offending file.
     pub path: String,
     /// 1-based line number.
     pub line: usize,
-    /// The forbidden token that matched.
+    /// The forbidden token that matched (empty for a stale waiver).
     pub token: &'static str,
 }
 
+/// The rule of a finding that points at an allowlist entry which
+/// waived nothing.
+pub const STALE_WAIVER: &str = "stale-waiver";
+
 impl std::fmt::Display for Finding {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{}:{}: [{}] forbidden token {:?}",
-            self.path, self.line, self.rule, self.token
-        )
+        write!(f, "{}:{}: [{}] ", self.path, self.line, self.rule)?;
+        if self.rule == STALE_WAIVER {
+            f.write_str("waiver suppresses no finding")
+        } else {
+            write!(f, "forbidden token {:?}", self.token)
+        }
     }
 }
 
-/// An allowlist: `(rule, path-substring)` pairs.
-pub type Allowlist = Vec<(String, String)>;
+/// One allowlist entry: findings of `rule` in any path containing
+/// `fragment` are waived.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct Waiver {
+    /// The rule waived.
+    pub rule: String,
+    /// A substring of the waived paths.
+    pub fragment: String,
+    /// 1-based line of the entry in the allowlist file.
+    pub line: usize,
+}
+
+/// An allowlist: its entries in file order.
+pub type Allowlist = Vec<Waiver>;
 
 /// Parses an allowlist file: one `<rule> <path-substring>` per line;
 /// `#` starts a comment; blank lines are skipped.
 pub fn parse_allowlist(text: &str) -> Allowlist {
     text.lines()
-        .map(|l| l.split('#').next().unwrap_or("").trim())
-        .filter(|l| !l.is_empty())
-        .filter_map(|l| {
-            let mut it = l.split_whitespace();
-            Some((it.next()?.to_string(), it.next()?.to_string()))
+        .enumerate()
+        .filter_map(|(i, l)| {
+            let mut it = l.split('#').next().unwrap_or("").split_whitespace();
+            Some(Waiver {
+                rule: it.next()?.to_string(),
+                fragment: it.next()?.to_string(),
+                line: i + 1,
+            })
         })
         .collect()
 }
 
-fn allowed(allow: &Allowlist, rule: &str, path: &str) -> bool {
-    allow
+/// Drops the findings `allow` waives, then reports every entry that
+/// waives none as a [`STALE_WAIVER`] finding at its line of
+/// `allow_path`.
+fn apply_allowlist(findings: &[Finding], allow: &Allowlist, allow_path: &str) -> Vec<Finding> {
+    let waives = |w: &Waiver, f: &Finding| w.rule == f.rule && f.path.contains(&w.fragment);
+    let stale = allow
         .iter()
-        .any(|(r, frag)| r == rule && path.contains(frag.as_str()))
+        .filter(|w| !findings.iter().any(|f| waives(w, f)))
+        .map(|w| Finding {
+            rule: STALE_WAIVER,
+            path: allow_path.to_string(),
+            line: w.line,
+            token: "",
+        });
+    findings
+        .iter()
+        .filter(|f| !allow.iter().any(|w| waives(w, f)))
+        .cloned()
+        .chain(stale)
+        .collect()
 }
 
 /// Scans one source file against one rule's token list. Comments are
@@ -151,8 +188,8 @@ pub fn purity_violations(path: &str, src: &str) -> Vec<Finding> {
 }
 
 /// Lints one production source file, applying every rule that governs
-/// its path and filtering through the allowlist.
-pub fn lint_file(rel_path: &str, src: &str, allow: &Allowlist) -> Vec<Finding> {
+/// its path.
+pub fn lint_file(rel_path: &str, src: &str) -> Vec<Finding> {
     let mut out = Vec::new();
     let file_name = rel_path.rsplit('/').next().unwrap_or(rel_path);
     if matches!(file_name, "state.rs" | "apply.rs") {
@@ -165,16 +202,18 @@ pub fn lint_file(rel_path: &str, src: &str, allow: &Allowlist) -> Vec<Finding> {
         src,
     ));
     out.extend(scan_source("host-time", HOST_TIME_TOKENS, rel_path, src));
-    out.retain(|f| !allowed(allow, f.rule, &f.path));
     out
 }
 
 /// Lints every production source in the workspace: `src/` and
 /// `crates/*/src/` recursively. `tests/`, `benches/`, `examples/`, and
 /// the vendored `shims/` are out of scope by construction — they are
-/// host-side harness code, not the deterministic substrate.
+/// host-side harness code, not the deterministic substrate. Findings
+/// pass through `detlint.allow`, and each entry of it that waives
+/// nothing is a finding of its own.
 pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
-    let allow = match fs::read_to_string(root.join("detlint.allow")) {
+    const ALLOW_FILE: &str = "detlint.allow";
+    let allow = match fs::read_to_string(root.join(ALLOW_FILE)) {
         Ok(s) => parse_allowlist(&s),
         Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
         Err(e) => return Err(e),
@@ -208,9 +247,9 @@ pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
             .unwrap_or(f)
             .to_string_lossy()
             .replace('\\', "/");
-        out.extend(lint_file(&rel, &src, &allow));
+        out.extend(lint_file(&rel, &src));
     }
-    Ok(out)
+    Ok(apply_allowlist(&out, &allow, ALLOW_FILE))
 }
 
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
@@ -235,7 +274,7 @@ mod tests {
     #[test]
     fn comments_and_tests_do_not_trip() {
         let src = "// a HashMap in prose\nfn f() {}\n#[cfg(test)]\nmod t { use std::collections::HashMap; }\n";
-        assert!(lint_file("crates/x/src/a.rs", src, &Vec::new()).is_empty());
+        assert!(lint_file("crates/x/src/a.rs", src).is_empty());
     }
 
     #[test]
@@ -244,7 +283,7 @@ mod tests {
                    const MARK: &str = \"#[cfg(test)]\";\n\
                    use std::collections::HashMap;\n\
                    #[cfg(test)]\nmod t { use std::collections::HashSet; }\n";
-        let hits = lint_file("crates/x/src/a.rs", src, &Vec::new());
+        let hits = lint_file("crates/x/src/a.rs", src);
         assert_eq!(hits.len(), 1, "{hits:?}");
         assert_eq!((hits[0].line, hits[0].token), (3, "HashMap"));
     }
@@ -252,30 +291,51 @@ mod tests {
     #[test]
     fn production_hashmap_is_flagged_and_allowlistable() {
         let src = "use std::collections::HashMap;\n";
-        let hits = lint_file("crates/x/src/a.rs", src, &Vec::new());
+        let hits = lint_file("crates/x/src/a.rs", src);
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].rule, "canonical-collections");
         assert_eq!(hits[0].line, 1);
         let allow = parse_allowlist("canonical-collections crates/x/src/a.rs # audited\n");
-        assert!(lint_file("crates/x/src/a.rs", src, &allow).is_empty());
+        assert!(apply_allowlist(&hits, &allow, "detlint.allow").is_empty());
+    }
+
+    #[test]
+    fn a_waiver_that_waives_nothing_is_a_finding() {
+        let allow = parse_allowlist(
+            "# audited\n\
+             host-time crates/x/src/a.rs\n\
+             \n\
+             host-time crates/gone/src/b.rs # file deleted\n\
+             canonical-collections crates/x/src/a.rs\n",
+        );
+        let hits = lint_file("crates/x/src/a.rs", "use std::time::Instant;\n");
+        let out = apply_allowlist(&hits, &allow, "detlint.allow");
+        let stale: Vec<String> = out.iter().map(ToString::to_string).collect();
+        assert_eq!(
+            stale,
+            [
+                "detlint.allow:4: [stale-waiver] waiver suppresses no finding",
+                "detlint.allow:5: [stale-waiver] waiver suppresses no finding",
+            ]
+        );
     }
 
     #[test]
     fn purity_rule_targets_core_modules_only() {
         let src = "fn f() { let _ = 1; } // fine\nstruct Holds { m: std::sync::Mutex<u8> }\n";
         assert!(
-            lint_file("crates/k/src/other.rs", src, &Vec::new())
+            lint_file("crates/k/src/other.rs", src)
                 .iter()
                 .all(|f| f.rule != "purity")
         );
-        let hits = lint_file("crates/k/src/apply.rs", src, &Vec::new());
+        let hits = lint_file("crates/k/src/apply.rs", src);
         assert!(hits.iter().any(|f| f.rule == "purity" && f.line == 2));
     }
 
     #[test]
     fn host_time_flagged_everywhere() {
         let src = "use std::time::Instant;\n";
-        let hits = lint_file("crates/cluster/src/x.rs", src, &Vec::new());
+        let hits = lint_file("crates/cluster/src/x.rs", src);
         assert!(hits.iter().any(|f| f.rule == "host-time"));
     }
 

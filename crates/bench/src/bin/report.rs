@@ -9,32 +9,27 @@
 use std::process::ExitCode;
 
 use det_bench::{
-    Scale, Table, analyze_cost, analyze_prefetch, clone_table, fig4, fig7, fig8, fig9, fig10,
-    fig11, fig12, quantum_ablation, scaling, table3, vm_mips,
+    Scale, Table, fig4, fig7, fig8, fig9, fig10, fig11, fig12, quantum_ablation, table3,
 };
 
-/// A report section: its name on the command line and its tables.
-type Section = (&'static str, fn(Scale) -> Vec<Table>);
+/// A report section: its name on the command line and its table.
+type Section = (&'static str, fn(Scale) -> Table);
 
 /// Every section, in print order.
-const SECTIONS: [Section; 13] = [
-    ("fig4", |_| vec![fig4()]),
-    ("fig7", |s| vec![fig7(s)]),
-    ("fig8", |s| vec![fig8(s)]),
-    ("fig9", |s| vec![fig9(s)]),
-    ("fig10", |s| vec![fig10(s)]),
-    ("fig11", |s| vec![fig11(s)]),
-    ("fig12", |s| vec![fig12(s)]),
-    ("quantum", |s| vec![quantum_ablation(s)]),
-    ("vmmips", |s| vec![vm_mips(s)]),
-    ("clone", |s| vec![clone_table(s)]),
-    ("scaling", |s| vec![scaling(s)]),
-    ("analyze", |s| vec![analyze_cost(s), analyze_prefetch(s)]),
+const SECTIONS: [Section; 9] = [
+    ("fig4", |_| fig4()),
+    ("fig7", fig7),
+    ("fig8", fig8),
+    ("fig9", fig9),
+    ("fig10", fig10),
+    ("fig11", fig11),
+    ("fig12", fig12),
+    ("quantum", quantum_ablation),
     ("table3", |_| {
         let root = std::env::var("CARGO_MANIFEST_DIR")
             .map(|d| std::path::PathBuf::from(d).join("../.."))
             .unwrap_or_else(|_| ".".into());
-        vec![table3(&root)]
+        table3(&root)
     }),
 ];
 
@@ -69,11 +64,9 @@ fn main() -> ExitCode {
             "quick scale"
         }
     );
-    for (name, tables) in SECTIONS {
+    for (name, table) in SECTIONS {
         if all || wanted.contains(&name) {
-            for table in tables(scale) {
-                print!("{}", table.to_markdown());
-            }
+            print!("{}", table(scale).to_markdown());
         }
     }
     ExitCode::SUCCESS

@@ -13,8 +13,6 @@ use det_workloads::md5::{self, Md5Config};
 use det_workloads::qsort::{self, QsortConfig};
 use det_workloads::{Mode, RunResult, speedup};
 
-pub mod vmwork;
-
 /// One printable table.
 #[derive(Clone, Debug)]
 pub struct Table {
@@ -138,12 +136,6 @@ fn bench_run(name: &str, threads: usize, scale: Scale, mode: Mode) -> RunResult 
     }
 }
 
-/// Virtual makespans of one benchmark: (Determinator, baseline).
-fn bench_pair(name: &str, threads: usize, scale: Scale) -> (u64, u64) {
-    let ns = |mode| bench_run(name, threads, scale, mode).vclock_ns;
-    (ns(Mode::Determinator), ns(Mode::Baseline))
-}
-
 /// All Figure 7/8 benchmark names.
 pub const BENCHMARKS: &[&str] = &[
     "md5",
@@ -195,11 +187,11 @@ pub fn fig8(scale: Scale) -> Table {
     let threads = thread_counts(scale);
     let mut rows = Vec::new();
     for &name in BENCHMARKS {
-        let (base, _) = bench_pair(name, 1, scale);
+        let ns = |t| bench_run(name, t, scale, Mode::Determinator).vclock_ns;
+        let base = ns(1);
         let mut row = vec![name.to_string()];
         for &t in &threads {
-            let (d, _) = bench_pair(name, t, scale);
-            row.push(format!("{:.2}", speedup(base, d)));
+            row.push(format!("{:.2}", speedup(base, ns(t))));
         }
         rows.push(row);
     }
@@ -444,7 +436,9 @@ pub fn quantum_ablation(scale: Scale) -> Table {
 /// Figure 4: the parallel-make scheduling scenario. Three tasks of 6,
 /// 2 and 4 virtual ms with a 2-worker quota: Unix `wait()` (first
 /// completion) packs them in 6 ms; Determinator's deterministic
-/// `wait()` (earliest fork) needs 8 ms.
+/// `wait()` (earliest fork) starts task 3 only when task 1 finishes at
+/// 6 ms, so the run needs 6 + 4 = 10 ms (plus the runtime's own
+/// charges; the table prints 10.1 ms).
 pub fn fig4() -> Table {
     use det_kernel::KernelConfig;
     use det_runtime::proc::{ProgramRegistry, run_process_tree};
@@ -496,328 +490,6 @@ pub fn fig4() -> Table {
     }
 }
 
-/// Per-workload VM interpreter throughput: host MIPS of each VM-coded
-/// workload kernel with the software TLB + decoded-instruction cache
-/// on (and run-scoped pins above them), against the pre-TLB reference
-/// interpreter, plus the exact (deterministic) cache statistics behind
-/// the speedup. Wall-clock numbers are indicative; the hit rates, walk
-/// counts and pin builds are not.
-pub fn vm_mips(scale: Scale) -> Table {
-    let budget = match scale {
-        Scale::Quick => 2_000_000,
-        Scale::Full => 20_000_000,
-    };
-    let mut rows = Vec::new();
-    let mut kernels: Vec<(&str, &str)> = vec![("alu_loop", vmwork::ALU_LOOP)];
-    kernels.extend(vmwork::KERNELS.iter().map(|k| (k.name, k.src)));
-    for (name, src) in kernels {
-        let fast = vmwork::run_kernel(src, budget, true);
-        let slow = vmwork::run_kernel(src, budget, false);
-        let s = fast.stats;
-        rows.push(vec![
-            name.to_string(),
-            format!("{:.1}", fast.mips()),
-            format!("{:.2}", fast.ns_per_insn()),
-            format!("{:.1}", slow.mips()),
-            format!("{:.2}x", slow.ns_per_insn() / fast.ns_per_insn()),
-            format!("{:.4}", s.hit_rate()),
-            format!("{:.4}", s.pages_walked as f64 * 1e3 / fast.insns as f64),
-            // How many translated accesses one validation was good for.
-            match s.pin_builds {
-                0 => "-".into(),
-                n => format!(
-                    "{:.0}",
-                    (s.tlb_read_hits + s.tlb_write_hits) as f64 / n as f64
-                ),
-            },
-        ]);
-    }
-    Table {
-        title: "VM interpreter throughput — per-workload MIPS, software TLB vs pre-TLB reference"
-            .into(),
-        headers: vec![
-            "kernel".into(),
-            "MIPS (tlb)".into(),
-            "ns/insn".into(),
-            "MIPS (reference)".into(),
-            "speedup".into(),
-            "cache hit rate".into(),
-            "walks / kinsn".into(),
-            "accesses per pin build".into(),
-        ],
-        rows,
-    }
-}
-
-/// The structural-clone cost table (`report -- clone`): how much
-/// page-table work fork/snapshot actually performs under the two-level
-/// shared table, per operation shape. The work counts (leaves shared,
-/// boundary pages) are deterministic; the host ns column is indicative
-/// (one timed loop, no statistics) and the virtual-time column is what the
-/// kernel charges via `CostModel::calibrated()` — the O(touched)
-/// fork/snapshot cost of PAPER.md §3.2/§8.
-pub fn clone_table(scale: Scale) -> Table {
-    use det_kernel::CostModel;
-    use det_memory::{AddressSpace, PAGES_PER_LEAF, Perm, Region};
-
-    const PAGE: u64 = 4096;
-    let leaf_bytes = PAGES_PER_LEAF as u64 * PAGE;
-    let costs = CostModel::calibrated();
-    let reps = match scale {
-        Scale::Quick => 200,
-        Scale::Full => 2_000,
-    };
-
-    let build = |bytes: u64, start: u64| -> AddressSpace {
-        let mut s = AddressSpace::new();
-        let r = Region::sized(start, bytes);
-        s.map_zero(r, Perm::RW).unwrap();
-        for vpn in 0..bytes / PAGE {
-            s.write_u64(start + vpn * PAGE, vpn + 1).unwrap();
-        }
-        s
-    };
-
-    let mut rows = Vec::new();
-    let mut add = |name: &str, src: &mut AddressSpace, region: Region, dst: Option<u64>| {
-        // One counted run for the deterministic work split…
-        let (stats, pages) = match dst {
-            Some(d) => {
-                let mut t = AddressSpace::new();
-                let cs = t.copy_from_counted(src, region, d).unwrap();
-                (Some(cs), cs.pages)
-            }
-            None => (None, src.snapshot().page_count() as u64),
-        };
-        // …then repeated runs for an indicative host cost.
-        let t0 = std::time::Instant::now();
-        for _ in 0..reps {
-            match dst {
-                Some(d) => {
-                    let mut t = AddressSpace::new();
-                    std::hint::black_box(t.copy_from_counted(src, region, d).unwrap());
-                }
-                None => {
-                    std::hint::black_box(src.snapshot().page_count());
-                }
-            }
-        }
-        let host_ns = t0.elapsed().as_nanos() as f64 / reps as f64;
-        // A snapshot's structural work is its spine: all leaves
-        // shared, no boundary pages. Using CloneStats + the kernel's
-        // own copy_cost_ps keeps this column equal to what the kernel
-        // actually charges.
-        let cs = stats.unwrap_or(det_memory::CloneStats {
-            pages,
-            leaves_shared: src.leaf_count() as u64,
-            boundary_pages: 0,
-        });
-        let virt_ps = costs.copy_cost_ps(&cs);
-        rows.push(vec![
-            name.to_string(),
-            pages.to_string(),
-            cs.leaves_shared.to_string(),
-            cs.boundary_pages.to_string(),
-            format!("{host_ns:.0}"),
-            format!("{:.1}", virt_ps as f64 / 1000.0),
-        ]);
-    };
-
-    let mb4 = 4 * 1024 * 1024;
-    let mut aligned = build(mb4, 4 * leaf_bytes);
-    let aligned_r = Region::sized(4 * leaf_bytes, mb4);
-    add("snapshot 4 MiB", &mut aligned, aligned_r, None);
-    add(
-        "virtual copy 4 MiB, leaf-congruent",
-        &mut aligned,
-        aligned_r,
-        Some(4 * leaf_bytes),
-    );
-    add(
-        "virtual copy 4 MiB, page-shifted (no sharing)",
-        &mut aligned,
-        aligned_r,
-        Some(4 * leaf_bytes + PAGE),
-    );
-    let mut unaligned = build(mb4, 4 * leaf_bytes + 16 * PAGE);
-    add(
-        "virtual copy 4 MiB, mid-leaf range",
-        &mut unaligned,
-        Region::sized(4 * leaf_bytes + 16 * PAGE, mb4),
-        Some(4 * leaf_bytes + 16 * PAGE),
-    );
-    let mb64 = 64 * 1024 * 1024;
-    let mut big = build(mb64, 8 * leaf_bytes);
-    let big_r = Region::sized(8 * leaf_bytes, mb64);
-    add("snapshot 64 MiB", &mut big, big_r, None);
-    add(
-        "virtual copy 64 MiB, leaf-congruent",
-        &mut big,
-        big_r,
-        Some(8 * leaf_bytes),
-    );
-
-    Table {
-        title: "Structural clone — fork/snapshot page-table work under the shared two-level \
-                table (PAPER.md §3.2, §8)"
-            .into(),
-        headers: vec![
-            "operation".into(),
-            "pages".into(),
-            "leaves shared".into(),
-            "boundary pages".into(),
-            "host ns/op".into(),
-            "virtual ns/op".into(),
-        ],
-        rows,
-    }
-}
-
-/// Shard scaling of the real-thread cluster runtime (§6.3): the same
-/// logical workload — an 8-node md5-scan fan-out — on 1/2/4/8 host
-/// shards. Wall-clock time must fall with the shard count while every
-/// deterministic quantity (checksum, virtual clock, the whole
-/// conformance bundle) stays bit-identical; the function asserts the
-/// invariance and reports the measured speedups. Wall-clock numbers
-/// are host-dependent; everything else in the table is not.
-pub fn scaling(scale: Scale) -> Table {
-    use det_workloads::sharded::{ShardedConfig, md5_scan};
-    let size = match scale {
-        Scale::Quick => 400_000,
-        Scale::Full => 1_600_000,
-    };
-    let cfg = |shards| ShardedConfig {
-        size,
-        ..ShardedConfig::quick(8, shards)
-    };
-    let mut rows = Vec::new();
-    let mut base: Option<(f64, Vec<u8>, u64)> = None;
-    for shards in [1usize, 2, 4, 8] {
-        let t0 = std::time::Instant::now();
-        let r = md5_scan(cfg(shards));
-        let wall = t0.elapsed().as_secs_f64();
-        let bundle = r.outcome.bundle_bytes();
-        let (wall1, bundle1, vclock1) =
-            base.get_or_insert_with(|| (wall, bundle.clone(), r.outcome.vclock_ns));
-        assert_eq!(&bundle, bundle1, "bundle diverged at {shards} shards");
-        assert_eq!(
-            r.outcome.vclock_ns, *vclock1,
-            "vclock moved at {shards} shards"
-        );
-        rows.push(vec![
-            shards.to_string(),
-            format!("{:.1}", wall * 1e3),
-            format!("{:.2}", *wall1 / wall),
-            format!("{:.3}", r.outcome.vclock_ns as f64 / 1e6),
-            "identical".into(),
-        ]);
-    }
-    Table {
-        title: "Shard scaling — md5-scan fan-out, 8 logical nodes on 1/2/4/8 host shards \
-                (DESIGN.md §10; PAPER.md §6.3). Wall-clock falls; the bundle does not move"
-            .into(),
-        headers: vec![
-            "shards".into(),
-            "wall ms".into(),
-            "speedup".into(),
-            "vclock ms".into(),
-            "bundle".into(),
-        ],
-        rows,
-    }
-}
-
-/// The static analyzer's cost table (`report -- analyze`): host time
-/// of one [`det_analyze::analyze`] pass per corpus kernel, amortized
-/// per kilo-instruction of the soundness gate's execution budget,
-/// next to the predicted write footprint. Host nanoseconds are
-/// indicative; `steps` is the deterministic work measure the kernel
-/// charges via `CostModel::analyze_step_ps`.
-pub fn analyze_cost(scale: Scale) -> Table {
-    use std::time::Instant;
-    let iters = match scale {
-        Scale::Quick => 20u32,
-        Scale::Full => 200,
-    };
-    let cfg = det_analyze::AnalyzeConfig::default();
-    let mut rows = Vec::new();
-    for p in det_vm::corpus::PROGRAMS {
-        let image = det_vm::assemble(p.src).expect("corpus program assembles");
-        let segs = [det_analyze::Segment {
-            base: 0,
-            bytes: &image.bytes,
-        }];
-        let mut analysis = det_analyze::analyze(&segs, 0, &cfg);
-        let start = Instant::now();
-        for _ in 0..iters {
-            analysis = det_analyze::analyze(&segs, 0, &cfg);
-        }
-        let ns = (start.elapsed().as_nanos() / u128::from(iters)) as u64;
-        rows.push(vec![
-            p.name.to_string(),
-            analysis.footprint.steps.to_string(),
-            format!("{:.1}", ns as f64 / 1e3),
-            format!("{:.1}", ns as f64 * 1e3 / p.budget as f64),
-            format!("{}", analysis.footprint.writes),
-        ]);
-    }
-    Table {
-        title: "Static footprint analysis — cost per corpus kernel and predicted write set".into(),
-        headers: vec![
-            "kernel".into(),
-            "abs steps".into(),
-            "analysis µs".into(),
-            "ns / exec kinsn".into(),
-            "pred write pages".into(),
-        ],
-        rows,
-    }
-}
-
-/// Footprint-hinted vs unhinted leaf-pull migration
-/// (`report -- analyze`): the `vm_prefetch` sharded workload run both
-/// ways. The hint must leave the checksum untouched while cutting
-/// page pulls and bytes on the wire; virtual time differs only by the
-/// root's charged analysis work.
-pub fn analyze_prefetch(scale: Scale) -> Table {
-    use det_workloads::sharded::{ShardedConfig, vm_prefetch};
-    let size = match scale {
-        Scale::Quick => 1_600,
-        Scale::Full => 2_048,
-    };
-    let mut rows = Vec::new();
-    for (label, hint) in [("unhinted", false), ("footprint hint", true)] {
-        let r = vm_prefetch(
-            ShardedConfig {
-                size,
-                ..ShardedConfig::quick(4, 3)
-            },
-            hint,
-        );
-        let c = &r.outcome.cluster;
-        rows.push(vec![
-            label.to_string(),
-            c.page_pulls.to_string(),
-            c.bytes_transferred.to_string(),
-            c.messages.to_string(),
-            format!("{:.3}", r.outcome.vclock_ns as f64 / 1e6),
-            format!("{:#x}", r.checksum),
-        ]);
-    }
-    Table {
-        title: "Leaf-pull migration with and without the analyzer's prefetch hint".into(),
-        headers: vec![
-            "mode".into(),
-            "page pulls".into(),
-            "bytes on wire".into(),
-            "messages".into(),
-            "vclock ms".into(),
-            "checksum".into(),
-        ],
-        rows,
-    }
-}
-
 /// Table 3: implementation size of this repository, in semicolon
 /// lines per component (the paper's metric).
 pub fn table3(repo_root: &std::path::Path) -> Table {
@@ -849,6 +521,11 @@ pub fn table3(repo_root: &std::path::Path) -> Table {
         ("User-level runtime (det-runtime)", "crates/runtime/src"),
         ("Shard cluster runtime (det-cluster)", "crates/cluster/src"),
         ("Workloads (det-workloads)", "crates/workloads/src"),
+        (
+            "Static footprint analyzer (det-analyze)",
+            "crates/analyze/src",
+        ),
+        ("Conformance harness (det-conform)", "crates/conform/src"),
         ("Bench harness (det-bench)", "crates/bench/src"),
     ];
     let mut rows = Vec::new();

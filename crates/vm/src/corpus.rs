@@ -1,10 +1,10 @@
 //! The registered corpus of VM-coded programs.
 //!
 //! Every VM assembly source the repository runs repeatedly — the
-//! paper-workload kernels behind the MIPS table, the conformance
-//! scenarios' guests, and the microbench loops — lives here, in the
-//! crate that owns the ISA, so the benches (`det-bench`), the
-//! conformance registry (`det-conform`), and the static analyzer's
+//! paper-workload kernels behind detbench's `vm.*` probes, the
+//! conformance scenarios' guests, and the microbench loops — lives
+//! here, in the crate that owns the ISA, so detbench (`benchmark/`),
+//! the conformance registry (`det-conform`), and the static analyzer's
 //! soundness gate (`det-analyze`) all exercise the *same* programs.
 //! The gate in particular iterates [`PROGRAMS`]: for each entry it
 //! must prove the statically predicted write footprint a superset of
@@ -440,5 +440,41 @@ mod tests {
         // Several full rounds completed: the flag is set and the array
         // page has been rewritten many times.
         assert_eq!(mem.read_u64(0x8800).unwrap(), 1);
+    }
+
+    /// The cache counters of `budget` instructions of a looping kernel
+    /// on the fast path, after a warm-up quarter.
+    fn steady_state_stats(src: &str, budget: u64) -> crate::CpuCacheStats {
+        let (mut cpu, mut mem) = sandbox(src);
+        assert_eq!(cpu.run(&mut mem, Some(budget / 4)), VmExit::OutOfBudget);
+        let mark = cpu.cache_stats;
+        assert_eq!(cpu.run(&mut mem, Some(budget)), VmExit::OutOfBudget);
+        cpu.cache_stats.since(&mark)
+    }
+
+    /// Every paper kernel (and the ALU loop, tighter still) keeps the
+    /// software TLB and instruction cache hot in steady state.
+    #[test]
+    fn paper_kernels_stay_hot() {
+        for (name, src) in [
+            ("fft", FFT_KERNEL),
+            ("matmult", MATMULT_KERNEL),
+            ("md5", MD5_KERNEL),
+            ("qsort", QSORT_KERNEL),
+        ] {
+            let rate = steady_state_stats(src, 200_000).hit_rate();
+            assert!(rate > 0.99, "{name}: hit rate {rate}");
+        }
+        let rate = steady_state_stats(ALU_LOOP, 100_000).hit_rate();
+        assert!(rate > 0.999, "alu_loop: hit rate {rate}");
+    }
+
+    /// The stride loop really does defeat the direct-mapped TLB: one
+    /// load per 1.5 instructions (ldd, ldd, beq), every one a fill.
+    #[test]
+    fn stride_loop_misses() {
+        let insns = 90_000;
+        let fills = steady_state_stats(TLB_MISS_STRIDE, insns).tlb_read_fills;
+        assert!(fills > insns / 4, "fills {fills} of {insns} insns");
     }
 }
