@@ -109,7 +109,7 @@ impl ClusterSpec {
         let agg = std::mem::take(&mut *env.agg.lock());
         let cluster = *env.cluster.lock();
         let mut stats = outcome.stats.clone();
-        add_kernel_stats(&mut stats, &agg.stats);
+        stats.accumulate(&agg.stats);
         let mut host = outcome.host;
         host.spurious_wakeups += agg.host.spurious_wakeups;
         host.os_threads_created += agg.host.os_threads_created;
@@ -239,72 +239,6 @@ pub(crate) struct Agg {
     pub(crate) stats: KernelStats,
     pub(crate) host: det_kernel::HostStats,
     pub(crate) jobs: BTreeMap<String, JobArtifact>,
-}
-
-impl Agg {
-    pub(crate) fn add_stats(&mut self, s: &KernelStats) {
-        add_kernel_stats(&mut self.stats, s);
-    }
-}
-
-/// Field-by-field sum (the exhaustive destructuring makes adding a
-/// `KernelStats` field without deciding its aggregation a compile
-/// error).
-fn add_kernel_stats(a: &mut KernelStats, b: &KernelStats) {
-    let KernelStats {
-        puts,
-        gets,
-        put_gets,
-        rets,
-        traps,
-        limit_preemptions,
-        spaces_created,
-        threads_spawned,
-        pages_copied,
-        pages_snapped,
-        leaves_cloned,
-        merges,
-        merge_totals,
-        conflicts,
-        migrations,
-        device_reads,
-        device_write_bytes,
-        vm_instructions,
-        vm_tlb_hits,
-        vm_pages_walked,
-        vm_icache_hits,
-        vm_icache_fills,
-        condvar_wakeups,
-        vm_inline_runs,
-        checkpoints,
-        checkpoint_leaves,
-    } = b;
-    a.puts += puts;
-    a.gets += gets;
-    a.put_gets += put_gets;
-    a.rets += rets;
-    a.traps += traps;
-    a.limit_preemptions += limit_preemptions;
-    a.spaces_created += spaces_created;
-    a.threads_spawned += threads_spawned;
-    a.pages_copied += pages_copied;
-    a.pages_snapped += pages_snapped;
-    a.leaves_cloned += leaves_cloned;
-    a.merges += merges;
-    a.merge_totals.0.accumulate(&merge_totals.0);
-    a.conflicts += conflicts;
-    a.migrations += migrations;
-    a.device_reads += device_reads;
-    a.device_write_bytes += device_write_bytes;
-    a.vm_instructions += vm_instructions;
-    a.vm_tlb_hits += vm_tlb_hits;
-    a.vm_pages_walked += vm_pages_walked;
-    a.vm_icache_hits += vm_icache_hits;
-    a.vm_icache_fills += vm_icache_fills;
-    a.condvar_wakeups += condvar_wakeups;
-    a.vm_inline_runs += vm_inline_runs;
-    a.checkpoints += checkpoints;
-    a.checkpoint_leaves += checkpoint_leaves;
 }
 
 /// What a space migrated onto a shard can do with the rest of the

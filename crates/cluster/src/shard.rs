@@ -159,7 +159,7 @@ fn run_job(env: Arc<Env>, msg: JobMsg) {
 
     {
         let mut agg = env.agg.lock();
-        agg.add_stats(&outcome.stats);
+        agg.stats.accumulate(&outcome.stats);
         agg.host.spurious_wakeups += outcome.host.spurious_wakeups;
         agg.host.os_threads_created += outcome.host.os_threads_created;
         agg.jobs.insert(

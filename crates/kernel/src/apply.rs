@@ -14,10 +14,11 @@
 //! with no execution vehicles at all, and realizes the same actions as
 //! [`KSlot`] flags.
 //!
-//! The vehicle-observability counters (`threads_spawned`,
-//! `condvar_wakeups`, `vm_inline_runs`) are bumped where each driver
-//! takes the decision — a hot atomic in the shell, a [`KState`] field
-//! in replay — which is why they reproduce bit-identically.
+//! The core is also the one writer of [`KernelStats`]: each event's
+//! counts are bumped by one `count_*` function, which the shell calls on
+//! the stats of the slot whose lock it holds for that event (summed at
+//! shutdown) and replay calls on [`KState`]'s — which is why every
+//! counter, the vehicle ones included, reproduces bit-identically.
 //!
 //! Everything *nondeterministic or effectful* is excluded by
 //! construction and enforced by the `core_modules_are_pure` test
@@ -33,9 +34,9 @@ use crate::device::DeviceId;
 use crate::error::{KernelError, Result, TrapKind};
 use crate::ids::ChildNum;
 use crate::state::{
-    KSlot, KState, ProgramKind, RunState, SpaceState, StopCounter, check_in_charge, child_path,
-    observe_stop, stop_counter,
+    KSlot, KState, ProgramKind, RunState, SpaceState, check_in_charge, child_path, observe_stop,
 };
+use crate::stats::KernelStats;
 use crate::syscall::{CopySpec, GetSpec, PutSpec, StartSpec, StopReason};
 
 // ---------------------------------------------------------------------------
@@ -279,14 +280,14 @@ pub(crate) fn install_action(was: StopReason, terminal: bool) -> Result<InstallA
 }
 
 /// Memory-op side meters of one rendezvous. The sequencer bills
-/// `charge_ps` to the caller; the three counts are folded into stats
-/// by whichever driver (shell or replay) ran it — on an error too,
-/// since each op that ran did its work.
+/// `charge_ps` to the caller; [`count_put`]/[`count_get`] add the three
+/// counts to stats — on an error too, since each op that ran did its
+/// work.
 #[derive(Clone, Copy, Default, Debug)]
 pub(crate) struct MemOpCounts {
-    pub pages_copied: u64,
-    pub pages_snapped: u64,
-    pub leaves_cloned: u64,
+    pages_copied: u64,
+    pages_snapped: u64,
+    leaves_cloned: u64,
     charge_ps: u64,
 }
 
@@ -544,6 +545,119 @@ pub(crate) fn start_action(
 }
 
 // ---------------------------------------------------------------------------
+// Counters: the one writer of `KernelStats`. The shell bumps the stats
+// of the slot whose lock it holds for the event, replay `KState::stats`.
+// ---------------------------------------------------------------------------
+
+/// A space was created: a first `Put`/`Get` naming it, or one node of a
+/// `Tree` copy.
+pub(crate) fn count_space(stats: &mut KernelStats) {
+    stats.spaces_created += 1;
+}
+
+/// A `Put` rendezvous (the Put half of a fused `PutGet` counts the
+/// exchange) and the memory ops its options ran.
+pub(crate) fn count_put(stats: &mut KernelStats, fused: bool, counts: &MemOpCounts) {
+    if fused {
+        stats.put_gets += 1;
+    } else {
+        stats.puts += 1;
+    }
+    count_mem_ops(stats, counts);
+}
+
+/// A `Get` rendezvous (the fused half was counted by its `Put`), the
+/// memory ops its options ran, and its merge, conflicting or not.
+pub(crate) fn count_get(
+    stats: &mut KernelStats,
+    fused: bool,
+    counts: &MemOpCounts,
+    merge: Option<&MergeStats>,
+    res: &Result<()>,
+) {
+    if !fused {
+        stats.gets += 1;
+    }
+    count_mem_ops(stats, counts);
+    if let Some(m) = merge {
+        count_merge(stats, m, matches!(res, Err(KernelError::Conflict(_))));
+    }
+}
+
+fn count_mem_ops(stats: &mut KernelStats, counts: &MemOpCounts) {
+    stats.pages_copied += counts.pages_copied;
+    stats.pages_snapped += counts.pages_snapped;
+    stats.leaves_cloned += counts.leaves_cloned;
+}
+
+/// One merge, and the conflict it found if it found one (a `Get`'s, or
+/// a remote child's coming home).
+pub(crate) fn count_merge(stats: &mut KernelStats, merge: &MergeStats, conflict: bool) {
+    stats.record_merge(merge);
+    if conflict {
+        stats.conflicts += 1;
+    }
+}
+
+/// A `Start`'s dispatch: a spawn starts a vehicle, a parked vehicle's
+/// resume is one targeted wake.
+pub(crate) fn count_start(stats: &mut KernelStats, action: StartAction) {
+    match action {
+        StartAction::Spawn => stats.threads_spawned += 1,
+        StartAction::ResumeVehicle => stats.condvar_wakeups += 1,
+        StartAction::RunnableInline | StartAction::ResumeInline => {}
+    }
+}
+
+/// A check-in: the stop, the VM counters of its window, and its wake. A
+/// park or final check-in wakes the waiting parent; an inline drive
+/// wakes nobody (the one waiter *is* the executing thread).
+pub(crate) fn count_check_in(
+    stats: &mut KernelStats,
+    reason: StopReason,
+    inline: bool,
+    vm: &VmCounters,
+) {
+    if inline {
+        stats.vm_inline_runs += 1;
+    } else {
+        stats.condvar_wakeups += 1;
+    }
+    match reason {
+        StopReason::Ret => stats.rets += 1,
+        StopReason::Trap(_) => stats.traps += 1,
+        StopReason::LimitReached => stats.limit_preemptions += 1,
+        StopReason::Unstarted | StopReason::Halted => {}
+    }
+    stats.vm_instructions += vm.instructions;
+    stats.vm_tlb_hits += vm.tlb_hits;
+    stats.vm_pages_walked += vm.pages_walked;
+    stats.vm_icache_hits += vm.icache_hits;
+    stats.vm_icache_fills += vm.icache_fills;
+}
+
+/// A root device read.
+pub(crate) fn count_dev_read(stats: &mut KernelStats) {
+    stats.device_reads += 1;
+}
+
+/// A root device write of `bytes` bytes.
+pub(crate) fn count_dev_write(stats: &mut KernelStats, bytes: usize) {
+    stats.device_write_bytes += bytes as u64;
+}
+
+/// A root checkpoint mark over `leaves` dirty page-table leaves.
+pub(crate) fn count_checkpoint(stats: &mut KernelStats, leaves: u64) {
+    stats.checkpoints += 1;
+    stats.checkpoint_leaves += leaves;
+}
+
+/// A cross-shard migration an external shard runtime drove.
+pub(crate) fn count_migration(stats: &mut KernelStats) {
+    stats.migrations += 1;
+}
+
+// ---------------------------------------------------------------------------
 // apply: one event, pure.
 // ---------------------------------------------------------------------------
 
@@ -593,7 +707,7 @@ fn ensure_child(ks: &mut KState, caller: u32, child: ChildNum, child_id: u32) ->
                 child_path(&c.path.clone(), child, &mut c.child_gens)
             };
             ks.slots.insert(child_id, KSlot::new(path));
-            ks.stats.spaces_created += 1;
+            count_space(&mut ks.stats);
             slot_mut(ks, caller)?.children.insert(child, child_id);
             Ok(())
         }
@@ -646,7 +760,7 @@ fn replay_clone(
             child_path(&d.path.clone(), num, &mut d.child_gens)
         };
         ks.slots.insert(kid_id, KSlot::new(path));
-        ks.stats.spaces_created += 1;
+        count_space(&mut ks.stats);
         slot_mut(ks, dst)?.children.insert(num, kid_id);
         replay_clone(ks, kid_src, kid_id, ids)?;
     }
@@ -661,13 +775,6 @@ fn take_state(ks: &mut KState, id: u32) -> Result<Box<SpaceState>> {
     }
 }
 
-/// Folds a rendezvous's memory-op meters into the replayed stats.
-fn fold_counts(ks: &mut KState, counts: &MemOpCounts) {
-    ks.stats.pages_copied += counts.pages_copied;
-    ks.stats.pages_snapped += counts.pages_snapped;
-    ks.stats.leaves_cloned += counts.leaves_cloned;
-}
-
 #[allow(clippy::too_many_arguments)]
 fn apply_put(
     ks: &mut KState,
@@ -679,11 +786,6 @@ fn apply_put(
     put: &PutRec,
     tree_new_ids: &[u32],
 ) -> Result<()> {
-    if fused {
-        ks.stats.put_gets += 1;
-    } else {
-        ks.stats.puts += 1;
-    }
     apply_entry(ks, caller, entry)?;
     ensure_child(ks, caller, child, child_id)?;
     let was = idle_reason(ks, child_id)?;
@@ -736,33 +838,32 @@ fn apply_put(
     }
     slot_mut(ks, caller)?.state = Some(caller_st);
     slot_mut(ks, child_id)?.state = Some(child_st);
-    fold_counts(ks, &counts);
+    count_put(&mut ks.stats, fused, &counts);
     if start.is_none() {
         return Ok(());
     }
 
     let k = slot_mut(ks, child_id)?;
-    match start_action(k.has_vehicle, k.inline_vm, k.pending, was, k.terminal) {
-        Ok(StartAction::Spawn) => {
+    // A failed Start was returned to the recorded program, after its
+    // bill.
+    let Ok(action) = start_action(k.has_vehicle, k.inline_vm, k.pending, was, k.terminal) else {
+        return Ok(());
+    };
+    match action {
+        StartAction::Spawn => {
             k.pending = None;
             k.run = RunState::Running;
             k.has_vehicle = true;
-            ks.stats.threads_spawned += 1;
         }
-        Ok(StartAction::RunnableInline) => {
+        StartAction::RunnableInline => {
             k.pending = None;
             k.inline_vm = true;
             k.run = RunState::Runnable;
         }
-        Ok(StartAction::ResumeInline) => k.run = RunState::Runnable,
-        Ok(StartAction::ResumeVehicle) => {
-            k.run = RunState::Running;
-            ks.stats.condvar_wakeups += 1;
-        }
-        // A failed Start was returned to the recorded program, after
-        // its bill.
-        Err(_) => {}
+        StartAction::ResumeInline => k.run = RunState::Runnable,
+        StartAction::ResumeVehicle => k.run = RunState::Running,
     }
+    count_start(&mut ks.stats, action);
     Ok(())
 }
 
@@ -775,9 +876,6 @@ fn apply_get(
     entry: Option<&EntryRec>,
     get: &GetSpec,
 ) -> Result<()> {
-    if !fused {
-        ks.stats.gets += 1;
-    }
     if let Some(e) = entry {
         apply_entry(ks, caller, e)?;
     }
@@ -799,13 +897,7 @@ fn apply_get(
     );
     slot_mut(ks, caller)?.state = Some(caller_st);
     slot_mut(ks, child_id)?.state = Some(child_st);
-    if let Some(stats) = merged {
-        ks.stats.record_merge(&stats);
-    }
-    if matches!(res, Err(KernelError::Conflict(_))) {
-        ks.stats.conflicts += 1;
-    }
-    fold_counts(ks, &counts);
+    count_get(&mut ks.stats, fused, &counts, merged.as_ref(), &res);
     Ok(())
 }
 
@@ -824,48 +916,28 @@ fn apply_check_in(
     delta: &SpaceDelta,
 ) -> Result<()> {
     let costs = ks.costs;
-    let inline = slot_mut(ks, space)?.inline_vm;
-    if inline {
-        ks.stats.vm_inline_runs += 1;
-    } else {
-        // A park or final check-in issues exactly one targeted wake of
-        // the waiting parent; an inline drive wakes nobody (the one
-        // waiter *is* the executing thread).
-        ks.stats.condvar_wakeups += 1;
+    let k = slot_mut(ks, space)?;
+    if lost_state {
+        k.state = Some(Box::new(SpaceState::new()));
     }
-    {
-        let k = slot_mut(ks, space)?;
-        if lost_state {
-            k.state = Some(Box::new(SpaceState::new()));
-        }
-        let st = match k.state.as_deref_mut() {
-            Some(st) => st,
-            None => return divergence("check-in without state"),
-        };
-        bill(st, advance_ps);
-        st.limit_ps = limit_ps;
-        if st.mem.apply_delta(delta).is_err() {
-            return divergence("check-in delta does not apply");
-        }
-        st.regs = regs;
-        st.insn_count += insn_delta;
-        check_in_charge(&costs, st, reason);
-        k.run = RunState::Idle(reason);
-        if final_stop {
-            k.terminal = true;
-        }
+    let st = match k.state.as_deref_mut() {
+        Some(st) => st,
+        None => return divergence("check-in without state"),
+    };
+    bill(st, advance_ps);
+    st.limit_ps = limit_ps;
+    if st.mem.apply_delta(delta).is_err() {
+        return divergence("check-in delta does not apply");
     }
-    match stop_counter(reason) {
-        Some(StopCounter::Ret) => ks.stats.rets += 1,
-        Some(StopCounter::Trap) => ks.stats.traps += 1,
-        Some(StopCounter::Limit) => ks.stats.limit_preemptions += 1,
-        None => {}
+    st.regs = regs;
+    st.insn_count += insn_delta;
+    check_in_charge(&costs, st, reason);
+    k.run = RunState::Idle(reason);
+    if final_stop {
+        k.terminal = true;
     }
-    ks.stats.vm_instructions += vm.instructions;
-    ks.stats.vm_tlb_hits += vm.tlb_hits;
-    ks.stats.vm_pages_walked += vm.pages_walked;
-    ks.stats.vm_icache_hits += vm.icache_hits;
-    ks.stats.vm_icache_fills += vm.icache_fills;
+    let inline = k.inline_vm;
+    count_check_in(&mut ks.stats, reason, inline, &vm);
     Ok(())
 }
 
@@ -929,12 +1001,12 @@ pub(crate) fn apply(ks: &mut KState, ev: &TraceEvent) -> Result<()> {
             delta,
         )?,
         TraceEvent::DevRead { entry, dev, data } => {
-            ks.stats.device_reads += 1;
+            count_dev_read(&mut ks.stats);
             apply_entry(ks, 0, entry)?;
             let _ = (dev, data);
         }
         TraceEvent::DevWrite { entry, dev, data } => {
-            ks.stats.device_write_bytes += data.len() as u64;
+            count_dev_write(&mut ks.stats, data.len());
             apply_entry(ks, 0, entry)?;
             ks.outputs.entry(*dev).or_default().extend_from_slice(data);
         }
@@ -950,8 +1022,7 @@ pub(crate) fn apply(ks: &mut KState, ev: &TraceEvent) -> Result<()> {
             if actual != *leaves {
                 return divergence("checkpoint dirty-leaf count does not match the trace");
             }
-            ks.stats.checkpoints += 1;
-            ks.stats.checkpoint_leaves += *leaves;
+            count_checkpoint(&mut ks.stats, *leaves);
         }
         TraceEvent::RootExit { entry, regs, exit } => {
             apply_entry(ks, 0, entry)?;
@@ -993,65 +1064,177 @@ mod tests {
         }
     }
 
-    /// The clock has one writer: [`bill`] is the only code in the
-    /// kernel that adds to a `vclock_ps`, and [`stamp_start`] and
-    /// [`observe_stop`] the only two that join one. Every source of the
-    /// crate is scanned the way `det_analyze::lint` scans (comments
-    /// stripped, stopping at the `#[cfg(test)]` tail), with whitespace
-    /// squeezed out so a write split across lines is still one match.
-    #[test]
-    fn the_clock_has_one_writer() {
-        const WRITERS: [&str; 3] = ["bill", "stamp_start", "observe_stop"];
-        const ADDERS: [&str; 5] = [
-            ".saturating_add(",
-            ".wrapping_add(",
-            ".checked_add(",
-            ".overflowing_add(",
-            ".add_assign(",
-        ];
-        let is_write = |before: &str, after: &str| {
-            let assigns = after.starts_with('=') && !after.starts_with("==");
-            let mut next = after.chars();
-            let compound =
-                next.next().is_some_and(|op| "+-*/%|&^".contains(op)) && next.next() == Some('=');
-            let path = before.trim_end_matches(|c: char| c.is_alphanumeric() || "_.".contains(c));
-            let borrowed_mut = path.ends_with('&') && before[path.len()..].starts_with("mut");
-            assigns || compound || borrowed_mut || ADDERS.iter().any(|a| after.starts_with(a))
-        };
-        let mut rogue = Vec::new();
+    /// One kernel source as the one-writer tests read it: scanned the
+    /// way `det_analyze::lint` scans (comments stripped, stopping at the
+    /// `#[cfg(test)]` tail), with whitespace squeezed out so a write
+    /// split across lines is still one match.
+    struct Source {
+        file: String,
+        /// The squeezed code.
+        code: String,
+        /// For each byte of `code`, the index of the line it came from.
+        line_of: Vec<usize>,
+        /// Each line, comments stripped, and the function it sits in.
+        lines: Vec<(String, String)>,
+    }
+
+    impl Source {
+        /// The function the byte at `at` sits in.
+        fn func_at(&self, at: usize) -> &str {
+            &self.lines[self.line_of[at]].1
+        }
+
+        /// `file:line (fn name)` of the byte at `at`.
+        fn locate(&self, at: usize) -> String {
+            let line = self.line_of[at];
+            format!("{}:{} (fn {})", self.file, line + 1, self.lines[line].1)
+        }
+
+        /// Every write to a field named `field`, or to anything inside
+        /// it — an assignment, a compound assignment, an adder call or a
+        /// `&mut` borrow — as the offset of its `.`.
+        fn writes_to(&self, field: &str) -> Vec<usize> {
+            const ADDERS: [&str; 6] = [
+                ".saturating_add(",
+                ".wrapping_add(",
+                ".checked_add(",
+                ".overflowing_add(",
+                ".add_assign(",
+                ".accumulate(",
+            ];
+            let ident = |c: char| c.is_alphanumeric() || c == '_';
+            let needle = format!(".{field}");
+            let mut writes = Vec::new();
+            for (at, _) in self.code.match_indices(&needle) {
+                let before = &self.code[..at];
+                let mut after = &self.code[at + needle.len()..];
+                if after.starts_with(ident) {
+                    continue; // a longer name
+                }
+                // Step into sub-fields (`.0.pages_adopted`), not calls.
+                while let Some(rest) = after.strip_prefix('.') {
+                    let end = rest.find(|c| !ident(c)).unwrap_or(rest.len());
+                    if end == 0 || rest[end..].starts_with('(') {
+                        break;
+                    }
+                    after = &rest[end..];
+                }
+                let assigns = after.starts_with('=') && !after.starts_with("==");
+                let mut next = after.chars();
+                let compound = next.next().is_some_and(|op| "+-*/%|&^".contains(op))
+                    && next.next() == Some('=');
+                let path = before.trim_end_matches(|c| ident(c) || c == '.');
+                let borrowed_mut = path.ends_with('&') && before[path.len()..].starts_with("mut");
+                if assigns
+                    || compound
+                    || borrowed_mut
+                    || ADDERS.iter().any(|a| after.starts_with(a))
+                {
+                    writes.push(at);
+                }
+            }
+            writes
+        }
+    }
+
+    /// Every source file of the kernel crate, scanned.
+    fn kernel_sources() -> Vec<Source> {
         let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/src");
+        let mut sources = Vec::new();
         for entry in std::fs::read_dir(dir).expect("kernel sources") {
             let path = entry.expect("directory entry").path();
-            let src = std::fs::read_to_string(&path).expect("source reads");
-            // The squeezed code, and for each of its bytes the function
-            // and line it came from.
-            let (mut code, mut origin) = (String::new(), Vec::new());
-            let mut func = "";
-            for (i, raw) in src.lines().enumerate() {
+            let text = std::fs::read_to_string(&path).expect("source reads");
+            let file = path.file_name().expect("a file").to_string_lossy();
+            let mut src = Source {
+                file: file.into_owned(),
+                code: String::new(),
+                line_of: Vec::new(),
+                lines: Vec::new(),
+            };
+            let mut func = String::new();
+            let mut lines = text.lines();
+            while let Some(raw) = lines.next() {
                 let line = raw.split("//").next().unwrap_or("");
                 if line.trim_start().starts_with("#[cfg(test)]") {
+                    // Anything but the test module here would hide the
+                    // rest of the file from the scan.
+                    let next = lines.next().unwrap_or("").trim_start();
+                    assert!(
+                        next.starts_with("mod "),
+                        "{}: #[cfg(test)] on {next}",
+                        src.file
+                    );
                     break;
                 }
                 if let Some(rest) = line.split("fn ").nth(1) {
-                    func = rest.split(['(', '<']).next().unwrap_or("");
+                    func = rest.split(['(', '<']).next().unwrap_or("").to_string();
                 }
                 for word in line.split_whitespace() {
-                    code.push_str(word);
-                    origin.resize(code.len(), (func, i + 1));
+                    src.code.push_str(word);
+                    src.line_of.resize(src.code.len(), src.lines.len());
                 }
+                src.lines.push((line.trim().to_string(), func.clone()));
             }
-            for (at, _) in code.match_indices(".vclock_ps") {
-                let (func, line) = origin[at];
-                if is_write(&code[..at], &code[at + ".vclock_ps".len()..])
-                    && !WRITERS.contains(&func)
-                {
-                    rogue.push(format!("{}:{line} (fn {func})", path.display()));
+            sources.push(src);
+        }
+        sources
+    }
+
+    /// The clock has one writer: [`bill`] is the only code in the
+    /// kernel that adds to a `vclock_ps`, and [`stamp_start`] and
+    /// [`observe_stop`] the only two that join one.
+    #[test]
+    fn the_clock_has_one_writer() {
+        const WRITERS: [&str; 3] = ["bill", "stamp_start", "observe_stop"];
+        let mut rogue = Vec::new();
+        for src in kernel_sources() {
+            for at in src.writes_to("vclock_ps") {
+                if !WRITERS.contains(&src.func_at(at)) {
+                    rogue.push(src.locate(at));
                 }
             }
         }
         assert!(
             rogue.is_empty(),
             "vclock_ps written outside bill/stamp_start/observe_stop:\n{}",
+            rogue.join("\n")
+        );
+    }
+
+    /// The counters have one writer: no code outside the pure core
+    /// (`apply.rs`, `state.rs`) and `stats.rs` writes a [`KernelStats`]
+    /// field, and no atomic counts beside it — the kernel's only
+    /// `AtomicU64`s are the two host counters of `HostStats`.
+    #[test]
+    fn every_counter_has_one_writer() {
+        const WRITERS: [&str; 3] = ["apply.rs", "state.rs", "stats.rs"];
+        const HOST: [&str; 2] = ["spurious_wakeups:AtomicU64", "os_threads_created:AtomicU64"];
+        let fields: std::collections::BTreeSet<String> = KernelStats::default()
+            .lines()
+            .into_iter()
+            .map(|(k, _)| k.split('.').next().unwrap_or("").to_string())
+            .collect();
+        assert_eq!(fields.len(), 26);
+        let mut rogue = Vec::new();
+        for src in kernel_sources() {
+            if !WRITERS.contains(&src.file.as_str()) {
+                for field in &fields {
+                    rogue.extend(src.writes_to(field).into_iter().map(|at| src.locate(at)));
+                }
+            }
+            for (at, atomic) in src.code.match_indices("AtomicU64") {
+                let host = HOST
+                    .iter()
+                    .any(|h| src.code[..at + atomic.len()].ends_with(h));
+                let import = src.lines[src.line_of[at]].0.starts_with("use ");
+                if !host && !import {
+                    rogue.push(format!("{} (an AtomicU64)", src.locate(at)));
+                }
+            }
+        }
+        assert!(
+            rogue.is_empty(),
+            "KernelStats counted outside the pure core:\n{}",
             rogue.join("\n")
         );
     }

@@ -22,7 +22,8 @@ use det_vm::Regs;
 
 use crate::apply::{
     EntryRec, InstallAction, MemOpCounts, PutRec, TraceEvent, VmCounters, bill, charge,
-    get_options, put_after_tree, put_before_tree, tree_source,
+    count_checkpoint, count_dev_read, count_dev_write, count_get, count_merge, count_migration,
+    count_put, get_options, put_after_tree, put_before_tree, tree_source,
 };
 use crate::cost::{ns_to_ps, ps_to_ns};
 use crate::device::DeviceId;
@@ -31,9 +32,8 @@ use crate::fault::{FaultAction, FaultSite};
 use crate::ids::{ChildNum, SpaceId};
 use crate::kernel::{ChildRef, RunState, Shared, Slot, SlotCell, SpaceState, TraceCtx};
 use crate::state::{child_path, observe_stop};
+use crate::stats::KernelStats;
 use crate::syscall::{GetResult, GetSpec, PutResult, PutSpec, StopReason};
-
-use std::sync::atomic::Ordering::Relaxed;
 
 /// Execution context of a running space.
 pub struct SpaceCtx {
@@ -236,7 +236,7 @@ impl SpaceCtx {
     /// and charges `ps` (the link cost of the migration summary
     /// message) to this space's clock.
     pub fn note_migration(&mut self, ps: u64) -> Result<()> {
-        self.shared.hot.migrations.fetch_add(1, Relaxed);
+        self.count_own(count_migration);
         self.charge_ps(ps)
     }
 
@@ -265,12 +265,18 @@ impl SpaceCtx {
         // The caller pays for the scan on success and on conflict
         // alike, as a local `Get`+merge does.
         bill(self.st_mut(), costs.merge_cost_ps(&stats));
-        self.shared.record_merge(&stats);
-        if let Some(c) = conflict {
-            self.shared.hot.conflicts.fetch_add(1, Relaxed);
-            return Err(KernelError::Conflict(c));
+        self.count_own(|s| count_merge(s, &stats, conflict.is_some()));
+        match conflict {
+            Some(c) => Err(KernelError::Conflict(c)),
+            None => Ok(stats),
         }
-        Ok(stats)
+    }
+
+    /// Counts an event of this space's own that no rendezvous guard
+    /// covers (device I/O, checkpoint marks, cluster migrations and
+    /// joins) under its own, uncontended, slot lock.
+    fn count_own(&self, count: impl FnOnce(&mut KernelStats)) {
+        count(&mut self.cell.m.lock().stats);
     }
 
     /// True if this is the root space (I/O privileges).
@@ -438,6 +444,7 @@ impl SpaceCtx {
                 }
             }
         }
+        let mut refused = None;
         if res.is_ok() {
             put_after_tree(
                 &costs,
@@ -449,16 +456,20 @@ impl SpaceCtx {
             );
             if let Some(s) = rec.start {
                 let parent_v = self.st().vclock_ps;
-                res = self
+                match self
                     .shared
-                    .start_child(&mut g, cell, child_id, s.limit_ns, parent_v, was);
+                    .start_child(&mut g, cell, child_id, s.limit_ns, parent_v, was)
+                {
+                    Ok(ev) => refused = ev,
+                    Err(e) => res = Err(e),
+                }
             }
         }
-        self.shared.fold_counts(&counts);
-        // Recorded whether the options succeeded or failed — replay
-        // re-derives the same error from the same state — and while the
-        // child's guard is held: linearized against the started child's
-        // own first check-in.
+        // Counted and recorded whether the options succeeded or failed —
+        // replay re-derives the same error from the same state — and
+        // while the child's guard is held: linearized against the
+        // started child's own first check-in.
+        count_put(&mut g.stats, fused, &counts);
         let caller = self.id.index();
         self.shared.trace_push(entry.map(|entry| TraceEvent::Put {
             caller,
@@ -469,6 +480,8 @@ impl SpaceCtx {
             put: rec,
             tree_new_ids: tree_ids,
         }));
+        // A refused vehicle's check-in follows the `Put` that started it.
+        self.shared.trace_push(refused);
         match res {
             Ok(()) => Ok((g, was)),
             Err(e) => {
@@ -480,9 +493,11 @@ impl SpaceCtx {
     }
 
     /// The `Get` half of a rendezvous with a stopped child whose slot
-    /// guard the caller holds: the core's option sequencer, the merge
-    /// and conflict counters, the event. `entry` is the caller's window
-    /// for a plain `get`, absent for the fused half.
+    /// guard the caller holds: the core's option sequencer, the counts
+    /// (merge and conflict included), the event. `entry` is the caller's
+    /// window for a plain `get` when recording, absent for the fused
+    /// half.
+    #[allow(clippy::too_many_arguments)]
     fn get_half(
         &mut self,
         g: &mut MutexGuard<'_, Slot>,
@@ -490,6 +505,7 @@ impl SpaceCtx {
         child_id: SpaceId,
         spec: GetSpec,
         stop: StopReason,
+        fused: bool,
         entry: Option<EntryRec>,
     ) -> Result<GetResult> {
         let child_v = self.sync_clocks(g);
@@ -499,21 +515,15 @@ impl SpaceCtx {
         let (costs, policy) = (self.shared.costs, self.shared.policy);
         let mut counts = MemOpCounts::default();
         let (merge, res) = get_options(&costs, policy, self.st_mut(), child_st, &spec, &mut counts);
-        self.shared.fold_counts(&counts);
-        if let Some(stats) = &merge {
-            self.shared.record_merge(stats);
-        }
-        if matches!(res, Err(KernelError::Conflict(_))) {
-            self.shared.hot.conflicts.fetch_add(1, Relaxed);
-        }
-        // Recorded on success and failure alike (replay re-derives the
-        // same error), while the child's guard is held.
+        // Counted and recorded on success and failure alike (replay
+        // re-derives the same error), while the child's guard is held.
+        count_get(&mut g.stats, fused, &counts, merge.as_ref(), &res);
         if self.trace.is_some() {
             self.shared.trace_push(Some(TraceEvent::Get {
                 caller: self.id.index(),
                 child,
                 child_id: child_id.index(),
-                fused: entry.is_none(),
+                fused,
                 entry,
                 get: spec,
             }));
@@ -535,7 +545,6 @@ impl SpaceCtx {
     pub fn put(&mut self, child: ChildNum, spec: PutSpec) -> Result<PutResult> {
         self.fault_gate(&[FaultSite::Syscall, FaultSite::Alloc, FaultSite::TraceSink])?;
         self.charge_ps(self.shared.costs.syscall_ps)?;
-        self.shared.hot.puts.fetch_add(1, Relaxed);
         let (child_id, cell) = self.ensure_child(child);
         let (g, child_was) = self.put_half(&cell, child, child_id, spec, false)?;
         drop(g);
@@ -553,10 +562,9 @@ impl SpaceCtx {
         self.fault_gate(&[FaultSite::Syscall, FaultSite::TraceSink])?;
         self.charge_ps(self.shared.costs.syscall_ps)?;
         let entry = self.trace_entry();
-        self.shared.hot.gets.fetch_add(1, Relaxed);
         let (child_id, cell) = self.ensure_child(child);
         let (mut g, stop) = self.shared.wait_idle(&cell, child_id, cell.m.lock())?;
-        let res = self.get_half(&mut g, child, child_id, spec, stop, entry);
+        let res = self.get_half(&mut g, child, child_id, spec, stop, false, entry);
         drop(g);
         self.trace_resync();
         res
@@ -579,7 +587,6 @@ impl SpaceCtx {
         }
         self.fault_gate(&[FaultSite::Syscall, FaultSite::Alloc, FaultSite::TraceSink])?;
         self.charge_ps(self.shared.costs.syscall_ps)?;
-        self.shared.hot.put_gets.fetch_add(1, Relaxed);
         let (child_id, cell) = self.ensure_child(child);
         // First rendezvous: the stop the Put applies to. Its event is
         // pushed before the second wait drives the child, so the
@@ -589,7 +596,7 @@ impl SpaceCtx {
         // child this executes it right here, lock-step, with no
         // condvar traffic at all).
         let (mut g, stop) = self.shared.wait_idle(&cell, child_id, g)?;
-        let res = self.get_half(&mut g, child, child_id, get, stop, None);
+        let res = self.get_half(&mut g, child, child_id, get, stop, true, None);
         drop(g);
         self.trace_resync();
         res
@@ -620,8 +627,8 @@ impl SpaceCtx {
         }
         self.fault_gate(&[FaultSite::Syscall, FaultSite::Device, FaultSite::TraceSink])?;
         self.charge_ps(self.shared.costs.syscall_ps)?;
-        self.shared.hot.device_reads.fetch_add(1, Relaxed);
         let res = self.shared.devices.lock().read(dev);
+        self.count_own(count_dev_read);
         if let Some(entry) = self.trace_entry() {
             self.shared.trace_push(Some(TraceEvent::DevRead {
                 entry,
@@ -640,11 +647,8 @@ impl SpaceCtx {
         }
         self.fault_gate(&[FaultSite::Syscall, FaultSite::Device, FaultSite::TraceSink])?;
         self.charge_ps(self.shared.costs.syscall_ps)?;
-        self.shared
-            .hot
-            .device_write_bytes
-            .fetch_add(data.len() as u64, Relaxed);
         self.shared.devices.lock().write(dev, data);
+        self.count_own(|s| count_dev_write(s, data.len()));
         if let Some(entry) = self.trace_entry() {
             self.shared.trace_push(Some(TraceEvent::DevWrite {
                 entry,
@@ -681,8 +685,7 @@ impl SpaceCtx {
             .syscall_ps
             .saturating_add(self.shared.costs.checkpoint_cost_ps(leaves));
         self.charge_ps(ps)?;
-        self.shared.hot.checkpoints.fetch_add(1, Relaxed);
-        self.shared.hot.checkpoint_leaves.fetch_add(leaves, Relaxed);
+        self.count_own(|s| count_checkpoint(s, leaves));
         if let Some(entry) = self.trace_entry() {
             self.shared
                 .trace_push(Some(TraceEvent::Checkpoint { entry, leaves }));

@@ -34,11 +34,12 @@ use std::thread::JoinHandle;
 
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
-use det_memory::{AddressSpace, ConflictPolicy, MergeStats};
+use det_memory::{AddressSpace, ConflictPolicy};
 use det_vm::{Cpu, VmExit};
 
 use crate::apply::{
-    EntryRec, MemOpCounts, StartAction, TraceEvent, VmCounters, bill, stamp_start, start_action,
+    EntryRec, StartAction, TraceEvent, VmCounters, bill, count_check_in, count_space, count_start,
+    stamp_start, start_action,
 };
 use crate::cost::{CostModel, ps_to_ns};
 use crate::ctx::SpaceCtx;
@@ -47,7 +48,7 @@ use crate::error::{KernelError, Result, TrapKind};
 use crate::fault::{ArmedFaults, FaultPlan};
 use crate::ids::SpaceId;
 use crate::program::{NativeEntry, NativeResult, Program};
-use crate::state::{ROOT_PATH, StopCounter, check_in_charge, final_reason, stop_counter};
+use crate::state::{ROOT_PATH, check_in_charge, final_reason};
 use crate::stats::{HostStats, KernelStats};
 use crate::syscall::StopReason;
 use crate::trace::{SpaceArtifact, TraceMeta, TraceSink};
@@ -267,6 +268,12 @@ pub(crate) struct Slot {
     /// installed. Prevents a `Start` from waking nobody and hanging
     /// the next `wait_idle` forever.
     pub terminal: bool,
+    /// This slot's share of the run's [`KernelStats`]: every event
+    /// recorded under this slot's lock (a rendezvous with it, its own
+    /// check-ins and its creation) is counted here, under that lock,
+    /// by the pure core's `count_*` functions. `Kernel::run` sums the
+    /// slots once every vehicle is joined.
+    pub stats: KernelStats,
 }
 
 impl Slot {
@@ -283,6 +290,7 @@ impl Slot {
             inline_vm: false,
             trace_base: None,
             terminal: false,
+            stats: KernelStats::default(),
         }
     }
 }
@@ -340,8 +348,8 @@ pub(crate) struct Worker {
     cv: Condvar,
 }
 
-/// Creates the OS thread behind a new worker. A parameter of
-/// [`Shared::start_vehicle`] so a test can make the host refuse.
+/// Creates the OS thread behind a new worker: [`spawn_worker`], except
+/// where a test stores one that makes the host refuse.
 type SpawnWorker = fn(Arc<Shared>, Arc<Worker>) -> std::io::Result<JoinHandle<()>>;
 
 fn spawn_worker(shared: Arc<Shared>, me: Arc<Worker>) -> std::io::Result<JoinHandle<()>> {
@@ -365,94 +373,6 @@ pub(crate) struct VehiclePool {
     workers: Vec<(Arc<Worker>, JoinHandle<()>)>,
 }
 
-/// Accumulated merge statistics (cold path; merges do real byte work,
-/// so a mutex here costs nothing measurable).
-#[derive(Default)]
-pub(crate) struct MergeAccum {
-    pub merges: u64,
-    pub totals: MergeStats,
-}
-
-/// Counters bumped on hot paths without taking any slot lock.
-///
-/// Relaxed atomics: each is an independent event count, folded into
-/// [`KernelStats`] only at collection time (`Kernel::run` shutdown,
-/// after every vehicle has been joined), so no ordering between them
-/// is ever observed mid-run. The *values* are deterministic — they
-/// count kernel-mediated events, not host scheduling — only the bump
-/// itself is lock-free. (`spurious_wakeups` and `os_threads_created`
-/// are the exceptions — wake races and which `Start` finds a worker
-/// parked are host timing — which is why they fold into [`HostStats`],
-/// never into [`KernelStats`].)
-#[derive(Default)]
-pub(crate) struct HotStats {
-    pub puts: AtomicU64,
-    pub gets: AtomicU64,
-    pub put_gets: AtomicU64,
-    pub rets: AtomicU64,
-    pub traps: AtomicU64,
-    pub limit_preemptions: AtomicU64,
-    pub spaces_created: AtomicU64,
-    pub threads_spawned: AtomicU64,
-    pub pages_copied: AtomicU64,
-    pub pages_snapped: AtomicU64,
-    pub leaves_cloned: AtomicU64,
-    pub conflicts: AtomicU64,
-    pub migrations: AtomicU64,
-    pub device_reads: AtomicU64,
-    pub device_write_bytes: AtomicU64,
-    pub vm_instructions: AtomicU64,
-    pub vm_tlb_hits: AtomicU64,
-    pub vm_pages_walked: AtomicU64,
-    pub vm_icache_hits: AtomicU64,
-    pub vm_icache_fills: AtomicU64,
-    pub condvar_wakeups: AtomicU64,
-    pub spurious_wakeups: AtomicU64,
-    pub os_threads_created: AtomicU64,
-    pub vm_inline_runs: AtomicU64,
-    pub checkpoints: AtomicU64,
-    pub checkpoint_leaves: AtomicU64,
-}
-
-impl HotStats {
-    /// Folds the hot counters into a stats record (read-time merge).
-    pub(crate) fn fold_into(&self, stats: &mut KernelStats) {
-        stats.puts += self.puts.load(Relaxed);
-        stats.gets += self.gets.load(Relaxed);
-        stats.put_gets += self.put_gets.load(Relaxed);
-        stats.rets += self.rets.load(Relaxed);
-        stats.traps += self.traps.load(Relaxed);
-        stats.limit_preemptions += self.limit_preemptions.load(Relaxed);
-        stats.spaces_created += self.spaces_created.load(Relaxed);
-        stats.threads_spawned += self.threads_spawned.load(Relaxed);
-        stats.pages_copied += self.pages_copied.load(Relaxed);
-        stats.pages_snapped += self.pages_snapped.load(Relaxed);
-        stats.leaves_cloned += self.leaves_cloned.load(Relaxed);
-        stats.conflicts += self.conflicts.load(Relaxed);
-        stats.migrations += self.migrations.load(Relaxed);
-        stats.device_reads += self.device_reads.load(Relaxed);
-        stats.device_write_bytes += self.device_write_bytes.load(Relaxed);
-        stats.vm_instructions += self.vm_instructions.load(Relaxed);
-        stats.vm_tlb_hits += self.vm_tlb_hits.load(Relaxed);
-        stats.vm_pages_walked += self.vm_pages_walked.load(Relaxed);
-        stats.vm_icache_hits += self.vm_icache_hits.load(Relaxed);
-        stats.vm_icache_fills += self.vm_icache_fills.load(Relaxed);
-        stats.condvar_wakeups += self.condvar_wakeups.load(Relaxed);
-        stats.vm_inline_runs += self.vm_inline_runs.load(Relaxed);
-        stats.checkpoints += self.checkpoints.load(Relaxed);
-        stats.checkpoint_leaves += self.checkpoint_leaves.load(Relaxed);
-    }
-
-    /// The host-scheduling-dependent counters, segregated from the
-    /// deterministic [`KernelStats`].
-    pub(crate) fn host_stats(&self) -> HostStats {
-        HostStats {
-            spurious_wakeups: self.spurious_wakeups.load(Relaxed),
-            os_threads_created: self.os_threads_created.load(Relaxed),
-        }
-    }
-}
-
 pub(crate) struct Shared {
     /// The space table: append-only; the lock covers growth and
     /// enumeration only. Rendezvous never touches it — each syscall
@@ -462,11 +382,12 @@ pub(crate) struct Shared {
     pub devices: Mutex<DeviceHub>,
     pub costs: CostModel,
     pub policy: ConflictPolicy,
-    /// Lock-free hot-path counters (folded into the outcome's
-    /// [`KernelStats`] at collection time).
-    pub hot: HotStats,
-    /// Accumulated merge statistics (cold path).
-    pub merge_accum: Mutex<MergeAccum>,
+    /// The two [`HostStats`] counters, bumped without any lock: wake
+    /// races and which `Start` finds a worker parked are host timing,
+    /// so they are never [`KernelStats`] (whose counts live in the
+    /// slots).
+    pub spurious_wakeups: AtomicU64,
+    pub os_threads_created: AtomicU64,
     /// Transition-trace sink, when recording (never on the rendezvous
     /// fast path: checked once per syscall, not per wakeup).
     pub trace: Option<TraceSink>,
@@ -480,6 +401,9 @@ pub(crate) struct Shared {
     /// Parked and busy vehicle threads (taken once per vehicle start
     /// and once per program exit; never on the park/resume path).
     pub pool: Mutex<VehiclePool>,
+    /// How `start_vehicle` creates a worker's OS thread. Always
+    /// [`spawn_worker`]: only this module's tests swap it.
+    pub spawn: SpawnWorker,
 }
 
 impl Shared {
@@ -493,33 +417,13 @@ impl Shared {
     /// parent's slot lock (the table id, by contrast, is an
     /// allocation-order artifact).
     pub(crate) fn new_slot(&self, path: String) -> (SpaceId, Arc<SlotCell>) {
-        let cell = SlotCell::new(Slot::new_child(path));
+        let mut slot = Slot::new_child(path);
+        count_space(&mut slot.stats);
+        let cell = SlotCell::new(slot);
         let mut t = self.table.lock();
         let id = SpaceId(t.len() as u32);
         t.push(Arc::clone(&cell));
-        drop(t);
-        self.hot.spaces_created.fetch_add(1, Relaxed);
         (id, cell)
-    }
-
-    /// Folds a rendezvous's memory-op meters into the hot counters.
-    pub(crate) fn fold_counts(&self, counts: &MemOpCounts) {
-        self.hot
-            .pages_copied
-            .fetch_add(counts.pages_copied, Relaxed);
-        self.hot
-            .pages_snapped
-            .fetch_add(counts.pages_snapped, Relaxed);
-        self.hot
-            .leaves_cloned
-            .fetch_add(counts.leaves_cloned, Relaxed);
-    }
-
-    /// Records one merge's statistics.
-    pub(crate) fn record_merge(&self, s: &MergeStats) {
-        let mut acc = self.merge_accum.lock();
-        acc.merges += 1;
-        acc.totals.accumulate(s);
     }
 
     /// Pushes a trace event, if recording. Call sites on the
@@ -536,31 +440,21 @@ impl Shared {
     ///
     /// All rendezvous accounting funnels through here, for both
     /// vehicles: stats count only stops that actually materialized (a
-    /// destroyed slot never reaches this point), and resumable stops
-    /// are charged the park/handoff cost whichever thread ran them.
-    fn check_in_locked(&self, slot: &mut Slot, mut st: Box<SpaceState>, reason: StopReason) {
-        match stop_counter(reason) {
-            Some(StopCounter::Ret) => {
-                self.hot.rets.fetch_add(1, Relaxed);
-            }
-            Some(StopCounter::Trap) => {
-                self.hot.traps.fetch_add(1, Relaxed);
-            }
-            Some(StopCounter::Limit) => {
-                self.hot.limit_preemptions.fetch_add(1, Relaxed);
-            }
-            None => {}
-        }
+    /// destroyed slot never reaches this point) — through the same
+    /// `count_check_in` replay applies, with `vm` the window's VM
+    /// counters — and resumable stops are charged the park/handoff cost
+    /// whichever thread ran them.
+    fn check_in_locked(
+        &self,
+        slot: &mut Slot,
+        mut st: Box<SpaceState>,
+        reason: StopReason,
+        vm: VmCounters,
+    ) {
+        count_check_in(&mut slot.stats, reason, slot.inline_vm, &vm);
         check_in_charge(&self.costs, &mut st, reason);
         slot.state = Some(st);
         slot.run = RunState::Idle(reason);
-    }
-
-    /// Issues one targeted wakeup (counted; see
-    /// [`KernelStats::condvar_wakeups`]).
-    fn notify_one(&self, cv: &Condvar) {
-        self.hot.condvar_wakeups.fetch_add(1, Relaxed);
-        cv.notify_one();
     }
 
     /// Blocks until the slot is stopped with its state checked in;
@@ -587,8 +481,8 @@ impl Shared {
                     let tr = g.trace_base.take();
                     g.run = RunState::Running;
                     drop(g);
-                    self.hot.vm_inline_runs.fetch_add(1, Relaxed);
-                    let (stop, vmc) = vm_execute(self, &mut st, &mut cpu);
+                    let mut vmc = VmCounters::default();
+                    let stop = vm_execute(self, &mut st, &mut cpu, &mut vmc);
                     g = cell.m.lock();
                     match stop {
                         // Shutdown observed mid-run: the state dies
@@ -603,7 +497,7 @@ impl Shared {
                             let ev = tr
                                 .as_ref()
                                 .map(|tr| tr.check_in(id, &st, reason, false, vmc));
-                            self.check_in_locked(&mut g, st, reason);
+                            self.check_in_locked(&mut g, st, reason, vmc);
                             g.cpu = Some(cpu);
                             self.trace_push(ev);
                             // No notify: the one waiter is this thread.
@@ -613,7 +507,7 @@ impl Shared {
                 _ => {
                     cell.idle_cv.wait(&mut g);
                     if !matches!(g.run, RunState::Idle(_) | RunState::Destroyed) {
-                        self.hot.spurious_wakeups.fetch_add(1, Relaxed);
+                        self.spurious_wakeups.fetch_add(1, Relaxed);
                     }
                 }
             }
@@ -636,11 +530,11 @@ impl Shared {
         if matches!(g.run, RunState::Destroyed) {
             return Err(KernelError::Destroyed);
         }
-        self.check_in_locked(&mut g, st, reason);
+        self.check_in_locked(&mut g, st, reason, VmCounters::default());
         self.trace_push(trace_ev);
         // Exactly one thread can be waiting for this stop: the parent
         // in `wait_idle`.
-        self.notify_one(&cell.idle_cv);
+        cell.idle_cv.notify_one();
         loop {
             match g.run {
                 RunState::Running => {
@@ -653,7 +547,7 @@ impl Shared {
                 _ => {
                     cell.resume_cv.wait(&mut g);
                     if !matches!(g.run, RunState::Running | RunState::Destroyed) {
-                        self.hot.spurious_wakeups.fetch_add(1, Relaxed);
+                        self.spurious_wakeups.fetch_add(1, Relaxed);
                     }
                 }
             }
@@ -680,17 +574,19 @@ impl Shared {
         }
         let reason = final_reason(st.is_some(), reason);
         let st = st.unwrap_or_else(|| Box::new(SpaceState::new()));
-        self.check_in_locked(&mut g, st, reason);
+        self.check_in_locked(&mut g, st, reason, VmCounters::default());
         g.terminal = true;
         self.trace_push(trace_ev);
-        self.notify_one(&cell.idle_cv);
+        cell.idle_cv.notify_one();
     }
 
     /// Starts or resumes an idle child whose state is checked in.
     ///
     /// The caller holds the child's slot lock and has already applied
     /// the rendezvous clock rules; `parent_vclock_ps` stamps the
-    /// child's resume time.
+    /// child's resume time. Returns the check-in of a vehicle the host
+    /// refused, which the caller records *after* the `Put` that started
+    /// it, as replay must apply them.
     pub(crate) fn start_child(
         self: &Arc<Self>,
         g: &mut MutexGuard<'_, Slot>,
@@ -699,7 +595,7 @@ impl Shared {
         limit_ns: Option<u64>,
         parent_vclock_ps: u64,
         prior: StopReason,
-    ) -> Result<()> {
+    ) -> Result<Option<TraceEvent>> {
         if matches!(g.run, RunState::Destroyed)
             || self.shutdown.load(std::sync::atomic::Ordering::SeqCst)
         {
@@ -724,6 +620,7 @@ impl Shared {
             prior,
             g.terminal,
         )?;
+        count_start(&mut g.stats, action);
         match action {
             StartAction::RunnableInline => {
                 // A leaf VM space: no vehicle of its own. It runs
@@ -738,7 +635,7 @@ impl Shared {
                 let Some(Program::Native(entry)) = g.pending.take() else {
                     unreachable!("start_action spawns only a pending native program");
                 };
-                self.start_vehicle(g, cell, child, entry, spawn_worker);
+                return Ok(self.start_vehicle(g, cell, child, entry));
             }
             StartAction::ResumeInline => {
                 g.run = RunState::Runnable;
@@ -748,16 +645,17 @@ impl Shared {
                 g.run = RunState::Running;
                 // Exactly one thread can be waiting for this resume:
                 // the slot's own parked vehicle.
-                self.notify_one(&cell.resume_cv);
+                cell.resume_cv.notify_one();
             }
         }
-        Ok(())
+        Ok(None)
     }
 
     /// Realizes [`StartAction::Spawn`]: checks the child's state out and
     /// hands its program to a pooled worker — the most recently parked
-    /// one, or a new OS thread from `spawn` when none is parked. One
-    /// uncounted wake; `threads_spawned` counts the decision either way.
+    /// one, or a new OS thread from `self.spawn` when none is parked. One
+    /// uncounted wake; `threads_spawned` counts the decision either way
+    /// (in `start_child`). Returns a refused vehicle's check-in event.
     ///
     /// A new worker is registered in the pool here, under the child's
     /// slot lock, and `start_child` checked the shutdown flag under
@@ -771,20 +669,18 @@ impl Shared {
         cell: &Arc<SlotCell>,
         child: SpaceId,
         entry: NativeEntry,
-        spawn: SpawnWorker,
-    ) {
+    ) -> Option<TraceEvent> {
         let st = g.state.take().expect("start_child checked the state in");
         g.run = RunState::Running;
-        self.hot.threads_spawned.fetch_add(1, Relaxed);
         let parked = self.pool.lock().idle.pop();
         let worker = match parked {
             Some(w) => w,
             None => {
                 let w = Arc::<Worker>::default();
-                let Ok(handle) = spawn(Arc::clone(self), Arc::clone(&w)) else {
+                let Ok(handle) = (self.spawn)(Arc::clone(self), Arc::clone(&w)) else {
                     return self.vehicle_refused(g, child);
                 };
-                self.hot.os_threads_created.fetch_add(1, Relaxed);
+                self.os_threads_created.fetch_add(1, Relaxed);
                 self.pool.lock().workers.push((Arc::clone(&w), handle));
                 w
             }
@@ -799,6 +695,7 @@ impl Shared {
         let unclaimed = worker.mailbox.lock().job.replace(job);
         assert!(unclaimed.is_none(), "a worker off the stack has no job");
         worker.cv.notify_one();
+        None
     }
 
     /// The host refused a vehicle (thread exhaustion, or an injected
@@ -807,21 +704,25 @@ impl Shared {
     /// slot in as a terminal trap so the caller's next wait observes a
     /// deterministic stop instead of a slot stuck in `Running`. No
     /// worker is bound (`has_vehicle` stays clear), so a later `Start`
-    /// finds no program rather than waking nobody.
-    fn vehicle_refused(&self, g: &mut Slot, child: SpaceId) {
+    /// finds no program rather than waking nobody. Returns the check-in
+    /// event for the caller to record after its `Put`.
+    fn vehicle_refused(&self, g: &mut Slot, child: SpaceId) -> Option<TraceEvent> {
         let reason = final_reason(
             false,
             StopReason::Trap(TrapKind::Fault("vehicle spawn failed")),
         );
-        let ev = self
-            .trace
-            .as_ref()
-            .map(|_| lost_state_check_in(child, reason));
-        self.check_in_locked(g, Box::new(SpaceState::new()), reason);
+        self.check_in_locked(
+            g,
+            Box::new(SpaceState::new()),
+            reason,
+            VmCounters::default(),
+        );
         g.terminal = true;
-        self.trace_push(ev);
         // No notify: the caller holds this slot's lock and is the
         // unique observer of the stop.
+        self.trace
+            .as_ref()
+            .map(|_| lost_state_check_in(child, reason))
     }
 
     /// Establishes the trace cursor of a slot just made `Runnable`:
@@ -922,12 +823,13 @@ impl Kernel {
                 devices: Mutex::new(DeviceHub::new(config.io)),
                 costs: config.costs,
                 policy: config.policy,
-                hot: HotStats::default(),
-                merge_accum: Mutex::new(MergeAccum::default()),
+                spurious_wakeups: AtomicU64::default(),
+                os_threads_created: AtomicU64::default(),
                 trace: config.trace,
                 shutdown: AtomicBool::new(false),
                 faults: ArmedFaults::new(config.faults),
                 pool: Mutex::default(),
+                spawn: spawn_worker,
             }),
         }
     }
@@ -970,9 +872,9 @@ impl Kernel {
 
         // Shutdown: destroy every space, wake parked vehicles, join
         // every pooled worker, and only then collect stats and device
-        // output — draining vehicles still bump hot counters on their
-        // way out, and collecting first would drop those bumps from
-        // the outcome. (The shutdown flag is published before the
+        // output — draining vehicles still count into their slots on
+        // their way out (and may append a slot), and collecting first
+        // would drop those counts from the outcome. (The shutdown flag is published before the
         // table snapshot, and `start_child` re-checks it under the
         // child's slot lock, so once this sweep has held every slot
         // lock no vehicle can start and the pool holds every worker
@@ -1026,12 +928,11 @@ impl Kernel {
                 .join()
                 .expect("a vehicle worker panicked outside its program");
         }
+        // Re-read the table: a draining vehicle may have appended a slot.
         let mut stats = KernelStats::default();
-        self.shared.hot.fold_into(&mut stats);
-        {
-            let acc = self.shared.merge_accum.lock();
-            stats.merges = acc.merges;
-            stats.merge_totals.0 = acc.totals;
+        let cells = self.shared.table.lock().clone();
+        for cell in cells {
+            stats.accumulate(&cell.m.lock().stats);
         }
         let devices = std::mem::replace(
             &mut *self.shared.devices.lock(),
@@ -1042,7 +943,10 @@ impl Kernel {
             exit,
             vclock_ns,
             stats,
-            host: self.shared.hot.host_stats(),
+            host: HostStats {
+                spurious_wakeups: self.shared.spurious_wakeups.load(Relaxed),
+                os_threads_created: self.shared.os_threads_created.load(Relaxed),
+            },
             outputs,
             io_log,
             spaces,
@@ -1138,38 +1042,11 @@ fn native_thread(shared: &Arc<Shared>, me: &Arc<Worker>, job: Job) {
 }
 
 /// Interprets a VM space's program on the current thread until it
-/// stops. Returns the stop reason — or `None` iff kernel shutdown was
-/// observed mid-run (the caller unwinds and the state dies with the
-/// kernel) — plus this drive's counters, already folded into the hot
-/// stats exactly once.
+/// stops, adding this drive's counters to `vmc`. Returns the stop
+/// reason — or `None` iff kernel shutdown was observed mid-run (the
+/// caller unwinds and the state dies with the kernel). The counters are
+/// counted by the check-in that records them, or not at all.
 fn vm_execute(
-    shared: &Shared,
-    st: &mut SpaceState,
-    cpu: &mut Cpu,
-) -> (Option<StopReason>, VmCounters) {
-    let mut vmc = VmCounters::default();
-    let stop = vm_execute_inner(shared, st, cpu, &mut vmc);
-    shared
-        .hot
-        .vm_instructions
-        .fetch_add(vmc.instructions, Relaxed);
-    shared.hot.vm_tlb_hits.fetch_add(vmc.tlb_hits, Relaxed);
-    shared
-        .hot
-        .vm_pages_walked
-        .fetch_add(vmc.pages_walked, Relaxed);
-    shared
-        .hot
-        .vm_icache_hits
-        .fetch_add(vmc.icache_hits, Relaxed);
-    shared
-        .hot
-        .vm_icache_fills
-        .fetch_add(vmc.icache_fills, Relaxed);
-    (stop, vmc)
-}
-
-fn vm_execute_inner(
     shared: &Shared,
     st: &mut SpaceState,
     cpu: &mut Cpu,
@@ -1247,6 +1124,23 @@ mod tests {
         Arc::clone(&Kernel::new(KernelConfig::default()).shared)
     }
 
+    /// A kernel whose host refuses every new vehicle thread.
+    fn refusing_kernel(config: KernelConfig) -> Kernel {
+        let mut kernel = Kernel::new(config);
+        Arc::get_mut(&mut kernel.shared)
+            .expect("a new kernel's state is unshared")
+            .spawn = |_, _| Err(std::io::Error::other("host refused a thread"));
+        kernel
+    }
+
+    /// What a fresh slot's stats hold: its own creation.
+    fn created_only() -> KernelStats {
+        KernelStats {
+            spaces_created: 1,
+            ..KernelStats::default()
+        }
+    }
+
     /// Satellite regression: a vehicle dying *without* state on a live
     /// slot must still leave `Running` — checked in as a terminal
     /// deterministic trap — or the waiting parent deadlocks.
@@ -1267,32 +1161,45 @@ mod tests {
         ));
         assert!(g.state.is_some(), "wait_idle requires checked-in state");
         assert!(g.terminal, "nothing is left to resume");
-        assert_eq!(sh.hot.traps.load(Relaxed), 1);
+        assert_eq!((g.stats.traps, g.stats.condvar_wakeups), (1, 1));
     }
 
     /// The host refusing a vehicle thread is the lost-state shape seen
     /// from the starter's side: the child's state is already checked
-    /// out, so the slot is checked in as a terminal trap — recorded, so
-    /// replay agrees — and no worker is bound or registered.
+    /// out, so the slot is checked in as a terminal trap, and no worker
+    /// is bound or registered. The check-in event goes back to the
+    /// caller, which records it after its `Put`
+    /// (`a_refused_vehicle_replays_to_the_live_outcome` replays it).
     #[test]
     fn refused_vehicle_is_a_terminal_trap_and_registers_no_worker() {
         let sink = TraceSink::new();
-        let config = KernelConfig::builder().trace(sink.clone()).build();
-        let sh = Arc::clone(&Kernel::new(config).shared);
+        let kernel = refusing_kernel(KernelConfig::builder().trace(sink.clone()).build());
+        let sh = Arc::clone(&kernel.shared);
         let (id, cell) = sh.new_slot("/t".to_string());
         let mut g = cell.m.lock();
-        sh.start_vehicle(&mut g, &cell, id, Box::new(|_| Ok(0)), |_, _| {
-            Err(std::io::Error::other("host refused a thread"))
-        });
+        g.pending = Some(Program::native(|_| Ok(0)));
+        let refused = sh.start_child(&mut g, &cell, id, None, 0, StopReason::Unstarted);
+        assert!(matches!(
+            refused,
+            Ok(Some(TraceEvent::CheckIn {
+                lost_state: true,
+                final_stop: true,
+                ..
+            }))
+        ));
         assert!(matches!(
             g.run,
             RunState::Idle(StopReason::Trap(TrapKind::Fault("vehicle spawn failed")))
         ));
         assert!(g.state.is_some(), "wait_idle requires checked-in state");
         assert!(g.terminal && !g.has_vehicle);
-        assert_eq!(sh.hot.traps.load(Relaxed), 1);
-        assert_eq!(sh.hot.threads_spawned.load(Relaxed), 1, "the decision");
-        assert_eq!(sh.hot.os_threads_created.load(Relaxed), 0, "the host");
+        assert_eq!(g.stats.traps, 1);
+        assert_eq!(g.stats.threads_spawned, 1, "the decision");
+        assert_eq!(
+            g.stats.condvar_wakeups, 1,
+            "a check-in, as replay counts it"
+        );
+        assert_eq!(sh.os_threads_created.load(Relaxed), 0, "the host");
         {
             let pool = sh.pool.lock();
             assert!(pool.idle.is_empty() && pool.workers.is_empty());
@@ -1306,15 +1213,63 @@ mod tests {
         ));
         assert!(matches!(g.run, RunState::Idle(_)));
         drop(g);
-        let events = sink.collect().expect("meta set by Kernel::new").events;
+        assert!(sink.is_empty(), "the caller records the check-in");
+    }
+
+    /// A whole traced run in which the host refuses the vehicle: the
+    /// refused check-in is recorded after the `Put` that started it, so
+    /// the trace replays, and replay reproduces the exit, the clock,
+    /// every counter and every space.
+    #[test]
+    fn a_refused_vehicle_replays_to_the_live_outcome() {
+        use crate::syscall::{CopySpec, GetSpec, PutSpec};
+        use det_memory::{Perm, Region};
+        let sink = TraceSink::new();
+        let kernel = refusing_kernel(KernelConfig::builder().trace(sink.clone()).build());
+        let out = kernel.run(|ctx| {
+            let shared = Region::new(0x1000, 0x3000);
+            ctx.mem_mut().map_zero(shared, Perm::RW)?;
+            ctx.mem_mut().write_u64(0x1000, 42)?;
+            let child = Program::native(|c| {
+                c.mem_mut().write_u64(0x1000, 1)?;
+                Ok(0)
+            });
+            let put = PutSpec::new().program(child).copy(CopySpec::mirror(shared));
+            ctx.put(0, put.snap().start())?;
+            let got = ctx.get(0, GetSpec::new())?;
+            let refused = StopReason::Trap(TrapKind::Fault("vehicle spawn failed"));
+            ctx.dev_write(DeviceId::ConsoleOut, &[u8::from(got.stop == refused)])?;
+            Ok(7)
+        });
+        assert_eq!(out.exit, Ok(7));
+        assert_eq!(out.outputs[&DeviceId::ConsoleOut], [1]);
+        assert_eq!(
+            (out.stats.threads_spawned, out.host.os_threads_created),
+            (1, 0)
+        );
+        assert_eq!((out.stats.traps, out.stats.condvar_wakeups), (1, 1));
+        assert_eq!(out.stats.pages_copied, 2);
+        let trace = sink.collect().expect("meta set by Kernel::new");
         assert!(matches!(
-            events[..],
-            [TraceEvent::CheckIn {
-                lost_state: true,
-                final_stop: true,
-                ..
-            }]
+            trace.events[..],
+            [
+                TraceEvent::Put { .. },
+                TraceEvent::CheckIn {
+                    lost_state: true,
+                    ..
+                },
+                TraceEvent::Get { .. },
+                TraceEvent::DevWrite { .. },
+                TraceEvent::RootExit { .. },
+            ]
         ));
+        let rep = trace.replay().expect("the refused run replays");
+        assert_eq!(rep.exit, out.exit);
+        assert_eq!(rep.vclock_ns, out.vclock_ns);
+        assert_eq!(rep.stats, out.stats);
+        assert_eq!(rep.outputs, out.outputs);
+        assert_eq!(rep.spaces, out.spaces);
+        assert_eq!(rep.space_paths, out.space_paths);
     }
 
     /// Every pooled worker — idle on the stack, parked in a rendezvous
@@ -1365,8 +1320,7 @@ mod tests {
             sh.park(&cell, st, StopReason::Ret, None),
             Err(KernelError::Destroyed)
         ));
-        assert_eq!(sh.hot.rets.load(Relaxed), 0);
-        assert_eq!(sh.hot.condvar_wakeups.load(Relaxed), 0);
+        assert_eq!(cell.m.lock().stats, created_only());
     }
 
     /// Same drift rule for the final check-in of a destroyed slot.
@@ -1388,7 +1342,7 @@ mod tests {
         let g = cell.m.lock();
         assert!(matches!(g.run, RunState::Destroyed));
         assert!(g.state.is_none());
-        assert_eq!(sh.hot.traps.load(Relaxed), 0);
+        assert_eq!(g.stats, created_only());
     }
 
     /// A successful check-in charges the calibrated rendezvous park
@@ -1397,18 +1351,16 @@ mod tests {
     fn check_in_charges_rendezvous_cost() {
         let sh = shared();
         let (_, cell) = sh.new_slot("/t".to_string());
-        {
-            let mut g = cell.m.lock();
-            let st = g.state.take().expect("fresh slot");
-            g.run = RunState::Running;
-            sh.check_in_locked(&mut g, st, StopReason::Ret);
-            assert_eq!(g.state.as_ref().unwrap().vclock_ps, sh.costs.rendezvous_ps);
-            let st = g.state.take().expect("checked in");
-            g.run = RunState::Running;
-            sh.check_in_locked(&mut g, st, StopReason::Halted);
-            // Halting is final: no park, no park cost.
-            assert_eq!(g.state.as_ref().unwrap().vclock_ps, sh.costs.rendezvous_ps);
-        }
-        assert_eq!(sh.hot.rets.load(Relaxed), 1);
+        let mut g = cell.m.lock();
+        let st = g.state.take().expect("fresh slot");
+        g.run = RunState::Running;
+        sh.check_in_locked(&mut g, st, StopReason::Ret, VmCounters::default());
+        assert_eq!(g.state.as_ref().unwrap().vclock_ps, sh.costs.rendezvous_ps);
+        let st = g.state.take().expect("checked in");
+        g.run = RunState::Running;
+        sh.check_in_locked(&mut g, st, StopReason::Halted, VmCounters::default());
+        // Halting is final: no park, no park cost.
+        assert_eq!(g.state.as_ref().unwrap().vclock_ps, sh.costs.rendezvous_ps);
+        assert_eq!(g.stats.rets, 1);
     }
 }

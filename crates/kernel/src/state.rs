@@ -10,7 +10,8 @@
 //! (`apply.rs`); a driver only finds the two spaces and realizes the
 //! decisions that come back. A unit test enforces the purity boundary
 //! by scanning this module's source (see `core_modules_are_pure` in
-//! `apply.rs`), and a second one that the clock has one adder.
+//! `apply.rs`), and two more that the clock and the counters each have
+//! one writer.
 
 use std::collections::BTreeMap;
 
@@ -197,8 +198,8 @@ pub(crate) const ROOT_PATH: &str = "/";
 /// The whole kernel as plain data: the state a trace replay evolves.
 ///
 /// This is exactly the information the shell scatters across its
-/// locked slot table, device hub, and hot counters — gathered into one
-/// owned value a pure `apply` can step.
+/// locked slot table (each slot holding its own share of the stats) and
+/// device hub — gathered into one owned value a pure `apply` can step.
 ///
 /// The derived mapping leaves `slots` out, for [`KSlot`]'s reason.
 #[derive(Serialize, Deserialize)]
@@ -230,25 +231,6 @@ impl KState {
             outputs: BTreeMap::new(),
             root_exit: None,
         }
-    }
-}
-
-/// Which stop-reason counter a check-in bumps.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum StopCounter {
-    Ret,
-    Trap,
-    Limit,
-}
-
-/// Classifies a stop for the check-in counters (pure; the shell maps
-/// the result onto hot atomics, the replayer onto [`KernelStats`]).
-pub(crate) fn stop_counter(reason: StopReason) -> Option<StopCounter> {
-    match reason {
-        StopReason::Ret => Some(StopCounter::Ret),
-        StopReason::Trap(_) => Some(StopCounter::Trap),
-        StopReason::LimitReached => Some(StopCounter::Limit),
-        _ => None,
     }
 }
 

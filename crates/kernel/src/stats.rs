@@ -5,11 +5,12 @@ use serde::{Deserialize, Serialize, Value};
 
 /// Counts of kernel operations over a run.
 ///
-/// These are *host-side observability*: they are returned in
-/// [`crate::RunOutcome`], not exposed to unprivileged spaces (their
-/// instantaneous values depend on host scheduling, which spaces must
-/// not observe). The benchmark harness uses them to report the real
-/// operation counts behind every virtual-time figure.
+/// Every field is a pure function of the kernel-mediated event history,
+/// and the pure core is its only writer: the live shell and trace replay
+/// bump it through the same functions in `apply.rs`, so a replay
+/// reproduces it exactly. It is returned in [`crate::RunOutcome`], never
+/// exposed to unprivileged spaces, and the benchmark harness uses it to
+/// report the real operation counts behind every virtual-time figure.
 #[derive(Clone, PartialEq, Eq, Default, Debug, Serialize, Deserialize)]
 pub struct KernelStats {
     /// `Put` calls.
@@ -66,14 +67,17 @@ pub struct KernelStats {
     pub vm_icache_hits: u64,
     /// VM decoded-instruction cache fills (full fetch + decode).
     pub vm_icache_fills: u64,
-    /// Condvar notifications issued by the rendezvous engine on the
-    /// park / resume / final-check-in paths (shutdown broadcasts are
-    /// not counted). Every notify targets exactly one known waiter, so
-    /// this is bounded by rendezvous *events* — independent of how
-    /// many other spaces sit parked. A deterministic count: it is a
-    /// pure function of the kernel-mediated event history, and the
-    /// `targeted_wakeups_*` tests lock in the exact value so a
-    /// broadcast (thundering-herd) wakeup can't silently return.
+    /// Targeted wakes of the rendezvous engine: one per check-in that
+    /// is not an inline VM drive (a park or a final check-in wakes the
+    /// waiting parent) and one per resume of a parked vehicle
+    /// (shutdown broadcasts are not counted). Every wake targets
+    /// exactly one known waiter, so this is bounded by rendezvous
+    /// *events* — independent of how many other spaces sit parked —
+    /// and the `targeted_wakeups_*` tests lock in the exact value so a
+    /// broadcast (thundering-herd) wakeup can't silently return. A
+    /// refused vehicle's check-in counts one too, although its starter
+    /// holds the slot and nobody is notified: replay cannot tell it
+    /// from a vehicle that lost its state on the way out.
     pub condvar_wakeups: u64,
     /// Times a leaf VM space was executed inline on the thread waiting
     /// for it (zero-context-switch rendezvous; see DESIGN.md §6).
@@ -109,6 +113,67 @@ pub struct HostStats {
 pub struct MergeStatsSerde(pub MergeStats);
 
 impl KernelStats {
+    /// Adds another record field by field: how the live kernel sums its
+    /// slots' counts at shutdown and a cluster run sums its kernels'.
+    /// The exhaustive destructuring makes a new field without an
+    /// aggregation a compile error.
+    pub fn accumulate(&mut self, other: &KernelStats) {
+        let KernelStats {
+            puts,
+            gets,
+            put_gets,
+            rets,
+            traps,
+            limit_preemptions,
+            spaces_created,
+            threads_spawned,
+            pages_copied,
+            pages_snapped,
+            leaves_cloned,
+            merges,
+            merge_totals,
+            conflicts,
+            migrations,
+            device_reads,
+            device_write_bytes,
+            vm_instructions,
+            vm_tlb_hits,
+            vm_pages_walked,
+            vm_icache_hits,
+            vm_icache_fills,
+            condvar_wakeups,
+            vm_inline_runs,
+            checkpoints,
+            checkpoint_leaves,
+        } = other;
+        self.puts += puts;
+        self.gets += gets;
+        self.put_gets += put_gets;
+        self.rets += rets;
+        self.traps += traps;
+        self.limit_preemptions += limit_preemptions;
+        self.spaces_created += spaces_created;
+        self.threads_spawned += threads_spawned;
+        self.pages_copied += pages_copied;
+        self.pages_snapped += pages_snapped;
+        self.leaves_cloned += leaves_cloned;
+        self.merges += merges;
+        self.merge_totals.0.accumulate(&merge_totals.0);
+        self.conflicts += conflicts;
+        self.migrations += migrations;
+        self.device_reads += device_reads;
+        self.device_write_bytes += device_write_bytes;
+        self.vm_instructions += vm_instructions;
+        self.vm_tlb_hits += vm_tlb_hits;
+        self.vm_pages_walked += vm_pages_walked;
+        self.vm_icache_hits += vm_icache_hits;
+        self.vm_icache_fills += vm_icache_fills;
+        self.condvar_wakeups += condvar_wakeups;
+        self.vm_inline_runs += vm_inline_runs;
+        self.checkpoints += checkpoints;
+        self.checkpoint_leaves += checkpoint_leaves;
+    }
+
     /// Adds one merge's statistics.
     pub fn record_merge(&mut self, s: &MergeStats) {
         self.merges += 1;
@@ -161,5 +226,44 @@ mod tests {
         assert_eq!(k.merge_totals.0.pages_skipped_clean, 10);
         assert_eq!(k.merge_totals.0.words_compared, 32);
         assert_eq!(k.merge_totals.0.bytes_copied, 20);
+    }
+
+    /// `accumulate` adds every counter, the merge totals included:
+    /// each of a record's lines doubles when it is added to itself.
+    #[test]
+    fn accumulate_adds_every_field() {
+        let mut one = KernelStats::default();
+        let Value::Object(fields) = one.to_value() else {
+            unreachable!("a derived struct maps to an object");
+        };
+        // Every top-level counter and every merge counter distinct.
+        let mut n = 0;
+        let mut numbered = |v: &Value| match v {
+            Value::Object(inner) => Value::Object(
+                inner
+                    .iter()
+                    .map(|(k, _)| {
+                        n += 1;
+                        (k.clone(), Value::UInt(n))
+                    })
+                    .collect(),
+            ),
+            _ => {
+                n += 1;
+                Value::UInt(n)
+            }
+        };
+        let fields = fields
+            .iter()
+            .map(|(k, v)| (k.clone(), numbered(v)))
+            .collect();
+        one = KernelStats::from_value(&Value::Object(fields)).expect("stats decode");
+        let mut two = one.clone();
+        two.accumulate(&one);
+        for ((k, a), (_, b)) in one.lines().into_iter().zip(two.lines()) {
+            let (a, b): (u64, u64) = (a.parse().unwrap(), b.parse().unwrap());
+            assert_eq!(b, 2 * a, "{k}");
+        }
+        assert_eq!(one.lines().len(), 36);
     }
 }
