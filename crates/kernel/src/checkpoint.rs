@@ -2,20 +2,16 @@
 //!
 //! A [`Checkpoint`] is a byte-stable snapshot of the pure kernel state
 //! at a *rendezvous boundary* — an index into a recorded trace's event
-//! sequence. The bundle serializes the whole
+//! sequence. Its payload is the boundary and the whole
 //! [`KState`](crate::state::KState) (every slot, its checked-in space
-//! state, device outputs, deterministic stats) with each space's
-//! memory encoded through the existing delta machinery
-//! ([`AddressSpace::delta_since`] / [`AddressSpace::apply_delta`]):
-//!
-//! * **Full** encoding — the delta against an empty space, partitioned
-//!   into clean and dirty pages so the restored space reproduces not
-//!   just bytes and permissions but the exact dirty write-set and
-//!   zero-frame sharing (both observable downstream, by merges and by
-//!   checkpoint-cost accounting). Cost: O(touched leaves).
-//! * **Incremental** encoding — the delta against the same space's
-//!   image at the *previous* checkpoint, linked to it by digest
-//!   ([`Checkpoint::parent`]). Cost: O(dirty leaves since the parent).
+//! state, device outputs, deterministic stats) in their derived
+//! mappings, rendered by [`serde::bin`]. A space's memory is
+//! [`AddressSpace`](det_memory::AddressSpace)'s own mapping: the delta
+//! against an empty space, split into clean and dirty pages, so the
+//! restored space reproduces not just bytes and permissions but the
+//! exact dirty write-set and zero-frame sharing (both observable
+//! downstream, by merges and by checkpoint-cost accounting). Cost:
+//! O(touched leaves).
 //!
 //! Restoring a checkpoint and resuming the trace suffix is, by
 //! construction, the same computation as replaying the whole trace:
@@ -37,24 +33,25 @@
 //! web into the live frame graph; serializing it would destroy the
 //! sharing that makes merges O(dirty)). A boundary is therefore
 //! restorable only if no suffix merge depends on a prefix snapshot,
-//! i.e. every merge-bearing `Get` in the suffix is preceded *within
-//! the suffix* by a snap-bearing `Put` for the same child.
-//! [`latest_restorable_boundary`] computes the latest such boundary at
-//! or below a requested cut; boundary 0 (full replay) always
-//! qualifies.
+//! i.e. every merge-bearing `Get` in the suffix merges against a
+//! snapshot taken *within the suffix* — by a snap-bearing `Put` for
+//! the same child, or for the source of a `Tree` copy that carried the
+//! snapshot over. [`latest_restorable_boundary`] computes the latest
+//! such boundary at or below a requested cut; boundary 0 (full replay)
+//! always qualifies.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
-use det_memory::{AddressSpace, SpaceDelta};
-use serde::{DeError, Deserialize, Serialize, Value, field};
+use serde::{Serialize, Value, field};
 
 use crate::apply::{TraceEvent, apply};
 use crate::error::{KernelError, Result};
-use crate::state::{KSlot, KState, SpaceState};
+use crate::ids::ChildNum;
+use crate::state::KState;
 use crate::trace::{ReplayOutcome, Trace, TraceMeta, outcome_of};
 
 /// The checkpoint bundle format this build writes and reads.
-pub const CHECKPOINT_FORMAT_VERSION: u32 = 6;
+pub const CHECKPOINT_FORMAT_VERSION: u32 = 7;
 
 const MAGIC: &str = "detckpt";
 
@@ -74,17 +71,22 @@ fn parse_payload(payload: &[u8]) -> Result<Value> {
         .map_err(|_| KernelError::CheckpointMalformed("payload does not parse"))
 }
 
+/// What a bundle's payload holds: the boundary, and the kernel state
+/// the trace prefix folds to.
+#[derive(Serialize)]
+struct Payload {
+    boundary: u64,
+    kernel: KState,
+}
+
 /// A serialized kernel state at a rendezvous boundary.
 ///
-/// Produce one with [`Checkpoint::capture`] (one-shot, full) or a
-/// [`Checkpointer`] (streaming, incremental); turn it back into a
-/// running point with [`Checkpoint::restore`] /
-/// [`restore_chain`].
+/// Produce one with [`Checkpoint::capture`]; turn it back into a
+/// running point with [`Checkpoint::restore`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Checkpoint {
     version: u32,
     boundary: u64,
-    parent: Option<u64>,
     digest: u64,
     payload: Vec<u8>,
 }
@@ -101,19 +103,13 @@ impl Checkpoint {
         self.boundary
     }
 
-    /// The digest of the parent checkpoint an incremental bundle's
-    /// memory deltas are relative to; `None` for a full bundle.
-    pub fn parent(&self) -> Option<u64> {
-        self.parent
-    }
-
     /// The FNV-1a integrity digest over the payload.
     pub fn digest(&self) -> u64 {
         self.digest
     }
 
-    /// Captures a *full* checkpoint of `trace` at event index
-    /// `boundary` by replaying the prefix through the pure core.
+    /// Captures a checkpoint of `trace` at event index `boundary` by
+    /// replaying the prefix through the pure core.
     ///
     /// The caller is responsible for picking a restorable boundary
     /// (see [`latest_restorable_boundary`]); capture itself succeeds
@@ -125,11 +121,18 @@ impl Checkpoint {
             .ok_or(KernelError::CheckpointMalformed(
                 "boundary beyond trace end",
             ))?;
-        let mut cp = Checkpointer::new(&trace.meta);
+        let mut kernel = KState::new(trace.meta.costs, trace.meta.policy);
         for ev in events {
-            cp.feed(ev)?;
+            apply(&mut kernel, ev)?;
         }
-        Ok(cp.capture())
+        let boundary = boundary as u64;
+        let payload = serde::bin::to_vec(&Payload { boundary, kernel });
+        Ok(Checkpoint {
+            version: CHECKPOINT_FORMAT_VERSION,
+            boundary,
+            digest: fnv1a64(&payload),
+            payload,
+        })
     }
 
     /// The canonical byte encoding: one ASCII header line
@@ -146,7 +149,7 @@ impl Checkpoint {
 
     /// Parses and *verifies* a bundle: magic and header shape, then
     /// format version, then the integrity digest, then payload
-    /// structure (boundary and parent link).
+    /// structure (the boundary).
     pub fn from_bytes(bytes: &[u8]) -> Result<Checkpoint> {
         let newline = bytes
             .iter()
@@ -188,57 +191,23 @@ impl Checkpoint {
         let v = parse_payload(payload)?;
         let boundary: u64 = field(&v, "boundary")
             .map_err(|_| KernelError::CheckpointMalformed("payload missing boundary"))?;
-        let parent: Option<u64> = field(&v, "parent")
-            .map_err(|_| KernelError::CheckpointMalformed("payload missing parent link"))?;
         Ok(Checkpoint {
             version,
             boundary,
-            parent,
             digest: expected,
             payload: payload.to_vec(),
         })
     }
 
     /// Restores this bundle into a resumable kernel state.
-    ///
-    /// Only full bundles restore standalone; an incremental bundle
-    /// needs its ancestry — use [`restore_chain`].
     pub fn restore(&self) -> Result<RestoredKernel> {
-        restore_chain(std::slice::from_ref(self))
+        let ks = field(&parse_payload(&self.payload)?, "kernel")
+            .map_err(|_| KernelError::CheckpointMalformed("payload does not decode"))?;
+        Ok(RestoredKernel {
+            ks,
+            boundary: self.boundary,
+        })
     }
-}
-
-/// Restores a full checkpoint followed by its incremental descendants
-/// (each linked to its predecessor by [`Checkpoint::parent`]).
-pub fn restore_chain(chain: &[Checkpoint]) -> Result<RestoredKernel> {
-    let first = chain
-        .first()
-        .ok_or(KernelError::CheckpointMalformed("empty checkpoint chain"))?;
-    if first.parent.is_some() {
-        return Err(KernelError::CheckpointMalformed(
-            "chain does not start at a full checkpoint",
-        ));
-    }
-    let mut ks: Option<KState> = None;
-    let mut prev_digest = None;
-    for ckpt in chain {
-        if ckpt.parent != prev_digest {
-            return Err(KernelError::CheckpointMalformed(
-                "broken parent link in checkpoint chain",
-            ));
-        }
-        let v = parse_payload(&ckpt.payload)?;
-        ks = Some(
-            p_kstate(&v, ks.as_ref())
-                .map_err(|_| KernelError::CheckpointMalformed("payload does not decode"))?,
-        );
-        prev_digest = Some(ckpt.digest);
-    }
-    let last = chain.last().expect("nonempty");
-    Ok(RestoredKernel {
-        ks: ks.expect("nonempty chain decoded"),
-        boundary: last.boundary,
-    })
 }
 
 /// A kernel state restored from a checkpoint, ready to resume.
@@ -274,40 +243,62 @@ impl RestoredKernel {
     }
 }
 
-impl crate::Kernel {
-    /// Captures a full [`Checkpoint`] of a recorded trace at
-    /// `boundary` (convenience alias of [`Checkpoint::capture`]).
-    pub fn checkpoint(trace: &Trace, boundary: usize) -> Result<Checkpoint> {
-        Checkpoint::capture(trace, boundary)
-    }
-
-    /// Restores a checkpoint into a resumable kernel state
-    /// (convenience alias of [`Checkpoint::restore`]).
-    pub fn restore(ckpt: &Checkpoint) -> Result<RestoredKernel> {
-        ckpt.restore()
-    }
-}
-
 /// The latest restorable boundary at or below `at_most`.
 ///
 /// A boundary `j` is restorable iff no merge-bearing `Get` at suffix
-/// index `m >= j` depends on a snap-bearing `Put` at prefix index
-/// `s < j` (checkpoints do not serialize merge snapshots — see the
-/// module docs). For each merge at `m` whose child's latest snapshot
-/// was taken at `s`, the interval `(s, m]` is excluded; a merge with
-/// no prior snapshot excludes nothing (it faulted `NoSnapshot` live,
+/// index `m >= j` merges against a snapshot taken by a snap-bearing
+/// `Put` at prefix index `s < j` (checkpoints do not serialize merge
+/// snapshots — see the module docs). A `Tree` copy carries snapshots
+/// over, as it carries the rest of a space's state: the destination
+/// and every space the copy creates hold the snapshot their source
+/// held, so a merge on a copy depends on the source's `Put`. Spaces are
+/// resolved through the `caller`/`child`/`child_id` every rendezvous
+/// records and the ids a copy records. For each merge at `m` on a
+/// snapshot taken at `s`, the interval `(s, m]` is excluded; a merge
+/// with no snapshot excludes nothing (it faulted `NoSnapshot` live,
 /// and re-derives the same fault from any restore point). Boundary 0
 /// is always restorable.
 pub fn latest_restorable_boundary(trace: &Trace, at_most: usize) -> usize {
-    let mut last_snap: BTreeMap<u32, usize> = BTreeMap::new();
+    let mut children = Children::new();
+    let mut snap_at: BTreeMap<u32, usize> = BTreeMap::new();
     let mut excluded: Vec<(usize, usize)> = Vec::new();
     for (i, ev) in trace.events.iter().enumerate() {
-        match ev {
-            TraceEvent::Put { child_id, put, .. } if put.snap => {
-                last_snap.insert(*child_id, i);
+        let (caller, child, child_id) = match *ev {
+            TraceEvent::Put {
+                caller,
+                child,
+                child_id,
+                ..
             }
-            TraceEvent::Get { child_id, get, .. } if get.merge.is_some() => {
-                if let Some(&s) = last_snap.get(child_id) {
+            | TraceEvent::Get {
+                caller,
+                child,
+                child_id,
+                ..
+            } => (caller, child, child_id),
+            _ => continue,
+        };
+        children.entry(caller).or_default().insert(child, child_id);
+        match ev {
+            TraceEvent::Put {
+                put, tree_new_ids, ..
+            } => {
+                let src = put.tree_from.and_then(|num| children[&caller].get(&num));
+                if let Some(&src) = src.filter(|&&src| src != child_id) {
+                    tree_copy(
+                        &mut children,
+                        &mut snap_at,
+                        src,
+                        child_id,
+                        &mut tree_new_ids.iter(),
+                    );
+                }
+                if put.snap {
+                    snap_at.insert(child_id, i);
+                }
+            }
+            TraceEvent::Get { get, .. } => {
+                if let (Some(_), Some(&s)) = (get.merge, snap_at.get(&child_id)) {
                     excluded.push((s + 1, i));
                 }
             }
@@ -329,274 +320,51 @@ pub fn latest_restorable_boundary(trace: &Trace, at_most: usize) -> usize {
     }
 }
 
-/// Streaming checkpoint producer: feed it the trace events in order
-/// and capture bundles at chosen boundaries. The first capture is
-/// full; later captures are incremental — each space's memory encoded
-/// as a delta against its image at the previous capture (cost
-/// proportional to the dirty leaves since then), except spaces whose
-/// delta basis was invalidated in between (created, snapshotted,
-/// merged into, or state-replaced), which are re-encoded in full.
-pub struct Checkpointer {
-    ks: KState,
-    fed: u64,
-    /// Capture count (first capture emits a full bundle).
-    captures: u64,
-    /// Digest of the previous capture — the next bundle's parent link.
-    parent: Option<u64>,
-    /// Per-space memory image at the previous capture. Present iff the
-    /// space can be delta-encoded against it; invalidated (removed)
-    /// when an event breaks `delta_since`'s preconditions.
-    bases: BTreeMap<u32, AddressSpace>,
-}
+type Children = BTreeMap<u32, BTreeMap<ChildNum, u32>>;
 
-impl Checkpointer {
-    /// A checkpointer over a run with these parameters, positioned
-    /// before the first event.
-    pub fn new(meta: &TraceMeta) -> Checkpointer {
-        Checkpointer {
-            ks: KState::new(meta.costs, meta.policy),
-            fed: 0,
-            captures: 0,
-            parent: None,
-            bases: BTreeMap::new(),
-        }
-    }
-
-    /// The number of events fed so far — the boundary the next
-    /// [`Checkpointer::capture`] stamps.
-    pub fn boundary(&self) -> u64 {
-        self.fed
-    }
-
-    /// Advances the shadow state by one recorded event.
-    pub fn feed(&mut self, ev: &TraceEvent) -> Result<()> {
-        // Invalidate delta bases *before* applying: a snapshot clears
-        // the dirty set (breaking `delta_since`'s precondition
-        // outright); a merge adopts foreign frames into the caller and
-        // a lost-state check-in replaces the image wholesale (both
-        // delta-encodable in principle, invalidated out of caution —
-        // correctness over compactness).
-        match ev {
-            TraceEvent::Put { child_id, put, .. } if put.snap || put.tree_from.is_some() => {
-                self.bases.remove(child_id);
-            }
-            TraceEvent::Get { caller, get, .. } if get.merge.is_some() => {
-                self.bases.remove(caller);
-            }
-            TraceEvent::CheckIn {
-                space,
-                lost_state: true,
-                ..
-            } => {
-                self.bases.remove(space);
-            }
-            _ => {}
-        }
-        apply(&mut self.ks, ev)?;
-        self.fed += 1;
-        Ok(())
-    }
-
-    /// Captures a bundle at the current boundary: full on the first
-    /// call, incremental (delta against the previous capture) after.
-    pub fn capture(&mut self) -> Checkpoint {
-        let incremental = self.captures > 0;
-        let parent = if incremental { self.parent } else { None };
-        let payload_v = v_kstate(
-            &self.ks,
-            self.fed,
-            parent,
-            if incremental { Some(&self.bases) } else { None },
-        );
-        let payload = serde::bin::to_vec(&payload_v);
-        let digest = fnv1a64(&payload);
-        // Re-base every space on this capture's image.
-        self.bases = self
-            .ks
-            .slots
-            .iter()
-            .filter_map(|(&id, slot)| slot.state.as_ref().map(|st| (id, st.mem.clone())))
-            .collect();
-        self.captures += 1;
-        self.parent = Some(digest);
-        Checkpoint {
-            version: CHECKPOINT_FORMAT_VERSION,
-            boundary: self.fed,
-            parent,
-            digest,
-            payload,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// KState codec.
-//
-// `KState`, `KSlot` and `SpaceState` derive their mappings like every
-// other persisted type, minus the one thing a derive cannot do: a
-// space's memory is encoded against a base image and decoded onto the
-// parent checkpoint's. These functions add exactly that — the `slots`
-// of a state, the `state` of a slot, the `mem` of a space — threading
-// the image through. Field order is fixed, so the rendered payload is
-// byte-stable.
-// ---------------------------------------------------------------------------
-
-/// `object` with one more field.
-fn with(mut object: Value, key: &str, field: Value) -> Value {
-    if let Value::Object(fields) = &mut object {
-        fields.push((key.to_string(), field));
-    }
-    object
-}
-
-fn req<'a>(v: &'a Value, name: &str) -> std::result::Result<&'a Value, DeError> {
-    v.get(name)
-        .ok_or_else(|| DeError::msg(format!("missing field `{name}`")))
-}
-
-/// One space's memory as the payload stores it.
-#[derive(Serialize, Deserialize)]
-enum MemImage {
-    /// Every mapped page, as deltas against an empty space.
-    Full {
-        clean: SpaceDelta,
-        dirty: SpaceDelta,
-    },
-    /// The changes since the parent checkpoint's image of the space.
-    Delta { delta: SpaceDelta },
-}
-
-fn v_mem_full(mem: &AddressSpace) -> Value {
-    // Against an empty base, every mapped page appears as a
-    // Write/WriteZero op; partitioning by the live dirty set lets the
-    // decoder reproduce the exact dirty write-set (clean pages applied
-    // first, marks cleared, dirty pages applied after).
-    let full = mem.delta_since(&AddressSpace::new());
-    let dirty_vpns: BTreeSet<u64> = mem.dirty_vpns().into_iter().collect();
-    let mut clean = SpaceDelta::default();
-    let mut dirty = SpaceDelta::default();
-    for p in full.pages {
-        if dirty_vpns.contains(&p.vpn) {
-            dirty.pages.push(p);
-        } else {
-            clean.pages.push(p);
-        }
-    }
-    MemImage::Full { clean, dirty }.to_value()
-}
-
-fn p_mem(v: &Value, prev: Option<&AddressSpace>) -> std::result::Result<AddressSpace, DeError> {
-    match MemImage::from_value(v)? {
-        MemImage::Full { clean, dirty } => {
-            let mut mem = AddressSpace::new();
-            mem.apply_delta(&clean)
-                .map_err(|_| DeError::msg("bad clean delta"))?;
-            mem.clear_dirty();
-            mem.apply_delta(&dirty)
-                .map_err(|_| DeError::msg("bad dirty delta"))?;
-            Ok(mem)
-        }
-        MemImage::Delta { delta } => {
-            let mut mem = prev
-                .ok_or_else(|| DeError::msg("incremental memory without a parent image"))?
-                .clone();
-            mem.apply_delta(&delta)
-                .map_err(|_| DeError::msg("bad incremental delta"))?;
-            Ok(mem)
-        }
-    }
-}
-
-/// Encodes a slot; `mem` is its space's memory, already encoded.
-fn v_slot(slot: &KSlot, mem: Option<Value>) -> Value {
-    let state = match (slot.state.as_deref(), mem) {
-        (Some(st), Some(mem)) => with(st.to_value(), "mem", mem),
-        _ => Value::Null,
+/// A `Tree` copy of `src` into `dst`, as [`latest_restorable_boundary`]
+/// sees it — the walk of `apply`'s `replay_clone`: each destination
+/// holds its source's snapshot, and the source's children are
+/// re-created under the recorded `ids`, in pre-order.
+fn tree_copy(
+    children: &mut Children,
+    snap_at: &mut BTreeMap<u32, usize>,
+    src: u32,
+    dst: u32,
+    ids: &mut std::slice::Iter<'_, u32>,
+) {
+    match snap_at.get(&src) {
+        Some(&s) => snap_at.insert(dst, s),
+        None => snap_at.remove(&dst),
     };
-    with(slot.to_value(), "state", state)
-}
-
-fn p_slot(v: &Value, prev_mem: Option<&AddressSpace>) -> std::result::Result<KSlot, DeError> {
-    let mut slot = KSlot::from_value(v)?;
-    let sv = req(v, "state")?;
-    if !matches!(sv, Value::Null) {
-        let mut st = SpaceState::from_value(sv)?;
-        st.mem = p_mem(req(sv, "mem")?, prev_mem)?;
-        slot.state = Some(Box::new(st));
+    for (num, kid_src) in children.get(&src).cloned().unwrap_or_default() {
+        let Some(&kid) = ids.next() else { return };
+        children.entry(dst).or_default().insert(num, kid);
+        tree_copy(children, snap_at, kid_src, kid, ids);
     }
-    Ok(slot)
-}
-
-/// Encodes the whole kernel state. `bases` selects incremental memory
-/// encoding: spaces with a base image are delta-encoded against it,
-/// everything else (and everything, when `bases` is `None`) in full.
-fn v_kstate(
-    ks: &KState,
-    boundary: u64,
-    parent: Option<u64>,
-    bases: Option<&BTreeMap<u32, AddressSpace>>,
-) -> Value {
-    let slots = ks
-        .slots
-        .iter()
-        .map(|(&id, slot)| {
-            let mem = slot
-                .state
-                .as_deref()
-                .map(|st| match bases.and_then(|b| b.get(&id)) {
-                    Some(base) => MemImage::Delta {
-                        delta: st.mem.delta_since(base),
-                    }
-                    .to_value(),
-                    None => v_mem_full(&st.mem),
-                });
-            Value::Array(vec![id.to_value(), v_slot(slot, mem)])
-        })
-        .collect();
-    Value::Object(vec![
-        ("boundary".to_string(), boundary.to_value()),
-        ("parent".to_string(), parent.to_value()),
-        ("kernel".to_string(), ks.to_value()),
-        ("slots".to_string(), Value::Array(slots)),
-    ])
-}
-
-/// Decodes a payload into a kernel state; `prev` supplies the parent
-/// images incremental memory deltas apply to.
-fn p_kstate(v: &Value, prev: Option<&KState>) -> std::result::Result<KState, DeError> {
-    let mut ks: KState = field(v, "kernel")?;
-    let Value::Array(items) = req(v, "slots")? else {
-        return Err(DeError::msg("expected slot array"));
-    };
-    for item in items {
-        let pair = match item {
-            Value::Array(p) if p.len() == 2 => p,
-            _ => return Err(DeError::msg("expected [id, slot] pair")),
-        };
-        let id = u32::from_value(&pair[0])?;
-        let prev_mem = prev
-            .and_then(|p| p.slots.get(&id))
-            .and_then(|s| s.state.as_deref())
-            .map(|st| &st.mem);
-        ks.slots.insert(id, p_slot(&pair[1], prev_mem)?);
-    }
-    Ok(ks)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use det_memory::{Perm, Region};
+    use crate::apply::{EntryRec, PutRec};
+    use crate::syscall::{CopySpec, GetSpec, StopReason};
+    use det_memory::{PAGE_SIZE, PageDelta, PageDeltaOp, Perm, Region, SpaceDelta};
+    use det_vm::Regs;
 
-    #[test]
-    fn digest_rejects_single_bit_corruption() {
-        let trace = Trace {
+    fn empty_trace(costs: crate::CostModel) -> Trace {
+        Trace {
             meta: TraceMeta {
-                costs: crate::CostModel::default(),
+                costs,
                 policy: det_memory::ConflictPolicy::Strict,
             },
             events: Vec::new(),
-        };
+        }
+    }
+
+    #[test]
+    fn digest_rejects_single_bit_corruption() {
+        let trace = empty_trace(crate::CostModel::default());
         let ckpt = Checkpoint::capture(&trace, 0).unwrap();
         let mut bytes = ckpt.to_bytes();
         assert_eq!(Checkpoint::from_bytes(&bytes).unwrap(), ckpt);
@@ -611,16 +379,11 @@ mod tests {
 
     #[test]
     fn stale_format_version_errors_cleanly() {
-        let trace = Trace {
-            meta: TraceMeta {
-                costs: crate::CostModel::zero(),
-                policy: det_memory::ConflictPolicy::Strict,
-            },
-            events: Vec::new(),
-        };
-        let bytes = Checkpoint::capture(&trace, 0).unwrap().to_bytes();
-        // The previous format (its payload was JSON text).
-        let (current, previous) = (CHECKPOINT_FORMAT_VERSION, CHECKPOINT_FORMAT_VERSION - 1);
+        let bytes = Checkpoint::capture(&empty_trace(crate::CostModel::zero()), 0)
+            .unwrap()
+            .to_bytes();
+        // The previous format (memory mapped by hand, a parent link).
+        let (current, previous) = (CHECKPOINT_FORMAT_VERSION, 6);
         let header = format!("detckpt {current} ");
         assert!(bytes.starts_with(header.as_bytes()));
         let stale = [
@@ -652,67 +415,238 @@ mod tests {
         ));
     }
 
+    /// The format-7 bytes are pinned, as the wire delta's are
+    /// (`wire::tests::wire_bytes_are_pinned`): the payload is derived
+    /// from every type under `KState`, so a renamed or reordered field
+    /// anywhere there changes these bytes, and must bump
+    /// [`CHECKPOINT_FORMAT_VERSION`] along with this golden.
     #[test]
-    fn full_memory_encoding_roundtrips_dirty_and_zero_pages() {
-        let mut mem = AddressSpace::new();
-        mem.map_zero(Region::new(0x1000, 0x4000), Perm::RW).unwrap();
-        mem.write_u64(0x1000, 0xdead_beef).unwrap();
-        // Page at 0x2000 stays a clean zero page; 0x3000 a dirty one.
-        mem.write_u8(0x3000, 0).unwrap();
-        let v = v_mem_full(&mem);
-        let back = p_mem(&v, None).unwrap();
-        assert_eq!(back.content_digest(), mem.content_digest());
-        assert_eq!(back.dirty_vpns(), mem.dirty_vpns());
-        assert_eq!(back.dirty_leaf_count(), mem.dirty_leaf_count());
-        assert_eq!(back.page_digests(), mem.page_digests());
+    fn checkpoint_bytes_are_pinned() {
+        let trace = Trace::from_json(include_str!("../tests/golden/tables_f920a0f.trace.json"))
+            .expect("golden trace parses");
+        let boundary = latest_restorable_boundary(&trace, trace.len() / 2);
+        let bytes = Checkpoint::capture(&trace, boundary).unwrap().to_bytes();
+        assert_eq!(
+            (boundary, bytes.len(), fnv1a64(&bytes)),
+            (13, 23_026, 0x0ed0_1c49_7b96_6579),
+            "checkpoint bytes moved"
+        );
+    }
+
+    fn put_rec() -> PutRec {
+        PutRec {
+            regs: None,
+            program: None,
+            copy: None,
+            zero: None,
+            perm: None,
+            snap: false,
+            tree_from: None,
+            start: None,
+        }
+    }
+
+    /// A `Put` by the root on child number `child_id`.
+    fn put(child_id: u32, entry: EntryRec, put: PutRec) -> TraceEvent {
+        TraceEvent::Put {
+            caller: 0,
+            child: child_id as ChildNum,
+            child_id,
+            fused: false,
+            entry,
+            put,
+            tree_new_ids: Vec::new(),
+        }
+    }
+
+    /// A `Get` by the root on child number `child_id`.
+    fn get(child_id: u32, merge: Option<Region>) -> TraceEvent {
+        TraceEvent::Get {
+            caller: 0,
+            child: child_id as ChildNum,
+            child_id,
+            fused: false,
+            entry: Some(EntryRec::default()),
+            get: GetSpec {
+                merge,
+                ..GetSpec::default()
+            },
+        }
     }
 
     #[test]
     fn restorable_boundary_excludes_snap_to_merge_windows() {
-        use crate::apply::{EntryRec, PutRec};
-        use crate::syscall::GetSpec;
-        let put = |snap: bool| TraceEvent::Put {
-            caller: 0,
-            child: 1,
-            child_id: 1,
-            fused: false,
-            entry: EntryRec::default(),
-            put: PutRec {
-                regs: None,
-                program: None,
-                copy: None,
-                zero: None,
-                perm: None,
-                snap,
-                tree_from: None,
-                start: None,
-            },
-            tree_new_ids: Vec::new(),
+        let snap_put = || {
+            put(
+                1,
+                EntryRec::default(),
+                PutRec {
+                    snap: true,
+                    ..put_rec()
+                },
+            )
         };
-        let get = |merge: bool| TraceEvent::Get {
-            caller: 0,
-            child: 1,
-            child_id: 1,
-            fused: false,
-            entry: Some(EntryRec::default()),
-            get: GetSpec {
-                merge: merge.then(|| Region::new(0x1000, 0x2000)),
-                ..GetSpec::default()
-            },
-        };
-        let trace = Trace {
-            meta: TraceMeta {
-                costs: crate::CostModel::zero(),
-                policy: det_memory::ConflictPolicy::Strict,
-            },
-            // 0: snap-put, 1: plain get, 2: merge-get, 3: plain put.
-            events: vec![put(true), get(false), get(true), put(false)],
-        };
+        let merge = Some(Region::new(0x1000, 0x2000));
+        let mut trace = empty_trace(crate::CostModel::zero());
+        // 0: snap-put, 1: plain get, 2: merge-get, 3: plain put.
+        trace.events = vec![
+            snap_put(),
+            get(1, None),
+            get(1, merge),
+            put(1, EntryRec::default(), put_rec()),
+        ];
         // Boundaries 1 and 2 sit inside the snapshot→merge window.
         assert_eq!(latest_restorable_boundary(&trace, 4), 4);
         assert_eq!(latest_restorable_boundary(&trace, 3), 3);
         assert_eq!(latest_restorable_boundary(&trace, 2), 0);
         assert_eq!(latest_restorable_boundary(&trace, 1), 0);
         assert_eq!(latest_restorable_boundary(&trace, 0), 0);
+    }
+
+    /// A `Tree` copy carries its source's snapshot: a merge on the copy
+    /// depends on the snap-`Put` of the *source*, though no snap-`Put`
+    /// ever named the copy. Restoring anywhere inside that window would
+    /// silently drop the merge (restored spaces hold no snapshot).
+    #[test]
+    fn tree_copied_snapshots_keep_their_merge_window() {
+        let region = Region::new(0x1000, 0x2000);
+        let page = |op| SpaceDelta {
+            pages: vec![PageDelta {
+                vpn: 1,
+                perm: Perm::RW,
+                op,
+            }],
+            unmapped: Vec::new(),
+        };
+        let mut trace = empty_trace(crate::CostModel::default());
+        trace.events = vec![
+            // 0: the root maps the region; child 1 mirrors it, snapshotted.
+            put(
+                1,
+                EntryRec {
+                    delta: page(PageDeltaOp::WriteZero),
+                    ..EntryRec::default()
+                },
+                PutRec {
+                    copy: Some(CopySpec::mirror(region)),
+                    snap: true,
+                    ..put_rec()
+                },
+            ),
+            // 1: child 2 is a tree copy of child 1, snapshot included.
+            put(
+                2,
+                EntryRec::default(),
+                PutRec {
+                    tree_from: Some(1),
+                    ..put_rec()
+                },
+            ),
+            // 2-3: child 2 runs, writes the page and halts.
+            put(
+                2,
+                EntryRec::default(),
+                PutRec {
+                    program: Some(crate::ProgramKind::Native),
+                    start: Some(Default::default()),
+                    ..put_rec()
+                },
+            ),
+            TraceEvent::CheckIn {
+                space: 2,
+                reason: StopReason::Halted,
+                final_stop: true,
+                lost_state: false,
+                regs: Regs::default(),
+                advance_ps: 0,
+                limit_ps: None,
+                insn_delta: 0,
+                vm: Default::default(),
+                delta: page(PageDeltaOp::Write(vec![7; PAGE_SIZE])),
+            },
+            // 4: the root merges child 2 against the copied snapshot.
+            get(2, Some(region)),
+            TraceEvent::RootExit {
+                entry: EntryRec::default(),
+                regs: Regs::default(),
+                exit: Ok(0),
+            },
+        ];
+        for cut in 1..=4 {
+            assert_eq!(latest_restorable_boundary(&trace, cut), 0, "cut {cut}");
+        }
+        assert_eq!(latest_restorable_boundary(&trace, 5), 5);
+
+        let oracle = trace.replay().unwrap();
+        assert_eq!(oracle.stats.merges, 1);
+        let resume = |b: usize| {
+            Checkpoint::capture(&trace, b)
+                .unwrap()
+                .restore()
+                .unwrap()
+                .resume(&trace.events[b..])
+                .unwrap()
+        };
+        for cut in 0..=trace.len() {
+            let out = resume(latest_restorable_boundary(&trace, cut));
+            assert_eq!(out.exit, oracle.exit, "cut {cut}");
+            assert_eq!(out.vclock_ns, oracle.vclock_ns, "cut {cut}");
+            assert_eq!(out.stats, oracle.stats, "cut {cut}");
+            assert_eq!(out.spaces, oracle.spaces, "cut {cut}");
+        }
+        // What the window protects: restored inside it, the merge has
+        // no base and faults.
+        assert_eq!(resume(3).stats.merges, 0);
+    }
+
+    /// The copy's descendants hold their own sources' snapshots: the
+    /// root's child 1 snapshots its own child (space 2) at event 1, the
+    /// root tree-copies child 1 (the copy is space 3, space 2's copy is
+    /// space 4), and space 3 merges space 4 at event 3.
+    #[test]
+    fn tree_copies_carry_descendants_snapshots() {
+        let mut trace = empty_trace(crate::CostModel::zero());
+        trace.events = vec![
+            get(1, None),
+            TraceEvent::Put {
+                caller: 1,
+                child: 0,
+                child_id: 2,
+                fused: false,
+                entry: EntryRec::default(),
+                put: PutRec {
+                    snap: true,
+                    ..put_rec()
+                },
+                tree_new_ids: Vec::new(),
+            },
+            TraceEvent::Put {
+                caller: 0,
+                child: 3,
+                child_id: 3,
+                fused: false,
+                entry: EntryRec::default(),
+                put: PutRec {
+                    tree_from: Some(1),
+                    ..put_rec()
+                },
+                tree_new_ids: vec![4],
+            },
+            TraceEvent::Get {
+                caller: 3,
+                child: 0,
+                child_id: 4,
+                fused: false,
+                entry: None,
+                get: GetSpec {
+                    merge: Some(Region::new(0x1000, 0x2000)),
+                    ..GetSpec::default()
+                },
+            },
+        ];
+        let boundaries: Vec<usize> = (0..=4)
+            .map(|cut| latest_restorable_boundary(&trace, cut))
+            .collect();
+        assert_eq!(boundaries, [0, 1, 1, 1, 4]);
     }
 }

@@ -85,10 +85,10 @@ pub struct CostModel {
     pub analyze_step_ps: u64,
     /// Per-dirty-leaf cost of a checkpoint mark: persisting one
     /// page-table leaf's worth of dirty-delta state. The `Checkpoint`
-    /// syscall charges this per leaf holding dirty pages, so an
-    /// incremental checkpoint costs O(dirty) in virtual time exactly
-    /// as its encoding is O(dirty) in bytes — and nothing extra when
-    /// the space is clean.
+    /// syscall charges this per leaf holding dirty pages, so a mark
+    /// costs O(dirty) in virtual time, as a real incremental
+    /// checkpoint's work is — and nothing extra when the space is
+    /// clean.
     pub checkpoint_leaf_ps: u64,
 }
 

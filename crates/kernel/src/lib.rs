@@ -91,8 +91,7 @@ pub mod wire;
 
 pub use apply::{EntryRec, PutRec, TraceEvent, VmCounters};
 pub use checkpoint::{
-    CHECKPOINT_FORMAT_VERSION, Checkpoint, Checkpointer, RestoredKernel,
-    latest_restorable_boundary, restore_chain,
+    CHECKPOINT_FORMAT_VERSION, Checkpoint, RestoredKernel, latest_restorable_boundary,
 };
 pub use cost::{CostModel, ns_to_ps, ps_to_ns};
 pub use ctx::{SpaceCtx, full_user_region};

@@ -11,7 +11,9 @@
 //! decisions that come back. A unit test enforces the purity boundary
 //! by scanning this module's source (see `core_modules_are_pure` in
 //! `apply.rs`), and two more that the clock and the counters each have
-//! one writer.
+//! one writer. Being plain data, the state is also what a checkpoint
+//! persists: a bundle's payload is [`KState`]'s derived mapping, every
+//! field but the merge snapshots (`checkpoint.rs`).
 
 use std::collections::BTreeMap;
 
@@ -68,15 +70,14 @@ pub enum ProgramKind {
 }
 
 /// The movable per-space state, checked in/out around execution.
-///
-/// The derived mapping leaves the memory out: a checkpoint encodes
-/// `mem` against a base image (`checkpoint.rs`) and never stores
-/// `snap` (see that module's docs on restorable boundaries).
 #[derive(Serialize, Deserialize)]
 pub(crate) struct SpaceState {
     pub regs: Regs,
-    #[serde(skip)]
     pub mem: AddressSpace,
+    /// The merge base of a pending rendezvous. Never persisted: a
+    /// snapshot is an alias web into the live frame graph, and encoding
+    /// it would double every checkpoint (see `checkpoint.rs` on
+    /// restorable boundaries).
     #[serde(skip)]
     pub snap: Option<AddressSpace>,
     /// Virtual clock in picoseconds.
@@ -115,9 +116,6 @@ impl SpaceState {
 /// shell keeps in a locked `Slot` (children map, run phase, checked-in
 /// state, program bookkeeping) minus everything host-bound (the join
 /// handle, the warm CPU, the condvars).
-///
-/// The derived mapping leaves `state` out; `checkpoint.rs` adds it,
-/// because decoding its memory needs the parent checkpoint's image.
 #[derive(Serialize, Deserialize)]
 pub(crate) struct KSlot {
     /// Child number → space id, the per-space private namespace.
@@ -131,7 +129,6 @@ pub(crate) struct KSlot {
     /// generation suffix.
     pub child_gens: BTreeMap<ChildNum, u32>,
     pub run: RunState,
-    #[serde(skip)]
     pub state: Option<Box<SpaceState>>,
     /// Program installed but not yet started.
     pub pending: Option<ProgramKind>,
@@ -200,13 +197,10 @@ pub(crate) const ROOT_PATH: &str = "/";
 /// This is exactly the information the shell scatters across its
 /// locked slot table (each slot holding its own share of the stats) and
 /// device hub — gathered into one owned value a pure `apply` can step.
-///
-/// The derived mapping leaves `slots` out, for [`KSlot`]'s reason.
 #[derive(Serialize, Deserialize)]
 pub(crate) struct KState {
     pub costs: CostModel,
     pub policy: ConflictPolicy,
-    #[serde(skip)]
     pub slots: BTreeMap<u32, KSlot>,
     pub stats: KernelStats,
     /// Device output buffers (the replayed side of the device hub).

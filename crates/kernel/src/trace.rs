@@ -328,7 +328,9 @@ impl Deserialize for Trace {
 mod tests {
     use std::fmt::Debug;
 
-    use det_memory::{MemError, MergeStats, PageDelta, PageDeltaOp, Perm, Region, SpaceDelta};
+    use det_memory::{
+        AddressSpace, MemError, MergeStats, PageDelta, PageDeltaOp, Perm, Region, SpaceDelta,
+    };
     use det_vm::Regs;
 
     use super::*;
@@ -352,6 +354,30 @@ mod tests {
         let back: T = serde::bin::from_slice(&bytes).unwrap();
         assert_eq!(&back, t);
         assert_eq!(serde::bin::to_vec(&back), bytes);
+    }
+
+    /// An [`AddressSpace`] has no `PartialEq`: it round-trips when
+    /// everything a merge or an artifact observes comes back — bytes,
+    /// permissions, the dirty write-set, and which pages still alias
+    /// the zero frame — through both renderings.
+    fn roundtrip_space(mem: &AddressSpace) {
+        let observe = |m: &AddressSpace| {
+            let pages: Vec<_> = m
+                .iter_pages()
+                .map(|p| (p.vpn, p.perm, p.is_zero_frame))
+                .collect();
+            let digests = (m.content_digest(), m.page_digests());
+            (digests, m.dirty_vpns(), m.dirty_leaf_count(), pages)
+        };
+        let text = serde_json::to_string(mem).unwrap();
+        let bytes = serde::bin::to_vec(mem);
+        for back in [
+            serde_json::from_str::<AddressSpace>(&text).unwrap(),
+            serde::bin::from_slice::<AddressSpace>(&bytes).unwrap(),
+        ] {
+            assert_eq!(observe(&back), observe(mem));
+            assert_eq!(serde::bin::to_vec(&back), bytes);
+        }
     }
 
     fn regs() -> Regs {
@@ -548,6 +574,27 @@ mod tests {
     fn every_persisted_shape_roundtrips() {
         roundtrip(&full_trace());
         roundtrip(&delta());
+
+        roundtrip_space(&AddressSpace::new());
+        let mut mem = AddressSpace::new();
+        mem.map_zero(Region::new(0x1000, 0x7000), Perm::RW).unwrap();
+        mem.write_u64(0x1000, 0xdead_beef).unwrap();
+        let _ = mem.snapshot();
+        // 1: clean written page, 2: dirty written page, 3: clean zero
+        // page, 4: dirty zero page (re-zeroed, so dirty without a frame
+        // change), 5: dirty page of zero bytes, 6: clean, `SetPerm`'d.
+        mem.write_u64(0x2000, 7).unwrap();
+        mem.map_zero(Region::new(0x4000, 0x5000), Perm::RW).unwrap();
+        mem.write_u8(0x5000, 0).unwrap();
+        mem.set_perm(Region::new(0x6000, 0x7000), Perm::R).unwrap();
+        assert_eq!(mem.dirty_vpns(), vec![2, 4, 5]);
+        let zero: Vec<u64> = mem
+            .iter_pages()
+            .filter(|p| p.is_zero_frame)
+            .map(|p| p.vpn)
+            .collect();
+        assert!(zero.contains(&3) && zero.contains(&4), "{zero:?}");
+        roundtrip_space(&mem);
         for policy in [
             ConflictPolicy::Strict,
             ConflictPolicy::BenignSameValue,

@@ -10,9 +10,8 @@
 //! leak through the serialization.
 
 use det_kernel::{
-    Checkpoint, Checkpointer, CopySpec, CostModel, DeviceId, GetSpec, Kernel, KernelConfig,
-    Program, PutSpec, Region, RunOutcome, StopReason, Trace, TraceSink, latest_restorable_boundary,
-    restore_chain,
+    Checkpoint, CopySpec, CostModel, DeviceId, GetSpec, Kernel, KernelConfig, Program, PutSpec,
+    Region, RunOutcome, StopReason, Trace, TraceSink, latest_restorable_boundary,
 };
 use det_memory::Perm;
 use proptest::prelude::*;
@@ -26,13 +25,18 @@ struct Params {
     /// Root checkpoints after every `ckpt_every`-th join (0 = never).
     ckpt_every: u64,
     dev: bool,
+    /// After the last join, the root tree-copies child 0 (halted, its
+    /// last merge snapshot still held) into a fresh child, runs it and
+    /// merges it against that copied snapshot.
+    tree: bool,
 }
 
 /// Runs the parameterized storm traced and returns the live outcome
 /// plus its recording. The shape mirrors the PR 6 storm: fork N
 /// children with snapshots, `rounds` rounds of ret/put_get exchange
 /// with merges, a final halting join, seeded data so page contents
-/// vary per case, and optional root checkpoints and device I/O.
+/// vary per case, and optional root checkpoints, device I/O and a
+/// tree-copy-then-merge step.
 fn run_traced(p: &Params) -> (RunOutcome, Trace) {
     let sink = TraceSink::new();
     let kernel = Kernel::new(KernelConfig::builder().trace(sink.clone()).build());
@@ -92,6 +96,17 @@ fn run_traced(p: &Params) -> (RunOutcome, Trace) {
             )?;
             assert_eq!(r.stop, StopReason::Halted);
         }
+        if p.tree {
+            let (n, seed) = (p.n, p.seed);
+            ctx.put(n, PutSpec::new().tree_from(0))?;
+            let copy = Program::native(move |c| {
+                c.mem_mut().write_u64(0x2000 + n * 8, seed | 1)?;
+                Ok(0)
+            });
+            ctx.put(n, PutSpec::new().program(copy).start())?;
+            let r = ctx.get(n, GetSpec::new().merge(region))?;
+            assert_eq!(r.stop, StopReason::Halted);
+        }
         Ok(ctx.mem().content_digest().value() as i32)
     });
     let trace = sink.collect().expect("sink recorded");
@@ -111,9 +126,10 @@ proptest! {
         seed in any::<u64>(),
         ckpt_every in 0u64..4,
         dev in any::<bool>(),
+        tree in any::<bool>(),
         cut_frac in 0u64..=1000,
     ) {
-        let p = Params { n, rounds, seed, ckpt_every, dev };
+        let p = Params { n, rounds, seed, ckpt_every, dev, tree };
         let (live, trace) = run_traced(&p);
         let oracle = trace.replay().expect("trace replays");
         prop_assert_eq!(&oracle.exit, &live.exit);
@@ -126,7 +142,6 @@ proptest! {
         let ck = Checkpoint::capture(&trace, boundary).expect("capture");
         let ck = Checkpoint::from_bytes(&ck.to_bytes()).expect("byte round-trip");
         prop_assert_eq!(ck.boundary(), boundary as u64);
-        prop_assert_eq!(ck.parent(), None);
 
         let out = ck
             .restore()
@@ -139,64 +154,6 @@ proptest! {
         prop_assert_eq!(&out.outputs, &oracle.outputs);
         prop_assert_eq!(&out.spaces, &oracle.spaces);
         prop_assert_eq!(&out.space_paths, &oracle.space_paths);
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// An incremental chain (full base + delta links captured by one
-    /// `Checkpointer` mid-stream) restores through `restore_chain` to
-    /// the same outcome as the uninterrupted replay.
-    #[test]
-    fn incremental_chain_matches_oracle(
-        n in 1u64..4,
-        rounds in 2u64..4,
-        seed in any::<u64>(),
-        links in 2usize..5,
-    ) {
-        let p = Params { n, rounds, seed, ckpt_every: 2, dev: false };
-        let (_, trace) = run_traced(&p);
-        let oracle = trace.replay().expect("trace replays");
-
-        let len = trace.events.len();
-        let mut cuts: Vec<usize> = (1..=links)
-            .map(|j| latest_restorable_boundary(&trace, len * j / (links + 1)))
-            .collect();
-        cuts.sort_unstable();
-        cuts.dedup();
-
-        let mut cp = Checkpointer::new(&trace.meta);
-        let mut fed = 0usize;
-        let mut chain = Vec::new();
-        for &cut in &cuts {
-            while fed < cut {
-                cp.feed(&trace.events[fed]).expect("feed");
-                fed += 1;
-            }
-            chain.push(cp.capture());
-        }
-        // Round-trip every link through its byte form, and check the
-        // parent-digest links: first full, the rest incremental.
-        let chain: Vec<Checkpoint> = chain
-            .iter()
-            .map(|c| Checkpoint::from_bytes(&c.to_bytes()).expect("round-trip"))
-            .collect();
-        prop_assert_eq!(chain[0].parent(), None);
-        for w in chain.windows(2) {
-            prop_assert_eq!(w[1].parent(), Some(w[0].digest()));
-        }
-
-        let last = *cuts.last().expect("at least one cut");
-        let out = restore_chain(&chain)
-            .expect("chain restores")
-            .resume(&trace.events[last..])
-            .expect("resume");
-        prop_assert_eq!(&out.exit, &oracle.exit);
-        prop_assert_eq!(out.vclock_ns, oracle.vclock_ns);
-        prop_assert_eq!(&out.stats, &oracle.stats);
-        prop_assert_eq!(&out.outputs, &oracle.outputs);
-        prop_assert_eq!(&out.spaces, &oracle.spaces);
     }
 }
 

@@ -6,21 +6,24 @@
 //! shim — the trace as JSON text, the checkpoint payload and the wire
 //! delta in its binary rendering — so one suite covers them: every
 //! truncation, sampled single-bit flips, nesting bombs and count-prefix
-//! bombs. Two more inputs arrive as arguments rather than artifacts and
-//! get the same treatment: the `--fault` spec text, and the image range
-//! and bytes a space hands to `analyze_footprint`.
+//! bombs; a checkpoint whose digest vouches for a damaged memory image
+//! is refused too. Two more inputs arrive as arguments rather than
+//! artifacts and get the same treatment: the `--fault` spec text, and
+//! the image range and bytes a space hands to `analyze_footprint`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use det_kernel::wire::{delta_from_bytes, delta_to_bytes};
 use det_kernel::{
-    CHECKPOINT_FORMAT_VERSION, Checkpoint, DeviceId, Fault, FaultAction, FaultPlan, FaultSite,
-    GetSpec, Kernel, KernelConfig, KernelError, Program, PutSpec, Region, Trace, TraceSink,
+    CHECKPOINT_FORMAT_VERSION, Checkpoint, ConflictPolicy, CostModel, DeviceId, Fault, FaultAction,
+    FaultPlan, FaultSite, GetSpec, Kernel, KernelConfig, KernelError, Program, PutSpec, Region,
+    Trace, TraceMeta, TraceSink,
 };
 use det_memory::{PageDelta, PageDeltaOp, Perm, SpaceDelta};
 use det_vm::{Cpu, Opcode, PageLog, VmExit};
 use proptest::prelude::*;
+use serde::{Serialize, Value};
 
 /// The system allocator, recording per thread the largest single
 /// allocation asked for — so a test can show that a decoder never
@@ -194,6 +197,68 @@ fn vouched_bundle(payload: &[u8]) -> Vec<u8> {
         payload,
     ]
     .concat()
+}
+
+/// The field `key` of an object value.
+fn field_mut<'a>(v: &'a mut Value, key: &str) -> &'a mut Value {
+    let Value::Object(fields) = v else {
+        panic!("no object holding `{key}`");
+    };
+    &mut fields.iter_mut().find(|(k, _)| k == key).expect(key).1
+}
+
+/// A payload that parses and that its digest vouches for, but whose
+/// memory image cannot be rebuilt, reaches the memory decoder and is
+/// refused there as malformed, not a panic.
+#[test]
+fn damaged_memory_images_are_malformed() {
+    let trace = Trace {
+        meta: TraceMeta {
+            costs: CostModel::default(),
+            policy: ConflictPolicy::Strict,
+        },
+        events: Vec::new(),
+    };
+    let bytes = Checkpoint::capture(&trace, 0).expect("capture").to_bytes();
+    let newline = bytes.iter().position(|&b| b == b'\n').expect("header");
+    let payload: Value = serde::bin::from_slice(&bytes[newline + 1..]).expect("payload");
+    let restore = |payload: &Value| {
+        Checkpoint::from_bytes(&vouched_bundle(&serde::bin::to_vec(payload)))
+            .expect("the digest vouches and the boundary parses")
+            .restore()
+    };
+    assert!(restore(&payload).is_ok());
+    let damaged = [
+        // A page of four bytes.
+        (
+            4,
+            Perm::RW,
+            PageDeltaOp::Write(vec![0xde, 0xad, 0x00, 0xff]),
+        ),
+        // New permissions for a page that was never mapped.
+        (9, Perm::R, PageDeltaOp::SetPerm),
+    ];
+    for (vpn, perm, op) in damaged {
+        let mut payload = payload.clone();
+        let Value::Array(slots) = field_mut(field_mut(&mut payload, "kernel"), "slots") else {
+            panic!("slots are a pair list");
+        };
+        let Value::Array(root) = &mut slots[0] else {
+            panic!("a slot is an [id, slot] pair");
+        };
+        let clean = SpaceDelta {
+            pages: vec![PageDelta { vpn, perm, op }],
+            unmapped: Vec::new(),
+        };
+        *field_mut(field_mut(&mut root[1], "state"), "mem") = Value::Object(vec![
+            ("clean".to_string(), clean.to_value()),
+            ("dirty".to_string(), SpaceDelta::default().to_value()),
+        ]);
+        assert!(
+            matches!(restore(&payload), Err(KernelError::CheckpointMalformed(_))),
+            "page {vpn} restored"
+        );
+    }
 }
 
 /// The binary rendering's tags this file builds inputs from.

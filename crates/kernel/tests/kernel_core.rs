@@ -791,6 +791,61 @@ fn console_input_and_record_replay() {
     assert_eq!(first.console(), second.console());
 }
 
+/// Why re-execution from the input log stays beside trace replay:
+/// input that arrives *while* the root runs. The root finds the console
+/// empty, asks a host thread for input and polls until it lands; how
+/// many empty polls that takes is host timing, and each one charges
+/// virtual time. The log records every poll, so re-executing from it
+/// reproduces the run exactly — and no input pushed before the run
+/// could have produced its `None` before the `Some`.
+#[test]
+fn input_pushed_mid_run_reexecutes_from_its_log() {
+    fn root(ctx: &mut SpaceCtx, ask: &std::sync::mpsc::Sender<()>) -> det_kernel::NativeResult {
+        let mut empty_polls = 0;
+        let data = loop {
+            match ctx.dev_read(DeviceId::ConsoleIn)? {
+                Some(data) => break data,
+                None if empty_polls == 0 => {
+                    // Re-executed, nobody listens: the log answers.
+                    let _ = ask.send(());
+                }
+                None => std::thread::yield_now(),
+            }
+            empty_polls += 1;
+        };
+        ctx.dev_write(DeviceId::ConsoleOut, &data)?;
+        Ok(empty_polls)
+    }
+    let (ask, asked) = std::sync::mpsc::channel();
+    let kernel = kernel();
+    let input = kernel.input_handle();
+    let host = std::thread::spawn(move || {
+        asked.recv().expect("the root asks for input");
+        input.push(DeviceId::ConsoleIn, b"late".to_vec());
+    });
+    let live = kernel.run(move |ctx| root(ctx, &ask));
+    host.join().expect("host thread");
+    assert_eq!(live.console(), b"late");
+    let log = &live.io_log.events;
+    assert_eq!(log.first().map(|e| e.data.is_none()), Some(true));
+    assert_eq!(
+        log.last().and_then(|e| e.data.as_deref()),
+        Some(&b"late"[..])
+    );
+
+    let (ask, _) = std::sync::mpsc::channel();
+    let replayed = Kernel::new(
+        KernelConfig::builder()
+            .io(IoMode::Replay(live.io_log.clone()))
+            .build(),
+    )
+    .run(move |ctx| root(ctx, &ask));
+    assert_eq!(replayed.exit, live.exit);
+    assert_eq!(replayed.console(), live.console());
+    assert_eq!(replayed.vclock_ns, live.vclock_ns);
+    assert_eq!(replayed.stats, live.stats);
+}
+
 #[test]
 fn replay_divergence_detected() {
     let first = kernel().run(|ctx| {

@@ -29,10 +29,16 @@
 //! base clone and the delta (a snapshot clears the dirty set, which a
 //! delta cannot un-mark). The kernel's tracer takes its base clones
 //! only at rendezvous boundaries, where that holds by construction.
+//!
+//! An [`AddressSpace`]'s own persisted mapping (a checkpoint stores
+//! every space this way) is the delta against the empty space, which
+//! has no snapshot to straddle.
 
-use serde::{Deserialize, Serialize};
+use std::collections::BTreeSet;
 
-use crate::Perm;
+use serde::{DeError, Deserialize, Serialize, Value};
+
+use crate::{AddressSpace, Perm};
 
 /// How one page differs from the base.
 ///
@@ -83,5 +89,50 @@ impl SpaceDelta {
     /// True if nothing changed.
     pub fn is_empty(&self) -> bool {
         self.pages.is_empty() && self.unmapped.is_empty()
+    }
+}
+
+/// The persisted image of an [`AddressSpace`]: its delta against the
+/// empty space — every mapped page, O(touched leaves) — split by the
+/// dirty write-set. Decoding applies the clean pages, clears their
+/// marks, then applies the dirty ones, so the space comes back with
+/// its bytes, permissions, zero-frame identities *and* the exact dirty
+/// set a later merge reads.
+#[derive(Serialize, Deserialize)]
+struct Image {
+    clean: SpaceDelta,
+    dirty: SpaceDelta,
+}
+
+impl Serialize for AddressSpace {
+    fn to_value(&self) -> Value {
+        let dirty_vpns: BTreeSet<u64> = self.dirty_vpns().into_iter().collect();
+        let (dirty, clean) = self
+            .delta_since(&AddressSpace::new())
+            .pages
+            .into_iter()
+            .partition(|p| dirty_vpns.contains(&p.vpn));
+        let delta = |pages| SpaceDelta {
+            pages,
+            unmapped: Vec::new(),
+        };
+        Image {
+            clean: delta(clean),
+            dirty: delta(dirty),
+        }
+        .to_value()
+    }
+}
+
+impl Deserialize for AddressSpace {
+    fn from_value(v: &Value) -> Result<AddressSpace, DeError> {
+        let image = Image::from_value(v)?;
+        let mut mem = AddressSpace::new();
+        mem.apply_delta(&image.clean)
+            .map_err(|e| DeError::msg(format!("clean pages: {e}")))?;
+        mem.clear_dirty();
+        mem.apply_delta(&image.dirty)
+            .map_err(|e| DeError::msg(format!("dirty pages: {e}")))?;
+        Ok(mem)
     }
 }

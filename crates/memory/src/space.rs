@@ -964,30 +964,16 @@ impl AddressSpace {
     // Deltas (see the `delta` module)
     // ------------------------------------------------------------------
 
-    /// Computes the exact difference between `self` and `base`, an
-    /// earlier clone of this space (see [`crate::SpaceDelta`]).
-    ///
-    /// Because the clone pins every shared frame, any write since the
-    /// clone COWed its frame, so frame-pointer inequality identifies
-    /// exactly the changed pages; untouched leaves are skipped with one
-    /// pointer compare. Pages dirtied *without* a frame change (a
-    /// rewrite of identical content through the zero frame) are found
-    /// by diffing the dirty sets, so
-    /// [`apply_delta`](AddressSpace::apply_delta) reproduces the dirty
-    /// write-set — and therefore merge behavior — exactly.
-    ///
-    /// `base` must not have had `snapshot()` taken on either side since
-    /// the clone (a snapshot clears dirty marks, which a delta cannot
-    /// express).
     /// Clears every dirty mark without touching content, permissions,
     /// structure, or the generation counter.
     ///
-    /// This exists for checkpoint *restore*: a full checkpoint encodes
-    /// content as a delta from the empty space, and
-    /// [`apply_delta`](AddressSpace::apply_delta) marks every written
-    /// page dirty — the restorer clears those marks and then re-applies
-    /// the true dirty set, reproducing the original's write-set exactly
-    /// even when a pre-checkpoint `snapshot()` had cleaned part of it.
+    /// This exists for rebuilding a space from deltas against the
+    /// empty space (its persisted image, see the `delta` module, and a
+    /// migrated replica): [`apply_delta`](AddressSpace::apply_delta)
+    /// marks every written page dirty — the rebuilder clears those
+    /// marks and then re-applies the true dirty set, reproducing the
+    /// original's write-set exactly even when a `snapshot()` had
+    /// cleaned part of it.
     pub fn clear_dirty(&mut self) {
         self.dirty.clear();
     }
@@ -999,6 +985,18 @@ impl AddressSpace {
     /// empty space this enumerates the full mapped image. Cost is
     /// O(dirty leaves) against a true earlier clone, O(touched leaves)
     /// against empty.
+    ///
+    /// Because the clone pins every shared frame, any write since the
+    /// clone COWed its frame, so frame-pointer inequality identifies
+    /// exactly the changed pages; untouched leaves are skipped with one
+    /// pointer compare. Pages dirtied *without* a frame change (a
+    /// rewrite of identical content through the zero frame) are found
+    /// by diffing the dirty sets, so `apply_delta` reproduces the dirty
+    /// write-set — and therefore merge behavior — exactly.
+    ///
+    /// `base` must not have had `snapshot()` taken on either side since
+    /// the clone (a snapshot clears dirty marks, which a delta cannot
+    /// express).
     pub fn delta_since(&self, base: &AddressSpace) -> crate::SpaceDelta {
         use crate::delta::{PageDelta, PageDeltaOp, SpaceDelta};
         let zero = zero_frame();

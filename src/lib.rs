@@ -134,14 +134,13 @@ pub mod vm {
 /// The Determinator kernel: `det-kernel`.
 pub mod kernel {
     pub use det_kernel::{
-        CHECKPOINT_FORMAT_VERSION, Checkpoint, Checkpointer, ChildNum, CopySpec, CostModel,
-        DeviceId, EntryRec, Fault, FaultAction, FaultPlan, FaultSite, GetResult, GetSpec,
-        HostStats, InputEvent, InputHandle, IoLog, IoMode, Kernel, KernelConfig,
-        KernelConfigBuilder, KernelError, KernelStats, MergeStatsSerde, NativeEntry, NativeResult,
-        Program, ProgramKind, PutRec, PutResult, PutSpec, ReplayOutcome, RestoredKernel, Result,
-        RunOutcome, SpaceArtifact, SpaceCtx, SpaceId, StartSpec, StopReason, Trace, TraceEvent,
-        TraceMeta, TraceSink, TrapKind, VmCounters, full_user_region, latest_restorable_boundary,
-        ns_to_ps, ps_to_ns, restore_chain,
+        CHECKPOINT_FORMAT_VERSION, Checkpoint, ChildNum, CopySpec, CostModel, DeviceId, EntryRec,
+        Fault, FaultAction, FaultPlan, FaultSite, GetResult, GetSpec, HostStats, InputEvent,
+        InputHandle, IoLog, IoMode, Kernel, KernelConfig, KernelConfigBuilder, KernelError,
+        KernelStats, MergeStatsSerde, NativeEntry, NativeResult, Program, ProgramKind, PutRec,
+        PutResult, PutSpec, ReplayOutcome, RestoredKernel, Result, RunOutcome, SpaceArtifact,
+        SpaceCtx, SpaceId, StartSpec, StopReason, Trace, TraceEvent, TraceMeta, TraceSink,
+        TrapKind, VmCounters, full_user_region, latest_restorable_boundary, ns_to_ps, ps_to_ns,
     };
     // Substrate types the kernel API surfaces directly.
     pub use det_memory::{
