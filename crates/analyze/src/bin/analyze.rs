@@ -8,12 +8,10 @@
 
 use std::process::ExitCode;
 
-use det_analyze::footprint::{AnalyzeConfig, classify};
 use det_analyze::gate::{check_program, report_row};
 use det_vm::corpus::PROGRAMS;
 
 fn main() -> ExitCode {
-    let cfg = AnalyzeConfig::default();
     println!("# det-analyze footprint report");
     println!();
     println!("Static footprints vs. observed page accesses for every");
@@ -25,29 +23,11 @@ fn main() -> ExitCode {
     println!("|---|---|---|---|---|---|---|");
 
     let mut unsound = 0u32;
-    let mut outcomes = Vec::new();
     for p in PROGRAMS {
-        let g = check_program(p.src, p.budget, &cfg);
+        let g = check_program(p.src, p.budget);
         println!("{}", report_row(p.name, &g));
         if !g.sound {
             unsound += 1;
-        }
-        outcomes.push((p.name, g));
-    }
-
-    println!();
-    println!("## Sibling fork-set verdicts");
-    println!();
-    println!("Pairwise static classification: `conflict-free` pairs are");
-    println!("guaranteed never to write/write-conflict at merge time,");
-    println!("under any conflict policy.");
-    println!();
-    println!("| pair | verdict |");
-    println!("|---|---|");
-    for (i, (na, ga)) in outcomes.iter().enumerate() {
-        for (nb, gb) in outcomes.iter().skip(i + 1) {
-            let v = classify(&[&ga.analysis, &gb.analysis]);
-            println!("| {na} × {nb} | {v} |");
         }
     }
 

@@ -19,23 +19,17 @@
 //! * `sys` havocs the whole register file (the kernel may rewrite any
 //!   register across a syscall);
 //! * an unknown indirect-jump target, a pc escaping the supplied
-//!   image (unless [`AnalyzeConfig::escape_is_trap`]), a possible
-//!   store into an executed code page (self-modifying code), or
-//!   exceeding [`AnalyzeConfig::max_steps`] all degrade to
-//!   [`PageSet::Unbounded`] — never to a false negative;
+//!   image, a possible store into an executed code page
+//!   (self-modifying code), or exceeding the step budget (400 000
+//!   transfer applications) all degrade to [`PageSet::Unbounded`] —
+//!   never to a false negative;
 //! * traps terminate a path; accesses attempted before the trap are
 //!   already covered because the faulting address lies inside the
 //!   predicted interval.
-//!
-//! Conflict classification ([`classify`]) is the static face of the
-//! paper's merge-time determinism: sibling fork sets whose write
-//! footprints are bounded and pairwise page-disjoint can never
-//! write/write-conflict at merge time under *any*
-//! [`det_memory::ConflictPolicy`].
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use det_memory::{PAGE_SHIFT, Region};
+use det_memory::{PAGE_SHIFT, PAGE_SIZE, Region};
 use det_vm::{Insn, Opcode, decode};
 
 use crate::domain::Val;
@@ -49,33 +43,19 @@ pub struct Segment<'a> {
     pub bytes: &'a [u8],
 }
 
-/// Analysis tuning knobs.
-#[derive(Clone, Copy, Debug)]
-pub struct AnalyzeConfig {
-    /// Transfer applications before the analysis gives up and reports
-    /// [`PageSet::Unbounded`] (still sound, never wrong).
-    pub max_steps: u64,
-    /// Joins observed at a pc before widening kicks in.
-    pub widen_after: u32,
-    /// Narrowing sweeps after the widened fixpoint converges.
-    pub narrow_sweeps: u32,
-    /// When true, a pc outside every segment terminates the path (the
-    /// caller passed *every* executable mapping, so the concrete
-    /// machine would trap there). When false — the conservative
-    /// default — an escaping pc makes the result unbounded.
-    pub escape_is_trap: bool,
-}
+/// The analysis has no knobs. This fieldless type remains only because
+/// `benchmark/src/probes.rs` passes `&AnalyzeConfig::default()` to
+/// [`analyze`].
+#[derive(Clone, Copy, Debug, Default)]
+pub struct AnalyzeConfig {}
 
-impl Default for AnalyzeConfig {
-    fn default() -> AnalyzeConfig {
-        AnalyzeConfig {
-            max_steps: 400_000,
-            widen_after: 8,
-            narrow_sweeps: 2,
-            escape_is_trap: false,
-        }
-    }
-}
+/// Transfer applications before the analysis gives up and reports
+/// [`PageSet::Unbounded`] (still sound, never wrong).
+const MAX_STEPS: u64 = 400_000;
+/// Joins observed at a pc before widening kicks in.
+const WIDEN_AFTER: u32 = 8;
+/// Narrowing sweeps after the widened fixpoint converges.
+const NARROW_SWEEPS: u32 = 2;
 
 /// A sorted, coalesced set of virtual page numbers, or ⊤.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -181,9 +161,10 @@ impl PageSet {
                 rs.iter()
                     .map(|&(a, b)| {
                         let start = a << PAGE_SHIFT;
+                        // The top page's end (2^64) is not representable.
                         let end = b
-                            .saturating_add(1)
-                            .checked_shl(PAGE_SHIFT)
+                            .checked_add(1)
+                            .and_then(|n| n.checked_mul(PAGE_SIZE as u64))
                             .unwrap_or(u64::MAX);
                         Region::new(start, end)
                     })
@@ -230,8 +211,9 @@ pub struct Footprint {
 }
 
 impl Footprint {
-    /// The write footprint as touch regions for prefetch hints; `None`
-    /// when the footprint is unbounded (pull everything).
+    /// Every page the program may touch (reads ∪ writes) as touch
+    /// regions for prefetch hints; `None` when either set is unbounded
+    /// (pull everything).
     pub fn touch_regions(&self) -> Option<Vec<Region>> {
         let mut all = PageSet::empty();
         match (&self.reads, &self.writes) {
@@ -246,112 +228,12 @@ impl Footprint {
     }
 }
 
-/// A byte range the program writes on every run (with the values it
-/// writes), discovered by a bounded concrete walk of the entry path.
-/// Assumes the target window is mapped — a trap would cut the prefix
-/// short — so these feed the *advisory* definite-conflict verdict,
-/// never the soundness-gated one.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct MustWrite {
-    /// First byte address.
-    pub addr: u64,
-    /// The exact bytes written (little-endian store image).
-    pub bytes: Vec<u8>,
-}
-
-/// Full analysis output for one program.
+/// Full analysis output for one program. Its one field remains only
+/// because `benchmark/src/probes.rs` reads `analyze(..).footprint`.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Analysis {
     /// Sound may-footprints.
     pub footprint: Footprint,
-    /// Definite writes on the entry path (advisory).
-    pub must_writes: Vec<MustWrite>,
-}
-
-/// Static verdict for a sibling fork set.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Verdict {
-    /// Write footprints are bounded and pairwise page-disjoint: the
-    /// siblings can never write/write-conflict at merge time, under
-    /// any [`det_memory::ConflictPolicy`]. This is the verdict the
-    /// soundness tests gate.
-    ConflictFree,
-    /// Two siblings definitely write the same byte with values that
-    /// both differ from the snapshot: merging them conflicts under
-    /// [`det_memory::ConflictPolicy::Strict`] (and, when the values
-    /// also differ from each other, under `BenignSameValue`).
-    DefiniteConflict,
-    /// Overlap cannot be ruled out (or in): run it and let the
-    /// deterministic merge decide — the paper's dynamic answer.
-    PossibleConflict,
-}
-
-impl std::fmt::Display for Verdict {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Verdict::ConflictFree => "conflict-free",
-            Verdict::DefiniteConflict => "definite-conflict",
-            Verdict::PossibleConflict => "possible-conflict",
-        })
-    }
-}
-
-/// Classifies a sibling fork set from may-footprints alone:
-/// [`Verdict::ConflictFree`] when every pair of write footprints is
-/// bounded and disjoint, [`Verdict::PossibleConflict`] otherwise. Use
-/// [`classify_with_base`] to also detect definite conflicts.
-pub fn classify(siblings: &[&Analysis]) -> Verdict {
-    for (i, a) in siblings.iter().enumerate() {
-        for b in siblings.iter().skip(i + 1) {
-            if a.footprint.writes.intersects(&b.footprint.writes) {
-                return Verdict::PossibleConflict;
-            }
-        }
-    }
-    Verdict::ConflictFree
-}
-
-/// Like [`classify`], with the snapshot's byte contents available:
-/// upgrades to [`Verdict::DefiniteConflict`] when two siblings
-/// must-write the same byte and both written values differ from the
-/// snapshot byte (the paper's strict write/write conflict).
-pub fn classify_with_base(siblings: &[&Analysis], base_byte: &dyn Fn(u64) -> u8) -> Verdict {
-    match classify(siblings) {
-        Verdict::ConflictFree => Verdict::ConflictFree,
-        _ => {
-            for (i, a) in siblings.iter().enumerate() {
-                for b in siblings.iter().skip(i + 1) {
-                    if definite_pair_conflict(a, b, base_byte) {
-                        return Verdict::DefiniteConflict;
-                    }
-                }
-            }
-            Verdict::PossibleConflict
-        }
-    }
-}
-
-fn definite_pair_conflict(a: &Analysis, b: &Analysis, base_byte: &dyn Fn(u64) -> u8) -> bool {
-    let bytes_of = |an: &Analysis| -> BTreeMap<u64, u8> {
-        let mut m = BTreeMap::new();
-        for w in &an.must_writes {
-            for (k, &v) in w.bytes.iter().enumerate() {
-                m.insert(w.addr + k as u64, v);
-            }
-        }
-        m
-    };
-    let ma = bytes_of(a);
-    let mb = bytes_of(b);
-    for (addr, va) in &ma {
-        if let Some(vb) = mb.get(addr) {
-            let base = base_byte(*addr);
-            if *va != base && *vb != base {
-                return true;
-            }
-        }
-    }
-    false
 }
 
 // --- The abstract interpreter ---
@@ -383,7 +265,6 @@ fn join_states(a: &AbsState, b: &AbsState) -> AbsState {
 
 struct Engine<'a> {
     segs: &'a [Segment<'a>],
-    cfg: AnalyzeConfig,
     steps: u64,
     escaped: bool,
 }
@@ -421,9 +302,7 @@ impl<'a> Engine<'a> {
 
         let insn = match self.fetch(pc) {
             None => {
-                if !self.cfg.escape_is_trap {
-                    self.escaped = true;
-                }
+                self.escaped = true;
                 return;
             }
             Some(Err(())) => return, // trap: path ends
@@ -639,20 +518,14 @@ impl<'a> Engine<'a> {
 
 /// Analyzes a program image, starting from `entry` with all registers
 /// zero (how the kernel starts a VM space).
-pub fn analyze(segments: &[Segment<'_>], entry: u64, cfg: &AnalyzeConfig) -> Analysis {
-    analyze_with_regs(segments, entry, &[Val::exact(0); 16], cfg)
+pub fn analyze(segments: &[Segment<'_>], entry: u64, _cfg: &AnalyzeConfig) -> Analysis {
+    analyze_with_regs(segments, entry, &[Val::exact(0); 16])
 }
 
 /// Analyzes with explicit initial register abstractions.
-pub fn analyze_with_regs(
-    segments: &[Segment<'_>],
-    entry: u64,
-    init: &[Val; 16],
-    cfg: &AnalyzeConfig,
-) -> Analysis {
+pub fn analyze_with_regs(segments: &[Segment<'_>], entry: u64, init: &[Val; 16]) -> Analysis {
     let mut eng = Engine {
         segs: segments,
-        cfg: *cfg,
         steps: 0,
         escaped: false,
     };
@@ -677,7 +550,7 @@ pub fn analyze_with_regs(
 
     while let Some(pc) = work.pop_front() {
         queued.remove(&pc);
-        if eng.steps >= cfg.max_steps {
+        if eng.steps >= MAX_STEPS {
             gave_up = true;
             break;
         }
@@ -708,7 +581,7 @@ pub fn analyze_with_regs(
                     let grown = join_states(cur, &joined);
                     let cnt = joins.entry(succ).or_insert(0);
                     *cnt += 1;
-                    let new = if *cnt > cfg.widen_after {
+                    let new = if *cnt > WIDEN_AFTER {
                         std::array::from_fn(|i| cur[i].widen(&grown[i]))
                     } else {
                         grown
@@ -733,7 +606,7 @@ pub fn analyze_with_regs(
     // entry seed). Each sweep applies the sound transfer once more, so
     // every iterate stays an over-approximation.
     if !gave_up {
-        for _ in 0..cfg.narrow_sweeps {
+        for _ in 0..NARROW_SWEEPS {
             let pcs: Vec<u64> = state.keys().copied().collect();
             // In-order chaotic iteration: refresh each pc's state from
             // its in-flows, then immediately re-emit its out-edges, so
@@ -809,225 +682,42 @@ pub fn analyze_with_regs(
         writes.make_unbounded();
     }
 
-    let must_writes = must_write_prefix(segments, entry);
     Analysis {
         footprint: Footprint {
             reads,
             writes,
             steps: eng.steps,
         },
-        must_writes,
     }
 }
 
-/// Bounded concrete walk of the entry path: registers start at zero,
-/// loads produce unknowns, and the walk stops at the first unknown
-/// branch condition, unknown address, `sys`, or 1024 steps. Every
-/// store executed before the stop with known address and value is a
-/// definite write (assuming the window is mapped — see [`MustWrite`]).
-fn must_write_prefix(segments: &[Segment<'_>], entry: u64) -> Vec<MustWrite> {
-    let fetch = |pc: u64| -> Option<Insn> {
-        if !pc.is_multiple_of(4) {
-            return None;
-        }
-        for s in segments {
-            if pc >= s.base && pc.saturating_add(4) <= s.base.saturating_add(s.bytes.len() as u64) {
-                let off = (pc - s.base) as usize;
-                let word = u32::from_le_bytes(s.bytes[off..off + 4].try_into().unwrap());
-                return decode(word).ok();
-            }
-        }
-        None
-    };
+#[cfg(test)]
+mod tests {
+    use super::PageSet;
 
-    use Opcode::*;
-    let mut g: [Option<u64>; 16] = [Some(0); 16];
-    let mut pc = entry;
-    let mut writes: BTreeMap<u64, u8> = BTreeMap::new();
-    for _ in 0..1024 {
-        let Some(i) = fetch(pc) else { break };
-        let next_pc = pc + 4;
-        let (rd, rs, rt) = (
-            (i.rd & 15) as usize,
-            (i.rs & 15) as usize,
-            (i.rt & 15) as usize,
-        );
-        let imm = i.imm as i64;
-        let bin = |a: Option<u64>, b: Option<u64>, f: fn(u64, u64) -> u64| -> Option<u64> {
-            Some(f(a?, b?))
-        };
-        match i.op {
-            Nop => pc = next_pc,
-            Halt | Sys => break,
-            Add => {
-                g[rd] = bin(g[rs], g[rt], u64::wrapping_add);
-                pc = next_pc;
-            }
-            Sub => {
-                g[rd] = bin(g[rs], g[rt], u64::wrapping_sub);
-                pc = next_pc;
-            }
-            Mul => {
-                g[rd] = bin(g[rs], g[rt], u64::wrapping_mul);
-                pc = next_pc;
-            }
-            Div | Mod | Divu | Modu => match (g[rs], g[rt]) {
-                (Some(a), Some(b)) if b != 0 => {
-                    g[rd] = Some(match i.op {
-                        Div => (a as i64).wrapping_div(b as i64) as u64,
-                        Mod => (a as i64).wrapping_rem(b as i64) as u64,
-                        Divu => a / b,
-                        _ => a % b,
-                    });
-                    pc = next_pc;
-                }
-                _ => break, // may trap or unknown: stop the prefix
-            },
-            And => {
-                g[rd] = bin(g[rs], g[rt], |a, b| a & b);
-                pc = next_pc;
-            }
-            Or => {
-                g[rd] = bin(g[rs], g[rt], |a, b| a | b);
-                pc = next_pc;
-            }
-            Xor => {
-                g[rd] = bin(g[rs], g[rt], |a, b| a ^ b);
-                pc = next_pc;
-            }
-            Shl => {
-                g[rd] = bin(g[rs], g[rt], |a, b| a.wrapping_shl(b as u32));
-                pc = next_pc;
-            }
-            Shr => {
-                g[rd] = bin(g[rs], g[rt], |a, b| a.wrapping_shr(b as u32));
-                pc = next_pc;
-            }
-            Sar => {
-                g[rd] = bin(g[rs], g[rt], |a, b| {
-                    (a as i64).wrapping_shr(b as u32) as u64
-                });
-                pc = next_pc;
-            }
-            Slt => {
-                g[rd] = bin(g[rs], g[rt], |a, b| ((a as i64) < (b as i64)) as u64);
-                pc = next_pc;
-            }
-            Sltu => {
-                g[rd] = bin(g[rs], g[rt], |a, b| (a < b) as u64);
-                pc = next_pc;
-            }
-            Addi => {
-                g[rd] = g[rs].map(|a| a.wrapping_add(imm as u64));
-                pc = next_pc;
-            }
-            Andi => {
-                g[rd] = g[rs].map(|a| a & imm as u64);
-                pc = next_pc;
-            }
-            Ori => {
-                g[rd] = g[rs].map(|a| a | imm as u64);
-                pc = next_pc;
-            }
-            Xori => {
-                g[rd] = g[rs].map(|a| a ^ imm as u64);
-                pc = next_pc;
-            }
-            Shli => {
-                g[rd] = g[rs].map(|a| a.wrapping_shl(imm as u32 & 63));
-                pc = next_pc;
-            }
-            Shri => {
-                g[rd] = g[rs].map(|a| a.wrapping_shr(imm as u32 & 63));
-                pc = next_pc;
-            }
-            Sari => {
-                g[rd] = g[rs].map(|a| (a as i64).wrapping_shr(imm as u32 & 63) as u64);
-                pc = next_pc;
-            }
-            Slti => {
-                g[rd] = g[rs].map(|a| ((a as i64) < imm) as u64);
-                pc = next_pc;
-            }
-            Muli => {
-                g[rd] = g[rs].map(|a| a.wrapping_mul(imm as u64));
-                pc = next_pc;
-            }
-            Ldi => {
-                g[rd] = Some(imm as u64);
-                pc = next_pc;
-            }
-            Ldih => {
-                g[rd] = g[rd].map(|a| (a << 12) | (i.imm as u64 & 0xfff));
-                pc = next_pc;
-            }
-            Ldb | Ldh | Ldw | Ldd => {
-                // Memory contents are unknown to the static prefix.
-                g[rd] = None;
-                pc = next_pc;
-            }
-            Stb | Sth | Stw | Std => {
-                let (Some(base), Some(v)) = (g[rs], g[rd]) else {
-                    break;
-                };
-                let a = base.wrapping_add(imm as u64);
-                let bytes: &[u8] = match i.op {
-                    Stb => &v.to_le_bytes()[..1],
-                    Sth => &v.to_le_bytes()[..2],
-                    Stw => &v.to_le_bytes()[..4],
-                    _ => &v.to_le_bytes()[..8],
-                };
-                for (k, &bv) in bytes.iter().enumerate() {
-                    writes.insert(a.wrapping_add(k as u64), bv);
-                }
-                pc = next_pc;
-            }
-            Beq | Bne | Blt | Bge | Bltu | Bgeu => {
-                let (Some(a), Some(b)) = (g[rs], g[rt]) else {
-                    break;
-                };
-                let taken = match i.op {
-                    Beq => a == b,
-                    Bne => a != b,
-                    Blt => (a as i64) < (b as i64),
-                    Bge => (a as i64) >= (b as i64),
-                    Bltu => a < b,
-                    _ => a >= b,
-                };
-                pc = if taken {
-                    (next_pc as i64).wrapping_add(imm * 4) as u64
-                } else {
-                    next_pc
-                };
-            }
-            Jal => {
-                g[rd] = Some(next_pc);
-                pc = (next_pc as i64).wrapping_add(imm * 4) as u64;
-            }
-            Jalr => {
-                let Some(base) = g[rs] else { break };
-                g[rd] = Some(next_pc);
-                pc = base.wrapping_add(imm as u64);
-            }
-            Fadd | Fsub | Fmul | Fdiv | Fsqrt | Cvtif | Cvtfi | Flt | Feq | Fle => {
-                // Float semantics are deterministic but not modeled
-                // here; the result is unknown.
-                g[rd] = None;
-                pc = next_pc;
-            }
-        }
+    fn set(ranges: &[(u64, u64)]) -> PageSet {
+        PageSet::Ranges(ranges.to_vec())
     }
 
-    // Coalesce the byte map into contiguous runs.
-    let mut runs: Vec<MustWrite> = Vec::new();
-    for (addr, v) in writes {
-        match runs.last_mut() {
-            Some(r) if r.addr + r.bytes.len() as u64 == addr => r.bytes.push(v),
-            _ => runs.push(MustWrite {
-                addr,
-                bytes: vec![v],
-            }),
+    #[test]
+    fn intersects_is_page_overlap() {
+        let (a, b) = (set(&[(1, 2)]), set(&[(3, 4)]));
+        let empty = PageSet::empty();
+        // Either side unbounded overlaps everything, the empty set too.
+        for s in [&a, &empty, &PageSet::Unbounded] {
+            assert!(PageSet::Unbounded.intersects(s));
+            assert!(s.intersects(&PageSet::Unbounded));
+        }
+        // Adjacent but disjoint ranges share no page.
+        assert!(!a.intersects(&b) && !b.intersects(&a));
+        // One shared page is an overlap, whichever set holds more.
+        let c = set(&[(0, 0), (2, 3), (9, 9)]);
+        assert!(a.intersects(&c) && c.intersects(&a));
+        assert!(b.intersects(&c) && c.intersects(&b));
+        assert!(!set(&[(4, 8)]).intersects(&c));
+        // The empty set meets no bounded set, itself included.
+        for s in [&a, &b, &c, &empty] {
+            assert!(!empty.intersects(s) && !s.intersects(&empty));
         }
     }
-    runs
 }

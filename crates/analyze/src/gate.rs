@@ -44,13 +44,13 @@ pub struct GateOutcome {
 /// intervention (registers unchanged) — one of the behaviors the
 /// register-havocking analysis must cover — and stops at `halt`, a
 /// trap, or the instruction budget.
-pub fn check_program(src: &str, budget: u64, cfg: &AnalyzeConfig) -> GateOutcome {
+pub fn check_program(src: &str, budget: u64) -> GateOutcome {
     let image = assemble(src).expect("program assembles");
     let segs = [Segment {
         base: 0,
         bytes: &image.bytes,
     }];
-    let analysis = analyze(&segs, 0, cfg);
+    let analysis = analyze(&segs, 0, &AnalyzeConfig::default());
 
     let mut mem = sandbox_space(&image.bytes);
     let mut log = PageLog::new();

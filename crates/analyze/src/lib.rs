@@ -1,10 +1,10 @@
-//! det-analyze: sound static footprint/conflict analysis for the
-//! det-vm ISA, plus `detlint`, the workspace determinism lint.
+//! det-analyze: sound static footprint analysis for the det-vm ISA,
+//! plus `detlint`, the workspace determinism lint.
 //!
 //! Determinator answers "did these children conflict?" *dynamically*:
 //! the merge compares bytes at Ret time and any race becomes a
-//! deterministic conflict exception (DESIGN.md §4). This crate adds
-//! the *static* half of that story:
+//! deterministic conflict exception (DESIGN.md §4). This crate answers
+//! a narrower static question — which pages can a program touch:
 //!
 //! * [`footprint::analyze`] runs an abstract interpreter (interval +
 //!   stride domain, [`domain::Val`]) over a VM program and returns a
@@ -12,14 +12,9 @@
 //!   Soundness is the load-bearing property — the predicted write set
 //!   must contain every page the program can dirty under any schedule
 //!   — and is enforced differentially in CI against every registered
-//!   VM scenario and a 200-case random-program proptest.
-//! * [`footprint::classify`] turns sibling footprints into a verdict:
-//!   pairwise-disjoint bounded write sets can never merge-conflict
-//!   (under any [`det_memory::ConflictPolicy`]), so the kernel can
-//!   label a fork set *conflict-free* before running it, and the
-//!   cluster can use [`footprint::Footprint::touch_regions`] as a
-//!   leaf-pull prefetch hint (DESIGN.md §10/§11) without risking a
-//!   miss.
+//!   VM scenario and a 200-case random-program proptest. The cluster
+//!   uses [`footprint::Footprint::touch_regions`] as a leaf-pull
+//!   prefetch hint (DESIGN.md §10/§11) without risking a miss.
 //! * [`lint`] is the determinism lint: token-level rules that keep
 //!   host clocks, randomized-iteration collections, and impurity out
 //!   of the deterministic substrate, workspace-wide.
@@ -39,6 +34,5 @@ pub mod lint;
 
 pub use domain::Val;
 pub use footprint::{
-    Analysis, AnalyzeConfig, Footprint, MustWrite, PageSet, Segment, Verdict, analyze,
-    analyze_with_regs, classify, classify_with_base,
+    Analysis, AnalyzeConfig, Footprint, PageSet, Segment, analyze, analyze_with_regs,
 };

@@ -1,5 +1,6 @@
 //! Differential soundness + precision gate over the registered VM
-//! corpus, plus verdict semantics on hand-built sibling sets.
+//! corpus, plus the footprint's degenerate cases on hand-built
+//! programs.
 //!
 //! This is the test-suite twin of the `analyze` CI binary: every
 //! corpus program's observed page accesses must fall inside its
@@ -7,9 +8,7 @@
 //! the loop-structured kernels the prediction must also be *tight*
 //! (precision — the abstract domain carries its weight).
 
-use det_analyze::footprint::{
-    AnalyzeConfig, PageSet, Segment, Verdict, analyze, classify, classify_with_base,
-};
+use det_analyze::footprint::{AnalyzeConfig, PageSet, Segment, analyze};
 use det_analyze::gate::check_program;
 use det_vm::assemble;
 use det_vm::corpus::PROGRAMS;
@@ -23,9 +22,8 @@ fn ranges(fp: &PageSet) -> &[(u64, u64)] {
 
 #[test]
 fn every_corpus_program_is_sound() {
-    let cfg = AnalyzeConfig::default();
     for p in PROGRAMS {
-        let g = check_program(p.src, p.budget, &cfg);
+        let g = check_program(p.src, p.budget);
         assert!(
             g.sound,
             "{}: observed write pages {:?} / read pages {:?} escape predicted {} / {}",
@@ -43,7 +41,6 @@ fn every_corpus_program_is_sound() {
 /// page granularity, not just soundly.
 #[test]
 fn corpus_precision_is_page_exact() {
-    let cfg = AnalyzeConfig::default();
     let expect_writes: &[(&str, &[(u64, u64)])] = &[
         ("alu_loop", &[]),
         ("fib_preempt", &[]),
@@ -60,7 +57,7 @@ fn corpus_precision_is_page_exact() {
             .iter()
             .find(|p| p.name == *name)
             .expect("registered");
-        let g = check_program(p.src, p.budget, &cfg);
+        let g = check_program(p.src, p.budget);
         assert_eq!(
             ranges(&g.analysis.footprint.writes),
             *want,
@@ -85,57 +82,6 @@ fn footprints_are_deterministic() {
 }
 
 #[test]
-fn disjoint_kernels_classify_conflict_free() {
-    let cfg = AnalyzeConfig::default();
-    let get = |name: &str| {
-        let p = PROGRAMS.iter().find(|p| p.name == name).unwrap();
-        check_program(p.src, p.budget, &cfg).analysis
-    };
-    // Pure compute (no writes) never conflicts with anything bounded.
-    let alu = get("alu_loop");
-    let fib = get("fib_preempt");
-    let fft = get("fft");
-    assert_eq!(classify(&[&alu, &fib]), Verdict::ConflictFree);
-    assert_eq!(classify(&[&alu, &fft]), Verdict::ConflictFree);
-    // counter_stream writes page 2; fft writes page 8: disjoint.
-    let ctr = get("counter_stream");
-    assert_eq!(classify(&[&ctr, &fft]), Verdict::ConflictFree);
-    // fft and matmult both write page 8: overlap cannot be ruled out.
-    let mm = get("matmult");
-    assert_eq!(classify(&[&fft, &mm]), Verdict::PossibleConflict);
-}
-
-#[test]
-fn must_writes_upgrade_to_definite_conflict() {
-    let cfg = AnalyzeConfig::default();
-    let prog = |v: u64| {
-        let src = format!("li r1, {v}\nli r2, 0x8000\nstd r1, [r2+0]\nhalt\n");
-        let image = assemble(&src).unwrap();
-        let segs = [Segment {
-            base: 0,
-            bytes: &image.bytes,
-        }];
-        analyze(&segs, 0, &cfg)
-    };
-    let a = prog(5);
-    let b = prog(9);
-    // Both must-write eight bytes at 0x8000 with values differing from
-    // a zeroed snapshot: a definite strict conflict.
-    assert_eq!(classify(&[&a, &b]), Verdict::PossibleConflict);
-    assert_eq!(
-        classify_with_base(&[&a, &b], &|_| 0),
-        Verdict::DefiniteConflict
-    );
-    // Same byte, but one sibling writes the snapshot's own value: the
-    // merge sees only one changed byte — not definite.
-    let zero = prog(0);
-    assert_eq!(
-        classify_with_base(&[&a, &zero], &|_| 0),
-        Verdict::PossibleConflict
-    );
-}
-
-#[test]
 fn unknown_indirect_jump_degrades_to_unbounded() {
     let cfg = AnalyzeConfig::default();
     let src = "li r2, 0x8000\nldd r1, [r2+0]\njalr r1, r1, 0\nhalt\n";
@@ -153,11 +99,32 @@ fn unknown_indirect_jump_degrades_to_unbounded() {
     );
 }
 
+/// A store through `-8` writes the last page of the address space; its
+/// touch region must end at the top of memory, not wrap to zero.
+#[test]
+fn top_page_footprint_converts_to_regions() {
+    let cfg = AnalyzeConfig::default();
+    let image = assemble("li r2, -8\nli r1, 5\nstd r1, [r2+0]\nhalt\n").unwrap();
+    let segs = [Segment {
+        base: 0,
+        bytes: &image.bytes,
+    }];
+    let fp = analyze(&segs, 0, &cfg).footprint;
+    assert_eq!(
+        ranges(&fp.writes),
+        &[(0xf_ffff_ffff_ffff, 0xf_ffff_ffff_ffff)]
+    );
+    let regions = fp.touch_regions().expect("bounded");
+    assert_eq!(
+        regions.last().map(|r| (r.start, r.end)),
+        Some((0xffff_ffff_ffff_f000, u64::MAX))
+    );
+}
+
 #[test]
 fn touch_regions_cover_reads_and_writes() {
-    let cfg = AnalyzeConfig::default();
     let p = PROGRAMS.iter().find(|p| p.name == "fft").unwrap();
-    let g = check_program(p.src, p.budget, &cfg);
+    let g = check_program(p.src, p.budget);
     let regions = g.analysis.footprint.touch_regions().expect("bounded");
     for &vpn in g.observed_read.iter().chain(&g.observed_written) {
         let addr = vpn << 12;

@@ -8,12 +8,12 @@
 //! 1. **Footprint soundness** — observed written pages ⊆ predicted
 //!    write footprint, observed touched pages ⊆ predicted reads ∪
 //!    writes. No false negatives, ever.
-//! 2. **Verdict soundness** — when [`classify`] labels a sibling pair
-//!    `conflict-free`, forking both from one parent, running them,
-//!    and merging them back must produce **zero merge conflicts under
-//!    all three [`ConflictPolicy`] variants**.
+//! 2. **Disjointness soundness** — when a sibling pair's write
+//!    footprints share no page, forking both from one parent, running
+//!    them, and merging them back must produce **zero merge conflicts
+//!    under all three [`ConflictPolicy`] variants**.
 
-use det_analyze::footprint::{AnalyzeConfig, Segment, Verdict, analyze, classify};
+use det_analyze::footprint::{AnalyzeConfig, Segment, analyze};
 use det_analyze::gate::check_program;
 use det_memory::{AddressSpace, ConflictPolicy, Perm, Region};
 use det_vm::{Cpu, PageLog, VmExit, assemble};
@@ -154,8 +154,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(200))]
 
     /// Property 1+2 for a random sibling pair: per-program footprint
-    /// soundness, then conflict-free verdicts checked against the real
-    /// merge under all three policies.
+    /// soundness, then disjoint write footprints checked against the
+    /// real merge under all three policies.
     #[test]
     fn random_programs_stay_inside_predicted_footprints(seed in any::<u64>()) {
         let mut rng = Rng(seed ^ 0xdead_beef);
@@ -167,7 +167,7 @@ proptest! {
 
         // Property 1: each program alone, observed ⊆ predicted.
         for (name, src) in [("A", &src_a), ("B", &src_b)] {
-            let g = check_program(src, BUDGET, &cfg);
+            let g = check_program(src, BUDGET);
             prop_assert!(
                 g.sound,
                 "{name} (seed {seed:#x}): wrote {:?} read {:?}, predicted {} / {}\n{src}",
@@ -183,7 +183,7 @@ proptest! {
         let img_b = assemble(&src_b).unwrap();
         let an_a = analyze(&[Segment { base: 0, bytes: &img_a.bytes }], 0, &cfg);
         let an_b = analyze(&[Segment { base: 0x4000, bytes: &img_b.bytes }], 0x4000, &cfg);
-        let verdict = classify(&[&an_a, &an_b]);
+        let disjoint = !an_a.footprint.writes.intersects(&an_b.footprint.writes);
 
         let mut parent = AddressSpace::new();
         parent.map_zero(Region::new(0, 0x10000), Perm::RW).unwrap();
@@ -191,8 +191,8 @@ proptest! {
         parent.write(0x4000, &img_b.bytes).unwrap();
 
         // Property 2: under every policy, fork both children from the
-        // same snapshot, run, merge back; conflict-free pairs must
-        // merge clean.
+        // same snapshot, run, merge back; disjoint pairs must merge
+        // clean.
         for policy in [ConflictPolicy::Strict, ConflictPolicy::BenignSameValue, ConflictPolicy::ChildWins] {
             let mut p = parent.clone();
             let fork = |p: &AddressSpace| {
@@ -221,10 +221,10 @@ proptest! {
             let (_, c2) = p
                 .try_merge_from(&child_b, &snap, MERGE_REGION, policy)
                 .unwrap();
-            if verdict == Verdict::ConflictFree {
+            if disjoint {
                 prop_assert!(
                     c1.is_none() && c2.is_none(),
-                    "conflict-free verdict but {policy:?} merge conflicted (seed {seed:#x}):\nA data {base_a:#x}:\n{src_a}\nB data {base_b:#x}:\n{src_b}"
+                    "disjoint write footprints but {policy:?} merge conflicted (seed {seed:#x}):\nA data {base_a:#x}:\n{src_a}\nB data {base_b:#x}:\n{src_b}"
                 );
             }
         }
@@ -240,15 +240,21 @@ proptest! {
 /// the proptest picks program A's.
 const GATE_GOLDEN: &str = include_str!("golden/gate_e995264.txt");
 
+/// The golden programs: `(seed, data base, source)` for each seed of
+/// [`GATE_GOLDEN`].
+fn golden_programs() -> impl Iterator<Item = (u64, u64, String)> {
+    GATE_GOLDEN.lines().map(|line| {
+        let seed: u64 = line.split(' ').next().unwrap().parse().unwrap();
+        let base = DATA_BASES[Rng(seed ^ 0xdead_beef).below(3) as usize];
+        (seed, base, gen_program(seed, base))
+    })
+}
+
 #[test]
 fn observations_are_the_access_trackers() {
-    let cfg = AnalyzeConfig::default();
-    let observed: String = GATE_GOLDEN
-        .lines()
-        .map(|line| {
-            let seed: u64 = line.split(' ').next().unwrap().parse().unwrap();
-            let base = DATA_BASES[Rng(seed ^ 0xdead_beef).below(3) as usize];
-            let g = check_program(&gen_program(seed, base), BUDGET, &cfg);
+    let observed: String = golden_programs()
+        .map(|(seed, base, src)| {
+            let g = check_program(&src, BUDGET);
             format!(
                 "{seed} {base:#x} {} {} {:?} {:?}\n",
                 g.exit, g.insns, g.observed_read, g.observed_written
@@ -257,4 +263,25 @@ fn observations_are_the_access_trackers() {
         .collect();
     assert_eq!(GATE_GOLDEN.lines().count(), 64);
     assert_eq!(observed, GATE_GOLDEN);
+}
+
+/// What the analysis *predicts* for the same 64 programs, recorded at
+/// 2e1b868 — the last commit with the must-write walk and the sibling
+/// verdicts beside the footprint query — one line per program:
+/// `seed data-base steps reads writes` (the `PageSet` display form).
+const FOOTPRINT_GOLDEN: &str = include_str!("golden/footprints_2e1b868.txt");
+
+#[test]
+fn predictions_are_what_they_were_at_2e1b868() {
+    let predicted: String = golden_programs()
+        .map(|(seed, base, src)| {
+            let fp = check_program(&src, BUDGET).analysis.footprint;
+            format!("{seed} {base:#x} {} {} {}\n", fp.steps, fp.reads, fp.writes)
+        })
+        .collect();
+    if predicted != FOOTPRINT_GOLDEN {
+        eprint!("predicted footprints:\n{predicted}");
+    }
+    assert_eq!(predicted.lines().count(), 64);
+    assert_eq!(predicted, FOOTPRINT_GOLDEN);
 }

@@ -749,7 +749,6 @@ impl SpaceCtx {
             }],
             regs.pc,
             &init,
-            &det_analyze::AnalyzeConfig::default(),
         );
         let ps = self
             .shared

@@ -177,8 +177,7 @@ pub mod workloads {
 /// Sound static analysis + determinism lint: `det-analyze`.
 pub mod analyze {
     pub use det_analyze::{
-        Analysis, AnalyzeConfig, Footprint, MustWrite, PageSet, Segment, Val, Verdict, analyze,
-        analyze_with_regs, classify, classify_with_base, lint,
+        Analysis, AnalyzeConfig, Footprint, PageSet, Segment, Val, analyze, analyze_with_regs, lint,
     };
 }
 
