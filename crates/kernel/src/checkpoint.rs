@@ -42,6 +42,7 @@
 
 use std::collections::BTreeMap;
 
+use det_memory::ContentDigest;
 use serde::{Serialize, Value, field};
 
 use crate::apply::{TraceEvent, apply};
@@ -57,12 +58,9 @@ const MAGIC: &str = "detckpt";
 
 /// FNV-1a over the payload bytes — the bundle's integrity digest.
 fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    let mut d = ContentDigest::new();
+    d.update(bytes);
+    d.value()
 }
 
 /// The payload's value tree, from its binary rendering.

@@ -886,8 +886,11 @@ impl Kernel {
         // Final per-space artifacts, for trace-replay comparison and
         // the conformance harness: the root from its just-returned
         // state, every other space from whatever state the destroy
-        // sweep finds checked in. Only computed when recording —
-        // digesting every space costs real work.
+        // sweep finds checked in. Only computed when recording: it is
+        // one pass over every mapped page, 5.6 µs per page of data on a
+        // 2-core 2 GHz Xeon guest and 0.04 µs per page still on the
+        // zero frame (DESIGN.md §8), work an untraced run has no use
+        // for.
         let tracing = self.shared.trace.is_some();
         let mut spaces: Vec<SpaceArtifact> = Vec::new();
         let mut space_paths: Vec<(u32, String)> = Vec::new();

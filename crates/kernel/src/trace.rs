@@ -136,13 +136,14 @@ pub struct SpaceArtifact {
 
 impl SpaceArtifact {
     pub(crate) fn of(id: u32, path: String, st: &SpaceState) -> SpaceArtifact {
+        let (digest, page_digests) = st.mem.digests();
         SpaceArtifact {
             id,
             path,
             vclock_ps: st.vclock_ps,
             insn_count: st.insn_count,
-            digest: st.mem.content_digest().value(),
-            page_digests: st.mem.page_digests(),
+            digest: digest.value(),
+            page_digests,
         }
     }
 }
@@ -366,8 +367,7 @@ mod tests {
                 .iter_pages()
                 .map(|p| (p.vpn, p.perm, p.is_zero_frame))
                 .collect();
-            let digests = (m.content_digest(), m.page_digests());
-            (digests, m.dirty_vpns(), m.dirty_leaf_count(), pages)
+            (m.digests(), m.dirty_vpns(), m.dirty_leaf_count(), pages)
         };
         let text = serde_json::to_string(mem).unwrap();
         let bytes = serde::bin::to_vec(mem);

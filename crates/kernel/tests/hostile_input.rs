@@ -189,6 +189,9 @@ fn every_truncation_is_rejected() {
 /// `payload` behind a header whose digest vouches for it, so the
 /// payload parser is what has to refuse it.
 fn vouched_bundle(payload: &[u8]) -> Vec<u8> {
+    // Byte-serial FNV-1a, an independent reference on purpose: the
+    // checkpoint reader's digest (`ContentDigest`, with its zero-run
+    // shortcut) must agree with it for the header to vouch.
     let fnv1a64 = payload.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
         (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
     });

@@ -1642,44 +1642,55 @@ impl AddressSpace {
     }
 
     /// Returns a deterministic digest of the mapped contents
-    /// (vpn, perm, bytes), used by determinism tests to compare whole
-    /// memory images across runs. The generation and space id are
-    /// deliberately excluded: they are cache-validation state, not
-    /// memory contents.
+    /// (vpn, perm, bytes), used to compare whole memory images across
+    /// runs. The generation and space id are deliberately excluded:
+    /// they are cache-validation state, not memory contents.
     pub fn content_digest(&self) -> ContentDigest {
-        let mut d = ContentDigest::new();
-        for rs in &self.root {
-            for idx in rs.leaf.present_indices() {
-                let e = rs.leaf.entries[idx].as_ref().expect("present bit set");
-                d.update_u64((rs.base << LEAF_BITS) + idx as u64);
-                d.update_u64(if e.perm.allows(Perm::R) { 1 } else { 0 });
-                d.update_u64(if e.perm.allows(Perm::W) { 1 } else { 0 });
-                d.update(e.frame.bytes());
-            }
-        }
-        d
+        self.walk_digests(|_, _| {})
     }
 
-    /// Returns one `(vpn, digest)` pair per mapped page, in ascending
-    /// vpn order. Each digest covers the page's permission bits plus
-    /// its full contents, computed with the same FNV chain as
-    /// [`AddressSpace::content_digest`]. This is the stable per-space
-    /// enumeration the conformance harness serializes into artifact
-    /// bundles: a content divergence localizes to the first differing
-    /// page instead of one opaque whole-image digest.
-    pub fn page_digests(&self) -> Vec<(u64, u64)> {
-        let mut out = Vec::with_capacity(self.page_count());
+    /// Returns [`AddressSpace::content_digest`] and one `(vpn, digest)`
+    /// pair per mapped page, in ascending vpn order, from one pass over
+    /// the pages. Each page digest covers the page's permission bits
+    /// plus its full contents, with the same FNV chain. This is the
+    /// stable per-space enumeration the conformance harness serializes
+    /// into artifact bundles: a content divergence localizes to the
+    /// first differing page instead of one opaque whole-image digest.
+    pub fn digests(&self) -> (ContentDigest, Vec<(u64, u64)>) {
+        let mut pages = Vec::with_capacity(self.page_count());
+        let whole = self.walk_digests(|vpn, d| pages.push((vpn, d)));
+        (whole, pages)
+    }
+
+    /// Feeds every mapped page, ascending by vpn, to the whole-space
+    /// chain (vpn, R bit, W bit, bytes) and to a fresh per-page chain
+    /// (R bit, W bit, bytes) in the same loop, and hands each page's
+    /// digest to `page`. A page still aliasing the shared zero frame
+    /// absorbs its bytes as one zero run.
+    fn walk_digests(&self, mut page: impl FnMut(u64, u64)) -> ContentDigest {
+        let zero = zero_frame();
+        let mut whole = ContentDigest::new();
         for rs in &self.root {
             for idx in rs.leaf.present_indices() {
                 let e = rs.leaf.entries[idx].as_ref().expect("present bit set");
-                let mut d = ContentDigest::new();
-                d.update_u64(if e.perm.allows(Perm::R) { 1 } else { 0 });
-                d.update_u64(if e.perm.allows(Perm::W) { 1 } else { 0 });
-                d.update(e.frame.bytes());
-                out.push(((rs.base << LEAF_BITS) + idx as u64, d.value()));
+                let vpn = (rs.base << LEAF_BITS) + idx as u64;
+                let mut own = ContentDigest::new();
+                whole.update_u64(vpn);
+                for bit in [Perm::R, Perm::W] {
+                    let w = u64::from(e.perm.allows(bit));
+                    whole.update_u64(w);
+                    own.update_u64(w);
+                }
+                if Arc::ptr_eq(&e.frame, &zero) {
+                    whole.update_zeros(PAGE_SIZE as u64);
+                    own.update_zeros(PAGE_SIZE as u64);
+                } else {
+                    ContentDigest::update_both(&mut whole, &mut own, e.frame.bytes());
+                }
+                page(vpn, own.value());
             }
         }
-        out
+        whole
     }
 
     /// Grants `merge_from` access to entries (crate-internal).

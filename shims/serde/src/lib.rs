@@ -183,6 +183,18 @@ macro_rules! impl_signed {
 }
 
 impl_unsigned!(u16, u32, u64, usize);
+
+/// The value of each lowercase hex digit; `0xff` for every other byte.
+const HEX_VALUES: [u8; 256] = {
+    let mut t = [0xff; 256];
+    let mut i = 0;
+    while i < 16 {
+        t[b"0123456789abcdef"[i] as usize] = i as u8;
+        i += 1;
+    }
+    t
+};
+
 // A run of bytes is one `Value::Bytes`; JSON text carries it as a
 // lowercase hex string (see the crate docs).
 impl_unsigned!(
@@ -202,15 +214,21 @@ impl_unsigned!(
             if s.len() % 2 != 0 {
                 return Err(DeError::msg("odd-length hex string"));
             }
-            let digit = |c: u8| match c {
-                b'0'..=b'9' => Ok(c - b'0'),
-                b'a'..=b'f' => Ok(c - b'a' + 10),
-                _ => Err(DeError::msg("bad hex digit")),
-            };
-            s.as_bytes()
+            // Any bad digit sets a high bit of `bad`; one check at the end.
+            let mut bad = 0u8;
+            let bytes = s
+                .as_bytes()
                 .chunks_exact(2)
-                .map(|p| Ok(digit(p[0])? << 4 | digit(p[1])?))
-                .collect()
+                .map(|p| {
+                    let (hi, lo) = (HEX_VALUES[p[0] as usize], HEX_VALUES[p[1] as usize]);
+                    bad |= hi | lo;
+                    hi << 4 | lo
+                })
+                .collect();
+            if bad & 0xf0 != 0 {
+                return Err(DeError::msg("bad hex digit"));
+            }
+            Ok(bytes)
         }
     }
 );

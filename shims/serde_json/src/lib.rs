@@ -6,6 +6,7 @@
 //! mapping reads as bytes.
 
 use std::fmt;
+use std::io::Write as _;
 
 use serde::{Deserialize, MAX_DEPTH, Serialize, Value};
 
@@ -35,16 +36,20 @@ impl From<serde::DeError> for Error {
 
 /// Serializes `value` as compact JSON.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&value.to_value(), &mut out, 0, false);
-    Ok(out)
+    Ok(render(&value.to_value(), false))
 }
 
 /// Serializes `value` as 2-space-indented JSON.
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&value.to_value(), &mut out, 0, true);
-    Ok(out)
+    Ok(render(&value.to_value(), true))
+}
+
+/// The writer fills a byte buffer. It pushes ASCII, and a string's own
+/// bytes in order with only ASCII bytes escaped, so the buffer is UTF-8.
+fn render(v: &Value, pretty: bool) -> String {
+    let mut out = Vec::new();
+    write_value(v, &mut out, 0, pretty);
+    String::from_utf8(out).expect("the writer emits only utf-8")
 }
 
 /// Parses a value from JSON text.
@@ -64,93 +69,97 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
     Ok(T::from_parsed(v)?)
 }
 
-fn write_value(v: &Value, out: &mut String, depth: usize, pretty: bool) {
+fn write_value(v: &Value, out: &mut Vec<u8>, depth: usize, pretty: bool) {
+    // Writing into a `Vec` cannot fail.
     match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::UInt(n) => out.push_str(&n.to_string()),
-        Value::Int(n) => out.push_str(&n.to_string()),
+        Value::Null => out.extend_from_slice(b"null"),
+        Value::Bool(b) => out.extend_from_slice(if *b { b"true" } else { b"false" }),
+        Value::UInt(n) => write!(out, "{n}").expect("vec write"),
+        Value::Int(n) => write!(out, "{n}").expect("vec write"),
         Value::Float(f) => {
             if f.is_finite() {
-                out.push_str(&f.to_string());
+                write!(out, "{f}").expect("vec write");
             } else {
-                out.push_str("null");
+                out.extend_from_slice(b"null");
             }
         }
         Value::Str(s) => write_string(s, out),
         Value::Bytes(b) => {
             const DIGITS: &[u8; 16] = b"0123456789abcdef";
-            out.reserve(b.len() * 2 + 2);
-            out.push('"');
-            for &c in b {
-                out.push(DIGITS[(c >> 4) as usize] as char);
-                out.push(DIGITS[(c & 0xf) as usize] as char);
+            out.push(b'"');
+            let start = out.len();
+            out.resize(start + 2 * b.len(), 0);
+            for (hex, &c) in out[start..].chunks_exact_mut(2).zip(b) {
+                hex[0] = DIGITS[(c >> 4) as usize];
+                hex[1] = DIGITS[(c & 0xf) as usize];
             }
-            out.push('"');
+            out.push(b'"');
         }
         Value::Array(items) => {
             if items.is_empty() {
-                out.push_str("[]");
+                out.extend_from_slice(b"[]");
                 return;
             }
-            out.push('[');
+            out.push(b'[');
             for (i, item) in items.iter().enumerate() {
                 if i > 0 {
-                    out.push(',');
+                    out.push(b',');
                 }
                 newline_indent(out, depth + 1, pretty);
                 write_value(item, out, depth + 1, pretty);
             }
             newline_indent(out, depth, pretty);
-            out.push(']');
+            out.push(b']');
         }
         Value::Object(fields) => {
             if fields.is_empty() {
-                out.push_str("{}");
+                out.extend_from_slice(b"{}");
                 return;
             }
-            out.push('{');
+            out.push(b'{');
             for (i, (k, val)) in fields.iter().enumerate() {
                 if i > 0 {
-                    out.push(',');
+                    out.push(b',');
                 }
                 newline_indent(out, depth + 1, pretty);
                 write_string(k, out);
-                out.push(':');
+                out.push(b':');
                 if pretty {
-                    out.push(' ');
+                    out.push(b' ');
                 }
                 write_value(val, out, depth + 1, pretty);
             }
             newline_indent(out, depth, pretty);
-            out.push('}');
+            out.push(b'}');
         }
     }
 }
 
-fn newline_indent(out: &mut String, depth: usize, pretty: bool) {
+fn newline_indent(out: &mut Vec<u8>, depth: usize, pretty: bool) {
     if pretty {
-        out.push('\n');
+        out.push(b'\n');
         for _ in 0..depth {
-            out.push_str("  ");
+            out.extend_from_slice(b"  ");
         }
     }
 }
 
-fn write_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// Every byte that needs an escape is ASCII, and no byte of a multi-byte
+/// UTF-8 sequence is, so the string is escaped byte by byte.
+fn write_string(s: &str, out: &mut Vec<u8>) {
+    out.push(b'"');
+    for &b in s.as_bytes() {
+        match b {
+            b'"' => out.extend_from_slice(b"\\\""),
+            b'\\' => out.extend_from_slice(b"\\\\"),
+            b'\n' => out.extend_from_slice(b"\\n"),
+            b'\r' => out.extend_from_slice(b"\\r"),
+            b'\t' => out.extend_from_slice(b"\\t"),
+            b if b < 0x20 => out.extend_from_slice(format!("\\u{b:04x}").as_bytes()),
+            b => out.push(b),
         }
     }
-    out.push('"');
+    out.push(b'"');
 }
 
 struct Parser<'a> {
@@ -399,6 +408,22 @@ mod tests {
         assert_eq!(from_str::<Vec<u8>>("\"01ff\"").unwrap(), vec![1, 0xff]);
         assert_eq!(to_string(&vec![1u8, 0xff]).unwrap(), "\"01ff\"");
         assert_eq!(from_str::<Option<u8>>("null").unwrap(), None);
+    }
+
+    #[test]
+    fn numbers_and_bytes_render_as_std_formats_them() {
+        for n in [0u64, 9, 10, 99, 100, 4096, u64::MAX] {
+            assert_eq!(to_string(&n).unwrap(), n.to_string());
+        }
+        for n in [0i64, -1, 7, -10, i64::MIN, i64::MAX] {
+            assert_eq!(to_string(&n).unwrap(), n.to_string());
+        }
+        let all: Vec<u8> = (0..=255).collect();
+        let hex: String = all.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(to_string(&all).unwrap(), format!("\"{hex}\""));
+        assert_eq!(from_str::<Vec<u8>>(&format!("\"{hex}\"")).unwrap(), all);
+        let err = from_str::<Vec<u8>>("\"00ff0x\"").unwrap_err();
+        assert!(err.to_string().contains("bad hex digit"), "{err}");
     }
 
     #[test]
