@@ -21,7 +21,9 @@
 //!
 //! The `conform` binary drives the same machinery from CI
 //! (`conform --replicas 3`) and nightly chaos runs
-//! (`conform --replicas 10 --chaos`).
+//! (`conform --replicas 10 --chaos`). The `seeded` binary re-runs the
+//! checked-in table of seeded bugs ([`seeded`]) that the tests must
+//! catch.
 
 #![warn(missing_docs)]
 
@@ -29,6 +31,7 @@ pub mod bundle;
 pub mod diff;
 pub mod harness;
 pub mod scenario;
+pub mod seeded;
 
 pub use bundle::{Artifacts, Scope};
 pub use diff::{Divergence, DivergenceCategory, compare, first_diff, hex_context};

@@ -6,13 +6,15 @@
 //! [`put_before_tree`], [`tree_source`], [`put_after_tree`],
 //! [`get_options`]), who pays for it ([`bill`], the clock's one
 //! adder), how a `Start` dispatches, what a check-in charges and
-//! counts. The imperative shell (`kernel.rs`/`ctx.rs`) calls these
-//! functions between its waits and wakes and realizes the
-//! [`InstallAction`]/[`StartAction`] they return with host vehicles;
-//! the trace replayer calls the same functions from [`apply`],
-//! stepping a [`KState`] through a recorded [`TraceEvent`] sequence
-//! with no execution vehicles at all, and realizes the same actions as
-//! [`KSlot`] flags.
+//! counts. A space's record, the [`KSlot`], exists once, and three arms
+//! are the only code that writes its flags: [`put_before_tree`]
+//! installs a program, [`start`] dispatches one, [`check_in`] stops
+//! one. The imperative shell (`kernel.rs`/`ctx.rs`) calls them on the
+//! `KSlot` inside the slot it holds locked, between its waits and
+//! wakes, and realizes the [`InstallAction`]/[`StartAction`] they
+//! return with host vehicles; the trace replayer calls the same arms
+//! from [`apply`] on [`KState::slots`], stepping it through a recorded
+//! [`TraceEvent`] sequence with no execution vehicles at all.
 //!
 //! The core is also the one writer of [`KernelStats`]: each event's
 //! counts are bumped by one `count_*` function, which the shell calls on
@@ -34,7 +36,7 @@ use crate::device::DeviceId;
 use crate::error::{KernelError, Result, TrapKind};
 use crate::ids::ChildNum;
 use crate::state::{
-    KSlot, KState, ProgramKind, RunState, SpaceState, check_in_charge, child_path, observe_stop,
+    KSlot, KState, ProgramKind, RunState, SpaceState, check_in_charge, observe_stop,
 };
 use crate::stats::KernelStats;
 use crate::syscall::{CopySpec, GetSpec, PutSpec, StartSpec, StopReason};
@@ -380,42 +382,56 @@ fn start_charge_ps(costs: &CostModel, installed_program: bool, was: StopReason) 
 /// `Put`, first half, in Table 2's order: `Regs`, the install decision
 /// for a program, then `Copy`, `Zero`, `Perm`. The first failing option
 /// ends the sequence; what ran before it stays applied and metered.
-/// The install decision comes back beside the result because a driver
-/// owes its slot bookkeeping (reap the old vehicle, mark the program
-/// pending) whenever one was taken, even if a later option failed.
+///
+/// This is also the install arm: whenever the decision was taken, even
+/// if a later option failed, the child's record is reset for the new
+/// program — pending, not terminal, `Idle(Unstarted)`, and on a
+/// [`InstallAction::Replace`] bound to no vehicle. The decision comes
+/// back beside the result for the host half the shell owes a replaced
+/// program (a fresh CPU, the new closure).
 pub(crate) fn put_before_tree(
     costs: &CostModel,
     caller: &SpaceState,
-    child: &mut SpaceState,
+    child: &mut KSlot,
     put: &PutRec,
     was: StopReason,
-    terminal: bool,
     counts: &mut MemOpCounts,
 ) -> (Option<InstallAction>, Result<()>) {
     if let Some(r) = put.regs {
-        child.regs = r;
+        child.idle_state().regs = r;
     }
     let install = match put
         .program
-        .map(|_| install_action(was, terminal))
+        .map(|_| install_action(was, child.terminal))
         .transpose()
     {
         Ok(install) => install,
         Err(e) => return (None, Err(e)),
     };
+    let st = child.idle_state();
     let mut options = || {
         if let Some(c) = put.copy {
-            copy_op(costs, caller, child, c, counts)?;
+            copy_op(costs, caller, st, c, counts)?;
         }
         if let Some(r) = put.zero {
-            zero_op(costs, child, r, true, counts)?;
+            zero_op(costs, st, r, true, counts)?;
         }
         if let Some((r, p)) = put.perm {
-            perm_op(child, r, p)?;
+            perm_op(st, r, p)?;
         }
         Ok(())
     };
-    (install, options())
+    let res = options();
+    if let Some(action) = install {
+        if action == InstallAction::Replace {
+            child.has_vehicle = false;
+            child.inline_vm = false;
+        }
+        child.terminal = false;
+        child.pending = put.program;
+        child.run = RunState::Idle(StopReason::Unstarted);
+    }
+    (install, res)
 }
 
 /// The `Tree` option's source check. The walk itself is the driver's
@@ -437,13 +453,13 @@ pub(crate) fn tree_source(src: Option<u32>, dst: u32) -> Result<()> {
 pub(crate) fn put_after_tree(
     costs: &CostModel,
     caller: &mut SpaceState,
-    child: &mut SpaceState,
+    child: &mut KSlot,
     put: &PutRec,
     was: StopReason,
     counts: &mut MemOpCounts,
 ) {
     if put.snap {
-        snap_op(costs, child, counts);
+        snap_op(costs, child.idle_state(), counts);
     }
     bill(caller, counts.charge_ps);
     if put.start.is_some() {
@@ -502,7 +518,7 @@ pub(crate) fn get_options(
 
 /// Stamps a child's state at start: its clock catches up to the
 /// parent's, and the work limit is (re)set.
-pub(crate) fn stamp_start(st: &mut SpaceState, parent_vclock_ps: u64, limit_ns: Option<u64>) {
+fn stamp_start(st: &mut SpaceState, parent_vclock_ps: u64, limit_ns: Option<u64>) {
     st.vclock_ps = st.vclock_ps.max(parent_vclock_ps);
     st.limit_ps = limit_ns.map(ns_to_ps);
 }
@@ -541,6 +557,69 @@ pub(crate) fn start_action(
         Ok(StartAction::ResumeInline)
     } else {
         Ok(StartAction::ResumeVehicle)
+    }
+}
+
+/// The start arm: a `Start` of a child held idle with its state in.
+/// Stamps the child at the parent's clock, decides the dispatch, counts
+/// it on `stats` and moves the child's record to it — a fresh program's
+/// kind is consumed, a `Spawn` binds a vehicle, an inline VM space
+/// becomes `Runnable`, a parked vehicle `Running`. The host half (a
+/// worker for a `Spawn`, a CPU and trace cursor for an inline space, the
+/// one targeted wake) is the shell's.
+pub(crate) fn start(
+    child: &mut KSlot,
+    stats: &mut KernelStats,
+    parent_vclock_ps: u64,
+    limit_ns: Option<u64>,
+    prior: StopReason,
+) -> Result<StartAction> {
+    stamp_start(child.idle_state(), parent_vclock_ps, limit_ns);
+    let action = start_action(
+        child.has_vehicle,
+        child.inline_vm,
+        child.pending,
+        prior,
+        child.terminal,
+    )?;
+    count_start(stats, action);
+    match action {
+        StartAction::Spawn => {
+            child.pending = None;
+            child.has_vehicle = true;
+            child.run = RunState::Running;
+        }
+        StartAction::RunnableInline => {
+            child.pending = None;
+            child.inline_vm = true;
+            child.run = RunState::Runnable;
+        }
+        StartAction::ResumeInline => child.run = RunState::Runnable,
+        StartAction::ResumeVehicle => child.run = RunState::Running,
+    }
+    Ok(action)
+}
+
+/// The check-in arm: `space` stops with `reason` and its state `st` is
+/// checked back in. Counts the stop on `stats` (an inline drive's
+/// differently from a park, by the record's own `inline_vm`), charges a
+/// resumable stop the rendezvous park cost, and records the stop; a
+/// final one — the vehicle exited — leaves nothing to resume.
+pub(crate) fn check_in(
+    costs: &CostModel,
+    space: &mut KSlot,
+    stats: &mut KernelStats,
+    mut st: Box<SpaceState>,
+    reason: StopReason,
+    final_stop: bool,
+    vm: &VmCounters,
+) {
+    count_check_in(stats, reason, space.inline_vm, vm);
+    check_in_charge(costs, &mut st, reason);
+    space.state = Some(st);
+    space.run = RunState::Idle(reason);
+    if final_stop {
+        space.terminal = true;
     }
 }
 
@@ -601,7 +680,7 @@ pub(crate) fn count_merge(stats: &mut KernelStats, merge: &MergeStats, conflict:
 
 /// A `Start`'s dispatch: a spawn starts a vehicle, a parked vehicle's
 /// resume is one targeted wake.
-pub(crate) fn count_start(stats: &mut KernelStats, action: StartAction) {
+fn count_start(stats: &mut KernelStats, action: StartAction) {
     match action {
         StartAction::Spawn => stats.threads_spawned += 1,
         StartAction::ResumeVehicle => stats.condvar_wakeups += 1,
@@ -612,12 +691,7 @@ pub(crate) fn count_start(stats: &mut KernelStats, action: StartAction) {
 /// A check-in: the stop, the VM counters of its window, and its wake. A
 /// park or final check-in wakes the waiting parent; an inline drive
 /// wakes nobody (the one waiter *is* the executing thread).
-pub(crate) fn count_check_in(
-    stats: &mut KernelStats,
-    reason: StopReason,
-    inline: bool,
-    vm: &VmCounters,
-) {
+fn count_check_in(stats: &mut KernelStats, reason: StopReason, inline: bool, vm: &VmCounters) {
     if inline {
         stats.vm_inline_runs += 1;
     } else {
@@ -702,11 +776,8 @@ fn ensure_child(ks: &mut KState, caller: u32, child: ChildNum, child_id: u32) ->
             if ks.slots.contains_key(&child_id) {
                 return divergence("trace reuses a space id for a new child");
             }
-            let path = {
-                let c = slot_mut(ks, caller)?;
-                child_path(&c.path.clone(), child, &mut c.child_gens)
-            };
-            ks.slots.insert(child_id, KSlot::new(path));
+            let k = KSlot::child_of(slot_mut(ks, caller)?, child);
+            ks.slots.insert(child_id, k);
             count_space(&mut ks.stats);
             slot_mut(ks, caller)?.children.insert(child, child_id);
             Ok(())
@@ -755,11 +826,8 @@ fn replay_clone(
         if ks.slots.contains_key(&kid_id) {
             return divergence("tree copy reuses a space id");
         }
-        let path = {
-            let d = slot_mut(ks, dst)?;
-            child_path(&d.path.clone(), num, &mut d.child_gens)
-        };
-        ks.slots.insert(kid_id, KSlot::new(path));
+        let k = KSlot::child_of(slot_mut(ks, dst)?, num);
+        ks.slots.insert(kid_id, k);
         count_space(&mut ks.stats);
         slot_mut(ks, dst)?.children.insert(num, kid_id);
         replay_clone(ks, kid_src, kid_id, ids)?;
@@ -789,34 +857,15 @@ fn apply_put(
     apply_entry(ks, caller, entry)?;
     ensure_child(ks, caller, child, child_id)?;
     let was = idle_reason(ks, child_id)?;
-    let terminal = slot_mut(ks, child_id)?.terminal;
     let costs = ks.costs;
     let mut counts = MemOpCounts::default();
     let mut caller_st = take_state(ks, caller)?;
-    let mut child_st = take_state(ks, child_id)?;
-    observe_stop(&mut caller_st, child_st.vclock_ps);
+    let k = slot_mut(ks, child_id)?;
+    observe_stop(&mut caller_st, k.idle_state().vclock_ps);
 
     // An error an option returns went to the recorded program: it is
     // part of history, not a divergence.
-    let (install, mut res) = put_before_tree(
-        &costs,
-        &caller_st,
-        &mut child_st,
-        put,
-        was,
-        terminal,
-        &mut counts,
-    );
-    if let Some(action) = install {
-        let k = slot_mut(ks, child_id)?;
-        if action == InstallAction::Replace {
-            k.has_vehicle = false;
-            k.inline_vm = false;
-        }
-        k.terminal = false;
-        k.pending = put.program;
-        k.run = RunState::Idle(StopReason::Unstarted);
-    }
+    let (_, mut res) = put_before_tree(&costs, &caller_st, k, put, was, &mut counts);
     if let (Ok(()), Some(src_child)) = (&res, put.tree_from) {
         let src = slot_mut(ks, caller)?.children.get(&src_child).copied();
         res = tree_source(src, child_id);
@@ -824,46 +873,25 @@ fn apply_put(
             // The walk replaces the destination's whole state, in its
             // slot; it only fails structurally (the live walk's sole
             // error is kernel shutdown).
-            slot_mut(ks, child_id)?.state = Some(child_st);
             replay_clone(ks, src_id, child_id, &mut tree_new_ids.iter())?;
-            child_st = take_state(ks, child_id)?;
         }
     }
     if res.is_ok() {
-        put_after_tree(&costs, &mut caller_st, &mut child_st, put, was, &mut counts);
+        let k = slot_mut(ks, child_id)?;
+        put_after_tree(&costs, &mut caller_st, k, put, was, &mut counts);
     }
-    let start = put.start.filter(|_| res.is_ok());
-    if let Some(s) = start {
-        stamp_start(&mut child_st, caller_st.vclock_ps, s.limit_ns);
-    }
+    let parent_vclock_ps = caller_st.vclock_ps;
     slot_mut(ks, caller)?.state = Some(caller_st);
-    slot_mut(ks, child_id)?.state = Some(child_st);
     count_put(&mut ks.stats, fused, &counts);
-    if start.is_none() {
-        return Ok(());
+    if let Some(s) = put.start.filter(|_| res.is_ok()) {
+        let KState { slots, stats, .. } = ks;
+        let Some(k) = slots.get_mut(&child_id) else {
+            return divergence("trace names an unknown space");
+        };
+        // A failed Start was returned to the recorded program, after
+        // its bill.
+        let _ = start(k, stats, parent_vclock_ps, s.limit_ns, was);
     }
-
-    let k = slot_mut(ks, child_id)?;
-    // A failed Start was returned to the recorded program, after its
-    // bill.
-    let Ok(action) = start_action(k.has_vehicle, k.inline_vm, k.pending, was, k.terminal) else {
-        return Ok(());
-    };
-    match action {
-        StartAction::Spawn => {
-            k.pending = None;
-            k.run = RunState::Running;
-            k.has_vehicle = true;
-        }
-        StartAction::RunnableInline => {
-            k.pending = None;
-            k.inline_vm = true;
-            k.run = RunState::Runnable;
-        }
-        StartAction::ResumeInline => k.run = RunState::Runnable,
-        StartAction::ResumeVehicle => k.run = RunState::Running,
-    }
-    count_start(&mut ks.stats, action);
     Ok(())
 }
 
@@ -884,19 +912,11 @@ fn apply_get(
     let (costs, policy) = (ks.costs, ks.policy);
     let mut counts = MemOpCounts::default();
     let mut caller_st = take_state(ks, caller)?;
-    let mut child_st = take_state(ks, child_id)?;
+    let child_st = slot_mut(ks, child_id)?.idle_state();
     observe_stop(&mut caller_st, child_st.vclock_ps);
     // As for `Put`: an option's error is recorded history.
-    let (merged, res) = get_options(
-        &costs,
-        policy,
-        &mut caller_st,
-        &mut child_st,
-        get,
-        &mut counts,
-    );
+    let (merged, res) = get_options(&costs, policy, &mut caller_st, child_st, get, &mut counts);
     slot_mut(ks, caller)?.state = Some(caller_st);
-    slot_mut(ks, child_id)?.state = Some(child_st);
     count_get(&mut ks.stats, fused, &counts, merged.as_ref(), &res);
     Ok(())
 }
@@ -915,29 +935,28 @@ fn apply_check_in(
     vm: VmCounters,
     delta: &SpaceDelta,
 ) -> Result<()> {
-    let costs = ks.costs;
-    let k = slot_mut(ks, space)?;
-    if lost_state {
-        k.state = Some(Box::new(SpaceState::new()));
-    }
-    let st = match k.state.as_deref_mut() {
-        Some(st) => st,
-        None => return divergence("check-in without state"),
+    let KState {
+        costs,
+        slots,
+        stats,
+        ..
+    } = ks;
+    let Some(k) = slots.get_mut(&space) else {
+        return divergence("trace names an unknown space");
     };
-    bill(st, advance_ps);
+    let mut st = match (lost_state, k.state.take()) {
+        (true, _) => Box::new(SpaceState::new()),
+        (false, Some(st)) => st,
+        (false, None) => return divergence("check-in without state"),
+    };
+    bill(&mut st, advance_ps);
     st.limit_ps = limit_ps;
     if st.mem.apply_delta(delta).is_err() {
         return divergence("check-in delta does not apply");
     }
     st.regs = regs;
     st.insn_count += insn_delta;
-    check_in_charge(&costs, st, reason);
-    k.run = RunState::Idle(reason);
-    if final_stop {
-        k.terminal = true;
-    }
-    let inline = k.inline_vm;
-    count_check_in(&mut ks.stats, reason, inline, &vm);
+    check_in(costs, k, stats, st, reason, final_stop, &vm);
     Ok(())
 }
 
@@ -1237,6 +1256,66 @@ mod tests {
             "KernelStats counted outside the pure core:\n{}",
             rogue.join("\n")
         );
+    }
+
+    /// A space's flags have one writer: no code outside the pure core
+    /// (`apply.rs`, `state.rs`) writes a [`KSlot`]'s `has_vehicle`,
+    /// `inline_vm`, `terminal`, `pending` or `child_gens` — the shell
+    /// steps its record through the same arms replay does. `run` and
+    /// `state` are left out on purpose: the shell also checks a state
+    /// out to a vehicle or an inline drive, and its shutdown sweep
+    /// destroys every slot, and replay models neither.
+    #[test]
+    fn slot_flags_have_one_writer() {
+        const WRITERS: [&str; 2] = ["apply.rs", "state.rs"];
+        const FLAGS: [&str; 5] = [
+            "has_vehicle",
+            "inline_vm",
+            "terminal",
+            "pending",
+            "child_gens",
+        ];
+        let mut rogue = Vec::new();
+        for src in kernel_sources() {
+            if !WRITERS.contains(&src.file.as_str()) {
+                for flag in FLAGS {
+                    rogue.extend(src.writes_to(flag).into_iter().map(|at| src.locate(at)));
+                }
+            }
+        }
+        assert!(
+            rogue.is_empty(),
+            "a slot flag written outside the pure core:\n{}",
+            rogue.join("\n")
+        );
+    }
+
+    /// A successful check-in charges the calibrated rendezvous park
+    /// cost exactly once, for resumable stops only.
+    #[test]
+    fn check_in_charges_rendezvous_cost() {
+        let costs = CostModel::default();
+        let mut k = KSlot::new("/t".to_string());
+        let mut stats = KernelStats::default();
+        let vm = VmCounters::default();
+        let st = k.state.take().expect("fresh slot");
+        k.run = RunState::Running;
+        check_in(&costs, &mut k, &mut stats, st, StopReason::Ret, false, &vm);
+        assert_eq!(k.state.as_ref().unwrap().vclock_ps, costs.rendezvous_ps);
+        let st = k.state.take().expect("checked in");
+        k.run = RunState::Running;
+        check_in(
+            &costs,
+            &mut k,
+            &mut stats,
+            st,
+            StopReason::Halted,
+            false,
+            &vm,
+        );
+        // Halting is final: no park, no park cost.
+        assert_eq!(k.state.as_ref().unwrap().vclock_ps, costs.rendezvous_ps);
+        assert_eq!(stats.rets, 1);
     }
 
     #[test]

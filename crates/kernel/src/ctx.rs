@@ -8,8 +8,8 @@
 //! else.
 //!
 //! Rendezvous syscalls resolve their child through the space's own
-//! children map, which stores each child's slot cell alongside its id
-//! ([`crate::kernel::ChildRef`]) — one uncontended lock of the
+//! slot, which caches each child's slot cell beside its children map
+//! ([`crate::kernel::Slot::child`]) — one uncontended lock of the
 //! caller's own slot, never a walk of the kernel-global space table
 //! (DESIGN.md §6).
 
@@ -30,8 +30,9 @@ use crate::device::DeviceId;
 use crate::error::{KernelError, Result, TrapKind};
 use crate::fault::{FaultAction, FaultSite};
 use crate::ids::{ChildNum, SpaceId};
-use crate::kernel::{ChildRef, RunState, Shared, Slot, SlotCell, SpaceState, TraceCtx};
-use crate::state::{child_path, observe_stop};
+use crate::kernel::{RunState, Shared, Slot, SlotCell, SpaceState, TraceCtx};
+use crate::program::Program;
+use crate::state::{KSlot, observe_stop};
 use crate::stats::KernelStats;
 use crate::syscall::{GetResult, GetSpec, PutResult, PutSpec, StopReason};
 
@@ -90,7 +91,7 @@ impl SpaceCtx {
         }
         let vclock_ps = self.st.as_deref().map_or(0, |s| s.vclock_ps);
         if self.path.is_none() {
-            self.path = Some(self.cell.m.lock().path.clone());
+            self.path = Some(self.cell.m.lock().k.path.clone());
         }
         let path = self.path.as_deref().expect("cached above");
         let recording = self.trace.is_some();
@@ -348,50 +349,32 @@ impl SpaceCtx {
     /// space is parked is authoritative the moment it resumes. The
     /// global table lock is taken only on first creation, and never
     /// while a slot lock is held.
-    fn ensure_child(&mut self, child: ChildNum) -> ChildRef {
-        if let Some((id, cell)) = self.cell.m.lock().children.get(&child) {
-            return (*id, Arc::clone(cell));
+    fn ensure_child(&mut self, child: ChildNum) -> (SpaceId, Arc<SlotCell>) {
+        if let Some(found) = self.cell.m.lock().child(child) {
+            return found;
         }
         // Only this space's own thread creates its children, and a
         // parent can only Tree-rewrite the map while this space is
         // parked — so the miss above cannot race an insert.
-        let path = {
-            let mut g = self.cell.m.lock();
-            let parent = g.path.clone();
-            child_path(&parent, child, &mut g.child_gens)
-        };
-        let (id, cell) = self.shared.new_slot(path);
-        self.cell
-            .m
-            .lock()
-            .children
-            .insert(child, (id, Arc::clone(&cell)));
+        let k = KSlot::child_of(&mut self.cell.m.lock().k, child);
+        let (id, cell) = self.shared.new_slot(k);
+        self.cell.m.lock().bind(child, id, &cell);
         (id, cell)
-    }
-
-    /// Looks a child up without creating it.
-    fn lookup_child(&mut self, child: ChildNum) -> Option<ChildRef> {
-        self.cell
-            .m
-            .lock()
-            .children
-            .get(&child)
-            .map(|(id, cell)| (*id, Arc::clone(cell)))
     }
 
     /// Rendezvous clock rule: the caller observes the child's stop and
     /// takes the later of the two clocks. Returns the child's clock.
     fn sync_clocks(&mut self, g: &mut MutexGuard<'_, Slot>) -> u64 {
-        observe_stop(self.st_mut(), idle_state(g).vclock_ps)
+        observe_stop(self.st_mut(), g.k.idle_state().vclock_ps)
     }
 
     /// The `Put` half of a rendezvous, for `put` and `put_get` alike:
-    /// waits for the child's stop, runs the core's option sequencer
-    /// around the host-side steps (reaping a replaced vehicle, the
-    /// lock-releasing `Tree` walk, starting the child) and records the
-    /// event. Returns the child's guard and the stop the options
-    /// applied to; on an error the guard is released and the trace
-    /// cursor resynced.
+    /// waits for the child's stop, runs the core's option sequencer and
+    /// arms around the host-side steps (a replaced program's CPU and
+    /// closure, the lock-releasing `Tree` walk, realizing the start)
+    /// and records the event. Returns the child's guard and the stop
+    /// the options applied to; on an error the guard is released and
+    /// the trace cursor resynced.
     fn put_half<'a>(
         &mut self,
         cell: &'a Arc<SlotCell>,
@@ -407,31 +390,21 @@ impl SpaceCtx {
         let costs = self.shared.costs;
         let mut counts = MemOpCounts::default();
         let mut tree_ids = Vec::new();
-        let terminal = g.terminal;
-        let (install, mut res) = put_before_tree(
-            &costs,
-            self.st(),
-            idle_state(&mut g),
-            &rec,
-            was,
-            terminal,
-            &mut counts,
-        );
+        let (install, mut res) =
+            put_before_tree(&costs, self.st(), &mut g.k, &rec, was, &mut counts);
         if let Some(action) = install {
+            // The old program's worker went back to the pool before its
+            // final check-in; a fresh program gets a fresh CPU identity.
             if action == InstallAction::Replace {
-                // The old program's worker went back to the pool before
-                // its final check-in; a fresh program gets a fresh
-                // vehicle binding and a fresh CPU identity.
-                g.has_vehicle = false;
                 g.cpu = None;
-                g.inline_vm = false;
             }
-            g.terminal = false;
-            g.pending = spec.program;
-            g.run = RunState::Idle(StopReason::Unstarted);
+            g.native = match spec.program {
+                Some(Program::Native(entry)) => Some(entry),
+                _ => None,
+            };
         }
         if let (Ok(()), Some(src_child)) = (&res, rec.tree_from) {
-            let src = self.lookup_child(src_child);
+            let src = self.cell.m.lock().child(src_child);
             res = tree_source(src.as_ref().map(|(id, _)| id.index()), child_id.index());
             if let (Ok(()), Some((src_id, src_cell))) = (&res, src) {
                 // A tree copy walks other slots; release this child's
@@ -439,21 +412,14 @@ impl SpaceCtx {
                 drop(g);
                 res = clone_into(&self.shared, src_id, &src_cell, cell, &mut tree_ids);
                 g = cell.m.lock();
-                if res.is_ok() && matches!(g.run, RunState::Destroyed) {
+                if res.is_ok() && matches!(g.k.run, RunState::Destroyed) {
                     res = Err(KernelError::Destroyed);
                 }
             }
         }
         let mut refused = None;
         if res.is_ok() {
-            put_after_tree(
-                &costs,
-                self.st_mut(),
-                idle_state(&mut g),
-                &rec,
-                was,
-                &mut counts,
-            );
+            put_after_tree(&costs, self.st_mut(), &mut g.k, &rec, was, &mut counts);
             if let Some(s) = rec.start {
                 let parent_v = self.st().vclock_ps;
                 match self
@@ -509,7 +475,7 @@ impl SpaceCtx {
         entry: Option<EntryRec>,
     ) -> Result<GetResult> {
         let child_v = self.sync_clocks(g);
-        let child_st = idle_state(g);
+        let child_st = g.k.idle_state();
         let code = child_st.regs.gpr[1];
         let regs = spec.regs.then_some(child_st.regs);
         let (costs, policy) = (self.shared.costs, self.shared.policy);
@@ -760,11 +726,6 @@ impl SpaceCtx {
     }
 }
 
-/// A stopped child's checked-in state, through its held slot guard.
-fn idle_state<'g>(g: &'g mut MutexGuard<'_, Slot>) -> &'g mut SpaceState {
-    g.state.as_deref_mut().expect("idle child has state")
-}
-
 /// Deep-copies the state of `src` (and recursively its descendants)
 /// into `dst` — the `Tree` option. Every source slot is a rendezvous
 /// like any other (§3.2): the walk waits for it to stop, driving a
@@ -783,32 +744,25 @@ fn clone_into(
 ) -> Result<()> {
     let (img, kids) = {
         let (g, _) = shared.wait_idle(src, src_id, src.m.lock())?;
-        let st = g.state.as_ref().expect("idle slot has state");
-        (st.clone_image(), g.children.clone())
+        let st = g.k.state.as_ref().expect("idle slot has state");
+        (st.clone_image(), g.children())
     };
     {
         let mut g = dst.m.lock();
-        if matches!(g.run, RunState::Destroyed) {
+        if matches!(g.k.run, RunState::Destroyed) {
             return Err(KernelError::Destroyed);
         }
-        g.state = Some(Box::new(img));
-        g.run = RunState::Idle(StopReason::Unstarted);
+        g.k.state = Some(Box::new(img));
+        g.k.run = RunState::Idle(StopReason::Unstarted);
     }
-    for (num, (kid_src_id, kid_src)) in kids {
+    for (num, kid_src_id, kid_src) in kids {
         // Create a matching child under dst and recurse. The created
         // ids are recorded in pre-order — even on an error part-way —
         // so trace replay can mint the identical tree.
-        let path = {
-            let mut g = dst.m.lock();
-            let parent = g.path.clone();
-            child_path(&parent, num, &mut g.child_gens)
-        };
-        let (kid_id, kid_dst) = shared.new_slot(path);
+        let k = KSlot::child_of(&mut dst.m.lock().k, num);
+        let (kid_id, kid_dst) = shared.new_slot(k);
         new_ids.push(kid_id.index());
-        dst.m
-            .lock()
-            .children
-            .insert(num, (kid_id, Arc::clone(&kid_dst)));
+        dst.m.lock().bind(num, kid_id, &kid_dst);
         clone_into(shared, kid_src_id, &kid_src, &kid_dst, new_ids)?;
     }
     Ok(())

@@ -38,17 +38,16 @@ use det_memory::{AddressSpace, ConflictPolicy};
 use det_vm::{Cpu, VmExit};
 
 use crate::apply::{
-    EntryRec, StartAction, TraceEvent, VmCounters, bill, count_check_in, count_space, count_start,
-    stamp_start, start_action,
+    EntryRec, StartAction, TraceEvent, VmCounters, bill, check_in, count_space, start,
 };
 use crate::cost::{CostModel, ps_to_ns};
 use crate::ctx::SpaceCtx;
 use crate::device::{DeviceHub, DeviceId, IoLog, IoMode};
 use crate::error::{KernelError, Result, TrapKind};
 use crate::fault::{ArmedFaults, FaultPlan};
-use crate::ids::SpaceId;
-use crate::program::{NativeEntry, NativeResult, Program};
-use crate::state::{ROOT_PATH, check_in_charge, final_reason};
+use crate::ids::{ChildNum, SpaceId};
+use crate::program::{NativeEntry, NativeResult};
+use crate::state::{KSlot, ROOT_PATH, final_reason};
 use crate::stats::{HostStats, KernelStats};
 use crate::syscall::StopReason;
 use crate::trace::{SpaceArtifact, TraceMeta, TraceSink};
@@ -225,49 +224,29 @@ pub(crate) fn lost_state_check_in(id: SpaceId, reason: StopReason) -> TraceEvent
     }
 }
 
-/// A resolved child: its table id plus its slot cell, stored together
-/// in the parent's children map so rendezvous resolution is one
-/// (uncontended) lock of the parent's own slot — never a walk of the
-/// kernel-global space table — and `Tree` copies that rewrite the map
-/// are authoritative immediately.
-pub(crate) type ChildRef = (SpaceId, Arc<SlotCell>);
-
+/// One space's slot: its record — the same [`KSlot`] trace replay
+/// steps, updated through the same arms of the pure core — plus what
+/// only the host has.
 pub(crate) struct Slot {
-    pub children: BTreeMap<u64, ChildRef>,
-    /// Deterministic lineage path (see [`crate::state::child_path`]):
-    /// table ids are allocation-order artifacts that race under
-    /// concurrent creation, so artifacts and reports name spaces by
-    /// path. Assigned at creation under the parent's slot lock,
-    /// through the one function replay calls too.
-    pub path: String,
-    /// Per-child-number creation counter for the path generation
-    /// suffix (only `Tree` copies ever rebind a number).
-    pub child_gens: BTreeMap<u64, u32>,
-    pub run: RunState,
-    pub state: Option<Box<SpaceState>>,
-    pub pending: Option<Program>,
-    /// True while a pooled worker is bound to this slot's program: set
-    /// when a `Start` hands the program to one, cleared when a new
-    /// program is installed over a finished one. It is the bit
-    /// [`start_action`] reads; the worker itself belongs to the
-    /// [`VehiclePool`], never to the slot.
-    pub has_vehicle: bool,
+    pub k: KSlot,
+    /// The closure of the installed-but-unstarted native program
+    /// (`k.pending` holds its kind). A `Spawn` hands it to a pooled
+    /// worker; the worker itself belongs to the [`VehiclePool`], never
+    /// to the slot.
+    pub native: Option<NativeEntry>,
+    /// The cell of each child in `k.children`, by space id, so
+    /// rendezvous resolution is one (uncontended) lock of the parent's
+    /// own slot — never a walk of the kernel-global space table — and
+    /// `Tree` copies that rebind a child are authoritative immediately.
+    cells: BTreeMap<u32, Arc<SlotCell>>,
     /// Warm CPU (software TLB + decoded-instruction cache) of an
     /// inline VM space, preserved across stops and resumes.
     pub cpu: Option<Box<Cpu>>,
-    /// True once the slot runs its program as an inline VM space.
-    pub inline_vm: bool,
     /// Trace cursor for an inline VM slot, established whenever the
     /// slot becomes `Runnable` (its vehicle-less equivalent of the
     /// thread-local cursor a dedicated vehicle carries). Taken by the
     /// thread that drives the slot.
     pub trace_base: Option<TraceCtx>,
-    /// Set by a *final* check-in: the slot's vehicle has exited (or is
-    /// about to), so a resumable-looking stop (e.g. a native trap) has
-    /// nothing left to resume. Cleared when a new program is
-    /// installed. Prevents a `Start` from waking nobody and hanging
-    /// the next `wait_idle` forever.
-    pub terminal: bool,
     /// This slot's share of the run's [`KernelStats`]: every event
     /// recorded under this slot's lock (a rendezvous with it, its own
     /// check-ins and its creation) is counted here, under that lock,
@@ -277,21 +256,37 @@ pub(crate) struct Slot {
 }
 
 impl Slot {
-    pub(crate) fn new_child(path: String) -> Slot {
+    fn new(k: KSlot) -> Slot {
         Slot {
-            children: BTreeMap::new(),
-            path,
-            child_gens: BTreeMap::new(),
-            run: RunState::Idle(StopReason::Unstarted),
-            state: Some(Box::new(SpaceState::new())),
-            pending: None,
-            has_vehicle: false,
+            k,
+            native: None,
+            cells: BTreeMap::new(),
             cpu: None,
-            inline_vm: false,
             trace_base: None,
-            terminal: false,
             stats: KernelStats::default(),
         }
+    }
+
+    /// The child bound at `child`, with its cell.
+    pub(crate) fn child(&self, child: ChildNum) -> Option<(SpaceId, Arc<SlotCell>)> {
+        let id = *self.k.children.get(&child)?;
+        Some((SpaceId(id), Arc::clone(&self.cells[&id])))
+    }
+
+    /// Every child, in child-number order.
+    pub(crate) fn children(&self) -> Vec<(ChildNum, SpaceId, Arc<SlotCell>)> {
+        let kids = self.k.children.iter();
+        let kid = |(&num, &id): (&ChildNum, &u32)| (num, SpaceId(id), Arc::clone(&self.cells[&id]));
+        kids.map(kid).collect()
+    }
+
+    /// Binds `child` to a new space and caches its cell (a `Tree` copy
+    /// rebinding a number drops the cell it replaces).
+    pub(crate) fn bind(&mut self, child: ChildNum, id: SpaceId, cell: &Arc<SlotCell>) {
+        if let Some(old) = self.k.children.insert(child, id.0) {
+            self.cells.remove(&old);
+        }
+        self.cells.insert(id.0, Arc::clone(cell));
     }
 }
 
@@ -412,12 +407,12 @@ impl Shared {
         Arc::clone(&self.table.lock()[id.0 as usize])
     }
 
-    /// Appends a fresh child slot to the table. `path` is the slot's
-    /// deterministic lineage path, derived by the caller under the
-    /// parent's slot lock (the table id, by contrast, is an
+    /// Appends a fresh child slot to the table. `k` is its record,
+    /// derived by the caller under the parent's slot lock
+    /// ([`KSlot::child_of`]; the table id, by contrast, is an
     /// allocation-order artifact).
-    pub(crate) fn new_slot(&self, path: String) -> (SpaceId, Arc<SlotCell>) {
-        let mut slot = Slot::new_child(path);
+    pub(crate) fn new_slot(&self, k: KSlot) -> (SpaceId, Arc<SlotCell>) {
+        let mut slot = Slot::new(k);
         count_space(&mut slot.stats);
         let cell = SlotCell::new(slot);
         let mut t = self.table.lock();
@@ -436,27 +431,6 @@ impl Shared {
         }
     }
 
-    /// Checks a stopped space's state into its (locked) slot.
-    ///
-    /// All rendezvous accounting funnels through here, for both
-    /// vehicles: stats count only stops that actually materialized (a
-    /// destroyed slot never reaches this point) — through the same
-    /// `count_check_in` replay applies, with `vm` the window's VM
-    /// counters — and resumable stops are charged the park/handoff cost
-    /// whichever thread ran them.
-    fn check_in_locked(
-        &self,
-        slot: &mut Slot,
-        mut st: Box<SpaceState>,
-        reason: StopReason,
-        vm: VmCounters,
-    ) {
-        count_check_in(&mut slot.stats, reason, slot.inline_vm, &vm);
-        check_in_charge(&self.costs, &mut st, reason);
-        slot.state = Some(st);
-        slot.run = RunState::Idle(reason);
-    }
-
     /// Blocks until the slot is stopped with its state checked in;
     /// returns the guard and the stop reason.
     ///
@@ -472,14 +446,14 @@ impl Shared {
         mut g: MutexGuard<'a, Slot>,
     ) -> Result<(MutexGuard<'a, Slot>, StopReason)> {
         loop {
-            match g.run {
-                RunState::Idle(r) if g.state.is_some() => return Ok((g, r)),
+            match g.k.run {
+                RunState::Idle(r) if g.k.state.is_some() => return Ok((g, r)),
                 RunState::Destroyed => return Err(KernelError::Destroyed),
                 RunState::Runnable => {
-                    let mut st = g.state.take().expect("runnable slot has state");
+                    let mut st = g.k.state.take().expect("runnable slot has state");
                     let mut cpu = g.cpu.take().unwrap_or_default();
                     let tr = g.trace_base.take();
-                    g.run = RunState::Running;
+                    g.k.run = RunState::Running;
                     drop(g);
                     let mut vmc = VmCounters::default();
                     let stop = vm_execute(self, &mut st, &mut cpu, &mut vmc);
@@ -489,7 +463,7 @@ impl Shared {
                         // with the kernel.
                         None => return Err(KernelError::Destroyed),
                         Some(reason) => {
-                            if matches!(g.run, RunState::Destroyed) {
+                            if matches!(g.k.run, RunState::Destroyed) {
                                 return Err(KernelError::Destroyed);
                             }
                             // Event built pre-charge: replay re-applies
@@ -497,8 +471,9 @@ impl Shared {
                             let ev = tr
                                 .as_ref()
                                 .map(|tr| tr.check_in(id, &st, reason, false, vmc));
-                            self.check_in_locked(&mut g, st, reason, vmc);
-                            g.cpu = Some(cpu);
+                            let s = &mut *g;
+                            check_in(&self.costs, &mut s.k, &mut s.stats, st, reason, false, &vmc);
+                            s.cpu = Some(cpu);
                             self.trace_push(ev);
                             // No notify: the one waiter is this thread.
                         }
@@ -506,7 +481,7 @@ impl Shared {
                 }
                 _ => {
                     cell.idle_cv.wait(&mut g);
-                    if !matches!(g.run, RunState::Idle(_) | RunState::Destroyed) {
+                    if !matches!(g.k.run, RunState::Idle(_) | RunState::Destroyed) {
                         self.spurious_wakeups.fetch_add(1, Relaxed);
                     }
                 }
@@ -527,18 +502,20 @@ impl Shared {
         // Destroyed check *before* any accounting: a park raced by
         // destruction is a rendezvous that never happened, and must
         // not drift the replay-comparable stop counters.
-        if matches!(g.run, RunState::Destroyed) {
+        if matches!(g.k.run, RunState::Destroyed) {
             return Err(KernelError::Destroyed);
         }
-        self.check_in_locked(&mut g, st, reason, VmCounters::default());
+        let s = &mut *g;
+        let vm = VmCounters::default();
+        check_in(&self.costs, &mut s.k, &mut s.stats, st, reason, false, &vm);
         self.trace_push(trace_ev);
         // Exactly one thread can be waiting for this stop: the parent
         // in `wait_idle`.
         cell.idle_cv.notify_one();
         loop {
-            match g.run {
+            match g.k.run {
                 RunState::Running => {
-                    if let Some(st) = g.state.take() {
+                    if let Some(st) = g.k.state.take() {
                         return Ok(st);
                     }
                     cell.resume_cv.wait(&mut g);
@@ -546,7 +523,7 @@ impl Shared {
                 RunState::Destroyed => return Err(KernelError::Destroyed),
                 _ => {
                     cell.resume_cv.wait(&mut g);
-                    if !matches!(g.run, RunState::Running | RunState::Destroyed) {
+                    if !matches!(g.k.run, RunState::Running | RunState::Destroyed) {
                         self.spurious_wakeups.fetch_add(1, Relaxed);
                     }
                 }
@@ -569,13 +546,14 @@ impl Shared {
         trace_ev: Option<TraceEvent>,
     ) {
         let mut g = cell.m.lock();
-        if matches!(g.run, RunState::Destroyed) {
+        if matches!(g.k.run, RunState::Destroyed) {
             return;
         }
         let reason = final_reason(st.is_some(), reason);
         let st = st.unwrap_or_else(|| Box::new(SpaceState::new()));
-        self.check_in_locked(&mut g, st, reason, VmCounters::default());
-        g.terminal = true;
+        let s = &mut *g;
+        let vm = VmCounters::default();
+        check_in(&self.costs, &mut s.k, &mut s.stats, st, reason, true, &vm);
         self.trace_push(trace_ev);
         cell.idle_cv.notify_one();
     }
@@ -584,9 +562,11 @@ impl Shared {
     ///
     /// The caller holds the child's slot lock and has already applied
     /// the rendezvous clock rules; `parent_vclock_ps` stamps the
-    /// child's resume time. Returns the check-in of a vehicle the host
-    /// refused, which the caller records *after* the `Put` that started
-    /// it, as replay must apply them.
+    /// child's resume time. The pure core's `start` arm — the one
+    /// replay runs — decides, counts and moves the child's record; this
+    /// shell only realizes the decision with host vehicles. Returns the
+    /// check-in of a vehicle the host refused, which the caller records
+    /// *after* the `Put` that started it, as replay must apply them.
     pub(crate) fn start_child(
         self: &Arc<Self>,
         g: &mut MutexGuard<'_, Slot>,
@@ -596,7 +576,7 @@ impl Shared {
         parent_vclock_ps: u64,
         prior: StopReason,
     ) -> Result<Option<TraceEvent>> {
-        if matches!(g.run, RunState::Destroyed)
+        if matches!(g.k.run, RunState::Destroyed)
             || self.shutdown.load(std::sync::atomic::Ordering::SeqCst)
         {
             // Refusing to dispatch under shutdown keeps the join-then-
@@ -604,49 +584,22 @@ impl Shared {
             // was visible to the destroy sweep.
             return Err(KernelError::Destroyed);
         }
-        stamp_start(
-            g.state
-                .as_mut()
-                .expect("start_child requires checked-in state"),
-            parent_vclock_ps,
-            limit_ns,
-        );
-        // The *decision* is the pure core's (`start_action` is also what
-        // replay runs); this shell only realizes it with host vehicles.
-        let action = start_action(
-            g.has_vehicle,
-            g.inline_vm,
-            g.pending.as_ref().map(Program::kind),
-            prior,
-            g.terminal,
-        )?;
-        count_start(&mut g.stats, action);
-        match action {
+        let s = &mut **g;
+        match start(&mut s.k, &mut s.stats, parent_vclock_ps, limit_ns, prior)? {
             StartAction::RunnableInline => {
                 // A leaf VM space: no vehicle of its own. It runs
                 // when someone waits for it.
-                g.pending = None;
-                g.inline_vm = true;
-                g.cpu = Some(Box::default());
-                g.run = RunState::Runnable;
-                self.set_trace_base(g);
+                s.cpu = Some(Box::default());
+                self.set_trace_base(s);
             }
             StartAction::Spawn => {
-                let Some(Program::Native(entry)) = g.pending.take() else {
-                    unreachable!("start_action spawns only a pending native program");
-                };
-                return Ok(self.start_vehicle(g, cell, child, entry));
+                let entry = s.native.take().expect("a native program is pending");
+                return Ok(self.start_vehicle(s, cell, child, entry));
             }
-            StartAction::ResumeInline => {
-                g.run = RunState::Runnable;
-                self.set_trace_base(g);
-            }
-            StartAction::ResumeVehicle => {
-                g.run = RunState::Running;
-                // Exactly one thread can be waiting for this resume:
-                // the slot's own parked vehicle.
-                cell.resume_cv.notify_one();
-            }
+            StartAction::ResumeInline => self.set_trace_base(s),
+            // Exactly one thread can be waiting for this resume: the
+            // slot's own parked vehicle.
+            StartAction::ResumeVehicle => cell.resume_cv.notify_one(),
         }
         Ok(None)
     }
@@ -655,7 +608,7 @@ impl Shared {
     /// hands its program to a pooled worker — the most recently parked
     /// one, or a new OS thread from `self.spawn` when none is parked. One
     /// uncounted wake; `threads_spawned` counts the decision either way
-    /// (in `start_child`). Returns a refused vehicle's check-in event.
+    /// (in the `start` arm). Returns a refused vehicle's check-in event.
     ///
     /// A new worker is registered in the pool here, under the child's
     /// slot lock, and `start_child` checked the shutdown flag under
@@ -670,8 +623,7 @@ impl Shared {
         child: SpaceId,
         entry: NativeEntry,
     ) -> Option<TraceEvent> {
-        let st = g.state.take().expect("start_child checked the state in");
-        g.run = RunState::Running;
+        let st = g.k.state.take().expect("start_child checked the state in");
         let parked = self.pool.lock().idle.pop();
         let worker = match parked {
             Some(w) => w,
@@ -685,7 +637,6 @@ impl Shared {
                 w
             }
         };
-        g.has_vehicle = true;
         let job = Job {
             cell: Arc::clone(cell),
             id: child,
@@ -700,24 +651,22 @@ impl Shared {
 
     /// The host refused a vehicle (thread exhaustion, or an injected
     /// allocation fault at the OS layer) for a child whose state was
-    /// already checked out. That is the lost-state shape: check the
-    /// slot in as a terminal trap so the caller's next wait observes a
-    /// deterministic stop instead of a slot stuck in `Running`. No
-    /// worker is bound (`has_vehicle` stays clear), so a later `Start`
-    /// finds no program rather than waking nobody. Returns the check-in
-    /// event for the caller to record after its `Put`.
+    /// already checked out. That is the lost-state shape: the slot is
+    /// checked in through the `check_in` arm as a final trap with a
+    /// fresh state, so the caller's next wait observes a deterministic
+    /// stop instead of a slot stuck in `Running`, and `terminal` makes a
+    /// later `Start` find no program rather than wake nobody. The
+    /// record keeps `has_vehicle`, as replay does: it is the `Spawn`
+    /// decision, not a worker. Returns the check-in event for the
+    /// caller to record after its `Put`.
     fn vehicle_refused(&self, g: &mut Slot, child: SpaceId) -> Option<TraceEvent> {
         let reason = final_reason(
             false,
             StopReason::Trap(TrapKind::Fault("vehicle spawn failed")),
         );
-        self.check_in_locked(
-            g,
-            Box::new(SpaceState::new()),
-            reason,
-            VmCounters::default(),
-        );
-        g.terminal = true;
+        let st = Box::new(SpaceState::new());
+        let vm = VmCounters::default();
+        check_in(&self.costs, &mut g.k, &mut g.stats, st, reason, true, &vm);
         // No notify: the caller holds this slot's lock and is the
         // unique observer of the stop.
         self.trace
@@ -728,9 +677,9 @@ impl Shared {
     /// Establishes the trace cursor of a slot just made `Runnable`:
     /// the inline drive that eventually executes it records its
     /// check-in relative to this post-rendezvous image.
-    fn set_trace_base(&self, g: &mut MutexGuard<'_, Slot>) {
+    fn set_trace_base(&self, g: &mut Slot) {
         if self.trace.is_some() {
-            let st = g.state.as_ref().expect("runnable slot has state");
+            let st = g.k.state.as_ref().expect("runnable slot has state");
             g.trace_base = Some(TraceCtx::new(st));
         }
     }
@@ -816,7 +765,7 @@ impl Kernel {
                 policy: config.policy,
             });
         }
-        let root = SlotCell::new(Slot::new_child(ROOT_PATH.to_string()));
+        let root = SlotCell::new(Slot::new(KSlot::new(ROOT_PATH.to_string())));
         Kernel {
             shared: Arc::new(Shared {
                 table: Mutex::new(vec![root]),
@@ -856,8 +805,8 @@ impl Kernel {
         let root_cell = self.shared.cell(SpaceId::ROOT);
         let st = {
             let mut g = root_cell.m.lock();
-            g.run = RunState::Running;
-            g.state.take().expect("fresh root state")
+            g.k.run = RunState::Running;
+            g.k.state.take().expect("fresh root state")
         };
         let mut ctx = SpaceCtx::new(Arc::clone(&self.shared), SpaceId::ROOT, root_cell, st);
         let out = catch_unwind(AssertUnwindSafe(|| root(&mut ctx)));
@@ -897,19 +846,19 @@ impl Kernel {
         for (idx, cell) in cells.iter().enumerate() {
             let mut g = cell.m.lock();
             if tracing {
-                space_paths.push((idx as u32, g.path.clone()));
+                space_paths.push((idx as u32, g.k.path.clone()));
                 let st = if idx == 0 {
                     root_st.as_deref()
                 } else {
-                    g.state.as_deref()
+                    g.k.state.as_deref()
                 };
                 if let Some(st) = st {
-                    spaces.push(SpaceArtifact::of(idx as u32, g.path.clone(), st));
+                    spaces.push(SpaceArtifact::of(idx as u32, g.k.path.clone(), st));
                 }
             }
-            g.run = RunState::Destroyed;
-            g.state = None;
-            g.pending = None;
+            g.k.run = RunState::Destroyed;
+            g.k.state = None;
+            g.native = None;
             g.cpu = None;
             drop(g);
             // Broadcast, not targeted: destruction is the one event
@@ -1122,6 +1071,8 @@ fn vm_execute(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::program::Program;
+    use crate::state::{KState, ProgramKind};
 
     fn shared() -> Arc<Shared> {
         Arc::clone(&Kernel::new(KernelConfig::default()).shared)
@@ -1150,20 +1101,20 @@ mod tests {
     #[test]
     fn final_check_in_without_state_synthesizes_terminal_trap() {
         let sh = shared();
-        let (_, cell) = sh.new_slot("/t".to_string());
+        let (_, cell) = sh.new_slot(KSlot::new("/t".to_string()));
         {
             let mut g = cell.m.lock();
-            g.state = None;
-            g.run = RunState::Running;
+            g.k.state = None;
+            g.k.run = RunState::Running;
         }
         sh.final_check_in(&cell, None, StopReason::Halted, None);
         let g = cell.m.lock();
         assert!(matches!(
-            g.run,
+            g.k.run,
             RunState::Idle(StopReason::Trap(TrapKind::Panic))
         ));
-        assert!(g.state.is_some(), "wait_idle requires checked-in state");
-        assert!(g.terminal, "nothing is left to resume");
+        assert!(g.k.state.is_some(), "wait_idle requires checked-in state");
+        assert!(g.k.terminal, "nothing is left to resume");
         assert_eq!((g.stats.traps, g.stats.condvar_wakeups), (1, 1));
     }
 
@@ -1178,9 +1129,10 @@ mod tests {
         let sink = TraceSink::new();
         let kernel = refusing_kernel(KernelConfig::builder().trace(sink.clone()).build());
         let sh = Arc::clone(&kernel.shared);
-        let (id, cell) = sh.new_slot("/t".to_string());
+        let (id, cell) = sh.new_slot(KSlot::new("/t".to_string()));
         let mut g = cell.m.lock();
-        g.pending = Some(Program::native(|_| Ok(0)));
+        g.k.pending = Some(ProgramKind::Native);
+        g.native = Some(Box::new(|_| Ok(0)));
         let refused = sh.start_child(&mut g, &cell, id, None, 0, StopReason::Unstarted);
         assert!(matches!(
             refused,
@@ -1191,11 +1143,11 @@ mod tests {
             }))
         ));
         assert!(matches!(
-            g.run,
+            g.k.run,
             RunState::Idle(StopReason::Trap(TrapKind::Fault("vehicle spawn failed")))
         ));
-        assert!(g.state.is_some(), "wait_idle requires checked-in state");
-        assert!(g.terminal && !g.has_vehicle);
+        assert!(g.k.state.is_some(), "wait_idle requires checked-in state");
+        assert!(g.k.terminal);
         assert_eq!(g.stats.traps, 1);
         assert_eq!(g.stats.threads_spawned, 1, "the decision");
         assert_eq!(
@@ -1214,7 +1166,7 @@ mod tests {
             sh.start_child(&mut g, &cell, id, None, 0, prior),
             Err(KernelError::NoProgram)
         ));
-        assert!(matches!(g.run, RunState::Idle(_)));
+        assert!(matches!(g.k.run, RunState::Idle(_)));
         drop(g);
         assert!(sink.is_empty(), "the caller records the check-in");
     }
@@ -1312,11 +1264,11 @@ mod tests {
     #[test]
     fn park_after_destroy_counts_nothing() {
         let sh = shared();
-        let (_, cell) = sh.new_slot("/t".to_string());
+        let (_, cell) = sh.new_slot(KSlot::new("/t".to_string()));
         {
             let mut g = cell.m.lock();
-            g.state = None;
-            g.run = RunState::Destroyed;
+            g.k.state = None;
+            g.k.run = RunState::Destroyed;
         }
         let st = Box::new(SpaceState::new());
         assert!(matches!(
@@ -1330,11 +1282,11 @@ mod tests {
     #[test]
     fn final_check_in_on_destroyed_slot_is_noop() {
         let sh = shared();
-        let (_, cell) = sh.new_slot("/t".to_string());
+        let (_, cell) = sh.new_slot(KSlot::new("/t".to_string()));
         {
             let mut g = cell.m.lock();
-            g.state = None;
-            g.run = RunState::Destroyed;
+            g.k.state = None;
+            g.k.run = RunState::Destroyed;
         }
         sh.final_check_in(
             &cell,
@@ -1343,27 +1295,127 @@ mod tests {
             None,
         );
         let g = cell.m.lock();
-        assert!(matches!(g.run, RunState::Destroyed));
-        assert!(g.state.is_none());
+        assert!(matches!(g.k.run, RunState::Destroyed));
+        assert!(g.k.state.is_none());
         assert_eq!(g.stats, created_only());
     }
 
-    /// A successful check-in charges the calibrated rendezvous park
-    /// cost exactly once, for resumable stops only.
+    /// One space's record as `live_slots_are_the_replayed_slots`
+    /// compares it: every field but the state itself, and whether the
+    /// state is checked in (unless the space is the running root, whose
+    /// state is out in its `SpaceCtx`).
+    fn record(k: &KSlot, with_state: bool) -> String {
+        let state_in = with_state.then_some(k.state.is_some());
+        format!(
+            "{} children {:?} gens {:?} {:?} pending {:?} vehicle {} inline {} terminal {} state-in {:?}",
+            k.path,
+            k.children,
+            k.child_gens,
+            k.run,
+            k.pending,
+            k.has_vehicle,
+            k.inline_vm,
+            k.terminal,
+            state_in
+        )
+    }
+
+    /// Runs `root` traced on `kernel` and, once it has quiesced, holds
+    /// every live slot's record to the record trace replay folds from
+    /// the events recorded so far: the shell and replay step one record
+    /// through the same arms, so they agree field by field.
+    fn assert_live_slots_are_replayed(
+        kernel: Kernel,
+        sink: &TraceSink,
+        root: impl FnOnce(&mut SpaceCtx) -> Result<()>,
+    ) {
+        let shared = Arc::clone(&kernel.shared);
+        let mut live = BTreeMap::new();
+        let out = kernel.run(|ctx| {
+            root(ctx)?;
+            for (id, cell) in shared.table.lock().iter().enumerate() {
+                live.insert(id as u32, record(&cell.m.lock().k, id != 0));
+            }
+            Ok(0)
+        });
+        assert_eq!(out.exit, Ok(0));
+        let trace = sink.collect().expect("meta set by Kernel::new");
+        let mut ks = KState::new(trace.meta.costs, trace.meta.policy);
+        for ev in &trace.events {
+            if !matches!(ev, TraceEvent::RootExit { .. }) {
+                crate::apply::apply(&mut ks, ev).expect("the trace replays");
+            }
+        }
+        let replayed: BTreeMap<u32, String> = (ks.slots.iter())
+            .map(|(&id, k)| (id, record(k, id != 0)))
+            .collect();
+        assert_eq!(live, replayed);
+    }
+
     #[test]
-    fn check_in_charges_rendezvous_cost() {
-        let sh = shared();
-        let (_, cell) = sh.new_slot("/t".to_string());
-        let mut g = cell.m.lock();
-        let st = g.state.take().expect("fresh slot");
-        g.run = RunState::Running;
-        sh.check_in_locked(&mut g, st, StopReason::Ret, VmCounters::default());
-        assert_eq!(g.state.as_ref().unwrap().vclock_ps, sh.costs.rendezvous_ps);
-        let st = g.state.take().expect("checked in");
-        g.run = RunState::Running;
-        sh.check_in_locked(&mut g, st, StopReason::Halted, VmCounters::default());
-        // Halting is final: no park, no park cost.
-        assert_eq!(g.state.as_ref().unwrap().vclock_ps, sh.costs.rendezvous_ps);
-        assert_eq!(g.stats.rets, 1);
+    fn live_slots_are_the_replayed_slots() {
+        use crate::syscall::{CopySpec, GetSpec, PutSpec};
+        use det_memory::{Perm, Region};
+        use det_vm::Regs;
+        let image = det_vm::assemble("ldi r1, 5\nsys 0\naddi r1, r1, 1\nhalt\n")
+            .expect("the program assembles");
+        let code = Region::new(0, 0x1000);
+        let sink = TraceSink::new();
+        let kernel = Kernel::new(KernelConfig::builder().trace(sink.clone()).build());
+        assert_live_slots_are_replayed(kernel, &sink, |ctx| {
+            ctx.mem_mut().map_zero(code, Perm::RW)?;
+            ctx.mem_mut().write(0, &image.bytes)?;
+            let vm = || {
+                PutSpec::new()
+                    .program(Program::Vm)
+                    .copy(CopySpec::mirror(code))
+                    .regs(Regs::at_entry(0))
+                    .start()
+            };
+            // A VM start, and an inline resume to its halt.
+            ctx.put(0, vm())?;
+            assert_eq!(ctx.get(0, GetSpec::new())?.stop, StopReason::Ret);
+            ctx.put(0, PutSpec::new().start())?;
+            assert_eq!(ctx.get(0, GetSpec::new())?.stop, StopReason::Halted);
+            // A parked native resume, to its final check-in.
+            let parks = Program::native(|c| c.ret(1).map(|()| 2));
+            ctx.put(1, PutSpec::new().program(parks).start())?;
+            assert_eq!(ctx.get(1, GetSpec::new())?.stop, StopReason::Ret);
+            ctx.put(1, PutSpec::new().start())?;
+            assert_eq!(ctx.get(1, GetSpec::new())?.stop, StopReason::Halted);
+            // A `Tree` copy of a subtree with a grandchild.
+            let forks = Program::native(|c| {
+                c.put(9, PutSpec::new().zero(Region::new(0x4000, 0x5000)))?;
+                Ok(0)
+            });
+            ctx.put(2, PutSpec::new().program(forks).start())?;
+            ctx.get(2, GetSpec::new())?;
+            ctx.put(3, PutSpec::new().tree_from(2))?;
+            assert_eq!(ctx.get(3, GetSpec::new())?.stop, StopReason::Unstarted);
+            // `Replace` over the finished VM child (with a native
+            // program) and over the finished native child (with a VM
+            // program).
+            ctx.put(
+                0,
+                PutSpec::new().program(Program::native(|_| Ok(3))).start(),
+            )?;
+            assert_eq!(ctx.get(0, GetSpec::new())?.code, 3);
+            ctx.put(1, vm())?;
+            assert_eq!(ctx.get(1, GetSpec::new())?.stop, StopReason::Ret);
+            Ok(())
+        });
+
+        // A vehicle the host refuses.
+        let sink = TraceSink::new();
+        let kernel = refusing_kernel(KernelConfig::builder().trace(sink.clone()).build());
+        assert_live_slots_are_replayed(kernel, &sink, |ctx| {
+            ctx.put(
+                0,
+                PutSpec::new().program(Program::native(|_| Ok(0))).start(),
+            )?;
+            let refused = StopReason::Trap(TrapKind::Fault("vehicle spawn failed"));
+            assert_eq!(ctx.get(0, GetSpec::new())?.stop, refused);
+            Ok(())
+        });
     }
 }

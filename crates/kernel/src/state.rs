@@ -8,10 +8,11 @@
 //! drives the very same core with no execution vehicles at all. What a
 //! rendezvous does, in which order, and who pays is the core's
 //! (`apply.rs`); a driver only finds the two spaces and realizes the
-//! decisions that come back. A unit test enforces the purity boundary
-//! by scanning this module's source (see `core_modules_are_pure` in
-//! `apply.rs`), and two more that the clock and the counters each have
-//! one writer. Being plain data, the state is also what a checkpoint
+//! decisions that come back. A space's record, [`KSlot`], is the same
+//! value in both drivers: the shell's locked slot embeds it. A unit
+//! test enforces the purity boundary by scanning this module's source
+//! (see `core_modules_are_pure` in `apply.rs`), and three more that
+//! the clock, the counters and a slot's flags each have one writer. Being plain data, the state is also what a checkpoint
 //! persists: a bundle's payload is [`KState`]'s derived mapping, every
 //! field but the merge snapshots (`checkpoint.rs`).
 
@@ -112,31 +113,38 @@ impl SpaceState {
     }
 }
 
-/// One space slot as plain data: the pure core's view of what the
-/// shell keeps in a locked `Slot` (children map, run phase, checked-in
-/// state, program bookkeeping) minus everything host-bound (the join
-/// handle, the warm CPU, the condvars).
+/// One space's record: the one both drivers step. Replay keeps it in
+/// [`KState::slots`]; the shell embeds it in the locked `Slot` of the
+/// space's cell, beside what only a host has (the native closure, the
+/// children's cells, the warm CPU, the trace cursor, the slot's share
+/// of the stats). Its flags are written only by the pure core's arms
+/// (`apply.rs`): `put_before_tree` installs, `start` dispatches,
+/// `check_in` stops.
 #[derive(Serialize, Deserialize)]
 pub(crate) struct KSlot {
     /// Child number → space id, the per-space private namespace.
     pub children: BTreeMap<ChildNum, u32>,
-    /// Deterministic lineage path (see [`child_path`]). Space *table
-    /// ids* are allocation-order artifacts — concurrent creations race
-    /// for them — so any cross-run artifact names spaces by path, never
-    /// by id.
+    /// Deterministic lineage path (see [`KSlot::child_of`]). Space
+    /// *table ids* are allocation-order artifacts — concurrent creations
+    /// race for them — so any cross-run artifact names spaces by path,
+    /// never by id.
     pub path: String,
-    /// Per-child-number creation counter feeding [`child_path`]'s
-    /// generation suffix.
+    /// Per-child-number creation counter feeding the path's generation
+    /// suffix.
     pub child_gens: BTreeMap<ChildNum, u32>,
     pub run: RunState,
     pub state: Option<Box<SpaceState>>,
     /// Program installed but not yet started.
     pub pending: Option<ProgramKind>,
-    /// A dedicated vehicle exists (live thread in the shell).
+    /// A `Start` dispatched the program to a vehicle of its own (the
+    /// `Spawn` decision, kept even when the host then refused the
+    /// thread; `terminal` is what refuses a later `Start`). Cleared when
+    /// a program is installed over a finished one.
     pub has_vehicle: bool,
     /// The slot runs its program as an inline VM space.
     pub inline_vm: bool,
-    /// Set by a final check-in: nothing is left to resume.
+    /// Set by a final check-in: nothing is left to resume. Cleared when
+    /// a new program is installed.
     pub terminal: bool,
 }
 
@@ -154,6 +162,20 @@ impl KSlot {
             terminal: false,
         }
     }
+
+    /// The record of the next space bound at `child` under `parent`,
+    /// its path derived through [`child_path`].
+    pub(crate) fn child_of(parent: &mut KSlot, child: ChildNum) -> KSlot {
+        KSlot::new(child_path(&parent.path, child, &mut parent.child_gens))
+    }
+
+    /// The state of a space a rendezvous holds idle: both drivers check
+    /// it in before they step it.
+    pub(crate) fn idle_state(&mut self) -> &mut SpaceState {
+        self.state
+            .as_deref_mut()
+            .expect("a rendezvous holds its child idle, state checked in")
+    }
 }
 
 /// Derives the lineage path of the next space bound at `child` under a
@@ -167,13 +189,9 @@ impl KSlot {
 /// while the space is parked), the per-number creation *sequence* is a
 /// pure function of the kernel-mediated event history — so paths, and
 /// anything keyed by them, are identical across runs and between a
-/// live run and its trace replay. The shell (`ctx.rs`) and the replayer
-/// (`apply.rs`) both assign paths through this one function.
-pub(crate) fn child_path(
-    parent: &str,
-    child: ChildNum,
-    gens: &mut BTreeMap<ChildNum, u32>,
-) -> String {
+/// live run and its trace replay. Both drivers create a child's record
+/// through [`KSlot::child_of`], which calls this one function.
+fn child_path(parent: &str, child: ChildNum, gens: &mut BTreeMap<ChildNum, u32>) -> String {
     let counter = gens.entry(child).or_insert(0);
     let generation = *counter;
     *counter += 1;
