@@ -107,9 +107,13 @@ impl ClusterSpec {
         }
 
         let agg = std::mem::take(&mut *env.agg.lock());
-        let cluster = *env.cluster.lock();
         let mut stats = outcome.stats.clone();
         stats.accumulate(&agg.stats);
+        // The kernels count migrations; the link counts the rest.
+        let cluster = ClusterStats {
+            migrations: stats.migrations,
+            ..*env.cluster.lock()
+        };
         let mut host = outcome.host;
         host.spurious_wakeups += agg.host.spurious_wakeups;
         host.os_threads_created += agg.host.os_threads_created;
@@ -349,8 +353,8 @@ impl Remote {
     /// creation, §3.3): freezes a structural snapshot of `spec.region`
     /// as the child's initial image, sends the leaf-directory summary
     /// over the link, and lets the target shard pull exactly the
-    /// leaves it needs. Charges the caller the clone work plus — for a
-    /// cross-node fork — the migration summary message.
+    /// leaves it needs. The kernel's migrate-out arm bills and counts
+    /// it; this prices the summary on the link.
     pub fn fork(&self, ctx: &mut SpaceCtx, tag: u64, node: u16, spec: JobSpec) -> Result<()> {
         let env = &self.env;
         if node >= env.spec.nodes {
@@ -359,30 +363,19 @@ impl Remote {
         if self.pending.lock().contains_key(&tag) {
             return Err(KernelError::ChildActive);
         }
-        let costs = env.spec.costs;
 
         // Freeze the child's initial image: O(touched leaves).
-        let mut img = AddressSpace::new();
-        let cs = img.copy_from_counted(ctx.mem(), spec.region, spec.region.start)?;
-        ctx.charge_ps(
-            costs
-                .syscall_ps
-                .saturating_add(costs.spawn_ps)
-                .saturating_add(costs.copy_cost_ps(&cs)),
-        )?;
-
-        let summary = img.leaf_summary();
-        let total_pages: u64 = summary.iter().map(|l| l.pages as u64).sum();
         let remote_xfer = node != self.node;
+        let mut summary = Vec::new();
+        let img = ctx.migrate_out(spec.region, |img| {
+            summary = img.leaf_summary();
+            let bytes = protocol::summary_bytes(&summary);
+            remote_xfer.then(|| env.spec.net.message_ps(bytes))
+        })?;
         if remote_xfer {
-            let sb = protocol::summary_bytes(total_pages);
-            {
-                let mut cl = env.cluster.lock();
-                cl.migrations += 1;
-                cl.messages += 1;
-                cl.bytes_transferred += sb;
-            }
-            ctx.note_migration(env.spec.net.message_ps(sb))?;
+            let mut cl = env.cluster.lock();
+            cl.messages += 1;
+            cl.bytes_transferred += protocol::summary_bytes(&summary);
         }
 
         let job_id = env.next_job.fetch_add(1, Ordering::Relaxed) + 1;
@@ -406,7 +399,6 @@ impl Remote {
                 home_shard,
                 home_node: self.node,
                 program: spec.program,
-                region: spec.region,
                 touch: spec.touch,
                 summary,
                 start_vclock_ps: ctx.vclock_ps(),
@@ -429,9 +421,9 @@ impl Remote {
 
     /// Joins a forked job: blocks until it comes home (releasing this
     /// shard's compute permit while blocked — the child may need it),
-    /// syncs the caller's clock by the rendezvous max rule, and
-    /// three-way-merges the job's dirty delta into the caller's
-    /// `region` exactly like a local `Get`+merge.
+    /// then the kernel's migrate-home arm syncs the caller's clock by
+    /// the rendezvous max rule and three-way-merges the job's dirty
+    /// delta into the caller's `region` as a local `Get`+merge does.
     pub fn join(&self, ctx: &mut SpaceCtx, tag: u64) -> Result<JobOutcome> {
         let p = self
             .pending
@@ -448,12 +440,10 @@ impl Remote {
         let done = done.map_err(|_| KernelError::Killed)?;
         env.stores[p.home_shard].lock().remove(&p.job_id);
 
-        let costs = env.spec.costs;
-        ctx.charge_ps(costs.syscall_ps.saturating_add(costs.rendezvous_ps))?;
         let delta = if done.delta.is_empty() {
-            det_memory::SpaceDelta::default()
+            Ok(det_memory::SpaceDelta::default())
         } else {
-            protocol::decode_delta(&done.delta)?
+            protocol::decode_delta(&done.delta)
         };
 
         let remote_xfer = p.node != self.node;
@@ -463,9 +453,8 @@ impl Remote {
             // response, after which the migrated space is gone — its
             // results live on via the merge.
             let resp_bytes = protocol::HEADER_BYTES + done.delta.len() as u64;
-            {
+            if let Ok(delta) = &delta {
                 let mut cl = env.cluster.lock();
-                cl.migrations += 1;
                 cl.messages += 2;
                 cl.bytes_transferred += protocol::HEADER_BYTES + resp_bytes;
                 cl.page_pulls += delta.pages.len() as u64;
@@ -473,13 +462,8 @@ impl Remote {
             child_eff = child_eff
                 .saturating_add(env.spec.net.message_ps(protocol::HEADER_BYTES))
                 .saturating_add(env.spec.net.message_ps(resp_bytes));
-            ctx.note_migration(0)?;
         }
-        ctx.sync_vclock_ps(child_eff)?;
-
-        let mut child_final = p.base.clone();
-        child_final.apply_delta(&delta)?;
-        let merge = ctx.merge_remote(&child_final, &p.base, p.region)?;
+        let merge = ctx.migrate_home((&p.base, delta), child_eff, p.region, remote_xfer)?;
         Ok(JobOutcome {
             exit: done.exit,
             digest: done.digest,

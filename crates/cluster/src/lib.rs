@@ -17,7 +17,10 @@
 //! * a job forked onto its caller's own node never crosses the link
 //!   (counted in [`ClusterStats::cache_hits`]);
 //! * a joined job comes home as a dirty delta that the caller
-//!   three-way-merges exactly like a local `Get`+merge.
+//!   three-way-merges exactly like a local `Get`+merge: a fork and a
+//!   join are the kernel's `SpaceCtx::{migrate_out, migrate_home}`
+//!   arms, so det-kernel bills, counts and waits for them, and this
+//!   crate prices only the link.
 //!
 //! [`ClusterSpec::run`] drives a root space; it and every migrated job
 //! receive a [`Remote`] to [`fork`](Remote::fork) jobs onto logical
@@ -40,7 +43,8 @@ pub use protocol::JobFn;
 #[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
 pub struct ClusterStats {
     /// Space migrations: one per cross-node fork summary and one per
-    /// cross-node homecoming.
+    /// cross-node homecoming — the summed `KernelStats::migrations` of
+    /// every kernel in the run.
     pub migrations: u64,
     /// Pages pulled over the link: the page count of every pulled
     /// leaf, plus the pages of every homecoming delta.

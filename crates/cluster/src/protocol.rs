@@ -30,10 +30,10 @@ use crate::controller::Remote;
 /// Fixed per-message header bytes (addresses, space/job ids, opcode).
 pub(crate) const HEADER_BYTES: u64 = 64;
 
-/// Size of a migration summary for a space of `pages` mapped pages:
-/// a header plus one 16-byte page-table entry per page.
-pub(crate) fn summary_bytes(pages: u64) -> u64 {
-    HEADER_BYTES + 16 * pages
+/// Size of a migration summary: a header plus one 16-byte page-table
+/// entry per page the summarized leaves hold.
+pub(crate) fn summary_bytes(summary: &[LeafInfo]) -> u64 {
+    HEADER_BYTES + 16 * summary.iter().map(|l| l.pages as u64).sum::<u64>()
 }
 
 /// A job's executable half: a native closure driven through the
@@ -115,7 +115,6 @@ pub(crate) struct JobMsg {
     /// Logical node the image lives on (the parent's node).
     pub home_node: u16,
     pub program: JobFn,
-    pub region: Region,
     pub touch: Option<Vec<Region>>,
     pub summary: Vec<LeafInfo>,
     /// Parent's virtual clock at submit, plus the summary-message

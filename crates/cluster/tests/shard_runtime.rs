@@ -287,3 +287,66 @@ fn fork_join_errors() {
     });
     assert_eq!(out.exit, Ok(0));
 }
+
+/// A write/write conflict on a remote join is the conflict a local
+/// `Get`+merge reports for the same writes: the same address and
+/// bytes, counted as the same merge and conflict.
+#[test]
+fn remote_join_conflict_is_a_local_conflict() {
+    use det_kernel::{GetSpec, Kernel, KernelConfig, KernelError, MergeConflict, Program, PutSpec};
+    use std::sync::{Arc, Mutex};
+
+    const WORD: u64 = 0x2008;
+    type Seen = Arc<Mutex<Option<KernelError>>>;
+
+    let remote: Seen = Arc::default();
+    let seen = Arc::clone(&remote);
+    let out = ClusterSpec::new(2, 2).run(move |ctx, net| {
+        ctx.mem_mut().map_zero(REGION, Perm::RW)?;
+        ctx.mem_mut().write_u64(WORD, 1)?;
+        let job = JobSpec::native(REGION, |c, _| {
+            c.mem_mut().write_u64(WORD, 7)?;
+            Ok(0)
+        });
+        net.fork(ctx, 1, 1, job)?;
+        ctx.mem_mut().write_u64(WORD, 9)?;
+        *seen.lock().unwrap() = net.join(ctx, 1).err();
+        Ok(0)
+    });
+    assert_eq!(out.exit, Ok(0));
+
+    let local: Seen = Arc::default();
+    let seen = Arc::clone(&local);
+    let local_out = Kernel::new(KernelConfig::default()).run(move |ctx| {
+        ctx.mem_mut().map_zero(REGION, Perm::RW)?;
+        ctx.mem_mut().write_u64(WORD, 1)?;
+        let child = Program::native(|c| {
+            c.mem_mut().write_u64(WORD, 7)?;
+            Ok(0)
+        });
+        let put = PutSpec::new().program(child).copy_mirror(REGION).snap();
+        ctx.put(1, put.start())?;
+        ctx.mem_mut().write_u64(WORD, 9)?;
+        *seen.lock().unwrap() = ctx.get(1, GetSpec::new().merge(REGION)).err();
+        Ok(0)
+    });
+    assert_eq!(local_out.exit, Ok(0));
+
+    let conflict = |seen: &Seen| match seen.lock().unwrap().take() {
+        Some(KernelError::Conflict(c)) => c,
+        other => panic!("expected a conflict, got {other:?}"),
+    };
+    let want = MergeConflict {
+        addr: WORD,
+        base: 1,
+        child: 7,
+        parent: 9,
+    };
+    assert_eq!(conflict(&local), want);
+    assert_eq!(conflict(&remote), want);
+    assert_eq!(
+        (out.stats.conflicts, out.stats.merges),
+        (local_out.stats.conflicts, local_out.stats.merges)
+    );
+    assert_eq!((out.stats.conflicts, out.stats.merges), (1, 1));
+}

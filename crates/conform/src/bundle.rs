@@ -278,9 +278,3 @@ fn rewrite_ids(v: Value, path_of: &dyn Fn(u32) -> String) -> Value {
         .collect();
     Value::Object(mapped)
 }
-
-/// Re-projects a [`Trace`]'s events (used by tests that want streams
-/// without building full artifacts).
-pub fn streams_of(trace: &Trace, space_paths: &[(u32, String)]) -> Vec<(String, Vec<String>)> {
-    project_streams(&trace.events, space_paths)
-}

@@ -14,7 +14,9 @@
 //! wakes, and realizes the [`InstallAction`]/[`StartAction`] they
 //! return with host vehicles; the trace replayer calls the same arms
 //! from [`apply`] on [`KState::slots`], stepping it through a recorded
-//! [`TraceEvent`] sequence with no execution vehicles at all.
+//! [`TraceEvent`] sequence with no execution vehicles at all. A
+//! cluster's remote fork and join are two more arms, [`migrate_out`]
+//! and [`migrate_home`].
 //!
 //! The core is also the one writer of [`KernelStats`]: each event's
 //! counts are bumped by one `count_*` function, which the shell calls on
@@ -27,7 +29,7 @@
 //! below: no locks, no condition variables, no vehicle spawns, no
 //! host clocks, no device access.
 
-use det_memory::{MergeConflict, MergeStats, Perm, Region, SpaceDelta};
+use det_memory::{AddressSpace, MergeConflict, MergeStats, Perm, Region, SpaceDelta};
 use det_vm::Regs;
 use serde::{Deserialize, Serialize};
 
@@ -342,24 +344,19 @@ fn snap_op(costs: &CostModel, child: &mut SpaceState, counts: &mut MemOpCounts) 
     counts.charge_ps += costs.clone_cost_ps(leaves);
 }
 
-/// The `Merge` option: fold the child's changes since its snapshot
-/// into the caller. The merge cost is metered even when a conflict is
-/// found (the scan happened); the caller decides how to record the
-/// result.
+/// The one merge body, a `Get`'s `Merge` option and a migrated child's
+/// homecoming alike: fold what `child` changed since `snap` into the
+/// caller. The merge cost is metered even when a conflict is found (the
+/// scan happened); the caller decides how to record the result.
 fn merge_op(
     costs: &CostModel,
-    default_policy: det_memory::ConflictPolicy,
+    policy: det_memory::ConflictPolicy,
     caller: &mut SpaceState,
-    child: &SpaceState,
+    (child, snap): (&AddressSpace, &AddressSpace),
     region: Region,
-    policy_override: Option<det_memory::ConflictPolicy>,
     counts: &mut MemOpCounts,
 ) -> Result<(MergeStats, Option<MergeConflict>)> {
-    let snap = child.snap.as_ref().ok_or(KernelError::NoSnapshot)?;
-    let policy = policy_override.unwrap_or(default_policy);
-    let (stats, conflict) = caller
-        .mem
-        .try_merge_from(&child.mem, snap, region, policy)?;
+    let (stats, conflict) = caller.mem.try_merge_from(child, snap, region, policy)?;
     counts.charge_ps += costs.merge_cost_ps(&stats);
     Ok((stats, conflict))
 }
@@ -487,15 +484,10 @@ pub(crate) fn get_options(
             copy_op(costs, child, caller, c, counts)?;
         }
         if let Some(region) = get.merge {
-            let (stats, conflict) = merge_op(
-                costs,
-                default_policy,
-                caller,
-                child,
-                region,
-                get.merge_policy,
-                counts,
-            )?;
+            let snap = child.snap.as_ref().ok_or(KernelError::NoSnapshot)?;
+            let policy = get.merge_policy.unwrap_or(default_policy);
+            let (stats, conflict) =
+                merge_op(costs, policy, caller, (&child.mem, snap), region, counts)?;
             merged = Some(stats);
             if let Some(c) = conflict {
                 return Err(KernelError::Conflict(c));
@@ -623,6 +615,58 @@ pub(crate) fn check_in(
     }
 }
 
+/// The migrate-out arm, a cluster fork (§3.3): freezes `region` into
+/// the child's image and bills syscall, spawn and clone. `link_ps`
+/// prices the summary from that image; `None` (a fork onto the
+/// caller's own node) crosses no link and is no migration.
+pub(crate) fn migrate_out(
+    costs: &CostModel,
+    st: &mut SpaceState,
+    stats: &mut KernelStats,
+    region: Region,
+    link_ps: impl FnOnce(&AddressSpace) -> Option<u64>,
+) -> Result<AddressSpace> {
+    let mut img = AddressSpace::new();
+    let cs = img.copy_from_counted(&st.mem, region, region.start)?;
+    let spawn_ps = costs.syscall_ps.saturating_add(costs.spawn_ps);
+    bill(st, spawn_ps.saturating_add(costs.copy_cost_ps(&cs)));
+    if let Some(ps) = link_ps(&img) {
+        count_migration(stats);
+        bill(st, ps);
+    }
+    Ok(img)
+}
+
+/// The migrate-home arm, a cluster join: bills syscall and rendezvous,
+/// counts a homecoming from another node, waits for the child's clock
+/// (its return trip included), then merges `base` + `delta` into
+/// `region` as a `Get` does. A damaged `delta` fails after the bill.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn migrate_home(
+    costs: &CostModel,
+    policy: det_memory::ConflictPolicy,
+    st: &mut SpaceState,
+    stats: &mut KernelStats,
+    (base, delta): (&AddressSpace, Result<SpaceDelta>),
+    child_vclock_ps: u64,
+    region: Region,
+    migrated: bool,
+) -> Result<MergeStats> {
+    bill(st, costs.syscall_ps.saturating_add(costs.rendezvous_ps));
+    let delta = delta?;
+    if migrated {
+        count_migration(stats);
+    }
+    observe_stop(st, child_vclock_ps);
+    let mut child = base.clone();
+    child.apply_delta(&delta)?;
+    let mut counts = MemOpCounts::default();
+    let (merge, conflict) = merge_op(costs, policy, st, (&child, base), region, &mut counts)?;
+    bill(st, counts.charge_ps);
+    count_merge(stats, &merge, conflict.is_some());
+    conflict.map_or(Ok(merge), |c| Err(KernelError::Conflict(c)))
+}
+
 // ---------------------------------------------------------------------------
 // Counters: the one writer of `KernelStats`. The shell bumps the stats
 // of the slot whose lock it holds for the event, replay `KState::stats`.
@@ -726,7 +770,7 @@ pub(crate) fn count_checkpoint(stats: &mut KernelStats, leaves: u64) {
     stats.checkpoint_leaves += leaves;
 }
 
-/// A cross-shard migration an external shard runtime drove.
+/// A space migration across a cluster link: a fork out or a homecoming.
 pub(crate) fn count_migration(stats: &mut KernelStats) {
     stats.migrations += 1;
 }
@@ -1158,7 +1202,11 @@ mod tests {
 
     /// Every source file of the kernel crate, scanned.
     fn kernel_sources() -> Vec<Source> {
-        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/src");
+        sources_in(concat!(env!("CARGO_MANIFEST_DIR"), "/src"))
+    }
+
+    /// Every source file in `dir`, scanned.
+    fn sources_in(dir: &str) -> Vec<Source> {
         let mut sources = Vec::new();
         for entry in std::fs::read_dir(dir).expect("kernel sources") {
             let path = entry.expect("directory entry").path();
@@ -1255,6 +1303,55 @@ mod tests {
             rogue.is_empty(),
             "KernelStats counted outside the pure core:\n{}",
             rogue.join("\n")
+        );
+    }
+
+    /// The cluster has no back door into the kernel: det-cluster's
+    /// sources write no [`KernelStats`] field, read no [`CostModel`]
+    /// price and charge nothing. A remote fork and a remote join are
+    /// kernel arms ([`migrate_out`], [`migrate_home`]) that bill, wait,
+    /// merge and count in here; the cluster keeps only its link.
+    #[test]
+    fn the_cluster_prices_no_kernel_term() {
+        let cost = sources_in(concat!(env!("CARGO_MANIFEST_DIR"), "/src"))
+            .into_iter()
+            .find(|s| s.file == "cost.rs")
+            .expect("cost.rs");
+        // The prices: every `*_ps` field and `*_cost_ps` method.
+        let prices: Vec<&str> = (cost.lines.iter())
+            .filter_map(|(line, _)| match line.strip_prefix("pub fn ") {
+                Some(f) => f.split('(').next().filter(|n| n.ends_with("_cost_ps")),
+                None => line.strip_prefix("pub ")?.split(':').next(),
+            })
+            .filter(|name| name.ends_with("_ps"))
+            .collect();
+        assert!(prices.contains(&"syscall_ps") && prices.contains(&"copy_cost_ps"));
+        let fields: std::collections::BTreeSet<String> = KernelStats::default()
+            .lines()
+            .into_iter()
+            .map(|(k, _)| k.split('.').next().unwrap_or("").to_string())
+            .collect();
+        let ident = |c: char| c.is_alphanumeric() || c == '_';
+        let mut rogue = std::collections::BTreeSet::new();
+        for src in sources_in(concat!(env!("CARGO_MANIFEST_DIR"), "/../cluster/src")) {
+            for field in &fields {
+                rogue.extend(src.writes_to(field).into_iter().map(|at| src.locate(at)));
+            }
+            for name in prices.iter().map(|p| format!(".{p}")) {
+                for (at, _) in src.code.match_indices(&name) {
+                    if !src.code[at + name.len()..].starts_with(ident) {
+                        rogue.insert(src.locate(at));
+                    }
+                }
+            }
+            for call in [".charge(", ".charge_ps("] {
+                rogue.extend(src.code.match_indices(call).map(|(at, _)| src.locate(at)));
+            }
+        }
+        assert!(
+            rogue.is_empty(),
+            "det-cluster counts, prices or charges a kernel term:\n{}",
+            rogue.into_iter().collect::<Vec<_>>().join("\n")
         );
     }
 

@@ -17,13 +17,13 @@ use std::sync::Arc;
 
 use parking_lot::MutexGuard;
 
-use det_memory::{AddressSpace, Region};
+use det_memory::{AddressSpace, MergeStats, Region, SpaceDelta};
 use det_vm::Regs;
 
 use crate::apply::{
-    EntryRec, InstallAction, MemOpCounts, PutRec, TraceEvent, VmCounters, bill, charge,
-    count_checkpoint, count_dev_read, count_dev_write, count_get, count_merge, count_migration,
-    count_put, get_options, put_after_tree, put_before_tree, tree_source,
+    EntryRec, InstallAction, MemOpCounts, PutRec, TraceEvent, VmCounters, charge, count_checkpoint,
+    count_dev_read, count_dev_write, count_get, count_put, get_options, migrate_home, migrate_out,
+    put_after_tree, put_before_tree, tree_source,
 };
 use crate::cost::{ns_to_ps, ps_to_ns};
 use crate::device::DeviceId;
@@ -217,65 +217,54 @@ impl SpaceCtx {
         self.st().vclock_ps
     }
 
-    /// Rendezvous-style clock sync: advances this space's virtual
-    /// clock to `max(current, target_ps)` — the `parent = max(parent,
-    /// child)` rule of DESIGN.md §1, applied to a child that ran on
-    /// another kernel shard. Charging through the normal path means a
-    /// work limit can preempt here exactly as it would on a local
-    /// charge.
-    pub fn sync_vclock_ps(&mut self, target_ps: u64) -> Result<()> {
-        let cur = self.st().vclock_ps;
-        if target_ps > cur {
-            self.charge_ps(target_ps - cur)
-        } else {
-            Ok(())
-        }
+    /// The job root's arrival stamp: a space migrated onto another
+    /// kernel shard starts no earlier than the clock it was forked at
+    /// plus its transfer time — the `max` join of DESIGN.md §1, a wait,
+    /// so it cannot preempt.
+    pub fn sync_vclock_ps(&mut self, target_ps: u64) {
+        observe_stop(self.st_mut(), target_ps);
     }
 
-    /// Records a cross-shard space migration driven by an external
-    /// shard runtime: counts it in [`crate::KernelStats::migrations`]
-    /// and charges `ps` (the link cost of the migration summary
-    /// message) to this space's clock.
-    pub fn note_migration(&mut self, ps: u64) -> Result<()> {
-        self.count_own(count_migration);
-        self.charge_ps(ps)
-    }
-
-    /// Merges a migrated child's returned memory into this space —
-    /// the `Get`+merge rendezvous of §3.2, for a child that ran on a
-    /// remote kernel shard and came home as a dirty delta.
-    ///
-    /// `child` is the child's final memory (its materialized image
-    /// plus the returned delta) and `snap` the image it started from;
-    /// the three-way merge, conflict detection, virtual-time charge,
-    /// and statistics are identical to the local merge path, which is
-    /// what keeps a cluster run's artifact bundle invariant over how
-    /// spaces were placed on shards.
-    pub fn merge_remote(
+    /// Forks a migrated child off this space (§3.3) through the
+    /// `migrate_out` arm: returns the frozen image of `region` it starts
+    /// from; `link_ps` prices the summary (`None`: same node).
+    pub fn migrate_out(
         &mut self,
-        child: &AddressSpace,
-        snap: &AddressSpace,
         region: Region,
-    ) -> Result<det_memory::MergeStats> {
-        let costs = self.shared.costs;
-        let policy = self.shared.policy;
-        let (stats, conflict) = self
-            .st_mut()
-            .mem
-            .try_merge_from(child, snap, region, policy)?;
-        // The caller pays for the scan on success and on conflict
-        // alike, as a local `Get`+merge does.
-        bill(self.st_mut(), costs.merge_cost_ps(&stats));
-        self.count_own(|s| count_merge(s, &stats, conflict.is_some()));
-        match conflict {
-            Some(c) => Err(KernelError::Conflict(c)),
-            None => Ok(stats),
-        }
+        link_ps: impl FnOnce(&AddressSpace) -> Option<u64>,
+    ) -> Result<AddressSpace> {
+        let (costs, cell) = (self.shared.costs, Arc::clone(&self.cell));
+        let mut own = cell.m.lock();
+        migrate_out(&costs, self.st_mut(), &mut own.stats, region, link_ps)
+    }
+
+    /// Joins a migrated child, home as `delta` over its `base` image,
+    /// through the `migrate_home` arm: the rendezvous, wait and merge of
+    /// a local `Get`. `migrated`: the child ran on another node.
+    pub fn migrate_home(
+        &mut self,
+        home: (&AddressSpace, Result<SpaceDelta>),
+        child_vclock_ps: u64,
+        region: Region,
+        migrated: bool,
+    ) -> Result<MergeStats> {
+        let (costs, policy, cell) = (self.shared.costs, self.shared.policy, self.cell.clone());
+        let (mut own, st) = (cell.m.lock(), self.st_mut());
+        migrate_home(
+            &costs,
+            policy,
+            st,
+            &mut own.stats,
+            home,
+            child_vclock_ps,
+            region,
+            migrated,
+        )
     }
 
     /// Counts an event of this space's own that no rendezvous guard
-    /// covers (device I/O, checkpoint marks, cluster migrations and
-    /// joins) under its own, uncontended, slot lock.
+    /// covers (device I/O, checkpoint marks) under its own, uncontended,
+    /// slot lock.
     fn count_own(&self, count: impl FnOnce(&mut KernelStats)) {
         count(&mut self.cell.m.lock().stats);
     }
@@ -298,10 +287,10 @@ impl SpaceCtx {
     }
 
     /// Declares `ps` picoseconds of work on the virtual clock — the
-    /// picosecond-precision form of [`charge`](SpaceCtx::charge), used
-    /// by shard runtimes and cost models whose charges are computed in
-    /// the clock's native unit. Same preemption semantics as `charge`.
-    pub fn charge_ps(&mut self, ps: u64) -> Result<()> {
+    /// picosecond-precision form of [`charge`](SpaceCtx::charge) the
+    /// syscalls charge their entry with. Same preemption semantics as
+    /// `charge`.
+    fn charge_ps(&mut self, ps: u64) -> Result<()> {
         if self.destroyed {
             return Err(KernelError::Destroyed);
         }

@@ -101,19 +101,6 @@ impl<'c> ThreadGroup<'c> {
         }
     }
 
-    /// Forks a thread per element of `bodies` (thread ids 0..n) and
-    /// joins them all: the lock-step pattern of Figure 1.
-    pub fn fork_join_all<F>(&mut self, bodies: Vec<F>) -> Result<Vec<JoinResult>>
-    where
-        F: FnOnce(&mut SpaceCtx) -> std::result::Result<i32, KernelError> + Send + 'static,
-    {
-        let n = bodies.len() as u64;
-        for (t, f) in bodies.into_iter().enumerate() {
-            self.fork(t as u64, f)?;
-        }
-        (0..n).map(|t| self.join(t)).collect()
-    }
-
     /// Runs one barrier cycle over threads `ts` (§4.4): waits for each
     /// to arrive (Ret) or finish (Halt), merges everyone's changes,
     /// then redistributes a fresh shared snapshot to the threads still

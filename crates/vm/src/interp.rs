@@ -873,15 +873,6 @@ impl Cpu {
         }
     }
 
-    /// Drops every cached translation and decoded instruction. Never
-    /// required for correctness (stale entries self-invalidate);
-    /// provided for benchmarks that want cold-cache numbers.
-    pub fn flush_caches(&mut self) {
-        self.caches.dtlb_read = [DtlbEntry::INVALID; DTLB_ENTRIES];
-        self.caches.dtlb_write = [DtlbEntry::INVALID; DTLB_ENTRIES];
-        self.caches.flush_icache();
-    }
-
     /// Executes instructions against `mem` until halt, syscall, trap,
     /// or budget exhaustion.
     ///
