@@ -1,22 +1,26 @@
 //! The pure state-transition function of the kernel core.
 //!
 //! Everything the kernel *decides* lives here as plain functions over
-//! plain data: what a `Put`/`Get` does to the two spaces at a
-//! rendezvous and in which order (Tables 1–2, written once:
-//! [`put_before_tree`], [`tree_source`], [`put_after_tree`],
-//! [`get_options`]), who pays for it ([`bill`], the clock's one
-//! adder), how a `Start` dispatches, what a check-in charges and
-//! counts. A space's record, the [`KSlot`], exists once, and three arms
-//! are the only code that writes its flags: [`put_before_tree`]
-//! installs a program, [`start`] dispatches one, [`check_in`] stops
-//! one. The imperative shell (`kernel.rs`/`ctx.rs`) calls them on the
-//! `KSlot` inside the slot it holds locked, between its waits and
-//! wakes, and realizes the [`InstallAction`]/[`StartAction`] they
-//! return with host vehicles; the trace replayer calls the same arms
-//! from [`apply`] on [`KState::slots`], stepping it through a recorded
-//! [`TraceEvent`] sequence with no execution vehicles at all. A
-//! cluster's remote fork and join are two more arms, [`migrate_out`]
-//! and [`migrate_home`].
+//! plain data, one arm per event kind, which both drivers call in the
+//! same order. A `Put` is two arms around the driver's `Tree` walk
+//! ([`put_before_tree`], [`put_after_tree`]; [`tree_source`] checks the
+//! walk's source), then [`start`] on success; a `Get` is one, [`get`];
+//! a stop is one, [`check_in`], which also synthesizes a lost state.
+//! Each arm cuts the caller's window from its cursor when it records,
+//! joins the clocks, runs Tables 1–2's options in order, pays with
+//! [`bill`] (the clock's one adder), counts, and builds the event's
+//! [`TraceEvent`]. A space's record, the [`KSlot`], exists once, and
+//! three arms are the only code that writes its flags:
+//! [`put_before_tree`] installs a program, [`start`] dispatches one,
+//! [`check_in`] stops one. The imperative shell (`kernel.rs`/`ctx.rs`)
+//! calls the arms on the `KSlot` and stats of the slot it holds locked,
+//! between its waits and wakes, realizes the
+//! [`InstallAction`]/[`StartAction`] they return with host vehicles and
+//! pushes the events they build; the trace replayer applies each
+//! recorded window and calls the same arms from [`apply`] on
+//! [`KState::slots`], with no execution vehicles at all. A cluster's
+//! remote fork and join are two more arms, [`migrate_out`] and
+//! [`migrate_home`].
 //!
 //! The core is also the one writer of [`KernelStats`]: each event's
 //! counts are bumped by one `count_*` function, which the shell calls on
@@ -38,7 +42,8 @@ use crate::device::DeviceId;
 use crate::error::{KernelError, Result, TrapKind};
 use crate::ids::ChildNum;
 use crate::state::{
-    KSlot, KState, ProgramKind, RunState, SpaceState, check_in_charge, observe_stop,
+    KSlot, KState, ProgramKind, RunState, SpaceState, TraceCtx, check_in_charge, final_reason,
+    observe_stop,
 };
 use crate::stats::KernelStats;
 use crate::syscall::{CopySpec, GetSpec, PutSpec, StartSpec, StopReason};
@@ -233,6 +238,34 @@ pub enum TraceEvent {
     },
 }
 
+impl TraceEvent {
+    /// The spaces a `Put` or `Get` names; `None` for any other event.
+    pub(crate) fn rendezvous(&self) -> Option<Rendezvous> {
+        match *self {
+            TraceEvent::Put {
+                caller,
+                child,
+                child_id,
+                fused,
+                ..
+            }
+            | TraceEvent::Get {
+                caller,
+                child,
+                child_id,
+                fused,
+                ..
+            } => Some(Rendezvous {
+                caller,
+                child,
+                child_id,
+                fused,
+            }),
+            _ => None,
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Pure decision + memory-op functions, shared by the shell and replay.
 // ---------------------------------------------------------------------------
@@ -283,12 +316,12 @@ pub(crate) fn install_action(was: StopReason, terminal: bool) -> Result<InstallA
     }
 }
 
-/// Memory-op side meters of one rendezvous. The sequencer bills
-/// `charge_ps` to the caller; [`count_put`]/[`count_get`] add the three
+/// Memory-op side meters of one rendezvous. Its arm bills `charge_ps`
+/// to the caller; [`count_put`]/[`count_get`] add the three
 /// counts to stats — on an error too, since each op that ran did its
 /// work.
 #[derive(Clone, Copy, Default, Debug)]
-pub(crate) struct MemOpCounts {
+struct MemOpCounts {
     pages_copied: u64,
     pages_snapped: u64,
     leaves_cloned: u64,
@@ -372,41 +405,63 @@ fn start_charge_ps(costs: &CostModel, installed_program: bool, was: StopReason) 
 }
 
 // ---------------------------------------------------------------------------
-// Tables 1–2, sequenced once: both drivers run a rendezvous's options
-// through these, between their own waits and slot bookkeeping.
+// One arm per event kind: both drivers run a `Put`, a `Get` and a
+// check-in through these, between their own waits and slot bookkeeping,
+// and the arms build the event the shell records. The event comes back
+// boxed: an untraced rendezvous then moves an 8-byte `None` through its
+// callers, not a 392-byte `Option<TraceEvent>` (a fifth of an inline
+// round trip on a 2-core Xeon guest).
 // ---------------------------------------------------------------------------
 
-/// `Put`, first half, in Table 2's order: `Regs`, the install decision
-/// for a program, then `Copy`, `Zero`, `Perm`. The first failing option
-/// ends the sequence; what ran before it stays applied and metered.
-///
-/// This is also the install arm: whenever the decision was taken, even
-/// if a later option failed, the child's record is reset for the new
-/// program — pending, not terminal, `Idle(Unstarted)`, and on a
-/// [`InstallAction::Replace`] bound to no vehicle. The decision comes
-/// back beside the result for the host half the shell owes a replaced
-/// program (a fresh CPU, the new closure).
+/// The spaces a `Put` or `Get` event names: its fields of those names.
+#[derive(Clone, Copy)]
+pub(crate) struct Rendezvous {
+    pub caller: u32,
+    pub child: ChildNum,
+    pub child_id: u32,
+    pub fused: bool,
+}
+
+/// A `Put` between its two arms, across the driver's `Tree` walk: the
+/// install decision (for the host half the shell owes a replaced
+/// program: a fresh CPU, the new closure), the result the walk may still
+/// fail, and what the second arm bills, counts and records — the
+/// caller's window among it, cut before the clock join.
+pub(crate) struct PutHalf {
+    pub install: Option<InstallAction>,
+    pub res: Result<()>,
+    was: StopReason,
+    rv: Rendezvous,
+    counts: MemOpCounts,
+    entry: Option<EntryRec>,
+}
+
+/// `Put`, first arm: cuts the caller's window (when it records), joins
+/// the caller's clock to the child's (stopped as `was`), then runs
+/// Table 2's first half — `Regs`, the install decision, `Copy`, `Zero`, `Perm` —
+/// until the first failing option (what ran stays applied and metered).
+/// It is also the install arm: once the decision is taken, even if a
+/// later option fails, the child's record is reset for the new program
+/// (pending, not terminal, `Idle(Unstarted)`, and on an
+/// [`InstallAction::Replace`] bound to no vehicle).
 pub(crate) fn put_before_tree(
     costs: &CostModel,
-    caller: &SpaceState,
+    (caller, cursor): (&mut SpaceState, Option<&TraceCtx>),
     child: &mut KSlot,
     put: &PutRec,
     was: StopReason,
-    counts: &mut MemOpCounts,
-) -> (Option<InstallAction>, Result<()>) {
-    if let Some(r) = put.regs {
-        child.idle_state().regs = r;
-    }
-    let install = match put
-        .program
-        .map(|_| install_action(was, child.terminal))
-        .transpose()
-    {
-        Ok(install) => install,
-        Err(e) => return (None, Err(e)),
-    };
-    let st = child.idle_state();
+    rv: Rendezvous,
+) -> PutHalf {
+    let entry = cursor.map(|c| c.entry(caller));
+    observe_stop(caller, child.idle_state().vclock_ps);
+    let (counts, mut install) = (&mut MemOpCounts::default(), None);
     let mut options = || {
+        if let Some(r) = put.regs {
+            child.idle_state().regs = r;
+        }
+        let decided = put.program.map(|_| install_action(was, child.terminal));
+        install = decided.transpose()?;
+        let st = child.idle_state();
         if let Some(c) = put.copy {
             copy_op(costs, caller, st, c, counts)?;
         }
@@ -428,12 +483,19 @@ pub(crate) fn put_before_tree(
         child.pending = put.program;
         child.run = RunState::Idle(StopReason::Unstarted);
     }
-    (install, res)
+    PutHalf {
+        install,
+        res,
+        was,
+        rv,
+        counts: *counts,
+        entry,
+    }
 }
 
 /// The `Tree` option's source check. The walk itself is the driver's
-/// step between the two halves of a `Put`: the live one must release
-/// the destination's lock to rendezvous with every source slot.
+/// step between the two arms of a `Put`: the live one must release the
+/// destination's lock to rendezvous with every source slot.
 pub(crate) fn tree_source(src: Option<u32>, dst: u32) -> Result<()> {
     match src {
         None => Err(KernelError::InvalidSpec("tree source child does not exist")),
@@ -442,42 +504,70 @@ pub(crate) fn tree_source(src: Option<u32>, dst: u32) -> Result<()> {
     }
 }
 
-/// `Put`, second half, run only when everything before it succeeded:
-/// `Snap`, then the caller pays — the kernel work metered so far and,
-/// with `Start`, the spawn or the resume. These are bills, not
-/// limit-aware charges: the child is held idle here, so the caller's
-/// work limit can preempt it only at its *next* kernel entry.
+/// `Put`, second arm, after the walk. On success only: `Snap`, then the
+/// caller is billed the metered work and, with `Start`, the spawn or the
+/// resume (bills, not charges: the child is held idle, so a work limit
+/// preempts only at the caller's next entry). On a failure too (replay
+/// re-derives it): the `Put` is counted and, when the caller records,
+/// its event built with the ids the walk minted. `start` follows only on
+/// success.
 pub(crate) fn put_after_tree(
     costs: &CostModel,
     caller: &mut SpaceState,
-    child: &mut KSlot,
+    (child, stats): (&mut KSlot, &mut KernelStats),
     put: &PutRec,
-    was: StopReason,
-    counts: &mut MemOpCounts,
-) {
-    if put.snap {
-        snap_op(costs, child.idle_state(), counts);
+    half: PutHalf,
+    tree_new_ids: Vec<u32>,
+) -> (Result<()>, Option<Box<TraceEvent>>) {
+    let PutHalf {
+        res,
+        was,
+        rv,
+        mut counts,
+        entry,
+        ..
+    } = half;
+    if res.is_ok() {
+        if put.snap {
+            snap_op(costs, child.idle_state(), &mut counts);
+        }
+        bill(caller, counts.charge_ps);
+        if put.start.is_some() {
+            bill(caller, start_charge_ps(costs, put.program.is_some(), was));
+        }
     }
-    bill(caller, counts.charge_ps);
-    if put.start.is_some() {
-        bill(caller, start_charge_ps(costs, put.program.is_some(), was));
-    }
+    count_put(stats, rv.fused, &counts);
+    let ev = entry.map(|entry| TraceEvent::Put {
+        caller: rv.caller,
+        child: rv.child,
+        child_id: rv.child_id,
+        fused: rv.fused,
+        entry,
+        put: put.clone(),
+        tree_new_ids,
+    });
+    (res, ev.map(Box::new))
 }
 
-/// `Get`, in Table 2's order: `Copy` and `Merge` into the caller, then
-/// `Zero` and `Perm` on the child. The caller pays for the metered work
-/// when every option succeeded and when the merge found a conflict (the
-/// scan happened and the caller observed its result); any other failure
-/// bills nothing. The merge's statistics come back whenever a merge ran,
-/// conflicting or not.
-pub(crate) fn get_options(
+/// The `Get` arm: cuts the caller's window (when it records, unless a
+/// fused half), joins the clocks, runs Table 2's `Get` options (`Copy`,
+/// `Merge` into the caller, `Zero`, `Perm` on the child) and bills the
+/// metered work on success and on a conflict (the scan ran and was
+/// observed), never on another failure. Counts the `Get` and its merge,
+/// and builds the event when the caller records. Returns the merge's
+/// statistics whenever a merge ran, the result and the event.
+pub(crate) fn get(
     costs: &CostModel,
     default_policy: det_memory::ConflictPolicy,
-    caller: &mut SpaceState,
-    child: &mut SpaceState,
+    (caller, cursor): (&mut SpaceState, Option<&TraceCtx>),
+    (slot, stats): (&mut KSlot, &mut KernelStats),
     get: &GetSpec,
-    counts: &mut MemOpCounts,
-) -> (Option<MergeStats>, Result<()>) {
+    rv: Rendezvous,
+) -> (Option<MergeStats>, Result<()>, Option<Box<TraceEvent>>) {
+    let entry = cursor.filter(|_| !rv.fused).map(|c| c.entry(caller));
+    let child = slot.idle_state();
+    observe_stop(caller, child.vclock_ps);
+    let counts = &mut MemOpCounts::default();
     let mut merged = None;
     let mut options = || {
         if let Some(c) = get.copy {
@@ -505,7 +595,16 @@ pub(crate) fn get_options(
     if matches!(res, Ok(()) | Err(KernelError::Conflict(_))) {
         bill(caller, counts.charge_ps);
     }
-    (merged, res)
+    count_get(stats, rv.fused, counts, merged.as_ref(), &res);
+    let ev = cursor.map(|_| TraceEvent::Get {
+        caller: rv.caller,
+        child: rv.child,
+        child_id: rv.child_id,
+        fused: rv.fused,
+        entry,
+        get: *get,
+    });
+    (merged, res, ev.map(Box::new))
 }
 
 /// Stamps a child's state at start: its clock catches up to the
@@ -560,8 +659,7 @@ pub(crate) fn start_action(
 /// worker for a `Spawn`, a CPU and trace cursor for an inline space, the
 /// one targeted wake) is the shell's.
 pub(crate) fn start(
-    child: &mut KSlot,
-    stats: &mut KernelStats,
+    (child, stats): (&mut KSlot, &mut KernelStats),
     parent_vclock_ps: u64,
     limit_ns: Option<u64>,
     prior: StopReason,
@@ -592,20 +690,44 @@ pub(crate) fn start(
     Ok(action)
 }
 
-/// The check-in arm: `space` stops with `reason` and its state `st` is
-/// checked back in. Counts the stop on `stats` (an inline drive's
-/// differently from a park, by the record's own `inline_vm`), charges a
-/// resumable stop the rendezvous park cost, and records the stop; a
-/// final one — the vehicle exited — leaves nothing to resume.
+/// The check-in arm: space `id` stops with `reason` and `st` is checked
+/// back in; a vehicle that died without state is checked in as a fresh
+/// state and a terminal trap, so its parent observes a deterministic
+/// stop. The event is built first — when the space records (`cursor`),
+/// and for a lost state whatever the cursor — so its window excludes
+/// the park charge that replay re-derives here. Then the stop is counted
+/// (an inline drive's apart from a park, by `inline_vm`), a resumable
+/// stop is charged the park cost, and a final one leaves nothing to
+/// resume.
 pub(crate) fn check_in(
     costs: &CostModel,
-    space: &mut KSlot,
-    stats: &mut KernelStats,
-    mut st: Box<SpaceState>,
+    id: u32,
+    (space, stats): (&mut KSlot, &mut KernelStats),
+    (st, cursor): (Option<Box<SpaceState>>, Option<&TraceCtx>),
     reason: StopReason,
     final_stop: bool,
     vm: &VmCounters,
-) {
+) -> Option<Box<TraceEvent>> {
+    let lost_state = st.is_none();
+    let reason = final_reason(!lost_state, reason);
+    let mut st = st.unwrap_or_else(|| Box::new(SpaceState::new()));
+    let window = match cursor {
+        _ if lost_state => Some((EntryRec::default(), 0)),
+        Some(c) => Some((c.entry(&st), st.insn_count - c.sync_insn)),
+        None => None,
+    };
+    let ev = window.map(|(e, insn_delta)| TraceEvent::CheckIn {
+        space: id,
+        reason,
+        final_stop,
+        lost_state,
+        regs: st.regs,
+        advance_ps: e.advance_ps,
+        limit_ps: e.limit_ps,
+        insn_delta,
+        vm: *vm,
+        delta: e.delta,
+    });
     count_check_in(stats, reason, space.inline_vm, vm);
     check_in_charge(costs, &mut st, reason);
     space.state = Some(st);
@@ -613,6 +735,7 @@ pub(crate) fn check_in(
     if final_stop {
         space.terminal = true;
     }
+    ev.map(Box::new)
 }
 
 /// The migrate-out arm, a cluster fork (§3.3): freezes `region` into
@@ -680,7 +803,7 @@ pub(crate) fn count_space(stats: &mut KernelStats) {
 
 /// A `Put` rendezvous (the Put half of a fused `PutGet` counts the
 /// exchange) and the memory ops its options ran.
-pub(crate) fn count_put(stats: &mut KernelStats, fused: bool, counts: &MemOpCounts) {
+fn count_put(stats: &mut KernelStats, fused: bool, counts: &MemOpCounts) {
     if fused {
         stats.put_gets += 1;
     } else {
@@ -691,7 +814,7 @@ pub(crate) fn count_put(stats: &mut KernelStats, fused: bool, counts: &MemOpCoun
 
 /// A `Get` rendezvous (the fused half was counted by its `Put`), the
 /// memory ops its options ran, and its merge, conflicting or not.
-pub(crate) fn count_get(
+fn count_get(
     stats: &mut KernelStats,
     fused: bool,
     counts: &MemOpCounts,
@@ -797,16 +920,18 @@ fn state_mut(ks: &mut KState, id: u32) -> Result<&mut SpaceState> {
     }
 }
 
-/// Applies a recorded caller window: clock advance, limit, memory
-/// delta.
+/// Applies a recorded window: clock advance, limit, memory delta.
+fn apply_window(st: &mut SpaceState, ps: u64, limit: Option<u64>, d: &SpaceDelta) -> Result<()> {
+    bill(st, ps);
+    st.limit_ps = limit;
+    st.mem
+        .apply_delta(d)
+        .or_else(|_| divergence("a recorded window's delta does not apply"))
+}
+
+/// Applies a recorded caller window.
 fn apply_entry(ks: &mut KState, id: u32, e: &EntryRec) -> Result<()> {
-    let st = state_mut(ks, id)?;
-    bill(st, e.advance_ps);
-    st.limit_ps = e.limit_ps;
-    match st.mem.apply_delta(&e.delta) {
-        Ok(()) => Ok(()),
-        Err(_) => divergence("caller window delta does not apply"),
-    }
+    apply_window(state_mut(ks, id)?, e.advance_ps, e.limit_ps, &e.delta)
 }
 
 /// Resolves (or creates) the slot the caller's child number names,
@@ -816,17 +941,20 @@ fn ensure_child(ks: &mut KState, caller: u32, child: ChildNum, child_id: u32) ->
     match known {
         Some(id) if id == child_id => Ok(()),
         Some(_) => divergence("trace child id does not match the children map"),
-        None => {
-            if ks.slots.contains_key(&child_id) {
-                return divergence("trace reuses a space id for a new child");
-            }
-            let k = KSlot::child_of(slot_mut(ks, caller)?, child);
-            ks.slots.insert(child_id, k);
-            count_space(&mut ks.stats);
-            slot_mut(ks, caller)?.children.insert(child, child_id);
-            Ok(())
-        }
+        None => new_child(ks, caller, child, child_id),
     }
+}
+
+/// Binds `num` under `parent` to a new space with the recorded `id`.
+fn new_child(ks: &mut KState, parent: u32, num: ChildNum, id: u32) -> Result<()> {
+    if ks.slots.contains_key(&id) {
+        return divergence("trace reuses a space id for a new child");
+    }
+    let k = KSlot::child_of(slot_mut(ks, parent)?, num);
+    ks.slots.insert(id, k);
+    count_space(&mut ks.stats);
+    slot_mut(ks, parent)?.children.insert(num, id);
+    Ok(())
 }
 
 /// The recorded stop a rendezvous observed: the child must be idle
@@ -867,13 +995,7 @@ fn replay_clone(
             Some(id) => *id,
             None => return divergence("tree copy ran out of recorded ids"),
         };
-        if ks.slots.contains_key(&kid_id) {
-            return divergence("tree copy reuses a space id");
-        }
-        let k = KSlot::child_of(slot_mut(ks, dst)?, num);
-        ks.slots.insert(kid_id, k);
-        count_space(&mut ks.stats);
-        slot_mut(ks, dst)?.children.insert(num, kid_id);
+        new_child(ks, dst, num, kid_id)?;
         replay_clone(ks, kid_src, kid_id, ids)?;
     }
     Ok(())
@@ -887,120 +1009,111 @@ fn take_state(ks: &mut KState, id: u32) -> Result<Box<SpaceState>> {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+/// A slot and the stats its events count on.
+fn slot_stats(ks: &mut KState, id: u32) -> Result<(&mut KSlot, &mut KernelStats)> {
+    match ks.slots.get_mut(&id) {
+        Some(k) => Ok((k, &mut ks.stats)),
+        None => divergence("trace names an unknown space"),
+    }
+}
+
 fn apply_put(
     ks: &mut KState,
-    caller: u32,
-    child: ChildNum,
-    child_id: u32,
-    fused: bool,
+    rv: Rendezvous,
     entry: &EntryRec,
     put: &PutRec,
     tree_new_ids: &[u32],
 ) -> Result<()> {
-    apply_entry(ks, caller, entry)?;
-    ensure_child(ks, caller, child, child_id)?;
-    let was = idle_reason(ks, child_id)?;
+    apply_entry(ks, rv.caller, entry)?;
+    ensure_child(ks, rv.caller, rv.child, rv.child_id)?;
+    let was = idle_reason(ks, rv.child_id)?;
     let costs = ks.costs;
-    let mut counts = MemOpCounts::default();
-    let mut caller_st = take_state(ks, caller)?;
-    let k = slot_mut(ks, child_id)?;
-    observe_stop(&mut caller_st, k.idle_state().vclock_ps);
-
+    let mut caller = take_state(ks, rv.caller)?;
     // An error an option returns went to the recorded program: it is
     // part of history, not a divergence.
-    let (_, mut res) = put_before_tree(&costs, &caller_st, k, put, was, &mut counts);
-    if let (Ok(()), Some(src_child)) = (&res, put.tree_from) {
-        let src = slot_mut(ks, caller)?.children.get(&src_child).copied();
-        res = tree_source(src, child_id);
-        if let (Ok(()), Some(src_id)) = (&res, src) {
+    let k = slot_mut(ks, rv.child_id)?;
+    let mut half = put_before_tree(&costs, (&mut *caller, None), k, put, was, rv);
+    if let (Ok(()), Some(src_child)) = (&half.res, put.tree_from) {
+        let src = slot_mut(ks, rv.caller)?.children.get(&src_child).copied();
+        half.res = tree_source(src, rv.child_id);
+        if let (Ok(()), Some(src_id)) = (&half.res, src) {
             // The walk replaces the destination's whole state, in its
             // slot; it only fails structurally (the live walk's sole
             // error is kernel shutdown).
-            replay_clone(ks, src_id, child_id, &mut tree_new_ids.iter())?;
+            replay_clone(ks, src_id, rv.child_id, &mut tree_new_ids.iter())?;
         }
     }
-    if res.is_ok() {
-        let k = slot_mut(ks, child_id)?;
-        put_after_tree(&costs, &mut caller_st, k, put, was, &mut counts);
-    }
-    let parent_vclock_ps = caller_st.vclock_ps;
-    slot_mut(ks, caller)?.state = Some(caller_st);
-    count_put(&mut ks.stats, fused, &counts);
-    if let Some(s) = put.start.filter(|_| res.is_ok()) {
-        let KState { slots, stats, .. } = ks;
-        let Some(k) = slots.get_mut(&child_id) else {
-            return divergence("trace names an unknown space");
-        };
+    let child = slot_stats(ks, rv.child_id)?;
+    let (res, _) = put_after_tree(&costs, &mut caller, child, put, half, Vec::new());
+    if let (Ok(()), Some(s)) = (res, put.start) {
         // A failed Start was returned to the recorded program, after
         // its bill.
-        let _ = start(k, stats, parent_vclock_ps, s.limit_ns, was);
+        let child = slot_stats(ks, rv.child_id)?;
+        let _ = start(child, caller.vclock_ps, s.limit_ns, was);
     }
+    slot_mut(ks, rv.caller)?.state = Some(caller);
     Ok(())
 }
 
 fn apply_get(
     ks: &mut KState,
-    caller: u32,
-    child: ChildNum,
-    child_id: u32,
-    fused: bool,
+    rv: Rendezvous,
     entry: Option<&EntryRec>,
-    get: &GetSpec,
+    get_spec: &GetSpec,
 ) -> Result<()> {
     if let Some(e) = entry {
-        apply_entry(ks, caller, e)?;
+        apply_entry(ks, rv.caller, e)?;
     }
-    ensure_child(ks, caller, child, child_id)?;
-    idle_reason(ks, child_id)?;
+    ensure_child(ks, rv.caller, rv.child, rv.child_id)?;
+    idle_reason(ks, rv.child_id)?;
     let (costs, policy) = (ks.costs, ks.policy);
-    let mut counts = MemOpCounts::default();
-    let mut caller_st = take_state(ks, caller)?;
-    let child_st = slot_mut(ks, child_id)?.idle_state();
-    observe_stop(&mut caller_st, child_st.vclock_ps);
+    let mut caller = take_state(ks, rv.caller)?;
+    let child = slot_stats(ks, rv.child_id)?;
     // As for `Put`: an option's error is recorded history.
-    let (merged, res) = get_options(&costs, policy, &mut caller_st, child_st, get, &mut counts);
-    slot_mut(ks, caller)?.state = Some(caller_st);
-    count_get(&mut ks.stats, fused, &counts, merged.as_ref(), &res);
+    let _ = get(&costs, policy, (&mut *caller, None), child, get_spec, rv);
+    slot_mut(ks, rv.caller)?.state = Some(caller);
     Ok(())
 }
 
-#[allow(clippy::too_many_arguments)]
-fn apply_check_in(
-    ks: &mut KState,
-    space: u32,
-    reason: StopReason,
-    final_stop: bool,
-    lost_state: bool,
-    regs: Regs,
-    advance_ps: u64,
-    limit_ps: Option<u64>,
-    insn_delta: u64,
-    vm: VmCounters,
-    delta: &SpaceDelta,
-) -> Result<()> {
-    let KState {
-        costs,
-        slots,
-        stats,
-        ..
-    } = ks;
-    let Some(k) = slots.get_mut(&space) else {
-        return divergence("trace names an unknown space");
+fn apply_check_in(ks: &mut KState, ev: &TraceEvent) -> Result<()> {
+    let &TraceEvent::CheckIn {
+        space,
+        reason,
+        final_stop,
+        lost_state,
+        regs,
+        advance_ps,
+        limit_ps,
+        insn_delta,
+        vm,
+        ref delta,
+    } = ev
+    else {
+        return divergence("not a check-in");
     };
-    let mut st = match (lost_state, k.state.take()) {
-        (true, _) => Box::new(SpaceState::new()),
-        (false, Some(st)) => st,
-        (false, None) => return divergence("check-in without state"),
+    let costs = ks.costs;
+    let (k, stats) = slot_stats(ks, space)?;
+    // The recorded window stands in for the vehicle's run; a lost state
+    // had none.
+    let st = match k.state.take() {
+        _ if lost_state => None,
+        None => return divergence("check-in without state"),
+        Some(mut st) => {
+            apply_window(&mut st, advance_ps, limit_ps, delta)?;
+            st.regs = regs;
+            st.insn_count += insn_delta;
+            Some(st)
+        }
     };
-    bill(&mut st, advance_ps);
-    st.limit_ps = limit_ps;
-    if st.mem.apply_delta(delta).is_err() {
-        return divergence("check-in delta does not apply");
-    }
-    st.regs = regs;
-    st.insn_count += insn_delta;
-    check_in(costs, k, stats, st, reason, final_stop, &vm);
+    check_in(
+        &costs,
+        space,
+        (k, stats),
+        (st, None),
+        reason,
+        final_stop,
+        &vm,
+    );
     Ok(())
 }
 
@@ -1012,57 +1125,16 @@ fn apply_check_in(
 /// observed are part of history and replay silently, exactly as they
 /// applied live.
 pub(crate) fn apply(ks: &mut KState, ev: &TraceEvent) -> Result<()> {
+    let rv = || ev.rendezvous().expect("a Put or a Get names its spaces");
     match ev {
         TraceEvent::Put {
-            caller,
-            child,
-            child_id,
-            fused,
             entry,
             put,
             tree_new_ids,
-        } => apply_put(
-            ks,
-            *caller,
-            *child,
-            *child_id,
-            *fused,
-            entry,
-            put,
-            tree_new_ids,
-        )?,
-        TraceEvent::Get {
-            caller,
-            child,
-            child_id,
-            fused,
-            entry,
-            get,
-        } => apply_get(ks, *caller, *child, *child_id, *fused, entry.as_ref(), get)?,
-        TraceEvent::CheckIn {
-            space,
-            reason,
-            final_stop,
-            lost_state,
-            regs,
-            advance_ps,
-            limit_ps,
-            insn_delta,
-            vm,
-            delta,
-        } => apply_check_in(
-            ks,
-            *space,
-            *reason,
-            *final_stop,
-            *lost_state,
-            *regs,
-            *advance_ps,
-            *limit_ps,
-            *insn_delta,
-            *vm,
-            delta,
-        )?,
+            ..
+        } => apply_put(ks, rv(), entry, put, tree_new_ids)?,
+        TraceEvent::Get { entry, get, .. } => apply_get(ks, rv(), entry.as_ref(), get)?,
+        TraceEvent::CheckIn { .. } => apply_check_in(ks, ev)?,
         TraceEvent::DevRead { entry, dev, data } => {
             count_dev_read(&mut ks.stats);
             apply_entry(ks, 0, entry)?;
@@ -1387,6 +1459,65 @@ mod tests {
         );
     }
 
+    /// The shell builds no rendezvous event: no code outside `apply.rs`
+    /// constructs a `Put`, `Get` or `CheckIn` [`TraceEvent`] (a pattern
+    /// that reads one — braces ending in `..`, or followed by `=>`, `|`
+    /// or `=` — is not a build), and the lost-state synthesis,
+    /// [`final_reason`] and a fresh [`SpaceState`], happens only in the
+    /// [`check_in`] arm (`KSlot::new`'s fresh state aside). Each event
+    /// kind is built by the arm both drivers run.
+    #[test]
+    fn the_shell_builds_no_rendezvous_event() {
+        const EVENTS: [&str; 3] = [
+            "TraceEvent::Put{",
+            "TraceEvent::Get{",
+            "TraceEvent::CheckIn{",
+        ];
+        const CALLS: [(&str, &[(&str, &str)]); 2] = [
+            ("final_reason(", &[("apply.rs", "check_in")]),
+            (
+                "SpaceState::new()",
+                &[("apply.rs", "check_in"), ("state.rs", "new")],
+            ),
+        ];
+        let mut rogue = Vec::new();
+        for src in kernel_sources() {
+            for ev in EVENTS.iter().filter(|_| src.file != "apply.rs") {
+                for (at, _) in src.code.match_indices(ev) {
+                    let body = &src.code[at + ev.len()..];
+                    let mut depth = 1;
+                    let end = body
+                        .find(|c| {
+                            depth += i32::from(c == '{') - i32::from(c == '}');
+                            depth == 0
+                        })
+                        .unwrap_or(body.len());
+                    let next = body.get(end + 1..).unwrap_or("");
+                    let pattern = body[..end].ends_with("..")
+                        || next.starts_with("=>")
+                        || next.starts_with('|')
+                        || (next.starts_with('=') && !next.starts_with("=="));
+                    if !pattern {
+                        rogue.push(format!("{} builds {ev}..}}", src.locate(at)));
+                    }
+                }
+            }
+            for (call, homes) in CALLS {
+                for (at, _) in src.code.match_indices(call) {
+                    let home = (src.file.as_str(), src.func_at(at));
+                    if !src.code[..at].ends_with("fn") && !homes.contains(&home) {
+                        rogue.push(format!("{} calls {call}", src.locate(at)));
+                    }
+                }
+            }
+        }
+        assert!(
+            rogue.is_empty(),
+            "a rendezvous event or a lost state made outside its arm:\n{}",
+            rogue.join("\n")
+        );
+    }
+
     /// A successful check-in charges the calibrated rendezvous park
     /// cost exactly once, for resumable stops only.
     #[test]
@@ -1395,24 +1526,57 @@ mod tests {
         let mut k = KSlot::new("/t".to_string());
         let mut stats = KernelStats::default();
         let vm = VmCounters::default();
-        let st = k.state.take().expect("fresh slot");
+        let st = k.state.take();
         k.run = RunState::Running;
-        check_in(&costs, &mut k, &mut stats, st, StopReason::Ret, false, &vm);
+        let ret = StopReason::Ret;
+        check_in(&costs, 1, (&mut k, &mut stats), (st, None), ret, false, &vm);
         assert_eq!(k.state.as_ref().unwrap().vclock_ps, costs.rendezvous_ps);
-        let st = k.state.take().expect("checked in");
+        let st = k.state.take();
         k.run = RunState::Running;
+        let halted = StopReason::Halted;
         check_in(
             &costs,
-            &mut k,
-            &mut stats,
-            st,
-            StopReason::Halted,
+            1,
+            (&mut k, &mut stats),
+            (st, None),
+            halted,
             false,
             &vm,
         );
         // Halting is final: no park, no park cost.
         assert_eq!(k.state.as_ref().unwrap().vclock_ps, costs.rendezvous_ps);
         assert_eq!(stats.rets, 1);
+    }
+
+    /// A remote child's homecoming bills what a local join does: the
+    /// syscall, the rendezvous and the merge of the pages it dirtied,
+    /// priced from the `MergeStats` the arm returns.
+    #[test]
+    fn migrate_home_bills_syscall_rendezvous_and_merge() {
+        let costs = CostModel::default();
+        let region = Region::new(0x10000, 0x12000);
+        let mut st = SpaceState::new();
+        st.mem.map_zero(region, Perm::RW).expect("maps");
+        st.mem.write_u64(region.start, 1).expect("writes");
+        let mut base = st.mem.clone();
+        base.clear_dirty();
+        let mut child = base.clone();
+        child.write_u64(region.start + 8, 7).expect("writes");
+        let delta = child.delta_since(&base);
+        assert!(!delta.pages.is_empty(), "the child dirtied a page");
+        let mut stats = KernelStats::default();
+        let policy = det_memory::ConflictPolicy::Strict;
+        let home = (&base, Ok(delta));
+        let merge = migrate_home(&costs, policy, &mut st, &mut stats, home, 0, region, true)
+            .expect("a conflict-free homecoming");
+        let merge_ps = costs.merge_cost_ps(&merge);
+        assert!(merge_ps > 0, "the merge is priced");
+        assert_eq!(
+            st.vclock_ps,
+            costs.syscall_ps + costs.rendezvous_ps + merge_ps
+        );
+        assert_eq!(st.mem.read_u64(region.start + 8), Ok(7));
+        assert_eq!(stats.migrations, 1);
     }
 
     #[test]

@@ -261,21 +261,10 @@ pub fn latest_restorable_boundary(trace: &Trace, at_most: usize) -> usize {
     let mut snap_at: BTreeMap<u32, usize> = BTreeMap::new();
     let mut excluded: Vec<(usize, usize)> = Vec::new();
     for (i, ev) in trace.events.iter().enumerate() {
-        let (caller, child, child_id) = match *ev {
-            TraceEvent::Put {
-                caller,
-                child,
-                child_id,
-                ..
-            }
-            | TraceEvent::Get {
-                caller,
-                child,
-                child_id,
-                ..
-            } => (caller, child, child_id),
-            _ => continue,
+        let Some(rv) = ev.rendezvous() else {
+            continue;
         };
+        let (caller, child, child_id) = (rv.caller, rv.child, rv.child_id);
         children.entry(caller).or_default().insert(child, child_id);
         match ev {
             TraceEvent::Put {

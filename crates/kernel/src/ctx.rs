@@ -21,18 +21,18 @@ use det_memory::{AddressSpace, MergeStats, Region, SpaceDelta};
 use det_vm::Regs;
 
 use crate::apply::{
-    EntryRec, InstallAction, MemOpCounts, PutRec, TraceEvent, VmCounters, charge, count_checkpoint,
-    count_dev_read, count_dev_write, count_get, count_put, get_options, migrate_home, migrate_out,
-    put_after_tree, put_before_tree, tree_source,
+    EntryRec, InstallAction, PutRec, Rendezvous, TraceEvent, charge, count_checkpoint,
+    count_dev_read, count_dev_write, get, migrate_home, migrate_out, put_after_tree,
+    put_before_tree, tree_source,
 };
 use crate::cost::{ns_to_ps, ps_to_ns};
 use crate::device::DeviceId;
 use crate::error::{KernelError, Result, TrapKind};
 use crate::fault::{FaultAction, FaultSite};
 use crate::ids::{ChildNum, SpaceId};
-use crate::kernel::{RunState, Shared, Slot, SlotCell, SpaceState, TraceCtx};
+use crate::kernel::{RunState, Shared, Slot, SlotCell, SpaceState};
 use crate::program::Program;
-use crate::state::{KSlot, observe_stop};
+use crate::state::{KSlot, TraceCtx, observe_stop};
 use crate::stats::KernelStats;
 use crate::syscall::{GetResult, GetSpec, PutResult, PutSpec, StopReason};
 
@@ -149,7 +149,7 @@ impl SpaceCtx {
     /// carried by the next delta).
     fn trace_resync(&mut self) {
         if let (Some(tr), Some(st)) = (self.trace.as_mut(), self.st.as_deref()) {
-            tr.resync(st);
+            *tr = TraceCtx::new(st);
         }
     }
 
@@ -157,11 +157,11 @@ impl SpaceCtx {
     /// the state is taken for shutdown).
     pub(crate) fn record_exit(&mut self, exit: std::result::Result<i32, TrapKind>) {
         if let (Some(entry), Some(st)) = (self.trace_entry(), self.st.as_deref()) {
-            self.shared.trace_push(Some(TraceEvent::RootExit {
+            self.shared.trace_push(Some(Box::new(TraceEvent::RootExit {
                 entry,
                 regs: st.regs,
                 exit,
-            }));
+            })));
         }
     }
 
@@ -179,9 +179,15 @@ impl SpaceCtx {
     }
 
     fn st_mut(&mut self) -> &mut SpaceState {
-        self.st
-            .as_deref_mut()
-            .expect("space state absent: the space was destroyed; programs must return after a Destroyed error")
+        self.window().0
+    }
+
+    /// This space's state and, when it records, its window cursor: what
+    /// an arm cuts the space's window from.
+    fn window(&mut self) -> (&mut SpaceState, Option<&TraceCtx>) {
+        let st = self.st.as_deref_mut();
+        let st = st.expect("space state absent: the space was destroyed; programs must return after a Destroyed error");
+        (st, self.trace.as_ref())
     }
 
     /// This space's private memory.
@@ -313,12 +319,11 @@ impl SpaceCtx {
     /// restarts it.
     fn park(&mut self, reason: StopReason) -> Result<()> {
         let st = self.st.take().expect("parking requires live state");
-        let ev = self
-            .trace
-            .as_ref()
-            .map(|tr| tr.check_in(self.id, &st, reason, false, VmCounters::default()));
         let cell = Arc::clone(&self.cell);
-        match self.shared.park(&cell, st, reason, ev) {
+        match self
+            .shared
+            .park(&cell, self.id, st, reason, self.trace.as_ref())
+        {
             Ok(st) => {
                 self.st = Some(st);
                 self.trace_resync();
@@ -351,19 +356,13 @@ impl SpaceCtx {
         (id, cell)
     }
 
-    /// Rendezvous clock rule: the caller observes the child's stop and
-    /// takes the later of the two clocks. Returns the child's clock.
-    fn sync_clocks(&mut self, g: &mut MutexGuard<'_, Slot>) -> u64 {
-        observe_stop(self.st_mut(), g.k.idle_state().vclock_ps)
-    }
-
     /// The `Put` half of a rendezvous, for `put` and `put_get` alike:
-    /// waits for the child's stop, runs the core's option sequencer and
-    /// arms around the host-side steps (a replaced program's CPU and
-    /// closure, the lock-releasing `Tree` walk, realizing the start)
-    /// and records the event. Returns the child's guard and the stop
-    /// the options applied to; on an error the guard is released and
-    /// the trace cursor resynced.
+    /// waits for the child's stop and runs the core's two `Put` arms
+    /// around the host-side steps (a replaced program's CPU and closure,
+    /// the lock-releasing `Tree` walk, realizing the start), then records
+    /// the event the arms built. Returns the child's guard and the stop
+    /// the options applied to; on an error the guard is released and the
+    /// trace cursor resynced.
     fn put_half<'a>(
         &mut self,
         cell: &'a Arc<SlotCell>,
@@ -372,16 +371,12 @@ impl SpaceCtx {
         spec: PutSpec,
         fused: bool,
     ) -> Result<(MutexGuard<'a, Slot>, StopReason)> {
-        let entry = self.trace_entry();
         let rec = PutRec::of(&spec);
         let (mut g, was) = self.shared.wait_idle(cell, child_id, cell.m.lock())?;
-        self.sync_clocks(&mut g);
         let costs = self.shared.costs;
-        let mut counts = MemOpCounts::default();
-        let mut tree_ids = Vec::new();
-        let (install, mut res) =
-            put_before_tree(&costs, self.st(), &mut g.k, &rec, was, &mut counts);
-        if let Some(action) = install {
+        let rv = self.rendezvous(child, child_id, fused);
+        let mut half = put_before_tree(&costs, self.window(), &mut g.k, &rec, was, rv);
+        if let Some(action) = half.install {
             // The old program's worker went back to the pool before its
             // final check-in; a fresh program gets a fresh CPU identity.
             if action == InstallAction::Replace {
@@ -392,50 +387,37 @@ impl SpaceCtx {
                 _ => None,
             };
         }
-        if let (Ok(()), Some(src_child)) = (&res, rec.tree_from) {
+        let mut tree_ids = Vec::new();
+        if let (Ok(()), Some(src_child)) = (&half.res, rec.tree_from) {
             let src = self.cell.m.lock().child(src_child);
-            res = tree_source(src.as_ref().map(|(id, _)| id.index()), child_id.index());
-            if let (Ok(()), Some((src_id, src_cell))) = (&res, src) {
+            half.res = tree_source(src.as_ref().map(|(id, _)| id.index()), child_id.index());
+            if let (Ok(()), Some((src_id, src_cell))) = (&half.res, src) {
                 // A tree copy walks other slots; release this child's
                 // lock so slot locks are only ever taken one at a time.
                 drop(g);
-                res = clone_into(&self.shared, src_id, &src_cell, cell, &mut tree_ids);
+                half.res = clone_into(&self.shared, src_id, &src_cell, cell, &mut tree_ids);
                 g = cell.m.lock();
-                if res.is_ok() && matches!(g.k.run, RunState::Destroyed) {
-                    res = Err(KernelError::Destroyed);
+                if half.res.is_ok() && matches!(g.k.run, RunState::Destroyed) {
+                    half.res = Err(KernelError::Destroyed);
                 }
             }
         }
+        let (mut res, ev) = put_after_tree(&costs, self.st_mut(), g.core(), &rec, half, tree_ids);
         let mut refused = None;
-        if res.is_ok() {
-            put_after_tree(&costs, self.st_mut(), &mut g.k, &rec, was, &mut counts);
-            if let Some(s) = rec.start {
-                let parent_v = self.st().vclock_ps;
-                match self
-                    .shared
-                    .start_child(&mut g, cell, child_id, s.limit_ns, parent_v, was)
-                {
-                    Ok(ev) => refused = ev,
-                    Err(e) => res = Err(e),
-                }
+        if let (Ok(()), Some(s)) = (&res, rec.start) {
+            let parent_v = self.st().vclock_ps;
+            match self
+                .shared
+                .start_child(&mut g, cell, child_id, s.limit_ns, parent_v, was)
+            {
+                Ok(ev) => refused = ev,
+                Err(e) => res = Err(e),
             }
         }
-        // Counted and recorded whether the options succeeded or failed —
-        // replay re-derives the same error from the same state — and
-        // while the child's guard is held: linearized against the
-        // started child's own first check-in.
-        count_put(&mut g.stats, fused, &counts);
-        let caller = self.id.index();
-        self.shared.trace_push(entry.map(|entry| TraceEvent::Put {
-            caller,
-            child,
-            child_id: child_id.index(),
-            fused,
-            entry,
-            put: rec,
-            tree_new_ids: tree_ids,
-        }));
-        // A refused vehicle's check-in follows the `Put` that started it.
+        // Recorded while the child's guard is held: linearized against
+        // the started child's own first check-in. A refused vehicle's
+        // check-in follows the `Put` that started it.
+        self.shared.trace_push(ev);
         self.shared.trace_push(refused);
         match res {
             Ok(()) => Ok((g, was)),
@@ -447,49 +429,45 @@ impl SpaceCtx {
         }
     }
 
-    /// The `Get` half of a rendezvous with a stopped child whose slot
-    /// guard the caller holds: the core's option sequencer, the counts
-    /// (merge and conflict included), the event. `entry` is the caller's
-    /// window for a plain `get` when recording, absent for the fused
-    /// half.
-    #[allow(clippy::too_many_arguments)]
+    /// The `Get` half of a rendezvous, for `get` and `put_get` alike:
+    /// waits (from the child's guard `g`) for the child's stop, runs the
+    /// core's `Get` arm, records the event it built while the guard is
+    /// held, and resyncs the trace cursor.
     fn get_half(
         &mut self,
-        g: &mut MutexGuard<'_, Slot>,
+        cell: &SlotCell,
+        g: MutexGuard<'_, Slot>,
         child: ChildNum,
         child_id: SpaceId,
         spec: GetSpec,
-        stop: StopReason,
         fused: bool,
-        entry: Option<EntryRec>,
     ) -> Result<GetResult> {
-        let child_v = self.sync_clocks(g);
-        let child_st = g.k.idle_state();
-        let code = child_st.regs.gpr[1];
-        let regs = spec.regs.then_some(child_st.regs);
+        let (mut g, stop) = self.shared.wait_idle(cell, child_id, g)?;
         let (costs, policy) = (self.shared.costs, self.shared.policy);
-        let mut counts = MemOpCounts::default();
-        let (merge, res) = get_options(&costs, policy, self.st_mut(), child_st, &spec, &mut counts);
-        // Counted and recorded on success and failure alike (replay
-        // re-derives the same error), while the child's guard is held.
-        count_get(&mut g.stats, fused, &counts, merge.as_ref(), &res);
-        if self.trace.is_some() {
-            self.shared.trace_push(Some(TraceEvent::Get {
-                caller: self.id.index(),
-                child,
-                child_id: child_id.index(),
-                fused,
-                entry,
-                get: spec,
-            }));
-        }
-        res.map(|()| GetResult {
+        let rv = self.rendezvous(child, child_id, fused);
+        let (merge, res, ev) = get(&costs, policy, self.window(), g.core(), &spec, rv);
+        self.shared.trace_push(ev);
+        let child_st = g.k.idle_state();
+        let res = res.map(|()| GetResult {
             stop,
-            code,
-            regs,
+            code: child_st.regs.gpr[1],
+            regs: spec.regs.then_some(child_st.regs),
             merge,
-            child_vclock_ns: ps_to_ns(child_v),
-        })
+            child_vclock_ns: ps_to_ns(child_st.vclock_ps),
+        });
+        drop(g);
+        self.trace_resync();
+        res
+    }
+
+    /// The spaces a rendezvous of this space with `child` names.
+    fn rendezvous(&self, child: ChildNum, child_id: SpaceId, fused: bool) -> Rendezvous {
+        Rendezvous {
+            caller: self.id.index(),
+            child,
+            child_id: child_id.index(),
+            fused,
+        }
     }
 
     /// The `Put` system call: copy state into a child (creating it on
@@ -516,13 +494,8 @@ impl SpaceCtx {
     pub fn get(&mut self, child: ChildNum, spec: GetSpec) -> Result<GetResult> {
         self.fault_gate(&[FaultSite::Syscall, FaultSite::TraceSink])?;
         self.charge_ps(self.shared.costs.syscall_ps)?;
-        let entry = self.trace_entry();
         let (child_id, cell) = self.ensure_child(child);
-        let (mut g, stop) = self.shared.wait_idle(&cell, child_id, cell.m.lock())?;
-        let res = self.get_half(&mut g, child, child_id, spec, stop, false, entry);
-        drop(g);
-        self.trace_resync();
-        res
+        self.get_half(&cell, cell.m.lock(), child, child_id, spec, false)
     }
 
     /// The fused `PutGet` exchange: applies `put` to the child at its
@@ -550,11 +523,7 @@ impl SpaceCtx {
         // Second rendezvous: the child's next stop (for an inline VM
         // child this executes it right here, lock-step, with no
         // condvar traffic at all).
-        let (mut g, stop) = self.shared.wait_idle(&cell, child_id, g)?;
-        let res = self.get_half(&mut g, child, child_id, get, stop, true, None);
-        drop(g);
-        self.trace_resync();
-        res
+        self.get_half(&cell, g, child, child_id, get, true)
     }
 
     /// The `Ret` system call: stop and wait for the parent (§3.2).
@@ -585,11 +554,11 @@ impl SpaceCtx {
         let res = self.shared.devices.lock().read(dev);
         self.count_own(count_dev_read);
         if let Some(entry) = self.trace_entry() {
-            self.shared.trace_push(Some(TraceEvent::DevRead {
+            self.shared.trace_push(Some(Box::new(TraceEvent::DevRead {
                 entry,
                 dev,
                 data: res.as_ref().ok().and_then(|d| d.clone()),
-            }));
+            })));
             self.trace_resync();
         }
         res
@@ -605,11 +574,11 @@ impl SpaceCtx {
         self.shared.devices.lock().write(dev, data);
         self.count_own(|s| count_dev_write(s, data.len()));
         if let Some(entry) = self.trace_entry() {
-            self.shared.trace_push(Some(TraceEvent::DevWrite {
+            self.shared.trace_push(Some(Box::new(TraceEvent::DevWrite {
                 entry,
                 dev,
                 data: data.to_vec(),
-            }));
+            })));
             self.trace_resync();
         }
         Ok(())
@@ -643,7 +612,7 @@ impl SpaceCtx {
         self.count_own(|s| count_checkpoint(s, leaves));
         if let Some(entry) = self.trace_entry() {
             self.shared
-                .trace_push(Some(TraceEvent::Checkpoint { entry, leaves }));
+                .trace_push(Some(Box::new(TraceEvent::Checkpoint { entry, leaves })));
             self.trace_resync();
         }
         Ok(leaves)

@@ -34,12 +34,10 @@ use std::thread::JoinHandle;
 
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
-use det_memory::{AddressSpace, ConflictPolicy};
+use det_memory::ConflictPolicy;
 use det_vm::{Cpu, VmExit};
 
-use crate::apply::{
-    EntryRec, StartAction, TraceEvent, VmCounters, bill, check_in, count_space, start,
-};
+use crate::apply::{StartAction, TraceEvent, VmCounters, bill, check_in, count_space, start};
 use crate::cost::{CostModel, ps_to_ns};
 use crate::ctx::SpaceCtx;
 use crate::device::{DeviceHub, DeviceId, IoLog, IoMode};
@@ -47,7 +45,7 @@ use crate::error::{KernelError, Result, TrapKind};
 use crate::fault::{ArmedFaults, FaultPlan};
 use crate::ids::{ChildNum, SpaceId};
 use crate::program::{NativeEntry, NativeResult};
-use crate::state::{KSlot, ROOT_PATH, final_reason};
+use crate::state::{KSlot, ROOT_PATH, TraceCtx};
 use crate::stats::{HostStats, KernelStats};
 use crate::syscall::StopReason;
 use crate::trace::{SpaceArtifact, TraceMeta, TraceSink};
@@ -141,89 +139,6 @@ impl KernelConfigBuilder {
 
 pub(crate) use crate::state::{RunState, SpaceState};
 
-/// Trace-recording cursor for one space: the sink plus the *base*
-/// image the next event's [`EntryRec`] delta is computed against.
-///
-/// The base is re-cloned ("resynced") at the end of every traced
-/// syscall and at every park-resume, so snapshots and parent-side
-/// mutations applied to a parked space are never straddled by a
-/// delta — `delta_since` requires that (a snapshot clears the dirty
-/// set), and replay re-applies parent-side mutations itself via the
-/// recorded `Put`/`Get` events.
-pub(crate) struct TraceCtx {
-    base: AddressSpace,
-    sync_ps: u64,
-    sync_insn: u64,
-}
-
-impl TraceCtx {
-    pub(crate) fn new(st: &SpaceState) -> TraceCtx {
-        TraceCtx {
-            base: st.mem.clone(),
-            sync_ps: st.vclock_ps,
-            sync_insn: st.insn_count,
-        }
-    }
-
-    pub(crate) fn resync(&mut self, st: &SpaceState) {
-        self.base = st.mem.clone();
-        self.sync_ps = st.vclock_ps;
-        self.sync_insn = st.insn_count;
-    }
-
-    /// The caller-side record of a syscall entry: everything that
-    /// happened to this space since the last sync point.
-    pub(crate) fn entry(&self, st: &SpaceState) -> EntryRec {
-        EntryRec {
-            advance_ps: st.vclock_ps - self.sync_ps,
-            limit_ps: st.limit_ps,
-            delta: st.mem.delta_since(&self.base),
-        }
-    }
-
-    /// A check-in event for this space, built *before* the check-in
-    /// charge is applied (replay re-applies that charge itself).
-    pub(crate) fn check_in(
-        &self,
-        id: SpaceId,
-        st: &SpaceState,
-        reason: StopReason,
-        final_stop: bool,
-        vm: VmCounters,
-    ) -> TraceEvent {
-        TraceEvent::CheckIn {
-            space: id.index(),
-            reason,
-            final_stop,
-            lost_state: false,
-            regs: st.regs,
-            advance_ps: st.vclock_ps - self.sync_ps,
-            limit_ps: st.limit_ps,
-            insn_delta: st.insn_count - self.sync_insn,
-            vm,
-            delta: st.mem.delta_since(&self.base),
-        }
-    }
-}
-
-/// The check-in event for a vehicle that died without state: replay
-/// synthesizes a fresh state and a terminal trap, as
-/// [`Shared::final_check_in`] does.
-pub(crate) fn lost_state_check_in(id: SpaceId, reason: StopReason) -> TraceEvent {
-    TraceEvent::CheckIn {
-        space: id.index(),
-        reason,
-        final_stop: true,
-        lost_state: true,
-        regs: det_vm::Regs::default(),
-        advance_ps: 0,
-        limit_ps: None,
-        insn_delta: 0,
-        vm: VmCounters::default(),
-        delta: det_memory::SpaceDelta::default(),
-    }
-}
-
 /// One space's slot: its record — the same [`KSlot`] trace replay
 /// steps, updated through the same arms of the pure core — plus what
 /// only the host has.
@@ -265,6 +180,12 @@ impl Slot {
             trace_base: None,
             stats: KernelStats::default(),
         }
+    }
+
+    /// What the pure core's arms step: the record, and this slot's stats
+    /// that its events count on.
+    pub(crate) fn core(&mut self) -> (&mut KSlot, &mut KernelStats) {
+        (&mut self.k, &mut self.stats)
     }
 
     /// The child bound at `child`, with its cell.
@@ -425,9 +346,9 @@ impl Shared {
     /// rendezvous path hold the affected child's slot lock, which
     /// linearizes a parent's syscall events against that child's
     /// check-ins exactly as replay will re-derive them.
-    pub(crate) fn trace_push(&self, ev: Option<TraceEvent>) {
+    pub(crate) fn trace_push(&self, ev: Option<Box<TraceEvent>>) {
         if let (Some(sink), Some(ev)) = (self.trace.as_ref(), ev) {
-            sink.push(ev);
+            sink.push(*ev);
         }
     }
 
@@ -458,26 +379,25 @@ impl Shared {
                     let mut vmc = VmCounters::default();
                     let stop = vm_execute(self, &mut st, &mut cpu, &mut vmc);
                     g = cell.m.lock();
-                    match stop {
-                        // Shutdown observed mid-run: the state dies
-                        // with the kernel.
-                        None => return Err(KernelError::Destroyed),
-                        Some(reason) => {
-                            if matches!(g.k.run, RunState::Destroyed) {
-                                return Err(KernelError::Destroyed);
-                            }
-                            // Event built pre-charge: replay re-applies
-                            // the check-in charge itself.
-                            let ev = tr
-                                .as_ref()
-                                .map(|tr| tr.check_in(id, &st, reason, false, vmc));
-                            let s = &mut *g;
-                            check_in(&self.costs, &mut s.k, &mut s.stats, st, reason, false, &vmc);
-                            s.cpu = Some(cpu);
-                            self.trace_push(ev);
-                            // No notify: the one waiter is this thread.
-                        }
-                    }
+                    // Shutdown observed mid-run, or the slot destroyed
+                    // since: the state dies with the kernel.
+                    let destroyed = matches!(g.k.run, RunState::Destroyed);
+                    let Some(reason) = stop.filter(|_| !destroyed) else {
+                        return Err(KernelError::Destroyed);
+                    };
+                    let window = (Some(st), tr.as_ref());
+                    let ev = check_in(
+                        &self.costs,
+                        id.index(),
+                        g.core(),
+                        window,
+                        reason,
+                        false,
+                        &vmc,
+                    );
+                    g.cpu = Some(cpu);
+                    self.trace_push(ev);
+                    // No notify: the one waiter is this thread.
                 }
                 _ => {
                     cell.idle_cv.wait(&mut g);
@@ -489,29 +409,20 @@ impl Shared {
         }
     }
 
-    /// A running space checks its state in with `reason`, waits for
-    /// its parent to restart it, and checks the state back out.
+    /// A running space checks its state in with `reason` (recording its
+    /// window when it has a `cursor`), waits for its parent to restart
+    /// it, and checks the state back out.
     pub(crate) fn park(
         &self,
         cell: &SlotCell,
+        id: SpaceId,
         st: Box<SpaceState>,
         reason: StopReason,
-        trace_ev: Option<TraceEvent>,
+        cursor: Option<&TraceCtx>,
     ) -> Result<Box<SpaceState>> {
-        let mut g = cell.m.lock();
-        // Destroyed check *before* any accounting: a park raced by
-        // destruction is a rendezvous that never happened, and must
-        // not drift the replay-comparable stop counters.
-        if matches!(g.k.run, RunState::Destroyed) {
+        let Some(mut g) = self.stop(cell, id, (Some(st), cursor), reason, false) else {
             return Err(KernelError::Destroyed);
-        }
-        let s = &mut *g;
-        let vm = VmCounters::default();
-        check_in(&self.costs, &mut s.k, &mut s.stats, st, reason, false, &vm);
-        self.trace_push(trace_ev);
-        // Exactly one thread can be waiting for this stop: the parent
-        // in `wait_idle`.
-        cell.idle_cv.notify_one();
+        };
         loop {
             match g.k.run {
                 RunState::Running => {
@@ -535,27 +446,52 @@ impl Shared {
     /// finished, trapped terminally, or died without state.
     ///
     /// `st: None` (a vehicle dying without state on a live slot) is
-    /// checked in as a terminal `Idle(Trap(Panic))` so a parent
-    /// blocked in `wait_idle` observes a deterministic trap instead of
+    /// checked in by the `check_in` arm as a terminal trap, so a parent
+    /// blocked in `wait_idle` observes a deterministic stop instead of
     /// hanging forever on a slot stuck in `Running`.
     pub(crate) fn final_check_in(
         &self,
         cell: &SlotCell,
+        id: SpaceId,
         st: Option<Box<SpaceState>>,
         reason: StopReason,
-        trace_ev: Option<TraceEvent>,
+        cursor: Option<&TraceCtx>,
     ) {
+        self.stop(cell, id, (st, cursor), reason, true);
+    }
+
+    /// A running space stops: the `check_in` arm checks its state in,
+    /// the event is recorded, and the one thread that can be waiting for
+    /// the stop — the parent, in `wait_idle` — is woken. Returns the
+    /// slot's guard, or `None` if the slot was destroyed: a stop raced by
+    /// destruction is a rendezvous that never happened, and is checked
+    /// *before* any accounting so it cannot drift the replay-comparable
+    /// stop counters.
+    fn stop<'a>(
+        &self,
+        cell: &'a SlotCell,
+        id: SpaceId,
+        window: (Option<Box<SpaceState>>, Option<&TraceCtx>),
+        reason: StopReason,
+        final_stop: bool,
+    ) -> Option<MutexGuard<'a, Slot>> {
         let mut g = cell.m.lock();
         if matches!(g.k.run, RunState::Destroyed) {
-            return;
+            return None;
         }
-        let reason = final_reason(st.is_some(), reason);
-        let st = st.unwrap_or_else(|| Box::new(SpaceState::new()));
-        let s = &mut *g;
         let vm = VmCounters::default();
-        check_in(&self.costs, &mut s.k, &mut s.stats, st, reason, true, &vm);
-        self.trace_push(trace_ev);
+        let ev = check_in(
+            &self.costs,
+            id.index(),
+            g.core(),
+            window,
+            reason,
+            final_stop,
+            &vm,
+        );
+        self.trace_push(ev);
         cell.idle_cv.notify_one();
+        Some(g)
     }
 
     /// Starts or resumes an idle child whose state is checked in.
@@ -575,7 +511,7 @@ impl Shared {
         limit_ns: Option<u64>,
         parent_vclock_ps: u64,
         prior: StopReason,
-    ) -> Result<Option<TraceEvent>> {
+    ) -> Result<Option<Box<TraceEvent>>> {
         if matches!(g.k.run, RunState::Destroyed)
             || self.shutdown.load(std::sync::atomic::Ordering::SeqCst)
         {
@@ -585,7 +521,7 @@ impl Shared {
             return Err(KernelError::Destroyed);
         }
         let s = &mut **g;
-        match start(&mut s.k, &mut s.stats, parent_vclock_ps, limit_ns, prior)? {
+        match start(s.core(), parent_vclock_ps, limit_ns, prior)? {
             StartAction::RunnableInline => {
                 // A leaf VM space: no vehicle of its own. It runs
                 // when someone waits for it.
@@ -622,7 +558,7 @@ impl Shared {
         cell: &Arc<SlotCell>,
         child: SpaceId,
         entry: NativeEntry,
-    ) -> Option<TraceEvent> {
+    ) -> Option<Box<TraceEvent>> {
         let st = g.k.state.take().expect("start_child checked the state in");
         let parked = self.pool.lock().idle.pop();
         let worker = match parked {
@@ -652,26 +588,27 @@ impl Shared {
     /// The host refused a vehicle (thread exhaustion, or an injected
     /// allocation fault at the OS layer) for a child whose state was
     /// already checked out. That is the lost-state shape: the slot is
-    /// checked in through the `check_in` arm as a final trap with a
-    /// fresh state, so the caller's next wait observes a deterministic
-    /// stop instead of a slot stuck in `Running`, and `terminal` makes a
-    /// later `Start` find no program rather than wake nobody. The
-    /// record keeps `has_vehicle`, as replay does: it is the `Spawn`
-    /// decision, not a worker. Returns the check-in event for the
-    /// caller to record after its `Put`.
-    fn vehicle_refused(&self, g: &mut Slot, child: SpaceId) -> Option<TraceEvent> {
-        let reason = final_reason(
-            false,
-            StopReason::Trap(TrapKind::Fault("vehicle spawn failed")),
-        );
-        let st = Box::new(SpaceState::new());
-        let vm = VmCounters::default();
-        check_in(&self.costs, &mut g.k, &mut g.stats, st, reason, true, &vm);
+    /// checked in through the `check_in` arm with no state, so the
+    /// caller's next wait observes a deterministic stop instead of a
+    /// slot stuck in `Running`, and `terminal` makes a later `Start`
+    /// find no program rather than wake nobody. The record keeps
+    /// `has_vehicle`, as replay does: it is the `Spawn` decision, not a
+    /// worker. Returns the check-in event for the caller to record after
+    /// its `Put`.
+    fn vehicle_refused(&self, g: &mut Slot, child: SpaceId) -> Option<Box<TraceEvent>> {
         // No notify: the caller holds this slot's lock and is the
         // unique observer of the stop.
-        self.trace
-            .as_ref()
-            .map(|_| lost_state_check_in(child, reason))
+        let reason = StopReason::Trap(TrapKind::Fault("vehicle spawn failed"));
+        let vm = VmCounters::default();
+        check_in(
+            &self.costs,
+            child.index(),
+            g.core(),
+            (None, None),
+            reason,
+            true,
+            &vm,
+        )
     }
 
     /// Establishes the trace cursor of a slot just made `Runnable`:
@@ -972,16 +909,6 @@ fn native_thread(shared: &Arc<Shared>, me: &Arc<Worker>, job: Job) {
         Ok(Err(e)) => StopReason::Trap(e.as_trap()),
         Err(_) => StopReason::Trap(TrapKind::Panic),
     };
-    let ev = trace.as_ref().map(|tr| match st.as_deref() {
-        Some(s) => tr.check_in(
-            id,
-            s,
-            final_reason(true, reason),
-            true,
-            VmCounters::default(),
-        ),
-        None => lost_state_check_in(id, final_reason(false, reason)),
-    });
     // Park before the check-in: whoever observes this stop finds the
     // worker already on the stack, so the parent's next `Start` re-arms
     // it instead of creating a thread. A job stored meanwhile waits in
@@ -990,7 +917,7 @@ fn native_thread(shared: &Arc<Shared>, me: &Arc<Worker>, job: Job) {
     // Always check in — even with the state lost (`st: None`), the
     // slot must leave `Running` so a waiting parent observes a
     // deterministic trap rather than deadlocking.
-    shared.final_check_in(&cell, st, reason, ev);
+    shared.final_check_in(&cell, id, st, reason, trace.as_ref());
 }
 
 /// Interprets a VM space's program on the current thread until it
@@ -1101,13 +1028,13 @@ mod tests {
     #[test]
     fn final_check_in_without_state_synthesizes_terminal_trap() {
         let sh = shared();
-        let (_, cell) = sh.new_slot(KSlot::new("/t".to_string()));
+        let (id, cell) = sh.new_slot(KSlot::new("/t".to_string()));
         {
             let mut g = cell.m.lock();
             g.k.state = None;
             g.k.run = RunState::Running;
         }
-        sh.final_check_in(&cell, None, StopReason::Halted, None);
+        sh.final_check_in(&cell, id, None, StopReason::Halted, None);
         let g = cell.m.lock();
         assert!(matches!(
             g.k.run,
@@ -1135,7 +1062,7 @@ mod tests {
         g.native = Some(Box::new(|_| Ok(0)));
         let refused = sh.start_child(&mut g, &cell, id, None, 0, StopReason::Unstarted);
         assert!(matches!(
-            refused,
+            refused.as_ref().map(|ev| ev.as_deref()),
             Ok(Some(TraceEvent::CheckIn {
                 lost_state: true,
                 final_stop: true,
@@ -1264,7 +1191,7 @@ mod tests {
     #[test]
     fn park_after_destroy_counts_nothing() {
         let sh = shared();
-        let (_, cell) = sh.new_slot(KSlot::new("/t".to_string()));
+        let (id, cell) = sh.new_slot(KSlot::new("/t".to_string()));
         {
             let mut g = cell.m.lock();
             g.k.state = None;
@@ -1272,7 +1199,7 @@ mod tests {
         }
         let st = Box::new(SpaceState::new());
         assert!(matches!(
-            sh.park(&cell, st, StopReason::Ret, None),
+            sh.park(&cell, id, st, StopReason::Ret, None),
             Err(KernelError::Destroyed)
         ));
         assert_eq!(cell.m.lock().stats, created_only());
@@ -1282,7 +1209,7 @@ mod tests {
     #[test]
     fn final_check_in_on_destroyed_slot_is_noop() {
         let sh = shared();
-        let (_, cell) = sh.new_slot(KSlot::new("/t".to_string()));
+        let (id, cell) = sh.new_slot(KSlot::new("/t".to_string()));
         {
             let mut g = cell.m.lock();
             g.k.state = None;
@@ -1290,6 +1217,7 @@ mod tests {
         }
         sh.final_check_in(
             &cell,
+            id,
             Some(Box::new(SpaceState::new())),
             StopReason::Trap(TrapKind::Panic),
             None,

@@ -6,15 +6,16 @@
 //! (`kernel.rs` / `ctx.rs`) owns all of those and calls the pure core
 //! between its waits and wakes; the trace replayer ([`crate::trace`])
 //! drives the very same core with no execution vehicles at all. What a
-//! rendezvous does, in which order, and who pays is the core's
-//! (`apply.rs`); a driver only finds the two spaces and realizes the
-//! decisions that come back. A space's record, [`KSlot`], is the same
-//! value in both drivers: the shell's locked slot embeds it. A unit
-//! test enforces the purity boundary by scanning this module's source
-//! (see `core_modules_are_pure` in `apply.rs`), and three more that
-//! the clock, the counters and a slot's flags each have one writer. Being plain data, the state is also what a checkpoint
-//! persists: a bundle's payload is [`KState`]'s derived mapping, every
-//! field but the merge snapshots (`checkpoint.rs`).
+//! rendezvous does, in which order, who pays and what it records is the
+//! core's (`apply.rs`); a driver finds the two spaces and realizes the
+//! decisions that come back. Both drivers step the same [`KSlot`], and
+//! the arms cut a recording space's window from its [`TraceCtx`]. Unit
+//! tests in `apply.rs` enforce the purity boundary by scanning this
+//! module's source, and that the clock, the counters, a slot's flags and
+//! the rendezvous events each have one writer. Being plain data, the
+//! state is also what a checkpoint persists: a bundle's payload is
+//! [`KState`]'s derived mapping, every field but the merge snapshots
+//! (`checkpoint.rs`).
 
 use std::collections::BTreeMap;
 
@@ -22,7 +23,7 @@ use det_memory::{AddressSpace, ConflictPolicy};
 use det_vm::Regs;
 use serde::{Deserialize, Serialize};
 
-use crate::apply::bill;
+use crate::apply::{EntryRec, bill};
 use crate::cost::CostModel;
 use crate::device::DeviceId;
 use crate::error::TrapKind;
@@ -109,6 +110,39 @@ impl SpaceState {
             vclock_ps: self.vclock_ps,
             limit_ps: self.limit_ps,
             insn_count: self.insn_count,
+        }
+    }
+}
+
+/// A recording space's window cursor: the image, clock and instruction
+/// count at its last sync point, which the next event's window is cut
+/// against. The shell re-bases it ("resyncs") at the end of every traced
+/// syscall and at every park-resume, so snapshots and parent-side
+/// mutations of a parked space never straddle a delta — `delta_since`
+/// requires that (a snapshot clears the dirty set), and replay re-applies
+/// parent-side mutations itself from the recorded `Put`/`Get` events.
+pub(crate) struct TraceCtx {
+    base: AddressSpace,
+    sync_ps: u64,
+    pub sync_insn: u64,
+}
+
+impl TraceCtx {
+    pub(crate) fn new(st: &SpaceState) -> TraceCtx {
+        TraceCtx {
+            base: st.mem.clone(),
+            sync_ps: st.vclock_ps,
+            sync_insn: st.insn_count,
+        }
+    }
+
+    /// The space's window since its last sync point: clock advance,
+    /// limit, memory delta.
+    pub(crate) fn entry(&self, st: &SpaceState) -> EntryRec {
+        EntryRec {
+            advance_ps: st.vclock_ps - self.sync_ps,
+            limit_ps: st.limit_ps,
+            delta: st.mem.delta_since(&self.base),
         }
     }
 }

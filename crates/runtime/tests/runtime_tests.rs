@@ -535,6 +535,103 @@ fn dsched_condvar_producer_consumer() {
     assert_eq!(out.exit, Ok(0));
 }
 
+/// `WAITERS` threads wait on one condition variable under mutex 0; a
+/// last thread, there first, yields until all of them are waiting, sets
+/// the flag and broadcasts once. Every waiter must wake: a broadcast
+/// handled as a signal wakes one and leaves the rest blocked, which
+/// `run` reports as a deadlock. The root prints what the threads counted
+/// and its final memory's digest.
+fn dsched_broadcast_run() -> det_kernel::RunOutcome {
+    const WAITERS: u64 = 3;
+    let (flag, waiting, woken) = (SHARED.start, SHARED.start + 8, SHARED.start + 16);
+    run_deterministic(KernelConfig::default(), move |ctx| {
+        ctx.mem_mut().map_zero(SHARED, Perm::RW)?;
+        let mut sched = dsched::DSched::new(ctx, SHARED, 10_000, 100)?;
+        for t in 0..WAITERS {
+            sched.spawn(t, move |c| {
+                c.charge(30_000 + t * 10_000)?; // The broadcaster arrives first.
+                dsched::mutex_lock(c, 0)?;
+                let n = c.mem().read_u64(waiting)?;
+                c.mem_mut().write_u64(waiting, n + 1)?;
+                while c.mem().read_u64(flag)? == 0 {
+                    dsched::cond_wait(c, 0, 5)?;
+                }
+                let n = c.mem().read_u64(woken)?;
+                c.mem_mut().write_u64(woken, n + 1)?;
+                dsched::mutex_unlock(c, 0)?;
+                Ok(t as i32)
+            })?;
+        }
+        sched.spawn(WAITERS, move |c| {
+            let mut yields = 0;
+            loop {
+                dsched::mutex_lock(c, 0)?;
+                let ready = c.mem().read_u64(waiting)? == WAITERS;
+                if ready {
+                    c.mem_mut().write_u64(flag, 1)?;
+                }
+                dsched::mutex_unlock(c, 0)?;
+                if ready {
+                    break;
+                }
+                dsched::sched_yield(c)?;
+                yields += 1;
+            }
+            dsched::cond_broadcast(c, 5)?;
+            Ok(yields)
+        })?;
+        let codes = sched.run()?;
+        let yields = codes[WAITERS as usize].1;
+        assert_eq!(&codes[..WAITERS as usize], &[(0, 0), (1, 1), (2, 2)]);
+        assert!(yields > 0, "the broadcaster yielded");
+        let woken = ctx.mem().read_u64(woken)?;
+        let digest = ctx.mem().content_digest().value();
+        let line = format!("woken {woken} yields {yields} digest {digest:016x}\n");
+        ctx.dev_write(DeviceId::ConsoleOut, line.as_bytes())?;
+        Ok(woken as i32)
+    })
+}
+
+#[test]
+fn dsched_broadcast_wakes_every_waiter() {
+    let out = dsched_broadcast_run();
+    assert_eq!(out.exit, Ok(3), "all three waiters woke");
+    assert!(out.console_string().starts_with("woken 3 "));
+}
+
+#[test]
+fn dsched_yield_loop_finishes() {
+    let out = run_deterministic(KernelConfig::default(), move |ctx| {
+        ctx.mem_mut().map_zero(SHARED, Perm::RW)?;
+        let mut sched = dsched::DSched::new(ctx, SHARED, 10_000, 100)?;
+        sched.spawn(0, move |c| {
+            for k in 0..20u64 {
+                c.mem_mut().write_u64(SHARED.start, k)?;
+                dsched::sched_yield(c)?;
+            }
+            Ok(20)
+        })?;
+        sched.spawn(1, move |c| {
+            c.charge(35_000)?;
+            Ok(1)
+        })?;
+        assert_eq!(sched.run()?, vec![(0, 20), (1, 1)]);
+        Ok(ctx.mem().read_u64(SHARED.start)? as i32)
+    });
+    assert_eq!(out.exit, Ok(19));
+}
+
+#[test]
+fn dsched_broadcast_and_yield_repeat_exactly() {
+    let runs: Vec<_> = (0..3).map(|_| dsched_broadcast_run()).collect();
+    for out in &runs[1..] {
+        assert_eq!(out.exit, runs[0].exit);
+        assert_eq!(out.console_string(), runs[0].console_string());
+        assert_eq!(out.vclock_ns, runs[0].vclock_ns);
+        assert_eq!(out.stats, runs[0].stats);
+    }
+}
+
 // ---------------------------------------------------------------------
 // Shell
 // ---------------------------------------------------------------------
