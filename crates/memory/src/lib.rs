@@ -35,7 +35,11 @@
 //! * [`AddressSpace::pin`] is the one routine that redeems them: up to
 //!   two translations become [`Pinned`] page views that last as long
 //!   as the caller's exclusive borrow of the space, so an inner loop
-//!   validates once per page instead of once per access.
+//!   validates once per page instead of once per access;
+//! * [`AddressSpace::window`] pins caller-declared spans the same way
+//!   for native code: a [`Window`] loads and stores `f64`s at page
+//!   views, its writable pages un-shared and dirtied once, when it is
+//!   minted.
 //!
 //! All operations are deterministic: iteration orders are fixed
 //! (B-tree), no host state is consulted, and [`MergeStats`] exposes the
@@ -92,7 +96,7 @@ pub use perm::Perm;
 pub use region::Region;
 pub use space::{
     AddressSpace, CloneStats, LeafInfo, PAGES_PER_LEAF, PageInfo, Pinned, SUBLEAF_SHARE_MIN_PAGES,
-    Translation,
+    Translation, Window,
 };
 
 /// Result alias for memory operations.

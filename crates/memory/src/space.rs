@@ -275,6 +275,112 @@ impl Pinned<'_> {
     }
 }
 
+/// Caller-declared spans of an address space, pinned for the length of
+/// a borrow by [`AddressSpace::window`]: `f64` loads and stores at page
+/// views, with no page-table walk, generation bump or dirty insert per
+/// access.
+///
+/// An access is checked against the window's pages, never against the
+/// space: a word on a page no span touches is [`MemError::Unmapped`]
+/// to the window, and a load or store the page's spans did not ask for
+/// is [`MemError::PermDenied`], whatever the page table would allow.
+/// A word may straddle two pages of the window. The window holds no
+/// translation beyond its own life, and while it lives the space
+/// cannot be touched any other way.
+#[derive(Debug)]
+pub struct Window<'a> {
+    /// The window's pages as runs of consecutive pages, ascending:
+    /// `(first vpn, pages, position of the first in `pages`)`. A loop's
+    /// window is a handful of runs, and one compare per run finds a
+    /// page faster than a search of the pages would.
+    runs: Vec<(u64, u64, usize)>,
+    /// Each page's permission in the window and its view, ascending.
+    pages: Vec<(Perm, Pinned<'a>)>,
+}
+
+impl Window<'_> {
+    /// Position of page `vpn` in the window, checked for `need`.
+    #[inline]
+    fn index(&self, vpn: u64, need: Perm) -> Result<usize> {
+        let addr = vpn << PAGE_SHIFT;
+        let i = self
+            .runs
+            .iter()
+            .find_map(|&(first, n, at)| {
+                let k = vpn.wrapping_sub(first);
+                (k < n).then(|| at + k as usize)
+            })
+            .ok_or(MemError::Unmapped { addr })?;
+        if !self.pages[i].0.allows(need) {
+            return Err(MemError::PermDenied { addr, need });
+        }
+        Ok(i)
+    }
+
+    #[inline]
+    fn page(&self, vpn: u64) -> Result<&[u8; PAGE_SIZE]> {
+        Ok(self.pages[self.index(vpn, Perm::R)?].1.bytes())
+    }
+
+    #[inline]
+    fn page_mut(&mut self, vpn: u64) -> Result<&mut [u8; PAGE_SIZE]> {
+        let i = self.index(vpn, Perm::W)?;
+        match &mut self.pages[i].1 {
+            Pinned::Rw(b) => Ok(b),
+            Pinned::Ro(_) => Err(MemError::PermDenied {
+                addr: vpn << PAGE_SHIFT,
+                need: Perm::W,
+            }),
+        }
+    }
+
+    /// Reads a little-endian `f64`.
+    #[inline]
+    pub fn read_f64(&self, addr: u64) -> Result<f64> {
+        let off = offset_of(addr);
+        match self.page(vpn_of(addr))?.get(off..off + 8) {
+            Some(b) => Ok(f64::from_le_bytes(b.try_into().expect("8 bytes"))),
+            None => self.read_straddling(addr),
+        }
+    }
+
+    /// Writes a little-endian `f64`; a refused store writes no byte.
+    #[inline]
+    pub fn write_f64(&mut self, addr: u64, v: f64) -> Result<()> {
+        let off = offset_of(addr);
+        match self.page_mut(vpn_of(addr))?.get_mut(off..off + 8) {
+            Some(b) => b.copy_from_slice(&v.to_le_bytes()),
+            None => return self.write_straddling(addr, v.to_le_bytes()),
+        }
+        Ok(())
+    }
+
+    #[cold]
+    fn read_straddling(&self, addr: u64) -> Result<f64> {
+        let (n, next) = Self::split(addr)?;
+        let mut b = [0u8; 8];
+        b[..n].copy_from_slice(&self.page(vpn_of(addr))?[PAGE_SIZE - n..]);
+        b[n..].copy_from_slice(&self.page(next)?[..8 - n]);
+        Ok(f64::from_le_bytes(b))
+    }
+
+    #[cold]
+    fn write_straddling(&mut self, addr: u64, b: [u8; 8]) -> Result<()> {
+        let (n, next) = Self::split(addr)?;
+        self.page_mut(next)?;
+        self.page_mut(vpn_of(addr))?[PAGE_SIZE - n..].copy_from_slice(&b[..n]);
+        self.page_mut(next)?[..8 - n].copy_from_slice(&b[n..]);
+        Ok(())
+    }
+
+    /// How many of the 8 bytes at `addr` lie in its page, and the next
+    /// page's number.
+    fn split(addr: u64) -> Result<(usize, u64)> {
+        addr.checked_add(8).ok_or(MemError::AddressOverflow)?;
+        Ok((PAGE_SIZE - offset_of(addr), vpn_of(addr) + 1))
+    }
+}
+
 /// Whether `Arc::get_mut` would succeed. Exclusivity is probed first
 /// and borrowed second because a failed `get_mut` whose borrow reached
 /// the return value would keep the shared fallback from compiling; and
@@ -287,38 +393,65 @@ fn is_unique<T>(a: &Arc<T>) -> bool {
     Arc::strong_count(a) == 1 && Arc::weak_count(a) == 0
 }
 
-/// [`AddressSpace::pin`] within one leaf: views of the entries `a` and
-/// `b` name (validated translations whose `slot` is this leaf).
+/// `&mut` borrows of `items[i]` for each index `i` of `at`, which must
+/// be strictly ascending; the borrows end at the first index that is
+/// not, or that is out of range.
+#[inline(always)]
+fn each_mut<T>(
+    mut items: &mut [T],
+    at: impl IntoIterator<Item = usize>,
+) -> impl Iterator<Item = &mut T> {
+    let mut base = 0;
+    at.into_iter().map_while(move |i| {
+        let (item, tail) = std::mem::take(&mut items)
+            .get_mut(i.checked_sub(base)?..)?
+            .split_first_mut()?;
+        (items, base) = (tail, i + 1);
+        Some(item)
+    })
+}
+
+/// Redeems validated translations, sorted by page and naming no page
+/// twice, into `view(i, …)` for the `i`th of them: the body of
+/// [`AddressSpace::pin`] and [`AddressSpace::window`]. A translation
+/// whose page cannot be served gets no call.
+#[inline(always)]
+fn redeem<'a>(
+    root: &'a mut [RootSlot],
+    ts: &[Translation],
+    mut view: impl FnMut(usize, Pinned<'a>),
+) {
+    let runs = ts.chunk_by(|a, b| a.slot == b.slot);
+    let mut first = 0;
+    for (rs, run) in each_mut(root, runs.clone().map(|r| r[0].slot as usize)).zip(runs) {
+        leaf_views(&mut rs.leaf, run, |i, v| view(first + i, v));
+        first += run.len();
+    }
+}
+
+/// [`redeem`] within one leaf: views of the entries `ts` name
+/// (validated translations whose `slot` is this leaf, ascending).
 #[inline(always)]
 fn leaf_views<'a>(
     leaf: &'a mut Arc<Leaf>,
-    a: Option<Translation>,
-    b: Option<Translation>,
-) -> [Option<Pinned<'a>>; 2] {
-    let index = |t: Translation| t.entry as usize;
-    let wants_rw = [a, b].iter().flatten().any(|t| t.writable);
-    if !(wants_rw && is_unique(leaf)) {
+    ts: &[Translation],
+    mut view: impl FnMut(usize, Pinned<'a>),
+) {
+    if !(ts.iter().any(|t| t.writable) && is_unique(leaf)) {
         let leaf: &'a Leaf = leaf;
-        return [a, b].map(|t| {
-            let e = leaf.entries.get(index(t?))?.as_ref()?;
-            Some(Pinned::Ro(e.frame.bytes()))
-        });
+        for (i, t) in ts.iter().enumerate() {
+            if let Some(e) = leaf.entries.get(t.entry as usize).and_then(Option::as_ref) {
+                view(i, Pinned::Ro(e.frame.bytes()));
+            }
+        }
+        return;
     }
     let entries = &mut Arc::get_mut(leaf).expect("probed unique").entries;
-    match (a, b) {
-        (Some(ta), Some(tb)) => match entries.get_disjoint_mut([index(ta), index(tb)]) {
-            Ok([ea, eb]) => [entry_view(ea, ta), entry_view(eb, tb)],
-            Err(_) => [None, None],
-        },
-        (Some(t), None) => [
-            entries.get_mut(index(t)).and_then(|e| entry_view(e, t)),
-            None,
-        ],
-        (None, Some(t)) => [
-            None,
-            entries.get_mut(index(t)).and_then(|e| entry_view(e, t)),
-        ],
-        (None, None) => [None, None],
+    let at = ts.iter().map(|t| t.entry as usize);
+    for (i, (e, &t)) in each_mut(entries, at).zip(ts).enumerate() {
+        if let Some(v) = entry_view(e, t) {
+            view(i, v);
+        }
     }
 }
 
@@ -1288,13 +1421,7 @@ impl AddressSpace {
         if !e.perm.allows(Perm::R) {
             return None;
         }
-        Some(Translation {
-            space_id: self.space_id,
-            generation: self.generation,
-            slot: slot as u32,
-            entry: entry as u16,
-            writable: false,
-        })
+        Some(self.mint(slot, vpn, false))
     }
 
     /// Mints a write translation for the page containing `addr`, or
@@ -1321,17 +1448,33 @@ impl AddressSpace {
         {
             return None;
         }
-        let leaf = Arc::make_mut(&mut self.root[slot].leaf);
-        let e = leaf.entries[entry].as_mut().expect("checked above");
-        Arc::make_mut(&mut e.frame);
-        self.dirty.insert(vpn);
-        Some(Translation {
+        self.own(slot, vpn);
+        Some(self.mint(slot, vpn, true))
+    }
+
+    /// A translation of page `vpn`, whose leaf is spine slot `slot`,
+    /// current now.
+    #[inline]
+    fn mint(&self, slot: usize, vpn: u64, writable: bool) -> Translation {
+        Translation {
             space_id: self.space_id,
             generation: self.generation,
             slot: slot as u32,
-            entry: entry as u16,
-            writable: true,
-        })
+            entry: (vpn & LEAF_MASK) as u16,
+            writable,
+        }
+    }
+
+    /// Makes mapped page `vpn` (in spine slot `slot`) exclusively owned
+    /// at both levels and marks it dirty: what minting a write
+    /// translation does to the page.
+    fn own(&mut self, slot: usize, vpn: u64) {
+        let leaf = Arc::make_mut(&mut self.root[slot].leaf);
+        let e = leaf.entries[(vpn & LEAF_MASK) as usize]
+            .as_mut()
+            .expect("caller checked the page is mapped");
+        Arc::make_mut(&mut e.frame);
+        self.dirty.insert(vpn);
     }
 
     /// True if `t` was minted by this exact space at its current
@@ -1389,22 +1532,130 @@ impl AddressSpace {
     #[inline(always)]
     pub fn pin(&mut self, pages: [Option<Translation>; 2]) -> [Option<Pinned<'_>>; 2] {
         let [a, b] = pages.map(|t| t.filter(|&t| self.is_current(t)));
-        let slot = |t: Translation| t.slot as usize;
+        let mut out = [None, None];
+        let page = |t: Translation| (t.slot, t.entry);
         match (a, b) {
-            (Some(ta), Some(tb)) if (ta.slot, ta.entry) == (tb.slot, tb.entry) => [None, None],
-            (Some(ta), Some(tb)) if ta.slot != tb.slot => {
-                let Ok([sa, sb]) = self.root.get_disjoint_mut([slot(ta), slot(tb)]) else {
-                    return [None, None];
-                };
-                let [va, _] = leaf_views(&mut sa.leaf, a, None);
-                let [_, vb] = leaf_views(&mut sb.leaf, None, b);
-                [va, vb]
+            (Some(ta), Some(tb)) if page(ta) == page(tb) => {}
+            (Some(ta), Some(tb)) => {
+                let swap = page(tb) < page(ta);
+                let ts = if swap { [tb, ta] } else { [ta, tb] };
+                redeem(&mut self.root, &ts, |i, v| {
+                    out[i ^ usize::from(swap)] = Some(v)
+                });
             }
-            _ => match a.or(b).and_then(|t| self.root.get_mut(slot(t))) {
-                Some(rs) => leaf_views(&mut rs.leaf, a, b),
-                None => [None, None],
-            },
+            (Some(t), None) => redeem(&mut self.root, &[t], |_, v| out[0] = Some(v)),
+            (None, Some(t)) => redeem(&mut self.root, &[t], |_, v| out[1] = Some(v)),
+            (None, None) => {}
         }
+        out
+    }
+
+    /// Pins every page the `spans` touch for as long as the returned
+    /// [`Window`] borrows the space, so a native inner loop loads and
+    /// stores through page views instead of paying a page-table walk,
+    /// a generation bump and a dirty insert per word.
+    ///
+    /// Spans may overlap; a page gets the union of the permissions its
+    /// spans ask for. Every page is validated first, in ascending
+    /// address order, so a refusal — the lowest page that is unmapped
+    /// or lacks a permission asked of it — leaves nothing un-shared,
+    /// dirtied or bumped, which is [`write`](AddressSpace::write)'s
+    /// all-or-nothing rule. Then each page asked `W` is un-shared and
+    /// dirtied the way [`translate_write`](AddressSpace::translate_write)
+    /// mints it (so it is dirty whether or not it is stored to), the
+    /// generation is bumped once as an external write would, and all
+    /// pages are redeemed together through [`pin`](AddressSpace::pin)'s
+    /// routine. The views are valid for the window's whole life by the
+    /// same exclusive-borrow argument (DESIGN.md §4, "Run-scoped
+    /// pins").
+    ///
+    /// A caller's `W` spans must therefore be exactly the pages it
+    /// stores to: a wider span dirties a page the merge will then
+    /// examine, a narrower one refuses the store.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use det_memory::{AddressSpace, MemError, Perm, Region};
+    ///
+    /// let mut s = AddressSpace::new();
+    /// s.map_zero(Region::new(0x1000, 0x3000), Perm::RW).unwrap();
+    /// s.write_f64(0x1000, 1.5).unwrap();
+    /// let spans = [
+    ///     (Region::new(0x1000, 0x1008), Perm::R),
+    ///     (Region::new(0x2000, 0x2008), Perm::W),
+    /// ];
+    /// let mut w = s.window(&spans).unwrap();
+    /// let x = w.read_f64(0x1000).unwrap();
+    /// w.write_f64(0x2000, 2.0 * x).unwrap();
+    /// assert_eq!(
+    ///     w.write_f64(0x1000, 0.0),
+    ///     Err(MemError::PermDenied { addr: 0x1000, need: Perm::W })
+    /// );
+    /// assert_eq!(s.read_f64(0x2000).unwrap(), 3.0);
+    /// assert_eq!(s.dirty_vpns(), vec![1, 2]);
+    /// ```
+    pub fn window(&mut self, spans: &[(Region, Perm)]) -> Result<Window<'_>> {
+        let mut pages: Vec<(u64, Perm)> = Vec::new();
+        for &(r, perm) in spans.iter().filter(|(r, _)| !r.is_empty()) {
+            pages.extend((vpn_of(r.start)..=vpn_of(r.end - 1)).map(|vpn| (vpn, perm)));
+        }
+        pages.sort_unstable_by_key(|&(vpn, _)| vpn);
+        pages.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1 = kept.1.union(later.1);
+            }
+            same
+        });
+        let mut slots = Vec::with_capacity(pages.len());
+        for &(vpn, perm) in &pages {
+            let addr = vpn << PAGE_SHIFT;
+            let slot = self
+                .leaf_pos(vpn >> LEAF_BITS)
+                .map_err(|_| MemError::Unmapped { addr })?;
+            let e = self.root[slot].leaf.entries[(vpn & LEAF_MASK) as usize]
+                .as_ref()
+                .ok_or(MemError::Unmapped { addr })?;
+            if let Some(need) = [Perm::R, Perm::W]
+                .into_iter()
+                .find(|&bit| perm.allows(bit) && !e.perm.allows(bit))
+            {
+                return Err(MemError::PermDenied { addr, need });
+            }
+            slots.push(slot);
+        }
+        if pages.iter().any(|(_, perm)| perm.allows(Perm::W)) {
+            self.generation += 1;
+        }
+        let ts: Vec<Translation> = slots
+            .into_iter()
+            .zip(&pages)
+            .map(|(slot, &(vpn, perm))| {
+                let w = perm.allows(Perm::W);
+                if w {
+                    self.own(slot, vpn);
+                }
+                self.mint(slot, vpn, w)
+            })
+            .collect();
+        let mut views: Vec<Option<Pinned<'_>>> = Vec::with_capacity(ts.len());
+        views.resize_with(ts.len(), || None);
+        redeem(&mut self.root, &ts, |i, v| views[i] = Some(v));
+        let mut runs: Vec<(u64, u64, usize)> = Vec::new();
+        let mut window = Vec::with_capacity(pages.len());
+        for ((vpn, perm), v) in pages.into_iter().zip(views) {
+            let Some(v) = v else { continue };
+            match runs.last_mut() {
+                Some((first, n, _)) if *first + *n == vpn => *n += 1,
+                _ => runs.push((vpn, 1, window.len())),
+            }
+            window.push((perm, v));
+        }
+        Ok(Window {
+            runs,
+            pages: window,
+        })
     }
 
     // ------------------------------------------------------------------

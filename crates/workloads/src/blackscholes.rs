@@ -2,6 +2,13 @@
 //! deterministic scheduler since the original uses pthreads (§4.5,
 //! §6.2 — "porting required no changes; the deterministic scheduler's
 //! quantization incurs a fixed cost").
+//!
+//! The master fills the inputs, and each batch of `price_stripe` loads
+//! its inputs and stores its prices, through a [`det_memory::Window`]:
+//! the inputs read-only, the batch's slice of outputs — exactly the
+//! pages the batch writes — writable. A batch's window ends before its
+//! charge, so the charges stay the deterministic scheduler's only
+//! preemption points and no view outlives a quantum.
 
 use det_kernel::{Kernel, KernelConfig, Region, RunOutcome};
 use det_memory::Perm;
@@ -75,16 +82,24 @@ fn price_stripe(
     let mut i = lo;
     while i < hi {
         let end = (i + BATCH).min(hi);
+        let at = |base: u64, stride: usize, opt: usize| base + (opt * stride) as u64;
+        let mut w = c.mem_mut().window(&[
+            (
+                Region::new(at(BASE, IN_STRIDE, i), at(BASE, IN_STRIDE, end)),
+                Perm::R,
+            ),
+            (Region::new(at(ob, 16, i), at(ob, 16, end)), Perm::W),
+        ])?;
         for opt in i..end {
-            let a = BASE + (opt * IN_STRIDE) as u64;
-            let s = c.mem().read_f64(a)?;
-            let k = c.mem().read_f64(a + 8)?;
-            let r = c.mem().read_f64(a + 16)?;
-            let v = c.mem().read_f64(a + 24)?;
-            let t = c.mem().read_f64(a + 32)?;
+            let a = at(BASE, IN_STRIDE, opt);
+            let s = w.read_f64(a)?;
+            let k = w.read_f64(a + 8)?;
+            let r = w.read_f64(a + 16)?;
+            let v = w.read_f64(a + 24)?;
+            let t = w.read_f64(a + 32)?;
             let (call, put) = price(s, k, r, v, t);
-            c.mem_mut().write_f64(ob + (opt * 16) as u64, call)?;
-            c.mem_mut().write_f64(ob + (opt * 16 + 8) as u64, put)?;
+            w.write_f64(at(ob, 16, opt), call)?;
+            w.write_f64(at(ob, 16, opt) + 8, put)?;
         }
         c.charge((end - i) as u64 * NS_PER_OPTION)?;
         i = end;
@@ -106,6 +121,8 @@ pub fn outcome(kcfg: KernelConfig, mode: Mode, cfg: BsConfig) -> RunOutcome {
         ctx.mem_mut().map_zero(region, Perm::RW)?;
         let mut rng = XorShift64::new(0xB5);
         let mut params = Vec::with_capacity(options);
+        let inputs = Region::new(BASE, out_base(options));
+        let mut w = ctx.mem_mut().window(&[(inputs, Perm::W)])?;
         for opt in 0..options {
             let s = 20.0 + 160.0 * rng.next_f64();
             let k = 20.0 + 160.0 * rng.next_f64();
@@ -114,10 +131,11 @@ pub fn outcome(kcfg: KernelConfig, mode: Mode, cfg: BsConfig) -> RunOutcome {
             let t = 0.25 + 1.75 * rng.next_f64();
             let a = BASE + (opt * IN_STRIDE) as u64;
             for (off, val) in [s, k, r, v, t].into_iter().enumerate() {
-                ctx.mem_mut().write_f64(a + (off * 8) as u64, val)?;
+                w.write_f64(a + (off * 8) as u64, val)?;
             }
             params.push((s, k, r, v, t));
         }
+        drop(w);
         let per = options.div_ceil(threads);
         match mode {
             Mode::Determinator => {

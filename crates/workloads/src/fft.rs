@@ -7,6 +7,14 @@
 //! all stripes and redistributes the array — the per-stage
 //! synchronization that makes fft markedly finer-grained than md5 yet
 //! still coarse enough to stay near the baseline (Fig. 7).
+//!
+//! A thread's stage loads and stores its samples through one
+//! [`det_memory::Window`] over the runs the stage touches
+//! (`stage_spans`, computed per stage, not per butterfly): the space is
+//! private between barriers, so the pages are validated, un-shared and
+//! dirtied once per stage instead of once per word. The spans are
+//! exactly the pages the butterflies write, so the dirty set, every
+//! merge count and the virtual clock are what per-word stores gave.
 
 use det_kernel::{Kernel, KernelConfig, Region, RunOutcome};
 use det_memory::Perm;
@@ -32,6 +40,31 @@ pub struct FftConfig {
 fn region_for(n: usize) -> Region {
     let end = (BASE + (n * 16) as u64 + 0xfff) & !0xfff;
     Region::new(BASE, end)
+}
+
+/// The samples butterflies `lo..hi` (non-empty) of the stage with
+/// half-group `half` load and store, as read-write spans: the i0 and
+/// i1 runs of a partial group at each end and the whole groups between
+/// them as one run. These are exactly the pages the stage writes.
+fn stage_spans(lo: usize, hi: usize, half: usize) -> [(Region, Perm); 5] {
+    let (g_lo, g_hi) = (lo / half, (hi - 1) / half);
+    let samples = |a: usize, b: usize| {
+        let at = |i: usize| BASE + (i * 16) as u64;
+        (Region::new(at(a), at(b.max(a))), Perm::RW)
+    };
+    // Group `g`'s i0 run over offsets `j0..j1` and its i1 run.
+    let group = |g: usize, j0: usize, j1: usize| {
+        let i0 = g * half * 2;
+        [
+            samples(i0 + j0, i0 + j1),
+            samples(i0 + half + j0, i0 + half + j1),
+        ]
+    };
+    let last_j = (hi - 1) % half + 1;
+    let [head0, head1] = group(g_lo, lo % half, if g_lo == g_hi { last_j } else { half });
+    let [tail0, tail1] = group(g_hi, 0, if g_lo < g_hi { last_j } else { 0 });
+    let middle = samples((g_lo + 1) * half * 2, g_hi * half * 2);
+    [head0, head1, middle, tail0, tail1]
 }
 
 /// Runs the FFT under an arbitrary kernel configuration and returns
@@ -62,32 +95,31 @@ pub fn outcome(kcfg: KernelConfig, cfg: FftConfig) -> RunOutcome {
         let mut group = ThreadGroup::new(ctx, region, 0);
         let bf_per = (n / 2).div_ceil(threads);
         for t in 0..threads {
-            let lo = t * bf_per;
             let hi = ((t + 1) * bf_per).min(n / 2);
+            let lo = (t * bf_per).min(hi);
             group.fork(t as u64, move |c| {
                 for s in 0..log2n {
                     let half = 1usize << s;
-                    for b in lo..hi {
-                        let g = b / half;
-                        let j = b % half;
-                        let i0 = g * half * 2 + j;
-                        let i1 = i0 + half;
-                        let ang = -std::f64::consts::PI * (j as f64) / (half as f64);
-                        let (wr, wi) = (ang.cos(), ang.sin());
-                        let x0r = c.mem().read_f64(BASE + (2 * i0) as u64 * 8)?;
-                        let x0i = c.mem().read_f64(BASE + (2 * i0 + 1) as u64 * 8)?;
-                        let x1r = c.mem().read_f64(BASE + (2 * i1) as u64 * 8)?;
-                        let x1i = c.mem().read_f64(BASE + (2 * i1 + 1) as u64 * 8)?;
-                        let tr = x1r * wr - x1i * wi;
-                        let ti = x1r * wi + x1i * wr;
-                        c.mem_mut()
-                            .write_f64(BASE + (2 * i0) as u64 * 8, x0r + tr)?;
-                        c.mem_mut()
-                            .write_f64(BASE + (2 * i0 + 1) as u64 * 8, x0i + ti)?;
-                        c.mem_mut()
-                            .write_f64(BASE + (2 * i1) as u64 * 8, x0r - tr)?;
-                        c.mem_mut()
-                            .write_f64(BASE + (2 * i1 + 1) as u64 * 8, x0i - ti)?;
+                    if lo < hi {
+                        let mut w = c.mem_mut().window(&stage_spans(lo, hi, half))?;
+                        for b in lo..hi {
+                            let g = b / half;
+                            let j = b % half;
+                            let i0 = g * half * 2 + j;
+                            let i1 = i0 + half;
+                            let ang = -std::f64::consts::PI * (j as f64) / (half as f64);
+                            let (wr, wi) = (ang.cos(), ang.sin());
+                            let x0r = w.read_f64(BASE + (2 * i0) as u64 * 8)?;
+                            let x0i = w.read_f64(BASE + (2 * i0 + 1) as u64 * 8)?;
+                            let x1r = w.read_f64(BASE + (2 * i1) as u64 * 8)?;
+                            let x1i = w.read_f64(BASE + (2 * i1 + 1) as u64 * 8)?;
+                            let tr = x1r * wr - x1i * wi;
+                            let ti = x1r * wi + x1i * wr;
+                            w.write_f64(BASE + (2 * i0) as u64 * 8, x0r + tr)?;
+                            w.write_f64(BASE + (2 * i0 + 1) as u64 * 8, x0i + ti)?;
+                            w.write_f64(BASE + (2 * i1) as u64 * 8, x0r - tr)?;
+                            w.write_f64(BASE + (2 * i1 + 1) as u64 * 8, x0i - ti)?;
+                        }
                     }
                     c.charge((hi - lo) as u64 * NS_PER_BUTTERFLY)?;
                     if s + 1 < log2n {
@@ -173,6 +205,25 @@ mod tests {
         )
         .checksum;
         assert_eq!(c1, c4);
+    }
+
+    #[test]
+    fn threads_past_the_last_butterfly_get_empty_stripes() {
+        // 8 butterflies a stage in stripes of 2: threads 4..7 start at
+        // or past the end and must charge nothing, not wrap around.
+        let cfg = FftConfig {
+            threads: 7,
+            log2n: 4,
+        };
+        let r = run(Mode::Determinator, cfg);
+        let one = run(Mode::Determinator, FftConfig { threads: 1, ..cfg });
+        assert_eq!(r.checksum, one.checksum);
+        assert!(
+            r.vclock_ns < 10 * one.vclock_ns,
+            "{} ns against {} ns on one thread",
+            r.vclock_ns,
+            one.vclock_ns
+        );
     }
 
     #[test]

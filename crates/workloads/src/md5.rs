@@ -131,8 +131,8 @@ pub fn outcome(kcfg: KernelConfig, cfg: Md5Config) -> RunOutcome {
         ctx.mem_mut().write_u64(FOUND_ADDR, u64::MAX)?;
         let per = cfg.keyspace.div_ceil(threads);
         for t in 0..threads {
-            let lo = t * per;
-            let hi = (lo + per).min(cfg.keyspace);
+            let hi = ((t + 1) * per).min(cfg.keyspace);
+            let lo = (t * per).min(hi);
             ctx.put(
                 t,
                 PutSpec::new()
@@ -231,6 +231,27 @@ mod tests {
             let r = run(mode, Md5Config::quick(4));
             assert_eq!(r.checksum, 17_321, "{mode:?}");
         }
+    }
+
+    #[test]
+    fn threads_past_the_keyspace_get_empty_stripes() {
+        // Stripes of 2 over 10 keys: thread 6 starts past the end and
+        // must charge nothing, not wrap around.
+        let cfg = Md5Config {
+            threads: 7,
+            keyspace: 10,
+            target: 3,
+        };
+        let r = run(Mode::Determinator, cfg);
+        let one = run(Mode::Determinator, Md5Config { threads: 1, ..cfg });
+        assert_eq!(r.checksum, 3);
+        assert_eq!(r.stats.traps, 0, "a stripe trapped");
+        assert!(
+            r.vclock_ns < 10 * one.vclock_ns,
+            "{} ns against {} ns on one thread",
+            r.vclock_ns,
+            one.vclock_ns
+        );
     }
 
     #[test]

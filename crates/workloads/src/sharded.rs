@@ -131,7 +131,8 @@ pub fn md5_scan(cfg: ShardedConfig) -> ShardedResult {
         ctx.mem_mut().map_zero(MD5_SLOTS, Perm::RW)?;
         let per = keyspace.div_ceil(nodes);
         for n in 1..net.nodes() {
-            let keys = (n as u64 * per, ((n as u64 + 1) * per).min(keyspace));
+            let hi = ((n as u64 + 1) * per).min(keyspace);
+            let keys = ((n as u64 * per).min(hi), hi);
             let slot = BASE + n as u64 * 8;
             net.fork(
                 ctx,
@@ -403,6 +404,29 @@ mod tests {
         let b = md5_scan(ShardedConfig::quick(4, 4));
         assert_eq!(a.checksum, b.checksum);
         assert_eq!(a.outcome.bundle_bytes(), b.outcome.bundle_bytes());
+    }
+
+    #[test]
+    fn md5_scan_nodes_past_the_keyspace_scan_nothing() {
+        // Slices of 2 over 10 keys: node 6 starts past the end and must
+        // charge nothing, not wrap around.
+        let cfg = |nodes| ShardedConfig {
+            size: 10,
+            ..ShardedConfig::quick(nodes, 2)
+        };
+        let r = md5_scan(cfg(7));
+        let five = md5_scan(cfg(5));
+        assert_eq!(r.checksum, 10 * 7 / 8);
+        assert!(
+            r.outcome.jobs.iter().all(|j| j.exit.is_ok()),
+            "a slice trapped"
+        );
+        assert!(
+            r.outcome.vclock_ns < 2 * five.outcome.vclock_ns,
+            "{} ns against {} ns on five nodes",
+            r.outcome.vclock_ns,
+            five.outcome.vclock_ns
+        );
     }
 
     #[test]
