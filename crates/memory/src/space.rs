@@ -1,6 +1,7 @@
 //! Sparse paged address spaces with two-level, structurally-shared
 //! copy-on-write page tables.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -289,8 +290,8 @@ impl Pinned<'_> {
 /// cannot be touched any other way.
 #[derive(Debug)]
 pub struct Window<'a> {
-    /// The window's pages as runs of consecutive pages, ascending:
-    /// `(first vpn, pages, position of the first in `pages`)`. A loop's
+    /// The window's pages as runs of consecutive pages, ascending: first
+    /// vpn, page count, and the first's index in `pages`. A loop's
     /// window is a handful of runs, and one compare per run finds a
     /// page faster than a search of the pages would.
     runs: Vec<(u64, u64, usize)>,
@@ -355,29 +356,25 @@ impl Window<'_> {
         Ok(())
     }
 
+    /// [`Window::read_f64`] of a word that crosses into the next page.
     #[cold]
     fn read_straddling(&self, addr: u64) -> Result<f64> {
-        let (n, next) = Self::split(addr)?;
+        let (vpn, n) = (vpn_of(addr), PAGE_SIZE - offset_of(addr));
         let mut b = [0u8; 8];
-        b[..n].copy_from_slice(&self.page(vpn_of(addr))?[PAGE_SIZE - n..]);
-        b[n..].copy_from_slice(&self.page(next)?[..8 - n]);
+        b[..n].copy_from_slice(&self.page(vpn)?[PAGE_SIZE - n..]);
+        b[n..].copy_from_slice(&self.page(vpn + 1)?[..8 - n]);
         Ok(f64::from_le_bytes(b))
     }
 
+    /// [`Window::write_f64`] of a word that crosses into the next page:
+    /// both pages are checked before either is written.
     #[cold]
     fn write_straddling(&mut self, addr: u64, b: [u8; 8]) -> Result<()> {
-        let (n, next) = Self::split(addr)?;
-        self.page_mut(next)?;
-        self.page_mut(vpn_of(addr))?[PAGE_SIZE - n..].copy_from_slice(&b[..n]);
-        self.page_mut(next)?[..8 - n].copy_from_slice(&b[n..]);
+        let (vpn, n) = (vpn_of(addr), PAGE_SIZE - offset_of(addr));
+        self.page_mut(vpn + 1)?;
+        self.page_mut(vpn)?[PAGE_SIZE - n..].copy_from_slice(&b[..n]);
+        self.page_mut(vpn + 1)?[..8 - n].copy_from_slice(&b[n..]);
         Ok(())
-    }
-
-    /// How many of the 8 bytes at `addr` lie in its page, and the next
-    /// page's number.
-    fn split(addr: u64) -> Result<(usize, u64)> {
-        addr.checked_add(8).ok_or(MemError::AddressOverflow)?;
-        Ok((PAGE_SIZE - offset_of(addr), vpn_of(addr) + 1))
     }
 }
 
@@ -1596,18 +1593,14 @@ impl AddressSpace {
     /// assert_eq!(s.dirty_vpns(), vec![1, 2]);
     /// ```
     pub fn window(&mut self, spans: &[(Region, Perm)]) -> Result<Window<'_>> {
-        let mut pages: Vec<(u64, Perm)> = Vec::new();
+        let mut union = BTreeMap::new();
         for &(r, perm) in spans.iter().filter(|(r, _)| !r.is_empty()) {
-            pages.extend((vpn_of(r.start)..=vpn_of(r.end - 1)).map(|vpn| (vpn, perm)));
-        }
-        pages.sort_unstable_by_key(|&(vpn, _)| vpn);
-        pages.dedup_by(|later, kept| {
-            let same = later.0 == kept.0;
-            if same {
-                kept.1 = kept.1.union(later.1);
+            for vpn in vpn_of(r.start)..=vpn_of(r.end - 1) {
+                let p = union.entry(vpn).or_insert(Perm::NONE);
+                *p = p.union(perm);
             }
-            same
-        });
+        }
+        let pages: Vec<(u64, Perm)> = union.into_iter().collect();
         let mut slots = Vec::with_capacity(pages.len());
         for &(vpn, perm) in &pages {
             let addr = vpn << PAGE_SHIFT;
@@ -1639,23 +1632,16 @@ impl AddressSpace {
                 self.mint(slot, vpn, w)
             })
             .collect();
-        let mut views: Vec<Option<Pinned<'_>>> = Vec::with_capacity(ts.len());
-        views.resize_with(ts.len(), || None);
-        redeem(&mut self.root, &ts, |i, v| views[i] = Some(v));
-        let mut runs: Vec<(u64, u64, usize)> = Vec::new();
-        let mut window = Vec::with_capacity(pages.len());
-        for ((vpn, perm), v) in pages.into_iter().zip(views) {
-            let Some(v) = v else { continue };
+        let (mut runs, mut views) = (Vec::new(), Vec::with_capacity(ts.len()));
+        redeem(&mut self.root, &ts, |i, v| {
+            let (vpn, perm) = pages[i];
             match runs.last_mut() {
                 Some((first, n, _)) if *first + *n == vpn => *n += 1,
-                _ => runs.push((vpn, 1, window.len())),
+                _ => runs.push((vpn, 1, views.len())),
             }
-            window.push((perm, v));
-        }
-        Ok(Window {
-            runs,
-            pages: window,
-        })
+            views.push((perm, v));
+        });
+        Ok(Window { runs, pages: views })
     }
 
     // ------------------------------------------------------------------

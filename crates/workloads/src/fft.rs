@@ -14,7 +14,8 @@
 //! private between barriers, so the pages are validated, un-shared and
 //! dirtied once per stage instead of once per word. The spans are
 //! exactly the pages the butterflies write, so the dirty set, every
-//! merge count and the virtual clock are what per-word stores gave.
+//! merge count and the virtual clock are those of storing each word on
+//! its own.
 
 use det_kernel::{Kernel, KernelConfig, Region, RunOutcome};
 use det_memory::Perm;
