@@ -276,18 +276,13 @@ impl Pinned<'_> {
     }
 }
 
-/// Caller-declared spans of an address space, pinned for the length of
-/// a borrow by [`AddressSpace::window`]: `f64` loads and stores at page
-/// views, with no page-table walk, generation bump or dirty insert per
-/// access.
+/// Caller-declared spans of an address space, pinned by
+/// [`AddressSpace::window`] for the length of a borrow.
 ///
-/// An access is checked against the window's pages, never against the
-/// space: a word on a page no span touches is [`MemError::Unmapped`]
-/// to the window, and a load or store the page's spans did not ask for
-/// is [`MemError::PermDenied`], whatever the page table would allow.
-/// A word may straddle two pages of the window. The window holds no
-/// translation beyond its own life, and while it lives the space
-/// cannot be touched any other way.
+/// Accesses are checked against the window, not the page table: a word
+/// on a page no span touches is [`MemError::Unmapped`], and a load or
+/// store its spans did not ask for is [`MemError::PermDenied`]. A word
+/// may straddle two pages of the window.
 #[derive(Debug)]
 pub struct Window<'a> {
     /// The window's pages as runs of consecutive pages, ascending: first
@@ -1549,48 +1544,33 @@ impl AddressSpace {
 
     /// Pins every page the `spans` touch for as long as the returned
     /// [`Window`] borrows the space, so a native inner loop loads and
-    /// stores through page views instead of paying a page-table walk,
-    /// a generation bump and a dirty insert per word.
+    /// stores at page views instead of paying a page-table walk, a
+    /// generation bump and a dirty insert per word.
     ///
-    /// Spans may overlap; a page gets the union of the permissions its
-    /// spans ask for. Every page is validated first, in ascending
-    /// address order, so a refusal — the lowest page that is unmapped
-    /// or lacks a permission asked of it — leaves nothing un-shared,
-    /// dirtied or bumped, which is [`write`](AddressSpace::write)'s
-    /// all-or-nothing rule. Then each page asked `W` is un-shared and
-    /// dirtied the way [`translate_write`](AddressSpace::translate_write)
-    /// mints it (so it is dirty whether or not it is stored to), the
-    /// generation is bumped once as an external write would, and all
-    /// pages are redeemed together through [`pin`](AddressSpace::pin)'s
-    /// routine. The views are valid for the window's whole life by the
-    /// same exclusive-borrow argument (DESIGN.md §4, "Run-scoped
-    /// pins").
-    ///
-    /// A caller's `W` spans must therefore be exactly the pages it
-    /// stores to: a wider span dirties a page the merge will then
-    /// examine, a narrower one refuses the store.
-    ///
-    /// # Examples
+    /// A page gets the union of the permissions its spans ask for. All
+    /// pages are validated first, so a refusal — the lowest page that is
+    /// unmapped or lacks a permission asked of it — touches nothing, as
+    /// a refused [`write`](AddressSpace::write) does. Then each `W` page
+    /// is un-shared and dirtied as
+    /// [`translate_write`](AddressSpace::translate_write) mints it, the
+    /// generation is bumped once, and the pages are redeemed by
+    /// [`pin`](AddressSpace::pin)'s routine, valid while the borrow
+    /// lasts (DESIGN.md §4). A caller's `W` spans must therefore be
+    /// exactly the pages it stores to.
     ///
     /// ```
     /// use det_memory::{AddressSpace, MemError, Perm, Region};
     ///
     /// let mut s = AddressSpace::new();
     /// s.map_zero(Region::new(0x1000, 0x3000), Perm::RW).unwrap();
-    /// s.write_f64(0x1000, 1.5).unwrap();
-    /// let spans = [
-    ///     (Region::new(0x1000, 0x1008), Perm::R),
-    ///     (Region::new(0x2000, 0x2008), Perm::W),
-    /// ];
+    /// let _snap = s.snapshot(); // clears the dirty set
+    /// let spans = [(Region::new(0x1000, 0x1008), Perm::R), (Region::new(0x2000, 0x2008), Perm::W)];
     /// let mut w = s.window(&spans).unwrap();
-    /// let x = w.read_f64(0x1000).unwrap();
-    /// w.write_f64(0x2000, 2.0 * x).unwrap();
-    /// assert_eq!(
-    ///     w.write_f64(0x1000, 0.0),
-    ///     Err(MemError::PermDenied { addr: 0x1000, need: Perm::W })
-    /// );
-    /// assert_eq!(s.read_f64(0x2000).unwrap(), 3.0);
-    /// assert_eq!(s.dirty_vpns(), vec![1, 2]);
+    /// w.write_f64(0x2000, 1.5).unwrap();
+    /// let denied = MemError::PermDenied { addr: 0x1000, need: Perm::W };
+    /// assert_eq!(w.write_f64(0x1000, 0.0), Err(denied));
+    /// assert_eq!(s.read_f64(0x2000).unwrap(), 1.5);
+    /// assert_eq!(s.dirty_vpns(), vec![2]); // the W page only
     /// ```
     pub fn window(&mut self, spans: &[(Region, Perm)]) -> Result<Window<'_>> {
         let mut union = BTreeMap::new();

@@ -82,26 +82,26 @@ fn price_stripe(
     let mut i = lo;
     while i < hi {
         let end = (i + BATCH).min(hi);
-        let at = |base: u64, stride: usize, opt: usize| base + (opt * stride) as u64;
+        let n = (end - i) as u64;
         let mut w = c.mem_mut().window(&[
             (
-                Region::new(at(BASE, IN_STRIDE, i), at(BASE, IN_STRIDE, end)),
+                Region::sized(BASE + (i * IN_STRIDE) as u64, n * IN_STRIDE as u64),
                 Perm::R,
             ),
-            (Region::new(at(ob, 16, i), at(ob, 16, end)), Perm::W),
+            (Region::sized(ob + (i * 16) as u64, n * 16), Perm::W),
         ])?;
         for opt in i..end {
-            let a = at(BASE, IN_STRIDE, opt);
+            let a = BASE + (opt * IN_STRIDE) as u64;
             let s = w.read_f64(a)?;
             let k = w.read_f64(a + 8)?;
             let r = w.read_f64(a + 16)?;
             let v = w.read_f64(a + 24)?;
             let t = w.read_f64(a + 32)?;
             let (call, put) = price(s, k, r, v, t);
-            w.write_f64(at(ob, 16, opt), call)?;
-            w.write_f64(at(ob, 16, opt) + 8, put)?;
+            w.write_f64(ob + (opt * 16) as u64, call)?;
+            w.write_f64(ob + (opt * 16 + 8) as u64, put)?;
         }
-        c.charge((end - i) as u64 * NS_PER_OPTION)?;
+        c.charge(n * NS_PER_OPTION)?;
         i = end;
     }
     Ok(())
