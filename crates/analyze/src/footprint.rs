@@ -308,14 +308,14 @@ impl<'a> Engine<'a> {
             Some(Err(())) => return, // trap: path ends
             Some(Ok(i)) => i,
         };
-        let next_pc = pc + 4;
+        let next_pc = pc.wrapping_add(4);
         let (rd, rs, rt) = (
             (insn.rd & 15) as usize,
             (insn.rs & 15) as usize,
             (insn.rt & 15) as usize,
         );
         let imm = insn.imm as i64;
-        let branch_target = (next_pc as i64).wrapping_add(imm * 4) as u64;
+        let branch_target = insn.branch_target(pc);
         let mut n = *st;
 
         let fall = |n: AbsState, out: &mut StepOut| out.edges.push((next_pc, n));

@@ -134,3 +134,41 @@ fn touch_regions_cover_reads_and_writes() {
         );
     }
 }
+
+/// The image `det-vm`'s `hostile_input.rs` runs across 2^63 (a `jal`
+/// forward over it, a `bne` back over it), and a `nop` in the last
+/// four bytes of the address space: the analysis wraps as the
+/// interpreter does and never overflows, in any build profile.
+#[test]
+fn branches_across_two_to_the_63_and_the_top_do_not_panic() {
+    use det_vm::{Insn, Opcode::*, encode};
+    let top = 1u64 << 63;
+    let words = [
+        Insn::new(Addi, 1, 1, 0, 1),
+        Insn::new(Addi, 2, 2, 0, 1),
+        Insn::new(Jal, 13, 0, 0, 1),
+        Insn::new(Addi, 3, 3, 0, 1),
+        Insn::new(Addi, 4, 4, 0, 1),
+        Insn::new(Slti, 5, 4, 0, 5),
+        Insn::new(Bne, 0, 5, 0, -4),
+        Insn::new(Halt, 0, 0, 0, 0),
+    ];
+    let bytes: Vec<u8> = words
+        .iter()
+        .flat_map(|&i| encode(i).to_le_bytes())
+        .collect();
+    let seg = Segment {
+        base: top - 16,
+        bytes: &bytes,
+    };
+    let a = analyze(&[seg], top - 16, &AnalyzeConfig::default());
+    assert!(a.footprint.reads.contains((top - 16) >> 12));
+    assert!(a.footprint.reads.contains(top >> 12));
+
+    let nop = encode(Insn::new(Nop, 0, 0, 0, 0)).to_le_bytes();
+    let seg = Segment {
+        base: u64::MAX - 3,
+        bytes: &nop,
+    };
+    analyze(&[seg], u64::MAX - 3, &AnalyzeConfig::default());
+}

@@ -399,7 +399,7 @@ enum Step<M> {
 #[inline(always)]
 fn step<P: Port>(regs: &mut Regs, insn: Insn, pc: &mut u64, port: &mut P) -> Step<P::Miss> {
     use Opcode::*;
-    let next_pc = *pc + 4;
+    let next_pc = pc.wrapping_add(4);
     // Register fields decode from 4-bit slots; re-masking here is free
     // and lets the compiler drop the 16-entry bounds checks on the
     // register file.
@@ -415,7 +415,7 @@ fn step<P: Port>(regs: &mut Regs, insn: Insn, pc: &mut u64, port: &mut P) -> Ste
     macro_rules! branch {
         ($taken:expr) => {{
             *pc = if $taken {
-                (next_pc as i64 + imm * 4) as u64
+                insn.branch_target(*pc)
             } else {
                 next_pc
             };

@@ -36,6 +36,16 @@ impl Insn {
             imm,
         }
     }
+
+    /// Where this branch or `jal` at `pc` goes when taken: `imm` words
+    /// past the next instruction, modulo 2^64. The guest chooses the
+    /// displacement, so a target across 2^63 (or across 0) is an
+    /// ordinary address, never an overflow.
+    #[inline]
+    pub fn branch_target(self, pc: u64) -> u64 {
+        pc.wrapping_add(4)
+            .wrapping_add((i64::from(self.imm) * 4) as u64)
+    }
 }
 
 macro_rules! opcodes {

@@ -6,7 +6,9 @@
 //! build wraps silently is a panic.
 
 use det_memory::{AddressSpace, Perm, Region};
-use det_vm::{AsmError, Cpu, Image, MAX_IMAGE_BYTES, VmExit, assemble};
+use det_vm::{
+    AsmError, Cpu, Image, Insn, MAX_IMAGE_BYTES, Opcode, PageLog, VmExit, assemble, encode,
+};
 use proptest::prelude::*;
 
 /// An accepted image is internally consistent.
@@ -180,4 +182,92 @@ proptest! {
             assert_well_formed(&image, &src);
         }
     }
+}
+
+/// A guest chooses its branch targets, including ones across 2^63,
+/// where a signed `pc + displacement` overflows.
+const HIGH: u64 = 0x7fff_ffff_ffff_f000;
+
+/// Code straddling 2^63: a `jal` forward across it, a `bne` back
+/// across it four times, then straight-line execution across it again.
+fn straddling_2_63() -> (Vec<(u64, Insn)>, u64) {
+    use Opcode::*;
+    let top = 1u64 << 63;
+    let code = vec![
+        (top - 16, Insn::new(Addi, 1, 1, 0, 1)),
+        (top - 12, Insn::new(Addi, 2, 2, 0, 1)),
+        // next = 2^63 - 4, target = 2^63: forward across.
+        (top - 8, Insn::new(Jal, 13, 0, 0, 1)),
+        (top - 4, Insn::new(Addi, 3, 3, 0, 1)),
+        (top, Insn::new(Addi, 4, 4, 0, 1)),
+        (top + 4, Insn::new(Slti, 5, 4, 0, 5)),
+        // next = 2^63 + 12, target = 2^63 - 4: backward across.
+        (top + 8, Insn::new(Bne, 0, 5, 0, -4)),
+        (top + 12, Insn::new(Halt, 0, 0, 0, 0)),
+    ];
+    (code, top - 16)
+}
+
+fn high_space(code: &[(u64, Insn)]) -> AddressSpace {
+    let mut mem = AddressSpace::new();
+    mem.map_zero(Region::new(HIGH, HIGH + 0x2000), Perm::RW)
+        .unwrap();
+    for &(at, insn) in code {
+        mem.write_u32(at, encode(insn)).unwrap();
+    }
+    mem
+}
+
+/// Runs to halt in quanta of `q` on `cpu`, or on the observed slow
+/// path when `observed`; returns every exit and the final CPU.
+fn run_high(mut cpu: Cpu, q: u64, observed: bool) -> (Vec<VmExit>, Cpu) {
+    let (code, entry) = straddling_2_63();
+    let mut mem = high_space(&code);
+    cpu.regs.pc = entry;
+    let mut log = PageLog::new();
+    let mut exits = Vec::new();
+    for _ in 0..1_000 {
+        let exit = if observed {
+            cpu.run_observed(&mut mem, Some(q), &mut log)
+        } else {
+            cpu.run(&mut mem, Some(q))
+        };
+        exits.push(exit);
+        if exit != VmExit::OutOfBudget {
+            break;
+        }
+    }
+    (exits, cpu)
+}
+
+#[test]
+fn branches_across_two_to_the_63_wrap_on_every_path() {
+    for q in [1, 2, 3, 5, 16, 1_000] {
+        let (exits, fast) = run_high(Cpu::new(), q, false);
+        assert_eq!(exits.last(), Some(&VmExit::Halt), "quanta of {q}");
+        assert_eq!(fast.regs.pc, (1u64 << 63) + 16);
+        assert_eq!(
+            fast.regs.gpr[1..=4],
+            [1, 1, 4, 5],
+            "one pass forward, four back"
+        );
+        assert_eq!(fast.regs.gpr[13], (1u64 << 63) - 4, "jal's link");
+        for (slow, observed) in [(Cpu::slow_path(), false), (Cpu::new(), true)] {
+            let (slow_exits, slow) = run_high(slow, q, observed);
+            assert_eq!(slow_exits, exits, "quanta of {q}, observed {observed}");
+            assert_eq!(slow.regs, fast.regs, "quanta of {q}, observed {observed}");
+            assert_eq!(slow.insn_count, fast.insn_count);
+        }
+    }
+}
+
+#[test]
+fn branch_target_wraps_both_ways() {
+    let beq = |imm| Insn::new(Opcode::Beq, 0, 0, 0, imm);
+    let top = 1u64 << 63;
+    assert_eq!(beq(-2).branch_target(top - 4), top - 8);
+    assert_eq!(beq(1).branch_target(top - 8), top);
+    assert_eq!(beq(-1).branch_target(0), 0);
+    assert_eq!(beq(-2).branch_target(0), u64::MAX - 3);
+    assert_eq!(beq(0).branch_target(u64::MAX - 3), 0);
 }
