@@ -1,7 +1,7 @@
 //! The interpreter: deterministic execution with exact instruction
 //! accounting, preemption, and a software TLB + predecoded instruction
 //! cache on the hot fetch/load/store paths, with run-scoped page pins
-//! above them.
+//! and predecoded blocks above them.
 //!
 //! # The fast path
 //!
@@ -25,26 +25,39 @@
 //! O(1) but not free — a 40-byte entry copied, identity and generation
 //! compared, four dependent pointers chased, and two `Arc::get_mut`s
 //! per store — and none of it can come out different while
-//! [`Cpu::run`] holds `&mut AddressSpace`. So the fast path runs in two
-//! levels ([`Cpu::run_fast`]): an outer one that is the TLB
-//! interpreter, and an inner one that redeems the TLB entries of up to
-//! two hot pages *once* into page views ([`AddressSpace::pin`]) and
-//! then serves loads and stores to those pages with a page-number
-//! compare and a slice index. A pin *shadows a valid TLB entry*: a
-//! pinned load counts the read-TLB hit it would have been, a pinned
-//! store the write-TLB hit, and anything a pin cannot serve drops to
-//! the outer level and is performed and counted there as it always
-//! was. Every [`CpuCacheStats`] counter the kernel charges virtual time
-//! by is therefore the same number with pins as without; only host
-//! time moves.
+//! [`Cpu::run`] holds `&mut AddressSpace`. So the fast path runs in
+//! three levels ([`Cpu::run_fast`]):
+//!
+//! 1. an outer one that is the TLB interpreter;
+//! 2. an inner one that redeems the TLB entries of up to two hot pages
+//!    *once* into page views ([`AddressSpace::pin`]) and then serves
+//!    loads and stores to those pages with a page-number compare and a
+//!    slice index;
+//! 3. inside the inner one, **predecoded blocks**: a run of up to 16
+//!    icache hits — through not-taken conditional branches and `jal`s,
+//!    up to a `jalr`, `halt` or `sys` — copied out of the icache once
+//!    and then found by one tag check and cut to the budget by one
+//!    compare, instead of an icache probe and a budget check per
+//!    instruction.
+//!
+//! A pin *shadows a valid TLB entry*: a pinned load counts the read-TLB
+//! hit it would have been, a pinned store the write-TLB hit, and
+//! anything a pin cannot serve drops to the outer level and is
+//! performed and counted there as it always was. A block member
+//! likewise *is* an icache hit — the block is valid only under a stamp
+//! that every icache fill and flush, and every change of space or
+//! generation, moves — and counts as one. Every [`CpuCacheStats`]
+//! counter the kernel charges virtual time by is therefore the same
+//! number with pins and blocks as without; only host time moves.
 //!
 //! The caches are semantically invisible: every miss or stale hit
 //! falls back to the exact slow path, and a store into a page holding
 //! cached decodes flushes them (self-modifying code). [`Cpu::slow_path`]
 //! builds a CPU that never uses them — the original interpreter, which
-//! the differential suite in `tests/tlb_props.rs` runs beside the fast
-//! path, demanding byte-identical results and pinning the fast path's
-//! counters to goldens recorded before pins existed.
+//! the differential suites in `tests/tlb_props.rs` and
+//! `tests/block_golden.rs` run beside the fast path, demanding
+//! byte-identical results and pinning the fast path's counters to
+//! goldens recorded before pins, and before blocks, existed.
 //!
 //! The slow path is also where a run is observed page by page
 //! ([`Cpu::run_observed`], the analyzer gate's view of a concrete run):
@@ -164,6 +177,37 @@ impl ICacheEntry {
     };
 }
 
+/// Most instructions one predecoded block holds.
+const BLOCK_LEN: usize = 16;
+
+/// Blocks in the block store, direct-mapped by start pc.
+const BLOCKS: usize = 32;
+
+/// A predecoded superblock: the decodes of up to [`BLOCK_LEN`]
+/// instructions that execute in a row from `pc`, each an icache hit
+/// when the block was built. It runs on through not-taken conditional
+/// branches and `jal`s and ends with `jalr`, `halt` or `sys`.
+#[derive(Clone, Copy, Debug)]
+struct Block {
+    /// Tag: the start pc ([`NO_VPN`], which is not 4-aligned, when
+    /// empty).
+    pc: u64,
+    /// The [`Caches::stamp`] the block was built under; any other value
+    /// means an icache entry it copied may have changed since.
+    stamp: u64,
+    insns: [Insn; BLOCK_LEN],
+    len: u8,
+}
+
+impl Block {
+    const EMPTY: Block = Block {
+        pc: NO_VPN,
+        stamp: 0,
+        insns: [ICacheEntry::INVALID.insn; BLOCK_LEN],
+        len: 0,
+    };
+}
+
 /// Counters for the fetch/load/store fast path. Monotonic over the
 /// CPU's lifetime; all counts are deterministic functions of the
 /// program and the kernel operations applied to its memory, never of
@@ -267,6 +311,14 @@ struct Caches {
     /// which needs it only after a data access, does not carry it in
     /// registers.
     wanted: [u64; 2],
+    /// Predecoded blocks, valid while their stamp is `stamp`.
+    blocks: [Block; BLOCKS],
+    /// Bumped by every icache fill and flush, and whenever the pinned
+    /// level is entered for a different `(space_id, generation)` than
+    /// `stamped`: while it stands still, every icache entry a block
+    /// copied is still there and still a hit.
+    stamp: u64,
+    stamped: (u64, u64),
 }
 
 impl Caches {
@@ -279,10 +331,15 @@ impl Caches {
         code_page_count: 0,
         code_pages_overflowed: false,
         wanted: [NO_VPN; 2],
+        blocks: [Block::EMPTY; BLOCKS],
+        stamp: 0,
+        // Real space ids start at 1.
+        stamped: (0, 0),
     };
 
     /// Drops every cached decode and the code-page bookkeeping.
     fn flush_icache(&mut self) {
+        self.stamp += 1;
         self.icache = [ICacheEntry::INVALID; ICACHE_ENTRIES];
         self.code_vpns = 0;
         self.code_pages = [0; CODE_PAGE_SLOTS];
@@ -756,6 +813,7 @@ impl Caches {
             Err(e) => return Err(VmExit::Trap(VmTrap::IllegalInstruction(e.opcode))),
         };
         stats.icache_fills += 1;
+        self.stamp += 1;
         self.icache[icache_index(pc)] = ICacheEntry {
             pc,
             space_id: mem.space_id(),
@@ -764,6 +822,47 @@ impl Caches {
         };
         self.note_code_page(pc >> PAGE_SHIFT);
         Ok(insn)
+    }
+
+    /// Predecodes the block starting at `pc` from the icache entries
+    /// that hit for `(sid, generation)`, following each member's
+    /// static successor; `false` if `pc` itself misses.
+    #[inline(never)]
+    fn build_block(&mut self, pc: u64, sid: u64, generation: u64) -> bool {
+        let mut block = Block {
+            pc,
+            stamp: self.stamp,
+            ..Block::EMPTY
+        };
+        let mut at = pc;
+        for slot in &mut block.insns {
+            let e = &self.icache[icache_index(at)];
+            if !(e.pc == at && e.space_id == sid && e.generation == generation) {
+                break;
+            }
+            *slot = e.insn;
+            block.len += 1;
+            match static_successor(e.insn, at) {
+                Some(next) => at = next,
+                None => break,
+            }
+        }
+        if block.len == 0 {
+            return false;
+        }
+        self.blocks[block_index(pc)] = block;
+        true
+    }
+}
+
+/// Where a block goes on after `insn` at `pc` if it does not branch
+/// away: the next instruction, or a `jal`'s target. `None` ends the
+/// block after `insn`.
+fn static_successor(insn: Insn, pc: u64) -> Option<u64> {
+    match insn.op {
+        Opcode::Jalr | Opcode::Halt | Opcode::Sys => None,
+        Opcode::Jal => Some(insn.branch_target(pc)),
+        _ => Some(pc.wrapping_add(4)),
     }
 }
 
@@ -955,7 +1054,7 @@ impl Cpu {
         exit
     }
 
-    /// The fast path, in two levels.
+    /// The fast path: an outer level, and an inner level that runs blocks.
     ///
     /// The **outer level** is the TLB interpreter: probe the icache,
     /// fill it on a miss, perform each access through [`Translated`] —
@@ -977,9 +1076,9 @@ impl Cpu {
     /// costs more than the fill itself.
     ///
     /// The **inner level** ([`Cpu::run_pinned`]) holds the wanted
-    /// pages' views and executes icache-hit instructions whose loads
-    /// and stores fall inside them: one page-number compare and a slice
-    /// index per access. The views were validated once, by
+    /// pages' views and executes icache-hit instructions, a predecoded
+    /// block at a time, whose loads and stores fall inside them: one
+    /// page-number compare and a slice index per access. The views were validated once, by
     /// [`AddressSpace::pin`], and stay valid because they *are* the
     /// exclusive borrow of `mem`: nothing can share, snapshot, remap or
     /// write the space while they live. An icache miss or an access the
@@ -1060,34 +1159,68 @@ impl Cpu {
     /// the outer level is needed, or the exit that ended the run. A
     /// function of its own so the hot loop's registers are allocated
     /// for it alone.
+    ///
+    /// It runs predecoded [`Block`]s: one tag check finds the block at
+    /// `pc` (built from the icache on a miss, or the level ends at an
+    /// icache miss), one budget check cuts it to `left`, and its
+    /// members run with no check of their own but a taken branch's.
+    /// Each member is the icache hit the per-instruction loop would
+    /// have counted, and each exit counts what that loop counted:
+    ///
+    /// | how member `i` (from 0) ends the block | retired | icache hits |
+    /// |-----------------------------------------|---------|-------------|
+    /// | last member run, or a taken branch      | `i + 1` | `i + 1`     |
+    /// | `halt` or `sys`                         | `i + 1` | `i + 1`     |
+    /// | trap                                    | `i`     | `i + 1`     |
+    /// | an access the pins cannot serve         | `i`     | `i`         |
+    ///
+    /// The last row leaves member `i` to the outer level, which probes
+    /// (and counts) it again.
     #[inline(never)]
     fn run_pinned(&mut self, mem: &mut AddressSpace, remaining: u64) -> Result<u64, VmExit> {
         let (sid, generation) = (mem.space_id(), mem.generation());
+        if self.caches.stamped != (sid, generation) {
+            self.caches.stamped = (sid, generation);
+            self.caches.stamp += 1;
+        }
+        let stamp = self.caches.stamp;
         let mut pins = self.pins(mem);
         // Counters live in locals while the level lasts.
         let mut pc = self.regs.pc;
         let mut left = remaining;
         let mut icache_hits = 0;
-        let exit = loop {
-            let e = &self.caches.icache[icache_index(pc)];
-            if !(e.pc == pc && e.space_id == sid && e.generation == generation) {
+        let exit = 'run: loop {
+            let b = &self.caches.blocks[block_index(pc)];
+            let hit = b.pc == pc && b.stamp == stamp;
+            if !(hit || self.caches.build_block(pc, sid, generation)) {
                 break None;
             }
-            icache_hits += 1;
-            match step(&mut self.regs, e.insn, &mut pc, &mut pins) {
-                Step::Next => {}
-                Step::Stop(exit) => {
-                    left -= 1;
-                    break Some(exit);
+            let b = &self.caches.blocks[block_index(pc)];
+            let n = u64::from(b.len).min(left) as usize;
+            let done = 'block: {
+                for (i, &insn) in b.insns[..n].iter().enumerate() {
+                    let (at, i) = (pc, i as u64);
+                    let (retired, hits, exit) = match step(&mut self.regs, insn, &mut pc, &mut pins)
+                    {
+                        // The block assumed the fall-through or the
+                        // `jal`; a taken branch ends it.
+                        Step::Next if pc == at.wrapping_add(4) || insn.op == Opcode::Jal => {
+                            continue;
+                        }
+                        Step::Next => break 'block i + 1,
+                        Step::Stop(exit) => (i + 1, i + 1, Some(exit)),
+                        Step::Trap(t) => (i, i + 1, Some(VmExit::Trap(t))),
+                        // The outer level probes (and counts) it again.
+                        Step::Miss(Unpinned) => (i, i, None),
+                    };
+                    left -= retired;
+                    icache_hits += hits;
+                    break 'run exit;
                 }
-                Step::Trap(t) => break Some(VmExit::Trap(t)),
-                Step::Miss(Unpinned) => {
-                    // The outer level probes (and counts) it again.
-                    icache_hits -= 1;
-                    break None;
-                }
-            }
-            left -= 1;
+                n as u64
+            };
+            left -= done;
+            icache_hits += done;
             if left == 0 {
                 break Some(VmExit::OutOfBudget);
             }
@@ -1157,6 +1290,12 @@ impl Cpu {
 #[inline]
 fn icache_index(pc: u64) -> usize {
     ((pc >> 2) as usize) & (ICACHE_ENTRIES - 1)
+}
+
+/// The block-store slot a block starting at `pc` maps to.
+#[inline]
+fn block_index(pc: u64) -> usize {
+    ((pc >> 2) as usize) & (BLOCKS - 1)
 }
 
 /// `budget` with `None` folded to u64::MAX, or `None` if it is zero.

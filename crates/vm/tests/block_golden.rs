@@ -287,6 +287,38 @@ fn icache_conflict() -> String {
     )
 }
 
+/// A loop whose block outlives an eviction of two of its members: a
+/// function 4 KiB above the loop's third instruction, called every
+/// second iteration, takes that instruction's and the next one's
+/// icache slots but not the slot of the instruction the pinned level
+/// re-enters at.
+fn evicted_member() -> String {
+    let caller = "
+        li   r7, 0x8000
+    loop:
+        ldd  r1, [r7+0]
+        addi r1, r1, 1
+        std  r1, [r7+0]
+        ldd  r2, [r7+8]
+        andi r3, r1, 1
+        bne  r3, r0, loop
+        jal  r14, func
+        beq  r0, r0, loop
+    ";
+    let image = assemble(&format!("{caller}\nfunc: halt")).unwrap();
+    let third = image.labels["loop"] + 8;
+    format!(
+        "{caller}
+        .zero {}
+    func:
+        addi r4, r4, 1
+        addi r5, r5, 1
+        jalr r13, r14, 0
+        ",
+        third + 0x1000 - image.labels["func"]
+    )
+}
+
 /// The targeted shapes: `(name, source, what happens between quanta)`.
 fn cases() -> Vec<(&'static str, String, Between)> {
     vec![
@@ -314,6 +346,7 @@ fn cases() -> Vec<(&'static str, String, Between)> {
             Between::ExternalWrite,
         ),
         ("icache_conflict", icache_conflict(), Between::Nothing),
+        ("evicted_member", evicted_member(), Between::Nothing),
     ]
 }
 
@@ -329,7 +362,7 @@ fn block_edges_count_as_the_per_instruction_loop_did() {
     if observed != GOLDEN {
         eprint!("observed block edges:\n{observed}");
     }
-    assert_eq!(observed.lines().count(), (9 + 8) * QUANTA.len() * 3);
+    assert_eq!(observed.lines().count(), (9 + 9) * QUANTA.len() * 3);
     assert_eq!(observed, GOLDEN);
 }
 
