@@ -1078,10 +1078,10 @@ impl Cpu {
     /// The **inner level** ([`Cpu::run_pinned`]) holds the wanted
     /// pages' views and executes icache-hit instructions, a predecoded
     /// block at a time, whose loads and stores fall inside them: one
-    /// page-number compare and a slice index per access. The views were validated once, by
-    /// [`AddressSpace::pin`], and stay valid because they *are* the
-    /// exclusive borrow of `mem`: nothing can share, snapshot, remap or
-    /// write the space while they live. An icache miss or an access the
+    /// page-number compare and a slice index per access. The views were
+    /// validated once, by [`AddressSpace::pin`], and stay valid because
+    /// they *are* the exclusive borrow of `mem`: nothing can share,
+    /// snapshot, remap or write the space while they live. An icache miss or an access the
     /// pins cannot serve ends the level — and the views — with nothing
     /// counted; the outer level performs that instruction from its
     /// icache probe on. Generation, code pages and TLB entries are all

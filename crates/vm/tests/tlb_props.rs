@@ -574,8 +574,9 @@ loop:
 /// `QUANTA` (the caches survive a preemption), so the 27 observations
 /// are nine rows, asserted under every quantum. The fast path may get
 /// faster; it may not count differently. A change that moves *when*
-/// the caches fill (block predecode, an associative TLB) moves virtual
-/// time with it and re-records this table as a stated re-baseline.
+/// the caches fill (decoding a whole block at its first fetch, an
+/// associative TLB) moves virtual time with it and re-records this
+/// table as a stated re-baseline.
 #[rustfmt::skip]
 const GOLDENS_AT_1EDE57B: [(&str, [u64; 9], u64, u64); 9] = [
     ("alu_loop",       [19_995, 5, 0, 4, 1, 0, 0, 0, 1],                20_000, 0x8246b642002238fc),
