@@ -1,9 +1,11 @@
 //! Assembler source is hostile input (the `kernel/tests/hostile_input.rs`
 //! family, one layer down): whatever the text, [`assemble`] returns an
 //! [`AsmError`] or a well-formed image — never a panic, and never an
-//! answer that depends on the build profile. Plain `cargo test` runs
-//! this in a debug build, where the arithmetic-overflow class a release
-//! build wraps silently is a panic.
+//! answer that depends on the build profile. The programs it
+//! assembles are hostile too: a guest chooses its branch targets, and
+//! one across 2^63 must wrap on every execution path. Plain `cargo test`
+//! runs this in a debug build, where the arithmetic-overflow class a
+//! release build wraps silently is a panic.
 
 use det_memory::{AddressSpace, Perm, Region};
 use det_vm::{
