@@ -20,15 +20,20 @@
 //! * `full`: the program's whole budget in quanta of `q`.
 //!
 //! Programs are every corpus program plus `cases()`, one shape per
-//! way a block can end early. A mismatch prints the observed file. The
-//! proptest at the bottom runs the same shapes, randomly composed,
-//! beside [`Cpu::slow_path`].
+//! way a block can end early. A mismatch prints the observed file.
+//! `fused_cases()` are the adjacent pairs a block fuses into one
+//! micro-op (`li` chains, `addi` + `bltu`, `add` + `ldd`), held the same
+//! way to `golden/block_fused_5dadd36.txt`, recorded by the block loop
+//! that ran one member at a time. The proptest at the bottom runs all
+//! the shapes, randomly composed, beside [`Cpu::slow_path`].
 
 use det_memory::{AddressSpace, Perm, Region};
 use det_vm::{Cpu, CpuCacheStats, Insn, Opcode, VmExit, assemble, corpus, encode};
 use proptest::prelude::*;
 
 const GOLDEN: &str = include_str!("golden/block_edges_e72d73f.txt");
+
+const FUSED_GOLDEN: &str = include_str!("golden/block_fused_5dadd36.txt");
 
 const QUANTA: [u64; 7] = [1, 2, 3, 7, 16, 17, 2000];
 
@@ -319,6 +324,128 @@ fn evicted_member() -> String {
     )
 }
 
+/// `li` chains of 2, 3 and 6 members, and chains broken by an `ldih` to
+/// another register: right after the `ldi`, and after a 2-member chain.
+/// Bit 12 of each other register (its bit 0 before that `ldih`) decides
+/// a branch, so a chain that ran on into it, or swallowed it, would
+/// move the exits.
+const LI_CHAINS: &str = "
+    li   r7, 0x8000
+loop:
+    addi r9, r9, 1
+    li   r1, 0x123456
+    li   r2, 0x12345678
+    li   r3, 0x123456789abcdef0
+    add  r1, r1, r9
+    std  r1, [r7+0]
+    std  r2, [r7+8]
+    std  r3, [r7+16]
+    ldi  r4, 5
+    ldih r5, 0x321
+    ldih r4, 0x7ff
+    std  r4, [r7+24]
+    std  r5, [r7+32]
+    li   r6, 0x123456
+    ldih r8, 0x5
+    shri r10, r8, 12
+    andi r10, r10, 1
+    beq  r10, r0, even
+    addi r11, r11, 1
+even:
+    shri r10, r5, 12
+    andi r10, r10, 1
+    bne  r10, r0, loop
+    addi r12, r12, 1
+    beq  r0, r0, loop
+";
+
+/// A 6-member `li` chain starting at a loop block's 14th member, so the
+/// 16-member cap falls inside it.
+const LI_CHAIN_PAST_THE_CAP: &str = "
+    li   r7, 0x8000
+loop:
+    addi r1, r1, 1
+    xor  r2, r2, r1
+    addi r4, r4, 3
+    and  r5, r2, r4
+    addi r6, r6, 5
+    or   r5, r5, r6
+    addi r8, r8, 7
+    sub  r9, r8, r5
+    addi r10, r10, 9
+    xor  r9, r9, r10
+    addi r11, r11, 11
+    add  r9, r9, r11
+    addi r12, r12, 13
+    li   r3, 0x123456789abcdef0
+    add  r3, r3, r1
+    std  r3, [r7+0]
+    std  r9, [r7+8]
+    beq  r0, r0, loop
+";
+
+/// `addi` + `bltu` pairs: the inner back edge reads the `addi`'s
+/// destination and is taken 31 times in 32; a forward branch reads
+/// neither of its `addi`'s operands and is taken 3 times in 4; a third
+/// reads the `addi`'s destination as its second operand.
+const ADDI_BLTU: &str = "
+    li   r12, 0x8100
+    ldi  r13, 3
+outer:
+    li   r5, 0x8000
+inner:
+    ldd  r1, [r5+0]
+    addi r1, r1, 1
+    std  r1, [r5+0]
+    addi r8, r8, 1
+    andi r9, r8, 3
+    addi r10, r10, 5
+    bltu r9, r13, over
+    addi r11, r11, 1
+over:
+    addi r14, r9, 1
+    bltu r13, r14, far
+    xor  r2, r2, r14
+far:
+    addi r5, r5, 8
+    bltu r5, r12, inner
+    beq  r0, r0, outer
+";
+
+/// `add` + `ldd` pairs: a load whose base is the `add`'s destination,
+/// one whose base is not, and, every fourth iteration, one on a third
+/// page (the pins hold two) right after its `add`.
+const ADD_LDD: &str = "
+    li   r5, 0x8000
+    li   r11, 0x1000
+    li   r12, 0x100000
+loop:
+    add  r6, r5, r11
+    ldd  r2, [r6+0]
+    add  r3, r2, r1
+    ldd  r4, [r5+8]
+    std  r3, [r5+0]
+    addi r1, r1, 1
+    andi r8, r1, 3
+    bne  r8, r0, skip
+    add  r9, r12, r8
+    ldd  r10, [r9+0]
+    add  r4, r4, r10
+skip:
+    std  r4, [r6+8]
+    beq  r0, r0, loop
+";
+
+/// The fused-pair shapes, recorded by the per-member block loop.
+fn fused_cases() -> Vec<(&'static str, &'static str)> {
+    vec![
+        ("li_chains", LI_CHAINS),
+        ("li_chain_past_the_cap", LI_CHAIN_PAST_THE_CAP),
+        ("addi_bltu", ADDI_BLTU),
+        ("add_ldd", ADD_LDD),
+    ]
+}
+
 /// The targeted shapes: `(name, source, what happens between quanta)`.
 fn cases() -> Vec<(&'static str, String, Between)> {
     vec![
@@ -366,6 +493,22 @@ fn block_edges_count_as_the_per_instruction_loop_did() {
     assert_eq!(observed, GOLDEN);
 }
 
+/// The fused-pair shapes count and stop exactly as the block loop of
+/// 5dadd36 did, before blocks were translated into micro-ops; held to
+/// `golden/block_fused_5dadd36.txt`.
+#[test]
+fn fused_pairs_count_as_the_block_loop_did() {
+    let mut observed = String::new();
+    for (name, src) in fused_cases() {
+        observed.push_str(&observe(name, src, CASE_BUDGET, Between::Nothing));
+    }
+    if observed != FUSED_GOLDEN {
+        eprint!("observed fused-pair edges:\n{observed}");
+    }
+    assert_eq!(observed.lines().count(), 4 * QUANTA.len() * 3);
+    assert_eq!(observed, FUSED_GOLDEN);
+}
+
 /// The targeted shapes really do what their names say on the fast path.
 #[test]
 fn the_cases_reach_their_edges() {
@@ -390,10 +533,11 @@ fn the_cases_reach_their_edges() {
 // ---------------------------------------------------------------------
 
 /// One piece of a generated loop body. Every piece is a few
-/// instructions; together they cover the ways a block ends.
+/// instructions; together they cover the ways a block ends and the
+/// pairs a block fuses.
 fn piece((k, a, b): (u8, u8, u8)) -> String {
     let (a, b) = (a % 8, b % 8);
-    match k % 10 {
+    match k % 14 {
         0 => format!("add r{a}, r{a}, r{b}\naddi r{b}, r{b}, {}", a as i32 - 3),
         1 => format!("ldd r{a}, [r10+{}]\nstd r{b}, [r10+{}]", a * 8, b * 8),
         2 => format!("ldd r{a}, [r11+{}]", b * 8),
@@ -415,6 +559,35 @@ fn piece((k, a, b): (u8, u8, u8)) -> String {
         7 => "sys 1".into(),
         // A store into the code page, away from the code: flushes.
         8 => format!("std r{a}, [r14+{}]", b * 8),
+        // A `li` chain of 1 to 6 members, then an `ldih` to another
+        // register right after it.
+        10 => format!(
+            "li r{a}, {}\nldih r{b}, {}",
+            [
+                5u64,
+                0x7654,
+                0x1234_5678,
+                0x9_8765_4321,
+                0xfedc_ba98_7654,
+                u64::MAX / 3
+            ][a as usize % 6],
+            u16::from(b) * 0x111
+        ),
+        // `addi` + `bltu` over one instruction, reading the `addi`'s
+        // destination or not, taken or not depending on the values.
+        11 => format!(
+            "addi r{a}, r{a}, {}\nbltu r{}, r{b}, 1\nxor r{b}, r{b}, r{a}",
+            b as i32 - 4,
+            if b % 2 == 0 { a } else { b ^ 1 }
+        ),
+        // `add` + `ldd` whose base is the `add`'s destination, on a hot
+        // page or on the third.
+        12 => format!(
+            "andi r{a}, r{b}, 248\nadd r{a}, r{a}, r{}\nldd r{b}, [r{a}+0]",
+            if a % 2 == 0 { 11 } else { 12 }
+        ),
+        // `add` + `ldd` whose base is not the `add`'s destination.
+        13 => format!("add r{a}, r{a}, r{b}\nldd r{b}, [r10+{}]", a * 8),
         _ => format!("sub r{a}, r{b}, r{a}\nmul r{b}, r{b}, r{a}"),
     }
 }
@@ -453,7 +626,7 @@ proptest! {
     /// memory.
     #[test]
     fn composed_shapes_match_the_slow_path(
-        pieces in proptest::collection::vec((0u8..10, 0u8..8, 0u8..8), 1..24),
+        pieces in proptest::collection::vec((0u8..14, 0u8..8, 0u8..8), 1..24),
         iterations in 1u8..60,
         quanta in proptest::collection::vec(1u64..40, 1..40),
         writes in proptest::collection::vec(0u8..4, 0..40),
