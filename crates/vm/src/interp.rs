@@ -38,7 +38,18 @@
 //!    up to a `jalr`, `halt` or `sys` — copied out of the icache once
 //!    and then found by one tag check and cut to the budget by one
 //!    compare, instead of an icache probe and a budget check per
-//!    instruction.
+//!    instruction. A block is also translated into **micro-ops**
+//!    ([`Uop`]): fields extracted, registers masked, immediates
+//!    sign-extended and branch targets resolved once, and the corpus's
+//!    hottest adjacent pairs — `li` chains, `addi` + `bltu`, `add` +
+//!    `ldd` — fused into one. A block the budget does not cut runs as
+//!    micro-ops, one `match` each, and touches `pc`, the retired count
+//!    and the hit count only where it leaves.
+//!
+//! Each opcode's effect on the registers is written once, in the
+//! `exec!` table, which both [`step`] (the slow path and the outer
+//! level, and a block the budget cuts) and the micro-op dispatch
+//! expand.
 //!
 //! A pin *shadows a valid TLB entry*: a pinned load counts the read-TLB
 //! hit it would have been, a pinned store the write-TLB hit, and
@@ -76,7 +87,7 @@
 
 use det_memory::{AddressSpace, MemError, PAGE_SHIFT, PAGE_SIZE, Pinned, Translation};
 
-use crate::isa::{Insn, Opcode, decode};
+use crate::isa::{Insn, Opcode, decode, with_opcodes};
 use crate::observe::PageLog;
 use crate::regs::Regs;
 
@@ -186,7 +197,9 @@ const BLOCKS: usize = 32;
 /// A predecoded superblock: the decodes of up to [`BLOCK_LEN`]
 /// instructions that execute in a row from `pc`, each an icache hit
 /// when the block was built. It runs on through not-taken conditional
-/// branches and `jal`s and ends with `jalr`, `halt` or `sys`.
+/// branches and `jal`s and ends with `jalr`, `halt` or `sys`. The
+/// members are kept twice: as decodes, for a run the budget cuts short,
+/// and translated into [`Uop`]s, for a run of the whole block.
 #[derive(Clone, Copy, Debug)]
 struct Block {
     /// Tag: the start pc ([`NO_VPN`], which is not 4-aligned, when
@@ -195,17 +208,170 @@ struct Block {
     /// The [`Caches::stamp`] the block was built under; any other value
     /// means an icache entry it copied may have changed since.
     stamp: u64,
+    /// Where the last member goes on if it does not branch away.
+    next: u64,
+    /// Each member's pc.
+    pcs: [u64; BLOCK_LEN],
     insns: [Insn; BLOCK_LEN],
+    uops: [Uop; BLOCK_LEN],
     len: u8,
+    /// How many of `uops` the members translated into.
+    uop_len: u8,
 }
 
 impl Block {
     const EMPTY: Block = Block {
         pc: NO_VPN,
         stamp: 0,
+        next: 0,
+        pcs: [0; BLOCK_LEN],
         insns: [ICacheEntry::INVALID.insn; BLOCK_LEN],
+        uops: [Uop::NOP; BLOCK_LEN],
         len: 0,
+        uop_len: 0,
     };
+}
+
+macro_rules! uop_kinds {
+    ($($name:ident = $val:expr, $mnem:expr;)*) => {
+        /// What a micro-op does: one member's opcode, under the
+        /// opcode's own name and byte, or an adjacent pair or chain of
+        /// members fused into one dispatch. One flat enum, so the
+        /// dispatch is one jump table.
+        #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+        #[repr(u8)]
+        enum UopKind {
+            $($name = $val,)*
+            /// An `ldi` and the `ldih`s after it that shift into the
+            /// same register (an `li` chain): one write of the chain's
+            /// value.
+            Const,
+            /// `addi` then `bltu`: a compare-and-branch.
+            AddiBltu,
+            /// `add` then `ldd`: an address-and-load.
+            AddLdd,
+        }
+
+        impl UopKind {
+            /// The kind that runs `op` alone.
+            fn one(op: Opcode) -> UopKind {
+                match op {
+                    $(Opcode::$name => UopKind::$name,)*
+                }
+            }
+        }
+    };
+}
+
+with_opcodes!(uop_kinds);
+
+/// A translated block member, or a fused run of members: the fields
+/// `step` would extract on every execution, extracted once.
+#[derive(Clone, Copy, Debug)]
+struct Uop {
+    kind: UopKind,
+    /// The block index of the first member it runs.
+    first: u8,
+    /// `rd`, `rs`, `rt` of its first and second member, masked to the
+    /// register file.
+    regs: [[Reg; 3]; 2],
+    /// Each member's immediate, sign-extended; a branch's or `jal`'s
+    /// resolved target instead; a [`UopKind::Const`]'s value.
+    imm: [u64; 2],
+}
+
+impl Uop {
+    const NOP: Uop = Uop {
+        kind: UopKind::Nop,
+        first: 0,
+        regs: [[Reg::R0; 3]; 2],
+        imm: [0; 2],
+    };
+}
+
+/// The fused kind the block builder makes of `a` followed by `b`, if
+/// any: the corpus's hottest adjacent pairs (DESIGN.md §4, "Micro-ops").
+/// A [`UopKind::Const`] chain goes on through every further `ldih` into
+/// the same register.
+fn fuse(a: Insn, b: Insn) -> Option<UopKind> {
+    match (a.op, b.op) {
+        (Opcode::Ldi, Opcode::Ldih) if same_rd(a, b) => Some(UopKind::Const),
+        (Opcode::Addi, Opcode::Bltu) => Some(UopKind::AddiBltu),
+        (Opcode::Add, Opcode::Ldd) => Some(UopKind::AddLdd),
+        _ => None,
+    }
+}
+
+fn same_rd(a: Insn, b: Insn) -> bool {
+    a.rd & 15 == b.rd & 15
+}
+
+/// A port with no memory behind it: what the block builder folds an
+/// `li` chain with.
+struct NoMemory;
+
+impl Port for NoMemory {
+    type Miss = ();
+    fn load<const N: usize>(&mut self, _: u64) -> Result<[u8; N], ()> {
+        Err(())
+    }
+    fn store<const N: usize>(&mut self, _: u64, _: [u8; N]) -> Result<(), ()> {
+        Err(())
+    }
+}
+
+/// Translates a block's members (`insns`, at `pcs`) into micro-ops,
+/// fusing what [`fuse`] names; returns how many it wrote.
+fn translate(insns: &[Insn], pcs: &[u64], uops: &mut [Uop; BLOCK_LEN]) -> u8 {
+    let mut n = 0;
+    let mut i = 0;
+    while i < insns.len() {
+        let kind = insns
+            .get(i + 1)
+            .and_then(|&b| fuse(insns[i], b))
+            .unwrap_or(UopKind::one(insns[i].op));
+        let members = match kind {
+            UopKind::Const => {
+                2 + insns[i + 2..]
+                    .iter()
+                    .take_while(|&&b| b.op == Opcode::Ldih && same_rd(insns[i], b))
+                    .count()
+            }
+            UopKind::AddiBltu | UopKind::AddLdd => 2,
+            _ => 1,
+        };
+        let mut uop = Uop {
+            kind,
+            first: i as u8,
+            ..Uop::NOP
+        };
+        for w in 0..members.min(2) {
+            let (insn, at) = (insns[i + w], pcs[i + w]);
+            uop.regs[w] = [Reg::new(insn.rd), Reg::new(insn.rs), Reg::new(insn.rt)];
+            uop.imm[w] = match insn.op {
+                Opcode::Beq
+                | Opcode::Bne
+                | Opcode::Blt
+                | Opcode::Bge
+                | Opcode::Bltu
+                | Opcode::Bgeu
+                | Opcode::Jal => insn.branch_target(at),
+                _ => insn.imm as i64 as u64,
+            };
+        }
+        if kind == UopKind::Const {
+            // The chain's value, by the chain's own semantics.
+            let (mut regs, mut pc) = (Regs::default(), 0);
+            for &insn in &insns[i..i + members] {
+                step(&mut regs, insn, &mut pc, &mut NoMemory);
+            }
+            uop.imm[0] = regs.gpr[Reg::new(insns[i].rd) as usize];
+        }
+        uops[n] = uop;
+        n += 1;
+        i += members;
+    }
+    n as u8
 }
 
 /// Counters for the fetch/load/store fast path. Monotonic over the
@@ -447,6 +613,131 @@ enum Step<M> {
     Miss(M),
 }
 
+/// Every opcode's effect, written once. [`step`] and the micro-op
+/// dispatch ([`run_uops`]) each expand it into one `match` on their own
+/// operation type `$K` ([`Opcode`] or [`UopKind`], which share the
+/// opcodes' names), with register indices `$rd`, `$rs`, `$rt` into
+/// `$g`, the immediate `$imm` sign-extended to 64 bits, and `$link` the
+/// address after the instruction. What touches `pc` or memory is the
+/// caller's: the table calls back `$on!($($ctx)* <event>)` with one of
+///
+/// * `stop exit` — `halt` or `sys` retired;
+/// * `trap t` — the instruction trapped before committing;
+/// * `branch taken` — a conditional branch decided;
+/// * `jal` — a `jal` wrote its link;
+/// * `jalr target` — a `jalr` wrote its link and goes to `target`;
+/// * `load N, addr` — evaluates to the `N` bytes at `addr`;
+/// * `store addr, bytes`.
+///
+/// `$arms` are extra arms for the caller's other operations.
+macro_rules! exec {
+    (
+        match $op:expr, as $K:ident;
+        regs $g:ident, $rd:expr, $rs:expr, $rt:expr;
+        imm $imm:expr, link $link:expr;
+        on $on:ident($($ctx:tt)*);
+        $($arms:tt)*
+    ) => {
+        match $op {
+            $K::Nop => {}
+            $K::Halt => $on!($($ctx)* stop VmExit::Halt),
+            $K::Sys => $on!($($ctx)* stop VmExit::Sys($imm as u16 & 0xfff)),
+
+            $K::Add => $g[$rd] = $g[$rs].wrapping_add($g[$rt]),
+            $K::Sub => $g[$rd] = $g[$rs].wrapping_sub($g[$rt]),
+            $K::Mul => $g[$rd] = $g[$rs].wrapping_mul($g[$rt]),
+            $K::Div | $K::Mod | $K::Divu | $K::Modu if $g[$rt] == 0 => {
+                $on!($($ctx)* trap VmTrap::DivideByZero)
+            }
+            $K::Div => $g[$rd] = ($g[$rs] as i64).wrapping_div($g[$rt] as i64) as u64,
+            $K::Mod => $g[$rd] = ($g[$rs] as i64).wrapping_rem($g[$rt] as i64) as u64,
+            $K::Divu => $g[$rd] = $g[$rs] / $g[$rt],
+            $K::Modu => $g[$rd] = $g[$rs] % $g[$rt],
+            $K::And => $g[$rd] = $g[$rs] & $g[$rt],
+            $K::Or => $g[$rd] = $g[$rs] | $g[$rt],
+            $K::Xor => $g[$rd] = $g[$rs] ^ $g[$rt],
+            $K::Shl => $g[$rd] = $g[$rs].wrapping_shl($g[$rt] as u32),
+            $K::Shr => $g[$rd] = $g[$rs].wrapping_shr($g[$rt] as u32),
+            $K::Sar => $g[$rd] = ($g[$rs] as i64).wrapping_shr($g[$rt] as u32) as u64,
+            $K::Slt => $g[$rd] = (($g[$rs] as i64) < ($g[$rt] as i64)) as u64,
+            $K::Sltu => $g[$rd] = ($g[$rs] < $g[$rt]) as u64,
+
+            $K::Addi => $g[$rd] = $g[$rs].wrapping_add($imm),
+            $K::Andi => $g[$rd] = $g[$rs] & $imm,
+            $K::Ori => $g[$rd] = $g[$rs] | $imm,
+            $K::Xori => $g[$rd] = $g[$rs] ^ $imm,
+            $K::Shli => $g[$rd] = $g[$rs].wrapping_shl($imm as u32 & 63),
+            $K::Shri => $g[$rd] = $g[$rs].wrapping_shr($imm as u32 & 63),
+            $K::Sari => $g[$rd] = ($g[$rs] as i64).wrapping_shr($imm as u32 & 63) as u64,
+            $K::Slti => $g[$rd] = (($g[$rs] as i64) < ($imm as i64)) as u64,
+            $K::Muli => $g[$rd] = $g[$rs].wrapping_mul($imm),
+            $K::Ldi => $g[$rd] = $imm,
+            // `ldih`'s immediate is raw bits, never sign-extended.
+            $K::Ldih => $g[$rd] = ($g[$rd] << 12) | ($imm & 0xfff),
+
+            $K::Ldb => {
+                $g[$rd] = u8::from_le_bytes($on!($($ctx)* load 1, $g[$rs].wrapping_add($imm))).into()
+            }
+            $K::Ldh => {
+                $g[$rd] = u16::from_le_bytes($on!($($ctx)* load 2, $g[$rs].wrapping_add($imm))).into()
+            }
+            $K::Ldw => {
+                $g[$rd] = u32::from_le_bytes($on!($($ctx)* load 4, $g[$rs].wrapping_add($imm))).into()
+            }
+            $K::Ldd => {
+                $g[$rd] = u64::from_le_bytes($on!($($ctx)* load 8, $g[$rs].wrapping_add($imm)))
+            }
+            $K::Stb => {
+                $on!($($ctx)* store $g[$rs].wrapping_add($imm), ($g[$rd] as u8).to_le_bytes())
+            }
+            $K::Sth => {
+                $on!($($ctx)* store $g[$rs].wrapping_add($imm), ($g[$rd] as u16).to_le_bytes())
+            }
+            $K::Stw => {
+                $on!($($ctx)* store $g[$rs].wrapping_add($imm), ($g[$rd] as u32).to_le_bytes())
+            }
+            $K::Std => $on!($($ctx)* store $g[$rs].wrapping_add($imm), $g[$rd].to_le_bytes()),
+
+            $K::Beq => $on!($($ctx)* branch $g[$rs] == $g[$rt]),
+            $K::Bne => $on!($($ctx)* branch $g[$rs] != $g[$rt]),
+            $K::Blt => $on!($($ctx)* branch ($g[$rs] as i64) < ($g[$rt] as i64)),
+            $K::Bge => $on!($($ctx)* branch ($g[$rs] as i64) >= ($g[$rt] as i64)),
+            $K::Bltu => $on!($($ctx)* branch $g[$rs] < $g[$rt]),
+            $K::Bgeu => $on!($($ctx)* branch $g[$rs] >= $g[$rt]),
+            $K::Jal => {
+                $g[$rd] = $link;
+                $on!($($ctx)* jal)
+            }
+            $K::Jalr => {
+                let target = $g[$rs].wrapping_add($imm);
+                $g[$rd] = $link;
+                $on!($($ctx)* jalr target)
+            }
+
+            // Floating point uses the same registers, bit-cast (see
+            // `Regs::f`).
+            $K::Fadd => $g[$rd] = (f($g[$rs]) + f($g[$rt])).to_bits(),
+            $K::Fsub => $g[$rd] = (f($g[$rs]) - f($g[$rt])).to_bits(),
+            $K::Fmul => $g[$rd] = (f($g[$rs]) * f($g[$rt])).to_bits(),
+            $K::Fdiv => $g[$rd] = (f($g[$rs]) / f($g[$rt])).to_bits(),
+            $K::Fsqrt => $g[$rd] = f($g[$rs]).sqrt().to_bits(),
+            $K::Cvtif => $g[$rd] = ($g[$rs] as i64 as f64).to_bits(),
+            // Rust's saturating float→int cast is deterministic.
+            $K::Cvtfi => $g[$rd] = f($g[$rs]) as i64 as u64,
+            $K::Flt => $g[$rd] = (f($g[$rs]) < f($g[$rt])) as u64,
+            $K::Feq => $g[$rd] = (f($g[$rs]) == f($g[$rt])) as u64,
+            $K::Fle => $g[$rd] = (f($g[$rs]) <= f($g[$rt])) as u64,
+            $($arms)*
+        }
+    };
+}
+
+/// A register as an IEEE-754 double.
+#[inline(always)]
+fn f(bits: u64) -> f64 {
+    f64::from_bits(bits)
+}
+
 /// Executes the decoded instruction at `pc` against the register file
 /// and a memory port, and moves `pc` past it if it retires. Branch
 /// displacements are in words relative to the next instruction. (`pc`
@@ -455,7 +746,6 @@ enum Step<M> {
 /// disassembly and reassembly of it per instruction.)
 #[inline(always)]
 fn step<P: Port>(regs: &mut Regs, insn: Insn, pc: &mut u64, port: &mut P) -> Step<P::Miss> {
-    use Opcode::*;
     let next_pc = pc.wrapping_add(4);
     // Register fields decode from 4-bit slots; re-masking here is free
     // and lets the compiler drop the 16-entry bounds checks on the
@@ -465,12 +755,16 @@ fn step<P: Port>(regs: &mut Regs, insn: Insn, pc: &mut u64, port: &mut P) -> Ste
         (insn.rs & 15) as usize,
         (insn.rt & 15) as usize,
     );
-    let imm = insn.imm as i64;
     let g = &mut regs.gpr;
-    // Floating point uses the same registers, bit-cast (see `Regs::f`).
-    let f = |g: &[u64; 16], r: usize| f64::from_bits(g[r]);
-    macro_rules! branch {
-        ($taken:expr) => {{
+    macro_rules! on {
+        (stop $exit:expr) => {{
+            *pc = next_pc;
+            return Step::Stop($exit);
+        }};
+        (trap $t:expr) => {
+            return Step::Trap($t)
+        };
+        (branch $taken:expr) => {{
             *pc = if $taken {
                 insn.branch_target(*pc)
             } else {
@@ -478,101 +772,31 @@ fn step<P: Port>(regs: &mut Regs, insn: Insn, pc: &mut u64, port: &mut P) -> Ste
             };
             return Step::Next;
         }};
-    }
-    macro_rules! load {
-        ($n:literal, $ty:ty) => {{
-            let addr = g[rs].wrapping_add(imm as u64);
-            match port.load::<$n>(addr) {
-                Ok(b) => g[rd] = <$ty>::from_le_bytes(b) as u64,
+        (jal) => {{
+            *pc = insn.branch_target(*pc);
+            return Step::Next;
+        }};
+        (jalr $target:expr) => {{
+            *pc = $target;
+            return Step::Next;
+        }};
+        (load $n:literal, $addr:expr) => {
+            match port.load::<$n>($addr) {
+                Ok(bytes) => bytes,
                 Err(m) => return Step::Miss(m),
             }
-        }};
-    }
-    macro_rules! store {
-        ($ty:ty) => {{
-            let addr = g[rs].wrapping_add(imm as u64);
-            if let Err(m) = port.store(addr, (g[rd] as $ty).to_le_bytes()) {
+        };
+        (store $addr:expr, $bytes:expr) => {
+            if let Err(m) = port.store($addr, $bytes) {
                 return Step::Miss(m);
             }
-        }};
+        };
     }
-    match insn.op {
-        Nop => {}
-        Halt => {
-            *pc = next_pc;
-            return Step::Stop(VmExit::Halt);
-        }
-        Sys => {
-            *pc = next_pc;
-            return Step::Stop(VmExit::Sys(insn.imm as u16 & 0xfff));
-        }
-
-        Add => g[rd] = g[rs].wrapping_add(g[rt]),
-        Sub => g[rd] = g[rs].wrapping_sub(g[rt]),
-        Mul => g[rd] = g[rs].wrapping_mul(g[rt]),
-        Div | Mod | Divu | Modu if g[rt] == 0 => return Step::Trap(VmTrap::DivideByZero),
-        Div => g[rd] = (g[rs] as i64).wrapping_div(g[rt] as i64) as u64,
-        Mod => g[rd] = (g[rs] as i64).wrapping_rem(g[rt] as i64) as u64,
-        Divu => g[rd] = g[rs] / g[rt],
-        Modu => g[rd] = g[rs] % g[rt],
-        And => g[rd] = g[rs] & g[rt],
-        Or => g[rd] = g[rs] | g[rt],
-        Xor => g[rd] = g[rs] ^ g[rt],
-        Shl => g[rd] = g[rs].wrapping_shl(g[rt] as u32),
-        Shr => g[rd] = g[rs].wrapping_shr(g[rt] as u32),
-        Sar => g[rd] = (g[rs] as i64).wrapping_shr(g[rt] as u32) as u64,
-        Slt => g[rd] = ((g[rs] as i64) < (g[rt] as i64)) as u64,
-        Sltu => g[rd] = (g[rs] < g[rt]) as u64,
-
-        Addi => g[rd] = g[rs].wrapping_add(imm as u64),
-        Andi => g[rd] = g[rs] & imm as u64,
-        Ori => g[rd] = g[rs] | imm as u64,
-        Xori => g[rd] = g[rs] ^ imm as u64,
-        Shli => g[rd] = g[rs].wrapping_shl(imm as u32 & 63),
-        Shri => g[rd] = g[rs].wrapping_shr(imm as u32 & 63),
-        Sari => g[rd] = (g[rs] as i64).wrapping_shr(imm as u32 & 63) as u64,
-        Slti => g[rd] = ((g[rs] as i64) < imm) as u64,
-        Muli => g[rd] = g[rs].wrapping_mul(imm as u64),
-        Ldi => g[rd] = imm as u64,
-        Ldih => g[rd] = (g[rd] << 12) | (insn.imm as u64 & 0xfff),
-
-        Ldb => load!(1, u8),
-        Ldh => load!(2, u16),
-        Ldw => load!(4, u32),
-        Ldd => load!(8, u64),
-        Stb => store!(u8),
-        Sth => store!(u16),
-        Stw => store!(u32),
-        Std => store!(u64),
-
-        Beq => branch!(g[rs] == g[rt]),
-        Bne => branch!(g[rs] != g[rt]),
-        Blt => branch!((g[rs] as i64) < (g[rt] as i64)),
-        Bge => branch!((g[rs] as i64) >= (g[rt] as i64)),
-        Bltu => branch!(g[rs] < g[rt]),
-        Bgeu => branch!(g[rs] >= g[rt]),
-        Jal => {
-            g[rd] = next_pc;
-            branch!(true);
-        }
-        Jalr => {
-            let target = g[rs].wrapping_add(imm as u64);
-            g[rd] = next_pc;
-            *pc = target;
-            return Step::Next;
-        }
-
-        Fadd => g[rd] = (f(g, rs) + f(g, rt)).to_bits(),
-        Fsub => g[rd] = (f(g, rs) - f(g, rt)).to_bits(),
-        Fmul => g[rd] = (f(g, rs) * f(g, rt)).to_bits(),
-        Fdiv => g[rd] = (f(g, rs) / f(g, rt)).to_bits(),
-        Fsqrt => g[rd] = f(g, rs).sqrt().to_bits(),
-        Cvtif => g[rd] = (g[rs] as i64 as f64).to_bits(),
-        // Rust's saturating float→int cast is deterministic.
-        Cvtfi => g[rd] = f(g, rs) as i64 as u64,
-        Flt => g[rd] = (f(g, rs) < f(g, rt)) as u64,
-        Feq => g[rd] = (f(g, rs) == f(g, rt)) as u64,
-        Fle => g[rd] = (f(g, rs) <= f(g, rt)) as u64,
+    exec! {
+        match insn.op, as Opcode;
+        regs g, rd, rs, rt;
+        imm insn.imm as i64 as u64, link next_pc;
+        on on();
     }
     *pc = next_pc;
     Step::Next
@@ -826,7 +1050,8 @@ impl Caches {
 
     /// Predecodes the block starting at `pc` from the icache entries
     /// that hit for `(sid, generation)`, following each member's
-    /// static successor; `false` if `pc` itself misses.
+    /// static successor, and translates it into micro-ops; `false` if
+    /// `pc` itself misses.
     #[inline(never)]
     fn build_block(&mut self, pc: u64, sid: u64, generation: u64) -> bool {
         let mut block = Block {
@@ -835,12 +1060,12 @@ impl Caches {
             ..Block::EMPTY
         };
         let mut at = pc;
-        for slot in &mut block.insns {
+        for (slot, slot_pc) in block.insns.iter_mut().zip(&mut block.pcs) {
             let e = &self.icache[icache_index(at)];
             if !(e.pc == at && e.space_id == sid && e.generation == generation) {
                 break;
             }
-            *slot = e.insn;
+            (*slot, *slot_pc) = (e.insn, at);
             block.len += 1;
             match static_successor(e.insn, at) {
                 Some(next) => at = next,
@@ -850,6 +1075,10 @@ impl Caches {
         if block.len == 0 {
             return false;
         }
+        // Past a `jalr`, `halt` or `sys` no member ever falls through.
+        block.next = at;
+        let len = usize::from(block.len);
+        block.uop_len = translate(&block.insns[..len], &block.pcs[..len], &mut block.uops);
         self.blocks[block_index(pc)] = block;
         true
     }
@@ -1162,10 +1391,11 @@ impl Cpu {
     ///
     /// It runs predecoded [`Block`]s: one tag check finds the block at
     /// `pc` (built from the icache on a miss, or the level ends at an
-    /// icache miss), one budget check cuts it to `left`, and its
-    /// members run with no check of their own but a taken branch's.
-    /// Each member is the icache hit the per-instruction loop would
-    /// have counted, and each exit counts what that loop counted:
+    /// icache miss), and one budget check decides how it runs: whole,
+    /// as micro-ops ([`run_uops`]), or cut to `left`, member by member
+    /// ([`run_members`]). Each member is the icache hit the
+    /// per-instruction loop would have counted, and each exit counts
+    /// what that loop counted:
     ///
     /// | how member `i` (from 0) ends the block | retired | icache hits |
     /// |-----------------------------------------|---------|-------------|
@@ -1175,7 +1405,10 @@ impl Cpu {
     /// | an access the pins cannot serve         | `i`     | `i`         |
     ///
     /// The last row leaves member `i` to the outer level, which probes
-    /// (and counts) it again.
+    /// (and counts) it again. In a fused micro-op, `i` is the member the
+    /// exit happened at: an `addi` + `bltu` taken is `i + 1` of its
+    /// `bltu`, and an `add` + `ldd` whose load the pins cannot serve
+    /// has retired its `add` and leaves at the `ldd`.
     #[inline(never)]
     fn run_pinned(&mut self, mem: &mut AddressSpace, remaining: u64) -> Result<u64, VmExit> {
         let (sid, generation) = (mem.space_id(), mem.generation());
@@ -1189,40 +1422,38 @@ impl Cpu {
         let mut pc = self.regs.pc;
         let mut left = remaining;
         let mut icache_hits = 0;
-        let exit = 'run: loop {
+        let exit = loop {
             let b = &self.caches.blocks[block_index(pc)];
             let hit = b.pc == pc && b.stamp == stamp;
             if !(hit || self.caches.build_block(pc, sid, generation)) {
                 break None;
             }
             let b = &self.caches.blocks[block_index(pc)];
-            let n = u64::from(b.len).min(left) as usize;
-            let done = 'block: {
-                for (i, &insn) in b.insns[..n].iter().enumerate() {
-                    let (at, i) = (pc, i as u64);
-                    let (retired, hits, exit) = match step(&mut self.regs, insn, &mut pc, &mut pins)
-                    {
-                        // The block assumed the fall-through or the
-                        // `jal`; a taken branch ends it.
-                        Step::Next if pc == at.wrapping_add(4) || insn.op == Opcode::Jal => {
-                            continue;
-                        }
-                        Step::Next => break 'block i + 1,
-                        Step::Stop(exit) => (i + 1, i + 1, Some(exit)),
-                        Step::Trap(t) => (i, i + 1, Some(VmExit::Trap(t))),
-                        // The outer level probes (and counts) it again.
-                        Step::Miss(Unpinned) => (i, i, None),
-                    };
+            let end = if u64::from(b.len) <= left {
+                run_uops(b, &mut self.regs.gpr, &mut pins)
+            } else {
+                run_members(b, left, &mut self.regs, &mut pins)
+            };
+            match end {
+                BlockEnd::Next { retired, pc: next } => {
+                    left -= retired;
+                    icache_hits += retired;
+                    pc = next;
+                    if left == 0 {
+                        break Some(VmExit::OutOfBudget);
+                    }
+                }
+                BlockEnd::Leave {
+                    retired,
+                    hits,
+                    pc: at,
+                    exit,
+                } => {
                     left -= retired;
                     icache_hits += hits;
-                    break 'run exit;
+                    pc = at;
+                    break exit;
                 }
-                n as u64
-            };
-            left -= done;
-            icache_hits += done;
-            if left == 0 {
-                break Some(VmExit::OutOfBudget);
             }
         };
         self.regs.pc = pc;
@@ -1283,6 +1514,171 @@ impl Cpu {
             }
         }
         pins
+    }
+}
+
+/// How a run through a block ended, counted as DESIGN.md §4's exit
+/// table counts it.
+enum BlockEnd {
+    /// Past its last member, or a taken branch at member `retired - 1`:
+    /// `retired` members retired and hit, and the next block is at `pc`.
+    Next { retired: u64, pc: u64 },
+    /// The level ends at `pc` with `exit`, or goes back to the outer
+    /// level on `None`, with `retired` members retired and `hits`
+    /// icache hits counted.
+    Leave {
+        retired: u64,
+        hits: u64,
+        pc: u64,
+        exit: Option<VmExit>,
+    },
+}
+
+/// Runs the whole of block `b` as micro-ops: one dispatch each, and no
+/// member writes `pc` or returns a [`Step`]. Only an exit looks at
+/// which member it happened at (the micro-op's `first`, plus one in a
+/// fused micro-op's second member) and rebuilds `pc`, the retired count
+/// and the hits from it.
+#[inline(always)]
+fn run_uops(b: &Block, g: &mut [u64; 16], pins: &mut Pins<'_>) -> BlockEnd {
+    for u in &b.uops[..usize::from(b.uop_len)] {
+        let first = usize::from(u.first);
+        // `$w` is which of the micro-op's members (0 or 1) the table is
+        // running.
+        macro_rules! on {
+            ($w:tt stop $exit:expr) => {
+                return BlockEnd::Leave {
+                    retired: (first + $w + 1) as u64,
+                    hits: (first + $w + 1) as u64,
+                    pc: b.pcs[first + $w].wrapping_add(4),
+                    exit: Some($exit),
+                }
+            };
+            ($w:tt trap $t:expr) => {
+                return BlockEnd::Leave {
+                    retired: (first + $w) as u64,
+                    hits: (first + $w + 1) as u64,
+                    pc: b.pcs[first + $w],
+                    exit: Some(VmExit::Trap($t)),
+                }
+            };
+            ($w:tt branch $taken:expr) => {
+                if $taken {
+                    on!($w jalr u.imm[$w])
+                }
+            };
+            ($w:tt jal) => {
+                ()
+            };
+            ($w:tt jalr $target:expr) => {
+                return BlockEnd::Next {
+                    retired: (first + $w + 1) as u64,
+                    pc: $target,
+                }
+            };
+            // The outer level probes (and counts) the member again.
+            ($w:tt miss) => {
+                return BlockEnd::Leave {
+                    retired: (first + $w) as u64,
+                    hits: (first + $w) as u64,
+                    pc: b.pcs[first + $w],
+                    exit: None,
+                }
+            };
+            ($w:tt load $n:literal, $addr:expr) => {
+                match pins.load::<$n>($addr) {
+                    Ok(bytes) => bytes,
+                    Err(Unpinned) => on!($w miss),
+                }
+            };
+            ($w:tt store $addr:expr, $bytes:expr) => {
+                if let Err(Unpinned) = pins.store($addr, $bytes) {
+                    on!($w miss)
+                }
+            };
+        }
+        // Member `$w` of a fused micro-op, as `$op`.
+        macro_rules! member {
+            ($op:expr, $w:tt) => {
+                exec! {
+                    match $op, as Opcode;
+                    regs g, reg(u, $w, 0), reg(u, $w, 1), reg(u, $w, 2);
+                    imm u.imm[$w], link b.pcs[first + $w].wrapping_add(4);
+                    on on($w);
+                }
+            };
+        }
+        exec! {
+            match u.kind, as UopKind;
+            regs g, reg(u, 0, 0), reg(u, 0, 1), reg(u, 0, 2);
+            imm u.imm[0], link b.pcs[first].wrapping_add(4);
+            on on(0);
+            UopKind::Const => g[reg(u, 0, 0)] = u.imm[0],
+            UopKind::AddiBltu => {
+                member!(Opcode::Addi, 0);
+                member!(Opcode::Bltu, 1);
+            }
+            UopKind::AddLdd => {
+                member!(Opcode::Add, 0);
+                member!(Opcode::Ldd, 1);
+            }
+        }
+    }
+    BlockEnd::Next {
+        retired: u64::from(b.len),
+        pc: b.next,
+    }
+}
+
+/// Runs the first `n` members of block `b`, fewer than all of them, one
+/// [`step`] at a time: the budget cuts this run short.
+#[inline(always)]
+fn run_members(b: &Block, n: u64, regs: &mut Regs, pins: &mut Pins<'_>) -> BlockEnd {
+    let mut pc = b.pc;
+    for (i, &insn) in b.insns[..n as usize].iter().enumerate() {
+        let (at, i) = (pc, i as u64);
+        let (retired, hits, exit) = match step(regs, insn, &mut pc, pins) {
+            // The block assumed the fall-through or the `jal`; a taken
+            // branch ends it.
+            Step::Next if pc == at.wrapping_add(4) || insn.op == Opcode::Jal => continue,
+            Step::Next => return BlockEnd::Next { retired: i + 1, pc },
+            Step::Stop(exit) => (i + 1, i + 1, Some(exit)),
+            Step::Trap(t) => (i, i + 1, Some(VmExit::Trap(t))),
+            // The outer level probes (and counts) it again.
+            Step::Miss(Unpinned) => (i, i, None),
+        };
+        // (`step` moved `pc` past a `halt` or `sys` only.)
+        return BlockEnd::Leave {
+            retired,
+            hits,
+            pc,
+            exit,
+        };
+    }
+    BlockEnd::Next { retired: n, pc }
+}
+
+/// Register field `field` of member `w` of `u`.
+#[inline(always)]
+fn reg(u: &Uop, w: usize, field: usize) -> usize {
+    u.regs[w][field] as usize
+}
+
+/// A register index, masked once when a block is translated: its type
+/// tells the compiler it is inside the register file, so indexing by it
+/// needs neither a mask nor a bounds check.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[repr(u8)]
+#[rustfmt::skip]
+enum Reg { R0, R1, R2, R3, R4, R5, R6, R7, R8, R9, R10, R11, R12, R13, R14, R15 }
+
+impl Reg {
+    /// The register a 4-bit field names.
+    fn new(field: u8) -> Reg {
+        use Reg::*;
+        [
+            R0, R1, R2, R3, R4, R5, R6, R7, R8, R9, R10, R11, R12, R13, R14, R15,
+        ][usize::from(field & 15)]
     }
 }
 
@@ -1788,5 +2184,93 @@ mod tests {
         assert_eq!(cpu.regs.gpr[2], 0x1122334455667788);
         assert_eq!(mem.read_u64(0x8ffc).unwrap(), 0x1122334455667788);
         assert!(cpu.cache_stats.slow_accesses >= 2);
+    }
+
+    // ------------------------------------------------------------------
+    // Micro-ops
+    // ------------------------------------------------------------------
+
+    /// No counter or golden can see whether blocks fuse, so this looks:
+    /// after a warm run of each corpus kernel, the block at its hot loop
+    /// holds the fused micro-ops the loop's pairs call for.
+    #[test]
+    fn hot_loops_run_fused_micro_ops() {
+        use crate::corpus;
+        use UopKind::{AddLdd, AddiBltu, Const};
+        for (src, label, kinds) in [
+            (corpus::FFT_KERNEL, "pass", &[AddLdd, AddiBltu][..]),
+            (corpus::MATMULT_KERNEL, "dot", &[AddLdd, AddiBltu]),
+            (corpus::MD5_KERNEL, "round", &[Const, AddiBltu]),
+            (corpus::QSORT_KERNEL, "part", &[AddLdd]),
+        ] {
+            let at = assemble(src).unwrap().labels[label];
+            let (mut cpu, mut mem) = corpus::sandbox(src);
+            assert_eq!(cpu.run(&mut mem, Some(100_000)), VmExit::OutOfBudget);
+            let b = &cpu.caches.blocks[block_index(at)];
+            assert_eq!(
+                (b.pc, b.stamp),
+                (at, cpu.caches.stamp),
+                "{label}: no live block"
+            );
+            let held: Vec<UopKind> = b.uops[..usize::from(b.uop_len)]
+                .iter()
+                .map(|u| u.kind)
+                .collect();
+            for kind in kinds {
+                assert!(held.contains(kind), "{label}: {held:?} lacks {kind:?}");
+            }
+        }
+    }
+
+    /// The fused kinds are the corpus's hot pairs, not a guess: on the
+    /// slow path, each pair [`fuse`] fuses ranks among the dynamic pair
+    /// histogram's top ten over the four paper kernels. An `li` chain is
+    /// counted by every link it fuses, `ldih` after `ldih` into the same
+    /// register as well as after the `ldi`.
+    #[test]
+    fn fused_pairs_rank_among_the_corpus_hot_pairs() {
+        use crate::corpus;
+        use std::collections::HashMap;
+        let fused: Vec<(Opcode, Opcode)> = Opcode::ALL
+            .iter()
+            .flat_map(|&a| Opcode::ALL.iter().map(move |&b| (a, b)))
+            .filter(|&(a, b)| fuse(Insn::new(a, 1, 2, 3, 0), Insn::new(b, 1, 2, 3, 0)).is_some())
+            .collect();
+        assert_eq!(fused.len(), 3, "{fused:?}");
+        let mut counts: HashMap<(Opcode, Opcode), u64> = HashMap::new();
+        for src in [
+            corpus::FFT_KERNEL,
+            corpus::MATMULT_KERNEL,
+            corpus::MD5_KERNEL,
+            corpus::QSORT_KERNEL,
+        ] {
+            let (_, mut mem) = corpus::sandbox(src);
+            let mut cpu = Cpu::slow_path();
+            let mut prev: Option<Insn> = None;
+            for _ in 0..200_000 {
+                let insn = decode(mem.read_u32(cpu.regs.pc).unwrap()).unwrap();
+                if let Some(p) = prev {
+                    let pair = match (p.op, insn.op) {
+                        (Opcode::Ldih, Opcode::Ldih) if same_rd(p, insn) => {
+                            (Opcode::Ldi, Opcode::Ldih)
+                        }
+                        pair => pair,
+                    };
+                    *counts.entry(pair).or_default() += 1;
+                }
+                prev = Some(insn);
+                assert_eq!(cpu.step(&mut mem), None);
+            }
+        }
+        let mut ranked: Vec<((Opcode, Opcode), u64)> = counts.into_iter().collect();
+        ranked.sort_by_key(|&((a, b), n)| (std::cmp::Reverse(n), a as u8, b as u8));
+        for pair in fused {
+            let rank = ranked.iter().position(|&(p, _)| p == pair);
+            assert!(
+                rank.is_some_and(|r| r < 10),
+                "{pair:?} ranks {rank:?} in {:?}",
+                &ranked[..10]
+            );
+        }
     }
 }

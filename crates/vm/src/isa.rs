@@ -95,68 +95,78 @@ macro_rules! opcodes {
     };
 }
 
-opcodes! {
-    Nop = 0x00, "nop";
-    Halt = 0x01, "halt";
-    Sys = 0x02, "sys";
+/// The opcode table: calls `$m!` with one `Name = byte, "mnemonic";`
+/// per opcode. [`Opcode`] is made from it here, and the interpreter's
+/// micro-op kinds from it too, so the two agree name for name.
+macro_rules! with_opcodes {
+    ($m:ident) => {
+        $m! {
+            Nop = 0x00, "nop";
+            Halt = 0x01, "halt";
+            Sys = 0x02, "sys";
 
-    Add = 0x10, "add";
-    Sub = 0x11, "sub";
-    Mul = 0x12, "mul";
-    Div = 0x13, "div";
-    Mod = 0x14, "mod";
-    Divu = 0x15, "divu";
-    Modu = 0x16, "modu";
-    And = 0x17, "and";
-    Or = 0x18, "or";
-    Xor = 0x19, "xor";
-    Shl = 0x1a, "shl";
-    Shr = 0x1b, "shr";
-    Sar = 0x1c, "sar";
-    Slt = 0x1d, "slt";
-    Sltu = 0x1e, "sltu";
+            Add = 0x10, "add";
+            Sub = 0x11, "sub";
+            Mul = 0x12, "mul";
+            Div = 0x13, "div";
+            Mod = 0x14, "mod";
+            Divu = 0x15, "divu";
+            Modu = 0x16, "modu";
+            And = 0x17, "and";
+            Or = 0x18, "or";
+            Xor = 0x19, "xor";
+            Shl = 0x1a, "shl";
+            Shr = 0x1b, "shr";
+            Sar = 0x1c, "sar";
+            Slt = 0x1d, "slt";
+            Sltu = 0x1e, "sltu";
 
-    Addi = 0x20, "addi";
-    Andi = 0x21, "andi";
-    Ori = 0x22, "ori";
-    Xori = 0x23, "xori";
-    Shli = 0x24, "shli";
-    Shri = 0x25, "shri";
-    Sari = 0x26, "sari";
-    Slti = 0x27, "slti";
-    Muli = 0x28, "muli";
-    Ldi = 0x29, "ldi";
-    Ldih = 0x2a, "ldih";
+            Addi = 0x20, "addi";
+            Andi = 0x21, "andi";
+            Ori = 0x22, "ori";
+            Xori = 0x23, "xori";
+            Shli = 0x24, "shli";
+            Shri = 0x25, "shri";
+            Sari = 0x26, "sari";
+            Slti = 0x27, "slti";
+            Muli = 0x28, "muli";
+            Ldi = 0x29, "ldi";
+            Ldih = 0x2a, "ldih";
 
-    Ldb = 0x30, "ldb";
-    Ldh = 0x31, "ldh";
-    Ldw = 0x32, "ldw";
-    Ldd = 0x33, "ldd";
-    Stb = 0x34, "stb";
-    Sth = 0x35, "sth";
-    Stw = 0x36, "stw";
-    Std = 0x37, "std";
+            Ldb = 0x30, "ldb";
+            Ldh = 0x31, "ldh";
+            Ldw = 0x32, "ldw";
+            Ldd = 0x33, "ldd";
+            Stb = 0x34, "stb";
+            Sth = 0x35, "sth";
+            Stw = 0x36, "stw";
+            Std = 0x37, "std";
 
-    Beq = 0x40, "beq";
-    Bne = 0x41, "bne";
-    Blt = 0x42, "blt";
-    Bge = 0x43, "bge";
-    Bltu = 0x44, "bltu";
-    Bgeu = 0x45, "bgeu";
-    Jal = 0x46, "jal";
-    Jalr = 0x47, "jalr";
+            Beq = 0x40, "beq";
+            Bne = 0x41, "bne";
+            Blt = 0x42, "blt";
+            Bge = 0x43, "bge";
+            Bltu = 0x44, "bltu";
+            Bgeu = 0x45, "bgeu";
+            Jal = 0x46, "jal";
+            Jalr = 0x47, "jalr";
 
-    Fadd = 0x50, "fadd";
-    Fsub = 0x51, "fsub";
-    Fmul = 0x52, "fmul";
-    Fdiv = 0x53, "fdiv";
-    Fsqrt = 0x54, "fsqrt";
-    Cvtif = 0x55, "cvtif";
-    Cvtfi = 0x56, "cvtfi";
-    Flt = 0x57, "flt";
-    Feq = 0x58, "feq";
-    Fle = 0x59, "fle";
+            Fadd = 0x50, "fadd";
+            Fsub = 0x51, "fsub";
+            Fmul = 0x52, "fmul";
+            Fdiv = 0x53, "fdiv";
+            Fsqrt = 0x54, "fsqrt";
+            Cvtif = 0x55, "cvtif";
+            Cvtfi = 0x56, "cvtfi";
+            Flt = 0x57, "flt";
+            Feq = 0x58, "feq";
+            Fle = 0x59, "fle";
+        }
+    };
 }
+pub(crate) use with_opcodes;
+
+with_opcodes!(opcodes);
 
 /// Instruction decoding failure.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
