@@ -1430,7 +1430,7 @@ impl Cpu {
             }
             let b = &self.caches.blocks[block_index(pc)];
             let end = if u64::from(b.len) <= left {
-                run_uops(b, &mut self.regs.gpr, &mut pins)
+                run_uops(b, left, &mut self.regs.gpr, &mut pins)
             } else {
                 run_members(b, left, &mut self.regs, &mut pins)
             };
@@ -1536,97 +1536,111 @@ enum BlockEnd {
 
 /// Runs the whole of block `b` as micro-ops: one dispatch each, and no
 /// member writes `pc` or returns a [`Step`]. Only an exit looks at
-/// which member it happened at (the micro-op's `first`, plus one in a
-/// fused micro-op's second member) and rebuilds `pc`, the retired count
-/// and the hits from it.
+/// which member it happened at (the micro-op's first member, plus one
+/// in a fused micro-op's second) and rebuilds `pc`, the retired count
+/// and the hits from it. A taken branch back to the block's own start
+/// (a loop that fits one block) runs it again from the top, while
+/// `left` holds another whole run, instead of looking the block up.
 #[inline(always)]
-fn run_uops(b: &Block, g: &mut [u64; 16], pins: &mut Pins<'_>) -> BlockEnd {
-    for u in &b.uops[..usize::from(b.uop_len)] {
-        let first = usize::from(u.first);
-        // `$w` is which of the micro-op's members (0 or 1) the table is
-        // running.
-        macro_rules! on {
-            ($w:tt stop $exit:expr) => {
-                return BlockEnd::Leave {
-                    retired: (first + $w + 1) as u64,
-                    hits: (first + $w + 1) as u64,
-                    pc: b.pcs[first + $w].wrapping_add(4),
-                    exit: Some($exit),
-                }
-            };
-            ($w:tt trap $t:expr) => {
-                return BlockEnd::Leave {
-                    retired: (first + $w) as u64,
-                    hits: (first + $w + 1) as u64,
-                    pc: b.pcs[first + $w],
-                    exit: Some(VmExit::Trap($t)),
-                }
-            };
-            ($w:tt branch $taken:expr) => {
-                if $taken {
-                    on!($w jalr u.imm[$w])
-                }
-            };
-            ($w:tt jal) => {
-                ()
-            };
-            ($w:tt jalr $target:expr) => {
-                return BlockEnd::Next {
-                    retired: (first + $w + 1) as u64,
-                    pc: $target,
-                }
-            };
-            // The outer level probes (and counts) the member again.
-            ($w:tt miss) => {
-                return BlockEnd::Leave {
-                    retired: (first + $w) as u64,
-                    hits: (first + $w) as u64,
-                    pc: b.pcs[first + $w],
-                    exit: None,
-                }
-            };
-            ($w:tt load $n:literal, $addr:expr) => {
-                match pins.load::<$n>($addr) {
-                    Ok(bytes) => bytes,
-                    Err(Unpinned) => on!($w miss),
-                }
-            };
-            ($w:tt store $addr:expr, $bytes:expr) => {
-                if let Err(Unpinned) = pins.store($addr, $bytes) {
-                    on!($w miss)
-                }
-            };
-        }
-        // Member `$w` of a fused micro-op, as `$op`.
-        macro_rules! member {
-            ($op:expr, $w:tt) => {
-                exec! {
-                    match $op, as Opcode;
-                    regs g, reg(u, $w, 0), reg(u, $w, 1), reg(u, $w, 2);
-                    imm u.imm[$w], link b.pcs[first + $w].wrapping_add(4);
-                    on on($w);
-                }
-            };
-        }
-        exec! {
-            match u.kind, as UopKind;
-            regs g, reg(u, 0, 0), reg(u, 0, 1), reg(u, 0, 2);
-            imm u.imm[0], link b.pcs[first].wrapping_add(4);
-            on on(0);
-            UopKind::Const => g[reg(u, 0, 0)] = u.imm[0],
-            UopKind::AddiBltu => {
-                member!(Opcode::Addi, 0);
-                member!(Opcode::Bltu, 1);
+fn run_uops(b: &Block, left: u64, g: &mut [u64; 16], pins: &mut Pins<'_>) -> BlockEnd {
+    let len = u64::from(b.len);
+    // Members retired by the runs before this one.
+    let mut base = 0;
+    'again: loop {
+        for u in &b.uops[..usize::from(b.uop_len)] {
+            // The micro-op's first member: its index in the block, and
+            // how many members this call had retired before it.
+            let (at, first) = (usize::from(u.first), base + u64::from(u.first));
+            // `$w` is which of the micro-op's members (0 or 1) the table
+            // is running.
+            macro_rules! on {
+                ($w:tt stop $exit:expr) => {
+                    return BlockEnd::Leave {
+                        retired: first + $w + 1,
+                        hits: first + $w + 1,
+                        pc: b.pcs[at + $w].wrapping_add(4),
+                        exit: Some($exit),
+                    }
+                };
+                ($w:tt trap $t:expr) => {
+                    return BlockEnd::Leave {
+                        retired: first + $w,
+                        hits: first + $w + 1,
+                        pc: b.pcs[at + $w],
+                        exit: Some(VmExit::Trap($t)),
+                    }
+                };
+                ($w:tt branch $taken:expr) => {
+                    if $taken {
+                        on!($w jalr u.imm[$w])
+                    }
+                };
+                ($w:tt jal) => {
+                    ()
+                };
+                ($w:tt jalr $target:expr) => {{
+                    let (retired, target) = (first + $w + 1, $target);
+                    if target == b.pc && left - retired >= len {
+                        base = retired;
+                        continue 'again;
+                    }
+                    return BlockEnd::Next {
+                        retired,
+                        pc: target,
+                    };
+                }};
+                // The outer level probes (and counts) the member again.
+                ($w:tt miss) => {
+                    return BlockEnd::Leave {
+                        retired: first + $w,
+                        hits: first + $w,
+                        pc: b.pcs[at + $w],
+                        exit: None,
+                    }
+                };
+                ($w:tt load $n:literal, $addr:expr) => {
+                    match pins.load::<$n>($addr) {
+                        Ok(bytes) => bytes,
+                        Err(Unpinned) => on!($w miss),
+                    }
+                };
+                ($w:tt store $addr:expr, $bytes:expr) => {
+                    if let Err(Unpinned) = pins.store($addr, $bytes) {
+                        on!($w miss)
+                    }
+                };
             }
-            UopKind::AddLdd => {
-                member!(Opcode::Add, 0);
-                member!(Opcode::Ldd, 1);
+            // Member `$w` of a fused micro-op, as `$op`.
+            macro_rules! member {
+                ($op:expr, $w:tt) => {
+                    exec! {
+                        match $op, as Opcode;
+                        regs g, reg(u, $w, 0), reg(u, $w, 1), reg(u, $w, 2);
+                        imm u.imm[$w], link b.pcs[at + $w].wrapping_add(4);
+                        on on($w);
+                    }
+                };
+            }
+            exec! {
+                match u.kind, as UopKind;
+                regs g, reg(u, 0, 0), reg(u, 0, 1), reg(u, 0, 2);
+                imm u.imm[0], link b.pcs[at].wrapping_add(4);
+                on on(0);
+                UopKind::Const => g[reg(u, 0, 0)] = u.imm[0],
+                UopKind::AddiBltu => {
+                    member!(Opcode::Addi, 0);
+                    member!(Opcode::Bltu, 1);
+                }
+                UopKind::AddLdd => {
+                    member!(Opcode::Add, 0);
+                    member!(Opcode::Ldd, 1);
+                }
             }
         }
-    }
-    BlockEnd::Next {
-        retired: u64::from(b.len),
-        pc: b.next,
+        return BlockEnd::Next {
+            retired: base + len,
+            pc: b.next,
+        };
     }
 }
 
