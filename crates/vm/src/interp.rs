@@ -1544,6 +1544,9 @@ enum BlockEnd {
 #[inline(always)]
 fn run_uops(b: &Block, left: u64, g: &mut [u64; 16], pins: &mut Pins<'_>) -> BlockEnd {
     let len = u64::from(b.len);
+    // Another whole run fits while no more than this many members have
+    // retired.
+    let rerun_limit = left - len;
     // Members retired by the runs before this one.
     let mut base = 0;
     'again: loop {
@@ -1580,7 +1583,7 @@ fn run_uops(b: &Block, left: u64, g: &mut [u64; 16], pins: &mut Pins<'_>) -> Blo
                 };
                 ($w:tt jalr $target:expr) => {{
                     let (retired, target) = (first + $w + 1, $target);
-                    if target == b.pc && left - retired >= len {
+                    if target == b.pc && retired <= rerun_limit {
                         base = retired;
                         continue 'again;
                     }
