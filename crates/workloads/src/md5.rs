@@ -204,17 +204,29 @@ mod tests {
         );
     }
 
+    /// Every length 0..=130 of a fixed byte pattern (one- and two-block
+    /// tails, the 55/56 padding edge, one and two full chunks before a
+    /// tail) and a spread of search candidates, held to digests
+    /// recorded at 97599ce and checked against coreutils `md5sum`.
     #[test]
     fn md5_multiblock_boundary() {
-        // Lengths around the 55/56-byte padding boundary.
-        for len in [54usize, 55, 56, 57, 63, 64, 65, 128] {
-            let msg = vec![b'x'; len];
-            let d = md5(&msg);
-            // Self-consistency: same input, same digest; different
-            // length, different digest from the next.
-            assert_eq!(d, md5(&msg));
-            assert_ne!(d, md5(&vec![b'x'; len + 1]));
+        let hex = |d: [u8; 16]| d.iter().map(|b| format!("{b:02x}")).collect::<String>();
+        let pattern: Vec<u8> = (0..130u32).map(|i| (i * 37 + 11) as u8).collect();
+        let mut observed = String::new();
+        for len in 0..=pattern.len() {
+            observed.push_str(&format!("len={len} {}\n", hex(md5(&pattern[..len]))));
         }
+        for i in [0, 1, 25, 26, 675, 12_345, 17_321, 19_999, 1 << 32, 26u64.pow(8) - 1] {
+            let c = candidate(i);
+            let text = String::from_utf8_lossy(&c);
+            observed.push_str(&format!("candidate={i} {text} {}\n", hex(md5(&c))));
+        }
+        let golden = include_str!("../tests/golden/md5_97599ce.txt");
+        if observed != golden {
+            eprint!("observed digests:\n{observed}");
+        }
+        assert_eq!(observed.lines().count(), 141);
+        assert_eq!(observed, golden);
     }
 
     #[test]
