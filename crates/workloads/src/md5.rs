@@ -27,53 +27,78 @@ const K: [u32; 64] = [
     0x6fa87e4f, 0xfe2ce6e0, 0xa3014314, 0x4e0811a1, 0xf7537e82, 0xbd3af235, 0x2ad7d2bb, 0xeb86d391,
 ];
 
-/// Computes the MD5 digest of `msg`.
+/// Computes the MD5 digest of `msg`. Full 64-byte chunks are
+/// compressed straight from `msg`; only the padded tail is copied, into
+/// a buffer on the stack, so a call allocates nothing.
 pub fn md5(msg: &[u8]) -> [u8; 16] {
-    let mut a0: u32 = 0x6745_2301;
-    let mut b0: u32 = 0xefcd_ab89;
-    let mut c0: u32 = 0x98ba_dcfe;
-    let mut d0: u32 = 0x1032_5476;
-
-    // Padding: 0x80, zeros, 64-bit bit length.
-    let bitlen = (msg.len() as u64).wrapping_mul(8);
-    let mut data = msg.to_vec();
-    data.push(0x80);
-    while data.len() % 64 != 56 {
-        data.push(0);
+    let mut state: [u32; 4] = [0x6745_2301, 0xefcd_ab89, 0x98ba_dcfe, 0x1032_5476];
+    let mut chunks = msg.chunks_exact(64);
+    for chunk in &mut chunks {
+        compress(&mut state, chunk.try_into().expect("64 bytes"));
     }
-    data.extend_from_slice(&bitlen.to_le_bytes());
-
-    for chunk in data.chunks_exact(64) {
-        let mut m = [0u32; 16];
-        for (i, w) in chunk.chunks_exact(4).enumerate() {
-            m[i] = u32::from_le_bytes(w.try_into().expect("4 bytes"));
-        }
-        let (mut a, mut b, mut c, mut d) = (a0, b0, c0, d0);
-        for i in 0..64 {
-            let (f, g) = match i / 16 {
-                0 => ((b & c) | (!b & d), i),
-                1 => ((d & b) | (!d & c), (5 * i + 1) % 16),
-                2 => (b ^ c ^ d, (3 * i + 5) % 16),
-                _ => (c ^ (b | !d), (7 * i) % 16),
-            };
-            let tmp = d;
-            d = c;
-            c = b;
-            let sum = a.wrapping_add(f).wrapping_add(K[i]).wrapping_add(m[g]);
-            b = b.wrapping_add(sum.rotate_left(S[i]));
-            a = tmp;
-        }
-        a0 = a0.wrapping_add(a);
-        b0 = b0.wrapping_add(b);
-        c0 = c0.wrapping_add(c);
-        d0 = d0.wrapping_add(d);
+    // Padding: 0x80, zeros, 64-bit bit length. A tail of 56 bytes or
+    // more leaves no room for the length, so it takes a second block.
+    let tail = chunks.remainder();
+    let mut pad = [0u8; 128];
+    pad[..tail.len()].copy_from_slice(tail);
+    pad[tail.len()] = 0x80;
+    let end = if tail.len() < 56 { 64 } else { 128 };
+    let bitlen = (msg.len() as u64).wrapping_mul(8);
+    pad[end - 8..end].copy_from_slice(&bitlen.to_le_bytes());
+    for block in pad[..end].chunks_exact(64) {
+        compress(&mut state, block.try_into().expect("64 bytes"));
     }
     let mut out = [0u8; 16];
-    out[0..4].copy_from_slice(&a0.to_le_bytes());
-    out[4..8].copy_from_slice(&b0.to_le_bytes());
-    out[8..12].copy_from_slice(&c0.to_le_bytes());
-    out[12..16].copy_from_slice(&d0.to_le_bytes());
+    for (bytes, word) in out.chunks_exact_mut(4).zip(state) {
+        bytes.copy_from_slice(&word.to_le_bytes());
+    }
     out
+}
+
+/// One MD5 compression of `block` into `state`: four rounds of sixteen
+/// steps, each round a loop of its own so that it unrolls with its
+/// function and message index fixed per step.
+fn compress(state: &mut [u32; 4], block: &[u8; 64]) {
+    let mut m = [0u32; 16];
+    for (word, bytes) in m.iter_mut().zip(block.chunks_exact(4)) {
+        *word = u32::from_le_bytes(bytes.try_into().expect("4 bytes"));
+    }
+    let mut v = *state;
+    round(&mut v, &m, 0, |b, c, d| (b & c) | (!b & d), |i| i);
+    round(
+        &mut v,
+        &m,
+        16,
+        |b, c, d| (d & b) | (!d & c),
+        |i| (5 * i + 1) % 16,
+    );
+    round(&mut v, &m, 32, |b, c, d| b ^ c ^ d, |i| (3 * i + 5) % 16);
+    round(&mut v, &m, 48, |b, c, d| c ^ (b | !d), |i| (7 * i) % 16);
+    for (s, x) in state.iter_mut().zip(v) {
+        *s = s.wrapping_add(x);
+    }
+}
+
+/// Steps `first..first + 16` with round function `f` and message word
+/// `g(i)` at step `i`. Sixteen steps rotate the four words back into
+/// place.
+#[inline(always)]
+fn round(
+    v: &mut [u32; 4],
+    m: &[u32; 16],
+    first: usize,
+    f: impl Fn(u32, u32, u32) -> u32,
+    g: impl Fn(usize) -> usize,
+) {
+    let [mut a, mut b, mut c, mut d] = *v;
+    for i in first..first + 16 {
+        let sum = a
+            .wrapping_add(f(b, c, d))
+            .wrapping_add(K[i])
+            .wrapping_add(m[g(i)]);
+        (a, b, c, d) = (d, b.wrapping_add(sum.rotate_left(S[i])), b, c);
+    }
+    *v = [a, b, c, d];
 }
 
 /// Renders the candidate password for index `i` (lowercase base-26,
@@ -216,7 +241,18 @@ mod tests {
         for len in 0..=pattern.len() {
             observed.push_str(&format!("len={len} {}\n", hex(md5(&pattern[..len]))));
         }
-        for i in [0, 1, 25, 26, 675, 12_345, 17_321, 19_999, 1 << 32, 26u64.pow(8) - 1] {
+        for i in [
+            0,
+            1,
+            25,
+            26,
+            675,
+            12_345,
+            17_321,
+            19_999,
+            1 << 32,
+            26u64.pow(8) - 1,
+        ] {
             let c = candidate(i);
             let text = String::from_utf8_lossy(&c);
             observed.push_str(&format!("candidate={i} {text} {}\n", hex(md5(&c))));
