@@ -21,10 +21,11 @@
 //! known survivor and survived. The named tests must terminate with the
 //! bug in; the runner sets no timeout of its own.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::{Command, ExitCode};
 
 use det_conform::seeded::{self, SeededBug};
+use det_conform::worktree;
 
 /// How one `cargo test` run with the bug in ended.
 enum Outcome {
@@ -32,20 +33,6 @@ enum Outcome {
     Passed,
     NoTests,
     DidNotBuild,
-}
-
-fn git(root: &Path, args: &[&str]) -> Result<(), String> {
-    let status = Command::new("git")
-        .arg("-C")
-        .arg(root)
-        .args(args)
-        .status()
-        .map_err(|e| format!("git: {e}"))?;
-    if status.success() {
-        Ok(())
-    } else {
-        Err(format!("git {} exited {status}", args.join(" ")))
-    }
 }
 
 /// Runs one test selection in the worktree.
@@ -110,8 +97,7 @@ fn judge(bug: &SeededBug, tree: &Path, target: &Path) -> Result<(&'static str, S
 }
 
 fn main() -> ExitCode {
-    let root = PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
-    let root = std::fs::canonicalize(&root).unwrap_or(root);
+    let root = worktree::workspace_root();
     let bugs = match seeded::table() {
         Ok(bugs) => bugs,
         Err(e) => {
@@ -122,14 +108,7 @@ fn main() -> ExitCode {
     let work = root.join("target/seeded-bugs");
     let tree = work.join("worktree");
     let target = work.join("target");
-    let tree_arg = tree.to_string_lossy();
-    // A worktree left by an interrupted run is replaced.
-    if tree.exists() {
-        let _ = git(&root, &["worktree", "remove", "--force", &tree_arg]);
-    }
-    let _ = git(&root, &["worktree", "prune"]);
-    let add = ["worktree", "add", "--quiet", "--detach", &tree_arg, "HEAD"];
-    if let Err(e) = git(&root, &add) {
+    if let Err(e) = worktree::add(&root, &tree, "HEAD") {
         eprintln!("{e}");
         return ExitCode::from(2);
     }
@@ -154,7 +133,7 @@ fn main() -> ExitCode {
             bug.id, word, bug.file, bug.pr
         );
     }
-    let _ = git(&root, &["worktree", "remove", "--force", &tree_arg]);
+    worktree::remove(&root, &tree);
     println!("{} rows, {failing} not as expected", bugs.len());
     if failing == 0 {
         ExitCode::SUCCESS

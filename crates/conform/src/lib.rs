@@ -23,15 +23,19 @@
 //! (`conform --replicas 3`) and nightly chaos runs
 //! (`conform --replicas 10 --chaos`). The `seeded` binary re-runs the
 //! checked-in table of seeded bugs ([`seeded`]) that the tests must
-//! catch.
+//! catch. The `pair` binary benchmarks a parent and a change in
+//! alternating detbench runs and judges a host-time claim ([`pair`]);
+//! both check their revisions out with [`worktree`].
 
 #![warn(missing_docs)]
 
 pub mod bundle;
 pub mod diff;
 pub mod harness;
+pub mod pair;
 pub mod scenario;
 pub mod seeded;
+pub mod worktree;
 
 pub use bundle::{Artifacts, Scope};
 pub use diff::{Divergence, DivergenceCategory, compare, first_diff, hex_context};

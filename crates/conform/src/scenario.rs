@@ -539,7 +539,7 @@ fn wl_vm_qsort(cfg: &ScenarioConfig) -> ScenarioRun {
 
 /// Wraps a shard-cluster workload (`det_workloads::{sharded, dist}` on
 /// `det_cluster::ClusterSpec`) as a scenario. Migration is not yet a
-/// trace event (ROADMAP 1b), so no syscall trace is recorded; the
+/// trace event (ROADMAP 2a), so no syscall trace is recorded; the
 /// replica-compared outcome is the root kernel's with the
 /// cluster-wide aggregate statistics swapped in and the
 /// `[cluster]`/`[jobs]` bundle sections appended to the console
