@@ -7,21 +7,26 @@
 //!     --pairs N --seconds S --out AB.json [--others] [--trace]
 //! ```
 //!
-//! Checks each revision out into a `git worktree` under `target/pair/`
-//! and builds detbench there with the benchmark's own command (`cargo
-//! run --release --offline --quiet --manifest-path benchmark/Cargo.toml`),
-//! each side into its own target directory, which later runs reuse.
-//! Then, for each seed, runs `N` pairs of one `S`-second run a side,
-//! alternating which side runs first, and parses each run's last-line
-//! JSON. `--others` adds every other workload `BENCHMARK.json` names, at
-//! the same settings; `--trace` makes traced runs (per-layer metrics).
+//! Checks each revision in turn out into one `git worktree` at
+//! `target/pair/tree` and builds detbench there (`cargo build --release
+//! --offline --quiet --manifest-path benchmark/Cargo.toml`, the
+//! benchmark's own build), each side into its own target directory,
+//! which later runs reuse, and copies each side's executable out.
+//! Both sides build at the one path because the path a crate is built
+//! from enters its symbol hashes: the same revision built in two
+//! worktrees of different names compiled `Cpu::run_pinned` with other
+//! register choices and read `vm_enforced/iter_ms` 14 % apart. Then, for
+//! each seed, runs `N` pairs of one `S`-second run a side, alternating
+//! which side runs first, and parses each run's last-line JSON.
+//! `--others` adds every other workload `BENCHMARK.json` names, at the
+//! same settings; `--trace` makes traced runs (per-layer metrics).
 //!
 //! Prints, per workload, seed and metric: the parent's median [q1, q3],
 //! the change's median, the pairs the change won (a tie is no win), the
 //! median pair ratio and a verdict ([`det_conform::pair::Verdict`]), in
 //! the direction `BENCHMARK.json` gives the metric. Writes every run and
 //! every summary to the `--out` file as JSON. Touches nothing in the
-//! working tree but that file: detbench is run in the worktrees.
+//! working tree but that file: detbench is built in the worktree.
 //!
 //! Exits 1 when `vclock_ms` differs between the sides of any pair, or
 //! when the sides' counts of failed operations differ; 2 on a usage,
@@ -33,7 +38,7 @@ use std::process::{Command, ExitCode, Stdio};
 
 use det_conform::pair::{Better, Summary};
 use det_conform::worktree;
-use serde::{Deserialize, Value};
+use serde::{Deserialize, Serialize, Value};
 
 /// The command line.
 struct Args {
@@ -87,54 +92,45 @@ impl Args {
     }
 }
 
-/// One side: a revision checked out and built.
+/// One side: a revision and the detbench built from it.
 struct Side {
     name: &'static str,
     sha: String,
-    tree: PathBuf,
-    target: PathBuf,
+    exe: PathBuf,
 }
 
 impl Side {
-    fn prepare(root: &Path, name: &'static str, rev: &str) -> Result<Side, String> {
+    /// Checks `rev` out at `work/tree`, builds detbench from it into
+    /// `work/<name>-target`, and copies the executable to
+    /// `work/detbench-<name>`.
+    fn build(root: &Path, work: &Path, name: &'static str, rev: &str) -> Result<Side, String> {
         let sha = worktree::git(
             root,
             &["rev-parse", "--verify", &format!("{rev}^{{commit}}")],
         )?;
-        let work = root.join("target/pair");
-        let side = Side {
-            name,
-            tree: work.join(name),
-            target: work.join(format!("{name}-target")),
-            sha,
-        };
-        worktree::add(root, &side.tree, &side.sha)?;
-        eprintln!("pair: building detbench at {} ({name})", short(&side.sha));
-        // `manifest` only prints; running it is what builds detbench.
-        let status = (side.detbench())
-            .arg("manifest")
-            .stdout(Stdio::null())
+        let tree = work.join("tree");
+        let target = work.join(format!("{name}-target"));
+        worktree::add(root, &tree, &sha)?;
+        eprintln!("pair: building detbench at {} ({name})", short(&sha));
+        let status = Command::new("cargo")
+            .current_dir(&tree)
+            .env("CARGO_TARGET_DIR", &target)
+            .args(["build", "--release", "--offline", "--quiet"])
+            .args(["--manifest-path", "benchmark/Cargo.toml"])
             .status()
             .map_err(|e| format!("cargo: {e}"))?;
         if !status.success() {
-            return Err(format!("{name}: detbench did not build at {}", side.sha));
+            return Err(format!("{name}: detbench did not build at {sha}"));
         }
-        Ok(side)
-    }
-
-    /// detbench's documented command, in this side's tree; the caller
-    /// adds detbench's arguments.
-    fn detbench(&self) -> Command {
-        let mut cmd = Command::new("cargo");
-        cmd.current_dir(&self.tree)
-            .env("CARGO_TARGET_DIR", &self.target)
-            .args(["run", "--release", "--offline", "--quiet"])
-            .args(["--manifest-path", "benchmark/Cargo.toml", "--"]);
-        cmd
+        let exe = work.join(format!("detbench-{name}"));
+        std::fs::copy(target.join("release/detbench"), &exe)
+            .map_err(|e| format!("{}: {e}", exe.display()))?;
+        Ok(Side { name, sha, exe })
     }
 }
 
 /// One run's last line, reduced to what the protocol reads.
+#[derive(Serialize)]
 struct Run {
     failed: f64,
     metrics: Vec<(String, f64)>,
@@ -146,17 +142,56 @@ impl Run {
             .find(|(name, _)| name == metric)
             .map(|&(_, v)| v)
     }
+}
 
-    fn to_json(&self) -> Value {
-        let metrics = self
-            .metrics
-            .iter()
-            .map(|(k, v)| (k.clone(), Value::Float(*v)));
-        Value::Object(vec![
-            ("failed".into(), Value::Float(self.failed)),
-            ("metrics".into(), Value::Object(metrics.collect())),
-        ])
-    }
+/// One pair, as the `--out` file records it.
+#[derive(Serialize)]
+struct Pair {
+    first: String,
+    parent: Run,
+    change: Run,
+}
+
+/// One workload at one seed, as the `--out` file records it.
+#[derive(Serialize)]
+struct Record {
+    workload: String,
+    seed: u64,
+    /// `vclock_ms` equal in every pair, and as many failed operations
+    /// on each side.
+    ok: bool,
+    summary: Vec<(String, Summary)>,
+    pairs: Vec<Pair>,
+}
+
+/// The `--out` file.
+#[derive(Serialize)]
+struct Doc {
+    parent: String,
+    change: String,
+    pairs: usize,
+    seconds: f64,
+    trace: bool,
+    runs: Vec<Record>,
+}
+
+/// The part of `BENCHMARK.json` the protocol reads.
+#[derive(Deserialize)]
+struct Manifest {
+    workloads: Vec<Workload>,
+    end_to_end: Vec<Metric>,
+    per_layer: Vec<Metric>,
+}
+
+#[derive(Deserialize)]
+struct Workload {
+    name: String,
+}
+
+#[derive(Deserialize)]
+struct Metric {
+    name: String,
+    better: Better,
 }
 
 fn number(v: Option<&Value>) -> Option<f64> {
@@ -164,7 +199,7 @@ fn number(v: Option<&Value>) -> Option<f64> {
 }
 
 fn run(side: &Side, workload: &str, seed: u64, args: &Args) -> Result<Run, String> {
-    let out = (side.detbench())
+    let out = Command::new(&side.exe)
         .args(["--workload", workload])
         .args(["--seed", &seed.to_string()])
         .args(["--seconds", &args.seconds.to_string()])
@@ -196,36 +231,22 @@ fn short(sha: &str) -> &str {
 fn manifest(root: &Path) -> Result<(Vec<String>, BTreeMap<String, Better>), String> {
     let path = root.join("BENCHMARK.json");
     let text = std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let doc: Value = serde_json::from_str(&text).map_err(|e| format!("BENCHMARK.json: {e}"))?;
-    let names = |section: &str| match doc.get(section) {
-        Some(Value::Array(items)) => items.clone(),
-        _ => Vec::new(),
-    };
-    let text_of = |v: &Value, key: &str| match v.get(key) {
-        Some(Value::Str(s)) => Some(s.clone()),
-        _ => None,
-    };
-    let workloads = (names("workloads").iter())
-        .filter_map(|w| text_of(w, "name"))
+    let m: Manifest =
+        serde_json::from_str(&text).map_err(|e| format!("{}: {e}", path.display()))?;
+    let better = (m.end_to_end.into_iter().chain(m.per_layer))
+        .map(|metric| (metric.name, metric.better))
         .collect();
-    let mut better = BTreeMap::new();
-    for m in names("end_to_end").iter().chain(&names("per_layer")) {
-        if let (Some(name), Some(b)) = (text_of(m, "name"), text_of(m, "better")) {
-            better.insert(name, Better::parse(&b).unwrap_or(Better::Lower));
-        }
-    }
-    Ok((workloads, better))
+    Ok((m.workloads.into_iter().map(|w| w.name).collect(), better))
 }
 
-/// The pairs of one workload at one seed, printed and reduced. Returns
-/// its JSON record and whether its clocks and failure counts agreed.
+/// The pairs of one workload at one seed, printed and reduced.
 fn measure(
     sides: &[Side; 2],
     workload: &str,
     seed: u64,
     args: &Args,
     better: &BTreeMap<String, Better>,
-) -> Result<(Value, bool), String> {
+) -> Result<Record, String> {
     println!(
         "{workload} seed {seed}: {} pairs of {} s{}, parent {} / change {}",
         args.pairs,
@@ -235,7 +256,6 @@ fn measure(
         short(&sides[1].sha),
     );
     let mut pairs = Vec::new();
-    let mut records = Vec::new();
     for k in 0..args.pairs {
         // Alternate which side runs first, so a drift in the host's
         // speed over the session falls on both sides alike.
@@ -247,25 +267,30 @@ fn measure(
         let [Some(parent), Some(change)] = runs else {
             unreachable!("both sides ran")
         };
-        let iter = |r: &Run| r.value("iter_ms").unwrap_or(f64::NAN);
+        // A traced run reports the iteration time as a percentile.
+        let headline = if args.trace {
+            "harness.iter_ms_p50"
+        } else {
+            "iter_ms"
+        };
+        let value = |r: &Run| r.value(headline).unwrap_or(f64::NAN);
         println!(
-            "  pair {:>2} ({} first): iter_ms {:.3} -> {:.3}",
+            "  pair {:>2} ({} first): {headline} {:.3} -> {:.3}",
             k + 1,
             sides[first].name,
-            iter(&parent),
-            iter(&change)
+            value(&parent),
+            value(&change)
         );
-        records.push(Value::Object(vec![
-            ("first".into(), Value::Str(sides[first].name.into())),
-            ("parent".into(), parent.to_json()),
-            ("change".into(), change.to_json()),
-        ]));
-        pairs.push((parent, change));
+        pairs.push(Pair {
+            first: sides[first].name.into(),
+            parent,
+            change,
+        });
     }
 
     let mut ok = true;
     let clocks_differ = (pairs.iter())
-        .filter(|(p, c)| p.value("vclock_ms") != c.value("vclock_ms"))
+        .filter(|p| p.parent.value("vclock_ms") != p.change.value("vclock_ms"))
         .count();
     if clocks_differ > 0 {
         println!(
@@ -274,18 +299,8 @@ fn measure(
         );
         ok = false;
     }
-    let failed = |side: usize| -> f64 {
-        (pairs.iter())
-            .map(|pair| {
-                if side == 0 {
-                    pair.0.failed
-                } else {
-                    pair.1.failed
-                }
-            })
-            .sum()
-    };
-    let (parent_failed, change_failed) = (failed(0), failed(1));
+    let parent_failed: f64 = pairs.iter().map(|p| p.parent.failed).sum();
+    let change_failed: f64 = pairs.iter().map(|p| p.change.failed).sum();
     if parent_failed != change_failed {
         println!("  FAIL: failed operations: parent {parent_failed}, change {change_failed}");
         ok = false;
@@ -295,12 +310,15 @@ fn measure(
         "  {:<32} {:>30} {:>12} {:>6} {:>7}  verdict",
         "metric", "parent median [q1, q3]", "change", "wins", "ratio"
     );
-    let mut summaries = Vec::new();
-    for (metric, _) in &pairs[0].0.metrics {
+    let mut summary = Vec::new();
+    for (metric, _) in &pairs[0].parent.metrics {
         let values: Option<Vec<(f64, f64)>> = (pairs.iter())
-            .map(|(p, c)| Some((p.value(metric)?, c.value(metric)?)))
+            .map(|p| Some((p.parent.value(metric)?, p.change.value(metric)?)))
             .collect();
-        let Some(values) = values else { continue };
+        // A layer this workload does not probe reads 0 on both sides.
+        let Some(values) = values.filter(|v| v.iter().any(|&p| p != (0.0, 0.0))) else {
+            continue;
+        };
         let direction = better.get(metric).copied().unwrap_or(Better::Lower);
         let s = Summary::of(&values, direction);
         let verdict = if metric == "vclock_ms" && clocks_differ == 0 {
@@ -316,29 +334,15 @@ fn measure(
             "  {metric:<32} {spread:>30} {:>12.3} {:>3}/{:<2} {:>7.3}  {verdict}",
             s.change_median, s.wins, s.pairs, s.median_ratio
         );
-        let num = Value::Float;
-        summaries.push((
-            metric.clone(),
-            Value::Object(vec![
-                ("parent_median".into(), num(s.parent.median)),
-                ("parent_q1".into(), num(s.parent.q1)),
-                ("parent_q3".into(), num(s.parent.q3)),
-                ("change_median".into(), num(s.change_median)),
-                ("wins".into(), Value::UInt(s.wins as u64)),
-                ("pairs".into(), Value::UInt(s.pairs as u64)),
-                ("median_ratio".into(), num(s.median_ratio)),
-                ("verdict".into(), Value::Str(verdict.into())),
-            ]),
-        ));
+        summary.push((metric.clone(), s));
     }
-    let record = Value::Object(vec![
-        ("workload".into(), Value::Str(workload.into())),
-        ("seed".into(), Value::UInt(seed)),
-        ("ok".into(), Value::Bool(ok)),
-        ("summary".into(), Value::Object(summaries)),
-        ("pairs".into(), Value::Array(records)),
-    ]);
-    Ok((record, ok))
+    Ok(Record {
+        workload: workload.into(),
+        seed,
+        ok,
+        summary,
+        pairs,
+    })
 }
 
 fn pair(args: &Args) -> Result<bool, String> {
@@ -351,34 +355,37 @@ fn pair(args: &Args) -> Result<bool, String> {
     if args.others {
         chosen.extend(workloads.into_iter().filter(|w| *w != args.workload));
     }
-    let sides = [
-        Side::prepare(&root, "parent", &args.parent)?,
-        Side::prepare(&root, "change", &args.change)?,
-    ];
-    let mut ok = true;
-    let mut records = Vec::new();
+    let work = root.join("target/pair");
+    let built = Side::build(&root, &work, "parent", &args.parent)
+        .and_then(|parent| Ok([parent, Side::build(&root, &work, "change", &args.change)?]));
+    let sides = match built {
+        Ok(sides) => sides,
+        Err(e) => {
+            worktree::remove(&root, &work.join("tree"));
+            return Err(e);
+        }
+    };
+    let mut runs = Vec::new();
     let result = (|| {
         for workload in &chosen {
             for &seed in &args.seeds {
-                let (record, agreed) = measure(&sides, workload, seed, args, &better)?;
-                ok &= agreed;
-                records.push(record);
+                runs.push(measure(&sides, workload, seed, args, &better)?);
             }
         }
         Ok::<(), String>(())
     })();
-    for side in &sides {
-        worktree::remove(&root, &side.tree);
-    }
+    worktree::remove(&root, &work.join("tree"));
     result?;
-    let doc = Value::Object(vec![
-        ("parent".into(), Value::Str(sides[0].sha.clone())),
-        ("change".into(), Value::Str(sides[1].sha.clone())),
-        ("pairs".into(), Value::UInt(args.pairs as u64)),
-        ("seconds".into(), Value::Float(args.seconds)),
-        ("trace".into(), Value::Bool(args.trace)),
-        ("runs".into(), Value::Array(records)),
-    ]);
+    let ok = runs.iter().all(|r| r.ok);
+    let [parent, change] = sides.map(|s| s.sha);
+    let doc = Doc {
+        parent,
+        change,
+        pairs: args.pairs,
+        seconds: args.seconds,
+        trace: args.trace,
+        runs,
+    };
     let text = serde_json::to_string_pretty(&doc).map_err(|e| e.to_string())?;
     std::fs::write(&args.out, text + "\n").map_err(|e| format!("{}: {e}", args.out.display()))?;
     println!("written to {}", args.out.display());

@@ -7,28 +7,21 @@
 //! parent's median and quartiles, the change's median, how many pairs
 //! the change won, the median of the per-pair ratios, and a verdict.
 
-/// Which way a metric improves.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+use serde::{Deserialize, Serialize};
+
+/// Which way a metric improves, as `BENCHMARK.json` spells it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Deserialize)]
 pub enum Better {
     /// Smaller is better (times, bytes, counts).
+    #[serde(rename = "lower")]
     Lower,
     /// Larger is better (rates, ratios).
+    #[serde(rename = "higher")]
     Higher,
 }
 
-impl Better {
-    /// Parses `BENCHMARK.json`'s `"better"` field.
-    pub fn parse(s: &str) -> Option<Better> {
-        match s {
-            "lower" => Some(Better::Lower),
-            "higher" => Some(Better::Higher),
-            _ => None,
-        }
-    }
-}
-
 /// The lower quartile, median and upper quartile of a sample.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
 pub struct Quartiles {
     /// The 25th percentile.
     pub q1: f64,
@@ -76,13 +69,19 @@ pub fn wins(pairs: &[(f64, f64)], better: Better) -> usize {
         .count()
 }
 
+/// Fewer pairs than this support no claim, however they fall.
+pub const MIN_PAIRS: usize = 10;
+
 /// What a metric's pairs support.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub enum Verdict {
-    /// The change won at least nine pairs in ten, and its median is
-    /// better than the parent's by more than the parent's IQR.
+    /// At least [`MIN_PAIRS`] pairs, the change won at least nine in
+    /// ten, and its median is better than the parent's by more than the
+    /// parent's IQR.
+    #[serde(rename = "gain")]
     Gain,
     /// Anything less: no claim either way.
+    #[serde(rename = "unresolved")]
     Unresolved,
 }
 
@@ -90,7 +89,7 @@ impl Verdict {
     /// The verdict for `wins` out of `pairs` and a median `gain` (in
     /// the metric's better direction) against the parent's `iqr`.
     pub fn of(wins: usize, pairs: usize, gain: f64, iqr: f64) -> Verdict {
-        if pairs > 0 && wins * 10 >= pairs * 9 && gain > iqr {
+        if pairs >= MIN_PAIRS && wins * 10 >= pairs * 9 && gain > iqr {
             Verdict::Gain
         } else {
             Verdict::Unresolved
@@ -107,7 +106,7 @@ impl Verdict {
 }
 
 /// One metric's pairs, reduced.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
 pub struct Summary {
     /// The parent's quartiles.
     pub parent: Quartiles,
@@ -173,7 +172,7 @@ mod tests {
     }
 
     #[test]
-    fn a_gain_needs_nine_in_ten_and_more_than_the_iqr() {
+    fn a_gain_needs_ten_pairs_nine_in_ten_and_more_than_the_iqr() {
         assert_eq!(Verdict::of(9, 10, 3.0, 2.0), Verdict::Gain);
         assert_eq!(Verdict::of(10, 10, 3.0, 2.0), Verdict::Gain);
         assert_eq!(Verdict::of(8, 10, 3.0, 2.0), Verdict::Unresolved);
@@ -183,6 +182,8 @@ mod tests {
         // The gain must exceed the IQR, not equal it.
         assert_eq!(Verdict::of(10, 10, 2.0, 2.0), Verdict::Unresolved);
         assert_eq!(Verdict::of(10, 10, -1.0, 0.0), Verdict::Unresolved);
+        // Four of four is no claim: too few pairs.
+        assert_eq!(Verdict::of(4, 4, 3.0, 2.0), Verdict::Unresolved);
         assert_eq!(Verdict::of(0, 0, 1.0, 0.0), Verdict::Unresolved);
     }
 
