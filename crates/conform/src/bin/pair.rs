@@ -66,9 +66,6 @@ impl Args {
         }
         let mut take = |name: &str| flags.remove(name);
         let need = |v: Option<String>, name: &str| v.ok_or(format!("--{name} is required"));
-        let number = |v: String, name: &str| -> Result<f64, String> {
-            v.parse().map_err(|_| format!("--{name}: bad value {v:?}"))
-        };
         let args = Args {
             parent: need(take("parent"), "parent")?,
             change: need(take("change"), "change")?,
@@ -76,8 +73,8 @@ impl Args {
             seeds: (take("seeds").unwrap_or_else(|| "0".into()).split(','))
                 .map(|s| s.parse().map_err(|_| format!("--seeds: bad seed {s:?}")))
                 .collect::<Result<_, _>>()?,
-            pairs: number(take("pairs").unwrap_or_else(|| "10".into()), "pairs")? as usize,
-            seconds: number(take("seconds").unwrap_or_else(|| "12".into()), "seconds")?,
+            pairs: parsed(take("pairs"), "pairs", 10)?,
+            seconds: parsed(take("seconds"), "seconds", 12.0)?,
             out: need(take("out"), "out")?.into(),
             others: take("others").is_some(),
             trace: take("trace").is_some(),
@@ -90,6 +87,13 @@ impl Args {
         }
         Ok(args)
     }
+}
+
+/// The value of `--name`, or `default` when the flag is absent.
+fn parsed<T: std::str::FromStr>(v: Option<String>, name: &str, default: T) -> Result<T, String> {
+    v.map_or(Ok(default), |v| {
+        v.parse().map_err(|_| format!("--{name}: bad value {v:?}"))
+    })
 }
 
 /// One side: a revision and the detbench built from it.

@@ -36,11 +36,11 @@ pub fn git(root: &Path, args: &[&str]) -> Result<String, String> {
 /// Checks `rev` out, detached, into a worktree at `tree`. A worktree an
 /// interrupted run left there is replaced.
 pub fn add(root: &Path, tree: &Path, rev: &str) -> Result<(), String> {
-    let tree = tree.to_string_lossy();
-    if Path::new(tree.as_ref()).exists() {
-        let _ = git(root, &["worktree", "remove", "--force", &tree]);
+    if tree.exists() {
+        remove(root, tree);
     }
     let _ = git(root, &["worktree", "prune"]);
+    let tree = tree.to_string_lossy();
     git(
         root,
         &["worktree", "add", "--quiet", "--detach", &tree, rev],
@@ -50,8 +50,6 @@ pub fn add(root: &Path, tree: &Path, rev: &str) -> Result<(), String> {
 
 /// Removes the worktree at `tree`, and anything in it.
 pub fn remove(root: &Path, tree: &Path) {
-    let _ = git(
-        root,
-        &["worktree", "remove", "--force", &tree.to_string_lossy()],
-    );
+    let tree = tree.to_string_lossy();
+    let _ = git(root, &["worktree", "remove", "--force", &tree]);
 }
