@@ -40,7 +40,7 @@ impl Quartiles {
 
 /// The `q`-quantile of `sorted` (ascending, not empty), interpolated
 /// linearly between the two closest ranks: rank `q * (n - 1)`.
-pub fn quantile(sorted: &[f64], q: f64) -> f64 {
+fn quantile(sorted: &[f64], q: f64) -> f64 {
     let rank = q * (sorted.len() - 1) as f64;
     let lo = rank.floor() as usize;
     let hi = rank.ceil() as usize;
@@ -48,7 +48,7 @@ pub fn quantile(sorted: &[f64], q: f64) -> f64 {
 }
 
 /// The quartiles of `xs`, which must not be empty.
-pub fn quartiles(xs: &[f64]) -> Quartiles {
+fn quartiles(xs: &[f64]) -> Quartiles {
     let mut sorted = xs.to_vec();
     sorted.sort_by(f64::total_cmp);
     Quartiles {
@@ -60,7 +60,7 @@ pub fn quartiles(xs: &[f64]) -> Quartiles {
 
 /// How many `(parent, change)` pairs the change won. A tie is not a
 /// win: a metric that did not move wins no pair.
-pub fn wins(pairs: &[(f64, f64)], better: Better) -> usize {
+fn wins(pairs: &[(f64, f64)], better: Better) -> usize {
     (pairs.iter())
         .filter(|&&(p, c)| match better {
             Better::Lower => c < p,
