@@ -458,6 +458,30 @@ fn entry_view(e: &mut Option<PageEntry>, t: Translation) -> Option<Pinned<'_>> {
     }
 }
 
+/// An 8-byte little-endian word the bulk accessors move.
+trait Word: Copy {
+    fn from_le(bytes: [u8; 8]) -> Self;
+    fn to_le(self) -> [u8; 8];
+}
+
+impl Word for u64 {
+    fn from_le(bytes: [u8; 8]) -> u64 {
+        u64::from_le_bytes(bytes)
+    }
+    fn to_le(self) -> [u8; 8] {
+        self.to_le_bytes()
+    }
+}
+
+impl Word for f64 {
+    fn from_le(bytes: [u8; 8]) -> f64 {
+        f64::from_le_bytes(bytes)
+    }
+    fn to_le(self) -> [u8; 8] {
+        self.to_le_bytes()
+    }
+}
+
 /// Source of unique [`AddressSpace::space_id`] values. Ids only ever
 /// feed *equality checks* against translations minted from the same
 /// space, so allocation order (which can vary with host scheduling)
@@ -1648,9 +1672,8 @@ impl AddressSpace {
     /// assert_eq!(s.read(0x9000, &mut buf), Err(MemError::Unmapped { addr: 0x9000 }));
     /// ```
     pub fn read(&self, addr: u64, buf: &mut [u8]) -> Result<()> {
-        self.access(addr, buf.len(), Perm::R, |off, frame_bytes, chunk| {
+        self.access(addr, buf.len(), Perm::R, |off, chunk| {
             buf[off..off + chunk.len()].copy_from_slice(chunk);
-            let _ = frame_bytes;
         })
     }
 
@@ -1665,11 +1688,26 @@ impl AddressSpace {
     /// outstanding translation (and any decoded instruction) may have
     /// changed.
     pub fn write(&mut self, addr: u64, data: &[u8]) -> Result<()> {
-        if data.is_empty() {
+        self.write_with(addr, data.len(), |done, chunk| {
+            chunk.copy_from_slice(&data[done..done + chunk.len()]);
+        })
+    }
+
+    /// The page walk every write takes: `write` and the bulk word
+    /// writes differ only in `fill(done, chunk)`, which stores the
+    /// range's bytes from `done` on into `chunk`, one page's part of
+    /// `[addr, addr + len)` in an un-shared, dirtied frame.
+    fn write_with(
+        &mut self,
+        addr: u64,
+        len: usize,
+        mut fill: impl FnMut(usize, &mut [u8]),
+    ) -> Result<()> {
+        if len == 0 {
             return Ok(());
         }
         let end = addr
-            .checked_add(data.len() as u64)
+            .checked_add(len as u64)
             .ok_or(MemError::AddressOverflow)?;
         let first_vpn = vpn_of(addr);
         let last_vpn = vpn_of(end - 1);
@@ -1707,7 +1745,7 @@ impl AddressSpace {
 
         self.generation += 1;
         let mut cursor = addr;
-        let mut remaining = data;
+        let mut done = 0;
         let mut vpn = first_vpn;
         while vpn <= last_vpn {
             let base = vpn >> LEAF_BITS;
@@ -1718,29 +1756,30 @@ impl AddressSpace {
             for v in vpn..=chunk_last {
                 self.dirty.insert(v);
                 let off = offset_of(cursor);
-                let n = remaining.len().min(PAGE_SIZE - off);
+                let n = (len - done).min(PAGE_SIZE - off);
                 let e = leaf.entries[(v & LEAF_MASK) as usize]
                     .as_mut()
                     .expect("validated above");
                 // Copy-on-write: clone the frame if it is shared.
                 let frame = Arc::make_mut(&mut e.frame);
-                frame.bytes_mut()[off..off + n].copy_from_slice(&remaining[..n]);
+                fill(done, &mut frame.bytes_mut()[off..off + n]);
                 cursor += n as u64;
-                remaining = &remaining[n..];
+                done += n;
             }
             vpn = chunk_last + 1;
         }
         Ok(())
     }
 
-    /// Shared read walk used by `read`; calls `sink(buf_offset, frame, chunk)`
-    /// per page-sized chunk.
+    /// Shared read walk used by `read` and the bulk word reads; calls
+    /// `sink(done, chunk)` per page's part of the range, `done` being
+    /// the bytes of the range before it.
     fn access(
         &self,
         addr: u64,
         len: usize,
         need: Perm,
-        mut sink: impl FnMut(usize, &Frame, &[u8]),
+        mut sink: impl FnMut(usize, &[u8]),
     ) -> Result<()> {
         if len == 0 {
             return Ok(());
@@ -1762,7 +1801,7 @@ impl AddressSpace {
                     need,
                 });
             }
-            sink(done, &entry.frame, &entry.frame.bytes()[off..off + chunk]);
+            sink(done, &entry.frame.bytes()[off..off + chunk]);
             cursor += chunk as u64;
             done += chunk;
         }
@@ -1824,38 +1863,71 @@ impl AddressSpace {
 
     /// Reads `n` little-endian `u64`s starting at `addr`.
     pub fn read_u64s(&self, addr: u64, n: usize) -> Result<Vec<u64>> {
-        let raw = self.read_vec(addr, n * 8)?;
-        Ok(raw
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("chunk of 8")))
-            .collect())
+        self.read_words(addr, n)
     }
 
     /// Writes a slice of `u64`s little-endian starting at `addr`.
     pub fn write_u64s(&mut self, addr: u64, vals: &[u64]) -> Result<()> {
-        let mut raw = Vec::with_capacity(vals.len() * 8);
-        for v in vals {
-            raw.extend_from_slice(&v.to_le_bytes());
-        }
-        self.write(addr, &raw)
+        self.write_words(addr, vals)
     }
 
     /// Reads `n` little-endian `f64`s starting at `addr`.
     pub fn read_f64s(&self, addr: u64, n: usize) -> Result<Vec<f64>> {
-        let raw = self.read_vec(addr, n * 8)?;
-        Ok(raw
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().expect("chunk of 8")))
-            .collect())
+        self.read_words(addr, n)
     }
 
     /// Writes a slice of `f64`s little-endian starting at `addr`.
     pub fn write_f64s(&mut self, addr: u64, vals: &[f64]) -> Result<()> {
-        let mut raw = Vec::with_capacity(vals.len() * 8);
-        for v in vals {
-            raw.extend_from_slice(&v.to_le_bytes());
-        }
-        self.write(addr, &raw)
+        self.write_words(addr, vals)
+    }
+
+    /// Reads `n` words, decoding each page's chunk straight from its
+    /// frame into the result. A length whose byte count overflows is
+    /// `AddressOverflow`, never a shorter read.
+    fn read_words<W: Word>(&self, addr: u64, n: usize) -> Result<Vec<W>> {
+        let len = n.checked_mul(8).ok_or(MemError::AddressOverflow)?;
+        // A read longer than everything mapped faults somewhere, so it
+        // reserves nothing up front.
+        let fits = len as u64 <= self.mapped_bytes();
+        let mut out = Vec::with_capacity(if fits { n } else { 0 });
+        // The low bytes of a word split across a page boundary.
+        let mut split = [0u8; 8];
+        let mut held = 0;
+        self.access(addr, len, Perm::R, |_, chunk| {
+            let (head, body) = chunk.split_at((8 - held) % 8);
+            if held > 0 {
+                split[held..].copy_from_slice(head);
+                out.push(W::from_le(split));
+            }
+            let words = body.chunks_exact(8);
+            let tail = words.remainder();
+            out.extend(words.map(|w| W::from_le(w.try_into().expect("8 bytes"))));
+            split[..tail.len()].copy_from_slice(tail);
+            held = tail.len();
+        })?;
+        Ok(out)
+    }
+
+    /// Writes `vals` through [`AddressSpace::write_with`], encoding each
+    /// page's chunk straight from the slice into the frame.
+    fn write_words<W: Word>(&mut self, addr: u64, vals: &[W]) -> Result<()> {
+        self.write_with(addr, vals.len() * 8, |done, chunk| {
+            // The high bytes of a word the previous page began.
+            let (head, body) = chunk.split_at_mut((8 - done % 8) % 8);
+            if !head.is_empty() {
+                head.copy_from_slice(&vals[done / 8].to_le()[done % 8..]);
+            }
+            let first = done.div_ceil(8);
+            let whole = body.len() / 8;
+            let (body, tail) = body.split_at_mut(whole * 8);
+            for (w, v) in body.chunks_exact_mut(8).zip(&vals[first..first + whole]) {
+                w.copy_from_slice(&v.to_le());
+            }
+            // The low bytes of a word the next page ends.
+            if !tail.is_empty() {
+                tail.copy_from_slice(&vals[first + whole].to_le()[..tail.len()]);
+            }
+        })
     }
 
     /// Returns a deterministic digest of the mapped contents

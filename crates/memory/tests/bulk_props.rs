@@ -286,3 +286,18 @@ fn a_refused_bulk_write_touches_nothing() {
     assert!(image(&s) == before);
     assert_eq!(s.generation(), generation);
 }
+
+#[test]
+fn a_bulk_read_whose_byte_count_overflows_is_refused() {
+    let (s, _) = build(Odd::None, &[], Share::Alone);
+    let n = (1usize << 61) + 1;
+    assert_eq!(s.read_u64s(REGION.start, n), Err(MemError::AddressOverflow));
+    assert_eq!(s.read_f64s(REGION.start, n), Err(MemError::AddressOverflow));
+    assert_eq!(s.read_u64s(u64::MAX - 7, 1), Err(MemError::AddressOverflow));
+    // Longer than everything mapped, but representable: the first
+    // unmapped page, not an allocation of the whole length.
+    assert_eq!(
+        s.read_u64s(REGION.start, 1usize << 59),
+        Err(MemError::Unmapped { addr: REGION.end })
+    );
+}
