@@ -37,7 +37,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode, Stdio};
 
 use det_conform::pair::{Better, Summary};
-use det_conform::worktree;
+use det_conform::{gates, worktree};
 use serde::{Deserialize, Serialize, Value};
 
 /// The command line.
@@ -198,10 +198,6 @@ struct Metric {
     better: Better,
 }
 
-fn number(v: Option<&Value>) -> Option<f64> {
-    v.and_then(|v| f64::from_value(v).ok())
-}
-
 fn run(side: &Side, workload: &str, seed: u64, args: &Args) -> Result<Run, String> {
     let out = Command::new(&side.exe)
         .args(["--workload", workload])
@@ -210,19 +206,16 @@ fn run(side: &Side, workload: &str, seed: u64, args: &Args) -> Result<Run, Strin
         .args(["--trace", if args.trace { "1" } else { "0" }])
         .stderr(Stdio::inherit())
         .output()
-        .map_err(|e| format!("cargo: {e}"))?;
+        .map_err(|e| format!("{}: {e}", side.exe.display()))?;
     let stdout = String::from_utf8_lossy(&out.stdout);
     let line =
         (stdout.lines().last()).ok_or(format!("{}: {workload}: no result line", side.name))?;
     let bad = |e: String| format!("{}: {workload}: {e}: {line}", side.name);
     let doc: Value = serde_json::from_str(line).map_err(|e| bad(e.to_string()))?;
-    let failed = number(doc.get("failed")).ok_or_else(|| bad("no failed count".into()))?;
-    let Some(Value::Object(fields)) = doc.get("metrics") else {
-        return Err(bad("no metrics".into()));
-    };
-    let metrics = (fields.iter())
-        .filter_map(|(name, m)| Some((name.clone(), number(m.get("value"))?)))
-        .collect();
+    let failed = (doc.get("failed").and_then(|v| f64::from_value(v).ok()))
+        .ok_or_else(|| bad("no failed count".into()))?;
+    let metrics =
+        (doc.get("metrics").and_then(gates::readings)).ok_or_else(|| bad("no metrics".into()))?;
     Ok(Run { failed, metrics })
 }
 

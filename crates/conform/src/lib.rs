@@ -25,12 +25,14 @@
 //! checked-in table of seeded bugs ([`seeded`]) that the tests must
 //! catch. The `pair` binary benchmarks a parent and a change in
 //! alternating detbench runs and judges a host-time claim ([`pair`]);
-//! both check their revisions out with [`worktree`].
+//! both check their revisions out with [`worktree`]. The `gates` binary
+//! holds a detbench ledger to the checked-in table of bounds ([`gates`]).
 
 #![warn(missing_docs)]
 
 pub mod bundle;
 pub mod diff;
+pub mod gates;
 pub mod harness;
 pub mod pair;
 pub mod scenario;

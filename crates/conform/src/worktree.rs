@@ -48,8 +48,34 @@ pub fn add(root: &Path, tree: &Path, rev: &str) -> Result<(), String> {
     .map(drop)
 }
 
-/// Removes the worktree at `tree`, and anything in it.
+/// Removes the worktree at `tree`, and anything in it. `git worktree
+/// remove` leaves a directory that is not a registered worktree (one a
+/// run of a side's detbench recreated after its tree was gone), so what
+/// is still there afterwards is deleted.
 pub fn remove(root: &Path, tree: &Path) {
-    let tree = tree.to_string_lossy();
-    let _ = git(root, &["worktree", "remove", "--force", &tree]);
+    let _ = git(
+        root,
+        &["worktree", "remove", "--force", &tree.to_string_lossy()],
+    );
+    let _ = std::fs::remove_dir_all(tree);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_stray_directory_at_the_tree_path_does_not_block_add() {
+        let root = workspace_root();
+        let tree = root.join("target/worktree-test/tree");
+        let stray = tree.join("benchmark/out");
+        std::fs::create_dir_all(&stray).unwrap();
+        std::fs::write(stray.join("spans.json"), "{}").unwrap();
+        let added = add(&root, &tree, "HEAD");
+        let checked_out = tree.join("Cargo.toml").exists();
+        remove(&root, &tree);
+        assert_eq!(added, Ok(()));
+        assert!(checked_out, "HEAD is checked out at the tree path");
+        assert!(!tree.exists(), "remove leaves nothing behind");
+    }
 }

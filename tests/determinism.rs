@@ -3,6 +3,7 @@
 //! across repeated runs and perturbed host schedules, for every layer
 //! of the stack.
 
+use determinator::conform::ChaosLoad;
 use determinator::kernel::{
     CopySpec, DeviceId, GetSpec, IoMode, Kernel, KernelConfig, Program, PutSpec, Region,
 };
@@ -212,22 +213,7 @@ fn rendezvous_storm_digest_invariant_under_chaos() {
     let region = Region::new(0x1000, 0x5000);
     let run = |chaos: bool| {
         // Background load perturbing the host scheduler.
-        let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let chaos_threads: Vec<_> = if chaos {
-            (0..3)
-                .map(|_| {
-                    let stop = std::sync::Arc::clone(&stop);
-                    std::thread::spawn(move || {
-                        while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                            std::hint::spin_loop();
-                            std::thread::yield_now();
-                        }
-                    })
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let load = chaos.then(|| ChaosLoad::start(3));
         let out = Kernel::new(KernelConfig::default()).run(move |ctx| {
             ctx.mem_mut().map_zero(region, Perm::RW)?;
             const N: u64 = 6;
@@ -274,10 +260,7 @@ fn rendezvous_storm_digest_invariant_under_chaos() {
             }
             Ok(ctx.mem().content_digest().value() as i32)
         });
-        stop.store(true, std::sync::atomic::Ordering::Relaxed);
-        for t in chaos_threads {
-            let _ = t.join();
-        }
+        drop(load);
         (
             out.exit.expect("storm must not trap"),
             out.vclock_ns,
@@ -299,7 +282,6 @@ fn rendezvous_storm_digest_invariant_under_chaos() {
 /// Shards may only change wall-clock time.
 #[test]
 fn sharded_workloads_invariant_across_shard_counts_under_chaos() {
-    use determinator::conform::ChaosLoad;
     use determinator::workloads::sharded::{
         ShardedConfig, ShardedResult, dsched_counter, md5_scan,
     };
