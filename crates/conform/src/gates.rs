@@ -9,10 +9,10 @@
 use serde::{Deserialize, Value};
 
 /// The table, as checked in beside this crate's manifest.
-pub const TABLE: &str = include_str!("../gates.json");
+const TABLE: &str = include_str!("../gates.json");
 
 /// One gate: a bound on one reading of a ledger.
-#[derive(Clone, Debug, Deserialize)]
+#[derive(Debug, Deserialize)]
 pub struct Gate {
     /// The workload whose entry holds the metric, or `*` for the
     /// largest reading over every workload entry.
@@ -54,7 +54,7 @@ pub struct Ledger {
     /// `host.nproc`: the cores of the host the ledger was taken on.
     pub nproc: u64,
     /// Each workload entry's `end_to_end` and `per_layer` readings.
-    pub workloads: Vec<(String, Vec<(String, f64)>)>,
+    workloads: Vec<(String, Vec<(String, f64)>)>,
 }
 
 impl Ledger {
