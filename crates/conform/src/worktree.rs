@@ -53,10 +53,8 @@ pub fn add(root: &Path, tree: &Path, rev: &str) -> Result<(), String> {
 /// run of a side's detbench recreated after its tree was gone), so what
 /// is still there afterwards is deleted.
 pub fn remove(root: &Path, tree: &Path) {
-    let _ = git(
-        root,
-        &["worktree", "remove", "--force", &tree.to_string_lossy()],
-    );
+    let path = tree.to_string_lossy();
+    let _ = git(root, &["worktree", "remove", "--force", &path]);
     let _ = std::fs::remove_dir_all(tree);
 }
 
