@@ -13,6 +13,9 @@ use det_vm::{
 };
 use proptest::prelude::*;
 
+mod common;
+use common::MALFORMED;
+
 /// An accepted image is internally consistent.
 fn assert_well_formed(image: &Image, src: &str) {
     let len = image.bytes.len() as u64;
@@ -21,98 +24,6 @@ fn assert_well_formed(image: &Image, src: &str) {
     let start = image.labels.get("_start").copied().unwrap_or(0);
     assert_eq!(image.entry, start, "{src:?}");
 }
-
-/// Sources with exactly one thing wrong each. Every one must be
-/// rejected; the three integer rows at the top are the ones that used
-/// to panic in debug builds, assemble the wrong sign, or pass.
-const MALFORMED: &[&str] = &[
-    // Integers: outside [-2^63, 2^64), a second sign, no digits.
-    "li r1, -9223372036854775809",
-    "li r1, -0x8000000000000001",
-    "li r1, --5",
-    "li r1, -+5",
-    "li r1, +-5",
-    "li r1, ++5",
-    "li r1, 18446744073709551616",
-    "li r1, 0x10000000000000000",
-    "li r1, 0x",
-    "li r1, 0x+5",
-    "li r1, -0x-5",
-    "li r1, 0b2",
-    "li r1, 1_000",
-    "li r1, 5 5",
-    "li r1, ",
-    "li r1, -",
-    // Missing and surplus operands.
-    "add r1, r2",
-    "add r1, r2, r3, r4",
-    "ldi r1",
-    "li r1",
-    "mov r1",
-    "sys",
-    "halt r1",
-    "nop 1",
-    "jal r1",
-    "jalr r1, r2",
-    "beq r1, r2",
-    "ldd r1",
-    // Registers.
-    "add r16, r1, r2",
-    "add r-1, r1, r2",
-    "add r+5, r1, r2",
-    "add r, r1, r2",
-    "add x1, r1, r2",
-    "add r1, r2, 3",
-    "ldd r1, [r16+0]",
-    // Memory operands.
-    "ldd r1, [r2+8",
-    "ldd r1, r2+8]",
-    "ldd r1, []",
-    "ldd r1, [r2+]",
-    "ldd r1, [r2--8]",
-    "ldd r1, [r2+-8]",
-    "ldd r1, [r2++8]",
-    "ldd r1, [+8]",
-    "ldd r1, [r2+r3]",
-    // Immediates one past 12 bits.
-    "addi r1, r1, 2048",
-    "addi r1, r1, -2049",
-    "ldih r1, 4096",
-    "ldih r1, -1",
-    "ldd r1, [r2+2048]",
-    "ldd r1, [r2-2049]",
-    "ldd r1, [r2-0x8000000000000000]",
-    // Magnitudes that, cast to i64, wrap to +1 and -1.
-    "ldd r1, [r2-0xffffffffffffffff]",
-    "ldd r1, [r2+18446744073709551615]",
-    "sys 2048",
-    // Labels.
-    "beq r0, r0, nowhere",
-    "x: nop\nx: nop",
-    "jal r14, 9lives",
-    "beq r0, r0, far\n.zero 12000\nfar: halt",
-    "far: halt\n.zero 12000\nbeq r0, r0, far",
-    // Directives and image size.
-    ".bogus 1",
-    ".zero",
-    ".zero -1",
-    ".zero 16777217",
-    ".zero 16777216\nnop",
-    ".word 1,,2",
-    ".quad x",
-    ".ascii hi",
-    ".ascii \"",
-    ".ascii \"unterminated",
-    // Not assembly at all.
-    "bogus r1",
-    "ld r1, [r2]",
-    ":",
-    "1abc: nop",
-    "nop\0",
-    "\0",
-    "ldi r1, 1\0",
-    "l\u{e9}i r1, 1",
-];
 
 #[test]
 fn every_malformed_source_is_a_typed_error() {
