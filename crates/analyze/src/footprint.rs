@@ -277,18 +277,18 @@ struct StepOut {
 }
 
 impl<'a> Engine<'a> {
+    /// The instruction at `pc`: `None` unless all four bytes of its word
+    /// lie inside one segment, `Some(Err)` for a trap.
     fn fetch(&self, pc: u64) -> Option<Result<Insn, ()>> {
         if !pc.is_multiple_of(4) {
             return Some(Err(()));
         }
-        for s in self.segs {
-            if pc >= s.base && pc.saturating_add(4) <= s.base.saturating_add(s.bytes.len() as u64) {
-                let off = (pc - s.base) as usize;
-                let word = u32::from_le_bytes(s.bytes[off..off + 4].try_into().unwrap());
-                return Some(decode(word).map_err(|_| ()));
-            }
-        }
-        None
+        let word = self.segs.iter().find_map(|s| {
+            let off = usize::try_from(pc.checked_sub(s.base)?).ok()?;
+            s.bytes.get(off..off.checked_add(4)?)
+        })?;
+        let word = u32::from_le_bytes(word.try_into().expect("four bytes"));
+        Some(decode(word).map_err(|_| ()))
     }
 
     /// Applies one instruction to `st`, producing successor edges and

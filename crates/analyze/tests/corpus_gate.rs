@@ -172,3 +172,17 @@ fn branches_across_two_to_the_63_and_the_top_do_not_panic() {
     };
     analyze(&[seg], u64::MAX - 3, &AnalyzeConfig::default());
 }
+
+/// A segment that ends at 2^64 − 1 with fewer than four bytes after its
+/// last aligned word: that word is not wholly inside the image, so the
+/// pc escapes and the footprint is unbounded, as for any other escape.
+#[test]
+fn a_partial_word_at_the_top_is_outside_the_image() {
+    use det_analyze::{Val, analyze_with_regs};
+    let seg = Segment {
+        base: u64::MAX - 7,
+        bytes: &[0; 7],
+    };
+    let fp = analyze_with_regs(&[seg], u64::MAX - 7, &[Val::exact(0); 16]).footprint;
+    assert!(fp.reads.is_unbounded() && fp.writes.is_unbounded());
+}
