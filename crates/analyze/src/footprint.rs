@@ -30,7 +30,7 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use det_memory::{PAGE_SHIFT, PAGE_SIZE, Region};
-use det_vm::{Insn, Opcode, decode};
+use det_vm::{Flow, Form, Insn, Opcode, decode};
 
 use crate::domain::Val;
 
@@ -292,9 +292,11 @@ impl<'a> Engine<'a> {
     }
 
     /// Applies one instruction to `st`, producing successor edges and
-    /// the memory accesses this pc can perform.
+    /// the memory accesses this pc can perform. The instruction's form
+    /// decides which registers change, its access and its edges; only
+    /// the abstract value operations ([`alu`], [`refine`]) are per
+    /// opcode.
     fn step(&mut self, pc: u64, st: &AbsState, out: &mut StepOut) {
-        use Opcode::*;
         out.edges.clear();
         out.reads.clear();
         out.writes.clear();
@@ -315,111 +317,21 @@ impl<'a> Engine<'a> {
             (insn.rt & 15) as usize,
         );
         let imm = insn.imm as i64;
-        let branch_target = insn.branch_target(pc);
+        let addr = st[rs].add(&Val::exact(imm));
         let mut n = *st;
 
-        let fall = |n: AbsState, out: &mut StepOut| out.edges.push((next_pc, n));
-        match insn.op {
-            Nop => fall(n, out),
-            Halt => {}
-            Sys => {
-                // The kernel may rewrite every register across a
-                // syscall (Get copies, trap handling): havoc the file.
-                fall([Val::top(); 16], out);
-            }
-
-            Add => {
-                n[rd] = st[rs].add(&st[rt]);
-                fall(n, out);
-            }
-            Sub => {
-                n[rd] = st[rs].sub(&st[rt]);
-                fall(n, out);
-            }
-            Mul => {
-                n[rd] = st[rs].mul(&st[rt]);
-                fall(n, out);
-            }
-            Div | Mod | Divu | Modu => {
-                // A zero divisor traps (ending the path); the non-trap
-                // continuation is soundly ⊤.
-                n[rd] = Val::top();
-                fall(n, out);
-            }
-            And => {
-                n[rd] = st[rs].and(&st[rt]);
-                fall(n, out);
-            }
-            Or => {
-                n[rd] = st[rs].or(&st[rt]);
-                fall(n, out);
-            }
-            Xor => {
-                n[rd] = st[rs].xor(&st[rt]);
-                fall(n, out);
-            }
-            Shl => {
-                n[rd] = st[rs].shl(&st[rt]);
-                fall(n, out);
-            }
-            Shr => {
-                n[rd] = st[rs].shr(&st[rt]);
-                fall(n, out);
-            }
-            Sar => {
-                n[rd] = st[rs].sar(&st[rt]);
-                fall(n, out);
-            }
-            Slt => {
-                n[rd] = st[rs].lt_signed(&st[rt]);
-                fall(n, out);
-            }
-            Sltu => {
-                n[rd] = st[rs].lt_unsigned(&st[rt]);
-                fall(n, out);
-            }
-
-            Addi => {
-                n[rd] = st[rs].add(&Val::exact(imm));
-                fall(n, out);
-            }
-            Andi => {
-                n[rd] = st[rs].and_mask(imm);
-                fall(n, out);
-            }
-            Ori => {
-                n[rd] = st[rs].or(&Val::exact(imm));
-                fall(n, out);
-            }
-            Xori => {
-                n[rd] = st[rs].xor(&Val::exact(imm));
-                fall(n, out);
-            }
-            Shli => {
-                n[rd] = st[rs].shl_imm(imm as u32 & 63);
-                fall(n, out);
-            }
-            Shri => {
-                n[rd] = st[rs].shr_imm(imm as u32 & 63);
-                fall(n, out);
-            }
-            Sari => {
-                n[rd] = st[rs].sar_imm(imm as u32 & 63);
-                fall(n, out);
-            }
-            Slti => {
-                n[rd] = st[rs].lt_signed(&Val::exact(imm));
-                fall(n, out);
-            }
-            Muli => {
-                n[rd] = st[rs].scale(imm);
-                fall(n, out);
-            }
-            Ldi => {
-                n[rd] = Val::exact(imm);
-                fall(n, out);
-            }
-            Ldih => {
+        let form = insn.op.form();
+        match form {
+            Form::Nop | Form::Branch => {}
+            // The space is done: no successor.
+            Form::Halt => return,
+            // The kernel may rewrite every register across a syscall
+            // (Get copies, trap handling): havoc the file.
+            Form::Sys => n = [Val::top(); 16],
+            Form::Alu | Form::Unary => n[rd] = alu(insn.op, &st[rs], &st[rt], imm),
+            Form::AluImm => n[rd] = alu(insn.op, &st[rs], &Val::exact(imm), imm),
+            Form::Ldi => n[rd] = Val::exact(imm),
+            Form::Ldih => {
                 // (rd << 12) | imm12: affine when no bits shift out.
                 let shifted = st[rd].shl_imm(12);
                 n[rd] = if shifted.is_top() {
@@ -427,54 +339,30 @@ impl<'a> Engine<'a> {
                 } else {
                     shifted.add(&Val::exact(imm & 0xfff))
                 };
-                fall(n, out);
             }
+            Form::Load(w) => {
+                out.reads.push((addr, w.into()));
+                // Zero-extended: below 2^(8w), and any value at w = 8.
+                n[rd] = match w {
+                    8 => Val::top(),
+                    _ => Val::range(0, (1 << (8 * w)) - 1),
+                };
+            }
+            Form::Store(w) => out.writes.push((addr, w.into())),
+            Form::Jal | Form::Jalr => n[rd] = Val::exact_u64(next_pc),
+        }
 
-            Ldb | Ldh | Ldw | Ldd => {
-                let addr = st[rs].add(&Val::exact(imm));
-                let size = match insn.op {
-                    Ldb => 1,
-                    Ldh => 2,
-                    Ldw => 4,
-                    _ => 8,
-                };
-                out.reads.push((addr, size));
-                n[rd] = match insn.op {
-                    Ldb => Val::range(0, 0xff),
-                    Ldh => Val::range(0, 0xffff),
-                    Ldw => Val::range(0, 0xffff_ffff),
-                    _ => Val::top(),
-                };
-                fall(n, out);
-            }
-            Stb | Sth | Stw | Std => {
-                let addr = st[rs].add(&Val::exact(imm));
-                let size = match insn.op {
-                    Stb => 1,
-                    Sth => 2,
-                    Stw => 4,
-                    _ => 8,
-                };
-                out.writes.push((addr, size));
-                fall(n, out);
-            }
-
-            Beq | Bne | Blt | Bge | Bltu | Bgeu => {
+        let target = insn.branch_target(pc);
+        match form.flow() {
+            Flow::Fall | Flow::Stop => out.edges.push((next_pc, n)),
+            Flow::Jump => out.edges.push((target, n)),
+            Flow::Indirect => match addr.as_exact() {
+                Some(t) => out.edges.push((t as u64, n)),
+                None => self.escaped = true,
+            },
+            Flow::Branch => {
                 let (a, b) = (st[rs], st[rt]);
-                let (taken, fallthrough) = match insn.op {
-                    Beq => (a.refine_eq(&b), a.refine_ne(&b)),
-                    Bne => (a.refine_ne(&b), a.refine_eq(&b)),
-                    Blt => (a.refine_lt_signed(&b), a.refine_ge_signed(&b)),
-                    Bge => (a.refine_ge_signed(&b), a.refine_lt_signed(&b)),
-                    Bltu => (a.refine_lt_unsigned(&b), a.refine_ge_unsigned(&b)),
-                    _ => (a.refine_ge_unsigned(&b), a.refine_lt_unsigned(&b)),
-                };
-                // Refine the right operand symmetrically where cheap.
-                let rt_taken = match insn.op {
-                    Beq => b.refine_eq(&a),
-                    Blt => b.refine_ge_signed(&a).and_then(|v| v.refine_ne(&a)),
-                    _ => Some(b),
-                };
+                let [taken, fallthrough, rt_taken] = refine(insn.op, &a, &b);
                 if let Some(ra) = taken {
                     let mut t = *st;
                     t[rs] = ra;
@@ -483,7 +371,7 @@ impl<'a> Engine<'a> {
                             t[rt] = rb;
                         }
                     }
-                    out.edges.push((branch_target, t));
+                    out.edges.push((target, t));
                 }
                 if let Some(ra) = fallthrough {
                     let mut t = *st;
@@ -491,28 +379,55 @@ impl<'a> Engine<'a> {
                     out.edges.push((next_pc, t));
                 }
             }
-            Jal => {
-                n[rd] = Val::exact_u64(next_pc);
-                out.edges.push((branch_target, n));
-            }
-            Jalr => {
-                let target = st[rs].add(&Val::exact(imm));
-                n[rd] = Val::exact_u64(next_pc);
-                match target.as_exact() {
-                    Some(t) => out.edges.push((t as u64, n)),
-                    None => self.escaped = true,
-                }
-            }
-
-            Fadd | Fsub | Fmul | Fdiv | Fsqrt | Cvtif | Cvtfi => {
-                n[rd] = Val::top();
-                fall(n, out);
-            }
-            Flt | Feq | Fle => {
-                n[rd] = Val::range(0, 1);
-                fall(n, out);
-            }
         }
+    }
+}
+
+/// The abstract value an ALU opcode computes from `rs`'s value `a`
+/// and `b`, which is `rt`'s value or the immediate `imm`.
+fn alu(op: Opcode, a: &Val, b: &Val, imm: i64) -> Val {
+    use Opcode::*;
+    match op {
+        Add | Addi => a.add(b),
+        Sub => a.sub(b),
+        Mul => a.mul(b),
+        Muli => a.scale(imm),
+        And => a.and(b),
+        Andi => a.and_mask(imm),
+        Or | Ori => a.or(b),
+        Xor | Xori => a.xor(b),
+        Shl => a.shl(b),
+        Shr => a.shr(b),
+        Sar => a.sar(b),
+        Shli => a.shl_imm(imm as u32 & 63),
+        Shri => a.shr_imm(imm as u32 & 63),
+        Sari => a.sar_imm(imm as u32 & 63),
+        Slt | Slti => a.lt_signed(b),
+        Sltu => a.lt_unsigned(b),
+        Flt | Feq | Fle => Val::range(0, 1),
+        // A zero divisor traps (ending the path), so the non-trap
+        // continuation is soundly ⊤; so is every float result.
+        _ => Val::top(),
+    }
+}
+
+/// A conditional branch's refinements of `rs`'s value `a` against
+/// `rt`'s value `b`: `a` on the taken edge, `a` on the fall-through
+/// edge, and `b` on the taken edge (refined where cheap). `None` is an
+/// edge that cannot be taken.
+fn refine(op: Opcode, a: &Val, b: &Val) -> [Option<Val>; 3] {
+    use Opcode::*;
+    match op {
+        Beq => [a.refine_eq(b), a.refine_ne(b), b.refine_eq(a)],
+        Bne => [a.refine_ne(b), a.refine_eq(b), Some(*b)],
+        Blt => [
+            a.refine_lt_signed(b),
+            a.refine_ge_signed(b),
+            b.refine_ge_signed(a).and_then(|v| v.refine_ne(a)),
+        ],
+        Bge => [a.refine_ge_signed(b), a.refine_lt_signed(b), Some(*b)],
+        Bltu => [a.refine_lt_unsigned(b), a.refine_ge_unsigned(b), Some(*b)],
+        _ => [a.refine_ge_unsigned(b), a.refine_lt_unsigned(b), Some(*b)],
     }
 }
 

@@ -8,7 +8,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::isa::{Insn, Opcode, encode};
+use crate::isa::{Arg, Insn, Opcode, encode};
 
 /// An assembled program image.
 #[derive(Clone, Debug)]
@@ -298,142 +298,49 @@ fn parse_directive(line: usize, directive: &str, tail: &str) -> Result<Item, Asm
     }
 }
 
+/// Parses `ops` as the operands `op`'s form takes, left to right.
 fn build_template(line: usize, op: Opcode, ops: &[String]) -> Result<Template, AsmError> {
-    use Opcode::*;
-    let need = |n: usize| {
-        if ops.len() == n {
-            Ok(())
-        } else {
-            Err(err(
-                line,
-                format!("{} expects {n} operands, got {}", op.mnemonic(), ops.len()),
-            ))
-        }
+    let want = op.form().operands();
+    if ops.len() != want.len() {
+        return Err(err(
+            line,
+            format!(
+                "{} expects {} operands, got {}",
+                op.mnemonic(),
+                want.len(),
+                ops.len()
+            ),
+        ));
+    }
+    let mut t = Template {
+        op,
+        rd: 0,
+        rs: 0,
+        rt: 0,
+        imm: ImmSpec::Lit(0),
     };
-    let reg = |s: &str| parse_reg(line, s);
-    let imm_or_label = |s: &str| -> Result<ImmSpec, AsmError> {
-        if let Ok(v) = parse_int(line, s) {
-            Ok(ImmSpec::Lit(v))
-        } else if is_ident(s) {
-            Ok(ImmSpec::Rel(s.to_string()))
-        } else {
-            Err(err(line, format!("bad immediate or label `{s}`")))
-        }
-    };
-    match op {
-        Nop | Halt => {
-            need(0)?;
-            Ok(Template {
-                op,
-                rd: 0,
-                rs: 0,
-                rt: 0,
-                imm: ImmSpec::Lit(0),
-            })
-        }
-        Sys => {
-            need(1)?;
-            Ok(Template {
-                op,
-                rd: 0,
-                rs: 0,
-                rt: 0,
-                imm: ImmSpec::Lit(parse_int(line, &ops[0])?),
-            })
-        }
-        Add | Sub | Mul | Div | Mod | Divu | Modu | And | Or | Xor | Shl | Shr | Sar | Slt
-        | Sltu | Fadd | Fsub | Fmul | Fdiv | Flt | Feq | Fle => {
-            need(3)?;
-            Ok(Template {
-                op,
-                rd: reg(&ops[0])?,
-                rs: reg(&ops[1])?,
-                rt: reg(&ops[2])?,
-                imm: ImmSpec::Lit(0),
-            })
-        }
-        Fsqrt | Cvtif | Cvtfi => {
-            need(2)?;
-            Ok(Template {
-                op,
-                rd: reg(&ops[0])?,
-                rs: reg(&ops[1])?,
-                rt: 0,
-                imm: ImmSpec::Lit(0),
-            })
-        }
-        Addi | Andi | Ori | Xori | Shli | Shri | Sari | Slti | Muli => {
-            need(3)?;
-            Ok(Template {
-                op,
-                rd: reg(&ops[0])?,
-                rs: reg(&ops[1])?,
-                rt: 0,
-                imm: ImmSpec::Lit(parse_int(line, &ops[2])?),
-            })
-        }
-        Ldi => {
-            need(2)?;
-            Ok(Template {
-                op,
-                rd: reg(&ops[0])?,
-                rs: 0,
-                rt: 0,
-                imm: ImmSpec::Lit(parse_int(line, &ops[1])?),
-            })
-        }
-        Ldih => {
-            need(2)?;
-            Ok(Template {
-                op,
-                rd: reg(&ops[0])?,
-                rs: 0,
-                rt: 0,
-                imm: ImmSpec::Lit(parse_int(line, &ops[1])?),
-            })
-        }
-        Ldb | Ldh | Ldw | Ldd | Stb | Sth | Stw | Std => {
-            need(2)?;
-            let (rs, disp) = parse_mem_operand(line, &ops[1])?;
-            Ok(Template {
-                op,
-                rd: reg(&ops[0])?,
-                rs,
-                rt: 0,
-                imm: ImmSpec::Lit(disp),
-            })
-        }
-        Beq | Bne | Blt | Bge | Bltu | Bgeu => {
-            need(3)?;
-            Ok(Template {
-                op,
-                rd: 0,
-                rs: reg(&ops[0])?,
-                rt: reg(&ops[1])?,
-                imm: imm_or_label(&ops[2])?,
-            })
-        }
-        Jal => {
-            need(2)?;
-            Ok(Template {
-                op,
-                rd: reg(&ops[0])?,
-                rs: 0,
-                rt: 0,
-                imm: imm_or_label(&ops[1])?,
-            })
-        }
-        Jalr => {
-            need(3)?;
-            Ok(Template {
-                op,
-                rd: reg(&ops[0])?,
-                rs: reg(&ops[1])?,
-                rt: 0,
-                imm: ImmSpec::Lit(parse_int(line, &ops[2])?),
-            })
+    for (kind, s) in want.iter().zip(ops) {
+        match kind {
+            Arg::Rd => t.rd = parse_reg(line, s)?,
+            Arg::Rs => t.rs = parse_reg(line, s)?,
+            Arg::Rt => t.rt = parse_reg(line, s)?,
+            Arg::Imm | Arg::Bits => t.imm = ImmSpec::Lit(parse_int(line, s)?),
+            Arg::Mem => {
+                let (rs, disp) = parse_mem_operand(line, s)?;
+                (t.rs, t.imm) = (rs, ImmSpec::Lit(disp));
+            }
+            Arg::Target => {
+                t.imm = if let Ok(v) = parse_int(line, s) {
+                    ImmSpec::Lit(v)
+                } else if is_ident(s) {
+                    ImmSpec::Rel(s.to_string())
+                } else {
+                    return Err(err(line, format!("bad immediate or label `{s}`")));
+                }
+            }
         }
     }
+    Ok(t)
 }
 
 fn split_operands(s: &str) -> Vec<String> {

@@ -87,7 +87,7 @@
 
 use det_memory::{AddressSpace, MemError, PAGE_SHIFT, PAGE_SIZE, Pinned, Translation};
 
-use crate::isa::{Insn, Opcode, decode, with_opcodes};
+use crate::isa::{Flow, Insn, Opcode, decode, with_opcodes};
 use crate::observe::PageLog;
 use crate::regs::Regs;
 
@@ -233,7 +233,7 @@ impl Block {
 }
 
 macro_rules! uop_kinds {
-    ($($name:ident = $val:expr, $mnem:expr;)*) => {
+    ($($name:ident = $val:expr, $mnem:expr, $form:expr;)*) => {
         /// What a micro-op does: one member's opcode, under the
         /// opcode's own name and byte, or an adjacent pair or chain of
         /// members fused into one dispatch. One flat enum, so the
@@ -348,14 +348,8 @@ fn translate(insns: &[Insn], pcs: &[u64], uops: &mut [Uop; BLOCK_LEN]) -> u8 {
         for w in 0..members.min(2) {
             let (insn, at) = (insns[i + w], pcs[i + w]);
             uop.regs[w] = [Reg::new(insn.rd), Reg::new(insn.rs), Reg::new(insn.rt)];
-            uop.imm[w] = match insn.op {
-                Opcode::Beq
-                | Opcode::Bne
-                | Opcode::Blt
-                | Opcode::Bge
-                | Opcode::Bltu
-                | Opcode::Bgeu
-                | Opcode::Jal => insn.branch_target(at),
+            uop.imm[w] = match insn.op.form().flow() {
+                Flow::Branch | Flow::Jump => insn.branch_target(at),
                 _ => insn.imm as i64 as u64,
             };
         }
@@ -1088,10 +1082,10 @@ impl Caches {
 /// away: the next instruction, or a `jal`'s target. `None` ends the
 /// block after `insn`.
 fn static_successor(insn: Insn, pc: u64) -> Option<u64> {
-    match insn.op {
-        Opcode::Jalr | Opcode::Halt | Opcode::Sys => None,
-        Opcode::Jal => Some(insn.branch_target(pc)),
-        _ => Some(pc.wrapping_add(4)),
+    match insn.op.form().flow() {
+        Flow::Indirect | Flow::Stop => None,
+        Flow::Jump => Some(insn.branch_target(pc)),
+        Flow::Fall | Flow::Branch => Some(pc.wrapping_add(4)),
     }
 }
 

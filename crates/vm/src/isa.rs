@@ -49,7 +49,7 @@ impl Insn {
 }
 
 macro_rules! opcodes {
-    ($($name:ident = $val:expr, $mnem:expr;)*) => {
+    ($($name:ident = $val:expr, $mnem:expr, $form:expr;)*) => {
         /// Operation codes.
         ///
         /// Grouped as: system (`Nop`/`Halt`/`Sys`), register ALU,
@@ -89,84 +89,198 @@ macro_rules! opcodes {
                 }
             }
 
+            /// Returns the opcode's form: its operands, its successors
+            /// and its memory access.
+            pub const fn form(self) -> Form {
+                match self {
+                    $(Opcode::$name => $form,)*
+                }
+            }
+
             /// All defined opcodes (for property tests and fuzzing).
             pub const ALL: &'static [Opcode] = &[$(Opcode::$name,)*];
         }
     };
 }
 
-/// The opcode table: calls `$m!` with one `Name = byte, "mnemonic";`
-/// per opcode. [`Opcode`] is made from it here, and the interpreter's
-/// micro-op kinds from it too, so the two agree name for name.
+/// The opcode table: calls `$m!` with one `Name = byte, "mnemonic",
+/// form;` per opcode. [`Opcode`] is made from it here, and the
+/// interpreter's micro-op kinds from it too, so the two agree name for
+/// name. The form column is the only place an opcode is said to be a
+/// load, a store, a branch or an immediate op.
 macro_rules! with_opcodes {
     ($m:ident) => {
         $m! {
-            Nop = 0x00, "nop";
-            Halt = 0x01, "halt";
-            Sys = 0x02, "sys";
+            Nop = 0x00, "nop", Form::Nop;
+            Halt = 0x01, "halt", Form::Halt;
+            Sys = 0x02, "sys", Form::Sys;
 
-            Add = 0x10, "add";
-            Sub = 0x11, "sub";
-            Mul = 0x12, "mul";
-            Div = 0x13, "div";
-            Mod = 0x14, "mod";
-            Divu = 0x15, "divu";
-            Modu = 0x16, "modu";
-            And = 0x17, "and";
-            Or = 0x18, "or";
-            Xor = 0x19, "xor";
-            Shl = 0x1a, "shl";
-            Shr = 0x1b, "shr";
-            Sar = 0x1c, "sar";
-            Slt = 0x1d, "slt";
-            Sltu = 0x1e, "sltu";
+            Add = 0x10, "add", Form::Alu;
+            Sub = 0x11, "sub", Form::Alu;
+            Mul = 0x12, "mul", Form::Alu;
+            Div = 0x13, "div", Form::Alu;
+            Mod = 0x14, "mod", Form::Alu;
+            Divu = 0x15, "divu", Form::Alu;
+            Modu = 0x16, "modu", Form::Alu;
+            And = 0x17, "and", Form::Alu;
+            Or = 0x18, "or", Form::Alu;
+            Xor = 0x19, "xor", Form::Alu;
+            Shl = 0x1a, "shl", Form::Alu;
+            Shr = 0x1b, "shr", Form::Alu;
+            Sar = 0x1c, "sar", Form::Alu;
+            Slt = 0x1d, "slt", Form::Alu;
+            Sltu = 0x1e, "sltu", Form::Alu;
 
-            Addi = 0x20, "addi";
-            Andi = 0x21, "andi";
-            Ori = 0x22, "ori";
-            Xori = 0x23, "xori";
-            Shli = 0x24, "shli";
-            Shri = 0x25, "shri";
-            Sari = 0x26, "sari";
-            Slti = 0x27, "slti";
-            Muli = 0x28, "muli";
-            Ldi = 0x29, "ldi";
-            Ldih = 0x2a, "ldih";
+            Addi = 0x20, "addi", Form::AluImm;
+            Andi = 0x21, "andi", Form::AluImm;
+            Ori = 0x22, "ori", Form::AluImm;
+            Xori = 0x23, "xori", Form::AluImm;
+            Shli = 0x24, "shli", Form::AluImm;
+            Shri = 0x25, "shri", Form::AluImm;
+            Sari = 0x26, "sari", Form::AluImm;
+            Slti = 0x27, "slti", Form::AluImm;
+            Muli = 0x28, "muli", Form::AluImm;
+            Ldi = 0x29, "ldi", Form::Ldi;
+            Ldih = 0x2a, "ldih", Form::Ldih;
 
-            Ldb = 0x30, "ldb";
-            Ldh = 0x31, "ldh";
-            Ldw = 0x32, "ldw";
-            Ldd = 0x33, "ldd";
-            Stb = 0x34, "stb";
-            Sth = 0x35, "sth";
-            Stw = 0x36, "stw";
-            Std = 0x37, "std";
+            Ldb = 0x30, "ldb", Form::Load(1);
+            Ldh = 0x31, "ldh", Form::Load(2);
+            Ldw = 0x32, "ldw", Form::Load(4);
+            Ldd = 0x33, "ldd", Form::Load(8);
+            Stb = 0x34, "stb", Form::Store(1);
+            Sth = 0x35, "sth", Form::Store(2);
+            Stw = 0x36, "stw", Form::Store(4);
+            Std = 0x37, "std", Form::Store(8);
 
-            Beq = 0x40, "beq";
-            Bne = 0x41, "bne";
-            Blt = 0x42, "blt";
-            Bge = 0x43, "bge";
-            Bltu = 0x44, "bltu";
-            Bgeu = 0x45, "bgeu";
-            Jal = 0x46, "jal";
-            Jalr = 0x47, "jalr";
+            Beq = 0x40, "beq", Form::Branch;
+            Bne = 0x41, "bne", Form::Branch;
+            Blt = 0x42, "blt", Form::Branch;
+            Bge = 0x43, "bge", Form::Branch;
+            Bltu = 0x44, "bltu", Form::Branch;
+            Bgeu = 0x45, "bgeu", Form::Branch;
+            Jal = 0x46, "jal", Form::Jal;
+            Jalr = 0x47, "jalr", Form::Jalr;
 
-            Fadd = 0x50, "fadd";
-            Fsub = 0x51, "fsub";
-            Fmul = 0x52, "fmul";
-            Fdiv = 0x53, "fdiv";
-            Fsqrt = 0x54, "fsqrt";
-            Cvtif = 0x55, "cvtif";
-            Cvtfi = 0x56, "cvtfi";
-            Flt = 0x57, "flt";
-            Feq = 0x58, "feq";
-            Fle = 0x59, "fle";
+            Fadd = 0x50, "fadd", Form::Alu;
+            Fsub = 0x51, "fsub", Form::Alu;
+            Fmul = 0x52, "fmul", Form::Alu;
+            Fdiv = 0x53, "fdiv", Form::Alu;
+            Fsqrt = 0x54, "fsqrt", Form::Unary;
+            Cvtif = 0x55, "cvtif", Form::Unary;
+            Cvtfi = 0x56, "cvtfi", Form::Unary;
+            Flt = 0x57, "flt", Form::Alu;
+            Feq = 0x58, "feq", Form::Alu;
+            Fle = 0x59, "fle", Form::Alu;
         }
     };
 }
 pub(crate) use with_opcodes;
 
 with_opcodes!(opcodes);
+
+/// What kind of instruction an opcode is. The assembler's and the
+/// disassembler's operand syntax ([`Form::operands`]), where control
+/// goes next ([`Form::flow`]) and how many bytes a load or store moves
+/// all follow from it.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Form {
+    /// `nop`: no operands.
+    Nop,
+    /// `halt`: no operands; the run stops.
+    Halt,
+    /// `sys n`: the run stops for the kernel, which resumes it at the
+    /// next instruction.
+    Sys,
+    /// `op rd, rs, rt`: `rd` = `rs` op `rt`.
+    Alu,
+    /// `op rd, rs`: `rd` = op `rs`.
+    Unary,
+    /// `op rd, rs, imm`: `rd` = `rs` op `imm`.
+    AluImm,
+    /// `ldi rd, imm`: `rd` = `imm`.
+    Ldi,
+    /// `ldih rd, bits`: `rd` = `rd` << 12 | `bits`, the 12 bits raw.
+    Ldih,
+    /// `op rd, [rs±imm]`: loads this many bytes, zero-extended, into
+    /// `rd`.
+    Load(u8),
+    /// `op rd, [rs±imm]`: stores the low this many bytes of `rd`.
+    Store(u8),
+    /// `op rs, rt, target`: goes to `target` if `rs` and `rt` compare.
+    Branch,
+    /// `jal rd, target`: links into `rd` and goes to `target`.
+    Jal,
+    /// `jalr rd, rs, imm`: links into `rd` and goes to `rs + imm`.
+    Jalr,
+}
+
+/// Where control goes after an instruction retires.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Flow {
+    /// To the next instruction.
+    Fall,
+    /// To the branch target if taken, else to the next instruction.
+    Branch,
+    /// To the branch target.
+    Jump,
+    /// To a register plus the immediate.
+    Indirect,
+    /// `pc` moves to the next instruction, but the run stops there.
+    Stop,
+}
+
+/// One operand of an instruction's source text.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Arg {
+    Rd,
+    Rs,
+    Rt,
+    /// A signed immediate.
+    Imm,
+    /// `ldih`'s raw 12 bits, printed in hex.
+    Bits,
+    /// `[rs±imm]`.
+    Mem,
+    /// A branch displacement in words, or a label.
+    Target,
+}
+
+impl Form {
+    /// Where control goes after an instruction of this form retires.
+    pub const fn flow(self) -> Flow {
+        match self {
+            Form::Halt | Form::Sys => Flow::Stop,
+            Form::Branch => Flow::Branch,
+            Form::Jal => Flow::Jump,
+            Form::Jalr => Flow::Indirect,
+            Form::Nop
+            | Form::Alu
+            | Form::Unary
+            | Form::AluImm
+            | Form::Ldi
+            | Form::Ldih
+            | Form::Load(_)
+            | Form::Store(_) => Flow::Fall,
+        }
+    }
+
+    /// The operands of this form's source text, in order.
+    pub(crate) const fn operands(self) -> &'static [Arg] {
+        use Arg::*;
+        match self {
+            Form::Nop | Form::Halt => &[],
+            Form::Sys => &[Imm],
+            Form::Alu => &[Rd, Rs, Rt],
+            Form::Unary => &[Rd, Rs],
+            Form::AluImm | Form::Jalr => &[Rd, Rs, Imm],
+            Form::Ldi => &[Rd, Imm],
+            Form::Ldih => &[Rd, Bits],
+            Form::Load(_) | Form::Store(_) => &[Rd, Mem],
+            Form::Branch => &[Rs, Rt, Target],
+            Form::Jal => &[Rd, Target],
+        }
+    }
+}
 
 /// Instruction decoding failure.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -220,28 +334,21 @@ pub fn decode(word: u32) -> Result<Insn, DecodeError> {
 
 /// Renders an instruction in assembler syntax.
 pub fn disassemble(i: Insn) -> String {
-    use Opcode::*;
     let m = i.op.mnemonic();
-    match i.op {
-        Nop | Halt => m.to_string(),
-        Sys => format!("{m} {}", i.imm),
-        Add | Sub | Mul | Div | Mod | Divu | Modu | And | Or | Xor | Shl | Shr | Sar | Slt
-        | Sltu | Fadd | Fsub | Fmul | Fdiv | Flt | Feq | Fle => {
-            format!("{m} r{}, r{}, r{}", i.rd, i.rs, i.rt)
-        }
-        Fsqrt | Cvtif | Cvtfi => format!("{m} r{}, r{}", i.rd, i.rs),
-        Addi | Andi | Ori | Xori | Shli | Shri | Sari | Slti | Muli => {
-            format!("{m} r{}, r{}, {}", i.rd, i.rs, i.imm)
-        }
-        Ldi => format!("{m} r{}, {}", i.rd, i.imm),
-        Ldih => format!("{m} r{}, {:#x}", i.rd, i.imm as u16 & 0xfff),
-        Ldb | Ldh | Ldw | Ldd => format!("{m} r{}, [r{}{:+}]", i.rd, i.rs, i.imm),
-        Stb | Sth | Stw | Std => format!("{m} r{}, [r{}{:+}]", i.rd, i.rs, i.imm),
-        Beq | Bne | Blt | Bge | Bltu | Bgeu => {
-            format!("{m} r{}, r{}, {}", i.rs, i.rt, i.imm)
-        }
-        Jal => format!("{m} r{}, {}", i.rd, i.imm),
-        Jalr => format!("{m} r{}, r{}, {}", i.rd, i.rs, i.imm),
+    let ops: Vec<String> = (i.op.form().operands().iter())
+        .map(|o| match o {
+            Arg::Rd => format!("r{}", i.rd),
+            Arg::Rs => format!("r{}", i.rs),
+            Arg::Rt => format!("r{}", i.rt),
+            Arg::Imm | Arg::Target => i.imm.to_string(),
+            Arg::Bits => format!("{:#x}", i.imm as u16 & 0xfff),
+            Arg::Mem => format!("[r{}{:+}]", i.rs, i.imm),
+        })
+        .collect();
+    if ops.is_empty() {
+        m.to_string()
+    } else {
+        format!("{m} {}", ops.join(", "))
     }
 }
 

@@ -51,6 +51,6 @@ mod regs;
 
 pub use asm::{AsmError, Image, MAX_IMAGE_BYTES, assemble};
 pub use interp::{Cpu, CpuCacheStats, VmExit, VmTrap};
-pub use isa::{DecodeError, Insn, Opcode, decode, disassemble, encode};
+pub use isa::{DecodeError, Flow, Form, Insn, Opcode, decode, disassemble, encode};
 pub use observe::PageLog;
 pub use regs::Regs;

@@ -126,8 +126,8 @@ pub mod memory {
 /// Deterministic virtual CPU: `det-vm`.
 pub mod vm {
     pub use det_vm::{
-        AsmError, Cpu, CpuCacheStats, DecodeError, Image, Insn, Opcode, PageLog, Regs, VmExit,
-        VmTrap, assemble, corpus, decode, disassemble, encode,
+        AsmError, Cpu, CpuCacheStats, DecodeError, Flow, Form, Image, Insn, Opcode, PageLog, Regs,
+        VmExit, VmTrap, assemble, corpus, decode, disassemble, encode,
     };
 }
 
