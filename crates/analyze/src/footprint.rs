@@ -406,7 +406,7 @@ fn alu(op: Opcode, a: &Val, b: &Val, imm: i64) -> Val {
         Sltu => a.lt_unsigned(b),
         Flt | Feq | Fle => Val::range(0, 1),
         // A zero divisor traps (ending the path), so the non-trap
-        // continuation is soundly ⊤; so is every float result.
+        // continuation is soundly ⊤, as is every other float result.
         _ => Val::top(),
     }
 }
