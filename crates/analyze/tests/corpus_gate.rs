@@ -186,3 +186,26 @@ fn a_partial_word_at_the_top_is_outside_the_image() {
     let fp = analyze_with_regs(&[seg], u64::MAX - 7, &[Val::exact(0); 16]).footprint;
     assert!(fp.reads.is_unbounded() && fp.writes.is_unbounded());
 }
+
+/// A sub-word load's destination is bounded by its width and no
+/// tighter: the top three bits of an all-ones byte, half or word pick
+/// the last of eight pages, which the prediction must cover.
+#[test]
+fn a_loaded_value_is_bounded_by_its_width() {
+    for (op, bits) in [("ldb", 8), ("ldh", 16), ("ldw", 32)] {
+        let src = format!(
+            "beq r0, r0, start\n.word 0\n.quad -1\nstart: {op} r1, [r0+8]\n\
+             shri r1, r1, {}\nshli r1, r1, 12\nli r4, 0x8000\nadd r1, r1, r4\n\
+             std r0, [r1+0]\nhalt\n",
+            bits - 3
+        );
+        let g = check_program(&src, 100);
+        assert_eq!(g.observed_written, [0xf], "{op}");
+        assert!(
+            g.sound,
+            "{op}: predicted writes {}",
+            g.analysis.footprint.writes
+        );
+        assert_eq!(ranges(&g.analysis.footprint.writes), [(8, 15)], "{op}");
+    }
+}
