@@ -179,9 +179,9 @@ pub(crate) use with_opcodes;
 with_opcodes!(opcodes);
 
 /// What kind of instruction an opcode is. The assembler's and the
-/// disassembler's operand syntax ([`Form::operands`]), where control
-/// goes next ([`Form::flow`]) and how many bytes a load or store moves
-/// all follow from it.
+/// disassembler's operand syntax, where control goes next
+/// ([`Form::flow`]) and how many bytes a load or store moves all follow
+/// from it.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Form {
     /// `nop`: no operands.
