@@ -317,8 +317,7 @@ impl<'a> Engine<'a> {
             (insn.rt & 15) as usize,
         );
         let imm = insn.imm as i64;
-        // A load's, store's or `jalr`'s `rs + imm`.
-        let addr = || st[rs].add(&Val::exact(imm));
+        let addr = st[rs].add(&Val::exact(imm));
         let mut n = *st;
 
         let form = insn.op.form();
@@ -342,14 +341,14 @@ impl<'a> Engine<'a> {
                 };
             }
             Form::Load(w) => {
-                out.reads.push((addr(), w.into()));
+                out.reads.push((addr, w.into()));
                 // Zero-extended: below 2^(8w), and any value at w = 8.
                 n[rd] = match w {
                     8 => Val::top(),
                     _ => Val::range(0, (1 << (8 * w)) - 1),
                 };
             }
-            Form::Store(w) => out.writes.push((addr(), w.into())),
+            Form::Store(w) => out.writes.push((addr, w.into())),
             Form::Jal | Form::Jalr => n[rd] = Val::exact_u64(next_pc),
         }
 
@@ -357,7 +356,7 @@ impl<'a> Engine<'a> {
         match form.flow() {
             Flow::Fall | Flow::Stop => out.edges.push((next_pc, n)),
             Flow::Jump => out.edges.push((target, n)),
-            Flow::Indirect => match addr().as_exact() {
+            Flow::Indirect => match addr.as_exact() {
                 Some(t) => out.edges.push((t as u64, n)),
                 None => self.escaped = true,
             },
