@@ -19,8 +19,8 @@ use std::sync::mpsc;
 use parking_lot::Mutex;
 
 use det_kernel::{
-    ConflictPolicy, CostModel, FaultPlan, Kernel, KernelConfig, KernelError, KernelStats,
-    MergeStats, NativeResult, Result, RunOutcome, SpaceCtx, TrapKind,
+    FaultPlan, Kernel, KernelConfig, KernelError, KernelStats, MergeStats, NativeResult, Result,
+    RunOutcome, SpaceCtx, TrapKind,
 };
 use det_memory::{AddressSpace, Region};
 
@@ -40,10 +40,6 @@ pub struct ClusterSpec {
     pub shards: usize,
     /// The simulated-latency link between nodes.
     pub net: NetworkModel,
-    /// Virtual-time cost model for every kernel instance.
-    pub costs: CostModel,
-    /// Merge conflict policy for every kernel instance.
-    pub policy: ConflictPolicy,
     /// Fault-injection plan for the root kernel.
     pub faults: FaultPlan,
 }
@@ -57,8 +53,6 @@ impl ClusterSpec {
             nodes,
             shards,
             net: NetworkModel::ethernet_1g(),
-            costs: CostModel::default(),
-            policy: ConflictPolicy::default(),
             faults: FaultPlan::default(),
         }
     }
@@ -76,11 +70,7 @@ impl ClusterSpec {
         assert!(self.shards >= 1, "a cluster needs at least one shard");
         let nodes = self.nodes;
         let shards = self.shards;
-        let root_kcfg = KernelConfig::builder()
-            .costs(self.costs)
-            .policy(self.policy)
-            .faults(self.faults.clone())
-            .build();
+        let root_kcfg = KernelConfig::builder().faults(self.faults.clone()).build();
 
         let (env, hosts) = Env::start(self);
         // The root space computes under its home shard's permit like
@@ -218,16 +208,6 @@ impl Env {
             .lock()
             .get(&job)
             .expect("frozen image registered before the job runs"))
-    }
-
-    /// Kernel configuration for migrated job kernels: identical
-    /// deterministic knobs to the root, no I/O or fault injection
-    /// (jobs are unprivileged).
-    pub(crate) fn job_kernel_config(&self) -> KernelConfig {
-        KernelConfig::builder()
-            .costs(self.spec.costs)
-            .policy(self.spec.policy)
-            .build()
     }
 
     pub(crate) fn job_done(&self) {

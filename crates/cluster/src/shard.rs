@@ -21,7 +21,7 @@ use std::sync::mpsc;
 
 use parking_lot::{Condvar, Mutex};
 
-use det_kernel::{Kernel, KernelError, wire};
+use det_kernel::{Kernel, KernelConfig, KernelError, wire};
 use det_memory::AddressSpace;
 
 use crate::controller::{Env, JobArtifact, Remote};
@@ -129,7 +129,8 @@ fn run_job(env: Arc<Env>, msg: JobMsg) {
     let cap = Arc::clone(&capture);
     let env2 = Arc::clone(&env);
     let (node, path, program) = (msg.node, msg.path.clone(), msg.program);
-    let outcome = Kernel::new(env.job_kernel_config()).run(move |ctx| {
+    // A job kernel is unprivileged: no I/O, no fault injection.
+    let outcome = Kernel::new(KernelConfig::default()).run(move |ctx| {
         ctx.sync_vclock_ps(start_ps);
         // A leaf that came over the link damaged fails the job before
         // it runs: it comes home with that trap and an empty delta.

@@ -558,7 +558,6 @@ pub(crate) fn put_after_tree(
 /// statistics whenever a merge ran, the result and the event.
 pub(crate) fn get(
     costs: &CostModel,
-    default_policy: det_memory::ConflictPolicy,
     (caller, cursor): (&mut SpaceState, Option<&TraceCtx>),
     (slot, stats): (&mut KSlot, &mut KernelStats),
     get: &GetSpec,
@@ -575,7 +574,7 @@ pub(crate) fn get(
         }
         if let Some(region) = get.merge {
             let snap = child.snap.as_ref().ok_or(KernelError::NoSnapshot)?;
-            let policy = get.merge_policy.unwrap_or(default_policy);
+            let policy = get.merge_policy.unwrap_or_default();
             let (stats, conflict) =
                 merge_op(costs, policy, caller, (&child.mem, snap), region, counts)?;
             merged = Some(stats);
@@ -763,11 +762,10 @@ pub(crate) fn migrate_out(
 /// The migrate-home arm, a cluster join: bills syscall and rendezvous,
 /// counts a homecoming from another node, waits for the child's clock
 /// (its return trip included), then merges `base` + `delta` into
-/// `region` as a `Get` does. A damaged `delta` fails after the bill.
-#[allow(clippy::too_many_arguments)]
+/// `region` under [`ConflictPolicy::Strict`](det_memory::ConflictPolicy),
+/// as a `Get` does by default. A damaged `delta` fails after the bill.
 pub(crate) fn migrate_home(
     costs: &CostModel,
-    policy: det_memory::ConflictPolicy,
     st: &mut SpaceState,
     stats: &mut KernelStats,
     (base, delta): (&AddressSpace, Result<SpaceDelta>),
@@ -784,7 +782,8 @@ pub(crate) fn migrate_home(
     let mut child = base.clone();
     child.apply_delta(&delta)?;
     let mut counts = MemOpCounts::default();
-    let (merge, conflict) = merge_op(costs, policy, st, (&child, base), region, &mut counts)?;
+    let strict = det_memory::ConflictPolicy::Strict;
+    let (merge, conflict) = merge_op(costs, strict, st, (&child, base), region, &mut counts)?;
     bill(st, counts.charge_ps);
     count_merge(stats, &merge, conflict.is_some());
     conflict.map_or(Ok(merge), |c| Err(KernelError::Conflict(c)))
@@ -1066,11 +1065,11 @@ fn apply_get(
     }
     ensure_child(ks, rv.caller, rv.child, rv.child_id)?;
     idle_reason(ks, rv.child_id)?;
-    let (costs, policy) = (ks.costs, ks.policy);
+    let costs = ks.costs;
     let mut caller = take_state(ks, rv.caller)?;
     let child = slot_stats(ks, rv.child_id)?;
     // As for `Put`: an option's error is recorded history.
-    let _ = get(&costs, policy, (&mut *caller, None), child, get_spec, rv);
+    let _ = get(&costs, (&mut *caller, None), child, get_spec, rv);
     slot_mut(ks, rv.caller)?.state = Some(caller);
     Ok(())
 }
@@ -1296,8 +1295,10 @@ mod tests {
                 let line = raw.split("//").next().unwrap_or("");
                 if line.trim_start().starts_with("#[cfg(test)]") {
                     // Anything but the test module here would hide the
-                    // rest of the file from the scan.
+                    // rest of the file from the scan. (`cost.rs`'s is
+                    // `pub(crate)`: other test modules share its helper.)
                     let next = lines.next().unwrap_or("").trim_start();
+                    let next = next.strip_prefix("pub(crate) ").unwrap_or(next);
                     assert!(
                         next.starts_with("mod "),
                         "{}: #[cfg(test)] on {next}",
@@ -1565,9 +1566,8 @@ mod tests {
         let delta = child.delta_since(&base);
         assert!(!delta.pages.is_empty(), "the child dirtied a page");
         let mut stats = KernelStats::default();
-        let policy = det_memory::ConflictPolicy::Strict;
         let home = (&base, Ok(delta));
-        let merge = migrate_home(&costs, policy, &mut st, &mut stats, home, 0, region, true)
+        let merge = migrate_home(&costs, &mut st, &mut stats, home, 0, region, true)
             .expect("a conflict-free homecoming");
         let merge_ps = costs.merge_cost_ps(&merge);
         assert!(merge_ps > 0, "the merge is priced");

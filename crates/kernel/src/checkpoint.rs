@@ -49,10 +49,10 @@ use crate::apply::{TraceEvent, apply};
 use crate::error::{KernelError, Result};
 use crate::ids::ChildNum;
 use crate::state::KState;
-use crate::trace::{ReplayOutcome, Trace, TraceMeta, outcome_of};
+use crate::trace::{ReplayOutcome, Trace, outcome_of};
 
 /// The checkpoint bundle format this build writes and reads.
-pub const CHECKPOINT_FORMAT_VERSION: u32 = 7;
+pub const CHECKPOINT_FORMAT_VERSION: u32 = 8;
 
 const MAGIC: &str = "detckpt";
 
@@ -119,7 +119,7 @@ impl Checkpoint {
             .ok_or(KernelError::CheckpointMalformed(
                 "boundary beyond trace end",
             ))?;
-        let mut kernel = KState::new(trace.meta.costs, trace.meta.policy);
+        let mut kernel = KState::new(trace.meta.costs);
         for ev in events {
             apply(&mut kernel, ev)?;
         }
@@ -219,14 +219,6 @@ impl RestoredKernel {
     /// trace's events from this index on).
     pub fn boundary(&self) -> u64 {
         self.boundary
-    }
-
-    /// The run parameters baked into the restored state.
-    pub fn meta(&self) -> TraceMeta {
-        TraceMeta {
-            costs: self.ks.costs,
-            policy: self.ks.policy,
-        }
     }
 
     /// Resumes by folding the trace suffix through the pure core —
@@ -341,10 +333,7 @@ mod tests {
 
     fn empty_trace(costs: crate::CostModel) -> Trace {
         Trace {
-            meta: TraceMeta {
-                costs,
-                policy: det_memory::ConflictPolicy::Strict,
-            },
+            meta: crate::trace::TraceMeta { costs },
             events: Vec::new(),
         }
     }
@@ -366,11 +355,11 @@ mod tests {
 
     #[test]
     fn stale_format_version_errors_cleanly() {
-        let bytes = Checkpoint::capture(&empty_trace(crate::CostModel::zero()), 0)
+        let bytes = Checkpoint::capture(&empty_trace(crate::cost::tests::zero()), 0)
             .unwrap()
             .to_bytes();
-        // The previous format (memory mapped by hand, a parent link).
-        let (current, previous) = (CHECKPOINT_FORMAT_VERSION, 6);
+        // The previous format (a kernel-wide merge policy in the state).
+        let (current, previous) = (CHECKPOINT_FORMAT_VERSION, 7);
         let header = format!("detckpt {current} ");
         assert!(bytes.starts_with(header.as_bytes()));
         let stale = [
@@ -402,7 +391,7 @@ mod tests {
         ));
     }
 
-    /// The format-7 bytes are pinned, as the wire delta's are
+    /// The format-8 bytes are pinned, as the wire delta's are
     /// (`wire::tests::wire_bytes_are_pinned`): the payload is derived
     /// from every type under `KState`, so a renamed or reordered field
     /// anywhere there changes these bytes, and must bump
@@ -415,7 +404,7 @@ mod tests {
         let bytes = Checkpoint::capture(&trace, boundary).unwrap().to_bytes();
         assert_eq!(
             (boundary, bytes.len(), fnv1a64(&bytes)),
-            (13, 23_026, 0x0ed0_1c49_7b96_6579),
+            (13, 23_011, 0x41c2_1459_0128_3171),
             "checkpoint bytes moved"
         );
     }
@@ -474,7 +463,7 @@ mod tests {
             )
         };
         let merge = Some(Region::new(0x1000, 0x2000));
-        let mut trace = empty_trace(crate::CostModel::zero());
+        let mut trace = empty_trace(crate::cost::tests::zero());
         // 0: snap-put, 1: plain get, 2: merge-get, 3: plain put.
         trace.events = vec![
             snap_put(),
@@ -592,7 +581,7 @@ mod tests {
     /// space 4), and space 3 merges space 4 at event 3.
     #[test]
     fn tree_copies_carry_descendants_snapshots() {
-        let mut trace = empty_trace(crate::CostModel::zero());
+        let mut trace = empty_trace(crate::cost::tests::zero());
         trace.events = vec![
             get(1, None),
             TraceEvent::Put {

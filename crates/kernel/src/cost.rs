@@ -125,28 +125,6 @@ impl CostModel {
         }
     }
 
-    /// All-zero costs: virtual time advances only through explicit
-    /// program charges. Used by the conventional-OS baseline, whose
-    /// threads share memory directly and pay no copy/merge costs.
-    pub fn zero() -> CostModel {
-        CostModel {
-            syscall_ps: 0,
-            spawn_ps: 0,
-            resume_ps: 0,
-            rendezvous_ps: 0,
-            page_map_ps: 0,
-            space_clone_ps: 0,
-            page_scan_ps: 0,
-            word_compare_ps: 0,
-            byte_compare_ps: 0,
-            byte_copy_ps: 0,
-            vm_insn_ps: 1_000,
-            vm_tlb_fill_ps: 0,
-            analyze_step_ps: 0,
-            checkpoint_leaf_ps: 0,
-        }
-    }
-
     /// Cost of copy-on-write mapping `pages` pages individually.
     pub fn map_cost_ps(&self, pages: u64) -> u64 {
         self.page_map_ps.saturating_mul(pages)
@@ -216,8 +194,29 @@ pub fn ns_to_ps(ns: u64) -> u64 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// All-zero costs but the instruction: virtual time advances only
+    /// through explicit program charges and retired instructions.
+    pub(crate) fn zero() -> CostModel {
+        CostModel {
+            syscall_ps: 0,
+            spawn_ps: 0,
+            resume_ps: 0,
+            rendezvous_ps: 0,
+            page_map_ps: 0,
+            space_clone_ps: 0,
+            page_scan_ps: 0,
+            word_compare_ps: 0,
+            byte_compare_ps: 0,
+            byte_copy_ps: 0,
+            vm_insn_ps: 1_000,
+            vm_tlb_fill_ps: 0,
+            analyze_step_ps: 0,
+            checkpoint_leaf_ps: 0,
+        }
+    }
 
     #[test]
     fn merge_cost_combines_terms() {
@@ -276,7 +275,7 @@ mod tests {
 
     #[test]
     fn zero_model_is_free() {
-        let m = CostModel::zero();
+        let m = zero();
         assert_eq!(m.map_cost_ps(1000), 0);
         assert_eq!(m.clone_cost_ps(1000), 0);
         assert_eq!(m.merge_cost_ps(&MergeStats::default()), 0);
@@ -317,7 +316,7 @@ mod tests {
         let m = CostModel::calibrated();
         assert_eq!(m.checkpoint_cost_ps(0), 0);
         assert_eq!(m.checkpoint_cost_ps(3), 3 * m.checkpoint_leaf_ps);
-        assert_eq!(CostModel::zero().checkpoint_cost_ps(1_000), 0);
+        assert_eq!(zero().checkpoint_cost_ps(1_000), 0);
     }
 
     #[test]

@@ -254,11 +254,10 @@ impl SpaceCtx {
         region: Region,
         migrated: bool,
     ) -> Result<MergeStats> {
-        let (costs, policy, cell) = (self.shared.costs, self.shared.policy, self.cell.clone());
+        let (costs, cell) = (self.shared.costs, self.cell.clone());
         let (mut own, st) = (cell.m.lock(), self.st_mut());
         migrate_home(
             &costs,
-            policy,
             st,
             &mut own.stats,
             home,
@@ -443,9 +442,9 @@ impl SpaceCtx {
         fused: bool,
     ) -> Result<GetResult> {
         let (mut g, stop) = self.shared.wait_idle(cell, child_id, g)?;
-        let (costs, policy) = (self.shared.costs, self.shared.policy);
+        let costs = self.shared.costs;
         let rv = self.rendezvous(child, child_id, fused);
-        let (merge, res, ev) = get(&costs, policy, self.window(), g.core(), &spec, rv);
+        let (merge, res, ev) = get(&costs, self.window(), g.core(), &spec, rv);
         self.shared.trace_push(ev);
         let child_st = g.k.idle_state();
         let res = res.map(|()| GetResult {

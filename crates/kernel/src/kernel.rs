@@ -34,7 +34,6 @@ use std::thread::JoinHandle;
 
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
-use det_memory::ConflictPolicy;
 use det_vm::{Cpu, VmExit};
 
 use crate::apply::{StartAction, TraceEvent, VmCounters, bill, check_in, count_space, start};
@@ -60,8 +59,6 @@ use crate::trace::{SpaceArtifact, TraceMeta, TraceSink};
 pub struct KernelConfig {
     /// Virtual-time cost model.
     pub costs: CostModel,
-    /// Merge conflict policy (paper default: strict).
-    pub policy: ConflictPolicy,
     /// Record or replay nondeterministic inputs.
     pub io: IoMode,
     /// When set, the kernel records every syscall-level transition into
@@ -80,11 +77,11 @@ impl KernelConfig {
     /// # Examples
     ///
     /// ```
-    /// use det_kernel::{ConflictPolicy, KernelConfig};
+    /// use det_kernel::{IoLog, IoMode, KernelConfig};
     /// let cfg = KernelConfig::builder()
-    ///     .policy(ConflictPolicy::ChildWins)
+    ///     .io(IoMode::Replay(IoLog::default()))
     ///     .build();
-    /// assert_eq!(cfg.policy, ConflictPolicy::ChildWins);
+    /// assert!(matches!(cfg.io, IoMode::Replay(_)));
     /// ```
     pub fn builder() -> KernelConfigBuilder {
         KernelConfigBuilder {
@@ -104,12 +101,6 @@ impl KernelConfigBuilder {
     /// Sets the virtual-time cost model.
     pub fn costs(mut self, costs: CostModel) -> Self {
         self.config.costs = costs;
-        self
-    }
-
-    /// Sets the merge conflict policy.
-    pub fn policy(mut self, policy: ConflictPolicy) -> Self {
-        self.config.policy = policy;
         self
     }
 
@@ -297,7 +288,6 @@ pub(crate) struct Shared {
     /// Device hub (root-only I/O; never on the rendezvous path).
     pub devices: Mutex<DeviceHub>,
     pub costs: CostModel,
-    pub policy: ConflictPolicy,
     /// The two [`HostStats`] counters, bumped without any lock: wake
     /// races and which `Start` finds a worker parked are host timing,
     /// so they are never [`KernelStats`] (whose counts live in the
@@ -699,7 +689,6 @@ impl Kernel {
         if let Some(sink) = config.trace.as_ref() {
             sink.set_meta(TraceMeta {
                 costs: config.costs,
-                policy: config.policy,
             });
         }
         let root = SlotCell::new(Slot::new(KSlot::new(ROOT_PATH.to_string())));
@@ -708,7 +697,6 @@ impl Kernel {
                 table: Mutex::new(vec![root]),
                 devices: Mutex::new(DeviceHub::new(config.io)),
                 costs: config.costs,
-                policy: config.policy,
                 spurious_wakeups: AtomicU64::default(),
                 os_threads_created: AtomicU64::default(),
                 trace: config.trace,
@@ -1268,7 +1256,7 @@ mod tests {
         });
         assert_eq!(out.exit, Ok(0));
         let trace = sink.collect().expect("meta set by Kernel::new");
-        let mut ks = KState::new(trace.meta.costs, trace.meta.policy);
+        let mut ks = KState::new(trace.meta.costs);
         for ev in &trace.events {
             if !matches!(ev, TraceEvent::RootExit { .. }) {
                 crate::apply::apply(&mut ks, ev).expect("the trace replays");

@@ -19,7 +19,7 @@
 
 use std::collections::BTreeMap;
 
-use det_memory::{AddressSpace, ConflictPolicy};
+use det_memory::AddressSpace;
 use det_vm::Regs;
 use serde::{Deserialize, Serialize};
 
@@ -252,7 +252,6 @@ pub(crate) const ROOT_PATH: &str = "/";
 #[derive(Serialize, Deserialize)]
 pub(crate) struct KState {
     pub costs: CostModel,
-    pub policy: ConflictPolicy,
     pub slots: BTreeMap<u32, KSlot>,
     pub stats: KernelStats,
     /// Device output buffers (the replayed side of the device hub).
@@ -264,14 +263,13 @@ pub(crate) struct KState {
 }
 
 impl KState {
-    pub(crate) fn new(costs: CostModel, policy: ConflictPolicy) -> KState {
+    pub(crate) fn new(costs: CostModel) -> KState {
         let mut slots = BTreeMap::new();
         let mut root = KSlot::new(ROOT_PATH.to_string());
         root.run = RunState::Running;
         slots.insert(0, root);
         KState {
             costs,
-            policy,
             slots,
             stats: KernelStats::default(),
             outputs: BTreeMap::new(),

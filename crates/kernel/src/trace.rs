@@ -21,7 +21,6 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-use det_memory::ConflictPolicy;
 use serde::{DeError, Deserialize, Serialize, Value, field};
 
 use crate::apply::{TraceEvent, apply};
@@ -92,8 +91,6 @@ fn lock_recover<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 pub struct TraceMeta {
     /// Virtual-time cost model of the recorded run.
     pub costs: CostModel,
-    /// Default merge conflict policy.
-    pub policy: ConflictPolicy,
 }
 
 /// A recorded run: parameters plus the full event sequence.
@@ -226,7 +223,7 @@ impl Trace {
     /// or forged); errors the recorded programs observed live are part
     /// of history and replay silently.
     pub fn replay(&self) -> Result<ReplayOutcome> {
-        let mut ks = KState::new(self.meta.costs, self.meta.policy);
+        let mut ks = KState::new(self.meta.costs);
         for ev in &self.events {
             apply(&mut ks, ev)?;
         }
@@ -243,7 +240,7 @@ impl Trace {
     /// exit status. Structural divergence still fails — a crash
     /// truncates a trace, it never corrupts it.
     pub fn replay_prefix(&self) -> Result<ReplayOutcome> {
-        let mut ks = KState::new(self.meta.costs, self.meta.policy);
+        let mut ks = KState::new(self.meta.costs);
         for ev in &self.events {
             apply(&mut ks, ev)?;
         }
@@ -296,7 +293,7 @@ pub(crate) fn outcome_of(ks: KState, require_exit: bool) -> Result<ReplayOutcome
 /// The trace text format this build writes and reads: the derived
 /// encodings of [`TraceMeta`] and [`TraceEvent`] (each type's mapping
 /// lives with its definition). Bump it when any of them changes shape.
-const TRACE_FORMAT_VERSION: u32 = 3;
+const TRACE_FORMAT_VERSION: u32 = 4;
 
 // Written by hand for the version gate: a trace from another format
 // must fail here, before any event is interpreted.
@@ -330,7 +327,8 @@ mod tests {
     use std::fmt::Debug;
 
     use det_memory::{
-        AddressSpace, MemError, MergeStats, PageDelta, PageDeltaOp, Perm, Region, SpaceDelta,
+        AddressSpace, ConflictPolicy, MemError, MergeStats, PageDelta, PageDeltaOp, Perm, Region,
+        SpaceDelta,
     };
     use det_vm::Regs;
 
@@ -562,7 +560,6 @@ mod tests {
         Trace {
             meta: TraceMeta {
                 costs: CostModel::default(),
-                policy: ConflictPolicy::BenignSameValue,
             },
             events,
         }
@@ -595,11 +592,7 @@ mod tests {
             .collect();
         assert!(zero.contains(&3) && zero.contains(&4), "{zero:?}");
         roundtrip_space(&mem);
-        for policy in [
-            ConflictPolicy::Strict,
-            ConflictPolicy::BenignSameValue,
-            ConflictPolicy::ChildWins,
-        ] {
+        for policy in [ConflictPolicy::Strict, ConflictPolicy::ChildWins] {
             roundtrip(&policy);
         }
         roundtrip(&[
@@ -674,7 +667,7 @@ mod tests {
         let current = format!("{{\"version\":{TRACE_FORMAT_VERSION},");
         assert!(json.starts_with(&current));
         assert!(Trace::from_json(&json).is_ok());
-        // The previous format (its `meta` still named a VM vehicle).
+        // The previous format (its `meta` still named a merge policy).
         let previous = format!("{{\"version\":{},", TRACE_FORMAT_VERSION - 1);
         let stale = json.replacen(&current, &previous, 1);
         assert!(Trace::from_json(&stale).is_err());
@@ -686,8 +679,7 @@ mod tests {
     fn empty_trace_has_no_root_exit() {
         let trace = Trace {
             meta: TraceMeta {
-                costs: CostModel::zero(),
-                policy: ConflictPolicy::Strict,
+                costs: crate::cost::tests::zero(),
             },
             events: Vec::new(),
         };

@@ -16,9 +16,9 @@ use std::cell::Cell;
 
 use det_kernel::wire::{delta_from_bytes, delta_to_bytes};
 use det_kernel::{
-    CHECKPOINT_FORMAT_VERSION, Checkpoint, ConflictPolicy, CostModel, DeviceId, Fault, FaultAction,
-    FaultPlan, FaultSite, GetSpec, Kernel, KernelConfig, KernelError, Program, PutSpec, Region,
-    Trace, TraceMeta, TraceSink,
+    CHECKPOINT_FORMAT_VERSION, Checkpoint, CostModel, DeviceId, Fault, FaultAction, FaultPlan,
+    FaultSite, GetSpec, Kernel, KernelConfig, KernelError, Program, PutSpec, Region, Trace,
+    TraceMeta, TraceSink,
 };
 use det_memory::{PageDelta, PageDeltaOp, Perm, SpaceDelta};
 use det_vm::{Cpu, Opcode, PageLog, VmExit};
@@ -210,6 +210,32 @@ fn field_mut<'a>(v: &'a mut Value, key: &str) -> &'a mut Value {
     &mut fields.iter_mut().find(|(k, _)| k == key).expect(key).1
 }
 
+/// A decoded `Region` keeps `Region::new`'s `end >= start`: a trace
+/// whose `Put` zeroes an inverted range is refused at decode, in debug
+/// and release alike, instead of underflowing in replay's page count.
+#[test]
+fn inverted_regions_are_rejected() {
+    let sink = TraceSink::new();
+    let kernel = Kernel::new(KernelConfig::builder().trace(sink.clone()).build());
+    let out = kernel.run(|ctx| {
+        ctx.put(1, PutSpec::new().zero(Region::new(0x10000, 0x12000)))?;
+        Ok(0)
+    });
+    assert_eq!(out.exit, Ok(0));
+    let json = sink.collect().expect("sink recorded").to_json();
+    let region = r#"{"start":65536,"end":73728}"#;
+    assert_eq!(json.matches(region).count(), 1, "{json}");
+    let trace = Trace::from_json(&json).expect("the recorded trace decodes");
+    assert!(trace.replay().is_ok());
+    let inverted = json.replacen(region, r#"{"start":73728,"end":65536}"#, 1);
+    assert!(Trace::from_json(&inverted).is_err());
+    // The binary rendering (checkpoint payloads, wire deltas) decodes
+    // through the same mapping.
+    let bound = |k: &str, v| (k.to_string(), Value::UInt(v));
+    let inverted = Value::Object(vec![bound("start", 0x12000), bound("end", 0x10000)]);
+    assert!(serde::bin::from_slice::<Region>(&serde::bin::to_vec(&inverted)).is_err());
+}
+
 /// A payload that parses and that its digest vouches for, but whose
 /// memory image cannot be rebuilt, reaches the memory decoder and is
 /// refused there as malformed, not a panic.
@@ -218,7 +244,6 @@ fn damaged_memory_images_are_malformed() {
     let trace = Trace {
         meta: TraceMeta {
             costs: CostModel::default(),
-            policy: ConflictPolicy::Strict,
         },
         events: Vec::new(),
     };

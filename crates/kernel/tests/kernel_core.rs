@@ -4,8 +4,8 @@ use std::sync::Arc;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use det_kernel::{
-    ConflictPolicy, CopySpec, DeviceId, GetSpec, IoMode, Kernel, KernelConfig, KernelError,
-    MemError, Perm, Program, PutSpec, Region, Regs, RunOutcome, SpaceCtx, StopReason, TrapKind,
+    CopySpec, DeviceId, GetSpec, IoMode, Kernel, KernelConfig, KernelError, MemError, Perm,
+    Program, PutSpec, Region, Regs, RunOutcome, SpaceCtx, StopReason, TrapKind,
 };
 
 fn kernel() -> Kernel {
@@ -868,13 +868,10 @@ fn replay_divergence_detected() {
 }
 
 #[test]
-fn conflict_policy_benign_same_value() {
-    let k = Kernel::new(
-        KernelConfig::builder()
-            .policy(ConflictPolicy::BenignSameValue)
-            .build(),
-    );
-    let out = k.run(|ctx| {
+fn a_same_value_double_write_conflicts() {
+    // §2.2: a write/write overlap at join is an error even when both
+    // sides wrote the same value.
+    let out = kernel().run(|ctx| {
         setup_root(ctx)?;
         for i in 0..2u64 {
             ctx.put(
@@ -889,14 +886,17 @@ fn conflict_policy_benign_same_value() {
                     .start(),
             )?;
         }
-        for i in 0..2u64 {
-            ctx.get(i, GetSpec::new().merge(R))?;
+        ctx.get(0, GetSpec::new().merge(R))?;
+        let e = ctx.get(1, GetSpec::new().merge(R)).unwrap_err();
+        match e {
+            KernelError::Conflict(c) => assert_eq!(c.addr, 0x2000),
+            other => panic!("expected conflict, got {other:?}"),
         }
         assert_eq!(ctx.mem().read_u64(0x2000)?, 555);
         Ok(0)
     });
     assert_eq!(out.exit, Ok(0));
-    assert_eq!(out.stats.conflicts, 0);
+    assert_eq!(out.stats.conflicts, 1);
 }
 
 #[test]

@@ -603,7 +603,7 @@ fn render(
 fn trace_recorded_at_f920a0f_replays_to_the_same_outcome() {
     let golden = include_str!("golden/tables_f920a0f.outcome.txt");
     let trace = Trace::from_json(include_str!("golden/tables_f920a0f.trace.json"))
-        .expect("a version-3 trace parses");
+        .expect("a version-4 trace parses");
     let rep = trace.replay().expect("the recorded trace replays");
     assert_eq!(
         render(

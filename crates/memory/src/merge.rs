@@ -52,9 +52,6 @@ pub enum ConflictPolicy {
     /// divide-by-zero.
     #[default]
     Strict,
-    /// A relaxed ablation: both sides writing the *same* value is
-    /// benign; only divergent double-writes conflict.
-    BenignSameValue,
     /// No conflicts: the child's changed bytes always overwrite the
     /// parent's. This is *not* the private-workspace model — it is the
     /// last-writer-wins semantics the deterministic scheduler (§4.5)
@@ -101,7 +98,7 @@ pub struct MergeStats {
     /// the child's exact frame — it took the frame at an earlier join
     /// of this same child (`pages_adopted` or `pages_mapped`) and
     /// neither side has written the page since; only possible under
-    /// non-strict policies.
+    /// [`ConflictPolicy::ChildWins`].
     pub pages_aliased: u64,
     /// Examined pages joined by remapping: the parent's frame was
     /// still the snapshot's frame (the parent has not written the page
@@ -203,10 +200,6 @@ fn scan_page(
         let stop = match policy {
             ConflictPolicy::ChildWins => changed,
             ConflictPolicy::Strict => changed & nz(lanes(pw) ^ b),
-            ConflictPolicy::BenignSameValue => {
-                let p = lanes(pw);
-                changed & nz(p ^ b) & nz(p ^ c)
-            }
         };
         if stop == 0 {
             bytes += CHUNK as u64;
@@ -214,7 +207,7 @@ fn scan_page(
         }
         let k = (stop.trailing_zeros() / 8) as usize;
         bytes += k as u64 + 1;
-        if policy != ConflictPolicy::ChildWins {
+        if policy == ConflictPolicy::Strict {
             scan.conflict = Some((words as usize - 1) * CHUNK + k);
         }
         break;
@@ -267,8 +260,7 @@ impl AddressSpace {
     ///   value stands (the child never sees a torn mix, §2.2);
     /// * `c != base && p == base`: the child's write propagates;
     /// * `c != base && p != base`: a write/write conflict, reported as
-    ///   [`MemError::Conflict`] (under
-    ///   [`ConflictPolicy::BenignSameValue`], `c == p` is allowed).
+    ///   [`MemError::Conflict`], even when `c == p`.
     ///
     /// Only pages in the child's dirty write-set are examined; within
     /// them, pages whose child frame is pointer-identical to the
@@ -297,7 +289,7 @@ impl AddressSpace {
     /// modifying anything (a read-only page is never adopted: it is
     /// diffed, and fails only if some child byte really differs). A
     /// page whose parent frame *is* the child frame (taken at an
-    /// earlier join) is already merged: under non-strict policies it
+    /// earlier join) is already merged: under `ChildWins` it
     /// receives no writes and therefore needs no write permission.
     pub fn merge_from(
         &mut self,
@@ -394,13 +386,13 @@ impl AddressSpace {
                 _ => {}
             }
             let parent = self.entry_frame(vpn);
-            if policy != ConflictPolicy::Strict
+            if policy == ConflictPolicy::ChildWins
                 && parent.is_some_and(|(pf, _)| Arc::ptr_eq(pf, child_frame))
             {
                 // The parent already holds exactly the child's frame —
                 // it took it at an earlier join of this child. Every
-                // parent byte equals the child byte, so BenignSameValue
-                // and ChildWins cannot conflict and the page receives
+                // parent byte equals the child byte, so ChildWins
+                // cannot conflict and the page receives
                 // no writes: skip in O(1) with no bytes examined and no
                 // write permission required. This is a semantic rule,
                 // not just a shortcut — the reference oracle applies
@@ -446,7 +438,7 @@ impl AddressSpace {
             if scan.dirty {
                 // Validate-before-write: a page about to receive bytes
                 // must be writable in the parent (absent pages are
-                // mapped; aliased pages cannot reach here — non-strict
+                // mapped; aliased pages cannot reach here — ChildWins
                 // skipped them above, and under Strict a dirty aliased
                 // page already returned a conflict).
                 if parent.is_some_and(|(_, p)| !p.allows(Perm::W)) {
@@ -529,11 +521,7 @@ mod tests {
         }
     }
 
-    const POLICIES: [ConflictPolicy; 3] = [
-        ConflictPolicy::Strict,
-        ConflictPolicy::BenignSameValue,
-        ConflictPolicy::ChildWins,
-    ];
+    const POLICIES: [ConflictPolicy; 2] = [ConflictPolicy::Strict, ConflictPolicy::ChildWins];
 
     #[test]
     fn disjoint_writes_union() {
@@ -611,19 +599,14 @@ mod tests {
     }
 
     #[test]
-    fn same_value_conflicts_under_strict_but_not_benign() {
-        let (parent, mut child, snap) = setup();
+    fn same_value_conflicts_under_strict() {
+        let (mut parent, mut child, snap) = setup();
         child.write_u8(0x2004, 7).unwrap();
-        let mut p1 = parent.clone();
-        p1.write_u8(0x2004, 7).unwrap();
-        let mut p2 = p1.clone();
+        parent.write_u8(0x2004, 7).unwrap();
         assert!(matches!(
-            p1.merge_from(&child, &snap, R, ConflictPolicy::Strict),
+            parent.merge_from(&child, &snap, R, ConflictPolicy::Strict),
             Err(MemError::Conflict { addr: 0x2004 })
         ));
-        p2.merge_from(&child, &snap, R, ConflictPolicy::BenignSameValue)
-            .unwrap();
-        assert_eq!(p2.read_u8(0x2004).unwrap(), 7);
     }
 
     #[test]
@@ -818,7 +801,7 @@ mod tests {
     fn self_merge_of_adopted_page_is_free() {
         // Merge #1 adopts a child-created page into the parent: parent
         // and child then share the frame. Re-merging the same child
-        // under a non-strict policy must recognize the alias in O(1)
+        // under ChildWins must recognize the alias in O(1)
         // and charge no compare or copy work (the pre-optimization
         // engine charged a full page of bytes_compared here).
         let (mut parent, mut child, _) = setup();
@@ -845,12 +828,6 @@ mod tests {
         // The frame is still shared — the self-merge did not force a
         // copy-on-write clone of the parent page.
         assert!(parent.same_frame(&child, 6));
-        // BenignSameValue skips the same way (p == c everywhere).
-        let stats = parent
-            .merge_from(&child, &snap2, r, ConflictPolicy::BenignSameValue)
-            .unwrap();
-        assert_eq!(stats.pages_aliased, 1);
-        assert_eq!(stats.bytes_compared, 0);
         // An aliased page receives no writes, so it needs no write
         // permission — both engines agree (the differential suite's
         // alias rule).
@@ -1096,16 +1073,10 @@ mod tests {
                     assert_eq!(stats.bytes_compared, k + 1);
                 }
             }
-            // The same value on both sides: benign under
-            // BenignSameValue only, and then the word is fully compared
-            // by both passes.
+            // The same value on both sides still conflicts.
             let (mut parent, mut child, snap) = setup();
             child.write_u8(W + k, 0xC0).unwrap();
             parent.write_u8(W + k, 0xC0).unwrap();
-            let stats = parent
-                .merge_from(&child, &snap, R, ConflictPolicy::BenignSameValue)
-                .unwrap();
-            assert_eq!((stats.bytes_compared, stats.bytes_copied), (16, 1));
             assert_eq!(
                 parent.merge_from(&child, &snap, R, ConflictPolicy::Strict),
                 Err(MemError::Conflict { addr: W + k })

@@ -26,7 +26,7 @@
 //! One page-level rule is *semantics*, not a shortcut, and the oracle
 //! must therefore encode it: a page whose parent frame is
 //! pointer-identical to the child frame (taken at an earlier join) is
-//! already merged — under non-strict policies it receives no writes,
+//! already merged — under `ChildWins` it receives no writes,
 //! charges no copies, and needs no write permission. Frame identity is
 //! observable input state, like page contents. Adoption is the
 //! opposite case and is deliberately *not* encoded here: it leaves the
@@ -107,8 +107,8 @@ pub fn merge_from_reference(
         let base = snap.entry_frame(vpn).map(|(f, _)| f.bytes());
         // The semantic alias rule (see module docs): a parent page
         // holding the child's exact frame is already merged under
-        // non-strict policies.
-        if policy != ConflictPolicy::Strict
+        // ChildWins.
+        if policy == ConflictPolicy::ChildWins
             && parent
                 .entry_frame(vpn)
                 .is_some_and(|(pf, _)| Arc::ptr_eq(pf, child_frame))
@@ -132,16 +132,13 @@ pub fn merge_from_reference(
                 continue;
             }
             let p = parent_entry.map_or(b, |(pb, _)| pb[i]);
-            if p != b {
-                let benign = policy == ConflictPolicy::BenignSameValue && p == c;
-                if !benign && conflict.is_none() {
-                    conflict = Some(MergeConflict {
-                        addr: (vpn << crate::PAGE_SHIFT) + i as u64,
-                        base: b,
-                        child: c,
-                        parent: p,
-                    });
-                }
+            if p != b && conflict.is_none() {
+                conflict = Some(MergeConflict {
+                    addr: (vpn << crate::PAGE_SHIFT) + i as u64,
+                    base: b,
+                    child: c,
+                    parent: p,
+                });
             }
         }
         if let Some(c) = conflict {

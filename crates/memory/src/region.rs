@@ -1,6 +1,6 @@
 //! Virtual memory regions (half-open address ranges).
 
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value, field};
 
 use crate::page::{PAGE_SIZE, vpn_of};
 use crate::{MemError, Result};
@@ -12,12 +12,27 @@ use crate::{MemError, Result};
 /// kernel manipulates do; [`Region::check_page_aligned`] enforces this.
 /// Byte-granularity access inside a region goes through
 /// [`crate::AddressSpace::read`] / [`crate::AddressSpace::write`].
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize)]
 pub struct Region {
     /// First address in the region.
     pub start: u64,
     /// First address past the region.
     pub end: u64,
+}
+
+// Written by hand to keep `Region::new`'s condition: a decoded range
+// with `end < start` (a damaged or forged trace) is refused here, before
+// any page arithmetic underflows on it.
+impl Deserialize for Region {
+    fn from_value(v: &Value) -> std::result::Result<Region, DeError> {
+        let (start, end): (u64, u64) = (field(v, "start")?, field(v, "end")?);
+        if end < start {
+            return Err(DeError::msg(format!(
+                "region end {end:#x} below start {start:#x}"
+            )));
+        }
+        Ok(Region { start, end })
+    }
 }
 
 impl Region {

@@ -8,8 +8,8 @@
 //! The second half is a **differential suite**: randomized
 //! fork/write/merge schedules are run through both the optimized
 //! dirty-set engine (`AddressSpace::try_merge_from`) and the naive
-//! byte-at-a-time oracle (`reference::merge_from_reference`) under all
-//! three conflict policies, asserting identical parent contents,
+//! byte-at-a-time oracle (`reference::merge_from_reference`) under both
+//! conflict policies, asserting identical parent contents,
 //! identical conflict detail, and consistent stats — once with the
 //! parent's frames private (every candidate is diffed: this pins the
 //! engine's word-parallel kernels to the oracle's byte loop) and once
@@ -135,21 +135,22 @@ proptest! {
         }
     }
 
-    /// Benign policy accepts identical double-writes but still rejects
-    /// divergent ones.
+    /// Strict policy: two non-zero writes to one byte conflict, equal
+    /// or not (§2.2 — a same-value double write is still a race).
     #[test]
-    fn benign_same_value(off in 0..LEN, v in any::<u8>(), w in any::<u8>()) {
-        prop_assume!(v != 0 && w != 0);
+    fn strict_double_write_conflicts(
+        off in 0..LEN,
+        v in 1u8..=255,
+        w in 1u8..=255,
+        same in any::<bool>(),
+    ) {
+        let w = if same { v } else { w };
         let mut parent = fresh_parent(&[]);
         let (mut child, snap) = fork(&parent);
         child.write_u8(BASE + off, v).unwrap();
         parent.write_u8(BASE + off, w).unwrap();
-        let r = parent.merge_from(&child, &snap, REGION, ConflictPolicy::BenignSameValue);
-        if v == w {
-            prop_assert!(r.is_ok());
-        } else {
-            prop_assert!(r.is_err());
-        }
+        let r = parent.merge_from(&child, &snap, REGION, ConflictPolicy::Strict);
+        prop_assert_eq!(r, Err(MemError::Conflict { addr: BASE + off }));
     }
 
     /// Merging a child that wrote nothing is always a no-op with zero
@@ -417,7 +418,7 @@ proptest! {
     /// The optimized engine and the reference oracle agree on final
     /// parent bytes, conflict presence/detail, and `bytes_copied`
     /// (less what adoption remapped) across randomized
-    /// fork/write/merge schedules under all three conflict policies.
+    /// fork/write/merge schedules under both conflict policies.
     #[test]
     fn differential_engines_agree(
         init in writes(24),
@@ -447,11 +448,7 @@ proptest! {
             let start = DBASE + ro_sel * PAGE;
             parent.set_perm(Region::new(start, start + PAGE), Perm::R).unwrap();
         }
-        for policy in [
-            ConflictPolicy::Strict,
-            ConflictPolicy::BenignSameValue,
-            ConflictPolicy::ChildWins,
-        ] {
+        for policy in [ConflictPolicy::Strict, ConflictPolicy::ChildWins] {
             assert_engines_agree(&parent, &child, &snap, DREGION, policy)?;
         }
     }
@@ -463,11 +460,7 @@ proptest! {
         let (parent, mut child, snap) = diff_fork(&[]);
         child.write_u8(DBASE + off, v).unwrap();
         child.write_u8(DBASE + off, 0).unwrap(); // Back to the base value.
-        for policy in [
-            ConflictPolicy::Strict,
-            ConflictPolicy::BenignSameValue,
-            ConflictPolicy::ChildWins,
-        ] {
+        for policy in [ConflictPolicy::Strict, ConflictPolicy::ChildWins] {
             assert_engines_agree(&parent, &child, &snap, DREGION, policy)?;
             let mut p = parent.clone();
             let stats = p.merge_from(&child, &snap, DREGION, policy).unwrap();
@@ -553,13 +546,9 @@ proptest! {
         init_stride in 1u64..64,
         ops in leaf_ops(20),
         pws in proptest::collection::vec((0..LLEN, any::<u8>()), 0..12),
-        pol in 0u8..3,
+        child_wins in any::<bool>(),
     ) {
-        let policy = match pol {
-            0 => ConflictPolicy::Strict,
-            1 => ConflictPolicy::BenignSameValue,
-            _ => ConflictPolicy::ChildWins,
-        };
+        let policy = if child_wins { ConflictPolicy::ChildWins } else { ConflictPolicy::Strict };
         let mut parent = AddressSpace::new();
         parent.map_zero(LREGION, Perm::RW).unwrap();
         // Sparse recognizable content so merges move real bytes.
