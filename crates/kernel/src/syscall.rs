@@ -175,9 +175,9 @@ pub struct GetSpec {
     /// Merge the child's changes since its snapshot into the caller
     /// over this range.
     pub merge: Option<Region>,
-    /// Conflict policy for this merge, overriding the kernel default
-    /// (the deterministic scheduler uses
-    /// [`ConflictPolicy::ChildWins`](det_memory::ConflictPolicy)).
+    /// Conflict policy for this merge, the only place one is chosen:
+    /// `None` is [`ConflictPolicy::Strict`](det_memory::ConflictPolicy)
+    /// (§2.2), and the deterministic scheduler asks for `ChildWins`.
     pub merge_policy: Option<det_memory::ConflictPolicy>,
     /// Zero-fill a range in the child.
     pub zero: Option<Region>,
@@ -209,7 +209,7 @@ impl GetSpec {
         self
     }
 
-    /// Overrides the conflict policy for this merge.
+    /// Sets the conflict policy for this merge (`Strict` when unset).
     pub fn merge_policy(mut self, policy: det_memory::ConflictPolicy) -> Self {
         self.merge_policy = Some(policy);
         self
