@@ -5,12 +5,13 @@
 //! timings of the substrate come from `detbench` (`benchmark/`).
 
 use det_workloads::blackscholes::{self, BsConfig};
-use det_workloads::dist::{self, DistConfig};
+use det_workloads::dist;
 use det_workloads::fft::{self, FftConfig};
 use det_workloads::lu::{self, Layout, LuConfig};
 use det_workloads::matmult::{self, MatmultConfig};
 use det_workloads::md5::{self, Md5Config};
 use det_workloads::qsort::{self, QsortConfig};
+use det_workloads::sharded::ShardedConfig;
 use det_workloads::{Mode, RunResult, speedup};
 
 /// One printable table.
@@ -263,6 +264,16 @@ fn node_counts(scale: Scale) -> Vec<u16> {
     }
 }
 
+/// A cluster run of `size` on `nodes` logical nodes. The figures print
+/// virtual time and traffic only, which the shard count cannot move
+/// (DESIGN.md §10), so every run takes two host threads.
+fn cluster(nodes: u16, size: u64) -> ShardedConfig {
+    ShardedConfig {
+        size,
+        ..ShardedConfig::quick(nodes, 2)
+    }
+}
+
 /// Figure 11: distributed speedup over 1-node execution (log-log in
 /// the paper; we print the series).
 pub fn fig11(scale: Scale) -> Table {
@@ -275,51 +286,28 @@ pub fn fig11(scale: Scale) -> Table {
         Scale::Quick => 256,
         Scale::Full => 512,
     };
-    let circuit1 = dist::md5_circuit(DistConfig {
-        nodes: 1,
-        size: md5_size,
-        tcp_like: false,
-    })
-    .vclock_ns;
-    let tree1 = dist::md5_tree(DistConfig {
-        nodes: 1,
-        size: md5_size,
-        tcp_like: false,
-    })
-    .vclock_ns;
-    let mm1 = dist::matmult_tree(DistConfig {
-        nodes: 1,
-        size: mm_size,
-        tcp_like: false,
-    })
-    .vclock_ns;
-    let mut rows = Vec::new();
-    for &k in &nodes {
-        let c = dist::md5_circuit(DistConfig {
-            nodes: k,
-            size: md5_size,
-            tcp_like: false,
+    let clocks: Vec<[u64; 3]> = nodes
+        .iter()
+        .map(|&k| {
+            [
+                dist::md5_circuit(cluster(k, md5_size)),
+                dist::md5_tree(cluster(k, md5_size)),
+                dist::matmult_tree(cluster(k, mm_size)),
+            ]
+            .map(|r| r.outcome.vclock_ns)
         })
-        .vclock_ns;
-        let t = dist::md5_tree(DistConfig {
-            nodes: k,
-            size: md5_size,
-            tcp_like: false,
+        .collect();
+    // `node_counts` starts at one node: the first row is the baseline.
+    let one = clocks[0];
+    let rows = nodes
+        .iter()
+        .zip(&clocks)
+        .map(|(k, c)| {
+            let mut row = vec![k.to_string()];
+            row.extend((0..3).map(|i| format!("{:.2}", speedup(one[i], c[i]))));
+            row
         })
-        .vclock_ns;
-        let m = dist::matmult_tree(DistConfig {
-            nodes: k,
-            size: mm_size,
-            tcp_like: false,
-        })
-        .vclock_ns;
-        rows.push(vec![
-            k.to_string(),
-            format!("{:.2}", speedup(circuit1, c)),
-            format!("{:.2}", speedup(tree1, t)),
-            format!("{:.2}", speedup(mm1, m)),
-        ]);
-    }
+        .collect();
     Table {
         title: "Figure 11 — distributed speedup over 1-node run".into(),
         headers: vec![
@@ -346,25 +334,18 @@ pub fn fig12(scale: Scale) -> Table {
     };
     let mut rows = Vec::new();
     for &k in &nodes {
-        let cfg = DistConfig {
-            nodes: k,
-            size: md5_size,
-            tcp_like: false,
-        };
-        let det_md5 = dist::md5_tree(cfg).vclock_ns;
-        let mp_md5 = dist::mp_md5_ns(cfg);
-        let det_md5_tcp = dist::md5_tree(DistConfig {
+        let md5_cfg = cluster(k, md5_size);
+        let det_md5 = dist::md5_tree(md5_cfg.clone()).outcome.vclock_ns;
+        let mp_md5 = dist::mp_md5_ns(&md5_cfg);
+        let det_md5_tcp = dist::md5_tree(ShardedConfig {
             tcp_like: true,
-            ..cfg
+            ..md5_cfg
         })
+        .outcome
         .vclock_ns;
-        let mm_cfg = DistConfig {
-            nodes: k,
-            size: mm_size,
-            tcp_like: false,
-        };
-        let det_mm = dist::matmult_tree(mm_cfg).vclock_ns;
-        let mp_mm = dist::mp_matmult_ns(mm_cfg);
+        let mm_cfg = cluster(k, mm_size);
+        let det_mm = dist::matmult_tree(mm_cfg.clone()).outcome.vclock_ns;
+        let mp_mm = dist::mp_matmult_ns(&mm_cfg);
         rows.push(vec![
             k.to_string(),
             format!("{:.2}", mp_md5 as f64 / det_md5 as f64),

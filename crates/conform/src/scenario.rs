@@ -552,10 +552,9 @@ fn cluster_scenario(
     run: fn(sharded::ShardedConfig) -> sharded::ShardedResult,
 ) -> ScenarioRun {
     let r = run(sharded::ShardedConfig {
-        nodes,
-        shards: 3,
         size,
         faults: cfg.faults.clone(),
+        ..sharded::ShardedConfig::quick(nodes, 3)
     });
     let sections = r.outcome.cluster_sections();
     let stats = r.outcome.stats.clone();
@@ -575,7 +574,7 @@ fn cluster_scenario(
 /// §6.3's md5-tree: recursive binary fan-out over 4 logical nodes,
 /// every inner job forking again from inside its own job kernel.
 fn dist_md5_tree(cfg: &ScenarioConfig) -> ScenarioRun {
-    cluster_scenario(cfg, 4, 2_000, dist::md5_tree_sharded)
+    cluster_scenario(cfg, 4, 2_000, dist::md5_tree)
 }
 
 /// Remote fork fan-out: one md5-scanning job per logical node, pulled

@@ -11,76 +11,37 @@
 //! the space responsible for the node range `lo..hi` runs on node
 //! `lo`.
 
-use det_cluster::{ClusterOutcome, ClusterSpec, JobSpec, NetworkModel, Remote};
+use det_cluster::{ClusterSpec, JobSpec, Remote};
 use det_kernel::{Region, SpaceCtx};
 use det_memory::Perm;
 
-use crate::RunResult;
 use crate::matmult::PS_PER_MAC;
 use crate::md5::{NS_PER_HASH, candidate, md5};
 use crate::sharded::{
     BASE, MD5_SLOTS, ShardedConfig, ShardedResult, finish, md5_found, md5_scan_range,
 };
 
-/// Host threads the figures run on. Every reported number is virtual
-/// time or a traffic count, and those are shard-count-invariant
-/// (DESIGN.md §10), so this is not a parameter.
-const SHARDS: usize = 2;
-
-/// Distributed benchmark parameters.
-#[derive(Clone, Copy, Debug)]
-pub struct DistConfig {
-    /// Cluster size (uniprocessor nodes, as in the paper).
-    pub nodes: u16,
-    /// md5 keyspace / matmult dimension.
-    pub size: u64,
-    /// Add TCP-like round-trip behaviour (Fig. 12 ablation).
-    pub tcp_like: bool,
-}
-
-impl DistConfig {
-    fn net(&self) -> NetworkModel {
-        if self.tcp_like {
-            NetworkModel::ethernet_1g_tcp()
-        } else {
-            NetworkModel::ethernet_1g()
-        }
-    }
-
-    fn spec(&self) -> ClusterSpec {
-        let mut spec = ClusterSpec::new(self.nodes.max(1), SHARDS);
-        spec.net = self.net();
-        spec
-    }
-}
-
-fn run_result(outcome: ClusterOutcome, what: &str) -> RunResult {
-    let checksum = match outcome.exit {
-        Ok(code) => code as u32 as u64,
-        Err(t) => panic!("{what} trapped: {t:?}"),
-    };
-    RunResult {
-        vclock_ns: outcome.vclock_ns,
-        stats: outcome.stats,
-        checksum,
-    }
-}
-
 /// Runs `body` as the root of an md5 search for the key at 7/8 of the
 /// keyspace (handing it that key's digest), then decodes the lowest
-/// key any node's slot reports.
+/// key any node's slot reports. A clean exit must have found the key;
+/// a faulted run returns [`finish`]'s sentinel.
 fn md5_search(
-    spec: ClusterSpec,
-    keyspace: u64,
+    cfg: ShardedConfig,
     body: impl FnOnce(&mut SpaceCtx, &Remote, [u8; 16]) -> det_kernel::Result<()> + Send + 'static,
-) -> ClusterOutcome {
+) -> ShardedResult {
+    let spec = cfg.spec();
     let nodes = spec.nodes as u64;
-    let digest = md5(&candidate(keyspace * 7 / 8));
-    spec.run(move |ctx, net| {
+    let target = cfg.size * 7 / 8;
+    let digest = md5(&candidate(target));
+    let r = finish(spec.run(move |ctx, net| {
         ctx.mem_mut().map_zero(MD5_SLOTS, Perm::RW)?;
         body(ctx, net, digest)?;
         Ok(md5_found(ctx, nodes)? as i32)
-    })
+    }));
+    if r.outcome.exit.is_ok() {
+        assert_eq!(r.checksum, target, "md5 search missed its preimage");
+    }
+    r
 }
 
 // ---------------------------------------------------------------------
@@ -127,19 +88,14 @@ fn circuit_stop(
     Ok(())
 }
 
-fn md5_circuit_on(spec: ClusterSpec, keyspace: u64) -> ClusterOutcome {
-    let per = keyspace.div_ceil(spec.nodes as u64);
-    md5_search(spec, keyspace, move |ctx, net, digest| {
-        circuit_stop(ctx, net, 0, per, keyspace, digest)
-    })
-}
-
 /// Runs md5-circuit: the master migrates serially around the nodes,
 /// forking one worker on each, then retraces the circuit to collect.
-pub fn md5_circuit(cfg: DistConfig) -> RunResult {
-    let r = run_result(md5_circuit_on(cfg.spec(), cfg.size), "md5-circuit");
-    assert_eq!(r.checksum, cfg.size * 7 / 8);
-    r
+pub fn md5_circuit(cfg: ShardedConfig) -> ShardedResult {
+    let keyspace = cfg.size;
+    md5_search(cfg, move |ctx, net, digest| {
+        let per = keyspace.div_ceil(net.nodes() as u64);
+        circuit_stop(ctx, net, 0, per, keyspace, digest)
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -181,25 +137,13 @@ fn md5_tree_node(
     Ok(())
 }
 
-fn md5_tree_on(spec: ClusterSpec, keyspace: u64) -> ClusterOutcome {
-    let nodes = spec.nodes;
-    md5_search(spec, keyspace, move |ctx, net, digest| {
-        md5_tree_node(ctx, net, (0, nodes), (0, keyspace), digest)
-    })
-}
-
-/// Runs md5-tree on an explicit shard count and under a fault plan
-/// (conformance harness entry point).
-pub fn md5_tree_sharded(cfg: ShardedConfig) -> ShardedResult {
-    finish(md5_tree_on(cfg.spec(), cfg.size))
-}
-
 /// Runs md5-tree: recursive fork across nodes, results merged up the
 /// tree (§6.3 — the variant that scales).
-pub fn md5_tree(cfg: DistConfig) -> RunResult {
-    let r = run_result(md5_tree_on(cfg.spec(), cfg.size), "md5-tree");
-    assert_eq!(r.checksum, cfg.size * 7 / 8);
-    r
+pub fn md5_tree(cfg: ShardedConfig) -> ShardedResult {
+    let keyspace = cfg.size;
+    md5_search(cfg, move |ctx, net, digest| {
+        md5_tree_node(ctx, net, (0, net.nodes()), (0, keyspace), digest)
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -266,16 +210,19 @@ fn mm_tree_node(
     Ok(())
 }
 
-fn matmult_tree_on(spec: ClusterSpec, n: usize) -> ClusterOutcome {
-    let nodes = spec.nodes;
-    spec.run(move |ctx, net| {
+/// Runs matmult-tree with recursive work distribution (§6.3 — never
+/// beats one node, because every remote fork must move the matrix
+/// data across the link).
+pub fn matmult_tree(cfg: ShardedConfig) -> ShardedResult {
+    let n = cfg.size as usize;
+    finish(cfg.spec().run(move |ctx, net| {
         ctx.mem_mut().map_zero(mm_region(n), Perm::RW)?;
         let mut rng = crate::mathx::XorShift64::new(0xD157);
         let a: Vec<u64> = (0..n * n).map(|_| rng.below(1000)).collect();
         let b: Vec<u64> = (0..n * n).map(|_| rng.below(1000)).collect();
         ctx.mem_mut().write_u64s(BASE, &a)?;
         ctx.mem_mut().write_u64s(BASE + (n * n * 8) as u64, &b)?;
-        mm_tree_node(ctx, net, n, (0, nodes), (0, n))?;
+        mm_tree_node(ctx, net, n, (0, net.nodes()), (0, n))?;
         // Spot validation.
         let c_all = ctx.mem().read_u64s(BASE + (2 * n * n * 8) as u64, n * n)?;
         let mut spot = crate::mathx::XorShift64::new(9);
@@ -293,17 +240,7 @@ fn matmult_tree_on(spec: ClusterSpec, n: usize) -> ClusterOutcome {
             d.update_u64(*v);
         }
         Ok((d.value() & 0x7fff_ffff) as i32)
-    })
-}
-
-/// Runs matmult-tree with recursive work distribution (§6.3 — never
-/// beats one node, because every remote fork must move the matrix
-/// data across the link).
-pub fn matmult_tree(cfg: DistConfig) -> RunResult {
-    run_result(
-        matmult_tree_on(cfg.spec(), cfg.size as usize),
-        "matmult-tree",
-    )
+    }))
 }
 
 // ---------------------------------------------------------------------
@@ -314,9 +251,9 @@ pub fn matmult_tree(cfg: DistConfig) -> RunResult {
 /// Virtual makespan (ns) of the remote-shell-style md5: the master
 /// sends one small job message per worker, workers scan in parallel,
 /// results return as small messages.
-pub fn mp_md5_ns(cfg: DistConfig) -> u64 {
-    let nodes = cfg.nodes.max(1) as u64;
-    let net = cfg.net();
+pub fn mp_md5_ns(cfg: &ShardedConfig) -> u64 {
+    let ClusterSpec { nodes, net, .. } = cfg.spec();
+    let nodes = nodes as u64;
     let msg = net.message_ps(128) / 1000;
     let per = cfg.size.div_ceil(nodes);
     let scan = per * NS_PER_HASH;
@@ -330,10 +267,9 @@ pub fn mp_md5_ns(cfg: DistConfig) -> u64 {
 /// streams each worker its A stripe plus the whole of B, workers
 /// compute, C stripes stream back (the data movement the paper's §6.3
 /// measures at 263 lines of application code).
-pub fn mp_matmult_ns(cfg: DistConfig) -> u64 {
-    let nodes = cfg.nodes.max(1) as u64;
-    let n = cfg.size;
-    let net = cfg.net();
+pub fn mp_matmult_ns(cfg: &ShardedConfig) -> u64 {
+    let ClusterSpec { nodes, net, .. } = cfg.spec();
+    let (nodes, n) = (nodes as u64, cfg.size);
     let stripe_bytes = n * n * 8 / nodes;
     let b_bytes = n * n * 8;
     let send = net.message_ps(stripe_bytes + b_bytes) / 1000;
@@ -347,23 +283,23 @@ pub fn mp_matmult_ns(cfg: DistConfig) -> u64 {
 mod tests {
     use super::*;
 
-    fn quick(nodes: u16) -> DistConfig {
-        DistConfig {
-            nodes,
+    fn quick(nodes: u16) -> ShardedConfig {
+        ShardedConfig {
             size: 40_000,
-            tcp_like: false,
+            ..ShardedConfig::quick(nodes, 2)
         }
     }
 
-    fn speedup(one: &RunResult, many: &RunResult) -> f64 {
-        one.vclock_ns as f64 / many.vclock_ns as f64
+    fn speedup(one: &ShardedResult, many: &ShardedResult) -> f64 {
+        one.outcome.vclock_ns as f64 / many.outcome.vclock_ns as f64
     }
 
     #[test]
     fn circuit_and_tree_find_the_key() {
         let c = md5_circuit(quick(4));
         let t = md5_tree(quick(4));
-        assert_eq!(c.checksum, t.checksum);
+        assert_eq!(c.checksum, 40_000 * 7 / 8);
+        assert_eq!(t.checksum, c.checksum);
     }
 
     #[test]
@@ -399,8 +335,15 @@ mod tests {
     fn circuit_migrations_sit_on_the_critical_path() {
         // Out and back through every node but the first.
         for k in [2u16, 4, 8] {
-            let out = md5_circuit_on(quick(k).spec(), 4_000);
-            assert_eq!(out.cluster.migrations, 2 * (k as u64 - 1), "nodes={k}");
+            let r = md5_circuit(ShardedConfig {
+                size: 4_000,
+                ..quick(k)
+            });
+            assert_eq!(
+                r.outcome.cluster.migrations,
+                2 * (k as u64 - 1),
+                "nodes={k}"
+            );
         }
     }
 
@@ -421,10 +364,9 @@ mod tests {
     fn matmult_tree_levels_off() {
         // Fig. 11: matmult gains little beyond ~2 nodes because the
         // matrix pages must cross the network with every fork.
-        let cfg = |nodes| DistConfig {
-            nodes,
+        let cfg = |nodes| ShardedConfig {
             size: 96,
-            tcp_like: false,
+            ..quick(nodes)
         };
         let n1 = matmult_tree(cfg(1));
         let s: Vec<f64> = [2u16, 4, 8, 16]
@@ -449,11 +391,12 @@ mod tests {
 
     #[test]
     fn tcp_ablation_under_two_percent() {
-        let plain = md5_tree(quick(4)).vclock_ns as f64;
-        let tcp = md5_tree(DistConfig {
+        let plain = md5_tree(quick(4)).outcome.vclock_ns as f64;
+        let tcp = md5_tree(ShardedConfig {
             tcp_like: true,
             ..quick(4)
         })
+        .outcome
         .vclock_ns as f64;
         let overhead = tcp / plain - 1.0;
         assert!(
@@ -464,20 +407,24 @@ mod tests {
 
     #[test]
     fn bundles_are_shard_count_invariant() {
-        let spec = |shards| ClusterSpec::new(4, shards);
-        for (name, run) in [
+        for (name, size, run) in [
             (
                 "md5-circuit",
-                (|s| md5_circuit_on(s, 2_000)) as fn(ClusterSpec) -> ClusterOutcome,
+                2_000,
+                md5_circuit as fn(ShardedConfig) -> ShardedResult,
             ),
-            ("md5-tree", |s| md5_tree_on(s, 2_000)),
-            ("matmult-tree", |s| matmult_tree_on(s, 24)),
+            ("md5-tree", 2_000, md5_tree),
+            ("matmult-tree", 24, matmult_tree),
         ] {
-            let one = run(spec(1));
-            assert!(one.exit.is_ok(), "{name}: {:?}", one.exit);
+            let cfg = |shards| ShardedConfig {
+                size,
+                ..ShardedConfig::quick(4, shards)
+            };
+            let one = run(cfg(1));
+            assert!(one.outcome.exit.is_ok(), "{name}: {:?}", one.outcome.exit);
             assert_eq!(
-                one.bundle_bytes(),
-                run(spec(3)).bundle_bytes(),
+                one.outcome.bundle_bytes(),
+                run(cfg(3)).outcome.bundle_bytes(),
                 "{name} diverged between 1 and 3 shards"
             );
         }
@@ -486,19 +433,17 @@ mod tests {
     #[test]
     fn mp_baselines_monotone() {
         // The message-passing md5 scales; mp matmult saturates.
-        let big = DistConfig {
-            nodes: 1,
-            size: 400_000,
-            tcp_like: false,
+        let md5 = |nodes| {
+            mp_md5_ns(&ShardedConfig {
+                size: 400_000,
+                ..quick(nodes)
+            })
         };
-        let md5_1 = mp_md5_ns(big);
-        let md5_8 = mp_md5_ns(DistConfig { nodes: 8, ..big });
-        assert!(md5_1 as f64 / md5_8 as f64 > 4.0);
+        assert!(md5(1) as f64 / md5(8) as f64 > 4.0);
         let mm = |nodes| {
-            mp_matmult_ns(DistConfig {
-                nodes,
+            mp_matmult_ns(&ShardedConfig {
                 size: 256,
-                tcp_like: false,
+                ..quick(nodes)
             })
         };
         let s2 = mm(1) as f64 / mm(2) as f64;

@@ -7,7 +7,7 @@
 //! workload writes its deterministic result to the console device, so
 //! its bytes land in the conformance bundle's `[outputs]` section.
 
-use det_cluster::{ClusterOutcome, ClusterSpec, JobSpec};
+use det_cluster::{ClusterOutcome, ClusterSpec, JobSpec, NetworkModel};
 use det_kernel::{
     CopySpec, DeviceId, FaultPlan, GetSpec, NativeResult, Program, PutSpec, Region, Regs, SpaceCtx,
     StopReason,
@@ -19,7 +19,9 @@ use crate::md5::{NS_PER_HASH, candidate, md5};
 
 pub(crate) const BASE: u64 = 0x1000_0000;
 
-/// Parameters of a sharded run.
+/// Parameters of a cluster run, taken by every cluster workload here
+/// and in [`crate::dist`]: `nodes`, `size` and the link fix every
+/// deterministic quantity; `shards` moves wall-clock time only.
 #[derive(Clone, Debug)]
 pub struct ShardedConfig {
     /// Logical nodes (fixes every deterministic quantity).
@@ -30,6 +32,8 @@ pub struct ShardedConfig {
     pub size: u64,
     /// Fault-injection plan for the root kernel.
     pub faults: FaultPlan,
+    /// Price the link with TCP-like round trips (Fig. 12's ablation).
+    pub tcp_like: bool,
 }
 
 impl ShardedConfig {
@@ -40,17 +44,21 @@ impl ShardedConfig {
             shards,
             size: 2_000,
             faults: FaultPlan::default(),
+            tcp_like: false,
         }
     }
 
     pub(crate) fn spec(&self) -> ClusterSpec {
         let mut spec = ClusterSpec::new(self.nodes.max(1), self.shards.max(1));
         spec.faults = self.faults.clone();
+        if self.tcp_like {
+            spec.net = NetworkModel::ethernet_1g_tcp();
+        }
         spec
     }
 }
 
-/// Result of a sharded workload run.
+/// Result of a cluster workload run.
 pub struct ShardedResult {
     /// The full cluster outcome (bundle, stats, artifacts).
     pub outcome: ClusterOutcome,

@@ -7,30 +7,26 @@
 //! cargo run --release --example cluster_md5
 //! ```
 
-use determinator::workloads::dist::{self, DistConfig};
+use determinator::workloads::dist;
+use determinator::workloads::sharded::ShardedConfig;
 
 fn main() {
     let size = 40_000;
     println!("searching a {size}-key space for a planted MD5 preimage\n");
     println!("nodes | circuit speedup | tree speedup | (over 1-node local run)");
-    let base = dist::md5_tree(DistConfig {
-        nodes: 1,
+    // Two host threads: the shard count moves wall-clock time only.
+    let cfg = |nodes| ShardedConfig {
         size,
-        tcp_like: false,
-    })
-    .vclock_ns;
+        ..ShardedConfig::quick(nodes, 2)
+    };
+    let base = dist::md5_tree(cfg(1)).outcome.vclock_ns;
     for nodes in [1u16, 2, 4, 8, 16] {
-        let cfg = DistConfig {
-            nodes,
-            size,
-            tcp_like: false,
-        };
-        let circuit = dist::md5_circuit(cfg);
-        let tree = dist::md5_tree(cfg);
+        let circuit = dist::md5_circuit(cfg(nodes)).outcome.vclock_ns;
+        let tree = dist::md5_tree(cfg(nodes)).outcome.vclock_ns;
         println!(
             "{nodes:>5} | {:>15.2} | {:>12.2} |",
-            base as f64 / circuit.vclock_ns as f64,
-            base as f64 / tree.vclock_ns as f64,
+            base as f64 / circuit as f64,
+            base as f64 / tree as f64,
         );
     }
     println!(

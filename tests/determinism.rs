@@ -11,12 +11,13 @@ use determinator::runtime::proc::{ProgramRegistry, run_process_tree, run_process
 use determinator::runtime::shell;
 use determinator::workloads::Mode;
 use determinator::workloads::blackscholes::{self, BsConfig};
-use determinator::workloads::dist::{self, DistConfig};
+use determinator::workloads::dist;
 use determinator::workloads::fft::{self, FftConfig};
 use determinator::workloads::lu::{self, Layout, LuConfig};
 use determinator::workloads::matmult::{self, MatmultConfig};
 use determinator::workloads::md5::{self, Md5Config};
 use determinator::workloads::qsort::{self, QsortConfig};
+use determinator::workloads::sharded::ShardedConfig;
 
 /// Every single-node workload: identical checksum AND identical
 /// virtual time across reruns (full-stack repeatability).
@@ -71,12 +72,8 @@ fn workloads_repeat_exactly() {
 #[test]
 fn distributed_runs_repeat_exactly() {
     let run = || {
-        let r = dist::md5_tree(DistConfig {
-            nodes: 4,
-            size: 2_000,
-            tcp_like: false,
-        });
-        (r.checksum, r.vclock_ns, r.stats.migrations)
+        let r = dist::md5_tree(ShardedConfig::quick(4, 2));
+        (r.checksum, r.outcome.vclock_ns, r.outcome.stats.migrations)
     };
     assert_eq!(run(), run());
 }
@@ -282,9 +279,7 @@ fn rendezvous_storm_digest_invariant_under_chaos() {
 /// Shards may only change wall-clock time.
 #[test]
 fn sharded_workloads_invariant_across_shard_counts_under_chaos() {
-    use determinator::workloads::sharded::{
-        ShardedConfig, ShardedResult, dsched_counter, md5_scan,
-    };
+    use determinator::workloads::sharded::{ShardedResult, dsched_counter, md5_scan};
     type Workload = fn(ShardedConfig) -> ShardedResult;
 
     let _chaos = ChaosLoad::start(3);
@@ -323,7 +318,7 @@ fn sharded_workloads_invariant_across_shard_counts_under_chaos() {
 /// deterministic trace.
 #[test]
 fn sharded_migration_storm_repeats_and_shard_invariant() {
-    use determinator::workloads::sharded::{ShardedConfig, migration_storm};
+    use determinator::workloads::sharded::migration_storm;
     let cfg = |shards| ShardedConfig {
         size: 4,
         ..ShardedConfig::quick(4, shards)
