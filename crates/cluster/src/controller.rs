@@ -349,14 +349,8 @@ impl Remote {
         let mut summary = Vec::new();
         let img = ctx.migrate_out(spec.region, |img| {
             summary = img.leaf_summary();
-            let bytes = protocol::summary_bytes(&summary);
-            remote_xfer.then(|| env.spec.net.message_ps(bytes))
+            remote_xfer.then(|| protocol::send_summary(env, &summary))
         })?;
-        if remote_xfer {
-            let mut cl = env.cluster.lock();
-            cl.messages += 1;
-            cl.bytes_transferred += protocol::summary_bytes(&summary);
-        }
 
         let job_id = env.next_job.fetch_add(1, Ordering::Relaxed) + 1;
         let home_shard = env.shard_of(self.node);
@@ -428,20 +422,14 @@ impl Remote {
 
         let remote_xfer = p.node != self.node;
         let mut child_eff = done.vclock_ps;
-        if remote_xfer {
+        if let (true, Ok(delta)) = (remote_xfer, &delta) {
             // The homecoming: a get-request and the dirty-delta
             // response, after which the migrated space is gone — its
-            // results live on via the merge.
-            let resp_bytes = protocol::HEADER_BYTES + done.delta.len() as u64;
-            if let Ok(delta) = &delta {
-                let mut cl = env.cluster.lock();
-                cl.messages += 2;
-                cl.bytes_transferred += protocol::HEADER_BYTES + resp_bytes;
-                cl.page_pulls += delta.pages.len() as u64;
-            }
-            child_eff = child_eff
-                .saturating_add(env.spec.net.message_ps(protocol::HEADER_BYTES))
-                .saturating_add(env.spec.net.message_ps(resp_bytes));
+            // results live on via the merge. (A delta that does not
+            // decode fails the merge before the clock is read.)
+            let pages = delta.pages.len() as u64;
+            child_eff =
+                child_eff.saturating_add(protocol::round_trip(env, done.delta.len(), pages));
         }
         let merge = ctx.migrate_home((&p.base, delta), child_eff, p.region, remote_xfer)?;
         Ok(JobOutcome {

@@ -18,22 +18,59 @@
 //! canonical wire encoding, so byte counts and the virtual-time
 //! charges derived from them are pure functions of the workload and
 //! the logical node topology — never of how many OS-thread shards the
-//! run happened to use.
+//! run happened to use. The link counters ([`ClusterStats`] but
+//! `migrations`, which the kernels count) are written only here, by one
+//! function per message shape: [`send_summary`], [`round_trip`] and
+//! [`cache_hits`].
+//!
+//! [`ClusterStats`]: crate::ClusterStats
 
 use std::sync::mpsc;
 
 use det_kernel::{KernelError, NativeResult, SpaceCtx, TrapKind, wire};
 use det_memory::{AddressSpace, LeafInfo, PAGE_SHIFT, PAGES_PER_LEAF, Region, SpaceDelta};
 
-use crate::controller::Remote;
+use crate::controller::{Env, Remote};
 
 /// Fixed per-message header bytes (addresses, space/job ids, opcode).
-pub(crate) const HEADER_BYTES: u64 = 64;
+const HEADER_BYTES: u64 = 64;
 
-/// Size of a migration summary: a header plus one 16-byte page-table
-/// entry per page the summarized leaves hold.
-pub(crate) fn summary_bytes(summary: &[LeafInfo]) -> u64 {
-    HEADER_BYTES + 16 * summary.iter().map(|l| l.pages as u64).sum::<u64>()
+/// Counts a migration summary sent one way across the link — a header
+/// plus one 16-byte page-table entry per page the summarized leaves
+/// hold — and returns its link time (ps).
+pub(crate) fn send_summary(env: &Env, summary: &[LeafInfo]) -> u64 {
+    let bytes = HEADER_BYTES + 16 * summary.iter().map(|l| l.pages as u64).sum::<u64>();
+    let mut cl = env.cluster.lock();
+    cl.messages += 1;
+    cl.bytes_transferred += bytes;
+    env.spec.net.message_ps(bytes)
+}
+
+/// Counts one request/response round trip across the link — a
+/// header-only request, then a response of a header and `payload`
+/// bytes carrying `pages` pages (a leaf pull or a homecoming) — and
+/// returns the link time (ps) of both messages.
+///
+/// Callers count a response only once it has decoded, so `pages` is
+/// what arrived. A response that does not decode cannot occur inside
+/// one process: a pulled leaf is `wire::delta_to_bytes` of a frozen
+/// leaf image, and a homecoming that of the job's own delta, or empty.
+/// [`decode_delta`] still guards both, because link bytes are input.
+pub(crate) fn round_trip(env: &Env, payload: usize, pages: u64) -> u64 {
+    let response = HEADER_BYTES + payload as u64;
+    let net = &env.spec.net;
+    let mut cl = env.cluster.lock();
+    cl.page_pulls += pages;
+    cl.messages += 2;
+    cl.bytes_transferred += HEADER_BYTES + response;
+    net.message_ps(HEADER_BYTES)
+        .saturating_add(net.message_ps(response))
+}
+
+/// Counts `pages` a same-node fork materialized without crossing the
+/// link.
+pub(crate) fn cache_hits(env: &Env, pages: u64) {
+    env.cluster.lock().cache_hits += pages;
 }
 
 /// A job's executable half: a native closure driven through the

@@ -25,7 +25,9 @@ use det_kernel::{Kernel, KernelConfig, KernelError, wire};
 use det_memory::AddressSpace;
 
 use crate::controller::{Env, JobArtifact, Remote};
-use crate::protocol::{HEADER_BYTES, HostMsg, JobDone, JobMsg, decode_delta, materialize, touched};
+use crate::protocol::{
+    HostMsg, JobDone, JobMsg, cache_hits, decode_delta, materialize, round_trip, touched,
+};
 
 /// A counting permit (capacity 1 per shard): the uniprocessor-node
 /// compute token. Thread-agnostic by design — a job releases it while
@@ -116,7 +118,7 @@ fn run_job(env: Arc<Env>, msg: JobMsg) {
             .filter(|l| touched(l, &msg.touch))
             .map(|l| l.pages as u64)
             .sum();
-        env.cluster.lock().cache_hits += pages;
+        cache_hits(&env, pages);
         Ok(env.with_frozen(msg.home_shard, msg.job_id, |frozen| {
             materialize(frozen, &msg.summary, &msg.touch)
         }))
@@ -205,17 +207,9 @@ fn pull_leaves(env: &Env, msg: &JobMsg, net_ps: &mut u64) -> Result<AddressSpace
         let bytes = rxr
             .recv()
             .expect("home shard serves pulls until every job completes");
-        let resp_bytes = HEADER_BYTES + bytes.len() as u64;
-        {
-            let mut cs = env.cluster.lock();
-            cs.page_pulls += leaf.pages as u64;
-            cs.messages += 2;
-            cs.bytes_transferred += HEADER_BYTES + resp_bytes;
-        }
-        *net_ps = net_ps
-            .saturating_add(env.spec.net.message_ps(HEADER_BYTES))
-            .saturating_add(env.spec.net.message_ps(resp_bytes));
-        mem.apply_delta(&decode_delta(&bytes)?)?;
+        let delta = decode_delta(&bytes)?;
+        *net_ps = net_ps.saturating_add(round_trip(env, bytes.len(), leaf.pages as u64));
+        mem.apply_delta(&delta)?;
     }
     mem.clear_dirty();
     Ok(mem)
