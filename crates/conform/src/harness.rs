@@ -349,13 +349,3 @@ pub fn crash_recovery_check(sc: &Scenario, kill_at: Option<u64>) -> RecoveryRepo
     report.divergence = compare(&baseline, &recovered, Scope::Full);
     report
 }
-
-/// Runs crash-recovery conformance for every traceable registered
-/// scenario.
-pub fn recover_all(kill_at: Option<u64>) -> Vec<RecoveryReport> {
-    registry()
-        .iter()
-        .filter(|sc| sc.traceable)
-        .map(|sc| crash_recovery_check(sc, kill_at))
-        .collect()
-}

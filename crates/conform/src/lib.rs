@@ -43,6 +43,6 @@ pub use bundle::{Artifacts, Scope};
 pub use diff::{Divergence, DivergenceCategory, compare, first_diff, hex_context};
 pub use harness::{
     ChaosLoad, ConformConfig, RecoveryReport, ScenarioReport, conform_all, conform_scenario,
-    crash_recovery_check, recover_all, root_syscalls,
+    crash_recovery_check, root_syscalls,
 };
 pub use scenario::{Scenario, ScenarioConfig, ScenarioRun, find, registry};

@@ -45,11 +45,11 @@ use std::collections::BTreeMap;
 use det_memory::ContentDigest;
 use serde::{Serialize, Value, field};
 
-use crate::apply::{TraceEvent, apply};
+use crate::apply::TraceEvent;
 use crate::error::{KernelError, Result};
 use crate::ids::ChildNum;
 use crate::state::KState;
-use crate::trace::{ReplayOutcome, Trace, outcome_of};
+use crate::trace::{ReplayOutcome, Trace, fold, outcome_of};
 
 /// The checkpoint bundle format this build writes and reads.
 pub const CHECKPOINT_FORMAT_VERSION: u32 = 8;
@@ -119,10 +119,7 @@ impl Checkpoint {
             .ok_or(KernelError::CheckpointMalformed(
                 "boundary beyond trace end",
             ))?;
-        let mut kernel = KState::new(trace.meta.costs);
-        for ev in events {
-            apply(&mut kernel, ev)?;
-        }
+        let kernel = fold(KState::new(trace.meta.costs), events)?;
         let boundary = boundary as u64;
         let payload = serde::bin::to_vec(&Payload { boundary, kernel });
         Ok(Checkpoint {
@@ -225,11 +222,7 @@ impl RestoredKernel {
     /// the second half of the recovery ≡ replay identity. The suffix
     /// must reach the root exit (it is the tail of a complete run).
     pub fn resume(self, suffix: &[TraceEvent]) -> Result<ReplayOutcome> {
-        let mut ks = self.ks;
-        for ev in suffix {
-            apply(&mut ks, ev)?;
-        }
-        outcome_of(ks, true)
+        outcome_of(fold(self.ks, suffix)?, true)
     }
 }
 

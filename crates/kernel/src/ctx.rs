@@ -724,9 +724,3 @@ fn clone_into(
     }
     Ok(())
 }
-
-/// Region helper: the whole 48-bit user address range, for coarse
-/// whole-space operations in tests and the runtime.
-pub fn full_user_region() -> Region {
-    Region::new(0, 1u64 << 47)
-}

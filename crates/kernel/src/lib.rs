@@ -94,7 +94,7 @@ pub use checkpoint::{
     CHECKPOINT_FORMAT_VERSION, Checkpoint, RestoredKernel, latest_restorable_boundary,
 };
 pub use cost::{CostModel, ns_to_ps, ps_to_ns};
-pub use ctx::{SpaceCtx, full_user_region};
+pub use ctx::SpaceCtx;
 pub use device::{DeviceId, InputEvent, IoLog, IoMode};
 pub use error::{KernelError, Result, TrapKind};
 pub use fault::{Fault, FaultAction, FaultPlan, FaultSite};

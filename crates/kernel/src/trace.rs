@@ -223,11 +223,7 @@ impl Trace {
     /// or forged); errors the recorded programs observed live are part
     /// of history and replay silently.
     pub fn replay(&self) -> Result<ReplayOutcome> {
-        let mut ks = KState::new(self.meta.costs);
-        for ev in &self.events {
-            apply(&mut ks, ev)?;
-        }
-        outcome_of(ks, true)
+        outcome_of(fold(KState::new(self.meta.costs), &self.events)?, true)
     }
 
     /// Replays a possibly-truncated trace — the crash log of a run
@@ -240,12 +236,18 @@ impl Trace {
     /// exit status. Structural divergence still fails — a crash
     /// truncates a trace, it never corrupts it.
     pub fn replay_prefix(&self) -> Result<ReplayOutcome> {
-        let mut ks = KState::new(self.meta.costs);
-        for ev in &self.events {
-            apply(&mut ks, ev)?;
-        }
-        outcome_of(ks, false)
+        outcome_of(fold(KState::new(self.meta.costs), &self.events)?, false)
     }
+}
+
+/// Steps `ks` through `events` with the pure core, stopping at the
+/// first structural divergence — the one fold behind replay, checkpoint
+/// capture and resume.
+pub(crate) fn fold(mut ks: KState, events: &[TraceEvent]) -> Result<KState> {
+    for ev in events {
+        apply(&mut ks, ev)?;
+    }
+    Ok(ks)
 }
 
 /// Extracts the reproduced outcome from a stepped kernel state.

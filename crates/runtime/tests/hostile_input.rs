@@ -1,4 +1,4 @@
-//! The file-system image is hostile input (ROADMAP 5e): a parent
+//! The file-system image is hostile input (ROADMAP 9(c)): a parent
 //! parses bytes its child wrote. Any byte string is either a typed
 //! `FsImageCorrupt` or a replica that is well-formed — it re-encodes
 //! to bytes that decode back to it — and that reconciles into a parent

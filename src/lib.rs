@@ -140,7 +140,7 @@ pub mod kernel {
         KernelStats, MergeStatsSerde, NativeEntry, NativeResult, Program, ProgramKind, PutRec,
         PutResult, PutSpec, ReplayOutcome, RestoredKernel, Result, RunOutcome, SpaceArtifact,
         SpaceCtx, SpaceId, StartSpec, StopReason, Trace, TraceEvent, TraceMeta, TraceSink,
-        TrapKind, VmCounters, full_user_region, latest_restorable_boundary, ns_to_ps, ps_to_ns,
+        TrapKind, VmCounters, latest_restorable_boundary, ns_to_ps, ps_to_ns,
     };
     // Substrate types the kernel API surfaces directly.
     pub use det_memory::{
