@@ -2,7 +2,9 @@
 //! md5-tree, and matmult-tree over the shard cluster runtime
 //! (`det_cluster::ClusterSpec`), plus the explicit message-passing
 //! baselines standing in for the paper's remote-shell / TCP Linux
-//! equivalents.
+//! equivalents. Each takes a [`ShardedConfig`], as the
+//! [`crate::sharded`] workloads do, and each program returns a
+//! [`ShardedResult`].
 //!
 //! All three Determinator variants still program against *logically
 //! shared memory*: a job sees a snapshot of its parent's region and
