@@ -11,7 +11,7 @@ use det_workloads::lu::{self, Layout, LuConfig};
 use det_workloads::matmult::{self, MatmultConfig};
 use det_workloads::md5::{self, Md5Config};
 use det_workloads::qsort::{self, QsortConfig};
-use det_workloads::sharded::ShardedConfig;
+use det_workloads::sharded::{ShardedConfig, ShardedResult};
 use det_workloads::{Mode, RunResult, speedup};
 
 /// One printable table.
@@ -274,6 +274,18 @@ fn cluster(nodes: u16, size: u64) -> ShardedConfig {
     }
 }
 
+/// A figure run's virtual time. The figures plan no fault, so a trap
+/// (matmult-tree's spot check included) is a bug, not a data point:
+/// `finish`'s sentinel checksum would otherwise hide it.
+fn clean_vclock(r: ShardedResult) -> u64 {
+    assert!(
+        r.outcome.exit.is_ok(),
+        "cluster run trapped: {:?}",
+        r.outcome.exit
+    );
+    r.outcome.vclock_ns
+}
+
 /// Figure 11: distributed speedup over 1-node execution (log-log in
 /// the paper; we print the series).
 pub fn fig11(scale: Scale) -> Table {
@@ -294,10 +306,10 @@ pub fn fig11(scale: Scale) -> Table {
                 dist::md5_tree(cluster(k, md5_size)),
                 dist::matmult_tree(cluster(k, mm_size)),
             ]
-            .map(|r| r.outcome.vclock_ns)
+            .map(clean_vclock)
         })
         .collect();
-    // `node_counts` starts at one node: the first row is the baseline.
+    assert_eq!(nodes[0], 1, "the first row is the 1-node baseline");
     let one = clocks[0];
     let rows = nodes
         .iter()
@@ -335,16 +347,14 @@ pub fn fig12(scale: Scale) -> Table {
     let mut rows = Vec::new();
     for &k in &nodes {
         let md5_cfg = cluster(k, md5_size);
-        let det_md5 = dist::md5_tree(md5_cfg.clone()).outcome.vclock_ns;
+        let det_md5 = clean_vclock(dist::md5_tree(md5_cfg.clone()));
         let mp_md5 = dist::mp_md5_ns(&md5_cfg);
-        let det_md5_tcp = dist::md5_tree(ShardedConfig {
+        let det_md5_tcp = clean_vclock(dist::md5_tree(ShardedConfig {
             tcp_like: true,
             ..md5_cfg
-        })
-        .outcome
-        .vclock_ns;
+        }));
         let mm_cfg = cluster(k, mm_size);
-        let det_mm = dist::matmult_tree(mm_cfg.clone()).outcome.vclock_ns;
+        let det_mm = clean_vclock(dist::matmult_tree(mm_cfg.clone()));
         let mp_mm = dist::mp_matmult_ns(&mm_cfg);
         rows.push(vec![
             k.to_string(),

@@ -292,8 +292,16 @@ mod tests {
         }
     }
 
+    /// A run's virtual time. No test here plans a fault, so every run
+    /// must exit cleanly: two trapped runs would agree on `finish`'s
+    /// sentinel checksum.
+    fn vclock(r: &ShardedResult) -> f64 {
+        assert!(r.outcome.exit.is_ok(), "trapped: {:?}", r.outcome.exit);
+        r.outcome.vclock_ns as f64
+    }
+
     fn speedup(one: &ShardedResult, many: &ShardedResult) -> f64 {
-        one.outcome.vclock_ns as f64 / many.outcome.vclock_ns as f64
+        vclock(one) / vclock(many)
     }
 
     #[test]
@@ -341,6 +349,7 @@ mod tests {
                 size: 4_000,
                 ..quick(k)
             });
+            assert!(r.outcome.exit.is_ok(), "nodes={k}: {:?}", r.outcome.exit);
             assert_eq!(
                 r.outcome.cluster.migrations,
                 2 * (k as u64 - 1),
@@ -393,13 +402,11 @@ mod tests {
 
     #[test]
     fn tcp_ablation_under_two_percent() {
-        let plain = md5_tree(quick(4)).outcome.vclock_ns as f64;
-        let tcp = md5_tree(ShardedConfig {
+        let plain = vclock(&md5_tree(quick(4)));
+        let tcp = vclock(&md5_tree(ShardedConfig {
             tcp_like: true,
             ..quick(4)
-        })
-        .outcome
-        .vclock_ns as f64;
+        }));
         let overhead = tcp / plain - 1.0;
         assert!(
             overhead > 0.0 && overhead < 0.02,

@@ -8,7 +8,7 @@
 //! ```
 
 use determinator::workloads::dist;
-use determinator::workloads::sharded::ShardedConfig;
+use determinator::workloads::sharded::{ShardedConfig, ShardedResult};
 
 fn main() {
     let size = 40_000;
@@ -19,10 +19,15 @@ fn main() {
         size,
         ..ShardedConfig::quick(nodes, 2)
     };
-    let base = dist::md5_tree(cfg(1)).outcome.vclock_ns;
+    // No fault is planned, so every run must exit cleanly.
+    let vclock = |r: ShardedResult| {
+        assert!(r.outcome.exit.is_ok(), "trapped: {:?}", r.outcome.exit);
+        r.outcome.vclock_ns
+    };
+    let base = vclock(dist::md5_tree(cfg(1)));
     for nodes in [1u16, 2, 4, 8, 16] {
-        let circuit = dist::md5_circuit(cfg(nodes)).outcome.vclock_ns;
-        let tree = dist::md5_tree(cfg(nodes)).outcome.vclock_ns;
+        let circuit = vclock(dist::md5_circuit(cfg(nodes)));
+        let tree = vclock(dist::md5_tree(cfg(nodes)));
         println!(
             "{nodes:>5} | {:>15.2} | {:>12.2} |",
             base as f64 / circuit as f64,

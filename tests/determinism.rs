@@ -73,6 +73,7 @@ fn workloads_repeat_exactly() {
 fn distributed_runs_repeat_exactly() {
     let run = || {
         let r = dist::md5_tree(ShardedConfig::quick(4, 2));
+        assert!(r.outcome.exit.is_ok(), "{:?}", r.outcome.exit);
         (r.checksum, r.outcome.vclock_ns, r.outcome.stats.migrations)
     };
     assert_eq!(run(), run());
