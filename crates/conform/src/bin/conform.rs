@@ -42,7 +42,7 @@ fn usage() -> ! {
         "usage: conform [--replicas N] [--chaos|--no-chaos] \
          [--scenario NAME]... [--report-dir DIR] \
          [--recover] [--kill-at N] [--fault SPEC]... [--list]\n\
-         fault SPEC: <kill|panic|fail>@<syscall|device|trace|alloc>\
+         fault SPEC: <kill|panic|fail>@<syscall|device|alloc>\
          [:path=/..][:n=N][:vt=PS]"
     );
     std::process::exit(64)

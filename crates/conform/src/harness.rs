@@ -210,42 +210,34 @@ impl RecoveryReport {
 /// records a fused `Put` + `Get` pair; the pair is counted at its
 /// `Put` half).
 pub fn root_syscalls(trace: &Trace) -> u64 {
-    trace
-        .events
-        .iter()
-        .filter(|ev| match ev {
-            TraceEvent::Put { caller, .. } => *caller == 0,
-            TraceEvent::Get { caller, fused, .. } => *caller == 0 && !fused,
-            TraceEvent::DevRead { .. }
-            | TraceEvent::DevWrite { .. }
-            | TraceEvent::Checkpoint { .. } => true,
-            _ => false,
-        })
-        .count() as u64
+    trace.events.iter().filter(|ev| is_root_syscall(ev)).count() as u64
+}
+
+/// True if `ev` records one of the root's syscalls, in the numbering
+/// the kernel's fault gate counts: its `Put`s and unfused `Get`s, and
+/// every device and checkpoint event (only the root reaches those).
+fn is_root_syscall(ev: &TraceEvent) -> bool {
+    match ev {
+        TraceEvent::Put { caller, .. } => *caller == 0,
+        TraceEvent::Get { caller, fused, .. } => *caller == 0 && !fused,
+        TraceEvent::DevRead { .. }
+        | TraceEvent::DevWrite { .. }
+        | TraceEvent::Checkpoint { .. } => true,
+        _ => false,
+    }
 }
 
 /// The oracle-trace event index at which the root's `nth` syscall
 /// (0-based, in [`root_syscalls`] numbering) was recorded —
 /// approximately where a kill at that ordinal cuts the run.
 fn root_syscall_event_index(trace: &Trace, nth: u64) -> usize {
-    let mut seen = 0u64;
-    for (i, ev) in trace.events.iter().enumerate() {
-        let is_root_syscall = match ev {
-            TraceEvent::Put { caller, .. } => *caller == 0,
-            TraceEvent::Get { caller, fused, .. } => *caller == 0 && !fused,
-            TraceEvent::DevRead { .. }
-            | TraceEvent::DevWrite { .. }
-            | TraceEvent::Checkpoint { .. } => true,
-            _ => false,
-        };
-        if is_root_syscall {
-            if seen == nth {
-                return i;
-            }
-            seen += 1;
-        }
-    }
-    trace.events.len()
+    trace
+        .events
+        .iter()
+        .enumerate()
+        .filter(|(_, ev)| is_root_syscall(ev))
+        .nth(nth as usize)
+        .map_or(trace.events.len(), |(i, _)| i)
 }
 
 /// Runs the crash-recovery conformance check for one scenario:

@@ -81,8 +81,7 @@ impl SpaceCtx {
     /// leaves no trace-visible effect, so faulted runs replay.
     ///
     /// `sites` lists the injection sites the syscall exposes, probed in
-    /// order; the [`FaultSite::TraceSink`] site is probed only when the
-    /// kernel records a trace.
+    /// order.
     fn fault_gate(&mut self, sites: &[FaultSite]) -> Result<()> {
         let nth = self.syscalls;
         self.syscalls += 1;
@@ -94,11 +93,7 @@ impl SpaceCtx {
             self.path = Some(self.cell.m.lock().k.path.clone());
         }
         let path = self.path.as_deref().expect("cached above");
-        let recording = self.trace.is_some();
         for &site in sites {
-            if site == FaultSite::TraceSink && !recording {
-                continue;
-            }
             match self.shared.faults.probe(site, path, nth, vclock_ps) {
                 None => {}
                 Some(FaultAction::KillKernel) => {
@@ -475,7 +470,7 @@ impl SpaceCtx {
     /// Blocks while the child is running — spaces synchronize only at
     /// well-defined rendezvous points.
     pub fn put(&mut self, child: ChildNum, spec: PutSpec) -> Result<PutResult> {
-        self.fault_gate(&[FaultSite::Syscall, FaultSite::Alloc, FaultSite::TraceSink])?;
+        self.fault_gate(&[FaultSite::Syscall, FaultSite::Alloc])?;
         self.charge_ps(self.shared.costs.syscall_ps)?;
         let (child_id, cell) = self.ensure_child(child);
         let (g, child_was) = self.put_half(&cell, child, child_id, spec, false)?;
@@ -491,7 +486,7 @@ impl SpaceCtx {
     /// folded into this space; concurrent changes to the same byte
     /// raise [`KernelError::Conflict`] and leave this space untouched.
     pub fn get(&mut self, child: ChildNum, spec: GetSpec) -> Result<GetResult> {
-        self.fault_gate(&[FaultSite::Syscall, FaultSite::TraceSink])?;
+        self.fault_gate(&[FaultSite::Syscall])?;
         self.charge_ps(self.shared.costs.syscall_ps)?;
         let (child_id, cell) = self.ensure_child(child);
         self.get_half(&cell, cell.m.lock(), child, child_id, spec, false)
@@ -512,7 +507,7 @@ impl SpaceCtx {
                 "put_get requires the Start option",
             ));
         }
-        self.fault_gate(&[FaultSite::Syscall, FaultSite::Alloc, FaultSite::TraceSink])?;
+        self.fault_gate(&[FaultSite::Syscall, FaultSite::Alloc])?;
         self.charge_ps(self.shared.costs.syscall_ps)?;
         let (child_id, cell) = self.ensure_child(child);
         // First rendezvous: the stop the Put applies to. Its event is
@@ -533,7 +528,7 @@ impl SpaceCtx {
         if self.id == SpaceId::ROOT {
             return Err(KernelError::InvalidSpec("root space cannot ret"));
         }
-        self.fault_gate(&[FaultSite::Syscall, FaultSite::TraceSink])?;
+        self.fault_gate(&[FaultSite::Syscall])?;
         self.charge_ps(self.shared.costs.syscall_ps)?;
         self.st_mut().regs.gpr[1] = code;
         self.park(StopReason::Ret)
@@ -548,7 +543,7 @@ impl SpaceCtx {
         if self.id != SpaceId::ROOT {
             return Err(KernelError::NotRoot);
         }
-        self.fault_gate(&[FaultSite::Syscall, FaultSite::Device, FaultSite::TraceSink])?;
+        self.fault_gate(&[FaultSite::Syscall, FaultSite::Device])?;
         self.charge_ps(self.shared.costs.syscall_ps)?;
         let res = self.shared.devices.lock().read(dev);
         self.count_own(count_dev_read);
@@ -568,7 +563,7 @@ impl SpaceCtx {
         if self.id != SpaceId::ROOT {
             return Err(KernelError::NotRoot);
         }
-        self.fault_gate(&[FaultSite::Syscall, FaultSite::Device, FaultSite::TraceSink])?;
+        self.fault_gate(&[FaultSite::Syscall, FaultSite::Device])?;
         self.charge_ps(self.shared.costs.syscall_ps)?;
         self.shared.devices.lock().write(dev, data);
         self.count_own(|s| count_dev_write(s, data.len()));
@@ -597,7 +592,7 @@ impl SpaceCtx {
         if self.id != SpaceId::ROOT {
             return Err(KernelError::NotRoot);
         }
-        self.fault_gate(&[FaultSite::Syscall, FaultSite::TraceSink])?;
+        self.fault_gate(&[FaultSite::Syscall])?;
         let leaves = self.st().mem.dirty_leaf_count() as u64;
         // One fused charge, applied *before* the entry record is cut,
         // so the leaf-proportional cost rides in `entry.advance_ps` and

@@ -35,9 +35,6 @@ pub enum FaultSite {
     Syscall,
     /// A root device read or write.
     Device,
-    /// A trace-sink append (probed only when the kernel records a
-    /// trace).
-    TraceSink,
     /// A kernel allocation (space/vehicle creation: `Put` and the Put
     /// half of `PutGet` probe this site).
     Alloc,
@@ -51,7 +48,6 @@ impl FaultSite {
         match self {
             FaultSite::Syscall => "injected syscall failure",
             FaultSite::Device => "injected device failure",
-            FaultSite::TraceSink => "injected trace-sink failure",
             FaultSite::Alloc => "injected allocation failure",
         }
     }
@@ -80,8 +76,10 @@ pub enum FaultAction {
 }
 
 /// One armed fault: a site, an action, and deterministic trigger
-/// coordinates. Unset coordinates match anything; each fault fires at
-/// most once.
+/// coordinates. An unset ordinal or virtual time matches anything; the
+/// path is always set, to the root's when no other is given, so a fault
+/// names one space and fires at most once, at the same coordinate in
+/// every run.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Fault {
     /// Injection site this fault arms.
@@ -89,8 +87,8 @@ pub struct Fault {
     /// What firing does.
     pub action: FaultAction,
     /// Fire only in the space with this lineage path (e.g. `"/"` for
-    /// the root, `"/3"` for its child number 3).
-    pub path: Option<String>,
+    /// the root, the default, or `"/3"` for its child number 3).
+    pub path: String,
     /// Fire on the space's `n`-th syscall (0-based, counted per
     /// space).
     pub nth_syscall: Option<u64>,
@@ -100,13 +98,14 @@ pub struct Fault {
 }
 
 impl Fault {
-    /// A fault at `site` performing `action`, with no trigger
-    /// coordinates yet (it would fire at the first probe of the site).
+    /// A fault at `site` performing `action` in the root space, with no
+    /// other trigger coordinates yet (it would fire at the root's first
+    /// probe of the site).
     pub fn new(site: FaultSite, action: FaultAction) -> Fault {
         Fault {
             site,
             action,
-            path: None,
+            path: "/".to_string(),
             nth_syscall: None,
             vtime_ps: None,
         }
@@ -114,7 +113,7 @@ impl Fault {
 
     /// Restricts the fault to the space with this lineage path.
     pub fn at_path(mut self, path: impl Into<String>) -> Fault {
-        self.path = Some(path.into());
+        self.path = path.into();
         self
     }
 
@@ -134,7 +133,7 @@ impl Fault {
     /// True if the probe coordinates satisfy this fault's trigger.
     fn matches(&self, site: FaultSite, path: &str, nth: u64, vclock_ps: u64) -> bool {
         self.site == site
-            && self.path.as_deref().is_none_or(|p| p == path)
+            && self.path == path
             && self.nth_syscall.is_none_or(|n| n == nth)
             && self.vtime_ps.is_none_or(|v| vclock_ps >= v)
     }
@@ -166,9 +165,7 @@ impl FaultPlan {
     /// `--kill-at <n>` arms.
     pub fn kill_at_syscall(n: u64) -> FaultPlan {
         FaultPlan::new().with(
-            Fault::new(FaultSite::Syscall, FaultAction::KillKernel)
-                .at_path("/")
-                .at_syscall(n),
+            Fault::new(FaultSite::Syscall, FaultAction::KillKernel).at_syscall(n),
         )
     }
 
@@ -188,9 +185,11 @@ impl FaultPlan {
     /// ```text
     /// <action>@<site>[:<coord>[,<coord>...]]
     ///   action  kill | panic | fail
-    ///   site    syscall | device | trace | alloc
+    ///   site    syscall | device | alloc
     ///   coord   path=<lineage path> | n=<syscall ordinal> | vt=<picoseconds>
     /// ```
+    ///
+    /// A spec without `path=` arms the root (`path=/`).
     ///
     /// Examples: `kill@syscall:path=/,n=12`, `fail@device:n=0`,
     /// `panic@syscall:path=/3,vt=1000000`.
@@ -211,11 +210,10 @@ impl FaultPlan {
         let site = match site {
             "syscall" => FaultSite::Syscall,
             "device" => FaultSite::Device,
-            "trace" => FaultSite::TraceSink,
             "alloc" => FaultSite::Alloc,
             other => {
                 return Err(format!(
-                    "unknown fault site `{other}` (syscall|device|trace|alloc)"
+                    "unknown fault site `{other}` (syscall|device|alloc)"
                 ));
             }
         };
@@ -225,7 +223,7 @@ impl FaultPlan {
                 .split_once('=')
                 .ok_or_else(|| format!("fault coordinate `{coord}` missing `=`"))?;
             match key {
-                "path" => fault.path = Some(val.to_string()),
+                "path" => fault.path = val.to_string(),
                 "n" => {
                     fault.nth_syscall = Some(
                         val.parse()
@@ -271,9 +269,11 @@ impl ArmedFaults {
     /// matching unfired fault's action, latching it fired.
     ///
     /// The latch is an `AtomicBool` only because probes from different
-    /// vehicles share the plan; whether a given fault fires — and at
-    /// which event — is a pure function of the coordinates, which are
-    /// themselves deterministic per space.
+    /// vehicles share the plan. Every fault names one space (its path
+    /// defaults to the root's), and a space's probes are ordered by its
+    /// own syscall ordinals, so whether a fault fires — and at which
+    /// event — is a pure function of that space's coordinates, never of
+    /// which space the host ran first.
     pub(crate) fn probe(
         &self,
         site: FaultSite,
@@ -303,12 +303,12 @@ mod tests {
         let f = FaultPlan::parse("kill@syscall:path=/,n=12").unwrap();
         assert_eq!(f.action, FaultAction::KillKernel);
         assert_eq!(f.site, FaultSite::Syscall);
-        assert_eq!(f.path.as_deref(), Some("/"));
+        assert_eq!(f.path, "/");
         assert_eq!(f.nth_syscall, Some(12));
         let f = FaultPlan::parse("fail@device").unwrap();
         assert_eq!(f.action, FaultAction::FailOp);
         assert_eq!(f.site, FaultSite::Device);
-        assert!(f.path.is_none() && f.nth_syscall.is_none() && f.vtime_ps.is_none());
+        assert!(f.path == "/" && f.nth_syscall.is_none() && f.vtime_ps.is_none());
         let f = FaultPlan::parse("panic@syscall:vt=5000").unwrap();
         assert_eq!(f.vtime_ps, Some(5000));
         assert!(FaultPlan::parse("boom@syscall").is_err());

@@ -127,3 +127,32 @@ fn injected_alloc_failure_is_typed() {
     });
     assert_eq!(out.exit, Ok(0));
 }
+
+/// A fault with no `path=` is the root's, so it fires at the same
+/// coordinate in every run: under `fail@alloc:n=1` the root's ordinal 1
+/// is a `Get`, which probes no allocation, and nothing fires. Were it
+/// "any space", it would take the second `Put` of whichever space
+/// probed first — here child A's, the only space with an alloc probe at
+/// ordinal 1.
+#[test]
+fn a_pathless_fault_is_the_roots() {
+    let plan = FaultPlan::default().with(FaultPlan::parse("fail@alloc:n=1").expect("valid spec"));
+    let out = Kernel::new(KernelConfig::builder().faults(plan).build()).run(|ctx| {
+        let a = Program::native(|c| {
+            for slot in 0..2 {
+                let leaf = PutSpec::new().program(Program::native(|_| Ok(5))).start();
+                c.put(slot, leaf)?;
+            }
+            let mut sum = 0;
+            for slot in 0..2 {
+                sum += c.get(slot, GetSpec::new())?.code;
+            }
+            Ok(sum as i32)
+        });
+        ctx.put(0, PutSpec::new().program(a).start())?;
+        let r = ctx.get(0, GetSpec::new())?;
+        assert_eq!((r.stop, r.code), (StopReason::Halted, 10));
+        Ok(0)
+    });
+    assert_eq!(out.exit, Ok(0));
+}

@@ -421,6 +421,7 @@ fn malformed_fault_specs_are_errors() {
         "kill\u{1F980}@\u{1F980}syscall",
         "Kill@syscall",
         " kill@syscall",
+        "fail@trace",
     ] {
         assert!(FaultPlan::parse(spec).is_err(), "accepted {spec:?}");
     }
@@ -428,7 +429,7 @@ fn malformed_fault_specs_are_errors() {
     assert_eq!(
         FaultPlan::parse("fail@alloc:n=18446744073709551615,path=\u{1F980}=\0")
             .map(|f| (f.nth_syscall, f.path)),
-        Ok((Some(u64::MAX), Some("\u{1F980}=\0".to_string())))
+        Ok((Some(u64::MAX), "\u{1F980}=\0".to_string()))
     );
 }
 
