@@ -89,7 +89,7 @@ fn shard_runtime_prices_a_schedule_from_first_principles() {
     let mut root = AddressSpace::new();
     fill(&mut root);
     let mut img = AddressSpace::new();
-    img.copy_from_counted(&root, REGION, REGION.start).unwrap();
+    img.copy_from(&root, REGION, REGION.start).unwrap();
     let summary = img.leaf_summary();
     assert_eq!(summary.len(), 1, "16 pages live in one leaf");
     assert_eq!(summary[0].pages, PAGES as u32);

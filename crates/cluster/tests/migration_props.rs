@@ -4,7 +4,7 @@
 //! pulling *leaves* of the structurally shared page table through the
 //! canonical wire encoding (`det_kernel::wire`). These properties pit
 //! that path against the trusted whole-space-copy oracle
-//! (`AddressSpace::copy_from_counted`) on randomized sparse layouts:
+//! (`AddressSpace::copy_from`) on randomized sparse layouts:
 //! the replica must agree byte-for-byte, permission-for-permission,
 //! and dirty-set-for-dirty-set, while transferring no more leaves
 //! than the touch set intersects.
@@ -117,7 +117,7 @@ fn leaf_pull_migrate(src: &AddressSpace, touch: Option<(u64, u64)>) -> (AddressS
 fn oracle_migrate(src: &AddressSpace, touch: Option<(u64, u64)>) -> AddressSpace {
     let region = touch.map_or(full_region(), touch_region);
     let mut dst = AddressSpace::new();
-    dst.copy_from_counted(src, region, region.start).unwrap();
+    dst.copy_from(src, region, region.start).unwrap();
     dst
 }
 

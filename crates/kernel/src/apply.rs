@@ -336,7 +336,7 @@ fn copy_op(
     c: CopySpec,
     counts: &mut MemOpCounts,
 ) -> Result<()> {
-    let cs = dst.mem.copy_from_counted(&src.mem, c.src, c.dst)?;
+    let cs = dst.mem.copy_from(&src.mem, c.src, c.dst)?;
     counts.pages_copied += cs.pages;
     counts.leaves_cloned += cs.leaves_shared;
     counts.charge_ps += costs.copy_cost_ps(&cs);
@@ -749,7 +749,7 @@ pub(crate) fn migrate_out(
     link_ps: impl FnOnce(&AddressSpace) -> Option<u64>,
 ) -> Result<AddressSpace> {
     let mut img = AddressSpace::new();
-    let cs = img.copy_from_counted(&st.mem, region, region.start)?;
+    let cs = img.copy_from(&st.mem, region, region.start)?;
     let spawn_ps = costs.syscall_ps.saturating_add(costs.spawn_ps);
     bill(st, spawn_ps.saturating_add(costs.copy_cost_ps(&cs)));
     if let Some(ps) = link_ps(&img) {

@@ -164,9 +164,7 @@ impl FaultPlan {
     /// `n`-th syscall (0-based). This is what the conform CLI's
     /// `--kill-at <n>` arms.
     pub fn kill_at_syscall(n: u64) -> FaultPlan {
-        FaultPlan::new().with(
-            Fault::new(FaultSite::Syscall, FaultAction::KillKernel).at_syscall(n),
-        )
+        FaultPlan::new().with(Fault::new(FaultSite::Syscall, FaultAction::KillKernel).at_syscall(n))
     }
 
     /// True if the plan arms no faults.

@@ -101,6 +101,12 @@ impl DirtySet {
         self.count
     }
 
+    /// Number of leaves holding a dirty page (no stored bitmap is
+    /// all-zero).
+    pub(crate) fn leaf_count(&self) -> usize {
+        self.leaves.len()
+    }
+
     /// True if `vpn` is marked dirty.
     pub(crate) fn contains(&self, vpn: u64) -> bool {
         match self.leaves.get(&(vpn >> LEAF_BITS)) {

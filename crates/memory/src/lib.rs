@@ -83,21 +83,20 @@ mod error;
 mod merge;
 mod page;
 mod perm;
+mod pin;
 pub mod reference;
 mod region;
 mod space;
 
-pub use delta::{PageDelta, PageDeltaOp, SpaceDelta};
+pub use delta::{LeafInfo, PageDelta, PageDeltaOp, SpaceDelta};
 pub use digest::ContentDigest;
 pub use error::MemError;
 pub use merge::{ConflictPolicy, MergeConflict, MergeStats};
 pub use page::{Frame, PAGE_SHIFT, PAGE_SIZE};
 pub use perm::Perm;
+pub use pin::{Pinned, Translation, Window};
 pub use region::Region;
-pub use space::{
-    AddressSpace, CloneStats, LeafInfo, PAGES_PER_LEAF, PageInfo, Pinned, SUBLEAF_SHARE_MIN_PAGES,
-    Translation, Window,
-};
+pub use space::{AddressSpace, CloneStats, PAGES_PER_LEAF, PageInfo, SUBLEAF_SHARE_MIN_PAGES};
 
 /// Result alias for memory operations.
 pub type Result<T> = std::result::Result<T, MemError>;

@@ -3,7 +3,7 @@
 //! ([`copy_from_reference`]), kept for differential testing and
 //! benchmarking of the optimized engine
 //! ([`AddressSpace::try_merge_from`],
-//! [`AddressSpace::copy_from_counted`]). No production code calls
+//! [`AddressSpace::copy_from`]). No production code calls
 //! either.
 //!
 //! [`merge_from_reference`] walks **every mapped child page** in the
@@ -50,7 +50,7 @@ use crate::{
 ///
 /// The resulting space — contents, frame identities, permissions,
 /// mapped set and dirty write-set — is required to be identical to
-/// what [`AddressSpace::copy_from_counted`] leaves; only the work
+/// what [`AddressSpace::copy_from`] leaves; only the work
 /// differs, so the returned [`CloneStats`] never report a shared leaf.
 /// The oracle is never taught when a leaf may be shared: that rule is
 /// exactly what it exists to check.

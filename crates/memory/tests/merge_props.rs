@@ -16,7 +16,7 @@
 //! as forked (the pages only the child wrote are adopted).
 //!
 //! The last part does the same for the virtual copy: sub-leaf layouts
-//! through `AddressSpace::copy_from_counted` and through the
+//! through `AddressSpace::copy_from` and through the
 //! page-by-page `reference::copy_from_reference`, each case stating
 //! which arm — shared leaf or per-page — the engine must take.
 
@@ -641,7 +641,7 @@ fn sparse_dirty_stat_reduction_is_at_least_5x() {
 // Virtual copy vs. its page-by-page oracle
 // ----------------------------------------------------------------------
 //
-// `copy_from_counted` may share a whole page-table leaf where the
+// `copy_from` may share a whole page-table leaf where the
 // copied range is alone in it (DESIGN.md §5). The oracle below it,
 // `reference::copy_from_reference`, installs every page on its own and
 // knows nothing of leaves, so the two must leave the same space
@@ -725,7 +725,7 @@ fn check_copy(case: &CopyCase) -> Result<(), TestCaseError> {
     let mut eng = copy_destination(case);
     let mut orc = copy_destination(case);
     let generation = eng.generation();
-    let es = eng.copy_from_counted(&src, range, dst_start).unwrap();
+    let es = eng.copy_from(&src, range, dst_start).unwrap();
     let os = reference::copy_from_reference(&mut orc, &src, range, dst_start).unwrap();
 
     prop_assert_eq!(es.leaves_shared, case.shared, "arm taken: {:?}", es);

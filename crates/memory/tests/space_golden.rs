@@ -186,11 +186,11 @@ fn run(l: &Layout, log: &mut String) {
     d.map_zero(vpns(l.dst, at(end)), Perm::RW).unwrap();
     let _ = d.snapshot();
     let base = d.clone();
-    let r = d.copy_from_counted(&s, range, l.dst * PAGE);
+    let r = d.copy_from(&s, range, l.dst * PAGE);
     op(log, n, "copy_from", r, &d);
     let r = s.unmap(vpns(first, first + (end - first) / 2));
     op(log, n, "unmap first half", r, &s);
-    let r = d.copy_from_counted(&s, range, l.dst * PAGE);
+    let r = d.copy_from(&s, range, l.dst * PAGE);
     op(log, n, "copy_from again", r, &d);
     let r = d.write(at(end - 1) * PAGE, &[7; 8]);
     op(log, n, "write copy", r, &d);
@@ -208,7 +208,7 @@ fn run(l: &Layout, log: &mut String) {
         parent.unmap(vpns(a, b)).unwrap();
     }
     let mut child = AddressSpace::new();
-    child.copy_from_counted(&parent, range, range.start).unwrap();
+    child.copy_from(&parent, range, range.start).unwrap();
     let snap = child.snapshot();
     child.write_u64((end - 1) * PAGE, 1).unwrap();
     child.write_u64(first * PAGE + 8, 2).unwrap();

@@ -205,10 +205,10 @@ fn apply_op(
         5 => {
             if op >= 128 {
                 let leaf = Region::new(0, (det_memory::PAGES_PER_LEAF * 4096) as u64);
-                let installed = mem.copy_from(&mem.clone(), leaf, 0).unwrap();
+                let installed = mem.copy_from(&mem.clone(), leaf, 0).unwrap().pages;
                 format!("leafcopy {installed}")
             } else {
-                let installed = mem.copy_from(&mem.clone(), DATA, 0x6000).unwrap();
+                let installed = mem.copy_from(&mem.clone(), DATA, 0x6000).unwrap().pages;
                 format!("copy {installed}")
             }
         }
@@ -806,7 +806,7 @@ fn lone_window_rounds(mut cpu: Cpu, quantum: u64) -> (Cpu, Vec<u64>, u64, Vec<u6
     let mut child = AddressSpace::new();
     child.copy_from(&master, CODE, 0).unwrap();
     let handed = child
-        .copy_from_counted(&master, LONE_WINDOW, LONE_WINDOW.start)
+        .copy_from(&master, LONE_WINDOW, LONE_WINDOW.start)
         .unwrap();
     assert_eq!((handed.leaves_shared, handed.boundary_pages), (1, 0));
 
@@ -816,7 +816,7 @@ fn lone_window_rounds(mut cpu: Cpu, quantum: u64) -> (Cpu, Vec<u64>, u64, Vec<u6
     for round in 1..=8u64 {
         let generation = child.generation();
         let taken = sibling
-            .copy_from_counted(&child, LONE_WINDOW, LONE_WINDOW.start)
+            .copy_from(&child, LONE_WINDOW, LONE_WINDOW.start)
             .unwrap();
         assert_eq!(taken.leaves_shared, 1);
         assert!(sibling.shares_leaf_with(&child, window_vpn));
