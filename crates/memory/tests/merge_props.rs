@@ -641,15 +641,17 @@ fn sparse_dirty_stat_reduction_is_at_least_5x() {
 // Virtual copy vs. its page-by-page oracle
 // ----------------------------------------------------------------------
 //
-// `copy_from` may share a whole page-table leaf where the
-// copied range is alone in it (DESIGN.md §5). The oracle below it,
+// `copy_from` may share a whole page-table leaf where the copied range
+// is alone in it (DESIGN.md §5). The oracle below it,
 // `reference::copy_from_reference`, installs every page on its own and
 // knows nothing of leaves, so the two must leave the same space
 // whichever arm the engine took — and each case says which arm that
 // must be, so the sharing arm cannot quietly stop being exercised.
 // (One layout needs the crate's internals to build — a stale dirty
-// mark on an unmapped page beside the range — and is a unit test in
-// `space.rs` against the same oracle.)
+// mark on an unmapped page beside the range — and is
+// `a_lone_range_share_leaves_dirty_marks_outside_the_range_alone` in
+// `space.rs`, beside the leaf-chunk walk the copy takes, against the
+// same oracle.)
 
 /// First address of the four-leaf window the copy cases live in.
 const CBASE: u64 = 64 * PPL * PAGE;
