@@ -7,9 +7,10 @@
 //! tests keep to representative subsets so `cargo test` stays snappy.
 
 use det_conform::{
-    ConformConfig, ScenarioConfig, conform_scenario, crash_recovery_check, find, root_syscalls,
+    Artifacts, ConformConfig, ScenarioConfig, Scope, conform_scenario, crash_recovery_check, find,
+    first_diff, registry, root_syscalls,
 };
-use det_kernel::FaultPlan;
+use det_kernel::{Checkpoint, FaultPlan, latest_restorable_boundary};
 
 /// Kill-at-midpoint recovery conforms for a representative subset:
 /// native spaces, VM spaces, heavy rendezvous, device I/O, and a real
@@ -26,6 +27,33 @@ fn crash_recovery_conforms_for_representative_subset() {
         let sc = find(name).expect("registered");
         let r = crash_recovery_check(&sc, None);
         assert!(r.conforms(), "{}", r.report());
+    }
+}
+
+/// For every traceable scenario, the bundle of a recovered run renders
+/// the live run's bytes: a checkpoint at the latest restorable boundary
+/// at or before the trace's midpoint, restored and resumed over the
+/// suffix. The bytes are compared directly, not through `compare`,
+/// which does not render two equal bundles.
+#[test]
+fn recovered_bundles_render_the_live_bytes() {
+    for sc in registry().into_iter().filter(|sc| sc.traceable) {
+        let run = (sc.run)(&ScenarioConfig::traced(()));
+        let live = Artifacts::collect(sc.name, (), &run).to_bytes(Scope::Full);
+        let trace = run.trace.expect("a traceable scenario records a trace");
+        let boundary = latest_restorable_boundary(&trace, trace.len() / 2);
+        let resumed = Checkpoint::capture(&trace, boundary)
+            .and_then(|c| c.restore())
+            .and_then(|r| r.resume(&trace.events[boundary..]))
+            .unwrap_or_else(|e| panic!("{}: {e:?}", sc.name));
+        let recovered =
+            Artifacts::from_recovery(sc.name, (), &resumed, &trace).to_bytes(Scope::Full);
+        assert!(
+            live == recovered,
+            "{}: the recovered bundle first differs at byte {}",
+            sc.name,
+            first_diff(&live, &recovered)
+        );
     }
 }
 

@@ -594,6 +594,15 @@ fn render(
     s
 }
 
+/// The trace recorded at f920a0f decodes and encodes back to its own
+/// bytes: the JSON rendering of every event kind it holds is pinned.
+#[test]
+fn trace_recorded_at_f920a0f_encodes_to_its_own_bytes() {
+    let golden = include_str!("golden/tables_f920a0f.trace.json");
+    let trace = Trace::from_json(golden).expect("a version-4 trace parses");
+    assert!(trace.to_json() == golden, "the re-encoded trace differs");
+}
+
 /// A trace recorded at f920a0f — before the option sequencing moved
 /// into the pure core — replays on this build to the outcome f920a0f
 /// reached, and the same program run live reaches it too. The trace's
