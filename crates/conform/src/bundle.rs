@@ -5,14 +5,15 @@
 //! deterministic [`KernelStats`] vector, device outputs, the consumed
 //! input log, per-space memory digests (keyed by *lineage path*, not
 //! by allocation-order space id), and — when a trace was recorded —
-//! the syscall event log projected into per-space streams.
+//! the syscall event log projected into per-space [`TraceStreams`].
 //!
 //! [`Artifacts::to_bytes`] serializes the bundle into a canonical,
 //! byte-stable text form: fixed section order, fixed key order inside
 //! each section, spaces and trace streams sorted by path, all ids
-//! rewritten to paths. Two conforming replicas must produce identical
-//! bytes; the first differing byte is the divergence the harness
-//! localizes.
+//! rewritten to paths. It is the one renderer: a bundle holds typed
+//! events and renders their lines only when its bytes are asked for.
+//! Two conforming replicas must produce identical bytes; the first
+//! differing byte is the divergence the harness localizes.
 //!
 //! Space ids never appear in the serialized form: ids are allocation
 //! order, which can legitimately differ between replicas when sibling
@@ -44,7 +45,10 @@ pub enum Scope {
 }
 
 /// The canonical artifact bundle of one scenario run.
-#[derive(Clone, Debug)]
+///
+/// Two equal bundles render equal bytes: [`Artifacts::to_bytes`] reads
+/// nothing but these fields.
+#[derive(Clone, Debug, PartialEq)]
 pub struct Artifacts {
     /// Scenario name (bundle `[meta]`).
     pub scenario: String,
@@ -60,9 +64,24 @@ pub struct Artifacts {
     pub io_log: IoLog,
     /// Per-space final artifacts, sorted by lineage path.
     pub spaces: Vec<SpaceArtifact>,
-    /// Per-space serialized trace event streams (path → rewritten
-    /// event JSON lines), present when the run recorded a trace.
-    pub trace_streams: Option<Vec<(String, Vec<String>)>>,
+    /// Per-space trace event streams, present when the run recorded a
+    /// trace.
+    pub trace_streams: Option<TraceStreams>,
+}
+
+/// A run's trace events grouped by the lineage path of the space each
+/// belongs to, with the id → path map their lines render with.
+///
+/// The global interleaving of events from *different* spaces depends
+/// on the host schedule and is not part of the deterministic contract;
+/// each space's own event sequence is. Projection makes the canonical
+/// form exactly as strong as the guarantee.
+#[derive(Clone, Debug, PartialEq)]
+pub struct TraceStreams {
+    /// Space id → lineage path, as the run allocated its ids.
+    pub paths: BTreeMap<u32, String>,
+    /// Each path's events in the space's own order, sorted by path.
+    pub streams: Vec<(String, Vec<TraceEvent>)>,
 }
 
 impl Artifacts {
@@ -78,7 +97,7 @@ impl Artifacts {
         let trace_streams = run
             .trace
             .as_ref()
-            .map(|t| project_streams(&t.events, &out.space_paths));
+            .map(|t| TraceStreams::project(&t.events, &out.space_paths));
         Artifacts {
             scenario: scenario.to_string(),
             exit: format!("{:?}", out.exit),
@@ -116,7 +135,7 @@ impl Artifacts {
             outputs: out.outputs.clone(),
             io_log: trace.io_log(),
             spaces,
-            trace_streams: Some(project_streams(&trace.events, &out.space_paths)),
+            trace_streams: Some(TraceStreams::project(&trace.events, &out.space_paths)),
         }
     }
 
@@ -159,12 +178,12 @@ impl Artifacts {
                 let _ = writeln!(s, "page path={} vpn={vpn:#x} digest={d:016x}", sp.path);
             }
         }
-        if let Some(streams) = &self.trace_streams {
+        if let Some(t) = &self.trace_streams {
             s.push_str("[trace]\n");
-            for (path, events) in streams {
+            for (path, events) in &t.streams {
                 let _ = writeln!(s, "stream path={path} events={}", events.len());
                 for e in events {
-                    let _ = writeln!(s, "e={e}");
+                    let _ = writeln!(s, "e={}", t.render(e));
                 }
             }
         }
@@ -188,8 +207,8 @@ impl Artifacts {
     /// events of the first stream that has at least two, modelling a
     /// schedule divergence. Returns false without a suitable stream.
     pub fn reorder_trace(&mut self) -> bool {
-        if let Some(streams) = &mut self.trace_streams {
-            for (_, events) in streams.iter_mut() {
+        if let Some(t) = &mut self.trace_streams {
+            for (_, events) in t.streams.iter_mut() {
                 if events.len() >= 2 {
                     events.swap(0, 1);
                     return true;
@@ -215,37 +234,34 @@ fn event_owner(ev: &TraceEvent) -> u32 {
     }
 }
 
-/// Projects the global event log into per-space streams keyed by
-/// lineage path, rewriting every recorded space id into its path.
-///
-/// The global interleaving of events from *different* spaces depends
-/// on the host schedule and is not part of the deterministic contract;
-/// each space's own event sequence is. Projection makes the canonical
-/// form exactly as strong as the guarantee.
-fn project_streams(
-    events: &[TraceEvent],
-    space_paths: &[(u32, String)],
-) -> Vec<(String, Vec<String>)> {
-    let paths: BTreeMap<u32, &str> = space_paths
-        .iter()
-        .map(|(id, p)| (*id, p.as_str()))
-        .collect();
-    let path_of = |id: u32| -> String {
-        paths
-            .get(&id)
-            .map(|p| p.to_string())
-            .unwrap_or_else(|| format!("<unknown:{id}>"))
-    };
-    let mut streams: BTreeMap<String, Vec<String>> = BTreeMap::new();
-    for ev in events {
-        let owner = path_of(event_owner(ev));
-        let rewritten = rewrite_ids(ev.to_value(), &path_of);
-        streams
-            .entry(owner)
-            .or_default()
-            .push(serde_json::to_string(&rewritten).expect("event renders"));
+impl TraceStreams {
+    /// Groups the global event log into per-space streams keyed by
+    /// lineage path; `space_paths` names each space id.
+    fn project(events: &[TraceEvent], space_paths: &[(u32, String)]) -> TraceStreams {
+        let mut t = TraceStreams {
+            paths: space_paths.iter().cloned().collect(),
+            streams: Vec::new(),
+        };
+        let mut streams: BTreeMap<String, Vec<TraceEvent>> = BTreeMap::new();
+        for ev in events {
+            let owner = t.path_of(event_owner(ev));
+            streams.entry(owner).or_default().push(ev.clone());
+        }
+        t.streams = streams.into_iter().collect();
+        t
     }
-    streams.into_iter().collect()
+
+    /// The lineage path of space `id`.
+    fn path_of(&self, id: u32) -> String {
+        (self.paths.get(&id).cloned()).unwrap_or_else(|| format!("<unknown:{id}>"))
+    }
+
+    /// An event's line in the bundle: its JSON with every recorded
+    /// space id rewritten into its path.
+    pub(crate) fn render(&self, ev: &TraceEvent) -> String {
+        let rewritten = rewrite_ids(ev.to_value(), &|id| self.path_of(id));
+        serde_json::to_string(&rewritten).expect("event renders")
+    }
 }
 
 /// Rewrites the id-bearing fields of a serialized event — `caller`,

@@ -1,6 +1,10 @@
 //! Divergence localization: byte-exact comparison of two artifact
 //! bundles plus root-cause classification.
 //!
+//! Two bundles that are equal as values are not rendered at all; any
+//! other pair is compared through its canonical bytes (see
+//! [`compare`]).
+//!
 //! The byte offset answers *where* two bundles first disagree; the
 //! classification answers *what kind* of nondeterminism produced the
 //! disagreement. Classification follows the diagnostic order from the
@@ -11,6 +15,8 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+
+use det_kernel::TraceEvent;
 
 use crate::bundle::{Artifacts, Scope};
 
@@ -71,10 +77,23 @@ impl Divergence {
     }
 }
 
-/// Compares two bundles byte-for-byte. Returns `None` when they are
-/// identical; otherwise the first divergent offset with hex context
-/// and a root-cause classification. (`scope`: see [`Scope`].)
+/// Compares two bundles byte-for-byte. Returns `None` when their
+/// canonical bytes are identical; otherwise the first divergent offset
+/// with hex context and a root-cause classification. (`scope`: see
+/// [`Scope`].)
+///
+/// Two bundles equal as values are not rendered: [`Artifacts::to_bytes`]
+/// is a function of the compared fields, so equal values give equal
+/// bytes. The converse fails, so the byte step stays for every other
+/// pair: [`SpaceArtifact::id`] and the trace streams' events carry
+/// allocation-order space ids, and replicas may number their spaces
+/// differently (DESIGN.md §8) and still render the same bytes.
+///
+/// [`SpaceArtifact::id`]: det_kernel::SpaceArtifact::id
 pub fn compare(a: &Artifacts, b: &Artifacts, scope: Scope) -> Option<Divergence> {
+    if a == b {
+        return None;
+    }
     let ba = a.to_bytes(scope);
     let bb = b.to_bytes(scope);
     if ba == bb {
@@ -163,9 +182,12 @@ fn classify(a: &Artifacts, b: &Artifacts) -> (DivergenceCategory, String) {
     )
 }
 
+/// Diffs the trace streams path by path. Only a pair of events that may
+/// differ is rendered: with equal id → path maps, equal events render
+/// equal lines.
 fn classify_traces(a: &Artifacts, b: &Artifacts) -> Option<(DivergenceCategory, String)> {
-    let (sa, sb) = match (&a.trace_streams, &b.trace_streams) {
-        (Some(sa), Some(sb)) => (sa, sb),
+    let (ta, tb) = match (&a.trace_streams, &b.trace_streams) {
+        (Some(ta), Some(tb)) => (ta, tb),
         (None, None) => return None,
         _ => {
             return Some((
@@ -174,8 +196,11 @@ fn classify_traces(a: &Artifacts, b: &Artifacts) -> Option<(DivergenceCategory, 
             ));
         }
     };
-    let ma: BTreeMap<&str, &Vec<String>> = sa.iter().map(|(p, e)| (p.as_str(), e)).collect();
-    let mb: BTreeMap<&str, &Vec<String>> = sb.iter().map(|(p, e)| (p.as_str(), e)).collect();
+    let same_paths = ta.paths == tb.paths;
+    let ma: BTreeMap<&str, &Vec<TraceEvent>> =
+        ta.streams.iter().map(|(p, e)| (p.as_str(), e)).collect();
+    let mb: BTreeMap<&str, &Vec<TraceEvent>> =
+        tb.streams.iter().map(|(p, e)| (p.as_str(), e)).collect();
     for (path, ea) in &ma {
         let Some(eb) = mb.get(path) else {
             return Some((
@@ -184,10 +209,14 @@ fn classify_traces(a: &Artifacts, b: &Artifacts) -> Option<(DivergenceCategory, 
             ));
         };
         for (i, (va, vb)) in ea.iter().zip(eb.iter()).enumerate() {
+            if same_paths && va == vb {
+                continue;
+            }
+            let (va, vb) = (ta.render(va), tb.render(vb));
             if va != vb {
                 return Some((
                     DivergenceCategory::ScheduleTrace,
-                    format!("stream {path} event {i}: {} vs {}", brief(va), brief(vb)),
+                    format!("stream {path} event {i}: {} vs {}", brief(&va), brief(&vb)),
                 ));
             }
         }

@@ -266,9 +266,9 @@ mod tests {
     }
 
     #[test]
-    fn the_table_has_twelve_bounded_explained_rows() {
+    fn the_table_has_thirteen_bounded_explained_rows() {
         let gates = table().expect("gates.json parses");
-        assert_eq!(gates.len(), 12);
+        assert_eq!(gates.len(), 13);
         for g in &gates {
             assert!(g.predicate() != g.metric, "{}: no bound", g.metric);
             assert!(!g.why.is_empty(), "{}: no why", g.metric);

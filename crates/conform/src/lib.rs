@@ -39,7 +39,7 @@ pub mod scenario;
 pub mod seeded;
 pub mod worktree;
 
-pub use bundle::{Artifacts, Scope};
+pub use bundle::{Artifacts, Scope, TraceStreams};
 pub use diff::{Divergence, DivergenceCategory, compare, first_diff, hex_context};
 pub use harness::{
     ChaosLoad, ConformConfig, RecoveryReport, ScenarioReport, conform_all, conform_scenario,

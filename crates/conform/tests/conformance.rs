@@ -4,8 +4,10 @@
 
 use det_conform::{
     Artifacts, ConformConfig, DivergenceCategory, ScenarioConfig, Scope, compare, conform_all,
-    conform_scenario, find, registry,
+    conform_scenario, find, first_diff, registry,
 };
+use det_kernel::TraceEvent;
+use det_memory::PageDeltaOp;
 
 fn artifacts(name: &str) -> Artifacts {
     let sc = find(name).expect("registered");
@@ -113,6 +115,97 @@ fn seeded_trace_reorder_localizes() {
         .find(|&i| ba[i] != bb[i])
         .expect("bytes differ");
     assert_eq!(d.offset, expected);
+}
+
+/// Renumbers every space id of a bundle by `f`, as another replica
+/// may have allocated them: the spaces' table ids, the trace streams'
+/// id → path map, and the ids their events carry.
+fn relabel(a: &mut Artifacts, f: impl Fn(u32) -> u32) {
+    for sp in &mut a.spaces {
+        sp.id = f(sp.id);
+    }
+    let t = a.trace_streams.as_mut().expect("scenario records a trace");
+    t.paths = std::mem::take(&mut t.paths)
+        .into_iter()
+        .map(|(id, path)| (f(id), path))
+        .collect();
+    for ev in t.streams.iter_mut().flat_map(|(_, events)| events) {
+        match ev {
+            TraceEvent::Put {
+                caller,
+                child_id,
+                tree_new_ids,
+                ..
+            } => {
+                *caller = f(*caller);
+                *child_id = f(*child_id);
+                tree_new_ids.iter_mut().for_each(|id| *id = f(*id));
+            }
+            TraceEvent::Get {
+                caller, child_id, ..
+            } => {
+                *caller = f(*caller);
+                *child_id = f(*child_id);
+            }
+            TraceEvent::CheckIn { space, .. } => *space = f(*space),
+            _ => {}
+        }
+    }
+}
+
+/// The bytes of the first page an event's memory delta writes.
+fn written_page(ev: &mut TraceEvent) -> Option<&mut Vec<u8>> {
+    let delta = match ev {
+        TraceEvent::CheckIn { delta, .. } => delta,
+        TraceEvent::Get { entry, .. } => &mut entry.as_mut()?.delta,
+        TraceEvent::Put { entry, .. }
+        | TraceEvent::DevRead { entry, .. }
+        | TraceEvent::DevWrite { entry, .. }
+        | TraceEvent::Checkpoint { entry, .. }
+        | TraceEvent::RootExit { entry, .. } => &mut entry.delta,
+    };
+    delta.pages.iter_mut().find_map(|p| match &mut p.op {
+        PageDeltaOp::Write(data) => Some(data),
+        _ => None,
+    })
+}
+
+/// Two bundles of one run that number its spaces differently differ
+/// as values and render the same bytes, so they conform: `compare`
+/// cannot trust value inequality. A flipped byte in one page payload
+/// of a stream then diverges at the first differing rendered byte.
+#[test]
+fn bundles_differing_only_in_space_ids_conform() {
+    let a = artifacts("rendezvous_storm");
+    let top = *a
+        .trace_streams
+        .as_ref()
+        .unwrap()
+        .paths
+        .keys()
+        .max()
+        .unwrap();
+    let mut b = a.clone();
+    relabel(&mut b, |id| if id == 0 { 0 } else { top + 1 - id });
+    assert!(a != b, "the spaces are numbered differently");
+    assert!(a.to_bytes(Scope::Full) == b.to_bytes(Scope::Full));
+    assert!(compare(&a, &b, Scope::Full).is_none());
+
+    let t = b.trace_streams.as_mut().unwrap();
+    let page = (t.streams.iter_mut().flat_map(|(_, events)| events))
+        .find_map(written_page)
+        .expect("a stream carries page bytes");
+    page[0] ^= 0x10;
+    let d = compare(&a, &b, Scope::Full).expect("must diverge");
+    assert_eq!(
+        d.category,
+        DivergenceCategory::ScheduleTrace,
+        "{}",
+        d.detail
+    );
+    let (ba, bb) = (a.to_bytes(Scope::Full), b.to_bytes(Scope::Full));
+    assert_eq!(d.offset, first_diff(&ba, &bb));
+    assert!(d.offset < ba.len().min(bb.len()), "a byte differs");
 }
 
 /// Stat drift (a counter bumped post-hoc) is classified as such and

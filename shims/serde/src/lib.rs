@@ -75,6 +75,13 @@ impl std::error::Error for DeError {}
 pub trait Serialize {
     fn to_value(&self) -> Value;
 
+    /// The tree itself, when `Self` is one: a renderer then borrows it
+    /// instead of building a copy through [`Serialize::to_value`].
+    #[doc(hidden)]
+    fn as_value(&self) -> Option<&Value> {
+        None
+    }
+
     /// How a sequence of `Self` converts: an array, unless the element
     /// type says otherwise (`u8` does — see the crate docs).
     #[doc(hidden)]
@@ -87,10 +94,15 @@ pub trait Serialize {
 }
 
 // A `Value` serializes as itself, so pre-built trees (e.g. rewritten
-// event encodings) can be rendered by `serde_json` directly.
+// event encodings) can be rendered by `serde_json` directly — in place,
+// through `as_value`, not through a copy.
 impl Serialize for Value {
     fn to_value(&self) -> Value {
         self.clone()
+    }
+
+    fn as_value(&self) -> Option<&Value> {
+        Some(self)
     }
 }
 
@@ -421,6 +433,10 @@ impl<T: Serialize + ?Sized> Serialize for Box<T> {
     fn to_value(&self) -> Value {
         (**self).to_value()
     }
+
+    fn as_value(&self) -> Option<&Value> {
+        (**self).as_value()
+    }
 }
 
 impl<T: Deserialize> Deserialize for Box<T> {
@@ -432,5 +448,9 @@ impl<T: Deserialize> Deserialize for Box<T> {
 impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_value(&self) -> Value {
         (**self).to_value()
+    }
+
+    fn as_value(&self) -> Option<&Value> {
+        (**self).as_value()
     }
 }

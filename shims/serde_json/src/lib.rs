@@ -36,17 +36,27 @@ impl From<serde::DeError> for Error {
 
 /// Serializes `value` as compact JSON.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    Ok(render(&value.to_value(), false))
+    Ok(render(value, false))
 }
 
 /// Serializes `value` as 2-space-indented JSON.
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    Ok(render(&value.to_value(), true))
+    Ok(render(value, true))
 }
 
 /// The writer fills a byte buffer. It pushes ASCII, and a string's own
 /// bytes in order with only ASCII bytes escaped, so the buffer is UTF-8.
-fn render(v: &Value, pretty: bool) -> String {
+/// A `value` that is a [`Value`] is written where it lies; anything
+/// else is converted first.
+fn render<T: Serialize + ?Sized>(value: &T, pretty: bool) -> String {
+    let converted;
+    let v = match value.as_value() {
+        Some(v) => v,
+        None => {
+            converted = value.to_value();
+            &converted
+        }
+    };
     let mut out = Vec::new();
     write_value(v, &mut out, 0, pretty);
     String::from_utf8(out).expect("the writer emits only utf-8")
@@ -424,6 +434,31 @@ mod tests {
         assert_eq!(from_str::<Vec<u8>>(&format!("\"{hex}\"")).unwrap(), all);
         let err = from_str::<Vec<u8>>("\"00ff0x\"").unwrap_err();
         assert!(err.to_string().contains("bad hex digit"), "{err}");
+    }
+
+    #[test]
+    fn a_borrowed_value_renders_in_place_as_its_copy_would() {
+        struct Copied(Value);
+        impl Serialize for Copied {
+            fn to_value(&self) -> Value {
+                self.0.clone()
+            }
+        }
+        let v = Value::Object(vec![
+            ("k".into(), Value::Str("Put".into())),
+            ("data".into(), Value::Bytes(vec![0, 0xff])),
+            (
+                "ids".into(),
+                Value::Array(vec![Value::UInt(3), Value::Null]),
+            ),
+        ]);
+        assert!(std::ptr::eq(Box::new(&v).as_value().unwrap(), &v));
+        for pretty in [false, true] {
+            let copied = render(&Copied(v.clone()), pretty);
+            assert_eq!(render(&v, pretty), copied);
+            assert_eq!(render(&&v, pretty), copied);
+            assert_eq!(render(&Box::new(v.clone()), pretty), copied);
+        }
     }
 
     #[test]
