@@ -14,7 +14,8 @@
 //!    the full deterministic stats vector, device outputs, per-space
 //!    memory digests keyed by lineage path, and the syscall trace
 //!    projected into per-space streams;
-//! 3. bundles are serialized byte-stably and compared byte-for-byte;
+//! 3. bundles are serialized byte-stably and compared byte-for-byte
+//!    (two bundles equal as values are not serialized at all);
 //! 4. on mismatch, [`diff`] reports the first divergent byte offset
 //!    with hex context and classifies the root cause: schedule/trace
 //!    divergence vs page content vs stat drift vs device output.
