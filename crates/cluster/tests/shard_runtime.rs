@@ -350,3 +350,55 @@ fn remote_join_conflict_is_a_local_conflict() {
     );
     assert_eq!((out.stats.conflicts, out.stats.merges), (1, 1));
 }
+
+/// Jobs that are never joined still run to completion and still
+/// aggregate: the root forks a job onto node 1, which forks a
+/// grandchild onto node 2, and neither is joined. Both exits reach the
+/// job table, both fork summaries count as migrations (no homecoming
+/// does), and the bundle does not depend on the shard count.
+#[test]
+fn leaked_jobs_still_run_and_count() {
+    let run = |shards: usize| {
+        ClusterSpec::new(3, shards).run(|ctx, net| {
+            ctx.mem_mut().map_zero(REGION, Perm::RW)?;
+            ctx.mem_mut().write_u64(0x1000, 3)?;
+            net.fork(
+                ctx,
+                1,
+                1,
+                JobSpec::native(REGION, |c, net| {
+                    let v = c.mem().read_u64(0x1000)?;
+                    c.mem_mut().write_u64(0x1008, v + 1)?;
+                    net.fork(
+                        c,
+                        2,
+                        2,
+                        JobSpec::native(REGION, |cc, _| {
+                            let v = cc.mem().read_u64(0x1008)?;
+                            cc.mem_mut().write_u64(0x1010, v * 10)?;
+                            Ok(7)
+                        }),
+                    )?;
+                    Ok(4)
+                }),
+            )?;
+            Ok(0)
+        })
+    };
+    let base = run(1);
+    assert_eq!(base.exit, Ok(0));
+    let jobs: Vec<(&str, _)> = base
+        .jobs
+        .iter()
+        .map(|j| (j.path.as_str(), j.exit))
+        .collect();
+    assert_eq!(jobs, [("/0:1@1", Ok(4)), ("/0:1@1/0:2@2", Ok(7))]);
+    assert_eq!(base.cluster.migrations, 2, "{:?}", base.cluster);
+    for shards in [2usize, 3] {
+        assert_eq!(
+            base.bundle_bytes(),
+            run(shards).bundle_bytes(),
+            "bundle diverged at shards={shards}"
+        );
+    }
+}
