@@ -266,7 +266,7 @@ fn node_counts(scale: Scale) -> Vec<u16> {
 
 /// A cluster run of `size` on `nodes` logical nodes. The figures print
 /// virtual time and traffic only, which the shard count cannot move
-/// (DESIGN.md §10), so every run takes two host threads.
+/// (DESIGN.md §10), so every run takes two shards.
 fn cluster(nodes: u16, size: u64) -> ShardedConfig {
     ShardedConfig {
         size,

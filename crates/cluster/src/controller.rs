@@ -6,15 +6,20 @@
 //! every deterministic quantity — virtual clocks, migration and
 //! message counts, transfer bytes, digests — is a pure function of
 //! the workload and that logical topology. Shards (`0..shards`, each
-//! one OS host thread plus a compute permit) are merely where logical
-//! nodes execute: node `n` runs on shard `n % shards`. Changing the
-//! shard count changes wall-clock time and nothing else, which is the
+//! one compute permit) are merely where logical nodes execute: node
+//! `n` computes under shard `n % shards`'s permit. Changing the shard
+//! count changes wall-clock time and nothing else, which is the
 //! invariant the shard-count conformance suite pins.
+//!
+//! Every migrated job runs on a vehicle thread that [`Remote::fork`]
+//! spawns and registers here; [`ClusterSpec::run`] joins them all, the
+//! never-joined ones included, before it aggregates.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
+use std::thread::JoinHandle;
 
 use parking_lot::Mutex;
 
@@ -26,8 +31,8 @@ use det_memory::{AddressSpace, Region};
 
 use crate::ClusterStats;
 use crate::net::NetworkModel;
-use crate::protocol::{self, HostMsg, JobDone, JobFn, JobMsg};
-use crate::shard::{Permit, host_loop};
+use crate::protocol::{self, JobDone, JobFn, JobMsg};
+use crate::shard::{Permit, run_job};
 
 /// Configuration of a real-thread shard cluster run.
 #[derive(Clone)]
@@ -35,8 +40,8 @@ pub struct ClusterSpec {
     /// Logical nodes the workload addresses. Fixed by the workload:
     /// determines every deterministic quantity.
     pub nodes: u16,
-    /// Physical shards (OS host threads). Affects wall-clock time
-    /// only.
+    /// Physical shards: compute permits, each letting one job compute
+    /// at a time. Affects wall-clock time only.
     pub shards: usize,
     /// The simulated-latency link between nodes.
     pub net: NetworkModel,
@@ -45,8 +50,8 @@ pub struct ClusterSpec {
 }
 
 impl ClusterSpec {
-    /// A cluster of `nodes` logical nodes on `shards` host threads,
-    /// with gigabit-Ethernet link parameters and default kernel
+    /// A cluster of `nodes` logical nodes on `shards` shards, with
+    /// gigabit-Ethernet link parameters and default kernel
     /// configuration.
     pub fn new(nodes: u16, shards: usize) -> ClusterSpec {
         ClusterSpec {
@@ -58,10 +63,9 @@ impl ClusterSpec {
     }
 
     /// Runs `root` as the cluster's root space (node 0, with I/O
-    /// privileges) and drives the whole run to completion: spawns the
-    /// shard hosts, executes every migrated job, waits for stragglers,
-    /// and folds all per-kernel statistics into one deterministic
-    /// [`ClusterOutcome`].
+    /// privileges) and drives the whole run to completion: executes
+    /// every migrated job, joins every job vehicle, and folds all
+    /// per-kernel statistics into one deterministic [`ClusterOutcome`].
     pub fn run<F>(self, root: F) -> ClusterOutcome
     where
         F: FnOnce(&mut SpaceCtx, &Remote) -> NativeResult + Send + 'static,
@@ -72,7 +76,13 @@ impl ClusterSpec {
         let shards = self.shards;
         let root_kcfg = KernelConfig::builder().faults(self.faults.clone()).build();
 
-        let (env, hosts) = Env::start(self);
+        let env = Arc::new(Env {
+            permits: (0..shards).map(|_| Permit::new(1)).collect(),
+            spec: self,
+            vehicles: Mutex::default(),
+            cluster: Mutex::default(),
+            agg: Mutex::default(),
+        });
         // The root space computes under its home shard's permit like
         // any other resident of node 0.
         env.permits[env.shard_of(0)].acquire();
@@ -84,16 +94,12 @@ impl ClusterSpec {
         env.permits[env.shard_of(0)].release();
 
         // Leaked (never-joined) jobs still run to completion and their
-        // stats still aggregate; hosts shut down only when the last
-        // one has drained, so in-flight leaf pulls are always served.
-        while env.outstanding.load(Ordering::SeqCst) > 0 {
-            std::thread::yield_now();
-        }
-        for s in 0..shards {
-            env.send(s, HostMsg::Shutdown);
-        }
-        for h in hosts {
-            let _ = h.join();
+        // stats still aggregate. A vehicle registers its children's
+        // vehicles before it exits, so the list is empty only once
+        // every job has been joined.
+        let next = || env.vehicles.lock().pop();
+        while let Some(vehicle) = next() {
+            let _ = vehicle.join();
         }
 
         let agg = std::mem::take(&mut *env.agg.lock());
@@ -121,97 +127,21 @@ impl ClusterSpec {
     }
 }
 
-/// Shared cluster state: links to every shard host, compute permits,
-/// frozen home images, and the deterministic aggregate accumulators.
+/// Shared cluster state: compute permits, the job vehicles not yet
+/// joined, and the deterministic aggregate accumulators.
 pub(crate) struct Env {
     pub(crate) spec: ClusterSpec,
-    links: Vec<Mutex<mpsc::Sender<HostMsg>>>,
-    pub(crate) permits: Vec<Arc<Permit>>,
-    /// Per-shard frozen images of in-flight migrations, keyed by job
-    /// id — the "home node keeps the pages" half of demand paging.
-    stores: Vec<Mutex<BTreeMap<u64, AddressSpace>>>,
-    next_job: AtomicU64,
-    pub(crate) outstanding: AtomicU64,
+    pub(crate) permits: Vec<Permit>,
+    /// Job vehicles `Remote::fork` spawned that `run` has not joined.
+    vehicles: Mutex<Vec<JoinHandle<()>>>,
     pub(crate) cluster: Mutex<ClusterStats>,
     pub(crate) agg: Mutex<Agg>,
 }
 
 impl Env {
-    fn start(spec: ClusterSpec) -> (Arc<Env>, Vec<std::thread::JoinHandle<()>>) {
-        let shards = spec.shards;
-        let mut links = Vec::with_capacity(shards);
-        let mut rxs = Vec::with_capacity(shards);
-        for _ in 0..shards {
-            let (tx, rx) = mpsc::channel();
-            links.push(Mutex::new(tx));
-            rxs.push(rx);
-        }
-        let env = Arc::new(Env {
-            spec,
-            links,
-            permits: (0..shards).map(|_| Arc::new(Permit::new(1))).collect(),
-            stores: (0..shards).map(|_| Mutex::new(BTreeMap::new())).collect(),
-            next_job: AtomicU64::new(0),
-            outstanding: AtomicU64::new(0),
-            cluster: Mutex::new(ClusterStats::default()),
-            agg: Mutex::new(Agg::default()),
-        });
-        let hosts = rxs
-            .into_iter()
-            .enumerate()
-            .map(|(s, rx)| {
-                let env2 = Arc::clone(&env);
-                std::thread::Builder::new()
-                    .name(format!("shard{s}-host"))
-                    .spawn(move || host_loop(env2, s, rx))
-                    .expect("spawn shard host")
-            })
-            .collect();
-        (env, hosts)
-    }
-
     /// The placement map: logical node → physical shard.
     pub(crate) fn shard_of(&self, node: u16) -> usize {
         node as usize % self.spec.shards
-    }
-
-    pub(crate) fn send(&self, shard: usize, msg: HostMsg) {
-        self.links[shard]
-            .lock()
-            .send(msg)
-            .expect("shard host outlives every sender");
-    }
-
-    /// One leaf of a frozen home image, for a pull response.
-    pub(crate) fn frozen_leaf(
-        &self,
-        shard: usize,
-        job: u64,
-        first_vpn: u64,
-    ) -> det_memory::SpaceDelta {
-        self.stores[shard]
-            .lock()
-            .get(&job)
-            .expect("frozen image registered before any pull")
-            .leaf_image(first_vpn)
-    }
-
-    /// Runs `f` against a frozen home image (same-node materialization
-    /// path — no link crossing).
-    pub(crate) fn with_frozen<T>(
-        &self,
-        shard: usize,
-        job: u64,
-        f: impl FnOnce(&AddressSpace) -> T,
-    ) -> T {
-        f(self.stores[shard]
-            .lock()
-            .get(&job)
-            .expect("frozen image registered before the job runs"))
-    }
-
-    pub(crate) fn job_done(&self) {
-        self.outstanding.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -244,8 +174,6 @@ struct Pending {
     base: AddressSpace,
     region: Region,
     node: u16,
-    job_id: u64,
-    home_shard: usize,
 }
 
 /// A migrated job to fork onto another logical node.
@@ -332,9 +260,9 @@ impl Remote {
     /// Forks a job onto logical `node` (the paper's remote space
     /// creation, §3.3): freezes a structural snapshot of `spec.region`
     /// as the child's initial image, sends the leaf-directory summary
-    /// over the link, and lets the target shard pull exactly the
-    /// leaves it needs. The kernel's migrate-out arm bills and counts
-    /// it; this prices the summary on the link.
+    /// over the link, and starts the job on a vehicle of its own, which
+    /// pulls exactly the leaves it needs. The kernel's migrate-out arm
+    /// bills and counts it; this prices the summary on the link.
     pub fn fork(&self, ctx: &mut SpaceCtx, tag: u64, node: u16, spec: JobSpec) -> Result<()> {
         let env = &self.env;
         if node >= env.spec.nodes {
@@ -352,33 +280,32 @@ impl Remote {
             remote_xfer.then(|| protocol::send_summary(env, &summary))
         })?;
 
-        let job_id = env.next_job.fetch_add(1, Ordering::Relaxed) + 1;
-        let home_shard = env.shard_of(self.node);
         // Reconstruct the job's materialized base locally — the same
-        // deterministic function the job shard applies, so snapshot
+        // deterministic function the job applies, so snapshot
         // and remote image are bit-identical.
         let base = protocol::materialize(&img, &summary, &spec.touch);
-        env.stores[home_shard].lock().insert(job_id, img);
 
         let ordinal = self.forks.fetch_add(1, Ordering::Relaxed);
         let path = format!("{}/{}:{}@{}", self.path, ordinal, tag, node);
         let (reply, rx) = mpsc::channel();
-        env.outstanding.fetch_add(1, Ordering::SeqCst);
-        env.send(
-            env.shard_of(node),
-            HostMsg::Submit(Box::new(JobMsg {
-                job_id,
-                path,
-                node,
-                home_shard,
-                home_node: self.node,
-                program: spec.program,
-                touch: spec.touch,
-                summary,
-                start_vclock_ps: ctx.vclock_ps(),
-                reply,
-            })),
-        );
+        let msg = JobMsg {
+            path: path.clone(),
+            node,
+            home_node: self.node,
+            program: spec.program,
+            touch: spec.touch,
+            summary,
+            frozen: img,
+            start_vclock_ps: ctx.vclock_ps(),
+            reply,
+        };
+        let env2 = Arc::clone(env);
+        // A vehicle the host refuses drops the job and its reply
+        // sender, so the join reads `Killed`.
+        let vehicle = std::thread::Builder::new().name(format!("job{path}"));
+        if let Ok(vehicle) = vehicle.spawn(move || run_job(env2, msg)) {
+            env.vehicles.lock().push(vehicle);
+        }
         self.pending.lock().insert(
             tag,
             Pending {
@@ -386,8 +313,6 @@ impl Remote {
                 base,
                 region: spec.region,
                 node,
-                job_id,
-                home_shard,
             },
         );
         Ok(())
@@ -412,7 +337,6 @@ impl Remote {
         let done = p.rx.recv();
         permit.acquire();
         let done = done.map_err(|_| KernelError::Killed)?;
-        env.stores[p.home_shard].lock().remove(&p.job_id);
 
         let delta = if done.delta.is_empty() {
             Ok(det_memory::SpaceDelta::default())

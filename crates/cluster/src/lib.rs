@@ -1,5 +1,6 @@
-//! Cross-node distribution via space migration (§3.3), on N kernel
-//! *shards* running on real OS threads.
+//! Cross-node distribution via space migration (§3.3): every migrated
+//! job runs in a kernel of its own on a real OS thread, under one of N
+//! *shards*' compute permits.
 //!
 //! The paper runs Determinator on up to 32 machines connected by
 //! Ethernet; we have one machine, so what is simulated is the *link*
@@ -7,13 +8,16 @@
 //! in virtual time — and everything else is real (DESIGN.md §10):
 //!
 //! * every logical node is homed on shard `node % shards`, and each
-//!   migrated job runs in its own `det-kernel` instance on its node's
-//!   shard, under that shard's uniprocessor compute permit;
+//!   migrated job runs in its own `det-kernel` instance on a vehicle
+//!   thread of its own, under its node's shard permit — the paper's
+//!   uniprocessor node. A shard is that permit and owns no thread;
 //! * migrating a space sends one summary message (register state plus
-//!   the leaf directory of its page table), after which the target
-//!   shard pulls the *leaves* it needs, one request/response round
-//!   trip each, with no prefetching beyond a declared touch set — the
-//!   paper's "simplistic page copying protocol" at leaf granularity;
+//!   the leaf directory of its page table), after which the job pulls
+//!   the *leaves* it needs, one request/response round trip each, with
+//!   no prefetching beyond a declared touch set — the paper's
+//!   "simplistic page copying protocol" at leaf granularity. A pull is
+//!   a function call, but its wire bytes are encoded, priced and
+//!   decoded as if they crossed a wire;
 //! * a job forked onto its caller's own node never crosses the link
 //!   (counted in [`ClusterStats::cache_hits`]);
 //! * a joined job comes home as a dirty delta that the caller

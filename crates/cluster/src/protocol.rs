@@ -1,4 +1,4 @@
-//! The migration data plane: message types and the leaf-pull
+//! The migration data plane: the job message and the leaf-pull
 //! materialization protocol.
 //!
 //! A migrated space crosses the (simulated-latency) link in two kinds
@@ -14,11 +14,16 @@
 //!   the binary wire delta ([`det_kernel::wire`]): raw page bytes plus
 //!   a few dozen bytes of keys and lengths per page.
 //!
+//! Inside one process a message is a function call on the job's
+//! vehicle, not a hand-off between threads, but a pulled leaf or a
+//! homecoming delta is still encoded to its wire bytes, priced on the
+//! link by their length and decoded as hostile input.
+//!
 //! Everything here is deterministic: message sizes come from the
 //! canonical wire encoding, so byte counts and the virtual-time
 //! charges derived from them are pure functions of the workload and
-//! the logical node topology — never of how many OS-thread shards the
-//! run happened to use. The link counters ([`ClusterStats`] but
+//! the logical node topology — never of how many shards the run
+//! happened to use. The link counters ([`ClusterStats`] but
 //! `migrations`, which the kernels count) are written only here, by one
 //! function per message shape: [`send_summary`], [`round_trip`] and
 //! [`cache_hits`].
@@ -124,36 +129,23 @@ pub(crate) fn decode_delta(bytes: &[u8]) -> Result<SpaceDelta, KernelError> {
     wire::delta_from_bytes(bytes).map_err(|_| KernelError::InvalidSpec("corrupt delta on the wire"))
 }
 
-/// Messages a shard host serves on its data-plane channel.
-pub(crate) enum HostMsg {
-    /// Run a migrated job on this shard.
-    Submit(Box<JobMsg>),
-    /// Pull one leaf of a frozen home image (request/response).
-    PullLeaf {
-        job: u64,
-        first_vpn: u64,
-        reply: mpsc::Sender<Vec<u8>>,
-    },
-    /// Drain and exit (sent once every job has completed).
-    Shutdown,
-}
-
-/// A remote fork in flight: everything the target shard needs to
+/// A remote fork in flight: everything the job's vehicle needs to
 /// materialize and run the migrated space.
 pub(crate) struct JobMsg {
-    pub job_id: u64,
     /// Deterministic lineage path (fork-ordinal/tag@node under the
     /// parent's path).
     pub path: String,
     /// Logical node the job runs on.
     pub node: u16,
-    /// Shard holding the frozen image (the parent's shard).
-    pub home_shard: usize,
     /// Logical node the image lives on (the parent's node).
     pub home_node: u16,
     pub program: JobFn,
     pub touch: Option<Vec<Region>>,
     pub summary: Vec<LeafInfo>,
+    /// The frozen home image the leaves are pulled from — the "home
+    /// node keeps the pages" half of demand paging. Dropped once the
+    /// job has materialized.
+    pub frozen: AddressSpace,
     /// Parent's virtual clock at submit, plus the summary-message
     /// cost: the migrated space's clock starts here (the rendezvous
     /// stamp rule).

@@ -1,14 +1,16 @@
-//! Shard hosts: the data-plane half of the real-thread cluster.
+//! Shards: where migrated jobs compute.
 //!
-//! Each shard is one OS host thread plus a compute permit. The host
-//! thread never computes user work — it dispatches migrated jobs onto
-//! fresh vehicle threads and serves leaf pulls from the frozen images
-//! it is home to, so a shard stays responsive to the network while its
-//! resident job crunches. The permit models the paper's uniprocessor
+//! A shard is a compute permit and nothing more. Each migrated job runs
+//! on a vehicle thread of its own (spawned by `Remote::fork`), in a
+//! fresh `det-kernel` instance, and computes only while it holds its
+//! node's shard permit. The permit models the paper's uniprocessor
 //! node: at most one migrated job *computes* per shard at a time, and
 //! a job blocked joining a child releases its permit (the child may
 //! need this very shard).
 //!
+//! No thread serves the link. A leaf pull is a function call on the
+//! job's own vehicle that still encodes the leaf from the frozen home
+//! image, prices the wire bytes and decodes them as hostile input.
 //! Nothing in this file touches virtual time or the deterministic
 //! counters except through quantities that are pure functions of the
 //! workload's logical-node topology — which is why every digest,
@@ -17,7 +19,6 @@
 //! schedule).
 
 use std::sync::Arc;
-use std::sync::mpsc;
 
 use parking_lot::{Condvar, Mutex};
 
@@ -26,7 +27,7 @@ use det_memory::AddressSpace;
 
 use crate::controller::{Env, JobArtifact, Remote};
 use crate::protocol::{
-    HostMsg, JobDone, JobMsg, cache_hits, decode_delta, materialize, round_trip, touched,
+    JobDone, JobMsg, cache_hits, decode_delta, materialize, round_trip, touched,
 };
 
 /// A counting permit (capacity 1 per shard): the uniprocessor-node
@@ -60,49 +61,12 @@ impl Permit {
     }
 }
 
-/// The shard host loop: dispatch jobs, serve leaf pulls, drain on
-/// shutdown. Joins every job vehicle it spawned before exiting (the
-/// controller only sends `Shutdown` once all jobs have completed, so
-/// this never blocks on a pull served by an already-stopped peer).
-pub(crate) fn host_loop(env: Arc<Env>, shard: usize, rx: mpsc::Receiver<HostMsg>) {
-    let mut vehicles = Vec::new();
-    for msg in rx.iter() {
-        match msg {
-            HostMsg::Submit(job) => {
-                let env2 = Arc::clone(&env);
-                let name = format!("shard{shard}-job{}", job.job_id);
-                vehicles.push(
-                    std::thread::Builder::new()
-                        .name(name)
-                        .spawn(move || run_job(env2, *job))
-                        .expect("spawn job vehicle"),
-                );
-            }
-            HostMsg::PullLeaf {
-                job,
-                first_vpn,
-                reply,
-            } => {
-                // Data plane: encode the leaf from the frozen home
-                // image and ship it. Canonical encoding → the byte
-                // count every replica charges for is identical.
-                let bytes = wire::delta_to_bytes(&env.frozen_leaf(shard, job, first_vpn));
-                let _ = reply.send(bytes);
-            }
-            HostMsg::Shutdown => break,
-        }
-    }
-    for v in vehicles {
-        let _ = v.join();
-    }
-}
-
-/// Runs one migrated job: materialize O(touched) by pulling leaves
-/// from the home shard, execute it in a fresh `det-kernel` instance
-/// under this shard's compute permit, then ship the dirty delta home.
-fn run_job(env: Arc<Env>, msg: JobMsg) {
-    let shard = env.shard_of(msg.node);
-    let permit = Arc::clone(&env.permits[shard]);
+/// Runs one migrated job on its own vehicle: materialize O(touched)
+/// by pulling leaves from the frozen home image, drop that image,
+/// execute the job in a fresh `det-kernel` instance under its shard's
+/// compute permit, then ship the dirty delta home.
+pub(crate) fn run_job(env: Arc<Env>, msg: JobMsg) {
+    let permit = &env.permits[env.shard_of(msg.node)];
     permit.acquire();
 
     // --- Materialize the migrated space, leaf by leaf. ---
@@ -119,10 +83,9 @@ fn run_job(env: Arc<Env>, msg: JobMsg) {
             .map(|l| l.pages as u64)
             .sum();
         cache_hits(&env, pages);
-        Ok(env.with_frozen(msg.home_shard, msg.job_id, |frozen| {
-            materialize(frozen, &msg.summary, &msg.touch)
-        }))
+        Ok(materialize(&msg.frozen, &msg.summary, &msg.touch))
     };
+    drop(msg.frozen);
 
     // --- Execute in a fresh kernel shard. ---
     let start_ps = msg.start_vclock_ps.saturating_add(net_ps);
@@ -167,8 +130,8 @@ fn run_job(env: Arc<Env>, msg: JobMsg) {
         agg.jobs.insert(
             msg.path.clone(),
             JobArtifact {
-                path: msg.path.clone(),
-                node: msg.node,
+                path: msg.path,
+                node,
                 vclock_ps,
                 digest,
                 exit: outcome.exit,
@@ -183,30 +146,17 @@ fn run_job(env: Arc<Env>, msg: JobMsg) {
         digest,
         delta,
     });
-    env.job_done();
 }
 
 /// Materializes a migrated space on the job's shard by pulling every
-/// touched leaf from the home shard, one request/response round trip
-/// per leaf, adding each round trip's link time to `net_ps`.
+/// touched leaf of the frozen home image, one request/response round
+/// trip per leaf, adding each round trip's link time to `net_ps`. The
+/// leaf crosses the link as its wire bytes, so it is encoded, priced
+/// and decoded exactly as a remote node would see it.
 fn pull_leaves(env: &Env, msg: &JobMsg, net_ps: &mut u64) -> Result<AddressSpace, KernelError> {
     let mut mem = AddressSpace::new();
-    for leaf in &msg.summary {
-        if !touched(leaf, &msg.touch) {
-            continue;
-        }
-        let (txr, rxr) = mpsc::channel();
-        env.send(
-            msg.home_shard,
-            HostMsg::PullLeaf {
-                job: msg.job_id,
-                first_vpn: leaf.first_vpn,
-                reply: txr,
-            },
-        );
-        let bytes = rxr
-            .recv()
-            .expect("home shard serves pulls until every job completes");
+    for leaf in msg.summary.iter().filter(|l| touched(l, &msg.touch)) {
+        let bytes = wire::delta_to_bytes(&msg.frozen.leaf_image(leaf.first_vpn));
         let delta = decode_delta(&bytes)?;
         *net_ps = net_ps.saturating_add(round_trip(env, bytes.len(), leaf.pages as u64));
         mem.apply_delta(&delta)?;

@@ -228,8 +228,8 @@ fn remote_fork_costs_virtual_network_time() {
 
 /// Jobs placed on distinct shards really execute concurrently: each
 /// one blocks until it has seen *all* of its peers in flight, which
-/// can only resolve if no layer of the runtime (fork, permits, the
-/// host loops) serializes them. A runtime that ran jobs one at a
+/// can only resolve if no layer of the runtime (fork, the job
+/// vehicles, permits) serializes them. A runtime that ran jobs one at a
 /// time would never let the first job past the barrier. The rendezvous
 /// is host-side (an atomic the closures capture) and leaves no trace
 /// in any deterministic quantity.

@@ -26,7 +26,7 @@ pub(crate) const BASE: u64 = 0x1000_0000;
 pub struct ShardedConfig {
     /// Logical nodes (fixes every deterministic quantity).
     pub nodes: u16,
-    /// Physical shards (OS threads; wall-clock only).
+    /// Physical shards (compute permits; wall-clock only).
     pub shards: usize,
     /// Workload size knob (keyspace, rounds, …).
     pub size: u64,

@@ -14,7 +14,8 @@ fn main() {
     let size = 40_000;
     println!("searching a {size}-key space for a planted MD5 preimage\n");
     println!("nodes | circuit speedup | tree speedup | (over 1-node local run)");
-    // Two host threads: the shard count moves wall-clock time only.
+    // Two shards (compute permits): the shard count moves wall-clock
+    // time only.
     let cfg = |nodes| ShardedConfig {
         size,
         ..ShardedConfig::quick(nodes, 2)
