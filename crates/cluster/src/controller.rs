@@ -302,8 +302,10 @@ impl Remote {
         let env2 = Arc::clone(env);
         // A vehicle the host refuses drops the job and its reply
         // sender, so the join reads `Killed`.
-        let vehicle = std::thread::Builder::new().name(format!("job{path}"));
-        if let Ok(vehicle) = vehicle.spawn(move || run_job(env2, msg)) {
+        let spawned = std::thread::Builder::new()
+            .name(format!("job{path}"))
+            .spawn(move || run_job(env2, msg));
+        if let Ok(vehicle) = spawned {
             env.vehicles.lock().push(vehicle);
         }
         self.pending.lock().insert(
