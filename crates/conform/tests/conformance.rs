@@ -272,3 +272,201 @@ fn untraceable_scenario_conforms() {
     assert!(a.trace_streams.is_none());
     assert!(!a.spaces.is_empty() || a.vclock_ns > 0);
 }
+
+/// One seeded fault for [`every_seeded_fault_is_classified_and_located`]:
+/// the scenario whose traced bundle it corrupts, the corruption (which
+/// returns the locus the report's detail must name), and the category
+/// the divergence must get.
+struct SeededFault {
+    fault: &'static str,
+    scenario: &'static str,
+    seed: fn(&mut Artifacts) -> String,
+    category: DivergenceCategory,
+}
+
+/// The first path whose stream has at least two events: the one
+/// [`Artifacts::reorder_trace`] swaps.
+fn reordered_stream(b: &Artifacts) -> String {
+    let t = b.trace_streams.as_ref().expect("scenario records a trace");
+    let (path, _) = (t.streams.iter())
+        .find(|(_, events)| events.len() >= 2)
+        .expect("a stream has two events");
+    path.clone()
+}
+
+fn seeded_faults() -> Vec<SeededFault> {
+    use DivergenceCategory::*;
+    vec![
+        SeededFault {
+            fault: "page-digest flip",
+            scenario: "quickstart_swap",
+            seed: |b| {
+                let sp = (b.spaces.iter_mut())
+                    .find(|sp| !sp.page_digests.is_empty())
+                    .expect("a paged space");
+                sp.page_digests[0].1 ^= 1;
+                format!("space {} page vpn={:#x}", sp.path, sp.page_digests[0].0)
+            },
+            category: PageContent,
+        },
+        SeededFault {
+            fault: "page flip that also moves its space's digest",
+            scenario: "quickstart_swap",
+            seed: |b| {
+                let sp = (b.spaces.iter_mut())
+                    .rfind(|sp| !sp.page_digests.is_empty())
+                    .expect("a paged space");
+                let (vpn, digest) = sp.page_digests.last_mut().expect("paged");
+                *digest ^= 1;
+                sp.digest ^= 1;
+                format!("space {} page vpn={vpn:#x}", sp.path)
+            },
+            category: PageContent,
+        },
+        SeededFault {
+            fault: "trace reorder",
+            scenario: "rendezvous_storm",
+            seed: |b| {
+                let path = reordered_stream(b);
+                assert!(b.reorder_trace());
+                format!("stream {path} event 0:")
+            },
+            category: ScheduleTrace,
+        },
+        SeededFault {
+            fault: "page-payload flip inside a stream event",
+            scenario: "rendezvous_storm",
+            seed: |b| {
+                let t = b.trace_streams.as_mut().expect("scenario records a trace");
+                for (path, events) in &mut t.streams {
+                    for (i, ev) in events.iter_mut().enumerate() {
+                        if let Some(page) = written_page(ev) {
+                            page[0] ^= 0x10;
+                            return format!("stream {path} event {i}:");
+                        }
+                    }
+                }
+                panic!("a stream carries page bytes")
+            },
+            category: ScheduleTrace,
+        },
+        SeededFault {
+            fault: "merges bump",
+            scenario: "device_io",
+            seed: |b| {
+                b.stats.merges += 1;
+                "counter merges:".to_string()
+            },
+            category: StatDrift,
+        },
+        SeededFault {
+            fault: "merge_totals.pages_adopted bump",
+            scenario: "quickstart_swap",
+            seed: |b| {
+                b.stats.merge_totals.0.pages_adopted += 1;
+                "counter merge_totals.pages_adopted:".to_string()
+            },
+            category: StatDrift,
+        },
+        SeededFault {
+            fault: "root vclock_ns bump",
+            scenario: "device_io",
+            seed: |b| {
+                b.vclock_ns += 1;
+                "vclock_ns".to_string()
+            },
+            category: StatDrift,
+        },
+        SeededFault {
+            fault: "non-root space vclock_ps bump",
+            scenario: "quickstart_swap",
+            seed: |b| {
+                let sp = (b.spaces.iter_mut())
+                    .find(|sp| sp.path != "/")
+                    .expect("a child space");
+                sp.vclock_ps += 1;
+                format!(
+                    "space {} vclock_ps {} vs {}",
+                    sp.path,
+                    sp.vclock_ps - 1,
+                    sp.vclock_ps
+                )
+            },
+            category: StatDrift,
+        },
+        SeededFault {
+            fault: "exit change",
+            scenario: "device_io",
+            seed: |b| {
+                let was = std::mem::replace(&mut b.exit, "Err(Killed)".to_string());
+                format!("{was} vs Err(Killed)")
+            },
+            category: StatDrift,
+        },
+        SeededFault {
+            fault: "console byte flip",
+            scenario: "device_io",
+            seed: |b| {
+                let data = (b.outputs.get_mut(&det_kernel::DeviceId::ConsoleOut))
+                    .expect("scenario writes the console");
+                data[5] ^= 0x01;
+                "device ConsoleOut output differs at byte 5".to_string()
+            },
+            category: DeviceOutput,
+        },
+        SeededFault {
+            fault: "io_log change",
+            scenario: "device_io",
+            seed: |b| {
+                assert!(b.io_log.events.pop().is_some(), "scenario reads input");
+                "consumed device input logs differ".to_string()
+            },
+            category: DeviceOutput,
+        },
+        SeededFault {
+            fault: "trace on one side only",
+            scenario: "device_io",
+            seed: |b| {
+                b.trace_streams = None;
+                "one replica recorded a trace".to_string()
+            },
+            category: ScheduleTrace,
+        },
+        SeededFault {
+            fault: "trace reorder plus a merges bump",
+            scenario: "rendezvous_storm",
+            seed: |b| {
+                let path = reordered_stream(b);
+                assert!(b.reorder_trace());
+                b.stats.merges += 1;
+                format!("stream {path} event 0:")
+            },
+            category: ScheduleTrace,
+        },
+    ]
+}
+
+/// Every seeded fault is classified into its category, reports the
+/// first divergent byte of the two renderings, and names its locus.
+/// The diagnostic order outranks the byte order: a reorder plus a
+/// counter bump is a schedule divergence although `[stats-core]`
+/// renders first.
+#[test]
+fn every_seeded_fault_is_classified_and_located() {
+    for row in seeded_faults() {
+        let a = artifacts(row.scenario);
+        let mut b = a.clone();
+        let locus = (row.seed)(&mut b);
+        let d = compare(&a, &b, Scope::Full)
+            .unwrap_or_else(|| panic!("{}: bundles must diverge", row.fault));
+        assert_eq!(d.category, row.category, "{}: {}", row.fault, d.detail);
+        let (ba, bb) = (a.to_bytes(Scope::Full), b.to_bytes(Scope::Full));
+        assert_eq!(d.offset, first_diff(&ba, &bb), "{}", row.fault);
+        assert!(
+            d.detail.contains(&locus),
+            "{}: detail {:?} does not name {locus:?}",
+            row.fault,
+            d.detail
+        );
+    }
+}
