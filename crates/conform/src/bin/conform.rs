@@ -43,7 +43,7 @@ fn usage() -> ! {
          [--scenario NAME]... [--report-dir DIR] \
          [--recover] [--kill-at N] [--fault SPEC]... [--list]\n\
          fault SPEC: <kill|panic|fail>@<syscall|device|alloc>\
-         [:path=/..][:n=N][:vt=PS]"
+         [:COORD[,COORD]] with COORD path=/.. or n=N"
     );
     std::process::exit(64)
 }

@@ -7,16 +7,14 @@
 //!
 //! The byte offset answers *where* two bundles first disagree; the
 //! classification answers *what kind* of nondeterminism produced the
-//! disagreement. Classification follows the diagnostic order from the
-//! harness design: trace streams are diffed first (a schedule or
-//! syscall divergence upstream usually explains every downstream
-//! delta), then per-space memory, then the stats vector and clocks,
-//! then device outputs.
+//! disagreement. Both read the same two renderings: classification
+//! splits each into its `[section]` lines and walks the sections in the
+//! harness design's diagnostic order (`DIAGNOSTIC_ORDER`), so a
+//! section added to [`Artifacts::to_bytes`] is classified by the line
+//! that renders it, with no second diff to keep in step.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-
-use det_kernel::TraceEvent;
 
 use crate::bundle::{Artifacts, Scope};
 
@@ -100,7 +98,7 @@ pub fn compare(a: &Artifacts, b: &Artifacts, scope: Scope) -> Option<Divergence>
         return None;
     }
     let offset = first_diff(&ba, &bb);
-    let (category, detail) = classify(a, b);
+    let (category, detail) = classify(&ba, &bb);
     Some(Divergence {
         category,
         detail,
@@ -148,232 +146,243 @@ pub fn hex_context(bytes: &[u8], offset: usize) -> String {
     s
 }
 
-/// Truncates a serialized event for report text.
-fn brief(e: &str) -> String {
-    if e.len() <= 96 {
-        e.to_string()
-    } else {
-        format!("{}…", &e[..96])
+/// Truncates a rendered line for report text.
+fn brief(line: &str) -> String {
+    match line.char_indices().nth(96) {
+        Some((i, _)) => format!("{}…", &line[..i]),
+        None => line.to_string(),
     }
 }
 
-/// Root-cause classification, in diagnostic order.
-fn classify(a: &Artifacts, b: &Artifacts) -> (DivergenceCategory, String) {
-    // 1. Trace event streams: a syscall-level divergence explains
-    //    everything downstream, so look there first.
-    if let Some(d) = classify_traces(a, b) {
-        return d;
+/// The bundle's sections in diagnostic order, each with the category a
+/// differing line in it names: a trace divergence explains everything
+/// downstream, so the trace streams come first, then per-space memory,
+/// then the clocks and the stats vector, then device outputs. (A
+/// `[spaces]` line names stat drift when only a clock or an
+/// instruction count moved.)
+const DIAGNOSTIC_ORDER: [(&str, DivergenceCategory); 8] = [
+    ("[trace]", DivergenceCategory::ScheduleTrace),
+    ("[spaces]", DivergenceCategory::PageContent),
+    ("[meta]", DivergenceCategory::StatDrift),
+    ("[exit]", DivergenceCategory::StatDrift),
+    ("[vclock]", DivergenceCategory::StatDrift),
+    ("[stats-core]", DivergenceCategory::StatDrift),
+    ("[outputs]", DivergenceCategory::DeviceOutput),
+    ("[io]", DivergenceCategory::DeviceOutput),
+];
+
+/// A rendering's lines grouped under their `[section]` headers.
+fn sections(bytes: &[u8]) -> BTreeMap<&str, Vec<&str>> {
+    let text = std::str::from_utf8(bytes).expect("a bundle renders as text");
+    let mut out: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
+    let mut section = "";
+    for line in text.lines() {
+        if line.starts_with('[') {
+            section = line;
+            out.entry(section).or_default();
+        } else {
+            out.entry(section).or_default().push(line);
+        }
     }
-    // 2. Per-space memory.
-    if let Some(d) = classify_spaces(a, b) {
-        return d;
-    }
-    // 3. The deterministic stats vector, clocks, and exit status.
-    if let Some(d) = classify_stats(a, b) {
-        return d;
-    }
-    // 4. Device outputs and the input log.
-    if let Some(d) = classify_devices(a, b) {
-        return d;
-    }
-    (
-        DivergenceCategory::StatDrift,
-        "bundles differ but no section classifier fired (encoding drift?)".to_string(),
-    )
+    out
 }
 
-/// Diffs the trace streams path by path. Only a pair of events that may
-/// differ is rendered: with equal id → path maps, equal events render
-/// equal lines.
-fn classify_traces(a: &Artifacts, b: &Artifacts) -> Option<(DivergenceCategory, String)> {
-    let (ta, tb) = match (&a.trace_streams, &b.trace_streams) {
-        (Some(ta), Some(tb)) => (ta, tb),
-        (None, None) => return None,
-        _ => {
-            return Some((
-                DivergenceCategory::ScheduleTrace,
+/// Root-cause classification of two renderings that differ: the first
+/// section in [`DIAGNOSTIC_ORDER`] with a differing line names the
+/// category, and that line names the locus.
+fn classify(ba: &[u8], bb: &[u8]) -> (DivergenceCategory, String) {
+    let (sa, sb) = (sections(ba), sections(bb));
+    (DIAGNOSTIC_ORDER.into_iter())
+        .find_map(|(name, category)| match (sa.get(name), sb.get(name)) {
+            (Some(la), Some(lb)) => (0..la.len().max(lb.len()))
+                .find(|&i| la.get(i) != lb.get(i))
+                .map(|i| locate(name, category, la, lb, i)),
+            (None, None) => None,
+            // Every section but `[trace]` is always rendered.
+            _ => Some((
+                category,
                 "one replica recorded a trace and the other did not".to_string(),
-            ));
-        }
+            )),
+        })
+        .expect("renderings that differ differ in a line")
+}
+
+/// Category and detail of section `name`'s first differing line `i`.
+fn locate(
+    name: &str,
+    category: DivergenceCategory,
+    la: &[&str],
+    lb: &[&str],
+    i: usize,
+) -> (DivergenceCategory, String) {
+    let i = under(la, lb, i);
+    let (x, y) = (la.get(i).copied(), lb.get(i).copied());
+    let category = match x.zip(y).is_some_and(|(x, y)| same_space_and_digest(x, y)) {
+        true => DivergenceCategory::StatDrift,
+        false => category,
     };
-    let same_paths = ta.paths == tb.paths;
-    let ma: BTreeMap<&str, &Vec<TraceEvent>> =
-        ta.streams.iter().map(|(p, e)| (p.as_str(), e)).collect();
-    let mb: BTreeMap<&str, &Vec<TraceEvent>> =
-        tb.streams.iter().map(|(p, e)| (p.as_str(), e)).collect();
-    for (path, ea) in &ma {
-        let Some(eb) = mb.get(path) else {
-            return Some((
-                DivergenceCategory::ScheduleTrace,
-                format!("space {path} has a trace stream in only one replica"),
-            ));
-        };
-        for (i, (va, vb)) in ea.iter().zip(eb.iter()).enumerate() {
-            if same_paths && va == vb {
-                continue;
-            }
-            let (va, vb) = (ta.render(va), tb.render(vb));
-            if va != vb {
-                return Some((
-                    DivergenceCategory::ScheduleTrace,
-                    format!("stream {path} event {i}: {} vs {}", brief(&va), brief(&vb)),
-                ));
-            }
+    let detail = match (name, x, y) {
+        ("[io]", ..) => Some("consumed device input logs differ".to_string()),
+        ("[trace]", Some(x), Some(y)) => event_detail(la, i, x, y).or_else(|| field_detail(x, y)),
+        ("[spaces]", Some(x), Some(y)) => field_detail(x, y),
+        ("[outputs]", Some(x), Some(y)) => key_value(x, y).map(|(dev, a, b)| {
+            let at = first_diff(
+                a.trim_matches('"').as_bytes(),
+                b.trim_matches('"').as_bytes(),
+            );
+            format!("device {dev} output differs at byte {}", at / 2)
+        }),
+        (_, Some(x), Some(y)) => {
+            key_value(x, y).map(|(k, a, b)| format!("counter {k}: {a} vs {b}"))
         }
-        if ea.len() != eb.len() {
-            return Some((
-                DivergenceCategory::ScheduleTrace,
-                format!("stream {path}: {} events vs {} events", ea.len(), eb.len()),
-            ));
-        }
-    }
-    for path in mb.keys() {
-        if !ma.contains_key(path) {
-            return Some((
-                DivergenceCategory::ScheduleTrace,
-                format!("space {path} has a trace stream in only one replica"),
-            ));
-        }
-    }
-    None
+        _ => None,
+    };
+    let line = |l: Option<&str>| brief(l.unwrap_or("(no line)"));
+    let detail = detail.unwrap_or_else(|| format!("{name} {} vs {}", line(x), line(y)));
+    (category, detail)
 }
 
-fn classify_spaces(a: &Artifacts, b: &Artifacts) -> Option<(DivergenceCategory, String)> {
-    let ma: BTreeMap<&str, &det_kernel::SpaceArtifact> =
-        a.spaces.iter().map(|s| (s.path.as_str(), s)).collect();
-    let mb: BTreeMap<&str, &det_kernel::SpaceArtifact> =
-        b.spaces.iter().map(|s| (s.path.as_str(), s)).collect();
-    for (path, sa) in &ma {
-        let Some(sb) = mb.get(path) else {
-            return Some((
-                DivergenceCategory::PageContent,
-                format!("space {path} exists in only one replica"),
-            ));
-        };
-        let pa: BTreeMap<u64, u64> = sa.page_digests.iter().copied().collect();
-        let pb: BTreeMap<u64, u64> = sb.page_digests.iter().copied().collect();
-        for (vpn, da) in &pa {
-            match pb.get(vpn) {
-                Some(db) if db == da => {}
-                Some(db) => {
-                    return Some((
-                        DivergenceCategory::PageContent,
-                        format!("space {path} page vpn={vpn:#x}: digest {da:016x} vs {db:016x}"),
-                    ));
-                }
-                None => {
-                    return Some((
-                        DivergenceCategory::PageContent,
-                        format!("space {path} page vpn={vpn:#x} mapped in only one replica"),
-                    ));
-                }
-            }
-        }
-        for vpn in pb.keys() {
-            if !pa.contains_key(vpn) {
-                return Some((
-                    DivergenceCategory::PageContent,
-                    format!("space {path} page vpn={vpn:#x} mapped in only one replica"),
-                ));
-            }
-        }
-        if sa.digest != sb.digest {
-            return Some((
-                DivergenceCategory::PageContent,
-                format!(
-                    "space {path} content digest {:016x} vs {:016x} (pages agree)",
-                    sa.digest, sb.digest
-                ),
-            ));
-        }
-        if sa.vclock_ps != sb.vclock_ps {
-            return Some((
-                DivergenceCategory::StatDrift,
-                format!(
-                    "space {path} vclock_ps {} vs {}",
-                    sa.vclock_ps, sb.vclock_ps
-                ),
-            ));
-        }
-        if sa.insn_count != sb.insn_count {
-            return Some((
-                DivergenceCategory::StatDrift,
-                format!(
-                    "space {path} insn_count {} vs {}",
-                    sa.insn_count, sb.insn_count
-                ),
-            ));
-        }
+/// A `space` or `stream` line heads the lines under it and sums them
+/// up (a digest, an event count): when it differs and so does a line
+/// under it, that line is the locus.
+fn under(la: &[&str], lb: &[&str], i: usize) -> usize {
+    let head = |l: &&str| l.starts_with("space ") || l.starts_with("stream ");
+    if !(la.get(i).is_some_and(head) && lb.get(i).is_some_and(head)) {
+        return i;
     }
-    for path in mb.keys() {
-        if !ma.contains_key(path) {
-            return Some((
-                DivergenceCategory::PageContent,
-                format!("space {path} exists in only one replica"),
-            ));
-        }
+    match (i + 1..la.len().min(lb.len())).find(|&j| la[j] != lb[j] || head(&la[j])) {
+        Some(j) if !head(&la[j]) && !head(&lb[j]) => j,
+        _ => i,
     }
-    None
 }
 
-fn classify_stats(a: &Artifacts, b: &Artifacts) -> Option<(DivergenceCategory, String)> {
-    if a.exit != b.exit {
-        return Some((
-            DivergenceCategory::StatDrift,
-            format!("exit status {} vs {}", a.exit, b.exit),
-        ));
-    }
-    if a.vclock_ns != b.vclock_ns {
-        return Some((
-            DivergenceCategory::StatDrift,
-            format!("vclock_ns {} vs {}", a.vclock_ns, b.vclock_ns),
-        ));
-    }
-    // Field-by-field through the serialized form so the report names
-    // the counter.
-    for ((ka, a_val), (_kb, b_val)) in a.stats.lines().iter().zip(b.stats.lines().iter()) {
-        if a_val != b_val {
-            return Some((
-                DivergenceCategory::StatDrift,
-                format!("counter {ka}: {a_val} vs {b_val}"),
-            ));
-        }
-    }
-    None
+/// Whether two `space` lines (only `[spaces]` has them) name one space
+/// with one digest: they then differ in a clock or an instruction
+/// count, not in memory.
+fn same_space_and_digest(x: &str, y: &str) -> bool {
+    (x.starts_with("space ") && y.starts_with("space "))
+        && x.split(' ').nth(1) == y.split(' ').nth(1)
+        && x.rsplit(' ').next() == y.rsplit(' ').next()
 }
 
-fn classify_devices(a: &Artifacts, b: &Artifacts) -> Option<(DivergenceCategory, String)> {
-    for (dev, da) in &a.outputs {
-        match b.outputs.get(dev) {
-            Some(db) if db == da => {}
-            Some(db) => {
-                let at = first_diff(da, db);
-                return Some((
-                    DivergenceCategory::DeviceOutput,
-                    format!("device {dev:?} output differs at byte {at}"),
-                ));
-            }
-            None => {
-                return Some((
-                    DivergenceCategory::DeviceOutput,
-                    format!("device {dev:?} produced output in only one replica"),
-                ));
-            }
-        }
+/// `stream P event i: … vs …` for two differing `e=` lines, `i`
+/// counted from the stream's `stream path=P` header.
+fn event_detail(la: &[&str], i: usize, x: &str, y: &str) -> Option<String> {
+    let (x, y) = (x.strip_prefix("e=")?, y.strip_prefix("e=")?);
+    let head = la[..i].iter().rposition(|l| l.starts_with("stream "))?;
+    let path = la[head].split(' ').nth(1)?.strip_prefix("path=")?;
+    let event = i - head - 1;
+    Some(format!(
+        "stream {path} event {event}: {} vs {}",
+        brief(x),
+        brief(y)
+    ))
+}
+
+/// Names two `space`, `page` or `stream` lines of one path by their
+/// first differing field: `space /1 vclock_ps 5 vs 6`, `space / page
+/// vpn=0x10 digest … vs …`, `stream / events 3 vs 4`. A space line is
+/// named by its digest whenever that differs.
+fn field_detail(x: &str, y: &str) -> Option<String> {
+    let (tx, ty): (Vec<&str>, Vec<&str>) = (x.split(' ').collect(), y.split(' ').collect());
+    let j = tx.iter().zip(&ty).position(|(p, q)| p != q)?;
+    // A space's digest outranks its clocks: it makes the line page content.
+    let j = match tx.len() - 1 {
+        last if tx[0] == "space" && j >= 2 && tx[last] != ty[last] => last,
+        _ => j,
+    };
+    let ((k, a), (kb, b)) = (tx[j].split_once('=')?, ty[j].split_once('=')?);
+    let path = tx.get(1)?.strip_prefix("path=")?;
+    let at = match tx[0] {
+        "page" if j == 3 => format!("space {path} page {}", tx[2]),
+        kind if j >= 2 => format!("{kind} {path}"),
+        _ => return None,
+    };
+    (k == kb).then(|| format!("{at} {k} {a} vs {b}"))
+}
+
+/// Splits two `key=value` lines of one key into the key and both
+/// values.
+fn key_value<'l>(x: &'l str, y: &'l str) -> Option<(&'l str, &'l str, &'l str)> {
+    let ((k, a), (kb, b)) = (x.split_once('=')?, y.split_once('=')?);
+    (k == kb).then_some((k, a, b))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::DivergenceCategory::*;
+    use super::*;
+
+    fn classified(a: &str, b: &str) -> (DivergenceCategory, String) {
+        classify(a.as_bytes(), b.as_bytes())
     }
-    for dev in b.outputs.keys() {
-        if !a.outputs.contains_key(dev) {
-            return Some((
-                DivergenceCategory::DeviceOutput,
-                format!("device {dev:?} produced output in only one replica"),
-            ));
-        }
+
+    const SPACES: &str = "[meta]\nscenario=s\n[spaces]\n\
+        space path=/ vclock_ps=5 insn=0 digest=aa\n\
+        page path=/ vpn=0x1 digest=01\n\
+        page path=/ vpn=0x2 digest=02\n\
+        space path=/0 vclock_ps=3 insn=0 digest=bb\n";
+
+    const TRACE: &str = "[meta]\nscenario=s\n[trace]\n\
+        stream path=/ events=2\ne={\"k\":1}\ne={\"k\":2}\n\
+        stream path=/0 events=1\ne={\"k\":3}\n";
+
+    #[test]
+    fn a_space_line_defers_to_the_differing_page_under_it() {
+        let b = (SPACES.replace("digest=aa", "digest=ab")).replace("digest=02", "digest=03");
+        let want = "space / page vpn=0x2 digest 02 vs 03";
+        assert_eq!(classified(SPACES, &b), (PageContent, want.to_string()));
     }
-    if a.io_log != b.io_log {
-        return Some((
-            DivergenceCategory::DeviceOutput,
-            "consumed device input logs differ".to_string(),
-        ));
+
+    #[test]
+    fn a_space_digest_outranks_its_clock() {
+        let b = SPACES.replace(
+            "vclock_ps=5 insn=0 digest=aa",
+            "vclock_ps=6 insn=0 digest=ab",
+        );
+        let want = "space / digest aa vs ab";
+        assert_eq!(classified(SPACES, &b), (PageContent, want.to_string()));
+        let b = SPACES.replace("insn=0 digest=bb", "insn=1 digest=bb");
+        let want = "space /0 insn 0 vs 1";
+        assert_eq!(classified(SPACES, &b), (StatDrift, want.to_string()));
     }
-    None
+
+    #[test]
+    fn a_space_in_one_replica_only_is_page_content() {
+        let b = SPACES.replace("space path=/0 vclock_ps=3 insn=0 digest=bb\n", "");
+        let (category, detail) = classified(SPACES, &b);
+        assert_eq!(category, PageContent);
+        assert!(detail.contains("space path=/0"), "{detail}");
+        let b = SPACES.replace("/0", "/1");
+        assert_eq!(classified(SPACES, &b).0, PageContent);
+    }
+
+    #[test]
+    fn an_event_count_defers_to_the_differing_event_under_it() {
+        let b = TRACE.replace(
+            "events=2\ne={\"k\":1}",
+            "events=3\ne={\"k\":1}\ne={\"k\":9}",
+        );
+        let want = "stream / event 1: {\"k\":2} vs {\"k\":9}";
+        assert_eq!(classified(TRACE, &b), (ScheduleTrace, want.to_string()));
+        let b = TRACE.replace(
+            "events=1\ne={\"k\":3}",
+            "events=2\ne={\"k\":3}\ne={\"k\":4}",
+        );
+        let want = "stream /0 events 1 vs 2";
+        assert_eq!(classified(TRACE, &b), (ScheduleTrace, want.to_string()));
+    }
+
+    #[test]
+    fn an_output_names_its_first_differing_byte() {
+        let a = "[outputs]\nConsoleOut=\"00112233\"\n[io]\nevents=[]\n";
+        let b = a.replace("2233", "2244");
+        let want = "device ConsoleOut output differs at byte 3";
+        assert_eq!(classified(a, &b), (DeviceOutput, want.to_string()));
+        let b = a.replace("33\"", "3344\"");
+        let want = "device ConsoleOut output differs at byte 4";
+        assert_eq!(classified(a, &b), (DeviceOutput, want.to_string()));
+        let b = a.replace("[io]", "Clock=\"01\"\n[io]");
+        assert_eq!(classified(a, &b).0, DeviceOutput);
+    }
 }

@@ -88,13 +88,12 @@ impl SpaceCtx {
         if self.shared.faults.is_empty() {
             return Ok(());
         }
-        let vclock_ps = self.st.as_deref().map_or(0, |s| s.vclock_ps);
         if self.path.is_none() {
             self.path = Some(self.cell.m.lock().k.path.clone());
         }
         let path = self.path.as_deref().expect("cached above");
         for &site in sites {
-            match self.shared.faults.probe(site, path, nth, vclock_ps) {
+            match self.shared.faults.probe(site, path, nth) {
                 None => {}
                 Some(FaultAction::KillKernel) => {
                     // Publish shutdown so every space observes the

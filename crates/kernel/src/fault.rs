@@ -76,10 +76,10 @@ pub enum FaultAction {
 }
 
 /// One armed fault: a site, an action, and deterministic trigger
-/// coordinates. An unset ordinal or virtual time matches anything; the
-/// path is always set, to the root's when no other is given, so a fault
-/// names one space and fires at most once, at the same coordinate in
-/// every run.
+/// coordinates. An unset ordinal matches any syscall; the path is
+/// always set, to the root's when no other is given, so a fault names
+/// one space and fires at most once, at the same coordinate in every
+/// run.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Fault {
     /// Injection site this fault arms.
@@ -92,9 +92,6 @@ pub struct Fault {
     /// Fire on the space's `n`-th syscall (0-based, counted per
     /// space).
     pub nth_syscall: Option<u64>,
-    /// Fire at the first probe where the space's virtual clock is at
-    /// least this many picoseconds.
-    pub vtime_ps: Option<u64>,
 }
 
 impl Fault {
@@ -107,7 +104,6 @@ impl Fault {
             action,
             path: "/".to_string(),
             nth_syscall: None,
-            vtime_ps: None,
         }
     }
 
@@ -123,19 +119,12 @@ impl Fault {
         self
     }
 
-    /// Restricts the fault to virtual time at or after `ps`
-    /// picoseconds.
-    pub fn at_vtime_ps(mut self, ps: u64) -> Fault {
-        self.vtime_ps = Some(ps);
-        self
-    }
-
     /// True if the probe coordinates satisfy this fault's trigger.
-    fn matches(&self, site: FaultSite, path: &str, nth: u64, vclock_ps: u64) -> bool {
+    fn matches(&self, site: FaultSite, path: &str, nth: u64) -> bool {
         self.site == site
             && self.path == path
+            // An unset ordinal matches any syscall.
             && self.nth_syscall.is_none_or(|n| n == nth)
-            && self.vtime_ps.is_none_or(|v| vclock_ps >= v)
     }
 }
 
@@ -184,13 +173,13 @@ impl FaultPlan {
     /// <action>@<site>[:<coord>[,<coord>...]]
     ///   action  kill | panic | fail
     ///   site    syscall | device | alloc
-    ///   coord   path=<lineage path> | n=<syscall ordinal> | vt=<picoseconds>
+    ///   coord   path=<lineage path> | n=<syscall ordinal>
     /// ```
     ///
     /// A spec without `path=` arms the root (`path=/`).
     ///
     /// Examples: `kill@syscall:path=/,n=12`, `fail@device:n=0`,
-    /// `panic@syscall:path=/3,vt=1000000`.
+    /// `panic@syscall:path=/3`.
     pub fn parse(spec: &str) -> std::result::Result<Fault, String> {
         let (action, rest) = spec
             .split_once('@')
@@ -228,13 +217,7 @@ impl FaultPlan {
                             .map_err(|_| format!("bad syscall ordinal `{val}`"))?,
                     )
                 }
-                "vt" => {
-                    fault.vtime_ps = Some(
-                        val.parse()
-                            .map_err(|_| format!("bad virtual time `{val}`"))?,
-                    )
-                }
-                other => return Err(format!("unknown fault coordinate `{other}` (path|n|vt)")),
+                other => return Err(format!("unknown fault coordinate `{other}` (path|n)")),
             }
         }
         Ok(fault)
@@ -272,15 +255,9 @@ impl ArmedFaults {
     /// own syscall ordinals, so whether a fault fires — and at which
     /// event — is a pure function of that space's coordinates, never of
     /// which space the host ran first.
-    pub(crate) fn probe(
-        &self,
-        site: FaultSite,
-        path: &str,
-        nth: u64,
-        vclock_ps: u64,
-    ) -> Option<FaultAction> {
+    pub(crate) fn probe(&self, site: FaultSite, path: &str, nth: u64) -> Option<FaultAction> {
         for (f, fired) in &self.faults {
-            if f.matches(site, path, nth, vclock_ps)
+            if f.matches(site, path, nth)
                 && fired
                     .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
                     .is_ok()
@@ -306,9 +283,7 @@ mod tests {
         let f = FaultPlan::parse("fail@device").unwrap();
         assert_eq!(f.action, FaultAction::FailOp);
         assert_eq!(f.site, FaultSite::Device);
-        assert!(f.path == "/" && f.nth_syscall.is_none() && f.vtime_ps.is_none());
-        let f = FaultPlan::parse("panic@syscall:vt=5000").unwrap();
-        assert_eq!(f.vtime_ps, Some(5000));
+        assert!(f.path == "/" && f.nth_syscall.is_none());
         assert!(FaultPlan::parse("boom@syscall").is_err());
         assert!(FaultPlan::parse("kill@clock").is_err());
         assert!(FaultPlan::parse("kill@syscall:n=x").is_err());
@@ -318,27 +293,14 @@ mod tests {
     #[test]
     fn probe_fires_once_at_matching_coordinates() {
         let armed = ArmedFaults::new(FaultPlan::kill_at_syscall(2));
-        assert_eq!(armed.probe(FaultSite::Syscall, "/", 0, 0), None);
-        assert_eq!(armed.probe(FaultSite::Syscall, "/3", 2, 0), None);
-        assert_eq!(armed.probe(FaultSite::Device, "/", 2, 0), None);
+        assert_eq!(armed.probe(FaultSite::Syscall, "/", 0), None);
+        assert_eq!(armed.probe(FaultSite::Syscall, "/3", 2), None);
+        assert_eq!(armed.probe(FaultSite::Device, "/", 2), None);
         assert_eq!(
-            armed.probe(FaultSite::Syscall, "/", 2, 0),
+            armed.probe(FaultSite::Syscall, "/", 2),
             Some(FaultAction::KillKernel)
         );
         // Latched: the same coordinates never fire twice.
-        assert_eq!(armed.probe(FaultSite::Syscall, "/", 2, 0), None);
-    }
-
-    #[test]
-    fn vtime_trigger_is_at_or_after() {
-        let armed = ArmedFaults::new(
-            FaultPlan::new()
-                .with(Fault::new(FaultSite::Syscall, FaultAction::FailOp).at_vtime_ps(100)),
-        );
-        assert_eq!(armed.probe(FaultSite::Syscall, "/", 0, 99), None);
-        assert_eq!(
-            armed.probe(FaultSite::Syscall, "/", 1, 100),
-            Some(FaultAction::FailOp)
-        );
+        assert_eq!(armed.probe(FaultSite::Syscall, "/", 2), None);
     }
 }

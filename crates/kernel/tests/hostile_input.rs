@@ -391,10 +391,8 @@ fn documented_fault_specs_parse() {
         Ok(Fault::new(FaultSite::Device, FaultAction::FailOp).at_syscall(0))
     );
     assert_eq!(
-        FaultPlan::parse("panic@syscall:path=/3,vt=1000000"),
-        Ok(Fault::new(FaultSite::Syscall, FaultAction::PanicVehicle)
-            .at_path("/3")
-            .at_vtime_ps(1_000_000))
+        FaultPlan::parse("panic@syscall:path=/3"),
+        Ok(Fault::new(FaultSite::Syscall, FaultAction::PanicVehicle).at_path("/3"))
     );
 }
 
@@ -409,6 +407,7 @@ fn malformed_fault_specs_are_errors() {
         "fail@device:n=18446744073709551616",
         "fail@device:n=-1",
         "fail@device:vt=1e3",
+        "panic@syscall:path=/3,vt=1000000",
         "kill@syscall:",
         "kill@syscall:,",
         "kill@syscall:path",

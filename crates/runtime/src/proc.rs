@@ -26,7 +26,7 @@
 //!   all that reconciliation reads.
 //!
 //! I/O protocol: a child needing console input appends nothing itself;
-//! it publishes its delta, `Ret`s with [`IoRequest::NeedInput`], and
+//! it publishes its delta, `Ret`s with code `RET_NEED_INPUT`, and
 //! its parent — inside `wait`/`waitpid` — reconciles, feeds any new
 //! input, and resumes it transparently.
 
@@ -56,16 +56,9 @@ pub enum ExitStatus {
     Trapped(TrapKind),
 }
 
-/// Why a child process returned control without exiting.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum IoRequest {
-    /// Needs console input.
-    NeedInput,
-    /// Requests an immediate output flush (`fsync`).
-    Flush,
-}
-
-const RET_EXIT_BASE: u64 = 0x100;
+/// Why a child process returned control without exiting: its `Ret`
+/// code asks for console input or for an immediate output flush
+/// (`fsync`).
 const RET_NEED_INPUT: u64 = 1;
 const RET_FLUSH: u64 = 2;
 
@@ -531,8 +524,6 @@ impl<'a> Proc<'a> {
                         RET_NEED_INPUT => self.feed_child_input()?,
                         RET_FLUSH if self.ctx.is_root() => self.flush_console()?,
                         // Non-root flush: our own later sync propagates.
-                        RET_FLUSH => {}
-                        other if other >= RET_EXIT_BASE => {}
                         _ => {}
                     }
                     // Hand the child its updated replica, resume it,
