@@ -288,10 +288,10 @@ fn field_detail(x: &str, y: &str) -> Option<String> {
     let j = tx.iter().zip(&ty).position(|(p, q)| p != q)?;
     // A space's digest outranks its clocks: it makes the line page content.
     let j = match tx.len() - 1 {
-        last if tx[0] == "space" && j >= 2 && tx[last] != ty[last] => last,
+        last if tx[0] == "space" && j >= 2 && tx.last() != ty.get(last) => last,
         _ => j,
     };
-    let ((k, a), (kb, b)) = (tx[j].split_once('=')?, ty[j].split_once('=')?);
+    let ((k, a), (kb, b)) = (tx[j].split_once('=')?, ty.get(j)?.split_once('=')?);
     let path = tx.get(1)?.strip_prefix("path=")?;
     let at = match tx[0] {
         "page" if j == 3 => format!("space {path} page {}", tx[2]),
