@@ -206,7 +206,8 @@ pub struct Footprint {
     /// Pages the program may write.
     pub writes: PageSet,
     /// Transfer applications performed — the deterministic work
-    /// measure the kernel charges (`analyze_step_ps`).
+    /// measure a caller prices the analysis by (`vm_prefetch` declares
+    /// 50 ns per step).
     pub steps: u64,
 }
 

@@ -12,11 +12,15 @@
 //!    footprints share no page, forking both from one parent, running
 //!    them, and merging them back must produce **zero merge conflicts
 //!    under both [`ConflictPolicy`] variants**.
+//!
+//! A third property takes raw bytes instead of assembled source: the
+//! analysis of any image terminates, and a bounded run of the same
+//! bytes stays inside what it predicts.
 
 use det_analyze::footprint::{AnalyzeConfig, Segment, analyze};
 use det_analyze::gate::check_program;
 use det_memory::{AddressSpace, ConflictPolicy, Perm, Region};
-use det_vm::{Cpu, PageLog, VmExit, assemble};
+use det_vm::{Cpu, Opcode, PageLog, VmExit, assemble};
 use proptest::prelude::*;
 
 const BUDGET: u64 = 200_000;
@@ -284,4 +288,59 @@ fn predictions_are_what_they_were_at_2e1b868() {
     }
     assert_eq!(predicted.lines().count(), 64);
     assert_eq!(predicted, FOOTPRINT_GOLDEN);
+}
+
+/// A VM image of raw bytes. `ops` overwrites the opcode byte of seven
+/// words in eight with a defined opcode, so the interpreter and the
+/// analyzer get past the first fetch more often than noise alone
+/// would let them.
+fn hostile_image(mut bytes: Vec<u8>, ops: &[(u8, usize)]) -> Vec<u8> {
+    for (word, &(keep, op)) in bytes.chunks_exact_mut(4).zip(ops) {
+        if keep != 0 {
+            word[3] = Opcode::ALL[op % Opcode::ALL.len()] as u8;
+        }
+    }
+    bytes
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(200))]
+
+    /// The analysis of arbitrary image bytes — not assembled source —
+    /// terminates with a footprint, and a bounded concrete run of the
+    /// same bytes stays inside it.
+    #[test]
+    fn arbitrary_image_bytes_analyze_soundly(
+        bytes in proptest::collection::vec(any::<u8>(), 1..513),
+        ops in proptest::collection::vec((0u8..8, any::<usize>()), 128),
+    ) {
+        let image = hostile_image(bytes, &ops);
+        let fp = analyze(&[Segment { base: 0, bytes: &image }], 0, &AnalyzeConfig::default())
+            .footprint;
+
+        let mut mem = AddressSpace::new();
+        mem.map_zero(Region::new(0, 0x10000), Perm::RW).unwrap();
+        mem.write(0, &image).unwrap();
+        let mut log = PageLog::new();
+        let mut cpu = Cpu::new();
+        // Like the gate: resume across `sys` exits with the registers
+        // untouched.
+        while cpu.insn_count < 20_000 {
+            match cpu.run_observed(&mut mem, Some(20_000 - cpu.insn_count), &mut log) {
+                VmExit::Sys(_) => continue,
+                _ => break,
+            }
+        }
+        for p in log.pages_written() {
+            prop_assert!(fp.writes.contains(p), "wrote page {p:#x} outside {}", fp.writes);
+        }
+        for p in log.pages_read() {
+            prop_assert!(
+                fp.reads.contains(p) || fp.writes.contains(p),
+                "read page {p:#x} outside {} / {}",
+                fp.reads,
+                fp.writes
+            );
+        }
+    }
 }

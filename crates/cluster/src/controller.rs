@@ -207,19 +207,6 @@ impl JobSpec {
         self.touch = Some(regions);
         self
     }
-
-    /// Declares the job's access set from a static analysis result
-    /// (DESIGN.md §11): a bounded footprint becomes a prefetch hint —
-    /// exactly the pages the analyzer proved sufficient — while an
-    /// unbounded one leaves the spec unhinted (pull everything the
-    /// region summarizes). Soundness of the analysis is what makes
-    /// this safe: the hint can never exclude a page the job touches.
-    pub fn touch_footprint(self, fp: &det_kernel::Footprint) -> JobSpec {
-        match fp.touch_regions() {
-            Some(regions) => self.touch(regions),
-            None => self,
-        }
-    }
 }
 
 /// Result of joining a migrated job.

@@ -146,12 +146,22 @@ pub fn hex_context(bytes: &[u8], offset: usize) -> String {
     s
 }
 
-/// Truncates a rendered line for report text.
-fn brief(line: &str) -> String {
-    match line.char_indices().nth(96) {
-        Some((i, _)) => format!("{}…", &line[..i]),
-        None => line.to_string(),
-    }
+/// Cuts two differing rendered lines for report text: the same window
+/// of each, up to 96 characters from 32 before their first differing
+/// character, so a difference deep in a long line still shows. An
+/// elided head or tail is marked `…`.
+fn briefs(x: &str, y: &str) -> (String, String) {
+    const WIDTH: usize = 96;
+    let at = x.chars().zip(y.chars()).take_while(|(p, q)| p == q).count();
+    let from = at.saturating_sub(32);
+    let cut = |line: &str| {
+        let mut rest = line.chars().skip(from);
+        let window: String = rest.by_ref().take(WIDTH).collect();
+        let head = if from > 0 { "…" } else { "" };
+        let tail = if rest.next().is_some() { "…" } else { "" };
+        format!("{head}{window}{tail}")
+    };
+    (cut(x), cut(y))
 }
 
 /// The bundle's sections in diagnostic order, each with the category a
@@ -237,8 +247,10 @@ fn locate(
         }
         _ => None,
     };
-    let line = |l: Option<&str>| brief(l.unwrap_or("(no line)"));
-    let detail = detail.unwrap_or_else(|| format!("{name} {} vs {}", line(x), line(y)));
+    let detail = detail.unwrap_or_else(|| {
+        let (x, y) = briefs(x.unwrap_or("(no line)"), y.unwrap_or("(no line)"));
+        format!("{name} {x} vs {y}")
+    });
     (category, detail)
 }
 
@@ -272,11 +284,8 @@ fn event_detail(la: &[&str], i: usize, x: &str, y: &str) -> Option<String> {
     let head = la[..i].iter().rposition(|l| l.starts_with("stream "))?;
     let path = la[head].split(' ').nth(1)?.strip_prefix("path=")?;
     let event = i - head - 1;
-    Some(format!(
-        "stream {path} event {event}: {} vs {}",
-        brief(x),
-        brief(y)
-    ))
+    let (x, y) = briefs(x, y);
+    Some(format!("stream {path} event {event}: {x} vs {y}"))
 }
 
 /// Names two `space`, `page` or `stream` lines of one path by their
@@ -326,6 +335,25 @@ mod tests {
     const TRACE: &str = "[meta]\nscenario=s\n[trace]\n\
         stream path=/ events=2\ne={\"k\":1}\ne={\"k\":2}\n\
         stream path=/0 events=1\ne={\"k\":3}\n";
+
+    /// Two events that differ at character 300 show where: each side
+    /// is cut to the same window around the difference, on character
+    /// boundaries (the shared prefix is two-byte `é`s).
+    #[test]
+    fn a_late_difference_shows_in_the_window() {
+        let (head, tail) = ("é".repeat(300), "z".repeat(200));
+        let (x, y) = (format!("{head}a{tail}"), format!("{head}b{tail}"));
+        let (wx, wy) = briefs(&x, &y);
+        let window = |c| format!("…{}{c}{}…", "é".repeat(32), "z".repeat(63));
+        assert_eq!((wx, wy), (window('a'), window('b')));
+
+        let b = TRACE.replace("e={\"k\":2}", &format!("e={{\"k\":2,\"v\":\"{y}\"}}"));
+        let a = TRACE.replace("e={\"k\":2}", &format!("e={{\"k\":2,\"v\":\"{x}\"}}"));
+        let (category, detail) = classified(&a, &b);
+        assert_eq!(category, ScheduleTrace);
+        assert!(detail.starts_with("stream / event 1: …"), "{detail}");
+        assert!(detail.contains("éa") && detail.contains("éb"), "{detail}");
+    }
 
     #[test]
     fn a_space_line_defers_to_the_differing_page_under_it() {

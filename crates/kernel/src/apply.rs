@@ -1198,6 +1198,29 @@ mod tests {
         }
     }
 
+    /// The kernel links no analyzer: a program that wants a footprint
+    /// runs det-analyze itself and declares the price (DESIGN.md §11).
+    /// det-analyze stays a dev-dependency, for the lint call above.
+    #[test]
+    fn the_kernel_links_no_analyzer() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.toml");
+        let manifest = std::fs::read_to_string(path).expect("det-kernel's manifest");
+        let deps: Vec<&str> = manifest
+            .lines()
+            .skip_while(|l| l.trim() != "[dependencies]")
+            .skip(1)
+            .take_while(|l| !l.trim_start().starts_with('['))
+            .collect();
+        assert!(!deps.is_empty(), "no [dependencies] table in {path}");
+        assert!(
+            !deps
+                .iter()
+                .any(|l| l.trim_start().starts_with("det-analyze")),
+            "det-kernel's [dependencies] name det-analyze:\n{}",
+            deps.join("\n")
+        );
+    }
+
     /// One kernel source as the one-writer tests read it: scanned the
     /// way `det_analyze::lint` scans (comments stripped, stopping at the
     /// `#[cfg(test)]` tail), with whitespace squeezed out so a write

@@ -52,7 +52,7 @@ use crate::state::KState;
 use crate::trace::{ReplayOutcome, Trace, fold, outcome_of};
 
 /// The checkpoint bundle format this build writes and reads.
-pub const CHECKPOINT_FORMAT_VERSION: u32 = 8;
+pub const CHECKPOINT_FORMAT_VERSION: u32 = 9;
 
 const MAGIC: &str = "detckpt";
 
@@ -351,8 +351,9 @@ mod tests {
         let bytes = Checkpoint::capture(&empty_trace(crate::cost::tests::zero()), 0)
             .unwrap()
             .to_bytes();
-        // The previous format (a kernel-wide merge policy in the state).
-        let (current, previous) = (CHECKPOINT_FORMAT_VERSION, 7);
+        // The previous format (the state's cost model still priced an
+        // analysis step).
+        let (current, previous) = (CHECKPOINT_FORMAT_VERSION, 8);
         let header = format!("detckpt {current} ");
         assert!(bytes.starts_with(header.as_bytes()));
         let stale = [
@@ -384,7 +385,7 @@ mod tests {
         ));
     }
 
-    /// The format-8 bytes are pinned, as the wire delta's are
+    /// The format-9 bytes are pinned, as the wire delta's are
     /// (`wire::tests::wire_bytes_are_pinned`): the payload is derived
     /// from every type under `KState`, so a renamed or reordered field
     /// anywhere there changes these bytes, and must bump
@@ -397,7 +398,7 @@ mod tests {
         let bytes = Checkpoint::capture(&trace, boundary).unwrap().to_bytes();
         assert_eq!(
             (boundary, bytes.len(), fnv1a64(&bytes)),
-            (13, 23_011, 0x41c2_1459_0128_3171),
+            (13, 22_991, 0x1e4b_56e9_fd3e_6584),
             "checkpoint bytes moved"
         );
     }

@@ -76,13 +76,6 @@ pub struct CostModel {
     /// operation). Charged *in addition to* `vm_insn_ps` for the
     /// instruction that missed, mirroring a hardware TLB miss.
     pub vm_tlb_fill_ps: u64,
-    /// Cost per abstract-interpretation step of the static footprint
-    /// analyzer (`det-analyze`). The kernel charges
-    /// `analyze_step_ps × steps` when a program asks for a footprint
-    /// (the prefetch-hint path), where `steps` is the analyzer's
-    /// deterministic transfer count — so the hint's cost, like
-    /// everything else, is host-invariant virtual time.
-    pub analyze_step_ps: u64,
     /// Per-dirty-leaf cost of a checkpoint mark: persisting one
     /// page-table leaf's worth of dirty-delta state. The `Checkpoint`
     /// syscall charges this per leaf holding dirty pages, so a mark
@@ -120,7 +113,6 @@ impl CostModel {
             byte_copy_ps: 300,
             vm_insn_ps: 1_000,
             vm_tlb_fill_ps: 20_000,
-            analyze_step_ps: 50_000,
             checkpoint_leaf_ps: 300_000,
         }
     }
@@ -143,12 +135,6 @@ impl CostModel {
     pub fn copy_cost_ps(&self, stats: &det_memory::CloneStats) -> u64 {
         self.clone_cost_ps(stats.leaves_shared)
             .saturating_add(self.map_cost_ps(stats.boundary_pages))
-    }
-
-    /// Cost of statically analyzing a program for `steps` abstract
-    /// transfer applications (see [`CostModel::analyze_step_ps`]).
-    pub fn analyze_cost_ps(&self, steps: u64) -> u64 {
-        self.analyze_step_ps.saturating_mul(steps)
     }
 
     /// Cost of a checkpoint mark persisting `leaves` dirty page-table
@@ -213,7 +199,6 @@ pub(crate) mod tests {
             byte_copy_ps: 0,
             vm_insn_ps: 1_000,
             vm_tlb_fill_ps: 0,
-            analyze_step_ps: 0,
             checkpoint_leaf_ps: 0,
         }
     }
@@ -233,7 +218,6 @@ pub(crate) mod tests {
             byte_copy_ps: 3,
             vm_insn_ps: 1,
             vm_tlb_fill_ps: 7,
-            analyze_step_ps: 13,
             checkpoint_leaf_ps: 11,
         };
         let stats = MergeStats {

@@ -610,71 +610,6 @@ impl SpaceCtx {
         }
         Ok(leaves)
     }
-
-    /// Statically analyzes the VM program image at `[base, base+len)`
-    /// in this space's memory and returns its sound page footprint
-    /// (DESIGN.md §11).
-    ///
-    /// The footprint is a pure, deterministic function of the image
-    /// bytes, so no trace event is needed: replay recomputes nothing
-    /// and the charge below rides in the next cut entry's
-    /// `advance_ps` like any other compute charge. The cost is the
-    /// syscall constant plus `analyze_step_ps` per abstract transfer
-    /// step — the analyzer's own deterministic work measure — so
-    /// asking for a prefetch hint has a host-invariant price.
-    pub fn analyze_footprint(&mut self, base: u64, len: u64) -> Result<det_analyze::Footprint> {
-        let regs = det_vm::Regs {
-            pc: base,
-            ..Default::default()
-        };
-        self.analyze_footprint_from(base, len, &regs)
-    }
-
-    /// Like [`SpaceCtx::analyze_footprint`], but seeds the abstract
-    /// interpreter with the concrete entry registers in `regs` (entry
-    /// pc = `regs.pc`). Resolving data pointers the caller passes in
-    /// registers — a per-node slot base, say — turns an otherwise
-    /// unbounded footprint into the tight per-job page set that
-    /// cluster leaf-pull migration wants as a prefetch hint.
-    pub fn analyze_footprint_from(
-        &mut self,
-        base: u64,
-        len: u64,
-        regs: &det_vm::Regs,
-    ) -> Result<det_analyze::Footprint> {
-        self.fault_gate(&[FaultSite::Syscall])?;
-        // The length is the caller's word: bound it by what the space
-        // maps before allocating for it. A readable range can be no
-        // longer than that, so nothing valid is refused, and `read`
-        // below still faults on the first unmapped page inside it.
-        let mem = &self.st().mem;
-        let image_len = match usize::try_from(len) {
-            Ok(n) if n > 0 && len <= mem.mapped_bytes() && base.checked_add(len).is_some() => n,
-            _ => {
-                return Err(KernelError::InvalidSpec(
-                    "analysis image is empty or exceeds the mapped space",
-                ));
-            }
-        };
-        let mut image = vec![0u8; image_len];
-        mem.read(base, &mut image)?;
-        let init = std::array::from_fn(|i| det_analyze::Val::exact_u64(regs.gpr[i]));
-        let analysis = det_analyze::analyze_with_regs(
-            &[det_analyze::Segment {
-                base,
-                bytes: &image,
-            }],
-            regs.pc,
-            &init,
-        );
-        let ps = self
-            .shared
-            .costs
-            .syscall_ps
-            .saturating_add(self.shared.costs.analyze_cost_ps(analysis.footprint.steps));
-        self.charge_ps(ps)?;
-        Ok(analysis.footprint)
-    }
 }
 
 /// Deep-copies the state of `src` (and recursively its descendants)

@@ -1,8 +1,8 @@
 //! Deterministic fault injection.
 //!
 //! A [`FaultPlan`] arms the kernel with faults that fire at
-//! *deterministic* coordinates — a space's lineage path, its per-space
-//! syscall ordinal, its virtual clock — never wall-clock time or host
+//! *deterministic* coordinates — a space's lineage path and its
+//! per-space syscall ordinal — never wall-clock time or host
 //! scheduling. Two runs of the same program under the same plan fault
 //! at the identical kernel-mediated event, which is what makes faulted
 //! runs replayable and crash-recovery conformance-checkable

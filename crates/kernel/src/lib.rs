@@ -107,7 +107,6 @@ pub use syscall::{CopySpec, GetResult, GetSpec, PutResult, PutSpec, StartSpec, S
 pub use trace::{ReplayOutcome, SpaceArtifact, Trace, TraceMeta, TraceSink};
 
 // Re-export the substrate types the kernel API exposes.
-pub use det_analyze::{Footprint, PageSet};
 pub use det_memory::{
     AddressSpace, ConflictPolicy, MemError, MergeConflict, MergeStats, Perm, Region,
 };

@@ -295,7 +295,7 @@ pub(crate) fn outcome_of(ks: KState, require_exit: bool) -> Result<ReplayOutcome
 /// The trace text format this build writes and reads: the derived
 /// encodings of [`TraceMeta`] and [`TraceEvent`] (each type's mapping
 /// lives with its definition). Bump it when any of them changes shape.
-const TRACE_FORMAT_VERSION: u32 = 4;
+const TRACE_FORMAT_VERSION: u32 = 5;
 
 // Written by hand for the version gate: a trace from another format
 // must fail here, before any event is interpreted.
@@ -418,6 +418,7 @@ mod tests {
             MemError::Misaligned { addr: 3 },
             MemError::Conflict { addr: 4 },
             MemError::AddressOverflow,
+            MemError::RangeTooLarge { pages: 5 },
         ];
         let mut all: Vec<TrapKind> = mem.into_iter().map(TrapKind::Mem).collect();
         all.extend([
@@ -661,6 +662,21 @@ mod tests {
             spurious_wakeups: 36,
             os_threads_created: 37,
         });
+        roundtrip(&CostModel {
+            syscall_ps: 41,
+            spawn_ps: 42,
+            resume_ps: 43,
+            rendezvous_ps: 44,
+            page_map_ps: 45,
+            space_clone_ps: 46,
+            page_scan_ps: 47,
+            word_compare_ps: 48,
+            byte_compare_ps: 49,
+            byte_copy_ps: 50,
+            vm_insn_ps: 51,
+            vm_tlb_fill_ps: 52,
+            checkpoint_leaf_ps: 53,
+        });
     }
 
     #[test]
@@ -669,7 +685,8 @@ mod tests {
         let current = format!("{{\"version\":{TRACE_FORMAT_VERSION},");
         assert!(json.starts_with(&current));
         assert!(Trace::from_json(&json).is_ok());
-        // The previous format (its `meta` still named a merge policy).
+        // The previous format (its `meta.costs` still priced an
+        // analysis step).
         let previous = format!("{{\"version\":{},", TRACE_FORMAT_VERSION - 1);
         let stale = json.replacen(&current, &previous, 1);
         assert!(Trace::from_json(&stale).is_err());

@@ -1682,36 +1682,6 @@ fn lone_region_barrier_loop_resumes_from_a_checkpoint_on_the_same_clock() {
     assert_eq!(resumed.spaces, live.spaces);
 }
 
-#[test]
-fn analyze_footprint_predicts_and_charges_deterministically() {
-    let image = det_vm::assemble(det_vm::corpus::FFT_KERNEL).unwrap();
-    let len = image.bytes.len() as u64;
-    let run_once = || {
-        let img = image.bytes.clone();
-        kernel().run(move |ctx| {
-            ctx.mem_mut().map_zero(Region::new(0, 0x10000), Perm::RW)?;
-            ctx.mem_mut().write(0, &img)?;
-            let before_ps = ctx.vclock_ps();
-            let fp = ctx.analyze_footprint(0, len)?;
-            let charged = ctx.vclock_ps() - before_ps;
-            // The fft kernel marches two pointers over one data page:
-            // the analysis recovers exactly page 8.
-            assert_eq!(fp.writes, det_kernel::PageSet::Ranges(vec![(8, 8)]));
-            assert!(!fp.reads.is_unbounded());
-            // The charge is the fused syscall + per-step cost, priced
-            // by the analyzer's own deterministic step count.
-            let costs = det_kernel::CostModel::calibrated();
-            assert_eq!(charged, costs.syscall_ps + costs.analyze_cost_ps(fp.steps));
-            assert!(fp.steps > 0);
-            Ok(fp.steps as i32)
-        })
-    };
-    let a = run_once();
-    let b = run_once();
-    assert_eq!(a.exit, b.exit, "analysis step count must be deterministic");
-    assert_eq!(a.vclock_ns, b.vclock_ns);
-}
-
 // ---------------------------------------------------------------------------
 // Tables 1–2 from first principles: the option order of `Put` and `Get`
 // and who pays for what, one row per rule. None of these goes through a

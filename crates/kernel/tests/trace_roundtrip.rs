@@ -599,7 +599,7 @@ fn render(
 #[test]
 fn trace_recorded_at_f920a0f_encodes_to_its_own_bytes() {
     let golden = include_str!("golden/tables_f920a0f.trace.json");
-    let trace = Trace::from_json(golden).expect("a version-4 trace parses");
+    let trace = Trace::from_json(golden).expect("a version-5 trace parses");
     assert!(trace.to_json() == golden, "the re-encoded trace differs");
 }
 
@@ -612,7 +612,7 @@ fn trace_recorded_at_f920a0f_encodes_to_its_own_bytes() {
 fn trace_recorded_at_f920a0f_replays_to_the_same_outcome() {
     let golden = include_str!("golden/tables_f920a0f.outcome.txt");
     let trace = Trace::from_json(include_str!("golden/tables_f920a0f.trace.json"))
-        .expect("a version-4 trace parses");
+        .expect("a version-5 trace parses");
     let rep = trace.replay().expect("the recorded trace replays");
     assert_eq!(
         render(

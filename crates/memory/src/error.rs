@@ -39,6 +39,12 @@ pub enum MemError {
     },
     /// An address computation overflowed the 64-bit space.
     AddressOverflow,
+    /// A range operation spanned more than
+    /// [`MAX_RANGE_PAGES`](crate::MAX_RANGE_PAGES) pages.
+    RangeTooLarge {
+        /// The pages the range spans.
+        pages: u64,
+    },
 }
 
 impl std::fmt::Display for MemError {
@@ -53,6 +59,9 @@ impl std::fmt::Display for MemError {
                 write!(f, "write/write merge conflict at {addr:#x}")
             }
             MemError::AddressOverflow => write!(f, "address computation overflowed"),
+            MemError::RangeTooLarge { pages } => {
+                write!(f, "range of {pages} pages exceeds the range-operation cap")
+            }
         }
     }
 }

@@ -96,7 +96,9 @@ pub use page::{Frame, PAGE_SHIFT, PAGE_SIZE};
 pub use perm::Perm;
 pub use pin::{Pinned, Translation, Window};
 pub use region::Region;
-pub use space::{AddressSpace, CloneStats, PAGES_PER_LEAF, PageInfo, SUBLEAF_SHARE_MIN_PAGES};
+pub use space::{
+    AddressSpace, CloneStats, MAX_RANGE_PAGES, PAGES_PER_LEAF, PageInfo, SUBLEAF_SHARE_MIN_PAGES,
+};
 
 /// Result alias for memory operations.
 pub type Result<T> = std::result::Result<T, MemError>;

@@ -39,6 +39,16 @@ pub(crate) const LEAF_WORDS: usize = PAGES_PER_LEAF / 64;
 /// mailbox copy never drags a 512-entry leaf around.
 pub const SUBLEAF_SHARE_MIN_PAGES: u32 = 11;
 
+/// The most pages one range operation (`map_zero`,
+/// `map_zero_if_unmapped`, `unmap`, `set_perm`, `copy_from`) may span:
+/// 4 GiB, sixteen times the runtime's shared region (65 536 pages).
+/// A region is an argument a program or a
+/// decoded trace supplies, and every range operation walks it one leaf
+/// at a time, so without a bound a forged end near 2^47 keeps the walk
+/// busy for tens of millions of leaves. A longer range is refused with
+/// [`MemError::RangeTooLarge`] before anything changes.
+pub const MAX_RANGE_PAGES: u64 = 1 << 20;
+
 /// The bits of word `w` of a per-leaf bitmap whose page index lies in
 /// `lo..=hi`.
 #[inline]
@@ -185,6 +195,16 @@ impl Chunk {
 /// The first and last vpn of the pages a non-empty `r` touches.
 fn vpn_span(r: Region) -> Option<(u64, u64)> {
     (!r.is_empty()).then(|| (vpn_of(r.start), vpn_of(r.end - 1)))
+}
+
+/// The check every range mutator makes before it walks `r`: both ends
+/// page-aligned, and no more than [`MAX_RANGE_PAGES`] pages between.
+fn check_range(r: Region) -> Result<()> {
+    r.check_page_aligned()?;
+    match r.page_count() {
+        pages if pages > MAX_RANGE_PAGES => Err(MemError::RangeTooLarge { pages }),
+        _ => Ok(()),
+    }
 }
 
 /// The pages `r` touches as one [`Chunk`] per page-table leaf they
@@ -515,7 +535,7 @@ impl AddressSpace {
     /// prebuilt zero leaf per call (O(1) per 512 pages after the
     /// first). The region must be page-aligned.
     pub fn map_zero(&mut self, region: Region, perm: Perm) -> Result<()> {
-        region.check_page_aligned()?;
+        check_range(region)?;
         if region.is_empty() {
             return Ok(());
         }
@@ -562,7 +582,7 @@ impl AddressSpace {
     /// rendezvous that re-stages an image does not spuriously
     /// invalidate the VM's cached translations.
     pub fn map_zero_if_unmapped(&mut self, region: Region, perm: Perm) -> Result<usize> {
-        region.check_page_aligned()?;
+        check_range(region)?;
         let zero = zero_frame();
         let mut added = 0;
         for c in leaf_chunks(region) {
@@ -595,7 +615,7 @@ impl AddressSpace {
     /// Spans covering whole leaves drop the leaf in O(1) (no
     /// copy-on-write clone of a shared leaf just to empty it).
     pub fn unmap(&mut self, region: Region) -> Result<()> {
-        region.check_page_aligned()?;
+        check_range(region)?;
         let mut changed = false;
         for c in leaf_chunks(region) {
             if c.whole() {
@@ -617,7 +637,7 @@ impl AddressSpace {
     /// Sets permissions on every mapped page in the page-aligned
     /// `region`; unmapped pages in the range are skipped.
     pub fn set_perm(&mut self, region: Region, perm: Perm) -> Result<()> {
-        region.check_page_aligned()?;
+        check_range(region)?;
         let mut changed = false;
         for c in leaf_chunks(region) {
             let Ok(pos) = self.leaf_pos(c.base) else {
@@ -693,7 +713,7 @@ impl AddressSpace {
         src_region: Region,
         dst_start: u64,
     ) -> Result<CloneStats> {
-        src_region.check_page_aligned()?;
+        check_range(src_region)?;
         if dst_start & (PAGE_SIZE as u64 - 1) != 0 {
             return Err(MemError::Misaligned { addr: dst_start });
         }
@@ -1298,6 +1318,40 @@ pub(crate) mod tests {
         let mut s = AddressSpace::new();
         s.map_zero(Region::sized(start, len), Perm::RW).unwrap();
         s
+    }
+
+    /// Every range mutator admits a range of exactly
+    /// `MAX_RANGE_PAGES` pages and refuses one page more, before it
+    /// changes anything.
+    #[test]
+    fn range_mutators_refuse_past_the_page_cap() {
+        let at_cap = Region::sized(0x1000, MAX_RANGE_PAGES << PAGE_SHIFT);
+        let over = Region::sized(0x1000, (MAX_RANGE_PAGES + 1) << PAGE_SHIFT);
+        let refused = Err(MemError::RangeTooLarge {
+            pages: MAX_RANGE_PAGES + 1,
+        });
+        let mut s = rw_space(0x1000, 0x1000);
+        let src = s.clone();
+        let generation = s.generation();
+        assert_eq!(s.map_zero(over, Perm::RW), refused);
+        assert_eq!(s.map_zero_if_unmapped(over, Perm::RW), refused.map(|()| 0));
+        assert_eq!(s.unmap(over), refused);
+        assert_eq!(s.set_perm(over, Perm::R), refused);
+        assert_eq!(
+            s.copy_from(&src, over, 0x1000),
+            refused.map(|()| CloneStats::default())
+        );
+        assert_eq!((s.generation(), s.page_count()), (generation, 1));
+
+        s.map_zero(at_cap, Perm::RW).unwrap();
+        assert_eq!(s.page_count() as u64, MAX_RANGE_PAGES);
+        s.set_perm(at_cap, Perm::R).unwrap();
+        s.copy_from(&src, at_cap, 0x1000).unwrap();
+        s.unmap(at_cap).unwrap();
+        assert_eq!(
+            s.map_zero_if_unmapped(at_cap, Perm::RW),
+            Ok(MAX_RANGE_PAGES as usize)
+        );
     }
 
     #[test]

@@ -71,8 +71,6 @@ pub fn baseline_costs() -> CostModel {
         // Hardware TLB: misses are absorbed into the per-instruction
         // rate, as they are for native pthreads code.
         vm_tlb_fill_ps: 0,
-        // Conventional threads don't run the static analyzer.
-        analyze_step_ps: 0,
         // Conventional threads don't checkpoint; the baseline never
         // issues the syscall, so the per-leaf rate is moot.
         checkpoint_leaf_ps: 0,

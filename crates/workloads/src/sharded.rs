@@ -311,16 +311,24 @@ pub fn dsched_counter(cfg: ShardedConfig) -> ShardedResult {
 /// instruction count, like `Program::Vm` children do).
 const NS_PER_VM_INSN: u64 = 2;
 
+/// Declared virtual nanoseconds for computing one job's prefetch hint:
+/// a fixed part plus a part per abstract transfer step of the analysis.
+/// They are the price the kernel's analysis syscall charged before the
+/// analysis moved here (`syscall_ps + analyze_step_ps × steps` at the
+/// calibrated costs), so no clock moved with it.
+const HINT_NS: u64 = 500;
+const HINT_NS_PER_STEP: u64 = 50;
+
 /// Leaf granularity of the migration protocol, in bytes.
 const LEAF_BYTES: u64 = (det_memory::PAGES_PER_LEAF as u64) << det_memory::PAGE_SHIFT;
 
 /// One slot leaf per node plus a code leaf, with a VM kernel that
 /// marches a pointer over its own node's slot only. With `hint` set,
-/// the root asks [`SpaceCtx::analyze_footprint_from`] for each job's
-/// sound page footprint — the entry registers resolve the slot
-/// pointer — and attaches it via `JobSpec::touch_footprint`, so
-/// migration pulls just the code leaf and the job's own slot leaf
-/// instead of every leaf the shared region summarizes. The checksum
+/// the root analyzes the image it assembled for each job's sound page
+/// footprint — the entry registers resolve the slot pointer — and
+/// declares it via [`JobSpec::touch`], so migration pulls just the code
+/// leaf and the job's own slot leaf instead of every leaf the shared
+/// region summarizes. The checksum
 /// and console bytes must be identical with the hint on or off: a
 /// sound hint may change traffic, never results.
 pub fn vm_prefetch(cfg: ShardedConfig, hint: bool) -> ShardedResult {
@@ -349,7 +357,6 @@ pub fn vm_prefetch(cfg: ShardedConfig, hint: bool) -> ShardedResult {
         "
     ))
     .expect("prefetch VM kernel assembles");
-    let image_len = image.bytes.len() as u64;
     let outcome = cfg.spec().run(move |ctx, net| {
         ctx.mem_mut()
             .map_zero(Region::new(code_base, code_base + 0x1000), Perm::RW)?;
@@ -375,14 +382,18 @@ pub fn vm_prefetch(cfg: ShardedConfig, hint: bool) -> ShardedResult {
                 Ok(0)
             });
             if hint {
-                let mut regs = Regs::at_entry(code_base);
-                regs.gpr[2] = slot;
-                let fp = ctx.analyze_footprint_from(code_base, image_len, &regs)?;
-                assert!(
-                    fp.touch_regions().is_some(),
-                    "prefetch kernel's footprint must stay bounded"
-                );
-                spec = spec.touch_footprint(&fp);
+                let mut init = [det_analyze::Val::exact(0); 16];
+                init[2] = det_analyze::Val::exact_u64(slot);
+                let segment = det_analyze::Segment {
+                    base: code_base,
+                    bytes: &image.bytes,
+                };
+                let fp = det_analyze::analyze_with_regs(&[segment], code_base, &init).footprint;
+                ctx.charge(HINT_NS + HINT_NS_PER_STEP * fp.steps)?;
+                let regions = fp
+                    .touch_regions()
+                    .expect("prefetch kernel's footprint must stay bounded");
+                spec = spec.touch(regions);
             }
             net.fork(ctx, n as u64, n, spec)?;
         }
