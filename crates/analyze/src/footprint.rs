@@ -206,8 +206,7 @@ pub struct Footprint {
     /// Pages the program may write.
     pub writes: PageSet,
     /// Transfer applications performed — the deterministic work
-    /// measure a caller prices the analysis by (`vm_prefetch` declares
-    /// 50 ns per step).
+    /// measure a caller prices the analysis by.
     pub steps: u64,
 }
 
