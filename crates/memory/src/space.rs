@@ -42,10 +42,10 @@ pub const SUBLEAF_SHARE_MIN_PAGES: u32 = 11;
 /// The most pages one range operation (`map_zero`,
 /// `map_zero_if_unmapped`, `unmap`, `set_perm`, `copy_from`) may span:
 /// 4 GiB, sixteen times the runtime's shared region (65 536 pages).
-/// A region is an argument a program or a
-/// decoded trace supplies, and every range operation walks it one leaf
-/// at a time, so without a bound a forged end near 2^47 keeps the walk
-/// busy for tens of millions of leaves. A longer range is refused with
+/// A region is an argument a program or a decoded trace supplies, and
+/// every range operation walks it one leaf at a time, so without a
+/// bound a forged end near 2^47 keeps the walk busy for tens of
+/// millions of leaves. A longer range is refused with
 /// [`MemError::RangeTooLarge`] before anything changes.
 pub const MAX_RANGE_PAGES: u64 = 1 << 20;
 
