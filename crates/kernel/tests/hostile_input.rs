@@ -209,9 +209,12 @@ fn field_mut<'a>(v: &'a mut Value, key: &str) -> &'a mut Value {
     &mut fields.iter_mut().find(|(k, _)| k == key).expect(key).1
 }
 
-/// The trace of a root that zeroes `[0x10000, 0x12000)` in a child,
-/// and that region's text in it (once).
-fn recorded_zero_put() -> (String, &'static str) {
+/// The text of the region [`recorded_zero_put`] zeroes.
+const ZEROED: &str = r#"{"start":65536,"end":73728}"#;
+
+/// The trace of a root that zeroes `[0x10000, 0x12000)` in a child; the
+/// region's text ([`ZEROED`]) occurs in it once.
+fn recorded_zero_put() -> String {
     let sink = TraceSink::new();
     let kernel = Kernel::new(KernelConfig::builder().trace(sink.clone()).build());
     let out = kernel.run(|ctx| {
@@ -220,11 +223,10 @@ fn recorded_zero_put() -> (String, &'static str) {
     });
     assert_eq!(out.exit, Ok(0));
     let json = sink.collect().expect("sink recorded").to_json();
-    let region = r#"{"start":65536,"end":73728}"#;
-    assert_eq!(json.matches(region).count(), 1, "{json}");
+    assert_eq!(json.matches(ZEROED).count(), 1, "{json}");
     let trace = Trace::from_json(&json).expect("the recorded trace decodes");
     assert!(trace.replay().is_ok());
-    (json, region)
+    json
 }
 
 /// A decoded `Region` keeps `Region::new`'s `end >= start`: a trace
@@ -232,8 +234,7 @@ fn recorded_zero_put() -> (String, &'static str) {
 /// and release alike, instead of underflowing in replay's page count.
 #[test]
 fn inverted_regions_are_rejected() {
-    let (json, region) = recorded_zero_put();
-    let inverted = json.replacen(region, r#"{"start":73728,"end":65536}"#, 1);
+    let inverted = recorded_zero_put().replacen(ZEROED, r#"{"start":73728,"end":65536}"#, 1);
     assert!(Trace::from_json(&inverted).is_err());
     // The binary rendering (checkpoint payloads, wire deltas) decodes
     // through the same mapping.
@@ -260,12 +261,8 @@ fn oversized_regions_are_refused_live_and_in_replay() {
         );
         Ok(0)
     });
-    let (json, region) = recorded_zero_put();
-    let forged = json.replacen(
-        region,
-        &format!(r#"{{"start":65536,"end":{}}}"#, huge.end),
-        1,
-    );
+    let forged = format!(r#"{{"start":65536,"end":{}}}"#, huge.end);
+    let forged = recorded_zero_put().replacen(ZEROED, &forged, 1);
     let trace = Trace::from_json(&forged).expect("a forged end still decodes");
     let began = Instant::now();
     let rep = trace.replay().expect("the forged trace replays");
