@@ -314,8 +314,8 @@ const NS_PER_VM_INSN: u64 = 2;
 /// Declared virtual nanoseconds for computing one job's prefetch hint:
 /// a fixed part plus a part per abstract transfer step of the analysis.
 /// They are the price the kernel's analysis syscall charged before the
-/// analysis moved here (`syscall_ps + analyze_step_ps × steps` at the
-/// calibrated costs), so no clock moved with it.
+/// analysis moved here (its `syscall_ps` entry plus 50 000 ps per step
+/// at the calibrated costs), so no clock moved with it.
 const HINT_NS: u64 = 500;
 const HINT_NS_PER_STEP: u64 = 50;
 
