@@ -1,10 +1,13 @@
 //! `seeded` — re-runs the checked-in seeded-bug table.
 //!
 //! ```text
-//! cargo run --release -p det-conform --bin seeded
+//! cargo run --release -p det-conform --bin seeded [-- --file <path>...]
 //! ```
 //!
-//! Takes no flags. Checks HEAD out into a `git worktree` under
+//! `--file <path>` (repeatable, relative to the workspace root) runs
+//! only the rows whose bug goes into one of the named files: the rows
+//! on the lines a change touched, without the whole table. A path no
+//! row names exits 2. Without it every row runs. Checks HEAD out into a `git worktree` under
 //! `target/seeded-bugs/`, and for each row of
 //! `crates/conform/seeded_bugs.json` puts the bug into its file, runs
 //! each of the row's tests there (`cargo test --offline <args>`, every
@@ -96,12 +99,29 @@ fn judge(bug: &SeededBug, tree: &Path, target: &Path) -> Result<(&'static str, S
     })
 }
 
+/// The `--file` paths of the command line.
+fn files(args: impl Iterator<Item = String>) -> Result<Vec<String>, String> {
+    let mut files = Vec::new();
+    let mut args = args;
+    while let Some(arg) = args.next() {
+        match (arg.as_str(), args.next()) {
+            ("--file", Some(path)) => files.push(path),
+            _ => return Err(format!("usage: seeded [--file <path>]... (at {arg})")),
+        }
+    }
+    Ok(files)
+}
+
 fn main() -> ExitCode {
     let root = worktree::workspace_root();
-    let bugs = match seeded::table() {
+    let bugs = files(std::env::args().skip(1)).and_then(|files| {
+        let table = seeded::table().map_err(|e| format!("seeded_bugs.json: {e}"))?;
+        seeded::select(table, &files)
+    });
+    let bugs = match bugs {
         Ok(bugs) => bugs,
         Err(e) => {
-            eprintln!("seeded_bugs.json: {e}");
+            eprintln!("{e}");
             return ExitCode::from(2);
         }
     };
@@ -139,5 +159,26 @@ fn main() -> ExitCode {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::files;
+
+    fn parse(args: &[&str]) -> Result<Vec<String>, String> {
+        files(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn file_flags_repeat_and_nothing_else_parses() {
+        assert_eq!(parse(&[]), Ok(vec![]));
+        assert_eq!(
+            parse(&["--file", "a.rs", "--file", "b.rs"]),
+            Ok(vec!["a.rs".to_string(), "b.rs".to_string()])
+        );
+        assert!(parse(&["--file"]).is_err());
+        assert!(parse(&["a.rs"]).is_err());
+        assert!(parse(&["--files", "a.rs"]).is_err());
     }
 }

@@ -52,3 +52,63 @@ pub fn occurrences(bug: &SeededBug, source: &str) -> usize {
 pub fn apply(bug: &SeededBug, source: &str) -> Option<String> {
     (occurrences(bug, source) == 1).then(|| source.replacen(&bug.snippet, &bug.replacement, 1))
 }
+
+/// The rows whose `file` is one of `files`, in table order; the whole
+/// table when `files` is empty. A named file that no row names is an
+/// error, not an empty run: a mistyped path would otherwise pass.
+pub fn select(bugs: Vec<SeededBug>, files: &[String]) -> Result<Vec<SeededBug>, String> {
+    if let Some(file) = files.iter().find(|f| !bugs.iter().any(|b| &b.file == *f)) {
+        return Err(format!("no seeded bug goes into {file}"));
+    }
+    Ok(bugs
+        .into_iter()
+        .filter(|b| files.is_empty() || files.contains(&b.file))
+        .collect())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn bug(id: &str, file: &str) -> SeededBug {
+        SeededBug {
+            id: id.into(),
+            file: file.into(),
+            snippet: "a".into(),
+            replacement: "b".into(),
+            tests: vec!["-p x".into()],
+            pr: 1,
+            survivor: false,
+        }
+    }
+
+    fn ids(bugs: &[SeededBug]) -> Vec<&str> {
+        bugs.iter().map(|b| b.id.as_str()).collect()
+    }
+
+    #[test]
+    fn select_keeps_the_named_files_rows_in_table_order() {
+        let table = vec![bug("m1", "m.rs"), bug("f1", "f.rs"), bug("m2", "m.rs")];
+        let files = |f: &[&str]| f.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let all = select(table.clone(), &[]).unwrap();
+        assert_eq!(ids(&all), ["m1", "f1", "m2"]);
+        let m = select(table.clone(), &files(&["m.rs"])).unwrap();
+        assert_eq!(ids(&m), ["m1", "m2"]);
+        let both = select(table.clone(), &files(&["f.rs", "m.rs"])).unwrap();
+        assert_eq!(ids(&both), ["m1", "f1", "m2"]);
+        assert_eq!(
+            select(table, &files(&["m.rs", "x.rs"])).map(|b| b.len()),
+            Err("no seeded bug goes into x.rs".to_string())
+        );
+    }
+
+    #[test]
+    fn every_row_of_the_table_selects_by_its_own_file() {
+        let table = table().expect("the table parses");
+        for b in &table {
+            let rows = select(table.clone(), std::slice::from_ref(&b.file)).unwrap();
+            assert!(rows.iter().any(|r| r.id == b.id), "{}", b.id);
+            assert!(rows.iter().all(|r| r.file == b.file), "{}", b.id);
+        }
+    }
+}

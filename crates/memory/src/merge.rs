@@ -22,21 +22,38 @@
 //!   parent takes the child's frame with one `Arc` clone, no byte is
 //!   compared or copied ([`MergeStats::pages_adopted`], DESIGN.md §3
 //!   "The adoption rule").
-//! * **Word-parallel diffing**: the pages both sides wrote are diffed
-//!   8 bytes per step on `u64` lanes — per-byte difference masks,
-//!   conflict masks and the masked apply are all computed on whole
-//!   words, never in a per-byte loop. `words_compared` counts chunk
-//!   compares; `bytes_compared` counts the bytes the byte-at-a-time
-//!   formulation would have examined inside mismatching words (all 8,
-//!   or up to and including the byte that ends the scan), so the
-//!   counters — and the virtual time charged for them — are those of
-//!   the byte loop the kernels replaced.
+//! * **One-pass joining**: a page both sides wrote goes through one
+//!   out-of-line kernel that reads child, snapshot and parent once per
+//!   word and writes the merged page into a fresh frame. A run of eight
+//!   words the child left alone is skipped with one compare and takes
+//!   the parent's bytes with one copy; inside other runs, a word the
+//!   child left alone keeps the parent's, a word the parent left at the
+//!   snapshot value is the child's whole, and only a word both sides
+//!   changed pays the per-byte lane masks (the conflict mask and the
+//!   masked blend) — never a per-byte loop. Pass 2 installs the merged
+//!   frames, so a parent frame shared with another space is never
+//!   cloned just to be overwritten, and a conflict or `PermDenied` on a
+//!   later page leaves the parent untouched.
+//! * **The byte loop's counters**: the kernel reports how many words
+//!   held a child change, how many child bytes changed (summed per word
+//!   by one multiply over the lane mask), the first changed byte and
+//!   the conflict, and [`MergeStats`] is derived from them as the
+//!   byte-at-a-time formulation the kernel replaced would have counted
+//!   it in its two passes. Its diff pass compared words up to where it
+//!   stopped — the conflict under `Strict`, the first changed byte
+//!   under `ChildWins` (else the whole page) — and examined all 8 bytes
+//!   of every mismatching word before that, up to and including the
+//!   byte that ends the scan; its apply pass compared every word,
+//!   examined all 8 bytes of each mismatching one and copied each
+//!   changed byte. So `words_compared`, `bytes_compared` and
+//!   `bytes_copied` — and the virtual time charged from them — are the
+//!   byte loop's on every page, including the conflict stop points.
 
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use crate::page::{PAGE_SIZE, zero_frame};
+use crate::page::{Frame, PAGE_SIZE, zero_frame};
 use crate::{AddressSpace, MemError, Perm, Region, Result};
 
 /// Bytes per diff chunk: one `u64` comparison.
@@ -158,94 +175,152 @@ fn lanes(chunk: &[u8]) -> u64 {
     u64::from_le_bytes(chunk.try_into().expect("chunk of 8"))
 }
 
-/// What pass 1 learned about one both-wrote page.
-struct PageScan {
-    /// Some child byte differs from the snapshot.
-    dirty: bool,
-    /// Page offset of the lowest conflicting byte.
+/// `lanes` sums to: one per nonzero byte lane of a [`nz`] mask. Each
+/// lane of `mask >> 7` is 0 or 1, and the multiply adds all eight into
+/// the top lane (at most 8, so no lane carries into the next).
+#[inline]
+fn lane_count(mask: u64) -> u64 {
+    (mask >> 7).wrapping_mul(0x0101_0101_0101_0101) >> 56
+}
+
+/// Page offset of the lowest lane a nonzero [`nz`] mask marks in word
+/// `word`.
+#[inline]
+fn lowest(word: usize, mask: u64) -> usize {
+    word * CHUNK + (mask.trailing_zeros() / 8) as usize
+}
+
+/// Diff chunks per page.
+const WORDS: u64 = (PAGE_SIZE / CHUNK) as u64;
+
+/// What [`join_page`] found on one both-wrote page.
+struct Join {
+    /// Words holding a child byte that differs from the snapshot, up to
+    /// and including the conflict word when there is one.
+    mismatched: u64,
+    /// Child bytes that differ from the snapshot in those words.
+    changed: u64,
+    /// Page offset of the lowest child byte that differs from the
+    /// snapshot.
+    first: Option<usize>,
+    /// Page offset of the lowest byte changed on both sides, under
+    /// `Strict`: the pass stopped there.
     conflict: Option<usize>,
 }
 
-/// Pass-1 kernel: diffs `child` against `base` a word at a time and
-/// looks for a byte changed on both sides. `parent` is the parent's
-/// page, or `base` again when the parent maps none (nothing can
-/// conflict). The scan ends at the first conflicting byte — under
-/// `ChildWins` at the first changed byte, pass 2 re-diffs — and the
-/// counters stop there too, exactly where a byte-at-a-time scan would.
-fn scan_page(
+impl Join {
+    /// Counts what the byte loop's diff pass examined. It stopped at
+    /// the conflict (under `ChildWins` at the first changed byte,
+    /// leaving the rest to the apply pass) and examined all 8 bytes of
+    /// every other mismatching word it met.
+    fn count_diff(&self, policy: ConflictPolicy, stats: &mut MergeStats) {
+        let at = |off: usize| ((off / CHUNK) as u64 + 1, (off % CHUNK) as u64 + 1);
+        let (words, bytes) = match (policy, self.conflict, self.first) {
+            (_, Some(off), _) => {
+                let (words, bytes) = at(off);
+                (words, (self.mismatched - 1) * CHUNK as u64 + bytes)
+            }
+            (ConflictPolicy::ChildWins, None, Some(off)) => at(off),
+            _ => (WORDS, self.mismatched * CHUNK as u64),
+        };
+        stats.words_compared += words;
+        stats.bytes_compared += bytes;
+    }
+
+    /// Counts what the byte loop's apply pass did: every word compared,
+    /// all 8 bytes of each mismatching one, every changed byte copied.
+    fn count_apply(&self, stats: &mut MergeStats) {
+        stats.words_compared += WORDS;
+        stats.bytes_compared += self.mismatched * CHUNK as u64;
+        stats.bytes_copied += self.changed;
+    }
+}
+
+/// Bytes the kernel skips with one compare when the child left them
+/// all at the snapshot value: eight words.
+const RUN: usize = 8 * CHUNK;
+
+/// The both-wrote kernel: one pass over the page that writes the
+/// merged page to `out`.
+///
+/// A run of words the child left at the snapshot value takes the
+/// parent's with one compare and one copy. Inside any other run each
+/// word of `child`, `base` and `parent` is read once: a word the child
+/// left alone keeps the parent's, a word the parent left alone is the
+/// child's, whole, and only a word both sides changed is blended lane
+/// by lane (`(p & !m) | (c & m)` with `m` the child's changed lanes
+/// widened to whole bytes); under `Strict` a lane both changed stops
+/// the pass. `parent` is `base` again when the parent maps no page
+/// (nothing can conflict). Out of line: inlined into the merge loop
+/// the same pass ran several times slower.
+#[inline(never)]
+fn join_page(
     child: &[u8; PAGE_SIZE],
     base: &[u8; PAGE_SIZE],
     parent: &[u8; PAGE_SIZE],
     policy: ConflictPolicy,
-    stats: &mut MergeStats,
-) -> PageScan {
-    let mut scan = PageScan {
-        dirty: false,
+    out: &mut [u8; PAGE_SIZE],
+) -> Join {
+    let strict = policy == ConflictPolicy::Strict;
+    let mut join = Join {
+        mismatched: 0,
+        changed: 0,
+        first: None,
         conflict: None,
     };
-    let mut words = 0u64;
-    let mut bytes = 0u64;
-    let chunks = child
-        .chunks_exact(CHUNK)
-        .zip(base.chunks_exact(CHUNK))
-        .zip(parent.chunks_exact(CHUNK));
-    for ((cw, bw), pw) in chunks {
-        words += 1;
-        let (c, b) = (lanes(cw), lanes(bw));
-        if c == b {
+    let runs = out
+        .chunks_exact_mut(RUN)
+        .zip(child.chunks_exact(RUN))
+        .zip(base.chunks_exact(RUN))
+        .zip(parent.chunks_exact(RUN));
+    for (r, (((or, cr), br), pr)) in runs.enumerate() {
+        if cr == br {
+            or.copy_from_slice(pr);
             continue;
         }
-        scan.dirty = true;
-        let changed = nz(c ^ b);
-        let stop = match policy {
-            ConflictPolicy::ChildWins => changed,
-            ConflictPolicy::Strict => changed & nz(lanes(pw) ^ b),
-        };
-        if stop == 0 {
-            bytes += CHUNK as u64;
-            continue;
+        let words = or
+            .chunks_exact_mut(CHUNK)
+            .zip(cr.chunks_exact(CHUNK))
+            .zip(br.chunks_exact(CHUNK))
+            .zip(pr.chunks_exact(CHUNK));
+        for (k, (((ow, cw), bw), pw)) in words.enumerate() {
+            let i = r * (RUN / CHUNK) + k;
+            let (c, b, p) = (lanes(cw), lanes(bw), lanes(pw));
+            let word = if c == b {
+                p
+            } else {
+                let changed = nz(c ^ b);
+                if join.mismatched == 0 {
+                    join.first = Some(lowest(i, changed));
+                }
+                join.mismatched += 1;
+                join.changed += lane_count(changed);
+                if p == b {
+                    c
+                } else {
+                    let both = changed & nz(p ^ b);
+                    if strict && both != 0 {
+                        join.conflict = Some(lowest(i, both));
+                        return join;
+                    }
+                    let m = (changed >> 7) * 0xff;
+                    (p & !m) | (c & m)
+                }
+            };
+            ow.copy_from_slice(&word.to_le_bytes());
         }
-        let k = (stop.trailing_zeros() / 8) as usize;
-        bytes += k as u64 + 1;
-        if policy == ConflictPolicy::Strict {
-            scan.conflict = Some((words as usize - 1) * CHUNK + k);
-        }
-        break;
     }
-    stats.words_compared += words;
-    stats.bytes_compared += bytes;
-    scan
+    join
 }
 
-/// Pass-2 kernel: writes every child byte that differs from `base`
-/// over `dst`, a word at a time (`(p & !m) | (c & m)` with `m` the
-/// changed lanes widened to whole bytes).
-fn apply_page(
-    dst: &mut [u8; PAGE_SIZE],
-    child: &[u8; PAGE_SIZE],
-    base: &[u8; PAGE_SIZE],
-    stats: &mut MergeStats,
-) {
-    let mut mismatched = 0u64;
-    let mut copied = 0u64;
-    let chunks = dst
-        .chunks_exact_mut(CHUNK)
-        .zip(child.chunks_exact(CHUNK))
-        .zip(base.chunks_exact(CHUNK));
-    for ((dw, cw), bw) in chunks {
-        let (c, b) = (lanes(cw), lanes(bw));
-        if c == b {
-            continue;
-        }
-        let changed = nz(c ^ b);
-        let m = (changed >> 7) * 0xff;
-        dw.copy_from_slice(&((lanes(dw) & !m) | (c & m)).to_le_bytes());
-        mismatched += 1;
-        copied += u64::from(changed.count_ones());
-    }
-    stats.words_compared += (PAGE_SIZE / CHUNK) as u64;
-    stats.bytes_compared += mismatched * CHUNK as u64;
-    stats.bytes_copied += copied;
+/// What pass 2 does to one page pass 1 validated.
+enum Step {
+    /// Map the child's frame: the child created the page.
+    Map,
+    /// Take the child's frame: only the child wrote the page.
+    Adopt,
+    /// Install the merged page pass 1 built.
+    Install(Frame),
 }
 
 impl AddressSpace {
@@ -335,11 +410,14 @@ impl AddressSpace {
         candidates.retain(|&vpn| child.entry_frame(vpn).is_some());
         stats.pages_skipped_clean = mapped_in_region.saturating_sub(candidates.len() as u64);
 
-        // Pass 1: classify the child's dirty pages and diff the ones
+        // Pass 1: classify the child's dirty pages and join the ones
         // both sides wrote against the snapshot, detecting conflicts
         // and permission violations without mutating the parent.
-        // `apply` collects, in ascending order, the pages pass 2 acts on.
-        let mut apply: Vec<u64> = Vec::new();
+        // `apply` collects, in ascending order, the pages pass 2 acts on
+        // (with the merged pages it installs), and `applied` what pass
+        // 2's writes count once every page has been validated.
+        let mut apply: Vec<(u64, Step)> = Vec::new();
+        let mut applied = MergeStats::default();
         // Leaf-granular unchanged-subtree skip: one pointer compare per
         // 512-page leaf transition. A structurally-shared leaf means
         // every page it covers is frame-identical to the snapshot, so
@@ -411,7 +489,7 @@ impl AddressSpace {
                 // nothing to diff. (A read-only parent page takes the
                 // diff path below, which fails iff bytes would
                 // actually land.)
-                apply.push(vpn);
+                apply.push((vpn, Step::Adopt));
                 continue;
             }
             stats.pages_diffed += 1;
@@ -419,14 +497,16 @@ impl AddressSpace {
             // A parent page that *is* the child's frame (Strict only
             // here) reads as the child's bytes, as it must.
             let parent_bytes = parent.map_or(base_bytes, |(f, _)| f.bytes());
-            let scan = scan_page(
+            let mut merged = Frame::zeroed();
+            let join = join_page(
                 child_frame.bytes(),
                 base_bytes,
                 parent_bytes,
                 policy,
-                &mut stats,
+                merged.bytes_mut(),
             );
-            if let Some(off) = scan.conflict {
+            join.count_diff(policy, &mut stats);
+            if let Some(off) = join.conflict {
                 let conflict = MergeConflict {
                     addr: (vpn << crate::PAGE_SHIFT) + off as u64,
                     base: base_bytes[off],
@@ -435,51 +515,55 @@ impl AddressSpace {
                 };
                 return Ok((stats, Some(conflict)));
             }
-            if scan.dirty {
-                // Validate-before-write: a page about to receive bytes
-                // must be writable in the parent (absent pages are
-                // mapped; aliased pages cannot reach here — ChildWins
-                // skipped them above, and under Strict a dirty aliased
-                // page already returned a conflict).
-                if parent.is_some_and(|(_, p)| !p.allows(Perm::W)) {
+            if join.mismatched == 0 {
+                continue;
+            }
+            // Validate-before-write: a page about to receive bytes must
+            // be writable in the parent (absent pages are mapped;
+            // aliased pages cannot reach here — ChildWins skipped them
+            // above, and under Strict a dirty aliased page already
+            // returned a conflict).
+            match parent {
+                None => apply.push((vpn, Step::Map)),
+                Some((_, perm)) if !perm.allows(Perm::W) => {
                     return Err(MemError::PermDenied {
                         addr: vpn << crate::PAGE_SHIFT,
                         need: Perm::W,
                     });
                 }
-                apply.push(vpn);
+                Some(_) => {
+                    join.count_apply(&mut applied);
+                    apply.push((vpn, Step::Install(merged)));
+                }
             }
         }
 
         // Pass 2: nothing can fail any more. Map what the child
-        // created, remap what only the child wrote, and copy the
-        // child's changed bytes into the pages both sides wrote.
-        for vpn in apply {
+        // created, remap what only the child wrote, and install the
+        // merged pages, each with the parent's permissions kept. A
+        // merged page goes into its own frame, so a parent frame
+        // shared with another space is never cloned to be overwritten.
+        stats.accumulate(&applied);
+        for (vpn, step) in apply {
             let (child_frame, child_perm) = child.entry_frame(vpn).expect("still mapped");
-            let snap_frame = snap.entry_frame(vpn).map(|(f, _)| f);
-            // The parent's permissions, and whether it still holds the
-            // snapshot's frame — pass 1 queued such a page undiffed.
-            let parent = self
-                .entry_frame(vpn)
-                .map(|(pf, perm)| (perm, snap_frame.is_some_and(|sf| Arc::ptr_eq(pf, sf))));
-            match parent {
-                None => {
+            let perm = self.entry_frame(vpn).map(|(_, perm)| perm);
+            match step {
+                Step::Map => {
                     // The child created this page: map its frame
                     // (copy-on-write share).
                     stats.pages_mapped += 1;
                     stats.bytes_copied += PAGE_SIZE as u64;
                     self.install_frame(vpn, child_frame.clone(), child_perm.union(Perm::RW));
                 }
-                Some((perm, true)) => {
-                    // The adoption rule: one `Arc` clone, the parent's
-                    // permissions kept.
+                Step::Adopt => {
+                    // The adoption rule: one `Arc` clone.
                     stats.pages_adopted += 1;
+                    let perm = perm.expect("adopted into a mapped page");
                     self.install_frame(vpn, child_frame.clone(), perm);
                 }
-                Some((_, false)) => {
-                    let dst = self.frame_mut(vpn).expect("mapped above").bytes_mut();
-                    let base_bytes = snap_frame.unwrap_or(&zero).bytes();
-                    apply_page(dst, child_frame.bytes(), base_bytes, &mut stats);
+                Step::Install(merged) => {
+                    let perm = perm.expect("merged into a mapped page");
+                    self.install_frame(vpn, Arc::new(merged), perm);
                 }
             }
         }
@@ -1020,7 +1104,7 @@ mod tests {
     }
 
     // -----------------------------------------------------------------
-    // The word-parallel kernels, against the byte-at-a-time oracle.
+    // The one-pass kernel, against the byte-at-a-time oracle.
     // -----------------------------------------------------------------
 
     #[test]
@@ -1054,8 +1138,9 @@ mod tests {
                 if policy == ConflictPolicy::ChildWins {
                     assert!(conflict.is_none());
                     assert_eq!(parent.read_u8(W + k).unwrap(), 0xC0);
-                    // Pass 1 stops at the first changed byte; pass 2
-                    // walks the whole page and the one mismatching word.
+                    // The byte loop's diff pass stops at the first
+                    // changed byte; its apply pass walks the whole page
+                    // and the one mismatching word.
                     assert_eq!(stats.words_compared, 9 + 512);
                     assert_eq!(stats.bytes_compared, (k + 1) + 8);
                     assert_eq!(stats.bytes_copied, ref_stats.bytes_copied);

@@ -540,28 +540,21 @@ impl AddressSpace {
             return Ok(());
         }
         let zero = zero_frame();
-        let entry = || PageEntry {
-            frame: zero.clone(),
-            perm,
-        };
         // Built on first use, shared across every full leaf in the
         // region (and with the destination: later writes COW it).
-        let mut zero_leaf: Option<Arc<Leaf>> = None;
+        let mut zero_leaf = None;
         for c in leaf_chunks(region) {
             if c.whole() {
-                let l = zero_leaf.get_or_insert_with(|| {
-                    let mut l = Leaf::empty();
-                    for i in 0..PAGES_PER_LEAF {
-                        l.set(i, entry());
-                    }
-                    Arc::new(l)
-                });
-                self.set_leaf(c.base, l.clone());
-                self.dirty
-                    .assign_leaf(c.base, 0, PAGES_PER_LEAF - 1, &[u64::MAX; LEAF_WORDS]);
+                self.share_zero_leaf(c.base, &mut zero_leaf, perm);
             } else {
                 for v in c.vpns() {
-                    self.insert_entry(v, entry());
+                    self.insert_entry(
+                        v,
+                        PageEntry {
+                            frame: zero.clone(),
+                            perm,
+                        },
+                    );
                     self.dirty.insert(v);
                 }
             }
@@ -584,11 +577,19 @@ impl AddressSpace {
     pub fn map_zero_if_unmapped(&mut self, region: Region, perm: Perm) -> Result<usize> {
         check_range(region)?;
         let zero = zero_frame();
+        let mut zero_leaf = None;
         let mut added = 0;
         for c in leaf_chunks(region) {
             let held = self
                 .leaf_for(c.first())
                 .map_or([0; LEAF_WORDS], |l| l.present);
+            if c.whole() && held == [0; LEAF_WORDS] {
+                // A leaf the space does not hold at all: shared whole,
+                // as `map_zero` shares it.
+                self.share_zero_leaf(c.base, &mut zero_leaf, perm);
+                added += PAGES_PER_LEAF;
+                continue;
+            }
             for (idx, vpn) in (c.lo..=c.hi).zip(c.vpns()) {
                 if held[idx / 64] & (1u64 << (idx % 64)) != 0 {
                     continue;
@@ -608,6 +609,29 @@ impl AddressSpace {
             self.generation += 1;
         }
         Ok(added)
+    }
+
+    /// Maps every page of leaf `base` to the shared zero frame with
+    /// `perm`, dirty, by sharing `leaf` — built on the first call and
+    /// shared by every later one.
+    fn share_zero_leaf(&mut self, base: u64, leaf: &mut Option<Arc<Leaf>>, perm: Perm) {
+        let leaf = leaf.get_or_insert_with(|| {
+            let zero = zero_frame();
+            let mut l = Leaf::empty();
+            for i in 0..PAGES_PER_LEAF {
+                l.set(
+                    i,
+                    PageEntry {
+                        frame: zero.clone(),
+                        perm,
+                    },
+                );
+            }
+            Arc::new(l)
+        });
+        self.set_leaf(base, leaf.clone());
+        self.dirty
+            .assign_leaf(base, 0, PAGES_PER_LEAF - 1, &[u64::MAX; LEAF_WORDS]);
     }
 
     /// Removes all mappings in the page-aligned `region`.
@@ -1624,6 +1648,40 @@ pub(crate) mod tests {
         // The existing page's contents survived; the new page is zero.
         assert_eq!(s.read_u8(0x1000).unwrap(), 7);
         assert_eq!(s.read_u8(0x2000).unwrap(), 0);
+    }
+
+    /// Leaves the space does not hold at all are shared whole, and the
+    /// result is the page-by-page mapping's: same pages, contents,
+    /// permissions and dirty marks, and a write to one shared leaf
+    /// shows in no other.
+    #[test]
+    fn map_zero_if_unmapped_shares_whole_unheld_leaves() {
+        let ppl = PAGES_PER_LEAF as u64;
+        let page = |vpn: u64| vpn << crate::PAGE_SHIFT;
+        let mut s = rw_space(page(ppl + 88), PAGE_SIZE as u64);
+        s.write_u8(page(ppl + 88), 7).unwrap();
+        s.clear_dirty();
+        let mut by_page = s.clone();
+        let region = leaf_region(0, 4);
+        assert_eq!(
+            s.map_zero_if_unmapped(region, Perm::R),
+            Ok(4 * PAGES_PER_LEAF - 1)
+        );
+        by_page
+            .map_zero(Region::new(0, page(ppl + 88)), Perm::R)
+            .unwrap();
+        by_page
+            .map_zero(Region::new(page(ppl + 89), region.end), Perm::R)
+            .unwrap();
+        assert_eq!(s.page_count(), by_page.page_count());
+        assert_eq!(s.content_digest(), by_page.content_digest());
+        assert_eq!(s.dirty_vpns(), by_page.dirty_vpns());
+        assert_eq!(s.read_u8(page(ppl + 88)).unwrap(), 7);
+        s.set_perm(region, Perm::RW).unwrap();
+        s.write_u8(page(2), 9).unwrap();
+        assert_eq!(s.read_u8(page(2 * ppl + 2)).unwrap(), 0);
+        assert_eq!(s.read_u8(page(3 * ppl + 2)).unwrap(), 0);
+        assert_eq!(s.map_zero_if_unmapped(region, Perm::RW), Ok(0));
     }
 
     // ------------------------------------------------------------------

@@ -68,6 +68,23 @@ fn stage_spans(lo: usize, hi: usize, half: usize) -> [(Region, Perm); 5] {
     [head0, head1, middle, tail0, tail1]
 }
 
+/// The twiddle factors `(cos, sin)` of `-π j / half` for the
+/// butterflies `lo..hi` of the stage with half-group `half` (a power of
+/// two): butterfly `b` (so `j = b % half`) reads entry
+/// `(b - lo) & (half - 1)`. A stripe wider than a group needs `half`
+/// entries, a narrower one one per butterfly. Each factor comes from
+/// the expression a butterfly evaluated for itself before the tables,
+/// on the same `j` and `half`, so the spectrum and every stored word
+/// are bit for bit what they were.
+fn stage_twiddles(lo: usize, hi: usize, half: usize) -> Vec<(f64, f64)> {
+    (lo..hi.min(lo + half))
+        .map(|b| {
+            let ang = -std::f64::consts::PI * ((b % half) as f64) / (half as f64);
+            (ang.cos(), ang.sin())
+        })
+        .collect()
+}
+
 /// Runs the FFT under an arbitrary kernel configuration and returns
 /// the raw outcome (conformance harness entry point). Validates
 /// against a direct DFT at sampled frequencies in-run.
@@ -102,14 +119,14 @@ pub fn outcome(kcfg: KernelConfig, cfg: FftConfig) -> RunOutcome {
                 for s in 0..log2n {
                     let half = 1usize << s;
                     if lo < hi {
+                        let twiddles = stage_twiddles(lo, hi, half);
                         let mut w = c.mem_mut().window(&stage_spans(lo, hi, half))?;
                         for b in lo..hi {
                             let g = b / half;
                             let j = b % half;
                             let i0 = g * half * 2 + j;
                             let i1 = i0 + half;
-                            let ang = -std::f64::consts::PI * (j as f64) / (half as f64);
-                            let (wr, wi) = (ang.cos(), ang.sin());
+                            let (wr, wi) = twiddles[(b - lo) & (half - 1)];
                             let x0r = w.read_f64(BASE + (2 * i0) as u64 * 8)?;
                             let x0i = w.read_f64(BASE + (2 * i0 + 1) as u64 * 8)?;
                             let x1r = w.read_f64(BASE + (2 * i1) as u64 * 8)?;
@@ -133,15 +150,22 @@ pub fn outcome(kcfg: KernelConfig, cfg: FftConfig) -> RunOutcome {
         let ids: Vec<u64> = (0..threads as u64).collect();
         group.run_to_completion(&ids)?;
 
-        // Validate against a direct DFT at sampled frequencies.
+        // Validate against a direct DFT at sampled frequencies. The
+        // n-th roots of unity come from one table (bin `k` at sample
+        // `t` reads root `k t mod n`), dropped with the validation.
         let spectrum = ctx.mem().read_f64s(BASE, 2 * n)?;
+        let roots: Vec<(f64, f64)> = (0..n)
+            .map(|m| {
+                let ang = -2.0 * std::f64::consts::PI * (m as f64) / (n as f64);
+                (ang.cos(), ang.sin())
+            })
+            .collect();
         let mut spot = XorShift64::new(3);
         for _ in 0..6 {
             let k = spot.below(n as u64) as usize;
             let (mut sr, mut si) = (0f64, 0f64);
             for (t, &(re, im)) in input.iter().enumerate() {
-                let ang = -2.0 * std::f64::consts::PI * (k as f64) * (t as f64) / (n as f64);
-                let (c0, s0) = (ang.cos(), ang.sin());
+                let (c0, s0) = roots[(k * t) & (n - 1)];
                 sr += re * c0 - im * s0;
                 si += re * s0 + im * c0;
             }
