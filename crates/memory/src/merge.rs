@@ -24,30 +24,16 @@
 //!   "The adoption rule").
 //! * **One-pass joining**: a page both sides wrote goes through one
 //!   out-of-line kernel that reads child, snapshot and parent once per
-//!   word and writes the merged page into a fresh frame. A run of eight
-//!   words the child left alone is skipped with one compare and takes
-//!   the parent's bytes with one copy; inside other runs, a word the
-//!   child left alone keeps the parent's, a word the parent left at the
-//!   snapshot value is the child's whole, and only a word both sides
-//!   changed pays the per-byte lane masks (the conflict mask and the
-//!   masked blend) — never a per-byte loop. Pass 2 installs the merged
-//!   frames, so a parent frame shared with another space is never
-//!   cloned just to be overwritten, and a conflict or `PermDenied` on a
-//!   later page leaves the parent untouched.
-//! * **The byte loop's counters**: the kernel reports how many words
-//!   held a child change, how many child bytes changed (summed per word
-//!   by one multiply over the lane mask), the first changed byte and
-//!   the conflict, and [`MergeStats`] is derived from them as the
-//!   byte-at-a-time formulation the kernel replaced would have counted
-//!   it in its two passes. Its diff pass compared words up to where it
-//!   stopped — the conflict under `Strict`, the first changed byte
-//!   under `ChildWins` (else the whole page) — and examined all 8 bytes
-//!   of every mismatching word before that, up to and including the
-//!   byte that ends the scan; its apply pass compared every word,
-//!   examined all 8 bytes of each mismatching one and copied each
-//!   changed byte. So `words_compared`, `bytes_compared` and
-//!   `bytes_copied` — and the virtual time charged from them — are the
-//!   byte loop's on every page, including the conflict stop points.
+//!   word into a fresh frame. A word the child left alone keeps the
+//!   parent's (eight in a row cost one compare and one copy), a word
+//!   the parent left alone is the child's whole, and only a word both
+//!   sides changed pays the per-byte lane masks. Pass 2 installs the
+//!   frame, so a shared parent frame is never cloned to be overwritten.
+//!   The counters are derived from what the kernel found as the byte
+//!   loop it replaced counted them in its diff and apply passes
+//!   (`words_compared`, `bytes_compared` up to and including the byte
+//!   that ends a scan, `bytes_copied`), so the virtual time charged
+//!   from them is the byte loop's (DESIGN.md §3).
 
 use std::sync::Arc;
 
@@ -175,9 +161,9 @@ fn lanes(chunk: &[u8]) -> u64 {
     u64::from_le_bytes(chunk.try_into().expect("chunk of 8"))
 }
 
-/// `lanes` sums to: one per nonzero byte lane of a [`nz`] mask. Each
-/// lane of `mask >> 7` is 0 or 1, and the multiply adds all eight into
-/// the top lane (at most 8, so no lane carries into the next).
+/// How many byte lanes a [`nz`] mask marks. Each lane of `mask >> 7`
+/// is 0 or 1, and the multiply adds all eight into the top lane (at
+/// most 8, so no lane carries into the next).
 #[inline]
 fn lane_count(mask: u64) -> u64 {
     (mask >> 7).wrapping_mul(0x0101_0101_0101_0101) >> 56
@@ -194,6 +180,7 @@ fn lowest(word: usize, mask: u64) -> usize {
 const WORDS: u64 = (PAGE_SIZE / CHUNK) as u64;
 
 /// What [`join_page`] found on one both-wrote page.
+#[derive(Default)]
 struct Join {
     /// Words holding a child byte that differs from the snapshot, up to
     /// and including the conflict word when there is one.
@@ -251,8 +238,8 @@ const RUN: usize = 8 * CHUNK;
 /// by lane (`(p & !m) | (c & m)` with `m` the child's changed lanes
 /// widened to whole bytes); under `Strict` a lane both changed stops
 /// the pass. `parent` is `base` again when the parent maps no page
-/// (nothing can conflict). Out of line: inlined into the merge loop
-/// the same pass ran several times slower.
+/// (nothing can conflict). Kept out of line, so its loop is compiled
+/// on its own rather than into the merge loop around it.
 #[inline(never)]
 fn join_page(
     child: &[u8; PAGE_SIZE],
@@ -262,12 +249,7 @@ fn join_page(
     out: &mut [u8; PAGE_SIZE],
 ) -> Join {
     let strict = policy == ConflictPolicy::Strict;
-    let mut join = Join {
-        mismatched: 0,
-        changed: 0,
-        first: None,
-        conflict: None,
-    };
+    let mut join = Join::default();
     let runs = out
         .chunks_exact_mut(RUN)
         .zip(child.chunks_exact(RUN))
@@ -315,7 +297,7 @@ fn join_page(
 
 /// What pass 2 does to one page pass 1 validated.
 enum Step {
-    /// Map the child's frame: the child created the page.
+    /// Map the child's frame where the parent maps no page.
     Map,
     /// Take the child's frame: only the child wrote the page.
     Adopt,

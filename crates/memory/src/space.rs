@@ -69,6 +69,16 @@ pub(crate) struct PageEntry {
     pub(crate) perm: Perm,
 }
 
+impl PageEntry {
+    /// The shared zero frame with `perm`.
+    fn zero(perm: Perm) -> PageEntry {
+        PageEntry {
+            frame: zero_frame(),
+            perm,
+        }
+    }
+}
+
 /// One 512-entry page-table leaf. Leaves are immutable while shared
 /// (`Arc::make_mut` clones on first write), which is what makes whole
 /// address spaces cheap to duplicate: a snapshot or leaf-congruent
@@ -539,7 +549,6 @@ impl AddressSpace {
         if region.is_empty() {
             return Ok(());
         }
-        let zero = zero_frame();
         // Built on first use, shared across every full leaf in the
         // region (and with the destination: later writes COW it).
         let mut zero_leaf = None;
@@ -548,13 +557,7 @@ impl AddressSpace {
                 self.share_zero_leaf(c.base, &mut zero_leaf, perm);
             } else {
                 for v in c.vpns() {
-                    self.insert_entry(
-                        v,
-                        PageEntry {
-                            frame: zero.clone(),
-                            perm,
-                        },
-                    );
+                    self.insert_entry(v, PageEntry::zero(perm));
                     self.dirty.insert(v);
                 }
             }
@@ -576,7 +579,6 @@ impl AddressSpace {
     /// invalidate the VM's cached translations.
     pub fn map_zero_if_unmapped(&mut self, region: Region, perm: Perm) -> Result<usize> {
         check_range(region)?;
-        let zero = zero_frame();
         let mut zero_leaf = None;
         let mut added = 0;
         for c in leaf_chunks(region) {
@@ -594,13 +596,7 @@ impl AddressSpace {
                 if held[idx / 64] & (1u64 << (idx % 64)) != 0 {
                     continue;
                 }
-                self.insert_entry(
-                    vpn,
-                    PageEntry {
-                        frame: zero.clone(),
-                        perm,
-                    },
-                );
+                self.insert_entry(vpn, PageEntry::zero(perm));
                 self.dirty.insert(vpn);
                 added += 1;
             }
@@ -616,16 +612,9 @@ impl AddressSpace {
     /// shared by every later one.
     fn share_zero_leaf(&mut self, base: u64, leaf: &mut Option<Arc<Leaf>>, perm: Perm) {
         let leaf = leaf.get_or_insert_with(|| {
-            let zero = zero_frame();
             let mut l = Leaf::empty();
             for i in 0..PAGES_PER_LEAF {
-                l.set(
-                    i,
-                    PageEntry {
-                        frame: zero.clone(),
-                        perm,
-                    },
-                );
+                l.set(i, PageEntry::zero(perm));
             }
             Arc::new(l)
         });
