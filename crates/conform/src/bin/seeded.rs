@@ -7,12 +7,14 @@
 //! `--file <path>` (repeatable, relative to the workspace root) runs
 //! only the rows whose bug goes into one of the named files: the rows
 //! on the lines a change touched, without the whole table. A path no
-//! row names exits 2. Without it every row runs. Checks HEAD out into a `git worktree` under
-//! `target/seeded-bugs/`, and for each row of
-//! `crates/conform/seeded_bugs.json` puts the bug into its file, runs
-//! each of the row's tests there (`cargo test --offline <args>`, every
-//! row building into the one `target/seeded-bugs/target`), and puts the
-//! file back. Prints one line per row:
+//! row names exits 2. Without it every row runs.
+//!
+//! Checks HEAD out into a `git worktree` under `target/seeded-bugs/`,
+//! and for each row of `crates/conform/seeded_bugs.json` puts the bug
+//! into its file, runs each of the row's tests there (`cargo test
+//! --offline <args>`, every row building into the one
+//! `target/seeded-bugs/target`), and puts the file back. Prints one
+//! line per row:
 //!
 //! - `killed`: every named test failed;
 //! - `SURVIVED`: some named test passed with the bug in;
@@ -100,9 +102,8 @@ fn judge(bug: &SeededBug, tree: &Path, target: &Path) -> Result<(&'static str, S
 }
 
 /// The `--file` paths of the command line.
-fn files(args: impl Iterator<Item = String>) -> Result<Vec<String>, String> {
+fn files(mut args: impl Iterator<Item = String>) -> Result<Vec<String>, String> {
     let mut files = Vec::new();
-    let mut args = args;
     while let Some(arg) = args.next() {
         match (arg.as_str(), args.next()) {
             ("--file", Some(path)) => files.push(path),

@@ -72,10 +72,11 @@ fn stage_spans(lo: usize, hi: usize, half: usize) -> [(Region, Perm); 5] {
 /// butterflies `lo..hi` of the stage with half-group `half` (a power of
 /// two): butterfly `b` (so `j = b % half`) reads entry
 /// `(b - lo) & (half - 1)`. A stripe wider than a group needs `half`
-/// entries, a narrower one one per butterfly. Each factor comes from
-/// the expression a butterfly evaluated for itself before the tables,
-/// on the same `j` and `half`, so the spectrum and every stored word
-/// are bit for bit what they were.
+/// entries, a narrower one one per butterfly. Each entry is the same
+/// f64 expression of the same `j` and `half`, evaluated by the same
+/// operations in the same order as a butterfly computing its own
+/// twiddle, so it is bit-identical to that, and so are the spectrum and
+/// every stored word (`word_path_golden` and the checksums hold them).
 fn stage_twiddles(lo: usize, hi: usize, half: usize) -> Vec<(f64, f64)> {
     (lo..hi.min(lo + half))
         .map(|b| {
