@@ -21,11 +21,12 @@
 //! `/3/1`, `/3/1@2` after a rebind) are a pure function of the
 //! kernel-mediated event history and are therefore run-invariant.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::io::Write as _;
 
 use det_kernel::{DeviceId, IoLog, KernelStats, ReplayOutcome, SpaceArtifact, Trace, TraceEvent};
-use serde::{Serialize, Value};
+use serde::{Serialize, Sink};
 
 use crate::scenario::ScenarioRun;
 
@@ -146,28 +147,26 @@ impl Artifacts {
     /// `[trace]` — with one `key=value` line per fact and `\n` line
     /// endings throughout.
     pub fn to_bytes(&self, _scope: Scope) -> Vec<u8> {
-        let mut s = String::new();
+        // Writing into a `Vec` cannot fail.
+        let mut s = Vec::new();
         let _ = writeln!(s, "[meta]\nscenario={}", self.scenario);
         let _ = writeln!(s, "[exit]\nexit={}", self.exit);
         let _ = writeln!(s, "[vclock]\nvclock_ns={}", self.vclock_ns);
 
-        s.push_str("[stats-core]\n");
+        s.extend_from_slice(b"[stats-core]\n");
         for (k, v) in self.stats.lines() {
             let _ = writeln!(s, "{k}={v}");
         }
 
-        s.push_str("[outputs]\n");
+        s.extend_from_slice(b"[outputs]\n");
         for (dev, data) in &self.outputs {
-            let hex = serde_json::to_string(data).expect("bytes render");
-            let _ = writeln!(s, "{dev:?}={hex}");
+            let _ = write!(s, "{dev:?}=");
+            data.serialize(&mut serde_json::Writer::new(&mut s));
+            s.push(b'\n');
         }
-        s.push_str("[io]\n");
-        let _ = writeln!(
-            s,
-            "events={}",
-            serde_json::to_string(&self.io_log).expect("io log renders")
-        );
-        s.push_str("[spaces]\n");
+        s.extend_from_slice(b"[io]\nevents=");
+        self.io_log.serialize(&mut serde_json::Writer::new(&mut s));
+        s.extend_from_slice(b"\n[spaces]\n");
         for sp in &self.spaces {
             let _ = writeln!(
                 s,
@@ -179,15 +178,17 @@ impl Artifacts {
             }
         }
         if let Some(t) = &self.trace_streams {
-            s.push_str("[trace]\n");
+            s.extend_from_slice(b"[trace]\n");
             for (path, events) in &t.streams {
                 let _ = writeln!(s, "stream path={path} events={}", events.len());
                 for e in events {
-                    let _ = writeln!(s, "e={}", t.render(e));
+                    s.extend_from_slice(b"e=");
+                    t.render(e, &mut s);
+                    s.push(b'\n');
                 }
             }
         }
-        s.into_bytes()
+        s
     }
 
     /// Fault injection for harness self-tests: XORs one bit into the
@@ -244,7 +245,7 @@ impl TraceStreams {
         };
         let mut streams: BTreeMap<String, Vec<TraceEvent>> = BTreeMap::new();
         for ev in events {
-            let owner = t.path_of(event_owner(ev));
+            let owner = t.path_of(event_owner(ev)).into_owned();
             streams.entry(owner).or_default().push(ev.clone());
         }
         t.streams = streams.into_iter().collect();
@@ -252,45 +253,98 @@ impl TraceStreams {
     }
 
     /// The lineage path of space `id`.
-    fn path_of(&self, id: u32) -> String {
-        (self.paths.get(&id).cloned()).unwrap_or_else(|| format!("<unknown:{id}>"))
+    fn path_of(&self, id: u32) -> Cow<'_, str> {
+        match self.paths.get(&id) {
+            Some(path) => Cow::Borrowed(path),
+            None => Cow::Owned(format!("<unknown:{id}>")),
+        }
     }
 
-    /// An event's line in the bundle: its JSON with every recorded
-    /// space id rewritten into its path.
-    pub(crate) fn render(&self, ev: &TraceEvent) -> String {
-        let rewritten = rewrite_ids(ev.to_value(), &|id| self.path_of(id));
-        serde_json::to_string(&rewritten).expect("event renders")
+    /// Appends an event's line in the bundle to `out`: its JSON with
+    /// every recorded space id written as its path.
+    fn render(&self, ev: &TraceEvent, out: &mut Vec<u8>) {
+        ev.serialize(&mut IdPaths {
+            out: serde_json::Writer::new(out),
+            streams: self,
+            depth: 0,
+            ids: Ids::None,
+        });
     }
 }
 
-/// Rewrites the id-bearing fields of a serialized event — `caller`,
-/// `child_id`, `space`, and the `tree_new_ids` array — from space ids
-/// to lineage paths. Ids only occur at the top level of the event
-/// object, so the rewrite is shallow.
-fn rewrite_ids(v: Value, path_of: &dyn Fn(u32) -> String) -> Value {
-    let Value::Object(fields) = v else {
-        return v;
-    };
-    let mapped = fields
-        .into_iter()
-        .map(|(k, v)| {
-            let v = match (k.as_str(), &v) {
-                ("caller" | "child_id" | "space", Value::UInt(id)) => {
-                    Value::Str(path_of(*id as u32))
-                }
-                ("tree_new_ids", Value::Array(ids)) => Value::Array(
-                    ids.iter()
-                        .map(|id| match id {
-                            Value::UInt(id) => Value::Str(path_of(*id as u32)),
-                            other => other.clone(),
-                        })
-                        .collect(),
-                ),
-                _ => v,
+/// Which space ids the value being written holds.
+#[derive(Clone, Copy, PartialEq)]
+enum Ids {
+    None,
+    /// The value is one id.
+    One,
+    /// The value is an array of ids.
+    Each,
+}
+
+/// The JSON sink an event's line is written through. It writes the
+/// id-bearing fields of the event object — `caller`, `child_id`,
+/// `space`, and each item of `tree_new_ids` — as lineage paths instead
+/// of space ids, and everything else as it is. Ids only occur at the
+/// top level of the event object, so only its keys are looked at.
+struct IdPaths<'a> {
+    out: serde_json::Writer<'a>,
+    streams: &'a TraceStreams,
+    /// Containers open.
+    depth: usize,
+    /// What the top-level field being written holds.
+    ids: Ids,
+}
+
+impl Sink for IdPaths<'_> {
+    fn null(&mut self) {
+        self.out.null();
+    }
+    fn bool(&mut self, b: bool) {
+        self.out.bool(b);
+    }
+    fn uint(&mut self, n: u64) {
+        match (self.depth, self.ids) {
+            (1, Ids::One) | (2, Ids::Each) => self.out.str(&self.streams.path_of(n as u32)),
+            _ => self.out.uint(n),
+        }
+    }
+    fn int(&mut self, n: i64) {
+        self.out.int(n);
+    }
+    fn float(&mut self, f: f64) {
+        self.out.float(f);
+    }
+    fn str(&mut self, s: &str) {
+        self.out.str(s);
+    }
+    fn bytes(&mut self, b: &[u8]) {
+        self.out.bytes(b);
+    }
+    fn begin_array(&mut self, len: usize) {
+        self.depth += 1;
+        self.out.begin_array(len);
+    }
+    fn end_array(&mut self) {
+        self.depth -= 1;
+        self.out.end_array();
+    }
+    fn begin_object(&mut self, len: usize) {
+        self.depth += 1;
+        self.out.begin_object(len);
+    }
+    fn key(&mut self, k: &str) {
+        if self.depth == 1 {
+            self.ids = match k {
+                "caller" | "child_id" | "space" => Ids::One,
+                "tree_new_ids" => Ids::Each,
+                _ => Ids::None,
             };
-            (k, v)
-        })
-        .collect();
-    Value::Object(mapped)
+        }
+        self.out.key(k);
+    }
+    fn end_object(&mut self) {
+        self.depth -= 1;
+        self.out.end_object();
+    }
 }

@@ -43,7 +43,7 @@
 use std::collections::BTreeMap;
 
 use det_memory::ContentDigest;
-use serde::{Serialize, Value, field};
+use serde::{Deserialize, IgnoredAny, Serialize};
 
 use crate::apply::TraceEvent;
 use crate::error::{KernelError, Result};
@@ -63,17 +63,26 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     d.value()
 }
 
-/// The payload's value tree, from its binary rendering.
-fn parse_payload(payload: &[u8]) -> Result<Value> {
-    serde::bin::from_slice(payload)
-        .map_err(|_| KernelError::CheckpointMalformed("payload does not parse"))
-}
-
 /// What a bundle's payload holds: the boundary, and the kernel state
 /// the trace prefix folds to.
 #[derive(Serialize)]
 struct Payload {
     boundary: u64,
+    kernel: KState,
+}
+
+/// What [`Checkpoint::from_bytes`] reads of a payload: the boundary.
+/// The kernel state, like any key it does not name, is skipped:
+/// checked to parse, and never built.
+#[derive(Deserialize)]
+struct PayloadHead {
+    boundary: u64,
+}
+
+/// What [`Checkpoint::restore`] reads of a payload: the kernel state
+/// (the boundary it already has is skipped).
+#[derive(Deserialize)]
+struct PayloadBody {
     kernel: KState,
 }
 
@@ -183,9 +192,18 @@ impl Checkpoint {
         }
         // Digest verified; the payload is authentic, so structural
         // errors past this point mean a producer bug, not tampering.
-        let v = parse_payload(payload)?;
-        let boundary: u64 = field(&v, "boundary")
-            .map_err(|_| KernelError::CheckpointMalformed("payload missing boundary"))?;
+        // One pass reads the boundary and checks the rest parses; a
+        // shape error is a missing boundary only if the whole payload
+        // parses.
+        let boundary = match serde::bin::from_slice::<PayloadHead>(payload) {
+            Ok(head) => head.boundary,
+            Err(serde::bin::Error::Shape(_))
+                if serde::bin::from_slice::<IgnoredAny>(payload).is_ok() =>
+            {
+                return Err(KernelError::CheckpointMalformed("payload missing boundary"));
+            }
+            Err(_) => return Err(KernelError::CheckpointMalformed("payload does not parse")),
+        };
         Ok(Checkpoint {
             version,
             boundary,
@@ -194,12 +212,17 @@ impl Checkpoint {
         })
     }
 
-    /// Restores this bundle into a resumable kernel state.
+    /// Restores this bundle into a resumable kernel state, decoding the
+    /// payload in one pass.
     pub fn restore(&self) -> Result<RestoredKernel> {
-        let ks = field(&parse_payload(&self.payload)?, "kernel")
-            .map_err(|_| KernelError::CheckpointMalformed("payload does not decode"))?;
+        let body: PayloadBody = serde::bin::from_slice(&self.payload).map_err(|e| {
+            KernelError::CheckpointMalformed(match e {
+                serde::bin::Error::Shape(_) => "payload does not decode",
+                _ => "payload does not parse",
+            })
+        })?;
         Ok(RestoredKernel {
-            ks,
+            ks: body.kernel,
             boundary: self.boundary,
         })
     }

@@ -21,7 +21,7 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-use serde::{DeError, Deserialize, Serialize, Value, field};
+use serde::{DeError, Deserialize, Serialize, Sink, Source};
 
 use crate::apply::{TraceEvent, apply};
 use crate::cost::{CostModel, ps_to_ns};
@@ -300,27 +300,41 @@ const TRACE_FORMAT_VERSION: u32 = 5;
 // Written by hand for the version gate: a trace from another format
 // must fail here, before any event is interpreted.
 impl Serialize for Trace {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("version".to_string(), TRACE_FORMAT_VERSION.to_value()),
-            ("meta".to_string(), self.meta.to_value()),
-            ("events".to_string(), self.events.to_value()),
-        ])
+    fn serialize<S: Sink>(&self, sink: &mut S) {
+        sink.begin_object(3);
+        sink.key("version");
+        TRACE_FORMAT_VERSION.serialize(sink);
+        sink.key("meta");
+        self.meta.serialize(sink);
+        sink.key("events");
+        self.events.serialize(sink);
+        sink.end_object();
     }
 }
 
+/// A trace's fields as its text holds them, in any order; the version
+/// is checked before [`Trace`] is built from them.
+#[derive(Deserialize)]
+struct TraceFields {
+    version: u32,
+    meta: TraceMeta,
+    events: Vec<TraceEvent>,
+}
+
 impl Deserialize for Trace {
-    fn from_value(v: &Value) -> std::result::Result<Trace, DeError> {
-        let version: u32 = field(v, "version")?;
+    fn deserialize<'de, S: Source<'de>>(src: &mut S) -> std::result::Result<Trace, S::Error> {
+        let TraceFields {
+            version,
+            meta,
+            events,
+        } = TraceFields::deserialize(src)?;
         if version != TRACE_FORMAT_VERSION {
             return Err(DeError::msg(format!(
                 "trace format version {version}, this build reads {TRACE_FORMAT_VERSION}"
-            )));
+            ))
+            .into());
         }
-        Ok(Trace {
-            meta: field(v, "meta")?,
-            events: field(v, "events")?,
-        })
+        Ok(Trace { meta, events })
     }
 }
 

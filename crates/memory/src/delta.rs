@@ -43,7 +43,7 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{DeError, Deserialize, Serialize, Sink, Source};
 
 use crate::page::{Frame, PAGE_SHIFT, PAGE_SIZE, zero_frame};
 use crate::space::{LEAF_BITS, LEAF_MASK, PAGES_PER_LEAF, PageEntry};
@@ -140,7 +140,7 @@ struct Image {
 }
 
 impl Serialize for AddressSpace {
-    fn to_value(&self) -> Value {
+    fn serialize<S: Sink>(&self, sink: &mut S) {
         let dirty_vpns: BTreeSet<u64> = self.dirty_vpns().into_iter().collect();
         let (dirty, clean) = self
             .delta_since(&AddressSpace::new())
@@ -155,13 +155,13 @@ impl Serialize for AddressSpace {
             clean: delta(clean),
             dirty: delta(dirty),
         }
-        .to_value()
+        .serialize(sink);
     }
 }
 
 impl Deserialize for AddressSpace {
-    fn from_value(v: &Value) -> Result<AddressSpace, DeError> {
-        let image = Image::from_value(v)?;
+    fn deserialize<'de, S: Source<'de>>(src: &mut S) -> Result<AddressSpace, S::Error> {
+        let image = Image::deserialize(src)?;
         let mut mem = AddressSpace::new();
         mem.apply_delta(&image.clean)
             .map_err(|e| DeError::msg(format!("clean pages: {e}")))?;

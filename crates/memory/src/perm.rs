@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use serde::{DeError, Deserialize, Serialize, Value, field};
+use serde::{Deserialize, Serialize, Sink, Source};
 
 /// Page access permissions (read / write bits).
 ///
@@ -45,18 +45,28 @@ impl Perm {
 // Written by hand because a `Perm` is a private bit set: it persists
 // as the two named bits, `{"r":…,"w":…}`, not as the raw byte.
 impl Serialize for Perm {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("r".to_string(), Value::Bool(self.allows(Perm::R))),
-            ("w".to_string(), Value::Bool(self.allows(Perm::W))),
-        ])
+    fn serialize<S: Sink>(&self, sink: &mut S) {
+        sink.begin_object(2);
+        sink.key("r");
+        sink.bool(self.allows(Perm::R));
+        sink.key("w");
+        sink.bool(self.allows(Perm::W));
+        sink.end_object();
     }
 }
 
+/// The two bits a [`Perm`] persists as.
+#[derive(Deserialize)]
+struct Bits {
+    r: bool,
+    w: bool,
+}
+
 impl Deserialize for Perm {
-    fn from_value(v: &Value) -> Result<Perm, DeError> {
-        let bit = |name, p| Ok(if field(v, name)? { p } else { Perm::NONE });
-        Ok(bit("r", Perm::R)?.union(bit("w", Perm::W)?))
+    fn deserialize<'de, S: Source<'de>>(src: &mut S) -> Result<Perm, S::Error> {
+        let Bits { r, w } = Bits::deserialize(src)?;
+        let bit = |on, p| if on { p } else { Perm::NONE };
+        Ok(bit(r, Perm::R).union(bit(w, Perm::W)))
     }
 }
 

@@ -1,6 +1,6 @@
 //! Virtual memory regions (half-open address ranges).
 
-use serde::{DeError, Deserialize, Serialize, Value, field};
+use serde::{DeError, Deserialize, Serialize, Source};
 
 use crate::page::{PAGE_SIZE, vpn_of};
 use crate::{MemError, Result};
@@ -20,16 +20,22 @@ pub struct Region {
     pub end: u64,
 }
 
+/// A region's bounds as persisted, before [`Region::new`]'s condition
+/// is checked.
+#[derive(Deserialize)]
+struct Bounds {
+    start: u64,
+    end: u64,
+}
+
 // Written by hand to keep `Region::new`'s condition: a decoded range
 // with `end < start` (a damaged or forged trace) is refused here, before
 // any page arithmetic underflows on it.
 impl Deserialize for Region {
-    fn from_value(v: &Value) -> std::result::Result<Region, DeError> {
-        let (start, end): (u64, u64) = (field(v, "start")?, field(v, "end")?);
+    fn deserialize<'de, S: Source<'de>>(src: &mut S) -> std::result::Result<Region, S::Error> {
+        let Bounds { start, end } = Bounds::deserialize(src)?;
         if end < start {
-            return Err(DeError::msg(format!(
-                "region end {end:#x} below start {start:#x}"
-            )));
+            return Err(DeError::msg(format!("region end {end:#x} below start {start:#x}")).into());
         }
         Ok(Region { start, end })
     }

@@ -1,5 +1,5 @@
-//! The binary rendering of a [`Value`]: the tree `serde_json` writes
-//! as text, written as tagged, length-prefixed bytes.
+//! The binary rendering: the data model `serde_json` writes as text
+//! (see [`crate::Value`]), written as tagged, length-prefixed bytes.
 //!
 //! Every value is one tag byte and a body:
 //!
@@ -26,9 +26,12 @@
 //! refuses a length or count larger than the rest of the input before
 //! allocating anything for it.
 
+use std::borrow::Cow;
 use std::fmt;
 
-use crate::{DeError, Deserialize, MAX_DEPTH, Serialize, Value};
+#[cfg(test)]
+use crate::Value;
+use crate::{Atom, DeError, Deserialize, MAX_DEPTH, Serialize, Sink, Source};
 
 const NULL: u8 = 0;
 const FALSE: u8 = 1;
@@ -85,9 +88,9 @@ impl std::error::Error for Error {}
 
 /// Renders `value` in the binary form.
 pub fn to_vec<T: Serialize + ?Sized>(value: &T) -> Vec<u8> {
-    let mut out = Vec::new();
-    write_value(&value.to_value(), &mut out);
-    out
+    let mut w = Writer { out: Vec::new() };
+    value.serialize(&mut w);
+    w.out
 }
 
 /// Parses a value from the binary form; the whole input must be one
@@ -96,78 +99,93 @@ pub fn from_slice<T: Deserialize>(bytes: &[u8]) -> Result<T, Error> {
     let mut r = Reader {
         b: bytes,
         i: 0,
-        depth: 0,
+        open: Vec::new(),
     };
-    let v = r.value()?;
+    let v = T::deserialize(&mut r)?;
     if r.i != bytes.len() {
         return Err(Error::Trailing { at: r.i });
     }
-    T::from_parsed(v).map_err(Error::Shape)
+    Ok(v)
 }
 
-fn write_varint(mut n: u64, out: &mut Vec<u8>) {
-    while n >= 0x80 {
-        out.push(n as u8 | 0x80);
-        n >>= 7;
-    }
-    out.push(n as u8);
-}
-
-fn write_run(run: &[u8], out: &mut Vec<u8>) {
-    write_varint(run.len() as u64, out);
-    out.extend_from_slice(run);
-}
-
-fn write_value(v: &Value, out: &mut Vec<u8>) {
-    match v {
-        Value::Null => out.push(NULL),
-        Value::Bool(b) => out.push(if *b { TRUE } else { FALSE }),
-        Value::UInt(n) => {
-            out.push(UINT);
-            write_varint(*n, out);
-        }
-        Value::Int(n) => {
-            out.push(INT);
-            write_varint(((n << 1) ^ (n >> 63)) as u64, out);
-        }
-        Value::Float(f) => {
-            out.push(FLOAT);
-            out.extend_from_slice(&f.to_bits().to_le_bytes());
-        }
-        Value::Str(s) => {
-            out.push(STR);
-            write_run(s.as_bytes(), out);
-        }
-        Value::Bytes(b) => {
-            out.push(BYTES);
-            write_run(b, out);
-        }
-        Value::Array(items) => {
-            out.push(ARRAY);
-            write_varint(items.len() as u64, out);
-            for item in items {
-                write_value(item, out);
-            }
-        }
-        Value::Object(fields) => {
-            out.push(OBJECT);
-            write_varint(fields.len() as u64, out);
-            for (k, val) in fields {
-                write_run(k.as_bytes(), out);
-                write_value(val, out);
-            }
-        }
+impl From<DeError> for Error {
+    fn from(e: DeError) -> Error {
+        Error::Shape(e)
     }
 }
 
+/// The [`Sink`] that writes the binary form.
+struct Writer {
+    out: Vec<u8>,
+}
+
+impl Writer {
+    fn varint(&mut self, mut n: u64) {
+        while n >= 0x80 {
+            self.out.push(n as u8 | 0x80);
+            n >>= 7;
+        }
+        self.out.push(n as u8);
+    }
+
+    fn run(&mut self, run: &[u8]) {
+        self.varint(run.len() as u64);
+        self.out.extend_from_slice(run);
+    }
+}
+
+impl Sink for Writer {
+    fn null(&mut self) {
+        self.out.push(NULL);
+    }
+    fn bool(&mut self, b: bool) {
+        self.out.push(if b { TRUE } else { FALSE });
+    }
+    fn uint(&mut self, n: u64) {
+        self.out.push(UINT);
+        self.varint(n);
+    }
+    fn int(&mut self, n: i64) {
+        self.out.push(INT);
+        self.varint(((n << 1) ^ (n >> 63)) as u64);
+    }
+    fn float(&mut self, f: f64) {
+        self.out.push(FLOAT);
+        self.out.extend_from_slice(&f.to_bits().to_le_bytes());
+    }
+    fn str(&mut self, s: &str) {
+        self.out.push(STR);
+        self.run(s.as_bytes());
+    }
+    fn bytes(&mut self, b: &[u8]) {
+        self.out.push(BYTES);
+        self.run(b);
+    }
+    fn begin_array(&mut self, len: usize) {
+        self.out.push(ARRAY);
+        self.varint(len as u64);
+    }
+    fn end_array(&mut self) {}
+    fn begin_object(&mut self, len: usize) {
+        self.out.push(OBJECT);
+        self.varint(len as u64);
+    }
+    fn key(&mut self, k: &str) {
+        self.run(k.as_bytes());
+    }
+    fn end_object(&mut self) {}
+}
+
+/// The [`Source`] that reads the binary form.
 struct Reader<'a> {
     b: &'a [u8],
     i: usize,
-    /// Containers currently being read, one inside the other.
-    depth: usize,
+    /// The items (or fields) each open container has left, innermost
+    /// last.
+    open: Vec<usize>,
 }
 
-impl Reader<'_> {
+impl<'a> Reader<'a> {
     fn byte(&mut self) -> Result<u8, Error> {
         let c = *self.b.get(self.i).ok_or(Error::Truncated)?;
         self.i += 1;
@@ -209,75 +227,139 @@ impl Reader<'_> {
         }
     }
 
-    fn run(&mut self) -> Result<&[u8], Error> {
+    fn run(&mut self) -> Result<&'a [u8], Error> {
         let n = self.len()?;
         let run = &self.b[self.i..self.i + n];
         self.i += n;
         Ok(run)
     }
 
-    fn string(&mut self) -> Result<String, Error> {
+    fn string(&mut self) -> Result<&'a str, Error> {
         let at = self.i;
         let run = self.run()?;
-        std::str::from_utf8(run)
-            .map(str::to_owned)
-            .map_err(|_| Error::BadUtf8 { at })
+        std::str::from_utf8(run).map_err(|_| Error::BadUtf8 { at })
     }
 
-    fn value(&mut self) -> Result<Value, Error> {
+    fn float(&mut self) -> Result<f64, Error> {
+        let bits: [u8; 8] = self
+            .b
+            .get(self.i..self.i + 8)
+            .and_then(|s| s.try_into().ok())
+            .ok_or(Error::Truncated)?;
+        self.i += 8;
+        Ok(f64::from_bits(u64::from_le_bytes(bits)))
+    }
+
+    /// Counts one more open container, refusing the one past
+    /// [`MAX_DEPTH`] (whose tag is at `at`).
+    fn nest(depth: usize, at: usize) -> Result<usize, Error> {
+        if depth == MAX_DEPTH {
+            return Err(Error::TooDeep { at });
+        }
+        Ok(depth + 1)
+    }
+
+    /// Steps past one value `depth` containers deep, checking it as
+    /// [`Source::atom`] would and building nothing.
+    fn skip_value(&mut self, depth: usize) -> Result<(), Error> {
         let at = self.i;
-        let tag = self.byte()?;
-        Ok(match tag {
-            NULL => Value::Null,
-            FALSE => Value::Bool(false),
-            TRUE => Value::Bool(true),
-            UINT => Value::UInt(self.varint()?),
-            INT => {
-                let z = self.varint()?;
-                Value::Int((z >> 1) as i64 ^ -((z & 1) as i64))
+        match self.byte()? {
+            NULL | FALSE | TRUE => {}
+            UINT | INT => {
+                self.varint()?;
             }
             FLOAT => {
-                let bits: [u8; 8] = self
-                    .b
-                    .get(self.i..self.i + 8)
-                    .and_then(|s| s.try_into().ok())
-                    .ok_or(Error::Truncated)?;
-                self.i += 8;
-                Value::Float(f64::from_bits(u64::from_le_bytes(bits)))
+                self.float()?;
             }
-            STR => Value::Str(self.string()?),
-            BYTES => Value::Bytes(self.run()?.to_vec()),
-            ARRAY | OBJECT => {
-                if self.depth == MAX_DEPTH {
-                    return Err(Error::TooDeep { at });
+            STR => {
+                self.string()?;
+            }
+            BYTES => {
+                self.run()?;
+            }
+            tag @ (ARRAY | OBJECT) => {
+                let depth = Self::nest(depth, at)?;
+                for _ in 0..self.len()? {
+                    if tag == OBJECT {
+                        self.string()?;
+                    }
+                    self.skip_value(depth)?;
                 }
-                self.depth += 1;
-                let v = self.container(tag == OBJECT);
-                self.depth -= 1;
-                v?
             }
-            _ => return Err(Error::BadTag { at, tag }),
+            tag => return Err(Error::BadTag { at, tag }),
+        }
+        Ok(())
+    }
+
+    /// Takes one item from the innermost open container; `false` (and
+    /// the container closed) when it has none left.
+    fn next_in_open(&mut self) -> Result<bool, Error> {
+        let Some(left) = self.open.last_mut() else {
+            return Err(DeError::msg("no container is open").into());
+        };
+        if *left == 0 {
+            self.open.pop();
+            return Ok(false);
+        }
+        *left -= 1;
+        Ok(true)
+    }
+}
+
+impl<'a> Source<'a> for Reader<'a> {
+    type Error = Error;
+
+    fn atom(&mut self) -> Result<Atom<'a>, Error> {
+        let at = self.i;
+        Ok(match self.byte()? {
+            NULL => Atom::Null,
+            FALSE => Atom::Bool(false),
+            TRUE => Atom::Bool(true),
+            UINT => Atom::UInt(self.varint()?),
+            INT => {
+                let z = self.varint()?;
+                Atom::Int((z >> 1) as i64 ^ -((z & 1) as i64))
+            }
+            FLOAT => Atom::Float(self.float()?),
+            STR => Atom::Str(Cow::Borrowed(self.string()?)),
+            BYTES => Atom::Bytes(Cow::Borrowed(self.run()?)),
+            tag @ (ARRAY | OBJECT) => {
+                Self::nest(self.open.len(), at)?;
+                let n = self.len()?;
+                self.open.push(n);
+                if tag == ARRAY {
+                    Atom::Array
+                } else {
+                    Atom::Object
+                }
+            }
+            tag => return Err(Error::BadTag { at, tag }),
         })
     }
 
-    /// An array's or object's body; recursion comes back through
-    /// [`Self::value`].
-    fn container(&mut self, object: bool) -> Result<Value, Error> {
-        let n = self.len()?;
-        if object {
-            let mut fields = Vec::with_capacity(n);
-            for _ in 0..n {
-                let key = self.string()?;
-                fields.push((key, self.value()?));
-            }
-            Ok(Value::Object(fields))
-        } else {
-            let mut items = Vec::with_capacity(n);
-            for _ in 0..n {
-                items.push(self.value()?);
-            }
-            Ok(Value::Array(items))
+    fn item(&mut self) -> Result<bool, Error> {
+        self.next_in_open()
+    }
+
+    fn key(&mut self) -> Result<Option<Cow<'a, str>>, Error> {
+        if !self.next_in_open()? {
+            return Ok(None);
         }
+        Ok(Some(Cow::Borrowed(self.string()?)))
+    }
+
+    fn null(&mut self) -> Result<bool, Error> {
+        let is_null = self.b.get(self.i) == Some(&NULL);
+        self.i += usize::from(is_null);
+        Ok(is_null)
+    }
+
+    fn skip(&mut self) -> Result<(), Error> {
+        self.skip_value(self.open.len())
+    }
+
+    fn size_hint(&self) -> Option<usize> {
+        self.open.last().copied()
     }
 }
 
@@ -389,6 +471,19 @@ mod tests {
             Err(Error::TooDeep { .. })
         ));
         assert!(from_slice::<Value>(&[ARRAY, 1].repeat(1 << 20)).is_err());
+    }
+
+    /// A value read only to be skipped (a whole payload checked for
+    /// parsing, or an unknown key's: `derive.rs`) is held to the same
+    /// depth bound.
+    #[test]
+    fn skipped_values_are_depth_checked() {
+        let nested = |n: usize| [[ARRAY, 1].repeat(n - 1), vec![ARRAY, 0]].concat();
+        assert!(from_slice::<crate::IgnoredAny>(&nested(MAX_DEPTH)).is_ok());
+        assert!(matches!(
+            from_slice::<crate::IgnoredAny>(&nested(MAX_DEPTH + 1)),
+            Err(Error::TooDeep { .. })
+        ));
     }
 
     #[test]

@@ -154,3 +154,63 @@ fn static_strings_are_interned_once_and_bounded() {
     assert!(<&'static str>::from_value(&s(&"x".repeat(256))).is_ok());
     assert!(<&'static str>::from_value(&s(&"x".repeat(257))).is_err());
 }
+
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+struct Point {
+    x: u64,
+    y: u64,
+}
+
+#[test]
+fn fields_come_in_any_order_and_unknown_keys_are_skipped() {
+    let p = Point { x: 1, y: 2 };
+    let reordered = obj(&[
+        ("extra", Value::Array(vec![Value::Null])),
+        ("y", Value::UInt(2)),
+        ("x", Value::UInt(1)),
+        // A repeated key: the first occurrence counts.
+        ("x", s("ignored")),
+    ]);
+    assert_eq!(Point::from_value(&reordered).unwrap(), p);
+    assert_eq!(
+        serde::bin::from_slice::<Point>(&serde::bin::to_vec(&reordered)).unwrap(),
+        p
+    );
+    // A tagged enum whose "k" is not first reads the same.
+    let late_tag = obj(&[
+        ("w", Value::UInt(2)),
+        ("k", s("Rect")),
+        ("height", Value::UInt(3)),
+    ]);
+    let rect = Shape::Rect { w: 2, h: 3 };
+    assert_eq!(Shape::from_value(&late_tag).unwrap(), rect);
+    assert_eq!(
+        serde::bin::from_slice::<Shape>(&serde::bin::to_vec(&late_tag)).unwrap(),
+        rect
+    );
+}
+
+/// An unknown key's value is skipped, not built, but it is held to the
+/// same depth bound as a value that is.
+#[test]
+fn skipped_unknown_values_are_depth_checked() {
+    let nested = |n: usize| {
+        let mut v = Value::Array(Vec::new());
+        for _ in 1..n {
+            v = Value::Array(vec![v]);
+        }
+        v
+    };
+    let with = |extra: Value| {
+        serde::bin::to_vec(&obj(&[
+            ("x", Value::UInt(1)),
+            ("y", Value::UInt(2)),
+            ("extra", extra),
+        ]))
+    };
+    assert!(serde::bin::from_slice::<Point>(&with(nested(serde::MAX_DEPTH - 1))).is_ok());
+    assert!(matches!(
+        serde::bin::from_slice::<Point>(&with(nested(serde::MAX_DEPTH))),
+        Err(serde::bin::Error::TooDeep { .. })
+    ));
+}

@@ -1,8 +1,9 @@
 //! Derive backend for the vendored `serde` shim.
 //!
 //! Parses the derive input with raw `proc_macro` tokens (no `syn` —
-//! the build has no registry access) and supports exactly the shapes
-//! the workspace uses:
+//! the build has no registry access) and emits one walk per type: a
+//! `serialize` into any `serde::Sink` and a `deserialize` out of any
+//! `serde::Source`. It supports exactly the shapes the workspace uses:
 //!
 //! * named-field structs — an object, one key per field;
 //! * newtype structs — transparent, the inner value;
@@ -10,6 +11,10 @@
 //! * any other enum — an object tagged on `"k"` with the variant name,
 //!   followed by the variant's fields (tuple fields are keyed `"0"`,
 //!   `"1"`, …; a unit variant is the tag alone).
+//!
+//! An object's fields may come in any order: the first occurrence of
+//! a key counts and an unknown key's value is skipped. A tagged enum
+//! whose `"k"` is not its first key is read whole into a tree first.
 //!
 //! Attributes: `#[serde(skip)]` on a named field (left out, and
 //! `Default` on the way back in) and `#[serde(rename = "…")]` on a
@@ -292,39 +297,73 @@ fn shaped(fields: &Fields, expr: impl Fn(&Field) -> String) -> String {
     }
 }
 
-/// Statements pushing each unskipped field onto the object `__o`;
-/// `access` turns a field into the expression that borrows it.
-fn push_fields(fields: &[Field], access: impl Fn(&Field) -> String) -> String {
-    fields
+/// The walk writing an object: `"k"` and its `tag` first when there is
+/// one, then each unskipped field behind its key; `access` turns a
+/// field into the expression that borrows it.
+fn write_object(tag: Option<&str>, fields: &[Field], access: impl Fn(&Field) -> String) -> String {
+    let written: Vec<&Field> = fields.iter().filter(|f| !f.skip).collect();
+    let begin = format!(
+        "::serde::Sink::begin_object(__s, {});",
+        written.len() + usize::from(tag.is_some())
+    );
+    let tag = tag
+        .map(|tag| format!("::serde::Sink::key(__s, \"k\"); ::serde::Sink::str(__s, \"{tag}\");"))
+        .unwrap_or_default();
+    let fields: String = written
         .iter()
-        .filter(|f| !f.skip)
         .map(|f| {
             format!(
-                "__o.push((::std::string::String::from(\"{}\"), \
-                 ::serde::Serialize::to_value({})));",
+                "::serde::Sink::key(__s, \"{}\"); ::serde::Serialize::serialize({}, __s);",
                 f.key,
                 access(f)
             )
         })
-        .collect()
+        .collect();
+    begin + &tag + &fields + "::serde::Sink::end_object(__s);"
 }
 
-/// The constructor body reading each field from the object `__v`.
-fn read_fields(fields: &Fields) -> String {
-    shaped(fields, |f| {
+/// The walk reading an open object's fields in any order into
+/// `ctor`'s shape: the first occurrence of each key counts, and any
+/// other key's value is skipped (checked, not built).
+fn read_object(ctor: &str, fields: &Fields) -> String {
+    let fs: &[Field] = match fields {
+        Fields::Unit => &[],
+        Fields::Named(fs) | Fields::Tuple(fs) => fs,
+    };
+    let read: Vec<&Field> = fs.iter().filter(|f| !f.skip).collect();
+    let slots: String = read
+        .iter()
+        .map(|f| format!("let mut {} = ::std::option::Option::None;", binding(f)))
+        .collect();
+    let arms: String = read
+        .iter()
+        .map(|f| {
+            format!(
+                "\"{}\" if {b}.is_none() => \
+                 {b} = ::std::option::Option::Some(::serde::Deserialize::deserialize(__s)?),",
+                f.key,
+                b = binding(f)
+            )
+        })
+        .collect();
+    let build = shaped(fields, |f| {
         if f.skip {
             "::std::default::Default::default()".to_string()
         } else {
-            format!("::serde::field(__v, \"{}\")?", f.key)
+            format!(
+                "match {} {{ ::std::option::Option::Some(__x) => __x, \
+                 ::std::option::Option::None => return ::std::result::Result::Err(\
+                 ::serde::missing(\"{}\").into()) }}",
+                binding(f),
+                f.key
+            )
         }
-    })
-}
-
-/// Declares the object `__o` the pushes go to, sized for `fields` keys.
-fn new_object(fields: usize) -> String {
+    });
     format!(
-        "let mut __o: ::std::vec::Vec<(::std::string::String, ::serde::Value)> = \
-         ::std::vec::Vec::with_capacity({fields});"
+        "{slots} \
+         while let ::std::option::Option::Some(__k) = ::serde::Source::key(__s)? {{ \
+         match &*__k {{ {arms} _ => ::serde::Source::skip(__s)?, }} }} \
+         ::std::result::Result::Ok({ctor} {build})"
     )
 }
 
@@ -333,17 +372,14 @@ fn render_serialize(item: &Item) -> String {
         Item::Struct {
             name,
             fields: Fields::Named(fs),
-        } => {
-            let pushes = push_fields(fs, |f| format!("&self.{}", f.name));
-            (
-                name,
-                format!(
-                    "{} {pushes} ::serde::Value::Object(__o)",
-                    new_object(fs.len())
-                ),
-            )
-        }
-        Item::Struct { name, .. } => (name, "::serde::Serialize::to_value(&self.0)".to_string()),
+        } => (
+            name,
+            write_object(None, fs, |f| format!("&self.{}", f.name)),
+        ),
+        Item::Struct { name, .. } => (
+            name,
+            "::serde::Serialize::serialize(&self.0, __s)".to_string(),
+        ),
         Item::Enum { name, variants } if all_units(variants) => {
             let arms: String = variants
                 .iter()
@@ -351,48 +387,31 @@ fn render_serialize(item: &Item) -> String {
                 .collect();
             (
                 name,
-                format!(
-                    "::serde::Value::Str(::std::string::String::from(match self {{ {arms} }}))"
-                ),
+                format!("::serde::Sink::str(__s, match self {{ {arms} }})"),
             )
         }
         Item::Enum { name, variants } => {
-            let widest = variants
-                .iter()
-                .map(|v| match &v.fields {
-                    Fields::Unit => 0,
-                    Fields::Named(fs) | Fields::Tuple(fs) => fs.len(),
-                })
-                .max()
-                .unwrap_or(0);
             let arms: String = variants
                 .iter()
                 .map(|v| {
-                    let pushes = match &v.fields {
-                        Fields::Unit => String::new(),
-                        Fields::Named(fs) | Fields::Tuple(fs) => push_fields(fs, binding),
+                    let fs: &[Field] = match &v.fields {
+                        Fields::Unit => &[],
+                        Fields::Named(fs) | Fields::Tuple(fs) => fs,
                     };
                     format!(
-                        "{name}::{} {} => {{ __o.push((::std::string::String::from(\"k\"), \
-                         ::serde::Value::Str(::std::string::String::from(\"{}\")))); {pushes} }}",
+                        "{name}::{} {} => {{ {} }}",
                         v.name,
                         shaped(&v.fields, binding),
-                        v.tag
+                        write_object(Some(&v.tag), fs, binding)
                     )
                 })
                 .collect();
-            (
-                name,
-                format!(
-                    "{} match self {{ {arms} }} ::serde::Value::Object(__o)",
-                    new_object(widest + 1)
-                ),
-            )
+            (name, format!("match self {{ {arms} }}"))
         }
     };
     format!(
         "impl ::serde::Serialize for {name} {{ \
-         fn to_value(&self) -> ::serde::Value {{ {body} }} }}"
+         fn serialize<__S: ::serde::Sink>(&self, __s: &mut __S) {{ {body} }} }}"
     )
 }
 
@@ -404,47 +423,63 @@ fn render_deserialize(item: &Item) -> String {
             fields: Fields::Tuple(_),
         } => (
             name,
-            format!("::std::result::Result::Ok({name}(::serde::Deserialize::from_value(__v)?))"),
+            format!("::std::result::Result::Ok({name}(::serde::Deserialize::deserialize(__s)?))"),
         ),
         Item::Struct { name, fields } => (
             name,
-            format!("::std::result::Result::Ok({name} {})", read_fields(fields)),
+            format!("::serde::open_object(__s)?; {}", read_object(name, fields)),
         ),
         Item::Enum { name, variants } => {
-            let arms: String = variants
-                .iter()
-                .map(|v| {
+            let unknown = format!(
+                "__other => ::std::result::Result::Err(::serde::DeError::msg(\
+                 ::std::format!(\"unknown {name} variant `{{}}`\", __other)).into()),"
+            );
+            if all_units(variants) {
+                let arms: String = variants
+                    .iter()
+                    .map(|v| {
+                        format!(
+                            "\"{}\" => ::std::result::Result::Ok({name}::{}),",
+                            v.tag, v.name
+                        )
+                    })
+                    .collect();
+                (
+                    name,
                     format!(
-                        "\"{}\" => ::std::result::Result::Ok({name}::{} {}),",
-                        v.tag,
-                        v.name,
-                        read_fields(&v.fields)
-                    )
-                })
-                .collect();
-            // An all-unit enum is its tag; any other carries it as `k`.
-            let tag = if all_units(variants) {
-                "::std::option::Option::Some(__v)"
+                        "match ::serde::Source::atom(__s)? {{ \
+                         ::serde::Atom::Str(__t) => match &*__t {{ {arms} {unknown} }}, \
+                         _ => ::std::result::Result::Err(::serde::DeError::msg(\
+                         \"expected a variant tag for enum {name}\").into()), }}"
+                    ),
+                )
             } else {
-                "__v.get(\"k\")"
-            };
-            (
-                name,
-                format!(
-                    "match {tag} {{ \
-                     ::std::option::Option::Some(::serde::Value::Str(__s)) => \
-                     match __s.as_str() {{ {arms} \
-                     __other => ::std::result::Result::Err(::serde::DeError::msg(\
-                     ::std::format!(\"unknown {name} variant `{{}}`\", __other))), }}, \
-                     _ => ::std::result::Result::Err(::serde::DeError::msg(\
-                     \"expected a variant tag for enum {name}\")), }}"
-                ),
-            )
+                let arms: String = variants
+                    .iter()
+                    .map(|v| {
+                        format!(
+                            "\"{}\" => {{ {} }}",
+                            v.tag,
+                            read_object(&format!("{name}::{}", v.name), &v.fields)
+                        )
+                    })
+                    .collect();
+                // A tree holds the object whose `"k"` was not first.
+                (
+                    name,
+                    format!(
+                        "match ::serde::Source::tag(__s)? {{ \
+                         ::serde::Tagged::Tag(__t) => match &*__t {{ {arms} {unknown} }}, \
+                         ::serde::Tagged::Buffered(__v) => \
+                         <Self as ::serde::Deserialize>::from_value(&__v).map_err(::std::convert::From::from), }}"
+                    ),
+                )
+            }
         }
     };
     format!(
         "impl ::serde::Deserialize for {name} {{ \
-         fn from_value(__v: &::serde::Value) -> \
-         ::std::result::Result<Self, ::serde::DeError> {{ {body} }} }}"
+         fn deserialize<'de, __S: ::serde::Source<'de>>(__s: &mut __S) -> \
+         ::std::result::Result<Self, __S::Error> {{ {body} }} }}"
     )
 }

@@ -1,14 +1,17 @@
 //! Vendored shim for the parts of `serde_json` this workspace uses:
-//! `to_string`, `to_string_pretty`, `from_str`, and `Error`.
+//! `to_string`, `to_string_pretty`, `from_str`, and `Error`, over a
+//! [`Writer`] and a [`Reader`] — the JSON text's `serde::Sink` and
+//! `serde::Source`, so a walk writes and reads the text directly.
 //!
-//! A [`Value::Bytes`] is written as a lowercase hex string; parsing
-//! gives that string back as a `Value::Str`, which the `u8` sequence
-//! mapping reads as bytes.
+//! A run of bytes is written as a lowercase hex string; reading gives
+//! that string back as a string, which the `u8` sequence mapping reads
+//! as bytes.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::io::Write as _;
 
-use serde::{Deserialize, MAX_DEPTH, Serialize, Value};
+use serde::{Atom, DeError, Deserialize, MAX_DEPTH, Serialize, Sink, Source};
 
 /// JSON serialization/deserialization error.
 #[derive(Clone, Debug)]
@@ -28,8 +31,8 @@ impl fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-impl From<serde::DeError> for Error {
-    fn from(e: serde::DeError) -> Error {
+impl From<DeError> for Error {
+    fn from(e: DeError) -> Error {
         Error(e.to_string())
     }
 }
@@ -44,144 +47,223 @@ pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Erro
     Ok(render(value, true))
 }
 
-/// The writer fills a byte buffer. It pushes ASCII, and a string's own
-/// bytes in order with only ASCII bytes escaped, so the buffer is UTF-8.
-/// A `value` that is a [`Value`] is written where it lies; anything
-/// else is converted first.
 fn render<T: Serialize + ?Sized>(value: &T, pretty: bool) -> String {
-    let converted;
-    let v = match value.as_value() {
-        Some(v) => v,
-        None => {
-            converted = value.to_value();
-            &converted
-        }
-    };
     let mut out = Vec::new();
-    write_value(v, &mut out, 0, pretty);
+    let mut w = Writer::new(&mut out);
+    w.pretty = pretty;
+    value.serialize(&mut w);
     String::from_utf8(out).expect("the writer emits only utf-8")
 }
 
 /// Parses a value from JSON text.
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
-    let mut p = Parser {
-        s,
-        b: s.as_bytes(),
-        i: 0,
-        depth: 0,
-    };
-    p.skip_ws();
-    let v = p.parse_value()?;
-    p.skip_ws();
-    if p.i != p.b.len() {
-        return Err(Error::msg(format!("trailing characters at offset {}", p.i)));
+    let mut r = Reader::new(s);
+    let v = T::deserialize(&mut r)?;
+    r.skip_ws();
+    if r.i != r.b.len() {
+        return Err(Error::msg(format!("trailing characters at offset {}", r.i)));
     }
-    Ok(T::from_parsed(v)?)
+    Ok(v)
 }
 
-fn write_value(v: &Value, out: &mut Vec<u8>, depth: usize, pretty: bool) {
-    // Writing into a `Vec` cannot fail.
-    match v {
-        Value::Null => out.extend_from_slice(b"null"),
-        Value::Bool(b) => out.extend_from_slice(if *b { b"true" } else { b"false" }),
-        Value::UInt(n) => write!(out, "{n}").expect("vec write"),
-        Value::Int(n) => write!(out, "{n}").expect("vec write"),
-        Value::Float(f) => {
-            if f.is_finite() {
-                write!(out, "{f}").expect("vec write");
-            } else {
-                out.extend_from_slice(b"null");
+/// The `Sink` that writes JSON text onto the end of a byte buffer. It
+/// pushes ASCII, and a string's own bytes in order with only ASCII
+/// bytes escaped, so what it appends is UTF-8.
+pub struct Writer<'a> {
+    out: &'a mut Vec<u8>,
+    pretty: bool,
+    /// Containers open, one inside the other.
+    depth: usize,
+    /// Nothing has been written into the innermost open container yet.
+    first: bool,
+    /// A key was just written: its value follows with no separator.
+    after_key: bool,
+}
+
+impl<'a> Writer<'a> {
+    /// A compact writer appending to `out`.
+    pub fn new(out: &'a mut Vec<u8>) -> Writer<'a> {
+        Writer {
+            out,
+            pretty: false,
+            depth: 0,
+            first: true,
+            after_key: false,
+        }
+    }
+
+    fn newline_indent(&mut self) {
+        if self.pretty {
+            self.out.push(b'\n');
+            for _ in 0..self.depth {
+                self.out.extend_from_slice(b"  ");
             }
         }
-        Value::Str(s) => write_string(s, out),
-        Value::Bytes(b) => {
-            const DIGITS: &[u8; 16] = b"0123456789abcdef";
-            out.push(b'"');
-            let start = out.len();
-            out.resize(start + 2 * b.len(), 0);
-            for (hex, &c) in out[start..].chunks_exact_mut(2).zip(b) {
-                hex[0] = DIGITS[(c >> 4) as usize];
-                hex[1] = DIGITS[(c & 0xf) as usize];
-            }
-            out.push(b'"');
+    }
+
+    /// What goes before a value: nothing after a key or at the top,
+    /// else the separator from the previous item.
+    fn before_value(&mut self) {
+        if self.after_key {
+            self.after_key = false;
+        } else if self.depth > 0 {
+            self.separate();
         }
-        Value::Array(items) => {
-            if items.is_empty() {
-                out.extend_from_slice(b"[]");
-                return;
-            }
-            out.push(b'[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(b',');
-                }
-                newline_indent(out, depth + 1, pretty);
-                write_value(item, out, depth + 1, pretty);
-            }
-            newline_indent(out, depth, pretty);
-            out.push(b']');
+    }
+
+    fn separate(&mut self) {
+        if !self.first {
+            self.out.push(b',');
         }
-        Value::Object(fields) => {
-            if fields.is_empty() {
-                out.extend_from_slice(b"{}");
-                return;
-            }
-            out.push(b'{');
-            for (i, (k, val)) in fields.iter().enumerate() {
-                if i > 0 {
-                    out.push(b',');
-                }
-                newline_indent(out, depth + 1, pretty);
-                write_string(k, out);
-                out.push(b':');
-                if pretty {
-                    out.push(b' ');
-                }
-                write_value(val, out, depth + 1, pretty);
-            }
-            newline_indent(out, depth, pretty);
-            out.push(b'}');
+        self.first = false;
+        self.newline_indent();
+    }
+
+    fn open(&mut self, c: u8) {
+        self.before_value();
+        self.out.push(c);
+        self.depth += 1;
+        self.first = true;
+    }
+
+    fn close(&mut self, c: u8) {
+        self.depth -= 1;
+        if !self.first {
+            self.newline_indent();
         }
+        self.out.push(c);
+        self.first = false;
+    }
+
+    fn digits(&mut self, mut n: u64) {
+        let mut buf = [0u8; 20];
+        let mut i = buf.len();
+        loop {
+            i -= 1;
+            buf[i] = b'0' + (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                break;
+            }
+        }
+        self.out.extend_from_slice(&buf[i..]);
+    }
+
+    /// Every byte that needs an escape is ASCII, and no byte of a
+    /// multi-byte UTF-8 sequence is, so the string is escaped byte by
+    /// byte.
+    fn string(&mut self, s: &str) {
+        let out = &mut *self.out;
+        out.push(b'"');
+        for &b in s.as_bytes() {
+            match b {
+                b'"' => out.extend_from_slice(b"\\\""),
+                b'\\' => out.extend_from_slice(b"\\\\"),
+                b'\n' => out.extend_from_slice(b"\\n"),
+                b'\r' => out.extend_from_slice(b"\\r"),
+                b'\t' => out.extend_from_slice(b"\\t"),
+                b if b < 0x20 => out.extend_from_slice(format!("\\u{b:04x}").as_bytes()),
+                b => out.push(b),
+            }
+        }
+        out.push(b'"');
     }
 }
 
-fn newline_indent(out: &mut Vec<u8>, depth: usize, pretty: bool) {
-    if pretty {
-        out.push(b'\n');
-        for _ in 0..depth {
-            out.extend_from_slice(b"  ");
+impl Sink for Writer<'_> {
+    fn null(&mut self) {
+        self.before_value();
+        self.out.extend_from_slice(b"null");
+    }
+    fn bool(&mut self, b: bool) {
+        self.before_value();
+        self.out
+            .extend_from_slice(if b { b"true" } else { b"false" });
+    }
+    fn uint(&mut self, n: u64) {
+        self.before_value();
+        self.digits(n);
+    }
+    fn int(&mut self, n: i64) {
+        self.before_value();
+        if n < 0 {
+            self.out.push(b'-');
         }
+        self.digits(n.unsigned_abs());
+    }
+    fn float(&mut self, f: f64) {
+        self.before_value();
+        if f.is_finite() {
+            // Writing into a `Vec` cannot fail.
+            write!(self.out, "{f}").expect("vec write");
+        } else {
+            self.out.extend_from_slice(b"null");
+        }
+    }
+    fn str(&mut self, s: &str) {
+        self.before_value();
+        self.string(s);
+    }
+    fn bytes(&mut self, b: &[u8]) {
+        const DIGITS: &[u8; 16] = b"0123456789abcdef";
+        self.before_value();
+        let out = &mut *self.out;
+        out.push(b'"');
+        let start = out.len();
+        out.resize(start + 2 * b.len(), 0);
+        for (hex, &c) in out[start..].chunks_exact_mut(2).zip(b) {
+            hex[0] = DIGITS[(c >> 4) as usize];
+            hex[1] = DIGITS[(c & 0xf) as usize];
+        }
+        out.push(b'"');
+    }
+    fn begin_array(&mut self, _len: usize) {
+        self.open(b'[');
+    }
+    fn end_array(&mut self) {
+        self.close(b']');
+    }
+    fn begin_object(&mut self, _len: usize) {
+        self.open(b'{');
+    }
+    fn key(&mut self, k: &str) {
+        self.separate();
+        self.string(k);
+        self.out.push(b':');
+        if self.pretty {
+            self.out.push(b' ');
+        }
+        self.after_key = true;
+    }
+    fn end_object(&mut self) {
+        self.close(b'}');
     }
 }
 
-/// Every byte that needs an escape is ASCII, and no byte of a multi-byte
-/// UTF-8 sequence is, so the string is escaped byte by byte.
-fn write_string(s: &str, out: &mut Vec<u8>) {
-    out.push(b'"');
-    for &b in s.as_bytes() {
-        match b {
-            b'"' => out.extend_from_slice(b"\\\""),
-            b'\\' => out.extend_from_slice(b"\\\\"),
-            b'\n' => out.extend_from_slice(b"\\n"),
-            b'\r' => out.extend_from_slice(b"\\r"),
-            b'\t' => out.extend_from_slice(b"\\t"),
-            b if b < 0x20 => out.extend_from_slice(format!("\\u{b:04x}").as_bytes()),
-            b => out.push(b),
-        }
-    }
-    out.push(b'"');
-}
-
-struct Parser<'a> {
+/// The `Source` that reads JSON text. Strings without escapes are
+/// borrowed from the text.
+struct Reader<'a> {
     s: &'a str,
     /// `s.as_bytes()`.
     b: &'a [u8],
     i: usize,
-    /// Values currently being parsed, one inside the other.
+    /// Containers open, one inside the other.
     depth: usize,
+    /// Nothing has been read from the innermost open container yet.
+    first: bool,
 }
 
-impl<'a> Parser<'a> {
+impl<'a> Reader<'a> {
+    fn new(s: &'a str) -> Reader<'a> {
+        Reader {
+            s,
+            b: s.as_bytes(),
+            i: 0,
+            depth: 0,
+            first: false,
+        }
+    }
+
     fn skip_ws(&mut self) {
         while self.i < self.b.len() && self.b[self.i].is_ascii_whitespace() {
             self.i += 1;
@@ -213,92 +295,41 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_value(&mut self) -> Result<Value, Error> {
-        if self.depth == MAX_DEPTH {
-            return Err(Error::msg(format!(
-                "nesting deeper than {MAX_DEPTH} at offset {}",
-                self.i
-            )));
-        }
+    fn open(&mut self) {
+        self.i += 1;
         self.depth += 1;
-        let v = self.parse_unbounded();
-        self.depth -= 1;
-        v
+        self.first = true;
     }
 
-    /// One value; recursion comes back through [`Self::parse_value`].
-    fn parse_unbounded(&mut self) -> Result<Value, Error> {
+    fn close(&mut self) {
+        self.i += 1;
+        self.depth -= 1;
+        self.first = false;
+    }
+
+    /// Steps into the innermost open container's next item: true, or
+    /// false after its closing `end`. `what` names it for errors.
+    fn next_in_open(&mut self, end: u8, what: &str) -> Result<bool, Error> {
+        if self.depth == 0 {
+            return Err(Error::msg(format!("no {what} is open")));
+        }
         self.skip_ws();
+        let first = std::mem::replace(&mut self.first, false);
         match self.peek() {
-            Some(b'n') => {
-                self.eat_lit("null")?;
-                Ok(Value::Null)
+            Some(c) if c == end => {
+                self.close();
+                Ok(false)
             }
-            Some(b't') => {
-                self.eat_lit("true")?;
-                Ok(Value::Bool(true))
-            }
-            Some(b'f') => {
-                self.eat_lit("false")?;
-                Ok(Value::Bool(false))
-            }
-            Some(b'"') => Ok(Value::Str(self.parse_string()?)),
-            Some(b'[') => {
+            _ if first => Ok(true),
+            Some(b',') => {
                 self.i += 1;
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b']') {
-                    self.i += 1;
-                    return Ok(Value::Array(items));
-                }
-                loop {
-                    items.push(self.parse_value()?);
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.i += 1,
-                        Some(b']') => {
-                            self.i += 1;
-                            return Ok(Value::Array(items));
-                        }
-                        _ => return Err(Error::msg(format!("bad array at offset {}", self.i))),
-                    }
-                }
+                Ok(true)
             }
-            Some(b'{') => {
-                self.i += 1;
-                let mut fields = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b'}') {
-                    self.i += 1;
-                    return Ok(Value::Object(fields));
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.parse_string()?;
-                    self.skip_ws();
-                    self.eat(b':')?;
-                    let val = self.parse_value()?;
-                    fields.push((key, val));
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.i += 1,
-                        Some(b'}') => {
-                            self.i += 1;
-                            return Ok(Value::Object(fields));
-                        }
-                        _ => return Err(Error::msg(format!("bad object at offset {}", self.i))),
-                    }
-                }
-            }
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
-            other => Err(Error::msg(format!(
-                "unexpected {other:?} at offset {}",
-                self.i
-            ))),
+            _ => Err(Error::msg(format!("bad {what} at offset {}", self.i))),
         }
     }
 
-    fn parse_number(&mut self) -> Result<Value, Error> {
+    fn parse_number(&mut self) -> Result<Atom<'a>, Error> {
         let start = self.i;
         while let Some(c) = self.peek() {
             if c.is_ascii_digit() || matches!(c, b'-' | b'+' | b'.' | b'e' | b'E') {
@@ -307,20 +338,14 @@ impl<'a> Parser<'a> {
                 break;
             }
         }
-        let text = std::str::from_utf8(&self.b[start..self.i]).expect("ascii");
+        let text = &self.s[start..self.i];
+        let bad = |e: &dyn fmt::Display| Error::msg(format!("bad number `{text}`: {e}"));
         if text.contains(['.', 'e', 'E']) {
-            text.parse::<f64>()
-                .map(Value::Float)
-                .map_err(|e| Error::msg(format!("bad number `{text}`: {e}")))
-        } else if let Some(rest) = text.strip_prefix('-') {
-            let _ = rest;
-            text.parse::<i64>()
-                .map(Value::Int)
-                .map_err(|e| Error::msg(format!("bad number `{text}`: {e}")))
+            text.parse::<f64>().map(Atom::Float).map_err(|e| bad(&e))
+        } else if text.starts_with('-') {
+            text.parse::<i64>().map(Atom::Int).map_err(|e| bad(&e))
         } else {
-            text.parse::<u64>()
-                .map(Value::UInt)
-                .map_err(|e| Error::msg(format!("bad number `{text}`: {e}")))
+            text.parse::<u64>().map(Atom::UInt).map_err(|e| bad(&e))
         }
     }
 
@@ -334,15 +359,31 @@ impl<'a> Parser<'a> {
         u32::from_str_radix(hex, 16).map_err(|_| Error::msg("bad \\u escape"))
     }
 
-    fn parse_string(&mut self) -> Result<String, Error> {
+    fn parse_string(&mut self) -> Result<Cow<'a, str>, Error> {
         self.eat(b'"')?;
+        // The run up to the next quote or escape. Both are ASCII, so it
+        // ends on a char boundary of the (already valid) input.
+        let b = self.b;
+        let run_end = |from: usize| {
+            let rest = &b[from..];
+            from + rest
+                .iter()
+                .position(|&c| c == b'"' || c == b'\\')
+                .unwrap_or(rest.len())
+        };
+        let end = run_end(self.i);
+        if self.b.get(end) == Some(&b'"') {
+            let s = &self.s[self.i..end];
+            self.i = end + 1;
+            return Ok(Cow::Borrowed(s));
+        }
         let mut out = String::new();
         loop {
             match self.peek() {
                 None => return Err(Error::msg("unterminated string")),
                 Some(b'"') => {
                     self.i += 1;
-                    return Ok(out);
+                    return Ok(Cow::Owned(out));
                 }
                 Some(b'\\') => {
                     self.i += 1;
@@ -388,24 +429,76 @@ impl<'a> Parser<'a> {
                     self.i += 1;
                 }
                 Some(_) => {
-                    // Copy the run up to the next quote or escape. Both
-                    // are ASCII, so the run ends on a char boundary of
-                    // the (already valid) input.
-                    let rest = &self.b[self.i..];
-                    let run = rest
-                        .iter()
-                        .position(|&c| c == b'"' || c == b'\\')
-                        .unwrap_or(rest.len());
-                    out.push_str(&self.s[self.i..self.i + run]);
-                    self.i += run;
+                    let end = run_end(self.i);
+                    out.push_str(&self.s[self.i..end]);
+                    self.i = end;
                 }
             }
         }
     }
 }
 
+impl<'a> Source<'a> for Reader<'a> {
+    type Error = Error;
+
+    fn atom(&mut self) -> Result<Atom<'a>, Error> {
+        // Every value counts the containers around it, scalars too.
+        if self.depth == MAX_DEPTH {
+            return Err(Error::msg(format!(
+                "nesting deeper than {MAX_DEPTH} at offset {}",
+                self.i
+            )));
+        }
+        self.skip_ws();
+        match self.peek() {
+            Some(b'n') => self.eat_lit("null").map(|()| Atom::Null),
+            Some(b't') => self.eat_lit("true").map(|()| Atom::Bool(true)),
+            Some(b'f') => self.eat_lit("false").map(|()| Atom::Bool(false)),
+            Some(b'"') => self.parse_string().map(Atom::Str),
+            Some(b'[') => {
+                self.open();
+                Ok(Atom::Array)
+            }
+            Some(b'{') => {
+                self.open();
+                Ok(Atom::Object)
+            }
+            Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
+            other => Err(Error::msg(format!(
+                "unexpected {other:?} at offset {}",
+                self.i
+            ))),
+        }
+    }
+
+    fn item(&mut self) -> Result<bool, Error> {
+        self.next_in_open(b']', "array")
+    }
+
+    fn key(&mut self) -> Result<Option<Cow<'a, str>>, Error> {
+        if !self.next_in_open(b'}', "object")? {
+            return Ok(None);
+        }
+        self.skip_ws();
+        let key = self.parse_string()?;
+        self.skip_ws();
+        self.eat(b':')?;
+        Ok(Some(key))
+    }
+
+    fn null(&mut self) -> Result<bool, Error> {
+        self.skip_ws();
+        if self.peek() != Some(b'n') {
+            return Ok(false);
+        }
+        self.atom().map(|_| true)
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use serde::Value;
+
     use super::*;
 
     #[test]
@@ -437,27 +530,39 @@ mod tests {
     }
 
     #[test]
-    fn a_borrowed_value_renders_in_place_as_its_copy_would() {
-        struct Copied(Value);
-        impl Serialize for Copied {
-            fn to_value(&self) -> Value {
-                self.0.clone()
-            }
-        }
+    fn a_walk_renders_as_its_tree_does() {
         let v = Value::Object(vec![
             ("k".into(), Value::Str("Put".into())),
             ("data".into(), Value::Bytes(vec![0, 0xff])),
             (
                 "ids".into(),
-                Value::Array(vec![Value::UInt(3), Value::Null]),
+                Value::Array(vec![Value::UInt(3), Value::Null, Value::Int(-4)]),
+            ),
+            ("none".into(), Value::Array(Vec::new())),
+            (
+                "nested".into(),
+                Value::Object(vec![("e".into(), Value::Object(Vec::new()))]),
             ),
         ]);
-        assert!(std::ptr::eq(Box::new(&v).as_value().unwrap(), &v));
+        assert_eq!(
+            render(&v, false),
+            r#"{"k":"Put","data":"00ff","ids":[3,null,-4],"none":[],"nested":{"e":{}}}"#
+        );
+        assert_eq!(
+            render(&v, true),
+            "{\n  \"k\": \"Put\",\n  \"data\": \"00ff\",\n  \"ids\": [\n    3,\n    null,\n    \
+             -4\n  ],\n  \"none\": [],\n  \"nested\": {\n    \"e\": {}\n  }\n}"
+        );
+        let typed = (
+            vec![(7u64, Some("x".to_string())), (8, None)],
+            Ok::<Vec<u8>, i32>(vec![1, 2]),
+        );
         for pretty in [false, true] {
-            let copied = render(&Copied(v.clone()), pretty);
-            assert_eq!(render(&v, pretty), copied);
-            assert_eq!(render(&&v, pretty), copied);
-            assert_eq!(render(&Box::new(v.clone()), pretty), copied);
+            assert_eq!(render(&typed, pretty), render(&typed.to_value(), pretty));
+            // Parsed back, the bytes are a hex string, which renders
+            // as they did.
+            let text = render(&v, pretty);
+            assert_eq!(render(&from_str::<Value>(&text).unwrap(), pretty), text);
         }
     }
 
