@@ -347,6 +347,7 @@ mod tests {
         SpaceDelta,
     };
     use det_vm::Regs;
+    use serde::Value;
 
     use super::*;
     use crate::apply::{EntryRec, PutRec, VmCounters};
@@ -364,11 +365,118 @@ mod tests {
             serde_json::to_string_pretty(t).unwrap(),
         ] {
             assert_eq!(&serde_json::from_str::<T>(&text).unwrap(), t, "{text}");
+            json_decodes_agree::<T>(&text);
         }
         let bytes = serde::bin::to_vec(t);
         let back: T = serde::bin::from_slice(&bytes).unwrap();
         assert_eq!(&back, t);
         assert_eq!(serde::bin::to_vec(&back), bytes);
+        bin_decodes_agree::<T>(&bytes);
+    }
+
+    /// A decoded value by its canonical bytes, or `None` when refused.
+    fn canonical<T: Serialize, E>(decoded: std::result::Result<T, E>) -> Option<Vec<u8>> {
+        decoded.ok().map(|t| serde::bin::to_vec(&t))
+    }
+
+    /// The walk reading JSON text straight into `T` accepts exactly
+    /// what parsing the text into a tree and reading `T` from the tree
+    /// accepts, and gives the same value.
+    fn json_decodes_agree<T: Serialize + Deserialize>(text: &str) -> bool {
+        let streamed = canonical(serde_json::from_str::<T>(text));
+        let tree = serde_json::from_str::<Value>(text).map_err(drop);
+        let via_tree = canonical(tree.and_then(|v| T::from_value(&v).map_err(drop)));
+        assert_eq!(streamed, via_tree, "{text}");
+        streamed.is_some()
+    }
+
+    /// [`json_decodes_agree`] for the binary rendering.
+    fn bin_decodes_agree<T: Serialize + Deserialize>(bytes: &[u8]) -> bool {
+        let streamed = canonical(serde::bin::from_slice::<T>(bytes));
+        let tree = serde::bin::from_slice::<Value>(bytes).map_err(drop);
+        let via_tree = canonical(tree.and_then(|v| T::from_value(&v).map_err(drop)));
+        assert_eq!(streamed, via_tree, "{bytes:?}");
+        streamed.is_some()
+    }
+
+    /// Every truncation and every single-bit flip of `bytes`, then
+    /// `bytes` itself.
+    fn damaged(bytes: &[u8]) -> impl Iterator<Item = Vec<u8>> + '_ {
+        let cuts = (0..bytes.len()).map(|n| bytes[..n].to_vec());
+        let flips = (0..bytes.len() * 8).map(|bit| {
+            let mut b = bytes.to_vec();
+            b[bit / 8] ^= 1 << (bit % 8);
+            b
+        });
+        cuts.chain(flips).chain(std::iter::once(bytes.to_vec()))
+    }
+
+    /// A checkpoint payload, read as a walk reads it.
+    #[derive(Serialize, Deserialize)]
+    struct Payload {
+        boundary: u64,
+        kernel: crate::state::KState,
+    }
+
+    /// The streamed decoders agree with decoding through a tree on a
+    /// recorded trace, a wire delta and a checkpoint payload, and on
+    /// every truncation and single-bit flip of each: the same values
+    /// accepted, the same refused.
+    #[test]
+    fn streamed_and_tree_decodes_agree_on_damaged_artifacts() {
+        use crate::{Checkpoint, DeviceId, Kernel, KernelConfig, Program, PutSpec, TraceSink};
+        let sink = TraceSink::new();
+        let kernel = Kernel::new(KernelConfig::builder().trace(sink.clone()).build());
+        kernel.push_input(DeviceId::ConsoleIn, b"in".to_vec());
+        let out = kernel.run(|ctx| {
+            let data = ctx.dev_read(DeviceId::ConsoleIn)?.unwrap_or_default();
+            ctx.dev_write(DeviceId::ConsoleOut, &data)?;
+            let child = Program::native(|c| {
+                c.ret(1)?;
+                Ok(3)
+            });
+            ctx.put(1, PutSpec::new().program(child).start())?;
+            ctx.get(1, GetSpec::new().regs())?;
+            ctx.checkpoint()?;
+            Ok(0)
+        });
+        assert_eq!(out.exit, Ok(0));
+        let trace = sink.collect().expect("sink recorded");
+        let ckpt = Checkpoint::capture(&trace, trace.len() - 1).expect("capture");
+        let ckpt = ckpt.to_bytes();
+        let newline = ckpt.iter().position(|&b| b == b'\n').expect("header");
+        let delta = SpaceDelta {
+            pages: vec![
+                PageDelta {
+                    vpn: 4,
+                    perm: Perm::RW,
+                    op: PageDeltaOp::Write(vec![0xde, 0xad, 0x00, 0xff]),
+                },
+                PageDelta {
+                    vpn: 5,
+                    perm: Perm::R,
+                    op: PageDeltaOp::WriteZero,
+                },
+            ],
+            unmapped: vec![42],
+        };
+
+        let text = trace.to_json();
+        let mut accepted = 0;
+        for b in damaged(text.as_bytes()) {
+            if let Ok(text) = std::str::from_utf8(&b) {
+                accepted += usize::from(json_decodes_agree::<Trace>(text));
+            }
+        }
+        for b in damaged(&serde::bin::to_vec(&delta)) {
+            accepted += usize::from(bin_decodes_agree::<SpaceDelta>(&b));
+        }
+        for b in damaged(&ckpt[newline + 1..]) {
+            accepted += usize::from(bin_decodes_agree::<Payload>(&b));
+        }
+        // The originals, and the flips that leave a value well-formed
+        // (a digit for a digit, a bool for a bool).
+        assert!(accepted > 3, "{accepted}");
     }
 
     /// An [`AddressSpace`] has no `PartialEq`: it round-trips when
@@ -392,6 +500,8 @@ mod tests {
             assert_eq!(observe(&back), observe(mem));
             assert_eq!(serde::bin::to_vec(&back), bytes);
         }
+        assert!(json_decodes_agree::<AddressSpace>(&text));
+        assert!(bin_decodes_agree::<AddressSpace>(&bytes));
     }
 
     fn regs() -> Regs {

@@ -15,7 +15,8 @@
 //! [`AddressSpace::try_merge_from`]. `bytes_copied` is identical too
 //! whenever the engine adopts nothing — every parent frame in the
 //! region private to the parent — which is how the differential suite
-//! pins the engine's word-parallel kernels to this byte loop; with
+//! pins the engine's one-pass join kernel (`join_page`, for pages both
+//! sides wrote) to this byte loop; with
 //! frames shared the engine remaps the pages only the child wrote
 //! ([`MergeStats::pages_adopted`]) and copies *at most* what the oracle
 //! copies. The oracle's *work* counters (`pages_scanned`,

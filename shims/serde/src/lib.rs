@@ -185,7 +185,7 @@ pub trait Source<'de> {
 
 /// [`Source::skip`] through atoms: every scalar is read and checked,
 /// every container opened (and so depth-checked) and drained.
-pub fn skip_atoms<'de, S: Source<'de>>(src: &mut S) -> Result<(), S::Error> {
+fn skip_atoms<'de, S: Source<'de>>(src: &mut S) -> Result<(), S::Error> {
     match src.atom()? {
         Atom::Array => {
             while src.item()? {
@@ -254,7 +254,7 @@ pub trait Deserialize: Sized {
 /// A capacity to reserve for `hint` items of `T`: a declared count is
 /// bounded by the input behind it, and reserving for it is capped at
 /// 1 MiB, so a short input never sizes a large buffer.
-pub fn cautious<T>(hint: Option<usize>) -> usize {
+fn cautious<T>(hint: Option<usize>) -> usize {
     let cap = (1 << 20) / std::mem::size_of::<T>().max(1);
     hint.unwrap_or(0).min(cap)
 }
