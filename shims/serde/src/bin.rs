@@ -29,8 +29,6 @@
 use std::borrow::Cow;
 use std::fmt;
 
-#[cfg(test)]
-use crate::Value;
 use crate::{Atom, DeError, Deserialize, MAX_DEPTH, Serialize, Sink, Source};
 
 const NULL: u8 = 0;
@@ -366,6 +364,7 @@ impl<'a> Source<'a> for Reader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Value;
 
     fn every_shape() -> Value {
         Value::Object(vec![
